@@ -26,14 +26,19 @@ class Align(Element):
             raise ConfigError("Align(MODULUS, OFFSET)")
         self.modulus = int(args[0])
         self.offset = int(args[1])
-        if self.modulus not in (2, 4, 8):
-            raise ConfigError("Align modulus must be 2, 4, or 8")
+        # Packets track their data pointer modulo 4 (Packet.data_alignment),
+        # so nothing finer could ever be satisfied; click-align's
+        # lattice stops at 4 and never asks for more.
+        if self.modulus not in (2, 4):
+            raise ConfigError("Align modulus must be 2 or 4")
         if not 0 <= self.offset < self.modulus:
             raise ConfigError("Align offset must be in [0, modulus)")
         self.copies = 0
 
     def simple_action(self, packet):
-        if packet.data_alignment() % self.modulus != self.offset % self.modulus:
+        # The fast path inlines exactly this test and Packet.realign's
+        # effect (see FastPath._action_segment).
+        if packet.data_alignment() % self.modulus != self.offset:
             packet.realign(self.modulus, self.offset)
             self.copies += 1
         return packet

@@ -12,6 +12,13 @@ pattern, absorbs IPFragmenter's MTU check).  Their handlers do the same
 per-packet work as the chains they replace, in one element body — no
 inter-element transfers, shared header parsing, single dispatch — which
 is where their speedup comes from.
+
+The compiled fast path does not call these handlers at all: each combo
+declares, in :meth:`lowering`, the stages it stands for, and
+:mod:`repro.runtime.fastpath` emits the very segments it emits for the
+general-purpose elements, reading the stage configuration off the combo
+and sending rare cases (drops, side outputs, fragments) to the combo's
+own cold-path methods so counters and ports stay the combo's.
 """
 
 from __future__ import annotations
@@ -22,7 +29,19 @@ from ..net.addresses import IPAddress
 from ..net.checksum import update_checksum_u16, verify_checksum
 from ..net.headers import IP_HEADER_LEN
 from .element import ConfigError, Element
-from .ip import PACKET_TYPE_BROADCAST, fragment_ip_packet
+from .infrastructure import Strip
+from .ip import (
+    PACKET_TYPE_BROADCAST,
+    CheckIPHeader,
+    DecIPTTL,
+    DropBroadcasts,
+    FixIPSrc,
+    IPFragmenter,
+    IPGWOptions,
+    Paint,
+    PaintTee,
+    fragment_ip_packet,
+)
 from .registry import register
 
 
@@ -35,6 +54,27 @@ class IPInputCombo(Element):
     class_name = "IPInputCombo"
     processing = "h/h"
     port_counts = "1/1"
+    # The configuration of the stages below that is not an argument:
+    # Strip(14), CheckIPHeader at offset 0 without the alignment trap.
+    nbytes = 14
+    offset = 0
+    strict_alignment = False
+
+    def lowering(self):
+        """``(handler, cold path)`` per stage, in packet order: the
+        fast path emits ``handler``'s segment with this element as its
+        configuration and calls the named method where the segment
+        would have called the general-purpose element.  GetIPAddress(16)
+        has no stage: the header check sets the annotation itself."""
+        return (
+            (Paint.simple_action, None),
+            (Strip.simple_action, self._fail),
+            (CheckIPHeader._check, self._fail),
+        )
+
+    def _fail(self, packet):
+        self.drops += 1
+        return None
 
     def configure(self, args):
         if not args or len(args) > 2:
@@ -104,6 +144,73 @@ class IPOutputCombo(Element):
         self.drops = 0
         self.fragments_made = 0
 
+    def lowering(self):
+        """See :meth:`IPInputCombo.lowering`.  Output 0 is the chain's
+        own continuation; outputs 1-4 are reached only from the cold
+        paths."""
+        stages = [
+            (DropBroadcasts.simple_action, None),
+            (PaintTee._tee, self._tee),
+            (IPGWOptions._process, self._options),
+            (FixIPSrc.simple_action, self._fix_src),
+            (DecIPTTL._decrement, self._expire),
+        ]
+        if self.mtu is not None:
+            stages.append((IPFragmenter._maybe_fragment, self._fragment))
+        return stages
+
+    # CheckPaint and FixIPSrc read nothing the combo lacks (color, my_ip,
+    # output 1), so their cold paths are the elements' own handlers.
+
+    def _tee(self, packet):
+        return PaintTee._tee(self, packet)
+
+    def _fix_src(self, packet):
+        return FixIPSrc.simple_action(self, packet)
+
+    def _options(self, packet):
+        """IPGWOptions: validate by walking; a malformed option sends
+        the packet out output 2."""
+        data = packet.data
+        header_length = (data[0] & 0xF) * 4
+        cursor = IP_HEADER_LEN
+        while cursor < header_length:
+            option = data[cursor]
+            if option == 0:
+                break
+            if option == 1:
+                cursor += 1
+                continue
+            if cursor + 1 >= header_length or data[cursor + 1] < 2 or (
+                cursor + data[cursor + 1] > header_length
+            ):
+                self.checked_push(2, packet)
+                return None
+            cursor += data[cursor + 1]
+        return packet
+
+    def _expire(self, packet):
+        self.checked_push(3, packet)
+        return None
+
+    def _fragment(self, packet):
+        """The absorbed IPFragmenter: an oversize packet leaves as
+        fragments on output 0, or whole on output 4 when DF is set."""
+        from ..net.headers import IPHeader
+
+        header = IPHeader.unpack(packet.data)
+        if header.dont_fragment:
+            self.checked_push(4, packet)
+            return None
+        # Fragment exactly as the IPFragmenter this pattern absorbed
+        # would have, so optimized and unoptimized graphs emit
+        # identical bytes.
+        fragments = fragment_ip_packet(packet, header, self.mtu)
+        self.fragments_made += len(fragments)
+        for fragment in fragments:
+            self.output(0).push(fragment)
+        return None
+
     def push(self, port, packet):
         # DropBroadcasts.
         if packet.user_annos.get("packet_type") == PACKET_TYPE_BROADCAST:
@@ -113,40 +220,17 @@ class IPOutputCombo(Element):
         if packet.paint == self.color and self.noutputs > 1:
             self.output(1).push(packet.clone())
         data = packet.data
-        # IPGWOptions: options only when IHL > 5, validated by walking.
-        header_length = (data[0] & 0xF) * 4
-        if header_length > IP_HEADER_LEN:
-            cursor = IP_HEADER_LEN
-            while cursor < header_length:
-                option = data[cursor]
-                if option == 0:
-                    break
-                if option == 1:
-                    cursor += 1
-                    continue
-                if cursor + 1 >= header_length or data[cursor + 1] < 2 or (
-                    cursor + data[cursor + 1] > header_length
-                ):
-                    self.checked_push(2, packet)
-                    return
-                cursor += data[cursor + 1]
+        # IPGWOptions: options only when IHL > 5.
+        if (data[0] & 0xF) * 4 > IP_HEADER_LEN and self._options(packet) is None:
+            return
         # FixIPSrc.
         if packet.fix_ip_src_anno:
-            checksum = struct.unpack_from("!H", data, 10)[0]
-            new_src = self.my_ip.packed()
-            for word_index in range(2):
-                offset = 12 + word_index * 2
-                old_word = struct.unpack_from("!H", data, offset)[0]
-                new_word = struct.unpack_from("!H", new_src, word_index * 2)[0]
-                checksum = update_checksum_u16(checksum, old_word, new_word)
-            packet.replace(12, new_src)
-            packet.replace(10, struct.pack("!H", checksum))
-            packet.fix_ip_src_anno = False
+            self._fix_src(packet)
             data = packet.data
         # DecIPTTL.
         ttl = data[8]
         if ttl <= 1:
-            self.checked_push(3, packet)
+            self._expire(packet)
             return
         old_word = struct.unpack_from("!H", data, 8)[0]
         old_checksum = struct.unpack_from("!H", data, 10)[0]
@@ -156,18 +240,6 @@ class IPOutputCombo(Element):
         )
         # Fragmentation check (absorbed IPFragmenter MTU test).
         if self.mtu is not None and len(packet) > self.mtu:
-            from ..net.headers import IPHeader
-
-            header = IPHeader.unpack(packet.data)
-            if header.dont_fragment:
-                self.checked_push(4, packet)
-                return
-            # Fragment exactly as the IPFragmenter this pattern absorbed
-            # would have, so optimized and unoptimized graphs emit
-            # identical bytes.
-            fragments = fragment_ip_packet(packet, header, self.mtu)
-            self.fragments_made += len(fragments)
-            for fragment in fragments:
-                self.output(0).push(fragment)
+            self._fragment(packet)
             return
         self.output(0).push(packet)

@@ -204,12 +204,10 @@ class Packet:
         ``data_alignment % modulus == offset`` (the ``Align`` element's
         job).  Returns self for chaining."""
         contents = self.data
-        headroom = DEFAULT_HEADROOM
-        # Choose a buffer alignment that yields the requested data alignment.
-        self._buf = bytearray(headroom) + bytearray(contents)
-        self._data_offset = headroom
+        self._buf = bytearray(DEFAULT_HEADROOM) + bytearray(contents)
+        self._data_offset = DEFAULT_HEADROOM
         self._data_cache = None
-        self.buffer_alignment = (offset - headroom) % modulus % 4
+        self.buffer_alignment = realigned_buffer_alignment(modulus, offset)
         return self
 
     def __repr__(self):
@@ -218,6 +216,14 @@ class Packet:
             self.paint,
             self.dest_ip_anno,
         )
+
+
+def realigned_buffer_alignment(modulus, offset):
+    """The buffer alignment that puts a data pointer ``DEFAULT_HEADROOM``
+    bytes into the buffer at ``offset`` modulo ``modulus`` — what
+    :meth:`Packet.realign` leaves behind, and what the fast path's
+    inline Align segment bakes in as a constant."""
+    return (offset - DEFAULT_HEADROOM) % modulus % 4
 
 
 def make_packet(data, **annotations):

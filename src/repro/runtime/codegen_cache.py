@@ -136,6 +136,7 @@ _REPORT_FIELDS = (
     "fdd_nodes",
     "fdd_paths",
     "fdd_tests_saved",
+    "opaque_dispatch",
 )
 
 
@@ -197,7 +198,8 @@ class CacheEntry:
         namespace = fastpath._namespace
         for name, spec in self.specs.items():
             namespace[name] = _resolve_spec(spec, fastpath, tables)
-        exec(self.code, namespace)  # noqa: S102 - cached generated code
+        for unit in self.code:
+            exec(unit, namespace)  # noqa: S102 - cached generated code
         fastpath.source = self.source
         fastpath._code = self.code
         fastpath._names = dict(self.names)
@@ -432,8 +434,10 @@ class CodegenCache:
             return None
         if not isinstance(record["source"], str) or not isinstance(record["key"], tuple):
             return None
+        from .fastpath import compile_units
+
         try:
-            code = compile(record["source"], "<codegen-cache>", "exec")
+            code = compile_units(record["source"], "<codegen-cache>")
         except (SyntaxError, ValueError):
             return None
         entry = CacheEntry()

@@ -287,6 +287,10 @@ class FastPathReport:
         self.fdd_nodes = 0  # expanded diagram nodes across those diagrams
         self.fdd_paths = 0  # root-to-leaf paths across those diagrams
         self.fdd_tests_saved = 0  # field loads the diagrams share along their paths
+        # chain label -> elements of its own run the chain calls through
+        # their bound push / simple_action (no segment, no fast_action);
+        # metered chains call everything that way and list nothing
+        self.opaque_dispatch = {}
 
     def as_dict(self):
         return {
@@ -314,6 +318,7 @@ class FastPathReport:
             "fdd_nodes": self.fdd_nodes,
             "fdd_paths": self.fdd_paths,
             "fdd_tests_saved": self.fdd_tests_saved,
+            "opaque_dispatch": dict(sorted(self.opaque_dispatch.items())),
         }
 
     def to_json(self):
@@ -357,6 +362,8 @@ class FastPathReport:
                 "(%d nodes, %d paths, %d shared loads)"
                 % (self.fdd_diagrams, self.fdd_nodes, self.fdd_paths, self.fdd_tests_saved)
             )
+        for label, names in sorted(self.opaque_dispatch.items()):
+            lines.append("  opaque: %s calls %s" % (label, ", ".join(names)))
         if self.chain_lines:
             largest = sorted(
                 self.chain_lines.items(), key=lambda item: -item[1]
@@ -386,6 +393,43 @@ def inline_action_name(cls):
     if cls.push is Element.push and cls.pull is Element.pull:
         return "simple_action"
     return None
+
+
+def _lowering(element):
+    """The ``(handler, bound cold path)`` stages a combination element
+    declares it stands for (``lowering()``, see
+    :mod:`repro.elements.combos`), or None when this instance must be
+    entered through its own ``push``: nothing declared, or the handler
+    the declaration describes is overridden or fault-wrapped."""
+    for cls in type(element).__mro__:
+        if "lowering" in vars(cls):
+            if getattr(element.push, "__func__", None) is vars(cls).get("push"):
+                return element.lowering()
+            break
+    return None
+
+
+def _shift_lines(code, by):
+    consts = tuple(
+        _shift_lines(const, by) if hasattr(const, "co_firstlineno") else const
+        for const in code.co_consts
+    )
+    return code.replace(co_firstlineno=code.co_firstlineno + by, co_consts=consts)
+
+
+def compile_units(source, filename="<fastpath>"):
+    """A generated module as code objects, one per chain, to ``exec``
+    in order.  ``compile`` keeps about 3 kB of working memory per
+    source line until it returns, so a module compiled whole sets the
+    process's memory high-water mark (16 MB for the plain IP router's
+    5 200 lines); a chain at a time it stays under 1 MB, in the same
+    time.  Line numbers are those of the whole ``source``."""
+    units = []
+    line = 0
+    for text in source.split("\n\n"):
+        units.append(_shift_lines(compile(text, filename, "exec"), line))
+        line += text.count("\n") + 2
+    return units
 
 
 def _uses_shared_dispatch(element):
@@ -493,7 +537,8 @@ class FastPath:
         self._bind_specs = {}  # _bN name -> replay recipe
         self._cacheable = True
         self._ctx_counter = 0
-        self._code = None  # compiled module code object (for the cache)
+        self._fuse_lowered = False  # is the chain being emitted a task's?
+        self._code = None  # compiled module, see compile_units (for the cache)
         self._names = None  # chain key -> (fn name, batch fn name)
         # Per-chain compile units, kept so a later scoped hot-swap can
         # splice this module's untouched chains into its own compile
@@ -573,9 +618,13 @@ class FastPath:
     def _trace_push(self, element, port_index):
         """Follow the push edge out of ``element[port_index]`` through
         every inlineable one-in/one-out element; returns (stages,
-        bound inlined actions, terminal element, terminal input port)."""
+        inlined ``(element, bound action, handler)`` triples, terminal
+        element, terminal input port).  ``handler`` is the function the
+        segment emitter dispatches on: the action's own, or — for each
+        stage of a lowered combination element, unmetered chains only —
+        the general-purpose handler the stage stands for."""
         via = element._output_ports[port_index]
-        stages, actions = [], []
+        stages, pairs = [], []
         seen = {id(element)}
         prev, prev_port = element, port_index
         current, in_port = via.target, via.target_port
@@ -595,8 +644,11 @@ class FastPath:
             # its other input ports do — chains entering those ports are
             # compiled separately, so ninputs does not matter here.
             action = inline_action_name(type(current))
+            lowered = None
+            if action is None and not self.metered:
+                lowered = _lowering(current)
             if (
-                action is None
+                (action is None and lowered is None)
                 or in_port != 0
                 or id(current) in seen
                 or not current._output_ports
@@ -606,19 +658,24 @@ class FastPath:
             if next_port.target is None:
                 break
             seen.add(id(current))
-            actions.append(getattr(current, action))
+            if lowered is None:
+                bound = getattr(current, action)
+                pairs.append((current, bound, getattr(bound, "__func__", None)))
+            else:
+                pairs.extend((current, cold, handler) for handler, cold in lowered)
             prev, prev_port, via = current, 0, next_port
             current, in_port = next_port.target, next_port.target_port
-        return stages, actions, current, in_port
+        return stages, pairs, current, in_port
 
     def _trace_pull(self, element, port_index):
         """Follow the pull edge into ``element[port_index]`` upstream
-        through every inlineable element; returns (stages, bound
-        inlined actions in walk order, terminal element, terminal
-        output port).  Actions apply to the pulled packet in *reverse*
-        walk order (nearest the terminal first)."""
+        through every inlineable element; returns (stages, inlined
+        ``(element, bound action, handler)`` triples in walk order,
+        terminal element, terminal output port).  Actions apply to the
+        pulled packet in *reverse* walk order (nearest the terminal
+        first)."""
         via = element._input_ports[port_index]
-        stages, actions = [], []
+        stages, pairs = [], []
         seen = {id(element)}
         prev, prev_port = element, port_index
         current, out_port = via.source, via.source_port
@@ -645,10 +702,11 @@ class FastPath:
             if next_port.source is None:
                 break
             seen.add(id(current))
-            actions.append(getattr(current, action))
+            bound = getattr(current, action)
+            pairs.append((current, bound, getattr(bound, "__func__", None)))
             prev, prev_port, via = current, 0, next_port
             current, out_port = next_port.source, next_port.source_port
-        return stages, actions, current, out_port
+        return stages, pairs, current, out_port
 
     # -- code generation ---------------------------------------------------------
 
@@ -1149,7 +1207,8 @@ class FastPath:
         """Emitter for the full body of the push chain leaving
         ``element[port_index]``, for fusing into a dispatch site, or
         None when that chain must stay a function call (metered mode,
-        unwired port, a terminal cycle, or past the depth limit).
+        unwired port, a terminal cycle, past the depth limit, or a
+        lowered combination element outside a task source's chain).
 
         The body is the same segments + terminal dispatch the chain's
         standalone function gets, so fusing only removes the call frame;
@@ -1165,10 +1224,18 @@ class FastPath:
         port = element._output_ports[port_index]
         if port.target is None:
             return None
-        stages, actions, terminal, terminal_port = self._trace_push(element, port_index)
+        stages, pairs, terminal, terminal_port = self._trace_push(element, port_index)
         if id(terminal) in stack:
             return None
-        pairs = [(stages[i].to_element, action) for i, action in enumerate(actions)]
+        if not self._fuse_lowered and any(
+            inline_action_name(type(inlined)) is None for inlined, _a, _h in pairs
+        ):
+            # A lowered combination element's body is long.  Only the
+            # chains packets enter the router on fuse it into their
+            # dispatch sites; every other chain reaches it through the
+            # jump table, i.e. through the one chain compiled for this
+            # edge — a call on a cold path instead of a copy per site.
+            return None
         segments = self._compose_segments(pairs, new_arg, ctx=ctx)
         emit_terminal = self._terminal_spec(
             terminal, terminal_port, new_arg, stack | {id(terminal)}, depth, ctx=ctx
@@ -1214,9 +1281,16 @@ class FastPath:
             return emit
         return None
 
-    def _action_segment(self, element, action, new_arg, ctx=None):
+    def _action_segment(self, element, action, fn, new_arg, ctx=None):
         """An inline code segment for one traced element, or None when
-        its action must stay a bound call.  Segments write the element's
+        its action must stay a bound call.  ``fn`` is the handler the
+        segment is chosen by; ``element`` supplies the configuration
+        and counters, ``action`` the rare path.  For a general-purpose
+        element the three belong together; for a stage of a lowered
+        combination element ``fn`` is the handler the stage stands for
+        while ``element`` and ``action`` are the combo and its own cold
+        path, which is all it takes for drops, side outputs and
+        counters to land on the combo.  Segments write the element's
         per-packet work as raw statements with configuration constants
         baked in — the runtime analogue of click-xform's combo elements.
         Rare paths (errors, side outputs, cache misses) still call the
@@ -1229,7 +1303,11 @@ class FastPath:
         named local holds ``packet._data_cache`` (non-None) with at
         least ``min_len`` bytes.  Segments that keep the invariant use
         it to drop loads and bounds checks; segments that may break it
-        clear the dict, turning it off for the rest of the chain."""
+        clear the dict, turning it off for the rest of the chain.  Under
+        ``fuse_facts`` the dict also carries what upstream segments
+        proved: ``dst_raw``/``ip_hl`` (locals CheckIPHeader left live),
+        ``paint`` (a constant) and ``off`` — the packet's ``_data_offset``
+        as a constant, known once an Align has rebuilt the buffer."""
         from ..elements.arp import ARPQuerier
         from ..elements.ethernet import EtherEncap
         from ..elements.infrastructure import Strip
@@ -1245,9 +1323,9 @@ class FastPath:
             PaintTee,
         )
 
-        from ..net.packet import _DEST_IP_CACHE
+        from ..elements.align import Align
+        from ..net.packet import _DEST_IP_CACHE, DEFAULT_HEADROOM, realigned_buffer_alignment
 
-        fn = getattr(action, "__func__", None)
         if (
             fn is CheckIPHeader._check
             and not element.offset
@@ -1399,10 +1477,14 @@ class FastPath:
                 # The header-length local was measured against the old
                 # contents origin; it does not survive the re-slice.
                 ctx.pop("ip_hl", None)
+                move = "%%s._data_offset += %d" % n
+                if "off" in ctx:
+                    ctx["off"] += n
+                    move = "%%s._data_offset = %d" % ctx["off"]
 
                 def seg(var, pad, exitstmt, _src=src, _dst=dst):
                     return [
-                        pad + "%s._data_offset += %d" % (var, n),
+                        pad + move % var,
                         pad + "%s = %s[%d:]" % (_dst, _src, n),
                         pad + "%s._data_cache = %s" % (var, _dst),
                     ]
@@ -1410,6 +1492,13 @@ class FastPath:
                 return seg
             if ctx:
                 ctx.clear()
+            # Strip proper drops a short packet silently; a lowered
+            # stage counts it through the combo's cold path.
+            short = (
+                []
+                if getattr(action, "__func__", None) is fn
+                else ["    %s(%%s)" % new_arg(action, _method_spec(action))]
+            )
 
             def seg(var, pad, exitstmt):
                 # Stripping the front of a cached contents bytes is a
@@ -1417,11 +1506,60 @@ class FastPath:
                 # next .data reader to rebuild from the buffer.
                 return [
                     pad + "if len(%s._buf) - %s._data_offset < %d:" % (var, var, n),
+                    *[pad + line % var for line in short],
                     pad + "    " + exitstmt,
                     pad + "%s._data_offset += %d" % (var, n),
                     pad + "c = %s._data_cache" % var,
                     pad + "%s._data_cache = c[%d:] if c is not None else None" % (var, n),
                 ]
+
+            return seg
+        if fn is Align.simple_action:
+            # Align.simple_action and Packet.realign in line.  The copy
+            # leaves the contents as they were, so the contents cache —
+            # and every fact about it — survives.
+            e = new_arg(element, ("elem", element.name))
+            room = bytearray(DEFAULT_HEADROOM)
+            r = new_arg(room, ("value", room))
+            cvar = ctx.get("data") if ctx else None
+            modulus, offset = element.modulus, element.offset
+            aligned = realigned_buffer_alignment(modulus, offset)
+            jt = None
+            if ctx is not None and self.policy.fuse_facts:
+                # A rebuilt buffer has one layout, so the rest of the
+                # chain is emitted for it with the data offset folded
+                # into constants.  click-align places an Align only
+                # where its input is not aligned already; a packet that
+                # is takes the chain compiled for this edge instead.
+                table, table_index = self._register_jump_table(element, "plain")
+                jt = new_arg(table, ("table", table_index))
+                ctx["off"] = DEFAULT_HEADROOM
+
+            def seg(var, pad, exitstmt):
+                lines = [
+                    pad
+                    + "if (%s.buffer_alignment + %s._data_offset) %% %d != %d:"
+                    % (var, var, modulus, offset)
+                ]
+                if not cvar:
+                    lines += [
+                        pad + "    c = %s._data_cache" % var,
+                        pad + "    if c is None:",
+                        pad + "        c = %s.data" % var,
+                    ]
+                lines += [
+                    pad + "    %s._buf = %s + %s" % (var, r, cvar or "c"),
+                    pad + "    %s._data_offset = %d" % (var, DEFAULT_HEADROOM),
+                    pad + "    %s.buffer_alignment = %d" % (var, aligned),
+                    pad + "    %s.copies += 1" % e,
+                ]
+                if jt is not None:
+                    lines += [
+                        pad + "else:",
+                        pad + "    %s[0](%s)" % (jt, var),
+                        pad + "    " + exitstmt,
+                    ]
+                return lines
 
             return seg
         if fn is DropBroadcasts.simple_action:
@@ -1528,6 +1666,7 @@ class FastPath:
             return seg
         if fn is DecIPTTL._decrement:
             data_var = None
+            off = ctx.get("off") if ctx else None
             if ctx and self.policy.fuse_facts:
                 data_var = ctx.get("data")
             if ctx:
@@ -1555,6 +1694,21 @@ class FastPath:
                         pad + "if c is None:",
                         pad + "    c = %s.data" % var,
                     ]
+                if off is None:
+                    poke = [
+                        pad + "    base = %s._data_offset + 8" % var,
+                        pad + "    buf = %s._buf" % var,
+                        pad + "    buf[base] = ttl - 1",
+                        pad + "    buf[base + 2] = t >> 8",
+                        pad + "    buf[base + 3] = t & 0xFF",
+                    ]
+                else:
+                    poke = [
+                        pad + "    buf = %s._buf" % var,
+                        pad + "    buf[%d] = ttl - 1" % (off + 8),
+                        pad + "    buf[%d] = t >> 8" % (off + 10),
+                        pad + "    buf[%d] = t & 0xFF" % (off + 11),
+                    ]
                 return head + [
                     pad + "ttl = c[8]",
                     pad + "if ttl <= 1:",
@@ -1566,24 +1720,27 @@ class FastPath:
                     pad + "    t = (((c[10] << 8) | c[11]) ^ 0xFFFF) + (w ^ 0xFFFF) + (w - 0x100)",
                     pad + "    t = (t & 0xFFFF) + (t >> 16)",
                     pad + "    t = ((t & 0xFFFF) + (t >> 16)) ^ 0xFFFF",
-                    pad + "    base = %s._data_offset + 8" % var,
-                    pad + "    buf = %s._buf" % var,
-                    pad + "    buf[base] = ttl - 1",
-                    pad + "    buf[base + 2] = t >> 8",
-                    pad + "    buf[base + 3] = t & 0xFF",
+                    *poke,
                     pad + "    %s._data_cache = None" % var,
                 ]
 
             return seg
         if fn is IPFragmenter._maybe_fragment:
+            # A packet that gets past the test is untouched, so the
+            # layout fact outlives the clear.
+            off = ctx.get("off") if ctx else None
             if ctx:
                 ctx.clear()
             a = new_arg(action, _method_spec(action))
             mtu = element.mtu
+            if off is not None:
+                ctx["off"] = off
 
             def seg(var, pad, exitstmt):
                 return [
-                    pad + "if len(%s._buf) - %s._data_offset > %d:" % (var, var, mtu),
+                    pad + "if len(%s._buf) - %s._data_offset > %d:" % (var, var, mtu)
+                    if off is None
+                    else pad + "if len(%s._buf) > %d:" % (var, mtu + off),
                     pad + "    %s = %s(%s)" % (var, a, var),
                     pad + "    if %s is None:" % var,
                     pad + "        " + exitstmt,
@@ -1625,6 +1782,7 @@ class FastPath:
 
             return seg
         if fn is ARPQuerier._handle_ip:
+            off = ctx.get("off") if ctx else None
             if ctx:
                 ctx.clear()
             # Common case: a resolved next hop whose Ethernet header is
@@ -1665,18 +1823,29 @@ class FastPath:
                 inner = pad
                 if hot is not None:
                     hot_ip, hot_hdr, e, epoch, hl = hot
-                    lines += [
-                        pad + "if dst is %s and %s._arp_epoch == %d:" % (hot_ip, e, epoch),
-                        pad + "    off = %s._data_offset" % var,
-                        pad + "    if off >= %d:" % hl,
-                        pad + "        off -= %d" % hl,
-                        pad + "        %s._buf[off:off + %d] = %s" % (var, hl, hot_hdr),
-                        pad + "        %s._data_offset = off" % var,
-                        pad + "        %s._data_cache = None" % var,
-                        pad + "    else:",
-                        pad + "        %s.push(%s)" % (var, hot_hdr),
-                        pad + "else:",
-                    ]
+                    lines.append(
+                        pad + "if dst is %s and %s._arp_epoch == %d:" % (hot_ip, e, epoch)
+                    )
+                    if off is not None and off >= hl:
+                        # Known layout, known header: the headroom test
+                        # is decided here and the slice bounds fold.
+                        lines += [
+                            pad + "    %s._buf[%d:%d] = %s" % (var, off - hl, off, hot_hdr),
+                            pad + "    %s._data_offset = %d" % (var, off - hl),
+                            pad + "    %s._data_cache = None" % var,
+                        ]
+                    else:
+                        lines += [
+                            pad + "    off = %s._data_offset" % var,
+                            pad + "    if off >= %d:" % hl,
+                            pad + "        off -= %d" % hl,
+                            pad + "        %s._buf[off:off + %d] = %s" % (var, hl, hot_hdr),
+                            pad + "        %s._data_offset = off" % var,
+                            pad + "        %s._data_cache = None" % var,
+                            pad + "    else:",
+                            pad + "        %s.push(%s)" % (var, hot_hdr),
+                        ]
+                    lines.append(pad + "else:")
                     inner = pad + "    "
                     if miss is not None:
                         lines.append(inner + "%s()" % miss)
@@ -1700,22 +1869,24 @@ class FastPath:
             return seg
         return None
 
-    def _compose_segments(self, pairs, new_arg, ctx=None):
+    def _compose_segments(self, pairs, new_arg, ctx=None, opaque=None):
         """The inline body of an unmetered chain: one code segment per
-        traced (element, bound action) pair — in the order the actions
-        apply to the packet — with redundant elements elided and known
-        cheap elements specialized to raw statements.  ``ctx`` (mutated
-        in place) carries a guard-established contents local through the
-        segments; any segment that may invalidate it clears it."""
+        traced (element, bound action, handler) triple — in the order
+        the actions apply to the packet — with redundant elements elided
+        and known cheap elements specialized to raw statements.  ``ctx``
+        (mutated in place) carries a guard-established contents local
+        through the segments; any segment that may invalidate it clears
+        it.  ``opaque`` collects the elements left as bound
+        ``simple_action`` calls (see :attr:`FastPathReport.opaque_dispatch`)."""
         from ..elements.ip import CheckIPHeader, GetIPAddress
 
         segments = []
-        prev = None
-        for element, action in pairs:
+        prev = prev_handler = None
+        for element, action, handler in pairs:
             if (
-                type(element) is GetIPAddress
+                handler is GetIPAddress.simple_action
                 and element.offset == 16
-                and type(prev) is CheckIPHeader
+                and prev_handler is CheckIPHeader._check
                 and prev.offset == 0
                 and not getattr(element, "_fault_wrapped", False)
                 and not getattr(prev, "_fault_wrapped", False)
@@ -1726,14 +1897,20 @@ class FastPath:
                 # classic redundant-code elimination, safe only because
                 # the chain compiler sees both elements at once.
                 self.report.elided_elements += 1
-                prev = element
+                prev, prev_handler = element, handler
                 continue
-            seg = self._action_segment(element, action, new_arg, ctx=ctx)
+            seg = self._action_segment(element, action, handler, new_arg, ctx=ctx)
             if seg is not None:
                 self.report.specialized_actions += 1
+            elif getattr(action, "__func__", None) is not handler:
+                raise FastPathError(
+                    "%s lowers to %r, which has no segment" % (element.name, handler)
+                )
             else:
                 if ctx:
                     ctx.clear()
+                if opaque is not None and inline_action_name(type(element)) == "simple_action":
+                    opaque.append(element.name)
                 a = new_arg(action, _method_spec(action))
 
                 def seg(var, pad, exitstmt, _a=a):
@@ -1744,11 +1921,13 @@ class FastPath:
                     ]
 
             segments.append(seg)
-            prev = element
+            prev, prev_handler = element, handler
         return segments
 
     def _emit_push(self, lines, index, element, port_index):
-        stages, actions, terminal, terminal_port = self._trace_push(element, port_index)
+        # Packets enter the router on a task's chain; see _inline_push_body.
+        self._fuse_lowered = element.is_task()
+        stages, pairs, terminal, terminal_port = self._trace_push(element, port_index)
         fn = "_push_%d" % index
         info = ChainInfo(
             "push",
@@ -1763,8 +1942,9 @@ class FastPath:
         lines.append("# %s" % info.describe())
         start = len(lines)
         batch_fn = None
+        opaque = []
         if self.metered:
-            action_names = [self._bind(action) for action in actions]
+            action_names = [self._bind(action) for _e, action, _h in pairs]
             term_name = self._bind(terminal.push)
             meter_name = self._bind(self.router.meter.on_chain)
             prof_name = self._bind(tuple(stages))
@@ -1778,7 +1958,7 @@ class FastPath:
             lines.append("    counts = [0] * %d" % len(stages))
             lines.append("    survivors = []")
             lines.append("    for packet in packets:")
-            for i in range(len(actions)):
+            for i in range(len(pairs)):
                 lines.append("        counts[%d] += 1" % i)
                 lines.append("        packet = _a%d(packet)" % i)
                 lines.append("        if packet is None:")
@@ -1799,15 +1979,15 @@ class FastPath:
                 extra_args.append("%s=%s" % (name, self._bind(value, spec)))
                 return name
 
-            pairs = [(stages[i].to_element, action) for i, action in enumerate(actions)]
             ctx = {} if self.policy.fuse_facts else None
-            segments = self._compose_segments(pairs, new_arg, ctx=ctx)
+            segments = self._compose_segments(pairs, new_arg, ctx=ctx, opaque=opaque)
             emit_terminal = self._terminal_spec(
                 terminal, terminal_port, new_arg, frozenset({id(terminal)}), 0, ctx=ctx
             )
             if emit_terminal is not None:
                 self.report.specialized_terminals += 1
             else:
+                opaque.append(terminal.name)
                 t = new_arg(terminal.push, ("attr", terminal.name, ("push",)))
 
                 def emit_terminal(var, pad, exitstmt, _t=t, _p=terminal_port):
@@ -1827,13 +2007,12 @@ class FastPath:
                     lines.extend(seg("packet", "        ", "continue"))
                 lines.extend(emit_terminal("packet", "        ", "continue"))
         info.lines = len(lines) - start
-        self.report.chain_lines["push %s[%d]" % (element.name, port_index)] = info.lines
         self.chains[("push", element.name, port_index)] = info
-        self._note_chain(info, stages)
+        self._note_chain(info, len(stages), opaque)
         return fn, batch_fn
 
     def _emit_pull(self, lines, index, element, port_index):
-        stages, actions, terminal, terminal_port = self._trace_pull(element, port_index)
+        stages, pairs, terminal, terminal_port = self._trace_pull(element, port_index)
         fn = "_pull_%d" % index
         info = ChainInfo(
             "pull",
@@ -1845,13 +2024,14 @@ class FastPath:
             fn,
         )
         # Applied nearest-the-terminal first: reverse of the walk order.
-        ordered = list(reversed(actions))
+        pairs.reverse()
         lines.append("")
         lines.append("# %s" % info.describe())
         start = len(lines)
         batch_fn = None
+        opaque = []
         if self.metered:
-            action_names = [self._bind(action) for action in ordered]
+            action_names = [self._bind(action) for _e, action, _h in pairs]
             term_name = self._bind(terminal.pull)
             header = ["_t=%s" % term_name] + [
                 "_a%d=%s" % (i, name) for i, name in enumerate(action_names)
@@ -1865,7 +2045,7 @@ class FastPath:
             lines.append("    packet = _t(%d)" % terminal_port)
             lines.append("    if packet is None:")
             lines.append("        return None")
-            for i in range(len(ordered)):
+            for i in range(len(pairs)):
                 lines.append("    packet = _a%d(packet)" % i)
                 lines.append("    if packet is None:")
                 lines.append("        return None")
@@ -1891,17 +2071,12 @@ class FastPath:
                 extra_args.append("%s=%s" % (name, self._bind(value, spec)))
                 return name
 
-            # stages[i] corresponds to walk-order actions[i]; pair the
-            # reversed (application-order) actions with their elements.
-            pairs = [
-                (stages[len(actions) - 1 - i].to_element, action)
-                for i, action in enumerate(ordered)
-            ]
-            segments = self._compose_segments(pairs, new_arg)
+            segments = self._compose_segments(pairs, new_arg, opaque=opaque)
             emit_terminal = self._terminal_pull_spec(terminal, new_arg)
             if emit_terminal is not None:
                 self.report.specialized_terminals += 1
             else:
+                opaque.append(terminal.name)
                 t = new_arg(terminal.pull, ("attr", terminal.name, ("pull",)))
 
                 def emit_terminal(var, pad, exitstmt, _t=t, _p=terminal_port):
@@ -1934,20 +2109,24 @@ class FastPath:
                 lines.append("        append(packet)")
                 lines.append("    return packets")
         info.lines = len(lines) - start
-        self.report.chain_lines["pull %s[%d]" % (element.name, port_index)] = info.lines
         self.chains[("pull", element.name, port_index)] = info
-        self._note_chain(info, stages)
+        self._note_chain(info, len(stages), opaque)
         return fn, batch_fn
 
-    def _note_chain(self, info, stages):
+    def _note_chain(self, info, longest, opaque):
+        """Fold one chain (fresh or spliced from a donor) into the report."""
         report = self.report
+        label = "%s %s[%d]" % (info.kind, info.element, info.port)
+        report.chain_lines[label] = info.lines
+        if opaque:
+            report.opaque_dispatch[label] = opaque
         if info.kind == "push":
             report.push_chains += 1
         else:
             report.pull_chains += 1
         report.inlined_calls += len(info.inlined)
         report.inlined_elements.update(info.inlined)
-        report.longest_chain = max(report.longest_chain, len(stages))
+        report.longest_chain = max(report.longest_chain, longest)
 
     # -- scoped chain reuse ------------------------------------------------------
 
@@ -2057,16 +2236,12 @@ class FastPath:
         self._chain_sources[key] = donor._chain_sources[key]
         self._chain_binds[key] = bind_names
         self._chain_tables[key] = sorted(table_map.values())
-        report = self.report
-        report.reused_chains += 1
-        report.chain_lines["%s %s[%d]" % key] = info.lines
-        if info.kind == "push":
-            report.push_chains += 1
-        else:
-            report.pull_chains += 1
-        report.inlined_calls += len(info.inlined)
-        report.inlined_elements.update(info.inlined)
-        report.longest_chain = max(report.longest_chain, len(info.inlined) + 1)
+        self.report.reused_chains += 1
+        self._note_chain(
+            info,
+            len(info.inlined) + 1,
+            donor.report.opaque_dispatch.get("%s %s[%d]" % key),
+        )
         return reused_binds
 
     def _compile(self):
@@ -2126,13 +2301,14 @@ class FastPath:
         self._next_index = index
         self.source = "\n".join(lines) + "\n"
         self.report.source_lines = self.source.count("\n")
-        code = compile(self.source, "<fastpath>", "exec")
+        code = compile_units(self.source)
         if reused_binds:
             from .codegen_cache import _resolve_spec
 
             for name, spec in reused_binds:
                 self._namespace[name] = _resolve_spec(spec, self, self._jump_tables)
-        exec(code, self._namespace)  # noqa: S102 - code generated above
+        for unit in code:
+            exec(unit, self._namespace)  # noqa: S102 - code generated above
         self._code = code
         self._names = names
         for key, (fn, batch_fn) in names.items():

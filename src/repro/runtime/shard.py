@@ -439,6 +439,11 @@ class _FanoutElementProxy:
         )
 
 
+def _arp_epoch_holders(router):
+    """How many elements ``Router.bump_arp_epochs`` bumps."""
+    return sum(1 for element in router.elements.values() if hasattr(element, "_arp_epoch"))
+
+
 def _apply_shard_control(router, devices, cmd, divider=None):
     """Apply one journaled control command to a single shard's router;
     returns the (possibly new) router.  Used both on the live path and
@@ -618,6 +623,8 @@ def _process_shard_main(
                             value = repr(value)
                         values["%s.%s" % (name, handler)] = value
                 conn.send(("counters", values))
+            elif op == "arp_epoch_holders":
+                conn.send(("arp_epoch_holders", _arp_epoch_holders(router)))
             elif op == "report":
                 supervisor = router.supervisor
                 conn.send(
@@ -1459,15 +1466,21 @@ class ShardedRouter:
 
     def bump_arp_epochs(self):
         """Invalidate every shard's baked ARP header guards; returns the
-        per-shard element count (identical on every shard)."""
-        self._ensure_started()
-        bumped = sum(
-            1
-            for decl in self.graph.elements.values()
-            if decl.class_name == "ARPQuerier"
-        )
+        per-shard element count (identical on every shard), read back
+        from a live shard — declarations cannot tell: the optimizers
+        rename classes (``Devirtualize@@arpq0`` is an ARPQuerier)."""
         self._control(("bump_epochs",))
-        return bumped
+        recovery = self._recovery
+        for shard in self._shards:
+            if recovery is not None and recovery.is_down(shard.index):
+                continue
+            if self.backend == "thread":
+                return _arp_epoch_holders(shard.router)
+            if self._proc_send(shard, ("arp_epoch_holders",)):
+                reply = self._proc_recv(shard)
+                if reply is not None:
+                    return reply[1]
+        return 0
 
     def force_deopt(self, reason="forced"):
         """Force every shard's adaptive engine back to tier 1; True when

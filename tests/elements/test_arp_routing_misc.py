@@ -265,6 +265,22 @@ class TestAlign:
         router.push_packet("first", 0, packet)
         assert router["first"].copies == 0
 
+    @pytest.mark.parametrize("config", ["8, 4", "8, 0", "1, 0", "4, 4"])
+    def test_align_rejects_what_packets_cannot_track(self, config):
+        # Packets track their data pointer modulo 4: Align(8, 4) would
+        # copy every packet forever and still never be satisfied.
+        with pytest.raises(ConfigError):
+            capture_router("Align(%s)" % config)
+
+    def test_realign_leaves_the_alignment_align_asked_for(self):
+        from repro.net.packet import DEFAULT_HEADROOM, realigned_buffer_alignment
+
+        for modulus, offset in [(2, 0), (2, 1), (4, 0), (4, 1), (4, 2), (4, 3)]:
+            packet = Packet(bytes(40)).realign(modulus, offset)
+            assert packet.buffer_alignment == realigned_buffer_alignment(modulus, offset)
+            assert packet.headroom == DEFAULT_HEADROOM
+            assert packet.data_alignment() % modulus == offset
+
     def test_alignment_info_is_passive(self):
         router = Router(
             parse_graph(

@@ -1,23 +1,41 @@
 """The fast path's contract: behaviourally indistinguishable from the
 reference interpreter.
 
-Every tool-chain variant of the Figure 9 IP router, plus the shipped
-example configurations, is driven with the same traffic in reference
-mode, fast mode, and fast+batched mode; the transmitted bytes, every
-element's read handlers, and (for the metered runs) the cycle meter's
-per-category report must match exactly.
+Every tool-chain variant of the Figure 9 IP router — and ``paper``,
+click-optimize's paper pipeline round-tripped through text, which is
+what the benchmark runs — plus the shipped example configurations, is
+driven with the same traffic in reference mode, fast mode, fast+batched
+mode and both tiered modes; the transmitted bytes, every element's read
+handlers and plain counters, and (for the metered runs) the cycle
+meter's per-category report must match exactly.
 """
+
+import struct
 
 import pytest
 
 from repro.configs.firewall import dns5_packet, firewall_graph
+from repro.core import load_config, named_pipeline, save_config
 from repro.elements.devices import LoopbackDevice
 from repro.elements.runtime import Router
+from repro.net.addresses import IPAddress
+from repro.net.checksum import internet_checksum
+from repro.net.headers import ETHERTYPE_IP, make_ether_header
 from repro.runtime import ExecutionProfile
 from repro.runtime.adaptive import AdaptiveConfig
-from repro.sim.testbed import VARIANTS, Testbed
+from repro.sim.cpu import CycleMeter
+from repro.sim.testbed import HOST_ETHERS, VARIANTS, Testbed, host_ip
 
-MODES = [("reference", False), ("fast", False), ("fast", True), ("adaptive", False)]
+MODES = [
+    ("reference", False),
+    ("fast", False),
+    ("fast", True),
+    ("adaptive", False),
+    ("fdd", False),
+    ("fdd", True),
+]
+# Counters that are state but not read handlers.
+COUNTERS = ("fragments_made", "copies", "expired", "problems", "df_drops")
 
 # Eager promotion: the 256-packet equivalence traffic must cross the
 # tier-1 -> tier-2 transition, not just exercise tier 1.
@@ -25,27 +43,39 @@ EAGER = dict(threshold=48, sample=4, min_samples=12)
 
 
 def mode_label(mode, batch):
-    return "fast_batched" if batch else mode
+    return "%s_batched" % mode if batch else mode
 
 
 def observe(router, devices):
-    """Everything externally visible: transmitted frames and every
-    element's read handlers."""
+    """Everything externally visible: transmitted frames, every
+    element's read handlers, and the counters elements keep beside
+    them (combo ``fragments_made``, ``Align.copies``, ...)."""
     handlers = {}
     for name, element in router.elements.items():
         for handler_name, fn in sorted(element.read_handlers().items()):
             handlers[(name, handler_name)] = fn()
+        for counter in COUNTERS:
+            if hasattr(element, counter):
+                handlers[(name, counter)] = getattr(element, counter)
     return (
         {name: list(device.transmitted) for name, device in devices.items()},
         handlers,
     )
 
 
-def drive_testbed(variant, mode, batch, frames, deopt_after=None):
+def variant_graph(testbed, variant):
+    if variant != "paper":
+        return testbed.variant_graph(variant)
+    result = named_pipeline("paper").run(testbed.base_graph())
+    return load_config(save_config(result.graph), "<paper>")
+
+
+def drive_testbed(variant, mode, batch, frames, deopt_after=None, meter=None):
     testbed = Testbed(2)
-    adaptive_config = AdaptiveConfig(**EAGER) if mode == "adaptive" else None
+    adaptive_config = AdaptiveConfig(**EAGER) if mode in ("adaptive", "fdd") else None
     router, devices = testbed.build_router(
-        testbed.variant_graph(variant),
+        variant_graph(testbed, variant),
+        meter=meter,
         mode=mode,
         batch=batch,
         adaptive_config=adaptive_config,
@@ -68,11 +98,57 @@ def evaluation_traffic(testbed, count=256):
     return testbed.evaluation_frames(count)
 
 
+def ip_frame(testbed, rx, dst_ip, ttl=64, flags=0, options=b"", payload=14):
+    """A UDP-less IP frame from the host on interface ``rx``, with the
+    header fields the output path branches on under the caller's
+    control; the checksum is valid."""
+    header_length = 20 + len(options)
+    header = bytearray(
+        struct.pack(
+            "!BBHHHBBH4s4s",
+            (4 << 4) | (header_length // 4),
+            0,
+            header_length + payload,
+            7,
+            flags << 13,
+            ttl,
+            17,
+            0,
+            IPAddress(host_ip(rx)).packed(),
+            IPAddress(dst_ip).packed(),
+        )
+        + options
+    )
+    header[10:12] = struct.pack("!H", internet_checksum(header))
+    ether = make_ether_header(testbed.interfaces[rx].ether, HOST_ETHERS[rx], ETHERTYPE_IP)
+    return testbed.interfaces[rx].device, ether + bytes(header) + bytes(payload)
+
+
+def output_path_traffic(testbed):
+    """One frame per rare branch of the output path, each with a valid
+    header so it gets that far: TTL expiry, well-formed and malformed
+    options, oversize with and without DF, and a packet routed back out
+    the interface it came in on."""
+    there = host_ip(1)
+    return [
+        ip_frame(testbed, 0, there, ttl=1),
+        ip_frame(testbed, 0, there, options=b"\x01\x01\x01\x00"),
+        ip_frame(testbed, 0, there, options=b"\x07\x09\x04\x00"),
+        ip_frame(testbed, 0, there, flags=0x2, payload=1600),
+        ip_frame(testbed, 0, there, payload=1600),
+        ip_frame(testbed, 0, "1.0.0.9"),
+    ]
+
+
 def hostile_traffic(testbed, count=96):
-    """Error paths: every kind of packet the checks must reject, mixed
-    with good traffic so the drops land mid-burst."""
+    """Error paths: every kind of packet the checks must reject and
+    every rare branch past them, mixed with good traffic so the drops
+    land mid-burst."""
     frames = []
+    rare = output_path_traffic(testbed)
     for index, (device_name, frame) in enumerate(testbed.evaluation_frames(count)):
+        if index % 8 == 7:
+            frames.append(rare[index // 8 % len(rare)])
         frame = bytearray(frame)
         kind = index % 6
         if kind == 1:  # corrupt IP checksum
@@ -90,7 +166,7 @@ def hostile_traffic(testbed, count=96):
     return frames
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant", VARIANTS + ["paper"])
 def test_variant_equivalence(variant):
     reference = drive_testbed(variant, "reference", False, evaluation_traffic)
     for mode, batch in MODES[1:]:
@@ -100,13 +176,21 @@ def test_variant_equivalence(variant):
         assert handlers == reference[1], "%s: handler values differ" % label
 
 
-@pytest.mark.parametrize("variant", ["base", "all", "simple"])
+@pytest.mark.parametrize("variant", ["base", "all", "paper", "simple"])
 def test_error_path_equivalence(variant):
     reference = drive_testbed(variant, "reference", False, hostile_traffic)
     # The hostile mix must actually exercise drop paths somewhere.
     assert any(
         value for (_, handler), value in reference[1].items() if handler == "drops"
     ) or variant == "simple"
+    if variant == "paper":
+        # ... and, on the optimizer's output, the combos' own counters
+        # and each of their side outputs: the four rare frames that have
+        # one (sent twice) come back to the sender as ICMP errors.
+        values = reference[1]
+        assert values[("IPInputCombo@1@xf@1", "drops")] and values[("Align@2", "copies")]
+        assert values[("oc@xf@1", "fragments_made")] == 4
+        assert sum(1 for frame in reference[0]["eth0"] if frame[14 + 9] == 1) == 8
     for mode, batch in MODES[1:]:
         output, handlers = drive_testbed(variant, mode, batch, hostile_traffic)
         label = "%s/%s" % (variant, mode_label(mode, batch))
@@ -163,16 +247,21 @@ def test_adaptive_promotion_reaches_tier2():
     assert any(chain["tier"] == 2 for chain in report["chains"].values())
 
 
-@pytest.mark.parametrize("variant", ["base", "all"])
-def test_adaptive_forced_deopt_equivalence(variant):
+@pytest.mark.parametrize("variant", ["base", "all", "paper"])
+def test_adaptive_forced_deopt_equivalence(variant, mode="adaptive"):
     """A forced mid-run deoptimization (tier 2 -> tier 1, profiles
     reset) must not change a single transmitted byte or handler."""
     reference = drive_testbed(variant, "reference", False, evaluation_traffic)
     output, handlers = drive_testbed(
-        variant, "adaptive", False, evaluation_traffic, deopt_after=128
+        variant, mode, False, evaluation_traffic, deopt_after=128
     )
     assert output == reference[0], "%s: transmitted frames differ" % variant
     assert handlers == reference[1], "%s: handler values differ" % variant
+
+
+@pytest.mark.parametrize("variant", ["base", "paper"])
+def test_fdd_forced_deopt_equivalence(variant):
+    test_adaptive_forced_deopt_equivalence(variant, mode="fdd")
 
 
 @pytest.mark.parametrize("variant", ["base", "all"])
@@ -187,3 +276,16 @@ def test_meter_reports_identical(variant):
     # run to completion and preserve the category set.
     batched = testbed.measure_cpu(variant, packets=400, warmup=32, mode="fast", batch=True)
     assert set(batched.__dict__) == set(reference.__dict__)
+
+
+@pytest.mark.parametrize("frames", [evaluation_traffic, hostile_traffic])
+def test_paper_meter_reports_identical(frames):
+    """The same, on the paper pipeline's output and on hostile traffic:
+    a metered chain never lowers a combo, so every charge stays at its
+    reference site."""
+    summaries = []
+    for mode in ("reference", "fast"):
+        meter = CycleMeter()
+        observed = drive_testbed("paper", mode, False, frames, meter=meter)
+        summaries.append((meter.summary(), observed))
+    assert summaries[0] == summaries[1]

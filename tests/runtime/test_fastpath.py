@@ -8,6 +8,8 @@ lives in tests/integration/test_fastpath_equivalence.py.
 
 import io
 
+import pytest
+
 from repro.runtime.fastpath import ChainInfo, FastInputPort, FastOutputPort, FastPath
 from repro.sim.testbed import Testbed
 
@@ -79,6 +81,24 @@ class TestGeneratedSource:
         fastpath.dump(sink)
         assert sink.getvalue() == fastpath.source
         compile(fastpath.source, "<fastpath>", "exec")
+
+    def test_chain_at_a_time_compile_keeps_module_line_numbers(self):
+        # The module is compiled one chain at a time (compile_units: a
+        # whole-module compile sets the process's memory high-water
+        # mark); tracebacks must still point into fastpath.source.
+        import traceback
+
+        _, (router, _) = build()
+        fastpath = router.compile_fastpath()
+        lines = fastpath.source.split("\n")
+        assert len(fastpath._code) == len(fastpath.chains) + 1
+        for function, _batch in fastpath._compiled.values():
+            first = lines[function.__code__.co_firstlineno - 1]
+            assert first.startswith("def %s(" % function.__name__)
+        with pytest.raises(AttributeError) as raised:
+            fastpath.function_for(("push", "PollDevice@2", 0))(None)
+        frame = traceback.extract_tb(raised.tb)[-1]
+        assert lines[frame.lineno - 1].strip() == "data = packet._data_cache"
 
     def test_chain_for_describes_edges(self):
         _, (router, _) = build("simple")

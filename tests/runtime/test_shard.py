@@ -438,3 +438,23 @@ class TestDivideQueueCapacities:
         shard1 = self.divide(graph, 1, 2)
         assert shard0.elements["q"].config.strip() == "2"
         assert shard1.elements["q"].config.strip() == "2"
+
+
+def test_bump_arp_epochs_counts_renamed_queriers():
+    """The optimizers rename classes (``Devirtualize@@arpq0`` is an
+    ARPQuerier), so the sharded plane reports what a shard bumped — the
+    same number the single router does — not what declarations say."""
+    from repro.core import load_config, named_pipeline, save_config
+
+    testbed = Testbed(2)
+    result = named_pipeline("paper").run(testbed.base_graph())
+    text = save_config(result.graph)
+    assert "ARPQuerier" not in {decl.class_name for decl in load_config(text).elements.values()}
+    single, _devices = testbed.build_router(load_config(text), profile=ExecutionProfile.fdd())
+    sharded, _devices = testbed.build_router(
+        load_config(text), profile=ExecutionProfile.fdd().with_workers(2, "thread")
+    )
+    try:
+        assert sharded.bump_arp_epochs() == single.bump_arp_epochs() == 2
+    finally:
+        sharded.close()
