@@ -9,8 +9,8 @@ flaps and policy pushes.  The same schedule is installed twice:
   patches pure-data deltas into the live compiled tables in place;
 - ``full_swap``: through the transactional hot-swap, rebuilding the
   router for every update (chains untouched by the delta are spliced
-  from the old compile, but the build/transfer/commit cost is paid in
-  full).
+  from the old compile, code objects included, but the
+  build/transfer/commit cost is paid in full).
 
 Correctness is part of the measurement, not a side check: both runs
 must transmit byte-identical traffic, and every frame fed must come out
@@ -35,6 +35,7 @@ import os
 import random
 import sys
 import time
+from unittest import mock
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
@@ -43,6 +44,7 @@ from repro.elements.devices import PollDevice  # noqa: E402
 from repro.elements.hotswap import hotswap  # noqa: E402
 from repro.lang.lexer import split_config_args  # noqa: E402
 from repro.runtime import ExecutionProfile  # noqa: E402
+from repro.runtime import fastpath as fastpath_module  # noqa: E402
 from repro.sim.testbed import Testbed  # noqa: E402
 
 SEED = 0xC1C0
@@ -140,20 +142,28 @@ def run_full_swap(updates):
     latencies = []
     reused = recompiled = 0
     fed = 0
-    for index, (name, kind, args) in enumerate(schedule):
-        chunk = traffic[index * FRAMES_PER_UPDATE : (index + 1) * FRAMES_PER_UPDATE]
-        drive(router, devices, chunk)
-        fed += len(chunk)
-        new_graph = router.graph.copy()
-        new_graph.elements[name].config = ", ".join(args)
-        start = time.perf_counter()
-        result = hotswap(router, new_graph)
-        latencies.append(time.perf_counter() - start)
-        router = result.router
-        reused += result.report.chains_reused
-        recompiled += result.report.chains_recompiled
+    compiled = []  # one entry per compile() call the fast-path compiler makes
+
+    def counting(source, *args, **kwargs):
+        compiled.append(len(source))
+        return compile(source, *args, **kwargs)
+
+    with mock.patch.object(fastpath_module, "compile", counting, create=True):
+        for index, (name, kind, args) in enumerate(schedule):
+            chunk = traffic[index * FRAMES_PER_UPDATE : (index + 1) * FRAMES_PER_UPDATE]
+            drive(router, devices, chunk)
+            fed += len(chunk)
+            new_graph = router.graph.copy()
+            new_graph.elements[name].config = ", ".join(args)
+            start = time.perf_counter()
+            result = hotswap(router, new_graph)
+            latencies.append(time.perf_counter() - start)
+            router = result.router
+            reused += result.report.chains_reused
+            recompiled += result.report.chains_recompiled
     wire = drain(router, devices)
-    return latencies, {"reused": reused, "recompiled": recompiled}, fed, wire
+    chains = {"reused": reused, "recompiled": recompiled, "units_compiled": len(compiled)}
+    return latencies, chains, fed, wire
 
 
 def percentile(latencies, fraction):
@@ -260,6 +270,12 @@ def check_file(path):
         failures.append("incremental wire output differs from the full rebuild's")
     if results["chaos"]["status"] != "ok":
         failures.append("chaos verification failed: %s" % results["chaos"]["failures"])
+    chains = results["full_swap"]["chains"]
+    if chains["units_compiled"] != chains["recompiled"]:
+        failures.append(
+            "full swaps report %d chains recompiled but called compile() %d times"
+            % (chains["recompiled"], chains["units_compiled"])
+        )
     if results["incremental"]["updates_per_second"] < 1000:
         failures.append(
             "incremental rate %.0f updates/s is not control-plane grade"

@@ -161,7 +161,7 @@ def main(argv=None):
                 print("%s: REJECTED: %s" % (entry["update"], entry["error"]))
             else:
                 print(
-                    "%s: %s in %.2f ms (%d patched, %d recompiled, %d reused)"
+                    "%s: %s in %.2f ms (%d patched, %d chains compiled, %d reused)"
                     % (
                         entry["update"],
                         entry["kind"],

@@ -21,7 +21,7 @@ import time
 from collections import deque
 
 from ..elements.classifiers import _TreeClassifier
-from ..elements.hotswap import SwapReport, hotswap
+from ..elements.hotswap import SwapReport, chain_totals, hotswap
 from ..elements.routing import _IPRouteTable
 from ..graph.diff import GraphDelta, diff_graphs
 from ..lang.lexer import split_config_args
@@ -199,6 +199,7 @@ class ControlPlane:
         router = self._router
         started = time.perf_counter()
         graph = router.graph
+        rebuilt = []  # fast paths the engine built anew for this batch
         for element, kind, prepared, change in staged:
             if kind == "routes":
                 element.commit_routes(prepared)
@@ -213,12 +214,13 @@ class ControlPlane:
                 # (hot-route constants, guarded classifier arms, FDD
                 # diagrams); the engine demotes or rebuilds exactly the
                 # chains that can reach this element.
-                router.adaptive.on_table_patch(change.name, kind)
+                rebuilt.extend(router.adaptive.on_table_patch(change.name, kind))
 
         report = SwapReport("in-place", profile=router.profile.label)
         report.delta = delta.summary()
         report.phases["patch"] = time.perf_counter() - started
         report.elements_patched = len(staged)
+        report.chains_recompiled, report.chains_reused, report.cache_hit = chain_totals(rebuilt)
         return report
 
     def _try_patch(self, delta, diff_seconds):

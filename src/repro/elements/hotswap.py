@@ -55,8 +55,11 @@ class HotswapError(RuntimeError):
 class SwapReport:
     """What one configuration update did: its kind (``in-place`` data
     patch, ``scoped-swap``, ``full-swap``, or ``no-op``), per-phase wall
-    times, and the recompiled-vs-reused chain accounting.  Shared by
-    :func:`hotswap` and :meth:`repro.control.ControlPlane.apply`."""
+    times, and the chain accounting of the fast paths it built:
+    ``chains_recompiled`` went through ``compile()``, ``chains_reused``
+    did not (spliced from the old compile with their code objects, or
+    replayed from the codegen cache).  Shared by :func:`hotswap` and
+    :meth:`repro.control.ControlPlane.apply`."""
 
     def __init__(self, kind, profile=None, delta=None):
         self.kind = kind
@@ -93,7 +96,7 @@ class SwapReport:
             parts.append(self.delta)
         if self.kind == "in-place":
             parts.append("%d element(s) patched" % self.elements_patched)
-        else:
+        if self.kind != "in-place" or self.chains_recompiled or self.chains_reused:
             parts.append(
                 "%d chain(s) recompiled, %d reused%s"
                 % (
@@ -177,21 +180,19 @@ def _live_fastpaths(router):
     return paths
 
 
-def _chain_totals(router):
-    """``(recompiled, reused, cache_hit)`` summed over the router's
-    compiled fast paths.  A codegen-cache hit replays the whole module
-    without re-emitting anything, so its chains all count as reused."""
+def chain_totals(fastpaths):
+    """``(compiled, not compiled, cache_hit)`` chain counts summed over
+    compiled fast paths — what :class:`SwapReport` calls recompiled and
+    reused.  A chain counts as recompiled exactly when building it
+    called ``compile()`` (``FastPathReport.compiled_units``); a chain
+    spliced from a donor or replayed from the codegen cache did not."""
     recompiled = reused = 0
     cache_hit = False
-    for path in _live_fastpaths(router):
+    for path in fastpaths:
         report = path.report
-        total = report.push_chains + report.pull_chains
-        if report.cache_hit:
-            cache_hit = True
-            reused += total
-        else:
-            reused += report.reused_chains
-            recompiled += total - report.reused_chains
+        cache_hit = cache_hit or report.cache_hit
+        recompiled += report.compiled_units
+        reused += report.push_chains + report.pull_chains - report.compiled_units
     return recompiled, reused, cache_hit
 
 
@@ -334,10 +335,9 @@ def hotswap(old_router, new_graph, profile=None, mode=None, batch=None,
         if getattr(new_router, "_fastpath_reuse", None) is not None:
             new_router._fastpath_reuse = None
     report.phases["compile"] = time.perf_counter() - started
-    recompiled, reused, cache_hit = _chain_totals(new_router)
-    report.chains_recompiled = recompiled
-    report.chains_reused = reused
-    report.cache_hit = cache_hit
+    report.chains_recompiled, report.chains_reused, report.cache_hit = chain_totals(
+        _live_fastpaths(new_router)
+    )
 
     # Phase 2: commit.
     started = time.perf_counter()

@@ -776,7 +776,11 @@ class AdaptiveEngine:
     # -- tier transitions --------------------------------------------------
 
     def _arm(self, state):
-        """(Re)install the tier-1 sampling dispatcher on a chain."""
+        """(Re)install the tier-1 sampling dispatcher on a chain — past
+        the recompile budget, the plain chain: sampling could never pay."""
+        if self._budget_spent():
+            self._settle(state)
+            return
         state.tier = 1
         mask = self.config.sample - 1
         threshold = self.config.threshold
@@ -814,9 +818,10 @@ class AdaptiveEngine:
 
     def _promote(self, state):
         """Move one matured chain to tier 2 — or settle it on the plain
-        static chain when the profile offers nothing to speculate."""
+        static chain when the profile offers nothing to speculate or
+        the recompile budget is spent."""
         tier2 = self._ensure_tier2()
-        if tier2 is None and self._decisions_cache is None:
+        if tier2 is None and self._decisions_cache is None and not self._budget_spent():
             # The profile is still too thin to decide anything (the
             # sampling rate can make a chain cross its packet threshold
             # well before min_samples profiled events accumulate).
@@ -825,15 +830,24 @@ class AdaptiveEngine:
             return
         fn = tier2.function_for(state.key) if tier2 is not None else None
         if fn is None:
-            state.tier = 0
-            state.port.push = state.plain
-            if state.plain_batch is not None:
-                state.port.push_batch = state.plain_batch
+            self._settle(state)
             return
         state.tier = 2
         state.port.push = fn
         if state.plain_batch is not None:
             state.port.push_batch = tier2.function_for(state.key, batch=True)
+
+    def _settle(self, state):
+        """Run a chain on the plain static chain (tier 0): no sampling
+        dispatcher, no instrumented flavor."""
+        state.tier = 0
+        state.port.push = state.plain
+        if state.plain_batch is not None:
+            state.port.push_batch = state.plain_batch
+
+    def _budget_spent(self):
+        """No further tier 2 can be built, so a profile buys nothing."""
+        return self.recompiles >= self.config.max_recompiles
 
     def _profile_weight(self):
         """The fattest single profile site — the maturity test for
@@ -851,7 +865,7 @@ class AdaptiveEngine:
     def _ensure_tier2(self):
         if self.tier2_fp is not None:
             return self.tier2_fp
-        if self.recompiles >= self.config.max_recompiles:
+        if self._budget_spent():
             return None
         if self._decisions_cache is None:
             decisions = build_decisions(self.router, self.store, self.config)
@@ -945,8 +959,10 @@ class AdaptiveEngine:
         engine's compiled code reads live tables through bound cells
         and memo dicts, so correctness needs only a deopt of the chains
         whose *speculations* may now be stale.  The FDD engine
-        overrides this to also rebuild the affected diagrams."""
+        overrides this to also rebuild the affected diagrams.  Returns
+        the fast paths built anew for the patch (none here)."""
         self.deopt("control-plane patch of %s" % name, element_name=name)
+        return ()
 
     # -- observability -----------------------------------------------------
 

@@ -3,14 +3,15 @@
 ``FastPath._compile`` pays ``compile``/``exec`` per router build even
 when the configuration is identical — the common case in benchmarks,
 test suites, and hot-swap, where the same graph is instantiated over
-and over.  This module caches the *generated artifact* (source + code
-object + the replay recipes for every bound runtime object) keyed by
+and over.  This module caches the *generated artifact* (source + one
+code object per chain + the replay recipes for every bound runtime
+object) keyed by
 
     (graph fingerprint, element-class identity, batch flag, policy key)
 
 so a repeat build skips generation and compilation entirely: the entry
 re-binds each ``_bN`` slot against the fresh router from its recipe and
-re-executes the already-compiled code object in a fresh namespace.
+re-executes the already-compiled code objects in a fresh namespace.
 
 Recipes (recorded by :meth:`FastPath._bind`) are small tuples:
 
@@ -64,6 +65,9 @@ import pickle
 import threading
 from collections import OrderedDict
 
+from ..net.packet import _DEST_IP_CACHE
+from .fastpath import _HEADER, _MISS, _classifier_matcher, _intern_dest_ip, compile_chain
+
 __all__ = ["CacheEntry", "CodegenCache", "default_cache"]
 
 _DISK_MAGIC = "repro-codegen-cache-v2"
@@ -85,8 +89,6 @@ _ENTRY_FIELDS = (
 
 
 def _resolve_spec(spec, fastpath, tables):
-    from .fastpath import _MISS, _classifier_matcher, _intern_dest_ip
-
     router = fastpath.router
     kind = spec[0]
     if kind == "elem":
@@ -102,8 +104,6 @@ def _resolve_spec(spec, fastpath, tables):
         if spec[1] == "MISS":
             return _MISS
         if spec[1] == "DEST_IP_GET":
-            from ..net.packet import _DEST_IP_CACHE
-
             return _DEST_IP_CACHE.get
         raise KeyError("unknown const recipe %r" % (spec[1],))
     if kind == "matcher":
@@ -147,7 +147,7 @@ class CacheEntry:
 
     __slots__ = (
         "source",
-        "code",
+        "chain_code",
         "names",
         "specs",
         "chains",
@@ -166,7 +166,6 @@ class CacheEntry:
     def from_fastpath(cls, fastpath):
         entry = cls()
         entry.source = fastpath.source
-        entry.code = fastpath._code
         entry.names = dict(fastpath._names)
         entry.specs = dict(fastpath._bind_specs)
         entry.chains = dict(fastpath.chains)
@@ -177,9 +176,12 @@ class CacheEntry:
         entry.report_fields = {name: getattr(report, name) for name in _REPORT_FIELDS}
         entry.inlined_elements = set(report.inlined_elements)
         entry.chain_lines = dict(report.chain_lines)
-        # The per-chain compile units, so a replayed fast path can serve
-        # as a scoped hot-swap's reuse donor just like a fresh compile.
+        # The per-chain compile units: what replay execs, and what lets
+        # a replayed fast path serve as a scoped rebuild's reuse donor
+        # just like a fresh compile.  Entries of successive patches
+        # share the code objects of the chains spliced between them.
         entry.chain_sources = dict(fastpath._chain_sources)
+        entry.chain_code = dict(fastpath._chain_code)
         entry.chain_binds = dict(fastpath._chain_binds)
         entry.chain_tables = dict(fastpath._chain_tables)
         entry.next_index = fastpath._next_index
@@ -188,8 +190,8 @@ class CacheEntry:
 
     def replay(self, fastpath):
         """Rebuild ``fastpath`` from this entry: resolve every bind
-        recipe against its router, exec the cached code object, refill
-        the jump tables, and restore the compile report."""
+        recipe against its router, exec the cached chains' code objects
+        (:meth:`FastPath._link`), and restore the compile report."""
         router = fastpath.router
         tables = [
             ([], router.elements[name], mode) for (name, mode) in self.jump_specs
@@ -198,32 +200,17 @@ class CacheEntry:
         namespace = fastpath._namespace
         for name, spec in self.specs.items():
             namespace[name] = _resolve_spec(spec, fastpath, tables)
-        for unit in self.code:
-            exec(unit, namespace)  # noqa: S102 - cached generated code
         fastpath.source = self.source
-        fastpath._code = self.code
         fastpath._names = dict(self.names)
         fastpath._bind_specs = dict(self.specs)
         fastpath.chains = dict(self.chains)
-        for key, (fn, batch_fn) in self.names.items():
-            fastpath._compiled[key] = (
-                namespace[fn],
-                namespace[batch_fn] if batch_fn else None,
-            )
-        for table, element, mode in tables:
-            for port_index, port in enumerate(element._output_ports):
-                compiled = self.names.get(("push", element.name, port_index))
-                if compiled is not None:
-                    table.append(namespace[compiled[0]])
-                elif mode == "checked":
-                    table.append(None)
-                else:
-                    table.append(port.push)
         fastpath._chain_sources = dict(self.chain_sources)
+        fastpath._chain_code = dict(self.chain_code)
         fastpath._chain_binds = dict(self.chain_binds)
         fastpath._chain_tables = dict(self.chain_tables)
         fastpath._next_index = self.next_index
         fastpath._bind_counter = self.bind_counter
+        fastpath._link()
         report = fastpath.report
         for name, value in self.report_fields.items():
             setattr(report, name, value)
@@ -280,8 +267,17 @@ class CodegenCache:
         class_sig = tuple(
             (name, id(type(element))) for name, element in router.elements.items()
         )
+        # The fast paths of one scoped rebuild (an engine's two flavors)
+        # compile the same graph: the hint carries its fingerprint from
+        # the first to the rest.
+        hint = getattr(router, "_fastpath_reuse", None)
+        fingerprint = hint.get("fingerprint") if hint else None
+        if fingerprint is None:
+            fingerprint = graph.fingerprint()
+            if hint:
+                hint["fingerprint"] = fingerprint
         return (
-            graph.fingerprint(),
+            fingerprint,
             class_sig,
             bool(batch),
             policy_key,
@@ -315,8 +311,18 @@ class CodegenCache:
             self.misses += 1
             return None
 
+    def twin(self, key, source):
+        """An entry under ``key``'s batch flag and policy whose
+        generated module text is ``source``, or None: what a compile
+        that missed by key can still share (:meth:`FastPath._compile`)."""
+        with self._lock:
+            for other, entry in self._entries.items():
+                if other[2:4] == key[2:4] and entry.source == source:
+                    return entry
+        return None
+
     def store(self, key, fastpath):
-        if key is None or fastpath._code is None:
+        if key is None or not fastpath._chain_code:
             return
         with self._lock:
             self._entries[key] = CacheEntry.from_fastpath(fastpath)
@@ -427,21 +433,30 @@ class CodegenCache:
     @staticmethod
     def _validate_record(record):
         """A CacheEntry from one disk record, or None if the record is
-        structurally bad or its source no longer compiles."""
+        structurally bad, a chain of it no longer compiles, or its
+        chains do not add up to its source."""
         if not isinstance(record, dict):
             return None
         if any(field not in record for field in _ENTRY_FIELDS) or "key" not in record:
             return None
         if not isinstance(record["source"], str) or not isinstance(record["key"], tuple):
             return None
-        from .fastpath import compile_units
-
+        lines = list(_HEADER)
+        chain_code = {}
         try:
-            code = compile_units(record["source"], "<codegen-cache>")
-        except (SyntaxError, ValueError):
+            for chain_key, chain in record["chain_sources"].items():
+                offset = len(lines) + 1
+                chain_code[chain_key] = (
+                    compile_chain(chain[1:], offset, "<codegen-cache>"),
+                    offset,
+                )
+                lines.extend(chain)
+            if "\n".join(lines) + "\n" != record["source"]:
+                return None
+        except Exception:  # noqa: BLE001 - a record of any shape may be on disk
             return None
         entry = CacheEntry()
-        entry.code = code
+        entry.chain_code = chain_code
         for field in _ENTRY_FIELDS:
             setattr(entry, field, record[field])
         return entry

@@ -283,6 +283,7 @@ class FastPathReport:
         self.guarded_branches = 0
         self.pruned_arms = 0
         self.reused_chains = 0  # chains spliced verbatim from a donor compile
+        self.compiled_units = 0  # compile() calls this build made (0 on a cache replay)
         self.fdd_diagrams = 0  # classifier terminals emitted as decision diagrams
         self.fdd_nodes = 0  # expanded diagram nodes across those diagrams
         self.fdd_paths = 0  # root-to-leaf paths across those diagrams
@@ -314,6 +315,7 @@ class FastPathReport:
             "guarded_branches": self.guarded_branches,
             "pruned_arms": self.pruned_arms,
             "reused_chains": self.reused_chains,
+            "compiled_units": self.compiled_units,
             "fdd_diagrams": self.fdd_diagrams,
             "fdd_nodes": self.fdd_nodes,
             "fdd_paths": self.fdd_paths,
@@ -344,10 +346,11 @@ class FastPathReport:
             "  specialized: %d terminals and %d actions compiled in place, "
             "%d redundant elements elided"
             % (self.specialized_terminals, self.specialized_actions, self.elided_elements),
-            "  compile: %.1f ms%s%s (policy: %s%s)"
+            "  compile: %.1f ms%s, %d units compiled%s (policy: %s%s)"
             % (
                 self.compile_seconds * 1e3,
                 ", codegen-cache hit" if self.cache_hit else "",
+                self.compiled_units,
                 ", %d chains reused" % self.reused_chains if self.reused_chains else "",
                 self.policy,
                 ", %d guarded branches, %d pruned arms"
@@ -417,19 +420,26 @@ def _shift_lines(code, by):
     return code.replace(co_firstlineno=code.co_firstlineno + by, co_consts=consts)
 
 
-def compile_units(source, filename="<fastpath>"):
-    """A generated module as code objects, one per chain, to ``exec``
-    in order.  ``compile`` keeps about 3 kB of working memory per
-    source line until it returns, so a module compiled whole sets the
-    process's memory high-water mark (16 MB for the plain IP router's
-    5 200 lines); a chain at a time it stays under 1 MB, in the same
-    time.  Line numbers are those of the whole ``source``."""
-    units = []
-    line = 0
-    for text in source.split("\n\n"):
-        units.append(_shift_lines(compile(text, filename, "exec"), line))
-        line += text.count("\n") + 2
-    return units
+#: The generated module's first lines; chains follow, one blank line
+#: before each.
+_HEADER = (
+    '"""Generated by repro.runtime.fastpath: one function per wired',
+    "push/pull edge of the router.  Do not edit; regenerate with",
+    'Router.compile_fastpath().  Dump via router.fastpath.source."""',
+)
+
+
+def compile_chain(lines, offset, filename="<fastpath>"):
+    """One chain's source lines as a code object to ``exec``, numbered
+    as lines ``offset + 1`` onwards of the whole generated module, so a
+    traceback indexes ``FastPath.source``.  The chain, not the module,
+    is the unit of compilation: a scoped rebuild carries the code
+    objects of the chains it splices and compiles only the ones it
+    re-emitted, and ``compile`` keeps about 3 kB of working memory per
+    source line until it returns, so a module compiled whole would set
+    the process's memory high-water mark (16 MB for the plain IP
+    router's 5 200 lines; under 1 MB a chain at a time)."""
+    return _shift_lines(compile("\n".join(lines), filename, "exec"), offset)
 
 
 def _uses_shared_dispatch(element):
@@ -527,34 +537,10 @@ class FastPath:
                 "meter %r does not support fast mode (no on_chain); "
                 "use the reference interpreter or a CycleMeter" % (router.meter,)
             )
-        self.chains = {}  # (kind, element_name, port) -> ChainInfo
-        self._compiled = {}  # same key -> (fn, batch_fn_or_None)
-        self._jump_tables = []  # (list to fill, terminal element, dispatch mode)
         self._saved_ports = None
         self.installed = False
-        self.source = ""
-        self._namespace = {}
-        self._bind_specs = {}  # _bN name -> replay recipe
-        self._cacheable = True
-        self._ctx_counter = 0
         self._fuse_lowered = False  # is the chain being emitted a task's?
-        self._code = None  # compiled module, see compile_units (for the cache)
-        self._names = None  # chain key -> (fn name, batch fn name)
-        # Per-chain compile units, kept so a later scoped hot-swap can
-        # splice this module's untouched chains into its own compile
-        # (see _reuse_chain): source lines, the _bN names each chain
-        # bound, and the jump tables it registered.
-        self._chain_sources = {}  # chain key -> [source line, ...]
-        self._chain_binds = {}  # chain key -> [_bN name, ...]
-        self._chain_tables = {}  # chain key -> [_jump_tables index, ...]
-        self._current_chain_binds = None
-        self._current_chain_tables = None
-        self._bind_counter = 0
-        self._next_index = 0  # first free chain-function index
-        self.report = FastPathReport()
-        self.report.batch = self.batch
-        self.report.metered = self.metered
-        self.report.policy = self.policy.tag
+        self._reset_compile_state()
         started = time.perf_counter()
         entry = None
         key = None
@@ -573,31 +559,38 @@ class FastPath:
                 self._reset_compile_state()
                 entry = None
         if entry is None:
-            self._compile()
+            self._compile(cache, key)
             if key is not None and self._cacheable:
                 cache.store(key, self)
         self.report.compile_seconds = time.perf_counter() - started
 
     def _reset_compile_state(self):
-        """Discard everything a failed cache replay may have half-built
-        so :meth:`_compile` starts from scratch."""
-        self.chains = {}
-        self._compiled = {}
-        self._jump_tables = []
+        """Everything a compile or cache replay builds, emptied: the
+        start of construction, and again after a failed replay so
+        :meth:`_compile` starts from scratch."""
+        self.chains = {}  # (kind, element_name, port) -> ChainInfo
+        self._compiled = {}  # same key -> (fn, batch_fn_or_None)
+        self._jump_tables = []  # (list to fill, terminal element, dispatch mode)
         self.source = ""
         self._namespace = {}
-        self._bind_specs = {}
+        self._bind_specs = {}  # _bN name -> replay recipe
         self._cacheable = True
         self._ctx_counter = 0
-        self._code = None
-        self._names = None
-        self._chain_sources = {}
-        self._chain_binds = {}
-        self._chain_tables = {}
+        self._names = {}  # chain key -> (fn name, batch fn name)
+        # Per-chain compile units, in emission order, kept so a later
+        # scoped rebuild can splice this module's untouched chains into
+        # its own compile (see _reuse_chain): source lines, the code
+        # object compiled from them with the whole-source line offset
+        # it is numbered at, the _bN names each chain bound, and the
+        # jump tables it registered.
+        self._chain_sources = {}  # chain key -> [source line, ...]
+        self._chain_code = {}  # chain key -> (code object, line offset)
+        self._chain_binds = {}  # chain key -> [_bN name, ...]
+        self._chain_tables = {}  # chain key -> [_jump_tables index, ...]
         self._current_chain_binds = None
         self._current_chain_tables = None
         self._bind_counter = 0
-        self._next_index = 0
+        self._next_index = 0  # first free chain-function index
         report = FastPathReport()
         report.batch = self.batch
         report.metered = self.metered
@@ -2131,28 +2124,38 @@ class FastPath:
     # -- scoped chain reuse ------------------------------------------------------
 
     def _reuse_plan(self):
-        """The ``(donor fastpath, dirty name set)`` a scoped hot-swap
-        offered via ``router._fastpath_reuse``, or ``(None, None)`` when
-        no donor is compatible.  A donor must match this compile's batch
-        flavor and policy reuse key, carry per-chain compile units, and
-        neither side may be metered or fault-wrapped (a wrapper lives on
-        element *instances*, which spliced code would bypass)."""
+        """What a scoped rebuild offered via ``router._fastpath_reuse``
+        lets this compile splice: ``(donor fastpath, anchors, reach)``,
+        or ``(None, None, None)`` when no donor is compatible.  A donor
+        must match this compile's batch flavor and policy reuse key,
+        carry per-chain compile units, and neither side may be metered
+        or fault-wrapped (a wrapper lives on element *instances*, which
+        spliced code would bypass).
+
+        The hint names two kinds of change.  ``dirty`` elements changed
+        *structurally* (declaration or wiring): a chain anchored at one
+        (``anchors``) is emitted again whatever it reaches.  ``patched``
+        elements only got new table contents in place: their wiring
+        stands, so a chain anchored at one's port starts at the port's
+        far end as it did before.  Either kind stales every chain that
+        can touch the element from its far end on; ``reach[kind]`` is
+        the set of far-end names that do (see :meth:`_stale_reach`)."""
+        none = (None, None, None)
         hint = getattr(self.router, "_fastpath_reuse", None)
         if not hint or self.metered:
-            return None, None
+            return none
         if getattr(self.router, "_fault_uncacheable", False):
-            return None, None
+            return none
         try:
             policy_key = self.policy.reuse_key()
         except Exception:  # noqa: BLE001 - an odd policy just declines reuse
-            return None, None
+            return none
         if policy_key is None:
-            return None, None
-        dirty = set(hint.get("dirty", ()))
+            return none
         for donor in hint.get("fastpaths", ()):
             if donor is None or donor is self or donor.metered:
                 continue
-            if donor.batch != self.batch or not donor._chain_sources:
+            if donor.batch != self.batch or not donor._chain_code:
                 continue
             if getattr(donor.router, "_fault_uncacheable", False):
                 continue
@@ -2161,76 +2164,84 @@ class FastPath:
                     continue
             except Exception:  # noqa: BLE001
                 continue
-            return donor, dirty
-        return None, None
+            anchors = set(hint.get("dirty", ()))
+            return donor, anchors, self._stale_reach(anchors.union(hint.get("patched", ())))
+        return none
 
-    def _chain_closure(self, name, kind):
-        """Every element name the compiled chain anchored at ``name``
-        can touch: forward over push targets for push chains (dispatch
-        fusion and jump tables only ever reach downstream), backward
-        over pull sources for pull chains.  Neither crosses a push/pull
+    def _stale_reach(self, changed):
+        """Per chain kind, every element name from which a compiled
+        chain can touch a ``changed`` element: one backward pass from
+        the changed set over the live wiring.  A push chain touches
+        what lies downstream over push targets (dispatch fusion and
+        jump tables only ever reach downstream), a pull chain what lies
+        upstream over pull sources; neither crosses a push/pull
         boundary (a Queue's other side has no target/source edge)."""
-        closure = set()
-        frontier = [name]
-        elements = self.router.elements
-        while frontier:
-            current = frontier.pop()
-            if current in closure:
-                continue
-            closure.add(current)
-            element = elements.get(current)
-            if element is None:
-                continue
-            if kind == "push":
-                for port in element._output_ports:
-                    if port.target is not None:
-                        frontier.append(port.target.name)
-            else:
-                for port in element._input_ports:
-                    if port.source is not None:
-                        frontier.append(port.source.name)
-        return closure
+        feeds = {}  # element name -> names that push into it
+        drains = {}  # element name -> names that pull from it
+        for element in self.router.elements.values():
+            for port in element._output_ports:
+                if port.target is not None:
+                    feeds.setdefault(port.target.name, []).append(element.name)
+            for port in element._input_ports:
+                if port.source is not None:
+                    drains.setdefault(port.source.name, []).append(element.name)
+        reach = {}
+        for kind, edges in (("push", feeds), ("pull", drains)):
+            seen = set(changed)
+            frontier = list(seen)
+            while frontier:
+                for name in edges.get(frontier.pop(), ()):
+                    if name not in seen:
+                        seen.add(name)
+                        frontier.append(name)
+            reach[kind] = seen
+        return reach
 
-    def _chain_reusable(self, key, donor, dirty, closures):
-        """May ``donor``'s compile of chain ``key`` be spliced verbatim?
-        Yes when the donor has its compile unit, every object it bound
-        has a replay recipe, and no element the chain can touch is in
-        the delta's dirty set (untouched closure ⇒ identical generated
-        code, only the bound objects need re-resolving)."""
-        if key not in donor.chains or key not in donor._chain_sources:
-            return False
-        binds = donor._chain_binds.get(key)
-        if binds is None or any(donor._bind_specs.get(name) is None for name in binds):
-            return False
-        kind, name, _port = key
-        closure = closures.get((kind, name))
-        if closure is None:
-            closure = closures[(kind, name)] = self._chain_closure(name, kind)
-        return not (closure & dirty)
+    def _chain_edges(self):
+        """``(chain key, anchor element, far-end element)`` for every
+        wired edge, in emission order."""
+        for element in self.router.elements.values():
+            for port_index, port in enumerate(element._output_ports):
+                if port.target is not None:
+                    yield ("push", element.name, port_index), element, port.target
+            for port_index, port in enumerate(element._input_ports):
+                if port.source is not None:
+                    yield ("pull", element.name, port_index), element, port.source
 
-    def _reuse_chain(self, key, donor, lines, names):
+    def _reuse_chain(self, key, donor, lines, resolve):
         """Splice one untouched chain from ``donor``'s module into this
-        compile: its source lines verbatim, its ``_bN`` bind slots
-        (re-resolved against this router before exec), and fresh jump
-        tables for the ones it registered.  Returns the ``(name, spec)``
-        bind slots the caller must resolve into the namespace."""
+        compile: its source lines and the code object compiled from
+        them (re-based only when the chain's line offset in the whole
+        source moved), its ``_bN`` bind slots, and fresh jump tables
+        for the ones it registered.  A donor on this very router hands
+        its bound objects over (they are what its code ran on until
+        now); a bind of another router's donor, a jump table and a
+        policy object (counters belong to the new policy instance) are
+        resolved anew through ``resolve``."""
+        offset = len(lines) + 1
+        code, donor_offset = donor._chain_code[key]
+        if offset != donor_offset:
+            code = _shift_lines(code, offset - donor_offset)
+        self._chain_code[key] = (code, offset)
         lines.extend(donor._chain_sources[key])
         table_map = {}
         for old_index in donor._chain_tables.get(key, ()):
             _table, old_element, mode = donor._jump_tables[old_index]
-            table, new_index = self._register_jump_table(
+            _table, table_map[old_index] = self._register_jump_table(
                 self.router.elements[old_element.name], mode
             )
-            table_map[old_index] = new_index
-        bind_names = list(donor._chain_binds[key])
-        reused_binds = []
+        same_router = donor.router is self.router
+        bind_names = donor._chain_binds[key]
         for name in bind_names:
             spec = donor._bind_specs[name]
             if spec[0] == "table":
                 spec = ("table", table_map[spec[1]])
             self._bind_specs[name] = spec
-            reused_binds.append((name, spec))
-        names[key] = donor._names[key]
+            if same_router and spec[0] not in ("table", "policy"):
+                self._namespace[name] = donor._namespace[name]
+            else:
+                self._namespace[name] = resolve(spec, self, self._jump_tables)
+        self._names[key] = donor._names[key]
         info = donor.chains[key]
         self.chains[key] = info
         self._chain_sources[key] = donor._chain_sources[key]
@@ -2242,90 +2253,97 @@ class FastPath:
             len(info.inlined) + 1,
             donor.report.opaque_dispatch.get("%s %s[%d]" % key),
         )
-        return reused_binds
 
-    def _compile(self):
-        lines = [
-            '"""Generated by repro.runtime.fastpath: one function per wired',
-            "push/pull edge of the router.  Do not edit; regenerate with",
-            'Router.compile_fastpath().  Dump via router.fastpath.source."""',
-        ]
-        names = {}  # chain key -> (fn name, batch fn name)
-        donor, dirty = self._reuse_plan()
+    def _compile(self, cache=None, cache_key=None):
+        lines = list(_HEADER)
+        donor, anchors, reach = self._reuse_plan()
         index = 0
         if donor is not None:
+            from .codegen_cache import _resolve_spec
+
             # Fresh chains number from the donor's watermark and bind
             # slots continue from its counter, so spliced code (which
             # keeps its original _push_N/_bN names) never collides.
             index = donor._next_index
             self._bind_counter = donor._bind_counter
-        closures = {}  # (kind, element name) -> touchable-name closure
-        reused_binds = []  # (_bN name, spec) to resolve before exec
+        for key, element, far in self._chain_edges():
+            kind, name, port_index = key
+            binds = donor._chain_binds.get(key) if donor is not None else None
+            if (
+                binds is not None
+                and key in donor._chain_code
+                and name not in anchors
+                and far.name not in reach[kind]
+                and (donor._cacheable or all(donor._bind_specs.get(b) is not None for b in binds))
+            ):
+                self._reuse_chain(key, donor, lines, _resolve_spec)
+                continue
+            self._current_chain_binds = []
+            self._current_chain_tables = []
+            start = len(lines)
+            emit = self._emit_push if kind == "push" else self._emit_pull
+            self._names[key] = emit(lines, index, element, port_index)
+            self._chain_sources[key] = lines[start:]
+            # Compiled below, once emission is done: alternating the
+            # two made a cold build 8 % slower.
+            self._chain_code[key] = (None, start + 1)
+            self._chain_binds[key] = self._current_chain_binds
+            self._chain_tables[key] = self._current_chain_tables
+            self._current_chain_binds = self._current_chain_tables = None
+            index += 1
         for element in self.router.elements.values():
-            for port_index, port in enumerate(element._output_ports):
-                if port.target is None:
-                    continue
-                key = ("push", element.name, port_index)
-                if donor is not None and self._chain_reusable(key, donor, dirty, closures):
-                    reused_binds.extend(self._reuse_chain(key, donor, lines, names))
-                    continue
-                self._current_chain_binds = []
-                self._current_chain_tables = []
-                start = len(lines)
-                names[key] = self._emit_push(lines, index, element, port_index)
-                self._chain_sources[key] = lines[start:]
-                self._chain_binds[key] = self._current_chain_binds
-                self._chain_tables[key] = self._current_chain_tables
-                index += 1
-            for port_index, port in enumerate(element._input_ports):
-                if port.source is None:
-                    continue
-                key = ("pull", element.name, port_index)
-                if donor is not None and self._chain_reusable(key, donor, dirty, closures):
-                    reused_binds.extend(self._reuse_chain(key, donor, lines, names))
-                    continue
-                self._current_chain_binds = []
-                self._current_chain_tables = []
-                start = len(lines)
-                names[key] = self._emit_pull(lines, index, element, port_index)
-                self._chain_sources[key] = lines[start:]
-                self._chain_binds[key] = self._current_chain_binds
-                self._chain_tables[key] = self._current_chain_tables
-                index += 1
             wired_outputs = sum(1 for p in element._output_ports if p.target is not None)
             if wired_outputs > 1:
                 self.report.branch_elements += 1
                 self.report.branch_ports += wired_outputs
-        self._current_chain_binds = None
-        self._current_chain_tables = None
         self._next_index = index
         self.source = "\n".join(lines) + "\n"
         self.report.source_lines = self.source.count("\n")
-        code = compile_units(self.source)
-        if reused_binds:
-            from .codegen_cache import _resolve_spec
+        # The same policy over a graph that differs only in table
+        # contents (an engine's tier 2 after a route patch) emits the
+        # text a cached entry already holds: share its lines and code
+        # instead of keeping a second copy per patch.  (A splice has
+        # its donor for that, and emitted again only what changed.)
+        twin = None
+        if cache_key is not None and donor is None:
+            twin = cache.twin(cache_key, self.source)
+        if twin is not None:
+            self.source = twin.source
+        for key, (code, offset) in self._chain_code.items():
+            if code is not None:
+                continue
+            chain_lines = self._chain_sources[key]
+            shared = twin.chain_code.get(key) if twin is not None else None
+            twin_lines = twin.chain_sources.get(key) if twin is not None else None
+            if shared is not None and shared[1] == offset and twin_lines == chain_lines:
+                self._chain_sources[key] = twin_lines
+                self._chain_code[key] = shared
+                continue
+            # [0] is the blank line that separates chains
+            self._chain_code[key] = (compile_chain(chain_lines[1:], offset), offset)
+            self.report.compiled_units += 1
+        self._link()
 
-            for name, spec in reused_binds:
-                self._namespace[name] = _resolve_spec(spec, self, self._jump_tables)
-        for unit in code:
-            exec(unit, self._namespace)  # noqa: S102 - code generated above
-        self._code = code
-        self._names = names
+    def _link(self):
+        """Exec every chain's code object over the bound namespace,
+        collect the entry points, and fill the terminal jump tables:
+        entry i is the compiled chain for the terminal's output i.
+        "checked" tables (route tables) drop silently on unwired ports,
+        like Element.checked_push; "plain" tables fall back to the
+        reference port so misbehavior (pushing an unwired port) fails
+        the same way it would have.  The one way code becomes live:
+        after a cold compile, a splice, and a cache replay alike."""
+        namespace = self._namespace
+        for code, _offset in self._chain_code.values():
+            exec(code, namespace)  # noqa: S102 - code generated by _compile
+        names = self._names
         for key, (fn, batch_fn) in names.items():
-            self._compiled[key] = (
-                self._namespace[fn],
-                self._namespace[batch_fn] if batch_fn else None,
-            )
-        # Fill the terminal jump tables: entry i is the compiled chain
-        # for the terminal's output i.  "checked" tables (route tables)
-        # drop silently on unwired ports, like Element.checked_push;
-        # "plain" tables fall back to the reference port so misbehavior
-        # (pushing an unwired port) fails the same way it would have.
+            self._compiled[key] = (namespace[fn], namespace[batch_fn] if batch_fn else None)
         for table, element, mode in self._jump_tables:
             for port_index, port in enumerate(element._output_ports):
                 compiled = names.get(("push", element.name, port_index))
                 if compiled is not None:
-                    table.append(self._namespace[compiled[0]])
+                    table.append(namespace[compiled[0]])
                 elif mode == "checked":
                     table.append(None)
                 else:

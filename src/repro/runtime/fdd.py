@@ -495,25 +495,26 @@ class FDDEngine(AdaptiveEngine):
         if kind == "rules" and name in getattr(self.tier1.policy, "plans", {}):
             # The patched tree is baked into compiled diagrams; rebuild
             # just the chains that can reach it.
-            self.repatch_classifier(name)
-        else:
-            # Route patches (and budget-fallback classifiers, which
-            # dispatch through the live matcher cell) only invalidate
-            # speculation; the inherited deopt is enough.
-            super().on_table_patch(name, kind)
+            return self.repatch_classifier(name)
+        # Route patches (and budget-fallback classifiers, which
+        # dispatch through the live matcher cell) only invalidate
+        # speculation; the inherited deopt is enough.
+        return super().on_table_patch(name, kind)
 
     def repatch_classifier(self, name):
         """Scoped diagram rebuild after a rules patch on ``name``:
-        recompile tier 1 (both flavors) with the new tree, splicing
-        every chain that cannot reach ``name`` verbatim from the old
-        compile, then rearm the dispatchers and reattach supervision.
-        Tier 2 and the profile restart cold, exactly as after a deopt."""
+        rebuild tier 1 (both flavors) with the new tree — only chains
+        that reach ``name`` are emitted and compiled, every other chain
+        is spliced from the old compile, code object and bound objects
+        included — then rearm the dispatchers and reattach supervision.
+        Tier 2 and the profile restart cold, exactly as after a deopt.
+        Returns the fast paths it built."""
         router = self.router
         if self.metered:
             # Metered chains call the element's own push, which walks
             # the live tree — nothing baked, nothing to rebuild.
             self.deopt("control-plane patch of %s" % name, element_name=name)
-            return
+            return ()
         supervisor = getattr(router, "supervisor", None)
         sup_config = supervisor.config if supervisor is not None else None
         was_installed = self.installed
@@ -533,8 +534,10 @@ class FDDEngine(AdaptiveEngine):
         self.states = {}
         self._reach_cache = {}
         self.diagram_rebuilds += 1
+        # A data patch: the wiring stands, so only chains that can touch
+        # ``name`` from a port's far end on are emitted again.
         router._fastpath_reuse = {
-            "dirty": {name},
+            "patched": {name},
             "fastpaths": [old_tier1, old_profiled],
         }
         try:
@@ -559,6 +562,7 @@ class FDDEngine(AdaptiveEngine):
             self.install()
         if supervisor is not None and was_installed:
             router._attach_supervisor(sup_config)
+        return self.tier1, self.profiled
 
     # -- observability -----------------------------------------------------
 

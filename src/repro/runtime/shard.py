@@ -129,11 +129,6 @@ TUNABLES = (
     {"name": "shard.workers", "kind": "choice", "choices": [1, 2, 4, 8], "default": 1},
 )
 
-_DEVICE_CLASSES = ("PollDevice", "FromDevice", "ToDevice")
-
-#: Element classes whose single argument is a bounded packet-queue
-#: capacity — the queues ``divide_capacity`` splits across shards.
-_BOUNDED_QUEUE_CLASSES = ("Queue", "FrontDropQueue")
 #: Shard-local loopback devices never limit transmit on their own; the
 #: parent mirrors the real device's window into ``tx_capacity`` before
 #: every scheduler batch.
@@ -198,18 +193,34 @@ class SPSCQueue:
             return len(self._items)
 
 
+def _declared_classes(graph):
+    """``(declaration, element class)`` for every declaration whose
+    class resolves, generated classes included: the optimizers rename
+    classes (``Devirtualize@@q`` is a Queue), so a declared class name
+    says nothing until it is looked up the way the router build looks
+    it up — the graph's archive first, then the registry."""
+    from ..elements.registry import ELEMENT_CLASSES
+    from ..elements.runtime import compile_archive_classes
+
+    generated = compile_archive_classes(graph.archive)
+    for decl in graph.elements.values():
+        cls = generated.get(decl.class_name) or ELEMENT_CLASSES.get(decl.class_name)
+        if cls is not None:
+            yield decl, cls
+
+
 def _device_names_of(graph, devices=None):
     """The device names the shard mirrors, in deterministic flush
     order.  When the plane was handed a ``devices`` dict its keys are
-    authoritative — element classes may have been renamed by the
-    optimizers (``Devirtualize@@td`` still binds ``eth1``), so scanning
-    declarations by class name only works on unoptimized graphs and is
-    kept as the fallback when no devices were attached."""
+    authoritative; without one, the device elements' declarations
+    name them."""
     if devices:
         return list(devices)
+    from ..elements.devices import PollDevice, ToDevice
+
     names = []
-    for decl in graph.elements.values():
-        if decl.class_name in _DEVICE_CLASSES:
+    for decl, cls in _declared_classes(graph):
+        if issubclass(cls, (PollDevice, ToDevice)):
             name = decl.config.split(",")[0].strip()
             if name and name not in names:
                 names.append(name)
@@ -237,8 +248,9 @@ def divide_queue_capacities(graph, index, workers):
     from ..elements.infrastructure import Queue
 
     divided = load_config(save_config(graph), "<shard-divide>")
-    for decl in divided.elements.values():
-        if decl.class_name not in _BOUNDED_QUEUE_CLASSES:
+    for decl, cls in _declared_classes(divided):
+        # Queue and its subclasses take one argument, the capacity.
+        if not issubclass(cls, Queue):
             continue
         config = (decl.config or "").strip()
         try:
@@ -767,9 +779,7 @@ class ShardedRouter:
             raise RuntimeError("this sharded router is retired")
         if self._started:
             return
-        # Best-effort early validation: names scanned off recognizable
-        # device declarations must resolve.  (Renamed device classes are
-        # caught later, by the shard-local build itself.)
+        # Early validation: every device a declaration names must resolve.
         for name in _device_names_of(self.graph):
             if self.devices.get(name) is None:
                 from ..errors import ClickSemanticError

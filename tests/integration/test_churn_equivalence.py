@@ -122,3 +122,54 @@ def test_incremental_update_matches_full_hotswap(seed):
     assert diff is None, "update vs hotswap (structural=%s): %s" % (structural, diff)
     # Both paths actually forwarded traffic — the property is not vacuous.
     assert any(observations["update"]["transmitted"].values())
+
+
+def rules_update_text(config_text, rng):
+    """The configuration with one ethernet classifier's rules rotated:
+    a pure-data delta that changes what every output port means."""
+    graph = load_config(config_text, "<churn>")
+    decl = graph.elements[rng.choice(["c0", "c1"])]
+    rules = split_config_args(decl.config)
+    rotation = rng.randrange(1, len(rules))
+    decl.config = ", ".join(rules[rotation:] + rules[:rotation])
+    return save_config(graph)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rules_patch_sequence_matches_reference(seed):
+    """Rules patch -> traffic -> rules patch under ``fdd`` and
+    ``fdd``+batch: the second rebuild's donor is itself spliced, and
+    the oracle must see what the reference interpreter shows."""
+    from dataclasses import replace
+
+    from repro.verify.oracle import mode_profile
+
+    rng = random.Random(seed)
+    case = stock_iprouter(events=96)
+    first = rules_update_text(case["config"], rng)
+    second = rules_update_text(first, rng)
+    events = list(case["events"])
+    events.insert(2 * len(events) // 3, ["update", second])
+    events.insert(len(events) // 3, ["update", first])
+    case = dict(case, events=events, name="rules-sequence-%d" % seed)
+
+    result = run_case(case, "reference")
+    assert result[0] == "ok", result
+    reference = result[1]
+    assert any(reference["transmitted"].values())
+    for label, profile in (
+        ("fdd", mode_profile("fdd")),
+        ("fdd+batch", replace(mode_profile("fdd"), batch=True)),
+    ):
+        rebuilds = []
+        result = run_case(
+            case,
+            "fdd",
+            profile=profile,
+            collect=lambda router: rebuilds.append(router.adaptive.diagram_rebuilds),
+        )
+        assert result[0] == "ok", "%s failed: %s" % (label, result)
+        assert rebuilds == [2], "%s did not rebuild its diagrams in place" % label
+        diff = first_transmit_difference(reference["transmitted"], result[1]["transmitted"])
+        assert diff is None, "%s transmitted: %s" % (label, diff)
+        assert result[1]["counters"] == reference["counters"], "%s counters diverged" % label

@@ -264,6 +264,51 @@ def test_fdd_forced_deopt_equivalence(variant):
     test_adaptive_forced_deopt_equivalence(variant, mode="fdd")
 
 
+def drive_rules_patches(mode, batch):
+    """Traffic, then three in-place classifier patches with traffic
+    after each: ``c0``'s IP arm pointed at nothing (eth0's flow is
+    discarded), the same on ``c1``, then ``c0`` restored.  Under fdd
+    every patch is a scoped rebuild whose donor is the previous one's
+    result."""
+    from repro.control import ControlPlane
+    from repro.lang.lexer import split_config_args
+
+    testbed = Testbed(2)
+    router, devices = testbed.build_router(
+        testbed.variant_graph("base"),
+        mode=mode,
+        batch=batch,
+        adaptive_config=AdaptiveConfig(**EAGER) if mode == "fdd" else None,
+    )
+    plane = ControlPlane(router)
+    stock = split_config_args(router.graph.elements["c0"].config)
+    narrowed = stock[:2] + ["12/0805"] + stock[3:]
+    patches = [None, ("c0", narrowed), ("c1", narrowed), ("c0", stock)]
+    traffic = evaluation_traffic(testbed, 128 * len(patches))
+    for index, patch in enumerate(patches):
+        if patch is not None:
+            assert plane.update_rules(*patch).kind == "in-place"
+        for device_name, frame in traffic[128 * index : 128 * (index + 1)]:
+            devices[device_name].receive_frame(frame)
+        plane.router.run_tasks(128)
+    assert plane.router is router
+    return observe(router, devices)
+
+
+def test_rules_patch_sequence_equivalence():
+    """Rules patch -> traffic -> rules patch, each rebuild spliced from
+    the last: not a transmitted byte or handler differs from the
+    reference interpreter patched the same way."""
+    reference = drive_rules_patches("reference", False)
+    sent = sum(len(frames) for frames in reference[0].values())
+    assert 0 < sent < 512, "the narrowed arms did not drop a flow"
+    for batch in (False, True):
+        output, handlers = drive_rules_patches("fdd", batch)
+        label = mode_label("fdd", batch)
+        assert output == reference[0], "%s: transmitted frames differ" % label
+        assert handlers == reference[1], "%s: handler values differ" % label
+
+
 @pytest.mark.parametrize("variant", ["base", "all"])
 def test_meter_reports_identical(variant):
     """Under the cycle meter the fast path must charge exactly what the

@@ -210,6 +210,37 @@ def test_thin_profile_does_not_settle():
     assert any(c["tier"] == 2 for c in report["chains"].values())
 
 
+def test_spent_recompile_budget_settles_chains():
+    """Past ``max_recompiles`` no tier 2 can be built, so a profile
+    buys nothing: demoted chains settle on the plain chain instead of
+    sampling forever with no promotion possible."""
+    config = AdaptiveConfig(max_recompiles=1, **EAGER)
+    testbed, router, devices = _profiled_testbed(config=config)
+    engine = router.adaptive
+    assert engine.recompiles == 1
+    assert any(state.tier == 2 for state in engine.states.values())
+
+    engine.deopt("unit-test")
+    assert all(state.tier == 0 for state in engine.states.values())
+    prof_calls = []
+    for state in engine.states.values():
+        state.prof = state.prof_batch = lambda *args: prof_calls.append(args)
+    before = sum(len(device.transmitted) for device in devices.values())
+    for device_name, frame in testbed.evaluation_frames(256):
+        devices[device_name].receive_frame(frame)
+    router.run_tasks(256)
+    assert sum(len(device.transmitted) for device in devices.values()) > before
+    assert not prof_calls
+    assert engine.recompiles == 1 and engine.tier2_fp is None
+
+    # A chain still sampling when the budget ran out settles at its
+    # next promotion attempt (it used to restart its count forever).
+    state = next(iter(engine.states.values()))
+    state.tier, state.seen = 1, config.threshold
+    engine._promote(state)
+    assert state.tier == 0 and state.port.push is state.plain
+
+
 def test_metered_router_degrades_to_tier1():
     from repro.sim.cpu import CycleMeter
 

@@ -83,7 +83,7 @@ class TestGeneratedSource:
         compile(fastpath.source, "<fastpath>", "exec")
 
     def test_chain_at_a_time_compile_keeps_module_line_numbers(self):
-        # The module is compiled one chain at a time (compile_units: a
+        # The module is compiled one chain at a time (compile_chain: a
         # whole-module compile sets the process's memory high-water
         # mark); tracebacks must still point into fastpath.source.
         import traceback
@@ -91,7 +91,10 @@ class TestGeneratedSource:
         _, (router, _) = build()
         fastpath = router.compile_fastpath()
         lines = fastpath.source.split("\n")
-        assert len(fastpath._code) == len(fastpath.chains) + 1
+        assert list(fastpath._chain_code) == list(fastpath.chains)
+        report = fastpath.report
+        # (the process-wide cache may hold the module, or its text)
+        assert report.compiled_units in (0, len(fastpath.chains))
         for function, _batch in fastpath._compiled.values():
             first = lines[function.__code__.co_firstlineno - 1]
             assert first.startswith("def %s(" % function.__name__)

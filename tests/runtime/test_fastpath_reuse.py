@@ -1,0 +1,258 @@
+"""What a scoped rebuild carries across a donor splice (source, binds,
+jump tables, code objects), counted in ``compile()`` calls: a rules
+patch compiles only the chains it dirtied, whatever the donor came from
+(a fresh compile, a cache replay, a disk-loaded entry), and a splice
+onto another router carries nothing of the old one."""
+
+import gc
+import traceback
+import types
+
+import pytest
+
+from repro.control import ControlPlane
+from repro.elements.hotswap import hotswap
+from repro.lang.lexer import split_config_args
+from repro.runtime import ExecutionProfile
+from repro.runtime import fastpath as fastpath_module
+from repro.runtime.codegen_cache import CodegenCache, default_cache
+from repro.runtime.fastpath import FastPath
+from repro.sim.testbed import Testbed
+
+
+@pytest.fixture
+def compile_calls(monkeypatch):
+    """The fast-path compiler's ``compile()`` calls, as a growing list
+    of the source texts compiled."""
+    calls = []
+
+    def counting(source, *args, **kwargs):
+        calls.append(source)
+        return compile(source, *args, **kwargs)
+
+    monkeypatch.setattr(fastpath_module, "compile", counting, raising=False)
+    return calls
+
+
+def build(profile):
+    """The plain IP router, cold (the default cache is process-wide)."""
+    default_cache().clear()
+    testbed = Testbed(2)
+    router, devices = testbed.build_router(testbed.variant_graph("base"), profile=profile)
+    return testbed, router, devices
+
+
+def rules_of(router, name):
+    return split_config_args(router.graph.elements[name].config)
+
+
+def reaching(fastpath, name):
+    """The chains of ``fastpath`` that are emitted again when ``name``
+    is patched in place: the ones that can touch it from their port's
+    far end on."""
+    reach = fastpath._stale_reach({name})
+    return {key for key, _anchor, far in fastpath._chain_edges() if far.name in reach[key[0]]}
+
+
+def functions_of(fastpath):
+    return {
+        key: fn
+        for key, pair in fastpath._compiled.items()
+        for fn in pair
+        if fn is not None
+    }
+
+
+def assert_spliced_from(donor, fastpath, dirty):
+    """Every chain outside ``dirty`` runs the donor's code: the same
+    code object where its line offset stood, the same bytecode where
+    it was re-based."""
+    donor_functions = functions_of(donor)
+    spliced = 0
+    for key, fn in functions_of(fastpath).items():
+        if key in dirty:
+            continue
+        code, offset = fastpath._chain_code[key]
+        donor_code, donor_offset = donor._chain_code[key]
+        assert (code is donor_code) == (offset == donor_offset), key
+        assert fn.__code__.co_code == donor_functions[key].__code__.co_code, key
+        assert fn.__code__.co_firstlineno - donor_functions[key].__code__.co_firstlineno == (
+            offset - donor_offset
+        )
+        spliced += 1
+    assert spliced
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["fdd", "fdd+batch"])
+def test_rules_patch_compiles_only_dirty_chains(batch, compile_calls):
+    """The count gate: a ``c0`` rules patch on the plain IP router
+    compiles the one chain per flavor that bakes ``c0``'s tree in, not
+    the module's 55 — and says so in its report."""
+    _testbed, router, _devices = build(ExecutionProfile.fdd(batch=batch))
+    engine = router.adaptive
+    donors = (engine.tier1, engine.profiled)
+    dirty = reaching(engine.tier1, "c0")
+    assert 1 <= len(dirty) <= 2 < len(engine.tier1.chains)
+    # The chains anchored at c0's own outputs start at the port's
+    # target and bake in nothing of its tree.
+    assert not any(key[1] == "c0" for key in dirty)
+
+    narrowed = rules_of(router, "c0")
+    narrowed[0] = "12/0806 20/0001 28/0a000001"
+    del compile_calls[:]
+    report = ControlPlane(router).update_rules("c0", narrowed)
+
+    assert report.kind == "in-place"
+    flavors = (engine.tier1, engine.profiled)
+    chain_units = [text for text in compile_calls if text.startswith("# ")]
+    assert len(chain_units) == 2 * len(dirty)
+    for donor, flavor in zip(donors, flavors):
+        assert flavor is not donor and not flavor.report.cache_hit
+        assert flavor.report.compiled_units == len(dirty)
+        assert flavor.report.reused_chains == len(flavor.chains) - len(dirty)
+        assert_spliced_from(donor, flavor, dirty)
+    assert report.chains_recompiled == 2 * len(dirty)
+    assert report.chains_reused == 2 * (len(engine.tier1.chains) - len(dirty))
+    assert "%d chain(s) recompiled" % (2 * len(dirty)) in report.format()
+    assert "%d units compiled" % len(dirty) in engine.tier1.report.format()
+
+
+def test_line_numbers_survive_a_dirty_chain_that_grew():
+    """Line numbers stay whole-source: a spliced chain below a dirty
+    chain whose length changed is re-based, and its traceback still
+    indexes ``fastpath.source``."""
+    _testbed, router, _devices = build(ExecutionProfile.fdd())
+    engine = router.adaptive
+    donor = engine.tier1
+    grown = rules_of(router, "c0")
+    grown[0] = "12/0806 20/0001 28/0a000001 32/0002"
+    ControlPlane(router).update_rules("c0", grown)
+    fastpath = engine.tier1
+
+    moved = [
+        key
+        for key in fastpath.chains
+        if key in donor._chain_code
+        and fastpath._chain_code[key][1] != donor._chain_code[key][1]
+        and fastpath.report.chain_lines["%s %s[%d]" % key]
+        == donor.report.chain_lines["%s %s[%d]" % key]
+    ]
+    assert moved, "the patch did not move any spliced chain"
+    lines = fastpath.source.split("\n")
+    for key, fn in functions_of(fastpath).items():
+        assert lines[fn.__code__.co_firstlineno - 1].startswith("def %s(" % fn.__name__)
+    # eth1's poll chain ends in c1's diagram, below the chain that
+    # grew, and reads the packet first thing.
+    key = next(key for key, _anchor, far in fastpath._chain_edges() if far.name == "c1")
+    assert key in moved
+    with pytest.raises(AttributeError) as raised:
+        fastpath.function_for(key)(None)
+    frame = traceback.extract_tb(raised.tb)[-1]
+    assert lines[frame.lineno - 1].strip() == "data = packet._data_cache"
+
+
+def disk_loaded(cache, tmp_path):
+    path = tmp_path / "codegen.cache"
+    assert cache.save(str(path)) == 1
+    loaded = CodegenCache()
+    assert loaded.load(str(path)) == 1
+    return loaded
+
+
+@pytest.mark.parametrize("origin", ["replayed", "disk-loaded"])
+def test_cached_fast_paths_are_donors(origin, compile_calls, tmp_path):
+    """A fast path replayed from the cache — memory or disk — hands its
+    chains to a scoped rebuild like a freshly compiled one: nothing it
+    carries is compiled again."""
+    _testbed, router, _devices = build(ExecutionProfile.reference())
+    cache = CodegenCache()
+    fresh = FastPath(router, cache=cache)
+    assert fresh.report.compiled_units == len(fresh.chains)
+    if origin == "disk-loaded":
+        cache = disk_loaded(cache, tmp_path)
+    del compile_calls[:]
+    donor = FastPath(router, cache=cache)
+    assert donor.report.cache_hit and donor.report.compiled_units == 0
+    if origin == "replayed":
+        assert not compile_calls  # the disk layer compiled on load, once
+        assert donor._chain_code == fresh._chain_code
+
+    dirty = reaching(donor, "c0")
+    del compile_calls[:]
+    router._fastpath_reuse = {"patched": {"c0"}, "fastpaths": [donor]}
+    try:
+        spliced = FastPath(router)
+    finally:
+        del router._fastpath_reuse
+    assert len(compile_calls) == spliced.report.compiled_units == len(dirty)
+    assert spliced.report.source_lines == fresh.report.source_lines
+    assert_spliced_from(donor, spliced, dirty)
+
+
+def test_a_compile_that_emits_a_cached_text_shares_it(compile_calls):
+    """A route patch changes the graph (so the cache key) but not the
+    text compiled for it: a tier 2 rebuilt after one shares the cached
+    entry's lines and code objects instead of holding a copy per patch
+    — memory stays flat however many patches a run applies."""
+    _testbed, router, _devices = build(ExecutionProfile.reference())
+    cache = CodegenCache()
+    first = FastPath(router, cache=cache)
+    routes = rules_of(router, "rt")
+    ControlPlane(router).update_routes("rt", routes + ["10.9.0.0/16 1"])
+    del compile_calls[:]
+    second = FastPath(router, cache=cache)
+
+    assert not second.report.cache_hit and len(cache) == 2
+    assert second.report.compiled_units == 0 and not compile_calls
+    assert second.source is first.source
+    assert second._chain_code == first._chain_code
+    for key, chain_lines in second._chain_sources.items():
+        assert chain_lines is first._chain_sources[key]
+    donor_functions = functions_of(first)
+    for key, fn in functions_of(second).items():
+        assert fn.__code__ is donor_functions[key].__code__
+        assert fn.__globals__ is second._namespace
+
+
+def reachable_from(roots):
+    """Every object reachable from ``roots``, not descending into
+    modules, classes and code (shared by every router)."""
+    seen = {}
+    frontier = list(roots)
+    while frontier:
+        obj = frontier.pop()
+        if id(obj) in seen or isinstance(obj, (types.ModuleType, type, types.CodeType)):
+            continue
+        seen[id(obj)] = obj
+        frontier.extend(gc.get_referents(obj))
+    return seen
+
+
+def test_scoped_hotswap_rebinds_onto_the_new_router():
+    """Across routers only source, recipes and code are carried: every
+    bind is resolved again, so nothing of the old router is reachable
+    from the new fast path's namespace."""
+    _testbed, old, _devices = build(ExecutionProfile.fast())
+    donor = old.fastpath
+    graph = old.graph.copy()
+    conn = next(c for c in graph.connections if c.from_element == "rt" and c.from_port == 1)
+    graph.remove_connection(conn)
+    graph.add_element("xcount", "Counter", None)
+    graph.add_connection("rt", 1, "xcount", 0)
+    graph.add_connection("xcount", 0, conn.to_element, conn.to_port)
+    old_objects = {id(old): old}
+    old_objects.update((id(element), element) for element in old.elements.values())
+
+    result = hotswap(old, graph)
+    new = result.router
+    fastpath = new.fastpath
+    assert result.report.kind == "scoped-swap"
+    assert 0 < fastpath.report.compiled_units < len(fastpath.chains)
+    assert result.report.chains_recompiled == fastpath.report.compiled_units
+    assert result.report.chains_reused == fastpath.report.reused_chains
+    dirty = {key for key in fastpath.chains if fastpath._names[key] != donor._names.get(key)}
+    assert len(dirty) == fastpath.report.compiled_units
+    assert_spliced_from(donor, fastpath, dirty)
+    reached = reachable_from(fastpath._namespace.values())
+    assert id(new) in reached
+    assert not set(reached) & set(old_objects)

@@ -458,3 +458,40 @@ def test_bump_arp_epochs_counts_renamed_queriers():
         assert sharded.bump_arp_epochs() == single.bump_arp_epochs() == 2
     finally:
         sharded.close()
+
+
+def test_divide_capacity_divides_renamed_queues():
+    """``Devirtualize@@…`` queues are Queues: on the ``paper``-pipeline
+    router over 2 thread workers, ``divide_capacity`` keeps the plane's
+    aggregate queue capacity at the single plane's, and the device
+    scan finds the renamed device elements."""
+    from repro.core import load_config, named_pipeline, save_config
+    from repro.elements.infrastructure import Queue
+    from repro.runtime.shard import _device_names_of
+
+    testbed = Testbed(2)
+    text = save_config(named_pipeline("paper").run(testbed.base_graph()).graph)
+    graph = load_config(text)
+    assert "Queue" not in {decl.class_name for decl in graph.elements.values()}
+    assert sorted(_device_names_of(graph)) == ["eth0", "eth1"]
+
+    def capacities(router):
+        return {
+            name: element.capacity
+            for name, element in router.elements.items()
+            if isinstance(element, Queue)
+        }
+
+    single, _devices = testbed.build_router(load_config(text), profile=ExecutionProfile.fast())
+    sharded, _devices = testbed.build_router(
+        load_config(text),
+        profile=ExecutionProfile.fast().with_workers(2, "thread", divide_capacity=True),
+    )
+    try:
+        sharded.run_tasks(1)
+        shards = [capacities(shard.router) for shard in sharded._shards]
+        assert capacities(single) and len(shards) == 2
+        for name, capacity in capacities(single).items():
+            assert sum(shard[name] for shard in shards) == capacity
+    finally:
+        sharded.close()
