@@ -10,15 +10,15 @@ closes the loop.  A :class:`RecoveryManager` rides along with every
 ``ShardedRouter`` whose profile carries a :class:`RecoveryConfig`, and
 owns four jobs:
 
-- **Detection.**  On the process backend, liveness is heartbeat-style:
-  ``Process.is_alive()`` is polled at the top of every scheduler batch
-  and every protocol ``recv`` waits at most ``heartbeat_timeout``
-  seconds — a worker that neither answers nor exits is *hung* and gets
-  reaped.  On the thread backend a dead worker cannot take the process
-  with it, so detection is a watchdog progress deadline: the per-batch
-  barrier polls each shard's sync event and declares the worker hung
-  after ``watchdog_timeout`` seconds (the abandoned thread is fenced
-  off by a generation counter so it can never touch rebuilt state).
+- **Detection.**  One health seam, the shard's transport: a ``send``
+  the worker refuses (broken pipe; a handoff queue that does not drain
+  within ``heartbeat_timeout``), a ``recv`` that outlives its reply
+  deadline — a worker that neither answers nor exits is *hung* — or
+  ``alive()`` false at the liveness sweep that opens every scheduler
+  batch.  The reply deadline is ``heartbeat_timeout`` for a worker in a
+  spawned process (hung: SIGKILLed and reaped) and ``watchdog_timeout``
+  for one on a thread (hung: abandoned behind a fence — it owns its
+  router outright, so it can never touch the rebuilt shard).
 - **Restart.**  A detected-down shard is rebuilt and its journal
   replayed, under seeded exponential backoff measured in *scheduler
   runs* (the plane's deterministic clock): attempt ``n`` waits
@@ -26,7 +26,8 @@ owns four jobs:
   plus a seeded jitter draw.  ``restart_budget`` failed attempts trip
   the circuit breaker and bench the shard permanently.
 - **Quarantine.**  A frame that kills the worker again during replay —
-  attributed exactly, frame-by-frame — is not replayed forever: after
+  a batch replay that dies unattributed is re-run frame-by-frame, which
+  names the exact journal position — is not replayed forever: after
   ``quarantine_limit`` consecutive replay kills the frame is stripped
   from the journal, recorded as a :class:`QuarantineRecord` (the repro
   artifact), and dropped from all future dispatch.
@@ -77,9 +78,10 @@ class RecoveryError(RuntimeError):
 
 
 class PoisonFrameError(RuntimeError):
-    """The exception an armed poison frame raises inside a thread-shard
-    worker — the deterministic stand-in for a frame whose processing
-    kills the worker."""
+    """The exception an armed poison frame raises inside the shard
+    worker, out of its command loop — the deterministic stand-in for a
+    frame whose processing kills the worker (the worker's host turns it
+    into the worker's death)."""
 
     def __init__(self, device, frame):
         self.device = device
@@ -265,7 +267,7 @@ class _ShardHealth:
         self.down_reason = None
         self.buffer = []
         self.frame_kills = {}  # frame bytes -> consecutive replay kills
-        self.singly = False  # next process replay runs frame-granular
+        self.singly = False  # next replay runs frame-granular
 
 
 class RecoveryManager:
@@ -277,8 +279,7 @@ class RecoveryManager:
     at the top of every scheduler batch, ``route_frame`` per dispatched
     frame — and provides the mechanics back (``_revive_shard``,
     ``_strip_journal_frame``, ``_deliver_buffered``).  The manager owns
-    only policy and bookkeeping, so both backends share one recovery
-    brain.
+    only policy and bookkeeping; how a worker is hosted never reaches it.
     """
 
     def __init__(self, router, config):
@@ -334,8 +335,8 @@ class RecoveryManager:
             health.kill_run = self.router._runs
 
     def note_dead(self, index, reason):
-        """A health seam (barrier watchdog, heartbeat poll, protocol
-        failure) found this worker dead or hung.  Marks it down and
+        """The health seam (send refused, reply deadline passed, worker
+        not alive) found this worker dead or hung.  Marks it down and
         makes the first restart attempt due immediately."""
         health = self._health[index]
         if not health.up:
@@ -453,7 +454,7 @@ class RecoveryManager:
                     continue  # journal is clean of the killer; retry now
             except Exception as exc:  # noqa: BLE001 - unattributed death
                 health.attempts += 1
-                if router.backend == "process" and not health.singly:
+                if not health.singly:
                     # Re-run the replay frame-granular so a killer frame
                     # (if that is what this was) gets attributed.
                     health.singly = True

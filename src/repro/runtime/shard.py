@@ -9,20 +9,33 @@ under the same shard-local :class:`~repro.runtime.profile.ExecutionProfile`
 shards' transmitted frames, element counters, and CycleMeters back into
 one externally observable surface.
 
-Two backends, selected by ``profile.shard_backend``:
+One worker, one coordinator.  Every shard is served by the same command
+loop (:func:`_shard_worker`): it builds and owns the shard's router and
+executes the coordinator's commands — frame batches, scheduler runs,
+transmit-window mirrors, control operations, two-phase update stage and
+commit, sync, collect — in order.  :class:`ShardedRouter` reaches a
+worker only through a small private transport (``send``, ``recv``,
+``alive``, ``kill``, ``close``) and writes dispatch, pipelined runs,
+flush, control fan-out, hot-swap, two-phase update, fault hooks, restart
+and journal replay exactly once in terms of it.  ``profile.shard_backend``
+selects how a worker is *hosted*, not a second implementation:
 
-- ``"thread"`` — in-process worker threads fed through bounded
-  :class:`SPSCQueue` handoff queues, with a barrier after every
-  scheduler batch.  Deterministic by construction (shard state merges
-  in shard order at quiescence), which is what the differential oracle
-  runs; parallel speedup is not the point here, equivalence is.
-- ``"process"`` — ``multiprocessing`` (spawn) workers, each building
-  its own router from the configuration *text* and rehydrating compiled
-  chains from the codegen cache's validated disk layer
+- ``"thread"`` — a daemon thread fed through a bounded
+  :class:`SPSCQueue`; objects cross by reference and the codegen cache
+  is shared, so startup is cheap.  This is what the differential
+  oracle, ``click-chaos`` and the tuner run by default (Python threads
+  buy no wall-clock parallelism; equivalence is the point).
+- ``"process"`` — a ``multiprocessing`` (spawn) child over a pipe,
+  building its router from the configuration *text* and rehydrating
+  compiled chains from the codegen cache's validated disk layer
   (:meth:`~repro.runtime.codegen_cache.CodegenCache.save`), so the
-  compile is paid once.  Frame batches pipeline to the workers in
-  chunks so the parent's hashing/serialization overlaps shard
-  execution — this is the backend the 1→N scale curve measures.
+  compile is paid once.  True parallelism: the host the 1→N scale
+  curve and the benchmark measure.
+
+Either way, batches above ``chunk_frames`` pipeline to the workers in
+chunks, so the parent's hashing/serialization overlaps shard execution,
+and shard state merges in shard order at quiescence (deterministic by
+construction).
 
 Ordering semantics: per-flow order is preserved (a flow maps to one
 shard; the handoff queues and per-shard routers are FIFO); cross-flow,
@@ -36,8 +49,10 @@ bumps, forced deopts, hot-swaps, and — via :meth:`ShardedRouter.apply_update`
 — incremental updates, which commit *transactionally*: a pure-data
 delta is staged on every shard (all parsing and validation, no
 mutation) and only then committed everywhere, so a rejected update
-leaves all shards serving the old tables; a structural delta hot-swaps
-shard by shard with rollback on failure.
+leaves all shards serving the old tables; a structural delta — like
+:meth:`ShardedRouter.hotswap_all` — swaps every shard with an
+acknowledged reply, rolls the swapped ones back if any rejects, and is
+journaled only once every live shard acknowledged.
 
 Worker faults: ``worker_crash`` faults (:mod:`repro.sim.faults`) kill a
 shard; recovery respawns it and replays the shard's command journal —
@@ -49,10 +64,12 @@ supervisor-grade recovery story).
 Self-healing: when the profile carries a
 :class:`~repro.runtime.recovery.RecoveryConfig`, a
 :class:`~repro.runtime.recovery.RecoveryManager` closes the loop
-autonomously — liveness heartbeats (process backend) and barrier
-watchdog deadlines (thread backend) detect dead or hung workers without
-an operator, journal replay restarts them under seeded exponential
-backoff with a restart budget and poison-frame quarantine, and while a
+autonomously — one health seam (a ``send`` refused, a ``recv`` past its
+reply deadline, ``alive()`` false at the per-batch sweep) detects dead
+or hung workers without an operator, journal replay restarts them under
+seeded exponential backoff with a restart budget and poison-frame
+quarantine (batch replay first, frame-granular replay to attribute a
+killer frame to its exact journal position), and while a
 shard is down its flows follow the profile's recovery policy: buffered
 for redelivery, re-steered onto survivors through a rendezvous overlay,
 or failed fast.  The journal-then-send invariant makes this safe: every
@@ -62,23 +79,25 @@ and a down shard's partial output is never flushed (replay regenerates
 deterministic output, and the flush cursor delivers everything past it
 exactly once).
 
-Cross-worker safety notes (the audit the thread backend forced):
+Cross-worker safety notes (the audit thread-hosted workers forced):
 ``ELEMENT_CLASSES`` is a read-only registry after import; the dest-IP
 intern cache (:data:`repro.net.packet._DEST_IP_CACHE`) is only touched
 via single dict operations, which the GIL keeps atomic; the process-wide
-codegen cache now serializes mutation behind an RLock (adaptive tier-2
-recompiles can run on worker threads).  Shards share no mutable runtime
-state — each has its own elements, devices, meter, and engine.
+codegen cache serializes mutation behind an RLock (builds and adaptive
+tier-2 recompiles run on worker threads).  Shards share no mutable
+runtime state — each worker has its own graph, elements, devices, meter,
+and engine, and the coordinator never touches them.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import queue
 import tempfile
 import threading
 import time as _time
 from collections import OrderedDict
-from dataclasses import replace
 
 from .flowhash import DEFAULT_SEED, FlowHasher
 from .profile import ExecutionProfile
@@ -97,13 +116,12 @@ __all__ = [
 ]
 
 #: Default capacity of the bounded SPSC handoff queues (thread
-#: backend).  Overridable per plane via
+#: transport).  Overridable per plane via
 #: ``ExecutionProfile.with_workers(..., queue_capacity=...)``.
 DEFAULT_QUEUE_CAPACITY = 256
 
-#: Default frames per pipelined chunk on the process backend
-#: (``ExecutionProfile.chunk_frames`` or the ``chunk_frames``
-#: constructor keyword override it).
+#: Default frames per pipelined chunk (``ExecutionProfile.chunk_frames``
+#: or the ``chunk_frames`` constructor keyword override it).
 DEFAULT_CHUNK_FRAMES = 2048
 
 #: Parameter-space declarations for the autotuner (:mod:`repro.tune`).
@@ -162,18 +180,12 @@ class SPSCQueue:
         recovery path's escape hatch when the consumer is dead or hung
         and the queue will never drain."""
         with self._not_full:
-            if timeout is None:
-                while len(self._items) >= self._capacity:
-                    self._not_full.wait()
-            else:
-                deadline = _monotonic() + timeout
-                while len(self._items) >= self._capacity:
-                    remaining = deadline - _monotonic()
-                    if remaining <= 0 or not self._not_full.wait(remaining):
-                        if len(self._items) < self._capacity:
-                            break
-                        if deadline - _monotonic() <= 0:
-                            return False
+            deadline = None if timeout is None else _monotonic() + timeout
+            while len(self._items) >= self._capacity:
+                remaining = None if deadline is None else deadline - _monotonic()
+                if remaining is not None and remaining <= 0:
+                    return False
+                self._not_full.wait(remaining)
             self._items.append(item)
             if len(self._items) > self.high_water:
                 self.high_water = len(self._items)
@@ -359,74 +371,6 @@ class ShardReport:
         return "\n".join(lines)
 
 
-class _ThreadShard:
-    """One in-process shard: its router, devices, meter, worker thread,
-    and flush bookkeeping."""
-
-    __slots__ = (
-        "index",
-        "router",
-        "devices",
-        "meter",
-        "queue",
-        "thread",
-        "worked",
-        "error",
-        "flushed",
-        "meter_snapshot",
-        "dead",
-        "generation",
-        "poisons",
-    )
-
-    def __init__(self, index, queue_capacity=DEFAULT_QUEUE_CAPACITY):
-        self.index = index
-        self.router = None
-        self.devices = None
-        self.meter = None
-        self.queue = SPSCQueue(queue_capacity)
-        self.thread = None
-        self.worked = 0
-        self.error = None
-        self.flushed = {}
-        self.meter_snapshot = {}
-        # Recovery bookkeeping: ``dead`` is set by the worker itself on
-        # a fatal error (or a ``die`` fault); ``generation`` fences off
-        # abandoned (hung) worker threads — a stale generation exits
-        # without touching rebuilt state; ``poisons`` is the armed
-        # kill-frame set the worker checks at frame delivery.
-        self.dead = False
-        self.generation = 0
-        self.poisons = set()
-
-
-class _ProcessShard:
-    """One multiprocessing shard: its process handle, pipe, and the
-    parent-side mirror of its flush counters."""
-
-    __slots__ = ("index", "process", "conn", "worked", "flushed", "meter_snapshot")
-
-    def __init__(self, index):
-        self.index = index
-        self.process = None
-        self.conn = None
-        self.worked = 0
-        self.flushed = {}
-        self.meter_snapshot = {}
-
-    def recv(self):
-        try:
-            return self.conn.recv()
-        except (EOFError, ConnectionResetError, BrokenPipeError) as exc:
-            exitcode = self.process.exitcode if self.process is not None else None
-            raise RuntimeError(
-                "shard worker %d died mid-protocol (exit code %r); if this "
-                "happened at startup, the spawn backend re-imports __main__ "
-                "— entry scripts need an if __name__ == '__main__' guard"
-                % (self.index, exitcode)
-            ) from exc
-
-
 class _FanoutElementProxy:
     """Stands in for a named element on a sharded router: control-plane
     writes (ARP ``insert``) fan out to every shard's instance."""
@@ -442,7 +386,7 @@ class _FanoutElementProxy:
         return self._name
 
     def insert(self, ip, ether):
-        self._sharded._fanout_insert(self._name, ip, ether)
+        self._sharded._control(("insert", self._name, ip, ether))
 
     def __repr__(self):
         return "<fanout %s across %d shard(s)>" % (
@@ -451,79 +395,20 @@ class _FanoutElementProxy:
         )
 
 
-def _arp_epoch_holders(router):
-    """How many elements ``Router.bump_arp_epochs`` bumps."""
-    return sum(1 for element in router.elements.values() if hasattr(element, "_arp_epoch"))
+# -- the shard worker ----------------------------------------------------------
 
 
-def _apply_shard_control(router, devices, cmd, divider=None):
-    """Apply one journaled control command to a single shard's router;
-    returns the (possibly new) router.  Used both on the live path and
-    during crash-replay, so it must be deterministic.  ``divider`` is
-    the shard's divide-capacity transform (or None): journaled
-    configurations are always the *undivided* text, so every path that
-    materializes a graph on a shard runs it through the divider."""
-    op = cmd[0]
-    if op == "insert":
-        element = router.find(cmd[1])
-        if element is not None and hasattr(element, "insert"):
-            element.insert(cmd[2], cmd[3])
-    elif op == "bump_epochs":
-        router.bump_arp_epochs()
-    elif op == "deopt":
-        router.force_deopt()
-    elif op == "configure":
-        router.configure(cmd[1].shard_local())
-    elif op == "mirror":
-        for name, capacity in cmd[1].items():
-            device = devices.get(name)
-            if device is not None and hasattr(device, "tx_capacity"):
-                device.tx_capacity = capacity
-    elif op == "hotswap":
-        from ..core.toolchain import load_config
-        from ..elements.hotswap import hotswap
-
-        new_graph = load_config(cmd[1], "<shard-hotswap>")
-        if divider is not None:
-            new_graph = divider(new_graph)
-        router = hotswap(router, new_graph).router
-    elif op == "update":
-        from ..control import ControlPlane
-
-        update = cmd[1]
-        if divider is not None:
-            from ..core.toolchain import load_config
-
-            update = divider(load_config(update, "<shard-update>"))
-        plane = ControlPlane(router)
-        plane.apply(update)
-        router = plane.router
-    else:
-        raise ValueError("unknown shard control command %r" % (op,))
-    return router
-
-
-def _process_shard_main(
-    conn, config_text, profile, device_names, cache_path, metered=False, shard_index=0
-):
-    """The multiprocessing worker: build one shard's router from the
-    configuration text (rehydrating compiled chains from the shipped
-    codegen-cache file) and serve the parent's command stream.  With
-    ``metered`` the shard runs under its own CycleMeter, whose summary
-    rides back on every ``collect`` for the parent to absorb.  The
-    parent always ships *undivided* configuration text; under
-    divide-capacity mode the worker derives its own shard view from
-    ``shard_index`` and the profile's worker count."""
+def _build_shard(config, profile, device_names, metered, shard_index, extra_classes=None):
+    """One shard's router over shard-local loopback devices, from the
+    plane's *undivided* configuration (text, or a graph handed over by
+    reference).  Returns ``(router, devices, divider)``; ``divider`` is
+    the shard's divide-capacity transform (or None) — every later path
+    that materializes a configuration on this shard runs it through the
+    divider, because journaled configurations are always undivided."""
     from ..core.toolchain import load_config
     from ..elements.devices import LoopbackDevice
     from ..elements.runtime import build_router
-    from .codegen_cache import default_cache
 
-    if cache_path:
-        try:
-            default_cache().load(cache_path)
-        except Exception:  # noqa: BLE001 - a bad cache file is survivable
-            pass
     devices = OrderedDict(
         (name, LoopbackDevice(name, tx_capacity=_SHARD_TX_CAPACITY))
         for name in device_names
@@ -539,83 +424,202 @@ def _process_shard_main(
         def divider(graph, _index=shard_index, _workers=profile.workers):
             return divide_queue_capacities(graph, _index, _workers)
 
-    graph = load_config(config_text, "<shard>")
+    graph = load_config(config, "<shard>") if isinstance(config, str) else config
     if divider is not None:
         graph = divider(graph)
     router = build_router(
         graph,
+        extra_classes=extra_classes,
         devices=devices,
         meter=meter,
         profile=profile.shard_local(),
     )
+    return router, devices, divider
+
+
+def _apply_shard_control(router, cmd, divider=None):
+    """Apply one journaled control command to the shard's router;
+    returns ``(router, SwapReport or None)`` — the router changes
+    identity across a swap.  Runs on the live path and under journal
+    replay, so it must be deterministic."""
+    op = cmd[0]
+    report = None
+    if op == "insert":
+        element = router.find(cmd[1])
+        if element is not None and hasattr(element, "insert"):
+            element.insert(cmd[2], cmd[3])
+    elif op == "bump_epochs":
+        router.bump_arp_epochs()
+    elif op == "deopt":
+        router.force_deopt()
+    elif op == "configure":
+        router.configure(cmd[1].shard_local())
+    elif op == "hotswap":
+        from ..core.toolchain import load_config
+        from ..elements.hotswap import hotswap
+
+        new_graph = load_config(cmd[1], "<shard-hotswap>")
+        if divider is not None:
+            new_graph = divider(new_graph)
+        result = hotswap(router, new_graph)
+        router, report = result.router, result.report
+    elif op == "update":
+        from ..control import ControlPlane
+
+        update = cmd[1]
+        if divider is not None:
+            from ..core.toolchain import load_config
+
+            update = divider(load_config(update, "<shard-update>"))
+        plane = ControlPlane(router)
+        report = plane.apply(update)
+        router = plane.router
+    else:
+        raise ValueError("unknown shard control command %r" % (op,))
+    return router, report
+
+
+#: Commands the coordinator waits on: each is answered exactly once,
+#: with its reply or with ``("error", exception)`` — never with silence,
+#: which the coordinator could only tell from a hang.
+_ASKS = frozenset(
+    (
+        "update_stage",
+        "update_commit",
+        "sync",
+        "collect",
+        "counters",
+        "arp_epoch_holders",
+        "report",
+        "stop",
+    )
+)
+
+
+def _portable(exc):
+    """``exc`` itself when it survives pickling — the coordinator then
+    re-raises exactly what a single router would have raised — else a
+    RuntimeError naming it: a reply that cannot cross a pipe would kill
+    the protocol instead of reporting the failure."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:  # noqa: BLE001 - any pickling failure means "not portable"
+        return RuntimeError("%s: %s" % (type(exc).__name__, exc))
+
+
+def _shard_worker(
+    recv, send, config, profile, device_names, metered=False, shard_index=0, extra_classes=None
+):
+    """The shard worker — the only one: build one shard's router and
+    serve the coordinator's command stream until ``stop`` or until
+    ``recv`` reports the channel closed (EOFError/OSError).  ``recv``
+    and ``send`` are the worker's end of a transport; nothing here
+    knows whether that is a pipe into a spawned process or a pair of
+    queues into a thread.
+
+    With ``metered`` the shard runs under its own CycleMeter, whose
+    summary rides back on every ``collect`` for the coordinator to
+    absorb.  A command that fails parks its error for the next
+    ``sync``; a failing :data:`_ASKS` command answers with the error.
+    An armed poison frame raises :class:`PoisonFrameError` *out of*
+    the loop: the host turns that into the worker's death."""
+    from ..control import ControlPlane
+    from ..core.toolchain import load_config
+
     flushed = {name: 0 for name in device_names}
     worked = 0
-    pending_error = None
-    staged = None  # (plane, staged batch, delta) between stage and commit
+    staged = None  # (plane, batch, delta, diff seconds, stage seconds)
+    swap_report = None  # the last hotswap/update's SwapReport, for the next sync
     poisons = set()  # armed kill frames (worker_poison faults)
+    router = devices = divider = None
+    try:
+        router, devices, divider = _build_shard(
+            config, profile, device_names, metered, shard_index, extra_classes
+        )
+        broken = None
+    except Exception as exc:  # noqa: BLE001 - reported through the protocol
+        # No router to serve.  Keep answering, so the coordinator hears
+        # the build error (at its first sync or question) instead of
+        # diagnosing a hang.
+        broken = _portable(exc)
+    pending_error = None
     while True:
         try:
-            cmd = conn.recv()
+            cmd = recv()
         except (EOFError, OSError):
             break
         op = cmd[0]
         try:
+            if broken is not None and op != "stop":
+                raise broken
             if op == "frames":
                 for name, frame in cmd[1]:
                     if poisons and bytes(frame) in poisons:
-                        # A poison frame kills the worker the hard way:
-                        # no exception protocol, just a dead process for
-                        # the parent's health machinery to find.
-                        os._exit(3)
+                        raise PoisonFrameError(name, frame)
                     devices[name].receive_frame(frame)
             elif op == "run":
                 worked += router.run_tasks(cmd[1])
-            elif op == "poison":
-                poisons.add(bytes(cmd[1]))
-            elif op == "hang":
-                _time.sleep(cmd[1])
             elif op == "mirror":
                 for name, capacity in cmd[1].items():
                     devices[name].tx_capacity = capacity
-            elif op in ("insert", "bump_epochs", "deopt", "configure", "hotswap", "update"):
-                router = _apply_shard_control(router, devices, cmd, divider=divider)
+            elif op == "poison":
+                poisons.add(bytes(cmd[1]))
+            elif op == "hang":
+                # Fault injection: stop making progress, so the reply
+                # deadline — not a crash — has to find this worker.
+                _time.sleep(cmd[1])
             elif op == "update_stage":
-                from ..control import ControlPlane, ControlPlaneError
-
-                plane = ControlPlane(router)
+                staged = None
                 try:
+                    started = _time.perf_counter()
                     update = cmd[1]
                     if divider is not None:
                         update = divider(load_config(update, "<shard-update>"))
+                    plane = ControlPlane(router)
                     delta, _new_graph = plane.resolve(update)
-                    if delta.empty:
-                        conn.send(("staged", "empty"))
-                    elif delta.structural:
-                        conn.send(("staged", "structural"))
-                    else:
+                    resolved = _time.perf_counter()
+                    batch = None
+                    if not (delta.empty or delta.structural):
                         batch = plane.stage_patch(delta)
-                        if batch is None:
-                            conn.send(("staged", "structural"))
-                        else:
-                            staged = (plane, batch, delta)
-                            conn.send(("staged", "ok"))
-                except ControlPlaneError as exc:
-                    staged = None
-                    conn.send(("staged", "rejected", str(exc)))
+                except Exception as exc:  # noqa: BLE001 - a rejection, not a fault
+                    # Nothing staged, live tables untouched: the
+                    # coordinator aborts everywhere and re-raises this.
+                    send(("staged", "rejected", _portable(exc)))
+                else:
+                    if delta.empty:
+                        send(("staged", "empty"))
+                    elif batch is None:
+                        send(("staged", "structural"))
+                    else:
+                        staged = (
+                            plane,
+                            batch,
+                            delta,
+                            resolved - started,
+                            _time.perf_counter() - resolved,
+                        )
+                        send(("staged", "ok"))
             elif op == "update_commit":
-                plane, batch, delta = staged
-                plane.commit_patch(batch, delta)
-                router = plane.router
+                plane, batch, delta, diff_seconds, stage_seconds = staged
                 staged = None
-                conn.send(("committed",))
+                report = plane.commit_patch(batch, delta)
+                router = plane.router
+                report.phases["diff"] = diff_seconds
+                report.phases["stage"] = stage_seconds
+                report.phases.move_to_end("patch")
+                send(("committed", report))
             elif op == "update_abort":
                 staged = None
             elif op == "set_flushed":
                 flushed = dict(cmd[1])
             elif op == "sync":
-                conn.send(("synced", worked, pending_error))
+                if pending_error is not None:
+                    send(("error", pending_error))
+                else:
+                    send(("synced", worked, swap_report))
                 worked = 0
-                pending_error = None
+                pending_error = swap_report = None
             elif op == "collect":
                 fresh = {}
                 for name in device_names:
@@ -625,7 +629,7 @@ def _process_shard_main(
                         fresh[name] = frames[start:]
                         flushed[name] = len(frames)
                 meter = router.meter.summary() if router.meter is not None else None
-                conn.send(("collected", fresh, meter))
+                send(("collected", fresh, meter))
             elif op == "counters":
                 values = {}
                 for name, element in sorted(router.elements.items()):
@@ -634,20 +638,293 @@ def _process_shard_main(
                         if not isinstance(value, (int, float, str, bool, type(None))):
                             value = repr(value)
                         values["%s.%s" % (name, handler)] = value
-                conn.send(("counters", values))
+                send(("counters", values))
             elif op == "arp_epoch_holders":
-                conn.send(("arp_epoch_holders", _arp_epoch_holders(router)))
+                # How many elements ``Router.bump_arp_epochs`` bumps.
+                holders = sum(
+                    1 for element in router.elements.values() if hasattr(element, "_arp_epoch")
+                )
+                send(("arp_epoch_holders", holders))
             elif op == "report":
                 supervisor = router.supervisor
-                conn.send(
-                    ("report", supervisor.report().as_dict() if supervisor else None)
-                )
+                send(("report", supervisor.report().as_dict() if supervisor else None))
             elif op == "stop":
-                conn.send(("stopped",))
+                send(("stopped",))
                 break
-        except Exception as exc:  # noqa: BLE001 - delivered at next sync
-            pending_error = (type(exc).__name__, str(exc))
+            else:
+                router, swap_report = _apply_shard_control(router, cmd, divider)
+        except PoisonFrameError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - reported through the protocol
+            if op in _ASKS:
+                send(("error", _portable(exc)))
+            elif pending_error is None:
+                pending_error = _portable(exc)
+
+
+def _process_shard_main(conn, cache_path, *args):
+    """A spawned process hosting the worker: rehydrate compiled chains
+    from the codegen-cache file the parent prewarmed, then serve the
+    pipe.  A poison frame kills the process the hard way — no exception
+    protocol, just a dead process for the health seam to find."""
+    if cache_path:
+        from .codegen_cache import default_cache
+
+        try:
+            default_cache().load(cache_path)
+        except Exception:  # noqa: BLE001 - a bad cache file is survivable
+            pass
+    try:
+        _shard_worker(conn.recv, conn.send, *args)
+    except PoisonFrameError:
+        os._exit(3)
     conn.close()
+
+
+# -- the two transports --------------------------------------------------------
+#
+# What the coordinator knows of a worker's host: ``send(cmd) -> bool``
+# (False: refused), ``recv(timeout) -> reply | None`` (None: the
+# deadline passed; EOFError: the worker is gone), ``alive()``, ``kill()``
+# (now, nothing reaped — the fault hook), ``close()`` (kill if need be
+# and release everything; idempotent), plus
+# ``reply_timeout`` (the recovery deadline for one reply, None without
+# recovery), ``exitcode`` and ``high_water`` for the reports.  A
+# transport serves one worker life; a restart builds a new one.
+
+
+class _ThreadTransport:
+    """A worker hosted on a daemon thread of this process: commands
+    through a bounded :class:`SPSCQueue` (the backpressure contract),
+    replies through an unbounded queue (one per question), the graph
+    and ``extra_classes`` by reference, the codegen cache shared.
+
+    A thread cannot be killed, so ``kill()`` is a *fence*: the worker
+    sees it at its next ``recv`` and exits without serving another
+    command.  A hung worker is abandoned behind the fence — it owns its
+    router and devices outright, so nothing it does when it wakes can
+    touch the shard rebuilt in its place."""
+
+    exitcode = None  # threads have none
+
+    def __init__(self, plane, index):
+        recovery = plane._profile.recovery
+        # A handoff must drain within the heartbeat window, an answer
+        # arrive within the watchdog's progress deadline.
+        self._send_timeout = None if recovery is None else recovery.heartbeat_timeout
+        self.reply_timeout = None if recovery is None else recovery.watchdog_timeout
+        self._inbox = SPSCQueue(plane._queue_capacity)
+        self._outbox = queue.SimpleQueue()
+        self._fenced = False
+        self._listening = threading.Event()
+        self._thread = threading.Thread(
+            target=self._host,
+            args=(
+                # A private copy: an in-place commit rewrites the
+                # declarations of the graph its router was built on, and
+                # the plane's graph must only ever name what every live
+                # shard acknowledged.
+                plane.graph.copy(),
+                plane._profile,
+                list(plane._device_names),
+                plane.meter is not None,
+                index,
+                plane._extra_classes,
+            ),
+            name="shard-%d" % index,
+            daemon=True,
+        )
+        self._thread.start()
+        # One build at a time — this transport's prewarm: the codegen
+        # cache is shared in-process, so the next worker replays what
+        # this one compiled instead of compiling the same chains beside
+        # it (measured: 4 cold workers 445 ms side by side, 90 ms in turn).
+        self._listening.wait()
+
+    def _host(self, *args):
+        try:
+            _shard_worker(self._next_command, self._outbox.put, *args)
+        except PoisonFrameError:
+            pass  # the dead thread is the fault; alive() reports it
+        finally:
+            self._listening.set()
+            self._outbox.put(None)  # what a closed pipe tells a blocked recv
+
+    def _next_command(self):
+        self._listening.set()  # the worker asks for commands only once built
+        cmd = self._inbox.get()
+        if self._fenced:
+            raise EOFError("fenced off")
+        return cmd
+
+    @property
+    def high_water(self):
+        return self._inbox.high_water
+
+    def send(self, cmd):
+        deadline = None
+        if self._send_timeout is not None:
+            deadline = _monotonic() + self._send_timeout
+        # Short slices, so a worker that dies while its queue is full
+        # refuses the command instead of blocking the coordinator.
+        while self.alive():
+            if self._inbox.put(cmd, timeout=0.05):
+                return True
+            if deadline is not None and _monotonic() >= deadline:
+                return False
+        return False
+
+    def recv(self, timeout=None):
+        try:
+            reply = self._outbox.get(timeout=timeout)
+        except queue.Empty:
+            return None
+        if reply is None:
+            raise EOFError("worker thread exited")
+        return reply
+
+    def alive(self):
+        return not self._fenced and self._thread.is_alive()
+
+    def kill(self):
+        self._fenced = True
+        self._inbox.put(("fence",), timeout=0)  # wake a worker blocked on an empty queue
+
+    def close(self):
+        self.kill()
+        # An idle worker leaves at once; a hung one never joins — it is
+        # a daemon behind the fence, so don't wait for it.
+        self._thread.join(timeout=0.5)
+
+
+class _ProcessTransport:
+    """A worker hosted in a ``multiprocessing`` spawn child over a
+    :class:`multiprocessing.Pipe`: the configuration crosses as text,
+    compiled chains through the codegen cache's validated disk layer
+    (the parent compiles once, :func:`_prewarm_cache`), and a hung
+    worker is SIGKILLed and reaped."""
+
+    high_water = None  # a pipe has no bounded queue to report
+
+    def __init__(self, plane, index):
+        import multiprocessing
+
+        from ..core.toolchain import save_config
+
+        if plane._extra_classes:
+            raise ValueError(
+                "the process backend rebuilds shards from configuration "
+                "text and cannot ship extra_classes; use the thread backend"
+            )
+        if plane._cache_path is None:  # first spawn (or nothing to ship: reference mode)
+            plane._cache_path = _prewarm_cache(plane)
+        recovery = plane._profile.recovery
+        self.reply_timeout = None if recovery is None else recovery.heartbeat_timeout
+        ctx = multiprocessing.get_context("spawn")
+        self._conn, child_conn = ctx.Pipe()
+        self._process = ctx.Process(
+            target=_process_shard_main,
+            args=(
+                child_conn,
+                plane._cache_path,
+                save_config(plane.graph),
+                plane._profile,
+                list(plane._device_names),
+                plane.meter is not None,
+                index,
+            ),
+            daemon=True,
+        )
+        self._process.start()
+        child_conn.close()
+
+    @property
+    def exitcode(self):
+        return self._process.exitcode if self._process is not None else None
+
+    def send(self, cmd):
+        try:
+            self._conn.send(cmd)
+            return True
+        except OSError:  # broken pipe, or already closed
+            return False
+
+    def recv(self, timeout=None):
+        try:
+            if timeout is not None and not self._conn.poll(timeout):
+                return None
+            return self._conn.recv()
+        except OSError as exc:  # reset pipe, or already closed
+            raise EOFError(str(exc)) from exc
+
+    def alive(self):
+        return self._process is not None and self._process.is_alive()
+
+    def kill(self):
+        if self.alive():
+            self._process.kill()
+
+    def close(self):
+        """Join the worker with a timeout and close the parent's pipe
+        end, so kill/heal cycles leak neither child processes nor file
+        descriptors."""
+        process, self._process = self._process, None
+        if process is not None:
+            try:
+                if process.is_alive():
+                    process.kill()
+                process.join(timeout=10)
+                process.close()
+            except Exception:  # noqa: BLE001 - it crashed; cleanup is best effort
+                pass
+        try:
+            self._conn.close()  # a closed end refuses send/recv with OSError
+        except OSError:
+            pass
+
+
+def _prewarm_cache(plane):
+    """Compile the configuration once in the parent and write the
+    codegen cache's disk layer; process workers rehydrate compiled
+    chains from it instead of paying compile/exec each.  Returns the
+    file's path, or None (reference mode, or prewarm failed — it is an
+    optimization only)."""
+    if plane._profile.mode == "reference":
+        return None
+    try:
+        from .codegen_cache import default_cache
+
+        router, _devices, _divider = _build_shard(
+            plane.graph, plane._profile, plane._device_names, plane.meter is not None, 0
+        )
+        router.retire()
+        handle, path = tempfile.mkstemp(prefix="repro-shard-cache-", suffix=".bin")
+        os.close(handle)
+        default_cache().save(path)
+        return path
+    except Exception:  # noqa: BLE001 - prewarm is an optimization only
+        return None
+
+
+_TRANSPORTS = {"thread": _ThreadTransport, "process": _ProcessTransport}
+
+
+class _Shard:
+    """The coordinator's record of one shard: the transport hosting its
+    current worker, and what must survive a restart — the flush cursor
+    (frames per device already delivered to the real devices) and the
+    meter baseline already absorbed."""
+
+    __slots__ = ("index", "transport", "flushed", "meter_snapshot")
+
+    def __init__(self, index, transport, device_names):
+        self.index = index
+        self.transport = transport
+        self.flushed = {name: 0 for name in device_names}
+        self.meter_snapshot = {}
+
+
+# -- the coordinator -----------------------------------------------------------
 
 
 class ShardedRouter:
@@ -728,14 +1005,6 @@ class ShardedRouter:
     def profile(self):
         """The live :class:`ExecutionProfile`, workers and backend
         included.  (Shards run its ``shard_local()`` derivation.)"""
-        if self._started and self.backend == "thread" and self._shards:
-            local = self._shards[0].router.profile
-            return replace(
-                local,
-                workers=self.workers,
-                shard_backend=self.backend,
-                recovery=self._profile.recovery,
-            )
         return self._profile
 
     def configure(self, profile=None):
@@ -745,27 +1014,26 @@ class ShardedRouter:
         the shards exist, changing them raises."""
         if profile is None:
             profile = ExecutionProfile()
+        live = self._profile
         if self._started and (
-            profile.workers != self.workers
-            or profile.shard_backend != self.backend
+            profile.workers != live.workers or profile.shard_backend != live.shard_backend
         ):
             raise ValueError(
                 "cannot reshard a live ShardedRouter (%d/%s -> %d/%s); "
                 "build a new one"
-                % (self.workers, self.backend, profile.workers, profile.shard_backend)
+                % (live.workers, live.shard_backend, profile.workers, profile.shard_backend)
             )
         if self._started and (
             (profile.queue_capacity or DEFAULT_QUEUE_CAPACITY) != self._queue_capacity
-            or profile.divide_capacity != self._profile.divide_capacity
+            or profile.divide_capacity != live.divide_capacity
         ):
             raise ValueError(
                 "queue_capacity and divide_capacity are construction-time "
                 "on a ShardedRouter; build a new one"
             )
-        changed = profile != self._profile
         self._profile = profile
         self.hasher = FlowHasher(max(1, profile.workers), self.hash_seed)
-        if self._started and changed:
+        if self._started and profile != live:
             self._control(("configure", profile))
         return self
 
@@ -773,8 +1041,7 @@ class ShardedRouter:
 
     def _ensure_started(self):
         # retired wins over started: a control op on a closed plane must
-        # raise, never enqueue to stopped workers (which would deadlock
-        # at the next barrier).
+        # raise, never reach stopped workers.
         if self.retired:
             raise RuntimeError("this sharded router is retired")
         if self._started:
@@ -798,382 +1065,114 @@ class ShardedRouter:
         self._journal_enabled = bool(journal)
         self._journals = [[] for _ in range(self.workers)]
         self._dispatched = [0] * self.workers
-        if self.backend == "thread":
-            self._start_thread_shards()
-        else:
-            self._start_process_shards()
+        host = _TRANSPORTS[self._profile.shard_backend]
+        # Workers start in shard-index order (the benchmark tells spawn
+        # children apart by it).
+        for index in range(self.workers):
+            transport = host(self, index)
+            self._shards.append(_Shard(index, transport, self._device_names))
 
     def _journal_cmd(self, index, cmd):
         if self._journal_enabled:
             self._journals[index].append(cmd)
 
-    def _divider(self, index):
-        """Shard ``index``'s divide-capacity graph transform
-        (:func:`divide_queue_capacities` curried over this plane's
-        worker count), or None when divide-capacity mode is off."""
-        if not (self._profile.divide_capacity and self.workers > 1):
-            return None
-        workers = self.workers
+    # -- the transport seam ------------------------------------------------
 
-        def divide(graph, _index=index, _workers=workers):
-            return divide_queue_capacities(graph, _index, _workers)
+    def _down(self, shard):
+        return self._recovery is not None and self._recovery.is_down(shard.index)
 
-        return divide
+    def _live_shards(self):
+        """The shards a command can reach right now."""
+        return [shard for shard in self._shards if not self._down(shard)]
 
-    # -- thread backend ----------------------------------------------------
-
-    def _build_shard_router(self, index=0):
-        from ..elements.devices import LoopbackDevice
-        from ..elements.runtime import Router
-
-        devices = OrderedDict(
-            (name, LoopbackDevice(name, tx_capacity=_SHARD_TX_CAPACITY))
-            for name in self._device_names
-        )
-        meter = None
-        if self.meter is not None:
-            from ..sim.cpu import CycleMeter
-
-            meter = CycleMeter()
-        graph = self.graph
-        divider = self._divider(index)
-        if divider is not None:
-            graph = divider(graph)
-        router = Router(
-            graph,
-            extra_classes=self._extra_classes,
-            meter=meter,
-            devices=devices,
-            profile=self._profile.shard_local(),
-        )
-        return router, devices, meter
-
-    def _start_thread_shards(self):
-        for index in range(self.workers):
-            shard = _ThreadShard(index, self._queue_capacity)
-            shard.router, shard.devices, shard.meter = self._build_shard_router(index)
-            shard.flushed = {name: 0 for name in self._device_names}
-            self._spawn_thread_worker(shard)
-            self._shards.append(shard)
-
-    def _spawn_thread_worker(self, shard):
-        shard.thread = threading.Thread(
-            target=self._thread_main,
-            args=(shard, shard.generation),
-            name="shard-%d" % shard.index,
-            daemon=True,
-        )
-        shard.thread.start()
-
-    def _thread_main(self, shard, generation):
-        queue = shard.queue
-        recovering = self._recovery is not None
-        while True:
-            cmd = queue.get()
-            if shard.generation != generation:
-                # This worker was abandoned by the watchdog and the
-                # shard rebuilt around it: exit without touching the
-                # fresh state (the command came off the stale queue).
-                break
-            op = cmd[0]
-            if op == "stop":
-                break
-            if op == "die":
-                # Fault injection: the worker "crashes" between
-                # commands, exactly as an OS kill would land for the
-                # process backend.
-                shard.dead = True
-                break
-            try:
-                if op == "frames":
-                    devices = shard.devices
-                    poisons = shard.poisons
-                    for name, frame in cmd[1]:
-                        if poisons and bytes(frame) in poisons:
-                            raise PoisonFrameError(name, frame)
-                        devices[name].receive_frame(frame)
-                elif op == "run":
-                    worked = shard.router.run_tasks(cmd[1])
-                    if shard.generation == generation:
-                        shard.worked += worked
-                elif op == "hang":
-                    # Fault injection: stop making progress.  The
-                    # barrier's watchdog deadline fires, the shard is
-                    # rebuilt, and the generation fence retires this
-                    # thread when the sleep ends.
-                    _time.sleep(cmd[1])
-                elif op == "poison":
-                    shard.poisons.add(bytes(cmd[1]))
-                elif op == "sync":
-                    cmd[1].set()
-            except BaseException as exc:  # noqa: BLE001 - re-raised at the barrier
-                if shard.error is None:
-                    shard.error = exc
-                if recovering:
-                    # Under recovery an escaped exception is worker
-                    # death, not a parked error: mark the shard down
-                    # and stop consuming.  Detection happens at the
-                    # next barrier.
-                    shard.dead = True
-                    if op == "sync":
-                        cmd[1].set()
-                    break
-                if op == "sync":
-                    cmd[1].set()
-
-    def _queue_put(self, shard, cmd):
-        """Enqueue one command to a thread shard.  Without recovery
-        this is a plain (possibly blocking) put; with recovery a put
-        that cannot complete within the heartbeat window marks the
-        worker dead — its queue will never drain — and returns False.
-        Callers journal *before* putting, so a refused command is
-        recovered by replay, never lost."""
+    def _lost(self, shard, reason):
+        """The health seam's one verdict: this shard's worker is gone —
+        it refused a command, let a reply deadline pass, exited, or
+        reported an error under recovery.  Dispose of it (kill, reap)
+        and hand the shard to the recovery manager; without one, a lost
+        worker is fatal."""
+        transport = shard.transport
+        reason = "%s (exit code %r)" % (reason, transport.exitcode)
+        transport.close()
         if self._recovery is None:
-            shard.queue.put(cmd)
-            return True
-        if shard.dead or not shard.thread.is_alive():
-            self._recovery.note_dead(shard.index, "worker thread died")
+            raise RuntimeError(
+                "shard worker %d %s; if this happened at startup, the spawn "
+                "backend re-imports __main__ — entry scripts need an "
+                "if __name__ == '__main__' guard" % (shard.index, reason)
+            )
+        self._recovery.note_dead(shard.index, reason)
+
+    def _send(self, shard, cmd):
+        """Hand one command to a shard's worker.  False when the shard
+        is (or just went) down: callers journal *before* sending, so a
+        refused command is reconstructed by replay, never lost."""
+        if self._down(shard):
             return False
-        if shard.queue.put(cmd, timeout=self._recovery.config.heartbeat_timeout):
+        if shard.transport.send(cmd):
             return True
-        shard.generation += 1  # fence the stalled worker off
-        self._recovery.note_dead(shard.index, "handoff queue stalled")
+        self._lost(shard, "refused a command")
         return False
 
-    def _barrier(self):
-        """Quiesce every worker thread; re-raise the first shard error
-        (an unsupervised shard must fail exactly like an unsupervised
-        single router would).  Under recovery this is also the thread
-        backend's health seam: a worker that died is recorded instead
-        of raised, and one that stops progressing past the watchdog
-        deadline is abandoned behind the generation fence."""
+    def _post(self, shard, cmd):
+        """Journal-then-send one command of the shard's history."""
+        self._journal_cmd(shard.index, cmd)
+        return self._send(shard, cmd)
+
+    def _ask(self, shards, cmd, timeout=None, settle=True):
+        """Put one question to every shard in ``shards`` — all sends
+        first, so the workers answer concurrently — and gather the
+        replies as ``[(shard, reply)]``.  A shard that goes down
+        instead of answering (under recovery it has ``timeout`` seconds,
+        by default the transport's reply deadline) is left out.
+        ``("error", exception)`` replies are settled once every reply
+        is in, so the protocol stays aligned: re-raised without recovery
+        (an unsupervised shard fails exactly like an unsupervised single
+        router), worker death with it (rebuild + replay clears the error
+        or pins it on a poison frame).  ``settle=False`` returns them."""
         recovery = self._recovery
-        events = []
-        for shard in self._shards:
-            if recovery is not None and recovery.is_down(shard.index):
-                events.append(None)
-                continue
-            event = threading.Event()
-            if not self._queue_put(shard, ("sync", event)):
-                events.append(None)
-                continue
-            events.append(event)
-        if recovery is None:
-            for event in events:
-                event.wait()
-        else:
-            deadline = recovery.config.watchdog_timeout
-            for shard, event in zip(self._shards, events):
-                if event is None:
-                    continue
-                waited = 0.0
-                while not event.wait(0.05):
-                    if shard.dead or not shard.thread.is_alive():
-                        break
-                    waited += 0.05
-                    if waited >= deadline:
-                        # No progress within the watchdog window: hung.
-                        # Abandon the thread (the generation fence
-                        # retires it) and mark the shard down.
-                        shard.generation += 1
-                        shard.dead = True
-                        break
-        for shard in self._shards:
-            if recovery is not None and shard.dead and not recovery.is_down(shard.index):
-                reason = "worker hung past the watchdog deadline"
-                if shard.error is not None:
-                    reason = "%s: %s" % (type(shard.error).__name__, shard.error)
-                    shard.error = None
-                recovery.note_dead(shard.index, reason)
-        for shard in self._shards:
-            if shard.error is not None:
-                if recovery is not None and recovery.is_down(shard.index):
-                    shard.error = None
-                    continue
-                error, shard.error = shard.error, None
-                raise error
-
-    # -- process backend ---------------------------------------------------
-
-    def _start_process_shards(self):
-        if self._extra_classes:
-            raise ValueError(
-                "the process backend rebuilds shards from configuration "
-                "text and cannot ship extra_classes; use the thread backend"
-            )
-        self._cache_path = self._prewarm_cache()
-        for index in range(self.workers):
-            shard = _ProcessShard(index)
-            shard.flushed = {name: 0 for name in self._device_names}
-            self._spawn_process_shard(shard)
-            self._shards.append(shard)
-
-    def _spawn_process_shard(self, shard):
-        """Start (or restart) one process-backend worker, attaching a
-        fresh pipe.  The previous process, if any, must already be
-        reaped (:meth:`_reap_process`)."""
-        import multiprocessing
-
-        from ..core.toolchain import save_config
-
-        ctx = multiprocessing.get_context("spawn")
-        parent_conn, child_conn = ctx.Pipe()
-        shard.process = ctx.Process(
-            target=_process_shard_main,
-            args=(
-                child_conn,
-                save_config(self.graph),
-                self._profile,
-                list(self._device_names),
-                self._cache_path,
-                self.meter is not None,
-                shard.index,
-            ),
-            daemon=True,
-        )
-        shard.process.start()
-        child_conn.close()
-        shard.conn = parent_conn
-
-    def _reap_process(self, shard, kill=False):
-        """Join a dead (or doomed) worker with a timeout and close the
-        parent's pipe end, so crash/recover cycles leak neither child
-        processes nor file descriptors."""
-        process, conn = shard.process, shard.conn
-        if process is not None:
+        asked = [shard for shard in shards if self._send(shard, cmd)]
+        answers = []
+        for shard in asked:
+            transport = shard.transport
+            deadline = timeout
+            if deadline is None and recovery is not None:
+                deadline = transport.reply_timeout
             try:
-                if kill and process.is_alive():
-                    process.kill()
-                process.join(timeout=10)
-                if process.is_alive():
-                    process.kill()
-                    process.join(timeout=10)
-                process.close()
-            except Exception:  # noqa: BLE001 - it crashed; cleanup is best effort
-                pass
-            shard.process = None
-        if conn is not None:
-            try:
-                conn.close()
-            except Exception:  # noqa: BLE001
-                pass
-            shard.conn = None
-
-    def _poll_health(self):
-        """Heartbeat liveness sweep (process backend): a worker that
-        exited is detected here, before the batch dispatches."""
-        recovery = self._recovery
-        for shard in self._shards:
-            if recovery.is_down(shard.index):
+                reply = transport.recv(deadline)
+            except EOFError:
+                self._lost(shard, "died mid-protocol")
                 continue
-            if shard.process is None or not shard.process.is_alive():
-                exitcode = shard.process.exitcode if shard.process else None
-                self._reap_process(shard)
-                recovery.note_dead(
-                    shard.index, "worker process exited (code %r)" % (exitcode,)
-                )
-
-    def _proc_send(self, shard, cmd):
-        """Send one command to a process shard; under recovery a broken
-        pipe marks the shard dead and returns False (the command is
-        journaled first, so replay covers it)."""
-        recovery = self._recovery
-        if recovery is None:
-            shard.conn.send(cmd)
-            return True
-        if recovery.is_down(shard.index):
-            return False
-        try:
-            shard.conn.send(cmd)
-            return True
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            exitcode = shard.process.exitcode if shard.process else None
-            self._reap_process(shard)
-            recovery.note_dead(
-                shard.index, "pipe to worker broke (exit code %r)" % (exitcode,)
-            )
-            return False
-
-    def _proc_recv(self, shard, timeout=None):
-        """Receive one protocol reply; under recovery a worker that
-        neither answers within the deadline (the heartbeat window by
-        default) nor exits is hung (reaped + marked dead), and a dead
-        pipe marks the shard dead.  Returns None when the shard went
-        down instead of answering."""
-        recovery = self._recovery
-        if recovery is None:
-            return shard.recv()
-        if timeout is None:
-            timeout = recovery.config.heartbeat_timeout
-        try:
-            while not shard.conn.poll(timeout):
-                if shard.process is None or not shard.process.is_alive():
-                    raise EOFError("worker exited mid-protocol")
-                # Alive but silent past the heartbeat window: hung.
-                exitcode = shard.process.exitcode
-                self._reap_process(shard, kill=True)
-                recovery.note_dead(
-                    shard.index,
-                    "worker hung past the heartbeat window (exit code %r)"
-                    % (exitcode,),
-                )
-                return None
-            return shard.conn.recv()
-        except (EOFError, ConnectionResetError, BrokenPipeError, OSError):
-            exitcode = shard.process.exitcode if shard.process else None
-            self._reap_process(shard)
-            recovery.note_dead(
-                shard.index, "worker died mid-protocol (exit code %r)" % (exitcode,)
-            )
-            return None
-
-    def _prewarm_cache(self):
-        """Compile the configuration once locally and write the codegen
-        cache's disk layer; workers rehydrate compiled chains from it
-        instead of paying compile/exec each."""
-        if self._profile.mode == "reference":
-            return None
-        try:
-            from .codegen_cache import default_cache
-
-            router, _devices, _meter = self._build_shard_router()
-            router.retire()
-            handle, path = tempfile.mkstemp(prefix="repro-shard-cache-", suffix=".bin")
-            os.close(handle)
-            default_cache().save(path)
-            return path
-        except Exception:  # noqa: BLE001 - prewarm is an optimization only
-            return None
-
-    def _sync_process(self):
-        recovery = self._recovery
-        pending = []
-        for shard in self._shards:
-            if recovery is not None and recovery.is_down(shard.index):
-                continue
-            if self._proc_send(shard, ("sync",)):
-                pending.append(shard)
-        worked = 0
-        for shard in pending:
-            reply = self._proc_recv(shard)
             if reply is None:
-                continue  # went down instead of answering; noted
-            worked += reply[1]
-            if reply[2] is not None:
-                if recovery is not None:
-                    # A worker-side error under recovery is treated as
-                    # worker death: rebuild + replay clears it (or
-                    # attributes it to a poison frame).
-                    self._reap_process(shard, kill=True)
-                    recovery.note_dead(
-                        shard.index,
-                        "worker error: %s: %s" % (reply[2][0], reply[2][1]),
-                    )
-                    continue
-                raise RuntimeError(
-                    "shard %d: %s: %s" % (shard.index, reply[2][0], reply[2][1])
+                self._lost(shard, "hung past its reply deadline")
+            else:
+                answers.append((shard, reply))
+        if not settle:
+            return answers
+        settled = []
+        for shard, reply in answers:
+            if reply[0] != "error":
+                settled.append((shard, reply))
+            elif recovery is None:
+                raise reply[1] from RuntimeError("raised in shard worker %d" % shard.index)
+            else:
+                self._lost(
+                    shard, "worker error: %s: %s" % (type(reply[1]).__name__, reply[1])
                 )
-        return worked
+        return settled
+
+    def _control(self, cmd, deliver=True):
+        """Fan one control command out: journal it to *every* shard and
+        deliver it to the live ones.  A down shard is journaled but not
+        touched: the command reaches it through replay when it comes
+        back (counted as a recommit).  ``deliver=False`` only journals —
+        for commands the live shards have already acknowledged."""
+        self._ensure_started()
+        for shard in self._shards:
+            self._journal_cmd(shard.index, cmd)
+            if self._down(shard):
+                self._recovery.note_recommitted()
+            elif deliver:
+                self._send(shard, cmd)
 
     # -- driving -----------------------------------------------------------
 
@@ -1187,38 +1186,40 @@ class ShardedRouter:
         self._ensure_started()
         self._runs += 1
         if self._recovery is not None:
-            if self.backend == "process":
-                self._poll_health()
+            self._sweep()
             # Restarts happen *before* this batch's dispatch, so a
             # recovered shard re-homes its traffic (and drains its
             # buffer) starting with this run.
             self._recovery.on_run_start()
         caps = self._mirror_caps()
         batches = self._drain_and_partition()
-        if self.backend == "thread":
-            return self._run_thread(iterations, caps, batches)
-        return self._run_process(iterations, caps, batches)
+        self._run(iterations, caps, batches)
+        worked = sum(reply[1] for _shard, reply in self._ask(self._live_shards(), ("sync",)))
+        self._flush()
+        return worked
+
+    def _sweep(self):
+        """Liveness sweep: a worker that exited on its own is found
+        here, before the batch dispatches."""
+        for shard in self._live_shards():
+            if not shard.transport.alive():
+                self._lost(shard, "worker exited")
 
     def _mirror_caps(self):
         """Per-shard transmit-capacity mirrors: a shard-local device may
         hold at most (what it already holds) + (the real device's
         current ring room) — a downed or full real device blocks the
-        shard's ToDevice exactly as it blocks the reference router's."""
+        shard's ToDevice exactly as it blocks the reference router's.
+        At quiescence a shard holds exactly what it has flushed."""
         caps = []
-        for shard_index in range(self.workers):
+        for shard in self._shards:
             local = {}
             for name in self._device_names:
                 device = self.devices.get(name)
                 room = device.tx_room() if device is not None else 0
-                held = self._shard_transmitted_len(shard_index, name)
-                local[name] = held + max(0, room)
+                local[name] = shard.flushed[name] + max(0, room)
             caps.append(local)
         return caps
-
-    def _shard_transmitted_len(self, index, name):
-        if self.backend == "thread":
-            return len(self._shards[index].devices[name].transmitted)
-        return self._shards[index].flushed[name]
 
     def _drain_and_partition(self):
         hasher = self.hasher
@@ -1262,71 +1263,96 @@ class ShardedRouter:
             batches.setdefault(index, []).append((name, frame))
             self._dispatched[index] += 1
         for index, batch in sorted(batches.items()):
-            self._send_frames(index, batch)
-
-    def _send_frames(self, index, batch):
-        """Journal-then-send one frame batch to a live shard."""
-        frames = ("frames", batch)
-        self._journal_cmd(index, frames)
-        if self.backend == "thread":
-            self._queue_put(self._shards[index], frames)
-        else:
-            self._proc_send(self._shards[index], frames)
+            self._post(self._shards[index], ("frames", batch))
 
     def _deliver_buffered(self, index, buffered):
         """A recovered shard's buffered frames, delivered in arrival
         order (journaled — they are now part of the shard's history)."""
-        self._send_frames(index, list(buffered))
+        self._post(self._shards[index], ("frames", list(buffered)))
         self._dispatched[index] += len(buffered)
 
-    def _run_thread(self, iterations, caps, batches):
-        recovery = self._recovery
-        before = sum(shard.worked for shard in self._shards)
-        for index, shard in enumerate(self._shards):
-            if recovery is not None and recovery.is_down(index):
-                # A down shard gets no mirror/run commands (and no
-                # journal entries for them): nothing was dispatched to
-                # it this batch, so replay reconstructs it exactly up
-                # to its death point.
-                continue
-            mirror = ("mirror", caps[index])
-            self._journal_cmd(index, mirror)
-            for name, capacity in caps[index].items():
-                shard.devices[name].tx_capacity = capacity
-            if batches[index]:
-                frames = ("frames", batches[index])
-                self._journal_cmd(index, frames)
-                if not self._queue_put(shard, frames):
-                    continue
-            run = ("run", iterations)
-            self._journal_cmd(index, run)
-            self._queue_put(shard, run)
-        self._barrier()
-        self._flush_thread()
-        return max(0, sum(shard.worked for shard in self._shards) - before)
+    def _run(self, iterations, caps, batches):
+        """Dispatch one batch.  A down shard gets no mirror/frames/run
+        commands (and no journal entries for them): nothing was
+        dispatched to it, so replay reconstructs it exactly up to its
+        death point.  One that goes down *during* the dispatch leaves
+        part of its batch neither journaled nor sent; that part
+        re-routes (:meth:`_reroute`)."""
+        from ..elements.devices import PollDevice
 
-    def _flush_thread(self):
-        recovery = self._recovery
-        flushed = 0
-        for shard in self._shards:
-            if recovery is not None and recovery.is_down(shard.index):
-                # Never flush a down shard's partial output: the dying
-                # run may have stopped mid-batch, and replay regenerates
-                # deterministic output past the flush cursor exactly
-                # once.
-                continue
-            for name in self._device_names:
-                frames = shard.devices[name].transmitted
-                start = shard.flushed[name]
-                if len(frames) > start:
-                    self._deliver(name, frames[start:])
-                    flushed += len(frames) - start
-                    shard.flushed[name] = len(frames)
-            if shard.meter is not None and self.meter is not None:
-                summary = shard.meter.summary()
-                self.meter.absorb(_meter_delta(summary, shard.meter_snapshot))
-                shard.meter_snapshot = summary
-        self._flushed_total += flushed
+        chunk = max(1, self.chunk_frames)
+        for shard in self._live_shards():
+            self._post(shard, ("mirror", caps[shard.index]))
+        if sum(len(batch) for batch in batches) <= chunk:
+            for shard in self._shards:
+                batch = batches[shard.index]
+                if self._down(shard):
+                    self._reroute(shard, batch)
+                elif not batch or self._post(shard, ("frames", batch)):
+                    self._post(shard, ("run", iterations))
+            return
+        # Pipeline: deliver each shard's frames in chunks with a partial
+        # run after each, so workers execute while the parent hashes and
+        # serializes the next chunk; a final full run guarantees at
+        # least ``iterations`` passes after the last frame arrives (the
+        # drain the caller sized).
+        per_shard_chunk = max(PollDevice.BURST, chunk // self.workers)
+        positions = [0] * self.workers
+        progressed = True
+        while progressed:
+            progressed = False
+            for shard in self._shards:
+                index = shard.index
+                batch = batches[index]
+                position = positions[index]
+                if position >= len(batch):
+                    continue
+                if self._down(shard):
+                    positions[index] = len(batch)
+                    self._reroute(shard, batch[position:])
+                    continue
+                progressed = True
+                part = batch[position : position + per_shard_chunk]
+                positions[index] = position + len(part)
+                if self._post(shard, ("frames", part)):
+                    self._post(shard, ("run", len(part) // PollDevice.BURST + 1))
+        for shard in self._live_shards():
+            self._post(shard, ("run", max(1, iterations)))
+
+    def _reroute(self, shard, unsent):
+        """``shard`` died mid-dispatch (found at its mirror, or between
+        pipeline chunks): the rest of its batch was partitioned to it
+        but never journaled, so it re-routes through the degraded
+        policy instead of being lost."""
+        if unsent:
+            self._dispatched[shard.index] -= len(unsent)
+            self._redispatch(unsent)
+
+    def _flush(self):
+        """Collect and deliver every live shard's fresh output.  A down
+        shard's partial output is never flushed: the dying run may have
+        stopped mid-batch, and replay regenerates deterministic output
+        past the flush cursor exactly once."""
+        for shard, reply in self._ask(self._live_shards(), ("collect",)):
+            self._take(shard, reply)
+
+    def _take(self, shard, collected, absorb=True):
+        """Deliver one ``collect`` reply to the real devices and advance
+        the shard's flush cursor.  With ``absorb`` the shard meter's
+        growth flows to the parent meter; without (after a replay,
+        whose re-executed work was already charged before the crash)
+        the meter is only re-baselined."""
+        _tag, fresh, meter = collected
+        for name in self._device_names:
+            frames = fresh.get(name)
+            if frames:
+                self._deliver(name, frames)
+                shard.flushed[name] += len(frames)
+                self._flushed_total += len(frames)
+        if meter is not None and self.meter is not None:
+            if absorb:
+                self.meter.absorb(_meter_delta(meter, shard.meter_snapshot))
+            shard.meter_snapshot = meter
 
     def _deliver(self, name, frames):
         """Append shard output to the real device.  ``tx_enqueue`` keeps
@@ -1338,130 +1364,7 @@ class ShardedRouter:
             if not device.tx_enqueue(frame):
                 device.transmitted.append(bytes(frame))
 
-    def _run_process(self, iterations, caps, batches):
-        from ..elements.devices import PollDevice
-
-        recovery = self._recovery
-        chunk = max(1, self.chunk_frames)
-        total = sum(len(batch) for batch in batches)
-        for index, shard in enumerate(self._shards):
-            if recovery is not None and recovery.is_down(index):
-                continue
-            mirror = ("mirror", caps[index])
-            self._journal_cmd(index, mirror)
-            self._proc_send(shard, mirror)
-        if total <= chunk:
-            for index, shard in enumerate(self._shards):
-                if recovery is not None and recovery.is_down(index):
-                    continue
-                if batches[index]:
-                    frames = ("frames", batches[index])
-                    self._journal_cmd(index, frames)
-                    if not self._proc_send(shard, frames):
-                        continue
-                run = ("run", iterations)
-                self._journal_cmd(index, run)
-                self._proc_send(shard, run)
-        else:
-            # Pipeline: deliver each shard's frames in chunks with a
-            # partial run after each, so workers execute while the
-            # parent hashes and serializes the next chunk; a final full
-            # run guarantees at least ``iterations`` passes after the
-            # last frame arrives (the drain the caller sized).
-            per_shard_chunk = max(PollDevice.BURST, chunk // self.workers)
-            positions = [0] * self.workers
-            spent = [0] * self.workers
-            while True:
-                progressed = False
-                for index, shard in enumerate(self._shards):
-                    batch = batches[index]
-                    position = positions[index]
-                    if position >= len(batch):
-                        continue
-                    if recovery is not None and recovery.is_down(index):
-                        # Died mid-pipeline: the unsent remainder of its
-                        # batch was never journaled, so it re-routes
-                        # through the degraded policy instead of being
-                        # lost.
-                        positions[index] = len(batch)
-                        self._dispatched[index] -= len(batch) - position
-                        self._redispatch(batch[position:])
-                        continue
-                    progressed = True
-                    part = batch[position : position + per_shard_chunk]
-                    positions[index] = position + len(part)
-                    frames = ("frames", part)
-                    self._journal_cmd(index, frames)
-                    if not self._proc_send(shard, frames):
-                        continue
-                    passes = len(part) // PollDevice.BURST + 1
-                    spent[index] += passes
-                    run = ("run", passes)
-                    self._journal_cmd(index, run)
-                    self._proc_send(shard, run)
-                if not progressed:
-                    break
-            for index, shard in enumerate(self._shards):
-                if recovery is not None and recovery.is_down(index):
-                    continue
-                run = ("run", max(1, iterations))
-                self._journal_cmd(index, run)
-                self._proc_send(shard, run)
-        worked = self._sync_process()
-        self._flush_process()
-        return worked
-
-    def _flush_process(self):
-        recovery = self._recovery
-        flushed = 0
-        pending = []
-        for shard in self._shards:
-            if recovery is not None and recovery.is_down(shard.index):
-                continue
-            if self._proc_send(shard, ("collect",)):
-                pending.append(shard)
-        for shard in pending:
-            reply = self._proc_recv(shard)
-            if reply is None:
-                continue
-            fresh, meter = reply[1], reply[2]
-            for name in self._device_names:
-                frames = fresh.get(name)
-                if frames:
-                    self._deliver(name, frames)
-                    shard.flushed[name] += len(frames)
-                    flushed += len(frames)
-            if meter is not None and self.meter is not None:
-                self.meter.absorb(_meter_delta(meter, shard.meter_snapshot))
-                shard.meter_snapshot = meter
-        self._flushed_total += flushed
-
     # -- control-plane fan-out ---------------------------------------------
-
-    def _control(self, cmd):
-        """Fan one journaled control command out to every shard, at
-        quiescence.  A down shard is journaled but not touched: the
-        command reaches it through replay when it comes back (counted
-        as a recommit)."""
-        self._ensure_started()
-        recovery = self._recovery
-        if self.backend == "thread":
-            self._barrier()
-            for index, shard in enumerate(self._shards):
-                self._journal_cmd(index, cmd)
-                if recovery is not None and recovery.is_down(index):
-                    recovery.note_recommitted()
-                    continue
-                shard.router = _apply_shard_control(
-                    shard.router, shard.devices, cmd, divider=self._divider(index)
-                )
-        else:
-            for index, shard in enumerate(self._shards):
-                self._journal_cmd(index, cmd)
-                if recovery is not None and recovery.is_down(index):
-                    recovery.note_recommitted()
-                    continue
-                self._proc_send(shard, cmd)
 
     def find(self, name):
         """A fan-out proxy for the named element (None when the
@@ -1471,78 +1374,67 @@ class ShardedRouter:
             return None
         return _FanoutElementProxy(self, name)
 
-    def _fanout_insert(self, name, ip, ether):
-        self._control(("insert", name, ip, ether))
-
     def bump_arp_epochs(self):
         """Invalidate every shard's baked ARP header guards; returns the
         per-shard element count (identical on every shard), read back
         from a live shard — declarations cannot tell: the optimizers
         rename classes (``Devirtualize@@arpq0`` is an ARPQuerier)."""
         self._control(("bump_epochs",))
-        recovery = self._recovery
-        for shard in self._shards:
-            if recovery is not None and recovery.is_down(shard.index):
-                continue
-            if self.backend == "thread":
-                return _arp_epoch_holders(shard.router)
-            if self._proc_send(shard, ("arp_epoch_holders",)):
-                reply = self._proc_recv(shard)
-                if reply is not None:
-                    return reply[1]
+        for shard in self._live_shards():
+            for _shard, reply in self._ask([shard], ("arp_epoch_holders",)):
+                return reply[1]
         return 0
 
     def force_deopt(self, reason="forced"):
-        """Force every shard's adaptive engine back to tier 1; True when
-        the profile runs adaptively (mirrors ``Router.force_deopt``)."""
+        """Force every shard's tiered engine back to tier 1; True when
+        the profile runs one (mirrors ``Router.force_deopt``)."""
         self._control(("deopt",))
-        return self._profile.mode == "adaptive"
+        return self._profile.mode in ("adaptive", "fdd")
 
     def hotswap_all(self, new_graph):
         """Hot-swap every shard to ``new_graph`` (text or graph).  Each
-        per-shard swap is transactional; a failure after some shards
-        swapped rolls the finished ones back to the old configuration.
-        Returns self (the sharded router's identity is stable)."""
-        from ..core.toolchain import load_config, save_config
+        per-shard swap is transactional; a failure on any shard rolls
+        the ones that swapped back to the old configuration, and the
+        plane's graph and journal only ever name a configuration every
+        live shard acknowledged.  Returns self (the sharded router's
+        identity is stable)."""
+        from ..core.toolchain import save_config
 
-        if isinstance(new_graph, str):
-            text = new_graph
-        else:
-            text = save_config(new_graph)
+        text = new_graph if isinstance(new_graph, str) else save_config(new_graph)
         self._ensure_started()
-        if self.backend != "thread":
-            self._control(("hotswap", text))
-            self._set_graph(text)
-            return self
-        self._barrier()
-        old_text = save_config(self.graph)
-        live = self._live_shards()
-        done = []
-        try:
-            for shard in live:
-                shard.router = _apply_shard_control(
-                    shard.router,
-                    shard.devices,
-                    ("hotswap", text),
-                    divider=self._divider(shard.index),
-                )
-                done.append(shard)
-        except Exception:
-            for shard in done:
-                shard.router = _apply_shard_control(
-                    shard.router,
-                    shard.devices,
-                    ("hotswap", old_text),
-                    divider=self._divider(shard.index),
-                )
-            raise
-        recovery = self._recovery
-        for index in range(self.workers):
-            self._journal_cmd(index, ("hotswap", text))
-            if recovery is not None and recovery.is_down(index):
-                recovery.note_recommitted()
-        self._set_graph(text)
+        self._swap_live("hotswap", text)
         return self
+
+    def _swap_live(self, op, text):
+        """Install configuration ``text`` on every live shard through
+        per-shard transactional swaps (``op`` is ``"hotswap"`` or
+        ``"update"``), each acknowledged by the sync that follows it.
+        If any shard rejects, the shards that swapped are swapped back
+        and the first rejection re-raised; only when all acknowledged
+        is the command journaled (to every shard, down ones included)
+        and the plane's graph advanced.  Returns the first shard's
+        :class:`~repro.elements.hotswap.SwapReport`."""
+        from ..core.toolchain import save_config
+
+        live = self._live_shards()
+        if not live:
+            raise RecoveryError("every shard is down; nothing to swap")
+        old_text = save_config(self.graph)
+        for shard in live:
+            self._send(shard, (op, text))
+        replies = self._ask(live, ("sync",), settle=False)
+        rejections = [reply[1] for _shard, reply in replies if reply[0] == "error"]
+        if rejections:
+            swapped = [shard for shard, reply in replies if reply[0] != "error"]
+            for shard in swapped:
+                self._send(shard, (op, old_text))
+            self._ask(swapped, ("sync",))
+            raise rejections[0]
+        if not replies:
+            raise RecoveryError("every shard went down during the swap; nothing installed")
+        self._control((op, text), deliver=False)
+        self._set_graph(text)
+        return replies[0][1][2]
 
     def _set_graph(self, text):
         from ..core.toolchain import load_config
@@ -1564,86 +1456,72 @@ class ShardedRouter:
         only when every shard staged cleanly does phase two commit them
         all — a rejection anywhere leaves every shard serving the old
         tables.  Structural deltas hot-swap shard by shard with
-        rollback on failure.  Returns shard 0's
-        :class:`~repro.elements.hotswap.SwapReport`."""
-        self._ensure_started()
-        self._updates += 1
-        if self.backend == "process":
-            return self._apply_update_process(update)
-        from ..control import ControlPlane
-
-        self._barrier()
-        if self._divider(0) is not None:
-            return self._apply_update_divided(update)
-        live = self._live_shards()
-        planes = [ControlPlane(shard.router) for shard in live]
-        delta, new_graph = planes[0].resolve(update)
-        if delta.empty:
-            return planes[0].apply(delta)
-        text = self._update_text(update, delta, new_graph)
-        if not delta.structural:
-            staged = []
-            for plane in planes:
-                batch = plane.stage_patch(delta)
-                if batch is None:
-                    break
-                staged.append(batch)
-            if len(staged) == len(planes):
-                self._fire_commit_hook()
-                report = None
-                for plane, batch in zip(planes, staged):
-                    committed = plane.commit_patch(batch, delta)
-                    if report is None:
-                        report = committed
-                self._journal_update(text)
-                return report
-        # Structural (or not patchable in place): per-shard transactional
-        # swaps, rolled back together on failure.
+        rollback on failure.  Returns the first live shard's
+        :class:`~repro.elements.hotswap.SwapReport` (it rides back on
+        the commit acknowledgement)."""
         from ..core.toolchain import save_config
 
-        old_text = save_config(self.graph)
-        done = []
-        report = None
-        try:
-            for position, plane in enumerate(planes):
-                committed = plane.apply(update)
-                done.append(position)
-                if report is None:
-                    report = committed
-        except Exception:
-            for position in done:
-                ControlPlane(planes[position].router).apply(old_text)
-                live[position].router = planes[position].router
-            raise
-        for position, plane in enumerate(planes):
-            live[position].router = plane.router
-        self._journal_update(text)
-        self._set_graph(text)
-        return report
+        self._ensure_started()
+        self._updates += 1
+        if isinstance(update, str):
+            text = update
+        else:
+            # The journal's replayable form is text; a bare GraphDelta
+            # is materialized against the plane's graph.
+            from ..graph.diff import GraphDelta
 
-    def _live_shards(self):
-        """The shards an update can reach right now; raises when the
-        whole plane is down."""
+            if isinstance(update, GraphDelta):
+                update = update.apply_to(self.graph)
+            text = save_config(update)
+        return self._two_phase(text)
+
+    def _two_phase(self, text, retried=False):
+        from ..elements.hotswap import SwapReport
+
         recovery = self._recovery
-        if recovery is None:
-            return list(self._shards)
-        live = [
-            shard
-            for shard in self._shards
-            if not recovery.is_down(shard.index)
-        ]
+        if recovery is not None:
+            self._sweep()
+        live = self._live_shards()
         if not live:
             raise RecoveryError("every shard is down; nothing to update")
-        return live
+        # Stage and commit are bounded by the prepare timeout — a worker
+        # that dies or hangs mid-phase must not wedge the whole plane's
+        # control path.
+        prepare = recovery.config.prepare_timeout if recovery is not None else None
+        verdicts = self._ask(live, ("update_stage", text), timeout=prepare)
+        staged = [shard for shard, _verdict in verdicts]
+        kinds = {verdict[1] for _shard, verdict in verdicts}
+        if len(staged) < len(live):
+            # Someone died during stage: abort the survivors, bring the
+            # dead back (their journals have no trace of this update),
+            # and run the whole update once more on the full plane.
+            self._abort(staged)
+            return self._retry_update(text, retried)
+        if "rejected" in kinds:
+            self._abort(staged)
+            raise next(verdict[2] for _shard, verdict in verdicts if verdict[1] == "rejected")
+        if kinds == {"empty"}:
+            return SwapReport("no-op", profile=self._profile.label)
+        if kinds == {"ok"}:
+            self._fire_commit_hook()
+            committed = self._ask(staged, ("update_commit",), timeout=prepare)
+            if len(committed) < len(staged):
+                # Phase two broke: a worker died between stage and
+                # commit (or mid-commit).  Roll the confirmed survivors
+                # back to the old tables, restore the dead, and retry
+                # the update once against the whole plane.
+                self._rollback_committed([shard for shard, _ack in committed])
+                return self._retry_update(text, retried)
+            self._control(("update", text), deliver=False)
+            return committed[0][1][1]
+        # Structural (or not patchable in place) somewhere: per-shard
+        # transactional swaps, rolled back together on failure.
+        self._abort(staged)
+        return self._swap_live("update", text)
 
-    def _journal_update(self, text):
-        """Journal a committed update to *every* shard — down shards
-        included, so replay re-commits it the moment they return."""
-        recovery = self._recovery
-        for index in range(self.workers):
-            self._journal_cmd(index, ("update", text))
-            if recovery is not None and recovery.is_down(index):
-                recovery.note_recommitted()
+    def _abort(self, shards):
+        for shard in shards:
+            self._send(shard, ("update_abort",))
 
     def _fire_commit_hook(self):
         """The fault injector's window between "every shard staged"
@@ -1654,151 +1532,6 @@ class ShardedRouter:
         if hook is not None:
             hook(self._updates)
 
-    def _update_text(self, update, delta, new_graph):
-        """The update as configuration text (the journal's replayable
-        form), materializing the delta against the live graph when the
-        caller passed a bare GraphDelta."""
-        from ..core.toolchain import save_config
-
-        if isinstance(update, str):
-            return update
-        if new_graph is None:
-            new_graph = delta.apply_to(self.graph)
-        return save_config(new_graph)
-
-    def _apply_update_divided(self, update):
-        """Control-plane update under divide-capacity mode (thread
-        backend): the undivided update is the journaled source of truth,
-        but every shard must install its *divided* view, so the shared
-        in-place staging path (which would diff undivided capacities
-        against divided live queues) is skipped in favor of per-shard
-        transactional applies with divided rollback."""
-        from ..control import ControlPlane
-        from ..core.toolchain import load_config, save_config
-        from ..graph.diff import GraphDelta
-
-        if isinstance(update, str):
-            new_graph = load_config(update, "<shard-update>")
-        elif isinstance(update, GraphDelta):
-            new_graph = update.apply_to(self.graph)
-        else:
-            new_graph = update
-        text = save_config(new_graph)
-        old_text = save_config(self.graph)
-        live = self._live_shards()
-        planes = [ControlPlane(shard.router) for shard in live]
-        done = []
-        report = None
-        try:
-            for position, plane in enumerate(planes):
-                committed = plane.apply(self._divider(live[position].index)(new_graph))
-                done.append(position)
-                if report is None:
-                    report = committed
-        except Exception:
-            old_graph = load_config(old_text, "<shard-rollback>")
-            for position in done:
-                ControlPlane(planes[position].router).apply(
-                    self._divider(live[position].index)(old_graph)
-                )
-                live[position].router = planes[position].router
-            raise
-        for position, plane in enumerate(planes):
-            live[position].router = plane.router
-        self._journal_update(text)
-        self._set_graph(text)
-        return report
-
-    def _apply_update_process(self, update, _retry=False):
-        from ..control import ControlPlaneError
-
-        recovery = self._recovery
-        delta = None
-        new_graph = None
-        if isinstance(update, str):
-            text = update
-        else:
-            from ..graph.diff import GraphDelta, diff_graphs
-
-            if isinstance(update, GraphDelta):
-                delta, new_graph = update, None
-            else:
-                delta, new_graph = diff_graphs(self.graph, update), update
-            text = self._update_text(update, delta, new_graph)
-        if recovery is not None:
-            self._poll_health()
-        live = self._live_shards()
-        prepare = recovery.config.prepare_timeout if recovery is not None else None
-        # Phase one: stage on every live shard, bounded by the prepare
-        # timeout — a worker that dies or hangs mid-stage must not wedge
-        # the whole plane's control path.
-        staged = []
-        verdicts = []
-        for shard in live:
-            if self._proc_send(shard, ("update_stage", text)):
-                staged.append(shard)
-        for shard in staged:
-            verdict = self._proc_recv(shard, timeout=prepare)
-            if verdict is not None:
-                verdicts.append((shard, verdict))
-        if recovery is not None and len(verdicts) < len(live):
-            # Someone died during stage: abort the survivors, bring the
-            # dead back (their journals have no trace of this update),
-            # and run the whole update once more on the full plane.
-            for shard, _verdict in verdicts:
-                self._proc_send(shard, ("update_abort",))
-            return self._retry_update_process(update, _retry)
-        rejected = [(s, v) for s, v in verdicts if v[1] == "rejected"]
-        if rejected:
-            for shard, _verdict in verdicts:
-                self._proc_send(shard, ("update_abort",))
-            raise ControlPlaneError(rejected[0][1][2])
-        if all(v[1] == "empty" for _s, v in verdicts):
-            from ..elements.hotswap import SwapReport
-
-            return SwapReport("no-op", profile=self._profile.label)
-        if all(v[1] == "ok" for _s, v in verdicts):
-            self._fire_commit_hook()
-            committed = []
-            lost = False
-            for shard, _verdict in verdicts:
-                if self._proc_send(shard, ("update_commit",)):
-                    committed.append(shard)
-                else:
-                    lost = True
-            confirmed = []
-            for shard in committed:
-                if self._proc_recv(shard, timeout=prepare) is not None:
-                    confirmed.append(shard)
-                else:
-                    lost = True
-            if lost:
-                # Phase two broke: a worker died between stage and
-                # commit (or mid-commit).  Roll the confirmed survivors
-                # back to the old tables, restore the dead, and retry
-                # the update once against the whole plane.
-                self._rollback_committed(confirmed)
-                return self._retry_update_process(update, _retry)
-            self._journal_update(text)
-            from ..elements.hotswap import SwapReport
-
-            report = SwapReport("in-place", profile=self._profile.label)
-            report.elements_patched = len(
-                delta.changed if delta is not None else ()
-            )
-            return report
-        # Structural somewhere: full per-shard apply (each shard's
-        # ControlPlane is transactional on its own).
-        for shard, _verdict in verdicts:
-            self._proc_send(shard, ("update_abort",))
-            self._proc_send(shard, ("update", text))
-        self._sync_process()
-        self._journal_update(text)
-        self._set_graph(text)
-        from ..elements.hotswap import SwapReport
-
-        return SwapReport("scoped-swap", profile=self._profile.label)
-
     def _rollback_committed(self, shards):
         """Mid-commit failure: surviving shards that already committed
         re-apply the *old* configuration, so every live shard serves
@@ -1806,15 +1539,11 @@ class ShardedRouter:
         from ..core.toolchain import save_config
 
         old_text = save_config(self.graph)
-        pending = []
         for shard in shards:
-            if self._proc_send(shard, ("update", old_text)):
-                pending.append(shard)
-        for shard in pending:
-            if self._proc_send(shard, ("sync",)):
-                self._proc_recv(shard)
+            self._send(shard, ("update", old_text))
+        self._ask(shards, ("sync",))
 
-    def _retry_update_process(self, update, already_retried):
+    def _retry_update(self, text, already_retried):
         """Force the dead shards back up (no backoff — the control
         plane is blocked on them) and re-run the update across the
         whole plane, once."""
@@ -1825,7 +1554,7 @@ class ShardedRouter:
             )
         for index in list(self._recovery.down_indices()):
             self._recovery.attempt_restart(index, force=True)
-        return self._apply_update_process(update, _retry=True)
+        return self._two_phase(text, retried=True)
 
     # -- worker faults -----------------------------------------------------
 
@@ -1848,49 +1577,40 @@ class ShardedRouter:
         self._crashes += 1
         self._revive_shard(index)
 
+    def _fault_target(self, index, fault):
+        """The live shard a self-healing fault hook may strike (None
+        when it is already down), noting the strike so detection
+        latency is measured from it."""
+        self._ensure_started()
+        index = index % self.workers
+        if self._recovery is None:
+            raise RecoveryError(
+                "%s needs a recovery policy on the profile "
+                "(ExecutionProfile.with_recovery); use worker_crash for "
+                "synchronous journal-replay recovery without one" % fault
+            )
+        if self._recovery.is_down(index):
+            return None
+        self._recovery.note_killed(index)
+        return self._shards[index]
+
     def kill_worker(self, index):
         """Kill shard ``index`` and walk away — the self-healing path's
         entry point (``worker_kill`` faults).  Detection happens at the
         next health seam; restart follows the backoff schedule.
         Requires a recovery policy on the profile."""
-        self._ensure_started()
-        index = index % self.workers
-        if self._recovery is None:
-            raise RecoveryError(
-                "worker_kill needs a recovery policy on the profile "
-                "(ExecutionProfile.with_recovery); use worker_crash for "
-                "synchronous journal-replay recovery without one"
-            )
-        if self._recovery.is_down(index):
-            return
-        self._recovery.note_killed(index)
-        shard = self._shards[index]
-        if self.backend == "thread":
-            shard.queue.put(("die",), timeout=1.0)
-        elif shard.process is not None and shard.process.is_alive():
-            shard.process.kill()
+        shard = self._fault_target(index, "worker_kill")
+        if shard is not None:
+            shard.transport.kill()
 
     def hang_worker(self, index, seconds=30.0):
         """Wedge shard ``index`` (``worker_hang`` faults): the worker
-        sleeps instead of progressing, so the watchdog/heartbeat
-        machinery — not a crash — has to find it.  Not journaled: a
-        hang is transient wall-clock behavior, not shard history."""
-        self._ensure_started()
-        index = index % self.workers
-        if self._recovery is None:
-            raise RecoveryError(
-                "worker_hang needs a recovery policy on the profile "
-                "(ExecutionProfile.with_recovery)"
-            )
-        if self._recovery.is_down(index):
-            return
-        self._recovery.note_killed(index)
-        cmd = ("hang", float(seconds))
-        shard = self._shards[index]
-        if self.backend == "thread":
-            shard.queue.put(cmd, timeout=1.0)
-        else:
-            self._proc_send(shard, cmd)
+        sleeps instead of progressing, so a reply deadline — not a
+        crash — has to find it.  Not journaled: a hang is transient
+        wall-clock behavior, not shard history."""
+        shard = self._fault_target(index, "worker_hang")
+        if shard is not None:
+            self._send(shard, ("hang", float(seconds)))
 
     def arm_poison(self, frame):
         """Arm a poison frame (``worker_poison`` faults) on every
@@ -1903,167 +1623,79 @@ class ShardedRouter:
                 "worker_poison needs the command journal; attach a fault "
                 "injector or a recovery policy before the first operation"
             )
-        data = bytes(frame)
-        cmd = ("poison", data)
-        if self.backend == "thread":
-            self._barrier()
-            for index, shard in enumerate(self._shards):
-                self._journal_cmd(index, cmd)
-                if self._recovery is not None and self._recovery.is_down(index):
-                    continue
-                shard.poisons.add(data)
-        else:
-            for index, shard in enumerate(self._shards):
-                self._journal_cmd(index, cmd)
-                if self._recovery is not None and self._recovery.is_down(index):
-                    continue
-                self._proc_send(shard, cmd)
+        self._control(("poison", bytes(frame)))
 
     # -- restart + journal replay ------------------------------------------
 
     def _revive_shard(self, index, singly=False):
-        """Rebuild one shard and replay its journal.  The recovery
-        manager's restart mechanism (and ``crash_worker``'s recovery
-        half).  Raises :class:`ReplayFrameError` when the replay died
-        at an exactly attributed frame, so the caller can quarantine
-        it."""
-        if self.backend == "thread":
-            self._revive_thread(index)
-        else:
-            self._revive_process(index, singly=singly)
-        self._replays += 1
+        """Dispose of shard ``index``'s worker, start a fresh one and
+        resend its journal — the recovery manager's restart mechanism
+        (and ``crash_worker``'s recovery half).  The fast path ships
+        the whole journal and syncs once; ``singly`` — the manager's
+        fallback after an unattributed batch-replay death — replays
+        frames one at a time, so a killer frame raises a
+        :class:`ReplayFrameError` naming its exact ``(command, frame)``
+        journal position, which quarantine strips by.
 
-    def _revive_thread(self, index):
+        Replay talks to the transport directly, outside the health
+        seam: a replay that dies or hangs is this *restart's* failure,
+        raised to the caller, not a new detection."""
         shard = self._shards[index]
-        # Retire whatever worker is attached — gracefully when alive
-        # (manual crash_worker), by the generation fence when hung.
-        shard.generation += 1
-        thread = shard.thread
-        if thread is not None and thread.is_alive():
-            shard.queue.put(("stop",), timeout=0.1)
-            thread.join(timeout=0.5 if self._recovery is not None else 10)
-        shard.router, shard.devices, shard.meter = self._build_shard_router(index)
-        shard.worked = 0
-        shard.error = None
-        shard.dead = False
-        shard.poisons = set()
-        self._replay_thread_journal(shard, index)
-        # Replayed work was genuinely re-executed, but its meter charges
-        # were already absorbed before the crash: re-baseline so only
-        # post-recovery work flows to the parent meter.  The flush
-        # cursor (``shard.flushed``) is deliberately preserved: replay
-        # regenerated *all* output, and only frames past the cursor
-        # were never delivered.
-        if shard.meter is not None:
-            shard.meter_snapshot = shard.meter.summary()
-        shard.queue = SPSCQueue(self._queue_capacity)
-        self._spawn_thread_worker(shard)
-
-    def _replay_thread_journal(self, shard, index):
-        """Re-execute the journal against the freshly built shard,
-        parent-side, attributing any death to the exact frame."""
-        divider = self._divider(index)
-        for position, cmd in enumerate(self._journals[index]):
-            op = cmd[0]
-            if op == "frames":
+        shard.transport.close()
+        shard.transport = type(shard.transport)(self, index)  # same host, new life
+        journal = self._journals[index]
+        if singly:
+            for position, cmd in enumerate(journal):
+                if cmd[0] != "frames":
+                    self._replay(shard, cmd, sync=True)
+                    continue
                 for fpos, (name, frame) in enumerate(cmd[1]):
-                    if shard.poisons and bytes(frame) in shard.poisons:
-                        raise ReplayFrameError(
-                            index, name, frame, (position, fpos),
-                            "armed poison frame",
-                        )
                     try:
-                        shard.devices[name].receive_frame(frame)
+                        self._replay(shard, ("frames", [(name, frame)]), sync=True)
                     except Exception as exc:  # noqa: BLE001 - attributed
                         raise ReplayFrameError(
                             index, name, frame, (position, fpos),
                             "%s: %s" % (type(exc).__name__, exc),
                         ) from exc
-            elif op == "run":
-                shard.router.run_tasks(cmd[1])
-            elif op == "poison":
-                shard.poisons.add(bytes(cmd[1]))
-            else:
-                shard.router = _apply_shard_control(
-                    shard.router, shard.devices, cmd, divider=divider
-                )
-
-    def _revive_process(self, index, singly=False):
-        """Respawn a process shard and resend its journal.  The fast
-        path ships the whole journal and syncs once; ``singly`` replays
-        command by command — frames one at a time — so a killer frame
-        is attributed exactly (the slow path the manager falls back to
-        after an unattributed batch-replay death)."""
-        shard = self._shards[index]
-        self._reap_process(shard, kill=True)
-        self._spawn_process_shard(shard)
-        journal = self._journals[index]
-        if singly:
-            for position, cmd in enumerate(journal):
-                if cmd[0] == "frames":
-                    for fpos, (name, frame) in enumerate(cmd[1]):
-                        self._replay_send(
-                            shard, ("frames", [(name, frame)]),
-                            index, name, frame, (position, fpos),
-                        )
-                else:
-                    self._replay_send(shard, cmd, index, None, b"", (position, 0))
         else:
             for cmd in journal:
-                shard.conn.send(cmd)
+                self._replay(shard, cmd)
         # The parent already consumed everything it flushed before the
         # crash; realign the worker's collect cursor so replayed frames
         # are not delivered twice.
-        shard.conn.send(("set_flushed", dict(shard.flushed)))
-        shard.conn.send(("sync",))
-        reply = self._replay_reply(shard)
-        if reply[2] is not None:
-            raise RuntimeError(
-                "shard %d replay failed: %s: %s" % (index, reply[2][0], reply[2][1])
-            )
-        shard.worked = 0
+        self._replay(shard, ("set_flushed", dict(shard.flushed)), sync=True)
         # Deliver the replay's regenerated-but-unflushed output (the
-        # dying run's frames, which the parent never collected) and
-        # re-baseline the meter like the thread backend does.
-        shard.conn.send(("collect",))
-        collected = self._replay_reply(shard)
-        for name in self._device_names:
-            frames = collected[1].get(name)
-            if frames:
-                self._deliver(name, frames)
-                shard.flushed[name] += len(frames)
-                self._flushed_total += len(frames)
-        if collected[2] is not None:
-            shard.meter_snapshot = collected[2]
+        # dying run's frames, which the parent never collected).
+        self._take(shard, self._replay(shard, ("collect",), ask=True), absorb=False)
+        self._replays += 1
 
-    def _replay_send(self, shard, cmd, index, name, frame, position):
-        """One singly-replay step: send, sync, and convert any death
-        into a frame-attributed :class:`ReplayFrameError`."""
-        try:
-            shard.conn.send(cmd)
-            shard.conn.send(("sync",))
-            reply = self._replay_reply(shard)
-            if reply[2] is not None:
-                raise RuntimeError("%s: %s" % (reply[2][0], reply[2][1]))
-        except ReplayFrameError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - attributed below
-            if cmd[0] != "frames":
-                raise
-            raise ReplayFrameError(
-                index, name, frame, position, "%s: %s" % (type(exc).__name__, exc)
-            ) from exc
-
-    def _replay_reply(self, shard):
-        """Wait for a replay sync; bounded by the heartbeat window when
-        self-healing (a hung replay must not wedge the restart path),
-        blocking like the manual crash path otherwise."""
-        if self._recovery is None:
-            return shard.recv()
-        timeout = max(10.0, self._recovery.config.heartbeat_timeout * 4)
-        if not shard.conn.poll(timeout):
-            raise RuntimeError("shard %d replay hung" % shard.index)
-        return shard.conn.recv()
+    def _replay(self, shard, cmd, sync=False, ask=False):
+        """One step of a replay: send ``cmd``; with ``sync`` follow it
+        with a sync and wait for the worker to have executed it, with
+        ``ask`` wait for ``cmd``'s own reply (returned).  Bounded by
+        four reply deadlines when self-healing (a hung replay must not
+        wedge the restart path), blocking like the manual crash path
+        otherwise.  Any failure raises."""
+        transport = shard.transport
+        delivered = transport.send(cmd)
+        if sync:
+            delivered = delivered and transport.send(("sync",))
+        if not delivered:
+            raise RuntimeError("shard %d died under replay" % shard.index)
+        if not (sync or ask):
+            return None
+        timeout = None
+        if self._recovery is not None:
+            timeout = max(10.0, transport.reply_timeout * 4)
+        reply = transport.recv(timeout)  # EOFError: died under replay
+        if reply is None:
+            raise RuntimeError("shard %d hung under replay" % shard.index)
+        if reply[0] == "error":
+            raise RuntimeError(
+                "shard %d replay failed: %s: %s"
+                % (shard.index, type(reply[1]).__name__, reply[1])
+            )
+        return reply
 
     def _strip_journal_frame(self, index, position):
         """Quarantine's surgical edit: remove one attributed frame from
@@ -2084,36 +1716,9 @@ class ShardedRouter:
         """Every element read handler, reconciled across shards: numeric
         values sum; non-numeric values report shard 0's."""
         self._ensure_started()
-        recovery = self._recovery
-        if self.backend == "thread":
-            self._barrier()
-            per_shard = []
-            for shard in self._shards:
-                if recovery is not None and recovery.is_down(shard.index):
-                    continue
-                values = {}
-                for name, element in sorted(shard.router.elements.items()):
-                    for handler, fn in sorted(element.read_handlers().items()):
-                        value = fn()
-                        if not isinstance(value, (int, float, str, bool, type(None))):
-                            value = repr(value)
-                        values["%s.%s" % (name, handler)] = value
-                per_shard.append(values)
-        else:
-            per_shard = []
-            pending = []
-            for shard in self._shards:
-                if recovery is not None and recovery.is_down(shard.index):
-                    continue
-                if self._proc_send(shard, ("counters",)):
-                    pending.append(shard)
-            for shard in pending:
-                reply = self._proc_recv(shard)
-                if reply is not None:
-                    per_shard.append(reply[1])
         merged = {}
-        for values in per_shard:
-            for key, value in values.items():
+        for _shard, reply in self._ask(self._live_shards(), ("counters",)):
+            for key, value in reply[1].items():
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     merged.setdefault(key, value)
                 else:
@@ -2127,7 +1732,7 @@ class ShardedRouter:
             return self._final_report
         report = ShardReport()
         report.workers = self.workers
-        report.backend = self.backend
+        report.backend = self._profile.shard_backend
         report.seed = self.hash_seed
         report.dispatched = list(self._dispatched) or [0] * self.workers
         report.flushed = self._flushed_total
@@ -2135,31 +1740,17 @@ class ShardedRouter:
         report.updates = self._updates
         report.crashes = self._crashes
         report.replays = self._replays
-        recovery = self._recovery
-        if self._started and self.backend == "thread":
-            self._barrier()
-            report.queue_high_water = [s.queue.high_water for s in self._shards]
-            for shard in self._shards:
-                if recovery is not None and recovery.is_down(shard.index):
-                    continue
-                supervisor = shard.router.supervisor
-                if supervisor is not None:
-                    report.supervisors["shard-%d" % shard.index] = (
-                        supervisor.report().as_dict()
-                    )
-        elif self._started:
-            pending = []
-            for shard in self._shards:
-                if recovery is not None and recovery.is_down(shard.index):
-                    continue
-                if self._proc_send(shard, ("report",)):
-                    pending.append(shard)
-            for shard in pending:
-                reply = self._proc_recv(shard)
-                if reply is not None and reply[1] is not None:
+        if self._started and not self.retired:
+            report.queue_high_water = [
+                shard.transport.high_water
+                for shard in self._shards
+                if shard.transport.high_water is not None
+            ]
+            for shard, reply in self._ask(self._live_shards(), ("report",)):
+                if reply[1] is not None:
                     report.supervisors["shard-%d" % shard.index] = reply[1]
-        if recovery is not None:
-            report.recovery = recovery.report().as_dict()
+        if self._recovery is not None:
+            report.recovery = self._recovery.report().as_dict()
         if self.meter is not None:
             report.meter = self.meter.summary()
         return report
@@ -2176,30 +1767,14 @@ class ShardedRouter:
                 self._final_report = self.report()
             except Exception:  # noqa: BLE001 - teardown must not raise
                 self._final_report = None
-            if self.backend == "thread":
-                for shard in self._shards:
-                    shard.generation += 1  # fence off hung workers
-                    if shard.thread is not None and shard.thread.is_alive():
-                        try:
-                            shard.queue.put(("stop",), timeout=0.5)
-                        except Exception:  # noqa: BLE001
-                            pass
-                for shard in self._shards:
-                    if shard.thread is not None:
-                        # A hung worker never joins; it is a daemon
-                        # behind the generation fence, so don't wait.
-                        shard.thread.join(timeout=1 if shard.dead else 10)
-            else:
-                for shard in self._shards:
-                    if shard.conn is not None and shard.process is not None:
-                        try:
-                            if shard.process.is_alive():
-                                shard.conn.send(("stop",))
-                                if shard.conn.poll(5):
-                                    shard.conn.recv()
-                        except Exception:  # noqa: BLE001
-                            pass
-                    self._reap_process(shard, kill=True)
+            for shard in self._shards:
+                transport = shard.transport
+                try:
+                    if transport.alive() and transport.send(("stop",)):
+                        transport.recv(5)
+                except Exception:  # noqa: BLE001
+                    pass
+                transport.close()
         if self._cache_path:
             try:
                 os.unlink(self._cache_path)

@@ -25,9 +25,8 @@ class _FakeRouter:
     """Just enough ShardedRouter surface for the manager: counters, a
     journal per shard, and scriptable revive outcomes."""
 
-    def __init__(self, workers=4, backend="thread"):
+    def __init__(self, workers=4):
         self.workers = workers
-        self.backend = backend
         self.hasher = _FakeHasher()
         self._runs = 0
         self._journals = [[] for _ in range(workers)]
@@ -55,8 +54,8 @@ class _FakeRouter:
         self.redispatched.append(list(buffered))
 
 
-def _manager(workers=4, backend="thread", **knobs):
-    router = _FakeRouter(workers=workers, backend=backend)
+def _manager(workers=4, **knobs):
+    router = _FakeRouter(workers=workers)
     config = RecoveryConfig(**knobs)
     return router, RecoveryManager(router, config)
 
@@ -260,8 +259,8 @@ class TestQuarantine:
         assert manager.route_frame(1, "eth0", b"poison") is None
         assert manager.quarantine_drops == 1
 
-    def test_process_backend_escalates_to_singly_replay(self):
-        router, manager = _manager(backend="process", jitter=0)
+    def test_unattributed_death_escalates_to_singly_replay(self):
+        router, manager = _manager(jitter=0)
         router.revive_outcomes[2] = [RuntimeError("died mid-batch"), None]
         manager.note_dead(2, "died")
         assert manager.attempt_restart(2) is True

@@ -3,6 +3,7 @@
 transactional control fan-out, crash replay, and meter reconciliation."""
 
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.elements.runtime import Router, build_router
 from repro.errors import ClickSemanticError
 from repro.lang.build import parse_graph
 from repro.runtime import ExecutionProfile, ShardedRouter, SPSCQueue
+from repro.runtime.codegen_cache import default_cache
 from repro.runtime.shard import ShardReport
 from repro.sim.cpu import CycleMeter
 from repro.sim.testbed import HOST_ETHERS, Testbed, host_ip
@@ -30,6 +32,10 @@ def sharded_testbed(workers, backend="thread", meter=None, journal=None, variant
     profile = ExecutionProfile.fast(batch=True)
     if workers > 1:
         profile = profile.with_workers(workers, backend)
+    if backend == "process":
+        # Spawned workers load the parent's *whole* codegen cache: start
+        # from an empty one, so they pay for this plane's chains only.
+        default_cache().clear()
     router = build_router(graph, meter=meter, devices=devices, profile=profile)
     if journal is not None and workers > 1:
         router._journal_flag = journal
@@ -180,8 +186,14 @@ class TestDispatchAndEquivalence:
 
 
 class TestControlFanout:
+    """Coordinator behaviour, so it rides on both transports: this
+    class hosts the workers on threads, the subclass below in spawned
+    processes."""
+
+    backend = "thread"
+
     def test_update_inplace_commits_on_all_shards(self):
-        testbed, router, devices = sharded_testbed(2)
+        testbed, router, devices = sharded_testbed(2, self.backend)
         try:
             drive(testbed, router, devices, 64)
             text = save_config(router.graph)
@@ -191,6 +203,11 @@ class TestControlFanout:
             )
             report = router.apply_update(new)
             assert report.kind == "in-place"
+            # A shard's real report, not a fabricated one: it says what
+            # was patched and where the time went.
+            assert report.elements_patched == 1 and report.delta == "1 changed"
+            assert list(report.phases) == ["diff", "stage", "patch"]
+            assert report.total_seconds > 0
             drive(testbed, router, devices, 64, offset=64)
             total = sum(len(d.transmitted) for d in devices.values())
             assert total == 128
@@ -199,7 +216,7 @@ class TestControlFanout:
             router.close()
 
     def test_rejected_update_leaves_all_shards_intact(self):
-        testbed, router, devices = sharded_testbed(2)
+        testbed, router, devices = sharded_testbed(2, self.backend)
         try:
             drive(testbed, router, devices, 64)
             text = save_config(router.graph)
@@ -215,7 +232,7 @@ class TestControlFanout:
             router.close()
 
     def test_hotswap_all_preserves_service(self):
-        testbed, router, devices = sharded_testbed(2)
+        testbed, router, devices = sharded_testbed(2, self.backend)
         try:
             drive(testbed, router, devices, 64)
             router.hotswap_all(save_config(router.graph))
@@ -224,6 +241,70 @@ class TestControlFanout:
             assert total == 128
         finally:
             router.close()
+
+    def test_rejected_hotswap_is_transactional(self):
+        """A swap the shards reject raises at the call (not as a parked
+        error at the next run), and neither the plane's graph nor the
+        journal ever names the rejected configuration: traffic keeps
+        forwarding and a respawned shard replays to the old one."""
+        from repro.elements.hotswap import HotswapError
+
+        testbed, router, devices = sharded_testbed(2, self.backend, journal=True)
+        try:
+            drive(testbed, router, devices, 64)
+            graph = router.graph
+            bad = save_config(graph).replace(graph.elements["rt"].config, "999.999.0.1/24 0")
+            with pytest.raises(HotswapError):
+                router.hotswap_all(bad)
+            assert router.graph is graph
+            drive(testbed, router, devices, 64, offset=64)
+            assert sum(len(d.transmitted) for d in devices.values()) == 128
+            before = transmitted_hex(devices)
+            router.crash_worker(0)
+            assert transmitted_hex(devices) == before
+            drive(testbed, router, devices, 64, offset=128)
+            assert sum(len(d.transmitted) for d in devices.values()) == 192
+        finally:
+            router.close()
+
+    def test_structural_update_returns_the_swap_report(self):
+        testbed, router, devices = sharded_testbed(2, self.backend)
+        try:
+            drive(testbed, router, devices, 64)
+            text = save_config(router.graph)
+            report = router.apply_update(text.replace("rt ::", "spare :: Idle; rt ::", 1))
+            assert report.kind == "scoped-swap"
+            assert "compile" in report.phases and "spare" in router.graph.elements
+            drive(testbed, router, devices, 64, offset=64)
+            assert sum(len(d.transmitted) for d in devices.values()) == 128
+        finally:
+            router.close()
+
+
+class TestControlFanoutOverProcess(TestControlFanout):
+    backend = "process"
+
+
+@pytest.mark.parametrize(
+    "profile, deopts",
+    [
+        (ExecutionProfile.fast(), False),
+        (ExecutionProfile.tiered(), True),
+        (ExecutionProfile.fdd(), True),
+    ],
+    ids=["fast", "tiered", "fdd"],
+)
+def test_force_deopt_mirrors_the_single_router(profile, deopts):
+    """True whenever a tiered engine exists (adaptive or fdd)."""
+    testbed = Testbed(2)
+    single, _devices = testbed.build_router(testbed.base_graph(), profile=profile)
+    sharded, _devices = testbed.build_router(
+        testbed.base_graph(), profile=profile.with_workers(2)
+    )
+    try:
+        assert sharded.force_deopt() is single.force_deopt() is deopts
+    finally:
+        sharded.close()
 
 
 class TestCrashReplay:
@@ -350,33 +431,43 @@ class TestProcessBackend:
 
 
 class TestQueueCapacityKnob:
-    def test_spsc_capacity_from_profile(self):
-        """with_workers(queue_capacity=...) reaches the handoff queues."""
+    @staticmethod
+    def stalled_high_water(queue_capacity, packets):
+        """Shard 0's handoff-queue high water after one pipelined batch
+        dispatched while its worker sleeps: more commands than any
+        capacity under test, so the bounded queue fills to exactly its
+        capacity and the dispatcher blocks there (backpressure) until
+        the worker wakes."""
         testbed = Testbed(2)
-        graph = testbed.variant_graph("base")
         devices = {
             interface.device: LoopbackDevice(interface.device, tx_capacity=1 << 30)
             for interface in testbed.interfaces
         }
-        profile = ExecutionProfile.fast(batch=True).with_workers(2, queue_capacity=8)
-        router = build_router(graph, devices=devices, profile=profile)
+        profile = (
+            replace(ExecutionProfile.fast(batch=True), chunk_frames=16)
+            .with_workers(2, queue_capacity=queue_capacity)
+            .with_recovery("buffer")  # hang_worker needs a policy
+        )
+        router = build_router(testbed.variant_graph("base"), devices=devices, profile=profile)
         try:
-            drive(testbed, router, devices, 16)
-            assert [shard.queue._capacity for shard in router._shards] == [8, 8]
+            for index in range(2):
+                router.find("arpq%d" % index).insert(host_ip(index), HOST_ETHERS[index])
+            router.hang_worker(0, seconds=0.3)
+            drive(testbed, router, devices, packets)
+            assert sum(len(d.transmitted) for d in devices.values()) == packets
+            return router.report().queue_high_water[0]
         finally:
             router.close()
+
+    def test_spsc_capacity_from_profile(self):
+        """with_workers(queue_capacity=...) reaches the handoff queues."""
+        assert self.stalled_high_water(8, 256) == 8
 
     def test_default_capacity_is_validated_default(self):
         from repro.runtime.shard import DEFAULT_QUEUE_CAPACITY
 
         assert DEFAULT_QUEUE_CAPACITY == 256
-        testbed, router, devices = sharded_testbed(2)
-        try:
-            drive(testbed, router, devices, 16)
-            capacities = {shard.queue._capacity for shard in router._shards}
-            assert capacities == {DEFAULT_QUEUE_CAPACITY}
-        finally:
-            router.close()
+        assert self.stalled_high_water(None, 2600) == DEFAULT_QUEUE_CAPACITY
 
     def test_live_capacity_change_raises(self):
         testbed, router, devices = sharded_testbed(2)
@@ -460,9 +551,9 @@ def test_bump_arp_epochs_counts_renamed_queriers():
         sharded.close()
 
 
-def test_divide_capacity_divides_renamed_queues():
+def check_divide_capacity_divides_renamed_queues(backend):
     """``Devirtualize@@…`` queues are Queues: on the ``paper``-pipeline
-    router over 2 thread workers, ``divide_capacity`` keeps the plane's
+    router over 2 workers, ``divide_capacity`` keeps the plane's
     aggregate queue capacity at the single plane's, and the device
     scan finds the renamed device elements."""
     from repro.core import load_config, named_pipeline, save_config
@@ -475,23 +566,33 @@ def test_divide_capacity_divides_renamed_queues():
     assert "Queue" not in {decl.class_name for decl in graph.elements.values()}
     assert sorted(_device_names_of(graph)) == ["eth0", "eth1"]
 
-    def capacities(router):
-        return {
-            name: element.capacity
-            for name, element in router.elements.items()
-            if isinstance(element, Queue)
-        }
-
     single, _devices = testbed.build_router(load_config(text), profile=ExecutionProfile.fast())
+    capacities = {
+        name: element.capacity
+        for name, element in single.elements.items()
+        if isinstance(element, Queue)
+    }
     sharded, _devices = testbed.build_router(
         load_config(text),
-        profile=ExecutionProfile.fast().with_workers(2, "thread", divide_capacity=True),
+        profile=ExecutionProfile.fast().with_workers(2, backend, divide_capacity=True),
     )
     try:
         sharded.run_tasks(1)
-        shards = [capacities(shard.router) for shard in sharded._shards]
-        assert capacities(single) and len(shards) == 2
-        for name, capacity in capacities(single).items():
-            assert sum(shard[name] for shard in shards) == capacity
+        # Each worker's own answer (a queue's ``config`` handler reads
+        # back the capacity its shard was built with), over the transport.
+        shards = [
+            reply[1] for _shard, reply in sharded._ask(sharded._live_shards(), ("counters",))
+        ]
+        assert capacities and len(shards) == 2
+        for name, capacity in capacities.items():
+            assert sum(int(shard["%s.config" % name]) for shard in shards) == capacity
     finally:
         sharded.close()
+
+
+def test_divide_capacity_divides_renamed_queues():
+    check_divide_capacity_divides_renamed_queues("thread")
+
+
+def test_divide_capacity_divides_renamed_queues_over_process():
+    check_divide_capacity_divides_renamed_queues("process")
