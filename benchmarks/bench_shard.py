@@ -49,18 +49,18 @@ from repro.runtime.flowhash import FlowHasher, flow_key  # noqa: E402
 from repro.sim import fluid  # noqa: E402
 from repro.sim.cpu import CycleMeter  # noqa: E402
 from repro.sim.platforms import P0, P2  # noqa: E402
-from repro.sim.testbed import HOST_ETHERS, Testbed, host_ip  # noqa: E402
+from repro.sim.testbed import DISPATCH_NS, HOST_ETHERS, Testbed, host_ip  # noqa: E402
 from repro.verify.oracle import sharded_transmit_difference  # noqa: E402
 
 SCALE_WORKERS = (1, 2, 4)
 GATE_WORKERS = 4
 GATE_SPEEDUP = 2.0
 GATE_PLATFORM = "P2"
-#: The modeled per-frame dispatcher cost (flow hash + queue handoff);
-#: ``Testbed.sharded_mlffr``'s default, kept in one place so the gate
-#: is deterministic across machines.  The measured value is recorded
-#: alongside as ``dispatch.measured_ns``.
-MODEL_DISPATCH_NS = 650.0
+#: The modeled per-frame dispatcher cost (flow hash + queue handoff):
+#: ``Testbed.sharded_mlffr``'s default, so the gate is deterministic
+#: across machines.  The measured value is recorded alongside as
+#: ``dispatch.measured_ns``.
+MODEL_DISPATCH_NS = DISPATCH_NS
 
 
 def sharded_frames(testbed, count, flows=64):

@@ -389,7 +389,6 @@ def optimize_main(argv=None):
             workers=args.workers,
             shard_backend=args.shard_backend,
             recovery=args.recovery,
-            source_graph=graph,
             tuned=tuned,
         )
         sys.stderr.write(text + "\n")
@@ -465,7 +464,6 @@ def _fastpath_report(
     workers=1,
     shard_backend="thread",
     recovery=None,
-    source_graph=None,
     tuned=None,
 ):
     """Instantiate the optimized graph (loopback devices stand in for
@@ -480,9 +478,7 @@ def _fastpath_report(
     plane (one compiled router per shard on ``shard_backend``) and
     appends its shard report — with ``recovery`` set, the plane comes
     up self-healing under that policy and the report carries the
-    recovery section; ``source_graph`` — the pre-optimization graph —
-    supplies the device names, since the optimizers may rename device
-    element classes."""
+    recovery section."""
     from ..elements.devices import LoopbackDevice
     from ..elements.runtime import Router
     from ..runtime import ExecutionProfile
@@ -545,12 +541,11 @@ def _fastpath_report(
         )
     if workers > 1:
         from ..elements.runtime import build_router
+        from ..runtime.shard import device_names_of
 
         devices = AutoDevices()
-        scan = graph if source_graph is None else source_graph
-        for decl in scan.elements.values():
-            if decl.class_name in ("PollDevice", "FromDevice", "ToDevice"):
-                devices.get(decl.config.split(",")[0].strip())
+        for name in device_names_of(graph):
+            devices.get(name)
         shard_profile = run_profile.with_workers(workers, shard_backend)
         if recovery is not None:
             shard_profile = shard_profile.with_recovery(recovery)

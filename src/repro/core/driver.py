@@ -19,20 +19,9 @@ import sys
 from ..elements.devices import LoopbackDevice
 from ..elements.runtime import Router
 from ..net.pcap import read_pcap, write_pcap
+from ..runtime.shard import device_names_of
 from .flatten import flatten
 from .toolchain import load_config
-
-
-def _device_names(graph):
-    from ..lang.lexer import split_config_args
-
-    names = set()
-    for decl in graph.elements.values():
-        if decl.class_name in ("PollDevice", "FromDevice", "ToDevice"):
-            args = split_config_args(decl.config)
-            if args:
-                names.add(args[0].strip())
-    return sorted(names)
 
 
 def run_config(
@@ -46,7 +35,7 @@ def run_config(
     if graph.element_classes:
         graph = flatten(graph)
     devices = {}
-    for name in _device_names(graph):
+    for name in sorted(device_names_of(graph)):
         devices[name] = LoopbackDevice(name, tx_capacity=1 << 30)
     for name, blob in (device_captures or {}).items():
         if name not in devices:

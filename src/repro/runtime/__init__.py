@@ -19,7 +19,7 @@ from .recovery import (
     RecoveryManager,
     RecoveryReport,
 )
-from .shard import ShardedRouter, ShardReport, SPSCQueue
+from .shard import ShardedRouter, ShardReport, SPSCQueue, device_names_of
 from .supervisor import ResilienceReport, Supervisor, SupervisorConfig, SupervisorError
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "CodegenCache",
     "default_cache",
     "DEFAULT_SEED",
+    "device_names_of",
     "DiagramPlan",
     "ExecutionProfile",
     "FDDEngine",

@@ -390,13 +390,17 @@ class CodegenCache:
 
     # -- disk layer --------------------------------------------------------
 
-    def save(self, path):
-        """Persist every in-memory entry under its process-stable key.
-        Code objects are not written — :meth:`load` recompiles from
-        source, which is what lets it validate entries one by one."""
+    def save(self, path, keys=None):
+        """Persist every in-memory entry — with ``keys``, only the ones
+        stored under those keys — under its process-stable key.  Code
+        objects are not written — :meth:`load` recompiles from source,
+        which is what lets it validate entries one by one (and why a
+        reader pays for every record in the file)."""
         with self._lock:
             records = []
             for key, entry in self._entries.items():
+                if keys is not None and key not in keys:
+                    continue
                 record = {"key": self._disk_key(key)}
                 for field in _ENTRY_FIELDS:
                     record[field] = getattr(entry, field)

@@ -68,8 +68,9 @@ class ExecutionProfile:
     #: FDD expansion budget for mode="fdd"; None means
     #: :data:`repro.runtime.fdd.DEFAULT_NODE_BUDGET`.
     node_budget: int | None = None
-    #: Frames per pipelined chunk on the process shard backend; None
-    #: means :data:`repro.runtime.shard.DEFAULT_CHUNK_FRAMES`.
+    #: Frames per dispatch round on the sharded plane (hashed, posted
+    #: and run while the next round is hashed); None means
+    #: :data:`repro.runtime.shard.DEFAULT_CHUNK_FRAMES`.
     chunk_frames: int | None = None
     #: Self-healing for the sharded plane: a
     #: :class:`~repro.runtime.recovery.RecoveryConfig` turns on health

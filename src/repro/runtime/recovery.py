@@ -355,6 +355,12 @@ class RecoveryManager:
 
     # -- degraded dispatch -------------------------------------------------
 
+    def degraded(self):
+        """Whether dispatch must put frames through :meth:`route_frame`:
+        a shard is down (benched ones never come back up) or a frame is
+        quarantined."""
+        return bool(self.quarantined) or not all(health.up for health in self._health)
+
     def route_frame(self, home, name, frame):
         """Where one ingress frame goes while the plane is (possibly)
         degraded: its home shard when healthy, a rendezvous survivor or

@@ -15,9 +15,9 @@ executes the coordinator's commands — frame batches, scheduler runs,
 transmit-window mirrors, control operations, two-phase update stage and
 commit, sync, collect — in order.  :class:`ShardedRouter` reaches a
 worker only through a small private transport (``send``, ``recv``,
-``alive``, ``kill``, ``close``) and writes dispatch, pipelined runs,
-flush, control fan-out, hot-swap, two-phase update, fault hooks, restart
-and journal replay exactly once in terms of it.  ``profile.shard_backend``
+``alive``, ``kill``, ``close``) and writes streamed dispatch, flush,
+control fan-out, hot-swap, two-phase update, fault hooks, restart and
+journal replay exactly once in terms of it.  ``profile.shard_backend``
 selects how a worker is *hosted*, not a second implementation:
 
 - ``"thread"`` — a daemon thread fed through a bounded
@@ -32,10 +32,10 @@ selects how a worker is *hosted*, not a second implementation:
   compile is paid once.  True parallelism: the host the 1→N scale
   curve and the benchmark measure.
 
-Either way, batches above ``chunk_frames`` pipeline to the workers in
-chunks, so the parent's hashing/serialization overlaps shard execution,
-and shard state merges in shard order at quiescence (deterministic by
-construction).
+Either way, a window streams to the workers in rounds of
+``chunk_frames`` frames, so the parent's hashing/serialization overlaps
+shard execution, and shard state merges in shard order at quiescence
+(deterministic by construction).
 
 Ordering semantics: per-flow order is preserved (a flow maps to one
 shard; the handoff queues and per-shard routers are FIFO); cross-flow,
@@ -112,6 +112,7 @@ __all__ = [
     "ShardReport",
     "ShardedRouter",
     "TUNABLES",
+    "device_names_of",
     "divide_queue_capacities",
 ]
 
@@ -120,9 +121,12 @@ __all__ = [
 #: ``ExecutionProfile.with_workers(..., queue_capacity=...)``.
 DEFAULT_QUEUE_CAPACITY = 256
 
-#: Default frames per pipelined chunk (``ExecutionProfile.chunk_frames``
-#: or the ``chunk_frames`` constructor keyword override it).
-DEFAULT_CHUNK_FRAMES = 2048
+#: Default frames per dispatch round (``ExecutionProfile.chunk_frames``
+#: or the ``chunk_frames`` constructor keyword override it): the best of
+#: a measured sweep over 64..2048 on two process workers (EXPERIMENTS.md)
+#: — smaller rounds pay per-command overhead, larger ones leave the
+#: workers idle while the first round is hashed.
+DEFAULT_CHUNK_FRAMES = 256
 
 #: Parameter-space declarations for the autotuner (:mod:`repro.tune`).
 #: ``shard.workers`` is declared here so the space covers the whole
@@ -140,7 +144,7 @@ TUNABLES = (
     {
         "name": "shard.chunk_frames",
         "kind": "log_int",
-        "low": 256,
+        "low": 16,
         "high": 8192,
         "default": DEFAULT_CHUNK_FRAMES,
     },
@@ -221,13 +225,12 @@ def _declared_classes(graph):
             yield decl, cls
 
 
-def _device_names_of(graph, devices=None):
-    """The device names the shard mirrors, in deterministic flush
-    order.  When the plane was handed a ``devices`` dict its keys are
-    authoritative; without one, the device elements' declarations
-    name them."""
-    if devices:
-        return list(devices)
+def device_names_of(graph):
+    """The device names a (flattened) configuration talks to, in
+    declaration order — the one resolver the plane, ``click-optimize``,
+    ``click-run`` and the oracle share, so an optimized configuration
+    (whose device elements carry generated class names) names the same
+    devices as its source."""
     from ..elements.devices import PollDevice, ToDevice
 
     names = []
@@ -554,10 +557,12 @@ def _shard_worker(
             if broken is not None and op != "stop":
                 raise broken
             if op == "frames":
-                for name, frame in cmd[1]:
+                _op, name, frames = cmd  # one device's frames, in arrival order
+                receive = devices[name].receive_frame
+                for frame in frames:
                     if poisons and bytes(frame) in poisons:
                         raise PoisonFrameError(name, frame)
-                    devices[name].receive_frame(frame)
+                    receive(frame)
             elif op == "run":
                 worked += router.run_tasks(cmd[1])
             elif op == "mirror":
@@ -884,23 +889,33 @@ class _ProcessTransport:
 
 
 def _prewarm_cache(plane):
-    """Compile the configuration once in the parent and write the
-    codegen cache's disk layer; process workers rehydrate compiled
-    chains from it instead of paying compile/exec each.  Returns the
-    file's path, or None (reference mode, or prewarm failed — it is an
-    optimization only)."""
+    """Compile the configuration once in the parent and write this
+    plane's entries of the codegen cache to its disk layer; process
+    workers rehydrate compiled chains from it instead of paying
+    compile/exec each.  Only the flavors the build below runs are
+    written: a worker recompiles every record it loads, whatever else
+    the process-wide cache holds.  Returns the file's path, or None
+    (reference mode, or prewarm failed — it is an optimization only)."""
     if plane._profile.mode == "reference":
         return None
     try:
         from .codegen_cache import default_cache
 
+        cache = default_cache()
         router, _devices, _divider = _build_shard(
             plane.graph, plane._profile, plane._device_names, plane.meter is not None, 0
         )
+        engine = router.adaptive
+        flavors = [router.fastpath] if engine is None else [engine.tier1, engine.profiled]
+        keys = {
+            cache.key_for(router, flavor.batch, flavor.policy)
+            for flavor in flavors
+            if flavor is not None
+        }
         router.retire()
         handle, path = tempfile.mkstemp(prefix="repro-shard-cache-", suffix=".bin")
         os.close(handle)
-        default_cache().save(path)
+        cache.save(path, keys=keys)
         return path
     except Exception:  # noqa: BLE001 - prewarm is an optimization only
         return None
@@ -979,7 +994,7 @@ class ShardedRouter:
         self._journal_flag = journal
         self._journals = []
         self._shards = []
-        self._device_names = _device_names_of(graph, self.devices)
+        self._device_names = self._mirrored_devices()
         self._dispatched = []
         self._flushed_total = 0
         self._runs = 0
@@ -990,6 +1005,12 @@ class ShardedRouter:
         self._final_report = None
         self._recovery = None
         self.hasher = FlowHasher(max(1, self._profile.workers), self.hash_seed)
+
+    def _mirrored_devices(self):
+        """The device names every shard mirrors, in deterministic flush
+        order: the keys of the ``devices`` dict the plane was handed
+        are authoritative; without one, the graph's declarations."""
+        return list(self.devices) or device_names_of(self.graph)
 
     # -- profile surface ---------------------------------------------------
 
@@ -1047,7 +1068,7 @@ class ShardedRouter:
         if self._started:
             return
         # Early validation: every device a declaration names must resolve.
-        for name in _device_names_of(self.graph):
+        for name in device_names_of(self.graph):
             if self.devices.get(name) is None:
                 from ..errors import ClickSemanticError
 
@@ -1178,9 +1199,10 @@ class ShardedRouter:
 
     def run_tasks(self, iterations=1):
         """One sharded scheduler batch: mirror the real devices'
-        transmit windows into the shards, drain and hash-partition the
-        ingress rings, run every shard ``iterations`` passes, then
-        flush shard output back to the real devices in shard order."""
+        transmit windows into the shards, stream the ingress rings to
+        them in hash-partitioned rounds, run every shard ``iterations``
+        passes, then flush shard output back to the real devices in
+        shard order."""
         if self.retired:
             return 0
         self._ensure_started()
@@ -1191,9 +1213,7 @@ class ShardedRouter:
             # recovered shard re-homes its traffic (and drains its
             # buffer) starting with this run.
             self._recovery.on_run_start()
-        caps = self._mirror_caps()
-        batches = self._drain_and_partition()
-        self._run(iterations, caps, batches)
+        self._dispatch(iterations)
         worked = sum(reply[1] for _shard, reply in self._ask(self._live_shards(), ("sync",)))
         self._flush()
         return worked
@@ -1221,112 +1241,81 @@ class ShardedRouter:
             caps.append(local)
         return caps
 
-    def _drain_and_partition(self):
+    def _dispatch(self, iterations):
+        """Stream one window to the shards in rounds: drain the ingress
+        rings device by device, hash-partition up to ``chunk_frames``
+        frames, and post every shard its part with a partial run at
+        once — the workers execute round *k* while this loop hashes and
+        serializes round *k+1*.  A closing full run guarantees at least
+        ``iterations`` passes after the last frame arrives (the drain
+        the caller sized).
+
+        A shard that is down when a round is hashed gets nothing (and
+        no journal entries): its frames follow the recovery policy.
+        One that goes down *at* a post has the command in its journal
+        already, so replay delivers it; the rounds not yet hashed see
+        it down and re-route."""
+        from ..elements.devices import PollDevice
+
+        caps = self._mirror_caps()
+        for shard in self._live_shards():
+            self._post(shard, ("mirror", caps[shard.index]))
         hasher = self.hasher
         dispatched = self._dispatched
         recovery = self._recovery
-        degraded = recovery is not None and (
-            recovery.down_indices()
-            or recovery.benched_indices()
-            or recovery.quarantined
-        )
-        batches = [[] for _ in range(self.workers)]
+        shards = self._shards
+        chunk = max(1, self.chunk_frames)
         for name in self._device_names:
             device = self.devices.get(name)
             if device is None:
                 continue
             dequeue = device.rx_dequeue
-            while True:
-                frame = dequeue()
-                if frame is None:
-                    break
-                index = hasher(frame)
-                if degraded:
-                    index = recovery.route_frame(index, name, frame)
-                    if index is None:
-                        continue  # buffered or dropped
-                batches[index].append((name, frame))
-                dispatched[index] += 1
-        return batches
+            frame = dequeue()
+            while frame is not None:
+                degraded = recovery is not None and recovery.degraded()
+                parts = [[] for _ in shards]
+                for _ in range(chunk):
+                    index = hasher(frame)
+                    if degraded:
+                        index = recovery.route_frame(index, name, frame)
+                    if index is not None:  # else buffered or dropped
+                        parts[index].append(frame)
+                    frame = dequeue()
+                    if frame is None:
+                        break
+                for shard, part in zip(shards, parts):
+                    if part:
+                        dispatched[shard.index] += len(part)
+                        if self._post(shard, ("frames", name, part)):
+                            self._post(shard, ("run", len(part) // PollDevice.BURST + 1))
+        for shard in self._live_shards():
+            self._post(shard, ("run", iterations))
 
     def _redispatch(self, buffered):
-        """Re-route a benched shard's buffered frames through the
-        degraded policy (they re-steer — the shard is never coming
-        back) and deliver them immediately.  Called by the recovery
-        manager from :meth:`RecoveryManager.bench`."""
+        """Re-route a benched shard's buffered ``(device, frame)`` pairs
+        through the degraded policy (they re-steer — the shard is never
+        coming back) and deliver them immediately.  Called by the
+        recovery manager from :meth:`RecoveryManager.bench`."""
         recovery = self._recovery
-        batches = {}
+        parts = {}
         for name, frame in buffered:
             index = recovery.route_frame(self.hasher(frame), name, frame)
-            if index is None:
-                continue
-            batches.setdefault(index, []).append((name, frame))
-            self._dispatched[index] += 1
-        for index, batch in sorted(batches.items()):
-            self._post(self._shards[index], ("frames", batch))
+            if index is not None:
+                parts.setdefault((index, name), []).append(frame)
+        for (index, name), frames in sorted(parts.items()):
+            self._dispatched[index] += len(frames)
+            self._post(self._shards[index], ("frames", name, frames))
 
     def _deliver_buffered(self, index, buffered):
-        """A recovered shard's buffered frames, delivered in arrival
-        order (journaled — they are now part of the shard's history)."""
-        self._post(self._shards[index], ("frames", list(buffered)))
+        """A recovered shard's buffered ``(device, frame)`` pairs,
+        delivered in arrival order per device (journaled — they are now
+        part of the shard's history)."""
+        parts = {}
+        for name, frame in buffered:
+            parts.setdefault(name, []).append(frame)
+        for name, frames in parts.items():
+            self._post(self._shards[index], ("frames", name, frames))
         self._dispatched[index] += len(buffered)
-
-    def _run(self, iterations, caps, batches):
-        """Dispatch one batch.  A down shard gets no mirror/frames/run
-        commands (and no journal entries for them): nothing was
-        dispatched to it, so replay reconstructs it exactly up to its
-        death point.  One that goes down *during* the dispatch leaves
-        part of its batch neither journaled nor sent; that part
-        re-routes (:meth:`_reroute`)."""
-        from ..elements.devices import PollDevice
-
-        chunk = max(1, self.chunk_frames)
-        for shard in self._live_shards():
-            self._post(shard, ("mirror", caps[shard.index]))
-        if sum(len(batch) for batch in batches) <= chunk:
-            for shard in self._shards:
-                batch = batches[shard.index]
-                if self._down(shard):
-                    self._reroute(shard, batch)
-                elif not batch or self._post(shard, ("frames", batch)):
-                    self._post(shard, ("run", iterations))
-            return
-        # Pipeline: deliver each shard's frames in chunks with a partial
-        # run after each, so workers execute while the parent hashes and
-        # serializes the next chunk; a final full run guarantees at
-        # least ``iterations`` passes after the last frame arrives (the
-        # drain the caller sized).
-        per_shard_chunk = max(PollDevice.BURST, chunk // self.workers)
-        positions = [0] * self.workers
-        progressed = True
-        while progressed:
-            progressed = False
-            for shard in self._shards:
-                index = shard.index
-                batch = batches[index]
-                position = positions[index]
-                if position >= len(batch):
-                    continue
-                if self._down(shard):
-                    positions[index] = len(batch)
-                    self._reroute(shard, batch[position:])
-                    continue
-                progressed = True
-                part = batch[position : position + per_shard_chunk]
-                positions[index] = position + len(part)
-                if self._post(shard, ("frames", part)):
-                    self._post(shard, ("run", len(part) // PollDevice.BURST + 1))
-        for shard in self._live_shards():
-            self._post(shard, ("run", max(1, iterations)))
-
-    def _reroute(self, shard, unsent):
-        """``shard`` died mid-dispatch (found at its mirror, or between
-        pipeline chunks): the rest of its batch was partitioned to it
-        but never journaled, so it re-routes through the degraded
-        policy instead of being lost."""
-        if unsent:
-            self._dispatched[shard.index] -= len(unsent)
-            self._redispatch(unsent)
 
     def _flush(self):
         """Collect and deliver every live shard's fresh output.  A down
@@ -1445,7 +1434,7 @@ class ShardedRouter:
 
             graph = flatten(graph)
         self.graph = graph
-        self._device_names = _device_names_of(graph, self.devices)
+        self._device_names = self._mirrored_devices()
 
     def apply_update(self, update):
         """Install one control-plane update on *every* shard
@@ -1649,9 +1638,10 @@ class ShardedRouter:
                 if cmd[0] != "frames":
                     self._replay(shard, cmd, sync=True)
                     continue
-                for fpos, (name, frame) in enumerate(cmd[1]):
+                name = cmd[1]
+                for fpos, frame in enumerate(cmd[2]):
                     try:
-                        self._replay(shard, ("frames", [(name, frame)]), sync=True)
+                        self._replay(shard, ("frames", name, [frame]), sync=True)
                     except Exception as exc:  # noqa: BLE001 - attributed
                         raise ReplayFrameError(
                             index, name, frame, (position, fpos),
@@ -1703,10 +1693,10 @@ class ShardedRouter:
         replay runs clean."""
         cmd_pos, frame_pos = position
         journal = self._journals[index]
-        frames = list(journal[cmd_pos][1])
-        del frames[frame_pos]
+        op, name, frames = journal[cmd_pos]
+        frames = frames[:frame_pos] + frames[frame_pos + 1 :]
         if frames:
-            journal[cmd_pos] = ("frames", frames)
+            journal[cmd_pos] = (op, name, frames)
         else:
             del journal[cmd_pos]
 

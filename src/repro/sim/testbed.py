@@ -33,6 +33,13 @@ from .platforms import P0
 # The hosts attached to each interface in the evaluation network.
 HOST_ETHERS = ["00:20:6F:00:00:%02X" % i for i in range(8)]
 
+#: What the sharded plane's dispatcher costs per frame (flow key + crc32
+#: + shard pick), in ns — the one definition ``sharded_mlffr``,
+#: ``repro.tune``'s cost model and ``bench_shard.py`` share.  The
+#: benchmark measures it as ``runtime.flowhash.hash_ns_per_frame``
+#: (481-705 ns on the host this was set on; see EXPERIMENTS.md).
+DISPATCH_NS = 650.0
+
 VARIANTS = ["base", "fc", "dv", "xf", "all", "mr", "mr_all", "simple"]
 VARIANT_LABELS = {
     "base": "Base",
@@ -259,7 +266,7 @@ class Testbed:
         cpu_ns = self.true_cpu_ns(variant, packets)
         return fluid.mlffr(cpu_ns, self.platform)
 
-    def sharded_mlffr(self, variant, workers, dispatch_ns=650.0, packets=2000):
+    def sharded_mlffr(self, variant, workers, dispatch_ns=DISPATCH_NS, packets=2000):
         """The fluid-model saturation rate of a sharded data plane:
         ``workers`` shards divide the per-packet forwarding cost, but
         every frame still crosses the single-threaded flow-hash

@@ -17,8 +17,9 @@ per-packet cost over a fixed packet horizon:
   candidate node budget (:func:`repro.runtime.fdd.build_diagram`) and
   credits the saved loads and matcher calls, taxed per diagram node;
 - sharding takes the max of the dispatch cost (hash + handoff amortized
-  by queue capacity + queue memory-footprint tax) and the per-worker
-  share;
+  by queue capacity + queue memory-footprint tax; on process workers
+  also the pipe, a serial head that grows with the dispatch round and a
+  per-round cost that falls with it) and the per-worker share;
 - supervision adds a small per-packet tax shrinking with the backoff
   and error budget.
 
@@ -31,6 +32,8 @@ assignment always scores identically.
 
 from __future__ import annotations
 
+from ..sim.testbed import DISPATCH_NS
+
 __all__ = ["CostModel"]
 
 #: Packet horizon the phase-weighted average is taken over.
@@ -38,7 +41,10 @@ HORIZON = 100_000
 
 # Calibration constants (ns unless noted).  FAST_FACTOR and TIER2_GAIN
 # track the measured fastpath/adaptive bench ratios; the shard dispatch
-# anchor matches Testbed.sharded_mlffr's default dispatch_ns.
+# anchor *is* Testbed.sharded_mlffr's default dispatch_ns, itself set
+# from the measured hash.  ROUND_SYNC_NS and WINDOW_FRAMES are fitted
+# to the measured round-size sweep (EXPERIMENTS.md: 64 -> 2048 frames
+# per round on two process workers, best at 256).
 FAST_FACTOR = 0.33  # compiled tier-1 cost as a share of reference
 TIER2_GAIN = 0.82  # hot-path cost after the profile-guided recompile
 BATCH_GAIN = 0.94  # batch dispatch rides the branch predictor
@@ -48,11 +54,12 @@ RECOMPILE_NS = 1.5e6  # one tier-2 recompile
 LOAD_NS = 14.0  # one redundant header load an FDD elides
 MATCH_NS = 35.0  # one generic matcher invocation an FDD elides
 NODE_TAX_NS = 0.08  # icache/dispatch tax per materialized FDD node
-HASH_NS = 650.0  # flow-hash dispatch per packet (sharded)
+HASH_NS = DISPATCH_NS  # flow-hash dispatch per packet (sharded)
 HANDOFF_NS = 1200.0  # per-batch SPSC handoff, amortized by capacity
 QMEM_NS = 0.11  # queue memory footprint tax per capacity slot
 PIPE_NS = 900.0  # process backend: pipe serialization per packet
-CHUNK_SYNC_NS = 2.0e5  # process backend: per-chunk synchronization
+ROUND_SYNC_NS = 6.0e4  # process backend: posting and running one round
+WINDOW_FRAMES = 1024  # frames one device drain hands the dispatcher
 SUPERVISE_NS = 6.0  # supervised dispatch indirection
 TRIP_NS = 400.0  # watchdog probe cost, amortized by backoff
 RECORD_NS = 120.0  # error-record bookkeeping, shrinks with budget
@@ -152,8 +159,13 @@ class CostModel:
                 + QMEM_NS * capacity
             )
             if self.shard_backend == "process":
+                # Two opposed terms: the workers idle while the first
+                # round is hashed and serialized (a head that grows with
+                # the round, amortized over the drain), and every round
+                # costs its commands and a partial run (falls with it).
                 chunk = int(params["shard.chunk_frames"])
-                dispatch += PIPE_NS + CHUNK_SYNC_NS / chunk
+                head = (HASH_NS + PIPE_NS) * min(chunk, WINDOW_FRAMES) / WINDOW_FRAMES
+                dispatch += PIPE_NS + head + ROUND_SYNC_NS / chunk
             average = max(dispatch, average / self.workers)
         if self.supervised:
             backoff = int(params["supervisor.backoff"])

@@ -388,7 +388,7 @@ def compare_recovery(case, kind, policy="resteer", backend="thread", seed=1, wor
         )
 
     profile = (
-        mode_profile("fast")
+        mode_profile("shard-fast")  # the oracle's small dispatch round
         .with_workers(workers, backend)
         .with_recovery(config=_recovery_config(policy))
     )

@@ -48,13 +48,15 @@ exempt from the diff.
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import replace
 
 from ..core.pipeline import named_pipeline
 from ..core.toolchain import load_config, save_config
-from ..elements.devices import LoopbackDevice
+from ..elements.devices import LoopbackDevice, PollDevice
 from ..elements.runtime import build_router
 from ..runtime.adaptive import AdaptiveConfig
 from ..runtime.profile import ExecutionProfile
+from ..runtime.shard import device_names_of
 
 #: Mode label -> (Router mode, batch flavor).  ``batch`` is the batched
 #: fast path; a forced mid-run deopt rides in as a ``["deopt"]`` event.
@@ -80,16 +82,23 @@ SHARD_MODES = OrderedDict(("shard-%s" % label, label) for label in MODES)
 #: tier-1 -> tier-2 transition (mirrors the equivalence tests).
 EAGER = dict(threshold=48, sample=4, min_samples=12)
 
+#: An eager dispatch round (``chunk_frames``) for the same reason: at
+#: the default, no fuzz or chaos trace would ever span two rounds of
+#: the sharded plane's streamed dispatch.
+SHARD_ROUND = 2 * PollDevice.BURST
+
 
 def mode_profile(mode, supervised=False):
     """The :class:`~repro.runtime.profile.ExecutionProfile` the oracle
     runs a mode label under (eager adaptive thresholds included, so
     short fuzz traces still cross the tier transition).  ``shard-*``
     labels return the base mode's profile sharded across
-    :data:`SHARD_WORKERS` thread-backend workers."""
+    :data:`SHARD_WORKERS` thread-backend workers, dispatching in
+    rounds of :data:`SHARD_ROUND` frames."""
     base = SHARD_MODES.get(mode)
     if base is not None:
-        return mode_profile(base, supervised=supervised).with_workers(SHARD_WORKERS)
+        sharded = mode_profile(base, supervised=supervised).with_workers(SHARD_WORKERS)
+        return replace(sharded, chunk_frames=SHARD_ROUND)
     router_mode, batch = MODES[mode]
     if router_mode == "adaptive":
         profile = ExecutionProfile.tiered(config=AdaptiveConfig(**EAGER))
@@ -101,25 +110,16 @@ def mode_profile(mode, supervised=False):
         profile = profile.with_supervision()
     return profile
 
-_DEVICE_CLASSES = ("PollDevice", "ToDevice")
-
-
 def device_names(config_text):
-    """Every device name the configuration references, scanned from the
-    *unoptimized* parse (optimizers may rename element classes, but they
-    never change which devices a configuration talks to)."""
+    """Every device name the configuration text references (optimizers
+    rename element classes, so declarations are resolved the way the
+    router build resolves them: :func:`~repro.runtime.shard.device_names_of`)."""
     graph = load_config(config_text, "<fuzz>")
     if graph.element_classes:
         from ..core.flatten import flatten
 
         graph = flatten(graph)
-    names = []
-    for decl in graph.elements.values():
-        if decl.class_name in _DEVICE_CLASSES:
-            name = decl.config.split(",")[0].strip()
-            if name and name not in names:
-                names.append(name)
-    return names
+    return device_names_of(graph)
 
 
 def optimize_config(config_text):

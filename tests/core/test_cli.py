@@ -143,6 +143,35 @@ class TestOptimizeMain:
         ) == 0
         assert open(optimized_path).read() == chained
 
+    def test_devices_resolve_on_already_optimized_input(self, tmp_path):
+        """The ``paper`` pipeline names device elements by generated
+        classes (``Devirtualize@@...``), so its output as *input* has no
+        declaration of class ``PollDevice`` or ``ToDevice``: every tool
+        that lists a configuration's devices resolves classes the way
+        the router build does (``repro.runtime.device_names_of``)."""
+        import json
+
+        from repro.configs.iprouter import ip_router_config
+        from repro.core.driver import run_config
+        from repro.verify.oracle import device_names
+
+        source = tmp_path / "ip.click"
+        source.write_text(ip_router_config())
+        optimized = str(tmp_path / "optimized.click")
+        assert cli.optimize_main([str(source), "-o", optimized]) == 0
+        text = open(optimized).read()
+        assert "Devirtualize@@" in text
+        assert device_names(text) == device_names(ip_router_config()) == ["eth0", "eth1"]
+        _router, devices = run_config(text, iterations=1)  # click-run
+        assert sorted(devices) == ["eth0", "eth1"]
+        report_path = str(tmp_path / "report.json")
+        assert cli.optimize_main(
+            [optimized, "--pipeline", "cleanup", "-o", os.devnull,
+             "--fast", "--workers", "2", "--report", report_path]
+        ) == 0
+        shard = json.load(open(report_path))["fastpath"]["shard"]
+        assert shard["workers"] == 2 and shard["runs"] == 1
+
     def test_report_json_covers_all_five_passes(self, tmp_path):
         import json
 

@@ -16,7 +16,6 @@ from repro.core.toolchain import save_config
 from repro.elements.devices import LoopbackDevice
 from repro.elements.runtime import build_router
 from repro.runtime import ExecutionProfile, RecoveryConfig, RecoveryError
-from repro.runtime.codegen_cache import default_cache
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.testbed import HOST_ETHERS, Testbed, host_ip
 from repro.verify.chaos import _affected_predicate, compare_recovery
@@ -29,14 +28,6 @@ def stock(name, events=48):
     return cases[name]
 
 
-def fresh_codegen_cache():
-    """Spawned workers load the parent's *whole* codegen cache: start a
-    process-hosted plane from an empty one, so its workers pay for this
-    plane's chains and not for every test that compiled before it
-    (measured in the full suite: 2.5 s per spawn, 0.3 s after)."""
-    default_cache().clear()
-
-
 def recovery_testbed(workers=4, backend="thread", policy="buffer", **knobs):
     """A live self-healing iprouter plane over the deterministic
     testbed, plus its devices and the testbed itself."""
@@ -44,8 +35,6 @@ def recovery_testbed(workers=4, backend="thread", policy="buffer", **knobs):
     knobs.setdefault("watchdog_timeout", 0.5)
     knobs.setdefault("heartbeat_timeout", 2.0)
     knobs.setdefault("prepare_timeout", 2.0)
-    if backend == "process":
-        fresh_codegen_cache()
     testbed = Testbed(2)
     graph = testbed.variant_graph("base")
     devices = {
@@ -129,7 +118,6 @@ class TestScenarioHarness:
     def test_crash_loop_quarantines(self):
         case = stock("iprouter-mtu1500")
         for backend in ("thread", "process"):
-            fresh_codegen_cache()
             result = compare_recovery(
                 case, "crash-loop", policy="buffer", backend=backend, seed=3
             )
@@ -151,6 +139,9 @@ class TestKillAndHeal:
 
     plane = {"backend": "thread"}
     hang_deadline = {"watchdog_timeout": 0.25}
+    #: A killed thread refuses the very next command; a killed process
+    #: may still take a few into its pipe before the kernel reaps it.
+    kill_refuses_next_post = True
 
     @staticmethod
     def assert_healed(report):
@@ -165,6 +156,40 @@ class TestKillAndHeal:
             router.run_tasks(8)
             self.assert_healed(router._recovery.report())
             reference = reference_transmit(testbed.evaluation_frames(128))
+            diff = degraded_transmit_difference(
+                reference, transmitted_hex(devices), affected=None
+            )
+            assert diff is None, diff
+        finally:
+            router.close()
+
+    def test_kill_between_rounds_of_one_window_is_lossless(self):
+        """A worker killed while the coordinator streams a window: what
+        was posted is in the journal and replays, the rounds not yet
+        hashed re-route through the policy (buffered, then delivered in
+        order to the restarted shard) — nothing lost, per-flow order
+        kept."""
+        testbed, router, devices = recovery_testbed(policy="buffer", **self.plane)
+        router.chunk_frames = chunk = 16
+        try:
+            drive(testbed, router, devices, 64)
+            device = devices["eth0"]  # drained first
+            dequeue, served = device.rx_dequeue, []
+
+            def dequeue_and_kill():
+                served.append(None)
+                if len(served) == chunk + 2:  # the second round is being hashed
+                    router.kill_worker(1)
+                return dequeue()
+
+            device.rx_dequeue = dequeue_and_kill
+            drive(testbed, router, devices, 192, offset=64)
+            router.run_tasks(8)
+            report = router._recovery.report()
+            self.assert_healed(report)
+            if self.kill_refuses_next_post:
+                assert report.frames_buffered > 0 and report.buffer_drops == 0
+            reference = reference_transmit(testbed.evaluation_frames(256))
             diff = degraded_transmit_difference(
                 reference, transmitted_hex(devices), affected=None
             )
@@ -220,6 +245,7 @@ class TestKillAndHealOverProcess(TestKillAndHeal):
         "prepare_timeout": 30.0,
     }
     hang_deadline = {"heartbeat_timeout": 2.0}
+    kill_refuses_next_post = False
     test_worker_faults_require_recovery_policy = None  # starts no worker
 
     @staticmethod

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import zlib
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.net.headers import build_ether_udp_packet
 from repro.runtime.flowhash import (
     DEFAULT_SEED,
     FlowHasher,
+    _general_flow_key,
     flow_key,
     output_flow_key,
     shard_of,
@@ -71,6 +73,57 @@ class TestFlowKey:
 
     def test_short_frame_safe(self):
         assert flow_key(b"\x00" * 10) == b"\x00" * 10
+
+
+def fast_key_corpus(seed=20260929, count=4000):
+    """Seeded frames on both sides of every condition of the fast key:
+    IPv4 or not, IHL 5 through 15 (and the invalid 0-4), whole / MF /
+    offset fragments with DF and the reserved bit set or clear, TCP /
+    UDP / ICMP / other protocols, and every length from empty through
+    the first byte at which ports exist — including IP-with-options
+    frames cut short of theirs."""
+    rng = random.Random(seed)
+    corpus = [bytes(length) for length in range(40)]
+    for _ in range(count):
+        frame = bytearray(udp_frame(sport=rng.randrange(1 << 16), dport=rng.randrange(1 << 16)))
+        frame += bytes(rng.randrange(256) for _ in range(48))  # room for IP options
+        if rng.random() < 0.15:
+            frame[12:14] = rng.choice([b"\x08\x06", b"\x86\xdd", b"\x08\x01", b"\x00\x08"])
+        if rng.random() < 0.5:
+            frame[14] = (rng.choice([4, 4, 4, 6, 0]) << 4) | rng.randrange(16)
+        frame[23] = rng.choice([6, 17, 17, 1, 47, rng.randrange(256)])
+        if rng.random() < 0.4:
+            frame[20] = rng.choice([0x00, 0x20, 0x40, 0x60, 0x80, 0x1F, 0x01, rng.randrange(256)])
+            frame[21] = rng.choice([0, 0, 1, rng.randrange(256)])
+        if rng.random() < 0.4:
+            del frame[rng.randrange(len(frame) + 1) :]
+        corpus.append(bytes(frame))
+    return corpus
+
+
+class TestFastKey:
+    """The common-frame fast path inside ``flow_key`` yields the general
+    rules' bytes — hence the same placement — for every frame."""
+
+    @pytest.mark.parametrize("view", [bytes, bytearray, memoryview])
+    def test_equals_the_general_rules_on_a_seeded_corpus(self, view):
+        fast = general_only = 0
+        for frame in fast_key_corpus():
+            expected = _general_flow_key(frame)
+            key = flow_key(view(frame))
+            assert type(key) is bytes
+            assert key == expected, frame.hex()
+            if len(key) == 14 and key[:1] == b"\x04" and frame[14:15] == b"\x45":
+                fast += 1
+            else:
+                general_only += 1
+        # The corpus is on both sides of the fast path.
+        assert fast > 200 and general_only > 200
+
+    def test_workload_frames_take_the_same_placement(self):
+        for sport in range(64):
+            frame = udp_frame(sport=1000 + sport)
+            assert shard_of(frame, 4) == zlib.crc32(_general_flow_key(frame), DEFAULT_SEED) % 4
 
 
 class TestStability:

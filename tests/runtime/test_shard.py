@@ -32,10 +32,6 @@ def sharded_testbed(workers, backend="thread", meter=None, journal=None, variant
     profile = ExecutionProfile.fast(batch=True)
     if workers > 1:
         profile = profile.with_workers(workers, backend)
-    if backend == "process":
-        # Spawned workers load the parent's *whole* codegen cache: start
-        # from an empty one, so they pay for this plane's chains only.
-        default_cache().clear()
     router = build_router(graph, meter=meter, devices=devices, profile=profile)
     if journal is not None and workers > 1:
         router._journal_flag = journal
@@ -324,6 +320,48 @@ class TestCrashReplay:
         finally:
             router.close()
 
+    def test_singly_replay_names_the_poison_frames_position(self):
+        """Frame-granular replay attributes a killer frame to its
+        ``(command, frame)`` position in the journal's
+        ``("frames", device, [frame, ...])`` commands, and quarantine's
+        strip removes exactly that frame."""
+        from repro.runtime.recovery import ReplayFrameError
+
+        testbed, router, devices = sharded_testbed(2, journal=True)
+        try:
+            drive(testbed, router, devices, 40)
+            fresh = testbed.evaluation_frames(120)[40:]
+            home = 1
+            homed = [(n, f) for n, f in fresh if n == "eth0" and router.hasher(f) == home][:5]
+            poison = homed[2][1]  # mid-command: two frames before it, two after
+            router.arm_poison(poison)
+            for name, frame in homed:
+                devices[name].receive_frame(frame)
+            with pytest.raises(RuntimeError, match="shard worker 1"):
+                router.run_tasks(4)  # no recovery policy: the death is fatal
+            journal = router._journals[home]
+            expected = max(i for i, cmd in enumerate(journal) if cmd[0] == "frames")
+            assert journal[expected] == ("frames", "eth0", [f for _n, f in homed])
+            with pytest.raises(ReplayFrameError) as caught:
+                router._revive_shard(home, singly=True)
+            assert caught.value.position == (expected, 2)
+            assert (caught.value.device, caught.value.frame) == ("eth0", poison)
+            before = list(journal)
+            router._strip_journal_frame(home, caught.value.position)
+            assert journal[expected] == ("frames", "eth0", [f for _n, f in homed if f != poison])
+            assert journal[:expected] + journal[expected + 1 :] == (
+                before[:expected] + before[expected + 1 :]
+            )
+            router._revive_shard(home, singly=True)  # clean now
+            router.run_tasks(4)
+            assert sum(len(d.transmitted) for d in devices.values()) == 44
+            # A command emptied by the strip goes with its frame.
+            router._journals[home].append(("frames", "eth1", [poison]))
+            router._strip_journal_frame(home, (len(journal) - 1, 0))
+            assert journal[-1][0] != "frames"
+        finally:
+            router.close()
+
     def test_crash_without_journal_raises(self):
         testbed, router, devices = sharded_testbed(2, journal=False)
         try:
@@ -428,6 +466,88 @@ class TestProcessBackend:
             assert total == 120
         finally:
             router.close()
+
+
+class TestStreamedRounds:
+    CHUNK = 16
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_rounds_deliver_the_one_shot_partition(self, backend):
+        """Whatever the window's size against the round's, every shard
+        receives, per device and in arrival order, exactly the frames a
+        whole-window partition gives it — and a window above one round
+        crosses in several ``("frames", device, [frame, ...])`` commands."""
+        chunk = self.CHUNK
+        testbed, router, devices = sharded_testbed(2, backend=backend, journal=True)
+        router.chunk_frames = chunk
+        try:
+            offset = 0
+            for size in (0, 1, chunk - 1, chunk, chunk + 1, 5 * chunk + 3):
+                frames = testbed.evaluation_frames(offset + size)[offset:]
+                offset += size
+                marks = [len(journal) for journal in router._journals]
+                for name, frame in frames:
+                    devices[name].receive_frame(frame)
+                router.run_tasks(size // 8 + 16)
+                for index, journal in enumerate(router._journals):
+                    commands = [cmd for cmd in journal[marks[index] :] if cmd[0] == "frames"]
+                    assert all(0 < len(cmd[2]) <= chunk for cmd in commands)
+                    for device in devices:
+                        streamed = [
+                            frame for cmd in commands if cmd[1] == device for frame in cmd[2]
+                        ]
+                        assert streamed == [
+                            frame
+                            for name, frame in frames
+                            if name == device and router.hasher(frame) == index
+                        ]
+                    if size > 2 * len(devices) * chunk:  # some device holds over a round
+                        assert len(commands) > len(devices)
+            assert sum(router.report().dispatched) == offset
+            assert sum(len(d.transmitted) for d in devices.values()) == offset
+        finally:
+            router.close()
+
+
+class TestPrewarmCache:
+    @pytest.mark.parametrize(
+        "profile, flavors",
+        [(ExecutionProfile.fast(batch=True), 1), (ExecutionProfile.tiered(), 2)],
+    )
+    def test_workers_load_this_planes_flavors_only(self, profile, flavors):
+        """The file a process plane ships its workers holds the plane's
+        own compiled flavors — a worker recompiles every record it
+        loads — whatever else the parent's process-wide cache holds."""
+        import os
+
+        from repro.runtime.codegen_cache import CodegenCache
+        from repro.runtime.shard import _prewarm_cache
+
+        # Something else in the parent's cache: another configuration,
+        # and this one under another flavor.
+        Router(
+            parse_graph(TestDivideQueueCapacities.GRAPH, "<other>"),
+            devices={name: LoopbackDevice(name) for name in ("eth0", "eth1")},
+            profile=ExecutionProfile.fast(),
+        )
+        _testbed, other, _devices = sharded_testbed(1)
+        other.configure(ExecutionProfile.fdd())
+        assert len(default_cache()) >= 3
+        testbed = Testbed(2)
+        graph = testbed.variant_graph("base")
+        plane = build_router(
+            graph,
+            devices={i.device: LoopbackDevice(i.device) for i in testbed.interfaces},
+            profile=profile.with_workers(2, "process"),
+        )
+        path = _prewarm_cache(plane)
+        try:
+            loaded = CodegenCache()
+            assert loaded.load(path) == flavors
+            assert {key[0] for key in loaded._disk} == {graph.fingerprint()}
+            assert {key[2] for key in loaded._disk} == {profile.batch}
+        finally:
+            os.unlink(path)
 
 
 class TestQueueCapacityKnob:
@@ -558,13 +678,13 @@ def check_divide_capacity_divides_renamed_queues(backend):
     scan finds the renamed device elements."""
     from repro.core import load_config, named_pipeline, save_config
     from repro.elements.infrastructure import Queue
-    from repro.runtime.shard import _device_names_of
+    from repro.runtime.shard import device_names_of
 
     testbed = Testbed(2)
     text = save_config(named_pipeline("paper").run(testbed.base_graph()).graph)
     graph = load_config(text)
     assert "Queue" not in {decl.class_name for decl in graph.elements.values()}
-    assert sorted(_device_names_of(graph)) == ["eth0", "eth1"]
+    assert sorted(device_names_of(graph)) == ["eth0", "eth1"]
 
     single, _devices = testbed.build_router(load_config(text), profile=ExecutionProfile.fast())
     capacities = {

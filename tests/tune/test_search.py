@@ -101,3 +101,28 @@ class TestArtifact:
         profile = ExecutionProfile.tiered().with_tuning(tuned)
         assert profile.adaptive.threshold == tuned.params["adaptive.threshold"]
         assert profile.workers == 1  # construction shape untouched
+
+
+class TestChunkTerm:
+    def test_model_prefers_the_measured_round_size(self):
+        """The process backend's chunk term has the measured shape: a
+        serial head that grows with the round beside a per-round cost
+        that falls with it, so the model's best ``shard.chunk_frames``
+        is within one octave of the default the measured sweep chose —
+        and the default is not an edge of the range."""
+        from repro.runtime.shard import DEFAULT_CHUNK_FRAMES
+        from repro.tune.objective import CostModel
+        from repro.tune.workloads import workload
+
+        space = default_space(mode="fast", workers=2)
+        chunk = space.params["shard.chunk_frames"]
+        assert chunk.low < DEFAULT_CHUNK_FRAMES < chunk.high
+        model = CostModel(workload("iprouter"), mode="fast", workers=2, shard_backend="process")
+        sizes = [1 << power for power in range(20) if chunk.low <= 1 << power <= chunk.high]
+        costs = {
+            size: model.effective_ns(dict(space.defaults(), **{"shard.chunk_frames": size}))
+            for size in sizes
+        }
+        best = min(costs, key=costs.get)
+        assert DEFAULT_CHUNK_FRAMES // 2 <= best <= DEFAULT_CHUNK_FRAMES * 2, costs
+        assert costs[best] < costs[sizes[0]] and costs[best] < costs[sizes[-1]]
