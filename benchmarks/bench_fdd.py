@@ -52,7 +52,6 @@ from bench_adaptive import (  # noqa: E402
 )
 from repro.elements.devices import PollDevice  # noqa: E402
 from repro.runtime.adaptive import AdaptiveConfig  # noqa: E402
-from repro.runtime.fdd import FDDEngine  # noqa: E402
 
 MODES = ["reference", "fast", "adaptive_warm", "fdd_cold", "fdd_warm"]
 
@@ -92,7 +91,7 @@ def measure_round(builder, mode, packets, warmup=256):
     if router.adaptive is not None:
         chains = router.adaptive.profile_report().as_dict()["chains"]
         promoted = sum(1 for chain in chains.values() if chain["tier"] == 2)
-        if isinstance(router.adaptive, FDDEngine):
+        if router.mode == "fdd":
             diagrams = router.adaptive.diagram_report()["totals"]
     return packets / elapsed, promoted, diagrams
 

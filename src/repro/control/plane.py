@@ -209,12 +209,12 @@ class ControlPlane:
             decl = graph.elements.get(change.name)
             if decl is not None:
                 decl.config = change.new_config
-            if router.adaptive is not None:
+            if router.engine is not None:
                 # Compiled chains may have baked in the old table
                 # (hot-route constants, guarded classifier arms, FDD
                 # diagrams); the engine demotes or rebuilds exactly the
                 # chains that can reach this element.
-                rebuilt.extend(router.adaptive.on_table_patch(change.name, kind))
+                rebuilt.extend(router.engine.on_table_patch(change.name, kind))
 
         report = SwapReport("in-place", profile=router.profile.label)
         report.delta = delta.summary()

@@ -21,7 +21,7 @@ manager (per-pass timing, graph deltas, inter-pass validation; see
 from .align import align, compute_alignments
 from .check import check, click_check
 from .combine import Link, combine, eliminate_arp, uncombine
-from .devirtualize import devirtualize, make_devirtualize_tool, sharing_classes
+from .devirtualize import devirtualize, sharing_classes
 from .fastclassifier import fastclassifier
 from .flatten import flatten
 from .mkmindriver import make_minimal_class_table, mkmindriver, required_classes
@@ -42,7 +42,7 @@ from .pretty import pretty_html
 from .specialize import DevirtualizedMixin, make_devirtualized_class
 from .toolchain import chain, load_config, run_tool_on_text, save_config, tool_specs
 from .undead import undead
-from .xform import PatternPair, make_xform_tool, xform
+from .xform import PatternPair, xform
 
 __all__ = [
     "align",
@@ -54,7 +54,6 @@ __all__ = [
     "eliminate_arp",
     "uncombine",
     "devirtualize",
-    "make_devirtualize_tool",
     "sharing_classes",
     "fastclassifier",
     "flatten",
@@ -75,7 +74,6 @@ __all__ = [
     "undead",
     "xform",
     "PatternPair",
-    "make_xform_tool",
     "NAMED_PIPELINES",
     "Pass",
     "PassError",

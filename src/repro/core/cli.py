@@ -421,7 +421,7 @@ def _write_report_with_fastpath(dest, report, fastpath_section):
 
 
 def _format_diagram_report(report):
-    """Human-readable rendering of :meth:`FDDEngine.diagram_report`."""
+    """Human-readable rendering of :meth:`AdaptiveEngine.diagram_report`."""
     lines = [
         "forwarding decision diagrams (node budget %d):" % report["node_budget"]
     ]
@@ -481,7 +481,7 @@ def _fastpath_report(
     recovery section."""
     from ..elements.devices import LoopbackDevice
     from ..elements.runtime import Router
-    from ..runtime import ExecutionProfile
+    from ..runtime import ExecutionProfile, FastPath, default_cache
 
     class AutoDevices(dict):
         # The optimized config can name any hardware; every lookup
@@ -505,24 +505,22 @@ def _fastpath_report(
     if tuned is not None:
         run_profile = run_profile.with_tuning(tuned)
     router = Router(graph, devices=AutoDevices(), profile=run_profile)
-    if adaptive or fdd:
-        engine = router.adaptive
+    engine = router.engine
+    if engine is None:
+        # No tier flag (plain --fast): compile, don't install, report.
+        compile_report = FastPath(router, cache=default_cache()).report
+    else:
         compile_report = engine.tier1.report
-        text = compile_report.format()
+    text = compile_report.format()
+    section = compile_report.as_dict()
+    if adaptive or fdd:
         if profile:
             text += "\n" + engine.profile_report().format()
-        section = compile_report.as_dict()
         section["adaptive"] = engine.profile_report().as_dict()
         if fdd:
             diagram = engine.diagram_report()
             section["fdd"] = diagram
             text += "\n" + _format_diagram_report(diagram)
-    else:
-        if router.fastpath is None:
-            router.compile_fastpath()
-        compile_report = router.fastpath.report
-        text = compile_report.format()
-        section = compile_report.as_dict()
     if supervised:
         resilience = router.supervisor.report()
         text += "\n" + resilience.format()

@@ -390,12 +390,9 @@ def _record(name, seconds, iterations, before, graph):
     )
 
 
-def tool_api(name=None, legacy=()):
-    """Unify a tool behind the ``tool(graph, **options)`` convention.
-
-    The decorated function keeps working with its legacy positional
-    options, but those emit a :class:`DeprecationWarning`; new callers
-    pass options by keyword only.  The tool also gains
+def tool_api(name=None):
+    """Unify a tool behind the ``tool(graph, **options)`` convention:
+    options are keyword-only.  The tool also gains
     ``tool.as_pass(**options)``, a factory producing a bound
     :class:`Pass` (the reserved keywords ``fixpoint`` and
     ``max_iterations`` configure the pass itself).
@@ -405,31 +402,7 @@ def tool_api(name=None, legacy=()):
         tool_name = name or fn.__name__
 
         @functools.wraps(fn)
-        def tool(graph, *args, **options):
-            if args:
-                if len(args) > len(legacy):
-                    raise TypeError(
-                        "%s() takes at most %d positional option(s) (%d given)"
-                        % (tool_name, len(legacy), len(args))
-                    )
-                warnings.warn(
-                    "%s(): positional options are deprecated; use keyword "
-                    "arguments (%s)"
-                    % (
-                        tool_name,
-                        ", ".join(
-                            "%s=..." % param for param in legacy[: len(args)]
-                        ),
-                    ),
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                for param, value in zip(legacy, args):
-                    if param in options:
-                        raise TypeError(
-                            "%s() got multiple values for option %r" % (tool_name, param)
-                        )
-                    options[param] = value
+        def tool(graph, **options):
             return fn(graph, **options)
 
         def as_pass(**options):
@@ -442,7 +415,6 @@ def tool_api(name=None, legacy=()):
             )
 
         tool.pass_name = tool_name
-        tool.legacy_params = tuple(legacy)
         tool.as_pass = as_pass
         return tool
 

@@ -18,7 +18,6 @@ Patterns are applied until no occurrence of any pattern remains.
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass
 
 from ..errors import ClickSemanticError
@@ -221,7 +220,7 @@ class _Matcher:
         self.host.replace_subgraph(set(mapping.values()), body, boundary)
 
 
-@tool_api(legacy=("patterns",))
+@tool_api()
 def xform(graph, patterns=None):
     """The tool: apply every pattern pair until fixpoint.
 
@@ -259,13 +258,3 @@ def xform(graph, patterns=None):
                         % (applications, len(result.elements))
                     )
     return result
-
-
-def make_xform_tool(pairs):
-    """Deprecated alias for ``xform.as_pass(patterns=...)``."""
-    warnings.warn(
-        "make_xform_tool() is deprecated; use xform.as_pass(patterns=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return xform.as_pass(patterns=pairs)

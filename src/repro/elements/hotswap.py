@@ -31,15 +31,12 @@ the new compile as *donors* — every chain whose reachable elements are
 untouched by the delta is spliced in verbatim instead of re-emitted
 (see :meth:`FastPath._reuse_chain`).  ``hotswap`` returns a
 :class:`SwapResult` carrying the new router and a :class:`SwapReport`
-with per-phase timings and the recompiled-vs-reused chain counts; the
-result proxies attribute access to the router (with a
-``DeprecationWarning``) so pre-SwapResult callers keep working.
+with per-phase timings and the recompiled-vs-reused chain counts.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from collections import OrderedDict
 
 from ..graph.diff import diff_graphs
@@ -125,25 +122,13 @@ class SwapReport:
 
 class SwapResult:
     """What :func:`hotswap` returns: the new live router plus the
-    :class:`SwapReport` describing the swap.  Unknown attributes proxy
-    to ``.router`` with a ``DeprecationWarning`` so callers written
-    against the old router-returning signature keep working."""
+    :class:`SwapReport` describing the swap."""
 
     __slots__ = ("router", "report")
 
     def __init__(self, router, report):
         self.router = router
         self.report = report
-
-    def __getattr__(self, name):
-        router = self.router
-        warnings.warn(
-            "hotswap() returns a SwapResult; reading .%s off it is "
-            "deprecated; use result.router.%s" % (name, name),
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(router, name)
 
     def __repr__(self):
         return "SwapResult(router=%r, report=%r)" % (self.router, self.report)
@@ -166,18 +151,10 @@ def _compatible(new_element, old_element):
 
 
 def _live_fastpaths(router):
-    """Every compiled :class:`FastPath` the router currently holds —
-    the plain fast path plus the adaptive engine's tiers — for use as
-    scoped-swap reuse donors or for chain accounting."""
-    paths = []
-    if getattr(router, "fastpath", None) is not None:
-        paths.append(router.fastpath)
-    engine = getattr(router, "adaptive", None)
-    if engine is not None:
-        for path in (engine.tier1, engine.profiled, engine.tier2_fp):
-            if path is not None:
-                paths.append(path)
-    return paths
+    """Every compiled :class:`FastPath` the router's engine holds, for
+    use as scoped-swap reuse donors or for chain accounting."""
+    engine = getattr(router, "engine", None)
+    return engine.flavors() if engine is not None else []
 
 
 def chain_totals(fastpaths):
@@ -196,8 +173,7 @@ def chain_totals(fastpaths):
     return recompiled, reused, cache_hit
 
 
-def hotswap(old_router, new_graph, profile=None, mode=None, batch=None,
-            validate=True, delta=None, **router_kwargs):
+def hotswap(old_router, new_graph, profile=None, validate=True, delta=None, **router_kwargs):
     """Two-phase-commit hot-swap: build a Router from ``new_graph``,
     transferring state from ``old_router`` for same-named compatible
     elements and carrying the old router's
@@ -209,29 +185,7 @@ def hotswap(old_router, new_graph, profile=None, mode=None, batch=None,
     router's fast paths instead of recompiled.  On success the old
     router is retired and a :class:`SwapResult` returned; on any
     failure a :class:`HotswapError` is raised and the old router keeps
-    serving, untouched.  ``mode`` / ``batch`` are deprecated; use
-    ``profile``."""
-    if mode is not None or batch is not None:
-        warnings.warn(
-            "hotswap(mode=..., batch=...) is deprecated; use "
-            "hotswap(..., profile=ExecutionProfile(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if profile is not None:
-            raise ValueError("pass profile or legacy mode/batch, not both")
-        base = old_router.profile
-        try:
-            profile = base.with_mode(
-                mode if mode is not None else base.mode, batch=batch
-            )
-        except ValueError as exc:
-            # The legacy signature promised HotswapError on a bad mode,
-            # with the old router untouched.
-            raise HotswapError(
-                "invalid execution mode for hot-swap; old router still "
-                "serving: %s" % exc
-            ) from exc
+    serving, untouched."""
     if profile is None:
         profile = old_router.profile
 

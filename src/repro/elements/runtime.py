@@ -15,8 +15,8 @@ configuration's private class table before resolving class names.
 
 from __future__ import annotations
 
-import warnings
 from collections import ChainMap
+from dataclasses import replace
 
 from ..errors import ClickSemanticError
 from ..graph.ports import PULL, PUSH, resolve_processing
@@ -51,34 +51,15 @@ def compile_archive_classes(archive):
 class Router:
     """A running router built from a configuration graph."""
 
-    def __init__(
-        self,
-        graph,
-        extra_classes=None,
-        meter=None,
-        devices=None,
-        profile=None,
-        mode=None,
-        batch=None,
-        adaptive_config=None,
-        supervised=None,
-        supervisor_config=None,
-    ):
-        profile = self._fold_legacy_kwargs(
-            profile, mode, batch, adaptive_config, supervised, supervisor_config
-        )
+    def __init__(self, graph, extra_classes=None, meter=None, devices=None, profile=None):
+        from ..runtime.profile import ExecutionProfile
+
         self.graph = graph
         self.meter = meter
-        self.adaptive = None
-        self._adaptive_config = None
-        # Tuned-profile extras: node_budget feeds the FDD engine; the
-        # shard knobs are inert on a single router but must round-trip
-        # through .profile so a sharded plane's shard-local routers can
-        # reconstruct the full profile.
-        self._node_budget = None
-        self._queue_capacity = None
-        self._divide_capacity = False
-        self._chunk_frames = None
+        #: The :class:`~repro.runtime.adaptive.AdaptiveEngine` running
+        #: the compiled chains, or None in reference mode.
+        self.engine = None
+        self._profile = ExecutionProfile()
         self.supervisor = None
         self.fault_injector = None
         self.retired = False
@@ -95,46 +76,9 @@ class Router:
         self._classes = ChainMap(overlay, ELEMENT_CLASSES)
         self.elements = {}
         self._tasks = []
-        self.fastpath = None
-        self._mode = "reference"
-        self._batch = False
         self._build()
         if profile is not None:
             self.configure(profile)
-
-    @staticmethod
-    def _fold_legacy_kwargs(profile, mode, batch, adaptive_config, supervised, supervisor_config):
-        """Fold the pre-profile constructor keywords into an
-        :class:`ExecutionProfile`, warning on their use."""
-        legacy = (
-            mode is not None
-            or batch is not None
-            or adaptive_config is not None
-            or supervised is not None
-            or supervisor_config is not None
-        )
-        if not legacy:
-            return profile
-        if profile is not None:
-            raise ValueError(
-                "pass either profile= or the legacy mode/batch/adaptive_config/"
-                "supervised/supervisor_config keywords, not both"
-            )
-        warnings.warn(
-            "Router(mode=..., batch=..., supervised=...) is deprecated; use "
-            "Router(profile=ExecutionProfile(...))",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        from ..runtime.profile import ExecutionProfile
-
-        return ExecutionProfile(
-            mode=mode if mode is not None else "reference",
-            batch=bool(batch) if batch and mode in ("fast", "adaptive") else False,
-            adaptive=adaptive_config,
-            supervised=bool(supervised),
-            supervisor=supervisor_config,
-        )
 
     # -- construction ---------------------------------------------------------
 
@@ -221,47 +165,46 @@ class Router:
 
     @property
     def mode(self):
-        """``"reference"`` (the interpreting oracle), ``"fast"``, or
-        ``"adaptive"`` (tiered profile-guided recompilation)."""
-        return self._mode
-
-    def compile_fastpath(self, batch=False):
-        """Compile this router's fast path (without installing it) and
-        return the :class:`~repro.runtime.fastpath.FastPath`."""
-        from ..runtime.codegen_cache import default_cache
-        from ..runtime.fastpath import FastPath
-
-        if self.fastpath is not None and self.fastpath.installed:
-            self.fastpath.uninstall()
-        self.fastpath = FastPath(self, batch=batch, cache=default_cache())
-        return self.fastpath
+        """``"reference"`` (the interpreting oracle), ``"fast"`` (the
+        static compiled chains), ``"adaptive"`` (tiered profile-guided
+        recompilation) or ``"fdd"`` (the same with classifier trees
+        compiled into the chains as decision diagrams)."""
+        return self._profile.mode
 
     @property
     def profile(self):
         """The :class:`~repro.runtime.profile.ExecutionProfile` this
-        router currently runs under (reconstructed from live state, so
-        it survives shims, hot-swaps, and supervisor demotions)."""
-        from ..runtime.profile import ExecutionProfile
-
+        router currently runs under: the one last applied, with
+        supervision read from live state (so it survives hot-swaps and
+        a direct attach or detach)."""
         supervisor = self.supervisor
-        return ExecutionProfile(
-            mode=self._mode,
-            batch=self._batch,
-            adaptive=self._adaptive_config,
+        return replace(
+            self._profile,
             supervised=supervisor is not None,
             supervisor=supervisor.config if supervisor is not None else None,
-            queue_capacity=self._queue_capacity,
-            divide_capacity=self._divide_capacity,
-            node_budget=self._node_budget,
-            chunk_frames=self._chunk_frames,
         )
+
+    @property
+    def fastpath(self):
+        """Read-only view: the tier-1
+        :class:`~repro.runtime.fastpath.FastPath` packets enter, or
+        None in reference mode."""
+        return self.engine.tier1 if self.engine is not None else None
+
+    @property
+    def adaptive(self):
+        """Read-only view: the engine while its mode tiers
+        (``adaptive``/``fdd``), else None."""
+        engine = self.engine
+        return engine if engine is not None and engine.mode != "fast" else None
 
     def configure(self, profile=None):
         """Apply an :class:`~repro.runtime.profile.ExecutionProfile`:
         the execution tier (compiling on first use), batch flavor,
         adaptive configuration, and supervision, as one declarative
-        switch.  ``None`` means the default reference profile.  Returns
-        ``self``."""
+        switch.  The engine is rebuilt exactly when a field it is built
+        from changed.  ``None`` means the default reference profile.
+        Returns ``self``."""
         from ..runtime.profile import ExecutionProfile
 
         if profile is None:
@@ -271,95 +214,33 @@ class Router:
                 "a plain Router is single-shard; profiles with workers > 1 "
                 "need a ShardedRouter (use build_router, which dispatches)"
             )
-        if not profile.supervised and self.supervisor is not None:
-            self.supervisor.detach()
-        if (
-            self.adaptive is not None
-            and profile.adaptive is not self._adaptive_config
-        ):
-            # A changed adaptive config must rebuild the engine, not be
-            # silently ignored by the mode switch below.
-            self.adaptive.uninstall()
-            self.adaptive = None
-        if self.adaptive is not None and profile.mode == "fdd":
-            from ..runtime.fdd import DEFAULT_NODE_BUDGET
+        # Mode changes swap port lists wholesale; supervision wraps the
+        # current ports, so it comes off first and goes back on after.
+        self.detach_supervisor()
 
-            wanted = profile.node_budget or DEFAULT_NODE_BUDGET
-            if getattr(self.adaptive, "node_budget", wanted) != wanted:
-                # Same reasoning as above: a changed node budget must
-                # recompile the diagrams, not keep the old expansion.
-                self.adaptive.uninstall()
-                self.adaptive = None
-        self._adaptive_config = profile.adaptive
-        self._node_budget = profile.node_budget
-        self._queue_capacity = profile.queue_capacity
-        self._divide_capacity = profile.divide_capacity
-        self._chunk_frames = profile.chunk_frames
-        self._set_mode(profile.mode, batch=profile.batch)
+        def engine_fields(p):
+            return p.mode, p.batch, p.adaptive, p.node_budget
+
+        if engine_fields(profile) != engine_fields(self._profile):
+            self._drop_engine()
+        if self.engine is None and profile.mode != "reference":
+            from ..runtime.adaptive import AdaptiveEngine
+
+            engine = AdaptiveEngine(self, profile)
+            engine.install()
+            self.engine = engine
+        self._profile = profile
         if profile.supervised:
             self._attach_supervisor(profile.supervisor)
         return self
 
-    def _set_mode(self, mode, batch=False):
-        """Switch between the reference interpreter, the compiled fast
-        path, and the adaptive tiered engine; compiles on first use
-        (and on batch-flavor change)."""
-        if mode not in ("reference", "fast", "adaptive", "fdd"):
-            raise ValueError(
-                "mode must be 'reference', 'fast', 'adaptive', or 'fdd', "
-                "not %r" % (mode,)
-            )
-        # Mode changes swap port lists wholesale; supervision wraps the
-        # current ports, so it must come off first and back on after.
-        supervisor = self.supervisor
-        if supervisor is not None:
-            supervisor_config = supervisor.config
-            supervisor.detach()
-        if self.adaptive is not None and (
-            getattr(self.adaptive, "mode_label", "adaptive") != mode
-            or self.adaptive.batch != bool(batch)
-        ):
-            self.adaptive.uninstall()
-            self.adaptive = None
-        if mode == "reference":
-            if self.fastpath is not None and self.fastpath.installed:
-                self.fastpath.uninstall()
-        elif mode in ("adaptive", "fdd"):
-            if self.adaptive is None:
-                engine_kwargs = {}
-                if mode == "fdd":
-                    from ..runtime.fdd import FDDEngine as engine_class
-
-                    if self._node_budget is not None:
-                        engine_kwargs["node_budget"] = self._node_budget
-                else:
-                    from ..runtime.adaptive import AdaptiveEngine as engine_class
-
-                if self.fastpath is not None and self.fastpath.installed:
-                    self.fastpath.uninstall()
-                self.adaptive = engine_class(
-                    self, config=self._adaptive_config, batch=batch, **engine_kwargs
-                )
-                self.adaptive.install()
-        else:
-            if self.fastpath is None or self.fastpath.batch != bool(batch):
-                self.compile_fastpath(batch=batch)
-            self.fastpath.install()
-        self._mode = mode
-        self._batch = bool(batch) if mode != "reference" else False
-        if supervisor is not None:
-            self._attach_supervisor(supervisor_config)
-        return self
-
-    def set_mode(self, mode, batch=False):
-        """Deprecated shim for :meth:`configure`."""
-        warnings.warn(
-            "Router.set_mode is deprecated; use "
-            "Router.configure(ExecutionProfile(mode=..., batch=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._set_mode(mode, batch=batch)
+    def _drop_engine(self):
+        """Back to the reference interpreter (and a profile that says
+        so, should a rebuild that follows fail)."""
+        if self.engine is not None:
+            self.engine.uninstall()
+            self.engine = None
+        self._profile = self._profile.with_mode("reference")
 
     def _attach_supervisor(self, config=None):
         """Attach (or re-attach) supervised execution: error boundaries
@@ -372,17 +253,6 @@ class Router:
         supervisor = Supervisor(self, config=config)
         supervisor.attach()
         return supervisor
-
-    def attach_supervisor(self, config=None):
-        """Deprecated shim for :meth:`configure` with a supervised
-        profile."""
-        warnings.warn(
-            "Router.attach_supervisor is deprecated; use "
-            "Router.configure(profile.with_supervision(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._attach_supervisor(config)
 
     def detach_supervisor(self):
         """Remove supervision, restoring the unwrapped ports."""
@@ -397,24 +267,16 @@ class Router:
         if self.retired:
             return
         self.detach_supervisor()
-        if self.adaptive is not None:
-            self.adaptive.uninstall()
-            self.adaptive = None
-        if self.fastpath is not None and self.fastpath.installed:
-            self.fastpath.uninstall()
-        self._mode = "reference"
+        self._drop_engine()
         self.retired = True
 
     def force_deopt(self, reason="forced"):
-        """Deterministic harness hook: force the adaptive engine back to
+        """Deterministic harness hook: force the tiering engine back to
         tier 1 (profiles reset, specialized code discarded).  A no-op in
         the other modes — which is what makes a forced deopt a valid
         differential-testing event: it must never change behaviour,
         only which tier executes it.  Returns True if a deopt happened."""
-        if self.adaptive is None:
-            return False
-        self.adaptive.deopt(reason)
-        return True
+        return self.engine is not None and self.engine.deopt(reason)
 
     def bump_arp_epochs(self):
         """Deterministic harness hook: invalidate every ARPQuerier's
@@ -457,7 +319,7 @@ class Router:
         if self.supervisor is not None:
             return self._run_tasks_supervised(iterations)
         useful = 0
-        adaptive = self.adaptive
+        engine = self.engine
         for _ in range(iterations):
             worked = 0
             for task in self._tasks:
@@ -466,11 +328,11 @@ class Router:
                 if task.run_task():
                     worked += 1
             useful += worked
-            if adaptive is not None and not worked:
+            if engine is not None and not worked:
                 # An idle scheduler pass is when Click would do
-                # housekeeping; the adaptive engine uses it to promote
-                # chains whose profiles matured off the packet path.
-                adaptive.on_idle()
+                # housekeeping; the engine uses it to promote chains
+                # whose profiles matured off the packet path.
+                engine.on_idle()
         return useful
 
     def _run_tasks_supervised(self, iterations):
@@ -480,7 +342,7 @@ class Router:
         task did consume input before failing), so a supervised router
         never lets a task kill the driver."""
         useful = 0
-        adaptive = self.adaptive
+        engine = self.engine
         supervisor = self.supervisor
         for _ in range(iterations):
             worked = 0
@@ -497,8 +359,8 @@ class Router:
                 if did:
                     worked += 1
             useful += worked
-            if adaptive is not None and not worked:
-                adaptive.on_idle()
+            if engine is not None and not worked:
+                engine.on_idle()
         return useful
 
     def push_packet(self, element_name, port, packet):

@@ -9,7 +9,7 @@ move Morpheus and the NetKAT compiler make at runtime scale.
 from .adaptive import AdaptiveConfig, AdaptiveEngine, ProfileReport
 from .codegen_cache import CodegenCache, default_cache
 from .fastpath import ChainPolicy, FastPath, FastPathError, FastPathReport
-from .fdd import DiagramPlan, FDDEngine, build_diagram
+from .fdd import DiagramPlan, build_diagram
 from .flowhash import DEFAULT_SEED, FlowHasher, flow_key, rendezvous_shard, shard_of
 from .profile import ExecutionProfile
 from .recovery import (
@@ -33,7 +33,6 @@ __all__ = [
     "device_names_of",
     "DiagramPlan",
     "ExecutionProfile",
-    "FDDEngine",
     "FastPath",
     "FastPathError",
     "FastPathReport",

@@ -1,9 +1,11 @@
-"""Profile-guided adaptive recompilation: the tiered fast path.
+"""The execution engine: one class runs every compiled mode, and
+profile-guided adaptive recompilation is what it does when tiering is on.
 
-The static fast path (:mod:`repro.runtime.fastpath`) compiles the
-configuration once, before any packet flows, emitting branch arms in
-port order and speculating nothing.  Morpheus's observation — and this
-module's job — is that the *traffic* decides which code should be fast:
+Compiled once before any packet flows, the chains
+(:mod:`repro.runtime.fastpath`) emit branch arms in port order and
+speculate nothing; ``fast`` mode is :class:`AdaptiveEngine` doing just
+that.  Morpheus's observation — and the rest of this module's job — is
+that the *traffic* decides which code should be fast:
 with runtime profiles, classifier and route dispatch can put the
 hottest arm on the fall-through path, single-entry route and ARP
 results can be inlined as guarded constants, and cold specializations
@@ -12,7 +14,8 @@ can be pruned.
 Three tiers:
 
 - **tier 0** — the reference interpreter (always available through
-  ``router.set_mode("reference")``): the semantic oracle.
+  ``router.configure(ExecutionProfile.reference())``): the semantic
+  oracle.
 - **tier 1** — the statically compiled chains, entered through a cheap
   *sampling dispatcher*: 1 packet in ``sample`` runs the profiled
   flavor of the same chain (identical code plus per-classifier
@@ -38,6 +41,14 @@ in the codegen cache by (graph fingerprint, profile-decision digest),
 so a router re-learning a previously seen traffic shape replays the
 cached module instead of paying ``compile``/``exec``
 (:mod:`repro.runtime.codegen_cache`).
+
+What a tier is specialized on is data, not a class: the engine
+assembles one :class:`~repro.runtime.fastpath.ChainPolicy` per flavor
+from the profile store (profiled), a :class:`Decisions` bucket (tier 2)
+and, under ``fdd``, the plans of the diagram pass
+(:func:`repro.runtime.fdd.diagram_pass`), which a control-plane *rules*
+patch rebuilds for just the chains that reach the patched classifier
+(:meth:`AdaptiveEngine.repatch_classifier`).
 """
 
 from __future__ import annotations
@@ -46,15 +57,14 @@ import hashlib
 
 from .codegen_cache import default_cache
 from .fastpath import ChainPolicy, FastOutputPort, FastPath
+from .fdd import DEFAULT_NODE_BUDGET, classifier_hot_path, diagram_pass, router_trees
 
 __all__ = [
     "AdaptiveConfig",
     "AdaptiveEngine",
     "Decisions",
-    "OptimizedPolicy",
     "ProfileReport",
     "ProfileStore",
-    "ProfilingPolicy",
     "TUNABLES",
     "build_decisions",
 ]
@@ -129,6 +139,12 @@ class AdaptiveConfig:
     def as_dict(self):
         return {name: getattr(self, name) for name in self.__slots__}
 
+    def __eq__(self, other):
+        return type(other) is type(self) and self.as_dict() == other.as_dict()
+
+    def __hash__(self):
+        return hash(tuple(self.as_dict().items()))
+
 
 class ProfileStore:
     """Per-router hit counters, filled by the profiled tier-1 chains.
@@ -183,34 +199,6 @@ class ProfileStore:
         }
 
 
-class ProfilingPolicy(ChainPolicy):
-    """Tier 1's instrumented flavor: identical emission to the static
-    policy plus note hooks at every classifier and route dispatch."""
-
-    profiling = True
-    tag = "profiling"
-
-    def __init__(self, store):
-        self.store = store
-
-    def cache_key(self):
-        return ("profiling",)
-
-    def classifier_note(self, element):
-        return ("cls", element.name)
-
-    def route_note(self, element):
-        return ("route", element.name)
-
-    def resolve(self, token, router):
-        kind, name = token
-        if kind == "cls":
-            return self.store.classifier_note(name)
-        if kind == "route":
-            return self.store.route_note(name)
-        raise KeyError(token)
-
-
 # -- profile -> emission decisions ----------------------------------------------
 
 
@@ -250,19 +238,8 @@ def _guard_conds(tree, hot_out, exemplar=None):
 
     if tree is None or not tree.exprs:
         return None
-    found = None
-    if exemplar is not None:
-        path = []
-        target = 1
-        for _ in range(len(tree.exprs) + 1):
-            expr = tree.exprs[target - 1]
-            taken = expr.test(exemplar)
-            path.append((expr.offset, expr.mask, expr.value, taken))
-            target = expr.yes if taken else expr.no
-            if is_leaf(target):
-                if leaf_output(target) == hot_out:
-                    found = tuple(path)
-                break
+    walk = ((tree.exprs[pos - 1], taken) for pos, taken in classifier_hot_path(tree, hot_out, exemplar))
+    found = tuple((expr.offset, expr.mask, expr.value, taken) for expr, taken in walk) or None
     if found is None:
         queue = deque([(1, ())])
         seen = {1}
@@ -491,64 +468,6 @@ def build_decisions(router, store, config):
     return Decisions(classifier, route, arp, busiest[1])
 
 
-class OptimizedPolicy(ChainPolicy):
-    """Tier 2's emission policy: hottest arms first, cold arms pruned,
-    hot route/ARP results speculated behind engine-owned guards."""
-
-    profiling = False
-    tag = "optimized"
-
-    def __init__(self, decisions, engine=None):
-        self.decisions = decisions
-        self.engine = engine
-
-    def cache_key(self):
-        return ("optimized", self.decisions.digest)
-
-    def _decision_for(self, element):
-        return self.decisions.classifier.get(element.name) or self.decisions.route.get(
-            element.name
-        )
-
-    def branch_order(self, element, nports):
-        decision = self._decision_for(element)
-        if decision is None:
-            return range(nports)
-        order = [i for i in decision["order"] if 0 <= i < nports]
-        order.extend(i for i in range(nports) if i not in order)
-        return order
-
-    def should_fuse(self, element, port_index):
-        decision = self._decision_for(element)
-        return decision is None or port_index not in decision["prune"]
-
-    def classifier_guard(self, element):
-        decision = self.decisions.classifier.get(element.name)
-        return decision["guard"] if decision else None
-
-    def route_constant(self, element):
-        decision = self.decisions.route.get(element.name)
-        return decision["constant"] if decision else None
-
-    def arp_constant(self, element):
-        return self.decisions.arp.get(element.name)
-
-    def check_ip_hot(self, element):
-        return self.decisions.check_ip_hot
-
-    def guard_counter(self, element, site):
-        if self.engine is None:
-            return None
-        return ("guard", element.name, site)
-
-    def resolve(self, token, router):
-        if token[0] == "guard":
-            if self.engine is None:
-                raise KeyError(token)
-            return self.engine.guard_counter_for(token)
-        raise KeyError(token)
-
-
 class _GuardCounter:
     """An engine-owned miss counter emitted on the cold side of one
     speculation site.  Hitting the limit reports sustained pressure —
@@ -605,14 +524,14 @@ class ProfileReport:
     and deopt history, and the codegen cache's hit rate."""
 
     def __init__(self, engine):
-        self.mode = engine.mode_label
+        self.mode = engine.mode
         self.metered = engine.metered
         self.config = engine.config.as_dict()
         self.chains = {
             "%s %s[%d]" % key: {"tier": state.tier, "seen": state.seen}
             for key, state in sorted(engine.states.items())
         }
-        self.counters = engine.store.snapshot() if engine.store else {}
+        self.counters = engine.store.snapshot()
         self.recompiles = engine.recompiles
         self.deopts = list(engine.deopts)
         self.guard_misses = {
@@ -684,60 +603,67 @@ class ProfileReport:
 
 
 class AdaptiveEngine:
-    """The tiered execution engine over one router.
+    """The execution engine over one router.  Every compiled mode is
+    this class; the :class:`~repro.runtime.profile.ExecutionProfile` it
+    is built from says which passes run:
 
-    Construction compiles tier 1 twice (plain + profiled flavor, both
-    through the codegen cache); :meth:`install` installs the plain fast
-    path and wraps every compiled push entry in a sampling dispatcher.
-    Metered routers degrade gracefully: the meter needs every charge at
-    its reference site, so the engine runs the metered static fast path
-    and never instruments or promotes.
+    - ``fast``: tier 1 only — the static chains, installed and left
+      alone (no profiled flavor, no dispatcher, ``states`` empty).
+    - ``adaptive``: tiering on — construction compiles tier 1 twice
+      (plain + profiled flavor, both through the codegen cache) and
+      :meth:`install` wraps every compiled push entry in a sampling
+      dispatcher; matured chains promote to a profile-guided tier 2.
+    - ``fdd``: tiering plus the diagram pass
+      (:func:`repro.runtime.fdd.diagram_pass`) in every flavor.
+
+    Metered routers degrade to the first case whatever the mode: the
+    meter needs every charge at its reference site, so the engine runs
+    the metered static chains and never instruments or promotes.
     """
 
-    #: What this engine calls itself in reports and the supervisor's
-    #: tier ladder; :class:`repro.runtime.fdd.FDDEngine` overrides both.
-    mode_label = "adaptive"
-    tier_label = "adaptive"
-
-    def __init__(self, router, config=None, batch=False):
+    def __init__(self, router, profile):
         self.router = router
-        self.config = config if config is not None else AdaptiveConfig()
-        self.batch = bool(batch)
+        self.mode = profile.mode
+        self.config = profile.adaptive if profile.adaptive is not None else AdaptiveConfig()
+        self.batch = profile.batch
+        self.diagrams = profile.mode == "fdd"
+        self.node_budget = profile.node_budget or DEFAULT_NODE_BUDGET
         self.metered = router.meter is not None
+        self.tiering = profile.mode != "fast" and not self.metered
         self.store = ProfileStore()
-        self.tier1 = FastPath(
-            router, batch=self.batch, policy=self._tier1_policy(), cache=default_cache()
-        )
-        self.profiled = None
-        if not self.metered:
-            self.profiled = FastPath(
-                router,
-                batch=self.batch,
-                policy=self._profiling_policy(),
-                cache=default_cache(),
-            )
         self.tier2_fp = None
         self.states = {}
         self.recompiles = 0
         self.deopts = []
+        self.diagram_rebuilds = 0
         self._guard_counters = []
         self._decisions_cache = None
         self._reach_cache = {}
         self.installed = False
+        self._compile_tier1()
 
-    # -- policy factories (the FDD engine's override points) ---------------
+    def _compile(self, store=None, decisions=None):
+        """Compile one flavor of the router's chains — plain (neither
+        argument), profiled (``store``) or tier 2 (``decisions``) —
+        through the codegen cache.  The one place a tier's facts are
+        assembled into a :class:`ChainPolicy`."""
+        fields = {}
+        if self.diagrams:
+            fields = diagram_pass(
+                self.router, self.node_budget, decisions, self.store.classifier_exemplar
+            )
+        policy = ChainPolicy(store=store, decisions=decisions, engine=self, **fields)
+        return FastPath(self.router, batch=self.batch, policy=policy, cache=default_cache())
 
-    def _tier1_policy(self):
-        """The plain tier-1 emission policy (None = the static one)."""
-        return None
+    def _compile_tier1(self):
+        self.tier1 = self._compile()
+        self.profiled = self._compile(store=self.store) if self.tiering else None
 
-    def _profiling_policy(self):
-        """The instrumented tier-1 flavor's policy."""
-        return ProfilingPolicy(self.store)
-
-    def _optimized_policy(self, decisions):
-        """The tier-2 policy for one decisions bucket."""
-        return OptimizedPolicy(decisions, self)
+    def flavors(self):
+        """Every compiled :class:`FastPath` the engine holds."""
+        return [
+            path for path in (self.tier1, self.profiled, self.tier2_fp) if path is not None
+        ]
 
     # -- installation ------------------------------------------------------
 
@@ -746,7 +672,7 @@ class AdaptiveEngine:
             return
         self.tier1.install()
         self.installed = True
-        if self.metered:
+        if not self.tiering:
             return
         for name, element in self.router.elements.items():
             for port_index, port in enumerate(element._output_ports):
@@ -879,20 +805,13 @@ class AdaptiveEngine:
         decisions = self._decisions_cache
         if decisions.empty():
             return None
-        self.tier2_fp = FastPath(
-            self.router,
-            batch=self.batch,
-            policy=self._optimized_policy(decisions),
-            cache=default_cache(),
-        )
+        self.tier2_fp = self._compile(decisions=decisions)
         self.recompiles += 1
         return self.tier2_fp
 
     def on_idle(self):
         """Housekeeping between bursts: promote chains whose profiles
         matured without crossing the in-band threshold."""
-        if self.metered:
-            return
         minimum = self.config.min_samples
         for state in self.states.values():
             if state.tier == 1 and state.seen >= minimum:
@@ -934,9 +853,10 @@ class AdaptiveEngine:
         """Send chains back to tier 1 and reprofile.  With
         ``element_name`` only the chains that can reach the offending
         element demote (their guards are the ones missing); without it
-        (a forced deopt) every chain demotes."""
-        if self.metered or not self.installed:
-            return
+        (a forced deopt) every chain demotes.  Returns whether there
+        was anything to demote (the engine tiers and is installed)."""
+        if not self.tiering or not self.installed:
+            return False
         self.deopts.append(reason)
         self.store.reset()
         self._decisions_cache = None
@@ -952,19 +872,111 @@ class AdaptiveEngine:
             state.seen = 0
             state.bursts = 0
             self._arm(state)
+        return True
 
     def on_table_patch(self, name, kind):
         """A control-plane in-place table patch landed on element
-        ``name`` (``kind`` is ``"routes"`` or ``"rules"``).  The base
-        engine's compiled code reads live tables through bound cells
-        and memo dicts, so correctness needs only a deopt of the chains
-        whose *speculations* may now be stale.  The FDD engine
-        overrides this to also rebuild the affected diagrams.  Returns
-        the fast paths built anew for the patch (none here)."""
+        ``name`` (``kind`` is ``"routes"`` or ``"rules"``).  Returns the
+        fast paths built anew for the patch.
+
+        Compiled lookups and generic classifier dispatch read live
+        tables through bound cells and memo dicts, so a route patch —
+        or a rules patch on a classifier without a diagram — needs only
+        a deopt of the chains whose *speculations* may now be stale.  A
+        diagram bakes the patched tree in, so those chains are rebuilt.
+        (Metered chains call the element's own push, which walks the
+        live tree: nothing baked, nothing to rebuild.)"""
+        if kind == "rules" and self.tiering and name in (self.tier1.policy.plans or ()):
+            return self.repatch_classifier(name)
         self.deopt("control-plane patch of %s" % name, element_name=name)
         return ()
+
+    def repatch_classifier(self, name):
+        """Scoped diagram rebuild after a rules patch on ``name``:
+        rebuild tier 1 (both flavors) with the new tree — only chains
+        that reach ``name`` are emitted and compiled, every other chain
+        is spliced from the old compile, code object and bound objects
+        included — then rearm the dispatchers and reattach supervision.
+        Tier 2 and the profile restart cold, exactly as after a deopt.
+        Returns the fast paths it built."""
+        router = self.router
+        supervisor = getattr(router, "supervisor", None)
+        sup_config = supervisor.config if supervisor is not None else None
+        was_installed = self.installed
+        if supervisor is not None:
+            supervisor.detach()
+        donors = [self.tier1, self.profiled]
+        if was_installed:
+            # Restore the reference ports *before* recompiling so the
+            # new tier 1 saves them (not the old compiled ports) for
+            # its own uninstall.
+            self.uninstall()
+        self.deopts.append("diagram repatch of %s" % name)
+        self.store.reset()
+        self._decisions_cache = None
+        self.tier2_fp = None
+        self._guard_counters = []
+        self.states = {}
+        self._reach_cache = {}
+        self.diagram_rebuilds += 1
+        # A data patch: the wiring stands, so only chains that can touch
+        # ``name`` from a port's far end on are emitted again.
+        router._fastpath_reuse = {"patched": {name}, "fastpaths": donors}
+        try:
+            self._compile_tier1()
+        finally:
+            router._fastpath_reuse = None
+        if was_installed:
+            self.install()
+        if supervisor is not None and was_installed:
+            router._attach_supervisor(sup_config)
+        return self.tier1, self.profiled
 
     # -- observability -----------------------------------------------------
 
     def profile_report(self):
         return ProfileReport(self)
+
+    def diagram_report(self):
+        """JSON-safe snapshot of the compiled diagrams: per-classifier
+        node/path/gate counts, fused-test savings from the compile
+        reports, rebuild history, and the codegen cache's hit rate.
+        Zero totals on an engine that runs no diagram pass."""
+        plans = self.tier1.policy.plans or {}
+        diagrams = {}
+        totals = {"diagrams": 0, "nodes": 0, "paths": 0, "loads_saved": 0}
+        for name, plan in sorted(plans.items()):
+            diagrams[name] = plan.as_dict()
+            totals["diagrams"] += 1
+            totals["nodes"] += plan.nodes
+            totals["paths"] += plan.paths
+            totals["loads_saved"] += plan.loads_saved
+        fallbacks = sorted(set(router_trees(self.router)) - set(plans)) if self.diagrams else []
+
+        def flavor(fastpath):
+            return {
+                "fdd_diagrams": fastpath.report.fdd_diagrams,
+                "fdd_nodes": fastpath.report.fdd_nodes,
+                "fdd_paths": fastpath.report.fdd_paths,
+                "fdd_tests_saved": fastpath.report.fdd_tests_saved,
+                "cache_hit": fastpath.report.cache_hit,
+            }
+
+        report = {
+            "mode": self.mode,
+            "node_budget": self.node_budget,
+            "diagrams": diagrams,
+            "totals": totals,
+            "budget_fallbacks": fallbacks,
+            "rebuilds": self.diagram_rebuilds,
+            "tier1": flavor(self.tier1),
+            "tier2": None,
+            "codegen_cache": default_cache().stats(),
+        }
+        if self.tier2_fp is not None:
+            hot_paths = self.tier2_fp.policy.hot_paths or {}
+            report["tier2"] = flavor(self.tier2_fp)
+            report["tier2"]["hot_paths"] = {
+                name: len(path) for name, path in sorted(hot_paths.items())
+            }
+        return report

@@ -37,6 +37,13 @@ the charge sequence is identical to the reference interpreter's, so
 the meter's totals match exactly; batching changes branch-predictor
 behavior exactly the way real batching does.
 
+One emitter serves every tier: what a compile is specialized on
+(diagram plans, profiling hooks, profile-guided speculation) is the
+data a :class:`ChainPolicy` carries, and facts one segment proves
+(contents local, minimum length, paint, raw destination, layout) are
+threaded to the segments and terminals after it on every unmetered
+push chain.
+
 Debugging: the full generated module is ``router.fastpath.source``
 (or ``FastPath.dump(fh)``); each chain is annotated with the edge it
 compiles.
@@ -44,6 +51,7 @@ compiles.
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 from ..elements.element import Element
@@ -63,15 +71,31 @@ class FastPathError(RuntimeError):
 
 
 class ChainPolicy:
-    """The emitter's decision hooks: branch order, fusion pruning, and
-    profile-guided specialization.
+    """What one compile of the chains is specialized on, as data the
+    emitter's decision hooks read.
 
-    The base class is the *static* policy — the PR 2 fast path exactly:
-    branches emit in port order, every fusable arm fuses, and nothing is
-    speculated.  :mod:`repro.runtime.adaptive` subclasses it twice: a
-    profiling policy that asks for counter hooks, and an optimized
-    policy that reorders branches by observed hit counts and inlines
-    single-entry route/ARP results behind guards.
+    Every field defaults to None, and a policy with none set is the
+    *static* tier: branches emit in port order, every fusable arm
+    fuses, nothing is speculated.  Each field that is set turns one
+    specialization on:
+
+    - ``plans`` (``{classifier name: DiagramPlan}``, built by
+      :func:`repro.runtime.fdd.diagram_pass`): classifier terminals
+      with a plan emit as decision diagrams.  ``node_budget``, the
+      ``digest`` of the trees the plans were expanded from and the
+      ``hot_paths`` they were ordered by travel with it into the cache
+      key.
+    - ``store`` (a :class:`~repro.runtime.adaptive.ProfileStore`): the
+      *profiling* flavor, identical code plus a note hook at every
+      classifier and route dispatch.
+    - ``decisions`` (a :class:`~repro.runtime.adaptive.Decisions`):
+      tier 2 — hottest arms first, cold arms pruned, hot route/ARP
+      results behind guards whose miss counters ``engine`` owns.
+
+    ``profiling``, ``tag``, :meth:`cache_key` and :meth:`reuse_key` are
+    derived from which fields are set.  A subclass may override any
+    hook (tests substitute fakes this way); one whose emission depends
+    on more than the fields must override both keys as well.
 
     Policies hand the emitter *tokens* for any runtime object they want
     bound into generated code (counters, guard callbacks); the emitter
@@ -79,47 +103,94 @@ class ChainPolicy:
     recipe, so cached code replays against a fresh policy instance.
     """
 
-    profiling = False
-    tag = "static"
-    #: True lets the emitter thread established facts (contents local,
-    #: minimum length, paint color, raw IP destination) across element
-    #: boundaries on *every* chain, not just guarded hot arms.  Off by
-    #: default so the static/profiled/optimized policies keep emitting
-    #: byte-identical source (and cache entries) to PR 2/3.
-    fuse_facts = False
+    def __init__(self, plans=None, store=None, decisions=None, engine=None,
+                 node_budget=None, digest=None, hot_paths=None):
+        self.plans = plans
+        self.store = store
+        self.decisions = decisions
+        self.engine = engine
+        self.node_budget = node_budget
+        self.digest = digest
+        self.hot_paths = hot_paths
+
+    @property
+    def profiling(self):
+        return self.store is not None
+
+    @property
+    def tag(self):
+        """The flavor's name in reports and cache keys."""
+        flavor = (
+            "profiling" if self.profiling
+            else "optimized" if self.decisions is not None
+            else "static"
+        )
+        if self.plans is None:
+            return flavor
+        return "fdd" if flavor == "static" else "fdd-" + flavor
+
+    def _key(self, content):
+        key = (self.tag,)
+        if self.plans is not None:
+            key += (self.node_budget, self.digest) if content else (self.node_budget,)
+        if self.decisions is not None:
+            key += (self.decisions.digest,)
+            if self.plans is not None:
+                canonical = sorted(self.hot_paths.items())
+                key += (hashlib.sha256(repr(canonical).encode("utf-8")).hexdigest()[:16],)
+        return key
 
     def cache_key(self):
         """Hashable component of the codegen-cache key.  Two policies
-        with equal keys must emit identical source for the same graph."""
-        return ("static",)
+        with equal keys must emit identical source for the same graph.
+        Diagram code inlines tree content, which a rules patch changes
+        *without* changing the graph fingerprint, so the digest of the
+        live trees is part of it."""
+        return self._key(content=True)
 
     def reuse_key(self):
-        """Hashable key gating donor-chain reuse in scoped hot-swaps.
-        Defaults to :meth:`cache_key`.  Policies that fold live *table
-        contents* into their cache key (the FDD policies hash every
-        classifier tree) override this to drop the content digest: the
-        dirty-set closure already forces chains touching changed
-        content to recompile, so untouched chains may splice across a
-        content change."""
-        return self.cache_key()
+        """Hashable key gating donor-chain reuse in scoped rebuilds:
+        :meth:`cache_key` without the content digest.  The dirty-set
+        closure already forces chains touching changed content to
+        recompile, and untouched closures see identical trees, so the
+        digest must not veto the splice."""
+        return self._key(content=False)
+
+    def _decision_for(self, element):
+        if self.decisions is None:
+            return None
+        return self.decisions.classifier.get(element.name) or self.decisions.route.get(
+            element.name
+        )
 
     def branch_order(self, element, nports):
         """The order branch arms are emitted in (hottest first pays in
         the if/elif dispatch chain)."""
-        return range(nports)
+        decision = self._decision_for(element)
+        if decision is None:
+            return range(nports)
+        order = [i for i in decision["order"] if 0 <= i < nports]
+        order.extend(i for i in range(nports) if i not in order)
+        return order
 
     def should_fuse(self, element, port_index):
         """False prunes this branch arm from dispatch fusion — it stays
         reachable through the jump table, the generated code shrinks."""
-        return True
+        decision = self._decision_for(element)
+        return decision is None or port_index not in decision["prune"]
 
     def classifier_guard(self, element):
         """``(conds, hot_out)`` to guard-test the hottest leaf before
         running the matcher, or None.  ``conds`` are rendering tuples:
         ``("len", n)``, ``("slice", start, end, bytes, equal)``, or
         ``("masked", offset, width, mask, value, equal)`` — their
-        conjunction must *imply* the matcher returns ``hot_out``."""
-        return None
+        conjunction must *imply* the matcher returns ``hot_out``.  A
+        classifier with a plan has none: its diagram already puts the
+        hot path first without the redundant pre-test."""
+        if self.decisions is None or self.classifier_diagram(element) is not None:
+            return None
+        decision = self.decisions.classifier.get(element.name)
+        return decision["guard"] if decision else None
 
     def classifier_diagram(self, element):
         """A prebuilt :class:`repro.runtime.fdd.DiagramPlan` to emit in
@@ -128,38 +199,52 @@ class ChainPolicy:
         whole decision tree as nested byte tests (each field loaded at
         most once per root-to-leaf path), so every arm — not just a
         guarded hot one — dispatches without calling the matcher."""
-        return None
+        return self.plans.get(element.name) if self.plans else None
 
     def route_constant(self, element):
         """``(raw_dst, gateway_value_or_None, out_port)`` to speculate
         the hottest destination through an identity guard, or None."""
-        return None
+        if self.decisions is None:
+            return None
+        decision = self.decisions.route.get(element.name)
+        return decision["constant"] if decision else None
 
     def arp_constant(self, element):
         """``(raw_dst, header_bytes, epoch)`` to inline a resolved ARP
         encapsulation behind an epoch guard, or None."""
-        return None
+        if self.decisions is None:
+            return None
+        return self.decisions.arp.get(element.name)
 
     def check_ip_hot(self, element):
         """The hottest raw destination value, to skip the intern-cache
         probe in the CheckIPHeader segment, or None."""
-        return None
+        return self.decisions.check_ip_hot if self.decisions is not None else None
 
     def classifier_note(self, element):
         """Token for a per-packet ``note(out)`` profiling hook, or None."""
-        return None
+        return ("cls", element.name) if self.profiling else None
 
     def route_note(self, element):
         """Token for a per-packet ``note(raw_dst)`` hook, or None."""
-        return None
+        return ("route", element.name) if self.profiling else None
 
     def guard_counter(self, element, site):
         """Token for a zero-argument guard-miss callback emitted on the
         cold side of a speculation, or None."""
-        return None
+        if self.decisions is None or self.engine is None:
+            return None
+        return ("guard", element.name, site)
 
     def resolve(self, token, router):
         """The live object behind a token this policy issued."""
+        kind = token[0]
+        if kind == "cls" and self.profiling:
+            return self.store.classifier_note(token[1])
+        if kind == "route" and self.profiling:
+            return self.store.route_note(token[1])
+        if kind == "guard" and self.engine is not None:
+            return self.engine.guard_counter_for(token)
         raise KeyError(token)
 
 
@@ -760,11 +845,10 @@ class FastPath:
         the table.
 
         ``ctx`` carries upstream-established facts (see
-        :meth:`_action_segment`) into the terminal when the policy has
-        ``fuse_facts``: a classifier terminal reuses the live contents
-        local, and a route-table terminal downstream of CheckIPHeader
-        looks the route up from the raw destination integer without
-        touching the annotation.
+        :meth:`_action_segment`) into the terminal: a classifier
+        diagram reuses the live contents local, and a route-table
+        terminal downstream of CheckIPHeader looks the route up from
+        the raw destination integer without touching the annotation.
         """
         if self.metered:
             return None
@@ -895,7 +979,7 @@ class FastPath:
                 ms = new_arg(_MISS, ("const", "MISS"))
             raw_dst = None
             arm_facts = None
-            if policy.fuse_facts and ctx:
+            if ctx:
                 # Contents facts survive the route dispatch (it reads
                 # annotations only), but the raw-destination local stops
                 # describing the arm's packets once a gateway may
@@ -1105,7 +1189,7 @@ class FastPath:
 
         policy = self.policy
         table, table_index = self._register_jump_table(terminal, "plain")
-        cdata = ctx.get("data") if (policy.fuse_facts and ctx) else None
+        cdata = ctx.get("data") if ctx else None
         cmin = int(ctx.get("min_len", 0)) if cdata else 0
         dvar = cdata if cdata else "data"
         if type(terminal).push is FastClassifierBase.push:
@@ -1296,9 +1380,8 @@ class FastPath:
         named local holds ``packet._data_cache`` (non-None) with at
         least ``min_len`` bytes.  Segments that keep the invariant use
         it to drop loads and bounds checks; segments that may break it
-        clear the dict, turning it off for the rest of the chain.  Under
-        ``fuse_facts`` the dict also carries what upstream segments
-        proved: ``dst_raw``/``ip_hl`` (locals CheckIPHeader left live),
+        clear the dict, turning it off for the rest of the chain.  The
+        dict also carries what upstream segments proved: ``dst_raw``/``ip_hl`` (locals CheckIPHeader left live),
         ``paint`` (a constant) and ``off`` — the packet's ``_data_offset``
         as a constant, known once an Align has rebuilt the buffer."""
         from ..elements.arp import ARPQuerier
@@ -1345,7 +1428,7 @@ class FastPath:
                 if hot_raw is not None
                 else None
             )
-            if ctx is not None and self.policy.fuse_facts:
+            if ctx is not None:
                 # The raw destination stays live in local ``d`` for any
                 # downstream route-table terminal in this same function
                 # (the contents facts survive too: only annotations and
@@ -1354,8 +1437,6 @@ class FastPath:
                 # The verified header length stays live in local `hl`
                 # for as long as the contents facts hold.
                 ctx["ip_hl"] = "hl"
-
-            fast_lane = self.policy.fuse_facts
 
             def seg(var, pad, exitstmt):
                 if cvar:
@@ -1372,53 +1453,34 @@ class FastPath:
                     pad + "ln = len(c)",
                     pad + "if ln >= 20:",
                     pad + "    vi = c[0]",
-                ]
-                if fast_lane:
                     # Split lane for the dominant no-options header
                     # (version/ihl byte 0x45): every field offset is a
                     # compile-time constant, so the extraction shifts
                     # constant-fold and the destination is a plain mask.
                     # Options-bearing headers take the generic lane.
-                    lines += [
-                        pad + "    if vi == 69:",
-                        pad + "        hl = 20",
-                        pad + "        hdr = int.from_bytes(c[:20], 'big')",
-                        pad + "        if 20 <= (hdr >> 128) & 0xFFFF <= ln and not hdr % 0xFFFF:",
-                        pad + "            s = (hdr >> 32) & 0xFFFFFFFF",
-                        pad + "            if %s:" % src_test,
-                        pad + "                good = True",
-                        pad + "                d = hdr & 0xFFFFFFFF",
-                        pad + "    else:",
-                        pad + "        hl = (vi & 15) * 4",
-                        pad + "        if vi >> 4 == 4 and hl >= 20 and ln >= hl:",
-                        pad + "            hdr = int.from_bytes(c[:hl], 'big')",
-                        pad + "            sh = hl * 8",
-                        pad + "            if hl <= (hdr >> (sh - 32)) & 0xFFFF <= ln and not hdr % 0xFFFF:",
-                        pad + "                s = (hdr >> (sh - 128)) & 0xFFFFFFFF",
-                        pad + "                if %s:" % src_test,
-                        pad + "                    good = True",
-                        pad + "                    d = (hdr >> (sh - 160)) & 0xFFFFFFFF",
-                        pad + "if not good:",
-                        pad + "    %s(%s)" % (f, var),
-                        pad + "    " + exitstmt,
-                        pad + "%s.ip_header_offset = 0" % var,
-                    ]
-                else:
-                    lines += [
-                        pad + "    hl = (vi & 15) * 4",
-                        pad + "    if vi >> 4 == 4 and hl >= 20 and ln >= hl:",
-                        pad + "        hdr = int.from_bytes(c[:hl], 'big')",
-                        pad + "        sh = hl * 8",
-                        pad + "        if hl <= (hdr >> (sh - 32)) & 0xFFFF <= ln and not hdr % 0xFFFF:",
-                        pad + "            s = (hdr >> (sh - 128)) & 0xFFFFFFFF",
-                        pad + "            if %s:" % src_test,
-                        pad + "                good = True",
-                        pad + "if not good:",
-                        pad + "    %s(%s)" % (f, var),
-                        pad + "    " + exitstmt,
-                        pad + "%s.ip_header_offset = 0" % var,
-                        pad + "d = (hdr >> (sh - 160)) & 0xFFFFFFFF",
-                    ]
+                    pad + "    if vi == 69:",
+                    pad + "        hl = 20",
+                    pad + "        hdr = int.from_bytes(c[:20], 'big')",
+                    pad + "        if 20 <= (hdr >> 128) & 0xFFFF <= ln and not hdr % 0xFFFF:",
+                    pad + "            s = (hdr >> 32) & 0xFFFFFFFF",
+                    pad + "            if %s:" % src_test,
+                    pad + "                good = True",
+                    pad + "                d = hdr & 0xFFFFFFFF",
+                    pad + "    else:",
+                    pad + "        hl = (vi & 15) * 4",
+                    pad + "        if vi >> 4 == 4 and hl >= 20 and ln >= hl:",
+                    pad + "            hdr = int.from_bytes(c[:hl], 'big')",
+                    pad + "            sh = hl * 8",
+                    pad + "            if hl <= (hdr >> (sh - 32)) & 0xFFFF <= ln and not hdr % 0xFFFF:",
+                    pad + "                s = (hdr >> (sh - 128)) & 0xFFFFFFFF",
+                    pad + "                if %s:" % src_test,
+                    pad + "                    good = True",
+                    pad + "                    d = (hdr >> (sh - 160)) & 0xFFFFFFFF",
+                    pad + "if not good:",
+                    pad + "    %s(%s)" % (f, var),
+                    pad + "    " + exitstmt,
+                    pad + "%s.ip_header_offset = 0" % var,
+                ]
                 if hot_ip is not None:
                     # The profiled hot destination skips the intern-cache
                     # probe: an equal raw value gets the same interned
@@ -1447,7 +1509,7 @@ class FastPath:
             return seg
         if fn is Paint.simple_action:
             color = element.color
-            if ctx is not None and self.policy.fuse_facts:
+            if ctx is not None:
                 # The paint annotation is now a compile-time constant
                 # for the rest of this chain (nothing else writes it).
                 ctx["paint"] = color
@@ -1518,7 +1580,7 @@ class FastPath:
             modulus, offset = element.modulus, element.offset
             aligned = realigned_buffer_alignment(modulus, offset)
             jt = None
-            if ctx is not None and self.policy.fuse_facts:
+            if ctx is not None:
                 # A rebuilt buffer has one layout, so the rest of the
                 # chain is emitted for it with the data offset folded
                 # into constants.  click-align places an Align only
@@ -1591,9 +1653,7 @@ class FastPath:
 
             return seg
         if fn is FixIPSrc.simple_action:
-            data_var = None
-            if ctx and self.policy.fuse_facts:
-                data_var = ctx.get("data")
+            data_var = ctx.get("data") if ctx else None
             if ctx and data_var is None:
                 ctx.clear()
             a = new_arg(action, _method_spec(action))
@@ -1625,12 +1685,7 @@ class FastPath:
 
             return seg
         if fn is IPGWOptions._process:
-            hl_var = None
-            fused = bool(ctx) and self.policy.fuse_facts
-            if fused:
-                hl_var = ctx.get("ip_hl")
-            if ctx and not fused:
-                ctx.clear()
+            hl_var = ctx.get("ip_hl") if ctx else None
             a = new_arg(action, _method_spec(action))
             if hl_var is not None:
                 # _process never mutates the packet (it only walks the
@@ -1658,10 +1713,8 @@ class FastPath:
 
             return seg
         if fn is DecIPTTL._decrement:
-            data_var = None
             off = ctx.get("off") if ctx else None
-            if ctx and self.policy.fuse_facts:
-                data_var = ctx.get("data")
+            data_var = ctx.get("data") if ctx else None
             if ctx:
                 if data_var is not None:
                     # The decrement pokes TTL/checksum bytes in place,
@@ -1742,7 +1795,7 @@ class FastPath:
             return seg
         if fn is PaintTee._tee:
             color = element.color
-            if ctx is not None and self.policy.fuse_facts and "paint" in ctx:
+            if ctx is not None and "paint" in ctx:
                 if ctx["paint"] != color:
                     # An upstream Paint in this same chain proves the
                     # tee never fires: the per-packet test disappears.
@@ -1972,7 +2025,7 @@ class FastPath:
                 extra_args.append("%s=%s" % (name, self._bind(value, spec)))
                 return name
 
-            ctx = {} if self.policy.fuse_facts else None
+            ctx = {}
             segments = self._compose_segments(pairs, new_arg, ctx=ctx, opaque=opaque)
             emit_terminal = self._terminal_spec(
                 terminal, terminal_port, new_arg, frozenset({id(terminal)}), 0, ctx=ctx
@@ -2146,10 +2199,7 @@ class FastPath:
             return none
         if getattr(self.router, "_fault_uncacheable", False):
             return none
-        try:
-            policy_key = self.policy.reuse_key()
-        except Exception:  # noqa: BLE001 - an odd policy just declines reuse
-            return none
+        policy_key = self.policy.reuse_key()
         if policy_key is None:
             return none
         for donor in hint.get("fastpaths", ()):
@@ -2159,10 +2209,7 @@ class FastPath:
                 continue
             if getattr(donor.router, "_fault_uncacheable", False):
                 continue
-            try:
-                if donor.policy.reuse_key() != policy_key:
-                    continue
-            except Exception:  # noqa: BLE001
+            if donor.policy.reuse_key() != policy_key:
                 continue
             anchors = set(hint.get("dirty", ()))
             return donor, anchors, self._stale_reach(anchors.union(hint.get("patched", ())))

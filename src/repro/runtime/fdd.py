@@ -26,46 +26,37 @@ Safety mirrors the adaptive tiers (Morpheus-style):
   interpreted traversal zero-pads them, so every diagram carries a
   *length gate*; packets under it fall back to the compiled matcher,
   which pads identically.
-- **profile-guided ordering**: the tier-2 FDD policy walks the profiled
-  hot exemplar through the tree and flips each diagram test so the hot
-  side is the fall-through — the adaptive guard machinery (sampling
-  dispatchers, guard-miss counters, deopt) is inherited unchanged from
-  :class:`AdaptiveEngine`.
+- **profile-guided ordering**: at tier 2 :func:`diagram_pass` walks
+  the profiled hot exemplar through the tree and flips each diagram
+  test so the hot side is the fall-through — the guard machinery
+  (sampling dispatchers, guard-miss counters, deopt) is the engine's
+  (:class:`~repro.runtime.adaptive.AdaptiveEngine`), diagrams or not.
 - **control-plane patches**: a rules update changes tree *content*
-  that diagrams bake in, so :meth:`FDDEngine.on_table_patch` rebuilds
+  that diagrams bake in, so the engine's ``on_table_patch`` rebuilds
   only the chains that can reach the patched classifier (scoped donor
   reuse splices every untouched chain verbatim); route patches need no
   rebuild at all — compiled lookups read the live table through bound
   memo/lookup cells, exactly as in adaptive mode.
 
-Cache addressing: diagram code inlines tree content, which a rules
-patch changes *without* changing the graph fingerprint, so every FDD
-policy folds a digest of the live tree signatures (diagram shapes)
-into its codegen-cache key.
+This module is the pass alone — trees in, plans and their digests out
+(:func:`diagram_pass`); the engine hands the result to a
+:class:`~repro.runtime.fastpath.ChainPolicy` as data.  Cache
+addressing: diagram code inlines tree content, which a rules patch
+changes *without* changing the graph fingerprint, so the policy folds
+:func:`trees_digest` of the live trees into its codegen-cache key.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from .adaptive import (
-    AdaptiveEngine,
-    OptimizedPolicy,
-    ProfilingPolicy,
-)
-from .codegen_cache import default_cache
-from .fastpath import ChainPolicy, FastPath
-
 __all__ = [
     "DEFAULT_NODE_BUDGET",
     "DiagramPlan",
-    "FDDEngine",
-    "FDDOptimizedPolicy",
-    "FDDPolicy",
-    "FDDProfilingPolicy",
     "TUNABLES",
     "build_diagram",
     "classifier_hot_path",
+    "diagram_pass",
     "router_trees",
     "trees_digest",
 ]
@@ -310,308 +301,38 @@ def trees_digest(trees):
     return hashlib.sha256(repr(canonical).encode("utf-8")).hexdigest()[:16]
 
 
-class FDDPolicy(ChainPolicy):
-    """Tier 1 of FDD mode: the static policy plus whole-tree diagram
-    emission for every classifier terminal, with cross-element fact
-    fusion on every chain.  Plans are built eagerly so a cache-hit
-    replay still carries them (for the diagram report and repatching)."""
+def diagram_pass(router, node_budget, decisions=None, exemplars=None):
+    """The diagram pass over one router: expand every classifier tree
+    the chain compiler specializes, under ``node_budget``.  Returns
+    the :class:`~repro.runtime.fastpath.ChainPolicy` fields the pass
+    sets — what the policy needs to emit and to cache-address
+    diagrams.  Plans are built eagerly so a cache-hit replay still
+    carries them (for the diagram report and repatching); a tree over
+    budget has no plan and keeps the generic emission.
 
-    profiling = False
-    tag = "fdd"
-    fuse_facts = True
-
-    def __init__(self, router, node_budget=DEFAULT_NODE_BUDGET):
-        self.node_budget = node_budget
-        self.trees = router_trees(router)
-        self.digest = trees_digest(self.trees)
-        self.plans = {}
-        for name, tree in sorted(self.trees.items()):
-            plan = self._build_plan(name, tree)
-            if plan is not None:
-                self.plans[name] = plan
-
-    def _build_plan(self, name, tree):
-        return build_diagram(tree, node_budget=self.node_budget)
-
-    def cache_key(self):
-        return ("fdd", self.node_budget, self.digest)
-
-    def reuse_key(self):
-        # Donor reuse across a rules patch: the dirty-set closure
-        # already recompiles every chain that can reach the patched
-        # classifier, and untouched closures see identical trees — so
-        # the content digest must not veto the splice.
-        return ("fdd", self.node_budget)
-
-    def classifier_diagram(self, element):
-        return self.plans.get(element.name)
-
-
-class FDDProfilingPolicy(FDDPolicy):
-    """The instrumented tier-1 flavor: identical diagrams plus the
-    note hooks the profile store feeds on (diagram leaves note their
-    output, the short-packet fallback notes the matcher's)."""
-
-    profiling = True
-    tag = "fdd-profiling"
-
-    def __init__(self, router, store, node_budget=DEFAULT_NODE_BUDGET):
-        super().__init__(router, node_budget=node_budget)
-        self.store = store
-
-    def cache_key(self):
-        return ("fdd-profiling", self.node_budget, self.digest)
-
-    def reuse_key(self):
-        return ("fdd-profiling", self.node_budget)
-
-    classifier_note = ProfilingPolicy.classifier_note
-    route_note = ProfilingPolicy.route_note
-    resolve = ProfilingPolicy.resolve
-
-
-class FDDOptimizedPolicy(OptimizedPolicy):
-    """Tier 2 of FDD mode: everything the adaptive optimized policy
-    speculates (branch order, route/ARP constants, cold-arm pruning)
-    plus profile-*ordered* diagrams — each test's hot side, per the
-    profiled exemplar's root-to-leaf walk, becomes the fall-through.
-
-    The per-element classifier guard is superseded wherever a plan
-    exists (the diagram already puts the hot path first without the
-    redundant pre-test); budget-fallback classifiers keep the guard."""
-
-    tag = "fdd-optimized"
-    fuse_facts = True
-
-    def __init__(
-        self,
-        router,
-        decisions,
-        engine=None,
-        exemplars=None,
-        node_budget=DEFAULT_NODE_BUDGET,
-    ):
-        super().__init__(decisions, engine)
-        self.node_budget = node_budget
-        self.trees = router_trees(router)
-        self.digest = trees_digest(self.trees)
-        # Canonical (pos, taken) hot paths — not raw exemplar bytes —
-        # so two runs profiling different packets of the same flow
-        # shape produce the same cache key.
-        self.hot_paths = {}
-        for name, tree in sorted(self.trees.items()):
-            decision = decisions.classifier.get(name)
-            if not decision:
-                continue
+    With ``decisions`` (tier 2) each tree is ordered by the walk the
+    profiled hot exemplar takes through it.  ``hot_paths`` holds those
+    canonical ``(pos, taken)`` walks — not raw exemplar bytes — so two
+    runs profiling different packets of the same flow shape produce the
+    same cache key."""
+    trees = router_trees(router)
+    hot_paths = {}
+    plans = {}
+    for name, tree in sorted(trees.items()):
+        path = ()
+        decision = decisions.classifier.get(name) if decisions is not None else None
+        if decision:
             hot_out = decision["order"][0]
             exemplar = (exemplars or {}).get(name, {}).get(hot_out)
             path = classifier_hot_path(tree, hot_out, exemplar)
-            if path:
-                self.hot_paths[name] = path
-        self.plans = {}
-        for name, tree in sorted(self.trees.items()):
-            plan = build_diagram(
-                tree,
-                hot_path=dict(self.hot_paths.get(name, ())),
-                node_budget=self.node_budget,
-            )
-            if plan is not None:
-                self.plans[name] = plan
-        canonical = sorted(self.hot_paths.items())
-        self._hot_digest = hashlib.sha256(
-            repr(canonical).encode("utf-8")
-        ).hexdigest()[:16]
-
-    def cache_key(self):
-        return (
-            "fdd-optimized",
-            self.node_budget,
-            self.digest,
-            self.decisions.digest,
-            self._hot_digest,
-        )
-
-    def reuse_key(self):
-        return (
-            "fdd-optimized",
-            self.node_budget,
-            self.decisions.digest,
-            self._hot_digest,
-        )
-
-    def classifier_diagram(self, element):
-        return self.plans.get(element.name)
-
-    def classifier_guard(self, element):
-        if element.name in self.plans:
-            return None
-        return super().classifier_guard(element)
-
-
-class FDDEngine(AdaptiveEngine):
-    """The FDD execution engine: the adaptive tiered engine with every
-    policy swapped for its diagram-emitting counterpart.
-
-    Tier 1 compiles each classifier's whole tree into its chains (with
-    fact fusion down to the route lookup); the sampling dispatchers,
-    promotion thresholds, guard-miss deopt and profile store are
-    inherited unchanged.  Tier 2 re-emits the diagrams with
-    profile-ordered tests and the usual route/ARP speculation.  A
-    control-plane *rules* patch triggers :meth:`repatch_classifier` — a
-    scoped rebuild that recompiles only the chains reaching the patched
-    element and splices every other chain verbatim from the old
-    compile; *route* patches fall through to the inherited deopt (the
-    compiled lookup reads the live table, only speculation is stale).
-    """
-
-    mode_label = "fdd"
-    tier_label = "fdd"
-
-    def __init__(self, router, config=None, batch=False, node_budget=DEFAULT_NODE_BUDGET):
-        self.node_budget = node_budget
-        self.diagram_rebuilds = 0
-        super().__init__(router, config=config, batch=batch)
-
-    # -- policy factories --------------------------------------------------
-
-    def _tier1_policy(self):
-        return FDDPolicy(self.router, node_budget=self.node_budget)
-
-    def _profiling_policy(self):
-        return FDDProfilingPolicy(self.router, self.store, node_budget=self.node_budget)
-
-    def _optimized_policy(self, decisions):
-        return FDDOptimizedPolicy(
-            self.router,
-            decisions,
-            engine=self,
-            exemplars=self.store.classifier_exemplar,
-            node_budget=self.node_budget,
-        )
-
-    # -- control-plane patching --------------------------------------------
-
-    def on_table_patch(self, name, kind):
-        if kind == "rules" and name in getattr(self.tier1.policy, "plans", {}):
-            # The patched tree is baked into compiled diagrams; rebuild
-            # just the chains that can reach it.
-            return self.repatch_classifier(name)
-        # Route patches (and budget-fallback classifiers, which
-        # dispatch through the live matcher cell) only invalidate
-        # speculation; the inherited deopt is enough.
-        return super().on_table_patch(name, kind)
-
-    def repatch_classifier(self, name):
-        """Scoped diagram rebuild after a rules patch on ``name``:
-        rebuild tier 1 (both flavors) with the new tree — only chains
-        that reach ``name`` are emitted and compiled, every other chain
-        is spliced from the old compile, code object and bound objects
-        included — then rearm the dispatchers and reattach supervision.
-        Tier 2 and the profile restart cold, exactly as after a deopt.
-        Returns the fast paths it built."""
-        router = self.router
-        if self.metered:
-            # Metered chains call the element's own push, which walks
-            # the live tree — nothing baked, nothing to rebuild.
-            self.deopt("control-plane patch of %s" % name, element_name=name)
-            return ()
-        supervisor = getattr(router, "supervisor", None)
-        sup_config = supervisor.config if supervisor is not None else None
-        was_installed = self.installed
-        if supervisor is not None:
-            supervisor.detach()
-        old_tier1, old_profiled = self.tier1, self.profiled
-        if was_installed:
-            # Restore the reference ports *before* recompiling so the
-            # new tier 1 saves them (not the old compiled ports) for
-            # its own uninstall.
-            self.uninstall()
-        self.deopts.append("diagram repatch of %s" % name)
-        self.store.reset()
-        self._decisions_cache = None
-        self.tier2_fp = None
-        self._guard_counters = []
-        self.states = {}
-        self._reach_cache = {}
-        self.diagram_rebuilds += 1
-        # A data patch: the wiring stands, so only chains that can touch
-        # ``name`` from a port's far end on are emitted again.
-        router._fastpath_reuse = {
-            "patched": {name},
-            "fastpaths": [old_tier1, old_profiled],
-        }
-        try:
-            self.tier1 = FastPath(
-                router,
-                batch=self.batch,
-                policy=self._tier1_policy(),
-                cache=default_cache(),
-            )
-            self.profiled = FastPath(
-                router,
-                batch=self.batch,
-                policy=self._profiling_policy(),
-                cache=default_cache(),
-            )
-        finally:
-            try:
-                del router._fastpath_reuse
-            except AttributeError:
-                pass
-        if was_installed:
-            self.install()
-        if supervisor is not None and was_installed:
-            router._attach_supervisor(sup_config)
-        return self.tier1, self.profiled
-
-    # -- observability -----------------------------------------------------
-
-    def diagram_report(self):
-        """JSON-safe snapshot of the compiled diagrams: per-classifier
-        node/path/gate counts, fused-test savings from the compile
-        reports, rebuild history, and the codegen cache's hit rate."""
-        policy = self.tier1.policy
-        diagrams = {}
-        totals = {"diagrams": 0, "nodes": 0, "paths": 0, "loads_saved": 0}
-        for name, plan in sorted(getattr(policy, "plans", {}).items()):
-            diagrams[name] = plan.as_dict()
-            totals["diagrams"] += 1
-            totals["nodes"] += plan.nodes
-            totals["paths"] += plan.paths
-            totals["loads_saved"] += plan.loads_saved
-        fallbacks = sorted(
-            set(getattr(policy, "trees", {})) - set(getattr(policy, "plans", {}))
-        )
-        report = {
-            "mode": self.mode_label,
-            "node_budget": self.node_budget,
-            "diagrams": diagrams,
-            "totals": totals,
-            "budget_fallbacks": fallbacks,
-            "rebuilds": self.diagram_rebuilds,
-            "tier1": {
-                "fdd_diagrams": self.tier1.report.fdd_diagrams,
-                "fdd_nodes": self.tier1.report.fdd_nodes,
-                "fdd_paths": self.tier1.report.fdd_paths,
-                "fdd_tests_saved": self.tier1.report.fdd_tests_saved,
-                "cache_hit": self.tier1.report.cache_hit,
-            },
-            "tier2": None,
-            "codegen_cache": default_cache().stats(),
-        }
-        if self.tier2_fp is not None:
-            tier2_policy = self.tier2_fp.policy
-            report["tier2"] = {
-                "fdd_diagrams": self.tier2_fp.report.fdd_diagrams,
-                "fdd_nodes": self.tier2_fp.report.fdd_nodes,
-                "fdd_paths": self.tier2_fp.report.fdd_paths,
-                "fdd_tests_saved": self.tier2_fp.report.fdd_tests_saved,
-                "cache_hit": self.tier2_fp.report.cache_hit,
-                "hot_paths": {
-                    name: len(path)
-                    for name, path in sorted(
-                        getattr(tier2_policy, "hot_paths", {}).items()
-                    )
-                },
-            }
-        return report
+        if path:
+            hot_paths[name] = path
+        plan = build_diagram(tree, hot_path=dict(path), node_budget=node_budget)
+        if plan is not None:
+            plans[name] = plan
+    return {
+        "plans": plans,
+        "node_budget": node_budget,
+        "digest": trees_digest(trees),
+        "hot_paths": hot_paths,
+    }

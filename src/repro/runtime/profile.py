@@ -1,22 +1,15 @@
 """Execution profiles: one immutable value describing *how* a router
 runs.
 
-Five PRs grew the execution-mode surface one keyword at a time —
-``set_mode(mode, batch)``, ``compile_fastpath(batch)``,
-``attach_supervisor(config)``, ``hotswap(mode=, batch=,
-**router_kwargs)`` — until every harness had to thread four loose
-arguments through every layer.  :class:`ExecutionProfile` replaces the
-sprawl: a frozen dataclass carrying the mode, the batch flavor, the
-adaptive-engine configuration, and the supervision configuration, so a
-whole execution regime travels as a single value.  ``Router.configure``
+:class:`ExecutionProfile` is a frozen dataclass carrying the mode, the
+batch flavor, the adaptive-engine configuration, and the supervision
+configuration, so a whole execution regime travels as a single value —
+and is the only way to say how a router runs.  ``Router.configure``
 applies one; ``Router.profile`` reads the current one back; hot-swap and
-the control plane carry one across router generations.
-
-The legacy entry points (``Router.set_mode``,
-``Router.attach_supervisor``, the loose ``Router(mode=...)``
-constructor keywords) survive as thin shims that emit
-``DeprecationWarning`` — the test suite promotes those to errors, so
-in-tree code cannot regress onto them.
+the control plane carry one across router generations.  The compiled
+modes are one engine (:class:`~repro.runtime.adaptive.AdaptiveEngine`)
+built from the profile: ``fast`` is tier 1 alone, ``adaptive`` adds
+profile-guided tiering, ``fdd`` adds the decision-diagram pass.
 """
 
 from __future__ import annotations
@@ -44,8 +37,9 @@ class ExecutionProfile:
     """How a router executes: interpretation tier, batch flavor,
     adaptive-engine tuning, and supervision.
 
-    Immutable and hashable-by-parts, so it can be carried across
-    hot-swaps, stored in reports, and compared for equality.  Use
+    Immutable, hashable and compared by value (the config objects it
+    carries included), so it can be carried across hot-swaps, stored in
+    reports, and compared for equality.  Use
     :func:`dataclasses.replace` (or the ``with_*`` helpers) to derive
     variants.
     """

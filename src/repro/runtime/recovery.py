@@ -225,6 +225,12 @@ class RecoveryConfig:
         data = {name: getattr(self, name) for name in self.__slots__}
         return {key: data[key] for key in sorted(data)}
 
+    def __eq__(self, other):
+        return type(other) is type(self) and self.as_dict() == other.as_dict()
+
+    def __hash__(self):
+        return hash(tuple(self.as_dict().items()))
+
     def __repr__(self):
         return "RecoveryConfig(policy=%r, restart_budget=%d)" % (
             self.policy,

@@ -905,12 +905,9 @@ def _prewarm_cache(plane):
         router, _devices, _divider = _build_shard(
             plane.graph, plane._profile, plane._device_names, plane.meter is not None, 0
         )
-        engine = router.adaptive
-        flavors = [router.fastpath] if engine is None else [engine.tier1, engine.profiled]
         keys = {
             cache.key_for(router, flavor.batch, flavor.policy)
-            for flavor in flavors
-            if flavor is not None
+            for flavor in router.engine.flavors()
         }
         router.retire()
         handle, path = tempfile.mkstemp(prefix="repro-shard-cache-", suffix=".bin")

@@ -20,10 +20,10 @@ giving the speed back on the healthy path:
   remaining outputs, an ARP querier's post-push bookkeeping) the same
   way everywhere.
 - Demotion walks a per-chain tier stack: ``adaptive -> fast ->
-  reference``.  The ``adaptive`` tier reads the live port slot each
-  call, so the engine's dispatcher/promotion rewrites keep working
-  untouched; ``fast`` pins the static tier-1 compiled function;
-  ``reference`` calls the saved interpreter port.
+  reference`` (``fdd -> ...`` under that mode).  The top tier reads the
+  live port slot each call, so the engine's dispatcher/promotion
+  rewrites keep working untouched; ``fast`` pins the static tier-1
+  compiled function; ``reference`` calls the saved interpreter port.
 - A per-chain circuit breaker: once a chain burns its error budget it
   drops straight to the reference floor.  Re-promotion is earned — a
   clean streak of ``backoff`` packets climbs one tier, and each error
@@ -97,6 +97,12 @@ class SupervisorConfig:
 
     def as_dict(self):
         return {name: getattr(self, name) for name in sorted(self.__slots__)}
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.as_dict() == other.as_dict()
+
+    def __hash__(self):
+        return hash(tuple(self.as_dict().items()))
 
 
 class _ChainGuard:
@@ -310,8 +316,8 @@ class Supervisor:
 
     Create, then :meth:`attach`; :meth:`detach` restores the wrapped
     ports exactly (and must run before the router changes mode, which
-    swaps port lists wholesale underneath the wrappers — Router.set_mode
-    handles that ordering).
+    swaps port lists wholesale underneath the wrappers —
+    Router.configure handles that ordering).
     """
 
     def __init__(self, router, config=None):
@@ -339,17 +345,11 @@ class Supervisor:
         if self.attached:
             raise SupervisorError("supervisor already attached")
         router = self.router
-        engine = router.adaptive
-        if engine is not None:
-            fastpath = engine.tier1
-        elif router.fastpath is not None and router.fastpath.installed:
-            fastpath = router.fastpath
-        else:
-            fastpath = None
-
-        if fastpath is None:
+        engine = router.engine
+        if engine is None:
             self._attach_reference()
         else:
+            fastpath = engine.tier1
             saved = fastpath._saved_ports or {}
             for name, element in router.elements.items():
                 ref_outputs, ref_inputs = saved.get(name, (element._output_ports, element._input_ports))
@@ -358,13 +358,12 @@ class Supervisor:
                     if not isinstance(port, FastOutputPort):
                         continue
                     key = ("push", name, index)
-                    tiers = [("fast", _dynamic_push(port))]
-                    if engine is not None and key in engine.states:
-                        static = fastpath.function_for(key)
-                        tiers = [
-                            (getattr(engine, "tier_label", "adaptive"), _dynamic_push(port)),
-                            ("fast", static),
-                        ]
+                    # The top tier reads the live slot; a chain the
+                    # engine tiers also gets its static function pinned
+                    # beneath it.
+                    tiers = [(engine.mode, _dynamic_push(port))]
+                    if key in engine.states:
+                        tiers.append(("fast", fastpath.function_for(key)))
                     tiers.append(("reference", ref_outputs[index].push))
                     guard = _ChainGuard(self, key, tiers)
                     self.guards[key] = guard

@@ -370,7 +370,7 @@ class FaultInjector:
 
     Usage order matters: wrap the devices, build the router over the
     wrapped devices, :meth:`prepare_router` *before* compiling (before
-    ``set_mode``), then :meth:`tick` once per scheduler batch.  The
+    ``configure``), then :meth:`tick` once per scheduler batch.  The
     injector may prepare several routers in sequence (hot-swap installs
     a new one); element fault counters are injector-owned and keyed by
     element name, so counting continues across a swap.

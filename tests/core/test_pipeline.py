@@ -16,8 +16,6 @@ from repro.core import (
     PipelineWarning,
     devirtualize,
     fastclassifier,
-    make_devirtualize_tool,
-    make_xform_tool,
     named_pipeline,
     undead,
     xform,
@@ -66,15 +64,6 @@ class TestUnifiedToolAPI:
             xform(small_graph, patterns=STANDARD_PATTERNS)
             fastclassifier(small_graph, combine=False)
 
-    def test_positional_options_warn_but_work(self, small_graph):
-        with pytest.warns(DeprecationWarning, match="positional"):
-            result = xform(small_graph, STANDARD_PATTERNS)
-        assert len(result.elements) == len(small_graph.elements)
-        with pytest.warns(DeprecationWarning, match="positional"):
-            devirtualize(small_graph, ["c"])
-        with pytest.warns(DeprecationWarning, match="positional"):
-            fastclassifier(small_graph, False)
-
     def test_too_many_positionals_raise(self, small_graph):
         with pytest.raises(TypeError):
             undead(small_graph, "extra")
@@ -86,20 +75,6 @@ class TestUnifiedToolAPI:
 
     def test_xform_defaults_to_standard_patterns(self, ip_graph):
         assert xform(ip_graph).elements_of_class("IPInputCombo")
-
-
-class TestDeprecatedFactories:
-    def test_make_devirtualize_tool_warns_and_works(self, small_graph):
-        with pytest.warns(DeprecationWarning, match="as_pass"):
-            tool = make_devirtualize_tool(exclude=["c"])
-        assert isinstance(tool, Pass)
-        result = tool(small_graph)
-        assert result.elements["c"].class_name == "Classifier"
-
-    def test_make_xform_tool_warns_and_works(self, ip_graph):
-        with pytest.warns(DeprecationWarning, match="as_pass"):
-            tool = make_xform_tool(STANDARD_PATTERNS)
-        assert tool(ip_graph).elements_of_class("IPInputCombo")
 
 
 class TestPipelineOrdering:

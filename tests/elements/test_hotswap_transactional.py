@@ -1,8 +1,7 @@
 """Tests for the transactional (two-phase-commit) hot-swap: execution
 profile carry, rollback on every failure path, the stateful edge cases
 (queue shrink under a compiled mode, ARP pending transfer under churn),
-and the SwapResult/SwapReport surface with its legacy attribute-proxy
-shim."""
+and the SwapResult/SwapReport surface."""
 
 import pytest
 
@@ -58,7 +57,7 @@ class TestProfileCarry:
         new = hotswap_router(old, parse_graph(EXTENDED)).router
         assert new.mode == "adaptive"
         assert new.adaptive is not None
-        assert new._adaptive_config is config
+        assert new.profile.adaptive is config
 
     def test_supervision_carried(self):
         old = Router(
@@ -115,21 +114,6 @@ class TestSwapResultSurface:
         report = result.report
         assert report.chains_reused > 0
 
-    def test_legacy_attribute_proxy_warns(self):
-        old = Router(parse_graph(BASE), profile=ExecutionProfile.fast())
-        result = hotswap_router(old, parse_graph(EXTENDED))
-        with pytest.warns(DeprecationWarning, match="SwapResult"):
-            assert result.mode == "fast"
-        with pytest.warns(DeprecationWarning, match="SwapResult"):
-            result.push_packet("c", 0, Packet(b"x"))
-        assert result.router["c"].count == 1
-
-    def test_legacy_mode_kwarg_warns_and_works(self):
-        old = Router(parse_graph(BASE), profile=ExecutionProfile.fast())
-        with pytest.warns(DeprecationWarning, match="deprecated; use"):
-            result = hotswap_router(old, parse_graph(EXTENDED), mode="reference")
-        assert result.router.mode == "reference"
-
 
 class TestRollback:
     def _serving(self, router):
@@ -179,12 +163,12 @@ class TestRollback:
         assert [p.data for p in list(old["q"]._deque)] == [b"a", b"b"]
         self._serving(old)
 
-    def test_invalid_legacy_mode_rolls_back(self):
+    def test_unusable_profile_rolls_back(self):
         old = Router(parse_graph(BASE))
         old.push_packet("c", 0, Packet(b"x"))
-        with pytest.warns(DeprecationWarning, match="deprecated; use"):
-            with pytest.raises(HotswapError, match="mode"):
-                hotswap_router(old, parse_graph(EXTENDED), mode="warp-speed")
+        sharded = ExecutionProfile.fast().with_workers(2)  # not a single router's
+        with pytest.raises(HotswapError, match="profile=fast"):
+            hotswap_router(old, parse_graph(EXTENDED), profile=sharded)
         assert not old.retired
         self._serving(old)
 

@@ -17,7 +17,7 @@ from repro.runtime.adaptive import (
     build_decisions,
 )
 from repro.runtime.codegen_cache import CodegenCache
-from repro.runtime.fastpath import FastPath
+from repro.runtime.fastpath import ChainPolicy, FastPath
 from repro.sim.testbed import Testbed
 
 EAGER = dict(threshold=48, sample=4, min_samples=12)
@@ -294,13 +294,11 @@ def test_codegen_cache_replay_matches_fresh_compile():
 
 
 def test_codegen_cache_distinguishes_policies():
-    from repro.runtime.adaptive import ProfilingPolicy
-
     cache = CodegenCache()
     router_a, _ = _simple_router()
     FastPath(router_a, cache=cache)
     router_b, _ = _simple_router()
-    FastPath(router_b, policy=ProfilingPolicy(ProfileStore()), cache=cache)
+    FastPath(router_b, policy=ChainPolicy(store=ProfileStore()), cache=cache)
     assert cache.hits == 0 and cache.misses == 2
 
 
@@ -308,10 +306,8 @@ def test_codegen_cache_capacity_evicts():
     cache = CodegenCache(capacity=1)
     router_a, _ = _simple_router()
     FastPath(router_a, cache=cache)
-    from repro.runtime.adaptive import ProfilingPolicy
-
     router_b, _ = _simple_router()
-    FastPath(router_b, policy=ProfilingPolicy(ProfileStore()), cache=cache)
+    FastPath(router_b, policy=ChainPolicy(store=ProfileStore()), cache=cache)
     router_c, _ = _simple_router()
     FastPath(router_c, cache=cache)  # static entry was evicted
     assert cache.misses == 3

@@ -10,6 +10,7 @@ import io
 
 import pytest
 
+from repro.runtime.codegen_cache import default_cache
 from repro.runtime.fastpath import ChainInfo, FastInputPort, FastOutputPort, FastPath
 from repro.sim.testbed import Testbed
 
@@ -20,10 +21,15 @@ def build(variant="base", mode="reference", batch=False):
     return testbed, testbed.build_router(graph, mode=mode, batch=batch)
 
 
+def compile_fastpath(router, batch=False):
+    """Compile the router's static chains without installing them."""
+    return FastPath(router, batch=batch, cache=default_cache())
+
+
 class TestCompileReport:
     def test_chains_and_specialization_counted(self):
         _, (router, _) = build()
-        fastpath = router.compile_fastpath()
+        fastpath = compile_fastpath(router)
         report = fastpath.report
         assert report.push_chains > 0
         assert report.pull_chains > 0
@@ -42,12 +48,12 @@ class TestCompileReport:
         # GetIPAddress(16) directly after CheckIPHeader is redundant —
         # the check already interns the destination annotation.
         _, (router, _) = build("base")
-        report = router.compile_fastpath().report
+        report = compile_fastpath(router).report
         assert report.elided_elements > 0
 
     def test_report_formats(self):
         _, (router, _) = build("simple")
-        report = router.compile_fastpath().report
+        report = compile_fastpath(router).report
         text = report.format()
         assert "push chains" in text
         as_dict = report.as_dict()
@@ -56,14 +62,14 @@ class TestCompileReport:
 
     def test_batch_flag_recorded(self):
         _, (router, _) = build("simple")
-        assert router.compile_fastpath(batch=True).report.batch is True
+        assert compile_fastpath(router, batch=True).report.batch is True
 
     def test_metered_compile_disables_specialization(self):
         from repro.sim.cpu import CycleMeter
 
         testbed = Testbed(2)
         router, _ = testbed.build_router(testbed.variant_graph("base"), meter=CycleMeter())
-        report = router.compile_fastpath().report
+        report = compile_fastpath(router).report
         assert report.metered is True
         # Metered chains reconcile charges exactly, so no handler is
         # compiled away from the cost model's sight.
@@ -74,7 +80,7 @@ class TestCompileReport:
 class TestGeneratedSource:
     def test_source_is_dumpable_python(self):
         _, (router, _) = build()
-        fastpath = router.compile_fastpath()
+        fastpath = compile_fastpath(router)
         assert "def _push_0" in fastpath.source
         assert fastpath.report.source_lines == len(fastpath.source.splitlines())
         sink = io.StringIO()
@@ -89,7 +95,7 @@ class TestGeneratedSource:
         import traceback
 
         _, (router, _) = build()
-        fastpath = router.compile_fastpath()
+        fastpath = compile_fastpath(router)
         lines = fastpath.source.split("\n")
         assert list(fastpath._chain_code) == list(fastpath.chains)
         report = fastpath.report
@@ -105,7 +111,7 @@ class TestGeneratedSource:
 
     def test_chain_for_describes_edges(self):
         _, (router, _) = build("simple")
-        fastpath = router.compile_fastpath()
+        fastpath = compile_fastpath(router)
         (kind, name, port) = next(iter(fastpath.chains))
         info = fastpath.chain_for(kind, name, port)
         assert isinstance(info, ChainInfo)
@@ -120,7 +126,7 @@ class TestInstallUninstall:
             name: (list(el._output_ports), list(el._input_ports))
             for name, el in router.elements.items()
         }
-        fastpath = router.compile_fastpath()
+        fastpath = compile_fastpath(router)
         fastpath.install()
         assert fastpath.installed
         assert any(
@@ -145,7 +151,7 @@ class TestInstallUninstall:
 
     def test_install_is_idempotent(self):
         _, (router, _) = build("simple")
-        fastpath = router.compile_fastpath()
+        fastpath = compile_fastpath(router)
         fastpath.install()
         ports = {name: el._output_ports for name, el in router.elements.items()}
         fastpath.install()
@@ -159,9 +165,10 @@ class TestInstallUninstall:
 
         _, (router, _) = build("simple")
         router.configure(ExecutionProfile.fast())
-        assert router.fastpath.installed
+        fastpath = router.fastpath
+        assert fastpath.installed
         router.configure(ExecutionProfile.reference())
-        assert not router.fastpath.installed
+        assert not fastpath.installed and router.fastpath is None
         assert not any(
             isinstance(port, FastOutputPort)
             for el in router.elements.values()

@@ -23,8 +23,8 @@ from repro.net.packet import Packet
 from repro.runtime import ExecutionProfile
 from repro.runtime.adaptive import AdaptiveConfig
 from repro.runtime.codegen_cache import default_cache
-from repro.runtime.fastpath import FastPath, _lowering
-from repro.runtime.fdd import FDDPolicy
+from repro.runtime.fastpath import ChainPolicy, FastPath, _lowering
+from repro.runtime.fdd import DEFAULT_NODE_BUDGET, diagram_pass
 from repro.sim.testbed import HOST_ETHERS, Testbed, host_ip
 
 EAGER = dict(threshold=48, sample=4, min_samples=12)
@@ -70,12 +70,6 @@ def forward(router, devices, frames):
     router.run_tasks(len(frames) // 8 + 16)
 
 
-def compiled(router):
-    """The fast path packets currently enter: the tiered engine's
-    tier 1, or the static one."""
-    return router.adaptive.tier1 if router.adaptive is not None else router.fastpath
-
-
 def bound_calls(fastpath, key):
     """``(element, attribute path)`` of every element method the chain
     compiled for ``key`` binds."""
@@ -89,7 +83,7 @@ def bound_calls(fastpath, key):
 @pytest.mark.parametrize("profile", [ExecutionProfile.fast(), ExecutionProfile.fdd()])
 def test_entry_chains_inline_combos_and_align(profile):
     _testbed, router, _devices = build("paper", profile)
-    fastpath = compiled(router)
+    fastpath = router.fastpath
     combos = [n for n, e in router.elements.items() if isinstance(e, IPOutputCombo)]
     combos += [n for n in router.elements if n.startswith("IPInputCombo")]
     aligns = [n for n in router.elements if n.startswith("Align@")]
@@ -243,15 +237,17 @@ def test_optimized_router_executes_no_more_bytecodes_than_plain():
 def test_inline_align_is_the_reference_align(modulus, offset, fused):
     """Same buffer, offset, alignment, contents and ``copies`` as
     ``Align.simple_action`` for every accepted configuration and every
-    starting layout — with and without the layout fact (under which an
-    already aligned packet leaves through the edge's own chain)."""
+    starting layout, under the static policy and with the diagram pass
+    (either way an already aligned packet leaves through the edge's own
+    chain: the layout fact is threaded on every chain)."""
     text = (
         "i :: Idle -> p :: Paint(0) -> a :: Align(%d, %d) -> q :: Queue(64); "
         "q -> u :: Unqueue -> Discard;" % (modulus, offset)
     )
     reference = Router(parse_graph(text))
     inline = Router(parse_graph(text))
-    fastpath = FastPath(inline, policy=FDDPolicy(inline) if fused else None)
+    policy = ChainPolicy(**diagram_pass(inline, DEFAULT_NODE_BUDGET)) if fused else None
+    fastpath = FastPath(inline, policy=policy)
     assert ("a", ("simple_action",)) not in bound_calls(fastpath, ("push", "p", 0))
     push = fastpath.function_for(("push", "p", 0))
     for buffer_alignment in range(4):
@@ -272,10 +268,18 @@ def test_inline_align_is_the_reference_align(modulus, offset, fused):
 
 # -- what must not move -------------------------------------------------------------
 
-# sha256[:16] of the module generated at the parent of the change that
-# introduced lowering, per configuration/policy[/batch].  These configurations
-# contain no combo, no Align and no generated class, so the emitter must
-# keep producing the same text — codegen-cache keys included.
+# sha256[:16] of the generated module, per configuration/policy[/batch].
+# These configurations contain no combo, no Align and no generated class,
+# so the emitter must keep producing the same text — codegen-cache keys
+# included.  Pinned at the parent of the change that introduced lowering,
+# except the six iprouter static/profiling/optimized rows: they were
+# pinned again when fact threading stopped being an fdd-only lane.
+# Those flavors now emit what the fdd ones always did around the route
+# table — CheckIPHeader's split lane for the 0x45 header, the lookup
+# keyed on the live raw destination ``d`` with no annotation load or
+# None test, IPGWOptions testing the live header length ``hl`` — and
+# nothing else moved.  The firewall has no fact-producing element, so
+# its rows stand, as do all twelve fdd ones.
 PLAIN_DIGESTS = {
     "firewall/fdd": "da1f6c3e21e2b743",
     "firewall/fdd-optimized": "c2793ec10d79eaa1",
@@ -295,12 +299,12 @@ PLAIN_DIGESTS = {
     "iprouter/fdd-profiling": "10d1f58d1df5d111",
     "iprouter/fdd-profiling/batch": "fe346f15633c149e",
     "iprouter/fdd/batch": "2bbaeeda3766ca6b",
-    "iprouter/optimized": "de115c6d46fe2213",
-    "iprouter/optimized/batch": "6f530b92aa4ae194",
-    "iprouter/profiling": "143aaa1fd2aa366c",
-    "iprouter/profiling/batch": "2290c3a658364b55",
-    "iprouter/static": "d59d306b6bcace53",
-    "iprouter/static/batch": "3fefe1e49c20bf82",
+    "iprouter/optimized": "c11263bcbfad052c",
+    "iprouter/optimized/batch": "0c1ff42cce91e4bd",
+    "iprouter/profiling": "e6bf399d4bfe4558",
+    "iprouter/profiling/batch": "51ca89418e335a81",
+    "iprouter/static": "080d93eba29a5314",
+    "iprouter/static/batch": "f48f8c92c838ddd9",
 }
 
 
@@ -347,3 +351,37 @@ def test_plain_configurations_generate_the_stored_source(config, mode, batch):
         digest = hashlib.sha256(fastpath.source.encode()).hexdigest()[:16]
         assert digest == PLAIN_DIGESTS[key], key
         assert not fastpath.report.opaque_dispatch.get("push PollDevice@2[0]")
+
+
+@pytest.mark.parametrize("config", ["iprouter", "firewall"])
+def test_flavor_keys_are_derived_from_the_facts_a_policy_carries(config):
+    """Six tags, one class: cache keys tell every flavor and batch
+    setting apart, equal keys mean equal source on a fresh router, and
+    the reuse key is the cache key minus the content digest."""
+    warm = warm_iprouter if config == "iprouter" else warm_firewall
+    cache = default_cache()
+    sources = {}
+    for batch in (False, True):
+        for mode in ("adaptive", "fdd"):
+            for fresh in (True, False):
+                cache.clear()
+                router = warm(profile_for(mode, batch))
+                flavors = router.engine.flavors()
+                assert len(flavors) == 3
+                for fastpath in flavors:
+                    policy = fastpath.policy
+                    key = cache.key_for(router, batch, policy)
+                    if fresh:
+                        assert key not in sources, policy.tag
+                        sources[key] = fastpath.source
+                    else:
+                        assert sources[key] == fastpath.source, policy.tag
+                    content = policy.digest if policy.plans is not None else None
+                    assert content is None or policy.cache_key().count(content) == 1
+                    assert policy.reuse_key() == tuple(
+                        part for part in policy.cache_key() if part != content
+                    )
+    assert len(sources) == 12
+    assert {policy_key[0] for _, _, _, policy_key, _ in sources} == {
+        "static", "profiling", "optimized", "fdd", "fdd-profiling", "fdd-optimized",
+    }

@@ -7,10 +7,10 @@ import pytest
 from repro.classifier.language import compile_patterns
 from repro.classifier.optimize import optimize
 from repro.runtime import ExecutionProfile
-from repro.runtime.adaptive import AdaptiveConfig
+from repro.runtime.adaptive import AdaptiveConfig, AdaptiveEngine
+from repro.runtime.fastpath import FastOutputPort
 from repro.runtime.fdd import (
     DEFAULT_NODE_BUDGET,
-    FDDEngine,
     build_diagram,
     classifier_hot_path,
     router_trees,
@@ -175,7 +175,6 @@ def _fdd_testbed(packets=512, config=None, supervised=False):
 def test_fdd_engine_compiles_diagrams_and_promotes():
     _, router, _ = _fdd_testbed()
     engine = router.adaptive
-    assert isinstance(engine, FDDEngine)
     report = engine.diagram_report()
     assert report["mode"] == "fdd"
     assert report["node_budget"] == DEFAULT_NODE_BUDGET
@@ -188,6 +187,46 @@ def test_fdd_engine_compiles_diagrams_and_promotes():
     assert any(chain["tier"] == 2 for chain in chains.values())
     assert report["tier2"] is not None
     assert report["tier2"]["fdd_diagrams"] > 0
+
+
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("mode", ["fast", "adaptive", "fdd"])
+def test_every_compiled_mode_is_the_one_engine(mode, batch):
+    """A mode is a profile handed to the one engine class, not a class
+    of its own: ``fast`` is tier 1 installed and left alone, the
+    diagram pass runs under ``fdd`` only."""
+    testbed = Testbed(2)
+    profile = ExecutionProfile(mode=mode, batch=batch)
+    router, _ = testbed.build_router(testbed.variant_graph("base"), profile=profile)
+    engine = router.engine
+    assert type(engine) is AdaptiveEngine
+    assert engine.profile_report().mode == mode
+    totals = engine.diagram_report()["totals"]
+    assert totals["diagrams"] == (2 if mode == "fdd" else 0)
+    if mode != "fdd":
+        assert not any(totals.values())
+    if mode == "fast":
+        assert engine.profiled is None and engine.states == {}
+        ports = [
+            (("push", name, index), port)
+            for name, element in router.elements.items()
+            for index, port in enumerate(element._output_ports)
+            if isinstance(port, FastOutputPort)
+        ]
+        assert ports
+        for key, port in ports:  # no dispatcher hop
+            assert port.push is engine.tier1.function_for(key)
+        assert engine.on_table_patch("rt", "routes") == ()
+    else:
+        assert engine.profiled is not None and engine.states
+    # Supervising an equal profile keeps the engine; the top of every
+    # push chain's tier ladder is named after the mode.
+    router.configure(profile.with_supervision())
+    assert router.engine is engine
+    labels = {
+        guard.tiers[0][0] for key, guard in router.supervisor.guards.items() if key[0] == "push"
+    }
+    assert labels == {mode}
 
 
 def test_fdd_forwards_identically_to_reference():

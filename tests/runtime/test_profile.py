@@ -54,6 +54,22 @@ class TestValue:
         assert profile == ExecutionProfile(mode="fast")
         assert profile != ExecutionProfile.reference()
 
+    def test_equal_configs_make_equal_profiles(self):
+        from repro.runtime.recovery import RecoveryConfig
+
+        def build():
+            return ExecutionProfile.fdd(
+                config=AdaptiveConfig(threshold=64),
+                supervisor=SupervisorConfig(backoff=8),
+                recovery=RecoveryConfig(policy="resteer"),
+            )
+
+        assert build() == build() and hash(build()) == hash(build())
+        tuned = ExecutionProfile.fdd().with_tuning({"adaptive.threshold": 64})
+        assert tuned == ExecutionProfile.fdd().with_tuning({"adaptive.threshold": 64})
+        assert build() != ExecutionProfile.fdd(config=AdaptiveConfig(threshold=65))
+        assert AdaptiveConfig() != SupervisorConfig()
+
     def test_label_and_as_dict(self):
         profile = ExecutionProfile.fast(batch=True).with_supervision()
         assert profile.label == "fast+batch+supervised"
@@ -100,13 +116,28 @@ class TestRouterRoundTrip:
         router.configure(ExecutionProfile.fast())
         assert router.supervisor is None
 
+    def test_equal_profile_keeps_the_engine(self):
+        from repro.runtime.codegen_cache import default_cache
+
+        def profile(**knobs):
+            return ExecutionProfile.fdd(config=AdaptiveConfig(threshold=64), **knobs)
+
+        router = Router(parse_graph(PIPE), profile=profile())
+        engine, misses = router.engine, default_cache().stats()["misses"]
+        router.configure(profile())  # equal, not identical
+        assert router.engine is engine
+        assert default_cache().stats()["misses"] == misses
+        router.configure(profile(node_budget=64))
+        assert router.engine is not engine and router.engine.node_budget == 64
+        engine = router.engine
+        router.configure(
+            ExecutionProfile.fdd(config=AdaptiveConfig(threshold=65), node_budget=64)
+        )
+        assert router.engine is not engine and router.engine.config.threshold == 65
+
     def test_configure_returns_router(self):
         router = Router(parse_graph(PIPE))
         assert router.configure(ExecutionProfile.fast()) is router
-
-    def test_legacy_profile_plus_kwargs_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            Router(parse_graph(PIPE), profile=ExecutionProfile.fast(), mode="fast")
 
 
 class TestTunableFields:

@@ -95,10 +95,13 @@ class PermutedPolicy(ChainPolicy):
     tag = "permuted"
 
     def __init__(self, rng):
+        super().__init__()
         self._rng = rng
 
     def cache_key(self):
         return None  # never cached: the permutation is per-instance
+
+    reuse_key = cache_key  # ... nor a donor for, or spliced from, another
 
     def branch_order(self, element, nports):
         order = list(range(nports))

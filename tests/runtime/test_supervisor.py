@@ -277,33 +277,6 @@ class TestReport:
         assert router.supervisor is not None
         assert router.supervisor.report().totals["chains"] > 0
 
-    def test_legacy_constructor_kwargs_warn_and_work(self):
-        devices = {
-            "eth0": LoopbackDevice("eth0"),
-            "eth1": LoopbackDevice("eth1", tx_capacity=1 << 20),
-        }
-        with pytest.warns(DeprecationWarning, match="deprecated; use"):
-            router = Router(
-                parse_graph(PIPE), devices=devices, mode="fast", supervised=True
-            )
-        assert router.supervisor is not None
-        # profile reads back the live supervisor's config object, so
-        # compare by the label, not by config identity.
-        assert router.profile.label == "fast+supervised"
-
-    def test_legacy_set_mode_and_attach_supervisor_warn(self):
-        devices = {
-            "eth0": LoopbackDevice("eth0"),
-            "eth1": LoopbackDevice("eth1", tx_capacity=1 << 20),
-        }
-        router = Router(parse_graph(PIPE), devices=devices)
-        with pytest.warns(DeprecationWarning, match="deprecated; use"):
-            router.set_mode("fast")
-        assert router.mode == "fast"
-        with pytest.warns(DeprecationWarning, match="deprecated; use"):
-            supervisor = router.attach_supervisor()
-        assert supervisor is router.supervisor is not None
-
 
 class TestSwapStorm:
     """Regression guard for supervisor round-trips across hot-swap
