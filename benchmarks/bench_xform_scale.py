@@ -39,7 +39,7 @@ def test_hundreds_of_replacements_on_large_graph(benchmark):
     graph = big_graph()
     before = len(graph.elements)
 
-    result = benchmark.pedantic(lambda: xform(graph, [IP_INPUT_COMBO]), rounds=1, iterations=1)
+    result = benchmark.pedantic(lambda: xform(graph, patterns=[IP_INPUT_COMBO]), rounds=1, iterations=1)
     combos = result.elements_of_class("IPInputCombo")
     rows = [
         ("elements before", before),
@@ -61,5 +61,5 @@ def test_normal_sized_router_is_fast(benchmark):
     from repro.configs.iprouter import ip_router_graph
     from repro.core.patterns import STANDARD_PATTERNS
 
-    result = benchmark(lambda: xform(ip_router_graph(), STANDARD_PATTERNS))
+    result = benchmark(lambda: xform(ip_router_graph(), patterns=STANDARD_PATTERNS))
     assert result.elements_of_class("IPOutputCombo")

@@ -34,10 +34,11 @@ from .platforms import P0
 HOST_ETHERS = ["00:20:6F:00:00:%02X" % i for i in range(8)]
 
 #: What the sharded plane's dispatcher costs per frame (flow key + crc32
-#: + shard pick), in ns — the one definition ``sharded_mlffr``,
-#: ``repro.tune``'s cost model and ``bench_shard.py`` share.  The
-#: benchmark measures it as ``runtime.flowhash.hash_ns_per_frame``
-#: (481-705 ns on the host this was set on; see EXPERIMENTS.md).
+#: + shard pick), in ns — the one definition ``sharded_mlffr`` and
+#: ``repro.tune``'s cost model share.  ``bench/run.py`` reports it as
+#: ``sim.dispatch_model_ns`` beside the measured
+#: ``runtime.flowhash.hash_ns_per_frame`` (481-705 ns on the host this
+#: was set on; see EXPERIMENTS.md).
 DISPATCH_NS = 650.0
 
 VARIANTS = ["base", "fc", "dv", "xf", "all", "mr", "mr_all", "simple"]
@@ -273,7 +274,7 @@ class Testbed:
         dispatcher — so the effective service time is
         ``max(dispatch_ns, cpu_ns / workers)`` and the curve flattens
         once the dispatcher, not the shards, is the bottleneck (the
-        MLFFR-style saturation shape ``bench_shard.py`` plots)."""
+        shape ``tests/sim/test_testbed.py::TestShardedSaturation`` pins)."""
         if workers < 1:
             raise ValueError("workers must be >= 1, not %r" % (workers,))
         cpu_ns = self.true_cpu_ns(variant, packets)

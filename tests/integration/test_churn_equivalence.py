@@ -21,6 +21,7 @@ import pytest
 
 from repro.core.toolchain import load_config, save_config
 from repro.lang.lexer import split_config_args
+from repro.verify.chaos import compare_chaos, seeded_plan
 from repro.verify.genconfig import stock_cases
 from repro.verify.oracle import MODES, first_transmit_difference, run_case
 
@@ -173,3 +174,21 @@ def test_rules_patch_sequence_matches_reference(seed):
         diff = first_transmit_difference(reference["transmitted"], result[1]["transmitted"])
         assert diff is None, "%s transmitted: %s" % (label, diff)
         assert result[1]["counters"] == reference["counters"], "%s counters diverged" % label
+
+
+def test_churn_under_seeded_faults_agrees_across_the_supervised_matrix():
+    """Churn under chaos: a rules rotation (every output port changes
+    meaning) and a route perturbation installed incrementally mid-trace
+    while a seeded fault plan fires — every supervised mode must agree
+    with the reference on the wire and none may crash."""
+    rng = random.Random(7)
+    case = stock_iprouter(events=32)
+    first = rules_update_text(case["config"], rng)
+    second, _structural = random_update_text(first, rng)
+    events = list(case["events"])
+    events.insert(2 * len(events) // 3, ["update", second])
+    events.insert(len(events) // 3, ["update", first])
+    case = dict(case, events=events, name="churn-chaos")
+    result = compare_chaos(case, seeded_plan(case, 7))
+    assert result["status"] == "ok", result["failures"]
+    assert set(result["reports"]) == set(MODES)

@@ -4,8 +4,9 @@ machinery (the parts calibration doesn't already cover)."""
 import pytest
 
 from repro.net.headers import ETHER_HEADER_LEN, EtherHeader, IPHeader
-from repro.sim.platforms import P0, P3
-from repro.sim.testbed import HOST_ETHERS, Testbed, VARIANTS, host_ip
+from repro.sim import fluid
+from repro.sim.platforms import P0, P2, P3
+from repro.sim.testbed import DISPATCH_NS, HOST_ETHERS, Testbed, VARIANTS, host_ip
 
 
 @pytest.fixture(scope="module")
@@ -100,3 +101,39 @@ class TestPlatformScaling:
         p3_cost = p3.true_cpu_ns("base", packets=200)
         expected = base_cost * P0.clock_mhz / P3.clock_mhz + P3.pio_overhead_ns
         assert p3_cost == pytest.approx(expected, rel=0.01)
+
+
+class TestShardedSaturation:
+    """The modeled shard gate, through ``Testbed.sharded_mlffr`` itself:
+    shards divide the CPU cost until the dispatcher (P2) or the bus
+    (P0) is what binds."""
+
+    @staticmethod
+    def speedups(platform, **kwargs):
+        testbed = Testbed(2, platform=platform)
+        base = testbed.mlffr("base", packets=200)
+        return base, [
+            testbed.sharded_mlffr("base", workers, packets=200, **kwargs) / base
+            for workers in (1, 2, 4, 8)
+        ]
+
+    def test_p2_scales_until_the_dispatcher_binds(self):
+        base, curve = self.speedups(P2)
+        assert curve[0] == pytest.approx(1.0)
+        assert curve[2] >= 2.0
+        assert curve == sorted(curve)
+        # Every frame crosses the one dispatcher: no worker count buys
+        # more than a CPU that costs DISPATCH_NS per packet would.
+        cap = fluid.mlffr(DISPATCH_NS, P2) / base
+        assert curve[2] < curve[3] == pytest.approx(cap)
+        _, slow_dispatch = self.speedups(P2, dispatch_ns=2000.0)
+        assert slow_dispatch[1] == slow_dispatch[3] < curve[1]
+
+    def test_p0_is_flat_at_the_bus_limit(self):
+        _, curve = self.speedups(P0)
+        assert curve[0] == pytest.approx(1.0)
+        assert 1.0 < curve[1] == curve[2] == curve[3] < 1.5
+
+    def test_rejects_no_workers(self, testbed):
+        with pytest.raises(ValueError, match="workers"):
+            testbed.sharded_mlffr("base", 0)

@@ -5,10 +5,12 @@ project documents (README / DESIGN / EXPERIMENTS) must exist and cover
 every figure.
 """
 
+import glob
 import importlib
 import inspect
 import os
 import pkgutil
+import re
 
 import pytest
 
@@ -75,11 +77,37 @@ class TestProjectDocuments:
             assert figure in text, figure
 
     def test_design_maps_experiments_to_benches(self):
-        text = open(os.path.join(REPO_ROOT, "DESIGN.md")).read()
-        bench_dir = os.path.join(REPO_ROOT, "benchmarks")
-        for name in os.listdir(bench_dir):
+        """Every bench module is a written-up experiment, and no living
+        document or source file points at a bench file that is gone
+        (CHANGES.md, EXPERIMENTS.md and bench/README.md are history)."""
+
+        def read(*parts):
+            with open(os.path.join(REPO_ROOT, *parts)) as fh:
+                return fh.read()
+
+        design, experiments = read("DESIGN.md"), read("EXPERIMENTS.md")
+        benches = {
+            name
+            for name in os.listdir(os.path.join(REPO_ROOT, "benchmarks"))
+            if name.endswith(".py")
+        }
+        for name in benches:
             if name.startswith("bench_fig"):
-                assert name in text, "DESIGN.md experiment index missing %s" % name
+                assert name in design, "DESIGN.md experiment index missing %s" % name
+            elif name.startswith("bench_"):
+                assert name in design or name in experiments, (
+                    "%s is in neither DESIGN.md nor EXPERIMENTS.md" % name
+                )
+
+        living = [os.path.join(REPO_ROOT, name) for name in ("README.md", "DESIGN.md")]
+        living += glob.glob(os.path.join(REPO_ROOT, "docs", "*.md"))
+        living += glob.glob(os.path.join(REPO_ROOT, "src", "**", "*.py"), recursive=True)
+        for path in living:
+            text = read(path)
+            for name in re.findall(r"\b(?:benchmarks/|(?=bench_))(\w+\.py)", text):
+                assert name in benches, "%s names %s" % (path, name)
+            for name in re.findall(r"\bBENCH_\w+\.json", text):
+                assert os.path.exists(os.path.join(REPO_ROOT, name)), "%s names %s" % (path, name)
 
     def test_element_reference_in_sync_with_registry(self):
         """docs/ELEMENTS.md is generated; regenerate on drift."""
