@@ -642,22 +642,29 @@ class AdaptiveEngine:
         self.installed = False
         self._compile_tier1()
 
-    def _compile(self, store=None, decisions=None):
+    def _diagram_fields(self, decisions=None):
+        """The diagram pass over the router as it stands: the policy
+        fields one build's flavors share (none without diagrams)."""
+        if not self.diagrams:
+            return {}
+        return diagram_pass(
+            self.router, self.node_budget, decisions, self.store.classifier_exemplar
+        )
+
+    def _compile(self, fields, store=None, decisions=None):
         """Compile one flavor of the router's chains — plain (neither
-        argument), profiled (``store``) or tier 2 (``decisions``) —
+        keyword), profiled (``store``) or tier 2 (``decisions``) —
         through the codegen cache.  The one place a tier's facts are
         assembled into a :class:`ChainPolicy`."""
-        fields = {}
-        if self.diagrams:
-            fields = diagram_pass(
-                self.router, self.node_budget, decisions, self.store.classifier_exemplar
-            )
         policy = ChainPolicy(store=store, decisions=decisions, engine=self, **fields)
         return FastPath(self.router, batch=self.batch, policy=policy, cache=default_cache())
 
     def _compile_tier1(self):
-        self.tier1 = self._compile()
-        self.profiled = self._compile(store=self.store) if self.tiering else None
+        # Without decisions the pass does not read the profile: one run
+        # gives the plain and the profiled flavor the same plans.
+        fields = self._diagram_fields()
+        self.tier1 = self._compile(fields)
+        self.profiled = self._compile(fields, store=self.store) if self.tiering else None
 
     def flavors(self):
         """Every compiled :class:`FastPath` the engine holds."""
@@ -805,7 +812,7 @@ class AdaptiveEngine:
         decisions = self._decisions_cache
         if decisions.empty():
             return None
-        self.tier2_fp = self._compile(decisions=decisions)
+        self.tier2_fp = self._compile(self._diagram_fields(decisions), decisions=decisions)
         self.recompiles += 1
         return self.tier2_fp
 

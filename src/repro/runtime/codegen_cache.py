@@ -3,15 +3,18 @@
 ``FastPath._compile`` pays ``compile``/``exec`` per router build even
 when the configuration is identical — the common case in benchmarks,
 test suites, and hot-swap, where the same graph is instantiated over
-and over.  This module caches the *generated artifact* (source + one
-code object per chain + the replay recipes for every bound runtime
-object) keyed by
+and over.  This module caches the *generated artifact* (the per-chain
+compile records — :class:`~repro.runtime.fastpath.ChainInfo`, shared by
+reference with the fast path that built them — plus the module text and
+the replay recipes for every bound runtime object) keyed by
 
     (graph fingerprint, element-class identity, batch flag, policy key)
 
 so a repeat build skips generation and compilation entirely: the entry
 re-binds each ``_bN`` slot against the fresh router from its recipe and
 re-executes the already-compiled code objects in a fresh namespace.
+The cache is an in-memory LRU and nothing else: a process that did not
+compile a configuration compiles it.
 
 Recipes (recorded by :meth:`FastPath._bind`) are small tuples:
 
@@ -50,42 +53,18 @@ stored for clean ones.
 
 Corruption is survivable by design: a replay that raises for any reason
 makes :class:`~repro.runtime.fastpath.FastPath` evict the entry and
-fall back to a fresh compile (``corrupt`` counts them).  The same
-contract covers the optional disk layer: :meth:`CodegenCache.save`
-writes entries (source + recipes, *not* code objects) under
-process-stable keys — element classes identified by qualified name
-instead of ``id()`` — and :meth:`CodegenCache.load` validates each
-record individually, skipping truncated or mangled ones instead of
-raising.
+fall back to a fresh compile (``corrupt`` counts them).
 """
 
 from __future__ import annotations
 
-import pickle
 import threading
 from collections import OrderedDict
 
 from ..net.packet import _DEST_IP_CACHE
-from .fastpath import _HEADER, _MISS, _classifier_matcher, _intern_dest_ip, compile_chain
+from .fastpath import _MISS, _classifier_matcher, _intern_dest_ip
 
 __all__ = ["CacheEntry", "CodegenCache", "default_cache"]
-
-_DISK_MAGIC = "repro-codegen-cache-v2"
-_ENTRY_FIELDS = (
-    "source",
-    "names",
-    "specs",
-    "chains",
-    "jump_specs",
-    "report_fields",
-    "inlined_elements",
-    "chain_lines",
-    "chain_sources",
-    "chain_binds",
-    "chain_tables",
-    "next_index",
-    "bind_counter",
-)
 
 
 def _resolve_spec(spec, fastpath, tables):
@@ -119,129 +98,54 @@ def _resolve_spec(spec, fastpath, tables):
     raise KeyError("unknown bind recipe %r" % (spec,))
 
 
-_REPORT_FIELDS = (
-    "push_chains",
-    "pull_chains",
-    "inlined_calls",
-    "longest_chain",
-    "branch_elements",
-    "branch_ports",
-    "specialized_terminals",
-    "specialized_actions",
-    "elided_elements",
-    "source_lines",
-    "guarded_branches",
-    "pruned_arms",
-    "fdd_diagrams",
-    "fdd_nodes",
-    "fdd_paths",
-    "fdd_tests_saved",
-    "opaque_dispatch",
-)
-
-
 class CacheEntry:
-    """One cached compile: everything needed to rebuild a live
-    :class:`FastPath` against a fresh router without regenerating or
-    recompiling source."""
+    """One cached compile: the chain records (what replay execs, and
+    what lets a replayed fast path serve as a scoped rebuild's reuse
+    donor just like a fresh compile — entries of successive patches
+    share the records of the chains spliced between them) and the
+    module-level remainder needed to rebuild a live :class:`FastPath`
+    against a fresh router without regenerating or recompiling source."""
 
-    __slots__ = (
-        "source",
-        "chain_code",
-        "names",
-        "specs",
-        "chains",
-        "jump_specs",
-        "report_fields",
-        "inlined_elements",
-        "chain_lines",
-        "chain_sources",
-        "chain_binds",
-        "chain_tables",
-        "next_index",
-        "bind_counter",
-    )
+    __slots__ = ("chains", "source", "specs", "jump_specs", "next_index", "bind_counter")
 
-    @classmethod
-    def from_fastpath(cls, fastpath):
-        entry = cls()
-        entry.source = fastpath.source
-        entry.names = dict(fastpath._names)
-        entry.specs = dict(fastpath._bind_specs)
-        entry.chains = dict(fastpath.chains)
-        entry.jump_specs = [
+    def __init__(self, fastpath):
+        self.chains = dict(fastpath.chains)
+        self.source = fastpath.source
+        self.specs = dict(fastpath._bind_specs)
+        self.jump_specs = [
             (element.name, mode) for (_table, element, mode) in fastpath._jump_tables
         ]
-        report = fastpath.report
-        entry.report_fields = {name: getattr(report, name) for name in _REPORT_FIELDS}
-        entry.inlined_elements = set(report.inlined_elements)
-        entry.chain_lines = dict(report.chain_lines)
-        # The per-chain compile units: what replay execs, and what lets
-        # a replayed fast path serve as a scoped rebuild's reuse donor
-        # just like a fresh compile.  Entries of successive patches
-        # share the code objects of the chains spliced between them.
-        entry.chain_sources = dict(fastpath._chain_sources)
-        entry.chain_code = dict(fastpath._chain_code)
-        entry.chain_binds = dict(fastpath._chain_binds)
-        entry.chain_tables = dict(fastpath._chain_tables)
-        entry.next_index = fastpath._next_index
-        entry.bind_counter = fastpath._bind_counter
-        return entry
+        self.next_index = fastpath._next_index
+        self.bind_counter = fastpath._bind_counter
 
     def replay(self, fastpath):
-        """Rebuild ``fastpath`` from this entry: resolve every bind
-        recipe against its router, exec the cached chains' code objects
-        (:meth:`FastPath._link`), and restore the compile report."""
+        """Rebuild ``fastpath`` from this entry: adopt the records,
+        resolve every bind recipe against its router and exec the
+        chains' code objects (:meth:`FastPath._link`); the fast path
+        folds its report from the records as after any build."""
         router = fastpath.router
-        tables = [
-            ([], router.elements[name], mode) for (name, mode) in self.jump_specs
-        ]
+        tables = [([], router.elements[name], mode) for name, mode in self.jump_specs]
         fastpath._jump_tables = tables
         namespace = fastpath._namespace
         for name, spec in self.specs.items():
             namespace[name] = _resolve_spec(spec, fastpath, tables)
-        fastpath.source = self.source
-        fastpath._names = dict(self.names)
-        fastpath._bind_specs = dict(self.specs)
         fastpath.chains = dict(self.chains)
-        fastpath._chain_sources = dict(self.chain_sources)
-        fastpath._chain_code = dict(self.chain_code)
-        fastpath._chain_binds = dict(self.chain_binds)
-        fastpath._chain_tables = dict(self.chain_tables)
+        fastpath.source = self.source
+        fastpath._bind_specs = dict(self.specs)
         fastpath._next_index = self.next_index
         fastpath._bind_counter = self.bind_counter
         fastpath._link()
-        report = fastpath.report
-        for name, value in self.report_fields.items():
-            setattr(report, name, value)
-        report.inlined_elements = set(self.inlined_elements)
-        report.chain_lines = dict(self.chain_lines)
-
-
-def _stable_class_sig(router):
-    """The process-stable twin of the ``id(type)`` class signature:
-    element classes identified by qualified name.  Safe as a disk key
-    because the graph fingerprint already covers the archive sources
-    that *define* generated classes — two routers agreeing on both can
-    only disagree on class identity within one process (which the
-    in-memory id-based key still distinguishes)."""
-    return tuple(
-        (name, "%s.%s" % (type(element).__module__, type(element).__qualname__))
-        for name, element in router.elements.items()
-    )
 
 
 class CodegenCache:
-    """An LRU of :class:`CacheEntry` keyed by configuration content,
-    with an optional validated disk layer behind it."""
+    """An in-memory LRU of :class:`CacheEntry` keyed by configuration
+    content."""
 
     def __init__(self, capacity=64):
         self.capacity = capacity
         self._entries = OrderedDict()
-        self._disk = {}  # stable key -> CacheEntry (loaded, pre-validated)
         self.hits = 0
         self.misses = 0
-        self.disk_hits = 0
         self.corrupt = 0
         self.invalidations = 0
         # The default cache is process-wide and the sharded data plane's
@@ -276,18 +180,7 @@ class CodegenCache:
             fingerprint = graph.fingerprint()
             if hint:
                 hint["fingerprint"] = fingerprint
-        return (
-            fingerprint,
-            class_sig,
-            bool(batch),
-            policy_key,
-            _stable_class_sig(router),
-        )
-
-    @staticmethod
-    def _disk_key(key):
-        fingerprint, _class_sig, batch, policy_key, stable_sig = key
-        return (fingerprint, stable_sig, batch, policy_key)
+        return (fingerprint, class_sig, bool(batch), policy_key)
 
     def lookup(self, key):
         if key is None:
@@ -298,16 +191,6 @@ class CodegenCache:
                 self._entries.move_to_end(key)
                 self.hits += 1
                 return entry
-            if self._disk:
-                entry = self._disk.pop(self._disk_key(key), None)
-                if entry is not None:
-                    # Promote (moving, so an eviction counts it once): later
-                    # lookups go through the ordinary in-memory path.
-                    self._entries[key] = entry
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                    self.disk_hits += 1
-                    return entry
             self.misses += 1
             return None
 
@@ -317,28 +200,26 @@ class CodegenCache:
         that missed by key can still share (:meth:`FastPath._compile`)."""
         with self._lock:
             for other, entry in self._entries.items():
-                if other[2:4] == key[2:4] and entry.source == source:
+                if other[2:] == key[2:] and entry.source == source:
                     return entry
         return None
 
     def store(self, key, fastpath):
-        if key is None or not fastpath._chain_code:
+        if key is None or not fastpath.chains:
             return
         with self._lock:
-            self._entries[key] = CacheEntry.from_fastpath(fastpath)
+            self._entries[key] = CacheEntry(fastpath)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
 
     def evict(self, key):
         """Drop one corrupt entry (after a failed replay): the bad
-        artifact must not be offered again, in memory or from disk."""
+        artifact must not be offered again."""
         if key is None:
             return
         with self._lock:
             if self._entries.pop(key, None) is not None:
-                self.corrupt += 1
-            if self._disk.pop(self._disk_key(key), None) is not None:
                 self.corrupt += 1
 
     def invalidate(self):
@@ -346,7 +227,6 @@ class CodegenCache:
         (unlike :meth:`clear`) — the fault injector's cache fault."""
         with self._lock:
             self._entries.clear()
-            self._disk.clear()
             self.invalidations += 1
 
     def corrupt_entries(self):
@@ -354,21 +234,15 @@ class CodegenCache:
         (the fault injector's ``cache_corrupt`` fault): the next replay
         raises, exercising the evict-and-recompile fallback."""
         with self._lock:
-            corrupted = 0
-            for entry in list(self._entries.values()) + list(self._disk.values()):
-                entry.specs = {
-                    name: ("injected-corruption",) for name in entry.specs
-                }
-                corrupted += 1
-            return corrupted
+            for entry in self._entries.values():
+                entry.specs = dict.fromkeys(entry.specs, ("injected-corruption",))
+            return len(self._entries)
 
     def clear(self):
         with self._lock:
             self._entries.clear()
-            self._disk.clear()
             self.hits = 0
             self.misses = 0
-            self.disk_hits = 0
             self.corrupt = 0
             self.invalidations = 0
 
@@ -380,95 +254,17 @@ class CodegenCache:
         # stable order keeps FDD cache-key diffs comparable across runs.
         return {
             "corrupt": self.corrupt,
-            "disk_entries": len(self._disk),
-            "disk_hits": self.disk_hits,
             "entries": len(self._entries),
             "hits": self.hits,
             "invalidations": self.invalidations,
             "misses": self.misses,
         }
 
-    # -- disk layer --------------------------------------------------------
-
-    def save(self, path, keys=None):
-        """Persist every in-memory entry — with ``keys``, only the ones
-        stored under those keys — under its process-stable key.  Code
-        objects are not written — :meth:`load` recompiles from source,
-        which is what lets it validate entries one by one (and why a
-        reader pays for every record in the file)."""
-        with self._lock:
-            records = []
-            for key, entry in self._entries.items():
-                if keys is not None and key not in keys:
-                    continue
-                record = {"key": self._disk_key(key)}
-                for field in _ENTRY_FIELDS:
-                    record[field] = getattr(entry, field)
-                records.append(record)
-        with open(path, "wb") as handle:
-            pickle.dump({"magic": _DISK_MAGIC, "records": records}, handle)
-        return len(records)
-
-    def load(self, path):
-        """Load a cache file, validating each record independently: a
-        truncated file, a wrong-format file, or any individually
-        mangled record is counted in ``corrupt`` and skipped — never
-        raised.  Returns the number of entries loaded."""
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-        except Exception:  # noqa: BLE001 - any unreadable file is "corrupt"
-            self.corrupt += 1
-            return 0
-        if not isinstance(payload, dict) or payload.get("magic") != _DISK_MAGIC:
-            self.corrupt += 1
-            return 0
-        loaded = 0
-        with self._lock:
-            for record in payload.get("records", ()):
-                entry = self._validate_record(record)
-                if entry is None:
-                    self.corrupt += 1
-                    continue
-                self._disk[record["key"]] = entry
-                loaded += 1
-        return loaded
-
-    @staticmethod
-    def _validate_record(record):
-        """A CacheEntry from one disk record, or None if the record is
-        structurally bad, a chain of it no longer compiles, or its
-        chains do not add up to its source."""
-        if not isinstance(record, dict):
-            return None
-        if any(field not in record for field in _ENTRY_FIELDS) or "key" not in record:
-            return None
-        if not isinstance(record["source"], str) or not isinstance(record["key"], tuple):
-            return None
-        lines = list(_HEADER)
-        chain_code = {}
-        try:
-            for chain_key, chain in record["chain_sources"].items():
-                offset = len(lines) + 1
-                chain_code[chain_key] = (
-                    compile_chain(chain[1:], offset, "<codegen-cache>"),
-                    offset,
-                )
-                lines.extend(chain)
-            if "\n".join(lines) + "\n" != record["source"]:
-                return None
-        except Exception:  # noqa: BLE001 - a record of any shape may be on disk
-            return None
-        entry = CacheEntry()
-        entry.chain_code = chain_code
-        for field in _ENTRY_FIELDS:
-            setattr(entry, field, record[field])
-        return entry
-
 
 _DEFAULT = CodegenCache()
 
 
 def default_cache():
-    """The process-wide cache :meth:`Router.compile_fastpath` uses."""
+    """The process-wide cache every :class:`~repro.runtime.adaptive.AdaptiveEngine`
+    compiles through."""
     return _DEFAULT

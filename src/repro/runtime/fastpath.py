@@ -51,6 +51,7 @@ compiles.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import time
 
@@ -313,35 +314,87 @@ class ChainStage:
         )
 
 
+#: The FastPathReport counters emitters bump while a chain is emitted;
+#: the chain's record keeps what its own emission added.
+_CHAIN_COUNTERS = (
+    "specialized_terminals", "specialized_actions", "elided_elements",
+    "guarded_branches", "pruned_arms",
+    "fdd_diagrams", "fdd_nodes", "fdd_paths", "fdd_tests_saved",
+)
+
+
 class ChainInfo:
-    """What one chain compiles: its source edge, the elements inlined
-    into straight-line code, and the terminal dispatch."""
+    """One compiled chain, whole — the compile unit: its source edge,
+    the elements inlined into straight-line code and the terminal
+    dispatch, and everything compiling it produced.  Immutable once
+    :meth:`FastPath._compile` returns, so one record is shared by
+    reference between the fast path that emitted it, every compile that
+    splices it, the cache entry and a cache twin; a splice that has to
+    renumber it takes a copy (:meth:`moved`)."""
 
     __slots__ = (
-        "kind",
-        "element",
-        "port",
-        "inlined",
-        "terminal",
-        "terminal_port",
+        "kind", "element", "port", "inlined", "terminal", "terminal_port",
         "function_name",
-        "lines",
+        "batch_name",  # the batch entry point, or None
+        "source",  # [blank line, "# describe()", generated line, ...]
+        "code",  # compile_chain(source[1:], offset)
+        "offset",  # source[0] is line ``offset`` of FastPath.source
+        "binds",  # the _bN names bound during emission, in order
+        "tables",  # FastPath._jump_tables indexes registered
+        "opaque",  # own-run elements entered through their bound push / simple_action
+        "counters",  # {_CHAIN_COUNTERS name: what emission added}, non-zero only
     )
 
-    def __init__(self, kind, element, port, inlined, terminal, terminal_port, function_name,
-                 lines=0):
-        self.kind = kind
-        self.element = element
-        self.port = port
+    def __init__(self, kind, element, port, inlined, terminal, terminal_port, function_name):
+        self.kind, self.element, self.port = kind, element, port
         self.inlined = inlined
-        self.terminal = terminal
-        self.terminal_port = terminal_port
+        self.terminal, self.terminal_port = terminal, terminal_port
         self.function_name = function_name
-        self.lines = lines
+        self.batch_name = self.code = None
+
+    @property
+    def lines(self):
+        """Generated lines, not counting the separator and the comment."""
+        return len(self.source) - 2
 
     def describe(self):
         hops = [name for name in self.inlined] + ["%s.%s(%d)" % (self.terminal, self.kind, self.terminal_port)]
         return "%s %s [%d] -> %s" % (self.kind, self.element, self.port, " -> ".join(hops))
+
+    def same_unit(self, other):
+        """Would ``other``'s code object serve this not-yet-compiled chain?"""
+        return all(getattr(self, s) == getattr(other, s) for s in self.__slots__ if s != "code")
+
+    def moved(self, offset, tables):
+        """This chain at another line offset and/or under other jump
+        table indexes: a copy (the donor's record stands), its code
+        re-based when the offset differs."""
+        if offset == self.offset and tables == self.tables:
+            return self
+        chain = copy.copy(self)
+        if offset != self.offset:
+            chain.code = _shift_lines(self.code, offset - self.offset)
+            chain.offset = offset
+        chain.tables = tables
+        return chain
+
+    def fold_into(self, report):
+        """Add this chain to a :class:`FastPathReport` — the one way a
+        chain is counted, whether just emitted, spliced or replayed."""
+        label = "%s %s[%d]" % (self.kind, self.element, self.port)
+        report.chain_lines[label] = self.lines
+        if self.opaque:
+            report.opaque_dispatch[label] = self.opaque
+        if self.kind == "push":
+            report.push_chains += 1
+        else:
+            report.pull_chains += 1
+        report.inlined_calls += len(self.inlined)
+        report.inlined_elements.update(self.inlined)
+        # every inlined element is a stage, and so is the terminal
+        report.longest_chain = max(report.longest_chain, len(self.inlined) + 1)
+        for name, added in self.counters.items():
+            setattr(report, name, getattr(report, name) + added)
 
 
 class FastPathReport:
@@ -379,34 +432,13 @@ class FastPathReport:
         self.opaque_dispatch = {}
 
     def as_dict(self):
-        return {
-            "push_chains": self.push_chains,
-            "pull_chains": self.pull_chains,
-            "inlined_calls": self.inlined_calls,
-            "inlined_elements": sorted(self.inlined_elements),
-            "longest_chain": self.longest_chain,
-            "branch_elements": self.branch_elements,
-            "branch_ports": self.branch_ports,
-            "specialized_terminals": self.specialized_terminals,
-            "specialized_actions": self.specialized_actions,
-            "elided_elements": self.elided_elements,
-            "batch": self.batch,
-            "metered": self.metered,
-            "source_lines": self.source_lines,
-            "policy": self.policy,
-            "cache_hit": self.cache_hit,
-            "compile_seconds": round(self.compile_seconds, 6),
-            "chain_lines": dict(sorted(self.chain_lines.items())),
-            "guarded_branches": self.guarded_branches,
-            "pruned_arms": self.pruned_arms,
-            "reused_chains": self.reused_chains,
-            "compiled_units": self.compiled_units,
-            "fdd_diagrams": self.fdd_diagrams,
-            "fdd_nodes": self.fdd_nodes,
-            "fdd_paths": self.fdd_paths,
-            "fdd_tests_saved": self.fdd_tests_saved,
-            "opaque_dispatch": dict(sorted(self.opaque_dispatch.items())),
-        }
+        """Every field above, in that order, JSON-safe."""
+        fields = dict(vars(self))
+        fields["inlined_elements"] = sorted(self.inlined_elements)
+        fields["compile_seconds"] = round(self.compile_seconds, 6)
+        fields["chain_lines"] = dict(sorted(self.chain_lines.items()))
+        fields["opaque_dispatch"] = dict(sorted(self.opaque_dispatch.items()))
+        return fields
 
     def to_json(self):
         import json
@@ -506,7 +538,9 @@ def _shift_lines(code, by):
 
 
 #: The generated module's first lines; chains follow, one blank line
-#: before each.
+#: before each.  (``Router.compile_fastpath()`` is gone — a router
+#: compiles through its engine — but this text is part of every pinned
+#: source digest, so it stays byte-identical.)
 _HEADER = (
     '"""Generated by repro.runtime.fastpath: one function per wired',
     "push/pull edge of the router.  Do not edit; regenerate with",
@@ -647,33 +681,25 @@ class FastPath:
             self._compile(cache, key)
             if key is not None and self._cacheable:
                 cache.store(key, self)
+        self._fold_report()
         self.report.compile_seconds = time.perf_counter() - started
 
     def _reset_compile_state(self):
         """Everything a compile or cache replay builds, emptied: the
         start of construction, and again after a failed replay so
         :meth:`_compile` starts from scratch."""
-        self.chains = {}  # (kind, element_name, port) -> ChainInfo
-        self._compiled = {}  # same key -> (fn, batch_fn_or_None)
+        # (kind, element_name, port) -> ChainInfo, in emission order: the
+        # compile units, kept whole so a later scoped rebuild can splice
+        # this module's untouched chains into its own compile (see
+        # _reuse_chain) and the codegen cache can hold and replay them.
+        self.chains = {}
+        self._compiled = {}  # same key -> (fn, batch_fn_or_None), live in _namespace
         self._jump_tables = []  # (list to fill, terminal element, dispatch mode)
         self.source = ""
         self._namespace = {}
         self._bind_specs = {}  # _bN name -> replay recipe
         self._cacheable = True
         self._ctx_counter = 0
-        self._names = {}  # chain key -> (fn name, batch fn name)
-        # Per-chain compile units, in emission order, kept so a later
-        # scoped rebuild can splice this module's untouched chains into
-        # its own compile (see _reuse_chain): source lines, the code
-        # object compiled from them with the whole-source line offset
-        # it is numbered at, the _bN names each chain bound, and the
-        # jump tables it registered.
-        self._chain_sources = {}  # chain key -> [source line, ...]
-        self._chain_code = {}  # chain key -> (code object, line offset)
-        self._chain_binds = {}  # chain key -> [_bN name, ...]
-        self._chain_tables = {}  # chain key -> [_jump_tables index, ...]
-        self._current_chain_binds = None
-        self._current_chain_tables = None
         self._bind_counter = 0
         self._next_index = 0  # first free chain-function index
         report = FastPathReport()
@@ -802,20 +828,15 @@ class FastPath:
         self._bind_specs[name] = spec
         if spec is None:
             self._cacheable = False
-        if self._current_chain_binds is not None:
-            self._current_chain_binds.append(name)
         return name
 
     def _register_jump_table(self, terminal, mode):
-        """A fresh terminal jump table (filled after exec), recorded
-        against the chain currently being emitted so a scoped hot-swap
-        can rebuild the table when it splices the chain."""
+        """A fresh terminal jump table (filled after exec).  The chain
+        being emitted records the indexes it registered, so a scoped
+        hot-swap can rebuild its tables when it splices the chain."""
         table = []
         self._jump_tables.append((table, terminal, mode))
-        index = len(self._jump_tables) - 1
-        if self._current_chain_tables is not None:
-            self._current_chain_tables.append(index)
-        return table, index
+        return table, len(self._jump_tables) - 1
 
     def _bind_policy(self, token):
         """Bind the live object behind a policy token."""
@@ -1975,18 +1996,10 @@ class FastPath:
         self._fuse_lowered = element.is_task()
         stages, pairs, terminal, terminal_port = self._trace_push(element, port_index)
         fn = "_push_%d" % index
-        info = ChainInfo(
-            "push",
-            element.name,
-            port_index,
-            [stage.to_element.name for stage in stages[:-1]],
-            terminal.name,
-            terminal_port,
-            fn,
-        )
+        inlined = [stage.to_element.name for stage in stages[:-1]]
+        info = ChainInfo("push", element.name, port_index, inlined, terminal.name, terminal_port, fn)
         lines.append("")
         lines.append("# %s" % info.describe())
-        start = len(lines)
         batch_fn = None
         opaque = []
         if self.metered:
@@ -2052,28 +2065,19 @@ class FastPath:
                 for seg in segments:
                     lines.extend(seg("packet", "        ", "continue"))
                 lines.extend(emit_terminal("packet", "        ", "continue"))
-        info.lines = len(lines) - start
-        self.chains[("push", element.name, port_index)] = info
-        self._note_chain(info, len(stages), opaque)
-        return fn, batch_fn
+        info.batch_name = batch_fn
+        info.opaque = opaque
+        return info
 
     def _emit_pull(self, lines, index, element, port_index):
         stages, pairs, terminal, terminal_port = self._trace_pull(element, port_index)
         fn = "_pull_%d" % index
-        info = ChainInfo(
-            "pull",
-            element.name,
-            port_index,
-            [stage.to_element.name for stage in stages[:-1]],
-            terminal.name,
-            terminal_port,
-            fn,
-        )
+        inlined = [stage.to_element.name for stage in stages[:-1]]
+        info = ChainInfo("pull", element.name, port_index, inlined, terminal.name, terminal_port, fn)
         # Applied nearest-the-terminal first: reverse of the walk order.
         pairs.reverse()
         lines.append("")
         lines.append("# %s" % info.describe())
-        start = len(lines)
         batch_fn = None
         opaque = []
         if self.metered:
@@ -2154,25 +2158,24 @@ class FastPath:
                     lines.extend(seg("packet", "        ", "break"))
                 lines.append("        append(packet)")
                 lines.append("    return packets")
-        info.lines = len(lines) - start
-        self.chains[("pull", element.name, port_index)] = info
-        self._note_chain(info, len(stages), opaque)
-        return fn, batch_fn
+        info.batch_name = batch_fn
+        info.opaque = opaque
+        return info
 
-    def _note_chain(self, info, longest, opaque):
-        """Fold one chain (fresh or spliced from a donor) into the report."""
+    def _fold_report(self):
+        """Derive the report's content from what this fast path holds:
+        every chain record folded in, plus what the router's wiring and
+        the module text say.  Runs once, after a cold compile, a splice
+        and a cache replay alike, so the three cannot disagree."""
         report = self.report
-        label = "%s %s[%d]" % (info.kind, info.element, info.port)
-        report.chain_lines[label] = info.lines
-        if opaque:
-            report.opaque_dispatch[label] = opaque
-        if info.kind == "push":
-            report.push_chains += 1
-        else:
-            report.pull_chains += 1
-        report.inlined_calls += len(info.inlined)
-        report.inlined_elements.update(info.inlined)
-        report.longest_chain = max(report.longest_chain, longest)
+        for chain in self.chains.values():
+            chain.fold_into(report)
+        for element in self.router.elements.values():
+            wired_outputs = sum(1 for p in element._output_ports if p.target is not None)
+            if wired_outputs > 1:
+                report.branch_elements += 1
+                report.branch_ports += wired_outputs
+        report.source_lines = self.source.count("\n")
 
     # -- scoped chain reuse ------------------------------------------------------
 
@@ -2205,7 +2208,7 @@ class FastPath:
         for donor in hint.get("fastpaths", ()):
             if donor is None or donor is self or donor.metered:
                 continue
-            if donor.batch != self.batch or not donor._chain_code:
+            if donor.batch != self.batch or not donor.chains:
                 continue
             if getattr(donor.router, "_fault_uncacheable", False):
                 continue
@@ -2257,29 +2260,25 @@ class FastPath:
 
     def _reuse_chain(self, key, donor, lines, resolve):
         """Splice one untouched chain from ``donor``'s module into this
-        compile: its source lines and the code object compiled from
-        them (re-based only when the chain's line offset in the whole
-        source moved), its ``_bN`` bind slots, and fresh jump tables
+        compile: the donor's record itself (a re-based copy only when
+        the chain's line offset in the whole source, or its jump table
+        indexes, moved), its ``_bN`` bind slots, and fresh jump tables
         for the ones it registered.  A donor on this very router hands
         its bound objects over (they are what its code ran on until
         now); a bind of another router's donor, a jump table and a
         policy object (counters belong to the new policy instance) are
         resolved anew through ``resolve``."""
+        chain = donor.chains[key]
         offset = len(lines) + 1
-        code, donor_offset = donor._chain_code[key]
-        if offset != donor_offset:
-            code = _shift_lines(code, offset - donor_offset)
-        self._chain_code[key] = (code, offset)
-        lines.extend(donor._chain_sources[key])
+        lines.extend(chain.source)
         table_map = {}
-        for old_index in donor._chain_tables.get(key, ()):
+        for old_index in chain.tables:
             _table, old_element, mode = donor._jump_tables[old_index]
             _table, table_map[old_index] = self._register_jump_table(
                 self.router.elements[old_element.name], mode
             )
         same_router = donor.router is self.router
-        bind_names = donor._chain_binds[key]
-        for name in bind_names:
+        for name in chain.binds:
             spec = donor._bind_specs[name]
             if spec[0] == "table":
                 spec = ("table", table_map[spec[1]])
@@ -2288,18 +2287,8 @@ class FastPath:
                 self._namespace[name] = donor._namespace[name]
             else:
                 self._namespace[name] = resolve(spec, self, self._jump_tables)
-        self._names[key] = donor._names[key]
-        info = donor.chains[key]
-        self.chains[key] = info
-        self._chain_sources[key] = donor._chain_sources[key]
-        self._chain_binds[key] = bind_names
-        self._chain_tables[key] = sorted(table_map.values())
+        self.chains[key] = chain.moved(offset, tuple(table_map.values()))
         self.report.reused_chains += 1
-        self._note_chain(
-            info,
-            len(info.inlined) + 1,
-            donor.report.opaque_dispatch.get("%s %s[%d]" % key),
-        )
 
     def _compile(self, cache=None, cache_key=None):
         lines = list(_HEADER)
@@ -2313,39 +2302,43 @@ class FastPath:
             # keeps its original _push_N/_bN names) never collides.
             index = donor._next_index
             self._bind_counter = donor._bind_counter
+        report = self.report
         for key, element, far in self._chain_edges():
             kind, name, port_index = key
-            binds = donor._chain_binds.get(key) if donor is not None else None
+            chain = donor.chains.get(key) if donor is not None else None
             if (
-                binds is not None
-                and key in donor._chain_code
+                chain is not None
                 and name not in anchors
                 and far.name not in reach[kind]
-                and (donor._cacheable or all(donor._bind_specs.get(b) is not None for b in binds))
+                and (
+                    donor._cacheable
+                    or all(donor._bind_specs.get(b) is not None for b in chain.binds)
+                )
             ):
                 self._reuse_chain(key, donor, lines, _resolve_spec)
                 continue
-            self._current_chain_binds = []
-            self._current_chain_tables = []
             start = len(lines)
+            first_bind = self._bind_counter
+            first_table = len(self._jump_tables)
             emit = self._emit_push if kind == "push" else self._emit_pull
-            self._names[key] = emit(lines, index, element, port_index)
-            self._chain_sources[key] = lines[start:]
-            # Compiled below, once emission is done: alternating the
-            # two made a cold build 8 % slower.
-            self._chain_code[key] = (None, start + 1)
-            self._chain_binds[key] = self._current_chain_binds
-            self._chain_tables[key] = self._current_chain_tables
-            self._current_chain_binds = self._current_chain_tables = None
+            # Its code is compiled below, once emission is done:
+            # alternating the two made a cold build 8 % slower.
+            self.chains[key] = chain = emit(lines, index, element, port_index)
+            chain.source = lines[start:]
+            chain.offset = start + 1
+            chain.binds = tuple("_b%d" % n for n in range(first_bind, self._bind_counter))
+            chain.tables = tuple(range(first_table, len(self._jump_tables)))
+            # Emitters count on the report; the chain takes what its
+            # emission added, and _fold_report() counts it like any other.
+            chain.counters = {}
+            for counter in _CHAIN_COUNTERS:
+                added = getattr(report, counter)
+                if added:
+                    chain.counters[counter] = added
+                    setattr(report, counter, 0)
             index += 1
-        for element in self.router.elements.values():
-            wired_outputs = sum(1 for p in element._output_ports if p.target is not None)
-            if wired_outputs > 1:
-                self.report.branch_elements += 1
-                self.report.branch_ports += wired_outputs
         self._next_index = index
         self.source = "\n".join(lines) + "\n"
-        self.report.source_lines = self.source.count("\n")
         # The same policy over a graph that differs only in table
         # contents (an engine's tier 2 after a route patch) emits the
         # text a cached entry already holds: share its lines and code
@@ -2356,19 +2349,16 @@ class FastPath:
             twin = cache.twin(cache_key, self.source)
         if twin is not None:
             self.source = twin.source
-        for key, (code, offset) in self._chain_code.items():
-            if code is not None:
+        for key, chain in self.chains.items():
+            if chain.code is not None:
                 continue
-            chain_lines = self._chain_sources[key]
-            shared = twin.chain_code.get(key) if twin is not None else None
-            twin_lines = twin.chain_sources.get(key) if twin is not None else None
-            if shared is not None and shared[1] == offset and twin_lines == chain_lines:
-                self._chain_sources[key] = twin_lines
-                self._chain_code[key] = shared
+            shared = twin.chains.get(key) if twin is not None else None
+            if shared is not None and chain.same_unit(shared):
+                self.chains[key] = shared
                 continue
             # [0] is the blank line that separates chains
-            self._chain_code[key] = (compile_chain(chain_lines[1:], offset), offset)
-            self.report.compiled_units += 1
+            chain.code = compile_chain(chain.source[1:], chain.offset)
+            report.compiled_units += 1
         self._link()
 
     def _link(self):
@@ -2381,16 +2371,20 @@ class FastPath:
         the same way it would have.  The one way code becomes live:
         after a cold compile, a splice, and a cache replay alike."""
         namespace = self._namespace
-        for code, _offset in self._chain_code.values():
-            exec(code, namespace)  # noqa: S102 - code generated by _compile
-        names = self._names
-        for key, (fn, batch_fn) in names.items():
-            self._compiled[key] = (namespace[fn], namespace[batch_fn] if batch_fn else None)
+        chains = self.chains
+        for chain in chains.values():
+            exec(chain.code, namespace)  # noqa: S102 - code generated by _compile
+        for key, chain in chains.items():
+            batch_fn = chain.batch_name
+            self._compiled[key] = (
+                namespace[chain.function_name],
+                namespace[batch_fn] if batch_fn else None,
+            )
         for table, element, mode in self._jump_tables:
             for port_index, port in enumerate(element._output_ports):
-                compiled = names.get(("push", element.name, port_index))
+                compiled = self._compiled.get(("push", element.name, port_index))
                 if compiled is not None:
-                    table.append(namespace[compiled[0]])
+                    table.append(compiled[0])
                 elif mode == "checked":
                     table.append(None)
                 else:

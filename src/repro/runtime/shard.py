@@ -26,11 +26,10 @@ selects how a worker is *hosted*, not a second implementation:
   oracle, ``click-chaos`` and the tuner run by default (Python threads
   buy no wall-clock parallelism; equivalence is the point).
 - ``"process"`` — a ``multiprocessing`` (spawn) child over a pipe,
-  building its router from the configuration *text* and rehydrating
-  compiled chains from the codegen cache's validated disk layer
-  (:meth:`~repro.runtime.codegen_cache.CodegenCache.save`), so the
-  compile is paid once.  True parallelism: the host the 1→N scale
-  curve and the benchmark measure.
+  building and compiling its router from the configuration *text* it
+  is sent (the children compile side by side; nothing compiled crosses
+  the pipe).  True parallelism: the host the 1→N scale curve and the
+  benchmark measure.
 
 Either way, a window streams to the workers in rounds of
 ``chunk_frames`` frames, so the parent's hashing/serialization overlaps
@@ -94,7 +93,6 @@ from __future__ import annotations
 import os
 import pickle
 import queue
-import tempfile
 import threading
 import time as _time
 from collections import OrderedDict
@@ -667,18 +665,10 @@ def _shard_worker(
                 pending_error = _portable(exc)
 
 
-def _process_shard_main(conn, cache_path, *args):
-    """A spawned process hosting the worker: rehydrate compiled chains
-    from the codegen-cache file the parent prewarmed, then serve the
-    pipe.  A poison frame kills the process the hard way — no exception
-    protocol, just a dead process for the health seam to find."""
-    if cache_path:
-        from .codegen_cache import default_cache
-
-        try:
-            default_cache().load(cache_path)
-        except Exception:  # noqa: BLE001 - a bad cache file is survivable
-            pass
+def _process_shard_main(conn, *args):
+    """A spawned process hosting the worker: serve the pipe.  A poison
+    frame kills the process the hard way — no exception protocol, just
+    a dead process for the health seam to find."""
     try:
         _shard_worker(conn.recv, conn.send, *args)
     except PoisonFrameError:
@@ -740,10 +730,10 @@ class _ThreadTransport:
             daemon=True,
         )
         self._thread.start()
-        # One build at a time — this transport's prewarm: the codegen
-        # cache is shared in-process, so the next worker replays what
-        # this one compiled instead of compiling the same chains beside
-        # it (measured: 4 cold workers 445 ms side by side, 90 ms in turn).
+        # One build at a time: the codegen cache is shared in-process,
+        # so the next worker replays what this one compiled instead of
+        # compiling the same chains beside it (measured: 4 cold workers
+        # 445 ms side by side, 90 ms in turn).
         self._listening.wait()
 
     def _host(self, *args):
@@ -804,10 +794,9 @@ class _ThreadTransport:
 
 class _ProcessTransport:
     """A worker hosted in a ``multiprocessing`` spawn child over a
-    :class:`multiprocessing.Pipe`: the configuration crosses as text,
-    compiled chains through the codegen cache's validated disk layer
-    (the parent compiles once, :func:`_prewarm_cache`), and a hung
-    worker is SIGKILLed and reaped."""
+    :class:`multiprocessing.Pipe`: the configuration crosses as text
+    and the child compiles it, and a hung worker is SIGKILLed and
+    reaped."""
 
     high_water = None  # a pipe has no bounded queue to report
 
@@ -821,8 +810,6 @@ class _ProcessTransport:
                 "the process backend rebuilds shards from configuration "
                 "text and cannot ship extra_classes; use the thread backend"
             )
-        if plane._cache_path is None:  # first spawn (or nothing to ship: reference mode)
-            plane._cache_path = _prewarm_cache(plane)
         recovery = plane._profile.recovery
         self.reply_timeout = None if recovery is None else recovery.heartbeat_timeout
         ctx = multiprocessing.get_context("spawn")
@@ -831,7 +818,6 @@ class _ProcessTransport:
             target=_process_shard_main,
             args=(
                 child_conn,
-                plane._cache_path,
                 save_config(plane.graph),
                 plane._profile,
                 list(plane._device_names),
@@ -886,36 +872,6 @@ class _ProcessTransport:
             self._conn.close()  # a closed end refuses send/recv with OSError
         except OSError:
             pass
-
-
-def _prewarm_cache(plane):
-    """Compile the configuration once in the parent and write this
-    plane's entries of the codegen cache to its disk layer; process
-    workers rehydrate compiled chains from it instead of paying
-    compile/exec each.  Only the flavors the build below runs are
-    written: a worker recompiles every record it loads, whatever else
-    the process-wide cache holds.  Returns the file's path, or None
-    (reference mode, or prewarm failed — it is an optimization only)."""
-    if plane._profile.mode == "reference":
-        return None
-    try:
-        from .codegen_cache import default_cache
-
-        cache = default_cache()
-        router, _devices, _divider = _build_shard(
-            plane.graph, plane._profile, plane._device_names, plane.meter is not None, 0
-        )
-        keys = {
-            cache.key_for(router, flavor.batch, flavor.policy)
-            for flavor in router.engine.flavors()
-        }
-        router.retire()
-        handle, path = tempfile.mkstemp(prefix="repro-shard-cache-", suffix=".bin")
-        os.close(handle)
-        cache.save(path, keys=keys)
-        return path
-    except Exception:  # noqa: BLE001 - prewarm is an optimization only
-        return None
 
 
 _TRANSPORTS = {"thread": _ThreadTransport, "process": _ProcessTransport}
@@ -998,7 +954,6 @@ class ShardedRouter:
         self._updates = 0
         self._crashes = 0
         self._replays = 0
-        self._cache_path = None
         self._final_report = None
         self._recovery = None
         self.hasher = FlowHasher(max(1, self._profile.workers), self.hash_seed)
@@ -1762,12 +1717,6 @@ class ShardedRouter:
                 except Exception:  # noqa: BLE001
                     pass
                 transport.close()
-        if self._cache_path:
-            try:
-                os.unlink(self._cache_path)
-            except OSError:
-                pass
-            self._cache_path = None
         self.retired = True
 
     def retire(self):

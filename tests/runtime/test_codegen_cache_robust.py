@@ -1,14 +1,11 @@
-"""Tests for codegen-cache robustness: corrupt-entry replay fallback,
-the validated disk layer, and fault-injection interactions
-(repro.runtime.codegen_cache)."""
-
-import pickle
+"""Tests for codegen-cache robustness: corrupt-entry replay fallback
+and fault-injection interactions (repro.runtime.codegen_cache)."""
 
 from repro.elements import Router
 from repro.elements.devices import LoopbackDevice
 from repro.lang.build import parse_graph
 from repro.net.packet import Packet
-from repro.runtime.codegen_cache import _DISK_MAGIC, CodegenCache
+from repro.runtime.codegen_cache import CodegenCache
 from repro.runtime.fastpath import FastPath
 
 PIPE = (
@@ -73,86 +70,6 @@ class TestCorruptReplay:
         FastPath(router, cache=cache)
         cache.invalidate()
         stats = cache.stats()
-        assert stats["entries"] == 0 and stats["disk_entries"] == 0
+        assert stats["entries"] == 0
         assert stats["misses"] == 1  # history survives, unlike clear()
         assert stats["invalidations"] == 1
-
-
-class TestDiskLayer:
-    def _saved(self, tmp_path):
-        cache = CodegenCache()
-        router, _devices = fresh_router()
-        FastPath(router, cache=cache)
-        path = tmp_path / "codegen.cache"
-        assert cache.save(path) == 1
-        return path
-
-    def test_round_trip_promotes_disk_entry(self, tmp_path):
-        path = self._saved(tmp_path)
-        warm = CodegenCache()
-        assert warm.load(path) == 1
-        assert warm.stats()["disk_entries"] == 1
-        router, devices = fresh_router()
-        fastpath = FastPath(router, cache=warm)
-        stats = warm.stats()
-        assert stats["disk_hits"] == 1 and stats["hits"] == 1 and stats["misses"] == 0
-        assert stats["disk_entries"] == 0 and stats["entries"] == 1  # promoted, moved
-        fastpath.install()
-        devices["eth0"].receive_frame(b"warm-start")
-        router.run_tasks(2)
-        assert devices["eth1"].transmitted == [b"warm-start"]
-
-    def test_unreadable_file_tolerated(self, tmp_path):
-        path = tmp_path / "garbage.cache"
-        path.write_bytes(b"not a pickle at all")
-        cache = CodegenCache()
-        assert cache.load(path) == 0
-        assert cache.stats()["corrupt"] == 1
-
-    def test_missing_file_tolerated(self, tmp_path):
-        cache = CodegenCache()
-        assert cache.load(tmp_path / "nope.cache") == 0
-        assert cache.stats()["corrupt"] == 1
-
-    def test_truncated_file_tolerated(self, tmp_path):
-        path = self._saved(tmp_path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])
-        cache = CodegenCache()
-        assert cache.load(path) == 0
-        assert cache.stats()["corrupt"] == 1
-
-    def test_wrong_magic_rejected(self, tmp_path):
-        path = tmp_path / "alien.cache"
-        with open(path, "wb") as handle:
-            pickle.dump({"magic": "some-other-tool", "records": []}, handle)
-        cache = CodegenCache()
-        assert cache.load(path) == 0
-        assert cache.stats()["corrupt"] == 1
-
-    def test_mangled_record_skipped_individually(self, tmp_path):
-        path = self._saved(tmp_path)
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-        good = dict(payload["records"][0])
-        missing_field = {k: v for k, v in good.items() if k != "source"}
-        bad_source = dict(good, source="def broken(:\n")
-        payload["records"] = [missing_field, bad_source, good, "not-a-dict"]
-        with open(path, "wb") as handle:
-            pickle.dump({"magic": _DISK_MAGIC, "records": payload["records"]}, handle)
-        cache = CodegenCache()
-        assert cache.load(path) == 1  # only the intact record survives
-        assert cache.stats()["corrupt"] == 3
-
-    def test_corrupt_disk_entry_recovered_at_replay(self, tmp_path):
-        path = self._saved(tmp_path)
-        warm = CodegenCache()
-        warm.load(path)
-        warm.corrupt_entries()  # poison the loaded disk entry too
-        router, devices = fresh_router()
-        fastpath = FastPath(router, cache=warm)
-        assert warm.stats()["corrupt"] >= 1
-        fastpath.install()
-        devices["eth0"].receive_frame(b"still-works")
-        router.run_tasks(2)
-        assert devices["eth1"].transmitted == [b"still-works"]

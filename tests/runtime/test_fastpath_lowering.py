@@ -73,7 +73,7 @@ def forward(router, devices, frames):
 def bound_calls(fastpath, key):
     """``(element, attribute path)`` of every element method the chain
     compiled for ``key`` binds."""
-    specs = (fastpath._bind_specs[name] for name in fastpath._chain_binds[key])
+    specs = (fastpath._bind_specs[name] for name in fastpath.chains[key].binds)
     return {(spec[1], spec[2]) for spec in specs if spec and spec[0] == "attr"}
 
 
@@ -94,7 +94,7 @@ def test_entry_chains_inline_combos_and_align(profile):
         assert not {(name, ("simple_action",)) for name in aligns} & calls
         # The combos are there all the same: through their cold paths.
         assert {(name, ("_expire",)) for name in combos[:2]} <= calls
-        assert ".copies += 1" in "\n".join(fastpath._chain_sources[("push", poll, 0)])
+        assert ".copies += 1" in "\n".join(fastpath.chains[("push", poll, 0)].source)
 
 
 def test_reentry_chains_share_one_entry_per_combo():
@@ -382,6 +382,6 @@ def test_flavor_keys_are_derived_from_the_facts_a_policy_carries(config):
                         part for part in policy.cache_key() if part != content
                     )
     assert len(sources) == 12
-    assert {policy_key[0] for _, _, _, policy_key, _ in sources} == {
+    assert {policy_key[0] for _, _, _, policy_key in sources} == {
         "static", "profiling", "optimized", "fdd", "fdd-profiling", "fdd-optimized",
     }

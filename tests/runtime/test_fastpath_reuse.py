@@ -1,8 +1,9 @@
-"""What a scoped rebuild carries across a donor splice (source, binds,
-jump tables, code objects), counted in ``compile()`` calls: a rules
-patch compiles only the chains it dirtied, whatever the donor came from
-(a fresh compile, a cache replay, a disk-loaded entry), and a splice
-onto another router carries nothing of the old one."""
+"""What a scoped rebuild carries across a donor splice (the chains'
+records: source, binds, jump tables, code objects, report counters),
+counted in ``compile()`` calls: a rules patch compiles only the chains
+it dirtied, whether the donor came from a fresh compile or a cache
+replay, its report reads as a cold compile's would, and a splice onto
+another router carries nothing of the old one."""
 
 import gc
 import random
@@ -11,8 +12,12 @@ import types
 
 import pytest
 
+from repro.configs.firewall import firewall_graph, firewall_rule_strings
 from repro.control import ControlPlane
+from repro.core.toolchain import load_config, save_config
+from repro.elements.devices import LoopbackDevice
 from repro.elements.hotswap import hotswap
+from repro.elements.runtime import Router
 from repro.lang.lexer import split_config_args
 from repro.runtime import ExecutionProfile
 from repro.runtime import fastpath as fastpath_module
@@ -64,18 +69,43 @@ def functions_of(fastpath):
     }
 
 
+def scrubbed(report):
+    """A compile report less the facts of the build that produced it."""
+    build_facts = ("cache_hit", "compile_seconds", "reused_chains", "compiled_units")
+    return {name: value for name, value in report.as_dict().items() if name not in build_facts}
+
+
+def assert_reports_as_a_cold_compile(router, rebuild):
+    """After a splice each tier-1 flavor reports what a cold compile of
+    the patched configuration reports, and what a cache replay of that
+    one does."""
+    engine = router.engine
+    spliced = [scrubbed(flavor.report) for flavor in (engine.tier1, engine.profiled)]
+    text = save_config(router.graph)
+    default_cache().clear()
+    for cache_hit in (False, True):
+        other = rebuild(load_config(text, "<patched>")).engine
+        for flavor, expected in zip((other.tier1, other.profiled), spliced):
+            assert flavor.report.cache_hit is cache_hit
+            assert scrubbed(flavor.report) == expected
+
+
 def assert_spliced_from(donor, fastpath, dirty):
-    """Every chain outside ``dirty`` runs the donor's code: the same
-    code object where its line offset stood, the same bytecode where
-    it was re-based."""
+    """Every chain outside ``dirty`` runs the donor's code: the donor's
+    own record where its line offset stood, a copy with the same
+    bytecode where it was re-based."""
     donor_functions = functions_of(donor)
     spliced = 0
     for key, fn in functions_of(fastpath).items():
         if key in dirty:
             continue
-        code, offset = fastpath._chain_code[key]
-        donor_code, donor_offset = donor._chain_code[key]
-        assert (code is donor_code) == (offset == donor_offset), key
+        chain, donor_chain = fastpath.chains[key], donor.chains[key]
+        offset, donor_offset = chain.offset, donor_chain.offset
+        assert (chain.code is donor_chain.code) == (offset == donor_offset), key
+        assert (chain is donor_chain) == (
+            offset == donor_offset and chain.tables == donor_chain.tables
+        ), key
+        assert chain.source is donor_chain.source
         assert fn.__code__.co_code == donor_functions[key].__code__.co_code, key
         assert fn.__code__.co_firstlineno - donor_functions[key].__code__.co_firstlineno == (
             offset - donor_offset
@@ -88,8 +118,10 @@ def assert_spliced_from(donor, fastpath, dirty):
 def test_rules_patch_compiles_only_dirty_chains(batch, compile_calls):
     """The count gate: a ``c0`` rules patch on the plain IP router
     compiles the one chain per flavor that bakes ``c0``'s tree in, not
-    the module's 55 — and says so in its report."""
-    _testbed, router, _devices = build(ExecutionProfile.fdd(batch=batch))
+    the module's 55 — and says so in a report that otherwise reads as
+    a cold compile's."""
+    profile = ExecutionProfile.fdd(batch=batch)
+    testbed, router, _devices = build(profile)
     engine = router.adaptive
     donors = (engine.tier1, engine.profiled)
     dirty = reaching(engine.tier1, "c0")
@@ -116,6 +148,35 @@ def test_rules_patch_compiles_only_dirty_chains(batch, compile_calls):
     assert report.chains_reused == 2 * (len(engine.tier1.chains) - len(dirty))
     assert "%d chain(s) recompiled" % (2 * len(dirty)) in report.format()
     assert "%d units compiled" % len(dirty) in engine.tier1.report.format()
+    assert_reports_as_a_cold_compile(
+        router, lambda graph: testbed.build_router(graph, profile=profile)[0]
+    )
+    # Each classifier's diagram is emitted once here, so the engine's
+    # diagram report must agree with itself.
+    diagrams = engine.diagram_report()
+    tier1, totals = diagrams["tier1"], diagrams["totals"]
+    assert tier1["fdd_diagrams"] == totals["diagrams"] == 2
+    assert tier1["fdd_nodes"] == totals["nodes"]
+    assert tier1["fdd_paths"] == totals["paths"]
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["fdd", "fdd+batch"])
+def test_firewall_rules_patch_reports_as_a_cold_compile(batch):
+    """The firewall's diagram is most of its module: the two chains a
+    rules patch emits again carry nearly every counter, the three it
+    splices the rest."""
+    profile = ExecutionProfile.fdd(batch=batch)
+
+    def firewall(graph):
+        devices = {name: LoopbackDevice(name) for name in ("eth0", "eth1")}
+        return Router(graph, devices=devices, profile=profile)
+
+    default_cache().clear()
+    router = firewall(firewall_graph())
+    rules = firewall_rule_strings()
+    report = ControlPlane(router).update_rules("fw", rules[:2] + rules[-2:1:-1] + rules[-1:])
+    assert report.kind == "in-place" and report.chains_reused > 0
+    assert_reports_as_a_cold_compile(router, firewall)
 
 
 def test_line_numbers_survive_a_dirty_chain_that_grew():
@@ -133,8 +194,8 @@ def test_line_numbers_survive_a_dirty_chain_that_grew():
     moved = [
         key
         for key in fastpath.chains
-        if key in donor._chain_code
-        and fastpath._chain_code[key][1] != donor._chain_code[key][1]
+        if key in donor.chains
+        and fastpath.chains[key].offset != donor.chains[key].offset
         and fastpath.report.chain_lines["%s %s[%d]" % key]
         == donor.report.chain_lines["%s %s[%d]" % key]
     ]
@@ -152,31 +213,21 @@ def test_line_numbers_survive_a_dirty_chain_that_grew():
     assert lines[frame.lineno - 1].strip() == "data = packet._data_cache"
 
 
-def disk_loaded(cache, tmp_path):
-    path = tmp_path / "codegen.cache"
-    assert cache.save(str(path)) == 1
-    loaded = CodegenCache()
-    assert loaded.load(str(path)) == 1
-    return loaded
-
-
-@pytest.mark.parametrize("origin", ["replayed", "disk-loaded"])
-def test_cached_fast_paths_are_donors(origin, compile_calls, tmp_path):
-    """A fast path replayed from the cache — memory or disk — hands its
-    chains to a scoped rebuild like a freshly compiled one: nothing it
-    carries is compiled again."""
+@pytest.mark.parametrize("origin", ["replayed"])  # the id the test floor lists it under
+def test_cached_fast_paths_are_donors(origin, compile_calls):
+    """A fast path replayed from the cache hands its chains to a scoped
+    rebuild like a freshly compiled one: nothing it carries is compiled
+    again, and its report is the fresh compile's."""
     _testbed, router, _devices = build(ExecutionProfile.reference())
     cache = CodegenCache()
     fresh = FastPath(router, cache=cache)
     assert fresh.report.compiled_units == len(fresh.chains)
-    if origin == "disk-loaded":
-        cache = disk_loaded(cache, tmp_path)
     del compile_calls[:]
     donor = FastPath(router, cache=cache)
     assert donor.report.cache_hit and donor.report.compiled_units == 0
-    if origin == "replayed":
-        assert not compile_calls  # the disk layer compiled on load, once
-        assert donor._chain_code == fresh._chain_code
+    assert not compile_calls
+    assert donor.chains == fresh.chains  # the very records
+    assert scrubbed(donor.report) == scrubbed(fresh.report)
 
     dirty = reaching(donor, "c0")
     del compile_calls[:]
@@ -206,9 +257,8 @@ def test_a_compile_that_emits_a_cached_text_shares_it(compile_calls):
     assert not second.report.cache_hit and len(cache) == 2
     assert second.report.compiled_units == 0 and not compile_calls
     assert second.source is first.source
-    assert second._chain_code == first._chain_code
-    for key, chain_lines in second._chain_sources.items():
-        assert chain_lines is first._chain_sources[key]
+    for key, chain in second.chains.items():
+        assert chain is first.chains[key]
     donor_functions = functions_of(first)
     for key, fn in functions_of(second).items():
         assert fn.__code__ is donor_functions[key].__code__
@@ -251,7 +301,11 @@ def test_scoped_hotswap_rebinds_onto_the_new_router():
     assert 0 < fastpath.report.compiled_units < len(fastpath.chains)
     assert result.report.chains_recompiled == fastpath.report.compiled_units
     assert result.report.chains_reused == fastpath.report.reused_chains
-    dirty = {key for key in fastpath.chains if fastpath._names[key] != donor._names.get(key)}
+    dirty = {
+        key
+        for key, chain in fastpath.chains.items()
+        if key not in donor.chains or chain.function_name != donor.chains[key].function_name
+    }
     assert len(dirty) == fastpath.report.compiled_units
     assert_spliced_from(donor, fastpath, dirty)
     reached = reachable_from(fastpath._namespace.values())

@@ -13,6 +13,7 @@ from repro.runtime.fdd import (
     DEFAULT_NODE_BUDGET,
     build_diagram,
     classifier_hot_path,
+    diagram_pass,
     router_trees,
     trees_digest,
 )
@@ -187,6 +188,30 @@ def test_fdd_engine_compiles_diagrams_and_promotes():
     assert any(chain["tier"] == 2 for chain in chains.values())
     assert report["tier2"] is not None
     assert report["tier2"]["fdd_diagrams"] > 0
+
+
+def test_one_diagram_pass_per_build(monkeypatch):
+    """A tier-1 build (construction, a rules repatch) runs the pass
+    once and emits both flavors from its plans; tier 2 runs its own,
+    ordered by the profile."""
+    from repro.control import ControlPlane
+    from repro.runtime import adaptive
+
+    passes = []
+
+    def counting(router, node_budget, decisions=None, exemplars=None):
+        passes.append("tier 1" if decisions is None else "tier 2")
+        return diagram_pass(router, node_budget, decisions, exemplars)
+
+    monkeypatch.setattr(adaptive, "diagram_pass", counting)
+    _, router, _ = _fdd_testbed()
+    engine = router.adaptive
+    assert engine.tier2_fp is not None
+    assert passes == ["tier 1", "tier 2"]
+    assert engine.tier1.policy.plans is engine.profiled.policy.plans
+    ControlPlane(router).update_rules("c0", _rules_of(router, "c0"))
+    assert passes == ["tier 1", "tier 2", "tier 1"]
+    assert engine.tier1.policy.plans is engine.profiled.policy.plans
 
 
 @pytest.mark.parametrize("batch", [False, True])

@@ -509,47 +509,6 @@ class TestStreamedRounds:
             router.close()
 
 
-class TestPrewarmCache:
-    @pytest.mark.parametrize(
-        "profile, flavors",
-        [(ExecutionProfile.fast(batch=True), 1), (ExecutionProfile.tiered(), 2)],
-    )
-    def test_workers_load_this_planes_flavors_only(self, profile, flavors):
-        """The file a process plane ships its workers holds the plane's
-        own compiled flavors — a worker recompiles every record it
-        loads — whatever else the parent's process-wide cache holds."""
-        import os
-
-        from repro.runtime.codegen_cache import CodegenCache
-        from repro.runtime.shard import _prewarm_cache
-
-        # Something else in the parent's cache: another configuration,
-        # and this one under another flavor.
-        Router(
-            parse_graph(TestDivideQueueCapacities.GRAPH, "<other>"),
-            devices={name: LoopbackDevice(name) for name in ("eth0", "eth1")},
-            profile=ExecutionProfile.fast(),
-        )
-        _testbed, other, _devices = sharded_testbed(1)
-        other.configure(ExecutionProfile.fdd())
-        assert len(default_cache()) >= 3
-        testbed = Testbed(2)
-        graph = testbed.variant_graph("base")
-        plane = build_router(
-            graph,
-            devices={i.device: LoopbackDevice(i.device) for i in testbed.interfaces},
-            profile=profile.with_workers(2, "process"),
-        )
-        path = _prewarm_cache(plane)
-        try:
-            loaded = CodegenCache()
-            assert loaded.load(path) == flavors
-            assert {key[0] for key in loaded._disk} == {graph.fingerprint()}
-            assert {key[2] for key in loaded._disk} == {profile.batch}
-        finally:
-            os.unlink(path)
-
-
 class TestQueueCapacityKnob:
     @staticmethod
     def stalled_high_water(queue_capacity, packets):
