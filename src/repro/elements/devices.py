@@ -12,9 +12,16 @@ A device object implements:
     ``tx_room() -> int``              — free transmit-ring slots
     ``tx_enqueue(bytes) -> bool``     — queue a frame for transmission
 
-The per-packet CPU cost of talking to the hardware (DMA descriptor
-reads, ring maintenance — Figure 8's "device interactions") is charged
-through the meter as ``rx_device`` / ``tx_device`` work.
+and may declare its rings (``ring``, see :class:`LoopbackDevice`) for a
+compiled task loop to read in place of the three calls.  The per-packet
+CPU cost of talking to the hardware (DMA descriptor reads, ring
+maintenance — Figure 8's "device interactions") is charged through the
+meter as ``rx_device`` / ``tx_device`` work.
+
+``run_task`` is each element's one hand-written burst loop: the
+reference semantics, and what a router runs that is metered,
+fault-wrapped or on a device declaring no rings.  Otherwise the fast
+path compiles the loop from ``lowering()`` (``FastPath._emit_task``).
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 from collections import deque
 
 from ..net.addresses import EtherAddress
-from ..net.packet import DEFAULT_HEADROOM, Packet
+from ..net.packet import Packet
 from .element import ConfigError, Element
 from .ip import PACKET_TYPE_BROADCAST, PACKET_TYPE_HOST, PACKET_TYPE_MULTICAST
 from .registry import register
@@ -37,6 +44,12 @@ class LoopbackDevice:
         self.rx = deque()
         self.transmitted = []
         self.tx_capacity = tx_capacity
+
+    #: The ring facts, as attribute names: received frames wait in the
+    #: deque ``rx``; ``tx_enqueue`` appends to the list ``transmitted``
+    #: while it is shorter than ``tx_capacity``.  Describes the calls
+    #: below: a subclass overriding one, or a proxy, declares nothing.
+    ring = {"rx": "rx", "tx": "transmitted", "capacity": "tx_capacity"}
 
     def receive_frame(self, frame):
         self.rx.append(bytes(frame))
@@ -77,7 +90,8 @@ def _classify_frame(packet):
 @register
 class PollDevice(Element):
     """Polls a device's receive ring and pushes frames into the graph.
-    One of the two task elements on every forwarding path."""
+    One of the two task elements on every forwarding path.  A compiled
+    router runs the loop ``lowering()`` declares, not ``run_task``."""
 
     class_name = "PollDevice"
     processing = "h/h"
@@ -101,9 +115,6 @@ class PollDevice(Element):
 
     def run_task(self):
         port = self.output(0)
-        push_batch = getattr(port, "push_batch", None)
-        if push_batch is not None:
-            return self._run_task_batch(push_batch)
         worked = False
         for _ in range(self.BURST):
             frame = self.device.rx_dequeue()
@@ -118,62 +129,15 @@ class PollDevice(Element):
             worked = True
         return worked
 
-    def _run_task_batch(self, push_batch):
-        """Batched fast path: drain up to BURST frames, build all the
-        packets, then hand the whole burst to the compiled chain."""
-        device = self.device
-        devname = self.devname
-        metered = self.router is not None and self.router.meter is not None
-        packets = []
-        if not metered and type(device) is LoopbackDevice:
-            # Known device: read its receive deque directly, classify
-            # the frame bytes before the Packet wraps them, and build
-            # the Packet without the constructor call — every slot set
-            # exactly as Packet.__init__ would (rx frames are bytes, so
-            # they seed the contents cache).
-            rx = device.rx
-            popleft = rx.popleft
-            for _ in range(self.BURST):
-                if not rx:
-                    break
-                frame = popleft()
-                packet = Packet.__new__(Packet)
-                buf = bytearray(DEFAULT_HEADROOM + len(frame))
-                buf[DEFAULT_HEADROOM:] = frame
-                packet._buf = buf
-                packet._data_offset = DEFAULT_HEADROOM
-                packet._data_cache = frame
-                packet.buffer_alignment = 0
-                packet.paint = 0
-                packet.dest_ip_anno = None
-                packet.ip_header_offset = None
-                packet.device_anno = devname
-                packet.timestamp = None
-                packet.fix_ip_src_anno = False
-                if frame and not frame[0] & 0x01:
-                    packet.user_annos = {"packet_type": PACKET_TYPE_HOST}
-                else:
-                    packet.user_annos = {}
-                    _classify_frame(packet)
-                packets.append(packet)
-        else:
-            dequeue = device.rx_dequeue
-            charge = self.charge
-            for _ in range(self.BURST):
-                frame = dequeue()
-                if frame is None:
-                    break
-                if metered:
-                    charge("rx_device")
-                packet = Packet(frame)
-                packet.device_anno = devname
-                _classify_frame(packet)
-                packets.append(packet)
-        if not packets:
-            return False
-        self.received += len(packets)
-        push_batch(packets)
-        return True
+    def lowering(self):
+        """The receive segment of the compiled loop, per frame of the
+        device's ``rx`` ring, in ``run_task``'s order: ``Packet(frame)``
+        slot for slot (``bytes`` frames seed the contents cache),
+        ``device_anno`` from the named attribute, ``packet_type`` HOST
+        on a clear group bit with ``_classify_frame`` as the cold path,
+        ``received`` counted once per burst."""
+        return {"ring": "rx", "burst": self.BURST, "count": "received", "device_anno": "devname",
+                "packet_type": (PACKET_TYPE_HOST, _classify_frame)}
 
 
 @register
@@ -187,7 +151,8 @@ class FromDevice(PollDevice):
 @register
 class ToDevice(Element):
     """Pulls packets (normally from a Queue) and places them on a
-    device's transmit ring; the other task element on each path."""
+    device's transmit ring; the other task element on each path
+    (compiled from ``lowering()`` like :class:`PollDevice`)."""
 
     class_name = "ToDevice"
     processing = "l/l"
@@ -212,9 +177,6 @@ class ToDevice(Element):
 
     def run_task(self):
         port = self.input(0)
-        pull_batch = getattr(port, "pull_batch", None)
-        if pull_batch is not None:
-            return self._run_task_batch(pull_batch)
         worked = False
         for _ in range(self.BURST):
             if self.device.tx_room() <= 0:
@@ -231,42 +193,13 @@ class ToDevice(Element):
             worked = True
         return worked
 
-    def _run_task_batch(self, pull_batch):
-        """Batched fast path: pull up to one burst (bounded by transmit
-        ring room) through the compiled chain, then enqueue them all."""
-        device = self.device
-        fast_device = type(device) is LoopbackDevice
-        if fast_device:
-            limit = device.tx_capacity - len(device.transmitted)
-            if limit > self.BURST:
-                limit = self.BURST
-        else:
-            limit = min(self.BURST, device.tx_room())
-        if limit <= 0:
-            self.idle_polls += 1
-            return False
-        packets = pull_batch(limit)
-        if not packets:
-            return False
-        metered = self.router is not None and self.router.meter is not None
-        if fast_device and not metered:
-            # len(packets) <= limit <= ring room, so every enqueue would
-            # succeed, and packet.data is already the bytes tx_enqueue
-            # would have stored.
-            device.transmitted.extend([packet.data for packet in packets])
-        else:
-            charge = self.charge
-            enqueue = device.tx_enqueue
-            for packet in packets:
-                if metered:
-                    charge("tx_device")
-                enqueue(packet.data)
-        self.sent += len(packets)
-        # The reference loop, having filled the ring mid-burst, observes
-        # the full ring on its next iteration and counts an idle poll.
-        if len(packets) == limit and limit < self.BURST:
-            self.idle_polls += 1
-        return True
+    def lowering(self):
+        """The transmit segment of the compiled loop: room on the
+        device's ``tx`` ring read once per burst, at most ``BURST``
+        pulls, each packet's ``data`` appended, ``sent`` counted once
+        per burst, ``idle_polls`` wherever ``run_task`` counts it — the
+        ring found full before a pull, mid-burst included."""
+        return {"ring": "tx", "burst": self.BURST, "count": "sent", "full": "idle_polls"}
 
 
 @register

@@ -169,7 +169,7 @@ def chain_totals(fastpaths):
         report = path.report
         cache_hit = cache_hit or report.cache_hit
         recompiled += report.compiled_units
-        reused += report.push_chains + report.pull_chains - report.compiled_units
+        reused += report.push_chains + report.pull_chains + report.task_units - report.compiled_units
     return recompiled, reused, cache_hit
 
 

@@ -310,8 +310,9 @@ class Router:
 
     def run_tasks(self, iterations=1):
         """Drive the polling scheduler: each iteration gives every task
-        element one run_task call (Click's constantly-active kernel
-        thread, round-robin).  A retired router (after a hot-swap) is
+        element one run_task call — its loop, or the unit compiled
+        from it (Click's constantly-active kernel thread,
+        round-robin).  A retired router (after a hot-swap) is
         inert.  Under supervision each task call gets a containing
         boundary and watchdog bookkeeping."""
         if self.retired:
@@ -319,12 +320,12 @@ class Router:
         if self.supervisor is not None:
             return self._run_tasks_supervised(iterations)
         useful = 0
-        engine = self.engine
+        engine, meter, tasks = self.engine, self.meter, self._tasks
         for _ in range(iterations):
             worked = 0
-            for task in self._tasks:
-                if self.meter is not None:
-                    self.meter.on_task(task)
+            for task in tasks:
+                if meter is not None:
+                    meter.on_task(task)
                 if task.run_task():
                     worked += 1
             useful += worked

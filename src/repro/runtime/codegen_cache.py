@@ -159,7 +159,8 @@ class CodegenCache:
         policy that declines caching, or a fault-wrapped router).
         Element-class identities are part of the key: the same
         configuration text instantiated with different class overlays
-        generates different specializations."""
+        generates different specializations, and task units are
+        compiled against the rings their elements' devices declare."""
         graph = getattr(router, "graph", None)
         if graph is None:
             return None
@@ -169,7 +170,8 @@ class CodegenCache:
         if policy_key is None:
             return None
         class_sig = tuple(
-            (name, id(type(element))) for name, element in router.elements.items()
+            (name, id(type(element)), id(type(getattr(element, "device", None))))
+            for name, element in router.elements.items()
         )
         # The fast paths of one scoped rebuild (an engine's two flavors)
         # compile the same graph: the hint carries its fingerprint from

@@ -23,19 +23,22 @@ already uses for archive code) that
   so ``self.output(i).push(p)`` dispatches straight into generated code
   with no port logic, no meter test, and no ``receive_push`` hop.
 
-With ``batch=True`` the device elements hand whole bursts to
-``push_batch``/``pull_batch`` entry points whose generated bodies loop
-internally, amortizing the per-packet call overhead (Click's polling
-burst, applied to dispatch).
+The task elements' burst loops are compiled too: a device element
+declares its device segment (``lowering()``), its device the rings
+behind it (``ring``), and :meth:`FastPath._emit_task` emits one
+zero-argument *task unit* per such element, which :meth:`install` sets
+as its ``run_task``.  With ``batch=True`` the unit hands the whole
+burst to the ``push_batch``/``pull_batch`` entry point of its chain,
+whose generated body loops internally (Click's polling burst, applied
+to dispatch); only chains leaving a task element have one.
 
 Cycle accounting still works in fast mode: when the router carries a
 meter at compile time, chains are generated in a *metered* flavor that
-counts how far each packet gets and reconciles the aggregate charge
-once per batch through ``meter.on_chain`` (see
-:meth:`repro.sim.cpu.CycleMeter.on_chain`).  For unbatched fast mode
-the charge sequence is identical to the reference interpreter's, so
-the meter's totals match exactly; batching changes branch-predictor
-behavior exactly the way real batching does.
+counts how far each packet gets and reconciles the charge through
+``meter.on_chain`` (see :meth:`repro.sim.cpu.CycleMeter.on_chain`).  A
+metered router compiles neither task units nor batch entry points: its
+tasks run their reference loops, so the charge sequence is the
+reference interpreter's and the totals match exactly, batch or not.
 
 One emitter serves every tier: what a compile is specialized on
 (diagram plans, profiling hooks, profile-guided speculation) is the
@@ -259,8 +262,8 @@ class FastOutputPort:
     Keeps the reference :class:`~repro.elements.element.OutputPort`
     surface (``element``, ``port``, ``target``, ``target_port``,
     ``virtual``) so graph-walking code and handlers see no difference.
-    ``push_batch`` is the batched entry point, or None outside batch
-    mode.
+    ``push_batch`` is the batched entry point a task unit calls, or
+    None: outside batch mode, and on every port no task pushes into.
     """
 
     __slots__ = ("element", "port", "target", "target_port", "virtual", "push", "push_batch")
@@ -385,10 +388,8 @@ class ChainInfo:
         report.chain_lines[label] = self.lines
         if self.opaque:
             report.opaque_dispatch[label] = self.opaque
-        if self.kind == "push":
-            report.push_chains += 1
-        else:
-            report.pull_chains += 1
+        counter = "task_units" if self.kind == "task" else self.kind + "_chains"
+        setattr(report, counter, getattr(report, counter) + 1)
         report.inlined_calls += len(self.inlined)
         report.inlined_elements.update(self.inlined)
         # every inlined element is a stage, and so is the terminal
@@ -403,6 +404,7 @@ class FastPathReport:
     def __init__(self):
         self.push_chains = 0
         self.pull_chains = 0
+        self.task_units = 0  # compiled burst loops, one per eligible task element
         self.inlined_calls = 0
         self.inlined_elements = set()
         self.longest_chain = 0
@@ -448,10 +450,11 @@ class FastPathReport:
     def format(self):
         """Human-readable summary (what ``click-optimize --fast`` prints)."""
         lines = [
-            "fast path: %d push chains, %d pull chains (%d generated lines%s%s)"
+            "fast path: %d push chains, %d pull chains, %d task units (%d generated lines%s%s)"
             % (
                 self.push_chains,
                 self.pull_chains,
+                self.task_units,
                 self.source_lines,
                 ", batched" if self.batch else "",
                 ", metered" if self.metered else "",
@@ -515,18 +518,41 @@ def inline_action_name(cls):
     return None
 
 
+def _declares(obj, name, handlers):
+    """Does ``obj``'s class declare ``name`` for handlers it still
+    runs — no subclass of the declaring class overrides one?"""
+    kind = type(obj)
+    for cls in kind.__mro__:
+        if name in vars(cls):
+            return all(getattr(kind, h, None) is vars(cls).get(h) for h in handlers)
+    return False
+
+
 def _lowering(element):
     """The ``(handler, bound cold path)`` stages a combination element
     declares it stands for (``lowering()``, see
     :mod:`repro.elements.combos`), or None when this instance must be
     entered through its own ``push``: nothing declared, or the handler
     the declaration describes is overridden or fault-wrapped."""
-    for cls in type(element).__mro__:
-        if "lowering" in vars(cls):
-            if getattr(element.push, "__func__", None) is vars(cls).get("push"):
-                return element.lowering()
-            break
+    if _declares(element, "lowering", ("push",)) and "push" not in vars(element):
+        return element.lowering()
     return None
+
+
+def _task_lowering(element):
+    """``(device segment, ring facts)`` when a task element's burst
+    loop compiles (:mod:`repro.elements.devices`), or None when it runs
+    its own ``run_task``: no segment declared for that loop,
+    fault-wrapped, or on a device that declares no rings for the three
+    calls it runs (a proxy, an overriding subclass, a NIC model)."""
+    device = getattr(element, "device", None)
+    if (
+        getattr(element, "_fault_wrapped", False)
+        or not _declares(element, "lowering", ("run_task",))
+        or not _declares(device, "ring", ("rx_dequeue", "tx_room", "tx_enqueue"))
+    ):
+        return None
+    return element.lowering(), device.ring
 
 
 def _shift_lines(code, by):
@@ -538,14 +564,85 @@ def _shift_lines(code, by):
 
 
 #: The generated module's first lines; chains follow, one blank line
-#: before each.  (``Router.compile_fastpath()`` is gone — a router
-#: compiles through its engine — but this text is part of every pinned
-#: source digest, so it stays byte-identical.)
+#: before each, the task units last.
 _HEADER = (
     '"""Generated by repro.runtime.fastpath: one function per wired',
-    "push/pull edge of the router.  Do not edit; regenerate with",
-    'Router.compile_fastpath().  Dump via router.fastpath.source."""',
+    "push/pull edge of the router and per compiled task loop.  Do not edit;",
+    'reconfigure the router to regenerate.  Dump via router.fastpath.source."""',
 )
+
+#: The task units' bodies.  A scalar unit runs the burst in
+#: ``run_task``'s order (one frame to its Queue before the next) and
+#: counts in a ``finally`` what ``run_task`` counts per packet, so an
+#: exception mid-burst leaves its state; a batch unit collects the burst.
+_RX_UNIT = """\
+    if not _ring:
+        return False
+    pop, new = _ring.popleft, _P.__new__
+    %(hand)s
+    n = 0
+    try:
+        for _ in _burst:
+            frame = pop()
+            packet = new(_P)  # Packet(frame), slot for slot
+            packet._buf = buf = bytearray(%(headroom)d)
+            buf += frame
+            packet._data_offset = %(headroom)d
+            packet._data_cache = frame
+            packet.buffer_alignment = packet.paint = 0
+            packet.dest_ip_anno = packet.ip_header_offset = packet.timestamp = None
+            packet.device_anno = _anno
+            packet.fix_ip_src_anno = False
+            if frame and not frame[0] & 0x01:
+                packet.user_annos = {'packet_type': %(host)r}
+            else:
+                packet.user_annos = {}
+                _cold(packet)
+            n += 1
+            push(packet)
+            if not _ring:
+                break
+    finally:
+        _e.%(count)s += n
+    %(done)s"""
+_TX_UNIT = """\
+    room = _device.%(capacity)s - len(_ring)
+    if room <= 0:
+        _e.%(full)s += 1
+        return False
+    pull, append = _e._input_ports[0].pull, _ring.append
+    n = 0
+    try:
+        for _ in _burst:
+            if n == room:
+                _e.%(full)s += 1
+                break
+            packet = pull()
+            if packet is None:
+                break
+            data = packet._data_cache
+            if data is None:  # Packet.data, without the call
+                data = packet._data_cache = bytes(packet._buf[packet._data_offset:])
+            append(data)
+            n += 1
+    finally:
+        _e.%(count)s += n
+    return n > 0"""
+_TX_BATCH_UNIT = """\
+    room = _device.%(capacity)s - len(_ring)
+    if room > %(burst)d:
+        room = %(burst)d
+    if room <= 0:
+        _e.%(full)s += 1
+        return False
+    packets = _e._input_ports[0].pull_batch(room)
+    if not packets:
+        return False
+    _ring.extend([packet.data for packet in packets])
+    _e.%(count)s += len(packets)
+    if len(packets) == room < %(burst)d:  # run_task's next pull finds the ring full
+        _e.%(full)s += 1
+    return True"""
 
 
 def compile_chain(lines, offset, filename="<fastpath>"):
@@ -2007,29 +2104,22 @@ class FastPath:
             term_name = self._bind(terminal.push)
             meter_name = self._bind(self.router.meter.on_chain)
             prof_name = self._bind(tuple(stages))
-            impl = fn + "_impl"
             args = ", ".join(
-                ["packets"]
+                ["packet"]
                 + ["_a%d=%s" % (i, name) for i, name in enumerate(action_names)]
                 + ["_t=%s" % term_name, "_mc=%s" % meter_name, "_prof=%s" % prof_name]
             )
-            lines.append("def %s(%s):" % (impl, args))
+            # (metered tasks run their reference loops: a packet a call)
+            lines.append("def %s(%s):" % (fn, args))
             lines.append("    counts = [0] * %d" % len(stages))
-            lines.append("    survivors = []")
-            lines.append("    for packet in packets:")
             for i in range(len(pairs)):
-                lines.append("        counts[%d] += 1" % i)
-                lines.append("        packet = _a%d(packet)" % i)
-                lines.append("        if packet is None:")
-                lines.append("            continue")
-            lines.append("        counts[%d] += 1" % (len(stages) - 1))
-            lines.append("        survivors.append(packet)")
+                lines.append("    counts[%d] += 1" % i)
+                lines.append("    packet = _a%d(packet)" % i)
+                lines.append("    if packet is None:")
+                lines.append("        return _mc(_prof, counts)")
+            lines.append("    counts[%d] += 1" % (len(stages) - 1))
             lines.append("    _mc(_prof, counts)")
-            lines.append("    for packet in survivors:")
-            lines.append("        _t(%d, packet)" % terminal_port)
-            lines.append("def %s(packet, _impl=%s):" % (fn, impl))
-            lines.append("    _impl((packet,))")
-            batch_fn = impl
+            lines.append("    _t(%d, packet)" % terminal_port)
         else:
             extra_args = []
 
@@ -2056,7 +2146,8 @@ class FastPath:
             for seg in segments:
                 lines.extend(seg("packet", "    ", "return"))
             lines.extend(emit_terminal("packet", "    ", "return"))
-            if self.batch:
+            if self.batch and element.is_task():
+                # Only a task unit ever calls a batch entry point.
                 batch_fn = fn + "_batch"
                 lines.append(
                     "def %s(%s):" % (batch_fn, ", ".join(["packets"] + extra_args))
@@ -2100,19 +2191,6 @@ class FastPath:
                 lines.append("    if packet is None:")
                 lines.append("        return None")
             lines.append("    return packet")
-            if self.batch:
-                # Delegate per packet so each pull charges its own
-                # profile, exactly as the reference interpreter would.
-                batch_fn = fn + "_batch"
-                lines.append("def %s(limit, _one=%s):" % (batch_fn, fn))
-                lines.append("    packets = []")
-                lines.append("    while limit > 0:")
-                lines.append("        limit -= 1")
-                lines.append("        packet = _one()")
-                lines.append("        if packet is None:")
-                lines.append("            break")
-                lines.append("        packets.append(packet)")
-                lines.append("    return packets")
         else:
             extra_args = []
 
@@ -2141,7 +2219,7 @@ class FastPath:
             for seg in segments:
                 lines.extend(seg("packet", "    ", "return None"))
             lines.append("    return packet")
-            if self.batch:
+            if self.batch and element.is_task():
                 # A pull that comes back None ends the burst (the
                 # reference device loop breaks on None whether the
                 # queue ran dry or an inlined action dropped).
@@ -2160,6 +2238,42 @@ class FastPath:
                 lines.append("    return packets")
         info.batch_name = batch_fn
         info.opaque = opaque
+        return info
+
+    def _emit_task(self, lines, index, element, _port):
+        """One task element's burst loop as a zero-argument *task
+        unit*, from the device segment its ``lowering()`` declares and
+        the ring facts its device does.  Only the hand-off — ``push`` /
+        ``pull`` / the batch entry of the element's live port 0 — is
+        read per burst, so tier swaps and supervision wrappers take
+        effect by the next burst; the rest is bound once."""
+        segment, ring = _task_lowering(element)
+        name, kind = element.name, segment["ring"]
+        info = ChainInfo("task", name, 0, [], kind, 0, "_task_%d" % index)
+        binds = [
+            ("_e", element, ("elem", name)),
+            ("_ring", getattr(element.device, ring[kind]), ("attr", name, ("device", ring[kind]))),
+            ("_burst", range(segment["burst"]), ("value", range(segment["burst"]))),
+        ]
+        fields = dict(segment, capacity=ring["capacity"])
+        if kind == "rx":
+            from ..net.packet import DEFAULT_HEADROOM, Packet
+
+            (host, cold), anno = segment["packet_type"], segment["device_anno"]
+            binds += [("_P", Packet, ("value", Packet)), ("_cold", cold, ("value", cold)),
+                      ("_anno", getattr(element, anno), ("attr", name, (anno,)))]
+            hand, done = "push = _e._output_ports[0].push", "return True"
+            if self.batch:  # collect, then one batch call
+                hand = "packets = []\n    push = packets.append"
+                done = "_e._output_ports[0].push_batch(packets)\n    " + done
+            body = _RX_UNIT % dict(fields, headroom=DEFAULT_HEADROOM, host=host, hand=hand, done=done)
+        else:
+            binds.append(("_device", element.device, ("attr", name, ("device",))))
+            body = (_TX_BATCH_UNIT if self.batch else _TX_UNIT) % fields
+        args = ", ".join("%s=%s" % (local, self._bind(value, spec)) for local, value, spec in binds)
+        lines += ["", "# %s" % info.describe(), "def %s(%s):" % (info.function_name, args)]
+        lines.extend(body.split("\n"))
+        info.opaque = []
         return info
 
     def _fold_report(self):
@@ -2245,11 +2359,13 @@ class FastPath:
                         seen.add(name)
                         frontier.append(name)
             reach[kind] = seen
+        reach["task"] = set(changed)  # a task unit holds nothing behind its ports
         return reach
 
     def _chain_edges(self):
         """``(chain key, anchor element, far-end element)`` for every
-        wired edge, in emission order."""
+        wired edge, then every task element whose loop compiles (its
+        own far end, see :meth:`_stale_reach`), in emission order."""
         for element in self.router.elements.values():
             for port_index, port in enumerate(element._output_ports):
                 if port.target is not None:
@@ -2257,6 +2373,9 @@ class FastPath:
             for port_index, port in enumerate(element._input_ports):
                 if port.source is not None:
                     yield ("pull", element.name, port_index), element, port.source
+        for element in () if self.metered else self.router.tasks:
+            if _task_lowering(element):
+                yield ("task", element.name, 0), element, element
 
     def _reuse_chain(self, key, donor, lines, resolve):
         """Splice one untouched chain from ``donor``'s module into this
@@ -2320,7 +2439,7 @@ class FastPath:
             start = len(lines)
             first_bind = self._bind_counter
             first_table = len(self._jump_tables)
-            emit = self._emit_push if kind == "push" else self._emit_pull
+            emit = getattr(self, "_emit_" + kind)
             # Its code is compiled below, once emission is done:
             # alternating the two made a cold build 8 % slower.
             self.chains[key] = chain = emit(lines, index, element, port_index)
@@ -2393,11 +2512,11 @@ class FastPath:
     # -- installation -------------------------------------------------------------
 
     def install(self):
-        """Swap every wired port for its compiled fast port.  The
-        reference ports are kept aside for :meth:`uninstall`."""
+        """Swap in every compiled fast port, and every task unit as its
+        element's ``run_task``.  The reference ports are kept aside for
+        :meth:`uninstall`."""
         if self.installed:
             return
-        batching = self.batch
         saved = {}
         for name, element in self.router.elements.items():
             saved[name] = (element._output_ports, element._input_ports)
@@ -2407,25 +2526,27 @@ class FastPath:
                 if compiled is None:
                     new_outputs.append(port)
                 else:
-                    new_outputs.append(
-                        FastOutputPort(port, compiled[0], compiled[1] if batching else None)
-                    )
+                    new_outputs.append(FastOutputPort(port, *compiled))
             new_inputs = []
             for port_index, port in enumerate(element._input_ports):
                 compiled = self._compiled.get(("pull", name, port_index))
                 if compiled is None:
                     new_inputs.append(port)
                 else:
-                    new_inputs.append(
-                        FastInputPort(port, compiled[0], compiled[1] if batching else None)
-                    )
+                    new_inputs.append(FastInputPort(port, *compiled))
             element._output_ports = new_outputs
             element._input_ports = new_inputs
+            unit = self._compiled.get(("task", name, 0))
+            # Emission does not look at the instance's own run_task (a
+            # tier-2 compile finds tier 1's unit there), and a replayed
+            # unit may meet an element wrapped since it was emitted.
+            if unit and _task_lowering(element) and "run_task" not in vars(element):
+                element.run_task = unit[0]
         self._saved_ports = saved
         self.installed = True
 
     def uninstall(self):
-        """Restore the reference interpreter's ports."""
+        """Restore the reference interpreter's ports and task loops."""
         if not self.installed:
             return
         for name, (outputs, inputs) in self._saved_ports.items():
@@ -2433,6 +2554,9 @@ class FastPath:
             if element is not None:
                 element._output_ports = outputs
                 element._input_ports = inputs
+                unit = self._compiled.get(("task", name, 0))
+                if unit is not None and vars(element).get("run_task") is unit[0]:
+                    del element.run_task
         self._saved_ports = None
         self.installed = False
 

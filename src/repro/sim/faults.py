@@ -286,9 +286,9 @@ class _DeviceFaultState:
 class FaultyDevice:
     """A device proxy applying one :class:`_DeviceFaultState`.
 
-    Deliberately *not* a LoopbackDevice subclass: the runtime's
-    ``type(device) is LoopbackDevice`` fast paths must fall back to the
-    generic calls so faults are actually observed.  While down, received
+    Deliberately declares no ``ring`` (as ``LoopbackDevice`` does): a
+    compiled task loop must fall back to the element's own and its
+    three device calls so faults are actually observed.  While down, received
     frames stay queued on the underlying device (a flap delays, a
     permanent failure strands them) and the transmit ring reports no
     room.
@@ -438,7 +438,7 @@ class FaultInjector:
     def wrap_devices(self, devices):
         """A new mapping where every device named by a device fault is
         wrapped in a :class:`FaultyDevice`; other devices pass through
-        untouched (keeping their type-specialized runtime paths)."""
+        untouched (keeping their compiled task loops)."""
         wrapped = {}
         for name, device in devices.items():
             state = self._devices.get(name)

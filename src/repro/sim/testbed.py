@@ -213,8 +213,8 @@ class Testbed:
 
         ``mode="fast"`` measures under the compiled fast path — for a
         single packet the charges are identical to the reference
-        interpreter's; ``batch=True`` additionally models how bursts
-        ride the branch predictor.  ``profile`` overrides both with a
+        interpreter's, ``batch`` or not (metered tasks run their
+        reference loops).  ``profile`` overrides both with a
         full :class:`~repro.runtime.profile.ExecutionProfile`."""
         graph = self.variant_graph(variant)
         meter = CycleMeter()

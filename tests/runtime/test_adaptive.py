@@ -241,6 +241,90 @@ def test_spent_recompile_budget_settles_chains():
     assert state.tier == 0 and state.port.push is state.plain
 
 
+class _DeoptAt:
+    """Element classes whose Nth packet forces a deopt from inside the
+    chain — that is, in the middle of a compiled burst."""
+
+    @staticmethod
+    def classes(at):
+        from repro.elements.element import Element
+
+        class DeoptAt(Element):
+            class_name = "DeoptAt"
+            processing = "a/a"
+            port_counts = "1/1"
+
+            def configure(self, args):
+                self.seen = 0
+                self.fired = None
+
+            def simple_action(self, packet):
+                self.seen += 1
+                if self.seen == at:
+                    self.fired = self.router.force_deopt("mid-burst")
+                return packet
+
+        return {"DeoptAt": DeoptAt}
+
+
+MID_BURST = (
+    "src :: PollDevice(eth0) -> c :: Classifier(12/0800, -); c [1] -> Discard; "
+    "c [0] -> trig :: DeoptAt -> q :: Queue(4096) -> dst :: ToDevice(eth1);"
+)
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_tier_swaps_mid_burst_take_effect_by_the_next_burst(batch):
+    """The compiled poll loop reads its hand-off once per burst, so a
+    promotion or a forced deopt that lands inside a burst finishes that
+    burst on the function it started with and runs the next one on the
+    new tier — with the reference interpreter's output either way."""
+    from repro.elements.devices import LoopbackDevice
+    from repro.runtime import ExecutionProfile
+
+    frames = [
+        b"\x00" * 12 + (b"\x08\x00" if index % 5 else b"\x08\x06") + b"frame %03d" % index
+        for index in range(160)
+    ]
+    config = AdaptiveConfig(threshold=44, sample=4, min_samples=8)  # 44: inside the sixth burst
+    outputs = []
+    for profile in (ExecutionProfile.reference(), ExecutionProfile.tiered(config=config, batch=batch)):
+        devices = {"eth0": LoopbackDevice("eth0"), "eth1": LoopbackDevice("eth1", tx_capacity=1 << 20)}
+        router = Router(
+            parse_graph(MID_BURST), extra_classes=_DeoptAt.classes(at=100), devices=devices, profile=profile
+        )
+        for frame in frames:
+            devices["eth0"].receive_frame(frame)
+        engine = router.adaptive
+        if engine is not None:
+            assert "run_task" in vars(router["src"])
+            state = engine.states[("push", "src", 0)]
+            port = router["src"]._output_ports[0]
+            assert state.port is port and state.tier == 1
+            router.run_tasks(5)
+            assert state.tier == 1 and state.seen == 40
+            router.run_tasks(1)  # crosses the threshold at its fourth packet
+            assert state.tier == 2 and state.seen >= 44
+            promoted = engine.tier2_fp.function_for(state.key, batch=batch)
+            assert (port.push_batch if batch else port.push) is promoted
+            seen = state.seen
+            router.run_tasks(1)  # ... and this burst runs the promoted chain
+            assert state.seen == seen and router["src"].received == 56
+            # 100 frames of which every fifth is ARP: the trigger's 100th
+            # packet is frame 124, the fifth of the sixteenth burst.
+            router.run_tasks(9)
+            assert router["trig"].fired is True and router["trig"].seen >= 100
+            assert state.tier == 1 and engine.tier2_fp is None and state.seen == 0
+            assert (port.push_batch if batch else port.push) is not promoted
+            router.run_tasks(1)
+            assert state.seen == 8  # the next burst is profiled again
+        router.run_tasks(len(frames))
+        assert router["src"].received == len(frames)
+        outputs.append((list(devices["eth1"].transmitted), router["dst"].sent, router["q"].drops))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][0]) == sum(1 for index in range(160) if index % 5)
+
+
 def test_metered_router_degrades_to_tier1():
     from repro.sim.cpu import CycleMeter
 

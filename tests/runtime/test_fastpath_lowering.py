@@ -9,6 +9,7 @@ shape and cost of the generated code.
 
 import hashlib
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.runtime.adaptive import AdaptiveConfig
 from repro.runtime.codegen_cache import default_cache
 from repro.runtime.fastpath import ChainPolicy, FastPath, _lowering
 from repro.runtime.fdd import DEFAULT_NODE_BUDGET, diagram_pass
+from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.testbed import HOST_ETHERS, Testbed, host_ip
 
 EAGER = dict(threshold=48, sample=4, min_samples=12)
@@ -39,6 +41,10 @@ def build(variant, profile):
         graph = testbed.variant_graph(variant)
     router, devices = testbed.build_router(graph, profile=profile)
     return testbed, router, devices
+
+
+def firewall_frame():
+    return b"\x00\x50\x56\x00\x00\x01" + b"\x00\x50\x56\x00\x00\x02" + b"\x08\x00" + dns5_packet()
 
 
 def skewed_frames(testbed, count):
@@ -160,6 +166,138 @@ def test_generated_subclasses_specialize_like_their_bases(variant):
     assert generated.specialized_terminals == base.specialized_terminals
 
 
+# -- task units ----------------------------------------------------------------
+
+PIPE = "src :: PollDevice(eth0) -> c :: Counter -> q :: Queue(64) -> dst :: ToDevice(eth1);"
+COMPILED_PROFILES = [
+    replace(profile, batch=batch, supervised=supervised)
+    for profile in (ExecutionProfile.fast(), ExecutionProfile.tiered(), ExecutionProfile.fdd())
+    for batch in (False, True)
+    for supervised in (False, True)
+]
+
+
+def pipe(profile, devices=None, meter=None, prepare=None):
+    if devices is None:
+        devices = {name: LoopbackDevice(name) for name in ("eth0", "eth1")}
+    router = Router(parse_graph(PIPE), devices=devices, meter=meter)
+    if prepare is not None:
+        prepare(router)
+    return router.configure(profile), devices
+
+
+def runs_units(router):
+    """Which tasks run a compiled unit, by name."""
+    units = set()
+    for task in router.tasks:
+        unit = router.fastpath.function_for(("task", task.name, 0))
+        if unit is not None and vars(task).get("run_task") is unit:
+            units.add(task.name)
+    return units
+
+
+@pytest.mark.parametrize("profile", COMPILED_PROFILES, ids=str)
+def test_task_units_run_on_declared_devices(profile):
+    """A plain ``LoopbackDevice`` under every compiled profile — batch
+    or not, supervised or not — runs one unit per task element, and
+    the module, the report and the cache hold it like any chain."""
+    default_cache().clear()
+    router, devices = pipe(profile)
+    assert runs_units(router) == {"src", "dst"}
+    fastpath = router.fastpath
+    assert fastpath.report.task_units == 2
+    assert fastpath.report.chain_lines["task src[0]"] > fastpath.report.chain_lines["task dst[0]"] > 0
+    for name in ("src", "dst"):
+        chain = fastpath.chain_for("task", name, 0)
+        assert chain.batch_name is None and "# %s" % chain.describe() in fastpath.source
+    for index in range(20):
+        devices["eth0"].receive_frame(b"\x00\x01\x02\x03\x04\x05 frame %02d" % index)
+    router.run_tasks(8)
+    assert len(devices["eth1"].transmitted) == 20 and router["c"].count == 20
+    assert (router["src"].received, router["dst"].sent) == (20, 20)
+    replayed, _devices = pipe(profile)
+    assert replayed.fastpath.report.cache_hit and runs_units(replayed) == {"src", "dst"}
+
+
+class OverridingDevice(LoopbackDevice):
+    def rx_dequeue(self):
+        return super().rx_dequeue()
+
+
+def _faulty_devices():
+    devices = {name: LoopbackDevice(name) for name in ("eth0", "eth1")}
+    plan = FaultPlan(faults=[{"kind": "device_flap", "device": name, "at": 99, "ticks": 1} for name in devices])
+    return FaultInjector(plan).wrap_devices(devices)
+
+
+def _inject_element_fault(router):
+    plan = FaultPlan(faults=[{"kind": "element_error", "element": "src", "after": 99}])
+    FaultInjector(plan).prepare_router(router)
+
+
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("mode", ["fast", "adaptive", "fdd"])
+def test_ineligible_tasks_run_the_element_loop(mode, batch):
+    """Eligibility is declared, never inferred: a metered router, a
+    device proxy (which forwards ``rx`` and ``transmitted`` but declares
+    no rings), a device subclass overriding one of the three calls, a
+    fault-wrapped element, a hand-wrapped ``run_task`` and the reference
+    interpreter all run ``run_task`` as written."""
+    from repro.sim.cpu import CycleMeter
+
+    profile = replace(profile_for(mode, batch), adaptive=None)
+    default_cache().clear()
+    assert runs_units(pipe(profile)[0]) == {"src", "dst"}  # what the cache now holds
+    assert runs_units(pipe(profile, meter=CycleMeter())[0]) == set()
+    faulty = _faulty_devices()
+    assert type(faulty["eth0"]).__name__ == "FaultyDevice" and faulty["eth0"].rx is not None
+    assert runs_units(pipe(profile, devices=faulty)[0]) == set()
+    devices = {"eth0": OverridingDevice("eth0"), "eth1": LoopbackDevice("eth1")}
+    assert runs_units(pipe(profile, devices=devices)[0]) == {"dst"}
+    assert runs_units(pipe(profile, prepare=_inject_element_fault)[0]) == {"dst"}
+
+    def wrap_by_hand(router):
+        original = router["dst"].run_task
+        router["dst"].run_task = lambda: original()
+
+    router, devices = pipe(profile, prepare=wrap_by_hand)
+    assert runs_units(router) == {"src"}
+    router.configure(ExecutionProfile.reference())
+    assert "run_task" in vars(router["dst"])  # the wrapper is not the fast path's to remove
+    assert pipe(ExecutionProfile.reference())[0].fastpath is None
+
+
+@pytest.mark.parametrize("profile", [ExecutionProfile.fast(), ExecutionProfile.fdd(batch=True).with_supervision()], ids=str)
+def test_nothing_is_left_on_the_tasks_of_a_router_that_stops_compiling(profile):
+    """``uninstall()``, ``retire()``, a reference profile and a hot-swap
+    each take the units off with the ports."""
+    from repro.elements.hotswap import hotswap
+
+    def tasks_are_clean(router):
+        return not any("run_task" in vars(task) for task in router.tasks)
+
+    router, _devices = pipe(profile)
+    router.detach_supervisor()
+    router.engine.uninstall()
+    assert tasks_are_clean(router)
+    router.engine.install()
+    assert runs_units(router) == {"src", "dst"}
+    router.configure(ExecutionProfile.reference())
+    assert tasks_are_clean(router)
+    router, _devices = pipe(profile)
+    router.retire()
+    assert tasks_are_clean(router)
+    router, devices = pipe(profile)
+    graph = router.graph.copy()
+    graph.add_element("idle", "Idle", None)
+    graph.add_element("sink", "Discard", None)
+    graph.add_connection("idle", 0, "sink", 0)
+    successor = hotswap(router, graph, devices=devices).router
+    assert tasks_are_clean(router) and router.retired
+    assert runs_units(successor) == {"src", "dst"}
+    assert successor.fastpath is not router.fastpath
+
+
 # -- the report ----------------------------------------------------------------
 
 
@@ -229,6 +367,63 @@ def test_optimized_router_executes_no_more_bytecodes_than_plain():
     assert counts["paper"] <= counts["base"], counts
 
 
+def calls(function):
+    """Function calls ``function()`` makes, Python and builtin, as
+    cProfile counts them."""
+    count = 0
+
+    def profile(_frame, event, _argument):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        function()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+@pytest.mark.parametrize("config, bound", [("iprouter", 18), ("firewall", 17)])
+def test_calls_per_forwarded_packet(config, bound):
+    """The count gate on the device boundary: one warm 2000-frame block
+    under fdd forwards in at most ``bound`` calls a packet (27.6 and
+    26.8 while the tasks ran the hand-written loops, 14.4 compiled).  A
+    change that puts a per-packet device call back — ``rx_dequeue``,
+    ``charge``, ``Packet()``, ``tx_room``, ``tx_enqueue`` — lands here."""
+    if config == "iprouter":
+        testbed, router, devices = build("base", ExecutionProfile.fdd())
+        warm, block = skewed_frames(testbed, 4096), skewed_frames(testbed, 2000)
+    else:
+        devices = {name: LoopbackDevice(name, tx_capacity=1 << 30) for name in ("eth0", "eth1")}
+        router = Router(firewall_graph(), devices=devices, profile=ExecutionProfile.fdd())
+        warm, block = [("eth0", firewall_frame())] * 4096, [("eth0", firewall_frame())] * 2000
+    forward(router, devices, warm)
+    assert router.adaptive.tier2_fp is not None
+    for device in devices.values():
+        device.transmitted.clear()
+    for name, frame in block:
+        devices[name].receive_frame(frame)
+    count = calls(lambda: router.run_tasks(len(block) // 8 + 8))
+    assert sum(len(device.transmitted) for device in devices.values()) == len(block)
+    assert count / len(block) <= bound, count / len(block)
+
+
+def test_batch_entry_points_only_where_a_task_calls_them():
+    """``fast(batch=True)`` on the plain IP router: four ``_batch``
+    functions, one per task port (55 while every chain had a twin)."""
+    _testbed, router, _devices = build("base", ExecutionProfile.fast(batch=True))
+    fastpath = router.fastpath
+    batched = {key for key, chain in fastpath.chains.items() if chain.batch_name}
+    assert batched == {
+        ("push", "PollDevice@2", 0), ("push", "PollDevice@13", 0), ("pull", "td0", 0), ("pull", "td1", 0),
+    }
+    assert sum(line.startswith("def ") and "_batch(" in line for line in fastpath.source.split("\n")) == 4
+    for key in fastpath.chains:
+        assert (fastpath.function_for(key, batch=True) is not None) == (key in batched)
+
+
 # -- Align, inline ----------------------------------------------------------------
 
 
@@ -271,41 +466,79 @@ def test_inline_align_is_the_reference_align(modulus, offset, fused):
 # sha256[:16] of the generated module, per configuration/policy[/batch].
 # These configurations contain no combo, no Align and no generated class,
 # so the emitter must keep producing the same text — codegen-cache keys
-# included.  Pinned at the parent of the change that introduced lowering,
-# except the six iprouter static/profiling/optimized rows: they were
-# pinned again when fact threading stopped being an fdd-only lane.
-# Those flavors now emit what the fdd ones always did around the route
-# table — CheckIPHeader's split lane for the 0x45 header, the lookup
-# keyed on the live raw destination ``d`` with no annotation load or
-# None test, IPGWOptions testing the live header length ``hl`` — and
-# nothing else moved.  The firewall has no fact-producing element, so
-# its rows stand, as do all twelve fdd ones.
+# included.  All 24 were pinned again by the change that compiled the
+# task loops, and what moved is checked rather than trusted:
+#
+# - every module gained the task units (four on the IP router, two on
+#   the firewall), emitted after the last chain so that no chain's name
+#   or bind slot moved, and the reworded header;
+# - a batch module lost the ``_batch`` twin of every chain that does not
+#   leave a task element (nothing could call them);
+# - nothing else: an unbatched module with the task units' lines taken
+#   out and the parent's header put back hashes to the parent's digest
+#   (``PARENT_DIGESTS``, the twelve unbatched rows as they stood).
 PLAIN_DIGESTS = {
+    "firewall/fdd": "b6d7abce366507cf",
+    "firewall/fdd-optimized": "eb57b6304bc8fa8f",
+    "firewall/fdd-optimized/batch": "f1699a3366913cc8",
+    "firewall/fdd-profiling": "a5eab11fb9a2ef21",
+    "firewall/fdd-profiling/batch": "48798ba99d0345bf",
+    "firewall/fdd/batch": "b0772cbfdb0d47dd",
+    "firewall/optimized": "6fbae10a5c8adf82",
+    "firewall/optimized/batch": "5a55aef47f2b8d09",
+    "firewall/profiling": "dd673243cae6d7ed",
+    "firewall/profiling/batch": "75c6cc50a46ed711",
+    "firewall/static": "410b3d506d6fc9a5",
+    "firewall/static/batch": "90452c83f5d36cfe",
+    "iprouter/fdd": "486ffa1c67686f46",
+    "iprouter/fdd-optimized": "01c2f16065d35b78",
+    "iprouter/fdd-optimized/batch": "fe6f3b016e77ce18",
+    "iprouter/fdd-profiling": "111dd373624e591d",
+    "iprouter/fdd-profiling/batch": "6d7bcadd6773ecf4",
+    "iprouter/fdd/batch": "47a88d3d2549b909",
+    "iprouter/optimized": "a4fcbc37665d66e3",
+    "iprouter/optimized/batch": "2cc79e645510cb3a",
+    "iprouter/profiling": "485d6e97bdd30433",
+    "iprouter/profiling/batch": "b842e2680ed6e990",
+    "iprouter/static": "c4b2a671c1a7ada2",
+    "iprouter/static/batch": "6e094aa374f4f543",
+}
+
+
+PARENT_HEADER = (
+    '"""Generated by repro.runtime.fastpath: one function per wired',
+    "push/pull edge of the router.  Do not edit; regenerate with",
+    'Router.compile_fastpath().  Dump via router.fastpath.source."""',
+)
+PARENT_DIGESTS = {
     "firewall/fdd": "da1f6c3e21e2b743",
     "firewall/fdd-optimized": "c2793ec10d79eaa1",
-    "firewall/fdd-optimized/batch": "ce3d56f25f49e192",
     "firewall/fdd-profiling": "8d069f5ae8531608",
-    "firewall/fdd-profiling/batch": "78faae9b9533d288",
-    "firewall/fdd/batch": "29af057eb74b52e9",
     "firewall/optimized": "8cd0abc00b4479fd",
-    "firewall/optimized/batch": "99be2b9c69fcc1cf",
     "firewall/profiling": "477a14225ec8e871",
-    "firewall/profiling/batch": "1cbd5a4966d5f052",
     "firewall/static": "63816c5ed3eae32b",
-    "firewall/static/batch": "724c0caa92741b38",
     "iprouter/fdd": "7b6f52b67893262a",
     "iprouter/fdd-optimized": "d69353ea38b0618e",
-    "iprouter/fdd-optimized/batch": "9f3bb7aa7dd53085",
     "iprouter/fdd-profiling": "10d1f58d1df5d111",
-    "iprouter/fdd-profiling/batch": "fe346f15633c149e",
-    "iprouter/fdd/batch": "2bbaeeda3766ca6b",
     "iprouter/optimized": "c11263bcbfad052c",
-    "iprouter/optimized/batch": "0c1ff42cce91e4bd",
     "iprouter/profiling": "e6bf399d4bfe4558",
-    "iprouter/profiling/batch": "51ca89418e335a81",
     "iprouter/static": "080d93eba29a5314",
-    "iprouter/static/batch": "f48f8c92c838ddd9",
 }
+
+
+def source_at_the_parent(fastpath):
+    """``fastpath.source`` less the lines of its task units, under the
+    header the parent wrote."""
+    lines = fastpath.source.split("\n")
+    assert len(PARENT_HEADER) == 3 and lines[3] == ""
+    task_lines = set()
+    for chain in fastpath.chains.values():
+        if chain.kind == "task":
+            # source[0] is line ``offset`` of the module, counting from 1
+            task_lines.update(range(chain.offset - 1, chain.offset - 1 + len(chain.source)))
+    assert task_lines
+    kept = [line for number, line in enumerate(lines) if number not in task_lines]
+    return "\n".join(list(PARENT_HEADER) + kept[3:])
 
 
 def profile_for(mode, batch):
@@ -328,11 +561,8 @@ def warm_iprouter(profile):
 def warm_firewall(profile):
     devices = {name: LoopbackDevice(name, tx_capacity=1 << 30) for name in ("eth0", "eth1")}
     router = Router(firewall_graph(), devices=devices, profile=profile)
-    frame = (
-        b"\x00\x50\x56\x00\x00\x01" + b"\x00\x50\x56\x00\x00\x02" + b"\x08\x00" + dns5_packet()
-    )
     for _ in range(256):
-        devices["eth0"].receive_frame(frame)
+        devices["eth0"].receive_frame(firewall_frame())
     router.run_tasks(256)
     return router
 
@@ -351,6 +581,9 @@ def test_plain_configurations_generate_the_stored_source(config, mode, batch):
         digest = hashlib.sha256(fastpath.source.encode()).hexdigest()[:16]
         assert digest == PLAIN_DIGESTS[key], key
         assert not fastpath.report.opaque_dispatch.get("push PollDevice@2[0]")
+        if not batch:
+            parent = hashlib.sha256(source_at_the_parent(fastpath).encode()).hexdigest()[:16]
+            assert parent == PARENT_DIGESTS[key], key
 
 
 @pytest.mark.parametrize("config", ["iprouter", "firewall"])
