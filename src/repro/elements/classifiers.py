@@ -10,7 +10,7 @@ Python function instead and charges the (cheaper) compiled-step cost.
 
 from __future__ import annotations
 
-from ..classifier.compile import CompiledClassifier
+from ..classifier.compile import CompiledClassifier, compiled_function_for
 from ..classifier.ipfilter import compile_expressions, compile_filter_rules
 from ..classifier.language import compile_patterns
 from .element import ConfigError, Element
@@ -53,8 +53,6 @@ class _TreeClassifier(Element):
         under already-compiled chains without recompiling them."""
         cell = getattr(self, "_matcher_cell", None)
         if cell is None:
-            from ..classifier.compile import compiled_function_for
-
             cell = self._matcher_cell = [compiled_function_for(self.tree)]
         return cell
 
@@ -79,10 +77,9 @@ class _TreeClassifier(Element):
                 "(a wiring change needs a hot-swap)"
                 % (self.name, self.configured_noutputs, tree.noutputs)
             )
-        # Warm the matcher memo now so commit_rules cannot fail on
-        # codegen: the staged-batch commit half must be infallible.
-        from ..classifier.compile import compiled_function_for
-
+        # Generate the matcher's source now (it is compiled if a chain
+        # ever calls it) so commit_rules cannot fail on codegen: the
+        # staged-batch commit half must be infallible.
         compiled_function_for(tree)
         return tree
 
@@ -93,8 +90,6 @@ class _TreeClassifier(Element):
         self.tree = tree
         cell = getattr(self, "_matcher_cell", None)
         if cell is not None:
-            from ..classifier.compile import compiled_function_for
-
             cell[0] = compiled_function_for(tree)
 
     def update_rules(self, args):

@@ -53,8 +53,8 @@ class SwapReport:
     """What one configuration update did: its kind (``in-place`` data
     patch, ``scoped-swap``, ``full-swap``, or ``no-op``), per-phase wall
     times, and the chain accounting of the fast paths it built:
-    ``chains_recompiled`` went through ``compile()``, ``chains_reused``
-    did not (spliced from the old compile with their code objects, or
+    ``chains_recompiled`` were emitted again, ``chains_reused`` were
+    not (spliced from the old compile with their code objects, or
     replayed from the codegen cache).  Shared by :func:`hotswap` and
     :meth:`repro.control.ControlPlane.apply`."""
 
@@ -158,18 +158,18 @@ def _live_fastpaths(router):
 
 
 def chain_totals(fastpaths):
-    """``(compiled, not compiled, cache_hit)`` chain counts summed over
+    """``(emitted, reused, cache_hit)`` chain counts summed over
     compiled fast paths — what :class:`SwapReport` calls recompiled and
-    reused.  A chain counts as recompiled exactly when building it
-    called ``compile()`` (``FastPathReport.compiled_units``); a chain
-    spliced from a donor or replayed from the codegen cache did not."""
+    reused.  A chain counts as recompiled exactly when the build
+    emitted it again (``FastPathReport.emitted_units``); a chain
+    spliced from a donor or replayed from the codegen cache was not."""
     recompiled = reused = 0
     cache_hit = False
     for path in fastpaths:
         report = path.report
         cache_hit = cache_hit or report.cache_hit
-        recompiled += report.compiled_units
-        reused += report.push_chains + report.pull_chains + report.task_units - report.compiled_units
+        recompiled += report.emitted_units
+        reused += report.push_chains + report.pull_chains + report.task_units - report.emitted_units
     return recompiled, reused, cache_hit
 
 
@@ -286,8 +286,7 @@ def hotswap(old_router, new_graph, profile=None, validate=True, delta=None, **ro
             "serving: %s: %s" % (profile.label, type(exc).__name__, exc)
         ) from exc
     finally:
-        if getattr(new_router, "_fastpath_reuse", None) is not None:
-            new_router._fastpath_reuse = None
+        new_router._fastpath_reuse = None
     report.phases["compile"] = time.perf_counter() - started
     report.chains_recompiled, report.chains_reused, report.cache_hit = chain_totals(
         _live_fastpaths(new_router)
@@ -297,6 +296,8 @@ def hotswap(old_router, new_graph, profile=None, validate=True, delta=None, **ro
     started = time.perf_counter()
     new_router.hotswap_transferred = transferred
     old_router.retire()
+    for path in donors:
+        path.release()
     report.phases["commit"] = time.perf_counter() - started
     return SwapResult(new_router, report)
 

@@ -705,6 +705,11 @@ class AdaptiveEngine:
         # dispatcher/promotion slot mutation along with the fast ports.
         self.tier1.uninstall()
         self.installed = False
+        # A dispatcher holds its state and the state its port: unhooked,
+        # both (and the flavors' functions they hold) go by refcount.
+        for state in self.states.values():
+            state.port.push = state.port.push_batch = None
+        self.states = {}
 
     # -- tier transitions --------------------------------------------------
 
@@ -895,7 +900,12 @@ class AdaptiveEngine:
         live tree: nothing baked, nothing to rebuild.)"""
         if kind == "rules" and self.tiering and name in (self.tier1.policy.plans or ()):
             return self.repatch_classifier(name)
-        self.deopt("control-plane patch of %s" % name, element_name=name)
+        dropped = self.tier2_fp
+        demoted = self.deopt("control-plane patch of %s" % name, element_name=name)
+        # A patch lands between bursts, never from inside a chain (a guard
+        # miss does): the dropped tier 2 is released once no chain runs on it.
+        if demoted and dropped is not None and not any(s.tier == 2 for s in self.states.values()):
+            dropped.release()
         return ()
 
     def repatch_classifier(self, name):
@@ -913,6 +923,7 @@ class AdaptiveEngine:
         if supervisor is not None:
             supervisor.detach()
         donors = [self.tier1, self.profiled]
+        retired = donors + [self.tier2_fp]
         if was_installed:
             # Restore the reference ports *before* recompiling so the
             # new tier 1 saves them (not the old compiled ports) for
@@ -923,7 +934,6 @@ class AdaptiveEngine:
         self._decisions_cache = None
         self.tier2_fp = None
         self._guard_counters = []
-        self.states = {}
         self._reach_cache = {}
         self.diagram_rebuilds += 1
         # A data patch: the wiring stands, so only chains that can touch
@@ -937,6 +947,9 @@ class AdaptiveEngine:
             self.install()
         if supervisor is not None and was_installed:
             router._attach_supervisor(sup_config)
+        for flavor in retired:
+            if flavor is not None:
+                flavor.release()
         return self.tier1, self.profiled
 
     # -- observability -----------------------------------------------------

@@ -1,18 +1,20 @@
 """A content-addressed cache for compiled fast-path modules.
 
-``FastPath._compile`` pays ``compile``/``exec`` per router build even
-when the configuration is identical — the common case in benchmarks,
-test suites, and hot-swap, where the same graph is instantiated over
-and over.  This module caches the *generated artifact* (the per-chain
-compile records — :class:`~repro.runtime.fastpath.ChainInfo`, shared by
-reference with the fast path that built them — plus the module text and
-the replay recipes for every bound runtime object) keyed by
+``FastPath._compile`` pays emission per router build, and ``compile``
+per chain entered, even when the configuration is identical — the
+common case in benchmarks, test suites, and hot-swap, where the same
+graph is instantiated over and over.  This module caches the
+*generated artifact* (the per-chain records —
+:class:`~repro.runtime.fastpath.ChainInfo`, shared by reference with
+the fast path that built them, so a chain any sharer has entered
+carries its code object for all — plus the module text and the replay
+recipes for every bound runtime object) keyed by
 
     (graph fingerprint, element-class identity, batch flag, policy key)
 
-so a repeat build skips generation and compilation entirely: the entry
-re-binds each ``_bN`` slot against the fresh router from its recipe and
-re-executes the already-compiled code objects in a fresh namespace.
+so a repeat build skips generation entirely: the entry re-binds each
+``_bN`` slot against the fresh router from its recipe and re-executes
+the code objects compiled so far in a fresh namespace.
 The cache is an in-memory LRU and nothing else: a process that did not
 compile a configuration compiles it.
 
@@ -120,8 +122,8 @@ class CacheEntry:
 
     def replay(self, fastpath):
         """Rebuild ``fastpath`` from this entry: adopt the records,
-        resolve every bind recipe against its router and exec the
-        chains' code objects (:meth:`FastPath._link`); the fast path
+        resolve every bind recipe against its router and link the
+        chains, compiled or not yet (:meth:`FastPath._link`); the fast path
         folds its report from the records as after any build."""
         router = fastpath.router
         tables = [([], router.elements[name], mode) for name, mode in self.jump_specs]

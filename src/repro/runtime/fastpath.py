@@ -56,8 +56,11 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 import time
+import types
 
+from ..classifier.compile import become, compiled_function_for, is_pending, pending_function
 from ..elements.element import Element
 
 __all__ = [
@@ -327,20 +330,24 @@ _CHAIN_COUNTERS = (
 
 
 class ChainInfo:
-    """One compiled chain, whole — the compile unit: its source edge,
-    the elements inlined into straight-line code and the terminal
-    dispatch, and everything compiling it produced.  Immutable once
-    :meth:`FastPath._compile` returns, so one record is shared by
-    reference between the fast path that emitted it, every compile that
-    splices it, the cache entry and a cache twin; a splice that has to
-    renumber it takes a copy (:meth:`moved`)."""
+    """One chain, whole — the compile unit: its source edge, the
+    elements inlined into straight-line code and the terminal dispatch,
+    and everything emitting it produced.  Immutable once
+    :meth:`FastPath._compile` returns *except* ``code``, written once:
+    by the build, for a chain that replaces one already forwarding, or
+    by the first packet to enter it (:meth:`FastPath._enter`) — so
+    ``code is not None`` says the chain is live.  One record is shared
+    by reference between the fast path that emitted it, every compile
+    that splices it, the cache entry and a cache twin (the first sharer
+    to enter it fills ``code`` for all); a splice that has to renumber
+    it takes a copy (:meth:`moved`)."""
 
     __slots__ = (
         "kind", "element", "port", "inlined", "terminal", "terminal_port",
         "function_name",
         "batch_name",  # the batch entry point, or None
         "source",  # [blank line, "# describe()", generated line, ...]
-        "code",  # compile_chain(source[1:], offset)
+        "code",  # compile_chain(source[1:], offset), or None until it is entered
         "offset",  # source[0] is line ``offset`` of FastPath.source
         "binds",  # the _bN names bound during emission, in order
         "tables",  # FastPath._jump_tables indexes registered
@@ -370,13 +377,14 @@ class ChainInfo:
 
     def moved(self, offset, tables):
         """This chain at another line offset and/or under other jump
-        table indexes: a copy (the donor's record stands), its code
-        re-based when the offset differs."""
+        table indexes: a copy (the donor's record stands), its code —
+        when it has one — re-based when the offset differs."""
         if offset == self.offset and tables == self.tables:
             return self
         chain = copy.copy(self)
         if offset != self.offset:
-            chain.code = _shift_lines(self.code, offset - self.offset)
+            if self.code is not None:
+                chain.code = _shift_lines(self.code, offset - self.offset)
             chain.offset = offset
         chain.tables = tables
         return chain
@@ -423,7 +431,8 @@ class FastPathReport:
         self.guarded_branches = 0
         self.pruned_arms = 0
         self.reused_chains = 0  # chains spliced verbatim from a donor compile
-        self.compiled_units = 0  # compile() calls this build made (0 on a cache replay)
+        self.compiled_units = 0  # compile() calls made for this fast path so far
+        self.emitted_units = 0  # chains this build emitted again (0 on a cache replay)
         self.fdd_diagrams = 0  # classifier terminals emitted as decision diagrams
         self.fdd_nodes = 0  # expanded diagram nodes across those diagrams
         self.fdd_paths = 0  # root-to-leaf paths across those diagrams
@@ -432,9 +441,11 @@ class FastPathReport:
         # their bound push / simple_action (no segment, no fast_action);
         # metered chains call everything that way and list nothing
         self.opaque_dispatch = {}
+        self.failed_entries = {}  # chain label -> the error its first entry raised
 
     def as_dict(self):
-        """Every field above, in that order, JSON-safe."""
+        """Every field above, in that order (``emitted_units`` follows
+        ``compiled_units``, ``failed_entries`` is last), JSON-safe."""
         fields = dict(vars(self))
         fields["inlined_elements"] = sorted(self.inlined_elements)
         fields["compile_seconds"] = round(self.compile_seconds, 6)
@@ -466,11 +477,13 @@ class FastPathReport:
             "  specialized: %d terminals and %d actions compiled in place, "
             "%d redundant elements elided"
             % (self.specialized_terminals, self.specialized_actions, self.elided_elements),
-            "  compile: %.1f ms%s, %d units compiled%s (policy: %s%s)"
+            "  compile: %.1f ms%s, compiled %d of %d chains, %d emitted%s (policy: %s%s)"
             % (
                 self.compile_seconds * 1e3,
                 ", codegen-cache hit" if self.cache_hit else "",
                 self.compiled_units,
+                self.push_chains + self.pull_chains + self.task_units,
+                self.emitted_units,
                 ", %d chains reused" % self.reused_chains if self.reused_chains else "",
                 self.policy,
                 ", %d guarded branches, %d pruned arms"
@@ -487,6 +500,8 @@ class FastPathReport:
             )
         for label, names in sorted(self.opaque_dispatch.items()):
             lines.append("  opaque: %s calls %s" % (label, ", ".join(names)))
+        for label, error in sorted(self.failed_entries.items()):
+            lines.append("  failed: %s runs its reference port (%s)" % (label, error))
         if self.chain_lines:
             largest = sorted(
                 self.chain_lines.items(), key=lambda item: -item[1]
@@ -649,12 +664,13 @@ def compile_chain(lines, offset, filename="<fastpath>"):
     """One chain's source lines as a code object to ``exec``, numbered
     as lines ``offset + 1`` onwards of the whole generated module, so a
     traceback indexes ``FastPath.source``.  The chain, not the module,
-    is the unit of compilation: a scoped rebuild carries the code
-    objects of the chains it splices and compiles only the ones it
-    re-emitted, and ``compile`` keeps about 3 kB of working memory per
-    source line until it returns, so a module compiled whole would set
-    the process's memory high-water mark (16 MB for the plain IP
-    router's 5 200 lines; under 1 MB a chain at a time)."""
+    is the unit of compilation: a chain is compiled when a packet first
+    enters it and most never are, a scoped rebuild carries the code
+    objects of the chains it splices, and ``compile`` keeps about 3 kB
+    of working memory per source line until it returns, so a module
+    compiled whole would set the process's memory high-water mark
+    (16 MB for the plain IP router's 5 200 lines; under 1 MB a chain at
+    a time)."""
     return _shift_lines(compile("\n".join(lines), filename, "exec"), offset)
 
 
@@ -675,8 +691,6 @@ def _classifier_matcher(element):
     if isinstance(element, FastClassifierBase):
         matcher = element.compiled
     else:
-        from ..classifier.compile import compiled_function_for
-
         return compiled_function_for(element.tree)
     # Bind the raw generated function, not the CompiledClassifier
     # wrapper — __call__ would add a frame per packet.
@@ -739,8 +753,10 @@ def _render_guard(conds, data_var):
 class FastPath:
     """A compiled fast path over one wired router.
 
-    Construction compiles; :meth:`install` swaps the compiled ports in;
-    :meth:`uninstall` restores the reference interpreter untouched.
+    Construction emits every chain; :meth:`install` swaps the fast ports
+    in, and a chain is compiled when it is first entered
+    (:meth:`materialize` compiles the rest); :meth:`uninstall` restores
+    the reference interpreter untouched.
     """
 
     def __init__(self, router, batch=False, policy=None, cache=None):
@@ -791,6 +807,7 @@ class FastPath:
         # _reuse_chain) and the codegen cache can hold and replay them.
         self.chains = {}
         self._compiled = {}  # same key -> (fn, batch_fn_or_None), live in _namespace
+        self._failed = {}  # key of a chain whose entry failed -> what its functions call instead
         self._jump_tables = []  # (list to fill, terminal element, dispatch mode)
         self.source = ""
         self._namespace = {}
@@ -2422,6 +2439,7 @@ class FastPath:
             index = donor._next_index
             self._bind_counter = donor._bind_counter
         report = self.report
+        emitted, live = [], []
         for key, element, far in self._chain_edges():
             kind, name, port_index = key
             chain = donor.chains.get(key) if donor is not None else None
@@ -2440,9 +2458,8 @@ class FastPath:
             first_bind = self._bind_counter
             first_table = len(self._jump_tables)
             emit = getattr(self, "_emit_" + kind)
-            # Its code is compiled below, once emission is done:
-            # alternating the two made a cold build 8 % slower.
             self.chains[key] = chain = emit(lines, index, element, port_index)
+            emitted.append(key)
             chain.source = lines[start:]
             chain.offset = start + 1
             chain.binds = tuple("_b%d" % n for n in range(first_bind, self._bind_counter))
@@ -2468,37 +2485,40 @@ class FastPath:
             twin = cache.twin(cache_key, self.source)
         if twin is not None:
             self.source = twin.source
-        for key, chain in self.chains.items():
-            if chain.code is not None:
-                continue
+        for key in emitted:
+            chain = self.chains[key]
             shared = twin.chains.get(key) if twin is not None else None
             if shared is not None and chain.same_unit(shared):
                 self.chains[key] = shared
                 continue
-            # [0] is the blank line that separates chains
-            chain.code = compile_chain(chain.source[1:], chain.offset)
-            report.compiled_units += 1
+            report.emitted_units += 1
+            if donor is not None and getattr(donor.chains.get(key), "code", None) is not None:
+                live.append(key)
         self._link()
+        # What replaces a chain already forwarding is compiled here, where
+        # the update pays for it and a failure aborts it.
+        self.materialize(live)
 
     def _link(self):
-        """Exec every chain's code object over the bound namespace,
-        collect the entry points, and fill the terminal jump tables:
-        entry i is the compiled chain for the terminal's output i.
+        """Give every chain its entry points over the bound namespace —
+        its code object exec'd, or functions that :meth:`_enter` it
+        when first called — and fill the terminal jump tables: entry i
+        is the chain for the terminal's output i.
         "checked" tables (route tables) drop silently on unwired ports,
         like Element.checked_push; "plain" tables fall back to the
         reference port so misbehavior (pushing an unwired port) fails
         the same way it would have.  The one way code becomes live:
         after a cold compile, a splice, and a cache replay alike."""
-        namespace = self._namespace
-        chains = self.chains
-        for chain in chains.values():
-            exec(chain.code, namespace)  # noqa: S102 - code generated by _compile
-        for key, chain in chains.items():
-            batch_fn = chain.batch_name
-            self._compiled[key] = (
-                namespace[chain.function_name],
-                namespace[batch_fn] if batch_fn else None,
-            )
+        namespace, enter = self._namespace, self._enter
+        for key, chain in self.chains.items():
+            names = (chain.function_name, chain.batch_name)
+            if chain.code is not None:
+                exec(chain.code, namespace)  # noqa: S102 - code generated by _compile
+            else:
+                for slot, name in enumerate(names):
+                    if name:
+                        namespace[name] = pending_function(name, namespace, enter, key, slot, True)
+            self._compiled[key] = tuple(namespace[name] if name else None for name in names)
         for table, element, mode in self._jump_tables:
             for port_index, port in enumerate(element._output_ports):
                 compiled = self._compiled.get(("push", element.name, port_index))
@@ -2508,6 +2528,72 @@ class FastPath:
                     table.append(None)
                 else:
                     table.append(port.push)
+
+    def _enter(self, key, slot=0, live=False):
+        """A chain's first entry: compile it unless a sharer of its
+        record has, exec it, and make the function objects every holder
+        already has the real ones.  ``live`` (a packet is waiting)
+        contains a failure: the report lists it and the pending
+        functions call the edge's reference port from then on."""
+        chain, namespace, functions = self.chains[key], self._namespace, self._compiled[key]
+        if key in self._failed:
+            return self._failed[key][slot]
+        started = time.perf_counter()
+        try:
+            if chain.code is None:
+                # [0] is the blank line that separates chains
+                chain.code = compile_chain(chain.source[1:], chain.offset)
+                self.report.compiled_units += 1
+            exec(chain.code, namespace)  # noqa: S102 - code generated by _compile
+        except Exception as exc:  # noqa: BLE001 - must cost the chain, not the router
+            if not live:
+                raise
+            self.report.failed_entries["%s %s[%d]" % key] = "%s: %s" % (type(exc).__name__, exc)
+            self._failed[key] = self._reference_entries(key)
+            return self._failed[key][slot]
+        for name, function in zip((chain.function_name, chain.batch_name), functions):
+            if function is not None:
+                namespace[name] = become(function, namespace[name])
+        self.report.compile_seconds += time.perf_counter() - started
+        return functions[slot]
+
+    def _reference_entries(self, key):
+        """What the reference interpreter runs for one edge, callable as
+        the chain's ``(entry, batch entry)``."""
+        kind, name, index = key
+        element = self.router.elements[name]
+        if kind == "task":
+            return types.MethodType(type(element).run_task, element), None
+        saved = self._saved_ports or getattr(self.router.fastpath, "_saved_ports", None) or {}
+        ports = saved.get(name, (element._output_ports, element._input_ports))
+        to = getattr(ports[kind == "pull"][index], kind)
+        if kind == "pull":
+            return to, lambda limit: list(itertools.islice(iter(to, None), limit))
+
+        def push_each(packets):
+            for packet in packets:
+                to(packet)
+
+        return to, push_each
+
+    def materialize(self, keys=None):
+        """Compile every chain (or just ``keys``) nothing has entered
+        yet, raising what ``compile()`` raises: the eager build, for
+        tests of the generated code and for a live chain's successor."""
+        for key in self.chains if keys is None else keys:
+            if is_pending(self._compiled[key][0]):
+                self._enter(key)
+
+    def release(self):
+        """Break this retired fast path's reference cycles (a function's
+        globals is the namespace that holds it), so it is freed by
+        refcount, not by the collector.  Its chain records stand."""
+        if self.installed:
+            raise FastPathError("cannot release an installed fast path")
+        self._namespace.clear()
+        self._compiled.clear()
+        for table, _element, _mode in self._jump_tables:
+            del table[:]
 
     # -- installation -------------------------------------------------------------
 

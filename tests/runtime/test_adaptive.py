@@ -201,6 +201,55 @@ def test_lifecycle_promote_deopt_reprofile():
     assert report["recompiles"] >= 2
 
 
+def test_a_promotion_compiles_the_promoted_chains_and_a_deopt_releases_them():
+    """Tier 2 is emitted whole and compiled a promoted chain at a time;
+    a chain's tier-1 functions are the same objects before and after
+    their first entry; a control-plane patch (which lands between
+    bursts) frees the tier 2 it drops without the collector, a deopt
+    that may come from inside a running tier-2 chain leaves it alone."""
+    import gc
+    import weakref
+
+    from repro.classifier.compile import is_pending
+    from repro.runtime.codegen_cache import default_cache
+
+    default_cache().clear()
+    testbed = Testbed(2)
+    router, devices = testbed.build_router(
+        testbed.variant_graph("base"), mode="adaptive", adaptive_config=AdaptiveConfig(**EAGER)
+    )
+    engine = router.adaptive
+    held = {key: (state.plain, state.prof) for key, state in engine.states.items()}
+    assert all(is_pending(fn) for pair in held.values() for fn in pair)
+    for device_name, frame in testbed.evaluation_frames(256):
+        devices[device_name].receive_frame(frame)
+    router.run_tasks(256)
+    promoted = [key for key, state in engine.states.items() if state.tier == 2]
+    tier2 = engine.tier2_fp
+    assert promoted and tier2.report.emitted_units == len(tier2.chains)
+    live = {key for key, chain in tier2.chains.items() if chain.code is not None}
+    assert live >= set(promoted) and len(live) < len(tier2.chains) // 2
+    for key in promoted:
+        state = engine.states[key]
+        assert state.port.push is tier2.function_for(key) and not is_pending(state.port.push)
+        assert (state.plain, state.prof) == held[key]
+        assert not is_pending(state.plain) and not is_pending(state.prof)
+
+    gc.collect()
+    gc.disable()
+    try:
+        dropped = weakref.ref(tier2)
+        running = tier2.function_for(promoted[0])
+        engine._on_guard_pressure(engine._guard_counters[0])
+        assert engine.tier2_fp is None and tier2._namespace and not is_pending(running)
+        engine.tier2_fp = tier2  # as if promoted again
+        del tier2, running, live
+        assert engine.on_table_patch("rt", "routes") == ()
+        assert dropped() is None
+    finally:
+        gc.enable()
+
+
 def test_thin_profile_does_not_settle():
     """A chain crossing its packet threshold before min_samples profiled
     events must keep profiling, not settle on tier 1 forever."""

@@ -6,10 +6,15 @@ surface.  Behavioural equivalence against the reference interpreter
 lives in tests/integration/test_fastpath_equivalence.py.
 """
 
+import gc
 import io
+import weakref
 
 import pytest
 
+from repro.classifier.compile import is_pending
+from repro.runtime import ExecutionProfile
+from repro.runtime import fastpath as fastpath_module
 from repro.runtime.codegen_cache import default_cache
 from repro.runtime.fastpath import ChainInfo, FastInputPort, FastOutputPort, FastPath
 from repro.sim.testbed import Testbed
@@ -94,20 +99,28 @@ class TestGeneratedSource:
         # mark); tracebacks must still point into fastpath.source.
         import traceback
 
+        default_cache().clear()  # a replayed record may carry code already
         _, (router, _) = build()
         fastpath = compile_fastpath(router)
         lines = fastpath.source.split("\n")
+        key = ("push", "PollDevice@2", 0)
+        entered_late = FastPath(router)  # no cache: its records are its own
+        assert entered_late.chains[key].code is None
+        fastpath.materialize()
         assert all(chain.code is not None for chain in fastpath.chains.values())
-        report = fastpath.report
-        # (the process-wide cache may hold the module, or its text)
-        assert report.compiled_units in (0, len(fastpath.chains))
+        assert fastpath.report.compiled_units == len(fastpath.chains)
         for function, _batch in fastpath._compiled.values():
             first = lines[function.__code__.co_firstlineno - 1]
             assert first.startswith("def %s(" % function.__name__)
-        with pytest.raises(AttributeError) as raised:
-            fastpath.function_for(("push", "PollDevice@2", 0))(None)
-        frame = traceback.extract_tb(raised.tb)[-1]
-        assert lines[frame.lineno - 1].strip() == "data = packet._data_cache"
+        # ... whether the chain was compiled by materialize() or by the
+        # call that raises
+        for path in (fastpath, entered_late):
+            with pytest.raises(AttributeError) as raised:
+                path.function_for(key)(None)
+            frame = traceback.extract_tb(raised.tb)[-1]
+            assert lines[frame.lineno - 1].strip() == "data = packet._data_cache"
+        assert entered_late.chains[key].code is not None
+        assert entered_late.report.compiled_units == 1
 
     def test_chain_for_describes_edges(self):
         _, (router, _) = build("simple")
@@ -117,6 +130,152 @@ class TestGeneratedSource:
         assert isinstance(info, ChainInfo)
         assert info.describe()
         assert fastpath.chain_for("push", "no-such-element", 0) is None
+
+
+class TestCompileOnFirstEntry:
+    """A chain is emitted at configure and compiled when a packet first
+    enters it; the function object every holder has becomes the real
+    one, in place."""
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_holders_keep_the_object_that_becomes_the_chain(self, batch):
+        default_cache().clear()  # a replayed record may carry code already
+        testbed, (router, devices) = build(mode="fast", batch=batch)
+        fastpath = router.fastpath
+        # entered by a task unit, by an element's own push, and (the
+        # route arms are fused into their callers) by materialize()
+        entry, inner, arm = ("push", "PollDevice@2", 0), ("push", "arpq0", 0), ("push", "rt", 1)
+        port = router.find("PollDevice@2")._output_ports[0]
+        tables = [table for table, element, _mode in fastpath._jump_tables if element.name == "rt"]
+        before = fastpath._compiled[entry] + (fastpath.function_for(inner), tables[0][1])
+        assert port.push is before[0] and port.push_batch is before[1]
+        assert router.find("arpq0")._output_ports[0].push is before[2]
+        assert all(table[1] is fastpath.function_for(arm) for table in tables)
+        assert all(is_pending(fn) for fn in before if fn is not None)
+        assert fastpath.report.compiled_units == 0
+        for name, frame in testbed.evaluation_frames(64):
+            devices[name].receive_frame(frame)
+        router.run_tasks(64)
+        assert sum(len(device.transmitted) for device in devices.values()) == 64
+        assert is_pending(tables[0][1])
+        fastpath.materialize([arm])
+        after = (port.push, port.push_batch, router.find("arpq0")._output_ports[0].push, tables[-1][1])
+        assert all(a is b for a, b in zip(after, before))
+        assert not any(is_pending(fn) for fn in after if fn is not None)
+        assert after[0].__name__ == fastpath.chains[entry].function_name
+        assert after[0].__globals__ is fastpath._namespace
+        assert 0 < fastpath.report.compiled_units < len(fastpath.chains)
+        assert fastpath.report.compile_seconds > 0
+
+    def test_a_failed_entry_runs_the_reference_port(self, monkeypatch):
+        default_cache().clear()
+        testbed, (router, devices) = build(mode="fast")
+        (reference, reference_devices) = build()[1]
+        broken = "# push arpq0 [0] ->"
+        real = fastpath_module.compile_chain
+
+        def compile_chain(lines, offset, *args):
+            if lines[0].startswith(broken):
+                raise SyntaxError("injected emitter bug")
+            return real(lines, offset, *args)
+
+        monkeypatch.setattr(fastpath_module, "compile_chain", compile_chain)
+        frames = testbed.evaluation_frames(64)
+        for run, rx in ((router, devices), (reference, reference_devices)):
+            for name, frame in frames:
+                rx[name].receive_frame(frame)
+            run.run_tasks(64)
+        for name, device in devices.items():
+            assert device.transmitted == reference_devices[name].transmitted
+        assert sum(len(device.transmitted) for device in devices.values()) == 64
+        report = router.fastpath.report
+        assert report.failed_entries == {"push arpq0[0]": "SyntaxError: injected emitter bug"}
+        assert "failed: push arpq0[0] runs its reference port" in report.format()
+        assert router.fastpath.chains[("push", "arpq0", 0)].code is None
+        with pytest.raises(SyntaxError):  # the eager build still says so
+            FastPath(router).materialize()
+
+    def test_chaos_is_green_when_no_chain_compiles(self, monkeypatch):
+        from repro.verify.chaos import main
+
+        def compile_chain(lines, offset, *args):
+            raise SyntaxError("injected emitter bug")
+
+        monkeypatch.setattr(fastpath_module, "compile_chain", compile_chain)
+        default_cache().clear()
+        assert main(["--seed", "7", "--config", "both", "--modes", "fast,fdd"]) == 0
+
+    def test_pending_entries_do_not_keep_a_fast_path_alive(self):
+        _, (router, _) = build()
+        gc.collect()
+        gc.disable()
+        try:
+            fastpath = FastPath(router)
+            fastpath.install()
+            with pytest.raises(fastpath_module.FastPathError):
+                fastpath.release()
+            fastpath.uninstall()
+            held = [weakref.ref(fastpath), weakref.ref(fastpath.function_for(("push", "rt", 1)))]
+            fastpath.release()
+            fastpath.release()  # idempotent
+            del fastpath
+            assert [ref() for ref in held] == [None, None]
+        finally:
+            gc.enable()
+
+
+def _run_digest_configuration(config, profile, early):
+    """Build one of the digest configurations (test_fastpath_lowering's
+    ``PLAIN_DIGESTS``), materialize every flavor before the traffic
+    (``early``) or after it, and return every chain function's bytecode
+    and the wire."""
+    from repro.configs.firewall import firewall_graph
+    from repro.elements.devices import LoopbackDevice
+    from repro.elements.runtime import Router
+
+    from .test_fastpath_lowering import firewall_frame
+
+    default_cache().clear()
+    if config == "iprouter":
+        testbed = Testbed(2)
+        router, devices = testbed.build_router(testbed.variant_graph("base"), profile=profile)
+        frames = testbed.evaluation_frames(256)
+    else:
+        devices = {name: LoopbackDevice(name, tx_capacity=1 << 30) for name in ("eth0", "eth1")}
+        router = Router(firewall_graph(), devices=devices, profile=profile)
+        frames = [("eth0", firewall_frame())] * 256
+    engine = router.engine
+    if early:
+        for flavor in engine.flavors():
+            flavor.materialize()
+    for name, frame in frames:
+        devices[name].receive_frame(frame)
+    router.run_tasks(256)
+    codes = {}
+    for flavor in engine.flavors():
+        flavor.materialize()
+        # a chain compiled alone, whenever, is the chain compiled with the module
+        module = compile(flavor.source, "<fastpath>", "exec")
+        whole = {const.co_name: const for const in module.co_consts if hasattr(const, "co_code")}
+        for key, pair in flavor._compiled.items():
+            for function in filter(None, pair):
+                code = function.__code__
+                assert code.co_code == whole[function.__name__].co_code
+                assert code.co_firstlineno == whole[function.__name__].co_firstlineno
+                codes[flavor.policy.tag, key, function.__name__] = code.co_code
+    return codes, {name: list(device.transmitted) for name, device in devices.items()}
+
+
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("mode", ["fast", "adaptive", "fdd"])
+@pytest.mark.parametrize("config", ["iprouter", "firewall"])
+def test_materialize_then_run_is_run_then_materialize(config, mode, batch):
+    from .test_fastpath_lowering import profile_for
+
+    early = _run_digest_configuration(config, profile_for(mode, batch), True)
+    late = _run_digest_configuration(config, profile_for(mode, batch), False)
+    assert early[0] and sum(map(len, early[1].values())) == 256
+    assert early == late
 
 
 class TestInstallUninstall:

@@ -1,17 +1,21 @@
 """What a scoped rebuild carries across a donor splice (the chains'
-records: source, binds, jump tables, code objects, report counters),
-counted in ``compile()`` calls: a rules patch compiles only the chains
-it dirtied, whether the donor came from a fresh compile or a cache
-replay, its report reads as a cold compile's would, and a splice onto
-another router carries nothing of the old one."""
+records: source, binds, jump tables, code objects or their lack, report
+counters), counted in ``compile()`` calls: a build compiles nothing, a
+chain is compiled when first entered, a rules patch emits only the
+chains it dirtied and compiles those of them that were forwarding,
+whether the donor came from a fresh compile or a cache replay, its
+report reads as a cold compile's would, and a splice onto another
+router carries nothing of the old one."""
 
 import gc
 import random
 import traceback
 import types
+import weakref
 
 import pytest
 
+from repro.classifier.compile import is_pending
 from repro.configs.firewall import firewall_graph, firewall_rule_strings
 from repro.control import ControlPlane
 from repro.core.toolchain import load_config, save_config
@@ -71,7 +75,7 @@ def functions_of(fastpath):
 
 def scrubbed(report):
     """A compile report less the facts of the build that produced it."""
-    build_facts = ("cache_hit", "compile_seconds", "reused_chains", "compiled_units")
+    build_facts = ("cache_hit", "compile_seconds", "reused_chains", "compiled_units", "emitted_units")
     return {name: value for name, value in report.as_dict().items() if name not in build_facts}
 
 
@@ -91,25 +95,27 @@ def assert_reports_as_a_cold_compile(router, rebuild):
 
 
 def assert_spliced_from(donor, fastpath, dirty):
-    """Every chain outside ``dirty`` runs the donor's code: the donor's
-    own record where its line offset stood, a copy with the same
-    bytecode where it was re-based."""
-    donor_functions = functions_of(donor)
+    """Every chain outside ``dirty`` runs the code of a donor that was
+    materialized before the splice (a retired donor keeps its records,
+    not its functions): the donor's own record where its line offset
+    stood, a copy with the same bytecode where it was re-based."""
     spliced = 0
     for key, fn in functions_of(fastpath).items():
         if key in dirty:
             continue
         chain, donor_chain = fastpath.chains[key], donor.chains[key]
         offset, donor_offset = chain.offset, donor_chain.offset
+        assert donor_chain.code is not None, key
         assert (chain.code is donor_chain.code) == (offset == donor_offset), key
         assert (chain is donor_chain) == (
             offset == donor_offset and chain.tables == donor_chain.tables
         ), key
         assert chain.source is donor_chain.source
-        assert fn.__code__.co_code == donor_functions[key].__code__.co_code, key
-        assert fn.__code__.co_firstlineno - donor_functions[key].__code__.co_firstlineno == (
-            offset - donor_offset
+        donor_code = next(
+            const for const in donor_chain.code.co_consts if getattr(const, "co_name", None) == fn.__name__
         )
+        assert fn.__code__.co_code == donor_code.co_code, key
+        assert fn.__code__.co_firstlineno - donor_code.co_firstlineno == offset - donor_offset
         spliced += 1
     assert spliced
 
@@ -117,13 +123,18 @@ def assert_spliced_from(donor, fastpath, dirty):
 @pytest.mark.parametrize("batch", [False, True], ids=["fdd", "fdd+batch"])
 def test_rules_patch_compiles_only_dirty_chains(batch, compile_calls):
     """The count gate: a ``c0`` rules patch on the plain IP router
-    compiles the one chain per flavor that bakes ``c0``'s tree in, not
-    the module's 55 — and says so in a report that otherwise reads as
-    a cold compile's."""
+    whose every chain is forwarding emits and compiles the one chain
+    per flavor that bakes ``c0``'s tree in, not the module's 55 — and
+    says so in a report that otherwise reads as a cold compile's."""
     profile = ExecutionProfile.fdd(batch=batch)
     testbed, router, _devices = build(profile)
     engine = router.adaptive
     donors = (engine.tier1, engine.profiled)
+    assert not compile_calls  # configure() compiled nothing
+    for donor in donors:
+        donor.materialize()
+        assert donor.report.compiled_units == donor.report.emitted_units == len(donor.chains)
+    assert len(compile_calls) == 59 + 59
     dirty = reaching(engine.tier1, "c0")
     assert 1 <= len(dirty) <= 2 < len(engine.tier1.chains)
     # The chains anchored at c0's own outputs start at the port's
@@ -141,13 +152,14 @@ def test_rules_patch_compiles_only_dirty_chains(batch, compile_calls):
     assert len(chain_units) == 2 * len(dirty)
     for donor, flavor in zip(donors, flavors):
         assert flavor is not donor and not flavor.report.cache_hit
-        assert flavor.report.compiled_units == len(dirty)
+        assert flavor.report.compiled_units == flavor.report.emitted_units == len(dirty)
         assert flavor.report.reused_chains == len(flavor.chains) - len(dirty)
         assert_spliced_from(donor, flavor, dirty)
     assert report.chains_recompiled == 2 * len(dirty)
     assert report.chains_reused == 2 * (len(engine.tier1.chains) - len(dirty))
     assert "%d chain(s) recompiled" % (2 * len(dirty)) in report.format()
-    assert "%d units compiled" % len(dirty) in engine.tier1.report.format()
+    total = len(engine.tier1.chains)
+    assert "compiled %d of %d chains, %d emitted" % (len(dirty), total, len(dirty)) in engine.tier1.report.format()
     assert_reports_as_a_cold_compile(
         router, lambda graph: testbed.build_router(graph, profile=profile)[0]
     )
@@ -190,6 +202,7 @@ def test_line_numbers_survive_a_dirty_chain_that_grew():
     grown[0] = "12/0806 20/0001 28/0a000001 32/0002"
     ControlPlane(router).update_rules("c0", grown)
     fastpath = engine.tier1
+    fastpath.materialize()
 
     moved = [
         key
@@ -221,7 +234,10 @@ def test_cached_fast_paths_are_donors(origin, compile_calls):
     _testbed, router, _devices = build(ExecutionProfile.reference())
     cache = CodegenCache()
     fresh = FastPath(router, cache=cache)
-    assert fresh.report.compiled_units == len(fresh.chains)
+    assert fresh.report.emitted_units == len(fresh.chains)
+    assert fresh.report.compiled_units == 0 and not compile_calls
+    fresh.materialize()
+    assert fresh.report.compiled_units == len(compile_calls) == len(fresh.chains)
     del compile_calls[:]
     donor = FastPath(router, cache=cache)
     assert donor.report.cache_hit and donor.report.compiled_units == 0
@@ -236,7 +252,9 @@ def test_cached_fast_paths_are_donors(origin, compile_calls):
         spliced = FastPath(router)
     finally:
         del router._fastpath_reuse
+    # every chain of the donor is live, so each successor is compiled by the build
     assert len(compile_calls) == spliced.report.compiled_units == len(dirty)
+    assert spliced.report.emitted_units == len(dirty)
     assert spliced.report.source_lines == fresh.report.source_lines
     assert_spliced_from(donor, spliced, dirty)
 
@@ -255,10 +273,13 @@ def test_a_compile_that_emits_a_cached_text_shares_it(compile_calls):
     second = FastPath(router, cache=cache)
 
     assert not second.report.cache_hit and len(cache) == 2
-    assert second.report.compiled_units == 0 and not compile_calls
+    assert second.report.compiled_units == second.report.emitted_units == 0 and not compile_calls
     assert second.source is first.source
     for key, chain in second.chains.items():
         assert chain is first.chains[key]
+    first.materialize()
+    second.materialize()  # a sharer filled every record: nothing left to compile
+    assert second.report.compiled_units == 0
     donor_functions = functions_of(first)
     for key, fn in functions_of(second).items():
         assert fn.__code__ is donor_functions[key].__code__
@@ -285,6 +306,7 @@ def test_scoped_hotswap_rebinds_onto_the_new_router():
     from the new fast path's namespace."""
     _testbed, old, _devices = build(ExecutionProfile.fast())
     donor = old.fastpath
+    donor.materialize()
     graph = old.graph.copy()
     conn = next(c for c in graph.connections if c.from_element == "rt" and c.from_port == 1)
     graph.remove_connection(conn)
@@ -298,15 +320,18 @@ def test_scoped_hotswap_rebinds_onto_the_new_router():
     new = result.router
     fastpath = new.fastpath
     assert result.report.kind == "scoped-swap"
-    assert 0 < fastpath.report.compiled_units < len(fastpath.chains)
-    assert result.report.chains_recompiled == fastpath.report.compiled_units
+    assert 0 < fastpath.report.emitted_units < len(fastpath.chains)
+    assert result.report.chains_recompiled == fastpath.report.emitted_units
     assert result.report.chains_reused == fastpath.report.reused_chains
     dirty = {
         key
         for key, chain in fastpath.chains.items()
         if key not in donor.chains or chain.function_name != donor.chains[key].function_name
     }
-    assert len(dirty) == fastpath.report.compiled_units
+    assert len(dirty) == fastpath.report.emitted_units
+    # the swap compiled the successors of the old router's (live) chains, not the new edges
+    assert 0 < fastpath.report.compiled_units == len(dirty & set(donor.chains)) < len(dirty)
+    fastpath.materialize()
     assert_spliced_from(donor, fastpath, dirty)
     reached = reachable_from(fastpath._namespace.values())
     assert id(new) in reached
@@ -338,20 +363,24 @@ def churn_schedule(graph, count, rng):
 def test_in_place_churn_never_compiles_where_hotswaps_do(compile_calls):
     """Why an incremental update beats a full swap, as a count: 16
     seeded route/rule updates through ``ControlPlane`` are all patched
-    in place without one ``compile()``; the same 16 installed as
-    hot-swaps compile every chain they report recompiled — and put the
-    same bytes on the wire, none dropped by an install."""
+    in place without one ``compile()`` (the run's only compiles are its
+    chains' first entries); the same 16 installed as hot-swaps compile
+    exactly the chains they emit again that were forwarding in the old
+    router — and put the same bytes on the wire, none dropped by an
+    install."""
     updates, burst = 16, 8
-    compiles, wires, recompiled = {}, {}, 0
+    compiles, entries, wires, expected = {}, {}, {}, 0
     for path in ("in-place", "hotswap"):
         testbed, router, devices = build(ExecutionProfile.fast())
         schedule = churn_schedule(router.graph, updates, random.Random(0xC1C0))
         traffic = testbed.evaluation_frames(burst * updates)
         del compile_calls[:]
+        compiles[path] = 0
         for index, (name, args) in enumerate(schedule):
             for device, frame in traffic[burst * index : burst * (index + 1)]:
                 devices[device].receive_frame(frame)
             router.run_tasks(5)
+            before = len(compile_calls)
             if path == "in-place":
                 plane = ControlPlane(router)
                 update = plane.update_routes if name == "rt" else plane.update_rules
@@ -359,12 +388,133 @@ def test_in_place_churn_never_compiles_where_hotswaps_do(compile_calls):
             else:
                 graph = router.graph.copy()
                 graph.elements[name].config = ", ".join(args)
+                old = router.fastpath.chains
                 result = hotswap(router, graph)
                 router = result.router
-                recompiled += result.report.chains_recompiled
+                # a spliced chain keeps its donor's source lines, by reference
+                emitted = [
+                    key for key, chain in router.fastpath.chains.items()
+                    if chain.source is not old[key].source
+                ]
+                assert len(emitted) == result.report.chains_recompiled
+                expected += sum(old[key].code is not None for key in emitted)
+            compiles[path] += len(compile_calls) - before
         router.run_tasks(64)
-        compiles[path] = len(compile_calls)
+        entries[path] = len(compile_calls) - compiles[path]
         wires[path] = {name: [bytes(f) for f in d.transmitted] for name, d in devices.items()}
-    assert compiles == {"in-place": 0, "hotswap": recompiled} and recompiled > 0
+    assert compiles == {"in-place": 0, "hotswap": expected} and expected > 0
+    assert 0 < entries["in-place"] < 59 and 0 < entries["hotswap"] < 59
     assert wires["in-place"] == wires["hotswap"]
     assert sum(len(frames) for frames in wires["hotswap"].values()) == burst * updates
+
+
+# -- compile on first entry: the count gates -----------------------------------------
+
+
+def test_configure_compiles_nothing_and_traffic_compiles_what_it_enters(compile_calls):
+    """Plain IP router under ``fdd``: ``configure()`` emits 3 x 59
+    chains over a run and calls ``compile()`` for none of them; a
+    2000-frame block each way, promotions included, compiles the
+    chains it entered (177 when every emitted chain was compiled at
+    once); ``materialize()`` is the eager build."""
+    testbed, router, devices = build(ExecutionProfile.fdd())
+    engine = router.adaptive
+    assert not compile_calls
+    assert engine.tier1.report.format().count("compiled 0 of 59 chains, 59 emitted") == 1
+    for name, frame in testbed.evaluation_frames(4000):
+        devices[name].receive_frame(frame)
+    router.run_tasks(4000)
+    assert engine.tier2_fp is not None and sum(len(d.transmitted) for d in devices.values()) == 4000
+    assert 0 < len(compile_calls) <= 20
+    assert len(compile_calls) == sum(flavor.report.compiled_units for flavor in engine.flavors())
+    entered = engine.tier1.report.compiled_units + engine.profiled.report.compiled_units
+    for flavor in (engine.tier1, engine.profiled):
+        flavor.materialize()
+        assert all(chain.code is not None for chain in flavor.chains.values())
+    assert engine.tier1.report.compiled_units + engine.profiled.report.compiled_units == 59 + 59
+    assert len(compile_calls) - (59 + 59 - entered) <= 20
+
+
+def firewall_router(profile):
+    default_cache().clear()
+    devices = {name: LoopbackDevice(name, tx_capacity=1 << 20) for name in ("eth0", "eth1")}
+    return Router(firewall_graph(), devices=devices, profile=profile), devices
+
+
+def test_a_live_chains_successor_is_compiled_inside_the_update(compile_calls):
+    """The honesty test for compiling late: a firewall rules patch on a
+    router that is forwarding compiles the entry chain of both tier-1
+    flavors inside the update — real code on the port before the next
+    packet — and nothing else (4 when the unreachable ``Strip`` chain,
+    a second copy of the diagram, was compiled too); on a router that
+    has forwarded nothing the same patch compiles nothing."""
+    from .test_fastpath_lowering import firewall_frame
+
+    rules = firewall_rule_strings()
+    patched = rules[:2] + rules[-2:1:-1] + rules[-1:]
+    for frames, expected in ((256, 2), (0, 0)):
+        router, devices = firewall_router(ExecutionProfile.fdd())
+        for _ in range(frames):
+            devices["eth0"].receive_frame(firewall_frame())
+        router.run_tasks(frames)
+        assert len(devices["eth1"].transmitted) == frames
+        del compile_calls[:]
+        report = ControlPlane(router).update_rules("fw", patched)
+        assert report.kind == "in-place" and report.chains_recompiled == 4
+        assert len(compile_calls) == expected
+        engine = router.adaptive
+        entry = next(key for key in engine.tier1.chains if key[0] == "push" and key[1].startswith("PollDevice"))
+        for flavor in (engine.tier1, engine.profiled):
+            assert is_pending(flavor.function_for(entry)) == (not expected)
+            assert (flavor.chains[entry].code is not None) == bool(expected)
+        assert engine.states[entry].plain is engine.tier1.function_for(entry)
+
+
+def test_a_spliced_unentered_chain_is_filled_once_for_every_sharer(compile_calls):
+    """A splice carries a chain's lack of code by reference like its
+    code: whichever fast path enters the shared record first compiles
+    it for both."""
+    _testbed, router, _devices = build(ExecutionProfile.reference())
+    donor = FastPath(router)
+    router._fastpath_reuse = {"patched": {"c0"}, "fastpaths": [donor]}
+    try:
+        spliced = FastPath(router)
+    finally:
+        del router._fastpath_reuse
+    assert not compile_calls and spliced.report.emitted_units == len(reaching(donor, "c0"))
+    shared = [key for key, chain in spliced.chains.items() if chain is donor.chains[key]]
+    assert shared and all(donor.chains[key].code is None for key in shared)
+    first, second = shared[0], shared[-1]
+    spliced.materialize([first])
+    donor.materialize([second])
+    assert len(compile_calls) == 2
+    for key in (first, second):
+        assert donor.chains[key].code is spliced.chains[key].code is not None
+    donor.materialize([first])
+    spliced.materialize([second])
+    assert len(compile_calls) == 2
+    assert donor.report.compiled_units == spliced.report.compiled_units == 1
+    for key in (first, second):
+        assert donor.function_for(key).__code__ is spliced.function_for(key).__code__
+
+
+def test_a_rules_patch_frees_its_donors_without_the_collector():
+    """A fast path is cyclic garbage (every function's globals is the
+    namespace that holds it): a rules patch releases the flavors it
+    replaced, so they and their namespaces go by refcount — the bench
+    harness disables the collector around its windows."""
+    _testbed, router, _devices = build(ExecutionProfile.fdd())
+    engine = router.adaptive
+    gc.collect()
+    gc.disable()
+    try:
+        retired = [weakref.ref(flavor) for flavor in (engine.tier1, engine.profiled)]
+        # a function's globals is its fast path's namespace
+        retired += [weakref.ref(flavor.function_for(key)) for flavor in (engine.tier1, engine.profiled)
+                    for key in list(flavor.chains)[:3]]
+        narrowed = rules_of(router, "c0")
+        narrowed[0] = "12/0806 20/0001 28/0a000001"
+        ControlPlane(router).update_rules("c0", narrowed)
+        assert [ref() for ref in retired] == [None] * len(retired)
+    finally:
+        gc.enable()

@@ -152,6 +152,50 @@ class TestBoundaries:
         assert supervisor.guards[("push", "src", 0)].errors == 1
 
 
+class TestCompileOnFirstEntry:
+    @pytest.mark.parametrize("mode, batch", [("fast", False), ("fast", True), ("adaptive", False)])
+    def test_guards_hold_the_object_that_becomes_the_chain(self, mode, batch):
+        from repro.classifier.compile import is_pending
+        from repro.runtime.codegen_cache import default_cache
+
+        default_cache().clear()
+        router, devices, supervisor = build(mode=mode, batch=batch)
+        key = ("push", "src", 0)
+        static = router.fastpath.function_for(key)
+        inner = router.find("src")._output_ports[0].inner
+        assert is_pending(static)
+        if mode == "adaptive":  # pinned beneath the tiering engine's slot
+            assert dict(supervisor.guards[key].tiers)["fast"] is static
+            assert router.adaptive.states[key].plain is static
+        else:
+            assert inner.push is static
+        feed(devices, 4)
+        router.run_tasks(4)
+        assert len(devices["eth1"].transmitted) == 4
+        assert router.fastpath.function_for(key) is static and not is_pending(static)
+        assert mode == "adaptive" or inner.push is static
+        assert supervisor.guards[key].errors == 0
+
+    def test_a_failed_entry_is_not_an_error_of_the_chain(self, monkeypatch):
+        from repro.runtime import fastpath as fastpath_module
+        from repro.runtime.codegen_cache import default_cache
+
+        def compile_chain(lines, offset, *args):
+            raise SyntaxError("injected emitter bug")
+
+        monkeypatch.setattr(fastpath_module, "compile_chain", compile_chain)
+        default_cache().clear()
+        router, devices, supervisor = build(mode="fast")
+        feed(devices, 4)
+        router.run_tasks(4)
+        assert [bytes(f) for f in devices["eth1"].transmitted] == [b"frame-%02d" % i for i in range(4)]
+        # (the reference port of src[0] enters c, whose own port is compiled)
+        assert set(router.fastpath.report.failed_entries) == {
+            "push src[0]", "push c[0]", "pull dst[0]", "task src[0]", "task dst[0]"
+        }
+        assert all(guard.errors == 0 and guard.level == 0 for guard in supervisor.guards.values())
+
+
 class TestLifecycle:
     def test_attach_detach_restores_ports(self):
         router, devices, _supervisor = build(mode="fast")
