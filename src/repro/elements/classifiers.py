@@ -10,7 +10,7 @@ Python function instead and charges the (cheaper) compiled-step cost.
 
 from __future__ import annotations
 
-from ..classifier.compile import CompiledClassifier, compiled_function_for
+from ..classifier.compile import CompiledClassifier, compiled_function_for, enter, is_pending
 from ..classifier.ipfilter import compile_expressions, compile_filter_rules
 from ..classifier.language import compile_patterns
 from .element import ConfigError, Element
@@ -86,11 +86,16 @@ class _TreeClassifier(Element):
     def commit_rules(self, tree):
         """Install a tree prepared by :meth:`check_rules`, swapping the
         compiled matcher under any live fast-path chains through the
-        matcher cell."""
+        matcher cell.  The successor of a matcher that packets were
+        entering is compiled here, inside the update, not by the next
+        packet through the cell."""
         self.tree = tree
         cell = getattr(self, "_matcher_cell", None)
         if cell is not None:
-            cell[0] = compiled_function_for(tree)
+            matcher = compiled_function_for(tree)
+            if not is_pending(cell[0]):
+                enter(matcher)
+            cell[0] = matcher
 
     def update_rules(self, args):
         """Replace the classification rules in place on a *live*

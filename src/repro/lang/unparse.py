@@ -73,15 +73,16 @@ def unparse(graph, include_archive_note=True):
 
     # Identify chain heads: connections whose predecessor can't absorb
     # them.  A connection never absorbs itself (self-loops).
-    chain_start = []
     absorbed = set()
     for conn in graph.connections:
         prevs = [c for c in graph.connections if c.to_element == conn.from_element]
         if len(prevs) == 1 and prevs[0] is not conn and chainable_next(prevs[0]) is conn:
             absorbed.add(conn)
-    for conn in graph.connections:
-        if conn not in absorbed:
-            chain_start.append(conn)
+    # A run that closes on itself absorbs every one of its connections
+    # and has no head: the absorbed follow, so it starts where it is
+    # met first (by then every other absorbed connection is emitted).
+    chain_start = [conn for conn in graph.connections if conn not in absorbed]
+    chain_start += [conn for conn in graph.connections if conn in absorbed]
 
     for head in chain_start:
         if head in emitted:

@@ -46,9 +46,12 @@ What a tier is specialized on is data, not a class: the engine
 assembles one :class:`~repro.runtime.fastpath.ChainPolicy` per flavor
 from the profile store (profiled), a :class:`Decisions` bucket (tier 2)
 and, under ``fdd``, the plans of the diagram pass
-(:func:`repro.runtime.fdd.diagram_pass`), which a control-plane *rules*
-patch rebuilds for just the chains that reach the patched classifier
-(:meth:`AdaptiveEngine.repatch_classifier`).
+(:func:`repro.runtime.fdd.diagram_pass`) for the plain flavor and
+tier 2.  The profiled flavor takes none: it only records what each
+classifier answered, which the live tree behind the element's matcher
+cell answers as well, so a control-plane *rules* patch rebuilds the
+plain flavor alone, and of it just the chains that reach the patched
+classifier (:meth:`AdaptiveEngine.repatch_classifier`).
 """
 
 from __future__ import annotations
@@ -614,7 +617,10 @@ class AdaptiveEngine:
       :meth:`install` wraps every compiled push entry in a sampling
       dispatcher; matured chains promote to a profile-guided tier 2.
     - ``fdd``: tiering plus the diagram pass
-      (:func:`repro.runtime.fdd.diagram_pass`) in every flavor.
+      (:func:`repro.runtime.fdd.diagram_pass`) in the plain flavor and
+      tier 2.  The profiled flavor is ``adaptive``'s, generic dispatch
+      through the matcher cells: it bakes no tree in, so it outlives
+      every rules patch.
 
     Metered routers degrade to the first case whatever the mode: the
     meter needs every charge at its reference site, so the engine runs
@@ -640,7 +646,8 @@ class AdaptiveEngine:
         self._decisions_cache = None
         self._reach_cache = {}
         self.installed = False
-        self._compile_tier1()
+        self.tier1 = self._compile(self._diagram_fields())
+        self.profiled = self._compile({}, store=self.store) if self.tiering else None
 
     def _diagram_fields(self, decisions=None):
         """The diagram pass over the router as it stands: the policy
@@ -658,13 +665,6 @@ class AdaptiveEngine:
         assembled into a :class:`ChainPolicy`."""
         policy = ChainPolicy(store=store, decisions=decisions, engine=self, **fields)
         return FastPath(self.router, batch=self.batch, policy=policy, cache=default_cache())
-
-    def _compile_tier1(self):
-        # Without decisions the pass does not read the profile: one run
-        # gives the plain and the profiled flavor the same plans.
-        fields = self._diagram_fields()
-        self.tier1 = self._compile(fields)
-        self.profiled = self._compile(fields, store=self.store) if self.tiering else None
 
     def flavors(self):
         """Every compiled :class:`FastPath` the engine holds."""
@@ -895,7 +895,8 @@ class AdaptiveEngine:
         tables through bound cells and memo dicts, so a route patch —
         or a rules patch on a classifier without a diagram — needs only
         a deopt of the chains whose *speculations* may now be stale.  A
-        diagram bakes the patched tree in, so those chains are rebuilt.
+        diagram bakes the patched tree in, so the plain flavor's chains
+        that hold it are rebuilt; the profiled flavor holds none.
         (Metered chains call the element's own push, which walks the
         live tree: nothing baked, nothing to rebuild.)"""
         if kind == "rules" and self.tiering and name in (self.tier1.policy.plans or ()):
@@ -910,20 +911,21 @@ class AdaptiveEngine:
 
     def repatch_classifier(self, name):
         """Scoped diagram rebuild after a rules patch on ``name``:
-        rebuild tier 1 (both flavors) with the new tree — only chains
-        that reach ``name`` are emitted and compiled, every other chain
-        is spliced from the old compile, code object and bound objects
-        included — then rearm the dispatchers and reattach supervision.
-        Tier 2 and the profile restart cold, exactly as after a deopt.
-        Returns the fast paths it built."""
+        rebuild the plain tier 1 with the new tree — only chains that
+        reach ``name`` are emitted (and compiled, where the chain they
+        replace was forwarding), every other chain is spliced from the
+        old compile, code object and bound objects included — then
+        rearm the dispatchers and reattach supervision.  The profiled
+        flavor stands: it reads the patched tree through the matcher
+        cell.  Tier 2 and the profile restart cold, exactly as after a
+        deopt.  Returns the fast paths it built."""
         router = self.router
         supervisor = getattr(router, "supervisor", None)
         sup_config = supervisor.config if supervisor is not None else None
         was_installed = self.installed
         if supervisor is not None:
             supervisor.detach()
-        donors = [self.tier1, self.profiled]
-        retired = donors + [self.tier2_fp]
+        retired = [self.tier1, self.tier2_fp]
         if was_installed:
             # Restore the reference ports *before* recompiling so the
             # new tier 1 saves them (not the old compiled ports) for
@@ -938,9 +940,9 @@ class AdaptiveEngine:
         self.diagram_rebuilds += 1
         # A data patch: the wiring stands, so only chains that can touch
         # ``name`` from a port's far end on are emitted again.
-        router._fastpath_reuse = {"patched": {name}, "fastpaths": donors}
+        router._fastpath_reuse = {"patched": {name}, "fastpaths": [self.tier1]}
         try:
-            self._compile_tier1()
+            self.tier1 = self._compile(self._diagram_fields())
         finally:
             router._fastpath_reuse = None
         if was_installed:
@@ -950,7 +952,7 @@ class AdaptiveEngine:
         for flavor in retired:
             if flavor is not None:
                 flavor.release()
-        return self.tier1, self.profiled
+        return (self.tier1,)
 
     # -- observability -----------------------------------------------------
 

@@ -175,16 +175,7 @@ class CodegenCache:
             (name, id(type(element)), id(type(getattr(element, "device", None))))
             for name, element in router.elements.items()
         )
-        # The fast paths of one scoped rebuild (an engine's two flavors)
-        # compile the same graph: the hint carries its fingerprint from
-        # the first to the rest.
-        hint = getattr(router, "_fastpath_reuse", None)
-        fingerprint = hint.get("fingerprint") if hint else None
-        if fingerprint is None:
-            fingerprint = graph.fingerprint()
-            if hint:
-                hint["fingerprint"] = fingerprint
-        return (fingerprint, class_sig, bool(batch), policy_key)
+        return (graph.fingerprint(), class_sig, bool(batch), policy_key)
 
     def lookup(self, key):
         if key is None:

@@ -93,8 +93,11 @@ class ChainPolicy:
       ``hot_paths`` they were ordered by travel with it into the cache
       key.
     - ``store`` (a :class:`~repro.runtime.adaptive.ProfileStore`): the
-      *profiling* flavor, identical code plus a note hook at every
-      classifier and route dispatch.
+      *profiling* flavor, the static code plus a note hook at every
+      classifier and route dispatch.  It takes no ``plans``: a note
+      records what the classifier answered, which the matcher behind
+      the element's cell says for whatever tree is live, so the flavor
+      bakes no rules in and outlives a rules patch.
     - ``decisions`` (a :class:`~repro.runtime.adaptive.Decisions`):
       tier 2 — hottest arms first, cold arms pruned, hot route/ARP
       results behind guards whose miss counters ``engine`` owns.
@@ -112,6 +115,8 @@ class ChainPolicy:
 
     def __init__(self, plans=None, store=None, decisions=None, engine=None,
                  node_budget=None, digest=None, hot_paths=None):
+        if plans is not None and store is not None:
+            raise ValueError("the profiling flavor takes no diagram plans")
         self.plans = plans
         self.store = store
         self.decisions = decisions
@@ -1337,8 +1342,6 @@ class FastPath:
         jt = new_arg(table, ("table", table_index))
         noutputs = terminal.noutputs
         nports = len(terminal._output_ports)
-        note = policy.classifier_note(terminal)
-        note_name = new_arg(*self._bind_policy(note)) if note is not None else None
         gate = plan.gate
         base = dict(ctx) if cdata else {}
         base["data"] = dvar
@@ -1379,31 +1382,20 @@ class FastPath:
                 ]
 
             def leaf(leaf_id, out, lpad):
-                body = []
-                if note_name is not None:
-                    body.append(
-                        lpad
-                        + "%s(%s, %s)"
-                        % (note_name, "None" if out is None else out, dvar)
-                    )
                 if out is None or out >= noutputs:
-                    body.append(lpad + "%s.drops += 1" % c)
-                    return body
+                    return [lpad + "%s.drops += 1" % c]
                 emitter = bodies.get(leaf_id)
                 if emitter is not None:
-                    return body + emitter(var, lpad, exitstmt)
-                body.append(lpad + "%s[%d](%s)" % (jt, out, var))
-                return body
+                    return emitter(var, lpad, exitstmt)
+                return [lpad + "%s[%d](%s)" % (jt, out, var)]
 
             if gate and cmin < gate:
                 lines.append(pad + "if len(%s) >= %d:" % (dvar, gate))
                 lines.extend(plan.emit(dvar, pad + "    ", leaf))
                 lines.append(pad + "else:")
                 fb = pad + "    "
-                lines.append(fb + "out = %s" % match_expr)
-                if note_name is not None:
-                    lines.append(fb + "%s(out, %s)" % (note_name, dvar))
                 lines += [
+                    fb + "out = %s" % match_expr,
                     fb + "if out is None or out >= %d:" % noutputs,
                     fb + "    %s.drops += 1" % c,
                     fb + "else:",

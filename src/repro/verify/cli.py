@@ -13,6 +13,8 @@ Two ways to run:
   cases — mutated routers and registry-composed pipelines — until the
   budget is spent.  Every divergence is delta-debugged down to a minimal
   case and written as a self-contained repro file under ``--repro-dir``.
+  ``--updates`` adds a control-plane rules update to the middle of every
+  trace.
 - ``click-fuzz --repro FILE`` replays one repro file through the full
   matrix and reports whether the divergence is still present (exit 1) or
   fixed (exit 0).
@@ -23,10 +25,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 import time
 
 from .genconfig import generate_case, stock_cases
+from .gentraffic import with_rules_update
 from .oracle import MODES, SHARD_MODES, compare_case
 from .shrink import element_count, load_repro, shrink_case, write_repro
 
@@ -82,6 +86,13 @@ def _parser():
         "--no-stock",
         action="store_true",
         help="skip the deterministic stock cases",
+    )
+    parser.add_argument(
+        "--updates",
+        action="store_true",
+        help="install one seeded rules rotation mid-trace in every case "
+        "that has a classifier: what its outputs mean changes under "
+        "every mode, in place where the mode can",
     )
     parser.add_argument(
         "--report",
@@ -157,7 +168,11 @@ def _fuzz_cases(args):
     while len(cases) < args.budget:
         cases.append(generate_case(args.seed, index, events_count=args.events))
         index += 1
-    return cases[: args.budget]
+    cases = cases[: args.budget]
+    if args.updates:
+        rng = random.Random(args.seed)
+        cases = [with_rules_update(case, rng) for case in cases]
+    return cases
 
 
 def main(argv=None):

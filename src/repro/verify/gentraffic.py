@@ -6,7 +6,8 @@ the fuzzer exists to catch: oversize datagrams with and without DF (the
 fragmentation paths), runt frames shorter than an Ethernet header, ARP
 requests, traffic addressed to the router itself, and deterministic
 mid-run control events — ARP-table churn (epoch bumps), baked-guard
-invalidation, and forced adaptive deoptimization.
+invalidation, forced adaptive deoptimization, and a control-plane rules
+update that changes what a classifier's outputs mean.
 
 Everything is driven by a seeded ``random.Random``; the same seed always
 produces the same event list, so every case is replayable.
@@ -16,6 +17,9 @@ from __future__ import annotations
 
 import struct
 
+from ..core.toolchain import load_config, save_config
+from ..elements.classifiers import CLASSIFIER_CLASS_NAMES
+from ..lang.lexer import split_config_args
 from ..net.checksum import internet_checksum
 from ..net.headers import build_arp_request, build_ether_udp_packet
 from ..sim.testbed import HOST_ETHERS, host_ip
@@ -180,3 +184,36 @@ def pipeline_events(rng, input_devices, count=64):
             events.append(["bump_epochs"])
     events.append(["run", 48])
     return events
+
+
+def rules_update_text(config_text, rng):
+    """The configuration with one classifier's rules rotated: a
+    pure-data delta that changes what every output port means (under
+    an ``IPFilter``, which rules are shadowed).  None when no
+    classifier has two rules to rotate."""
+    graph = load_config(config_text, "<churn>")
+    rotatable = [
+        decl
+        for decl in graph.elements.values()
+        if decl.class_name in CLASSIFIER_CLASS_NAMES
+        and len(split_config_args(decl.config)) > 1
+    ]
+    if not rotatable:
+        return None
+    decl = rng.choice(rotatable)
+    rules = split_config_args(decl.config)
+    rotation = rng.randrange(1, len(rules))
+    decl.config = ", ".join(rules[rotation:] + rules[:rotation])
+    return save_config(graph)
+
+
+def with_rules_update(case, rng):
+    """``case`` with one ``["update", CONFIG]`` event mid-trace that
+    installs :func:`rules_update_text` of its configuration; the case
+    itself when that has nothing to rotate."""
+    text = rules_update_text(case["config"], rng)
+    if text is None:
+        return case
+    events = list(case["events"])
+    events.insert(len(events) // 2, ["update", text])
+    return dict(case, events=events)

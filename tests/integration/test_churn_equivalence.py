@@ -19,10 +19,16 @@ import random
 
 import pytest
 
+from repro.configs.firewall import firewall_config
+from repro.configs.iprouter import default_interfaces, ip_router_config
 from repro.core.toolchain import load_config, save_config
 from repro.lang.lexer import split_config_args
+from repro.runtime import AdaptiveConfig, ExecutionProfile
+from repro.runtime.adaptive import ProfileStore
+from repro.verify import gentraffic
 from repro.verify.chaos import compare_chaos, seeded_plan
 from repro.verify.genconfig import stock_cases
+from repro.verify.gentraffic import rules_update_text
 from repro.verify.oracle import MODES, first_transmit_difference, run_case
 
 SEEDS = range(5)
@@ -125,55 +131,138 @@ def test_incremental_update_matches_full_hotswap(seed):
     assert any(observations["update"]["transmitted"].values())
 
 
-def rules_update_text(config_text, rng):
-    """The configuration with one ethernet classifier's rules rotated:
-    a pure-data delta that changes what every output port means."""
-    graph = load_config(config_text, "<churn>")
-    decl = graph.elements[rng.choice(["c0", "c1"])]
-    rules = split_config_args(decl.config)
-    rotation = rng.randrange(1, len(rules))
-    decl.config = ", ".join(rules[rotation:] + rules[:rotation])
-    return save_config(graph)
+def with_rules_patches(case, rng, changing=False):
+    """``case`` with two rules rotations installed a third and two
+    thirds of the way through, the second a rotation of the first.
+    ``changing`` draws each again until the reference interpreter
+    transmits something else for it: the stock firewall's traffic
+    matches one rule in seventeen, so most rotations of it decide
+    every packet as before, and a run that changes no verdict would
+    pass on a stale matcher."""
+    text = case["config"]
+    for position in (1, 2):
+        transmitted = run_case(case, "reference")[1]["transmitted"]
+        for _attempt in range(256):
+            text_after = rules_update_text(text, rng)
+            events = list(case["events"])
+            events.insert(position * len(events) // 3, ["update", text_after])
+            patched = dict(case, events=events)
+            if not changing or run_case(patched, "reference")[1]["transmitted"] != transmitted:
+                break
+        else:
+            raise AssertionError("no rotation of %s changes what it forwards" % case["name"])
+        case, text = patched, text_after
+    return case
+
+
+def long_stock_cases(seed, frames=512):
+    """Both stock configurations under ``frames`` frames of their
+    fuzzing traffic (``stock_cases`` stops the firewall's at 64)."""
+    interfaces = default_interfaces(2)
+    return [
+        {
+            "name": "iprouter-%d" % seed,
+            "config": ip_router_config(interfaces),
+            "events": gentraffic.iprouter_events(random.Random(seed), interfaces, count=frames),
+        },
+        {
+            "name": "firewall-%d" % seed,
+            "config": firewall_config(),
+            "events": gentraffic.firewall_events(random.Random(seed), count=frames),
+        },
+    ]
+
+
+#: Every packet through the profiled flavor: sampled one in one, and
+#: never enough for a promotion.
+PROFILED_ONLY = AdaptiveConfig(sample=1, threshold=1 << 30, min_samples=1 << 30)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rules_patch_sequence_matches_reference(seed):
     """Rules patch -> traffic -> rules patch under ``fdd`` and
     ``fdd``+batch: the second rebuild's donor is itself spliced, and
-    the oracle must see what the reference interpreter shows."""
+    the oracle must see what the reference interpreter shows — on the
+    short stock trace at the oracle's eager thresholds, and on both
+    stock configurations under 512 frames and verdict-changing
+    rotations with every packet sampled (the profiled flavor is not
+    rebuilt by a patch: stale, it would show here), promoting as the
+    profile matures and never promoting at all."""
     from dataclasses import replace
 
     from repro.verify.oracle import mode_profile
 
     rng = random.Random(seed)
-    case = stock_iprouter(events=96)
-    first = rules_update_text(case["config"], rng)
-    second = rules_update_text(first, rng)
-    events = list(case["events"])
-    events.insert(2 * len(events) // 3, ["update", second])
-    events.insert(len(events) // 3, ["update", first])
-    case = dict(case, events=events, name="rules-sequence-%d" % seed)
+    eager = mode_profile("fdd").adaptive
+    runs = [(with_rules_patches(stock_iprouter(events=96), rng), eager)]
+    for case in long_stock_cases(seed):
+        patched = with_rules_patches(case, rng, changing=True)
+        runs += [(patched, AdaptiveConfig(sample=1)), (patched, PROFILED_ONLY)]
+    for case, config in runs:
+        result = run_case(case, "reference")
+        assert result[0] == "ok", result
+        reference = result[1]
+        assert any(reference["transmitted"].values())
+        for batch in (False, True):
+            label = "%s/fdd%s/sample=%d" % (case["name"], "+batch" if batch else "", config.sample)
+            engines = []
+            result = run_case(
+                case,
+                "fdd",
+                profile=ExecutionProfile.fdd(config=config, batch=batch),
+                collect=lambda router: engines.append(router.adaptive),
+            )
+            assert result[0] == "ok", "%s failed: %s" % (label, result)
+            (engine,) = engines
+            assert engine.diagram_rebuilds == 2, "%s did not rebuild its diagrams in place" % label
+            if config is PROFILED_ONLY:
+                assert engine.recompiles == 0 and {s.tier for s in engine.states.values()} == {1}
+            diff = first_transmit_difference(reference["transmitted"], result[1]["transmitted"])
+            assert diff is None, "%s transmitted: %s" % (label, diff)
+            assert result[1]["counters"] == reference["counters"], "%s counters diverged" % label
 
-    result = run_case(case, "reference")
-    assert result[0] == "ok", result
-    reference = result[1]
-    assert any(reference["transmitted"].values())
-    for label, profile in (
-        ("fdd", mode_profile("fdd")),
-        ("fdd+batch", replace(mode_profile("fdd"), batch=True)),
-    ):
-        rebuilds = []
-        result = run_case(
-            case,
-            "fdd",
-            profile=profile,
-            collect=lambda router: rebuilds.append(router.adaptive.diagram_rebuilds),
+
+@pytest.mark.parametrize("seed", SEEDS[:2])
+def test_every_profile_note_is_the_live_trees_answer(seed, monkeypatch):
+    """What the profiled flavor records is what the classifier's
+    *current* tree says of that very packet — before, between and after
+    two rules patches, though no patch rebuilds the flavor."""
+    from repro.elements.devices import LoopbackDevice
+    from repro.elements.runtime import build_router
+    from repro.verify.oracle import _execute, device_names
+
+    noted = []
+    live = []
+    make_note = ProfileStore.classifier_note
+
+    def checking_note(store, name):
+        note = make_note(store, name)
+
+        def checked(out, data):
+            assert out == live[-1].find(name).tree.match(data), name
+            noted.append(name)
+            note(out, data)
+
+        return checked
+
+    monkeypatch.setattr(ProfileStore, "classifier_note", checking_note)
+    rng = random.Random(seed)
+    for case in long_stock_cases(seed, frames=192):
+        events = with_rules_patches(case, rng)["events"]
+        first, second = (index for index, event in enumerate(events) if event[0] == "update")
+        devices = {name: LoopbackDevice(name, tx_capacity=1 << 30) for name in device_names(case["config"])}
+        router = build_router(
+            load_config(case["config"], case["name"]),
+            devices=devices,
+            profile=ExecutionProfile.fdd(config=PROFILED_ONLY),
         )
-        assert result[0] == "ok", "%s failed: %s" % (label, result)
-        assert rebuilds == [2], "%s did not rebuild its diagrams in place" % label
-        diff = first_transmit_difference(reference["transmitted"], result[1]["transmitted"])
-        assert diff is None, "%s transmitted: %s" % (label, diff)
-        assert result[1]["counters"] == reference["counters"], "%s counters diverged" % label
+        live.append(router)
+        profiled = router.engine.profiled
+        for phase in (events[:first], events[first:second], events[second:]):
+            del noted[:]
+            assert _execute(router, devices, phase) is router  # patched in place
+            assert len(noted) > 16, case["name"]
+        assert router.engine.profiled is profiled and router.engine.diagram_rebuilds == 2
 
 
 def test_churn_under_seeded_faults_agrees_across_the_supervised_matrix():

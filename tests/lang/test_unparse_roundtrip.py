@@ -56,6 +56,13 @@ class TestRoundTrip:
         reparsed = parse_graph(text)
         assert canonical(reparsed) == canonical(graph)
 
+    def test_a_run_that_closes_on_itself_round_trips(self):
+        """Hypothesis's find: every connection of a plain ring is
+        absorbed by its predecessor, so none was a chain head and the
+        ring was not written at all."""
+        graph = parse_graph("a :: Counter; b :: Counter; a -> b; b -> a;")
+        assert canonical(parse_graph(unparse(graph))) == canonical(graph)
+
     def test_ip_router_round_trips(self):
         from repro.configs.iprouter import ip_router_graph
 

@@ -477,12 +477,14 @@ def test_inline_align_is_the_reference_align(modulus, offset, fused):
 # - nothing else: an unbatched module with the task units' lines taken
 #   out and the parent's header put back hashes to the parent's digest
 #   (``PARENT_DIGESTS``, the twelve unbatched rows as they stood).
+#
+# Twenty rows stand, unchanged: the four of ``fdd``'s own profiled
+# flavor went with it, and ``fdd``'s profiled module is now read against
+# the ``profiling`` row ``adaptive``'s is.
 PLAIN_DIGESTS = {
     "firewall/fdd": "b6d7abce366507cf",
     "firewall/fdd-optimized": "eb57b6304bc8fa8f",
     "firewall/fdd-optimized/batch": "f1699a3366913cc8",
-    "firewall/fdd-profiling": "a5eab11fb9a2ef21",
-    "firewall/fdd-profiling/batch": "48798ba99d0345bf",
     "firewall/fdd/batch": "b0772cbfdb0d47dd",
     "firewall/optimized": "6fbae10a5c8adf82",
     "firewall/optimized/batch": "5a55aef47f2b8d09",
@@ -493,8 +495,6 @@ PLAIN_DIGESTS = {
     "iprouter/fdd": "486ffa1c67686f46",
     "iprouter/fdd-optimized": "01c2f16065d35b78",
     "iprouter/fdd-optimized/batch": "fe6f3b016e77ce18",
-    "iprouter/fdd-profiling": "111dd373624e591d",
-    "iprouter/fdd-profiling/batch": "6d7bcadd6773ecf4",
     "iprouter/fdd/batch": "47a88d3d2549b909",
     "iprouter/optimized": "a4fcbc37665d66e3",
     "iprouter/optimized/batch": "2cc79e645510cb3a",
@@ -513,13 +513,11 @@ PARENT_HEADER = (
 PARENT_DIGESTS = {
     "firewall/fdd": "da1f6c3e21e2b743",
     "firewall/fdd-optimized": "c2793ec10d79eaa1",
-    "firewall/fdd-profiling": "8d069f5ae8531608",
     "firewall/optimized": "8cd0abc00b4479fd",
     "firewall/profiling": "477a14225ec8e871",
     "firewall/static": "63816c5ed3eae32b",
     "iprouter/fdd": "7b6f52b67893262a",
     "iprouter/fdd-optimized": "d69353ea38b0618e",
-    "iprouter/fdd-profiling": "10d1f58d1df5d111",
     "iprouter/optimized": "c11263bcbfad052c",
     "iprouter/profiling": "e6bf399d4bfe4558",
     "iprouter/static": "080d93eba29a5314",
@@ -588,9 +586,11 @@ def test_plain_configurations_generate_the_stored_source(config, mode, batch):
 
 @pytest.mark.parametrize("config", ["iprouter", "firewall"])
 def test_flavor_keys_are_derived_from_the_facts_a_policy_carries(config):
-    """Six tags, one class: cache keys tell every flavor and batch
+    """Five tags, one class: cache keys tell every flavor and batch
     setting apart, equal keys mean equal source on a fresh router, and
-    the reuse key is the cache key minus the content digest."""
+    the reuse key is the cache key minus the content digest.  The
+    profiled flavor takes no plans, so ``fdd``'s is ``adaptive``'s:
+    same tag, same key, same source."""
     warm = warm_iprouter if config == "iprouter" else warm_firewall
     cache = default_cache()
     sources = {}
@@ -604,7 +604,9 @@ def test_flavor_keys_are_derived_from_the_facts_a_policy_carries(config):
                 for fastpath in flavors:
                     policy = fastpath.policy
                     key = cache.key_for(router, batch, policy)
-                    if fresh:
+                    shared = mode == "fdd" and policy.profiling
+                    assert policy.plans is None or not policy.profiling
+                    if fresh and not shared:
                         assert key not in sources, policy.tag
                         sources[key] = fastpath.source
                     else:
@@ -614,7 +616,9 @@ def test_flavor_keys_are_derived_from_the_facts_a_policy_carries(config):
                     assert policy.reuse_key() == tuple(
                         part for part in policy.cache_key() if part != content
                     )
-    assert len(sources) == 12
+    assert len(sources) == 10
     assert {policy_key[0] for _, _, _, policy_key in sources} == {
-        "static", "profiling", "optimized", "fdd", "fdd-profiling", "fdd-optimized",
+        "static", "profiling", "optimized", "fdd", "fdd-optimized",
     }
+    with pytest.raises(ValueError):
+        ChainPolicy(plans={}, store=router.engine.store)

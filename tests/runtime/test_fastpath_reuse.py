@@ -2,7 +2,8 @@
 records: source, binds, jump tables, code objects or their lack, report
 counters), counted in ``compile()`` calls: a build compiles nothing, a
 chain is compiled when first entered, a rules patch emits only the
-chains it dirtied and compiles those of them that were forwarding,
+chains it dirtied — of the plain flavor: the profiled one bakes no
+rules in and stands — and compiles those of them that were forwarding,
 whether the donor came from a fresh compile or a cache replay, its
 report reads as a cold compile's would, and a splice onto another
 router carries nothing of the old one."""
@@ -15,6 +16,7 @@ import weakref
 
 import pytest
 
+from repro.classifier import compile as matcher_module
 from repro.classifier.compile import is_pending
 from repro.configs.firewall import firewall_graph, firewall_rule_strings
 from repro.control import ControlPlane
@@ -23,7 +25,7 @@ from repro.elements.devices import LoopbackDevice
 from repro.elements.hotswap import hotswap
 from repro.elements.runtime import Router
 from repro.lang.lexer import split_config_args
-from repro.runtime import ExecutionProfile
+from repro.runtime import AdaptiveConfig, ExecutionProfile
 from repro.runtime import fastpath as fastpath_module
 from repro.runtime.codegen_cache import CodegenCache, default_cache
 from repro.runtime.fastpath import FastPath
@@ -41,6 +43,21 @@ def compile_calls(monkeypatch):
         return compile(source, *args, **kwargs)
 
     monkeypatch.setattr(fastpath_module, "compile", counting, raising=False)
+    return calls
+
+
+@pytest.fixture
+def matcher_compiles(monkeypatch):
+    """The classifier matchers' ``compile()`` calls, likewise, from an
+    empty matcher memo (it is process-wide, keyed by tree content)."""
+    calls = []
+    monkeypatch.setattr(matcher_module, "_FUNCTION_CACHE", {})
+
+    def counting(source, *args, **kwargs):
+        calls.append(source)
+        return compile(source, *args, **kwargs)
+
+    monkeypatch.setattr(matcher_module, "compile", counting, raising=False)
     return calls
 
 
@@ -80,9 +97,10 @@ def scrubbed(report):
 
 
 def assert_reports_as_a_cold_compile(router, rebuild):
-    """After a splice each tier-1 flavor reports what a cold compile of
-    the patched configuration reports, and what a cache replay of that
-    one does."""
+    """After a rules patch each tier-1 flavor — the plain one spliced,
+    the profiled one as it stood — reports what a cold compile of the
+    patched configuration reports, and what a cache replay of that one
+    does."""
     engine = router.engine
     spliced = [scrubbed(flavor.report) for flavor in (engine.tier1, engine.profiled)]
     text = save_config(router.graph)
@@ -124,19 +142,20 @@ def assert_spliced_from(donor, fastpath, dirty):
 def test_rules_patch_compiles_only_dirty_chains(batch, compile_calls):
     """The count gate: a ``c0`` rules patch on the plain IP router
     whose every chain is forwarding emits and compiles the one chain
-    per flavor that bakes ``c0``'s tree in, not the module's 55 — and
-    says so in a report that otherwise reads as a cold compile's."""
+    that bakes ``c0``'s tree in — the plain flavor's; the profiled
+    flavor is the object it was — not the module's 55, and says so in
+    a report that otherwise reads as a cold compile's."""
     profile = ExecutionProfile.fdd(batch=batch)
     testbed, router, _devices = build(profile)
     engine = router.adaptive
-    donors = (engine.tier1, engine.profiled)
+    donor, profiled = engine.tier1, engine.profiled
     assert not compile_calls  # configure() compiled nothing
-    for donor in donors:
-        donor.materialize()
-        assert donor.report.compiled_units == donor.report.emitted_units == len(donor.chains)
+    for flavor in (donor, profiled):
+        flavor.materialize()
+        assert flavor.report.compiled_units == flavor.report.emitted_units == len(flavor.chains)
     assert len(compile_calls) == 59 + 59
-    dirty = reaching(engine.tier1, "c0")
-    assert 1 <= len(dirty) <= 2 < len(engine.tier1.chains)
+    dirty = reaching(donor, "c0")
+    assert 1 <= len(dirty) <= 2 < len(donor.chains)
     # The chains anchored at c0's own outputs start at the port's
     # target and bake in nothing of its tree.
     assert not any(key[1] == "c0" for key in dirty)
@@ -147,19 +166,21 @@ def test_rules_patch_compiles_only_dirty_chains(batch, compile_calls):
     report = ControlPlane(router).update_rules("c0", narrowed)
 
     assert report.kind == "in-place"
-    flavors = (engine.tier1, engine.profiled)
-    chain_units = [text for text in compile_calls if text.startswith("# ")]
-    assert len(chain_units) == 2 * len(dirty)
-    for donor, flavor in zip(donors, flavors):
-        assert flavor is not donor and not flavor.report.cache_hit
-        assert flavor.report.compiled_units == flavor.report.emitted_units == len(dirty)
-        assert flavor.report.reused_chains == len(flavor.chains) - len(dirty)
-        assert_spliced_from(donor, flavor, dirty)
-    assert report.chains_recompiled == 2 * len(dirty)
-    assert report.chains_reused == 2 * (len(engine.tier1.chains) - len(dirty))
-    assert "%d chain(s) recompiled" % (2 * len(dirty)) in report.format()
-    total = len(engine.tier1.chains)
-    assert "compiled %d of %d chains, %d emitted" % (len(dirty), total, len(dirty)) in engine.tier1.report.format()
+    fastpath = engine.tier1
+    assert engine.profiled is profiled and profiled.policy.plans is None
+    assert len(compile_calls) == len(dirty) and all(text.startswith("# ") for text in compile_calls)
+    assert fastpath is not donor and not fastpath.report.cache_hit
+    assert fastpath.report.compiled_units == fastpath.report.emitted_units == len(dirty)
+    assert fastpath.report.reused_chains == len(fastpath.chains) - len(dirty)
+    assert_spliced_from(donor, fastpath, dirty)
+    total = len(fastpath.chains)
+    assert report.chains_recompiled == len(dirty)
+    assert report.chains_reused == total - len(dirty)
+    assert "%d chain(s) recompiled" % len(dirty) in report.format()
+    assert "compiled %d of %d chains, %d emitted" % (len(dirty), total, len(dirty)) in fastpath.report.format()
+    # The dispatchers sample into the flavor that stood.
+    for key, state in engine.states.items():
+        assert state.prof is profiled.function_for(key) and state.plain is fastpath.function_for(key)
     assert_reports_as_a_cold_compile(
         router, lambda graph: testbed.build_router(graph, profile=profile)[0]
     )
@@ -441,33 +462,71 @@ def firewall_router(profile):
     return Router(firewall_graph(), devices=devices, profile=profile), devices
 
 
-def test_a_live_chains_successor_is_compiled_inside_the_update(compile_calls):
+def test_a_live_chains_successor_is_compiled_inside_the_update(compile_calls, matcher_compiles):
     """The honesty test for compiling late: a firewall rules patch on a
-    router that is forwarding compiles the entry chain of both tier-1
-    flavors inside the update — real code on the port before the next
-    packet — and nothing else (4 when the unreachable ``Strip`` chain,
-    a second copy of the diagram, was compiled too); on a router that
-    has forwarded nothing the same patch compiles nothing."""
+    router that is forwarding compiles, inside the update, the plain
+    flavor's entry chain — real code on the port before the next
+    packet — and the matcher the profiled flavor's sampled packets call
+    through ``fw``'s cell, and nothing else (4 chains when each flavor
+    had a diagram and the unreachable ``Strip`` chain's copy of it was
+    compiled too); the packets that follow compile nothing; on a router
+    that has forwarded nothing the same patch compiles nothing."""
     from .test_fastpath_lowering import firewall_frame
 
     rules = firewall_rule_strings()
     patched = rules[:2] + rules[-2:1:-1] + rules[-1:]
-    for frames, expected in ((256, 2), (0, 0)):
+    for frames, expected in ((256, 1), (0, 0)):
+        matcher_module._FUNCTION_CACHE.clear()  # the first round compiled the patched matcher
         router, devices = firewall_router(ExecutionProfile.fdd())
         for _ in range(frames):
             devices["eth0"].receive_frame(firewall_frame())
         router.run_tasks(frames)
         assert len(devices["eth1"].transmitted) == frames
-        del compile_calls[:]
-        report = ControlPlane(router).update_rules("fw", patched)
-        assert report.kind == "in-place" and report.chains_recompiled == 4
-        assert len(compile_calls) == expected
         engine = router.adaptive
+        profiled = engine.profiled
+        del compile_calls[:], matcher_compiles[:]
+        report = ControlPlane(router).update_rules("fw", patched)
+        assert report.kind == "in-place" and report.chains_recompiled == 2
+        assert len(compile_calls) == len(matcher_compiles) == expected
+        assert engine.profiled is profiled
         entry = next(key for key in engine.tier1.chains if key[0] == "push" and key[1].startswith("PollDevice"))
-        for flavor in (engine.tier1, engine.profiled):
+        for flavor in (engine.tier1, profiled):
             assert is_pending(flavor.function_for(entry)) == (not expected)
             assert (flavor.chains[entry].code is not None) == bool(expected)
+        assert is_pending(router.find("fw").matcher_cell()[0]) == (not expected)
         assert engine.states[entry].plain is engine.tier1.function_for(entry)
+        assert engine.states[entry].prof is profiled.function_for(entry)
+        for _ in range(frames):
+            devices["eth0"].receive_frame(firewall_frame())
+        router.run_tasks(frames)
+        assert len(devices["eth1"].transmitted) == 2 * frames
+        assert len(compile_calls) == len(matcher_compiles) == expected
+
+
+def test_an_ip_router_rules_patch_costs_one_chain_and_one_small_matcher(compile_calls, matcher_compiles):
+    """The IP router's side of the same gate: a ``c0`` patch after
+    traffic emits one chain, compiles it and ``c0``'s matcher (a
+    screenful, not the firewall's 179 lines), and leaves nothing for
+    the next 256 frames to compile."""
+    testbed, router, devices = build(ExecutionProfile.fdd())
+    engine = router.adaptive
+    traffic = testbed.evaluation_frames(512)
+    for name, frame in traffic[:256]:
+        devices[name].receive_frame(frame)
+    router.run_tasks(256)
+    swapped = rules_of(router, "c0")
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    del compile_calls[:], matcher_compiles[:]
+    report = ControlPlane(router).update_rules("c0", swapped)
+    assert report.kind == "in-place" and report.chains_recompiled == 1
+    assert engine.tier1.report.emitted_units == engine.tier1.report.compiled_units == 1
+    assert len(compile_calls) == len(matcher_compiles) == 1
+    assert matcher_compiles[0].count("\n") <= 20
+    for name, frame in traffic[256:]:
+        devices[name].receive_frame(frame)
+    router.run_tasks(256)
+    assert sum(len(d.transmitted) for d in devices.values()) == 512
+    assert len(compile_calls) == len(matcher_compiles) == 1
 
 
 def test_a_spliced_unentered_chain_is_filled_once_for_every_sharer(compile_calls):
@@ -501,20 +560,27 @@ def test_a_spliced_unentered_chain_is_filled_once_for_every_sharer(compile_calls
 def test_a_rules_patch_frees_its_donors_without_the_collector():
     """A fast path is cyclic garbage (every function's globals is the
     namespace that holds it): a rules patch releases the flavors it
-    replaced, so they and their namespaces go by refcount — the bench
-    harness disables the collector around its windows."""
-    _testbed, router, _devices = build(ExecutionProfile.fdd())
+    replaced — the plain tier 1 and tier 2 — so they and their
+    namespaces go by refcount; the bench harness disables the collector
+    around its windows.  The profiled flavor is not replaced."""
+    testbed, router, devices = build(ExecutionProfile.fdd(config=AdaptiveConfig(threshold=64, min_samples=8, sample=4)))
     engine = router.adaptive
+    for name, frame in testbed.evaluation_frames(512):
+        devices[name].receive_frame(frame)
+    router.run_tasks(512)
+    profiled = engine.profiled
+    assert engine.tier2_fp is not None
     gc.collect()
     gc.disable()
     try:
-        retired = [weakref.ref(flavor) for flavor in (engine.tier1, engine.profiled)]
+        retired = [weakref.ref(flavor) for flavor in (engine.tier1, engine.tier2_fp)]
         # a function's globals is its fast path's namespace
-        retired += [weakref.ref(flavor.function_for(key)) for flavor in (engine.tier1, engine.profiled)
+        retired += [weakref.ref(flavor.function_for(key)) for flavor in (engine.tier1, engine.tier2_fp)
                     for key in list(flavor.chains)[:3]]
         narrowed = rules_of(router, "c0")
         narrowed[0] = "12/0806 20/0001 28/0a000001"
         ControlPlane(router).update_rules("c0", narrowed)
         assert [ref() for ref in retired] == [None] * len(retired)
+        assert engine.profiled is profiled
     finally:
         gc.enable()

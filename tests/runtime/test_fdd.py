@@ -192,8 +192,9 @@ def test_fdd_engine_compiles_diagrams_and_promotes():
 
 def test_one_diagram_pass_per_build(monkeypatch):
     """A tier-1 build (construction, a rules repatch) runs the pass
-    once and emits both flavors from its plans; tier 2 runs its own,
-    ordered by the profile."""
+    once, for the plain flavor; tier 2 runs its own, ordered by the
+    profile.  The profiled flavor has no plans to rebuild: one object
+    from construction on, whatever is patched."""
     from repro.control import ControlPlane
     from repro.runtime import adaptive
 
@@ -206,12 +207,14 @@ def test_one_diagram_pass_per_build(monkeypatch):
     monkeypatch.setattr(adaptive, "diagram_pass", counting)
     _, router, _ = _fdd_testbed()
     engine = router.adaptive
+    profiled = engine.profiled
     assert engine.tier2_fp is not None
     assert passes == ["tier 1", "tier 2"]
-    assert engine.tier1.policy.plans is engine.profiled.policy.plans
+    assert set(engine.tier1.policy.plans) == {"c0", "c1"} and profiled.policy.plans is None
     ControlPlane(router).update_rules("c0", _rules_of(router, "c0"))
     assert passes == ["tier 1", "tier 2", "tier 1"]
-    assert engine.tier1.policy.plans is engine.profiled.policy.plans
+    assert set(engine.tier1.policy.plans) == {"c0", "c1"} and engine.profiled is profiled
+    assert not profiled.report.fdd_diagrams
 
 
 @pytest.mark.parametrize("batch", [False, True])

@@ -10,7 +10,7 @@ from repro.core.check import check
 from repro.core.toolchain import load_config
 from repro.verify import cli
 from repro.verify.genconfig import generate_case, random_pipeline, stock_cases
-from repro.verify.gentraffic import iprouter_events
+from repro.verify.gentraffic import iprouter_events, with_rules_update
 from repro.verify.oracle import MODES, compare_case
 from repro.verify.shrink import load_repro, write_repro
 
@@ -40,6 +40,25 @@ class TestGenerators:
 
     def test_same_seed_same_cases(self):
         assert generate_case(5, 2) == generate_case(5, 2)
+
+    def test_rules_updates_are_seeded_and_only_where_a_classifier_is(self):
+        cases = stock_cases(events_count=16) + [generate_case(11, index, 16) for index in range(12)]
+        updated = [with_rules_update(case, random.Random(5)) for case in cases]
+        assert updated == [with_rules_update(case, random.Random(5)) for case in cases]
+        rotated = 0
+        for case, after in zip(cases, updated):
+            texts = [event[1] for event in after["events"] if event[0] == "update"]
+            if "Classifier(" in case["config"] or "IPFilter(" in case["config"]:
+                (text,) = texts
+                assert text != case["config"] and len(after["events"]) == len(case["events"]) + 1
+                before, patched = load_config(case["config"]), load_config(text)
+                assert list(before.elements) == list(patched.elements)
+                changed = [n for n, d in patched.elements.items() if d.config != before.elements[n].config]
+                assert len(changed) == 1 and before.connections == patched.connections
+                rotated += 1
+            else:
+                assert after is case and not texts
+        assert 3 < rotated < len(cases)
 
     def test_stock_cases_cover_both_mtus_and_firewall(self):
         names = [case["name"] for case in stock_cases(events_count=16)]
@@ -74,6 +93,25 @@ class TestCli:
         assert payload["summary"]["cases"] == 4
         assert payload["summary"]["divergence"] == 0
         assert payload["mode_matrix"] == list(MODES)
+
+    def test_clean_run_with_rules_updates_exits_zero(self, tmp_path):
+        """CI's FDD line at a small budget: every case with a
+        classifier has its rules rotated mid-trace."""
+        report = tmp_path / "report.json"
+        status = cli.main(
+            [
+                "--seed", "11",
+                "--budget", "6",
+                "--events", "24",
+                "--modes", "reference,fast,adaptive,fdd",
+                "--updates",
+                "--repro-dir", str(tmp_path / "repros"),
+                "--report", str(report),
+            ]
+        )
+        assert status == 0
+        summary = json.loads(report.read_text())["summary"]
+        assert summary["cases"] == summary["ok"] == 6
 
     def test_replay_of_clean_repro_exits_zero(self, tmp_path):
         case = stock_cases(events_count=16)[2]  # the firewall: fastest
