@@ -8,6 +8,7 @@ architectures without complicating the packet data model.
 
 from __future__ import annotations
 
+from ..net.packet import DEFAULT_HEADROOM, realigned_buffer_alignment
 from .element import ConfigError, Element
 from .registry import register
 
@@ -36,12 +37,46 @@ class Align(Element):
         self.copies = 0
 
     def simple_action(self, packet):
-        # The fast path inlines exactly this test and Packet.realign's
-        # effect (see FastPath._action_segment).
         if packet.data_alignment() % self.modulus != self.offset:
             packet.realign(self.modulus, self.offset)
             self.copies += 1
         return packet
+
+    def segment(self, cold, cx):
+        """This test and Packet.realign's effect in line.  The copy
+        leaves the contents as they were, so the contents local and
+        every fact about it survive (``data`` is consumed).  Produces
+        ``off``: a rebuilt buffer has one layout, so the rest of the
+        chain is emitted for it with the data offset folded into
+        constants.  click-align places an Align only where its input is
+        not aligned already; a packet that is takes the chain compiled
+        for this edge instead."""
+        e = cx.element(self)
+        room = bytearray(DEFAULT_HEADROOM)
+        r = cx.bind(room, ("value", room))
+        facts = cx.facts
+        cvar = facts.get("data") if facts else None
+        modulus, offset = self.modulus, self.offset
+        aligned = realigned_buffer_alignment(modulus, offset)
+        jt = None
+        if facts is not None:
+            jt = cx.jump_table(self, "plain")
+            facts["off"] = DEFAULT_HEADROOM
+
+        def seg(var, pad, exitstmt):
+            test = "if (%s.buffer_alignment + %s._data_offset) %% %d != %d:" % (var, var, modulus, offset)
+            lines = [pad + test] + ([] if cvar else cx.contents(var, pad + "    "))
+            lines += [
+                pad + "    %s._buf = %s + %s" % (var, r, cvar or "c"),
+                pad + "    %s._data_offset = %d" % (var, DEFAULT_HEADROOM),
+                pad + "    %s.buffer_alignment = %d" % (var, aligned),
+                pad + "    %s.copies += 1" % e,
+            ]
+            if jt is not None:
+                lines += [pad + "else:", pad + "    %s[0](%s)" % (jt, var), pad + "    " + exitstmt]
+            return lines
+
+        return seg
 
 
 @register

@@ -111,6 +111,64 @@ class ARPQuerier(Element):
         self.queries_sent += 1
         self.output(0).push(query)
 
+    def segment(self, cold, cx):
+        """Common case in line: a resolved next hop whose Ethernet
+        header is already built — encapsulate and keep going.  Every
+        other case (unresolved, unannotated, header not yet cached)
+        takes ``cold``, which drops/queues/queries and pushes through
+        the output port itself.  Under a profile, the hot next hop's
+        header is speculated behind an identity test on the interned
+        destination plus the table epoch, which any table change bumps,
+        so the guard fails safe into the generic probe.  Consumes
+        ``off`` (the speculated header's headroom test folds); every
+        fact goes."""
+        facts = cx.facts
+        off = facts.get("off") if facts else None
+        if facts:
+            facts.clear()
+        g, a = cx.attr(self, "_headers", "get"), cx.method(cold)
+        constant = cx.policy.arp_constant(self)
+        hot = miss = None
+        if constant is not None:
+            raw, header, epoch = constant
+            header = bytes(header)
+            hot = (cx.ip(raw), cx.bind(header, ("value", header)), cx.element(self), int(epoch), len(header))
+            cx.count("guarded_branches")
+            miss_token = cx.policy.guard_counter(self, "arp")
+            if miss_token is not None:
+                miss = cx.bind_policy(miss_token)
+
+        def seg(var, pad, exitstmt):
+            lines = [pad + "dst = %s.dest_ip_anno" % var]
+            inner = pad
+            if hot is not None:
+                hot_ip, hot_hdr, e, epoch, hl = hot
+                lines.append(pad + "if dst is %s and %s._arp_epoch == %d:" % (hot_ip, e, epoch))
+                if off is not None and off >= hl:
+                    # Known layout, known header: the headroom test
+                    # is decided here and the slice bounds fold.
+                    lines += [
+                        pad + "    %s._buf[%d:%d] = %s" % (var, off - hl, off, hot_hdr),
+                        pad + "    %s._data_offset = %d" % (var, off - hl),
+                        pad + "    %s._data_cache = None" % var,
+                    ]
+                else:
+                    lines += cx.prepend(var, pad + "    ", hot_hdr, hl)
+                lines.append(pad + "else:")
+                inner = pad + "    "
+                if miss is not None:
+                    lines.append(inner + "%s()" % miss)
+            push = cx.prepend(var, inner, "hdr", "hl")
+            push.insert(1, inner + "hl = len(hdr)")
+            return lines + [
+                inner + "hdr = %s(dst.value) if dst is not None else None" % g,
+                inner + "if hdr is None:",
+                inner + "    %s(%s)" % (a, var),
+                inner + "    " + exitstmt,
+            ] + push
+
+        return seg
+
     def _handle_response(self, packet):
         try:
             arp = ArpHeader.unpack(packet.data[ETHER_HEADER_LEN:])

@@ -15,10 +15,11 @@ is where their speedup comes from.
 
 The compiled fast path does not call these handlers at all: each combo
 declares, in :meth:`lowering`, the stages it stands for, and
-:mod:`repro.runtime.fastpath` emits the very segments it emits for the
-general-purpose elements, reading the stage configuration off the combo
-and sending rare cases (drops, side outputs, fragments) to the combo's
-own cold-path methods so counters and ports stay the combo's.
+:mod:`repro.runtime.fastpath` emits each stage with the ``segment`` the
+general-purpose element declares, the combo standing in as its
+configuration owner and rare cases (drops, side outputs, fragments)
+going to the combo's own cold-path methods, so counters and ports stay
+the combo's.
 """
 
 from __future__ import annotations
@@ -61,16 +62,12 @@ class IPInputCombo(Element):
     strict_alignment = False
 
     def lowering(self):
-        """``(handler, cold path)`` per stage, in packet order: the
-        fast path emits ``handler``'s segment with this element as its
-        configuration and calls the named method where the segment
+        """``(class, cold path)`` per stage, in packet order: the fast
+        path emits ``class.segment`` with this element as its
+        configuration owner and calls the named method where the segment
         would have called the general-purpose element.  GetIPAddress(16)
         has no stage: the header check sets the annotation itself."""
-        return (
-            (Paint.simple_action, None),
-            (Strip.simple_action, self._fail),
-            (CheckIPHeader._check, self._fail),
-        )
+        return ((Paint, None), (Strip, self._fail), (CheckIPHeader, self._fail))
 
     def _fail(self, packet):
         self.drops += 1
@@ -149,14 +146,14 @@ class IPOutputCombo(Element):
         own continuation; outputs 1-4 are reached only from the cold
         paths."""
         stages = [
-            (DropBroadcasts.simple_action, None),
-            (PaintTee._tee, self._tee),
-            (IPGWOptions._process, self._options),
-            (FixIPSrc.simple_action, self._fix_src),
-            (DecIPTTL._decrement, self._expire),
+            (DropBroadcasts, None),
+            (PaintTee, self._tee),
+            (IPGWOptions, self._options),
+            (FixIPSrc, self._fix_src),
+            (DecIPTTL, self._expire),
         ]
         if self.mtu is not None:
-            stages.append((IPFragmenter._maybe_fragment, self._fragment))
+            stages.append((IPFragmenter, self._fragment))
         return stages
 
     # CheckPaint and FixIPSrc read nothing the combo lacks (color, my_ip,

@@ -37,6 +37,13 @@ class EtherEncap(Element):
         packet.push(self._header)
         return packet
 
+    def segment(self, cold, cx):
+        """Packet.push in line; every fact goes."""
+        if cx.facts:
+            cx.facts.clear()
+        h, hlen = cx.attr(self, "_header"), len(self._header)
+        return lambda var, pad, exitstmt: cx.prepend(var, pad, h, hlen)
+
 
 @register
 class HostEtherFilter(Element):

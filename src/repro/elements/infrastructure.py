@@ -58,6 +58,32 @@ class Queue(Element):
             return None
         return self._deque.popleft()
 
+    def segment(self, cold, cx):
+        """The chain terminal in place of ``cold``: ``push`` becomes a
+        bounds-checked append, ``pull`` a popleft.  The deque is bound
+        directly: Queue never reassigns it (hot-swap state transfer
+        mutates it in place for exactly this reason).  A full queue's
+        ``charge("queue_drop")`` is a no-op without a meter, and metered
+        chains emit no segments."""
+        if cold.__name__ == "pull":
+            dq, pop = cx.attr(self, "_deque"), cx.attr(self, "_deque", "popleft")
+            return lambda var, pad, exitstmt: [
+                pad + "if not %s:" % dq,
+                pad + "    " + exitstmt,
+                pad + "%s = %s()" % (var, pop),
+            ]
+        q, dq, cap = cx.element(self), cx.attr(self, "_deque"), self.capacity
+        return lambda var, pad, exitstmt: [
+            pad + "qlen = len(%s)" % dq,
+            pad + "if qlen >= %d:" % cap,
+            pad + "    %s.drops += 1" % q,
+            pad + "else:",
+            pad + "    %s.append(%s)" % (dq, var),
+            pad + "    qlen += 1",
+            pad + "    if qlen > %s.highwater:" % q,
+            pad + "        %s.highwater = qlen" % q,
+        ]
+
 
 @register
 class FrontDropQueue(Queue):
@@ -403,6 +429,42 @@ class Strip(Element):
             return None
         packet.strip(self.nbytes)
         return packet
+
+    def segment(self, cold, cx):
+        """Consumes ``data``/``min_len``: when they prove the strip in
+        bounds, the contents local is sliced into a fresh one and the
+        invariant goes on (``off`` moves with it; ``ip_hl``, measured
+        from the old origin, goes).  Otherwise every fact goes, and a
+        cached contents is sliced rather than dropped.  Strip proper
+        drops a short packet silently; a lowered stage counts it
+        through ``cold``, the combo's."""
+        n, facts = self.nbytes, cx.facts
+        if facts and facts.get("data") and facts.get("min_len", 0) >= n:
+            src, dst = facts["data"], cx.fresh()
+            facts["data"] = dst
+            facts["min_len"] -= n
+            facts.pop("ip_hl", None)
+            move = "%%s._data_offset += %d" % n
+            if "off" in facts:
+                facts["off"] += n
+                move = "%%s._data_offset = %d" % facts["off"]
+            return lambda var, pad, exitstmt: [
+                pad + move % var,
+                pad + "%s = %s[%d:]" % (dst, src, n),
+                pad + "%s._data_cache = %s" % (var, dst),
+            ]
+        if facts:
+            facts.clear()
+        silent = getattr(cold, "__func__", None) is Strip.simple_action
+        short = [] if silent else ["    %s(%%s)" % cx.method(cold)]
+        return lambda var, pad, exitstmt: [
+            pad + "if len(%s._buf) - %s._data_offset < %d:" % (var, var, n),
+            *[pad + line % var for line in short],
+            pad + "    " + exitstmt,
+            pad + "%s._data_offset += %d" % (var, n),
+            pad + "c = %s._data_cache" % var,
+            pad + "%s._data_cache = c[%d:] if c is not None else None" % (var, n),
+        ]
 
 
 @register

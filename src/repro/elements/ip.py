@@ -45,6 +45,14 @@ class Paint(Element):
         packet.paint = self.color
         return packet
 
+    def segment(self, cold, cx):
+        """Produces ``paint``: the annotation is a compile-time constant
+        for the rest of the chain (nothing else writes it)."""
+        color = self.color
+        if cx.facts is not None:
+            cx.facts["paint"] = color
+        return lambda var, pad, exitstmt: [pad + "%s.paint = %d" % (var, color)]
+
 
 @register
 class PaintTee(Element):
@@ -66,6 +74,25 @@ class PaintTee(Element):
         if packet.paint == self.color and self.noutputs > 1:
             self.output(1).push(packet.clone())
         return packet
+
+    def segment(self, cold, cx):
+        """Consumes ``paint``: an upstream Paint in this same chain
+        proves the tee never fires (the per-packet test disappears) or
+        always does (the copy is unconditional); otherwise the test is
+        in line and a match takes ``cold``."""
+        color, facts = self.color, cx.facts
+        known = facts is not None and "paint" in facts
+        if known and facts["paint"] != color:
+            cx.count("elided_elements")
+            return lambda var, pad, exitstmt: []
+        a = cx.method(cold)
+
+        def seg(var, pad, exitstmt):
+            if known:
+                return cx.call(a, var, pad, exitstmt)
+            return [pad + "if %s.paint == %d:" % (var, color)] + cx.call(a, var, pad + "    ", exitstmt)
+
+        return seg
 
     def push(self, port, packet):
         result = self._tee(packet)
@@ -180,6 +207,93 @@ class CheckIPHeader(Element):
             packet.dest_ip_anno = anno
         return packet
 
+    def segment(self, cold, cx):
+        """The whole header check in line, with the configuration
+        (offset 0, no strict alignment, the bad-source set) baked in.
+        Any failure funnels through the bound ``_fail``, which counts
+        the drop and feeds the error output.  The set and the intern
+        cache are bound directly; neither is ever reassigned after
+        configuration.
+
+        Consumes the contents local ``data``; produces ``dst_raw`` and
+        ``ip_hl`` (the locals ``d`` and ``hl``; the contents facts
+        survive, only annotations and ip_header_offset change) and, for
+        the next stage, ``dst_anno``: the annotation is contents[16:20],
+        which at least 20 bytes of contents back."""
+        if self.offset:
+            return None
+        cx.proved["dst_anno"] = 16
+        if self.strict_alignment:
+            return None
+        f = cx.attr(self, "_fail")
+        bs = cx.attr(self, "bad_src") if self.bad_src else None
+        dc = cx.bind(_DEST_IP_CACHE.get, ("const", "DEST_IP_GET"))
+        src_test = "s != 0xFFFFFFFF" + (" and s not in %s" % bs if bs else "")
+        facts = cx.facts
+        cvar = facts.get("data") if facts else None
+        hot_raw = cx.policy.check_ip_hot(self)
+        hot_ip = cx.ip(hot_raw) if hot_raw is not None else None
+        if facts is not None:
+            facts["dst_raw"], facts["ip_hl"] = "d", "hl"
+
+        def seg(var, pad, exitstmt):
+            # A guard may have loaded the contents into a local already.
+            lines = [pad + "c = %s" % cvar] if cvar else cx.contents(var, pad)
+            lines += [
+                pad + "good = False",
+                pad + "ln = len(c)",
+                pad + "if ln >= 20:",
+                pad + "    vi = c[0]",
+                # Split lane for the dominant no-options header
+                # (version/ihl byte 0x45): every field offset is a
+                # compile-time constant, so the extraction shifts
+                # constant-fold and the destination is a plain mask.
+                # Options-bearing headers take the generic lane.
+                pad + "    if vi == 69:",
+                pad + "        hl = 20",
+                pad + "        hdr = int.from_bytes(c[:20], 'big')",
+                pad + "        if 20 <= (hdr >> 128) & 0xFFFF <= ln and not hdr % 0xFFFF:",
+                pad + "            s = (hdr >> 32) & 0xFFFFFFFF",
+                pad + "            if %s:" % src_test,
+                pad + "                good = True",
+                pad + "                d = hdr & 0xFFFFFFFF",
+                pad + "    else:",
+                pad + "        hl = (vi & 15) * 4",
+                pad + "        if vi >> 4 == 4 and hl >= 20 and ln >= hl:",
+                pad + "            hdr = int.from_bytes(c[:hl], 'big')",
+                pad + "            sh = hl * 8",
+                pad + "            if hl <= (hdr >> (sh - 32)) & 0xFFFF <= ln and not hdr % 0xFFFF:",
+                pad + "                s = (hdr >> (sh - 128)) & 0xFFFFFFFF",
+                pad + "                if %s:" % src_test,
+                pad + "                    good = True",
+                pad + "                    d = (hdr >> (sh - 160)) & 0xFFFFFFFF",
+                pad + "if not good:",
+                pad + "    %s(%s)" % (f, var),
+                pad + "    " + exitstmt,
+                pad + "%s.ip_header_offset = 0" % var,
+            ]
+            inner = pad
+            if hot_ip is not None:
+                # The profiled hot destination skips the intern-cache
+                # probe: an equal raw value gets the same interned
+                # object the cache would have produced, so downstream
+                # identity guards behave identically.
+                lines += [
+                    pad + "if d == %d:" % hot_raw,
+                    pad + "    %s.dest_ip_anno = %s" % (var, hot_ip),
+                    pad + "else:",
+                ]
+                inner = pad + "    "
+            return lines + [
+                inner + "anno = %s(d)" % dc,
+                inner + "if anno is None:",
+                inner + "    %s.set_dest_ip_anno(d)" % var,
+                inner + "else:",
+                inner + "    %s.dest_ip_anno = anno" % var,
+            ]
+
+        return seg
+
 
 @register
 class SetIPChecksum(Element):
@@ -252,6 +366,14 @@ class GetIPAddress(Element):
         packet.set_dest_ip_anno(struct.unpack_from("!I", data, self.offset)[0])
         return packet
 
+    def segment(self, cold, cx):
+        """Consumes ``dst_anno``: right after a stage that set the
+        annotation from these same bytes and proved them in bounds, this
+        element cannot observe anything different — classic redundant-
+        code elimination, safe only because the chain compiler sees both
+        elements at once.  Otherwise no segment."""
+        return cx.elide() if cx.prior.get("dst_anno") == self.offset else None
+
 
 @register
 class DropBroadcasts(Element):
@@ -270,6 +392,15 @@ class DropBroadcasts(Element):
             self.drops += 1
             return None
         return packet
+
+    def segment(self, cold, cx):
+        """The annotation test in line; a drop counts on this element."""
+        e = cx.element(self)
+        return lambda var, pad, exitstmt: [
+            pad + "if %s.user_annos.get('packet_type') == %r:" % (var, PACKET_TYPE_BROADCAST),
+            pad + "    %s.drops += 1" % e,
+            pad + "    " + exitstmt,
+        ]
 
 
 @register
@@ -324,6 +455,26 @@ class IPGWOptions(Element):
             cursor += opt_len
         return packet
 
+    def segment(self, cold, cx):
+        """Only a header with options takes ``cold``.  ``_process`` never
+        mutates the packet (it only walks the option bytes or diverts to
+        output 1), so every fact survives; consumes ``ip_hl``, the header
+        length an upstream CheckIPHeader left live (options iff != 20)."""
+        hl = cx.facts.get("ip_hl") if cx.facts else None
+        a = cx.method(cold)
+
+        def seg(var, pad, exitstmt):
+            if hl is not None:
+                test = [pad + "if %s != 20:" % hl]
+            else:
+                test = [
+                    pad + "c = %s._data_cache" % var,
+                    pad + "if ((c[0] if c is not None else %s.data[0]) & 15) != 5:" % var,
+                ]
+            return test + cx.call(a, var, pad + "    ", exitstmt)
+
+        return seg
+
     def _problem(self, packet):
         self.problems += 1
         if self.noutputs > 1:
@@ -362,6 +513,23 @@ class FixIPSrc(Element):
         packet.replace(10, struct.pack("!H", checksum))
         packet.fix_ip_src_anno = False
         return packet
+
+    def segment(self, cold, cx):
+        """Only an annotated packet takes ``cold``.  Rewriting the source
+        address keeps length, destination and header shape intact, so
+        with a live contents local every fact survives (the rare rewrite
+        re-syncs the local); without one, the facts are cleared."""
+        facts = cx.facts
+        data = facts.get("data") if facts else None
+        if facts and data is None:
+            facts.clear()
+        a = cx.method(cold)
+
+        def seg(var, pad, exitstmt):
+            lines = [pad + "if %s.fix_ip_src_anno:" % var] + cx.call(a, var, pad + "    ", exitstmt)
+            return lines + cx.contents(var, pad + "    ", data) if data is not None else lines
+
+        return seg
 
 
 @register
@@ -415,6 +583,56 @@ class DecIPTTL(Element):
         packet._data_cache = None
         return packet
 
+    def segment(self, cold, cx):
+        """The live-TTL case fully in line: read the header words from
+        the cached contents, fold the RFC 1624 update twice (the
+        three-term sum fits in 18 bits, so two folds always suffice),
+        and poke the changed bytes.  TTL <= 1 takes ``cold``, which
+        counts, pushes the error output, and returns None.
+
+        Consumes ``data`` and ``off`` (the pokes fold to constants).
+        The pokes leave the contents local stale, so ``data`` goes;
+        lengths, destination and paint survive, unless there was no
+        contents local, in which case every fact goes."""
+        facts = cx.facts
+        off = facts.get("off") if facts else None
+        data = facts.get("data") if facts else None
+        if facts:
+            if data is not None:
+                del facts["data"]
+            else:
+                facts.clear()
+        a = cx.method(cold)
+
+        def seg(var, pad, exitstmt):
+            if data is not None:
+                head = [] if data == "c" else [pad + "c = %s" % data]
+            else:
+                head = cx.contents(var, pad)
+            p = pad + "    "
+            if off is None:
+                at, poke = ("base", "base + 2", "base + 3"), [p + "base = %s._data_offset + 8" % var]
+            else:
+                at, poke = (off + 8, off + 10, off + 11), []
+            return head + [
+                pad + "ttl = c[8]",
+                pad + "if ttl <= 1:",
+                *cx.call(a, var, p, exitstmt),
+                pad + "else:",
+                p + "w = (ttl << 8) | c[9]",
+                p + "t = (((c[10] << 8) | c[11]) ^ 0xFFFF) + (w ^ 0xFFFF) + (w - 0x100)",
+                p + "t = (t & 0xFFFF) + (t >> 16)",
+                p + "t = ((t & 0xFFFF) + (t >> 16)) ^ 0xFFFF",
+                *poke,
+                p + "buf = %s._buf" % var,
+                p + "buf[%s] = ttl - 1" % at[0],
+                p + "buf[%s] = t >> 8" % at[1],
+                p + "buf[%s] = t & 0xFF" % at[2],
+                p + "%s._data_cache = None" % var,
+            ]
+
+        return seg
+
 
 @register
 class IPFragmenter(Element):
@@ -456,6 +674,28 @@ class IPFragmenter(Element):
         for fragment in self._fragment(packet, header):
             self.output(0).push(fragment)
         return None
+
+    def segment(self, cold, cx):
+        """Only an oversize packet takes ``cold``.  One that gets past
+        the test is untouched, so ``off`` (consumed: the length test
+        folds to the buffer's) outlives the clear."""
+        facts = cx.facts
+        off = facts.get("off") if facts else None
+        if facts:
+            facts.clear()
+        a = cx.method(cold)
+        mtu = self.mtu
+        if off is not None:
+            facts["off"] = off
+
+        def seg(var, pad, exitstmt):
+            if off is None:
+                test = pad + "if len(%s._buf) - %s._data_offset > %d:" % (var, var, mtu)
+            else:
+                test = pad + "if len(%s._buf) > %d:" % (var, mtu + off)
+            return [test] + cx.call(a, var, pad + "    ", exitstmt)
+
+        return seg
 
     def _fragment(self, packet, header):
         fragments = fragment_ip_packet(packet, header, self.mtu)

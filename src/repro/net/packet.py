@@ -27,6 +27,20 @@ _DEST_IP_CACHE = {}
 :meth:`Packet.set_dest_ip_anno` (bounded; see there)."""
 
 
+def _intern_dest_ip(raw):
+    """The one IPAddress for a raw value: IPAddress is immutable, and
+    forwarding traffic reuses few destinations, so annotations are
+    interned instead of constructed per packet.  Compiled segments bind
+    the same objects, which is what lets an identity guard on the
+    annotation hit."""
+    cached = _DEST_IP_CACHE.get(raw)
+    if cached is None:
+        cached = IPAddress(raw)
+        if len(_DEST_IP_CACHE) < 65536:
+            _DEST_IP_CACHE[raw] = cached
+    return cached
+
+
 class Packet:
     """A network packet: bytes plus annotations.
 
@@ -166,18 +180,10 @@ class Packet:
         elif type(addr) is IPAddress:
             self.dest_ip_anno = addr
         else:
-            # IPAddress is immutable, and forwarding traffic reuses few
-            # destinations: intern instead of constructing per packet.
             try:
-                cached = _DEST_IP_CACHE.get(addr)
+                self.dest_ip_anno = _intern_dest_ip(addr)
             except TypeError:  # unhashable (e.g. bytearray)
                 self.dest_ip_anno = IPAddress(addr)
-                return
-            if cached is None:
-                cached = IPAddress(addr)
-                if len(_DEST_IP_CACHE) < 65536:
-                    _DEST_IP_CACHE[addr] = cached
-            self.dest_ip_anno = cached
 
     def copy_annotations_from(self, other):
         self.paint = other.paint

@@ -63,8 +63,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-from ..net.packet import _DEST_IP_CACHE
-from .fastpath import _MISS, _classifier_matcher, _intern_dest_ip
+from ..net.packet import _DEST_IP_CACHE, _intern_dest_ip
+from .fastpath import _MISS, _classifier_matcher
 
 __all__ = ["CacheEntry", "CodegenCache", "default_cache"]
 

@@ -61,7 +61,7 @@ import time
 import types
 
 from ..classifier.compile import become, compiled_function_for, is_pending, pending_function
-from ..elements.element import Element
+from ..net.packet import _intern_dest_ip
 
 __all__ = [
     "ChainPolicy",
@@ -533,9 +533,7 @@ def inline_action_name(cls):
     name = getattr(cls, "fast_action", None)
     if name:
         return name
-    if cls.push is Element.push and cls.pull is Element.pull:
-        return "simple_action"
-    return None
+    return "simple_action" if cls.uses_simple_action() else None
 
 
 def _declares(obj, name, handlers):
@@ -548,9 +546,24 @@ def _declares(obj, name, handlers):
     return False
 
 
+def _segment_owner(element, handler):
+    """The class whose ``segment()`` declaration stands for ``element``'s
+    ``handler`` (see :class:`_Emission`), or None when the handler must
+    be called: no segment declared for it, or a subclass of the
+    declaring class overrides it, or the instance wraps it.  The wrap
+    test reads the bound method, not ``vars(element)``: materializing an
+    instance's ``__dict__`` slows every attribute load the compiled code
+    then makes on it (CPython's inline-values specialization)."""
+    cls = type(element)
+    wrapped = getattr(getattr(element, handler), "__func__", None) is not getattr(cls, handler)
+    if wrapped or not _declares(element, "segment", (handler,)):
+        return None
+    return cls
+
+
 def _lowering(element):
-    """The ``(handler, bound cold path)`` stages a combination element
-    declares it stands for (``lowering()``, see
+    """The ``(owner class, bound cold path)`` stages a combination
+    element declares it stands for (``lowering()``, see
     :mod:`repro.elements.combos`), or None when this instance must be
     entered through its own ``push``: nothing declared, or the handler
     the declaration describes is overridden or fault-wrapped."""
@@ -679,14 +692,6 @@ def compile_chain(lines, offset, filename="<fastpath>"):
     return _shift_lines(compile("\n".join(lines), filename, "exec"), offset)
 
 
-def _uses_shared_dispatch(element):
-    """Mirror of :func:`repro.sim.cpu.uses_simple_action` without the
-    sim dependency: does this element ride the shared simple_action
-    call site the BTB model penalizes?"""
-    cls = type(element)
-    return cls.push is Element.push and cls.pull is Element.pull
-
-
 def _classifier_matcher(element):
     """The raw compiled match function for a classifier terminal — the
     archive class's prebuilt one, or the decision tree compiled with the
@@ -700,21 +705,6 @@ def _classifier_matcher(element):
     # Bind the raw generated function, not the CompiledClassifier
     # wrapper — __call__ would add a frame per packet.
     return getattr(matcher, "_function", matcher)
-
-
-def _intern_dest_ip(raw):
-    """The interned IPAddress for a raw value — the same object
-    :meth:`Packet.set_dest_ip_anno` hands out, which is what makes the
-    route guard's identity test hit for speculated flows."""
-    from ..net.addresses import IPAddress
-    from ..net.packet import _DEST_IP_CACHE
-
-    cached = _DEST_IP_CACHE.get(raw)
-    if cached is None:
-        cached = IPAddress(raw)
-        if len(_DEST_IP_CACHE) < 65536:
-            _DEST_IP_CACHE[raw] = cached
-    return cached
 
 
 def _method_spec(bound):
@@ -753,6 +743,119 @@ def _render_guard(conds, data_var):
         else:
             raise FastPathError("unknown guard condition %r" % (cond,))
     return " and ".join(parts)
+
+
+#: What :meth:`_Emission.elide` hands back: the stage is dropped.
+_ELIDED = object()
+
+
+class _Emission:
+    """What one chain's code is emitted with: the ``cx`` an element's
+    ``segment(self, cold, cx)`` declaration and the compiler's terminal
+    emitters take.  A segment returns an emitter ``emit(var, pad,
+    exitstmt) -> lines`` for the packet in local ``var``, leaving on
+    ``exitstmt`` when it drops it; ``cold`` is the bound method it
+    calls for the rare cases.  It may return None (no inline code for
+    this configuration: the chain calls ``cold``) or :meth:`elide`.
+
+    - ``bind(value, spec)`` parks a runtime object as a default argument
+      of the chain's def and returns its local name; ``spec`` is the
+      recipe the codegen cache re-binds it by.  ``method``, ``element``,
+      ``attr``, ``ip``, ``jump_table`` and ``bind_policy`` bind under
+      the recipe for what they bind.
+    - ``facts`` is what earlier segments proved for the rest of the
+      chain, or None where none are threaded (pull chains): ``data`` and
+      ``min_len`` (a local holding the contents and their least
+      length), ``dst_raw`` and ``ip_hl`` (locals), ``paint`` and ``off``
+      (constants).  A segment reads what it consumes, writes what it
+      produces, and removes what it may break.
+    - ``prior`` is what the stage just before proved for this one
+      alone, whatever ``facts`` holds; a segment writes that into
+      ``proved``.
+    - ``policy`` is the compile's :class:`ChainPolicy`; ``fresh()``
+      names a new local; ``count(field)`` bumps a report counter.
+    """
+
+    __slots__ = ("fastpath", "policy", "args", "facts", "prior", "proved")
+
+    def __init__(self, fastpath):
+        self.fastpath, self.policy = fastpath, fastpath.policy
+        self.args = []  # the def's "_xN=_bM" default arguments
+        self.facts = None
+        self.prior = self.proved = {}
+
+    def bind(self, value, spec=None):
+        name = "_x%d" % len(self.args)
+        self.args.append("%s=%s" % (name, self.fastpath._bind(value, spec)))
+        return name
+
+    def method(self, bound):
+        return self.bind(bound, _method_spec(bound))
+
+    def element(self, element):
+        return self.bind(element, ("elem", element.name))
+
+    def attr(self, element, *path):
+        value = element
+        for name in path:
+            value = getattr(value, name)
+        return self.bind(value, ("attr", element.name, path))
+
+    def ip(self, raw):
+        """The interned annotation for a raw destination value."""
+        return self.bind(_intern_dest_ip(raw), ("ip", raw))
+
+    def jump_table(self, element, mode):
+        """A fresh jump table into ``element``'s output chains, filled
+        at link time (see :meth:`FastPath._link`)."""
+        table, index = self.fastpath._register_jump_table(element, mode)
+        return self.bind(table, ("table", index))
+
+    def bind_policy(self, token):
+        """The live object behind a policy token."""
+        return self.bind(self.policy.resolve(token, self.fastpath.router), ("policy", token))
+
+    def fresh(self):
+        self.fastpath._ctx_counter += 1
+        return "_d%d" % self.fastpath._ctx_counter
+
+    def count(self, field):
+        report = self.fastpath.report
+        setattr(report, field, getattr(report, field) + 1)
+
+    def elide(self):
+        """Drop the stage: the facts prove it does nothing."""
+        self.count("elided_elements")
+        return _ELIDED
+
+    @staticmethod
+    def call(name, var, pad, exitstmt):
+        """``var = name(var)``, leaving when that drops the packet."""
+        return [pad + "%s = %s(%s)" % (var, name, var), pad + "if %s is None:" % var, pad + "    " + exitstmt]
+
+    @staticmethod
+    def contents(var, pad, local="c"):
+        """Packet.data into ``local``, without the call when cached."""
+        return [
+            pad + "%s = %s._data_cache" % (local, var),
+            pad + "if %s is None:" % local,
+            pad + "    %s = %s.data" % (local, var),
+        ]
+
+    @staticmethod
+    def prepend(var, pad, header, length):
+        """Packet.push(header) with the headroom test unrolled: in place
+        when there is room, else the method (which reallocates)."""
+        return [
+            pad + "off = %s._data_offset" % var,
+            pad + "if off >= %s:" % length,
+            pad + "    off -= %s" % length,
+            pad + "    %s._buf[off:off + %s] = %s" % (var, length, header),
+            pad + "    %s._data_offset = off" % var,
+            pad + "    %s._data_cache = None" % var,
+            pad + "else:",
+            pad + "    %s.push(%s)" % (var, header),
+        ]
 
 
 class FastPath:
@@ -841,11 +944,12 @@ class FastPath:
     def _trace_push(self, element, port_index):
         """Follow the push edge out of ``element[port_index]`` through
         every inlineable one-in/one-out element; returns (stages,
-        inlined ``(element, bound action, handler)`` triples, terminal
-        element, terminal input port).  ``handler`` is the function the
-        segment emitter dispatches on: the action's own, or — for each
-        stage of a lowered combination element, unmetered chains only —
-        the general-purpose handler the stage stands for."""
+        inlined ``(element, bound cold path, owner)`` triples, terminal
+        element, terminal input port).  ``owner`` is the class whose
+        segment emits the stage (:func:`_segment_owner`), or None; for
+        each stage of a lowered combination element (unmetered chains
+        only) it is the general-purpose class the stage stands for, and
+        the cold path is the combo's."""
         via = element._output_ports[port_index]
         stages, pairs = [], []
         seen = {id(element)}
@@ -859,7 +963,7 @@ class FastPath:
                     (type(prev).__name__, "push", prev_port),
                     type(current).__name__,
                     via.virtual,
-                    _uses_shared_dispatch(current),
+                    type(current).uses_simple_action(),
                 )
             )
             # Entering port 0 of an inlineable element always forwards on
@@ -882,10 +986,9 @@ class FastPath:
                 break
             seen.add(id(current))
             if lowered is None:
-                bound = getattr(current, action)
-                pairs.append((current, bound, getattr(bound, "__func__", None)))
+                pairs.append((current, getattr(current, action), _segment_owner(current, action)))
             else:
-                pairs.extend((current, cold, handler) for handler, cold in lowered)
+                pairs.extend((current, cold, owner) for owner, cold in lowered)
             prev, prev_port, via = current, 0, next_port
             current, in_port = next_port.target, next_port.target_port
         return stages, pairs, current, in_port
@@ -893,7 +996,7 @@ class FastPath:
     def _trace_pull(self, element, port_index):
         """Follow the pull edge into ``element[port_index]`` upstream
         through every inlineable element; returns (stages, inlined
-        ``(element, bound action, handler)`` triples in walk order,
+        ``(element, bound action, owner)`` triples in walk order,
         terminal element, terminal output port).  Actions apply to the
         pulled packet in *reverse* walk order (nearest the terminal
         first)."""
@@ -910,7 +1013,7 @@ class FastPath:
                     (type(prev).__name__, "pull", prev_port),
                     type(current).__name__,
                     via.virtual,
-                    _uses_shared_dispatch(current),
+                    type(current).uses_simple_action(),
                 )
             )
             action = inline_action_name(type(current))
@@ -925,8 +1028,7 @@ class FastPath:
             if next_port.source is None:
                 break
             seen.add(id(current))
-            bound = getattr(current, action)
-            pairs.append((current, bound, getattr(bound, "__func__", None)))
+            pairs.append((current, getattr(current, action), _segment_owner(current, action)))
             prev, prev_port, via = current, 0, next_port
             current, out_port = next_port.source, next_port.source_port
         return stages, pairs, current, out_port
@@ -957,20 +1059,16 @@ class FastPath:
         self._jump_tables.append((table, terminal, mode))
         return table, len(self._jump_tables) - 1
 
-    def _bind_policy(self, token):
-        """Bind the live object behind a policy token."""
-        return self.policy.resolve(token, self.router), ("policy", token)
-
-    def _terminal_spec(self, terminal, terminal_port, new_arg, stack=None, depth=0, ctx=None):
-        """Specialized dispatch for well-known terminal elements
-        (unmetered chains only): a classifier terminal becomes its
-        compiled matcher plus a jump table straight into the per-output
-        chains; a route-table terminal inlines the lookup / gateway
-        annotation / bounds-checked dispatch; a Queue terminal becomes a
-        bounds-checked deque append.  Returns a line emitter or None
-        when the terminal must be called through its own bound ``push``.
-        All three pushes ignore their input-port argument, so any entry
-        port may specialize.
+    def _terminal_spec(self, terminal, terminal_port, cx, stack=None, depth=0, ctx=None):
+        """Specialized dispatch for a chain's terminal element (unmetered
+        chains only): a classifier terminal becomes its compiled matcher
+        plus a jump table straight into the per-output chains; a
+        route-table terminal inlines the lookup / gateway annotation /
+        bounds-checked dispatch; any other runs the segment its element
+        declares for ``push`` (:meth:`_terminal_segment`).  Returns a
+        line emitter or None when the terminal must be called through
+        its own bound ``push``.  The specialized pushes ignore their
+        input-port argument, so any entry port may specialize.
 
         The jump tables are bound now as empty lists and filled after
         ``exec`` (the per-output chain functions do not exist yet while
@@ -985,7 +1083,7 @@ class FastPath:
         the table.
 
         ``ctx`` carries upstream-established facts (see
-        :meth:`_action_segment`) into the terminal: a classifier
+        :class:`_Emission`) into the terminal: a classifier
         diagram reuses the live contents local, and a route-table
         terminal downstream of CheckIPHeader looks the route up from
         the raw destination integer without touching the annotation.
@@ -1000,45 +1098,39 @@ class FastPath:
         if stack is None:
             stack = frozenset()
         from ..elements.classifiers import FastClassifierBase, _TreeClassifier
-        from ..elements.infrastructure import Queue
-        from ..elements.routing import _IPRouteTable
+        from ..elements.routing import LookupIPRoute, _IPRouteTable
 
         policy = self.policy
         cls = type(terminal)
         if cls.push is _TreeClassifier.push or cls.push is FastClassifierBase.push:
             plan = policy.classifier_diagram(terminal)
             if plan is not None:
-                return self._emit_classifier_diagram(
-                    terminal, plan, new_arg, stack, depth, ctx
-                )
-            table, table_index = self._register_jump_table(terminal, "plain")
+                return self._emit_classifier_diagram(terminal, plan, cx, stack, depth, ctx)
             if cls.push is FastClassifierBase.push:
                 # Generated classes bake the tree at class level; a rule
                 # change arrives as a new class (structural), so the raw
                 # matcher function can be bound directly.
-                m = new_arg(_classifier_matcher(terminal), ("matcher", terminal.name))
+                m = cx.bind(_classifier_matcher(terminal), ("matcher", terminal.name))
                 match_expr = "%s(data)" % m
             else:
                 # Live-patchable rules: bind the element's one-slot
                 # matcher cell, so a control-plane rule patch swaps the
                 # function under this chain without recompiling it (one
                 # extra subscript per packet, amortized by the probe).
-                m = new_arg(terminal.matcher_cell(), ("cell", terminal.name))
+                m = cx.bind(terminal.matcher_cell(), ("cell", terminal.name))
                 match_expr = "%s[0](data)" % m
-            c = new_arg(terminal, ("elem", terminal.name))
-            jt = new_arg(table, ("table", table_index))
+            c = cx.element(terminal)
+            jt = cx.jump_table(terminal, "plain")
             noutputs = terminal.noutputs
             nports = len(terminal._output_ports)
             order = [i for i in policy.branch_order(terminal, nports)]
             bodies = {}
             for i in order:
                 if policy.should_fuse(terminal, i):
-                    bodies[i] = self._inline_push_body(
-                        terminal, i, new_arg, stack, depth + 1
-                    )
+                    bodies[i] = self._inline_push_body(terminal, i, cx, stack, depth + 1)
                 else:
                     bodies[i] = None
-                    self.report.pruned_arms += 1
+                    cx.count("pruned_arms")
             guard = policy.classifier_guard(terminal)
             hot_body = None
             if guard is not None:
@@ -1048,31 +1140,22 @@ class FastPath:
                 # minimum contents length (bounds checks drop out).
                 min_len = max([c[1] for c in conds if c[0] == "len"] or [0])
                 hot_body = self._inline_push_body(
-                    terminal,
-                    hot_out,
-                    new_arg,
-                    stack,
-                    depth + 1,
-                    ctx={"data": "data", "min_len": min_len},
+                    terminal, hot_out, cx, stack, depth + 1, ctx={"data": "data", "min_len": min_len}
                 )
                 if hot_body is None:
                     guard = None
                 else:
-                    self.report.guarded_branches += 1
+                    cx.count("guarded_branches")
             note = policy.classifier_note(terminal)
-            note_name = new_arg(*self._bind_policy(note)) if note is not None else None
+            note_name = cx.bind_policy(note) if note is not None else None
             miss = None
             if guard is not None:
                 miss_token = policy.guard_counter(terminal, "classifier")
                 if miss_token is not None:
-                    miss = new_arg(*self._bind_policy(miss_token))
+                    miss = cx.bind_policy(miss_token)
 
             def emit(var, pad, exitstmt):
-                lines = [
-                    pad + "data = %s._data_cache" % var,
-                    pad + "if data is None:",
-                    pad + "    data = %s.data" % var,
-                ]
+                lines = cx.contents(var, pad, "data")
                 inner = pad
                 if guard is not None:
                     lines.append(pad + "if %s:" % _render_guard(guard[0], "data"))
@@ -1102,12 +1185,9 @@ class FastPath:
 
             return emit
         if cls.push is _IPRouteTable.push:
-            from ..elements.routing import LookupIPRoute
-
-            table, table_index = self._register_jump_table(terminal, "checked")
-            lk = new_arg(terminal.lookup_route, ("attr", terminal.name, ("lookup_route",)))
-            e = new_arg(terminal, ("elem", terminal.name))
-            jt = new_arg(table, ("table", table_index))
+            lk = cx.attr(terminal, "lookup_route")
+            e = cx.element(terminal)
+            jt = cx.jump_table(terminal, "checked")
             nports = len(terminal._output_ports)
             rm = ms = None
             if cls.lookup_route is LookupIPRoute.lookup_route:
@@ -1115,8 +1195,8 @@ class FastPath:
                 # route table never changes afterwards, so its .get can
                 # be bound directly: the common case becomes one dict
                 # probe, and only misses take the memoizing full lookup.
-                rm = new_arg(terminal._memo.get, ("attr", terminal.name, ("_memo", "get")))
-                ms = new_arg(_MISS, ("const", "MISS"))
+                rm = cx.attr(terminal, "_memo", "get")
+                ms = cx.bind(_MISS, ("const", "MISS"))
             raw_dst = None
             arm_facts = None
             if ctx:
@@ -1131,16 +1211,11 @@ class FastPath:
             for i in order:
                 if policy.should_fuse(terminal, i):
                     bodies[i] = self._inline_push_body(
-                        terminal,
-                        i,
-                        new_arg,
-                        stack,
-                        depth + 1,
-                        ctx=dict(arm_facts) if arm_facts else None,
+                        terminal, i, cx, stack, depth + 1, ctx=dict(arm_facts) if arm_facts else None
                     )
                 else:
                     bodies[i] = None
-                    self.report.pruned_arms += 1
+                    cx.count("pruned_arms")
             constant = policy.route_constant(terminal)
             hot = None
             if constant is not None:
@@ -1155,32 +1230,23 @@ class FastPath:
                 # value, so value equality is just as sound and hits
                 # even for un-interned annotations).
                 hot_body = self._inline_push_body(
-                    terminal,
-                    hot_port,
-                    new_arg,
-                    stack,
-                    depth + 1,
-                    ctx=dict(arm_facts) if arm_facts else None,
+                    terminal, hot_port, cx, stack, depth + 1, ctx=dict(arm_facts) if arm_facts else None
                 )
                 if hot_body is not None and 0 <= hot_port < nports:
                     hot = (
-                        new_arg(_intern_dest_ip(raw), ("ip", raw))
-                        if raw_dst is None
-                        else None,
-                        new_arg(_intern_dest_ip(gw_value), ("ip", gw_value))
-                        if gw_value is not None
-                        else None,
+                        cx.ip(raw) if raw_dst is None else None,
+                        cx.ip(gw_value) if gw_value is not None else None,
                         hot_body,
                         int(raw),
                     )
-                    self.report.guarded_branches += 1
+                    cx.count("guarded_branches")
             note = policy.route_note(terminal)
-            note_name = new_arg(*self._bind_policy(note)) if note is not None else None
+            note_name = cx.bind_policy(note) if note is not None else None
             miss = None
             if hot is not None:
                 miss_token = policy.guard_counter(terminal, "route")
                 if miss_token is not None:
-                    miss = new_arg(*self._bind_policy(miss_token))
+                    miss = cx.bind_policy(miss_token)
 
             def dispatch_tail(body, p2, var, exitstmt):
                 kw = "if"
@@ -1286,31 +1352,28 @@ class FastPath:
                 return dispatch_tail(body, pad + "        ", var, exitstmt)
 
             return emit
-        if cls.push is Queue.push:
-            # The deque is bound directly: Queue never reassigns it
-            # (hot-swap state transfer mutates it in place for exactly
-            # this reason).  charge("queue_drop") is a no-op without a
-            # meter, which is the only time this specialization runs.
-            q = new_arg(terminal, ("elem", terminal.name))
-            dq = new_arg(terminal._deque, ("attr", terminal.name, ("_deque",)))
-            cap = terminal.capacity
+        return self._terminal_segment(terminal, "push", cx)
 
-            def emit(var, pad, exitstmt):
-                return [
-                    pad + "qlen = len(%s)" % dq,
-                    pad + "if qlen >= %d:" % cap,
-                    pad + "    %s.drops += 1" % q,
-                    pad + "else:",
-                    pad + "    %s.append(%s)" % (dq, var),
-                    pad + "    qlen += 1",
-                    pad + "    if qlen > %s.highwater:" % q,
-                    pad + "        %s.highwater = qlen" % q,
-                ]
+    def _terminal_segment(self, terminal, kind, cx):
+        """The segment a chain ending at ``terminal`` runs in place of
+        its bound ``push`` / ``pull`` (``kind``), or None.  Only an
+        element without an inline action declares one for its push or
+        pull: an inlineable element's segment stands for that action."""
+        if getattr(terminal, "_fault_wrapped", False) or inline_action_name(type(terminal)):
+            return None
+        owner = _segment_owner(terminal, kind)
+        return owner.segment(terminal, getattr(terminal, kind), cx) if owner else None
 
-            return emit
-        return None
+    def _push_terminal(self, terminal, terminal_port, cx, stack, depth, ctx):
+        """``(emitter, specialized)`` for the push that ends a chain:
+        :meth:`_terminal_spec`'s, else a call of the bound ``push``."""
+        emit = self._terminal_spec(terminal, terminal_port, cx, stack, depth, ctx)
+        if emit is not None:
+            return emit, True
+        t = cx.attr(terminal, "push")
+        return (lambda var, pad, exitstmt: [pad + "%s(%d, %s)" % (t, terminal_port, var)]), False
 
-    def _emit_classifier_diagram(self, terminal, plan, new_arg, stack, depth, ctx):
+    def _emit_classifier_diagram(self, terminal, plan, cx, stack, depth, ctx):
         """Emit a classifier terminal as its forwarding decision
         diagram: the element's whole tree inlined as nested byte tests
         (see :mod:`repro.runtime.fdd`), with the fused per-output chain
@@ -1328,18 +1391,17 @@ class FastPath:
         from ..elements.classifiers import FastClassifierBase
 
         policy = self.policy
-        table, table_index = self._register_jump_table(terminal, "plain")
         cdata = ctx.get("data") if ctx else None
         cmin = int(ctx.get("min_len", 0)) if cdata else 0
         dvar = cdata if cdata else "data"
         if type(terminal).push is FastClassifierBase.push:
-            m = new_arg(_classifier_matcher(terminal), ("matcher", terminal.name))
+            m = cx.bind(_classifier_matcher(terminal), ("matcher", terminal.name))
             match_expr = "%s(%s)" % (m, dvar)
         else:
-            m = new_arg(terminal.matcher_cell(), ("cell", terminal.name))
+            m = cx.bind(terminal.matcher_cell(), ("cell", terminal.name))
             match_expr = "%s[0](%s)" % (m, dvar)
-        c = new_arg(terminal, ("elem", terminal.name))
-        jt = new_arg(table, ("table", table_index))
+        c = cx.element(terminal)
+        jt = cx.jump_table(terminal, "plain")
         noutputs = terminal.noutputs
         nports = len(terminal._output_ports)
         gate = plan.gate
@@ -1355,13 +1417,11 @@ class FastPath:
             if not policy.should_fuse(terminal, out):
                 if out not in pruned:
                     pruned.add(out)
-                    self.report.pruned_arms += 1
+                    cx.count("pruned_arms")
                 continue
             if per_out.get(out, 0) >= 2:
                 continue
-            body = self._inline_push_body(
-                terminal, out, new_arg, stack, depth + 1, ctx=dict(base)
-            )
+            body = self._inline_push_body(terminal, out, cx, stack, depth + 1, ctx=dict(base))
             if body is None:
                 continue
             per_out[out] = per_out.get(out, 0) + 1
@@ -1373,13 +1433,7 @@ class FastPath:
         report.fdd_tests_saved += plan.loads_saved
 
         def emit(var, pad, exitstmt):
-            lines = []
-            if cdata is None:
-                lines += [
-                    pad + "data = %s._data_cache" % var,
-                    pad + "if data is None:",
-                    pad + "    data = %s.data" % var,
-                ]
+            lines = cx.contents(var, pad, "data") if cdata is None else []
 
             def leaf(leaf_id, out, lpad):
                 if out is None or out >= noutputs:
@@ -1407,7 +1461,7 @@ class FastPath:
 
         return emit
 
-    def _inline_push_body(self, element, port_index, new_arg, stack, depth, ctx=None):
+    def _inline_push_body(self, element, port_index, cx, stack, depth, ctx=None):
         """Emitter for the full body of the push chain leaving
         ``element[port_index]``, for fusing into a dispatch site, or
         None when that chain must stay a function call (metered mode,
@@ -1432,7 +1486,7 @@ class FastPath:
         if id(terminal) in stack:
             return None
         if not self._fuse_lowered and any(
-            inline_action_name(type(inlined)) is None for inlined, _a, _h in pairs
+            inline_action_name(type(inlined)) is None for inlined, _cold, _owner in pairs
         ):
             # A lowered combination element's body is long.  Only the
             # chains packets enter the router on fuse it into their
@@ -1440,15 +1494,10 @@ class FastPath:
             # jump table, i.e. through the one chain compiled for this
             # edge — a call on a cold path instead of a copy per site.
             return None
-        segments = self._compose_segments(pairs, new_arg, ctx=ctx)
-        emit_terminal = self._terminal_spec(
-            terminal, terminal_port, new_arg, stack | {id(terminal)}, depth, ctx=ctx
+        segments = self._compose_segments(pairs, cx, ctx=ctx)
+        emit_terminal, _specialized = self._push_terminal(
+            terminal, terminal_port, cx, stack | {id(terminal)}, depth, ctx
         )
-        if emit_terminal is None:
-            t = new_arg(terminal.push, ("attr", terminal.name, ("push",)))
-
-            def emit_terminal(var, pad, exitstmt, _t=t, _p=terminal_port):
-                return [pad + "%s(%d, %s)" % (_t, _p, var)]
 
         def emit(var, pad, exitstmt):
             lines = []
@@ -1459,642 +1508,37 @@ class FastPath:
 
         return emit
 
-    def _terminal_pull_spec(self, terminal, new_arg):
-        """Specialized pull for well-known terminal elements (unmetered
-        chains only): a Queue terminal becomes a direct deque popleft.
-        Returns a line emitter taking (var, pad, exitstmt) or None."""
-        if self.metered:
-            return None
-        if getattr(terminal, "_fault_wrapped", False):
-            return None
-        from ..elements.infrastructure import Queue
-
-        if type(terminal).pull is Queue.pull:
-            dq = new_arg(terminal._deque, ("attr", terminal.name, ("_deque",)))
-            pop = new_arg(
-                terminal._deque.popleft, ("attr", terminal.name, ("_deque", "popleft"))
-            )
-
-            def emit(var, pad, exitstmt):
-                return [
-                    pad + "if not %s:" % dq,
-                    pad + "    " + exitstmt,
-                    pad + "%s = %s()" % (var, pop),
-                ]
-
-            return emit
-        return None
-
-    def _action_segment(self, element, action, fn, new_arg, ctx=None):
-        """An inline code segment for one traced element, or None when
-        its action must stay a bound call.  ``fn`` is the handler the
-        segment is chosen by; ``element`` supplies the configuration
-        and counters, ``action`` the rare path.  For a general-purpose
-        element the three belong together; for a stage of a lowered
-        combination element ``fn`` is the handler the stage stands for
-        while ``element`` and ``action`` are the combo and its own cold
-        path, which is all it takes for drops, side outputs and
-        counters to land on the combo.  Segments write the element's
-        per-packet work as raw statements with configuration constants
-        baked in — the runtime analogue of click-xform's combo elements.
-        Rare paths (errors, side outputs, cache misses) still call the
-        bound method, which keeps counters and side effects exact.
-        Identity checks are on the underlying function, so a subclass
-        that overrides the handler falls back to the generic call.
-
-        ``ctx`` (from a classifier guard, see ``_inline_push_body``) is
-        a dict ``{"data": local_name, "min_len": n}`` asserting that the
-        named local holds ``packet._data_cache`` (non-None) with at
-        least ``min_len`` bytes.  Segments that keep the invariant use
-        it to drop loads and bounds checks; segments that may break it
-        clear the dict, turning it off for the rest of the chain.  The
-        dict also carries what upstream segments proved: ``dst_raw``/``ip_hl`` (locals CheckIPHeader left live),
-        ``paint`` (a constant) and ``off`` — the packet's ``_data_offset``
-        as a constant, known once an Align has rebuilt the buffer."""
-        from ..elements.arp import ARPQuerier
-        from ..elements.ethernet import EtherEncap
-        from ..elements.infrastructure import Strip
-        from ..elements.ip import (
-            PACKET_TYPE_BROADCAST,
-            CheckIPHeader,
-            DecIPTTL,
-            DropBroadcasts,
-            FixIPSrc,
-            IPFragmenter,
-            IPGWOptions,
-            Paint,
-            PaintTee,
-        )
-
-        from ..elements.align import Align
-        from ..net.packet import _DEST_IP_CACHE, DEFAULT_HEADROOM, realigned_buffer_alignment
-
-        if (
-            fn is CheckIPHeader._check
-            and not element.offset
-            and not element.strict_alignment
-        ):
-            # The whole header check in line, with the configuration
-            # (offset 0, no strict alignment, the bad-source set) baked
-            # in.  Any failure funnels through the bound _fail, which
-            # counts the drop and feeds the error output.  The set and
-            # the intern cache are bound directly; neither is ever
-            # reassigned after configuration.
-            f = new_arg(element._fail, ("attr", element.name, ("_fail",)))
-            bs = (
-                new_arg(element.bad_src, ("attr", element.name, ("bad_src",)))
-                if element.bad_src
-                else None
-            )
-            dc = new_arg(_DEST_IP_CACHE.get, ("const", "DEST_IP_GET"))
-            src_test = "s != 0xFFFFFFFF" + (" and s not in %s" % bs if bs else "")
-            cvar = ctx.get("data") if ctx else None
-            hot_raw = self.policy.check_ip_hot(element)
-            hot_ip = (
-                new_arg(_intern_dest_ip(hot_raw), ("ip", hot_raw))
-                if hot_raw is not None
-                else None
-            )
-            if ctx is not None:
-                # The raw destination stays live in local ``d`` for any
-                # downstream route-table terminal in this same function
-                # (the contents facts survive too: only annotations and
-                # ip_header_offset change here).
-                ctx["dst_raw"] = "d"
-                # The verified header length stays live in local `hl`
-                # for as long as the contents facts hold.
-                ctx["ip_hl"] = "hl"
-
-            def seg(var, pad, exitstmt):
-                if cvar:
-                    # A guard already loaded the contents into a local.
-                    lines = [pad + "c = %s" % cvar]
-                else:
-                    lines = [
-                        pad + "c = %s._data_cache" % var,
-                        pad + "if c is None:",
-                        pad + "    c = %s.data" % var,
-                    ]
-                lines += [
-                    pad + "good = False",
-                    pad + "ln = len(c)",
-                    pad + "if ln >= 20:",
-                    pad + "    vi = c[0]",
-                    # Split lane for the dominant no-options header
-                    # (version/ihl byte 0x45): every field offset is a
-                    # compile-time constant, so the extraction shifts
-                    # constant-fold and the destination is a plain mask.
-                    # Options-bearing headers take the generic lane.
-                    pad + "    if vi == 69:",
-                    pad + "        hl = 20",
-                    pad + "        hdr = int.from_bytes(c[:20], 'big')",
-                    pad + "        if 20 <= (hdr >> 128) & 0xFFFF <= ln and not hdr % 0xFFFF:",
-                    pad + "            s = (hdr >> 32) & 0xFFFFFFFF",
-                    pad + "            if %s:" % src_test,
-                    pad + "                good = True",
-                    pad + "                d = hdr & 0xFFFFFFFF",
-                    pad + "    else:",
-                    pad + "        hl = (vi & 15) * 4",
-                    pad + "        if vi >> 4 == 4 and hl >= 20 and ln >= hl:",
-                    pad + "            hdr = int.from_bytes(c[:hl], 'big')",
-                    pad + "            sh = hl * 8",
-                    pad + "            if hl <= (hdr >> (sh - 32)) & 0xFFFF <= ln and not hdr % 0xFFFF:",
-                    pad + "                s = (hdr >> (sh - 128)) & 0xFFFFFFFF",
-                    pad + "                if %s:" % src_test,
-                    pad + "                    good = True",
-                    pad + "                    d = (hdr >> (sh - 160)) & 0xFFFFFFFF",
-                    pad + "if not good:",
-                    pad + "    %s(%s)" % (f, var),
-                    pad + "    " + exitstmt,
-                    pad + "%s.ip_header_offset = 0" % var,
-                ]
-                if hot_ip is not None:
-                    # The profiled hot destination skips the intern-cache
-                    # probe: an equal raw value gets the same interned
-                    # object the cache would have produced, so downstream
-                    # identity guards behave identically.
-                    lines += [
-                        pad + "if d == %d:" % hot_raw,
-                        pad + "    %s.dest_ip_anno = %s" % (var, hot_ip),
-                        pad + "else:",
-                        pad + "    anno = %s(d)" % dc,
-                        pad + "    if anno is None:",
-                        pad + "        %s.set_dest_ip_anno(d)" % var,
-                        pad + "    else:",
-                        pad + "        %s.dest_ip_anno = anno" % var,
-                    ]
-                else:
-                    lines += [
-                        pad + "anno = %s(d)" % dc,
-                        pad + "if anno is None:",
-                        pad + "    %s.set_dest_ip_anno(d)" % var,
-                        pad + "else:",
-                        pad + "    %s.dest_ip_anno = anno" % var,
-                    ]
-                return lines
-
-            return seg
-        if fn is Paint.simple_action:
-            color = element.color
-            if ctx is not None:
-                # The paint annotation is now a compile-time constant
-                # for the rest of this chain (nothing else writes it).
-                ctx["paint"] = color
-
-            def seg(var, pad, exitstmt):
-                return [pad + "%s.paint = %d" % (var, color)]
-
-            return seg
-        if fn is Strip.simple_action:
-            n = element.nbytes
-            if ctx and ctx.get("data") and ctx.get("min_len", 0) >= n:
-                # The guard's length condition already proves the strip
-                # is in bounds, and the contents local is live: slice it
-                # into a fresh local and keep the invariant going.
-                src = ctx["data"]
-                self._ctx_counter += 1
-                dst = "_d%d" % self._ctx_counter
-                ctx["data"] = dst
-                ctx["min_len"] = ctx["min_len"] - n
-                # The header-length local was measured against the old
-                # contents origin; it does not survive the re-slice.
-                ctx.pop("ip_hl", None)
-                move = "%%s._data_offset += %d" % n
-                if "off" in ctx:
-                    ctx["off"] += n
-                    move = "%%s._data_offset = %d" % ctx["off"]
-
-                def seg(var, pad, exitstmt, _src=src, _dst=dst):
-                    return [
-                        pad + move % var,
-                        pad + "%s = %s[%d:]" % (_dst, _src, n),
-                        pad + "%s._data_cache = %s" % (var, _dst),
-                    ]
-
-                return seg
-            if ctx:
-                ctx.clear()
-            # Strip proper drops a short packet silently; a lowered
-            # stage counts it through the combo's cold path.
-            short = (
-                []
-                if getattr(action, "__func__", None) is fn
-                else ["    %s(%%s)" % new_arg(action, _method_spec(action))]
-            )
-
-            def seg(var, pad, exitstmt):
-                # Stripping the front of a cached contents bytes is a
-                # slice — keep the cache warm instead of forcing the
-                # next .data reader to rebuild from the buffer.
-                return [
-                    pad + "if len(%s._buf) - %s._data_offset < %d:" % (var, var, n),
-                    *[pad + line % var for line in short],
-                    pad + "    " + exitstmt,
-                    pad + "%s._data_offset += %d" % (var, n),
-                    pad + "c = %s._data_cache" % var,
-                    pad + "%s._data_cache = c[%d:] if c is not None else None" % (var, n),
-                ]
-
-            return seg
-        if fn is Align.simple_action:
-            # Align.simple_action and Packet.realign in line.  The copy
-            # leaves the contents as they were, so the contents cache —
-            # and every fact about it — survives.
-            e = new_arg(element, ("elem", element.name))
-            room = bytearray(DEFAULT_HEADROOM)
-            r = new_arg(room, ("value", room))
-            cvar = ctx.get("data") if ctx else None
-            modulus, offset = element.modulus, element.offset
-            aligned = realigned_buffer_alignment(modulus, offset)
-            jt = None
-            if ctx is not None:
-                # A rebuilt buffer has one layout, so the rest of the
-                # chain is emitted for it with the data offset folded
-                # into constants.  click-align places an Align only
-                # where its input is not aligned already; a packet that
-                # is takes the chain compiled for this edge instead.
-                table, table_index = self._register_jump_table(element, "plain")
-                jt = new_arg(table, ("table", table_index))
-                ctx["off"] = DEFAULT_HEADROOM
-
-            def seg(var, pad, exitstmt):
-                lines = [
-                    pad
-                    + "if (%s.buffer_alignment + %s._data_offset) %% %d != %d:"
-                    % (var, var, modulus, offset)
-                ]
-                if not cvar:
-                    lines += [
-                        pad + "    c = %s._data_cache" % var,
-                        pad + "    if c is None:",
-                        pad + "        c = %s.data" % var,
-                    ]
-                lines += [
-                    pad + "    %s._buf = %s + %s" % (var, r, cvar or "c"),
-                    pad + "    %s._data_offset = %d" % (var, DEFAULT_HEADROOM),
-                    pad + "    %s.buffer_alignment = %d" % (var, aligned),
-                    pad + "    %s.copies += 1" % e,
-                ]
-                if jt is not None:
-                    lines += [
-                        pad + "else:",
-                        pad + "    %s[0](%s)" % (jt, var),
-                        pad + "    " + exitstmt,
-                    ]
-                return lines
-
-            return seg
-        if fn is DropBroadcasts.simple_action:
-            e = new_arg(element, ("elem", element.name))
-
-            def seg(var, pad, exitstmt):
-                return [
-                    pad
-                    + "if %s.user_annos.get('packet_type') == %r:"
-                    % (var, PACKET_TYPE_BROADCAST),
-                    pad + "    %s.drops += 1" % e,
-                    pad + "    " + exitstmt,
-                ]
-
-            return seg
-        if fn is EtherEncap.simple_action:
-            if ctx:
-                ctx.clear()
-            h = new_arg(element._header, ("attr", element.name, ("_header",)))
-            hlen = len(element._header)
-
-            def seg(var, pad, exitstmt):
-                # Packet.push with the headroom test unrolled: prepend
-                # into existing headroom in place, falling back to the
-                # method (which reallocates) only when there is none.
-                return [
-                    pad + "off = %s._data_offset" % var,
-                    pad + "if off >= %d:" % hlen,
-                    pad + "    off -= %d" % hlen,
-                    pad + "    %s._buf[off:off + %d] = %s" % (var, hlen, h),
-                    pad + "    %s._data_offset = off" % var,
-                    pad + "    %s._data_cache = None" % var,
-                    pad + "else:",
-                    pad + "    %s.push(%s)" % (var, h),
-                ]
-
-            return seg
-        if fn is FixIPSrc.simple_action:
-            data_var = ctx.get("data") if ctx else None
-            if ctx and data_var is None:
-                ctx.clear()
-            a = new_arg(action, _method_spec(action))
-            if data_var is not None:
-                # Rewriting the source address keeps length, destination,
-                # and header shape intact, so every fact survives; the
-                # rare rewrite branch just re-syncs the contents local.
-
-                def seg(var, pad, exitstmt, _d=data_var):
-                    return [
-                        pad + "if %s.fix_ip_src_anno:" % var,
-                        pad + "    %s = %s(%s)" % (var, a, var),
-                        pad + "    if %s is None:" % var,
-                        pad + "        " + exitstmt,
-                        pad + "    %s = %s._data_cache" % (_d, var),
-                        pad + "    if %s is None:" % _d,
-                        pad + "        %s = %s.data" % (_d, var),
-                    ]
-
-                return seg
-
-            def seg(var, pad, exitstmt):
-                return [
-                    pad + "if %s.fix_ip_src_anno:" % var,
-                    pad + "    %s = %s(%s)" % (var, a, var),
-                    pad + "    if %s is None:" % var,
-                    pad + "        " + exitstmt,
-                ]
-
-            return seg
-        if fn is IPGWOptions._process:
-            hl_var = ctx.get("ip_hl") if ctx else None
-            a = new_arg(action, _method_spec(action))
-            if hl_var is not None:
-                # _process never mutates the packet (it only walks the
-                # option bytes or diverts to output 1), so every fused
-                # fact survives — including the header length an
-                # upstream CheckIPHeader left live: options iff != 20.
-                def seg(var, pad, exitstmt):
-                    return [
-                        pad + "if %s != 20:" % hl_var,
-                        pad + "    %s = %s(%s)" % (var, a, var),
-                        pad + "    if %s is None:" % var,
-                        pad + "        " + exitstmt,
-                    ]
-
-                return seg
-
-            def seg(var, pad, exitstmt):
-                return [
-                    pad + "c = %s._data_cache" % var,
-                    pad + "if ((c[0] if c is not None else %s.data[0]) & 15) != 5:" % var,
-                    pad + "    %s = %s(%s)" % (var, a, var),
-                    pad + "    if %s is None:" % var,
-                    pad + "        " + exitstmt,
-                ]
-
-            return seg
-        if fn is DecIPTTL._decrement:
-            off = ctx.get("off") if ctx else None
-            data_var = ctx.get("data") if ctx else None
-            if ctx:
-                if data_var is not None:
-                    # The decrement pokes TTL/checksum bytes in place,
-                    # so the cached-contents local goes stale; lengths,
-                    # destination, and paint survive.
-                    ctx.pop("data", None)
-                else:
-                    ctx.clear()
-            a = new_arg(action, _method_spec(action))
-
-            def seg(var, pad, exitstmt, _d=data_var):
-                # The live-TTL case fully in line: read the header words
-                # from the cached contents, fold the RFC 1624 update
-                # twice (the three-term sum fits in 18 bits, so two
-                # folds always suffice), and poke the changed bytes.
-                # TTL <= 1 takes the bound method, which counts, pushes
-                # the error output, and returns None.
-                if _d is not None:
-                    head = [] if _d == "c" else [pad + "c = %s" % _d]
-                else:
-                    head = [
-                        pad + "c = %s._data_cache" % var,
-                        pad + "if c is None:",
-                        pad + "    c = %s.data" % var,
-                    ]
-                if off is None:
-                    poke = [
-                        pad + "    base = %s._data_offset + 8" % var,
-                        pad + "    buf = %s._buf" % var,
-                        pad + "    buf[base] = ttl - 1",
-                        pad + "    buf[base + 2] = t >> 8",
-                        pad + "    buf[base + 3] = t & 0xFF",
-                    ]
-                else:
-                    poke = [
-                        pad + "    buf = %s._buf" % var,
-                        pad + "    buf[%d] = ttl - 1" % (off + 8),
-                        pad + "    buf[%d] = t >> 8" % (off + 10),
-                        pad + "    buf[%d] = t & 0xFF" % (off + 11),
-                    ]
-                return head + [
-                    pad + "ttl = c[8]",
-                    pad + "if ttl <= 1:",
-                    pad + "    %s = %s(%s)" % (var, a, var),
-                    pad + "    if %s is None:" % var,
-                    pad + "        " + exitstmt,
-                    pad + "else:",
-                    pad + "    w = (ttl << 8) | c[9]",
-                    pad + "    t = (((c[10] << 8) | c[11]) ^ 0xFFFF) + (w ^ 0xFFFF) + (w - 0x100)",
-                    pad + "    t = (t & 0xFFFF) + (t >> 16)",
-                    pad + "    t = ((t & 0xFFFF) + (t >> 16)) ^ 0xFFFF",
-                    *poke,
-                    pad + "    %s._data_cache = None" % var,
-                ]
-
-            return seg
-        if fn is IPFragmenter._maybe_fragment:
-            # A packet that gets past the test is untouched, so the
-            # layout fact outlives the clear.
-            off = ctx.get("off") if ctx else None
-            if ctx:
-                ctx.clear()
-            a = new_arg(action, _method_spec(action))
-            mtu = element.mtu
-            if off is not None:
-                ctx["off"] = off
-
-            def seg(var, pad, exitstmt):
-                return [
-                    pad + "if len(%s._buf) - %s._data_offset > %d:" % (var, var, mtu)
-                    if off is None
-                    else pad + "if len(%s._buf) > %d:" % (var, mtu + off),
-                    pad + "    %s = %s(%s)" % (var, a, var),
-                    pad + "    if %s is None:" % var,
-                    pad + "        " + exitstmt,
-                ]
-
-            return seg
-        if fn is PaintTee._tee:
-            color = element.color
-            if ctx is not None and "paint" in ctx:
-                if ctx["paint"] != color:
-                    # An upstream Paint in this same chain proves the
-                    # tee never fires: the per-packet test disappears.
-                    self.report.elided_elements += 1
-
-                    def seg(var, pad, exitstmt):
-                        return []
-
-                    return seg
-                a = new_arg(action, _method_spec(action))
-
-                def seg(var, pad, exitstmt):
-                    # Known-equal paint: tee unconditionally.
-                    return [
-                        pad + "%s = %s(%s)" % (var, a, var),
-                        pad + "if %s is None:" % var,
-                        pad + "    " + exitstmt,
-                    ]
-
-                return seg
-            a = new_arg(action, _method_spec(action))
-
-            def seg(var, pad, exitstmt):
-                return [
-                    pad + "if %s.paint == %d:" % (var, color),
-                    pad + "    %s = %s(%s)" % (var, a, var),
-                    pad + "    if %s is None:" % var,
-                    pad + "        " + exitstmt,
-                ]
-
-            return seg
-        if fn is ARPQuerier._handle_ip:
-            off = ctx.get("off") if ctx else None
-            if ctx:
-                ctx.clear()
-            # Common case: a resolved next hop whose Ethernet header is
-            # already built — encapsulate and keep going inline.  Every
-            # other case (unresolved, unannotated, header not yet
-            # cached) takes the full method, which drops/queues/queries
-            # and pushes through the output port itself.
-            g = new_arg(element._headers.get, ("attr", element.name, ("_headers", "get")))
-            a = new_arg(action, _method_spec(action))
-            constant = self.policy.arp_constant(element)
-            hot = None
-            if constant is not None:
-                raw, hdr_bytes, epoch = constant
-                # Speculate the profiled hot next hop's header: identity
-                # on the interned destination plus the querier's table
-                # epoch prove the cached bytes are still current.  Any
-                # table change bumps the epoch, so the guard fails safe
-                # into the generic probe.
-                hot = (
-                    new_arg(_intern_dest_ip(raw), ("ip", raw)),
-                    new_arg(bytes(hdr_bytes), ("value", bytes(hdr_bytes))),
-                    new_arg(element, ("elem", element.name)),
-                    int(epoch),
-                    len(hdr_bytes),
-                )
-                self.report.guarded_branches += 1
-            miss = None
-            if hot is not None:
-                miss_token = self.policy.guard_counter(element, "arp")
-                if miss_token is not None:
-                    miss = new_arg(*self._bind_policy(miss_token))
-
-            def seg(var, pad, exitstmt):
-                # The cached headers are 14-byte Ethernet headers; push
-                # them straight into headroom when there is room (the
-                # Packet.push fast case, without the call).
-                lines = [pad + "dst = %s.dest_ip_anno" % var]
-                inner = pad
-                if hot is not None:
-                    hot_ip, hot_hdr, e, epoch, hl = hot
-                    lines.append(
-                        pad + "if dst is %s and %s._arp_epoch == %d:" % (hot_ip, e, epoch)
-                    )
-                    if off is not None and off >= hl:
-                        # Known layout, known header: the headroom test
-                        # is decided here and the slice bounds fold.
-                        lines += [
-                            pad + "    %s._buf[%d:%d] = %s" % (var, off - hl, off, hot_hdr),
-                            pad + "    %s._data_offset = %d" % (var, off - hl),
-                            pad + "    %s._data_cache = None" % var,
-                        ]
-                    else:
-                        lines += [
-                            pad + "    off = %s._data_offset" % var,
-                            pad + "    if off >= %d:" % hl,
-                            pad + "        off -= %d" % hl,
-                            pad + "        %s._buf[off:off + %d] = %s" % (var, hl, hot_hdr),
-                            pad + "        %s._data_offset = off" % var,
-                            pad + "        %s._data_cache = None" % var,
-                            pad + "    else:",
-                            pad + "        %s.push(%s)" % (var, hot_hdr),
-                        ]
-                    lines.append(pad + "else:")
-                    inner = pad + "    "
-                    if miss is not None:
-                        lines.append(inner + "%s()" % miss)
-                lines += [
-                    inner + "hdr = %s(dst.value) if dst is not None else None" % g,
-                    inner + "if hdr is None:",
-                    inner + "    %s(%s)" % (a, var),
-                    inner + "    " + exitstmt,
-                    inner + "off = %s._data_offset" % var,
-                    inner + "hl = len(hdr)",
-                    inner + "if off >= hl:",
-                    inner + "    off -= hl",
-                    inner + "    %s._buf[off:off + hl] = hdr" % var,
-                    inner + "    %s._data_offset = off" % var,
-                    inner + "    %s._data_cache = None" % var,
-                    inner + "else:",
-                    inner + "    %s.push(hdr)" % var,
-                ]
-                return lines
-
-            return seg
-        return None
-
-    def _compose_segments(self, pairs, new_arg, ctx=None, opaque=None):
+    def _compose_segments(self, pairs, cx, ctx=None, opaque=None):
         """The inline body of an unmetered chain: one code segment per
-        traced (element, bound action, handler) triple — in the order
-        the actions apply to the packet — with redundant elements elided
-        and known cheap elements specialized to raw statements.  ``ctx``
-        (mutated in place) carries a guard-established contents local
-        through the segments; any segment that may invalidate it clears
-        it.  ``opaque`` collects the elements left as bound
+        traced (element, bound cold path, owner) triple — in the order
+        the actions apply to the packet — each the owner's declared
+        ``segment`` (:class:`_Emission`), or a call of the bound action
+        for an element without one.  ``ctx`` (mutated in place) is the
+        facts the segments thread; a bound call may break any of them
+        and clears it.  ``opaque`` collects the elements left as bound
         ``simple_action`` calls (see :attr:`FastPathReport.opaque_dispatch`)."""
-        from ..elements.ip import CheckIPHeader, GetIPAddress
-
         segments = []
-        prev = prev_handler = None
-        for element, action, handler in pairs:
-            if (
-                handler is GetIPAddress.simple_action
-                and element.offset == 16
-                and prev_handler is CheckIPHeader._check
-                and prev.offset == 0
-                and not getattr(element, "_fault_wrapped", False)
-                and not getattr(prev, "_fault_wrapped", False)
-            ):
-                # CheckIPHeader just set the destination annotation from
-                # these same bytes and guaranteed len(data) >= 20, so
-                # GetIPAddress(16) cannot observe anything different:
-                # classic redundant-code elimination, safe only because
-                # the chain compiler sees both elements at once.
-                self.report.elided_elements += 1
-                prev, prev_handler = element, handler
+        cx.proved = {}
+        for element, cold, owner in pairs:
+            cx.facts, cx.prior, cx.proved = ctx, cx.proved, {}
+            seg = owner.segment(element, cold, cx) if owner is not None else None
+            if seg is _ELIDED:
                 continue
-            seg = self._action_segment(element, action, handler, new_arg, ctx=ctx)
             if seg is not None:
                 self.report.specialized_actions += 1
-            elif getattr(action, "__func__", None) is not handler:
-                raise FastPathError(
-                    "%s lowers to %r, which has no segment" % (element.name, handler)
-                )
+            elif owner is not None and not isinstance(element, owner):
+                raise FastPathError("%s lowers to %s, which has no segment" % (element.name, owner.__name__))
             else:
                 if ctx:
                     ctx.clear()
                 if opaque is not None and inline_action_name(type(element)) == "simple_action":
                     opaque.append(element.name)
-                a = new_arg(action, _method_spec(action))
+                a = cx.method(cold)
 
                 def seg(var, pad, exitstmt, _a=a):
-                    return [
-                        pad + "%s = %s(%s)" % (var, _a, var),
-                        pad + "if %s is None:" % var,
-                        pad + "    " + exitstmt,
-                    ]
+                    return cx.call(_a, var, pad, exitstmt)
 
             segments.append(seg)
-            prev, prev_handler = element, handler
         return segments
 
     def _emit_push(self, lines, index, element, port_index):
@@ -2109,7 +1553,7 @@ class FastPath:
         batch_fn = None
         opaque = []
         if self.metered:
-            action_names = [self._bind(action) for _e, action, _h in pairs]
+            action_names = [self._bind(action) for _e, action, _owner in pairs]
             term_name = self._bind(terminal.push)
             meter_name = self._bind(self.router.meter.on_chain)
             prof_name = self._bind(tuple(stages))
@@ -2130,27 +1574,17 @@ class FastPath:
             lines.append("    _mc(_prof, counts)")
             lines.append("    _t(%d, packet)" % terminal_port)
         else:
-            extra_args = []
-
-            def new_arg(value, spec=None):
-                name = "_x%d" % len(extra_args)
-                extra_args.append("%s=%s" % (name, self._bind(value, spec)))
-                return name
-
+            cx = _Emission(self)
             ctx = {}
-            segments = self._compose_segments(pairs, new_arg, ctx=ctx, opaque=opaque)
-            emit_terminal = self._terminal_spec(
-                terminal, terminal_port, new_arg, frozenset({id(terminal)}), 0, ctx=ctx
+            segments = self._compose_segments(pairs, cx, ctx=ctx, opaque=opaque)
+            emit_terminal, specialized = self._push_terminal(
+                terminal, terminal_port, cx, frozenset({id(terminal)}), 0, ctx
             )
-            if emit_terminal is not None:
+            if specialized:
                 self.report.specialized_terminals += 1
             else:
                 opaque.append(terminal.name)
-                t = new_arg(terminal.push, ("attr", terminal.name, ("push",)))
-
-                def emit_terminal(var, pad, exitstmt, _t=t, _p=terminal_port):
-                    return [pad + "%s(%d, %s)" % (_t, _p, var)]
-
+            extra_args = cx.args
             lines.append("def %s(%s):" % (fn, ", ".join(["packet"] + extra_args)))
             for seg in segments:
                 lines.extend(seg("packet", "    ", "return"))
@@ -2181,7 +1615,7 @@ class FastPath:
         batch_fn = None
         opaque = []
         if self.metered:
-            action_names = [self._bind(action) for _e, action, _h in pairs]
+            action_names = [self._bind(action) for _e, action, _owner in pairs]
             term_name = self._bind(terminal.pull)
             header = ["_t=%s" % term_name] + [
                 "_a%d=%s" % (i, name) for i, name in enumerate(action_names)
@@ -2201,20 +1635,14 @@ class FastPath:
                 lines.append("        return None")
             lines.append("    return packet")
         else:
-            extra_args = []
-
-            def new_arg(value, spec=None):
-                name = "_x%d" % len(extra_args)
-                extra_args.append("%s=%s" % (name, self._bind(value, spec)))
-                return name
-
-            segments = self._compose_segments(pairs, new_arg, opaque=opaque)
-            emit_terminal = self._terminal_pull_spec(terminal, new_arg)
+            cx = _Emission(self)
+            segments = self._compose_segments(pairs, cx, opaque=opaque)
+            emit_terminal = self._terminal_segment(terminal, "pull", cx)
             if emit_terminal is not None:
                 self.report.specialized_terminals += 1
             else:
                 opaque.append(terminal.name)
-                t = new_arg(terminal.pull, ("attr", terminal.name, ("pull",)))
+                t = cx.attr(terminal, "pull")
 
                 def emit_terminal(var, pad, exitstmt, _t=t, _p=terminal_port):
                     return [
@@ -2223,6 +1651,7 @@ class FastPath:
                         pad + "    " + exitstmt,
                     ]
 
+            extra_args = cx.args
             lines.append("def %s(%s):" % (fn, ", ".join(extra_args)))
             lines.extend(emit_terminal("packet", "    ", "return None"))
             for seg in segments:

@@ -21,7 +21,7 @@ overhead.
 
 from __future__ import annotations
 
-from ..elements.element import Element, InputPort
+from ..elements.element import InputPort
 from . import cost
 
 
@@ -45,12 +45,9 @@ class BranchTargetBuffer:
 
 
 def uses_simple_action(element):
-    """True if the element class relies on the shared simple_action
-    dispatch: it overrides neither push nor pull, so packets pass
-    through the one Element::push/pull body shared by every
-    simple_action class."""
-    cls = type(element)
-    return cls.push is Element.push and cls.pull is Element.pull
+    """True if the element's class relies on the shared simple_action
+    dispatch (:meth:`Element.uses_simple_action`)."""
+    return type(element).uses_simple_action()
 
 
 class CategoryTotals:

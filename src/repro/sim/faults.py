@@ -360,6 +360,8 @@ def _entry_attr(element):
     action = getattr(cls, "fast_action", None)
     if action:
         return action
+    # Push alone decides, not Element.uses_simple_action: an element
+    # that overrides only pull still enters pushed packets there.
     if cls.push is Element.push:
         return "simple_action"
     return "push"
