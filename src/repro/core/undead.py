@@ -50,6 +50,22 @@ TRANSPARENT_CLASSES = {
 }
 
 
+def _stock_classes(graph):
+    """``{element name: the stock class name it runs as}``, each class
+    resolved the way the router build resolves it: a generated class
+    (``Devirtualize@@PollDevice@2``) stands for the registered class it
+    specializes.  An unresolved declaration keeps its declared name."""
+    from ..elements.registry import ELEMENT_CLASSES
+    from ..elements.runtime import declared_classes
+
+    stock = {name: decl.class_name for name, decl in graph.elements.items()}
+    for decl, cls in declared_classes(graph):
+        registered = [k for k in cls.__mro__ if ELEMENT_CLASSES.get(getattr(k, "class_name", None)) is k]
+        if registered:
+            stock[decl.name] = registered[0].class_name
+    return stock
+
+
 def _is_info_element(graph, name, specs):
     spec = specs.get(graph.elements[name].class_name)
     if spec is None:
@@ -80,12 +96,8 @@ def _collapse_static_switches(graph):
     return changed
 
 
-def _remove_unreachable(graph, specs):
-    roots = [
-        decl.name
-        for decl in graph.elements.values()
-        if decl.class_name in SOURCE_CLASSES
-    ]
+def _remove_unreachable(graph, specs, stock):
+    roots = [name for name in graph.elements if stock[name] in SOURCE_CLASSES]
     live = forward_reachable(graph, roots)
     removed = False
     for name in list(graph.elements):
@@ -101,7 +113,7 @@ def _remove_unreachable(graph, specs):
     return removed
 
 
-def _remove_dead_sinks(graph, specs):
+def _remove_dead_sinks(graph, stock):
     """Remove transparent chains that feed only pure sinks."""
     removed = False
     changed = True
@@ -111,21 +123,18 @@ def _remove_dead_sinks(graph, specs):
             name = decl.name
             if name not in graph.elements:
                 continue
-            if decl.class_name in PURE_SINK_CLASSES:
+            if stock[name] in PURE_SINK_CLASSES:
                 # A sink with no inputs at all is dead.
                 if not graph.connections_to(name):
                     graph.remove_element(name)
                     removed = changed = True
                 continue
-            if decl.class_name not in TRANSPARENT_CLASSES:
+            if stock[name] not in TRANSPARENT_CLASSES:
                 continue
             outgoing = graph.connections_from(name)
             if not outgoing:
                 continue
-            if all(
-                graph.elements[c.to_element].class_name in PURE_SINK_CLASSES
-                for c in outgoing
-            ):
+            if all(stock[c.to_element] in PURE_SINK_CLASSES for c in outgoing):
                 # Everything this element forwards is discarded; route
                 # its inputs straight to a sink by deleting it (its
                 # upstream's packets die one hop earlier).
@@ -148,10 +157,11 @@ def undead(graph):
     """The tool."""
     result = flatten(graph) if graph.element_classes else graph.copy()
     specs = tool_specs(result)
+    stock = _stock_classes(result)
     changed = True
     while changed:
         changed = False
         changed |= _collapse_static_switches(result)
-        changed |= _remove_unreachable(result, specs)
-        changed |= _remove_dead_sinks(result, specs)
+        changed |= _remove_unreachable(result, specs, stock)
+        changed |= _remove_dead_sinks(result, stock)
     return result

@@ -19,6 +19,55 @@ from .registry import register
 CLASSIFIER_CLASS_NAMES = ("Classifier", "IPClassifier", "IPFilter")
 
 
+def _guard_test(conds, data):
+    """Guard condition tuples (see
+    :meth:`~repro.runtime.fastpath.ChainPolicy.hot_arm`) as one boolean
+    expression over the local ``data`` holding the packet contents."""
+    parts = []
+    for cond in conds:
+        kind = cond[0]
+        if kind == "len":
+            parts.append("len(%s) >= %d" % (data, cond[1]))
+        elif kind == "slice":
+            _, start, end, value, equal = cond
+            parts.append("%s[%d:%d] %s %r" % (data, start, end, "==" if equal else "!=", value))
+        elif kind == "masked":
+            _, offset, width, mask, value, equal = cond
+            parts.append(
+                "(int.from_bytes(%s[%d:%d], 'big') & 0x%x) %s 0x%x"
+                % (data, offset, offset + width, mask, "==" if equal else "!=", value)
+            )
+        else:
+            raise ValueError("unknown guard condition %r" % (cond,))
+    return " and ".join(parts)
+
+
+def _classifier_dispatch(element, cx, match):
+    """How a classifier's output port is decided, declared to the chain
+    compiler (``cx.dispatch``): ``match(data)`` on the contents, a drop
+    for no answer or one past the outputs, the rest through a plain jump
+    table; the tree is what a diagram expands.  A speculated answer is
+    guarded by conditions over the contents that imply it, and their
+    length condition lets the hot arm's segments assume a minimum
+    contents length (bounds checks drop out)."""
+    c, jt = cx.element(element), cx.jump_table(element, "plain")
+
+    def select(var, pad, note):
+        lines = [pad + "out = %s" % match("data")]
+        return lines + ([pad + "%s(out, data)" % note] if note else []), pad
+
+    def speculate(guard, arm):
+        conds, out = guard
+        least = max([cond[1] for cond in conds if cond[0] == "len"] or [0])
+        body = arm(out, {"data": "data", "min_len": least})
+        return (_guard_test(conds, "data"), body) if body is not None else None
+
+    return cx.dispatch(
+        element, "classifier", select, "%s.drops += 1" % c, jt, "plain", speculate,
+        load=lambda var, pad: cx.contents(var, pad, "data"), tree=element.tree, match=match,
+    )
+
+
 class _TreeClassifier(Element):
     """Shared dispatch for the tree-walking classifier elements."""
 
@@ -113,6 +162,13 @@ class _TreeClassifier(Element):
             return
         self.output(output).push(packet)
 
+    def segment(self, cold, cx):
+        """``push`` through the one-slot matcher cell: a control-plane
+        rule patch swaps the function under compiled chains without
+        recompiling them (one extra subscript per packet)."""
+        m = cx.bind(self.matcher_cell(), ("cell", self.name))
+        return _classifier_dispatch(self, cx, lambda data: "%s[0](%s)" % (m, data))
+
 
 @register
 class Classifier(_TreeClassifier):
@@ -178,6 +234,15 @@ class FastClassifierBase(Element):
             self.drops += 1
             return
         self.output(output).push(packet)
+
+    def segment(self, cold, cx):
+        """``push`` through the generated match function itself: the
+        tree is baked in at class level and a rule change arrives as a
+        new class.  A :class:`CompiledClassifier`'s raw function is
+        bound, not the wrapper, whose ``__call__`` adds a frame."""
+        wrapped = isinstance(self.compiled, CompiledClassifier)
+        m = cx.attr(self, *(("compiled", "_function") if wrapped else ("compiled",)))
+        return _classifier_dispatch(self, cx, lambda data: "%s(%s)" % (m, data))
 
 
 def make_fast_classifier_class(class_name, tree):

@@ -13,6 +13,9 @@ from ..net.addresses import IPAddress, parse_ip_prefix
 from .element import ConfigError, Element
 from .registry import register
 
+_MISS = object()
+"""Sentinel distinguishing a route-memo miss from a memoized no-route."""
+
 
 def _parse_route(arg):
     """``"addr/mask [gw] port"`` → (network, mask, gateway|None, port)."""
@@ -101,6 +104,75 @@ class _IPRouteTable(Element):
         if gateway is not None:
             packet.set_dest_ip_anno(gateway)
         self.checked_push(out_port, packet)
+
+    def segment(self, cold, cx):
+        """``push`` declared to the chain compiler (``cx.dispatch``):
+        ``lookup_route`` on the destination, a drop for none or no
+        route, the gateway into the annotation, and a checked jump table
+        (``checked_push`` discards an unwired port silently).
+
+        Consumes ``dst_raw``: with CheckIPHeader's raw destination live
+        in a local, the lookup and any speculation read the integer and
+        skip the annotation and its None test.  The arms keep the other
+        facts (the lookup reads annotations only) but not ``dst_raw``,
+        which a gateway makes stale.  LookupIPRoute's memo dict is
+        created once and cleared in place, so while ``lookup_route`` is
+        LookupIPRoute's its ``get`` is bound: the common case is one
+        dict probe, and only a miss takes the memoizing lookup."""
+        facts = cx.facts
+        raw = facts.get("dst_raw") if facts else None
+        key, arg = (raw, raw) if raw else ("dst.value", "dst")
+        lk, e = cx.attr(self, "lookup_route"), cx.element(self)
+        jt = cx.jump_table(self, "checked")
+        probe = None
+        if type(self).lookup_route is LookupIPRoute.lookup_route:
+            probe = cx.attr(self, "_memo", "get"), cx.bind(_MISS, ("value", _MISS))
+        drop = "%s.no_route_drops += 1" % e
+        arm_facts = {k: v for k, v in facts.items() if k != "dst_raw"} if facts else None
+
+        def select(var, pad, note):
+            lines = [pad + "%s(%s)" % (note, key)] if note else []
+            if probe:
+                get, miss = probe
+                lines += [
+                    pad + "route = %s(%s, %s)" % (get, key, miss),
+                    pad + "if route is %s:" % miss,
+                    pad + "    route = %s(%s)" % (lk, arg),
+                ]
+            else:
+                lines.append(pad + "route = %s(%s)" % (lk, arg))
+            return lines + [
+                pad + "if route is None:",
+                pad + "    " + drop,
+                pad + "else:",
+                pad + "    gateway = route[0]",
+                pad + "    if gateway is not None:",
+                pad + "        %s.set_dest_ip_anno(gateway)" % var,
+                pad + "    out = route[1]",
+            ], pad + "    "
+
+        def speculate(constant, arm):
+            # Without the raw local the destination is compared by
+            # identity: CheckIPHeader interns annotations, so the hot
+            # flow's packets all carry this object, and any other object
+            # simply takes the lookup — never wrong, only slow.
+            hot_raw, gateway, port = constant
+            body = arm(port, arm_facts)
+            if body is None or not 0 <= port < len(self._output_ports):
+                return None
+            test = "%s == %d" % (raw, hot_raw) if raw else "dst is %s" % cx.ip(hot_raw)
+            if gateway is None:
+                return test, body
+            gw = cx.ip(gateway)
+            return test, lambda var, pad, exitstmt: (
+                [pad + "%s.dest_ip_anno = %s" % (var, gw)] + body(var, pad, exitstmt)
+            )
+
+        return cx.dispatch(
+            self, "route", select, drop, jt, "checked", speculate,
+            load=None if raw else lambda var, pad: [pad + "dst = %s.dest_ip_anno" % var],
+            unset=None if raw else "dst is None", facts=arm_facts,
+        )
 
 
 @register

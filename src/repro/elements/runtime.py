@@ -48,6 +48,19 @@ def compile_archive_classes(archive):
     return classes
 
 
+def declared_classes(graph):
+    """``(declaration, element class)`` for every declaration whose
+    class resolves, generated classes included: the optimizers rename
+    classes (``Devirtualize@@q`` is a Queue), so a declared class name
+    says nothing until it is looked up the way the router build looks
+    it up — the graph's archive first, then the registry."""
+    generated = compile_archive_classes(graph.archive)
+    for decl in graph.elements.values():
+        cls = generated.get(decl.class_name) or ELEMENT_CLASSES.get(decl.class_name)
+        if cls is not None:
+            yield decl, cls
+
+
 class Router:
     """A running router built from a configuration graph."""
 

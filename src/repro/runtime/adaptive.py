@@ -303,7 +303,7 @@ def _classifier_decision(element, counts, config, exemplars=None):
         prune = frozenset(i for i in range(nports) if port_counts[i] == 0)
     if order == list(range(nports)) and guard is None and not prune:
         return None
-    return {"order": tuple(order), "guard": guard, "prune": prune, "total": total}
+    return {"order": tuple(order), "hot": guard, "prune": prune, "total": total}
 
 
 def _route_decision(element, counts, config):
@@ -336,7 +336,7 @@ def _route_decision(element, counts, config):
         prune = frozenset(i for i in range(nports) if not port_counts.get(i, 0))
     if order == list(range(nports)) and constant is None and not prune:
         return None
-    return {"order": tuple(order), "constant": constant, "prune": prune, "total": total}
+    return {"order": tuple(order), "hot": constant, "prune": prune, "total": total}
 
 
 def _arp_downstream(element, port_index):
@@ -387,11 +387,11 @@ class Decisions:
         self.check_ip_hot = check_ip_hot
         canonical = (
             sorted(
-                (name, d["order"], d["guard"], tuple(sorted(d["prune"])))
+                (name, d["order"], d["hot"], tuple(sorted(d["prune"])))
                 for name, d in classifier.items()
             ),
             sorted(
-                (name, d["order"], d["constant"], tuple(sorted(d["prune"])))
+                (name, d["order"], d["hot"], tuple(sorted(d["prune"])))
                 for name, d in route.items()
             ),
             sorted(arp.items()),
@@ -408,7 +408,7 @@ class Decisions:
             "classifier": {
                 name: {
                     "order": list(d["order"]),
-                    "guard_out": d["guard"][1] if d["guard"] else None,
+                    "guard_out": d["hot"][1] if d["hot"] else None,
                     "pruned": sorted(d["prune"]),
                     "total": d["total"],
                 }
@@ -417,7 +417,7 @@ class Decisions:
             "route": {
                 name: {
                     "order": list(d["order"]),
-                    "constant": list(d["constant"]) if d["constant"] else None,
+                    "constant": list(d["hot"]) if d["hot"] else None,
                     "pruned": sorted(d["prune"]),
                     "total": d["total"],
                 }
@@ -454,11 +454,11 @@ def build_decisions(router, store, config):
         decision = _route_decision(element, counts, config)
         if decision is not None:
             route[name] = decision
-            if decision["constant"] is not None and decision["total"] > busiest[0]:
-                busiest = (decision["total"], decision["constant"][0])
+            if decision["hot"] is not None and decision["total"] > busiest[0]:
+                busiest = (decision["total"], decision["hot"][0])
     arp = {}
     for name, decision in route.items():
-        constant = decision["constant"]
+        constant = decision["hot"]
         if constant is None:
             continue
         raw, gateway_value, port = constant

@@ -25,13 +25,9 @@ Recipes (recorded by :meth:`FastPath._bind`) are small tuples:
 ``("attr", name, (a, b, ...))``
     a ``getattr`` chain off the element (bound methods, deques, sets)
 ``("value", v)``
-    an immutable literal carried in the recipe
+    an immutable literal (or a module's sentinel) carried in the recipe
 ``("const", key)``
-    a module-level singleton (the route-miss sentinel, the dest-IP
-    intern cache probe)
-``("matcher", name)``
-    the compiled classifier match function for the element's tree
-    (generated fast-classifier classes, whose tree is class-baked)
+    a module-level singleton (the dest-IP intern cache probe)
 ``("cell", name)``
     the element's one-slot matcher cell (``matcher_cell()``) — bound
     for live-patchable classifiers so a control-plane rule update swaps
@@ -64,7 +60,6 @@ import threading
 from collections import OrderedDict
 
 from ..net.packet import _DEST_IP_CACHE, _intern_dest_ip
-from .fastpath import _MISS, _classifier_matcher
 
 __all__ = ["CacheEntry", "CodegenCache", "default_cache"]
 
@@ -82,13 +77,9 @@ def _resolve_spec(spec, fastpath, tables):
     if kind == "value":
         return spec[1]
     if kind == "const":
-        if spec[1] == "MISS":
-            return _MISS
         if spec[1] == "DEST_IP_GET":
             return _DEST_IP_CACHE.get
         raise KeyError("unknown const recipe %r" % (spec[1],))
-    if kind == "matcher":
-        return _classifier_matcher(router.elements[spec[1]])
     if kind == "cell":
         return router.elements[spec[1]].matcher_cell()
     if kind == "ip":

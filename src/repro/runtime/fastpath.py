@@ -60,7 +60,7 @@ import itertools
 import time
 import types
 
-from ..classifier.compile import become, compiled_function_for, is_pending, pending_function
+from ..classifier.compile import become, is_pending, pending_function
 from ..net.packet import _intern_dest_ip
 
 __all__ = [
@@ -191,18 +191,20 @@ class ChainPolicy:
         decision = self._decision_for(element)
         return decision is None or port_index not in decision["prune"]
 
-    def classifier_guard(self, element):
-        """``(conds, hot_out)`` to guard-test the hottest leaf before
-        running the matcher, or None.  ``conds`` are rendering tuples:
-        ``("len", n)``, ``("slice", start, end, bytes, equal)``, or
-        ``("masked", offset, width, mask, value, equal)`` — their
-        conjunction must *imply* the matcher returns ``hot_out``.  A
-        classifier with a plan has none: its diagram already puts the
-        hot path first without the redundant pre-test."""
-        if self.decisions is None or self.classifier_diagram(element) is not None:
+    def hot_arm(self, element, site):
+        """What to speculate at a ``site`` dispatch (``"classifier"`` or
+        ``"route"``, see :meth:`_Emission.dispatch`), for the element's
+        declaration to guard, or None.  At a classifier, ``(conds,
+        hot_out)``: ``conds`` are rendering tuples — ``("len", n)``,
+        ``("slice", start, end, bytes, equal)`` or ``("masked", offset,
+        width, mask, value, equal)`` — whose conjunction must *imply*
+        the matcher returns ``hot_out``.  At a route table,
+        ``(raw_dst, gateway_value_or_None, out_port)``: the hottest
+        destination and what the lookup answers for it."""
+        if self.decisions is None:
             return None
-        decision = self.decisions.classifier.get(element.name)
-        return decision["guard"] if decision else None
+        decision = getattr(self.decisions, site).get(element.name)
+        return decision["hot"] if decision else None
 
     def classifier_diagram(self, element):
         """A prebuilt :class:`repro.runtime.fdd.DiagramPlan` to emit in
@@ -212,14 +214,6 @@ class ChainPolicy:
         most once per root-to-leaf path), so every arm — not just a
         guarded hot one — dispatches without calling the matcher."""
         return self.plans.get(element.name) if self.plans else None
-
-    def route_constant(self, element):
-        """``(raw_dst, gateway_value_or_None, out_port)`` to speculate
-        the hottest destination through an identity guard, or None."""
-        if self.decisions is None:
-            return None
-        decision = self.decisions.route.get(element.name)
-        return decision["constant"] if decision else None
 
     def arp_constant(self, element):
         """``(raw_dst, header_bytes, epoch)`` to inline a resolved ARP
@@ -233,13 +227,11 @@ class ChainPolicy:
         probe in the CheckIPHeader segment, or None."""
         return self.decisions.check_ip_hot if self.decisions is not None else None
 
-    def classifier_note(self, element):
-        """Token for a per-packet ``note(out)`` profiling hook, or None."""
-        return ("cls", element.name) if self.profiling else None
-
-    def route_note(self, element):
-        """Token for a per-packet ``note(raw_dst)`` hook, or None."""
-        return ("route", element.name) if self.profiling else None
+    def note(self, element, site):
+        """Token for a per-packet profiling hook at a ``site`` dispatch,
+        or None: ``note(out, data)`` at a classifier, ``note(raw_dst)``
+        at a route table."""
+        return (site, element.name) if self.profiling else None
 
     def guard_counter(self, element, site):
         """Token for a zero-argument guard-miss callback emitted on the
@@ -251,17 +243,11 @@ class ChainPolicy:
     def resolve(self, token, router):
         """The live object behind a token this policy issued."""
         kind = token[0]
-        if kind == "cls" and self.profiling:
-            return self.store.classifier_note(token[1])
-        if kind == "route" and self.profiling:
-            return self.store.route_note(token[1])
+        if kind in ("classifier", "route") and self.profiling:
+            return getattr(self.store, kind + "_note")(token[1])
         if kind == "guard" and self.engine is not None:
             return self.engine.guard_counter_for(token)
         raise KeyError(token)
-
-
-_MISS = object()
-"""Sentinel distinguishing a route-memo miss from a memoized no-route."""
 
 
 class FastOutputPort:
@@ -692,21 +678,6 @@ def compile_chain(lines, offset, filename="<fastpath>"):
     return _shift_lines(compile("\n".join(lines), filename, "exec"), offset)
 
 
-def _classifier_matcher(element):
-    """The raw compiled match function for a classifier terminal — the
-    archive class's prebuilt one, or the decision tree compiled with the
-    classifier optimizer's own generator (memoized by tree signature)."""
-    from ..elements.classifiers import FastClassifierBase
-
-    if isinstance(element, FastClassifierBase):
-        matcher = element.compiled
-    else:
-        return compiled_function_for(element.tree)
-    # Bind the raw generated function, not the CompiledClassifier
-    # wrapper — __call__ would add a frame per packet.
-    return getattr(matcher, "_function", matcher)
-
-
 def _method_spec(bound):
     """A replayable recipe for a bound element method, or None when the
     callable cannot be re-resolved by name against a fresh router."""
@@ -720,39 +691,14 @@ def _method_spec(bound):
     return ("attr", name, (fn.__name__,))
 
 
-def _render_guard(conds, data_var):
-    """Render classifier-guard condition tuples (see
-    :meth:`ChainPolicy.classifier_guard`) into one boolean expression
-    over the local holding the packet contents."""
-    parts = []
-    for cond in conds:
-        kind = cond[0]
-        if kind == "len":
-            parts.append("len(%s) >= %d" % (data_var, cond[1]))
-        elif kind == "slice":
-            _, start, end, value, equal = cond
-            parts.append(
-                "%s[%d:%d] %s %r" % (data_var, start, end, "==" if equal else "!=", value)
-            )
-        elif kind == "masked":
-            _, offset, width, mask, value, equal = cond
-            parts.append(
-                "(int.from_bytes(%s[%d:%d], 'big') & 0x%x) %s 0x%x"
-                % (data_var, offset, offset + width, mask, "==" if equal else "!=", value)
-            )
-        else:
-            raise FastPathError("unknown guard condition %r" % (cond,))
-    return " and ".join(parts)
-
-
 #: What :meth:`_Emission.elide` hands back: the stage is dropped.
 _ELIDED = object()
 
 
 class _Emission:
     """What one chain's code is emitted with: the ``cx`` an element's
-    ``segment(self, cold, cx)`` declaration and the compiler's terminal
-    emitters take.  A segment returns an emitter ``emit(var, pad,
+    ``segment(self, cold, cx)`` declaration takes.  A segment returns an
+    emitter ``emit(var, pad,
     exitstmt) -> lines`` for the packet in local ``var``, leaving on
     ``exitstmt`` when it drops it; ``cold`` is the bound method it
     calls for the rare cases.  It may return None (no inline code for
@@ -774,15 +720,19 @@ class _Emission:
       ``proved``.
     - ``policy`` is the compile's :class:`ChainPolicy`; ``fresh()``
       names a new local; ``count(field)`` bumps a report counter.
+    - A branching terminal's ``push`` segment returns :meth:`dispatch`:
+      it declares how the output port is decided, and the compiler
+      decides what becomes of the arms.
     """
 
-    __slots__ = ("fastpath", "policy", "args", "facts", "prior", "proved")
+    __slots__ = ("fastpath", "policy", "args", "facts", "prior", "proved", "fusion")
 
     def __init__(self, fastpath):
         self.fastpath, self.policy = fastpath, fastpath.policy
         self.args = []  # the def's "_xN=_bM" default arguments
         self.facts = None
         self.prior = self.proved = {}
+        self.fusion = None  # (expanded terminal ids, depth) at the terminal being emitted
 
     def bind(self, value, spec=None):
         name = "_x%d" % len(self.args)
@@ -827,6 +777,150 @@ class _Emission:
         """Drop the stage: the facts prove it does nothing."""
         self.count("elided_elements")
         return _ELIDED
+
+    def dispatch(self, element, site, select, drop, table, mode, speculate, load=None,
+                 unset=None, facts=None, tree=None, match=None):
+        """The emitter for a branching terminal: ``element`` declares
+        how its output port is decided, after binding what that reads.
+
+        - ``site``: ``"classifier"`` or ``"route"``, the policy's name
+          for the dispatch (its notes, speculations, miss counters).
+        - ``load(var, pad)``: lines that run first, or None.
+        - ``unset``: a test that sends the packet to ``drop`` before
+          anything is selected, or None.
+        - ``select(var, pad, note) -> (lines, pad)``: the lines that set
+          ``out`` and the indentation the arms follow at; ``note`` is
+          the bound profiling hook to call there, or None.
+        - ``drop``: the statement that counts a dropped packet.
+        - ``table``: what ``jump_table(element, mode)`` bound.  A
+          ``"plain"`` dispatch drops an ``out`` that is None or past the
+          outputs; a ``"checked"`` one calls only a wired output.
+        - ``speculate(hot, arm) -> (test, body)`` or None: the guard for
+          the policy's :meth:`~ChainPolicy.hot_arm`; ``arm(port,
+          facts)`` is the fused body of that arm, or None.
+        - ``facts``: what the arms may assume, or None.
+        - ``tree`` and ``match(data)``: a classifier's decision tree and
+          its matcher over a contents local (``load`` fills ``data``).
+
+        The policy's transformations: **diagram expansion** (a tree
+        with a plan inlines the plan's byte tests with the arms at its
+        leaves, and ``match`` runs under the plan's length gate, whose
+        zero-padding the in-bounds tests cannot reproduce), **branch
+        order and arm pruning** (a pruned arm stays reachable through
+        the table), **dispatch fusion** (an arm whose chain compiles in
+        line is an ``if out == i:`` body, not a table call, so the
+        forwarding path runs from device to Queue in one frame), the
+        **hot-arm guard** (the speculated arm runs first, a miss counter
+        on the cold side) and the **profiling note**."""
+        fastpath, policy, incoming = self.fastpath, self.policy, self.facts
+        stack, depth = self.fusion
+        nports = len(element._output_ports)
+
+        def arm(port, arm_facts):
+            return fastpath._inline_push_body(
+                element, port, self, stack, depth + 1, ctx=dict(arm_facts) if arm_facts else None
+            )
+
+        def tail(var, pad, kw):
+            head = []
+            if mode == "checked":
+                call = ["hop = %s[out] if 0 <= out < %d else None" % (table, nports),
+                        "if hop is not None:", "    hop(%s)" % var]
+            else:
+                head = [pad + "%s out is None or out >= %d:" % (kw, nports), pad + "    " + drop]
+                kw, call = "elif", ["%s[out](%s)" % (table, var)]
+            if kw == "elif":
+                head.append(pad + "else:")
+                pad += "    "
+            return head + [pad + line for line in call]
+
+        plan = policy.classifier_diagram(element) if tree is not None else None
+        if plan is not None:
+            data = incoming.get("data") if incoming else None
+            least = int(incoming.get("min_len", 0)) if data else 0
+            leaf_facts = dict(incoming) if data else {}
+            leaf_facts["data"], leaf_facts["min_len"] = data or "data", max(least, plan.gate)
+            # Leaf bodies are bounded per output, so a tree labelling
+            # many leaves with one port does not replicate its chain.
+            bodies, per_out, pruned = {}, {}, set()
+            for leaf_id, out in plan.leaves():
+                if out is None or not 0 <= out < nports:
+                    continue
+                if not policy.should_fuse(element, out):
+                    if out not in pruned:
+                        pruned.add(out)
+                        self.count("pruned_arms")
+                elif per_out.get(out, 0) < 2:
+                    body = arm(out, leaf_facts)
+                    if body is not None:
+                        per_out[out] = per_out.get(out, 0) + 1
+                        bodies[leaf_id] = body
+            report = fastpath.report
+            report.fdd_diagrams += 1
+            report.fdd_nodes += plan.nodes
+            report.fdd_paths += plan.paths
+            report.fdd_tests_saved += plan.loads_saved
+            dvar, gate = leaf_facts["data"], plan.gate
+
+            def emit(var, pad, exitstmt):
+                def leaf(leaf_id, out, lpad):
+                    if out is None or out >= nports:
+                        return [lpad + drop]
+                    body = bodies.get(leaf_id)
+                    return body(var, lpad, exitstmt) if body else [lpad + "%s[%d](%s)" % (table, out, var)]
+
+                lines = load(var, pad) if data is None else []
+                if gate and least < gate:
+                    lines.append(pad + "if len(%s) >= %d:" % (dvar, gate))
+                    lines += plan.emit(dvar, pad + "    ", leaf)
+                    lines += [pad + "else:", pad + "    out = %s" % match(dvar)]
+                    return lines + tail(var, pad + "    ", "if")
+                return lines + plan.emit(dvar, pad, leaf)
+
+            return emit
+        order = list(policy.branch_order(element, nports))
+        bodies = {}
+        for i in order:
+            if policy.should_fuse(element, i):
+                bodies[i] = arm(i, facts)
+            else:
+                self.count("pruned_arms")
+        hot = policy.hot_arm(element, site)
+        if hot is not None:
+            hot = speculate(hot, arm)
+            if hot is not None:
+                self.count("guarded_branches")
+        note = policy.note(element, site)
+        note = self.bind_policy(note) if note is not None else None
+        miss = policy.guard_counter(element, site) if hot is not None else None
+        miss = self.bind_policy(miss) if miss is not None else None
+
+        def emit(var, pad, exitstmt):
+            lines, kw = load(var, pad) if load else [], "if"
+            if hot is not None:
+                test, body = hot
+                lines.append(pad + "if %s:" % test)
+                lines += body(var, pad + "    ", exitstmt)
+                kw = "elif"
+            if unset is not None:
+                lines += [pad + "%s %s:" % (kw, unset), pad + "    " + drop]
+                kw = "elif"
+            if kw == "elif":
+                lines.append(pad + "else:")
+                pad += "    "
+            if miss is not None:
+                lines.append(pad + "%s()" % miss)
+            selected, pad = select(var, pad, note)
+            lines += selected
+            kw = "if"
+            for i in order:
+                if bodies.get(i) is not None:
+                    lines.append(pad + "%s out == %d:" % (kw, i))
+                    lines += bodies[i](var, pad + "    ", exitstmt)
+                    kw = "elif"
+            return lines + tail(var, pad, kw)
+
+        return emit
 
     @staticmethod
     def call(name, var, pad, exitstmt):
@@ -1059,301 +1153,6 @@ class FastPath:
         self._jump_tables.append((table, terminal, mode))
         return table, len(self._jump_tables) - 1
 
-    def _terminal_spec(self, terminal, terminal_port, cx, stack=None, depth=0, ctx=None):
-        """Specialized dispatch for a chain's terminal element (unmetered
-        chains only): a classifier terminal becomes its compiled matcher
-        plus a jump table straight into the per-output chains; a
-        route-table terminal inlines the lookup / gateway annotation /
-        bounds-checked dispatch; any other runs the segment its element
-        declares for ``push`` (:meth:`_terminal_segment`).  Returns a
-        line emitter or None when the terminal must be called through
-        its own bound ``push``.  The specialized pushes ignore their
-        input-port argument, so any entry port may specialize.
-
-        The jump tables are bound now as empty lists and filled after
-        ``exec`` (the per-output chain functions do not exist yet while
-        this chain is being emitted).
-
-        ``stack`` (expanded terminal ids) and ``depth`` drive *dispatch
-        fusion*: each branch target whose chain can itself be compiled
-        in line is emitted as an ``if out == i:`` body instead of a
-        jump-table call, so the common forwarding path runs from device
-        to Queue in a single stack frame.  Targets that cannot be fused
-        (cycles, depth limit, unknown terminals) still dispatch through
-        the table.
-
-        ``ctx`` carries upstream-established facts (see
-        :class:`_Emission`) into the terminal: a classifier
-        diagram reuses the live contents local, and a route-table
-        terminal downstream of CheckIPHeader looks the route up from
-        the raw destination integer without touching the annotation.
-        """
-        if self.metered:
-            return None
-        if getattr(terminal, "_fault_wrapped", False):
-            # A fault-injection wrapper lives on the *instance*; the
-            # class-identity specializations below would bypass it.
-            # Fall back to the bound push, which binds the wrapper.
-            return None
-        if stack is None:
-            stack = frozenset()
-        from ..elements.classifiers import FastClassifierBase, _TreeClassifier
-        from ..elements.routing import LookupIPRoute, _IPRouteTable
-
-        policy = self.policy
-        cls = type(terminal)
-        if cls.push is _TreeClassifier.push or cls.push is FastClassifierBase.push:
-            plan = policy.classifier_diagram(terminal)
-            if plan is not None:
-                return self._emit_classifier_diagram(terminal, plan, cx, stack, depth, ctx)
-            if cls.push is FastClassifierBase.push:
-                # Generated classes bake the tree at class level; a rule
-                # change arrives as a new class (structural), so the raw
-                # matcher function can be bound directly.
-                m = cx.bind(_classifier_matcher(terminal), ("matcher", terminal.name))
-                match_expr = "%s(data)" % m
-            else:
-                # Live-patchable rules: bind the element's one-slot
-                # matcher cell, so a control-plane rule patch swaps the
-                # function under this chain without recompiling it (one
-                # extra subscript per packet, amortized by the probe).
-                m = cx.bind(terminal.matcher_cell(), ("cell", terminal.name))
-                match_expr = "%s[0](data)" % m
-            c = cx.element(terminal)
-            jt = cx.jump_table(terminal, "plain")
-            noutputs = terminal.noutputs
-            nports = len(terminal._output_ports)
-            order = [i for i in policy.branch_order(terminal, nports)]
-            bodies = {}
-            for i in order:
-                if policy.should_fuse(terminal, i):
-                    bodies[i] = self._inline_push_body(terminal, i, cx, stack, depth + 1)
-                else:
-                    bodies[i] = None
-                    cx.count("pruned_arms")
-            guard = policy.classifier_guard(terminal)
-            hot_body = None
-            if guard is not None:
-                conds, hot_out = guard
-                # The guard pays only when the hot arm runs in line; its
-                # length condition also lets the arm's segments assume a
-                # minimum contents length (bounds checks drop out).
-                min_len = max([c[1] for c in conds if c[0] == "len"] or [0])
-                hot_body = self._inline_push_body(
-                    terminal, hot_out, cx, stack, depth + 1, ctx={"data": "data", "min_len": min_len}
-                )
-                if hot_body is None:
-                    guard = None
-                else:
-                    cx.count("guarded_branches")
-            note = policy.classifier_note(terminal)
-            note_name = cx.bind_policy(note) if note is not None else None
-            miss = None
-            if guard is not None:
-                miss_token = policy.guard_counter(terminal, "classifier")
-                if miss_token is not None:
-                    miss = cx.bind_policy(miss_token)
-
-            def emit(var, pad, exitstmt):
-                lines = cx.contents(var, pad, "data")
-                inner = pad
-                if guard is not None:
-                    lines.append(pad + "if %s:" % _render_guard(guard[0], "data"))
-                    lines.extend(hot_body(var, pad + "    ", exitstmt))
-                    lines.append(pad + "else:")
-                    inner = pad + "    "
-                    if miss is not None:
-                        lines.append(inner + "%s()" % miss)
-                lines.append(inner + "out = %s" % match_expr)
-                if note_name is not None:
-                    lines.append(inner + "%s(out, data)" % note_name)
-                kw = "if"
-                for i in order:
-                    body = bodies[i]
-                    if body is None:
-                        continue
-                    lines.append(inner + "%s out == %d:" % (kw, i))
-                    lines.extend(body(var, inner + "    ", exitstmt))
-                    kw = "elif"
-                lines += [
-                    inner + "%s out is None or out >= %d:" % (kw, noutputs),
-                    inner + "    %s.drops += 1" % c,
-                    inner + "else:",
-                    inner + "    %s[out](%s)" % (jt, var),
-                ]
-                return lines
-
-            return emit
-        if cls.push is _IPRouteTable.push:
-            lk = cx.attr(terminal, "lookup_route")
-            e = cx.element(terminal)
-            jt = cx.jump_table(terminal, "checked")
-            nports = len(terminal._output_ports)
-            rm = ms = None
-            if cls.lookup_route is LookupIPRoute.lookup_route:
-                # The memo dict is created once at configure time and the
-                # route table never changes afterwards, so its .get can
-                # be bound directly: the common case becomes one dict
-                # probe, and only misses take the memoizing full lookup.
-                rm = cx.attr(terminal, "_memo", "get")
-                ms = cx.bind(_MISS, ("const", "MISS"))
-            raw_dst = None
-            arm_facts = None
-            if ctx:
-                # Contents facts survive the route dispatch (it reads
-                # annotations only), but the raw-destination local stops
-                # describing the arm's packets once a gateway may
-                # overwrite the annotation — drop it from the arm view.
-                raw_dst = ctx.get("dst_raw")
-                arm_facts = {k: v for k, v in ctx.items() if k != "dst_raw"}
-            order = [i for i in policy.branch_order(terminal, nports)]
-            bodies = {}
-            for i in order:
-                if policy.should_fuse(terminal, i):
-                    bodies[i] = self._inline_push_body(
-                        terminal, i, cx, stack, depth + 1, ctx=dict(arm_facts) if arm_facts else None
-                    )
-                else:
-                    bodies[i] = None
-                    cx.count("pruned_arms")
-            constant = policy.route_constant(terminal)
-            hot = None
-            if constant is not None:
-                raw, gw_value, hot_port = constant
-                # The speculated destination is compared by identity:
-                # CheckIPHeader interns annotations through the shared
-                # dest-IP cache, so the hot flow's packets all carry this
-                # object.  A different object (same value or not) simply
-                # takes the generic lookup below — never wrong, only slow.
-                # With a live raw-destination local the guard compares
-                # the integer instead (the lookup depends only on the
-                # value, so value equality is just as sound and hits
-                # even for un-interned annotations).
-                hot_body = self._inline_push_body(
-                    terminal, hot_port, cx, stack, depth + 1, ctx=dict(arm_facts) if arm_facts else None
-                )
-                if hot_body is not None and 0 <= hot_port < nports:
-                    hot = (
-                        cx.ip(raw) if raw_dst is None else None,
-                        cx.ip(gw_value) if gw_value is not None else None,
-                        hot_body,
-                        int(raw),
-                    )
-                    cx.count("guarded_branches")
-            note = policy.route_note(terminal)
-            note_name = cx.bind_policy(note) if note is not None else None
-            miss = None
-            if hot is not None:
-                miss_token = policy.guard_counter(terminal, "route")
-                if miss_token is not None:
-                    miss = cx.bind_policy(miss_token)
-
-            def dispatch_tail(body, p2, var, exitstmt):
-                kw = "if"
-                for i in order:
-                    inline_body = bodies[i]
-                    if inline_body is None:
-                        continue
-                    body.append(p2 + "%s out == %d:" % (kw, i))
-                    body.extend(inline_body(var, p2 + "    ", exitstmt))
-                    kw = "elif"
-                if kw == "if":
-                    body += [
-                        p2 + "hop = %s[out] if 0 <= out < %d else None" % (jt, nports),
-                        p2 + "if hop is not None:",
-                        p2 + "    hop(%s)" % var,
-                    ]
-                else:
-                    body += [
-                        p2 + "else:",
-                        p2 + "    hop = %s[out] if 0 <= out < %d else None" % (jt, nports),
-                        p2 + "    if hop is not None:",
-                        p2 + "        hop(%s)" % var,
-                    ]
-                return body
-
-            if raw_dst is not None:
-
-                def emit(var, pad, exitstmt):
-                    # CheckIPHeader ran earlier in this same function:
-                    # the raw destination is live in a local and the
-                    # annotation is guaranteed set, so the lookup skips
-                    # the annotation load and its None check entirely.
-                    body = []
-                    inner = pad
-                    if hot is not None:
-                        _hot_ip, gw_name, hot_body, hot_raw = hot
-                        body.append(pad + "if %s == %d:" % (raw_dst, hot_raw))
-                        if gw_name is not None:
-                            body.append(pad + "    %s.dest_ip_anno = %s" % (var, gw_name))
-                        body.extend(hot_body(var, pad + "    ", exitstmt))
-                        body.append(pad + "else:")
-                        inner = pad + "    "
-                        if miss is not None:
-                            body.append(inner + "%s()" % miss)
-                    if note_name is not None:
-                        body.append(inner + "%s(%s)" % (note_name, raw_dst))
-                    if rm is not None:
-                        body += [
-                            inner + "route = %s(%s, %s)" % (rm, raw_dst, ms),
-                            inner + "if route is %s:" % ms,
-                            inner + "    route = %s(%s)" % (lk, raw_dst),
-                        ]
-                    else:
-                        body.append(inner + "route = %s(%s)" % (lk, raw_dst))
-                    body += [
-                        inner + "if route is None:",
-                        inner + "    %s.no_route_drops += 1" % e,
-                        inner + "else:",
-                        inner + "    gateway = route[0]",
-                        inner + "    if gateway is not None:",
-                        inner + "        %s.set_dest_ip_anno(gateway)" % var,
-                        inner + "    out = route[1]",
-                    ]
-                    return dispatch_tail(body, inner + "    ", var, exitstmt)
-
-                return emit
-
-            def emit(var, pad, exitstmt):
-                body = [pad + "dst = %s.dest_ip_anno" % var]
-                inner = pad
-                if hot is not None:
-                    hot_name, gw_name, hot_body, _hot_raw = hot
-                    body.append(pad + "if dst is %s:" % hot_name)
-                    if gw_name is not None:
-                        body.append(pad + "    %s.dest_ip_anno = %s" % (var, gw_name))
-                    body.extend(hot_body(var, pad + "    ", exitstmt))
-                    body.append(pad + "elif dst is None:")
-                else:
-                    body.append(pad + "if dst is None:")
-                body.append(pad + "    %s.no_route_drops += 1" % e)
-                body.append(pad + "else:")
-                if miss is not None:
-                    body.append(pad + "    %s()" % miss)
-                if note_name is not None:
-                    body.append(pad + "    %s(dst.value)" % note_name)
-                if rm is not None:
-                    body += [
-                        pad + "    route = %s(dst.value, %s)" % (rm, ms),
-                        pad + "    if route is %s:" % ms,
-                        pad + "        route = %s(dst)" % lk,
-                    ]
-                else:
-                    body += [pad + "    route = %s(dst)" % lk]
-                body += [
-                    pad + "    if route is None:",
-                    pad + "        %s.no_route_drops += 1" % e,
-                    pad + "    else:",
-                    pad + "        gateway = route[0]",
-                    pad + "        if gateway is not None:",
-                    pad + "            %s.set_dest_ip_anno(gateway)" % var,
-                    pad + "        out = route[1]",
-                ]
-                return dispatch_tail(body, pad + "        ", var, exitstmt)
-
-            return emit
-        return self._terminal_segment(terminal, "push", cx)
-
     def _terminal_segment(self, terminal, kind, cx):
         """The segment a chain ending at ``terminal`` runs in place of
         its bound ``push`` / ``pull`` (``kind``), or None.  Only an
@@ -1365,101 +1164,19 @@ class FastPath:
         return owner.segment(terminal, getattr(terminal, kind), cx) if owner else None
 
     def _push_terminal(self, terminal, terminal_port, cx, stack, depth, ctx):
-        """``(emitter, specialized)`` for the push that ends a chain:
-        :meth:`_terminal_spec`'s, else a call of the bound ``push``."""
-        emit = self._terminal_spec(terminal, terminal_port, cx, stack, depth, ctx)
+        """``(emitter, specialized)`` for the push that ends a chain (of
+        an unmetered compile): the segment its element declares, else a
+        call of the bound ``push``.  A declared push ignores its
+        input-port argument, so any entry port may specialize.  ``ctx``
+        is the facts established upstream; ``stack`` (expanded terminal
+        ids) and ``depth`` bound the dispatch fusion below it (see
+        :meth:`_Emission.dispatch`)."""
+        cx.facts, cx.fusion = ctx, (stack, depth)
+        emit = self._terminal_segment(terminal, "push", cx)
         if emit is not None:
             return emit, True
         t = cx.attr(terminal, "push")
         return (lambda var, pad, exitstmt: [pad + "%s(%d, %s)" % (t, terminal_port, var)]), False
-
-    def _emit_classifier_diagram(self, terminal, plan, cx, stack, depth, ctx):
-        """Emit a classifier terminal as its forwarding decision
-        diagram: the element's whole tree inlined as nested byte tests
-        (see :mod:`repro.runtime.fdd`), with the fused per-output chain
-        bodies sitting at the leaves.  Packets shorter than the
-        diagram's length gate fall back to the compiled matcher, whose
-        zero-padding semantics the in-bounds inlined tests cannot
-        reproduce; everything longer never calls the matcher at all.
-
-        Leaf bodies are built *now* (each under its own fact dict —
-        contents local + the gate as minimum length), bounded per
-        output so a tree labelling many leaves with one port does not
-        replicate that port's chain arbitrarily; leaves past the bound,
-        pruned arms, and failure/out-of-range leaves dispatch through
-        the plain jump table exactly like the generic emission."""
-        from ..elements.classifiers import FastClassifierBase
-
-        policy = self.policy
-        cdata = ctx.get("data") if ctx else None
-        cmin = int(ctx.get("min_len", 0)) if cdata else 0
-        dvar = cdata if cdata else "data"
-        if type(terminal).push is FastClassifierBase.push:
-            m = cx.bind(_classifier_matcher(terminal), ("matcher", terminal.name))
-            match_expr = "%s(%s)" % (m, dvar)
-        else:
-            m = cx.bind(terminal.matcher_cell(), ("cell", terminal.name))
-            match_expr = "%s[0](%s)" % (m, dvar)
-        c = cx.element(terminal)
-        jt = cx.jump_table(terminal, "plain")
-        noutputs = terminal.noutputs
-        nports = len(terminal._output_ports)
-        gate = plan.gate
-        base = dict(ctx) if cdata else {}
-        base["data"] = dvar
-        base["min_len"] = max(cmin, gate)
-        bodies = {}
-        pruned = set()
-        per_out = {}
-        for leaf_id, out in plan.leaves():
-            if out is None or out >= noutputs or not (0 <= out < nports):
-                continue
-            if not policy.should_fuse(terminal, out):
-                if out not in pruned:
-                    pruned.add(out)
-                    cx.count("pruned_arms")
-                continue
-            if per_out.get(out, 0) >= 2:
-                continue
-            body = self._inline_push_body(terminal, out, cx, stack, depth + 1, ctx=dict(base))
-            if body is None:
-                continue
-            per_out[out] = per_out.get(out, 0) + 1
-            bodies[leaf_id] = body
-        report = self.report
-        report.fdd_diagrams += 1
-        report.fdd_nodes += plan.nodes
-        report.fdd_paths += plan.paths
-        report.fdd_tests_saved += plan.loads_saved
-
-        def emit(var, pad, exitstmt):
-            lines = cx.contents(var, pad, "data") if cdata is None else []
-
-            def leaf(leaf_id, out, lpad):
-                if out is None or out >= noutputs:
-                    return [lpad + "%s.drops += 1" % c]
-                emitter = bodies.get(leaf_id)
-                if emitter is not None:
-                    return emitter(var, lpad, exitstmt)
-                return [lpad + "%s[%d](%s)" % (jt, out, var)]
-
-            if gate and cmin < gate:
-                lines.append(pad + "if len(%s) >= %d:" % (dvar, gate))
-                lines.extend(plan.emit(dvar, pad + "    ", leaf))
-                lines.append(pad + "else:")
-                fb = pad + "    "
-                lines += [
-                    fb + "out = %s" % match_expr,
-                    fb + "if out is None or out >= %d:" % noutputs,
-                    fb + "    %s.drops += 1" % c,
-                    fb + "else:",
-                    fb + "    %s[out](%s)" % (jt, var),
-                ]
-            else:
-                lines.extend(plan.emit(dvar, pad, leaf))
-            return lines
-
-        return emit
 
     def _inline_push_body(self, element, port_index, cx, stack, depth, ctx=None):
         """Emitter for the full body of the push chain leaving

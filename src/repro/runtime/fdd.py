@@ -13,9 +13,10 @@ compiled chains.
 tests) into an *ordered decision diagram plan*: a nested if/else
 structure over named byte locations, where each location (a contiguous
 byte slice or a masked 32-bit word) is materialized into a local at
-most once per root-to-leaf path.  The chain compiler
-(:meth:`FastPath._emit_classifier_diagram`) emits the plan in place of
-the matcher call, fusing the per-output chain bodies — CheckIPHeader,
+most once per root-to-leaf path.  The chain compiler's dispatch
+emitter expands a classifier's declared dispatch into the plan in place
+of the matcher call (:meth:`~repro.runtime.fastpath._Emission.dispatch`),
+fusing the per-output chain bodies — CheckIPHeader,
 route lookup, TTL decrement and all — straight onto the diagram's
 leaves, so a forwarded packet runs from device to queue through one
 specialized root-to-leaf function with no matcher call at all.
@@ -277,18 +278,16 @@ def classifier_hot_path(tree, hot_out, exemplar):
 
 
 def router_trees(router):
-    """``{name: tree}`` for every classifier element whose dispatch the
-    chain compiler specializes (live-patchable tree walkers and the
-    generated fast classifiers)."""
-    from ..elements.classifiers import FastClassifierBase, _TreeClassifier
+    """``{name: tree}`` for every classifier whose ``push`` the chain
+    compiler emits from its declaration (the dispatch a diagram
+    expands): the test :meth:`FastPath._push_terminal` makes."""
+    from .fastpath import _segment_owner
 
     trees = {}
     for name, element in router.elements.items():
-        push = type(element).push
-        if push is _TreeClassifier.push or push is FastClassifierBase.push:
-            tree = getattr(element, "tree", None)
-            if tree is not None:
-                trees[name] = tree
+        tree = getattr(element, "tree", None)
+        if tree is not None and _segment_owner(element, "push"):
+            trees[name] = tree
     return trees
 
 

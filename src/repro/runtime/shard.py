@@ -207,22 +207,6 @@ class SPSCQueue:
             return len(self._items)
 
 
-def _declared_classes(graph):
-    """``(declaration, element class)`` for every declaration whose
-    class resolves, generated classes included: the optimizers rename
-    classes (``Devirtualize@@q`` is a Queue), so a declared class name
-    says nothing until it is looked up the way the router build looks
-    it up — the graph's archive first, then the registry."""
-    from ..elements.registry import ELEMENT_CLASSES
-    from ..elements.runtime import compile_archive_classes
-
-    generated = compile_archive_classes(graph.archive)
-    for decl in graph.elements.values():
-        cls = generated.get(decl.class_name) or ELEMENT_CLASSES.get(decl.class_name)
-        if cls is not None:
-            yield decl, cls
-
-
 def device_names_of(graph):
     """The device names a (flattened) configuration talks to, in
     declaration order — the one resolver the plane, ``click-optimize``,
@@ -230,9 +214,10 @@ def device_names_of(graph):
     (whose device elements carry generated class names) names the same
     devices as its source."""
     from ..elements.devices import PollDevice, ToDevice
+    from ..elements.runtime import declared_classes
 
     names = []
-    for decl, cls in _declared_classes(graph):
+    for decl, cls in declared_classes(graph):
         if issubclass(cls, (PollDevice, ToDevice)):
             name = decl.config.split(",")[0].strip()
             if name and name not in names:
@@ -259,9 +244,10 @@ def divide_queue_capacities(graph, index, workers):
         return graph
     from ..core.toolchain import load_config, save_config
     from ..elements.infrastructure import Queue
+    from ..elements.runtime import declared_classes
 
     divided = load_config(save_config(graph), "<shard-divide>")
-    for decl, cls in _declared_classes(divided):
+    for decl, cls in declared_classes(divided):
         # Queue and its subclasses take one argument, the capacity.
         if not issubclass(cls, Queue):
             continue

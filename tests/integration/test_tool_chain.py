@@ -8,7 +8,18 @@ at every stage, and be idempotent where re-running makes sense.
 
 import pytest
 
-from repro.core import check, devirtualize, fastclassifier, load_config, save_config, undead, xform
+from repro.configs.firewall import firewall_graph
+from repro.configs.iprouter import ip_router_graph
+from repro.core import (
+    check,
+    devirtualize,
+    fastclassifier,
+    load_config,
+    named_pipeline,
+    save_config,
+    undead,
+    xform,
+)
 from repro.core.patterns import STANDARD_PATTERNS
 from repro.elements.devices import PollDevice
 from repro.sim.testbed import Testbed
@@ -65,6 +76,30 @@ class TestChainStages:
         """§6.3: none of the IP router's elements are dead code."""
         graph = testbed.base_graph()
         assert set(undead(graph).elements) == set(graph.elements)
+
+    def test_undead_resolves_devirtualized_classes(self):
+        """``Devirtualize@@PollDevice@2`` is still a packet source: undead
+        resolves classes the way the router build does."""
+        graph = ip_router_graph()
+        assert set(undead(devirtualize(graph)).elements) == set(undead(graph).elements) == set(graph.elements)
+
+    def test_devirtualize_leaves_its_own_output_alone(self, testbed):
+        once = devirtualize(testbed.base_graph())
+        twice = devirtualize(once)
+        assert twice.archive == once.archive
+        assert {n: d.class_name for n, d in twice.elements.items()} == {
+            n: d.class_name for n, d in once.elements.items()
+        }
+        reloaded = load_config(save_config(twice))
+        assert forward_all(testbed, reloaded) == forward_all(testbed, testbed.base_graph())
+
+    @pytest.mark.parametrize("config", ["iprouter", "firewall"])
+    def test_the_paper_pipeline_is_a_fixpoint_on_its_own_output(self, testbed, config):
+        graph = testbed.variant_graph("base") if config == "iprouter" else firewall_graph()
+        once = save_config(named_pipeline("paper").run(graph).graph)
+        twice = save_config(named_pipeline("paper").run(load_config(once)).graph)
+        assert twice == once
+        assert len(load_config(once).elements) == (31 if config == "iprouter" else 6)
 
     def test_xform_is_idempotent(self, testbed):
         once = xform(testbed.base_graph(), patterns=STANDARD_PATTERNS)

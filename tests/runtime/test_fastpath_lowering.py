@@ -14,9 +14,10 @@ from dataclasses import replace
 import pytest
 
 from repro.configs.firewall import dns5_packet, firewall_graph
-from repro.core import load_config, named_pipeline, save_config
+from repro.core import fastclassifier, load_config, named_pipeline, save_config
 from repro.elements.align import Align
 from repro.elements.arp import ARPQuerier
+from repro.elements.classifiers import Classifier, FastClassifierBase, IPFilter
 from repro.elements.combos import IPOutputCombo
 from repro.elements.devices import LoopbackDevice
 from repro.elements.ethernet import EtherEncap
@@ -32,6 +33,7 @@ from repro.elements.ip import (
     Paint,
     PaintTee,
 )
+from repro.elements.routing import LookupIPRoute, RadixIPLookup
 from repro.elements.runtime import Router
 from repro.lang.build import parse_graph
 from repro.net.headers import build_ether_udp_packet
@@ -183,9 +185,17 @@ def test_generated_subclasses_specialize_like_their_bases(variant):
 
 
 # Every element that declares a segment, the handler a subclass may
-# override, how a one-chain pipeline declares it (as ``x``), and the IP
-# router variant that carries it.
+# override, how a one-chain pipeline declares it (as ``x``), and the
+# configuration that carries it: an IP router variant, the firewall, or
+# the IP router with a RadixIPLookup route table.
+TWO_WAY = "x :: Classifier(12/0800, -); x [1] -> Discard; x"
 SEGMENT_OWNERS = [
+    (Classifier, "push", TWO_WAY, "base"),
+    (IPFilter, "push", "x :: IPFilter(allow udp)", "firewall"),
+    (FastClassifierBase, "push", TWO_WAY, "fc"),
+    (LookupIPRoute, "push", "x :: LookupIPRoute(0.0.0.0/0 0)", "base"),
+    (LookupIPRoute, "lookup_route", "x :: LookupIPRoute(0.0.0.0/0 0)", "base"),
+    (RadixIPLookup, "push", "x :: RadixIPLookup(0.0.0.0/0 0)", "radix"),
     (Paint, "simple_action", "x :: Paint(1)", "base"),
     (Strip, "simple_action", "x :: Strip(14)", "base"),
     (CheckIPHeader, "_check", "x :: CheckIPHeader", "base"),
@@ -228,54 +238,85 @@ def test_an_overridden_handler_gets_no_segment(owner, handler, declaration, vari
         text, counter = "i :: Idle -> x :: Queue(8) -> u :: Unqueue -> Discard;", "specialized_terminals"
     else:
         text = "i :: Idle -> %s -> q :: Queue(8) -> u :: Unqueue -> Discard;" % declaration
-        counter = "elided_elements" if owner is GetIPAddress else "specialized_actions"
+        counter = (
+            "elided_elements" if owner is GetIPAddress
+            else "specialized_terminals" if handler == "push"
+            else "specialized_actions"
+        )
     key = ("pull", "u", 0) if handler == "pull" else ("push", "i", 0)
-    plain, overridden = Router(parse_graph(text)), Router(parse_graph(text))
+    graphs = [parse_graph(text), parse_graph(text)]
+    if owner is FastClassifierBase:
+        graphs = [fastclassifier(graph) for graph in graphs]
+    plain, overridden = Router(graphs[0]), Router(graphs[1])
     override(overridden, owner, handler)
     fastpaths = [FastPath(plain), FastPath(overridden)]
-    counts = [getattr(fastpath.report, counter) for fastpath in fastpaths]
-    assert counts[0] - counts[1] == 1, counts
+    if handler == "lookup_route":
+        # The dispatch stays declared; the memo probe it stood for goes.
+        lost = bound_calls(fastpaths[0], key) - bound_calls(fastpaths[1], key)
+        assert lost == {("x", ("_memo", "get"))}
+    else:
+        counts = [getattr(fastpath.report, counter) for fastpath in fastpaths]
+        assert counts[0] - counts[1] == 1, counts
     assert ("x", (handler,)) in bound_calls(fastpaths[1], key)
     # ... and it forwards what the reference interpreter forwards.
-    testbed = Testbed(2)
-    reference = testbed.build_router(variant_graph(testbed, variant), profile=ExecutionProfile.reference())
-    frames = hostile_traffic(testbed)
-    expected = drive_frames(*reference, frames)
+    expected = drive_frames(*carrier(variant))
     for profile in (ExecutionProfile.fast(), profile_for("fdd", False)):
-        router, devices = testbed.build_router(variant_graph(testbed, variant), profile=ExecutionProfile.reference())
+        router, devices, frames = carrier(variant)
         override(router, owner, handler)
         router.configure(profile)
         assert drive_frames(router, devices, frames) == expected, profile
 
 
+def carrier(variant):
+    """A reference-mode router of the configuration named ``variant``,
+    its devices, and a corpus of frames for it."""
+    testbed = Testbed(2)
+    frames = hostile_traffic(testbed)
+    if variant == "firewall":
+        devices = {name: LoopbackDevice(name, tx_capacity=1 << 30) for name in ("eth0", "eth1")}
+        frames = [("eth0", frame) for _name, frame in frames] + [("eth0", firewall_frame())] * 8
+        return Router(firewall_graph(), devices=devices), devices, frames
+    graph = variant_graph(testbed, "base" if variant == "radix" else variant)
+    if variant == "radix":
+        graph.set_class("rt", "RadixIPLookup", graph.elements["rt"].config)
+    return (*testbed.build_router(graph, profile=ExecutionProfile.reference()), frames)
+
+
 def test_the_compiler_reads_no_element_behaviour():
-    """fastpath.py emits what elements declare: it imports nothing from
-    the element modules whose segments live on their classes, and picks
-    no code by the identity of an element class's handler — except at
-    the classifier and route-table terminals, where the policies act."""
+    """The chain compiler emits what elements declare: fastpath.py,
+    fdd.py and codegen_cache.py import no element module, and none picks
+    code by the identity of an element handler (``x.push is ...``)."""
     import ast
+    import inspect
 
-    from repro.runtime import fastpath
+    from repro.elements.registry import ELEMENT_CLASSES
+    from repro.runtime import codegen_cache, fastpath, fdd
 
-    with open(fastpath.__file__) as fh:
-        tree = ast.parse(fh.read())
-    origin = {}  # imported name -> the module it comes from
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            package = "repro.runtime".rsplit(".", node.level - 1)[0] if node.level else ""
-            module = ".".join(part for part in (package, node.module) if part)
-            origin.update((alias.asname or alias.name, module) for alias in node.names)
-    moved = {"repro.elements." + name for name in ("ip", "arp", "ethernet", "align", "infrastructure")}
-    assert not moved & set(origin.values())
-    tested = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Compare):
-            for op, right in zip(node.ops, node.comparators):
-                if isinstance(op, ast.Is) and isinstance(right, ast.Attribute) and isinstance(right.value, ast.Name):
-                    tested.add(origin.get(right.value.id, ""))
-    assert {module for module in tested if module.startswith("repro.elements.")} <= {
-        "repro.elements.classifiers", "repro.elements.routing",
+    handlers = {
+        name
+        for cls in ELEMENT_CLASSES.values()
+        for klass in cls.__mro__
+        for name, value in vars(klass).items()
+        if inspect.isfunction(value)
     }
+    for module in (fastpath, fdd, codegen_cache):
+        with open(module.__file__) as fh:
+            tree = ast.parse(fh.read())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                package = "repro.runtime".rsplit(".", node.level - 1)[0] if node.level else ""
+                base = ".".join(part for part in (package, node.module) if part)
+                imported.update(base + "." + alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert not [name for name in imported if name.startswith("repro.elements")], module.__name__
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+                for operand in [node.left, *node.comparators]:
+                    assert not (isinstance(operand, ast.Attribute) and operand.attr in handlers), (
+                        module.__name__, node.lineno,
+                    )
 
 
 def drive_frames(router, devices, frames):
