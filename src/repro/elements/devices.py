@@ -19,9 +19,10 @@ maintenance — Figure 8's "device interactions") is charged through the
 meter as ``rx_device`` / ``tx_device`` work.
 
 ``run_task`` is each element's one hand-written burst loop: the
-reference semantics, and what a router runs that is metered,
-fault-wrapped or on a device declaring no rings.  Otherwise the fast
-path compiles the loop from ``lowering()`` (``FastPath._emit_task``).
+reference semantics, and what a router runs that is fault-wrapped or
+on a device declaring no rings (a metered router runs no fast path at
+all).  Otherwise the fast path compiles the loop from ``lowering()``
+(``FastPath._emit_task``).
 """
 
 from __future__ import annotations

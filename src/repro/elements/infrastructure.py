@@ -63,8 +63,8 @@ class Queue(Element):
         bounds-checked append, ``pull`` a popleft.  The deque is bound
         directly: Queue never reassigns it (hot-swap state transfer
         mutates it in place for exactly this reason).  A full queue's
-        ``charge("queue_drop")`` is a no-op without a meter, and metered
-        chains emit no segments."""
+        ``charge("queue_drop")`` is a no-op without a meter, and a
+        metered router is never compiled."""
         if cold.__name__ == "pull":
             dq, pop = cx.attr(self, "_deque"), cx.attr(self, "_deque", "popleft")
             return lambda var, pad, exitstmt: [

@@ -70,7 +70,8 @@ class Router:
         self.graph = graph
         self.meter = meter
         #: The :class:`~repro.runtime.adaptive.AdaptiveEngine` running
-        #: the compiled chains, or None in reference mode.
+        #: the compiled chains, or None in reference mode (and always
+        #: with a meter, see :meth:`configure`).
         self.engine = None
         self._profile = ExecutionProfile()
         self.supervisor = None
@@ -217,7 +218,9 @@ class Router:
         adaptive configuration, and supervision, as one declarative
         switch.  The engine is rebuilt exactly when a field it is built
         from changed.  ``None`` means the default reference profile.
-        Returns ``self``."""
+        A router carrying a meter runs the reference interpreter under
+        any profile: the meter charges the configuration's call sites,
+        which the reference executes one for one.  Returns ``self``."""
         from ..runtime.profile import ExecutionProfile
 
         if profile is None:
@@ -227,6 +230,8 @@ class Router:
                 "a plain Router is single-shard; profiles with workers > 1 "
                 "need a ShardedRouter (use build_router, which dispatches)"
             )
+        if self.meter is not None:
+            profile = profile.with_mode("reference")
         # Mode changes swap port lists wholesale; supervision wraps the
         # current ports, so it comes off first and goes back on after.
         self.detach_supervisor()

@@ -103,7 +103,6 @@ class AdaptiveConfig:
         "guard_miss_limit",
         "min_samples",
         "hot_fraction",
-        "prune_cold",
         "max_recompiles",
     )
 
@@ -114,7 +113,6 @@ class AdaptiveConfig:
         guard_miss_limit=8192,
         min_samples=32,
         hot_fraction=0.5,
-        prune_cold=True,
         max_recompiles=16,
     ):
         if sample < 1 or (sample & (sample - 1)):
@@ -136,7 +134,6 @@ class AdaptiveConfig:
         self.guard_miss_limit = guard_miss_limit
         self.min_samples = min_samples
         self.hot_fraction = hot_fraction
-        self.prune_cold = prune_cold
         self.max_recompiles = max_recompiles
 
     def as_dict(self):
@@ -298,9 +295,7 @@ def _classifier_decision(element, counts, config, exemplars=None):
         )
         if conds:
             guard = (conds, hot_out)
-    prune = set()
-    if config.prune_cold:
-        prune = frozenset(i for i in range(nports) if port_counts[i] == 0)
+    prune = frozenset(i for i in range(nports) if port_counts[i] == 0)
     if order == list(range(nports)) and guard is None and not prune:
         return None
     return {"order": tuple(order), "hot": guard, "prune": prune, "total": total}
@@ -331,9 +326,7 @@ def _route_decision(element, counts, config):
                 gateway.value if gateway is not None else None,
                 port,
             )
-    prune = set()
-    if config.prune_cold:
-        prune = frozenset(i for i in range(nports) if not port_counts.get(i, 0))
+    prune = frozenset(i for i in range(nports) if not port_counts.get(i, 0))
     if order == list(range(nports)) and constant is None and not prune:
         return None
     return {"order": tuple(order), "hot": constant, "prune": prune, "total": total}
@@ -528,7 +521,6 @@ class ProfileReport:
 
     def __init__(self, engine):
         self.mode = engine.mode
-        self.metered = engine.metered
         self.config = engine.config.as_dict()
         self.chains = {
             "%s %s[%d]" % key: {"tier": state.tier, "seen": state.seen}
@@ -553,7 +545,6 @@ class ProfileReport:
     def as_dict(self):
         return {
             "mode": self.mode,
-            "metered": self.metered,
             "config": self.config,
             "chains": self.chains,
             "counters": {
@@ -622,9 +613,8 @@ class AdaptiveEngine:
       through the matcher cells: it bakes no tree in, so it outlives
       every rules patch.
 
-    Metered routers degrade to the first case whatever the mode: the
-    meter needs every charge at its reference site, so the engine runs
-    the metered static chains and never instruments or promotes.
+    A metered router builds no engine: it runs the reference
+    interpreter under any profile.
     """
 
     def __init__(self, router, profile):
@@ -634,8 +624,7 @@ class AdaptiveEngine:
         self.batch = profile.batch
         self.diagrams = profile.mode == "fdd"
         self.node_budget = profile.node_budget or DEFAULT_NODE_BUDGET
-        self.metered = router.meter is not None
-        self.tiering = profile.mode != "fast" and not self.metered
+        self.tiering = profile.mode != "fast"
         self.store = ProfileStore()
         self.tier2_fp = None
         self.states = {}
@@ -896,10 +885,8 @@ class AdaptiveEngine:
         or a rules patch on a classifier without a diagram — needs only
         a deopt of the chains whose *speculations* may now be stale.  A
         diagram bakes the patched tree in, so the plain flavor's chains
-        that hold it are rebuilt; the profiled flavor holds none.
-        (Metered chains call the element's own push, which walks the
-        live tree: nothing baked, nothing to rebuild.)"""
-        if kind == "rules" and self.tiering and name in (self.tier1.policy.plans or ()):
+        that hold it are rebuilt; the profiled flavor holds none."""
+        if kind == "rules" and name in (self.tier1.policy.plans or ()):
             return self.repatch_classifier(name)
         dropped = self.tier2_fp
         demoted = self.deopt("control-plane patch of %s" % name, element_name=name)

@@ -42,8 +42,7 @@ Recipes (recorded by :meth:`FastPath._bind`) are small tuples:
     profiled code gets fresh counters
 
 A compile that binds anything without a recipe marks itself
-uncacheable and is simply never stored.  Metered compiles bypass the
-cache at the :class:`FastPath` level, and a router carrying
+uncacheable and is simply never stored.  A router carrying
 fault-injection wrappers (``router._fault_uncacheable``, see
 :mod:`repro.sim.faults`) bypasses keying entirely — a clean specialized
 entry must never replay onto a faulted router, nor a faulted compile be

@@ -32,20 +32,16 @@ burst to the ``push_batch``/``pull_batch`` entry point of its chain,
 whose generated body loops internally (Click's polling burst, applied
 to dispatch); only chains leaving a task element have one.
 
-Cycle accounting still works in fast mode: when the router carries a
-meter at compile time, chains are generated in a *metered* flavor that
-counts how far each packet gets and reconciles the charge through
-``meter.on_chain`` (see :meth:`repro.sim.cpu.CycleMeter.on_chain`).  A
-metered router compiles neither task units nor batch entry points: its
-tasks run their reference loops, so the charge sequence is the
-reference interpreter's and the totals match exactly, batch or not.
+A router carrying a cost meter is never compiled: it runs the
+reference interpreter, whose call sites are the ones the meter charges
+(:meth:`~repro.elements.runtime.Router.configure`), and
+:class:`FastPath` refuses it.
 
 One emitter serves every tier: what a compile is specialized on
 (diagram plans, profiling hooks, profile-guided speculation) is the
 data a :class:`ChainPolicy` carries, and facts one segment proves
 (contents local, minimum length, paint, raw destination, layout) are
-threaded to the segments and terminals after it on every unmetered
-push chain.
+threaded to the segments and terminals after it on every push chain.
 
 Debugging: the full generated module is ``router.fastpath.source``
 (or ``FastPath.dump(fh)``); each chain is annotated with the edge it
@@ -287,30 +283,6 @@ class FastInputPort:
         self.pull_batch = pull_batch
 
 
-class ChainStage:
-    """One hop of a compiled chain, as the cost meter sees it: the
-    transfer into ``to_element`` plus that element's handler entry.
-    Mirrors what :meth:`CycleMeter.on_transfer` and
-    :meth:`CycleMeter.on_element_work` would have charged."""
-
-    __slots__ = ("from_element", "to_element", "site", "target_name", "virtual", "uses_simple_action")
-
-    def __init__(self, from_element, to_element, site, target_name, virtual, uses_simple_action):
-        self.from_element = from_element
-        self.to_element = to_element
-        self.site = site
-        self.target_name = target_name
-        self.virtual = virtual
-        self.uses_simple_action = uses_simple_action
-
-    def __repr__(self):
-        return "ChainStage(%s -> %s via %r)" % (
-            self.from_element.name,
-            self.to_element.name,
-            self.site,
-        )
-
-
 #: The FastPathReport counters emitters bump while a chain is emitted;
 #: the chain's record keeps what its own emission added.
 _CHAIN_COUNTERS = (
@@ -413,7 +385,6 @@ class FastPathReport:
         self.specialized_actions = 0
         self.elided_elements = 0
         self.batch = False
-        self.metered = False
         self.source_lines = 0
         self.policy = "static"
         self.cache_hit = False
@@ -429,8 +400,7 @@ class FastPathReport:
         self.fdd_paths = 0  # root-to-leaf paths across those diagrams
         self.fdd_tests_saved = 0  # field loads the diagrams share along their paths
         # chain label -> elements of its own run the chain calls through
-        # their bound push / simple_action (no segment, no fast_action);
-        # metered chains call everything that way and list nothing
+        # their bound push / simple_action (no segment, no fast_action)
         self.opaque_dispatch = {}
         self.failed_entries = {}  # chain label -> the error its first entry raised
 
@@ -452,14 +422,13 @@ class FastPathReport:
     def format(self):
         """Human-readable summary (what ``click-optimize --fast`` prints)."""
         lines = [
-            "fast path: %d push chains, %d pull chains, %d task units (%d generated lines%s%s)"
+            "fast path: %d push chains, %d pull chains, %d task units (%d generated lines%s)"
             % (
                 self.push_chains,
                 self.pull_chains,
                 self.task_units,
                 self.source_lines,
                 ", batched" if self.batch else "",
-                ", metered" if self.metered else "",
             ),
             "  inlined: %d element handlers across %d elements (longest chain: %d)"
             % (self.inlined_calls, len(self.inlined_elements), self.longest_chain),
@@ -965,12 +934,9 @@ class FastPath:
         self.router = router
         self.batch = bool(batch)
         self.policy = policy if policy is not None else ChainPolicy()
-        self.metered = router.meter is not None
-        if self.metered and not hasattr(router.meter, "on_chain"):
-            raise FastPathError(
-                "meter %r does not support fast mode (no on_chain); "
-                "use the reference interpreter or a CycleMeter" % (router.meter,)
-            )
+        if router.meter is not None:
+            # Compiled chains would run past the meter's call sites.
+            raise FastPathError("a metered router runs the reference interpreter")
         self._saved_ports = None
         self.installed = False
         self._fuse_lowered = False  # is the chain being emitted a task's?
@@ -978,7 +944,7 @@ class FastPath:
         started = time.perf_counter()
         entry = None
         key = None
-        if cache is not None and not self.metered:
+        if cache is not None:
             key = cache.key_for(router, self.batch, self.policy)
             entry = cache.lookup(key)
         if entry is not None:
@@ -1020,7 +986,6 @@ class FastPath:
         self._next_index = 0  # first free chain-function index
         report = FastPathReport()
         report.batch = self.batch
-        report.metered = self.metered
         report.policy = self.policy.tag
         self.report = report
 
@@ -1037,37 +1002,24 @@ class FastPath:
 
     def _trace_push(self, element, port_index):
         """Follow the push edge out of ``element[port_index]`` through
-        every inlineable one-in/one-out element; returns (stages,
-        inlined ``(element, bound cold path, owner)`` triples, terminal
-        element, terminal input port).  ``owner`` is the class whose
-        segment emits the stage (:func:`_segment_owner`), or None; for
-        each stage of a lowered combination element (unmetered chains
-        only) it is the general-purpose class the stage stands for, and
-        the cold path is the combo's."""
-        via = element._output_ports[port_index]
-        stages, pairs = [], []
+        every inlineable one-in/one-out element; returns (inlined element
+        names, their ``(element, bound cold path, owner)`` triples,
+        terminal element, terminal input port).  ``owner`` is the class
+        whose segment emits the stage (:func:`_segment_owner`), or None;
+        for each stage of a lowered combination element it is the
+        general-purpose class the stage stands for, and the cold path is
+        the combo's."""
+        port = element._output_ports[port_index]
+        names, pairs = [], []
         seen = {id(element)}
-        prev, prev_port = element, port_index
-        current, in_port = via.target, via.target_port
+        current, in_port = port.target, port.target_port
         while True:
-            stages.append(
-                ChainStage(
-                    prev,
-                    current,
-                    (type(prev).__name__, "push", prev_port),
-                    type(current).__name__,
-                    via.virtual,
-                    type(current).uses_simple_action(),
-                )
-            )
             # Entering port 0 of an inlineable element always forwards on
             # output 0 (the simple_action/fast_action contract), whatever
             # its other input ports do — chains entering those ports are
             # compiled separately, so ninputs does not matter here.
             action = inline_action_name(type(current))
-            lowered = None
-            if action is None and not self.metered:
-                lowered = _lowering(current)
+            lowered = _lowering(current) if action is None else None
             if (
                 (action is None and lowered is None)
                 or in_port != 0
@@ -1079,37 +1031,26 @@ class FastPath:
             if next_port.target is None:
                 break
             seen.add(id(current))
+            names.append(current.name)
             if lowered is None:
                 pairs.append((current, getattr(current, action), _segment_owner(current, action)))
             else:
                 pairs.extend((current, cold, owner) for owner, cold in lowered)
-            prev, prev_port, via = current, 0, next_port
             current, in_port = next_port.target, next_port.target_port
-        return stages, pairs, current, in_port
+        return names, pairs, current, in_port
 
     def _trace_pull(self, element, port_index):
         """Follow the pull edge into ``element[port_index]`` upstream
-        through every inlineable element; returns (stages, inlined
-        ``(element, bound action, owner)`` triples in walk order,
-        terminal element, terminal output port).  Actions apply to the
-        pulled packet in *reverse* walk order (nearest the terminal
-        first)."""
-        via = element._input_ports[port_index]
-        stages, pairs = [], []
+        through every inlineable element; returns (inlined element
+        names, their ``(element, bound action, owner)`` triples, both in
+        walk order, terminal element, terminal output port).  Actions
+        apply to the pulled packet in *reverse* walk order (nearest the
+        terminal first)."""
+        port = element._input_ports[port_index]
+        names, pairs = [], []
         seen = {id(element)}
-        prev, prev_port = element, port_index
-        current, out_port = via.source, via.source_port
+        current, out_port = port.source, port.source_port
         while True:
-            stages.append(
-                ChainStage(
-                    prev,
-                    current,
-                    (type(prev).__name__, "pull", prev_port),
-                    type(current).__name__,
-                    via.virtual,
-                    type(current).uses_simple_action(),
-                )
-            )
             action = inline_action_name(type(current))
             if (
                 action is None
@@ -1122,10 +1063,10 @@ class FastPath:
             if next_port.source is None:
                 break
             seen.add(id(current))
+            names.append(current.name)
             pairs.append((current, getattr(current, action), _segment_owner(current, action)))
-            prev, prev_port, via = current, 0, next_port
             current, out_port = next_port.source, next_port.source_port
-        return stages, pairs, current, out_port
+        return names, pairs, current, out_port
 
     # -- code generation ---------------------------------------------------------
 
@@ -1164,9 +1105,9 @@ class FastPath:
         return owner.segment(terminal, getattr(terminal, kind), cx) if owner else None
 
     def _push_terminal(self, terminal, terminal_port, cx, stack, depth, ctx):
-        """``(emitter, specialized)`` for the push that ends a chain (of
-        an unmetered compile): the segment its element declares, else a
-        call of the bound ``push``.  A declared push ignores its
+        """``(emitter, specialized)`` for the push that ends a chain:
+        the segment its element declares, else a call of the bound
+        ``push``.  A declared push ignores its
         input-port argument, so any entry port may specialize.  ``ctx``
         is the facts established upstream; ``stack`` (expanded terminal
         ids) and ``depth`` bound the dispatch fusion below it (see
@@ -1181,9 +1122,9 @@ class FastPath:
     def _inline_push_body(self, element, port_index, cx, stack, depth, ctx=None):
         """Emitter for the full body of the push chain leaving
         ``element[port_index]``, for fusing into a dispatch site, or
-        None when that chain must stay a function call (metered mode,
-        unwired port, a terminal cycle, past the depth limit, or a
-        lowered combination element outside a task source's chain).
+        None when that chain must stay a function call (unwired port, a
+        terminal cycle, past the depth limit, or a lowered combination
+        element outside a task source's chain).
 
         The body is the same segments + terminal dispatch the chain's
         standalone function gets, so fusing only removes the call frame;
@@ -1194,12 +1135,12 @@ class FastPath:
         length), letting a guarded hot arm drop loads and bounds checks
         the generic body must keep.
         """
-        if self.metered or depth > 4 or stack is None:
+        if depth > 4 or stack is None:
             return None
         port = element._output_ports[port_index]
         if port.target is None:
             return None
-        stages, pairs, terminal, terminal_port = self._trace_push(element, port_index)
+        _names, pairs, terminal, terminal_port = self._trace_push(element, port_index)
         if id(terminal) in stack:
             return None
         if not self._fuse_lowered and any(
@@ -1226,7 +1167,7 @@ class FastPath:
         return emit
 
     def _compose_segments(self, pairs, cx, ctx=None, opaque=None):
-        """The inline body of an unmetered chain: one code segment per
+        """The inline body of a chain: one code segment per
         traced (element, bound cold path, owner) triple — in the order
         the actions apply to the packet — each the owner's declared
         ``segment`` (:class:`_Emission`), or a call of the bound action
@@ -1261,69 +1202,45 @@ class FastPath:
     def _emit_push(self, lines, index, element, port_index):
         # Packets enter the router on a task's chain; see _inline_push_body.
         self._fuse_lowered = element.is_task()
-        stages, pairs, terminal, terminal_port = self._trace_push(element, port_index)
+        inlined, pairs, terminal, terminal_port = self._trace_push(element, port_index)
         fn = "_push_%d" % index
-        inlined = [stage.to_element.name for stage in stages[:-1]]
         info = ChainInfo("push", element.name, port_index, inlined, terminal.name, terminal_port, fn)
         lines.append("")
         lines.append("# %s" % info.describe())
         batch_fn = None
         opaque = []
-        if self.metered:
-            action_names = [self._bind(action) for _e, action, _owner in pairs]
-            term_name = self._bind(terminal.push)
-            meter_name = self._bind(self.router.meter.on_chain)
-            prof_name = self._bind(tuple(stages))
-            args = ", ".join(
-                ["packet"]
-                + ["_a%d=%s" % (i, name) for i, name in enumerate(action_names)]
-                + ["_t=%s" % term_name, "_mc=%s" % meter_name, "_prof=%s" % prof_name]
-            )
-            # (metered tasks run their reference loops: a packet a call)
-            lines.append("def %s(%s):" % (fn, args))
-            lines.append("    counts = [0] * %d" % len(stages))
-            for i in range(len(pairs)):
-                lines.append("    counts[%d] += 1" % i)
-                lines.append("    packet = _a%d(packet)" % i)
-                lines.append("    if packet is None:")
-                lines.append("        return _mc(_prof, counts)")
-            lines.append("    counts[%d] += 1" % (len(stages) - 1))
-            lines.append("    _mc(_prof, counts)")
-            lines.append("    _t(%d, packet)" % terminal_port)
+        cx = _Emission(self)
+        ctx = {}
+        segments = self._compose_segments(pairs, cx, ctx=ctx, opaque=opaque)
+        emit_terminal, specialized = self._push_terminal(
+            terminal, terminal_port, cx, frozenset({id(terminal)}), 0, ctx
+        )
+        if specialized:
+            self.report.specialized_terminals += 1
         else:
-            cx = _Emission(self)
-            ctx = {}
-            segments = self._compose_segments(pairs, cx, ctx=ctx, opaque=opaque)
-            emit_terminal, specialized = self._push_terminal(
-                terminal, terminal_port, cx, frozenset({id(terminal)}), 0, ctx
+            opaque.append(terminal.name)
+        extra_args = cx.args
+        lines.append("def %s(%s):" % (fn, ", ".join(["packet"] + extra_args)))
+        for seg in segments:
+            lines.extend(seg("packet", "    ", "return"))
+        lines.extend(emit_terminal("packet", "    ", "return"))
+        if self.batch and element.is_task():
+            # Only a task unit ever calls a batch entry point.
+            batch_fn = fn + "_batch"
+            lines.append(
+                "def %s(%s):" % (batch_fn, ", ".join(["packets"] + extra_args))
             )
-            if specialized:
-                self.report.specialized_terminals += 1
-            else:
-                opaque.append(terminal.name)
-            extra_args = cx.args
-            lines.append("def %s(%s):" % (fn, ", ".join(["packet"] + extra_args)))
+            lines.append("    for packet in packets:")
             for seg in segments:
-                lines.extend(seg("packet", "    ", "return"))
-            lines.extend(emit_terminal("packet", "    ", "return"))
-            if self.batch and element.is_task():
-                # Only a task unit ever calls a batch entry point.
-                batch_fn = fn + "_batch"
-                lines.append(
-                    "def %s(%s):" % (batch_fn, ", ".join(["packets"] + extra_args))
-                )
-                lines.append("    for packet in packets:")
-                for seg in segments:
-                    lines.extend(seg("packet", "        ", "continue"))
-                lines.extend(emit_terminal("packet", "        ", "continue"))
+                lines.extend(seg("packet", "        ", "continue"))
+            lines.extend(emit_terminal("packet", "        ", "continue"))
         info.batch_name = batch_fn
         info.opaque = opaque
         return info
 
     def _emit_pull(self, lines, index, element, port_index):
-        stages, pairs, terminal, terminal_port = self._trace_pull(element, port_index)
+        inlined, pairs, terminal, terminal_port = self._trace_pull(element, port_index)
         fn = "_pull_%d" % index
-        inlined = [stage.to_element.name for stage in stages[:-1]]
         info = ChainInfo("pull", element.name, port_index, inlined, terminal.name, terminal_port, fn)
         # Applied nearest-the-terminal first: reverse of the walk order.
         pairs.reverse()
@@ -1331,66 +1248,45 @@ class FastPath:
         lines.append("# %s" % info.describe())
         batch_fn = None
         opaque = []
-        if self.metered:
-            action_names = [self._bind(action) for _e, action, _owner in pairs]
-            term_name = self._bind(terminal.pull)
-            header = ["_t=%s" % term_name] + [
-                "_a%d=%s" % (i, name) for i, name in enumerate(action_names)
-            ]
-            meter_name = self._bind(self.router.meter.on_chain)
-            prof_name = self._bind(tuple(stages))
-            ones_name = self._bind([1] * len(stages))
-            header += ["_mc=%s" % meter_name, "_prof=%s" % prof_name, "_ones=%s" % ones_name]
-            lines.append("def %s(%s):" % (fn, ", ".join(header)))
-            lines.append("    _mc(_prof, _ones)")
-            lines.append("    packet = _t(%d)" % terminal_port)
-            lines.append("    if packet is None:")
-            lines.append("        return None")
-            for i in range(len(pairs)):
-                lines.append("    packet = _a%d(packet)" % i)
-                lines.append("    if packet is None:")
-                lines.append("        return None")
-            lines.append("    return packet")
+        cx = _Emission(self)
+        segments = self._compose_segments(pairs, cx, opaque=opaque)
+        emit_terminal = self._terminal_segment(terminal, "pull", cx)
+        if emit_terminal is not None:
+            self.report.specialized_terminals += 1
         else:
-            cx = _Emission(self)
-            segments = self._compose_segments(pairs, cx, opaque=opaque)
-            emit_terminal = self._terminal_segment(terminal, "pull", cx)
-            if emit_terminal is not None:
-                self.report.specialized_terminals += 1
-            else:
-                opaque.append(terminal.name)
-                t = cx.attr(terminal, "pull")
+            opaque.append(terminal.name)
+            t = cx.attr(terminal, "pull")
 
-                def emit_terminal(var, pad, exitstmt, _t=t, _p=terminal_port):
-                    return [
-                        pad + "%s = %s(%d)" % (var, _t, _p),
-                        pad + "if %s is None:" % var,
-                        pad + "    " + exitstmt,
-                    ]
+            def emit_terminal(var, pad, exitstmt, _t=t, _p=terminal_port):
+                return [
+                    pad + "%s = %s(%d)" % (var, _t, _p),
+                    pad + "if %s is None:" % var,
+                    pad + "    " + exitstmt,
+                ]
 
-            extra_args = cx.args
-            lines.append("def %s(%s):" % (fn, ", ".join(extra_args)))
-            lines.extend(emit_terminal("packet", "    ", "return None"))
+        extra_args = cx.args
+        lines.append("def %s(%s):" % (fn, ", ".join(extra_args)))
+        lines.extend(emit_terminal("packet", "    ", "return None"))
+        for seg in segments:
+            lines.extend(seg("packet", "    ", "return None"))
+        lines.append("    return packet")
+        if self.batch and element.is_task():
+            # A pull that comes back None ends the burst (the
+            # reference device loop breaks on None whether the
+            # queue ran dry or an inlined action dropped).
+            batch_fn = fn + "_batch"
+            lines.append(
+                "def %s(%s):" % (batch_fn, ", ".join(["limit"] + extra_args))
+            )
+            lines.append("    packets = []")
+            lines.append("    append = packets.append")
+            lines.append("    while limit > 0:")
+            lines.append("        limit -= 1")
+            lines.extend(emit_terminal("packet", "        ", "break"))
             for seg in segments:
-                lines.extend(seg("packet", "    ", "return None"))
-            lines.append("    return packet")
-            if self.batch and element.is_task():
-                # A pull that comes back None ends the burst (the
-                # reference device loop breaks on None whether the
-                # queue ran dry or an inlined action dropped).
-                batch_fn = fn + "_batch"
-                lines.append(
-                    "def %s(%s):" % (batch_fn, ", ".join(["limit"] + extra_args))
-                )
-                lines.append("    packets = []")
-                lines.append("    append = packets.append")
-                lines.append("    while limit > 0:")
-                lines.append("        limit -= 1")
-                lines.extend(emit_terminal("packet", "        ", "break"))
-                for seg in segments:
-                    lines.extend(seg("packet", "        ", "break"))
-                lines.append("        append(packet)")
-                lines.append("    return packets")
+                lines.extend(seg("packet", "        ", "break"))
+            lines.append("        append(packet)")
+            lines.append("    return packets")
         info.batch_name = batch_fn
         info.opaque = opaque
         return info
@@ -1453,8 +1349,8 @@ class FastPath:
         lets this compile splice: ``(donor fastpath, anchors, reach)``,
         or ``(None, None, None)`` when no donor is compatible.  A donor
         must match this compile's batch flavor and policy reuse key,
-        carry per-chain compile units, and neither side may be metered
-        or fault-wrapped (a wrapper lives on element *instances*, which
+        carry per-chain compile units, and neither side may be
+        fault-wrapped (a wrapper lives on element *instances*, which
         spliced code would bypass).
 
         The hint names two kinds of change.  ``dirty`` elements changed
@@ -1467,15 +1363,13 @@ class FastPath:
         the set of far-end names that do (see :meth:`_stale_reach`)."""
         none = (None, None, None)
         hint = getattr(self.router, "_fastpath_reuse", None)
-        if not hint or self.metered:
-            return none
-        if getattr(self.router, "_fault_uncacheable", False):
+        if not hint or getattr(self.router, "_fault_uncacheable", False):
             return none
         policy_key = self.policy.reuse_key()
         if policy_key is None:
             return none
         for donor in hint.get("fastpaths", ()):
-            if donor is None or donor is self or donor.metered:
+            if donor is None or donor is self:
                 continue
             if donor.batch != self.batch or not donor.chains:
                 continue
@@ -1528,7 +1422,7 @@ class FastPath:
             for port_index, port in enumerate(element._input_ports):
                 if port.source is not None:
                     yield ("pull", element.name, port_index), element, port.source
-        for element in () if self.metered else self.router.tasks:
+        for element in self.router.tasks:
             if _task_lowering(element):
                 yield ("task", element.name, 0), element, element
 

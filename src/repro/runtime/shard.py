@@ -505,9 +505,10 @@ def _shard_worker(
     knows whether that is a pipe into a spawned process or a pair of
     queues into a thread.
 
-    With ``metered`` the shard runs under its own CycleMeter, whose
-    summary rides back on every ``collect`` for the coordinator to
-    absorb.  A command that fails parks its error for the next
+    With ``metered`` the shard runs the reference interpreter under its
+    own CycleMeter, whatever the profile's mode; the meter's summary
+    rides back on every ``collect`` for the coordinator to absorb.  A
+    command that fails parks its error for the next
     ``sync``; a failing :data:`_ASKS` command answers with the error.
     An armed poison frame raises :class:`PoisonFrameError` *out of*
     the loop: the host turns that into the worker's death."""

@@ -2,7 +2,8 @@
 
 A :class:`CycleMeter` attaches to a runtime Router (``Router(graph,
 meter=...)``) and charges cycles as the *real element graph* processes
-packets.  Costs are attributed to the paper's three categories
+packets (a metered router runs the reference interpreter under any
+profile).  Costs are attributed to the paper's three categories
 (Figure 8): receiving device interactions, the Click forwarding path,
 and transmitting device interactions.
 
@@ -150,66 +151,6 @@ class CycleMeter:
                 if predicted
                 else cost.CYCLES_VIRTUAL_CALL_MISPREDICTED,
             )
-
-    def _indirect_branch(self, element, site, target, count):
-        """Charge ``count`` consecutive indirect branches at one call
-        site to one target.  The first access consults the BTB; the
-        rest ride its prediction (the site's last target is now
-        ``target``), which is exactly how batching helps a real BTB."""
-        predicted = self.btb.access(site, target)
-        if not predicted:
-            self.stall_cycles += (
-                cost.CYCLES_VIRTUAL_CALL_MISPREDICTED - cost.CYCLES_VIRTUAL_CALL_PREDICTED
-            )
-        first = (
-            cost.CYCLES_VIRTUAL_CALL_PREDICTED
-            if predicted
-            else cost.CYCLES_VIRTUAL_CALL_MISPREDICTED
-        )
-        if count > 1:
-            self.btb.hits += count - 1
-        self._charge(element, first + (count - 1) * cost.CYCLES_VIRTUAL_CALL_PREDICTED)
-
-    def on_chain(self, stages, counts):
-        """Reconcile one compiled chain's aggregate charges (fast mode).
-
-        ``stages`` is the tuple of
-        :class:`~repro.runtime.fastpath.ChainStage` profiles compiled
-        into the chain; ``counts[i]`` is how many packets of the batch
-        reached stage ``i``.  Per stage this charges exactly what
-        :meth:`on_transfer` plus :meth:`on_element_work` would have —
-        for a single packet (``counts`` all 0/1) the totals match the
-        reference interpreter's to the cycle; for a batch, each site is
-        consulted once and the remaining packets ride the prediction.
-        """
-        for stage, count in zip(stages, counts):
-            if not count:
-                continue
-            # The transfer (on_transfer's charge, batched).
-            self.transfers += count
-            source = stage.from_element
-            if not stage.virtual:
-                self.direct_transfers += count
-                self._charge(source, cost.CYCLES_DIRECT_CALL * count)
-            else:
-                self._indirect_branch(source, stage.site, stage.target_name, count)
-            # The receiving element's handler entry (on_element_work).
-            element = stage.to_element
-            self.element_entries += count
-            devirtualized = getattr(element, "devirtualized", False)
-            entry = (
-                cost.CYCLES_ELEMENT_ENTRY_DEVIRTUALIZED
-                if devirtualized
-                else cost.CYCLES_ELEMENT_ENTRY
-            )
-            work = cost.work_cycles(getattr(element, "class_name", ""))
-            if work is None:
-                work = cost.ELEMENT_WORK_CYCLES.get(cost.base_class_name(element), 10)
-            self._charge(element, (entry + work) * count)
-            if not devirtualized and stage.uses_simple_action:
-                self._indirect_branch(
-                    element, ("Element::simple_action",), stage.target_name, count
-                )
 
     def on_dynamic_work(self, element, kind, amount):
         cycles = cost.DYNAMIC_COST_CYCLES.get(kind, 0) * amount

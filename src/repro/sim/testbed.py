@@ -205,22 +205,14 @@ class Testbed:
             if arpq is not None and hasattr(arpq, "insert"):
                 arpq.insert(host_ip(index), HOST_ETHERS[index])
 
-    def measure_cpu(
-        self, variant, packets=2000, warmup=64, mode="reference", batch=False, profile=None
-    ):
+    def measure_cpu(self, variant, packets=2000, warmup=64):
         """Run the evaluation workload through the real router under the
-        cycle meter; returns a CPUReport of ns/packet by category.
-
-        ``mode="fast"`` measures under the compiled fast path — for a
-        single packet the charges are identical to the reference
-        interpreter's, ``batch`` or not (metered tasks run their
-        reference loops).  ``profile`` overrides both with a
-        full :class:`~repro.runtime.profile.ExecutionProfile`."""
+        cycle meter (the reference interpreter, which a metered router
+        runs under any profile); returns a CPUReport of ns/packet by
+        category."""
         graph = self.variant_graph(variant)
         meter = CycleMeter()
-        router, devices = self.build_router(
-            graph, meter=meter, profile=profile, mode=mode, batch=batch
-        )
+        router, devices = self.build_router(graph, meter=meter)
 
         # Warm the caches/predictors outside the measurement, as the
         # paper's 10-second runs amortize cold starts.
@@ -246,11 +238,10 @@ class Testbed:
             )
         return meter.report(forwarded, clock_mhz=self.platform.clock_mhz)
 
-    def true_cpu_ns(self, variant, packets=2000, profile=None):
+    def true_cpu_ns(self, variant, packets=2000):
         """Meter-corrected per-packet cost plus platform PIO overhead —
-        the number the rate model consumes.  ``profile`` selects the
-        execution regime to meter (default: the reference interpreter)."""
-        report = self.measure_cpu(variant, packets, profile=profile)
+        the number the rate model consumes."""
+        report = self.measure_cpu(variant, packets)
         return report.true_total_ns + self.platform.pio_overhead_ns
 
     # -- rate experiments (Figures 10-13) ---------------------------------------------

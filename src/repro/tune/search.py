@@ -146,7 +146,7 @@ def tune(
     subject = _workload(workload) if isinstance(workload, str) else workload
     if budget < 1:
         raise ValueError("budget must be >= 1, not %d" % budget)
-    space = default_space(mode=mode, workers=workers, supervised=supervised)
+    space = default_space(workers=workers)
     model = CostModel(
         subject,
         mode=mode,

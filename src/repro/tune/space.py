@@ -163,8 +163,8 @@ def _runtime_declarations():
     return declarations
 
 
-def default_space(mode="adaptive", workers=1, supervised=False):
-    """The runtime's full knob space for one execution regime.
+def default_space(workers=1):
+    """The runtime's full knob space for ``workers`` shards.
 
     Collects every ``TUNABLES`` declaration the runtime modules export,
     pins ``shard.workers`` to the requested worker count (worker count
@@ -176,11 +176,10 @@ def default_space(mode="adaptive", workers=1, supervised=False):
     - ``adaptive.sample`` and ``adaptive.min_samples`` must not exceed
       ``adaptive.threshold`` (promotion must be reachable).
 
-    ``mode`` and ``supervised`` do not change the space's shape — inert
-    knobs are canonicalized back to their defaults by the search driver
-    — but are accepted here so call sites read naturally.
+    The execution mode and supervision do not change the space's shape:
+    the search driver canonicalizes the knobs they leave inert back to
+    their defaults.
     """
-    del mode, supervised  # shape-invariant; the driver canonicalizes
     params = []
     for declaration in _runtime_declarations():
         param = Param.from_declaration(declaration)

@@ -11,6 +11,7 @@ meter's per-category report must match exactly.
 """
 
 import struct
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.net.checksum import internet_checksum
 from repro.net.headers import ETHERTYPE_IP, make_ether_header
 from repro.runtime import ExecutionProfile
 from repro.runtime.adaptive import AdaptiveConfig
+from repro.runtime.fastpath import FastPath, FastPathError
 from repro.sim.cpu import CycleMeter
 from repro.sim.testbed import HOST_ETHERS, VARIANTS, Testbed, host_ip
 
@@ -311,26 +313,86 @@ def test_rules_patch_sequence_equivalence():
 
 @pytest.mark.parametrize("variant", ["base", "all"])
 def test_meter_reports_identical(variant):
-    """Under the cycle meter the fast path must charge exactly what the
-    reference interpreter charges — same categories, same totals."""
-    testbed = Testbed(2)
-    reference = testbed.measure_cpu(variant, packets=400, warmup=32)
-    fast = testbed.measure_cpu(variant, packets=400, warmup=32, mode="fast")
-    assert fast.__dict__ == reference.__dict__
-    # Batched metering reconciles per-segment charges; it must at least
-    # run to completion and preserve the category set.
-    batched = testbed.measure_cpu(variant, packets=400, warmup=32, mode="fast", batch=True)
-    assert set(batched.__dict__) == set(reference.__dict__)
+    """Under the cycle meter every compiled mode, batch included,
+    charges exactly what the reference interpreter charges: same
+    categories, same totals, same predictor counts."""
+    runs = []
+    for mode, batch in MODES:
+        meter = CycleMeter()
+        observed = drive_testbed(variant, mode, batch, evaluation_traffic, meter=meter)
+        runs.append((meter.summary(), observed))
+    assert all(run == runs[0] for run in runs[1:])
 
 
 @pytest.mark.parametrize("frames", [evaluation_traffic, hostile_traffic])
 def test_paper_meter_reports_identical(frames):
-    """The same, on the paper pipeline's output and on hostile traffic:
-    a metered chain never lowers a combo, so every charge stays at its
-    reference site."""
+    """The same, on the paper pipeline's output and on hostile traffic,
+    whose combos and side outputs are charged at their reference sites."""
     summaries = []
     for mode in ("reference", "fast"):
         meter = CycleMeter()
         observed = drive_testbed("paper", mode, False, frames, meter=meter)
         summaries.append((meter.summary(), observed))
     assert summaries[0] == summaries[1]
+
+
+COMPILED_PROFILES = [
+    replace(profile, batch=batch, supervised=supervised)
+    for profile in (ExecutionProfile.fast(), ExecutionProfile.tiered(), ExecutionProfile.fdd())
+    for batch in (False, True)
+    for supervised in (False, True)
+]
+
+
+class CallMeter:
+    """A meter with only the hooks the reference interpreter calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def on_transfer(self, _port):
+        self.calls += 1
+
+    on_element_work = on_task = on_transfer
+
+    def on_dynamic_work(self, _element, _kind, _amount):
+        self.calls += 1
+
+
+def run_metered(profile, meter, count=128):
+    """``(router, transmitted frames per device)`` after ``count``
+    evaluation frames through the base IP router built with ``meter``."""
+    testbed = Testbed(2)
+    router, devices = testbed.build_router(testbed.variant_graph("base"), meter=meter, profile=profile)
+    for device_name, frame in evaluation_traffic(testbed, count):
+        devices[device_name].receive_frame(frame)
+    router.run_tasks(count)
+    if profile.workers > 1:
+        router.close()
+    return router, {name: list(device.transmitted) for name, device in devices.items()}
+
+
+# Supervision refuses a meter (its boundaries would move the charges).
+@pytest.mark.parametrize(
+    "profile",
+    [profile for profile in COMPILED_PROFILES if not profile.supervised]
+    + [ExecutionProfile.fdd(batch=True).with_workers(2, "thread")],
+    ids=str,
+)
+def test_metered_router_runs_the_reference(profile):
+    """A router carrying a meter runs the reference interpreter under
+    any profile — a sharded plane's metered shards too — so its charges
+    are the reference's by construction.  Compiling it is refused:
+    compiled chains would run past the call sites the meter charges."""
+    reference_meter, meter = CycleMeter(), CycleMeter()
+    _router, reference = run_metered(profile.with_mode("reference"), reference_meter)
+    router, transmitted = run_metered(profile, meter)
+    assert transmitted == reference and any(reference.values())
+    assert meter.summary() == reference_meter.summary()
+    if profile.workers == 1:
+        assert (router.mode, router.engine, router.profile) == ("reference", None, profile.with_mode("reference"))
+        with pytest.raises(FastPathError):
+            FastPath(router)
+        # Any object with the reference interpreter's hooks is a meter.
+        router, transmitted = run_metered(profile, CallMeter())
+        assert transmitted == reference and router.meter.calls > 0

@@ -374,24 +374,6 @@ def test_tier_swaps_mid_burst_take_effect_by_the_next_burst(batch):
     assert len(outputs[0][0]) == sum(1 for index in range(160) if index % 5)
 
 
-def test_metered_router_degrades_to_tier1():
-    from repro.sim.cpu import CycleMeter
-
-    testbed = Testbed(2)
-    router, devices = testbed.build_router(
-        testbed.variant_graph("base"),
-        meter=CycleMeter(),
-        mode="adaptive",
-        adaptive_config=AdaptiveConfig(**EAGER),
-    )
-    for device_name, frame in testbed.evaluation_frames(128):
-        devices[device_name].receive_frame(frame)
-    router.run_tasks(128)
-    report = router.adaptive.profile_report().as_dict()
-    assert report["metered"] is True
-    assert all(c["tier"] == 1 for c in report["chains"].values())
-
-
 # -- codegen cache -----------------------------------------------------------
 
 SIMPLE = """

@@ -47,7 +47,6 @@ class TestCompileReport:
         assert report.branch_ports > report.branch_elements
         assert report.specialized_terminals > 0
         assert report.specialized_actions > 0
-        assert report.metered is False
 
     def test_elision_counted_on_optimized_variant(self):
         # GetIPAddress(16) directly after CheckIPHeader is redundant —
@@ -68,18 +67,6 @@ class TestCompileReport:
     def test_batch_flag_recorded(self):
         _, (router, _) = build("simple")
         assert compile_fastpath(router, batch=True).report.batch is True
-
-    def test_metered_compile_disables_specialization(self):
-        from repro.sim.cpu import CycleMeter
-
-        testbed = Testbed(2)
-        router, _ = testbed.build_router(testbed.variant_graph("base"), meter=CycleMeter())
-        report = compile_fastpath(router).report
-        assert report.metered is True
-        # Metered chains reconcile charges exactly, so no handler is
-        # compiled away from the cost model's sight.
-        assert report.specialized_actions == 0
-        assert report.elided_elements == 0
 
 
 class TestGeneratedSource:

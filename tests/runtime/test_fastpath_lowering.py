@@ -45,7 +45,12 @@ from repro.runtime.fastpath import ChainPolicy, FastPath, _lowering
 from repro.runtime.fdd import DEFAULT_NODE_BUDGET, diagram_pass
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.testbed import HOST_ETHERS, Testbed, host_ip
-from tests.integration.test_fastpath_equivalence import hostile_traffic, observe, variant_graph
+from tests.integration.test_fastpath_equivalence import (
+    COMPILED_PROFILES,
+    hostile_traffic,
+    observe,
+    variant_graph,
+)
 
 EAGER = dict(threshold=48, sample=4, min_samples=12)
 
@@ -158,16 +163,6 @@ def test_lowering_declined_for_overridden_or_wrapped_push():
     fastpath = FastPath(router)
     assert ("oc@xf", ("push",)) in bound_calls(fastpath, ("push", "rt", 1))
     assert fastpath.report.opaque_dispatch["push rt[1]"] == ["oc@xf"]
-
-
-def test_metered_chains_do_not_lower():
-    from repro.sim.cpu import CycleMeter
-
-    testbed = Testbed(2)
-    result = named_pipeline("paper").run(testbed.base_graph())
-    graph = load_config(save_config(result.graph), "<paper>")
-    router, _devices = testbed.build_router(graph, meter=CycleMeter(), mode="fast")
-    assert router.fastpath.chain_for("push", "rt", 1).terminal == "oc@xf"
 
 
 @pytest.mark.parametrize("variant", ["dv", "fc"])
@@ -329,12 +324,6 @@ def drive_frames(router, devices, frames):
 # -- task units ----------------------------------------------------------------
 
 PIPE = "src :: PollDevice(eth0) -> c :: Counter -> q :: Queue(64) -> dst :: ToDevice(eth1);"
-COMPILED_PROFILES = [
-    replace(profile, batch=batch, supervised=supervised)
-    for profile in (ExecutionProfile.fast(), ExecutionProfile.tiered(), ExecutionProfile.fdd())
-    for batch in (False, True)
-    for supervised in (False, True)
-]
 
 
 def pipe(profile, devices=None, meter=None, prepare=None):
@@ -398,17 +387,17 @@ def _inject_element_fault(router):
 @pytest.mark.parametrize("batch", [False, True])
 @pytest.mark.parametrize("mode", ["fast", "adaptive", "fdd"])
 def test_ineligible_tasks_run_the_element_loop(mode, batch):
-    """Eligibility is declared, never inferred: a metered router, a
-    device proxy (which forwards ``rx`` and ``transmitted`` but declares
-    no rings), a device subclass overriding one of the three calls, a
-    fault-wrapped element, a hand-wrapped ``run_task`` and the reference
-    interpreter all run ``run_task`` as written."""
+    """Eligibility is declared, never inferred: a device proxy (which
+    forwards ``rx`` and ``transmitted`` but declares no rings), a device
+    subclass overriding one of the three calls, a fault-wrapped element,
+    a hand-wrapped ``run_task`` and the reference interpreter — which a
+    metered router runs — all run ``run_task`` as written."""
     from repro.sim.cpu import CycleMeter
 
     profile = replace(profile_for(mode, batch), adaptive=None)
     default_cache().clear()
     assert runs_units(pipe(profile)[0]) == {"src", "dst"}  # what the cache now holds
-    assert runs_units(pipe(profile, meter=CycleMeter())[0]) == set()
+    assert pipe(profile, meter=CycleMeter())[0].engine is None
     faulty = _faulty_devices()
     assert type(faulty["eth0"]).__name__ == "FaultyDevice" and faulty["eth0"].rx is not None
     assert runs_units(pipe(profile, devices=faulty)[0]) == set()

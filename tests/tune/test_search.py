@@ -32,7 +32,7 @@ class TestDeterminism:
 
     def test_different_seed_may_differ_but_stays_valid(self):
         other = quick_tune(seed=8)
-        space = default_space(mode="adaptive")
+        space = default_space()
         relevant = {k: v for k, v in other.params.items() if k in space.params}
         assert space.check(dict(space.defaults(), **relevant)) is None
 
@@ -54,7 +54,7 @@ class TestNeverWorse:
 
 class TestCanonicalize:
     def test_inert_knobs_reset_to_defaults(self):
-        space = default_space(mode="adaptive", workers=1, supervised=False)
+        space = default_space(workers=1)
         drawn = dict(space.defaults())
         drawn["shard.queue_capacity"] = 64  # inert at workers=1
         drawn["fdd.node_budget"] = 999  # inert off-fdd
@@ -66,7 +66,7 @@ class TestCanonicalize:
         assert canonical["supervisor.backoff"] == defaults["supervisor.backoff"]
 
     def test_live_knobs_survive(self):
-        space = default_space(mode="adaptive", workers=1, supervised=False)
+        space = default_space(workers=1)
         drawn = dict(space.defaults(), **{"adaptive.threshold": 128})
         canonical = _canonicalize(space, drawn, "adaptive", 1, False)
         assert canonical["adaptive.threshold"] == 128
@@ -114,7 +114,7 @@ class TestChunkTerm:
         from repro.tune.objective import CostModel
         from repro.tune.workloads import workload
 
-        space = default_space(mode="fast", workers=2)
+        space = default_space(workers=2)
         chunk = space.params["shard.chunk_frames"]
         assert chunk.low < DEFAULT_CHUNK_FRAMES < chunk.high
         model = CostModel(workload("iprouter"), mode="fast", workers=2, shard_backend="process")

@@ -92,7 +92,7 @@ class TestDefaultSpace:
     def test_defaults_match_runtime_config_defaults(self):
         """The registry's defaults ARE the shipped constants — a drifted
         default would make 'tuned vs default' comparisons meaningless."""
-        defaults = default_space(mode="adaptive", supervised=True).defaults()
+        defaults = default_space().defaults()
         adaptive = AdaptiveConfig()
         assert defaults["adaptive.threshold"] == adaptive.threshold
         assert defaults["adaptive.sample"] == adaptive.sample
@@ -115,7 +115,7 @@ class TestDefaultSpace:
     def test_every_sample_builds_a_valid_adaptive_config(self):
         """Constraint-enforcement satellite: no draw, ever, may produce
         an assignment AdaptiveConfig's own validation would reject."""
-        space = default_space(mode="adaptive", workers=2, supervised=True)
+        space = default_space(workers=2)
         rng = random.Random(20260809)
         for _ in range(300):
             assignment = space.sample(rng)
