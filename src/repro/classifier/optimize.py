@@ -11,8 +11,19 @@ Three passes, in the spirit of BPF+'s global data-flow optimizations:
   whose outcome is implied by those facts are bypassed (redundant-
   predicate elimination).
 - **node deduplication**: structurally identical subtrees are shared
-  (hash-consing), undoing the duplication pruning can introduce.
+  (hash-consing, one postorder pass), undoing the duplication pruning
+  can introduce.
 - **unreachable-node elimination**: renumbering keeps only live nodes.
+
+Two root paths part at an undecided test, after which one knows the
+test held and the other that it failed, so no two paths reach a node
+with the same facts.  Pruning therefore needs no memo: it visits each
+(undecided test, facts) pair once, and its budget counts those visits.
+It also makes one round of the three a fixpoint.  Once pruning finishes,
+every path carries the facts its tests were kept under, so pruning
+again decides nothing; a pruning that gave up on its budget gives up
+again on the deduplicated tree, which has the same pairs and a smaller
+budget.
 
 ``graft`` combines adjacent classifiers' trees — the transformation
 *click-fastclassifier* applies before code generation (§4).
@@ -66,38 +77,27 @@ def prune_redundant_tests(tree):
     if not tree.exprs:
         return tree
     builder = TreeBuilder()
-    limit = max(64, len(tree.exprs) * _EXPANSION_LIMIT_FACTOR)
-    budget = [limit]
-    memo = {}
+    budget = [max(64, len(tree.exprs) * _EXPANSION_LIMIT_FACTOR)]
 
     def walk(pos, facts):
-        if is_leaf(pos):
-            return pos
-        key = (pos, tuple(sorted(facts.known.items())), facts.negative)
-        if key in memo:
-            return memo[key]
-        expr = tree.exprs[pos - 1]
-        decided = facts.decide(expr.offset, expr.mask, expr.value)
-        if decided is True:
-            result = walk(expr.yes, facts)
-        elif decided is False:
-            result = walk(expr.no, facts)
+        # Decided tests add no fact: follow them to the first undecided
+        # test, which costs one unit of budget and splits the facts.
+        while not is_leaf(pos):
+            expr = tree.exprs[pos - 1]
+            decided = facts.decide(expr.offset, expr.mask, expr.value)
+            if decided is None:
+                break
+            pos = expr.yes if decided else expr.no
         else:
-            if budget[0] <= 0:
-                raise _Overflow()
-            budget[0] -= 1
-            yes_entry = walk(
-                expr.yes, facts.assume_true(expr.offset, expr.mask, expr.value)
-            )
-            no_entry = walk(
-                expr.no, facts.assume_false(expr.offset, expr.mask, expr.value)
-            )
-            if yes_entry == no_entry and not isinstance(yes_entry, str):
-                result = yes_entry  # test no longer matters
-            else:
-                result = builder.node(expr.offset, expr.mask, expr.value, yes_entry, no_entry)
-        memo[key] = result
-        return result
+            return pos
+        if budget[0] <= 0:
+            raise _Overflow()
+        budget[0] -= 1
+        yes_entry = walk(expr.yes, facts.assume_true(expr.offset, expr.mask, expr.value))
+        no_entry = walk(expr.no, facts.assume_false(expr.offset, expr.mask, expr.value))
+        if yes_entry == no_entry and not isinstance(yes_entry, str):
+            return yes_entry  # test no longer matters
+        return builder.node(expr.offset, expr.mask, expr.value, yes_entry, no_entry)
 
     try:
         root = walk(1, _Facts())
@@ -111,38 +111,33 @@ class _Overflow(Exception):
 
 
 def deduplicate_nodes(tree):
-    """Merge structurally identical nodes (bottom-up hash-consing)."""
+    """Merge structurally identical nodes: one postorder hash-consing
+    pass from the root, then renumbering."""
     if not tree.exprs:
         return tree
-    # Process nodes in reverse index order; in builder output, successors
-    # always have higher indices than... not guaranteed for DAGs with
-    # back-edges — trees here are acyclic by construction, so iterate to
-    # fixpoint instead.
-    canonical = {i + 1: i + 1 for i in range(len(tree.exprs))}
-    changed = True
-    while changed:
-        changed = False
-        seen = {}
-        for index in range(len(tree.exprs), 0, -1):
-            expr = tree.exprs[index - 1]
-            yes = canonical[expr.yes] if not is_leaf(expr.yes) else expr.yes
-            no = canonical[expr.no] if not is_leaf(expr.no) else expr.no
-            key = (expr.offset, expr.mask, expr.value, yes, no)
-            if key in seen:
-                if canonical[index] != seen[key]:
-                    canonical[index] = seen[key]
-                    changed = True
-            else:
-                seen[key] = canonical[index]
-    if all(canonical[i + 1] == i + 1 for i in range(len(tree.exprs))):
-        return remove_unreachable(tree)
+    canonical = {}  # node -> the first node in postorder with its key
+    interned = {}  # (offset, mask, value, yes, no) -> canonical node
 
     def redirect(target):
         return target if is_leaf(target) else canonical[target]
 
-    exprs = [
-        Expr(e.offset, e.mask, e.value, redirect(e.yes), redirect(e.no)) for e in tree.exprs
-    ]
+    stack = [1]
+    while stack:
+        pos = stack[-1]
+        if pos in canonical:
+            stack.pop()
+            continue
+        expr = tree.exprs[pos - 1]
+        waiting = [t for t in (expr.no, expr.yes) if not is_leaf(t) and t not in canonical]
+        if waiting:
+            stack.extend(waiting)
+            continue
+        stack.pop()
+        key = (expr.offset, expr.mask, expr.value, redirect(expr.yes), redirect(expr.no))
+        canonical[pos] = interned.setdefault(key, pos)
+    exprs = list(tree.exprs)
+    for key, pos in interned.items():
+        exprs[pos - 1] = Expr(*key)
     return remove_unreachable(DecisionTree(exprs, noutputs=tree._noutputs))
 
 
@@ -174,19 +169,12 @@ def remove_unreachable(tree):
 
 
 def optimize(tree):
-    """The full pipeline: prune, deduplicate, drop dead nodes — iterated
-    until it stops helping."""
+    """The full pipeline: prune, deduplicate, drop dead nodes — one
+    round, which is a fixpoint (see the module docstring)."""
     current = remove_unreachable(tree)
-    for _ in range(4):
-        pruned = deduplicate_nodes(prune_redundant_tests(current))
-        if len(pruned.exprs) >= len(current.exprs) and pruned.signature() == current.signature():
-            break
-        # Keep the smaller tree (pruning can enlarge before dedup shrinks).
-        if len(pruned.exprs) <= len(current.exprs):
-            current = pruned
-        else:
-            break
-    return current
+    pruned = deduplicate_nodes(prune_redundant_tests(current))
+    # Keep the smaller tree (pruning can enlarge before dedup shrinks).
+    return pruned if len(pruned.exprs) <= len(current.exprs) else current
 
 
 def remap_outputs(tree, mapping):

@@ -13,6 +13,7 @@ from __future__ import annotations
 from ..classifier.compile import CompiledClassifier, compiled_function_for, enter, is_pending
 from ..classifier.ipfilter import compile_expressions, compile_filter_rules
 from ..classifier.language import compile_patterns
+from ..classifier.optimize import optimize
 from .element import ConfigError, Element
 from .registry import register
 
@@ -77,19 +78,21 @@ class _TreeClassifier(Element):
     def build_tree(self, args):
         raise NotImplementedError
 
-    def configure(self, args):
+    def optimized_tree(self, args):
+        """The optimized decision tree for the rules ``args``; bad rules
+        raise :class:`ConfigError`.  §3: the generic classifiers got "an
+        extensive set of decision tree optimizations, similar to BPF+'s"
+        — the elements themselves run the optimizer; fastclassifier then
+        compiles the already-optimized tree."""
         if not args:
             raise ConfigError("%s needs at least one pattern" % self.class_name)
         try:
-            # §3: the generic classifiers got "an extensive set of
-            # decision tree optimizations, similar to BPF+'s" — the
-            # elements themselves run the optimizer; fastclassifier then
-            # compiles the already-optimized tree.
-            from ..classifier.optimize import optimize
-
-            self.tree = optimize(self.build_tree(args))
+            return optimize(self.build_tree(args))
         except ValueError as exc:
             raise ConfigError("%s: %s" % (self.class_name, exc)) from exc
+
+    def configure(self, args):
+        self.tree = self.optimized_tree(args)
         # How many outputs this configuration declares (click-check
         # verifies they are all connected).
         self.configured_noutputs = self.tree.noutputs
@@ -112,14 +115,7 @@ class _TreeClassifier(Element):
         outputs rewires the graph, which needs a hot-swap); bad rules
         raise :class:`ConfigError`.  Returns the optimized tree for
         :meth:`commit_rules`."""
-        if not args:
-            raise ConfigError("%s needs at least one pattern" % self.class_name)
-        try:
-            from ..classifier.optimize import optimize
-
-            tree = optimize(self.build_tree(args))
-        except ValueError as exc:
-            raise ConfigError("%s: %s" % (self.class_name, exc)) from exc
+        tree = self.optimized_tree(args)
         if tree.noutputs != self.configured_noutputs:
             raise ConfigError(
                 "rule update changes %s's output count %d -> %d "
