@@ -136,8 +136,11 @@ class ControlPlane:
     def resolve(self, update):
         """Public form of the update resolver: ``(delta,
         new_graph_or_None)`` for a delta, graph, or text update.  The
-        sharded data plane resolves once and stages the same delta on
-        every shard."""
+        sharded data plane does not resolve once for all shards: its
+        coordinator sends every update as configuration text, and each
+        worker calls this on that text, parsing it and diffing it against
+        its own graph (the ``diff`` phase of the worker's
+        :class:`~repro.elements.hotswap.SwapReport`)."""
         return self._resolve(update)
 
     def _resolve(self, update):

@@ -8,12 +8,12 @@ errors", which is inappropriate for optimizers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceLocation:
-    """A position in a configuration file."""
+class SourceLocation(NamedTuple):
+    """A position in a configuration file.  A tuple, since the lexer
+    builds one per token: format it as ``"%s" % (location,)``."""
 
     filename: str
     line: int

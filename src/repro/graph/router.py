@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from ..errors import UNKNOWN_LOCATION, ClickSemanticError, SourceLocation
 
@@ -35,9 +36,10 @@ class ElementDecl:
         return replace(self)
 
 
-@dataclass(frozen=True)
-class Conn:
-    """A connection: ``from_element [from_port] -> [to_port] to_element``."""
+class Conn(NamedTuple):
+    """A connection: ``from_element [from_port] -> [to_port] to_element``.
+    A tuple, since a parse builds one per edge and graph diffs hash and
+    compare them: format it as ``"%s" % (conn,)``."""
 
     from_element: str
     from_port: int
@@ -256,13 +258,13 @@ class RouterGraph:
             key = ("in", conn.to_element, conn.to_port)
             if key not in boundary_map:
                 raise ClickSemanticError(
-                    "replacement does not cover boundary connection %s" % conn
+                    "replacement does not cover boundary connection %s" % (conn,)
                 )
         for conn in outgoing:
             key = ("out", conn.from_element, conn.from_port)
             if key not in boundary_map:
                 raise ClickSemanticError(
-                    "replacement does not cover boundary connection %s" % conn
+                    "replacement does not cover boundary connection %s" % (conn,)
                 )
 
         for name in element_names:
@@ -363,7 +365,7 @@ class RouterGraph:
         for conn in self.connections:
             for name in (conn.from_element, conn.to_element):
                 if name not in self.elements:
-                    raise ClickSemanticError("dangling connection %s" % conn)
+                    raise ClickSemanticError("dangling connection %s" % (conn,))
         return True
 
     def __repr__(self):

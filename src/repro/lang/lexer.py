@@ -6,11 +6,19 @@ them.  The lexer produces a token stream; parenthesized configuration
 strings are captured *raw* (quotes, nested parentheses and comments
 respected) because element configuration syntax is the element's own
 business — tools must round-trip it byte-for-byte.
+
+Every route update on a sharded plane re-parses the whole configuration
+in each worker, so the scanner stays in C as far as it can: one
+compiled pattern skips whitespace and comments and matches the next
+token, a configuration string is captured by jumping between the
+characters that matter in it, and line and column come from counting
+newlines between token starts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import ClickSyntaxError, SourceLocation
 
@@ -35,12 +43,8 @@ EOF = "EOF"
 
 _KEYWORDS = {"elementclass": ELEMENTCLASS, "require": REQUIRE}
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_@")
-_IDENT_CONT = _IDENT_START | set("0123456789/")
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     location: SourceLocation
@@ -49,162 +53,109 @@ class Token:
         return "Token(%s, %r)" % (self.kind, self.value)
 
 
-class Lexer:
-    """Tokenizes one configuration file."""
+# One match per token: whitespace and comments, then the token.  The
+# last alternative is empty, so a match never fails and never backtracks
+# into the skipped text; it marks end of input, an unterminated block
+# comment, or a character no token starts with.  Punctuation kinds are
+# their own text; a number is a run of decimal digits (``\d``: what
+# ``int`` reads, so superscripts are unexpected characters).
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*"
+    r"(?:(?P<IDENT>[A-Za-z_@][A-Za-z0-9_@/]*)"
+    r"|(?P<NUMBER>\d+)"
+    r"|(?P<PUNCT>::|->|\|\||[;,|{}\[\]])"
+    r"|(?P<VARIABLE>\$[A-Za-z0-9_@/]*)"
+    r"|(?P<CONFIG>\()"
+    r"|(?P<OTHER>))",
+    re.S,
+)
+# Inside a configuration string: the next character or pair that is not
+# plain text.
+_CONFIG_STOP = re.compile(r'[()"]|//|/\*')
+# The rest of a double-quoted string after its opening quote; a
+# backslash escapes the next character.
+_STRING_REST = re.compile(r'[^"\\]*(?:\\.[^"\\]*)*"', re.S)
 
-    def __init__(self, text, filename="<config>"):
-        self.text = text
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
 
-    def location(self):
-        return SourceLocation(self.filename, self.line, self.column)
-
-    def _advance(self, count=1):
-        for _ in range(count):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                    self.column = 1
-                else:
-                    self.column += 1
-                self.pos += 1
-
-    def _peek(self, offset=0):
-        index = self.pos + offset
-        return self.text[index] if index < len(self.text) else ""
-
-    def _skip_space_and_comments(self):
-        while self.pos < len(self.text):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "/" and self._peek(1) == "/":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                start = self.location()
-                self._advance(2)
-                while self.pos < len(self.text) and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._advance()
-                if self.pos >= len(self.text):
-                    raise ClickSyntaxError("unterminated block comment", start)
-                self._advance(2)
-            else:
-                return
-
-    def _lex_config(self):
-        """Capture raw text between balanced parentheses.  Parentheses
-        inside double-quoted strings or comments don't count."""
-        start = self.location()
-        assert self._peek() == "("
-        self._advance()
-        depth = 1
-        chunk_start = self.pos
-        parts = []
-        while self.pos < len(self.text):
-            char = self._peek()
-            if char == '"':
-                self._advance()
-                while self.pos < len(self.text) and self._peek() != '"':
-                    if self._peek() == "\\":
-                        self._advance()
-                    self._advance()
-                if self.pos >= len(self.text):
-                    raise ClickSyntaxError("unterminated string in configuration", start)
-                self._advance()
-            elif char == "/" and self._peek(1) == "/":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.text) and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._advance()
-                self._advance(2)
-            elif char == "(":
-                depth += 1
-                self._advance()
-            elif char == ")":
-                depth -= 1
-                if depth == 0:
-                    parts.append(self.text[chunk_start:self.pos])
-                    self._advance()
-                    return Token(CONFIG, "".join(parts).strip(), start)
-                self._advance()
-            else:
-                self._advance()
-        raise ClickSyntaxError("unterminated configuration string", start)
-
-    def next_token(self):
-        self._skip_space_and_comments()
-        loc = self.location()
-        if self.pos >= len(self.text):
-            return Token(EOF, "", loc)
-        char = self._peek()
+def _config_end(text, open_paren, location):
+    """The index of the ``)`` that closes the ``(`` at ``open_paren``.
+    Parentheses inside double-quoted strings or comments don't count."""
+    depth = 1
+    pos = open_paren + 1
+    while True:
+        stop = _CONFIG_STOP.search(text, pos)
+        if stop is None:
+            break
+        char = stop.group()
+        pos = stop.end()
         if char == "(":
-            return self._lex_config()
-        if char == ":" and self._peek(1) == ":":
-            self._advance(2)
-            return Token(COLONCOLON, "::", loc)
-        if char == "-" and self._peek(1) == ">":
-            self._advance(2)
-            return Token(ARROW, "->", loc)
-        if char == "|" and self._peek(1) == "|":
-            self._advance(2)
-            return Token(BARBAR, "||", loc)
-        if char in ";,|{}[]":
-            self._advance()
-            kind = {
-                ";": SEMI,
-                ",": COMMA,
-                "|": BAR,
-                "{": LBRACE,
-                "}": RBRACE,
-                "[": LBRACKET,
-                "]": RBRACKET,
-            }[char]
-            return Token(kind, char, loc)
-        if char == "$":
-            self._advance()
-            start = self.pos
-            while self.pos < len(self.text) and self._peek() in _IDENT_CONT:
-                self._advance()
-            name = self.text[start:self.pos]
-            if not name:
-                raise ClickSyntaxError("'$' must introduce a variable name", loc)
-            return Token(VARIABLE, "$" + name, loc)
-        if char.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self._peek().isdigit():
-                self._advance()
-            return Token(NUMBER, self.text[start:self.pos], loc)
-        if char in _IDENT_START:
-            start = self.pos
-            while self.pos < len(self.text) and self._peek() in _IDENT_CONT:
-                self._advance()
-            word = self.text[start:self.pos]
-            return Token(_KEYWORDS.get(word, IDENT), word, loc)
-        raise ClickSyntaxError("unexpected character %r" % char, loc)
-
-    def tokens(self):
-        """The full token list, ending with EOF."""
-        result = []
-        while True:
-            token = self.next_token()
-            result.append(token)
-            if token.kind == EOF:
-                return result
+            depth += 1
+        elif char == ")":
+            depth -= 1
+            if depth == 0:
+                return stop.start()
+        elif char == '"':
+            rest = _STRING_REST.match(text, pos)
+            if rest is None:
+                raise ClickSyntaxError("unterminated string in configuration", location)
+            pos = rest.end()
+        elif char == "//":
+            pos = text.find("\n", pos)
+            if pos < 0:
+                break
+        else:
+            pos = text.find("*/", pos) + 2
+            if pos < 2:
+                break
+    raise ClickSyntaxError("unterminated configuration string", location)
 
 
 def tokenize(text, filename="<config>"):
-    """The token list for ``text``, ending with EOF."""
-    return Lexer(text, filename).tokens()
+    """The token list for ``text``, ending with EOF.  A configuration
+    string is captured raw (stripped of surrounding whitespace) as one
+    CONFIG token located at its ``(``."""
+    tokens = []
+    append = tokens.append
+    match = _TOKEN.match
+    pos = 0
+    line = 1
+    line_start = 0  # index of the first character of ``line``
+    last = 0  # where the previous token started
+    while True:
+        found = match(text, pos)
+        kind = found.lastgroup
+        start = found.start(kind)
+        newlines = text.count("\n", last, start)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", last, start) + 1
+        last = start
+        location = SourceLocation(filename, line, start - line_start + 1)
+        pos = found.end()
+        if kind == "IDENT":
+            value = found.group(kind)
+            append(Token(_KEYWORDS.get(value, IDENT), value, location))
+        elif kind == "PUNCT":
+            value = found.group(kind)
+            append(Token(value, value, location))
+        elif kind == "CONFIG":
+            end = _config_end(text, start, location)
+            append(Token(CONFIG, text[pos:end].strip(), location))
+            pos = end + 1
+        elif kind == "NUMBER":
+            append(Token(NUMBER, found.group(kind), location))
+        elif kind == "VARIABLE":
+            value = found.group(kind)
+            if value == "$":
+                raise ClickSyntaxError("'$' must introduce a variable name", location)
+            append(Token(VARIABLE, value, location))
+        elif pos == len(text):
+            append(Token(EOF, "", location))
+            return tokens
+        elif text.startswith("/*", pos):
+            raise ClickSyntaxError("unterminated block comment", location)
+        else:
+            raise ClickSyntaxError("unexpected character %r" % text[pos], location)
 
 
 def split_config_args(config):

@@ -105,6 +105,33 @@ class TestMutation:
         assert "extra" not in graph
 
 
+class TestIntegrity:
+    def test_dangling_connection_named(self):
+        graph = simple_graph()
+        del graph.elements["c"]
+        with pytest.raises(ClickSemanticError) as info:
+            graph.check_integrity()
+        assert info.value.bare_message == "dangling connection b [0] -> [0] c"
+
+
+class TestConn:
+    """A connection is a tuple that keeps a record's str, repr, equality
+    and hash (a frozen dataclass hashes its field tuple too)."""
+
+    def test_str_and_repr(self):
+        conn = Conn("a", 1, "b", 2)
+        assert str(conn) == "a [1] -> [2] b"
+        assert "%s" % (conn,) == "a [1] -> [2] b"
+        assert repr(conn) == "Conn(from_element='a', from_port=1, to_element='b', to_port=2)"
+
+    def test_equality_and_hash(self):
+        conn = Conn("a", 1, "b", 2)
+        assert conn == Conn("a", 1, "b", 2)
+        assert conn != Conn("a", 1, "b", 3)
+        assert hash(conn) == hash(("a", 1, "b", 2))
+        assert len({conn, Conn("a", 1, "b", 2)}) == 1
+
+
 class TestReplaceSubgraph:
     def test_replace_linear_chain_with_single_element(self):
         """The click-xform primitive: swap {b} for a combo element."""
@@ -125,8 +152,22 @@ class TestReplaceSubgraph:
         graph = simple_graph()
         replacement = RouterGraph()
         replacement.add_element("combo", "FastQueue")
-        with pytest.raises(ClickSemanticError):
+        with pytest.raises(ClickSemanticError) as info:
             graph.replace_subgraph(["b"], replacement, {("in", "b", 0): ("combo", 0)})
+        assert info.value.bare_message == (
+            "replacement does not cover boundary connection b [0] -> [0] c"
+        )
+
+    def test_replace_uncovered_incoming_boundary_rejected(self):
+        graph = simple_graph()
+        replacement = RouterGraph()
+        replacement.add_element("combo", "FastQueue")
+        with pytest.raises(ClickSemanticError) as info:
+            graph.replace_subgraph(["b"], replacement, {("out", "b", 0): ("combo", 0)})
+        assert info.value.bare_message == (
+            "replacement does not cover boundary connection a [0] -> [0] b"
+        )
+        assert "b" in graph  # nothing removed
 
     def test_replacement_names_uniquified(self):
         graph = simple_graph()
