@@ -292,7 +292,7 @@ def optimize_main(argv=None):
         parser.add_argument(
             "--supervised",
             action="store_true",
-            help="attach the resilient supervisor to the compiled router "
+            help="run the compiled router supervised "
             "(implies --fast) and include its resilience report",
         )
         parser.add_argument(
@@ -471,9 +471,9 @@ def _fastpath_report(
     its fast path; returns ``(report text, report dict)``.  With
     ``adaptive`` the router comes up under the tiered engine instead,
     and ``profile`` appends its per-chain tier report.  ``supervised``
-    attaches the resilient supervisor to the compiled router and appends
-    its resilience report (all chains healthy at compile time — the
-    section documents the installed boundaries and tier stacks).
+    runs the compiled router supervised and appends its resilience
+    report (every task healthy at compile time — the section documents
+    the tier stacks).
     ``workers > 1`` additionally spins the graph up as a sharded data
     plane (one compiled router per shard on ``shard_backend``) and
     appends its shard report — with ``recovery`` set, the plane comes

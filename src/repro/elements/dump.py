@@ -55,9 +55,9 @@ class FromDump(Element):
             self._cursor += 1
             packet = Packet(data)
             packet.timestamp = timestamp
-            self.output(0).push(packet)
             self.emitted += 1
             sent += 1
+            self.output(0).push(packet)
         return sent > 0
 
 

@@ -171,8 +171,8 @@ class TimedSource(Element):
         if self._elapsed < self.interval:
             return False
         self._elapsed -= self.interval
-        self.output(0).push(Packet(self.data))
         self.emitted += 1
+        self.output(0).push(Packet(self.data))
         return True
 
 
@@ -334,8 +334,8 @@ class InfiniteSource(Element):
         if self.limit >= 0:
             count = min(count, self.limit - self.emitted)
         for _ in range(count):
-            self.output(0).push(Packet(self.data))
             self.emitted += 1
+            self.output(0).push(Packet(self.data))
         return count > 0
 
 
@@ -358,15 +358,15 @@ class Unqueue(Element):
         return True
 
     def run_task(self):
-        moved = 0
+        moved = False
         for _ in range(self.burst):
             packet = self.input(0).pull()
             if packet is None:
                 break
+            self.count += 1
+            moved = True
             self.output(0).push(packet)
-            moved += 1
-        self.count += moved
-        return moved > 0
+        return moved
 
 
 @register
@@ -502,10 +502,10 @@ class RatedSource(Element):
         while self._credit >= 1.0:
             if self.limit >= 0 and self.emitted >= self.limit:
                 break
-            self.output(0).push(Packet(self.data))
             self.emitted += 1
             self._credit -= 1.0
             sent += 1
+            self.output(0).push(Packet(self.data))
         return sent > 0
 
 

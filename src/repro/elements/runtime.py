@@ -189,14 +189,9 @@ class Router:
     def profile(self):
         """The :class:`~repro.runtime.profile.ExecutionProfile` this
         router currently runs under: the one last applied, with
-        supervision read from live state (so it survives hot-swaps and
-        a direct attach or detach)."""
+        supervision read from live state (a retired router runs none)."""
         supervisor = self.supervisor
-        return replace(
-            self._profile,
-            supervised=supervisor is not None,
-            supervisor=supervisor.config if supervisor is not None else None,
-        )
+        return replace(self._profile, supervisor=supervisor.config if supervisor is not None else None)
 
     @property
     def fastpath(self):
@@ -221,7 +216,9 @@ class Router:
         A router carrying a meter runs the reference interpreter under
         any profile: the meter charges the configuration's call sites,
         which the reference executes one for one.  Returns ``self``."""
+        from ..runtime.adaptive import AdaptiveEngine
         from ..runtime.profile import ExecutionProfile
+        from ..runtime.supervisor import Supervisor
 
         if profile is None:
             profile = ExecutionProfile()
@@ -232,24 +229,16 @@ class Router:
             )
         if self.meter is not None:
             profile = profile.with_mode("reference")
-        # Mode changes swap port lists wholesale; supervision wraps the
-        # current ports, so it comes off first and goes back on after.
-        self.detach_supervisor()
-
-        def engine_fields(p):
-            return p.mode, p.batch, p.adaptive, p.node_budget
-
-        if engine_fields(profile) != engine_fields(self._profile):
+        if AdaptiveEngine.fields(profile) != AdaptiveEngine.fields(self._profile):
             self._drop_engine()
         if self.engine is None and profile.mode != "reference":
-            from ..runtime.adaptive import AdaptiveEngine
-
             engine = AdaptiveEngine(self, profile)
             engine.install()
             self.engine = engine
         self._profile = profile
-        if profile.supervised:
-            self._attach_supervisor(profile.supervisor)
+        if self.engine is not None:
+            self.engine.unpin()  # a new supervisor starts every task at the top tier
+        self.supervisor = Supervisor(self, profile.supervisor) if profile.supervised else None
         return self
 
     def _drop_engine(self):
@@ -260,23 +249,6 @@ class Router:
             self.engine = None
         self._profile = self._profile.with_mode("reference")
 
-    def _attach_supervisor(self, config=None):
-        """Attach (or re-attach) supervised execution: error boundaries
-        around every compiled chain entry, tiered demotion, circuit
-        breakers, and the task watchdog.  Returns the supervisor."""
-        from ..runtime.supervisor import Supervisor
-
-        if self.supervisor is not None:
-            self.supervisor.detach()
-        supervisor = Supervisor(self, config=config)
-        supervisor.attach()
-        return supervisor
-
-    def detach_supervisor(self):
-        """Remove supervision, restoring the unwrapped ports."""
-        if self.supervisor is not None:
-            self.supervisor.detach()
-
     def retire(self):
         """Decommission this router after a hot-swap: supervision and
         compiled state come off, and the scheduler goes inert.  The
@@ -284,7 +256,7 @@ class Router:
         ``take_state`` handlers already copied what they needed)."""
         if self.retired:
             return
-        self.detach_supervisor()
+        self.supervisor = None
         self._drop_engine()
         self.retired = True
 
@@ -331,8 +303,8 @@ class Router:
         element one run_task call — its loop, or the unit compiled
         from it (Click's constantly-active kernel thread,
         round-robin).  A retired router (after a hot-swap) is
-        inert.  Under supervision each task call gets a containing
-        boundary and watchdog bookkeeping."""
+        inert.  Under supervision each task call is the error boundary
+        (:meth:`_run_tasks_supervised`)."""
         if self.retired:
             return 0
         if self.supervisor is not None:
@@ -355,26 +327,30 @@ class Router:
         return useful
 
     def _run_tasks_supervised(self, iterations):
-        """The supervised scheduler loop: the port boundaries drop the
-        exact packet that raised; this task-level backstop catches
-        anything that escapes them (and counts the pass as worked — the
-        task did consume input before failing), so a supervised router
-        never lets a task kill the driver."""
+        """The supervised scheduler loop, and the router's one error
+        boundary: an exception out of ``run_task`` costs the packet in
+        flight and ends that task's burst (the rest stays on its ring or
+        queue), is charged to the task's guard, and counts the pass as
+        worked — the task did consume input.  A task the watchdog
+        benched sits its cooldown passes out."""
         useful = 0
-        engine = self.engine
-        supervisor = self.supervisor
+        engine, meter, supervisor = self.engine, self.meter, self.supervisor
+        guarded = [(task, supervisor.guard(task)) for task in self._tasks]
         for _ in range(iterations):
             worked = 0
-            for task in self._tasks:
-                if supervisor.task_benched(task):
+            for task, guard in guarded:
+                if guard.benched:
+                    guard.benched -= 1
                     continue
+                if meter is not None:
+                    meter.on_task(task)
                 try:
                     did = task.run_task()
-                except Exception as exc:  # noqa: BLE001 - supervised backstop
-                    supervisor.on_task_error(task, exc)
+                except Exception as exc:  # noqa: BLE001 - the supervised boundary
+                    guard.fail(exc)
                     did = True
                 else:
-                    supervisor.note_task(task, did)
+                    guard.note(did)
                 if did:
                     worked += 1
             useful += worked

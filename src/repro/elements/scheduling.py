@@ -98,12 +98,12 @@ class RouterLink(Element):
         return True
 
     def run_task(self):
-        moved = 0
+        moved = False
         for _ in range(self.BURST):
             packet = self.input(0).pull()
             if packet is None:
                 break
+            self.carried += 1
+            moved = True
             self.output(0).push(packet)
-            moved += 1
-        self.carried += moved
-        return moved > 0
+        return moved

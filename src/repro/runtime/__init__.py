@@ -20,7 +20,7 @@ from .recovery import (
     RecoveryReport,
 )
 from .shard import ShardedRouter, ShardReport, SPSCQueue, device_names_of
-from .supervisor import ResilienceReport, Supervisor, SupervisorConfig, SupervisorError
+from .supervisor import ResilienceReport, Supervisor, SupervisorConfig
 
 __all__ = [
     "AdaptiveConfig",
@@ -52,5 +52,4 @@ __all__ = [
     "SPSCQueue",
     "Supervisor",
     "SupervisorConfig",
-    "SupervisorError",
 ]

@@ -617,14 +617,22 @@ class AdaptiveEngine:
     interpreter under any profile.
     """
 
+    @staticmethod
+    def fields(profile):
+        """What an engine is built from — ``(mode, batch, adaptive
+        config, node budget)`` — so a profile that changes none of them
+        keeps the engine.  Supervised, a batch profile runs the scalar
+        units: a batch unit pops its whole burst before the chain runs,
+        so an error in the chain would cost the burst's tail."""
+        return profile.mode, profile.batch and not profile.supervised, profile.adaptive, profile.node_budget
+
     def __init__(self, router, profile):
         self.router = router
-        self.mode = profile.mode
-        self.config = profile.adaptive if profile.adaptive is not None else AdaptiveConfig()
-        self.batch = profile.batch
-        self.diagrams = profile.mode == "fdd"
-        self.node_budget = profile.node_budget or DEFAULT_NODE_BUDGET
-        self.tiering = profile.mode != "fast"
+        self.mode, self.batch, config, node_budget = self.fields(profile)
+        self.config = config if config is not None else AdaptiveConfig()
+        self.diagrams = self.mode == "fdd"
+        self.node_budget = node_budget or DEFAULT_NODE_BUDGET
+        self.tiering = self.mode != "fast"
         self.store = ProfileStore()
         self.tier2_fp = None
         self.states = {}
@@ -634,6 +642,7 @@ class AdaptiveEngine:
         self._guard_counters = []
         self._decisions_cache = None
         self._reach_cache = {}
+        self.pins = {}  # task -> (level, [(port list, index, engine's port)], task unit taken off)
         self.installed = False
         self.tier1 = self._compile(self._diagram_fields())
         self.profiled = self._compile({}, store=self.store) if self.tiering else None
@@ -699,6 +708,57 @@ class AdaptiveEngine:
         for state in self.states.values():
             state.port.push = state.port.push_batch = None
         self.states = {}
+        self.pins = {}  # the pinned ports went with the port lists
+
+    # -- supervisor pins ---------------------------------------------------
+
+    @property
+    def tiers(self):
+        """The tier stack a supervised task walks down, best first; a
+        :meth:`pin` level indexes it."""
+        return (self.mode, "fast", "reference") if self.tiering else ("fast", "reference")
+
+    def pin(self, task, level):
+        """Run ``task``'s entries — its task unit and the chains its own
+        ports enter — at tier ``self.tiers[level]``, for the supervisor.
+        Level 0 hands them back to the engine; ``fast`` pins the plain
+        static chains, ``reference`` the interpreter (the element's own
+        ``run_task`` and the saved ports, via
+        :meth:`FastPath._reference_entries`).  A pinned port is a copy
+        standing in the element's port list, so the dispatcher,
+        promotion and :meth:`deopt`, which write the engine's own port
+        objects, leave a pinned entry alone."""
+        _level, swapped, unit = self.pins.pop(task, (0, (), None))
+        for ports, index, port in swapped:
+            ports[index] = port
+        if unit is not None:
+            task.run_task = unit
+        if not level:
+            return
+        tier1, swapped, unit = self.tier1, [], None
+        reference = self.tiers[level] == "reference"
+        if reference:
+            unit = tier1.function_for(("task", task.name, 0))
+            if unit is not None and vars(task).get("run_task") is unit:
+                del task.run_task
+            else:
+                unit = None
+        for ports, kind in ((task._output_ports, "push"), (task._input_ports, "pull")):
+            for index, port in enumerate(ports):
+                key = (kind, task.name, index)
+                entry = tier1.function_for(key)
+                if entry is None:
+                    continue
+                if reference:
+                    entry = tier1._reference_entries(key)[0]
+                swapped.append((ports, index, port))
+                ports[index] = type(port)(port, entry)
+        self.pins[task] = (level, swapped, unit)
+
+    def unpin(self):
+        """Hand every pinned task back to the engine."""
+        for task in list(self.pins):
+            self.pin(task, 0)
 
     # -- tier transitions --------------------------------------------------
 
@@ -902,16 +962,13 @@ class AdaptiveEngine:
         reach ``name`` are emitted (and compiled, where the chain they
         replace was forwarding), every other chain is spliced from the
         old compile, code object and bound objects included — then
-        rearm the dispatchers and reattach supervision.  The profiled
-        flavor stands: it reads the patched tree through the matcher
-        cell.  Tier 2 and the profile restart cold, exactly as after a
-        deopt.  Returns the fast paths it built."""
+        rearm the dispatchers and re-pin what the supervisor pinned.
+        The profiled flavor stands: it reads the patched tree through
+        the matcher cell.  Tier 2 and the profile restart cold, exactly
+        as after a deopt.  Returns the fast paths it built."""
         router = self.router
-        supervisor = getattr(router, "supervisor", None)
-        sup_config = supervisor.config if supervisor is not None else None
         was_installed = self.installed
-        if supervisor is not None:
-            supervisor.detach()
+        pins = {task: pin[0] for task, pin in self.pins.items()}
         retired = [self.tier1, self.tier2_fp]
         if was_installed:
             # Restore the reference ports *before* recompiling so the
@@ -934,8 +991,8 @@ class AdaptiveEngine:
             router._fastpath_reuse = None
         if was_installed:
             self.install()
-        if supervisor is not None and was_installed:
-            router._attach_supervisor(sup_config)
+            for task, level in pins.items():
+                self.pin(task, level)
         for flavor in retired:
             if flavor is not None:
                 flavor.release()

@@ -1296,8 +1296,10 @@ class FastPath:
         unit*, from the device segment its ``lowering()`` declares and
         the ring facts its device does.  Only the hand-off — ``push`` /
         ``pull`` / the batch entry of the element's live port 0 — is
-        read per burst, so tier swaps and supervision wrappers take
-        effect by the next burst; the rest is bound once."""
+        read per burst, so tier swaps and supervisor pins take effect
+        by the next burst; the rest is bound once.  The unit counts a
+        frame before it hands it on, as ``run_task`` does, so an
+        exception from the chain costs that frame and ends the burst."""
         segment, ring = _task_lowering(element)
         name, kind = element.name, segment["ring"]
         info = ChainInfo("task", name, 0, [], kind, 0, "_task_%d" % index)

@@ -47,7 +47,8 @@ class ExecutionProfile:
     mode: str = "reference"
     batch: bool = False
     adaptive: AdaptiveConfig | None = None
-    supervised: bool = False
+    #: The :class:`SupervisorConfig` of a supervised profile; None runs
+    #: unsupervised (see :attr:`supervised`).
     supervisor: SupervisorConfig | None = None
     workers: int = 1
     shard_backend: str = "thread"
@@ -83,14 +84,9 @@ class ExecutionProfile:
             )
         if self.adaptive is not None and not isinstance(self.adaptive, AdaptiveConfig):
             raise TypeError("adaptive must be an AdaptiveConfig or None")
-        if self.supervisor is not None:
-            if not isinstance(self.supervisor, SupervisorConfig):
-                raise TypeError("supervisor must be a SupervisorConfig or None")
-            # A supervision config implies supervision: normalize so
-            # profile equality never depends on a redundant flag.
-            object.__setattr__(self, "supervised", True)
+        if self.supervisor is not None and not isinstance(self.supervisor, SupervisorConfig):
+            raise TypeError("supervisor must be a SupervisorConfig or None")
         object.__setattr__(self, "batch", bool(self.batch))
-        object.__setattr__(self, "supervised", bool(self.supervised))
         if not isinstance(self.workers, int) or isinstance(self.workers, bool):
             raise TypeError("workers must be an int, not %r" % (self.workers,))
         if self.workers < 1:
@@ -138,15 +134,20 @@ class ExecutionProfile:
         machinery)."""
         return cls(mode="fdd", adaptive=config, batch=batch, **kwargs)
 
+    @property
+    def supervised(self):
+        """Does this profile run under a supervisor?"""
+        return self.supervisor is not None
+
     # -- derivation --------------------------------------------------------
 
     def with_supervision(self, config=None):
-        """This profile, supervised (optionally with an explicit
-        :class:`SupervisorConfig`)."""
-        return replace(self, supervised=True, supervisor=config)
+        """This profile, supervised by ``config`` (default knobs when
+        None)."""
+        return replace(self, supervisor=config if config is not None else SupervisorConfig())
 
     def without_supervision(self):
-        return replace(self, supervised=False, supervisor=None)
+        return replace(self, supervisor=None)
 
     def with_mode(self, mode, batch=None):
         """This profile running under a different execution tier."""
@@ -231,7 +232,7 @@ class ExecutionProfile:
             if key.startswith("supervisor.")
         }
         if supervisor_kwargs and self.supervised:
-            base = self.supervisor.as_dict() if self.supervisor is not None else {}
+            base = self.supervisor.as_dict()
             base.update(supervisor_kwargs)
             changes["supervisor"] = SupervisorConfig(**base)
         recovery_kwargs = {

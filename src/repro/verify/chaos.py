@@ -13,7 +13,7 @@ The contract being checked is the resilience guarantee:
   exception in any mode is a harness failure (kind ``crash``);
 - **byte equivalence** — every mode transmits byte-identical frames.
   Only transmitted bytes compare (unlike click-fuzz, counters do not:
-  the supervisor's drop points add per-mode bookkeeping, and fault
+  the supervisor's tier bookkeeping differs per mode, and fault
   wrappers perturb handler call counts in mode-specific places — the
   wire is the contract).
 
@@ -64,8 +64,8 @@ from .oracle import (
     degraded_transmit_difference,
     device_names,
     first_transmit_difference,
+    lossy_overflow_skip,
     mode_profile,
-    overflow_drops,
     run_case,
     sharded_transmit_difference,
 )
@@ -159,21 +159,9 @@ def compare_chaos(case, plan, modes=None):
         )
         diff = transmit_diff(reference["transmitted"], payload["transmitted"])
         if diff is not None:
-            drops = max(
-                overflow_drops(reference["counters"]),
-                overflow_drops(payload["counters"]),
-            )
-            if mode in SHARD_MODES and drops:
-                # Out of the shard contract (see compare_case): per-shard
-                # queue copies scale aggregate capacity, so which packets
-                # overflow under fault pressure is load-dependent.
-                skips.append(
-                    {
-                        "mode": mode,
-                        "reason": "lossy-overflow: %d queue drop(s) (%s)"
-                        % (drops, diff),
-                    }
-                )
+            skip = lossy_overflow_skip(reference, payload, diff, mode=mode) if mode in SHARD_MODES else None
+            if skip is not None:
+                skips.append(skip)
                 continue
             failures.append({"mode": mode, "kind": "transmitted", "detail": diff})
     if any(f["kind"] == "crash" for f in failures):
@@ -412,19 +400,9 @@ def compare_recovery(case, kind, policy="resteer", backend="thread", seed=1, wor
             reference["transmitted"], payload["transmitted"], affected=affected
         )
         if diff is not None:
-            drops = max(
-                overflow_drops(reference["counters"]),
-                overflow_drops(payload["counters"]),
-            )
-            if drops:
-                # Same escape hatch as compare_chaos: per-shard queue
-                # copies make overflow membership load-dependent.
-                skips.append(
-                    {
-                        "mode": mode,
-                        "reason": "lossy-overflow: %d queue drop(s) (%s)" % (drops, diff),
-                    }
-                )
+            skip = lossy_overflow_skip(reference, payload, diff, mode=mode)
+            if skip is not None:
+                skips.append(skip)
             else:
                 failures.append({"mode": mode, "kind": "transmitted", "detail": diff})
 

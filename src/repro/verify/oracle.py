@@ -227,7 +227,7 @@ def run_case(
     ``("error", [exception type name, message])``.  ``config_text``
     overrides the case's config (the optimized-axis text).  ``plan`` is
     an optional :class:`repro.sim.faults.FaultPlan` injected under the
-    router; ``supervised`` attaches the resilient supervisor; ``collect``
+    router; ``supervised`` runs the router supervised; ``collect``
     is called with the final router (for resilience reports).
     ``profile`` overrides the mode-derived
     :class:`~repro.runtime.profile.ExecutionProfile` outright."""
@@ -311,28 +311,9 @@ def sharded_transmit_difference(a, b):
     match, and per ``(device, flow)`` — keyed by
     :func:`~repro.runtime.flowhash.output_flow_key` on the emitted
     frame — the frame *sequence* must be byte-identical.  Cross-flow
-    interleaving is the one freedom sharding is allowed."""
-    from ..runtime.flowhash import output_flow_key
-
-    for device in sorted(set(a) | set(b)):
-        frames_a, frames_b = a.get(device, []), b.get(device, [])
-        if frames_a == frames_b:
-            continue
-        if sorted(frames_a) != sorted(frames_b):
-            return "%s: multiset differs (%d vs %d frames)" % (
-                device,
-                len(frames_a),
-                len(frames_b),
-            )
-        flows_a, flows_b = {}, {}
-        for hex_frame in frames_a:
-            flows_a.setdefault(output_flow_key(bytes.fromhex(hex_frame)), []).append(hex_frame)
-        for hex_frame in frames_b:
-            flows_b.setdefault(output_flow_key(bytes.fromhex(hex_frame)), []).append(hex_frame)
-        for flow in flows_a:
-            if flows_a[flow] != flows_b.get(flow):
-                return "%s: per-flow order differs for flow %r" % (device, flow)
-    return None
+    interleaving is the one freedom sharding is allowed: the degraded
+    contract with no flow affected."""
+    return degraded_transmit_difference(a, b)
 
 
 def degraded_transmit_difference(a, b, affected=None):
@@ -368,11 +349,7 @@ def degraded_transmit_difference(a, b, affected=None):
         if frames_a == frames_b:
             continue
         if sorted(frames_a) != sorted(frames_b):
-            return "%s: multiset differs (%d vs %d frames) - degraded mode lost or duplicated frames" % (
-                device,
-                len(frames_a),
-                len(frames_b),
-            )
+            return "%s: multiset differs (%d vs %d frames)" % (device, len(frames_a), len(frames_b))
         flows_a, flows_b = {}, {}
         for hex_frame in frames_a:
             flows_a.setdefault(output_flow_key(bytes.fromhex(hex_frame)), []).append(hex_frame)
@@ -403,6 +380,18 @@ def overflow_drops(counters):
         for key, value in counters.items()
         if key.endswith(".drops") and isinstance(value, int)
     )
+
+
+def lossy_overflow_skip(reference, result, diff, **where):
+    """The skip record for a sharded run's wire difference ``diff`` on a
+    trace that overflowed a bounded queue (in either observation), or
+    None when none did.  Out of the shard contract: every shard owns a
+    private copy of each queue, so which packets drop under pressure
+    depends on the partition (see :func:`compare_case`)."""
+    drops = max(overflow_drops(reference["counters"]), overflow_drops(result["counters"]))
+    if not drops:
+        return None
+    return dict(where, reason="lossy-overflow: %d queue drop(s) (%s)" % (drops, diff))
 
 
 def compare_case(case, modes=None):
@@ -484,20 +473,11 @@ def compare_case(case, modes=None):
                 reference[1]["transmitted"], result[1]["transmitted"]
             )
             if diff is not None:
-                drops = max(
-                    overflow_drops(reference[1]["counters"]),
-                    overflow_drops(result[1]["counters"]),
-                )
-                if sharded and drops and not case.get("divide_capacity"):
-                    skips.append(
-                        {
-                            "axis": axis,
-                            "mode": mode,
-                            "reason": "lossy-overflow: %d queue drop(s); "
-                            "aggregate capacity scales with shards (%s)"
-                            % (drops, diff),
-                        }
-                    )
+                skip = None
+                if sharded and not case.get("divide_capacity"):
+                    skip = lossy_overflow_skip(reference[1], result[1], diff, axis=axis, mode=mode)
+                if skip is not None:
+                    skips.append(skip)
                     continue
                 divergences.append(
                     {"axis": axis, "mode": mode, "kind": "transmitted", "detail": diff}

@@ -65,7 +65,7 @@ class TestProfileCarry:
         )
         config = old.supervisor.config
         new = hotswap_router(old, parse_graph(EXTENDED)).router
-        assert new.supervisor is not None and new.supervisor.attached
+        assert new.supervisor is not None
         assert new.supervisor.config is config
         assert old.supervisor is None  # retire() detached the old one
 

@@ -22,7 +22,7 @@ from repro.elements.runtime import Router
 from repro.net.addresses import IPAddress
 from repro.net.checksum import internet_checksum
 from repro.net.headers import ETHERTYPE_IP, make_ether_header
-from repro.runtime import ExecutionProfile
+from repro.runtime import ExecutionProfile, SupervisorConfig
 from repro.runtime.adaptive import AdaptiveConfig
 from repro.runtime.fastpath import FastPath, FastPathError
 from repro.sim.cpu import CycleMeter
@@ -337,7 +337,7 @@ def test_paper_meter_reports_identical(frames):
 
 
 COMPILED_PROFILES = [
-    replace(profile, batch=batch, supervised=supervised)
+    replace(profile, batch=batch, supervisor=SupervisorConfig() if supervised else None)
     for profile in (ExecutionProfile.fast(), ExecutionProfile.tiered(), ExecutionProfile.fdd())
     for batch in (False, True)
     for supervised in (False, True)
@@ -372,11 +372,9 @@ def run_metered(profile, meter, count=128):
     return router, {name: list(device.transmitted) for name, device in devices.items()}
 
 
-# Supervision refuses a meter (its boundaries would move the charges).
 @pytest.mark.parametrize(
     "profile",
-    [profile for profile in COMPILED_PROFILES if not profile.supervised]
-    + [ExecutionProfile.fdd(batch=True).with_workers(2, "thread")],
+    COMPILED_PROFILES + [ExecutionProfile.fdd(batch=True).with_workers(2, "thread")],
     ids=str,
 )
 def test_metered_router_runs_the_reference(profile):

@@ -426,7 +426,6 @@ def test_nothing_is_left_on_the_tasks_of_a_router_that_stops_compiling(profile):
         return not any("run_task" in vars(task) for task in router.tasks)
 
     router, _devices = pipe(profile)
-    router.detach_supervisor()
     router.engine.uninstall()
     assert tasks_are_clean(router)
     router.engine.install()

@@ -247,14 +247,12 @@ def test_every_compiled_mode_is_the_one_engine(mode, batch):
         assert engine.on_table_patch("rt", "routes") == ()
     else:
         assert engine.profiled is not None and engine.states
-    # Supervising an equal profile keeps the engine; the top of every
-    # push chain's tier ladder is named after the mode.
+    # Supervising an equal profile keeps the engine (a batch one compiles
+    # the scalar task units); the top of every task's tier ladder is
+    # named after the mode.
     router.configure(profile.with_supervision())
-    assert router.engine is engine
-    labels = {
-        guard.tiers[0][0] for key, guard in router.supervisor.guards.items() if key[0] == "push"
-    }
-    assert labels == {mode}
+    assert (router.engine is engine) == (not batch)
+    assert {guard.tiers[0] for guard in router.supervisor.guards.values()} == {mode}
 
 
 def test_fdd_forwards_identically_to_reference():
@@ -388,8 +386,8 @@ def test_supervised_fdd_tier_ladder():
 
     faults = [{"kind": "element_error", "element": "c", "after": 0, "count": 2}]
     router, devices = build("fdd", faults=faults)
-    guard = router.supervisor.guards[("push", "src", 0)]
-    assert [name for name, _fn in guard.tiers] == ["fdd", "fast", "reference"]
+    guard = router.supervisor.guards["src"]
+    assert list(guard.tiers) == ["fdd", "fast", "reference"]
     for index in range(4):
         devices["eth0"].receive_frame(b"frame-%02d" % index)
     router.run_tasks(4)

@@ -80,7 +80,7 @@ class TestValue:
             "batch": True,
             "adaptive": False,
             "supervised": True,
-            "supervisor": False,
+            "supervisor": True,
             "workers": 1,
             "shard_backend": "thread",
             "queue_capacity": None,

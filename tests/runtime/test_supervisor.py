@@ -1,22 +1,18 @@
-"""Tests for supervised execution: error boundaries, tiered demotion,
-the circuit breaker with exponential re-promotion backoff, and the task
-watchdog (repro.runtime.supervisor)."""
+"""Tests for supervised execution: the scheduler's error boundary,
+tiered demotion, the circuit breaker with exponential re-promotion
+backoff, and the task watchdog (repro.runtime.supervisor)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.elements import Router, hotswap_router
 from repro.elements.devices import LoopbackDevice
+from repro.elements.element import Element
 from repro.lang.build import parse_graph
 from repro.runtime import ExecutionProfile
-from repro.runtime.fastpath import FastOutputPort
-from repro.runtime.supervisor import (
-    SupervisedOutputPort,
-    Supervisor,
-    SupervisorConfig,
-    SupervisorError,
-)
+from repro.runtime.supervisor import SupervisorConfig
 from repro.sim.faults import FaultInjector, FaultPlan
 
 PIPE = (
@@ -25,13 +21,14 @@ PIPE = (
 )
 
 
+def loopbacks():
+    return {"eth0": LoopbackDevice("eth0"), "eth1": LoopbackDevice("eth1", tx_capacity=1 << 20)}
+
+
 def build(mode="fast", batch=False, faults=None, config=None):
     """A supervised two-device pipeline, optionally with element faults
     wired in (prepared before compile, as the chaos harness does)."""
-    devices = {
-        "eth0": LoopbackDevice("eth0"),
-        "eth1": LoopbackDevice("eth1", tx_capacity=1 << 20),
-    }
+    devices = loopbacks()
     injector = None
     if faults:
         injector = FaultInjector(FaultPlan(faults=faults))
@@ -48,6 +45,37 @@ def feed(devices, count, start=0):
         devices["eth0"].receive_frame(b"frame-%02d" % index)
 
 
+class Boom(Element):
+    """Raises on its third packet (no fault wrapper, so the compiled
+    task units run)."""
+
+    class_name = "Boom"
+    processing = "a/a"
+    port_counts = "1/1"
+
+    def configure(self, args):
+        self.seen = 0
+
+    def simple_action(self, packet):
+        self.seen += 1
+        if self.seen == 3:
+            raise RuntimeError("third packet")
+        return packet
+
+
+def build_boom(profile, text=PIPE.replace("c :: Counter", "c :: Boom")):
+    devices = loopbacks()
+    router = Router(parse_graph(text), extra_classes={"Boom": Boom}, devices=devices, profile=profile)
+    return router, devices
+
+
+SUPERVISED_PROFILES = [ExecutionProfile.reference().with_supervision()] + [
+    profile(batch=batch).with_supervision()
+    for profile in (ExecutionProfile.fast, ExecutionProfile.tiered, ExecutionProfile.fdd)
+    for batch in (False, True)
+]
+
+
 class TestBoundaries:
     def test_fast_demotes_and_drops_only_faulted_packet(self):
         router, devices, supervisor = build(
@@ -56,7 +84,7 @@ class TestBoundaries:
         )
         feed(devices, 3)
         router.run_tasks(4)
-        guard = supervisor.guards[("push", "src", 0)]
+        guard = supervisor.guards["src"]
         assert guard.errors == 1
         assert guard.demotions == 1
         assert guard.tier == "reference"
@@ -70,8 +98,8 @@ class TestBoundaries:
             mode="adaptive",
             faults=[{"kind": "element_error", "element": "c", "after": 0, "count": 2}],
         )
-        guard = supervisor.guards[("push", "src", 0)]
-        assert [name for name, _fn in guard.tiers] == ["adaptive", "fast", "reference"]
+        guard = supervisor.guards["src"]
+        assert list(guard.tiers) == ["adaptive", "fast", "reference"]
         feed(devices, 4)
         router.run_tasks(4)
         assert guard.errors == 2
@@ -86,8 +114,8 @@ class TestBoundaries:
             config=SupervisorConfig(error_budget=2),
         )
         feed(devices, 5)
-        router.run_tasks(4)
-        guard = supervisor.guards[("push", "src", 0)]
+        router.run_tasks(5)  # one error per pass: each ends its burst
+        guard = supervisor.guards["src"]
         assert guard.breaker == "open"
         assert guard.errors == 5
         assert devices["eth1"].transmitted == []
@@ -101,7 +129,7 @@ class TestBoundaries:
             faults=[{"kind": "element_error", "element": "c", "after": 1, "count": 1}],
             config=SupervisorConfig(backoff=2, backoff_factor=2.0),
         )
-        guard = supervisor.guards[("push", "src", 0)]
+        guard = supervisor.guards["src"]
         feed(devices, 2)
         router.run_tasks(2)
         assert guard.tier == "reference"
@@ -115,16 +143,17 @@ class TestBoundaries:
 
     def test_pull_boundary_demotes_without_losing_packet(self):
         router, devices, supervisor = build(mode="fast")
-        guard = supervisor.guards[("pull", "dst", 0)]
+        guard = supervisor.guards["dst"]
 
         def boom():
             raise RuntimeError("pull boom")
 
-        guard.fn = boom
+        router["dst"]._input_ports[0].pull = boom  # the compiled entry
         feed(devices, 1)
-        router.run_tasks(1)  # the poisoned pull fails; boundary contains it
+        router.run_tasks(1)  # the poisoned pull fails; the scheduler contains it
         assert guard.errors == 1
         assert guard.tier == "reference"
+        assert "run_task" not in vars(router["dst"])  # the element's own loop
         router.run_tasks(2)  # reference tier drains the still-queued packet
         assert devices["eth1"].transmitted == [b"frame-00"]
 
@@ -138,18 +167,33 @@ class TestBoundaries:
         router.run_tasks(4)
         # One error mid-burst costs exactly one packet, never the tail.
         assert len(devices["eth1"].transmitted) == 5
-        assert supervisor.guards[("push", "src", 0)].errors == 1
+        assert supervisor.guards["src"].errors == 1
+        assert not router.fastpath.batch
 
     def test_reference_mode_boundaries_on_task_ports(self):
         router, devices, supervisor = build(
             mode="reference",
             faults=[{"kind": "element_error", "element": "c", "after": 1, "count": 1}],
         )
-        assert all(key[1] in ("src", "dst") for key in supervisor.guards)
+        assert set(supervisor.guards) == {"src", "dst"}
         feed(devices, 3)
         router.run_tasks(4)
         assert devices["eth1"].transmitted == [b"frame-00", b"frame-02"]
-        assert supervisor.guards[("push", "src", 0)].errors == 1
+        assert supervisor.guards["src"].errors == 1
+
+    @pytest.mark.parametrize("profile", SUPERVISED_PROFILES, ids=str)
+    def test_a_contained_error_costs_one_packet_and_ends_the_burst(self, profile):
+        router, devices = build_boom(profile)
+        feed(devices, 8)
+        router.run_tasks(1)
+        # The burst stopped at the packet that raised, which was consumed;
+        # the rest stays on the receive ring for the task's next call.
+        assert (router["src"].received, len(devices["eth0"].rx)) == (3, 5)
+        assert devices["eth1"].transmitted == [b"frame-00", b"frame-01"]
+        router.run_tasks(2)
+        assert devices["eth1"].transmitted == [b"frame-%02d" % i for i in range(8) if i != 2]
+        guard = router.supervisor.guards["src"]
+        assert guard.errors == 1 and guard.tier == guard.tiers[min(1, len(guard.tiers) - 1)]
 
 
 class TestCompileOnFirstEntry:
@@ -162,19 +206,18 @@ class TestCompileOnFirstEntry:
         router, devices, supervisor = build(mode=mode, batch=batch)
         key = ("push", "src", 0)
         static = router.fastpath.function_for(key)
-        inner = router.find("src")._output_ports[0].inner
+        port = router.find("src")._output_ports[0]
         assert is_pending(static)
-        if mode == "adaptive":  # pinned beneath the tiering engine's slot
-            assert dict(supervisor.guards[key].tiers)["fast"] is static
+        if mode == "adaptive":  # beneath the tiering engine's dispatcher
             assert router.adaptive.states[key].plain is static
         else:
-            assert inner.push is static
+            assert port.push is static
         feed(devices, 4)
         router.run_tasks(4)
         assert len(devices["eth1"].transmitted) == 4
         assert router.fastpath.function_for(key) is static and not is_pending(static)
-        assert mode == "adaptive" or inner.push is static
-        assert supervisor.guards[key].errors == 0
+        assert mode == "adaptive" or port.push is static
+        assert supervisor.guards["src"].errors == 0
 
     def test_a_failed_entry_is_not_an_error_of_the_chain(self, monkeypatch):
         from repro.runtime import fastpath as fastpath_module
@@ -197,20 +240,37 @@ class TestCompileOnFirstEntry:
 
 
 class TestLifecycle:
-    def test_attach_detach_restores_ports(self):
-        router, devices, _supervisor = build(mode="fast")
-        assert isinstance(router["src"]._output_ports[0], SupervisedOutputPort)
-        router.detach_supervisor()
-        assert isinstance(router["src"]._output_ports[0], FastOutputPort)
-        assert router.supervisor is None
-        feed(devices, 2)
-        router.run_tasks(2)
-        assert len(devices["eth1"].transmitted) == 2
+    @pytest.mark.parametrize("profile", SUPERVISED_PROFILES, ids=str)
+    def test_no_supervisor_object_among_ports(self, profile):
+        """Supervision wraps no port: every port an element holds is the
+        interpreter's or the fast path's, whatever the profile."""
+        router = Router(parse_graph(PIPE), devices=loopbacks(), profile=profile)
+        assert router.supervisor is not None
+        ports = [
+            port
+            for element in router.elements.values()
+            for port in element._output_ports + element._input_ports
+        ]
+        assert ports
+        assert not any(type(port).__module__ == "repro.runtime.supervisor" for port in ports)
+        assert not any(hasattr(port, "guard") or hasattr(port, "inner") for port in ports)
+
+    @pytest.mark.parametrize("profile", SUPERVISED_PROFILES[1:], ids=str)
+    def test_supervised_source_is_the_unbatched_unsupervised_source(self, profile):
+        """Nothing is emitted for supervision, and a supervised batch
+        profile compiles the scalar task units."""
+        supervised = Router(parse_graph(PIPE), devices=loopbacks(), profile=profile)
+        plain = Router(
+            parse_graph(PIPE),
+            devices=loopbacks(),
+            profile=replace(profile, batch=False).without_supervision(),
+        )
+        assert supervised.fastpath.source == plain.fastpath.source
 
     def test_supervision_survives_mode_change(self):
         router, devices, _supervisor = build(mode="fast")
         router.configure(router.profile.with_mode("reference"))
-        assert router.supervisor is not None and router.supervisor.attached
+        assert router.supervisor is not None and router.supervisor.tiers == ("reference",)
         feed(devices, 2)
         router.run_tasks(2)
         assert len(devices["eth1"].transmitted) == 2
@@ -220,16 +280,33 @@ class TestLifecycle:
         router.run_tasks(2)
         assert len(devices["eth1"].transmitted) == 4
 
-    def test_double_attach_refused(self):
-        router, _devices, _supervisor = build(mode="fast")
-        with pytest.raises(SupervisorError):
-            router.supervisor.attach()
+    def test_a_new_supervisor_starts_every_task_at_the_top_tier(self):
+        router, devices = build_boom(ExecutionProfile.fast().with_supervision())
+        feed(devices, 4)
+        router.run_tasks(1)
+        assert router.supervisor.guards["src"].tier == "reference"
+        assert "run_task" not in vars(router["src"])  # pinned to the element's loop
+        router.configure(router.profile)  # the same engine, a fresh supervisor
+        assert router.supervisor.guards["src"].tier == "fast"
+        assert router.engine.pins == {} and "run_task" in vars(router["src"])
 
-    def test_metered_router_refused(self):
-        router = Router(parse_graph("f :: Idle; d :: Discard; f -> d;"))
-        router.meter = object()
-        with pytest.raises(SupervisorError):
-            Supervisor(router)
+    def test_metered_router_supervised(self):
+        """A supervised metered router charges what the unsupervised one
+        does on clean traffic: no boundary sits on a charged call site."""
+        from repro.sim.cpu import CycleMeter
+        from repro.sim.testbed import Testbed
+
+        summaries = []
+        for profile in (ExecutionProfile.fdd(), ExecutionProfile.fdd().with_supervision()):
+            testbed, meter = Testbed(2), CycleMeter()
+            router, devices = testbed.build_router(testbed.variant_graph("base"), meter=meter, profile=profile)
+            for device_name, frame in testbed.evaluation_frames(128):
+                devices[device_name].receive_frame(frame)
+            router.run_tasks(128)
+            assert (router.supervisor is not None) == profile.supervised
+            summaries.append((meter.summary(), {name: list(d.transmitted) for name, d in devices.items()}))
+        assert summaries[0] == summaries[1] and any(summaries[0][1].values())
+        assert router.supervisor.report().totals["chain_errors"] == 0
 
 
 class TestTasks:
@@ -267,10 +344,10 @@ class TestTasks:
         assert event["task"] == "stuck"
         assert supervisor.report().totals["watchdog_trips"] >= 1
         # Benched: the cooldown passes skip the task entirely.
-        calls_before = supervisor._task_states["stuck"].benched
+        calls_before = supervisor.guards["stuck"].benched
         assert calls_before == 5
         router.run_tasks(2)
-        assert supervisor._task_states["stuck"].benched == 3
+        assert supervisor.guards["stuck"].benched == 3
 
     def test_progressing_task_never_trips(self):
         router, devices, supervisor = build(mode="fast")
@@ -278,6 +355,37 @@ class TestTasks:
         router.run_tasks(16)
         assert supervisor.watchdog_events == []
         assert supervisor.report().totals["watchdog_trips"] == 0
+
+    SINK = " -> boom :: Boom -> q :: Queue(64) -> dst :: ToDevice(eth1);"
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            'src :: InfiniteSource("payload", 8, 4)',
+            'src :: RatedSource("payload", 2000, 8)',
+            'src :: TimedSource(0.001, "payload")',
+            "rx :: PollDevice(eth0) -> q0 :: Queue(64) -> src :: Unqueue(4)",
+        ],
+        ids=["infinite", "rated", "timed", "unqueue"],
+    )
+    def test_task_loops_count_before_they_push(self, source):
+        """A contained error costs exactly the packet in flight, which
+        the source already counted: every supervised mode leaves the
+        same bytes and counters."""
+        from repro.verify.oracle import observe
+
+        observed = []
+        for mode in ("reference", "fast", "fdd"):
+            router, devices = build_boom(ExecutionProfile(mode=mode).with_supervision(), source + self.SINK)
+            feed(devices, 8)
+            router.run_tasks(8)  # one TimedSource packet a pass
+            assert router.supervisor.task_error_count == 1
+            observed.append((observe(router, devices), router["boom"].seen))
+        assert observed[0] == observed[1] == observed[2]
+        observation, seen = observed[0]
+        source = router["src"]
+        counted = source.count if source.class_name == "Unqueue" else source.emitted
+        assert counted == seen == len(observation["transmitted"]["eth1"]) + 1 == 8
 
 
 class TestReport:
@@ -301,7 +409,7 @@ class TestReport:
         }
         assert payload["mode"] == "fast"
         assert payload["faults"]["elements"]["c"]["errors_fired"] == 1
-        label = "push src[0]"
+        label = "task src"
         assert payload["chains"][label]["errors"] == 1
         parsed = json.loads(report.to_json())
         assert parsed["totals"]["chain_errors"] == 1
@@ -325,8 +433,8 @@ class TestReport:
 class TestSwapStorm:
     """Regression guard for supervisor round-trips across hot-swap
     generations: every generation must come up supervised, with working
-    guards and a live report, and the retired generation must be fully
-    detached."""
+    guards and a live report, and the retired generation must run
+    none."""
 
     GRAPHS = (PIPE, PIPE.replace("Queue(8)", "Queue(16)"))
 
@@ -349,13 +457,12 @@ class TestSwapStorm:
             ).router
             # The new generation is supervised with the same config; the
             # retired one is fully detached.
-            assert router.supervisor is not None and router.supervisor.attached
+            assert router.supervisor is not None
             assert router.supervisor.config is config
             assert router.supervisor.router is router
             assert previous.supervisor is None
-            # Guards are live on the *new* generation's ports.
-            assert router.supervisor.guards
-            assert isinstance(router["src"]._output_ports[0], SupervisedOutputPort)
+            # Guards are live on the *new* generation's tasks.
+            assert router.supervisor.guards["src"].task is router["src"]
             feed(devices, 2, start=sent)
             sent += 2
             router.run_tasks(3)
