@@ -319,14 +319,6 @@ def optimize_main(argv=None):
             "manager under this policy (buffer, resteer, fail-fast) and "
             "include its recovery report in the shard section",
         )
-        parser.add_argument(
-            "--tuned",
-            default=None,
-            metavar="FILE",
-            help="apply a click-tune TunedProfile artifact to the "
-            "compiled router (implies the artifact's execution mode "
-            "unless --fast/--adaptive/--fdd is given)",
-        )
 
     def preflight(args):
         if args.list_pipelines:
@@ -349,27 +341,6 @@ def optimize_main(argv=None):
     pipeline = named_pipeline(args.pipeline, validate="check" if args.validate else None)
     result = pipeline.run(graph)
     _write_output(args.output, save_config(result.graph))
-    tuned = None
-    if args.tuned:
-        from ..tune import TunedProfile
-
-        tuned = TunedProfile.load(args.tuned)
-        if not (args.fast or args.adaptive or args.fdd):
-            # No explicit tier flag: run under the tier the artifact
-            # was searched for.
-            if tuned.mode == "adaptive":
-                args.adaptive = True
-            elif tuned.mode == "fdd":
-                args.fdd = True
-            else:
-                args.fast = True
-        fingerprints = (graph.fingerprint(), result.graph.fingerprint())
-        if tuned.graph_fingerprint not in fingerprints:
-            sys.stderr.write(
-                "warning: tuned profile %s was searched against graph "
-                "fingerprint %s, not this configuration's %s; applying "
-                "anyway\n" % (tuned.key, tuned.graph_fingerprint, fingerprints[0])
-            )
     fastpath_section = None
     if (
         args.fast
@@ -378,7 +349,6 @@ def optimize_main(argv=None):
         or args.profile_report
         or args.supervised
         or args.workers > 1
-        or tuned is not None
     ):
         text, fastpath_section = _fastpath_report(
             result.graph,
@@ -389,7 +359,6 @@ def optimize_main(argv=None):
             workers=args.workers,
             shard_backend=args.shard_backend,
             recovery=args.recovery,
-            tuned=tuned,
         )
         sys.stderr.write(text + "\n")
     if args.report:
@@ -464,7 +433,6 @@ def _fastpath_report(
     workers=1,
     shard_backend="thread",
     recovery=None,
-    tuned=None,
 ):
     """Instantiate the optimized graph (loopback devices stand in for
     whatever hardware the config names) and compile — but do not run —
@@ -502,8 +470,6 @@ def _fastpath_report(
         run_profile = ExecutionProfile.reference()
     if supervised:
         run_profile = run_profile.with_supervision()
-    if tuned is not None:
-        run_profile = run_profile.with_tuning(tuned)
     router = Router(graph, devices=AutoDevices(), profile=run_profile)
     engine = router.engine
     if engine is None:
@@ -525,18 +491,6 @@ def _fastpath_report(
         resilience = router.supervisor.report()
         text += "\n" + resilience.format()
         section["resilience"] = resilience.as_dict()
-    if tuned is not None:
-        section["tuning"] = {
-            "key": tuned.key,
-            "workload": tuned.workload,
-            "mode": tuned.mode,
-            "params": dict(tuned.params),
-        }
-        text += "\ntuned profile %s (%s/%s) applied" % (
-            tuned.key,
-            tuned.workload,
-            tuned.mode,
-        )
     if workers > 1:
         from ..elements.runtime import build_router
         from ..runtime.shard import device_names_of
@@ -656,13 +610,5 @@ def update_main(argv=None):
     """click-update CLI (lazy, like click-fuzz): replay control-plane
     updates against a live router and report how each installed."""
     from ..control.cli import main
-
-    return main(argv)
-
-
-def tune_main(argv=None):
-    """click-tune CLI (lazy, like click-fuzz): search the runtime knob
-    space for a workload and emit a TunedProfile artifact."""
-    from ..tune.cli import main
 
     return main(argv)

@@ -68,22 +68,8 @@ __all__ = [
     "Decisions",
     "ProfileReport",
     "ProfileStore",
-    "TUNABLES",
     "build_decisions",
 ]
-
-#: Parameter-space declarations for the autotuner (:mod:`repro.tune`).
-#: Plain data — name, domain, default — so the tuner can build its
-#: ``Param`` objects without this module importing back into it.  The
-#: dotted names match the keys ``ExecutionProfile.with_tuning`` consumes.
-TUNABLES = (
-    {"name": "adaptive.threshold", "kind": "log_int", "low": 64, "high": 8192, "default": 512},
-    {"name": "adaptive.sample", "kind": "choice", "choices": [4, 8, 16, 32, 64, 128], "default": 16},
-    {"name": "adaptive.min_samples", "kind": "log_int", "low": 8, "high": 256, "default": 32},
-    {"name": "adaptive.guard_miss_limit", "kind": "log_int", "low": 256, "high": 65536, "default": 8192},
-    {"name": "adaptive.hot_fraction", "kind": "choice", "choices": [0.5, 0.6, 0.75, 0.9], "default": 0.5},
-    {"name": "adaptive.max_recompiles", "kind": "int", "low": 4, "high": 64, "default": 16},
-)
 
 
 class AdaptiveConfig:
@@ -620,18 +606,17 @@ class AdaptiveEngine:
     @staticmethod
     def fields(profile):
         """What an engine is built from — ``(mode, batch, adaptive
-        config, node budget)`` — so a profile that changes none of them
-        keeps the engine.  Supervised, a batch profile runs the scalar
+        config)`` — so a profile that changes none of them keeps the
+        engine.  Supervised, a batch profile runs the scalar
         units: a batch unit pops its whole burst before the chain runs,
         so an error in the chain would cost the burst's tail."""
-        return profile.mode, profile.batch and not profile.supervised, profile.adaptive, profile.node_budget
+        return profile.mode, profile.batch and not profile.supervised, profile.adaptive
 
     def __init__(self, router, profile):
         self.router = router
-        self.mode, self.batch, config, node_budget = self.fields(profile)
+        self.mode, self.batch, config = self.fields(profile)
         self.config = config if config is not None else AdaptiveConfig()
         self.diagrams = self.mode == "fdd"
-        self.node_budget = node_budget or DEFAULT_NODE_BUDGET
         self.tiering = self.mode != "fast"
         self.store = ProfileStore()
         self.tier2_fp = None
@@ -653,7 +638,7 @@ class AdaptiveEngine:
         if not self.diagrams:
             return {}
         return diagram_pass(
-            self.router, self.node_budget, decisions, self.store.classifier_exemplar
+            self.router, DEFAULT_NODE_BUDGET, decisions, self.store.classifier_exemplar
         )
 
     def _compile(self, fields, store=None, decisions=None):
@@ -1030,7 +1015,7 @@ class AdaptiveEngine:
 
         report = {
             "mode": self.mode,
-            "node_budget": self.node_budget,
+            "node_budget": DEFAULT_NODE_BUDGET,
             "diagrams": diagrams,
             "totals": totals,
             "budget_fallbacks": fallbacks,

@@ -54,7 +54,6 @@ import hashlib
 __all__ = [
     "DEFAULT_NODE_BUDGET",
     "DiagramPlan",
-    "TUNABLES",
     "build_diagram",
     "classifier_hot_path",
     "diagram_pass",
@@ -68,19 +67,6 @@ __all__ = [
 #: so the paper's 17-rule screened-subnet IPFilter (107 expanded nodes)
 #: still compiles to a diagram.
 DEFAULT_NODE_BUDGET = 160
-
-#: Parameter-space declaration for the autotuner (:mod:`repro.tune`).
-#: The budget trades diagram coverage (too low and big classifiers fall
-#: back to the generic matcher) against generated-code size.
-TUNABLES = (
-    {
-        "name": "fdd.node_budget",
-        "kind": "log_int",
-        "low": 32,
-        "high": 1024,
-        "default": DEFAULT_NODE_BUDGET,
-    },
-)
 
 
 class _BudgetExceeded(Exception):

@@ -20,16 +20,10 @@ from .adaptive import AdaptiveConfig
 from .recovery import RecoveryConfig
 from .supervisor import SupervisorConfig
 
-__all__ = ["ExecutionProfile", "TUNABLES"]
+__all__ = ["ExecutionProfile"]
 
 MODES = ("reference", "fast", "adaptive", "fdd")
 SHARD_BACKENDS = ("thread", "process")
-
-#: Parameter-space declaration for the autotuner (:mod:`repro.tune`):
-#: the batch flavor is a profile-level knob, not an engine one.
-TUNABLES = (
-    {"name": "batch", "kind": "choice", "choices": [False, True], "default": False},
-)
 
 
 @dataclass(frozen=True)
@@ -52,17 +46,10 @@ class ExecutionProfile:
     supervisor: SupervisorConfig | None = None
     workers: int = 1
     shard_backend: str = "thread"
-    #: Capacity of each shard's bounded SPSC handoff queue (thread
-    #: backend); None means the backend default
-    #: (:data:`repro.runtime.shard.DEFAULT_QUEUE_CAPACITY`).
-    queue_capacity: int | None = None
     #: Split every bounded Click queue's capacity across the shards so
     #: aggregate capacity matches the single-plane router (the strict
     #: lossy-overflow contract; see docs/SHARDING.md).
     divide_capacity: bool = False
-    #: FDD expansion budget for mode="fdd"; None means
-    #: :data:`repro.runtime.fdd.DEFAULT_NODE_BUDGET`.
-    node_budget: int | None = None
     #: Frames per dispatch round on the sharded plane (hashed, posted
     #: and run while the next round is hashed); None means
     #: :data:`repro.runtime.shard.DEFAULT_CHUNK_FRAMES`.
@@ -96,14 +83,12 @@ class ExecutionProfile:
                 "shard_backend must be one of %s, not %r"
                 % ("/".join(SHARD_BACKENDS), self.shard_backend)
             )
-        for name in ("queue_capacity", "node_budget", "chunk_frames"):
-            value = getattr(self, name)
-            if value is None:
-                continue
+        value = self.chunk_frames
+        if value is not None:
             if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError("%s must be an int or None, not %r" % (name, value))
+                raise TypeError("chunk_frames must be an int or None, not %r" % (value,))
             if value < 1:
-                raise ValueError("%s must be >= 1, not %d" % (name, value))
+                raise ValueError("chunk_frames must be >= 1, not %d" % value)
         object.__setattr__(self, "divide_capacity", bool(self.divide_capacity))
         if self.recovery is not None and not isinstance(self.recovery, RecoveryConfig):
             raise TypeError("recovery must be a RecoveryConfig or None")
@@ -122,7 +107,7 @@ class ExecutionProfile:
 
     @classmethod
     def tiered(cls, config=None, batch=False, **kwargs):
-        """The adaptive tiered engine, optionally tuned by an
+        """The adaptive tiered engine, optionally configured by an
         :class:`AdaptiveConfig`."""
         return cls(mode="adaptive", adaptive=config, batch=batch, **kwargs)
 
@@ -156,24 +141,20 @@ class ExecutionProfile:
             batch = False
         return replace(self, mode=mode, batch=batch)
 
-    def with_workers(self, workers, backend=None, queue_capacity=None, divide_capacity=None):
+    def with_workers(self, workers, backend=None, divide_capacity=None):
         """This profile sharded across ``workers`` data-plane shards.
         ``backend`` selects ``"thread"`` or ``"process"`` workers;
-        ``queue_capacity`` sizes each shard's bounded handoff queue;
         ``divide_capacity`` opts into splitting every bounded Click
         queue's capacity across the shards.  ``None`` keeps the current
-        value for any of the three."""
+        value for either."""
         if backend is None:
             backend = self.shard_backend
-        if queue_capacity is None:
-            queue_capacity = self.queue_capacity
         if divide_capacity is None:
             divide_capacity = self.divide_capacity
         return replace(
             self,
             workers=workers,
             shard_backend=backend,
-            queue_capacity=queue_capacity,
             divide_capacity=divide_capacity,
         )
 
@@ -188,65 +169,6 @@ class ExecutionProfile:
 
     def without_recovery(self):
         return replace(self, recovery=None)
-
-    def with_tuning(self, tuned):
-        """This profile with a searched knob assignment applied.
-
-        ``tuned`` is a :class:`repro.tune.TunedProfile` (anything with a
-        ``params`` mapping) or a raw params dict keyed by the dotted
-        tunable names the runtime modules declare (``adaptive.*``,
-        ``fdd.node_budget``, ``shard.queue_capacity``,
-        ``shard.chunk_frames``, ``supervisor.*``, ``recovery.*``,
-        ``batch``).  Unknown keys are ignored so artifacts stay
-        forward-compatible.
-
-        Construction-time shape is never changed: ``shard.workers`` is
-        reported by the tuner but must be applied via
-        :meth:`with_workers`; ``batch`` is dropped in reference mode
-        (where it is invalid); ``supervisor.*`` applies only when the
-        profile is supervised, and ``recovery.*`` only when a recovery
-        config is already attached (:meth:`with_recovery`).
-        """
-        params = getattr(tuned, "params", tuned)
-        changes = {}
-        adaptive_kwargs = {
-            key.split(".", 1)[1]: value
-            for key, value in params.items()
-            if key.startswith("adaptive.")
-        }
-        if adaptive_kwargs:
-            base = self.adaptive.as_dict() if self.adaptive is not None else {}
-            base.update(adaptive_kwargs)
-            changes["adaptive"] = AdaptiveConfig(**base)
-        if params.get("fdd.node_budget") is not None:
-            changes["node_budget"] = int(params["fdd.node_budget"])
-        if params.get("shard.queue_capacity") is not None:
-            changes["queue_capacity"] = int(params["shard.queue_capacity"])
-        if params.get("shard.chunk_frames") is not None:
-            changes["chunk_frames"] = int(params["shard.chunk_frames"])
-        if "batch" in params and self.mode != "reference":
-            changes["batch"] = bool(params["batch"])
-        supervisor_kwargs = {
-            key.split(".", 1)[1]: value
-            for key, value in params.items()
-            if key.startswith("supervisor.")
-        }
-        if supervisor_kwargs and self.supervised:
-            base = self.supervisor.as_dict()
-            base.update(supervisor_kwargs)
-            changes["supervisor"] = SupervisorConfig(**base)
-        recovery_kwargs = {
-            key.split(".", 1)[1]: value
-            for key, value in params.items()
-            if key.startswith("recovery.")
-        }
-        if recovery_kwargs and self.recovery is not None:
-            base = self.recovery.as_dict()
-            base.update(recovery_kwargs)
-            changes["recovery"] = RecoveryConfig(**base)
-        if not changes:
-            return self
-        return replace(self, **changes)
 
     def shard_local(self):
         """The profile one shard runs under: identical execution tier,
@@ -287,9 +209,7 @@ class ExecutionProfile:
             "supervisor": self.supervisor is not None,
             "workers": self.workers,
             "shard_backend": self.shard_backend,
-            "queue_capacity": self.queue_capacity,
             "divide_capacity": self.divide_capacity,
-            "node_budget": self.node_budget,
             "chunk_frames": self.chunk_frames,
             "recovery": self.recovery.policy if self.recovery is not None else None,
         }

@@ -23,7 +23,7 @@ selects how a worker is *hosted*, not a second implementation:
 - ``"thread"`` — a daemon thread fed through a bounded
   :class:`SPSCQueue`; objects cross by reference and the codegen cache
   is shared, so startup is cheap.  This is what the differential
-  oracle, ``click-chaos`` and the tuner run by default (Python threads
+  oracle and ``click-chaos`` run by default (Python threads
   buy no wall-clock parallelism; equivalence is the point).
 - ``"process"`` — a ``multiprocessing`` (spawn) child over a pipe,
   building and compiling its router from the configuration *text* it
@@ -109,14 +109,11 @@ __all__ = [
     "SPSCQueue",
     "ShardReport",
     "ShardedRouter",
-    "TUNABLES",
     "device_names_of",
     "divide_queue_capacities",
 ]
 
-#: Default capacity of the bounded SPSC handoff queues (thread
-#: transport).  Overridable per plane via
-#: ``ExecutionProfile.with_workers(..., queue_capacity=...)``.
+#: Capacity of the bounded SPSC handoff queues (thread transport).
 DEFAULT_QUEUE_CAPACITY = 256
 
 #: Default frames per dispatch round (``ExecutionProfile.chunk_frames``
@@ -125,29 +122,6 @@ DEFAULT_QUEUE_CAPACITY = 256
 #: — smaller rounds pay per-command overhead, larger ones leave the
 #: workers idle while the first round is hashed.
 DEFAULT_CHUNK_FRAMES = 256
-
-#: Parameter-space declarations for the autotuner (:mod:`repro.tune`).
-#: ``shard.workers`` is declared here so the space covers the whole
-#: dispatch surface, but it is construction-time: the default search
-#: pins it to the target plane's worker count, and
-#: ``ExecutionProfile.with_tuning`` never applies it (use
-#: ``with_workers``).
-TUNABLES = (
-    {
-        "name": "shard.queue_capacity",
-        "kind": "choice",
-        "choices": [32, 64, 128, 256, 512, 1024, 2048],
-        "default": DEFAULT_QUEUE_CAPACITY,
-    },
-    {
-        "name": "shard.chunk_frames",
-        "kind": "log_int",
-        "low": 16,
-        "high": 8192,
-        "default": DEFAULT_CHUNK_FRAMES,
-    },
-    {"name": "shard.workers", "kind": "choice", "choices": [1, 2, 4, 8], "default": 1},
-)
 
 #: Shard-local loopback devices never limit transmit on their own; the
 #: parent mirrors the real device's window into ``tx_capacity`` before
@@ -695,7 +669,7 @@ class _ThreadTransport:
         # arrive within the watchdog's progress deadline.
         self._send_timeout = None if recovery is None else recovery.heartbeat_timeout
         self.reply_timeout = None if recovery is None else recovery.watchdog_timeout
-        self._inbox = SPSCQueue(plane._queue_capacity)
+        self._inbox = SPSCQueue()
         self._outbox = queue.SimpleQueue()
         self._fenced = False
         self._listening = threading.Event()
@@ -703,10 +677,8 @@ class _ThreadTransport:
             target=self._host,
             args=(
                 # A private copy: an in-place commit rewrites the
-                # declarations of the graph its router was built on, and
-                # the plane's graph must only ever name what every live
-                # shard acknowledged.
-                plane.graph.copy(),
+                # declarations of the graph its router was built on.
+                plane._birth.copy(),
                 plane._profile,
                 list(plane._device_names),
                 plane.meter is not None,
@@ -805,7 +777,7 @@ class _ProcessTransport:
             target=_process_shard_main,
             args=(
                 child_conn,
-                save_config(plane.graph),
+                save_config(plane._birth),
                 plane._profile,
                 list(plane._device_names),
                 plane.meter is not None,
@@ -918,7 +890,11 @@ class ShardedRouter:
                 "sharded router requires a flattened configuration "
                 "(compound classes remain: %s)" % ", ".join(graph.element_classes)
             )
-        self.graph = graph
+        # Every shard is born from this configuration, and journal replay
+        # starts from it, whatever the plane has committed since.
+        self._birth = graph
+        self._graph = graph
+        self._text = None  # the committed configuration as text, once known
         self.meter = meter
         self.devices = {} if devices is None else devices
         self._extra_classes = extra_classes
@@ -927,7 +903,6 @@ class ShardedRouter:
         if chunk_frames is None:
             chunk_frames = self._profile.chunk_frames or DEFAULT_CHUNK_FRAMES
         self.chunk_frames = int(chunk_frames)
-        self._queue_capacity = self._profile.queue_capacity or DEFAULT_QUEUE_CAPACITY
         self.fault_injector = None
         self.retired = False
         self._started = False
@@ -944,6 +919,33 @@ class ShardedRouter:
         self._final_report = None
         self._recovery = None
         self.hasher = FlowHasher(max(1, self._profile.workers), self.hash_seed)
+
+    @property
+    def graph(self):
+        """The configuration every live shard last acknowledged.  A
+        commit stores its text, which is parsed only when this is read,
+        so the commit path never parses."""
+        if self._graph is None:
+            from ..core.toolchain import load_config
+
+            graph = load_config(self._text, "<shard-graph>")
+            if graph.element_classes:
+                from ..core.flatten import flatten
+
+                graph = flatten(graph)
+            self._graph = graph
+        return self._graph
+
+    def _committed_text(self):
+        """The text of :attr:`graph`: what a rollback re-sends."""
+        if self._text is None:
+            from ..core.toolchain import save_config
+
+            self._text = save_config(self._graph)
+        return self._text
+
+    def _commit(self, text):
+        self._text, self._graph = text, None
 
     def _mirrored_devices(self):
         """The device names every shard mirrors, in deterministic flush
@@ -970,8 +972,9 @@ class ShardedRouter:
     def configure(self, profile=None):
         """Apply a profile across every shard.  The execution tier,
         batch flavor, and supervision may change on a live plane;
-        ``workers`` and ``shard_backend`` are construction-time — once
-        the shards exist, changing them raises."""
+        ``workers``, ``shard_backend`` and ``divide_capacity`` are
+        construction-time — once the shards exist, changing them
+        raises."""
         if profile is None:
             profile = ExecutionProfile()
         live = self._profile
@@ -983,13 +986,10 @@ class ShardedRouter:
                 "build a new one"
                 % (live.workers, live.shard_backend, profile.workers, profile.shard_backend)
             )
-        if self._started and (
-            (profile.queue_capacity or DEFAULT_QUEUE_CAPACITY) != self._queue_capacity
-            or profile.divide_capacity != live.divide_capacity
-        ):
+        if self._started and profile.divide_capacity != live.divide_capacity:
             raise ValueError(
-                "queue_capacity and divide_capacity are construction-time "
-                "on a ShardedRouter; build a new one"
+                "divide_capacity is construction-time on a ShardedRouter; "
+                "build a new one"
             )
         self._profile = profile
         self.hasher = FlowHasher(max(1, profile.workers), self.hash_seed)
@@ -1342,12 +1342,10 @@ class ShardedRouter:
         is the command journaled (to every shard, down ones included)
         and the plane's graph advanced.  Returns the first shard's
         :class:`~repro.elements.hotswap.SwapReport`."""
-        from ..core.toolchain import save_config
-
         live = self._live_shards()
         if not live:
             raise RecoveryError("every shard is down; nothing to swap")
-        old_text = save_config(self.graph)
+        old_text = self._committed_text()
         for shard in live:
             self._send(shard, (op, text))
         replies = self._ask(live, ("sync",), settle=False)
@@ -1361,19 +1359,9 @@ class ShardedRouter:
         if not replies:
             raise RecoveryError("every shard went down during the swap; nothing installed")
         self._control((op, text), deliver=False)
-        self._set_graph(text)
-        return replies[0][1][2]
-
-    def _set_graph(self, text):
-        from ..core.toolchain import load_config
-
-        graph = load_config(text, "<shard-graph>")
-        if graph.element_classes:
-            from ..core.flatten import flatten
-
-            graph = flatten(graph)
-        self.graph = graph
+        self._commit(text)
         self._device_names = self._mirrored_devices()
+        return replies[0][1][2]
 
     def apply_update(self, update):
         """Install one control-plane update on *every* shard
@@ -1441,6 +1429,7 @@ class ShardedRouter:
                 self._rollback_committed([shard for shard, _ack in committed])
                 return self._retry_update(text, retried)
             self._control(("update", text), deliver=False)
+            self._commit(text)
             return committed[0][1][1]
         # Structural (or not patchable in place) somewhere: per-shard
         # transactional swaps, rolled back together on failure.
@@ -1464,9 +1453,7 @@ class ShardedRouter:
         """Mid-commit failure: surviving shards that already committed
         re-apply the *old* configuration, so every live shard serves
         the same tables while the dead one recovers."""
-        from ..core.toolchain import save_config
-
-        old_text = save_config(self.graph)
+        old_text = self._committed_text()
         for shard in shards:
             self._send(shard, ("update", old_text))
         self._ask(shards, ("sync",))

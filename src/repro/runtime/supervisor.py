@@ -46,16 +46,7 @@ from __future__ import annotations
 
 import json
 
-__all__ = ["ResilienceReport", "Supervisor", "SupervisorConfig", "TUNABLES"]
-
-#: Parameter-space declarations for the autotuner (:mod:`repro.tune`):
-#: the circuit-breaker knobs worth searching.  Plain data, mirrored by
-#: ``ExecutionProfile.with_tuning`` (applied only to supervised
-#: profiles).
-TUNABLES = (
-    {"name": "supervisor.error_budget", "kind": "int", "low": 2, "high": 16, "default": 4},
-    {"name": "supervisor.backoff", "kind": "log_int", "low": 8, "high": 512, "default": 32},
-)
+__all__ = ["ResilienceReport", "Supervisor", "SupervisorConfig"]
 
 
 class SupervisorConfig:

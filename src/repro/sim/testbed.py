@@ -34,8 +34,8 @@ from .platforms import P0
 HOST_ETHERS = ["00:20:6F:00:00:%02X" % i for i in range(8)]
 
 #: What the sharded plane's dispatcher costs per frame (flow key + crc32
-#: + shard pick), in ns — the one definition ``sharded_mlffr`` and
-#: ``repro.tune``'s cost model share.  ``bench/run.py`` reports it as
+#: + shard pick), in ns, as ``sharded_mlffr`` models it.
+#: ``bench/run.py`` reports it as
 #: ``sim.dispatch_model_ns`` beside the measured
 #: ``runtime.flowhash.hash_ns_per_frame`` (481-705 ns on the host this
 #: was set on; see EXPERIMENTS.md).

@@ -332,12 +332,11 @@ class TestDegradedResteer:
 
 
 class TestMidCommitDeath:
+    ROUTES = "1.0.0.1/32 0, 2.0.0.1/32 0, 2.0.0.0/8 2, 1.0.0.0/8 1"
+
     def _updated_text(self, router):
         text = save_config(router.graph)
-        old = router.graph.elements["rt"].config
-        return text.replace(
-            old, "1.0.0.1/32 0, 2.0.0.1/32 0, 2.0.0.0/8 2, 1.0.0.0/8 1"
-        )
+        return text.replace(router.graph.elements["rt"].config, self.ROUTES)
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_mid_commit_kill_heals(self, backend):
@@ -369,6 +368,49 @@ class TestMidCommitDeath:
             assert router._recovery.down_indices() == []
             total = sum(len(d.transmitted) for d in devices.values())
             assert total == 128
+        finally:
+            router.close()
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_mid_commit_rollback_restores_the_last_commit(self, backend):
+        """The second of two in-place updates loses a worker mid-commit:
+        the survivors roll back to the first update's routes (the last
+        commit), not the routes the plane was born with, before the
+        retry installs the second everywhere."""
+        testbed, router, devices = recovery_testbed(
+            workers=2, backend=backend, policy="buffer"
+        )
+        try:
+            drive(testbed, router, devices, 64)
+            first = self._updated_text(router)
+            assert router.apply_update(first).kind == "in-place"
+            second_routes = self.ROUTES + ", 3.0.0.0/8 2"
+            second = first.replace(self.ROUTES, second_routes)
+            plan = FaultPlan(
+                faults=[{"kind": "worker_kill", "at": 2, "phase": "commit", "worker": 0}]
+            )
+            injector = FaultInjector(plan)
+            injector.prepare_router(router)
+
+            def routes_on_live_shards():
+                replies = router._ask(router._live_shards(), ("counters",))
+                return [reply[1]["rt.config"] for _shard, reply in replies]
+
+            rolled_back = []
+            retry = router._retry_update
+
+            def observe_then_retry(text, already_retried):
+                rolled_back.extend(routes_on_live_shards())
+                return retry(text, already_retried)
+
+            router._retry_update = observe_then_retry
+            assert router.apply_update(second).kind == "in-place"
+            assert injector.worker_kills == 1
+            assert rolled_back == [self.ROUTES]
+            assert routes_on_live_shards() == [second_routes] * 2
+            assert router.graph.elements["rt"].config == second_routes
+            drive(testbed, router, devices, 64, offset=64)
+            assert sum(len(d.transmitted) for d in devices.values()) == 128
         finally:
             router.close()
 

@@ -65,8 +65,6 @@ class TestValue:
             )
 
         assert build() == build() and hash(build()) == hash(build())
-        tuned = ExecutionProfile.fdd().with_tuning({"adaptive.threshold": 64})
-        assert tuned == ExecutionProfile.fdd().with_tuning({"adaptive.threshold": 64})
         assert build() != ExecutionProfile.fdd(config=AdaptiveConfig(threshold=65))
         assert AdaptiveConfig() != SupervisorConfig()
 
@@ -83,9 +81,7 @@ class TestValue:
             "supervisor": True,
             "workers": 1,
             "shard_backend": "thread",
-            "queue_capacity": None,
             "divide_capacity": False,
-            "node_budget": None,
             "chunk_frames": None,
             "recovery": None,
         }
@@ -119,20 +115,15 @@ class TestRouterRoundTrip:
     def test_equal_profile_keeps_the_engine(self):
         from repro.runtime.codegen_cache import default_cache
 
-        def profile(**knobs):
-            return ExecutionProfile.fdd(config=AdaptiveConfig(threshold=64), **knobs)
+        def profile(threshold=64):
+            return ExecutionProfile.fdd(config=AdaptiveConfig(threshold=threshold))
 
         router = Router(parse_graph(PIPE), profile=profile())
         engine, misses = router.engine, default_cache().stats()["misses"]
         router.configure(profile())  # equal, not identical
         assert router.engine is engine
         assert default_cache().stats()["misses"] == misses
-        router.configure(profile(node_budget=64))
-        assert router.engine is not engine and router.engine.node_budget == 64
-        engine = router.engine
-        router.configure(
-            ExecutionProfile.fdd(config=AdaptiveConfig(threshold=65), node_budget=64)
-        )
+        router.configure(profile(threshold=65))
         assert router.engine is not engine and router.engine.config.threshold == 65
 
     def test_configure_returns_router(self):
@@ -141,14 +132,14 @@ class TestRouterRoundTrip:
 
 
 class TestTunableFields:
-    def test_queue_capacity_validation(self):
-        assert ExecutionProfile(queue_capacity=64).queue_capacity == 64
+    def test_chunk_frames_validation(self):
+        assert ExecutionProfile(chunk_frames=64).chunk_frames == 64
         with pytest.raises(ValueError):
-            ExecutionProfile(queue_capacity=0)
+            ExecutionProfile(chunk_frames=0)
         with pytest.raises(TypeError):
-            ExecutionProfile(queue_capacity="big")
+            ExecutionProfile(chunk_frames="big")
         with pytest.raises(TypeError):
-            ExecutionProfile(node_budget=True)
+            ExecutionProfile(chunk_frames=True)
         with pytest.raises(ValueError):
             ExecutionProfile(chunk_frames=-1)
 
@@ -157,78 +148,16 @@ class TestTunableFields:
         assert ExecutionProfile().divide_capacity is False
 
     def test_with_workers_carries_capacity_knobs(self):
-        profile = ExecutionProfile.fast().with_workers(
-            2, "thread", queue_capacity=64, divide_capacity=True
-        )
+        profile = ExecutionProfile.fast().with_workers(2, "thread", divide_capacity=True)
         assert profile.workers == 2
-        assert profile.queue_capacity == 64
         assert profile.divide_capacity is True
         # None keeps the current values.
         again = profile.with_workers(2)
-        assert again.queue_capacity == 64 and again.divide_capacity is True
+        assert again.shard_backend == "thread" and again.divide_capacity is True
 
     def test_shard_local_keeps_capacity_knobs(self):
-        profile = ExecutionProfile.fast().with_workers(
-            2, queue_capacity=64, divide_capacity=True
-        )
+        profile = ExecutionProfile.fast().with_workers(2, divide_capacity=True)
         local = profile.shard_local()
         assert local.workers == 1
-        assert local.queue_capacity == 64 and local.divide_capacity is True
+        assert local.divide_capacity is True
 
-
-class TestWithTuning:
-    PARAMS = {
-        "adaptive.threshold": 128,
-        "adaptive.sample": 8,
-        "adaptive.min_samples": 16,
-        "adaptive.guard_miss_limit": 4096,
-        "adaptive.hot_fraction": 0.6,
-        "adaptive.max_recompiles": 8,
-        "fdd.node_budget": 320,
-        "shard.queue_capacity": 128,
-        "shard.chunk_frames": 1024,
-        "shard.workers": 4,
-        "supervisor.error_budget": 8,
-        "supervisor.backoff": 64,
-        "batch": True,
-        "mystery.future_knob": 9,
-    }
-
-    def test_applies_engine_and_capacity_knobs(self):
-        tuned = ExecutionProfile.tiered().with_tuning(self.PARAMS)
-        assert tuned.adaptive.threshold == 128
-        assert tuned.adaptive.sample == 8
-        assert tuned.adaptive.min_samples == 16
-        assert tuned.adaptive.guard_miss_limit == 4096
-        assert tuned.adaptive.hot_fraction == 0.6
-        assert tuned.adaptive.max_recompiles == 8
-        assert tuned.node_budget == 320
-        assert tuned.queue_capacity == 128
-        assert tuned.chunk_frames == 1024
-        assert tuned.batch is True
-
-    def test_never_changes_construction_shape(self):
-        tuned = ExecutionProfile.tiered().with_tuning(self.PARAMS)
-        assert tuned.workers == 1  # shard.workers is with_workers' job
-        assert tuned.supervisor is None  # unsupervised: supervisor.* inert
-
-    def test_batch_dropped_in_reference_mode(self):
-        tuned = ExecutionProfile.reference().with_tuning(self.PARAMS)
-        assert tuned.batch is False and tuned.mode == "reference"
-
-    def test_supervisor_knobs_apply_when_supervised(self):
-        tuned = ExecutionProfile.tiered().with_supervision().with_tuning(self.PARAMS)
-        assert tuned.supervisor is not None
-        assert tuned.supervisor.error_budget == 8
-        assert tuned.supervisor.backoff == 64
-
-    def test_accepts_artifact_like_objects(self):
-        class Artifact:
-            params = {"adaptive.threshold": 64}
-
-        tuned = ExecutionProfile.tiered().with_tuning(Artifact())
-        assert tuned.adaptive.threshold == 64
-
-    def test_empty_params_is_identity(self):
-        profile = ExecutionProfile.tiered()
-        assert profile.with_tuning({}) is profile

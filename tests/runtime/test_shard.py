@@ -211,6 +211,18 @@ class TestControlFanout:
         finally:
             router.close()
 
+    def test_inplace_update_advances_the_plane_graph(self):
+        testbed, router, devices = sharded_testbed(2, self.backend)
+        try:
+            drive(testbed, router, devices, 16)
+            old = router.graph.elements["rt"].config
+            new = old + ", 3.0.0.0/8 2"
+            report = router.apply_update(save_config(router.graph).replace(old, new))
+            assert report.kind == "in-place"
+            assert router.graph.elements["rt"].config == new
+        finally:
+            router.close()
+
     def test_rejected_update_leaves_all_shards_intact(self):
         testbed, router, devices = sharded_testbed(2, self.backend)
         try:
@@ -511,12 +523,12 @@ class TestStreamedRounds:
 
 class TestQueueCapacityKnob:
     @staticmethod
-    def stalled_high_water(queue_capacity, packets):
+    def stalled_high_water(packets):
         """Shard 0's handoff-queue high water after one pipelined batch
-        dispatched while its worker sleeps: more commands than any
-        capacity under test, so the bounded queue fills to exactly its
-        capacity and the dispatcher blocks there (backpressure) until
-        the worker wakes."""
+        dispatched while its worker sleeps: more commands than the
+        capacity, so the bounded queue fills to exactly its capacity and
+        the dispatcher blocks there (backpressure) until the worker
+        wakes."""
         testbed = Testbed(2)
         devices = {
             interface.device: LoopbackDevice(interface.device, tx_capacity=1 << 30)
@@ -524,7 +536,7 @@ class TestQueueCapacityKnob:
         }
         profile = (
             replace(ExecutionProfile.fast(batch=True), chunk_frames=16)
-            .with_workers(2, queue_capacity=queue_capacity)
+            .with_workers(2)
             .with_recovery("buffer")  # hang_worker needs a policy
         )
         router = build_router(testbed.variant_graph("base"), devices=devices, profile=profile)
@@ -538,23 +550,19 @@ class TestQueueCapacityKnob:
         finally:
             router.close()
 
-    def test_spsc_capacity_from_profile(self):
-        """with_workers(queue_capacity=...) reaches the handoff queues."""
-        assert self.stalled_high_water(8, 256) == 8
-
     def test_default_capacity_is_validated_default(self):
         from repro.runtime.shard import DEFAULT_QUEUE_CAPACITY
 
         assert DEFAULT_QUEUE_CAPACITY == 256
-        assert self.stalled_high_water(None, 2600) == DEFAULT_QUEUE_CAPACITY
+        assert self.stalled_high_water(2600) == DEFAULT_QUEUE_CAPACITY
 
     def test_live_capacity_change_raises(self):
         testbed, router, devices = sharded_testbed(2)
         try:
             drive(testbed, router, devices, 16)
-            narrower = router.profile.with_workers(2, queue_capacity=4)
+            divided = router.profile.with_workers(2, divide_capacity=True)
             with pytest.raises(ValueError, match="construction-time"):
-                router.configure(narrower)
+                router.configure(divided)
         finally:
             router.close()
 

@@ -1,17 +1,22 @@
 """Smoke tests for the fuzzing subsystem: generators produce legal
-cases, traces are deterministic, repro files round-trip, and the
+cases, traces are deterministic, repro files round-trip, a non-default
+``AdaptiveConfig`` leaves the oracle's wire output alone, and the
 ``click-fuzz`` CLI runs the full matrix clean on a fixed seed.
 """
 
 import json
 import random
+from dataclasses import replace
+
+import pytest
 
 from repro.core.check import check
 from repro.core.toolchain import load_config
+from repro.runtime.adaptive import AdaptiveConfig
 from repro.verify import cli
 from repro.verify.genconfig import generate_case, random_pipeline, stock_cases
 from repro.verify.gentraffic import iprouter_events, with_rules_update
-from repro.verify.oracle import MODES, compare_case
+from repro.verify.oracle import MODES, compare_case, mode_profile, run_case
 from repro.verify.shrink import load_repro, write_repro
 
 
@@ -76,6 +81,42 @@ class TestReproFiles:
         assert loaded["optimize"] == case["optimize"]
 
 
+class TestAdaptiveConfigIdentity:
+    """An ``AdaptiveConfig`` may change *when* the runtime compiles,
+    promotes or recompiles, never *what* leaves the wire: every stock
+    case, every oracle mode, byte-identical transmits against the
+    mode's own profile."""
+
+    #: Far from the defaults in every knob (a searched assignment).
+    SLOW = AdaptiveConfig(
+        threshold=4505,
+        sample=4,
+        min_samples=148,
+        guard_miss_limit=37261,
+        hot_fraction=0.9,
+        max_recompiles=57,
+    )
+    #: The same, made eager so short traces cross tier transitions.
+    EAGER = AdaptiveConfig(**dict(SLOW.as_dict(), threshold=48, sample=4, min_samples=12))
+
+    @staticmethod
+    def transmits(case, mode, profile=None):
+        status, observation = run_case(case, mode, profile=profile)
+        assert status == "ok", observation
+        return observation["transmitted"]
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_config_is_wire_identical(self, mode):
+        profile = replace(mode_profile(mode), adaptive=self.SLOW)
+        for case in stock_cases(events_count=48):
+            assert self.transmits(case, mode, profile) == self.transmits(case, mode), case["name"]
+
+    def test_eager_config_crosses_tier_transitions(self):
+        profile = replace(mode_profile("adaptive"), adaptive=self.EAGER)
+        for case in stock_cases(events_count=64):
+            assert self.transmits(case, "adaptive", profile) == self.transmits(case, "adaptive")
+
+
 class TestCli:
     def test_clean_fuzz_run_exits_zero(self, tmp_path):
         report = tmp_path / "report.json"
@@ -121,7 +162,5 @@ class TestCli:
         assert status == 0
 
     def test_unknown_mode_rejected(self):
-        import pytest
-
         with pytest.raises(SystemExit):
             cli.main(["--modes", "reference,warp"])

@@ -1,11 +1,10 @@
 #!/usr/bin/env python
-"""Guard the public API surface of repro.core, repro.runtime,
-repro.control, and repro.tune.
+"""Guard the public API surface of repro.core, repro.runtime, and
+repro.control.
 
 ``repro.core.__all__`` (bare names) plus ``repro.runtime.__all__``
-(``runtime.``-qualified), ``repro.control.__all__``
-(``control.``-qualified), and ``repro.tune.__all__``
-(``tune.``-qualified) are the supported surface;
+(``runtime.``-qualified) and ``repro.control.__all__``
+(``control.``-qualified) are the supported surface;
 ``docs/api_surface.txt`` is its checked-in copy, one name per line,
 sorted.  CI runs this script so any API addition or removal shows up as
 an explicit diff in review.  Run with ``--update`` after an intentional
@@ -23,20 +22,17 @@ SURFACE_FILE = os.path.join(REPO_ROOT, "docs", "api_surface.txt")
 
 def current_surface():
     """The live surface: sorted ``repro.core.__all__`` plus the
-    qualified ``repro.runtime.__all__``, ``repro.control.__all__``,
-    and ``repro.tune.__all__``."""
+    qualified ``repro.runtime.__all__`` and ``repro.control.__all__``."""
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
     try:
         import repro.control
         import repro.core
         import repro.runtime
-        import repro.tune
     finally:
         sys.path.pop(0)
     names = list(repro.core.__all__)
     names += ["runtime.%s" % name for name in repro.runtime.__all__]
     names += ["control.%s" % name for name in repro.control.__all__]
-    names += ["tune.%s" % name for name in repro.tune.__all__]
     return sorted(names)
 
 
