@@ -489,7 +489,13 @@ def _shard_worker(
     from ..control import ControlPlane
     from ..core.toolchain import load_config
 
-    flushed = {name: 0 for name in device_names}
+    # A worker holds only output the coordinator has not consumed.  The
+    # flush cursor and the transmit mirrors count from the worker's
+    # birth; a device's list counts from ``base``, the frames it has let
+    # go of.  ``owed`` is what replay still regenerates below the cursor
+    # (delivered by an earlier life), dropped after every run.
+    base = {name: 0 for name in device_names}
+    owed = {}
     worked = 0
     staged = None  # (plane, batch, delta, diff seconds, stage seconds)
     swap_report = None  # the last hotswap/update's SwapReport, for the next sync
@@ -505,6 +511,15 @@ def _shard_worker(
         # the build error (at its first sync or question) instead of
         # diagnosing a hang.
         broken = _portable(exc)
+
+    def let_go(name, count):
+        """Drop the first ``count`` frames ``name`` holds.  Capacity
+        shrinks with the list, so the room the shard sees is unchanged."""
+        device = devices[name]
+        del device.transmitted[:count]  # in place: the tx loop binds the list
+        device.tx_capacity -= count
+        base[name] += count
+
     pending_error = None
     while True:
         try:
@@ -524,9 +539,16 @@ def _shard_worker(
                     receive(frame)
             elif op == "run":
                 worked += router.run_tasks(cmd[1])
+                for name, count in list(owed.items()):
+                    dropped = min(count, len(devices[name].transmitted))
+                    let_go(name, dropped)
+                    if dropped == count:
+                        del owed[name]
+                    else:
+                        owed[name] = count - dropped
             elif op == "mirror":
                 for name, capacity in cmd[1].items():
-                    devices[name].tx_capacity = capacity
+                    devices[name].tx_capacity = capacity - base[name]
             elif op == "poison":
                 poisons.add(bytes(cmd[1]))
             elif op == "hang":
@@ -575,8 +597,8 @@ def _shard_worker(
                 send(("committed", report))
             elif op == "update_abort":
                 staged = None
-            elif op == "set_flushed":
-                flushed = dict(cmd[1])
+            elif op == "set_flushed":  # a fresh worker's first command under replay
+                owed = {name: cursor for name, cursor in cmd[1].items() if cursor}
             elif op == "sync":
                 if pending_error is not None:
                     send(("error", pending_error))
@@ -588,10 +610,9 @@ def _shard_worker(
                 fresh = {}
                 for name in device_names:
                     frames = devices[name].transmitted
-                    start = flushed[name]
-                    if len(frames) > start:
-                        fresh[name] = frames[start:]
-                        flushed[name] = len(frames)
+                    if frames:
+                        fresh[name] = frames[:]
+                        let_go(name, len(frames))
                 meter = router.meter.summary() if router.meter is not None else None
                 send(("collected", fresh, meter))
             elif op == "counters":
@@ -1166,10 +1187,12 @@ class ShardedRouter:
 
     def _mirror_caps(self):
         """Per-shard transmit-capacity mirrors: a shard-local device may
-        hold at most (what it already holds) + (the real device's
-        current ring room) — a downed or full real device blocks the
-        shard's ToDevice exactly as it blocks the reference router's.
-        At quiescence a shard holds exactly what it has flushed."""
+        send at most (what it has flushed) + (the real device's current
+        ring room) — a downed or full real device blocks the shard's
+        ToDevice exactly as it blocks the reference router's.  The cap
+        counts from the worker's birth, like the flush cursor; the
+        worker subtracts what it has let go of.  At quiescence a live
+        shard holds nothing, so its room is exactly the real ring's."""
         caps = []
         for shard in self._shards:
             local = {}
@@ -1559,6 +1582,10 @@ class ShardedRouter:
         shard.transport.close()
         shard.transport = type(shard.transport)(self, index)  # same host, new life
         journal = self._journals[index]
+        # The parent already consumed everything it flushed before the
+        # crash.  The cursor goes first, so the worker drops that output
+        # after every replayed run and never holds more than a window.
+        self._replay(shard, ("set_flushed", dict(shard.flushed)))
         if singly:
             for position, cmd in enumerate(journal):
                 if cmd[0] != "frames":
@@ -1576,10 +1603,7 @@ class ShardedRouter:
         else:
             for cmd in journal:
                 self._replay(shard, cmd)
-        # The parent already consumed everything it flushed before the
-        # crash; realign the worker's collect cursor so replayed frames
-        # are not delivered twice.
-        self._replay(shard, ("set_flushed", dict(shard.flushed)), sync=True)
+        self._replay(shard, ("sync",), ask=True)
         # Deliver the replay's regenerated-but-unflushed output (the
         # dying run's frames, which the parent never collected).
         self._take(shard, self._replay(shard, ("collect",), ask=True), absorb=False)
