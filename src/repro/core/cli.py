@@ -368,9 +368,9 @@ def optimize_main(argv=None):
 
 def _write_report_with_fastpath(dest, report, fastpath_section):
     """The pipeline's JSON report, extended with a ``fastpath`` section
-    (compile time, codegen-cache hit, per-chain generated-code size)
-    when the run also compiled one — cache hits show up as a near-zero
-    compile time with ``cache_hit: true``."""
+    (compile time, chains emitted, per-chain generated-code size)
+    when the run also compiled one — a build that found its text in the
+    codegen cache shows ``emitted_units: 0``."""
     if fastpath_section is None:
         _write_report(dest, report)
         return

@@ -55,7 +55,7 @@ class SwapReport:
     times, and the chain accounting of the fast paths it built:
     ``chains_recompiled`` were emitted again, ``chains_reused`` were
     not (spliced from the old compile with their code objects, or
-    replayed from the codegen cache).  Shared by :func:`hotswap` and
+    shared with a text the codegen cache holds).  Shared by :func:`hotswap` and
     :meth:`repro.control.ControlPlane.apply`."""
 
     def __init__(self, kind, profile=None, delta=None):
@@ -67,7 +67,6 @@ class SwapReport:
         self.chains_reused = 0
         self.elements_patched = 0
         self.transferred = []  # element names that carried state over
-        self.cache_hit = False
 
     @property
     def total_seconds(self):
@@ -84,7 +83,6 @@ class SwapReport:
             "chains_reused": self.chains_reused,
             "elements_patched": self.elements_patched,
             "transferred": list(self.transferred),
-            "cache_hit": self.cache_hit,
         }
 
     def format(self):
@@ -95,12 +93,7 @@ class SwapReport:
             parts.append("%d element(s) patched" % self.elements_patched)
         if self.kind != "in-place" or self.chains_recompiled or self.chains_reused:
             parts.append(
-                "%d chain(s) recompiled, %d reused%s"
-                % (
-                    self.chains_recompiled,
-                    self.chains_reused,
-                    ", codegen-cache hit" if self.cache_hit else "",
-                )
+                "%d chain(s) recompiled, %d reused" % (self.chains_recompiled, self.chains_reused)
             )
         if self.transferred:
             parts.append("state carried for %d element(s)" % len(self.transferred))
@@ -158,19 +151,17 @@ def _live_fastpaths(router):
 
 
 def chain_totals(fastpaths):
-    """``(emitted, reused, cache_hit)`` chain counts summed over
-    compiled fast paths — what :class:`SwapReport` calls recompiled and
-    reused.  A chain counts as recompiled exactly when the build
-    emitted it again (``FastPathReport.emitted_units``); a chain
-    spliced from a donor or replayed from the codegen cache was not."""
+    """``(emitted, reused)`` chain counts summed over compiled fast
+    paths — what :class:`SwapReport` calls recompiled and reused.  A
+    chain counts as recompiled exactly when the build emitted it again
+    (``FastPathReport.emitted_units``); a chain spliced from a donor or
+    shared with a cached text was not."""
     recompiled = reused = 0
-    cache_hit = False
     for path in fastpaths:
         report = path.report
-        cache_hit = cache_hit or report.cache_hit
         recompiled += report.emitted_units
         reused += report.push_chains + report.pull_chains + report.task_units - report.emitted_units
-    return recompiled, reused, cache_hit
+    return recompiled, reused
 
 
 def hotswap(old_router, new_graph, profile=None, validate=True, delta=None, **router_kwargs):
@@ -288,9 +279,7 @@ def hotswap(old_router, new_graph, profile=None, validate=True, delta=None, **ro
     finally:
         new_router._fastpath_reuse = None
     report.phases["compile"] = time.perf_counter() - started
-    report.chains_recompiled, report.chains_reused, report.cache_hit = chain_totals(
-        _live_fastpaths(new_router)
-    )
+    report.chains_recompiled, report.chains_reused = chain_totals(_live_fastpaths(new_router))
 
     # Phase 2: commit.
     started = time.perf_counter()

@@ -305,38 +305,6 @@ class RouterGraph:
                 return candidate
             counter += 1
 
-    def fingerprint(self):
-        """A content hash of the full configuration — requirements,
-        compound classes, declarations in order, the connection set and
-        any archive members — taken from the graph itself (only
-        compound bodies are unparsed): graphs that unparse alike hash
-        alike, and so does a parse of that text.  Two graphs with equal
-        fingerprints instantiate behaviourally identical routers, which
-        is what lets the runtime codegen cache key compiled fast paths
-        on it (:mod:`repro.runtime.codegen_cache`) — once per build, so
-        it must not cost a pretty-print of the configuration."""
-        import hashlib
-
-        from ..lang.unparse import unparse
-
-        content = (
-            self.requirements,
-            [
-                (compound.name, compound.params, unparse(compound.body, include_archive_note=False))
-                for compound in self.element_classes.values()
-            ],
-            [(decl.name, decl.class_name, decl.config or None) for decl in self.elements.values()],
-            sorted(
-                (conn.from_element, conn.from_port, conn.to_element, conn.to_port)
-                for conn in self.connections
-            ),
-            [
-                (name, member if isinstance(member, str) else member.decode("utf-8"))
-                for name, member in self.archive.items()
-            ],
-        )
-        return hashlib.sha256(repr(content).encode("utf-8")).hexdigest()
-
     def merge_requirements(self, other):
         """Union another graph's requirements into this one."""
         for requirement in other.requirements:

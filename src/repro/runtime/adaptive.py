@@ -36,10 +36,11 @@ traffic changed shape, and the engine *deoptimizes* the chains that
 reach the offending element back to tier 1, resets the profile, and
 lets them climb again against fresh counters.
 
-The recompile itself is usually free: tier-2 code is content-addressed
-in the codegen cache by (graph fingerprint, profile-decision digest),
-so a router re-learning a previously seen traffic shape replays the
-cached module instead of paying ``compile``/``exec``
+The recompile is emission alone when the text is known: the codegen
+cache is keyed by the module text compiled, so a router re-learning a
+previously seen traffic shape — a route patch changes tables, not that
+text — emits it, finds it stored and shares the stored chains' code
+instead of paying ``compile`` again
 (:mod:`repro.runtime.codegen_cache`).
 
 What a tier is specialized on is data, not a class: the engine
@@ -1010,7 +1011,6 @@ class AdaptiveEngine:
                 "fdd_nodes": fastpath.report.fdd_nodes,
                 "fdd_paths": fastpath.report.fdd_paths,
                 "fdd_tests_saved": fastpath.report.fdd_tests_saved,
-                "cache_hit": fastpath.report.cache_hit,
             }
 
         report = {

@@ -84,9 +84,8 @@ class ChainPolicy:
 
     - ``plans`` (``{classifier name: DiagramPlan}``, built by
       :func:`repro.runtime.fdd.diagram_pass`): classifier terminals
-      with a plan emit as decision diagrams.  ``node_budget``, the
-      ``digest`` of the trees the plans were expanded from and the
-      ``hot_paths`` they were ordered by travel with it into the cache
+      with a plan emit as decision diagrams.  ``node_budget`` and the
+      ``hot_paths`` they were ordered by travel with it into the reuse
       key.
     - ``store`` (a :class:`~repro.runtime.adaptive.ProfileStore`): the
       *profiling* flavor, the static code plus a note hook at every
@@ -98,19 +97,19 @@ class ChainPolicy:
       tier 2 — hottest arms first, cold arms pruned, hot route/ARP
       results behind guards whose miss counters ``engine`` owns.
 
-    ``profiling``, ``tag``, :meth:`cache_key` and :meth:`reuse_key` are
-    derived from which fields are set.  A subclass may override any
-    hook (tests substitute fakes this way); one whose emission depends
-    on more than the fields must override both keys as well.
+    ``profiling``, ``tag`` and :meth:`reuse_key` are derived from which
+    fields are set.  A subclass may override any hook (tests substitute
+    fakes this way); one whose emission depends on more than the fields
+    must override :meth:`reuse_key` as well.
 
     Policies hand the emitter *tokens* for any runtime object they want
     bound into generated code (counters, guard callbacks); the emitter
     binds ``policy.resolve(token, router)`` under a ``("policy", token)``
-    recipe, so cached code replays against a fresh policy instance.
+    recipe, so a spliced chain binds the new policy instance's.
     """
 
     def __init__(self, plans=None, store=None, decisions=None, engine=None,
-                 node_budget=None, digest=None, hot_paths=None):
+                 node_budget=None, hot_paths=None):
         if plans is not None and store is not None:
             raise ValueError("the profiling flavor takes no diagram plans")
         self.plans = plans
@@ -118,7 +117,6 @@ class ChainPolicy:
         self.decisions = decisions
         self.engine = engine
         self.node_budget = node_budget
-        self.digest = digest
         self.hot_paths = hot_paths
 
     @property
@@ -127,7 +125,7 @@ class ChainPolicy:
 
     @property
     def tag(self):
-        """The flavor's name in reports and cache keys."""
+        """The flavor's name in reports and reuse keys."""
         flavor = (
             "profiling" if self.profiling
             else "optimized" if self.decisions is not None
@@ -137,32 +135,21 @@ class ChainPolicy:
             return flavor
         return "fdd" if flavor == "static" else "fdd-" + flavor
 
-    def _key(self, content):
+    def reuse_key(self):
+        """Hashable key gating donor-chain reuse in scoped rebuilds: two
+        policies with equal keys emit identical source for the same
+        graph and trees.  Tree content is not part of it: the dirty-set
+        closure already forces chains touching changed content to be
+        emitted again, and untouched closures see identical trees."""
         key = (self.tag,)
         if self.plans is not None:
-            key += (self.node_budget, self.digest) if content else (self.node_budget,)
+            key += (self.node_budget,)
         if self.decisions is not None:
             key += (self.decisions.digest,)
             if self.plans is not None:
                 canonical = sorted(self.hot_paths.items())
                 key += (hashlib.sha256(repr(canonical).encode("utf-8")).hexdigest()[:16],)
         return key
-
-    def cache_key(self):
-        """Hashable component of the codegen-cache key.  Two policies
-        with equal keys must emit identical source for the same graph.
-        Diagram code inlines tree content, which a rules patch changes
-        *without* changing the graph fingerprint, so the digest of the
-        live trees is part of it."""
-        return self._key(content=True)
-
-    def reuse_key(self):
-        """Hashable key gating donor-chain reuse in scoped rebuilds:
-        :meth:`cache_key` without the content digest.  The dirty-set
-        closure already forces chains touching changed content to
-        recompile, and untouched closures see identical trees, so the
-        digest must not veto the splice."""
-        return self._key(content=False)
 
     def _decision_for(self, element):
         if self.decisions is None:
@@ -301,9 +288,9 @@ class ChainInfo:
     by the first packet to enter it (:meth:`FastPath._enter`) — so
     ``code is not None`` says the chain is live.  One record is shared
     by reference between the fast path that emitted it, every compile
-    that splices it, the cache entry and a cache twin (the first sharer
-    to enter it fills ``code`` for all); a splice that has to renumber
-    it takes a copy (:meth:`moved`)."""
+    that splices it, the codegen cache and every compile that emits the
+    same text (the first sharer to enter it fills ``code`` for all); a
+    splice that has to renumber it takes a copy (:meth:`moved`)."""
 
     __slots__ = (
         "kind", "element", "port", "inlined", "terminal", "terminal_port",
@@ -354,7 +341,7 @@ class ChainInfo:
 
     def fold_into(self, report):
         """Add this chain to a :class:`FastPathReport` — the one way a
-        chain is counted, whether just emitted, spliced or replayed."""
+        chain is counted, whether just emitted, spliced or shared."""
         label = "%s %s[%d]" % (self.kind, self.element, self.port)
         report.chain_lines[label] = self.lines
         if self.opaque:
@@ -387,14 +374,13 @@ class FastPathReport:
         self.batch = False
         self.source_lines = 0
         self.policy = "static"
-        self.cache_hit = False
         self.compile_seconds = 0.0
         self.chain_lines = {}  # "push name[port]" chain label -> generated lines
         self.guarded_branches = 0
         self.pruned_arms = 0
         self.reused_chains = 0  # chains spliced verbatim from a donor compile
         self.compiled_units = 0  # compile() calls made for this fast path so far
-        self.emitted_units = 0  # chains this build emitted again (0 on a cache replay)
+        self.emitted_units = 0  # chains this build emitted and kept (0 when it shared a cached text)
         self.fdd_diagrams = 0  # classifier terminals emitted as decision diagrams
         self.fdd_nodes = 0  # expanded diagram nodes across those diagrams
         self.fdd_paths = 0  # root-to-leaf paths across those diagrams
@@ -437,10 +423,9 @@ class FastPathReport:
             "  specialized: %d terminals and %d actions compiled in place, "
             "%d redundant elements elided"
             % (self.specialized_terminals, self.specialized_actions, self.elided_elements),
-            "  compile: %.1f ms%s, compiled %d of %d chains, %d emitted%s (policy: %s%s)"
+            "  compile: %.1f ms, compiled %d of %d chains, %d emitted%s (policy: %s%s)"
             % (
                 self.compile_seconds * 1e3,
-                ", codegen-cache hit" if self.cache_hit else "",
                 self.compiled_units,
                 self.push_chains + self.pull_chains + self.task_units,
                 self.emitted_units,
@@ -648,8 +633,8 @@ def compile_chain(lines, offset, filename="<fastpath>"):
 
 
 def _method_spec(bound):
-    """A replayable recipe for a bound element method, or None when the
-    callable cannot be re-resolved by name against a fresh router."""
+    """A bind recipe for a bound element method, or None when the
+    callable cannot be re-resolved by name against another router."""
     owner = getattr(bound, "__self__", None)
     fn = getattr(bound, "__func__", None)
     name = getattr(owner, "name", None)
@@ -675,9 +660,9 @@ class _Emission:
 
     - ``bind(value, spec)`` parks a runtime object as a default argument
       of the chain's def and returns its local name; ``spec`` is the
-      recipe the codegen cache re-binds it by.  ``method``, ``element``,
-      ``attr``, ``ip``, ``jump_table`` and ``bind_policy`` bind under
-      the recipe for what they bind.
+      recipe a splice onto another router re-binds it by.  ``method``,
+      ``element``, ``attr``, ``ip``, ``jump_table`` and ``bind_policy``
+      bind under the recipe for what they bind.
     - ``facts`` is what earlier segments proved for the rest of the
       chain, or None where none are threaded (pull chains): ``data`` and
       ``min_len`` (a local holding the contents and their least
@@ -940,46 +925,17 @@ class FastPath:
         self._saved_ports = None
         self.installed = False
         self._fuse_lowered = False  # is the chain being emitted a task's?
-        self._reset_compile_state()
-        started = time.perf_counter()
-        entry = None
-        key = None
-        if cache is not None:
-            key = cache.key_for(router, self.batch, self.policy)
-            entry = cache.lookup(key)
-        if entry is not None:
-            try:
-                entry.replay(self)
-                self.report.cache_hit = True
-            except Exception:  # noqa: BLE001 - any corrupt entry falls back
-                # A truncated/corrupt entry (bad recipe, stale names,
-                # mangled code) must cost a recompile, not the router:
-                # evict it and compile fresh from clean state.
-                cache.evict(key)
-                self._reset_compile_state()
-                entry = None
-        if entry is None:
-            self._compile(cache, key)
-            if key is not None and self._cacheable:
-                cache.store(key, self)
-        self._fold_report()
-        self.report.compile_seconds = time.perf_counter() - started
-
-    def _reset_compile_state(self):
-        """Everything a compile or cache replay builds, emptied: the
-        start of construction, and again after a failed replay so
-        :meth:`_compile` starts from scratch."""
         # (kind, element_name, port) -> ChainInfo, in emission order: the
         # compile units, kept whole so a later scoped rebuild can splice
         # this module's untouched chains into its own compile (see
-        # _reuse_chain) and the codegen cache can hold and replay them.
+        # _reuse_chain) and the codegen cache can share them.
         self.chains = {}
         self._compiled = {}  # same key -> (fn, batch_fn_or_None), live in _namespace
         self._failed = {}  # key of a chain whose entry failed -> what its functions call instead
         self._jump_tables = []  # (list to fill, terminal element, dispatch mode)
         self.source = ""
         self._namespace = {}
-        self._bind_specs = {}  # _bN name -> replay recipe
+        self._bind_specs = {}  # _bN name -> bind recipe
         self._cacheable = True
         self._ctx_counter = 0
         self._bind_counter = 0
@@ -988,6 +944,10 @@ class FastPath:
         report.batch = self.batch
         report.policy = self.policy.tag
         self.report = report
+        started = time.perf_counter()
+        self._compile(cache)
+        self._fold_report()
+        report.compile_seconds = time.perf_counter() - started
 
     def function_for(self, key, batch=False):
         """The compiled chain entry point for one edge key
@@ -1074,10 +1034,10 @@ class FastPath:
         """Park a runtime object in the generated module's globals and
         return its name; generated defs capture it via default args.
 
-        ``spec`` is the replay recipe the codegen cache uses to re-bind
-        the same slot against a fresh router (see
-        :mod:`repro.runtime.codegen_cache`); binding anything without a
-        recipe makes this compile uncacheable."""
+        ``spec`` is the recipe a scoped rebuild on another router uses
+        to re-bind the same slot when it splices the chain (see
+        :mod:`repro.runtime.codegen_cache`); a chain that bound anything
+        without a recipe is emitted again, not spliced."""
         name = "_b%d" % self._bind_counter
         self._bind_counter += 1
         self._namespace[name] = value
@@ -1332,8 +1292,8 @@ class FastPath:
     def _fold_report(self):
         """Derive the report's content from what this fast path holds:
         every chain record folded in, plus what the router's wiring and
-        the module text say.  Runs once, after a cold compile, a splice
-        and a cache replay alike, so the three cannot disagree."""
+        the module text say.  Runs once, after a compile that emitted,
+        spliced or shared its chains alike, so they cannot disagree."""
         report = self.report
         for chain in self.chains.values():
             chain.fold_into(report)
@@ -1460,7 +1420,7 @@ class FastPath:
         self.chains[key] = chain.moved(offset, tuple(table_map.values()))
         self.report.reused_chains += 1
 
-    def _compile(self, cache=None, cache_key=None):
+    def _compile(self, cache=None):
         lines = list(_HEADER)
         donor, anchors, reach = self._reuse_plan()
         index = 0
@@ -1509,19 +1469,19 @@ class FastPath:
             index += 1
         self._next_index = index
         self.source = "\n".join(lines) + "\n"
-        # The same policy over a graph that differs only in table
-        # contents (an engine's tier 2 after a route patch) emits the
-        # text a cached entry already holds: share its lines and code
-        # instead of keeping a second copy per patch.  (A splice has
-        # its donor for that, and emitted again only what changed.)
-        twin = None
-        if cache_key is not None and donor is None:
-            twin = cache.twin(cache_key, self.source)
-        if twin is not None:
-            self.source = twin.source
+        # A build that emits a text the cache holds (the same
+        # configuration again, or an engine's tier 2 after a route patch)
+        # shares its lines and code instead of keeping a second copy.
+        # (A splice has its donor for that, and emitted again only what
+        # changed.)
+        stored = {}
+        if cache is not None and donor is None:
+            found = cache.intern(self.source, self.chains)
+            if found is not None:
+                self.source, stored = found
         for key in emitted:
             chain = self.chains[key]
-            shared = twin.chains.get(key) if twin is not None else None
+            shared = stored.get(key)
             if shared is not None and chain.same_unit(shared):
                 self.chains[key] = shared
                 continue
@@ -1542,7 +1502,7 @@ class FastPath:
         like Element.checked_push; "plain" tables fall back to the
         reference port so misbehavior (pushing an unwired port) fails
         the same way it would have.  The one way code becomes live:
-        after a cold compile, a splice, and a cache replay alike."""
+        after a compile that emitted, spliced or shared its chains."""
         namespace, enter = self._namespace, self._enter
         for key, chain in self.chains.items():
             names = (chain.function_name, chain.batch_name)
@@ -1658,8 +1618,8 @@ class FastPath:
             element._input_ports = new_inputs
             unit = self._compiled.get(("task", name, 0))
             # Emission does not look at the instance's own run_task (a
-            # tier-2 compile finds tier 1's unit there), and a replayed
-            # unit may meet an element wrapped since it was emitted.
+            # tier-2 compile finds tier 1's unit there), so a unit may
+            # meet an element whose loop was wrapped by hand.
             if unit and _task_lowering(element) and "run_task" not in vars(element):
                 element.run_task = unit[0]
         self._saved_ports = saved

@@ -39,17 +39,14 @@ Safety mirrors the adaptive tiers (Morpheus-style):
   rebuild at all — compiled lookups read the live table through bound
   memo/lookup cells, exactly as in adaptive mode.
 
-This module is the pass alone — trees in, plans and their digests out
+This module is the pass alone — trees in, plans out
 (:func:`diagram_pass`); the engine hands the result to a
-:class:`~repro.runtime.fastpath.ChainPolicy` as data.  Cache
-addressing: diagram code inlines tree content, which a rules patch
-changes *without* changing the graph fingerprint, so the policy folds
-:func:`trees_digest` of the live trees into its codegen-cache key.
+:class:`~repro.runtime.fastpath.ChainPolicy` as data.  Diagram code
+inlines tree content, so the codegen cache, keyed by the text compiled,
+tells a patched diagram from the one it replaced without being told.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
@@ -58,7 +55,6 @@ __all__ = [
     "classifier_hot_path",
     "diagram_pass",
     "router_trees",
-    "trees_digest",
 ]
 
 #: Expanding a DAG-shaped tree into nested if/else replicates shared
@@ -277,29 +273,19 @@ def router_trees(router):
     return trees
 
 
-def trees_digest(trees):
-    """Content digest over every live tree signature — the diagram-shape
-    component of FDD cache keys.  A control-plane rules patch changes a
-    tree without changing the graph fingerprint; this digest keeps the
-    stale diagram entry from replaying."""
-    canonical = sorted((name, tree.signature()) for name, tree in trees.items())
-    return hashlib.sha256(repr(canonical).encode("utf-8")).hexdigest()[:16]
-
-
 def diagram_pass(router, node_budget, decisions=None, exemplars=None):
     """The diagram pass over one router: expand every classifier tree
     the chain compiler specializes, under ``node_budget``.  Returns
     the :class:`~repro.runtime.fastpath.ChainPolicy` fields the pass
-    sets — what the policy needs to emit and to cache-address
-    diagrams.  Plans are built eagerly so a cache-hit replay still
-    carries them (for the diagram report and repatching); a tree over
-    budget has no plan and keeps the generic emission.
+    sets — what the policy needs to emit, report and repatch
+    diagrams; a tree over budget has no plan and keeps the generic
+    emission.
 
     With ``decisions`` (tier 2) each tree is ordered by the walk the
     profiled hot exemplar takes through it.  ``hot_paths`` holds those
     canonical ``(pos, taken)`` walks — not raw exemplar bytes — so two
     runs profiling different packets of the same flow shape produce the
-    same cache key."""
+    same text and the same reuse key."""
     trees = router_trees(router)
     hot_paths = {}
     plans = {}
@@ -318,6 +304,5 @@ def diagram_pass(router, node_budget, decisions=None, exemplars=None):
     return {
         "plans": plans,
         "node_budget": node_budget,
-        "digest": trees_digest(trees),
         "hot_paths": hot_paths,
     }

@@ -117,10 +117,10 @@ __all__ = [
 DEFAULT_QUEUE_CAPACITY = 256
 
 #: Default frames per dispatch round (``ExecutionProfile.chunk_frames``
-#: or the ``chunk_frames`` constructor keyword override it): the best of
-#: a measured sweep over 64..2048 on two process workers (EXPERIMENTS.md)
-#: — smaller rounds pay per-command overhead, larger ones leave the
-#: workers idle while the first round is hashed.
+#: overrides it): the best of a measured sweep over 64..2048 on two
+#: process workers (EXPERIMENTS.md) — smaller rounds pay per-command
+#: overhead, larger ones leave the workers idle while the first round
+#: is hashed.
 DEFAULT_CHUNK_FRAMES = 256
 
 #: Shard-local loopback devices never limit transmit on their own; the
@@ -711,9 +711,8 @@ class _ThreadTransport:
         )
         self._thread.start()
         # One build at a time: the codegen cache is shared in-process,
-        # so the next worker replays what this one compiled instead of
-        # compiling the same chains beside it (measured: 4 cold workers
-        # 445 ms side by side, 90 ms in turn).
+        # so the next worker shares the code this one compiled instead
+        # of compiling the same chains beside it.
         self._listening.wait()
 
     def _host(self, *args):
@@ -900,9 +899,7 @@ class ShardedRouter:
         meter=None,
         devices=None,
         profile=None,
-        hash_seed=DEFAULT_SEED,
         journal=None,
-        chunk_frames=None,
     ):
         from ..errors import ClickSemanticError
 
@@ -920,10 +917,7 @@ class ShardedRouter:
         self.devices = {} if devices is None else devices
         self._extra_classes = extra_classes
         self._profile = profile if profile is not None else ExecutionProfile()
-        self.hash_seed = int(hash_seed)
-        if chunk_frames is None:
-            chunk_frames = self._profile.chunk_frames or DEFAULT_CHUNK_FRAMES
-        self.chunk_frames = int(chunk_frames)
+        self.chunk_frames = self._profile.chunk_frames or DEFAULT_CHUNK_FRAMES
         self.fault_injector = None
         self.retired = False
         self._started = False
@@ -939,7 +933,7 @@ class ShardedRouter:
         self._replays = 0
         self._final_report = None
         self._recovery = None
-        self.hasher = FlowHasher(max(1, self._profile.workers), self.hash_seed)
+        self.hasher = FlowHasher(max(1, self._profile.workers), DEFAULT_SEED)
 
     @property
     def graph(self):
@@ -1013,7 +1007,7 @@ class ShardedRouter:
                 "build a new one"
             )
         self._profile = profile
-        self.hasher = FlowHasher(max(1, profile.workers), self.hash_seed)
+        self.hasher = FlowHasher(max(1, profile.workers), DEFAULT_SEED)
         if self._started and profile != live:
             self._control(("configure", profile))
         return self
@@ -1673,7 +1667,7 @@ class ShardedRouter:
         report = ShardReport()
         report.workers = self.workers
         report.backend = self._profile.shard_backend
-        report.seed = self.hash_seed
+        report.seed = DEFAULT_SEED
         report.dispatched = list(self._dispatched) or [0] * self.workers
         report.flushed = self._flushed_total
         report.runs = self._runs

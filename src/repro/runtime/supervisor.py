@@ -318,10 +318,7 @@ class ResilienceReport:
                 % (label, info["tier"], info["breaker"], info["errors"], info["last_error"])
             )
         if self.faults is not None:
-            lines.append(
-                "  injected: %d cache invalidation(s), %d cache corruption(s)"
-                % (self.faults["cache_invalidations"], self.faults["cache_corruptions"])
-            )
+            lines.append("  injected over %d fault tick(s)" % self.faults["ticks"])
             for name, info in self.faults["elements"].items():
                 lines.append(
                     "  fault %-32s %d call(s), %d error(s) fired"

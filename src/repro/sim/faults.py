@@ -7,8 +7,8 @@ replays identically under every execution mode:
 
 - **ticks** — the injector's :meth:`FaultInjector.tick` counter, which
   the chaos harness advances once per ``["run", N]`` trace event.
-  Device flaps/failures and codegen-cache faults are tick-based: the
-  same scheduler passes see the same hardware state in every mode.
+  Device flaps/failures and worker faults are tick-based: the same
+  scheduler passes see the same hardware state in every mode.
 - **counts** — per-object event counters (frames dequeued from one
   device, packets entering one element).  Frame corruption and injected
   element exceptions are count-based because every execution mode
@@ -22,8 +22,9 @@ or ``push``) before the fast path compiles, so both the reference
 interpreter and generated code call through it.  Wrapped elements are
 flagged ``_fault_wrapped`` (the chain compiler skips specializations
 that would bypass an instance attribute) and the router is flagged
-``_fault_uncacheable`` (the codegen cache must not replay a clean
-specialized entry onto a faulted router, nor store a faulted compile).
+``_fault_uncacheable`` (a scoped rebuild splices no chain between a
+faulted router and a clean one: the wrapper lives on the element
+instance, which a chain emitted for the clean router would bypass).
 
 Faults never break the differential contract on their own: a supervised
 router drops exactly the packets whose processing raised, in every
@@ -44,8 +45,6 @@ FAULT_KINDS = {
     "device_fail": (("device", "at"), {}),
     "corrupt_frame": (("device", "after"), {"count": 1, "offset": 0, "xor": 0xFF}),
     "element_error": (("element", "after"), {"count": 1, "message": None}),
-    "cache_corrupt": (("at",), {}),
-    "cache_invalidate": (("at",), {}),
     "worker_crash": (("at",), {"worker": 0}),
     # Self-healing faults (the recovery manager, not the injector, does
     # the recovering).  ``worker_kill`` with phase="commit" lands inside
@@ -184,8 +183,8 @@ class FaultPlan:
     @classmethod
     def seeded(cls, seed, devices=(), elements=(), ticks=16, events=64, sharded=False):
         """A deterministic plan drawn from ``seed``: one device flap,
-        maybe a frame-corruption window, one or two element faults, and
-        a cache invalidation + corruption — scaled to a trace of about
+        maybe a frame-corruption window and one or two element faults —
+        scaled to a trace of about
         ``ticks`` run events carrying about ``events`` packets.
 
         ``sharded=True`` draws a *shard-safe* plan for comparing
@@ -234,8 +233,6 @@ class FaultPlan:
                         "count": 1 + rng.randrange(4),
                     }
                 )
-        faults.append({"kind": "cache_invalidate", "at": rng.randrange(max(1, ticks))})
-        faults.append({"kind": "cache_corrupt", "at": rng.randrange(max(1, ticks))})
         return cls(faults=faults, seed=seed, name="seeded-%s" % seed)
 
     def device_names(self):
@@ -382,15 +379,12 @@ class FaultInjector:
         self.plan = plan if isinstance(plan, FaultPlan) else FaultPlan.from_dict(plan)
         self.plan.validate()
         self.tick_count = 0
-        self.cache_invalidations = 0
-        self.cache_corruptions = 0
         self.worker_crashes = 0
         self.worker_kills = 0
         self.worker_hangs = 0
         self.worker_poisons = 0
         self._devices = {}
         self._elements = {}
-        self._cache_events = []  # (at, kind), unfired
         self._worker_events = []  # (at, worker index), unfired worker_crash
         self._recovery_events = []  # unfired tick-phase kill/hang/poison dicts
         self._commit_events = []  # unfired phase="commit" worker_kill dicts
@@ -424,14 +418,12 @@ class FaultInjector:
                 )
             elif kind == "worker_crash":
                 self._worker_events.append((fault["at"], fault.get("worker", 0)))
-            elif kind in ("worker_kill", "worker_hang", "worker_poison"):
+            else:
                 event = dict(fault)
                 if kind == "worker_kill" and event.get("phase", "tick") == "commit":
                     self._commit_events.append(event)
                 else:
                     self._recovery_events.append(event)
-            else:
-                self._cache_events.append((fault["at"], kind))
         for state in self._devices.values():
             state.update(0)
 
@@ -451,8 +443,8 @@ class FaultInjector:
 
     def prepare_router(self, router):
         """Install element-fault wrappers on ``router`` (idempotent per
-        router) and mark it uncacheable for the codegen cache.  Must run
-        before the router compiles a fast path."""
+        router) and mark it so no scoped rebuild splices its chains.
+        Must run before the router compiles a fast path."""
         self._router = router
         if getattr(router, "is_sharded", False):
             if self._elements:
@@ -493,23 +485,12 @@ class FaultInjector:
 
     def tick(self, count=1):
         """Advance the fault clock ``count`` ticks, updating device
-        up/down state and firing due cache faults."""
-        from ..runtime.codegen_cache import default_cache
-
+        up/down state and firing due worker faults."""
         for _ in range(count):
             now = self.tick_count
             self.tick_count = now + 1
             for state in self._devices.values():
                 state.update(now)
-            for at, kind in list(self._cache_events):
-                if at == now:
-                    self._cache_events.remove((at, kind))
-                    cache = default_cache()
-                    if kind == "cache_invalidate":
-                        cache.invalidate()
-                        self.cache_invalidations += 1
-                    else:
-                        self.cache_corruptions += cache.corrupt_entries()
             for at, worker in list(self._worker_events):
                 if at == now:
                     self._worker_events.remove((at, worker))
@@ -567,8 +548,6 @@ class FaultInjector:
         """JSON-safe injection counters for the resilience report."""
         return {
             "ticks": self.tick_count,
-            "cache_invalidations": self.cache_invalidations,
-            "cache_corruptions": self.cache_corruptions,
             "worker_crashes": self.worker_crashes,
             "worker_kills": self.worker_kills,
             "worker_hangs": self.worker_hangs,

@@ -2,10 +2,10 @@
 
 The differential fuzzer (:mod:`repro.verify.cli`) hunts divergence on
 *healthy* runs.  This harness hunts it on *faulted* runs: a seeded
-:class:`repro.sim.faults.FaultPlan` flaps devices, corrupts frames,
-raises injected exceptions inside elements and attacks the codegen
-cache while a stock trace plays — under every execution mode, each
-supervised by :class:`repro.runtime.supervisor.Supervisor`.
+:class:`repro.sim.faults.FaultPlan` flaps devices, corrupts frames and
+raises injected exceptions inside elements while a stock trace plays —
+under every execution mode, each supervised by
+:class:`repro.runtime.supervisor.Supervisor`.
 
 The contract being checked is the resilience guarantee:
 
@@ -449,8 +449,8 @@ _CONFIG_CHOICES = ("iprouter", "firewall", "both")
 def _parser():
     parser = argparse.ArgumentParser(
         description="Chaos harness: replay seeded fault plans (device "
-        "flaps, frame corruption, injected element errors, cache "
-        "attacks) against the supervised router under every execution "
+        "flaps, frame corruption, injected element errors) against the "
+        "supervised router under every execution "
         "mode and verify it neither crashes nor diverges on the wire."
     )
     parser.add_argument(

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from repro.graph.router import RouterGraph
 from repro.graph.visitor import backward_reachable, forward_reachable, topological_order
 
-from ..lang.test_unparse_roundtrip import random_graphs
-
 
 @st.composite
 def graphs(draw):
@@ -103,89 +101,3 @@ class TestAnonymousNaming:
         graph = RouterGraph()
         names = [graph.add_element(None, class_name).name for class_name in classes]
         assert len(set(names)) == len(names)
-
-
-# -- fingerprint ------------------------------------------------------------------
-
-
-def _mutations(graph):
-    """``graph`` with exactly one declaration or connection changed,
-    one copy per kind of change that applies."""
-    name = next(iter(graph.elements))
-    for field, value in (("class_name", "Null"), ("config", "77")):
-        changed = graph.copy()
-        setattr(changed.elements[name], field, value)
-        yield changed
-    renamed = graph.copy()
-    renamed.rename_element(name, "renamed")
-    yield renamed
-    added = graph.copy()
-    added.add_element("added", "Idle")
-    yield added
-    wired = graph.copy()
-    wired.add_connection(name, 7, name, 7)
-    yield wired
-    if graph.connections:
-        conn = graph.connections[0]
-        cut = graph.copy()
-        cut.remove_connection(conn)
-        yield cut
-        moved = graph.copy()
-        moved.remove_connection(conn)
-        moved.add_connection(conn.from_element, conn.from_port + 3, conn.to_element, conn.to_port)
-        yield moved
-
-
-class TestFingerprint:
-    """The fingerprint is taken from the graph, not from its text, and
-    must still say exactly what the text says."""
-
-    @settings(max_examples=60)
-    @given(random_graphs())
-    def test_says_what_the_text_says(self, graph):
-        from repro.core.toolchain import load_config, save_config
-
-        text = save_config(graph)
-        # equal text, equal fingerprint: a parse of the text, and the
-        # same graph written with its connections listed backwards
-        reparsed = load_config(text)
-        assert save_config(reparsed) == text
-        assert reparsed.fingerprint() == graph.fingerprint()
-        backwards = graph.copy()
-        backwards.connections.reverse()
-        assert backwards.fingerprint() == graph.fingerprint()
-        # any one change, another fingerprint (and another text)
-        for changed in _mutations(graph):
-            assert save_config(changed) != text
-            assert changed.fingerprint() != graph.fingerprint()
-
-    def test_stock_configurations_round_trip(self):
-        """Plain, compound and archive-carrying configurations hash the
-        same before and after ``save_config`` / ``load_config``."""
-        from repro.configs.firewall import firewall_graph
-        from repro.configs.iprouter import ip_router_graph
-        from repro.core.pipeline import named_pipeline
-        from repro.core.toolchain import load_config, save_config
-        from repro.lang.build import parse_graph
-
-        compound = parse_graph(
-            "elementclass Gate { $cap | input -> q :: Queue($cap) -> u :: Unqueue -> output; }\n"
-            "c :: Counter; g :: Gate(9); c -> g -> Discard;"
-        )
-        optimized = named_pipeline("paper").run(ip_router_graph()).graph
-        assert optimized.archive
-        seen = set()
-        for graph in (ip_router_graph(), firewall_graph(), compound, optimized):
-            reloaded = load_config(save_config(graph))
-            assert reloaded.fingerprint() == graph.fingerprint()
-            seen.add(graph.fingerprint())
-        assert len(seen) == 4
-        bigger = parse_graph(
-            "elementclass Gate { $cap | input -> q :: Queue($cap) -> u :: Unqueue -> u2 :: Null -> output; }\n"
-            "c :: Counter; g :: Gate(9); c -> g -> Discard;"
-        )
-        assert bigger.fingerprint() != compound.fingerprint()
-        member = next(iter(optimized.archive))
-        edited = optimized.copy()
-        edited.archive[member] = edited.archive[member] + "\n# edited\n"
-        assert edited.fingerprint() != optimized.fingerprint()

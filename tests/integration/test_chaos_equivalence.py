@@ -53,8 +53,6 @@ class TestSeededChaos:
                     "xor": 0x5A,
                 },
                 {"kind": "element_error", "element": "CheckIPHeader@6", "after": 2, "count": 3},
-                {"kind": "cache_invalidate", "at": 2},
-                {"kind": "cache_corrupt", "at": 3},
             ]
         )
         result = compare_chaos(case, plan)
@@ -111,7 +109,6 @@ class TestSwapUnderLoad:
                     "after": 3,
                     "count": 2,
                 },
-                {"kind": "cache_invalidate", "at": 4},
             ]
         )
         result = compare_chaos(swap_case, plan)
@@ -146,8 +143,7 @@ class TestHarness:
             "events": [["explode"]],
             "optimize": False,
         }
-        plan = FaultPlan(faults=[{"kind": "cache_invalidate", "at": 0}])
-        result = compare_chaos(case, plan, modes=["fast"])
+        result = compare_chaos(case, FaultPlan(), modes=["fast"])
         assert result["status"] == "crash"
         assert all(f["kind"] == "crash" for f in result["failures"])
 

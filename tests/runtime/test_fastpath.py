@@ -86,7 +86,7 @@ class TestGeneratedSource:
         # mark); tracebacks must still point into fastpath.source.
         import traceback
 
-        default_cache().clear()  # a replayed record may carry code already
+        default_cache().clear()  # a shared record may carry code already
         _, (router, _) = build()
         fastpath = compile_fastpath(router)
         lines = fastpath.source.split("\n")
@@ -126,7 +126,7 @@ class TestCompileOnFirstEntry:
 
     @pytest.mark.parametrize("batch", [False, True])
     def test_holders_keep_the_object_that_becomes_the_chain(self, batch):
-        default_cache().clear()  # a replayed record may carry code already
+        default_cache().clear()  # a shared record may carry code already
         testbed, (router, devices) = build(mode="fast", batch=batch)
         fastpath = router.fastpath
         # entered by a task unit, by an element's own push, and (the

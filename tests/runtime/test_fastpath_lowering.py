@@ -364,8 +364,10 @@ def test_task_units_run_on_declared_devices(profile):
     router.run_tasks(8)
     assert len(devices["eth1"].transmitted) == 20 and router["c"].count == 20
     assert (router["src"].received, router["dst"].sent) == (20, 20)
-    replayed, _devices = pipe(profile)
-    assert replayed.fastpath.report.cache_hit and runs_units(replayed) == {"src", "dst"}
+    shared, _devices = pipe(profile)
+    assert shared.fastpath.report.emitted_units == 0 and runs_units(shared) == {"src", "dst"}
+    for name in ("src", "dst"):
+        assert shared.fastpath.chain_for("task", name, 0) is fastpath.chain_for("task", name, 0)
 
 
 class OverridingDevice(LoopbackDevice):
@@ -466,10 +468,9 @@ def test_report_names_what_each_chain_dispatches_opaquely():
     assert opaque["push rt[0]"] == ["Discard@1"]
     assert list(report.as_dict()["opaque_dispatch"]) == sorted(opaque)
     assert "  opaque: push rt[0] calls Discard@1" in report.format()
-    # A replay from the codegen cache reports the same (xform's output
-    # has no per-load generated classes, so the second build hits).
+    # A build that shares a cached text reports the same.
     reports = [build("xf", ExecutionProfile.fast())[1].fastpath.report for _ in range(2)]
-    assert reports[1].cache_hit and not reports[0].cache_hit
+    assert reports[1].emitted_units == 0 < reports[0].emitted_units
     assert reports[1].opaque_dispatch == reports[0].opaque_dispatch != {}
 
 
@@ -756,11 +757,10 @@ def test_plain_configurations_generate_the_stored_source(config, mode, batch):
 
 @pytest.mark.parametrize("config", ["iprouter", "firewall"])
 def test_flavor_keys_are_derived_from_the_facts_a_policy_carries(config):
-    """Five tags, one class: cache keys tell every flavor and batch
-    setting apart, equal keys mean equal source on a fresh router, and
-    the reuse key is the cache key minus the content digest.  The
-    profiled flavor takes no plans, so ``fdd``'s is ``adaptive``'s:
-    same tag, same key, same source."""
+    """Five tags, one class: reuse keys tell every flavor apart, and
+    with the batch setting equal keys mean equal source on a fresh
+    router.  The profiled flavor takes no plans, so ``fdd``'s is
+    ``adaptive``'s: same tag, same key, same source."""
     warm = warm_iprouter if config == "iprouter" else warm_firewall
     cache = default_cache()
     sources = {}
@@ -773,7 +773,7 @@ def test_flavor_keys_are_derived_from_the_facts_a_policy_carries(config):
                 assert len(flavors) == 3
                 for fastpath in flavors:
                     policy = fastpath.policy
-                    key = cache.key_for(router, batch, policy)
+                    key = (batch, policy.reuse_key())
                     shared = mode == "fdd" and policy.profiling
                     assert policy.plans is None or not policy.profiling
                     if fresh and not shared:
@@ -781,13 +781,8 @@ def test_flavor_keys_are_derived_from_the_facts_a_policy_carries(config):
                         sources[key] = fastpath.source
                     else:
                         assert sources[key] == fastpath.source, policy.tag
-                    content = policy.digest if policy.plans is not None else None
-                    assert content is None or policy.cache_key().count(content) == 1
-                    assert policy.reuse_key() == tuple(
-                        part for part in policy.cache_key() if part != content
-                    )
     assert len(sources) == 10
-    assert {policy_key[0] for _, _, _, policy_key in sources} == {
+    assert {policy_key[0] for _, policy_key in sources} == {
         "static", "profiling", "optimized", "fdd", "fdd-optimized",
     }
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ counters), counted in ``compile()`` calls: a build compiles nothing, a
 chain is compiled when first entered, a rules patch emits only the
 chains it dirtied — of the plain flavor: the profiled one bakes no
 rules in and stands — and compiles those of them that were forwarding,
-whether the donor came from a fresh compile or a cache replay, its
+whether the donor emitted its chains or shared a cached text, its
 report reads as a cold compile's would, and a splice onto another
 router carries nothing of the old one."""
 
@@ -92,23 +92,23 @@ def functions_of(fastpath):
 
 def scrubbed(report):
     """A compile report less the facts of the build that produced it."""
-    build_facts = ("cache_hit", "compile_seconds", "reused_chains", "compiled_units", "emitted_units")
+    build_facts = ("compile_seconds", "reused_chains", "compiled_units", "emitted_units")
     return {name: value for name, value in report.as_dict().items() if name not in build_facts}
 
 
 def assert_reports_as_a_cold_compile(router, rebuild):
     """After a rules patch each tier-1 flavor — the plain one spliced,
     the profiled one as it stood — reports what a cold compile of the
-    patched configuration reports, and what a cache replay of that one
-    does."""
+    patched configuration reports, and what a build sharing that
+    compile's cached text does."""
     engine = router.engine
     spliced = [scrubbed(flavor.report) for flavor in (engine.tier1, engine.profiled)]
     text = save_config(router.graph)
     default_cache().clear()
-    for cache_hit in (False, True):
+    for shared in (False, True):
         other = rebuild(load_config(text, "<patched>")).engine
         for flavor, expected in zip((other.tier1, other.profiled), spliced):
-            assert flavor.report.cache_hit is cache_hit
+            assert (flavor.report.emitted_units == 0) is shared
             assert scrubbed(flavor.report) == expected
 
 
@@ -169,7 +169,7 @@ def test_rules_patch_compiles_only_dirty_chains(batch, compile_calls):
     fastpath = engine.tier1
     assert engine.profiled is profiled and profiled.policy.plans is None
     assert len(compile_calls) == len(dirty) and all(text.startswith("# ") for text in compile_calls)
-    assert fastpath is not donor and not fastpath.report.cache_hit
+    assert fastpath is not donor
     assert fastpath.report.compiled_units == fastpath.report.emitted_units == len(dirty)
     assert fastpath.report.reused_chains == len(fastpath.chains) - len(dirty)
     assert_spliced_from(donor, fastpath, dirty)
@@ -249,9 +249,9 @@ def test_line_numbers_survive_a_dirty_chain_that_grew():
 
 @pytest.mark.parametrize("origin", ["replayed"])  # the id the test floor lists it under
 def test_cached_fast_paths_are_donors(origin, compile_calls):
-    """A fast path replayed from the cache hands its chains to a scoped
-    rebuild like a freshly compiled one: nothing it carries is compiled
-    again, and its report is the fresh compile's."""
+    """A fast path that shared a cached text hands its chains to a
+    scoped rebuild like one that emitted them: nothing it carries is
+    compiled again, and its report is the emitting compile's."""
     _testbed, router, _devices = build(ExecutionProfile.reference())
     cache = CodegenCache()
     fresh = FastPath(router, cache=cache)
@@ -261,7 +261,7 @@ def test_cached_fast_paths_are_donors(origin, compile_calls):
     assert fresh.report.compiled_units == len(compile_calls) == len(fresh.chains)
     del compile_calls[:]
     donor = FastPath(router, cache=cache)
-    assert donor.report.cache_hit and donor.report.compiled_units == 0
+    assert donor.report.emitted_units == donor.report.compiled_units == 0
     assert not compile_calls
     assert donor.chains == fresh.chains  # the very records
     assert scrubbed(donor.report) == scrubbed(fresh.report)
@@ -281,10 +281,10 @@ def test_cached_fast_paths_are_donors(origin, compile_calls):
 
 
 def test_a_compile_that_emits_a_cached_text_shares_it(compile_calls):
-    """A route patch changes the graph (so the cache key) but not the
-    text compiled for it: a tier 2 rebuilt after one shares the cached
-    entry's lines and code objects instead of holding a copy per patch
-    — memory stays flat however many patches a run applies."""
+    """A route patch changes the graph but not the text compiled for
+    it: a tier 2 rebuilt after one finds that text in the cache and
+    shares its lines and code objects instead of holding a copy per
+    patch — memory stays flat however many patches a run applies."""
     _testbed, router, _devices = build(ExecutionProfile.reference())
     cache = CodegenCache()
     first = FastPath(router, cache=cache)
@@ -293,7 +293,7 @@ def test_a_compile_that_emits_a_cached_text_shares_it(compile_calls):
     del compile_calls[:]
     second = FastPath(router, cache=cache)
 
-    assert not second.report.cache_hit and len(cache) == 2
+    assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
     assert second.report.compiled_units == second.report.emitted_units == 0 and not compile_calls
     assert second.source is first.source
     for key, chain in second.chains.items():
@@ -305,6 +305,23 @@ def test_a_compile_that_emits_a_cached_text_shares_it(compile_calls):
     for key, fn in functions_of(second).items():
         assert fn.__code__ is donor_functions[key].__code__
         assert fn.__globals__ is second._namespace
+
+
+def test_rules_patches_do_not_grow_the_cache():
+    """A rules patch splices its plain tier 1 from the one it replaces,
+    so it shares that compile's records and stores nothing: the cache
+    holds what the warm router put there however many patches land."""
+    testbed, router, devices = build(ExecutionProfile.fdd())
+    for name, frame in testbed.evaluation_frames(256):
+        devices[name].receive_frame(frame)
+    router.run_tasks(256)
+    held = len(default_cache())
+    plane = ControlPlane(router)
+    rules = rules_of(router, "c0")
+    for host in range(1, 41):
+        rules[0] = "12/0806 20/0001 28/0a0000%02x" % host
+        assert plane.update_rules("c0", rules).kind == "in-place"
+    assert len(default_cache()) == held
 
 
 def reachable_from(roots):

@@ -14,8 +14,6 @@ from repro.runtime.fdd import (
     build_diagram,
     classifier_hot_path,
     diagram_pass,
-    router_trees,
-    trees_digest,
 )
 from repro.sim.testbed import Testbed
 
@@ -146,16 +144,6 @@ def test_hot_path_rejects_wrong_output():
     arp = b"\x00" * 12 + b"\x08\x06" + b"\x00" * 6
     assert classifier_hot_path(tree, 0, arp) == ()
     assert classifier_hot_path(tree, 2, None) == ()
-
-
-def test_trees_digest_tracks_content():
-    testbed = Testbed(2)
-    router, _ = testbed.build_router(testbed.variant_graph("base"))
-    trees = router_trees(router)
-    assert "c0" in trees and "c1" in trees
-    digest = trees_digest(trees)
-    assert digest == trees_digest(dict(trees))
-    assert digest != trees_digest({k: v for k, v in trees.items() if k != "c0"})
 
 
 # -- engine lifecycle --------------------------------------------------------

@@ -98,10 +98,8 @@ class PermutedPolicy(ChainPolicy):
         super().__init__()
         self._rng = rng
 
-    def cache_key(self):
-        return None  # never cached: the permutation is per-instance
-
-    reuse_key = cache_key  # ... nor a donor for, or spliced from, another
+    def reuse_key(self):
+        return None  # the permutation is per-instance: never a donor, nor spliced
 
     def branch_order(self, element, nports):
         order = list(range(nports))

@@ -24,7 +24,7 @@ class TestFaultPlan:
                 {"kind": "device_flap", "device": "eth0", "at": 2, "ticks": 3},
                 {"kind": "corrupt_frame", "device": "eth0", "after": 4, "xor": 0x10},
                 {"kind": "element_error", "element": "chk", "after": 1, "count": 2},
-                {"kind": "cache_invalidate", "at": 1},
+                {"kind": "worker_crash", "at": 1},
             ],
             seed=9,
             name="trip",
@@ -45,11 +45,40 @@ class TestFaultPlan:
         one = FaultPlan.seeded(5, **kwargs)
         two = FaultPlan.seeded(5, **kwargs)
         assert one.to_dict() == two.to_dict()
-        # Draws only from the offered names, and always attacks the cache.
+        # Draws only from the offered names.
         assert set(one.device_names()) <= {"eth0", "eth1"}
         assert set(one.element_names()) <= {"chk", "rt"}
-        kinds = {fault["kind"] for fault in one.faults}
-        assert "cache_invalidate" in kinds and "cache_corrupt" in kinds
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["plain", "sharded"])
+    def test_seeded_plans_are_pinned(self, sharded):
+        """What each seed draws, written out: a change to the generator
+        that moves any fault of any seed shows here."""
+        kwargs = dict(devices=["eth0", "eth1"], elements=["chk", "rt", "c0"], ticks=12, events=48)
+        flap = {
+            1: {"kind": "device_flap", "device": "eth0", "at": 4, "ticks": 1},
+            7: {"kind": "device_flap", "device": "eth1", "at": 1, "ticks": 2},
+            42: {"kind": "device_flap", "device": "eth0", "at": 0, "ticks": 3},
+        }
+        corrupt = {
+            1: {"kind": "corrupt_frame", "device": "eth1", "after": 7, "count": 2, "offset": 30, "xor": 98},
+            7: {"kind": "corrupt_frame", "device": "eth0", "after": 8, "count": 1, "offset": 14, "xor": 150},
+            42: {"kind": "corrupt_frame", "device": "eth0", "after": 2, "count": 3, "offset": 0, "xor": 174},
+        }
+        if sharded:
+            last = {
+                1: {"kind": "worker_crash", "at": 3, "worker": 1},
+                7: {"kind": "worker_crash", "at": 0, "worker": 3},
+                42: {"kind": "worker_crash", "at": 11, "worker": 1},
+            }
+        else:
+            last = {
+                1: {"kind": "element_error", "element": "chk", "after": 15, "count": 1},
+                7: {"kind": "element_error", "element": "c0", "after": 6, "count": 1},
+                42: {"kind": "element_error", "element": "c0", "after": 13, "count": 1},
+            }
+        for seed in (1, 7, 42):
+            plan = FaultPlan.seeded(seed, sharded=sharded, **kwargs)
+            assert plan.faults == [flap[seed], corrupt[seed], last[seed]], seed
 
     def test_seeded_seeds_differ(self):
         kwargs = dict(devices=["eth0", "eth1"], elements=["a", "b", "c"], ticks=12, events=48)
@@ -61,7 +90,7 @@ class TestFaultPlan:
         [
             {"kind": "meteor_strike", "at": 0},
             {"kind": "device_flap", "device": "eth0", "at": 1},  # missing ticks
-            {"kind": "cache_corrupt", "at": 1, "bogus": 2},  # unknown field
+            {"kind": "worker_crash", "at": 1, "bogus": 2},  # unknown field
             {"kind": "element_error", "element": "c", "after": -1},  # negative
             {"kind": "corrupt_frame", "device": "e", "after": "soon"},  # non-int
         ],
@@ -190,24 +219,6 @@ class TestElementFaults:
         injector.prepare_router(second)
         with pytest.raises(InjectedFault):
             second.push_packet("c", 0, Packet(b"two"))
-
-
-class TestCacheFaults:
-    def test_tick_fires_cache_events(self):
-        from repro.runtime.codegen_cache import default_cache
-
-        cache = default_cache()
-        before = cache.invalidations
-        injector = FaultInjector(
-            FaultPlan(faults=[{"kind": "cache_invalidate", "at": 1}])
-        )
-        injector.tick()  # tick 0: nothing
-        assert cache.invalidations == before
-        injector.tick()  # tick 1: fires
-        assert cache.invalidations == before + 1
-        assert injector.cache_invalidations == 1
-        injector.tick()  # one-shot: no refire
-        assert cache.invalidations == before + 1
 
 
 class TestWorkerFaultValidation:

@@ -6,16 +6,14 @@ differential fuzzer finds a divergent case within a few generated cases
 and that the delta-debugger shrinks it to a repro of at most five
 elements.
 
-The codegen cache replays methods by name and keys on class identity,
-not method identity — so the patched function must be *named*
-``simple_action`` and the cache must be cleared around the patch, or
-previously-compiled fast paths keep running the healthy code.
+The patched function must be *named* ``simple_action``: a scoped
+rebuild that splices chains onto another router re-binds methods by
+name.
 """
 
 import pytest
 
 from repro.elements.infrastructure import Unstrip
-from repro.runtime.codegen_cache import default_cache
 from repro.verify.genconfig import generate_case
 from repro.verify.oracle import compare_case
 from repro.verify.shrink import element_count, shrink_case
@@ -33,11 +31,9 @@ _buggy_simple_action.__name__ = "simple_action"
 
 @pytest.fixture
 def unstrip_bug(monkeypatch):
-    default_cache().clear()
     monkeypatch.setattr(Unstrip, "simple_action", _buggy_simple_action)
     yield
     monkeypatch.undo()
-    default_cache().clear()
 
 
 class TestFuzzerCatchesInjectedBug:
