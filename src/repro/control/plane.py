@@ -202,7 +202,7 @@ class ControlPlane:
         router = self._router
         started = time.perf_counter()
         graph = router.graph
-        rebuilt = []  # fast paths the engine built anew for this batch
+        rebuilt = []  # fast paths the engine rewrote for this batch
         for element, kind, prepared, change in staged:
             if kind == "routes":
                 element.commit_routes(prepared)
@@ -215,7 +215,7 @@ class ControlPlane:
             if router.engine is not None:
                 # Compiled chains may have baked in the old table
                 # (hot-route constants, guarded classifier arms, FDD
-                # diagrams); the engine demotes or rebuilds exactly the
+                # diagrams); the engine demotes or rewrites exactly the
                 # chains that can reach this element.
                 rebuilt.extend(router.engine.on_table_patch(change.name, kind))
 

@@ -588,3 +588,28 @@ class Unstrip(Element):
         packet._data_offset -= self.nbytes
         packet._data_cache = None
         return packet
+
+    def segment(self, cold, cx):
+        """The headroom test, the offset move and the cached contents'
+        drop in line.  The contents grow at the front, so ``data`` and
+        ``min_len`` go, and ``ip_hl`` (measured from the old origin)
+        with them.  A known ``off`` at least ``nbytes`` folds the test
+        away and moves back with the data; a packet without the
+        headroom is dropped silently, as Unstrip proper does."""
+        n, facts = self.nbytes, cx.facts
+        off = facts.pop("off", None) if facts else None
+        if facts:
+            for fact in ("data", "min_len", "ip_hl"):
+                facts.pop(fact, None)
+        if off is not None and off >= n:
+            facts["off"] = off - n
+            return lambda var, pad, exitstmt: [
+                pad + "%s._data_offset = %d" % (var, off - n),
+                pad + "%s._data_cache = None" % var,
+            ]
+        return lambda var, pad, exitstmt: [
+            pad + "if %s._data_offset < %d:" % (var, n),
+            pad + "    " + exitstmt,
+            pad + "%s._data_offset -= %d" % (var, n),
+            pad + "%s._data_cache = None" % var,
+        ]

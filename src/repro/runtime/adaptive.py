@@ -50,9 +50,10 @@ and, under ``fdd``, the plans of the diagram pass
 (:func:`repro.runtime.fdd.diagram_pass`) for the plain flavor and
 tier 2.  The profiled flavor takes none: it only records what each
 classifier answered, which the live tree behind the element's matcher
-cell answers as well, so a control-plane *rules* patch rebuilds the
-plain flavor alone, and of it just the chains that reach the patched
-classifier (:meth:`AdaptiveEngine.repatch_classifier`).
+cell answers as well, so a control-plane *rules* patch emits again
+only the plain flavor's chains that reach the patched classifier, and
+swaps their new code under the functions already installed
+(:meth:`AdaptiveEngine.repatch_classifier`).
 """
 
 from __future__ import annotations
@@ -642,12 +643,16 @@ class AdaptiveEngine:
             self.router, DEFAULT_NODE_BUDGET, decisions, self.store.classifier_exemplar
         )
 
+    def _policy(self, fields, store=None, decisions=None):
+        """The :class:`ChainPolicy` of one flavor — plain (neither
+        keyword), profiled (``store``) or tier 2 (``decisions``): the
+        one place a tier's facts are assembled into one."""
+        return ChainPolicy(store=store, decisions=decisions, engine=self, **fields)
+
     def _compile(self, fields, store=None, decisions=None):
-        """Compile one flavor of the router's chains — plain (neither
-        keyword), profiled (``store``) or tier 2 (``decisions``) —
-        through the codegen cache.  The one place a tier's facts are
-        assembled into a :class:`ChainPolicy`."""
-        policy = ChainPolicy(store=store, decisions=decisions, engine=self, **fields)
+        """Compile one flavor of the router's chains through the codegen
+        cache."""
+        policy = self._policy(fields, store=store, decisions=decisions)
         return FastPath(self.router, batch=self.batch, policy=policy, cache=default_cache())
 
     def flavors(self):
@@ -900,8 +905,10 @@ class AdaptiveEngine:
         """Send chains back to tier 1 and reprofile.  With
         ``element_name`` only the chains that can reach the offending
         element demote (their guards are the ones missing); without it
-        (a forced deopt) every chain demotes.  Returns whether there
-        was anything to demote (the engine tiers and is installed)."""
+        (a forced deopt, or a rules patch) every chain demotes, and
+        every guard-miss counter goes with the tier 2 that bound it.
+        Returns whether there was anything to demote (the engine tiers
+        and is installed)."""
         if not self.tiering or not self.installed:
             return False
         self.deopts.append(reason)
@@ -909,7 +916,7 @@ class AdaptiveEngine:
         self._decisions_cache = None
         self.tier2_fp = None
         self._guard_counters = [
-            c for c in self._guard_counters if c.element != element_name
+            c for c in self._guard_counters if element_name is not None and c.element != element_name
         ]
         for state in self.states.values():
             if element_name is not None and not self._reaches(
@@ -924,64 +931,42 @@ class AdaptiveEngine:
     def on_table_patch(self, name, kind):
         """A control-plane in-place table patch landed on element
         ``name`` (``kind`` is ``"routes"`` or ``"rules"``).  Returns the
-        fast paths built anew for the patch.
+        fast paths the patch rewrote.
 
         Compiled lookups and generic classifier dispatch read live
         tables through bound cells and memo dicts, so a route patch —
         or a rules patch on a classifier without a diagram — needs only
         a deopt of the chains whose *speculations* may now be stale.  A
         diagram bakes the patched tree in, so the plain flavor's chains
-        that hold it are rebuilt; the profiled flavor holds none."""
+        that hold it are emitted again (:meth:`repatch_classifier`); the
+        profiled flavor holds none.  Then every chain restarts its
+        profile, not just those that reach ``name``: tier 2 is dropped
+        whole, and a chain left running on it would keep it from being
+        released."""
         if kind == "rules" and name in (self.tier1.policy.plans or ()):
-            return self.repatch_classifier(name)
+            rewritten = self.repatch_classifier(name)
+            reason, scope = "diagram repatch of %s" % name, None
+        else:
+            rewritten, reason, scope = (), "control-plane patch of %s" % name, name
         dropped = self.tier2_fp
-        demoted = self.deopt("control-plane patch of %s" % name, element_name=name)
+        demoted = self.deopt(reason, element_name=scope)
         # A patch lands between bursts, never from inside a chain (a guard
         # miss does): the dropped tier 2 is released once no chain runs on it.
         if demoted and dropped is not None and not any(s.tier == 2 for s in self.states.values()):
             dropped.release()
-        return ()
+        return rewritten
 
     def repatch_classifier(self, name):
-        """Scoped diagram rebuild after a rules patch on ``name``:
-        rebuild the plain tier 1 with the new tree — only chains that
-        reach ``name`` are emitted (and compiled, where the chain they
-        replace was forwarding), every other chain is spliced from the
-        old compile, code object and bound objects included — then
-        rearm the dispatchers and re-pin what the supervisor pinned.
-        The profiled flavor stands: it reads the patched tree through
-        the matcher cell.  Tier 2 and the profile restart cold, exactly
-        as after a deopt.  Returns the fast paths it built."""
-        router = self.router
-        was_installed = self.installed
-        pins = {task: pin[0] for task, pin in self.pins.items()}
-        retired = [self.tier1, self.tier2_fp]
-        if was_installed:
-            # Restore the reference ports *before* recompiling so the
-            # new tier 1 saves them (not the old compiled ports) for
-            # its own uninstall.
-            self.uninstall()
-        self.deopts.append("diagram repatch of %s" % name)
-        self.store.reset()
-        self._decisions_cache = None
-        self.tier2_fp = None
-        self._guard_counters = []
-        self._reach_cache = {}
+        """The plain tier 1 after a rules patch on ``name``: the diagram
+        pass runs again, and the chains that reach ``name`` are emitted
+        with the new tree and swapped under the function objects the
+        ports, jump tables, dispatchers and supervisor pins already hold
+        (:meth:`FastPath.rewrite`).  The profiled flavor stands: it
+        reads the patched tree through the matcher cell.  Returns the
+        fast paths it rewrote; :meth:`on_table_patch` then restarts the
+        profile."""
+        self.tier1.rewrite({name}, self._policy(self._diagram_fields()))
         self.diagram_rebuilds += 1
-        # A data patch: the wiring stands, so only chains that can touch
-        # ``name`` from a port's far end on are emitted again.
-        router._fastpath_reuse = {"patched": {name}, "fastpaths": [self.tier1]}
-        try:
-            self.tier1 = self._compile(self._diagram_fields())
-        finally:
-            router._fastpath_reuse = None
-        if was_installed:
-            self.install()
-            for task, level in pins.items():
-                self.pin(task, level)
-        for flavor in retired:
-            if flavor is not None:
-                flavor.release()
         return (self.tier1,)
 
     # -- observability -----------------------------------------------------

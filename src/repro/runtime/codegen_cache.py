@@ -13,9 +13,10 @@ alone and each fast path binds its own router's objects into its own
 namespace, so nothing else needs to match.  The store is an in-memory
 LRU: a process that did not compile a text compiles it.
 
-A scoped rebuild shares its donor's records instead and is not stored
-(:meth:`FastPath._reuse_plan`).  When the donor is another router's,
-each spliced ``_bN`` slot is bound again from the recipe
+A hot-swap's scoped rebuild shares its donor's records instead and is
+not stored (:meth:`FastPath._reuse_plan`), nor is a rules patch
+(:meth:`FastPath.rewrite`).  The donor is the old router's, so each
+spliced ``_bN`` slot is bound again from the recipe
 :meth:`FastPath._bind` recorded:
 
 - ``("elem", name)``: the element itself;

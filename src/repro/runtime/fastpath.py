@@ -282,15 +282,16 @@ _CHAIN_COUNTERS = (
 class ChainInfo:
     """One chain, whole — the compile unit: its source edge, the
     elements inlined into straight-line code and the terminal dispatch,
-    and everything emitting it produced.  Immutable once
-    :meth:`FastPath._compile` returns *except* ``code``, written once:
-    by the build, for a chain that replaces one already forwarding, or
-    by the first packet to enter it (:meth:`FastPath._enter`) — so
-    ``code is not None`` says the chain is live.  One record is shared
-    by reference between the fast path that emitted it, every compile
-    that splices it, the codegen cache and every compile that emits the
-    same text (the first sharer to enter it fills ``code`` for all); a
-    splice that has to renumber it takes a copy (:meth:`moved`)."""
+    and everything emitting it produced.  Immutable once emitted
+    *except* ``code``, written once: by the build or rules patch that
+    replaces a chain already forwarding, or by the first packet to enter
+    it (:meth:`FastPath._enter`) — so ``code is not None`` says the
+    chain is live.  One record is shared by reference between the fast
+    path that emitted it, every compile that splices it, the codegen
+    cache and every compile that emits the same text (the first sharer
+    to enter it fills ``code`` for all); a splice that has to renumber
+    it takes a copy (:meth:`moved`), and a rules patch replaces it
+    (:meth:`FastPath.rewrite`)."""
 
     __slots__ = (
         "kind", "element", "port", "inlined", "terminal", "terminal_port",
@@ -339,21 +340,29 @@ class ChainInfo:
         chain.tables = tables
         return chain
 
-    def fold_into(self, report):
+    def fold_into(self, report, sign=1):
         """Add this chain to a :class:`FastPathReport` — the one way a
-        chain is counted, whether just emitted, spliced or shared."""
+        chain is counted, whether just emitted, spliced or shared.
+        ``sign=-1`` takes out a chain a rules patch replaces; the one
+        replacing it runs over the same wiring, so ``inlined_elements``
+        and ``longest_chain`` stand."""
         label = "%s %s[%d]" % (self.kind, self.element, self.port)
-        report.chain_lines[label] = self.lines
-        if self.opaque:
-            report.opaque_dispatch[label] = self.opaque
+        if sign > 0:
+            report.chain_lines[label] = self.lines
+            if self.opaque:
+                report.opaque_dispatch[label] = self.opaque
+            report.inlined_elements.update(self.inlined)
+            # every inlined element is a stage, and so is the terminal
+            report.longest_chain = max(report.longest_chain, len(self.inlined) + 1)
+        else:
+            del report.chain_lines[label]
+            report.opaque_dispatch.pop(label, None)
         counter = "task_units" if self.kind == "task" else self.kind + "_chains"
-        setattr(report, counter, getattr(report, counter) + 1)
-        report.inlined_calls += len(self.inlined)
-        report.inlined_elements.update(self.inlined)
-        # every inlined element is a stage, and so is the terminal
-        report.longest_chain = max(report.longest_chain, len(self.inlined) + 1)
+        setattr(report, counter, getattr(report, counter) + sign)
+        report.inlined_calls += sign * len(self.inlined)
+        report.source_lines += sign * len(self.source)
         for name, added in self.counters.items():
-            setattr(report, name, getattr(report, name) + added)
+            setattr(report, name, getattr(report, name) + sign * added)
 
 
 class FastPathReport:
@@ -624,7 +633,8 @@ def compile_chain(lines, offset, filename="<fastpath>"):
     traceback indexes ``FastPath.source``.  The chain, not the module,
     is the unit of compilation: a chain is compiled when a packet first
     enters it and most never are, a scoped rebuild carries the code
-    objects of the chains it splices, and ``compile`` keeps about 3 kB
+    objects of the chains it splices, a rules patch compiles only the
+    chains it replaces, and ``compile`` keeps about 3 kB
     of working memory per source line until it returns, so a module
     compiled whole would set the process's memory high-water mark
     (16 MB for the plain IP router's 5 200 lines; under 1 MB a chain at
@@ -911,8 +921,9 @@ class FastPath:
 
     Construction emits every chain; :meth:`install` swaps the fast ports
     in, and a chain is compiled when it is first entered
-    (:meth:`materialize` compiles the rest); :meth:`uninstall` restores
-    the reference interpreter untouched.
+    (:meth:`materialize` compiles the rest); :meth:`rewrite` replaces
+    the chains a rules patch dirtied under the installed functions;
+    :meth:`uninstall` restores the reference interpreter untouched.
     """
 
     def __init__(self, router, batch=False, policy=None, cache=None):
@@ -932,8 +943,9 @@ class FastPath:
         self.chains = {}
         self._compiled = {}  # same key -> (fn, batch_fn_or_None), live in _namespace
         self._failed = {}  # key of a chain whose entry failed -> what its functions call instead
-        self._jump_tables = []  # (list to fill, terminal element, dispatch mode)
-        self.source = ""
+        self._jump_tables = {}  # index -> (list to fill, terminal element, dispatch mode)
+        self._table_counter = 0  # next jump table index
+        self._source = None  # the module text; None until read after a rules patch
         self._namespace = {}
         self._bind_specs = {}  # _bN name -> bind recipe
         self._cacheable = True
@@ -1049,10 +1061,12 @@ class FastPath:
     def _register_jump_table(self, terminal, mode):
         """A fresh terminal jump table (filled after exec).  The chain
         being emitted records the indexes it registered, so a scoped
-        hot-swap can rebuild its tables when it splices the chain."""
-        table = []
-        self._jump_tables.append((table, terminal, mode))
-        return table, len(self._jump_tables) - 1
+        hot-swap can rebuild its tables when it splices the chain, and
+        a rules patch drop them with the chain it replaces."""
+        table, index = [], self._table_counter
+        self._table_counter += 1
+        self._jump_tables[index] = (table, terminal, mode)
+        return table, index
 
     def _terminal_segment(self, terminal, kind, cx):
         """The segment a chain ending at ``terminal`` runs in place of
@@ -1291,10 +1305,13 @@ class FastPath:
 
     def _fold_report(self):
         """Derive the report's content from what this fast path holds:
-        every chain record folded in, plus what the router's wiring and
-        the module text say.  Runs once, after a compile that emitted,
-        spliced or shared its chains alike, so they cannot disagree."""
+        every chain record folded in (its lines under the module
+        header's), plus what the router's wiring says.  Runs once, after
+        a compile that emitted, spliced or shared its chains alike, so
+        they cannot disagree; a rules patch refolds the chains it
+        replaced (:meth:`rewrite`)."""
         report = self.report
+        report.source_lines = len(_HEADER)
         for chain in self.chains.values():
             chain.fold_into(report)
         for element in self.router.elements.values():
@@ -1302,27 +1319,23 @@ class FastPath:
             if wired_outputs > 1:
                 report.branch_elements += 1
                 report.branch_ports += wired_outputs
-        report.source_lines = self.source.count("\n")
 
     # -- scoped chain reuse ------------------------------------------------------
 
     def _reuse_plan(self):
-        """What a scoped rebuild offered via ``router._fastpath_reuse``
-        lets this compile splice: ``(donor fastpath, anchors, reach)``,
-        or ``(None, None, None)`` when no donor is compatible.  A donor
+        """What a hot-swap offered via ``router._fastpath_reuse`` lets
+        this compile splice: ``(donor fastpath, anchors, reach)``, or
+        ``(None, None, None)`` when no donor is compatible.  A donor
         must match this compile's batch flavor and policy reuse key,
         carry per-chain compile units, and neither side may be
         fault-wrapped (a wrapper lives on element *instances*, which
         spliced code would bypass).
 
-        The hint names two kinds of change.  ``dirty`` elements changed
-        *structurally* (declaration or wiring): a chain anchored at one
-        (``anchors``) is emitted again whatever it reaches.  ``patched``
-        elements only got new table contents in place: their wiring
-        stands, so a chain anchored at one's port starts at the port's
-        far end as it did before.  Either kind stales every chain that
-        can touch the element from its far end on; ``reach[kind]`` is
-        the set of far-end names that do (see :meth:`_stale_reach`)."""
+        The hint's ``dirty`` elements changed structurally (declaration
+        or wiring): a chain anchored at one (``anchors``) is emitted
+        again whatever it reaches, and so is every chain that can touch
+        one from its far end on; ``reach[kind]`` is the set of far-end
+        names that do (see :meth:`_stale_reach`)."""
         none = (None, None, None)
         hint = getattr(self.router, "_fastpath_reuse", None)
         if not hint or getattr(self.router, "_fault_uncacheable", False):
@@ -1340,7 +1353,7 @@ class FastPath:
             if donor.policy.reuse_key() != policy_key:
                 continue
             anchors = set(hint.get("dirty", ()))
-            return donor, anchors, self._stale_reach(anchors.union(hint.get("patched", ())))
+            return donor, anchors, self._stale_reach(anchors)
         return none
 
     def _stale_reach(self, changed):
@@ -1389,15 +1402,12 @@ class FastPath:
                 yield ("task", element.name, 0), element, element
 
     def _reuse_chain(self, key, donor, lines, resolve):
-        """Splice one untouched chain from ``donor``'s module into this
-        compile: the donor's record itself (a re-based copy only when
-        the chain's line offset in the whole source, or its jump table
-        indexes, moved), its ``_bN`` bind slots, and fresh jump tables
-        for the ones it registered.  A donor on this very router hands
-        its bound objects over (they are what its code ran on until
-        now); a bind of another router's donor, a jump table and a
-        policy object (counters belong to the new policy instance) are
-        resolved anew through ``resolve``."""
+        """Splice one untouched chain from ``donor``'s module — another
+        router's — into this compile: the donor's record itself (a
+        re-based copy only when the chain's line offset in the whole
+        source, or its jump table indexes, moved), its ``_bN`` bind
+        slots, each resolved anew on this router through ``resolve``,
+        and fresh jump tables for the ones it registered."""
         chain = donor.chains[key]
         offset = len(lines) + 1
         lines.extend(chain.source)
@@ -1407,18 +1417,41 @@ class FastPath:
             _table, table_map[old_index] = self._register_jump_table(
                 self.router.elements[old_element.name], mode
             )
-        same_router = donor.router is self.router
         for name in chain.binds:
             spec = donor._bind_specs[name]
             if spec[0] == "table":
                 spec = ("table", table_map[spec[1]])
             self._bind_specs[name] = spec
-            if same_router and spec[0] not in ("table", "policy"):
-                self._namespace[name] = donor._namespace[name]
-            else:
-                self._namespace[name] = resolve(spec, self, self._jump_tables)
+            self._namespace[name] = resolve(spec, self, self._jump_tables)
         self.chains[key] = chain.moved(offset, tuple(table_map.values()))
         self.report.reused_chains += 1
+
+    def _emit_chain(self, key, element, lines, index):
+        """Emit one chain onto ``lines`` as a compile unit: its record
+        takes its lines, the binds and jump tables it registered, and
+        what its emitters counted.  Emitters count on the report: the
+        counters start from zero for the chain, which takes what its
+        emission added, and the totals before it are put back — the
+        chain is counted when it is folded in (:meth:`ChainInfo.fold_into`)."""
+        kind, _name, port_index = key
+        start, first_bind, first_table = len(lines), self._bind_counter, self._table_counter
+        report = self.report
+        totals = [getattr(report, name) for name in _CHAIN_COUNTERS]
+        for name in _CHAIN_COUNTERS:
+            setattr(report, name, 0)
+        try:
+            chain = getattr(self, "_emit_" + kind)(lines, index, element, port_index)
+            chain.counters = {
+                name: getattr(report, name) for name in _CHAIN_COUNTERS if getattr(report, name)
+            }
+        finally:
+            for name, total in zip(_CHAIN_COUNTERS, totals):
+                setattr(report, name, total)
+        chain.source = lines[start:]
+        chain.offset = start + 1
+        chain.binds = tuple("_b%d" % n for n in range(first_bind, self._bind_counter))
+        chain.tables = tuple(range(first_table, self._table_counter))
+        return chain
 
     def _compile(self, cache=None):
         lines = list(_HEADER)
@@ -1448,27 +1481,11 @@ class FastPath:
             ):
                 self._reuse_chain(key, donor, lines, _resolve_spec)
                 continue
-            start = len(lines)
-            first_bind = self._bind_counter
-            first_table = len(self._jump_tables)
-            emit = getattr(self, "_emit_" + kind)
-            self.chains[key] = chain = emit(lines, index, element, port_index)
+            self.chains[key] = self._emit_chain(key, element, lines, index)
             emitted.append(key)
-            chain.source = lines[start:]
-            chain.offset = start + 1
-            chain.binds = tuple("_b%d" % n for n in range(first_bind, self._bind_counter))
-            chain.tables = tuple(range(first_table, len(self._jump_tables)))
-            # Emitters count on the report; the chain takes what its
-            # emission added, and _fold_report() counts it like any other.
-            chain.counters = {}
-            for counter in _CHAIN_COUNTERS:
-                added = getattr(report, counter)
-                if added:
-                    chain.counters[counter] = added
-                    setattr(report, counter, 0)
             index += 1
         self._next_index = index
-        self.source = "\n".join(lines) + "\n"
+        self._source = "\n".join(lines) + "\n"
         # A build that emits a text the cache holds (the same
         # configuration again, or an engine's tier 2 after a route patch)
         # shares its lines and code instead of keeping a second copy.
@@ -1476,9 +1493,9 @@ class FastPath:
         # changed.)
         stored = {}
         if cache is not None and donor is None:
-            found = cache.intern(self.source, self.chains)
+            found = cache.intern(self._source, self.chains)
             if found is not None:
-                self.source, stored = found
+                self._source, stored = found
         for key in emitted:
             chain = self.chains[key]
             shared = stored.get(key)
@@ -1496,13 +1513,11 @@ class FastPath:
     def _link(self):
         """Give every chain its entry points over the bound namespace —
         its code object exec'd, or functions that :meth:`_enter` it
-        when first called — and fill the terminal jump tables: entry i
-        is the chain for the terminal's output i.
-        "checked" tables (route tables) drop silently on unwired ports,
-        like Element.checked_push; "plain" tables fall back to the
-        reference port so misbehavior (pushing an unwired port) fails
-        the same way it would have.  The one way code becomes live:
-        after a compile that emitted, spliced or shared its chains."""
+        when first called — and fill the terminal jump tables
+        (:meth:`_fill_table`).  The one way code becomes live after a
+        compile that emitted, spliced or shared its chains; a rules
+        patch swaps new code under the functions this made
+        (:meth:`rewrite`)."""
         namespace, enter = self._namespace, self._enter
         for key, chain in self.chains.items():
             names = (chain.function_name, chain.batch_name)
@@ -1513,15 +1528,23 @@ class FastPath:
                     if name:
                         namespace[name] = pending_function(name, namespace, enter, key, slot, True)
             self._compiled[key] = tuple(namespace[name] if name else None for name in names)
-        for table, element, mode in self._jump_tables:
-            for port_index, port in enumerate(element._output_ports):
-                compiled = self._compiled.get(("push", element.name, port_index))
-                if compiled is not None:
-                    table.append(compiled[0])
-                elif mode == "checked":
-                    table.append(None)
-                else:
-                    table.append(port.push)
+        for table in self._jump_tables.values():
+            self._fill_table(*table)
+
+    def _fill_table(self, table, element, mode):
+        """Entry i of a terminal jump table is the chain for the
+        terminal's output i.  "checked" tables (route tables) drop
+        silently on unwired ports, like Element.checked_push; "plain"
+        tables fall back to the reference port so misbehavior (pushing
+        an unwired port) fails the same way it would have."""
+        for port_index, port in enumerate(element._output_ports):
+            compiled = self._compiled.get(("push", element.name, port_index))
+            if compiled is not None:
+                table.append(compiled[0])
+            elif mode == "checked":
+                table.append(None)
+            else:
+                table.append(port.push)
 
     def _enter(self, key, slot=0, live=False):
         """A chain's first entry: compile it unless a sharer of its
@@ -1586,8 +1609,100 @@ class FastPath:
             raise FastPathError("cannot release an installed fast path")
         self._namespace.clear()
         self._compiled.clear()
-        for table, _element, _mode in self._jump_tables:
+        for table, _element, _mode in self._jump_tables.values():
             del table[:]
+
+    # -- rules patches -------------------------------------------------------------
+
+    def rewrite(self, changed, policy):
+        """A rules patch in place: emit again, under ``policy``, every
+        chain that can touch a ``changed`` element (the wiring stands,
+        so that is the chains :meth:`_stale_reach` marks from their
+        port's far end on), and give the function objects every holder
+        already has — ports, jump tables, dispatchers, supervisor pins
+        — the new code: compiled here for a chain that was forwarding,
+        where the update pays for it and a failure aborts it (nothing
+        is swapped); on first entry for one nothing has entered.  Every
+        other chain keeps its record, functions and code.
+
+        A replaced chain's ``_bN`` slots, jump tables and function names
+        leave the namespace, and its lines leave :attr:`source`.  The
+        new text takes the first run of blank lines it fits — what a
+        replaced chain left — or goes after the last chain, so no other
+        chain's line numbers move.  The report's build facts
+        (``compile_seconds``, ``compiled_units``, ``emitted_units``,
+        ``reused_chains``) describe the patch."""
+        started = time.perf_counter()
+        reach = self._stale_reach(changed)
+        stale = {key: element for key, element, far in self._chain_edges() if far.name in reach[key[0]]}
+        taken = sorted(
+            (chain.offset, chain.offset + len(chain.source))
+            for key, chain in self.chains.items()
+            if key not in stale
+        )
+        old_policy, self.policy = self.policy, policy
+        first_bind, first_table = self._bind_counter, self._table_counter
+        fresh, compiled = {}, 0
+        try:
+            for key, element in stale.items():
+                chain = fresh[key] = self._emit_chain(key, element, [], self._next_index)
+                self._next_index += 1
+                chain.offset = self._place(taken, len(chain.source))
+                if not is_pending(self._compiled[key][0]):
+                    chain.code = compile_chain(chain.source[1:], chain.offset)
+                    compiled += 1
+        except BaseException:
+            self.policy = old_policy
+            for n in range(first_bind, self._bind_counter):
+                del self._namespace["_b%d" % n], self._bind_specs["_b%d" % n]
+            for index in range(first_table, self._table_counter):
+                del self._jump_tables[index]
+            raise
+        report, namespace = self.report, self._namespace
+        for key, chain in fresh.items():
+            old = self.chains[key]
+            self._drop(old)
+            old.fold_into(report, -1)
+            chain.fold_into(report)
+            self.chains[key] = chain
+            self._failed.pop(key, None)
+            report.failed_entries.pop("%s %s[%d]" % key, None)
+            for name, function in zip((chain.function_name, chain.batch_name), self._compiled[key]):
+                if name:
+                    namespace[name] = function
+            for index in chain.tables:
+                self._fill_table(*self._jump_tables[index])
+            if chain.code is not None:
+                self._enter(key)
+        self._source = None
+        report.compiled_units, report.emitted_units = compiled, len(fresh)
+        report.reused_chains = len(self.chains) - len(fresh)
+        report.compile_seconds = time.perf_counter() - started
+
+    @staticmethod
+    def _place(taken, size):
+        """The first line of :attr:`source` a chain of ``size`` lines can
+        start at without moving another: a run of blank lines between
+        the ``(first, end)`` spans in ``taken`` (sorted), else past the
+        last.  The span joins ``taken``."""
+        start = len(_HEADER) + 1
+        for first, end in taken:
+            if first - start >= size:
+                break
+            start = max(start, end)
+        taken.append((start, start + size))
+        taken.sort()
+        return start
+
+    def _drop(self, chain):
+        """Take a replaced chain's bind slots, jump tables and function
+        names out of the namespace."""
+        for name in chain.binds:
+            del self._namespace[name], self._bind_specs[name]
+        for index in chain.tables:
+            del self._jump_tables[index]
+        for name in (chain.function_name, chain.batch_name):
+            self._namespace.pop(name, None)
 
     # -- installation -------------------------------------------------------------
 
@@ -1641,6 +1756,19 @@ class FastPath:
         self.installed = False
 
     # -- debugging ----------------------------------------------------------------
+
+    @property
+    def source(self):
+        """The generated module: each chain's lines at its offset, blank
+        lines where a replaced chain's were.  A rules patch leaves it to
+        be joined again when it is next read."""
+        if self._source is None:
+            lines = list(_HEADER)
+            for chain in sorted(self.chains.values(), key=lambda chain: chain.offset):
+                lines.extend([""] * (chain.offset - 1 - len(lines)))
+                lines.extend(chain.source)
+            self._source = "\n".join(lines) + "\n"
+        return self._source
 
     def dump(self, fh):
         """Write the generated module source to a file object."""

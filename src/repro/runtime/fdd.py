@@ -33,11 +33,12 @@ Safety mirrors the adaptive tiers (Morpheus-style):
   (sampling dispatchers, guard-miss counters, deopt) is the engine's
   (:class:`~repro.runtime.adaptive.AdaptiveEngine`), diagrams or not.
 - **control-plane patches**: a rules update changes tree *content*
-  that diagrams bake in, so the engine's ``on_table_patch`` rebuilds
-  only the chains that can reach the patched classifier (scoped donor
-  reuse splices every untouched chain verbatim); route patches need no
-  rebuild at all — compiled lookups read the live table through bound
-  memo/lookup cells, exactly as in adaptive mode.
+  that diagrams bake in, so the engine's ``on_table_patch`` emits
+  again only the chains that can reach the patched classifier and swaps
+  their code under the installed functions (every other chain stands
+  as it was); route patches need no rewrite at all — compiled lookups
+  read the live table through bound memo/lookup cells, exactly as in
+  adaptive mode.
 
 This module is the pass alone — trees in, plans out
 (:func:`diagram_pass`); the engine hands the result to a

@@ -38,7 +38,8 @@ the whole router.  Every packet a router moves is moved by some task's
 Nothing is attached to the router's ports, so there is nothing to
 detach: ``Router.configure`` builds a fresh supervisor for a supervised
 profile, a hot-swap carries its config to the new router, and a rules
-repatch re-pins what was pinned.  A metered router may be supervised:
+patch leaves every pin standing: it swaps the new code under the
+functions a pin holds.  A metered router may be supervised:
 no boundary sits on a call site the meter charges.
 """
 

@@ -133,7 +133,7 @@ class TestCompileOnFirstEntry:
         # route arms are fused into their callers) by materialize()
         entry, inner, arm = ("push", "PollDevice@2", 0), ("push", "arpq0", 0), ("push", "rt", 1)
         port = router.find("PollDevice@2")._output_ports[0]
-        tables = [table for table, element, _mode in fastpath._jump_tables if element.name == "rt"]
+        tables = [table for table, element, _mode in fastpath._jump_tables.values() if element.name == "rt"]
         before = fastpath._compiled[entry] + (fastpath.function_for(inner), tables[0][1])
         assert port.push is before[0] and port.push_batch is before[1]
         assert router.find("arpq0")._output_ports[0].push is before[2]

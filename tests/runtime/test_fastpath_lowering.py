@@ -21,7 +21,7 @@ from repro.elements.classifiers import Classifier, FastClassifierBase, IPFilter
 from repro.elements.combos import IPOutputCombo
 from repro.elements.devices import LoopbackDevice
 from repro.elements.ethernet import EtherEncap
-from repro.elements.infrastructure import Queue, Strip
+from repro.elements.infrastructure import Queue, Strip, Unstrip
 from repro.elements.ip import (
     CheckIPHeader,
     DecIPTTL,
@@ -193,6 +193,7 @@ SEGMENT_OWNERS = [
     (RadixIPLookup, "push", "x :: RadixIPLookup(0.0.0.0/0 0)", "radix"),
     (Paint, "simple_action", "x :: Paint(1)", "base"),
     (Strip, "simple_action", "x :: Strip(14)", "base"),
+    (Unstrip, "simple_action", "x :: Unstrip(14)", "firewall"),
     (CheckIPHeader, "_check", "x :: CheckIPHeader", "base"),
     (GetIPAddress, "simple_action", "CheckIPHeader -> x :: GetIPAddress(16)", "base"),
     (DropBroadcasts, "simple_action", "x :: DropBroadcasts", "base"),
@@ -630,17 +631,24 @@ def test_inline_align_is_the_reference_align(modulus, offset, fused):
 # Twenty rows stand, unchanged: the four of ``fdd``'s own profiled
 # flavor went with it, and ``fdd``'s profiled module is now read against
 # the ``profiling`` row ``adaptive``'s is.
+#
+# The ten firewall rows (and their five ``PARENT_DIGESTS``) were pinned
+# again when Unstrip gained a segment.  With the ``_xN``/``_bN`` numbers
+# masked, each module's diff is exactly that stage in every chain that
+# runs it: ``packet = _xK(packet)`` and its drop test became the inline
+# headroom test, offset move and ``_data_cache`` drop, and the chain's
+# def lost the bound ``simple_action`` it passed in.
 PLAIN_DIGESTS = {
-    "firewall/fdd": "b6d7abce366507cf",
-    "firewall/fdd-optimized": "eb57b6304bc8fa8f",
-    "firewall/fdd-optimized/batch": "f1699a3366913cc8",
-    "firewall/fdd/batch": "b0772cbfdb0d47dd",
-    "firewall/optimized": "6fbae10a5c8adf82",
-    "firewall/optimized/batch": "5a55aef47f2b8d09",
-    "firewall/profiling": "dd673243cae6d7ed",
-    "firewall/profiling/batch": "75c6cc50a46ed711",
-    "firewall/static": "410b3d506d6fc9a5",
-    "firewall/static/batch": "90452c83f5d36cfe",
+    "firewall/fdd": "7b7baf0fb7bcd148",
+    "firewall/fdd-optimized": "7f5f1023f972f533",
+    "firewall/fdd-optimized/batch": "7d4ed223326b45dc",
+    "firewall/fdd/batch": "bdb468476b4a0b9f",
+    "firewall/optimized": "40927f837a26d119",
+    "firewall/optimized/batch": "d838f47de0c2a5eb",
+    "firewall/profiling": "1ec05fafb969e778",
+    "firewall/profiling/batch": "757eb7e53039f317",
+    "firewall/static": "eddd7be5f26eb42a",
+    "firewall/static/batch": "bc231155865d98d4",
     "iprouter/fdd": "486ffa1c67686f46",
     "iprouter/fdd-optimized": "01c2f16065d35b78",
     "iprouter/fdd-optimized/batch": "fe6f3b016e77ce18",
@@ -677,11 +685,11 @@ PARENT_HEADER = (
     'Router.compile_fastpath().  Dump via router.fastpath.source."""',
 )
 PARENT_DIGESTS = {
-    "firewall/fdd": "da1f6c3e21e2b743",
-    "firewall/fdd-optimized": "c2793ec10d79eaa1",
-    "firewall/optimized": "8cd0abc00b4479fd",
-    "firewall/profiling": "477a14225ec8e871",
-    "firewall/static": "63816c5ed3eae32b",
+    "firewall/fdd": "f59b84cb11534cdb",
+    "firewall/fdd-optimized": "4cd2c8cdecfe6b0c",
+    "firewall/optimized": "085110b9e57c5a02",
+    "firewall/profiling": "ff260c89da5eb5bd",
+    "firewall/static": "e5e7049d924605c8",
     "iprouter/fdd": "7b6f52b67893262a",
     "iprouter/fdd-optimized": "d69353ea38b0618e",
     "iprouter/optimized": "c11263bcbfad052c",

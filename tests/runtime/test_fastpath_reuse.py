@@ -1,15 +1,18 @@
 """What a scoped rebuild carries across a donor splice (the chains'
 records: source, binds, jump tables, code objects or their lack, report
 counters), counted in ``compile()`` calls: a build compiles nothing, a
-chain is compiled when first entered, a rules patch emits only the
-chains it dirtied — of the plain flavor: the profiled one bakes no
-rules in and stands — and compiles those of them that were forwarding,
-whether the donor emitted its chains or shared a cached text, its
-report reads as a cold compile's would, and a splice onto another
-router carries nothing of the old one."""
+chain is compiled when first entered, a splice onto another router
+carries nothing of the old one, whether the donor emitted its chains or
+shared a cached text.  A rules patch builds nothing: it emits again only
+the chains it dirtied — of the plain flavor: the profiled one bakes no
+rules in and stands — compiles those of them that were forwarding, and
+swaps the new code under the function objects every holder already has;
+its report reads as a cold compile's would, and repeated patches hold
+the fast path's size where one patch left it."""
 
 import gc
 import random
+import tracemalloc
 import traceback
 import types
 import weakref
@@ -24,6 +27,7 @@ from repro.core.toolchain import load_config, save_config
 from repro.elements.devices import LoopbackDevice
 from repro.elements.hotswap import hotswap
 from repro.elements.runtime import Router
+from repro.lang.build import parse_graph
 from repro.lang.lexer import split_config_args
 from repro.runtime import AdaptiveConfig, ExecutionProfile
 from repro.runtime import fastpath as fastpath_module
@@ -61,6 +65,26 @@ def matcher_compiles(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def rebuilds(monkeypatch):
+    """Every ``FastPath`` built and every chain spliced, as a growing
+    list of ``("build", fastpath)`` / ``("splice", key)``."""
+    calls = []
+    build, splice = FastPath.__init__, FastPath._reuse_chain
+
+    def counting_build(self, *args, **kwargs):
+        calls.append(("build", self))
+        build(self, *args, **kwargs)
+
+    def counting_splice(self, key, *args):
+        calls.append(("splice", key))
+        splice(self, key, *args)
+
+    monkeypatch.setattr(FastPath, "__init__", counting_build)
+    monkeypatch.setattr(FastPath, "_reuse_chain", counting_splice)
+    return calls
+
+
 def build(profile):
     """The plain IP router, cold (the default cache is process-wide)."""
     default_cache().clear()
@@ -81,6 +105,23 @@ def reaching(fastpath, name):
     return {key for key, _anchor, far in fastpath._chain_edges() if far.name in reach[key[0]]}
 
 
+def restaled(fastpath, name):
+    """The chains a hot-swap that changed ``name`` structurally emits
+    again: those that reach it, and those anchored at it."""
+    return reaching(fastpath, name) | {key for key in fastpath.chains if key[1] == name}
+
+
+def spliced_onto_a_twin(testbed, donor, dirty):
+    """A fast path of a second router built from ``donor``'s graph,
+    spliced from ``donor`` as a hot-swap that changed ``dirty`` would."""
+    twin, _devices = testbed.build_router(donor.router.graph, profile=ExecutionProfile.reference())
+    twin._fastpath_reuse = {"dirty": set(dirty), "fastpaths": [donor]}
+    try:
+        return FastPath(twin)
+    finally:
+        del twin._fastpath_reuse
+
+
 def functions_of(fastpath):
     return {
         key: fn
@@ -97,17 +138,17 @@ def scrubbed(report):
 
 
 def assert_reports_as_a_cold_compile(router, rebuild):
-    """After a rules patch each tier-1 flavor — the plain one spliced,
-    the profiled one as it stood — reports what a cold compile of the
-    patched configuration reports, and what a build sharing that
+    """After a rules patch each tier-1 flavor — the plain one rewritten
+    in place, the profiled one as it stood — reports what a cold compile
+    of the patched configuration reports, and what a build sharing that
     compile's cached text does."""
     engine = router.engine
-    spliced = [scrubbed(flavor.report) for flavor in (engine.tier1, engine.profiled)]
+    patched = [scrubbed(flavor.report) for flavor in (engine.tier1, engine.profiled)]
     text = save_config(router.graph)
     default_cache().clear()
     for shared in (False, True):
         other = rebuild(load_config(text, "<patched>")).engine
-        for flavor, expected in zip((other.tier1, other.profiled), spliced):
+        for flavor, expected in zip((other.tier1, other.profiled), patched):
             assert (flavor.report.emitted_units == 0) is shared
             assert scrubbed(flavor.report) == expected
 
@@ -139,65 +180,155 @@ def assert_spliced_from(donor, fastpath, dirty):
 
 
 @pytest.mark.parametrize("batch", [False, True], ids=["fdd", "fdd+batch"])
-def test_rules_patch_compiles_only_dirty_chains(batch, compile_calls):
+def test_rules_patch_compiles_only_dirty_chains(batch, compile_calls, rebuilds):
     """The count gate: a ``c0`` rules patch on the plain IP router
     whose every chain is forwarding emits and compiles the one chain
-    that bakes ``c0``'s tree in — the plain flavor's; the profiled
-    flavor is the object it was — not the module's 55, and says so in
-    a report that otherwise reads as a cold compile's."""
+    that bakes ``c0``'s tree in — into the plain flavor, rewritten in
+    place; the profiled flavor is the object it was — not the module's
+    59, builds no fast path and splices no chain, and says so in a
+    report that otherwise reads as a cold compile's."""
     profile = ExecutionProfile.fdd(batch=batch)
     testbed, router, _devices = build(profile)
     engine = router.adaptive
-    donor, profiled = engine.tier1, engine.profiled
+    tier1, profiled = engine.tier1, engine.profiled
     assert not compile_calls  # configure() compiled nothing
-    for flavor in (donor, profiled):
+    for flavor in (tier1, profiled):
         flavor.materialize()
         assert flavor.report.compiled_units == flavor.report.emitted_units == len(flavor.chains)
     assert len(compile_calls) == 59 + 59
-    dirty = reaching(donor, "c0")
-    assert 1 <= len(dirty) <= 2 < len(donor.chains)
+    dirty = reaching(tier1, "c0")
+    assert 1 <= len(dirty) <= 2 < len(tier1.chains)
     # The chains anchored at c0's own outputs start at the port's
     # target and bake in nothing of its tree.
     assert not any(key[1] == "c0" for key in dirty)
 
     narrowed = rules_of(router, "c0")
     narrowed[0] = "12/0806 20/0001 28/0a000001"
-    del compile_calls[:]
+    del compile_calls[:], rebuilds[:]
     report = ControlPlane(router).update_rules("c0", narrowed)
 
-    assert report.kind == "in-place"
-    fastpath = engine.tier1
+    assert report.kind == "in-place" and not rebuilds
+    assert engine.tier1 is tier1
     assert engine.profiled is profiled and profiled.policy.plans is None
     assert len(compile_calls) == len(dirty) and all(text.startswith("# ") for text in compile_calls)
-    assert fastpath is not donor
-    assert fastpath.report.compiled_units == fastpath.report.emitted_units == len(dirty)
-    assert fastpath.report.reused_chains == len(fastpath.chains) - len(dirty)
-    assert_spliced_from(donor, fastpath, dirty)
-    total = len(fastpath.chains)
+    assert tier1.report.compiled_units == tier1.report.emitted_units == len(dirty)
+    assert tier1.report.reused_chains == len(tier1.chains) - len(dirty)
+    total = len(tier1.chains)
     assert report.chains_recompiled == len(dirty)
     assert report.chains_reused == total - len(dirty)
     assert "%d chain(s) recompiled" % len(dirty) in report.format()
-    assert "compiled %d of %d chains, %d emitted" % (len(dirty), total, len(dirty)) in fastpath.report.format()
+    assert "compiled %d of %d chains, %d emitted" % (len(dirty), total, len(dirty)) in tier1.report.format()
     # The dispatchers sample into the flavor that stood.
     for key, state in engine.states.items():
-        assert state.prof is profiled.function_for(key) and state.plain is fastpath.function_for(key)
+        assert state.prof is profiled.function_for(key) and state.plain is tier1.function_for(key)
     assert_reports_as_a_cold_compile(
         router, lambda graph: testbed.build_router(graph, profile=profile)[0]
     )
     # Each classifier's diagram is emitted once here, so the engine's
     # diagram report must agree with itself.
     diagrams = engine.diagram_report()
-    tier1, totals = diagrams["tier1"], diagrams["totals"]
-    assert tier1["fdd_diagrams"] == totals["diagrams"] == 2
-    assert tier1["fdd_nodes"] == totals["nodes"]
-    assert tier1["fdd_paths"] == totals["paths"]
+    tier1_counts, totals = diagrams["tier1"], diagrams["totals"]
+    assert tier1_counts["fdd_diagrams"] == totals["diagrams"] == 2
+    assert tier1_counts["fdd_nodes"] == totals["nodes"]
+    assert tier1_counts["fdd_paths"] == totals["paths"]
+
+
+#: Two classifiers in series: ``a``'s jump table holds the chain of the
+#: edge into ``b``, so a patch of ``b`` rewrites a chain a table holds.
+SERIES = """
+src :: PollDevice(eth0);
+a :: Classifier(12/0800, -);
+b :: Classifier(23/11, -);
+q :: Queue(64);
+src -> a;
+a[0] -> cnt :: Counter -> b;
+a[1] -> Discard;
+b[0] -> q;
+b[1] -> Discard;
+q -> ToDevice(eth1);
+"""
+
+
+def codes_of(pair):
+    return tuple(fn.__code__ if fn is not None else None for fn in pair)
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["fdd", "fdd+batch"])
+def test_a_rules_patch_swaps_its_code_under_every_holder(batch, rebuilds):
+    """A rules patch on ``b`` rewrites the three chains that reach it —
+    ``src``'s poll chain, ``a[0] -> cnt -> b`` and ``cnt[0] -> b`` — in
+    place:
+    each function object stays the one the port (here a supervisor's
+    ``fast`` pin), ``a``'s jump tables and the dispatcher's
+    ``state.plain`` hold, and runs new code, which forwards what the
+    new rules say.  Every other chain keeps its record, functions and
+    code objects; nothing is built or spliced."""
+    default_cache().clear()
+    devices = {name: LoopbackDevice(name) for name in ("eth0", "eth1")}
+    router = Router(parse_graph(SERIES), devices=devices, profile=ExecutionProfile.fdd(batch=batch))
+    engine = router.adaptive
+    tier1 = engine.tier1
+    tier1.materialize()  # every chain live: each successor is compiled inside the patch
+    src = router.find("src")
+    engine.pin(src, engine.tiers.index("fast"))
+    poll, arm = ("push", "src", 0), ("push", "a", 0)
+    dirty = reaching(tier1, "b")
+    assert dirty == {poll, arm, ("push", "cnt", 0)}
+    functions, records = dict(tier1._compiled), dict(tier1.chains)
+    codes = {key: codes_of(pair) for key, pair in functions.items()}
+    kept = {index for key, chain in records.items() if key not in dirty for index in chain.tables}
+    tables = {index: (tier1._jump_tables[index][0], list(tier1._jump_tables[index][0])) for index in kept}
+    tcp = bytes(12) + b"\x08\x00" + bytes(9) + b"\x06" + bytes(40)
+    del rebuilds[:]
+
+    report = ControlPlane(router).update_rules("b", ["23/06", "-"])
+
+    assert report.kind == "in-place" and report.chains_recompiled == 3 and not rebuilds
+    assert engine.tier1 is tier1
+    for key, pair in tier1._compiled.items():
+        assert pair is functions[key]
+        chain = tier1.chains[key]
+        if key in dirty:
+            assert chain is not records[key]
+            assert all(new is not old for new, old in zip(codes_of(pair), codes[key]) if old is not None)
+            assert [code.co_name for code in codes_of(pair) if code] == [
+                name for name in (chain.function_name, chain.batch_name) if name
+            ]
+        else:
+            assert chain is records[key]
+            assert codes_of(pair) == codes[key] and all(
+                new is old for new, old in zip(codes_of(pair), codes[key])
+            )
+    assert engine.pins[src][0] == 1 and src._output_ports[0].push is functions[poll][0]
+    for key in dirty:
+        state = engine.states[key]
+        assert state.plain is functions[key][0]
+        assert state.plain_batch is (functions[key][1] if batch else None)
+    for index, (table, entries) in tables.items():
+        assert tier1._jump_tables[index][0] is table
+        assert len(table) == len(entries) and all(new is old for new, old in zip(table, entries))
+    # Every table, kept or registered by a replaced chain, holds the functions.
+    for table, element, _mode in tier1._jump_tables.values():
+        for port, entry in enumerate(table):
+            held = functions.get(("push", element.name, port))
+            assert held is None or entry is held[0]
+    assert any(element.name == "a" and table[0] is functions[arm][0]
+               for table, element, _mode in tier1._jump_tables.values())
+    # The new rules run: TCP now leaves on eth1 — through the pin, or
+    # (a supervised profile runs the scalar units, so nothing pins a
+    # batch unit's port) through the dispatcher.
+    if batch:
+        engine.unpin()
+    devices["eth0"].receive_frame(tcp)
+    router.run_tasks(4)
+    assert devices["eth1"].transmitted == [tcp]
 
 
 @pytest.mark.parametrize("batch", [False, True], ids=["fdd", "fdd+batch"])
 def test_firewall_rules_patch_reports_as_a_cold_compile(batch):
     """The firewall's diagram is most of its module: the two chains a
     rules patch emits again carry nearly every counter, the three it
-    splices the rest."""
+    keeps the rest."""
     profile = ExecutionProfile.fdd(batch=batch)
 
     def firewall(graph):
@@ -213,46 +344,96 @@ def test_firewall_rules_patch_reports_as_a_cold_compile(batch):
 
 
 def test_line_numbers_survive_a_dirty_chain_that_grew():
-    """Line numbers stay whole-source: a spliced chain below a dirty
-    chain whose length changed is re-based, and its traceback still
+    """Line numbers stay whole-source: a chain whose replacement grew
+    past its old lines is placed after the last chain, blank lines stand
+    where it was, no other chain moves, and a traceback out of the
+    replaced chain — or out of one below the blank lines — still
     indexes ``fastpath.source``."""
     _testbed, router, _devices = build(ExecutionProfile.fdd())
-    engine = router.adaptive
-    donor = engine.tier1
+    fastpath = router.adaptive.tier1
+    fastpath.materialize()
+    before = dict(fastpath.chains)
+    (key,) = reaching(fastpath, "c0")
+    old = before[key]
     grown = rules_of(router, "c0")
     grown[0] = "12/0806 20/0001 28/0a000001 32/0002"
     ControlPlane(router).update_rules("c0", grown)
-    fastpath = engine.tier1
-    fastpath.materialize()
 
-    moved = [
-        key
-        for key in fastpath.chains
-        if key in donor.chains
-        and fastpath.chains[key].offset != donor.chains[key].offset
-        and fastpath.report.chain_lines["%s %s[%d]" % key]
-        == donor.report.chain_lines["%s %s[%d]" % key]
-    ]
-    assert moved, "the patch did not move any spliced chain"
+    chain = fastpath.chains[key]
+    assert len(chain.source) > len(old.source)
+    assert chain.offset > max(other.offset for other in before.values())
+    assert all(fastpath.chains[other] is record for other, record in before.items() if other != key)
     lines = fastpath.source.split("\n")
-    for key, fn in functions_of(fastpath).items():
-        assert lines[fn.__code__.co_firstlineno - 1].startswith("def %s(" % fn.__name__)
-    # eth1's poll chain ends in c1's diagram, below the chain that
-    # grew, and reads the packet first thing.
-    key = next(key for key, _anchor, far in fastpath._chain_edges() if far.name == "c1")
-    assert key in moved
-    with pytest.raises(AttributeError) as raised:
-        fastpath.function_for(key)(None)
-    frame = traceback.extract_tb(raised.tb)[-1]
-    assert lines[frame.lineno - 1].strip() == "data = packet._data_cache"
+    assert not any(lines[old.offset - 1 : old.offset - 1 + len(old.source)])
+    assert lines[chain.offset - 1 : chain.offset - 1 + len(chain.source)] == chain.source
+    for fn in functions_of(fastpath).values():
+        assert lines[fn.__code__.co_firstlineno - 1].startswith("def %s(" % fn.__code__.co_name)
+    # Both poll chains read the packet first thing: eth0's is the
+    # replaced one, eth1's ends in c1's diagram below the blank lines.
+    below = next(key for key, _anchor, far in fastpath._chain_edges() if far.name == "c1")
+    assert fastpath.chains[below].offset > old.offset
+    for entry in (key, below):
+        with pytest.raises(AttributeError) as raised:
+            fastpath.function_for(entry)(None)
+        frame = traceback.extract_tb(raised.tb)[-1]
+        assert frame.name == fastpath.chains[entry].function_name
+        assert lines[frame.lineno - 1].strip() == "data = packet._data_cache"
+
+
+def test_repeated_rules_patches_stay_bounded():
+    """300 ``c0`` patches on a router that has forwarded leave tier 1
+    the size one patch left it — its namespace, jump tables and module
+    text within one replaced chain's worth — and ``tracemalloc`` growth
+    from patch 50 to patch 300, with the collector off, under 64 KiB.
+    The patches cycle through eight rule sets and the plane keeps 16
+    reports, so the matcher memo and the plane's history (each bounded
+    on its own) are full by patch 50; the engine's deopt log still
+    gains one reason a patch."""
+    testbed, router, devices = build(ExecutionProfile.fdd())
+    for name, frame in testbed.evaluation_frames(256):
+        devices[name].receive_frame(frame)
+    router.run_tasks(256)
+    tier1 = router.adaptive.tier1
+    plane = ControlPlane(router, history=16)
+    rules = rules_of(router, "c0")
+    (key,) = reaching(tier1, "c0")
+
+    def patch(index):
+        rules[0] = "12/0806 20/0001 28/0a0000%02x" % (index % 8 + 1)
+        report = plane.update_rules("c0", rules)
+        assert report.kind == "in-place" and report.chains_recompiled == 1
+
+    def sizes():
+        return len(tier1._namespace), len(tier1._jump_tables), len(tier1.source)
+
+    tracemalloc.start()
+    try:
+        patch(0)
+        chain = tier1.chains[key]
+        assert chain.code is not None  # the chain forwards: every patch compiles its successor
+        first = sizes()
+        worth = (len(chain.binds) + 2, len(chain.tables), len("\n".join(chain.source)) + 1)
+        for index in range(1, 50):
+            patch(index)
+        gc.collect()
+        start = tracemalloc.get_traced_memory()[0]
+        for index in range(50, 300):
+            patch(index)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024, grown
+    for now, then, bound in zip(sizes(), first, worth):
+        assert abs(now - then) <= bound, (now, then, bound)
 
 
 @pytest.mark.parametrize("origin", ["replayed"])  # the id the test floor lists it under
 def test_cached_fast_paths_are_donors(origin, compile_calls):
     """A fast path that shared a cached text hands its chains to a
-    scoped rebuild like one that emitted them: nothing it carries is
+    scoped hot-swap like one that emitted them: nothing it carries is
     compiled again, and its report is the emitting compile's."""
-    _testbed, router, _devices = build(ExecutionProfile.reference())
+    testbed, router, _devices = build(ExecutionProfile.reference())
     cache = CodegenCache()
     fresh = FastPath(router, cache=cache)
     assert fresh.report.emitted_units == len(fresh.chains)
@@ -266,13 +447,9 @@ def test_cached_fast_paths_are_donors(origin, compile_calls):
     assert donor.chains == fresh.chains  # the very records
     assert scrubbed(donor.report) == scrubbed(fresh.report)
 
-    dirty = reaching(donor, "c0")
+    dirty = restaled(donor, "c0")
     del compile_calls[:]
-    router._fastpath_reuse = {"patched": {"c0"}, "fastpaths": [donor]}
-    try:
-        spliced = FastPath(router)
-    finally:
-        del router._fastpath_reuse
+    spliced = spliced_onto_a_twin(testbed, donor, {"c0"})
     # every chain of the donor is live, so each successor is compiled by the build
     assert len(compile_calls) == spliced.report.compiled_units == len(dirty)
     assert spliced.report.emitted_units == len(dirty)
@@ -479,15 +656,16 @@ def firewall_router(profile):
     return Router(firewall_graph(), devices=devices, profile=profile), devices
 
 
-def test_a_live_chains_successor_is_compiled_inside_the_update(compile_calls, matcher_compiles):
+def test_a_live_chains_successor_is_compiled_inside_the_update(compile_calls, matcher_compiles, rebuilds):
     """The honesty test for compiling late: a firewall rules patch on a
     router that is forwarding compiles, inside the update, the plain
     flavor's entry chain — real code on the port before the next
     packet — and the matcher the profiled flavor's sampled packets call
     through ``fw``'s cell, and nothing else (4 chains when each flavor
     had a diagram and the unreachable ``Strip`` chain's copy of it was
-    compiled too); the packets that follow compile nothing; on a router
-    that has forwarded nothing the same patch compiles nothing."""
+    compiled too), and builds no fast path and splices no chain; the
+    packets that follow compile nothing; on a router that has forwarded
+    nothing the same patch compiles nothing."""
     from .test_fastpath_lowering import firewall_frame
 
     rules = firewall_rule_strings()
@@ -501,9 +679,9 @@ def test_a_live_chains_successor_is_compiled_inside_the_update(compile_calls, ma
         assert len(devices["eth1"].transmitted) == frames
         engine = router.adaptive
         profiled = engine.profiled
-        del compile_calls[:], matcher_compiles[:]
+        del compile_calls[:], matcher_compiles[:], rebuilds[:]
         report = ControlPlane(router).update_rules("fw", patched)
-        assert report.kind == "in-place" and report.chains_recompiled == 2
+        assert report.kind == "in-place" and report.chains_recompiled == 2 and not rebuilds
         assert len(compile_calls) == len(matcher_compiles) == expected
         assert engine.profiled is profiled
         entry = next(key for key in engine.tier1.chains if key[0] == "push" and key[1].startswith("PollDevice"))
@@ -550,14 +728,10 @@ def test_a_spliced_unentered_chain_is_filled_once_for_every_sharer(compile_calls
     """A splice carries a chain's lack of code by reference like its
     code: whichever fast path enters the shared record first compiles
     it for both."""
-    _testbed, router, _devices = build(ExecutionProfile.reference())
+    testbed, router, _devices = build(ExecutionProfile.reference())
     donor = FastPath(router)
-    router._fastpath_reuse = {"patched": {"c0"}, "fastpaths": [donor]}
-    try:
-        spliced = FastPath(router)
-    finally:
-        del router._fastpath_reuse
-    assert not compile_calls and spliced.report.emitted_units == len(reaching(donor, "c0"))
+    spliced = spliced_onto_a_twin(testbed, donor, {"c0"})
+    assert not compile_calls and spliced.report.emitted_units == len(restaled(donor, "c0"))
     shared = [key for key, chain in spliced.chains.items() if chain is donor.chains[key]]
     assert shared and all(donor.chains[key].code is None for key in shared)
     first, second = shared[0], shared[-1]
@@ -576,28 +750,35 @@ def test_a_spliced_unentered_chain_is_filled_once_for_every_sharer(compile_calls
 
 def test_a_rules_patch_frees_its_donors_without_the_collector():
     """A fast path is cyclic garbage (every function's globals is the
-    namespace that holds it): a rules patch releases the flavors it
-    replaced — the plain tier 1 and tier 2 — so they and their
-    namespaces go by refcount; the bench harness disables the collector
-    around its windows.  The profiled flavor is not replaced."""
+    namespace that holds it): a rules patch releases the tier 2 it
+    drops, and takes the replaced chain's bind slots out of tier 1's
+    namespace — so tier 2, its functions and what only the replaced
+    chain bound go by refcount; the bench harness disables the
+    collector around its windows.  Tier 1 and the profiled flavor are
+    the objects they were."""
     testbed, router, devices = build(ExecutionProfile.fdd(config=AdaptiveConfig(threshold=64, min_samples=8, sample=4)))
     engine = router.adaptive
     for name, frame in testbed.evaluation_frames(512):
         devices[name].receive_frame(frame)
     router.run_tasks(512)
-    profiled = engine.profiled
-    assert engine.tier2_fp is not None
+    tier1, profiled, tier2 = engine.tier1, engine.profiled, engine.tier2_fp
+    assert tier2 is not None
+    (key,) = reaching(tier1, "c0")
     gc.collect()
     gc.disable()
     try:
-        retired = [weakref.ref(flavor) for flavor in (engine.tier1, engine.tier2_fp)]
+        retired = [weakref.ref(tier2)]
         # a function's globals is its fast path's namespace
-        retired += [weakref.ref(flavor.function_for(key)) for flavor in (engine.tier1, engine.tier2_fp)
-                    for key in list(flavor.chains)[:3]]
+        retired += [weakref.ref(tier2.function_for(entry)) for entry in list(tier2.chains)[:3]]
+        # a bound method is made per bind, so the replaced chain's are its own
+        bound = [tier1._namespace[name] for name in tier1.chains[key].binds]
+        retired += [weakref.ref(value) for value in bound if isinstance(value, types.MethodType)]
+        assert len(retired) > 4
+        del tier2, bound
         narrowed = rules_of(router, "c0")
         narrowed[0] = "12/0806 20/0001 28/0a000001"
         ControlPlane(router).update_rules("c0", narrowed)
         assert [ref() for ref in retired] == [None] * len(retired)
-        assert engine.profiled is profiled
+        assert engine.tier1 is tier1 and engine.profiled is profiled
     finally:
         gc.enable()

@@ -326,18 +326,55 @@ def test_route_patch_still_deopts():
 
 
 def test_repatch_survives_supervision():
+    """A rules patch swaps new code under the functions a supervisor pin
+    holds, so the pins stand: with eth0's poll task pinned to ``fast``
+    and eth1's to ``reference``, a ``c0`` patch that drops eth0's IP
+    traffic leaves both pinned, the ``fast`` pin runs the patched chain,
+    and the wire carries what the reference interpreter sends for the
+    same traffic and patch."""
     from repro.control import ControlPlane
+    from repro.runtime.supervisor import SupervisorConfig
 
-    testbed, router, devices = _fdd_testbed(supervised=True)
-    assert router.supervisor is not None
-    plane = ControlPlane(router)
-    plane.update_rules("c0", _rules_of(router, "c0"))
-    assert router.supervisor is not None  # reattached after the rebuild
-    before = sum(len(d.transmitted) for d in devices.values())
-    for device_name, frame in testbed.evaluation_frames(128):
-        devices[device_name].receive_frame(frame)
-    router.run_tasks(128)
-    assert sum(len(d.transmitted) for d in devices.values()) > before
+    testbed = Testbed(2)
+    traffic = testbed.evaluation_frames(512)
+    # No clean streak climbs a pinned task back within the run.
+    calm = SupervisorConfig(backoff=1 << 20, backoff_limit=1 << 20)
+    profiles = {
+        "reference": ExecutionProfile.reference(),
+        "fdd": ExecutionProfile.fdd(config=AdaptiveConfig(**EAGER)).with_supervision(calm),
+    }
+    wires = {}
+    for label, profile in profiles.items():
+        router, devices = testbed.build_router(testbed.variant_graph("base"), profile=profile)
+        for device_name, frame in traffic[:256]:
+            devices[device_name].receive_frame(frame)
+        router.run_tasks(256)
+        if label == "fdd":
+            engine, guards = router.adaptive, router.supervisor.guards
+            polls = {task._output_ports[0].target.name: task for task in router.tasks if task.name in guards
+                     and task._output_ports and task._output_ports[0].target.name in ("c0", "c1")}
+            for failures, task in ((1, polls["c0"]), (2, polls["c1"])):
+                for _ in range(failures):
+                    guards[task.name].fail(RuntimeError("pinned by the test"))
+            key = ("push", polls["c0"].name, 0)
+            pinned = polls["c0"]._output_ports[0].push
+            assert pinned is engine.tier1.function_for(key)
+            code = pinned.__code__
+        narrowed = _rules_of(router, "c0")
+        narrowed[2] = "12/0805"  # eth0's IP arm now matches nothing it is sent
+        assert ControlPlane(router).update_rules("c0", narrowed).kind == "in-place"
+        if label == "fdd":
+            assert {task.name: engine.pins[task][0] for task in polls.values()} == {
+                polls["c0"].name: 1, polls["c1"].name: 2,
+            }
+            assert polls["c0"]._output_ports[0].push is pinned and pinned.__code__ is not code
+            assert pinned.__code__.co_name == engine.tier1.chains[key].function_name
+        for device_name, frame in traffic[256:]:
+            devices[device_name].receive_frame(frame)
+        router.run_tasks(256)
+        wires[label] = {name: list(device.transmitted) for name, device in devices.items()}
+    assert wires["fdd"] == wires["reference"]
+    assert 256 < sum(len(frames) for frames in wires["fdd"].values()) < 512
 
 
 # -- supervised demotion -----------------------------------------------------

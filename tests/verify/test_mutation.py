@@ -6,9 +6,11 @@ differential fuzzer finds a divergent case within a few generated cases
 and that the delta-debugger shrinks it to a repro of at most five
 elements.
 
-The patched function must be *named* ``simple_action``: a scoped
-rebuild that splices chains onto another router re-binds methods by
-name.
+The bug goes where each mode runs Unstrip: into ``simple_action``, which
+the reference interpreter calls, and into the ``segment`` the chain
+compiler emits in its place.  The patched function must be *named*
+``simple_action``: a scoped rebuild that splices chains onto another
+router re-binds methods by name.
 """
 
 import pytest
@@ -27,11 +29,20 @@ def _buggy_simple_action(self, packet):
 
 
 _buggy_simple_action.__name__ = "simple_action"
+_segment = Unstrip.segment
+
+
+def _buggy_segment(self, cold, cx):
+    emit = _segment(self, cold, cx)  # the same stage, less its cache drop
+    return lambda var, pad, exitstmt: [
+        line for line in emit(var, pad, exitstmt) if not line.endswith("._data_cache = None")
+    ]
 
 
 @pytest.fixture
 def unstrip_bug(monkeypatch):
     monkeypatch.setattr(Unstrip, "simple_action", _buggy_simple_action)
+    monkeypatch.setattr(Unstrip, "segment", _buggy_segment)
     yield
     monkeypatch.undo()
 
