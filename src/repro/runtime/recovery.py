@@ -15,8 +15,8 @@ owns four jobs:
   within ``heartbeat_timeout``), a ``recv`` that outlives its reply
   deadline — a worker that neither answers nor exits is *hung* — or
   ``alive()`` false at the liveness sweep that opens every scheduler
-  batch.  The reply deadline is ``heartbeat_timeout`` for a worker in a
-  spawned process (hung: SIGKILLed and reaped) and ``watchdog_timeout``
+  batch.  The reply deadline is ``heartbeat_timeout`` for a worker in its
+  own process (hung: SIGKILLed and reaped) and ``watchdog_timeout``
   for one on a thread (hung: abandoned behind a fence — it owns its
   router outright, so it can never touch the rebuilt shard).
 - **Restart.**  A detected-down shard is rebuilt and its journal

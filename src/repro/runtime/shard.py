@@ -25,11 +25,12 @@ selects how a worker is *hosted*, not a second implementation:
   is shared, so startup is cheap.  This is what the differential
   oracle and ``click-chaos`` run by default (Python threads
   buy no wall-clock parallelism; equivalence is the point).
-- ``"process"`` — a ``multiprocessing`` (spawn) child over a pipe,
-  building and compiling its router from the configuration *text* it
-  is sent (the children compile side by side; nothing compiled crosses
-  the pipe).  True parallelism: the host the 1→N scale curve and the
-  benchmark measure.
+- ``"process"`` — a child forked from a ``multiprocessing`` fork
+  server that preloaded the runtime, over a pipe, building and
+  compiling its router from the configuration *text* it is sent (the
+  children compile side by side; nothing compiled crosses the pipe).
+  True parallelism: the host the 1→N scale curve and the benchmark
+  measure.
 
 Either way, a window streams to the workers in rounds of
 ``chunk_frames`` frames, so the parent's hashing/serialization overlaps
@@ -54,7 +55,7 @@ acknowledged reply, rolls the swapped ones back if any rejects, and is
 journaled only once every live shard acknowledged.
 
 Worker faults: ``worker_crash`` faults (:mod:`repro.sim.faults`) kill a
-shard; recovery respawns it and replays the shard's command journal —
+shard; recovery restarts it and replays the shard's command journal —
 every frame batch, scheduler run, transmit-window mirror, and control
 operation since birth — which, everything being deterministic,
 reconstructs byte-identical shard state (the device-fail analog with a
@@ -102,6 +103,10 @@ from .profile import ExecutionProfile
 from .recovery import PoisonFrameError, RecoveryError, ReplayFrameError
 
 _monotonic = _time.monotonic
+
+#: The process that imported this module.  A forked worker inherits it,
+#: so a worker reading another pid here found the runtime already loaded.
+_IMPORTED_BY = os.getpid()
 
 __all__ = [
     "DEFAULT_CHUNK_FRAMES",
@@ -476,7 +481,7 @@ def _shard_worker(
     serve the coordinator's command stream until ``stop`` or until
     ``recv`` reports the channel closed (EOFError/OSError).  ``recv``
     and ``send`` are the worker's end of a transport; nothing here
-    knows whether that is a pipe into a spawned process or a pair of
+    knows whether that is a pipe into a worker process or a pair of
     queues into a thread.
 
     With ``metered`` the shard runs the reference interpreter under its
@@ -648,9 +653,9 @@ def _shard_worker(
 
 
 def _process_shard_main(conn, *args):
-    """A spawned process hosting the worker: serve the pipe.  A poison
-    frame kills the process the hard way — no exception protocol, just
-    a dead process for the health seam to find."""
+    """A forked worker process: serve the pipe.  A poison frame kills
+    the process the hard way — no exception protocol, just a dead
+    process for the health seam to find."""
     try:
         _shard_worker(conn.recv, conn.send, *args)
     except PoisonFrameError:
@@ -771,17 +776,67 @@ class _ThreadTransport:
         self._thread.join(timeout=0.5)
 
 
+#: Serializes the environment hand-off to the fork server.
+_SERVER_LOCK = threading.Lock()
+
+
+def _process_context():
+    """The ``multiprocessing`` context process workers are forked from:
+    a fork server that has imported this module — and with it the
+    runtime — once per coordinator process, so a worker or a revive is
+    one ``fork()`` of it instead of a fresh interpreter importing
+    ``repro``.  The server compiles nothing; every worker compiles its
+    configuration text cold.
+
+    The server is started here, not at the first ``Process.start()``:
+    Python 3.11's server is sent the coordinator's ``sys.path`` but
+    never applies it, and its preload swallows the ``ImportError``, so
+    a coordinator that reaches ``repro`` through a ``sys.path`` insert
+    would get a server that preloaded nothing.  The directory holding
+    the package goes to the server through ``PYTHONPATH``, set only
+    while it starts.  A server someone else started without this
+    preload is still correct, only slower: its children import
+    ``repro`` themselves."""
+    import multiprocessing
+    import tempfile
+    from multiprocessing import forkserver, util
+
+    ctx = multiprocessing.get_context("forkserver")
+    ctx.set_forkserver_preload([__name__])
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    with _SERVER_LOCK:
+        # The server listens on a socket in multiprocessing's temp dir,
+        # ``<tempdir>/pymp-XXXXXXXX/listener-XXXXXXXX``, and a socket
+        # path holds 107 bytes: under a longer TMPDIR Python 3.11 cannot
+        # bind it, so that dir is made where the path fits.
+        saved_tempdir = tempfile.tempdir
+        if len(tempfile.gettempdir()) > 75:
+            tempfile.tempdir = "/tmp"
+        try:
+            util.get_temp_dir()
+        finally:
+            tempfile.tempdir = saved_tempdir
+        saved = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (root, saved)))
+        try:
+            forkserver.ensure_running()
+        finally:
+            if saved is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = saved
+    return ctx
+
+
 class _ProcessTransport:
-    """A worker hosted in a ``multiprocessing`` spawn child over a
-    :class:`multiprocessing.Pipe`: the configuration crosses as text
-    and the child compiles it, and a hung worker is SIGKILLed and
-    reaped."""
+    """A worker hosted in a child forked from the preloaded fork server
+    (:func:`_process_context`) over a :class:`multiprocessing.Pipe`:
+    the configuration crosses as text and the child compiles it, and a
+    hung worker is SIGKILLed and reaped."""
 
     high_water = None  # a pipe has no bounded queue to report
 
     def __init__(self, plane, index):
-        import multiprocessing
-
         from ..core.toolchain import save_config
 
         if plane._extra_classes:
@@ -791,7 +846,7 @@ class _ProcessTransport:
             )
         recovery = plane._profile.recovery
         self.reply_timeout = None if recovery is None else recovery.heartbeat_timeout
-        ctx = multiprocessing.get_context("spawn")
+        ctx = _process_context()
         self._conn, child_conn = ctx.Pipe()
         self._process = ctx.Process(
             target=_process_shard_main,
@@ -1041,8 +1096,8 @@ class ShardedRouter:
         self._journals = [[] for _ in range(self.workers)]
         self._dispatched = [0] * self.workers
         host = _TRANSPORTS[self._profile.shard_backend]
-        # Workers start in shard-index order (the benchmark tells spawn
-        # children apart by it).
+        # Workers start in shard-index order (the benchmark tells
+        # process workers apart by it).
         for index in range(self.workers):
             transport = host(self, index)
             self._shards.append(_Shard(index, transport, self._device_names))
@@ -1071,8 +1126,9 @@ class ShardedRouter:
         transport.close()
         if self._recovery is None:
             raise RuntimeError(
-                "shard worker %d %s; if this happened at startup, the spawn "
-                "backend re-imports __main__ — entry scripts need an "
+                "shard worker %d %s; if this happened at startup, note that "
+                "process workers run the entry script's top level again as "
+                "__mp_main__ — entry scripts need an "
                 "if __name__ == '__main__' guard" % (shard.index, reason)
             )
         self._recovery.note_dead(shard.index, reason)

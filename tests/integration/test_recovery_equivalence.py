@@ -94,7 +94,7 @@ def reference_transmit(frames, skip=(), iterations=None):
 class TestScenarioHarness:
     """The click-chaos --recovery scenarios, as the CI smoke job runs
     them: heal with the degraded contract held.  One coordinator serves
-    both transports, so the matrix runs on threads (no spawn cost) and
+    both transports, so the matrix runs on threads (no process start-up) and
     the quarantine scenario — the longest walk through restart,
     escalation and attribution — on both."""
 
@@ -134,7 +134,7 @@ class TestScenarioHarness:
 class TestKillAndHeal:
     """Detection and restart through the one health seam (send refused,
     reply deadline passed, worker not alive), on both transports: this
-    class hosts the workers on threads, the subclass below in spawned
+    class hosts the workers on threads, the subclass below in forked
     processes."""
 
     plane = {"backend": "thread"}
@@ -244,7 +244,7 @@ class TestKillAndHeal:
 
 
 class TestKillAndHealOverProcess(TestKillAndHeal):
-    # Two spawns, not four, and generous deadlines wherever the test
+    # Two workers, not four, and generous deadlines wherever the test
     # does not wait one out.
     plane = {
         "backend": "process",
@@ -259,9 +259,9 @@ class TestKillAndHealOverProcess(TestKillAndHeal):
 
     @staticmethod
     def assert_healed(report, kills=1):
-        # Spawning is asynchronous: on a loaded machine a slow (re)spawn
-        # can trip a reply deadline into a spurious (healed, but
-        # count-inflating) extra episode.
+        # Starting a process is asynchronous: on a loaded machine a
+        # slow (re)start can trip a reply deadline into a spurious
+        # (healed, but count-inflating) extra episode.
         assert report.restarts == report.detections >= 1
 
 

@@ -2,12 +2,18 @@
 (repro.runtime.shard): SPSC handoff, profile plumbing, dispatch,
 transactional control fan-out, crash replay, and meter reconciliation."""
 
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
+import repro
 from repro.control import ControlPlaneError
 from repro.core.toolchain import save_config
 from repro.elements.devices import LoopbackDevice
@@ -22,8 +28,11 @@ from repro.sim.testbed import HOST_ETHERS, Testbed, host_ip
 from repro.verify.oracle import sharded_transmit_difference
 
 
-def sharded_testbed(workers, backend="thread", meter=None, journal=None, variant="base"):
-    """A live iprouter plane: ShardedRouter above 1 worker, seeded ARP."""
+def sharded_testbed(
+    workers, backend="thread", meter=None, journal=None, variant="base", recovery=None
+):
+    """A live iprouter plane: ShardedRouter above 1 worker, seeded ARP,
+    self-healing under the ``recovery`` config when one is given."""
     testbed = Testbed(2)
     graph = testbed.variant_graph(variant)
     devices = {
@@ -33,6 +42,8 @@ def sharded_testbed(workers, backend="thread", meter=None, journal=None, variant
     profile = ExecutionProfile.fast(batch=True)
     if workers > 1:
         profile = profile.with_workers(workers, backend)
+    if recovery is not None:
+        profile = profile.with_recovery(config=recovery)
     router = build_router(graph, meter=meter, devices=devices, profile=profile)
     if journal is not None and workers > 1:
         router._journal_flag = journal
@@ -184,7 +195,7 @@ class TestDispatchAndEquivalence:
 
 class TestControlFanout:
     """Coordinator behaviour, so it rides on both transports: this
-    class hosts the workers on threads, the subclass below in spawned
+    class hosts the workers on threads, the subclass below in forked
     processes."""
 
     backend = "thread"
@@ -629,6 +640,154 @@ class TestProcessBackend:
             assert total == 120
         finally:
             router.close()
+
+
+#: The directory holding the ``repro`` package.
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+#: Run as a script with no PYTHONPATH: it reaches ``src`` only through
+#: the ``sys.path`` insert, as ``bench/run.py`` does.
+_FORKSERVER_PROBE = """
+import json, os, sys
+sys.path.insert(0, %(src)r)
+from repro.classifier import compile as classifier_compile
+from repro.runtime import ExecutionProfile, shard
+from repro.runtime.codegen_cache import default_cache
+from repro.sim.testbed import Testbed
+
+
+def parent_pid(pid):
+    with open("/proc/%%d/status" %% pid) as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("PPid:"))
+
+
+def probe(conn):
+    conn.send({
+        "imported_by": shard._IMPORTED_BY,
+        "pid": os.getpid(),
+        "parent": os.getppid(),
+        "codegen_cache": len(default_cache()),
+        "function_cache": len(classifier_compile._FUNCTION_CACHE),
+    })
+    conn.close()
+
+
+if __name__ == "__main__":
+    testbed = Testbed(2)
+    # Compiled state in the coordinator, for a child to not inherit.
+    single, _ = testbed.build_router(testbed.variant_graph("base"), profile=ExecutionProfile.fast())
+    single.run_tasks(1)
+    warm = [len(default_cache()), len(classifier_compile._FUNCTION_CACHE)]
+    before = dict(os.environ)
+    plane, _ = testbed.build_router(
+        testbed.variant_graph("base"),
+        profile=ExecutionProfile.fast().with_workers(2, "process"),
+    )
+    plane.run_tasks(1)
+    after = dict(os.environ)
+    workers = [parent_pid(s.transport._process.pid) for s in plane._shards]
+    ctx = shard._process_context()
+    mine, theirs = ctx.Pipe()
+    child = ctx.Process(target=probe, args=(theirs,))
+    child.start()
+    theirs.close()
+    seen = mine.recv()
+    child.join()
+    plane.close()
+    print(json.dumps({
+        "coordinator": os.getpid(), "warm": warm, "env_kept": before == after,
+        "worker_parents": workers, "child": seen,
+    }))
+"""
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _parent_pid(pid):
+    with open("/proc/%d/status" % pid) as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("PPid:"))
+
+
+class TestForkServer:
+    """Process workers are forked from one server per coordinator that
+    has already imported the runtime and has compiled nothing."""
+
+    def test_preloaded_server_forks_cold_workers(self, tmp_path):
+        script = tmp_path / "probe.py"
+        script.write_text(_FORKSERVER_PROBE % {"src": _SRC})
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        result = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True, text=True, env=env, cwd=str(tmp_path), timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        seen = json.loads(result.stdout.strip().splitlines()[-1])
+        child = seen["child"]
+        server = child["parent"]
+        # The server imported the shard module before it forked the
+        # child: the child never imported it itself.
+        assert child["imported_by"] == server != child["pid"]
+        assert server != seen["coordinator"]
+        # The plane's workers are children of the same server.
+        assert seen["worker_parents"] == [server, server]
+        # The coordinator's caches were warm; the child's are empty.
+        assert min(seen["warm"]) > 0
+        assert child["codegen_cache"] == child["function_cache"] == 0
+        assert seen["env_kept"]
+
+    def test_a_long_tmpdir_still_starts_the_server(self, tmp_path):
+        """The server's socket lives under multiprocessing's temp dir,
+        and a socket path holds 107 bytes."""
+        tmpdir = tmp_path / ("t" * max(1, 110 - len(str(tmp_path))))
+        tmpdir.mkdir()
+        script = (
+            "import sys; sys.path.insert(0, %r)\n"
+            "from repro.runtime import ExecutionProfile\n"
+            "from repro.sim.testbed import Testbed\n"
+            "testbed = Testbed(2)\n"
+            "plane, _ = testbed.build_router(testbed.variant_graph('base'),"
+            " profile=ExecutionProfile.fast().with_workers(2, 'process'))\n"
+            "plane.run_tasks(1)\n"
+            "plane.close()\n" % _SRC
+        )
+        env = dict(os.environ, TMPDIR=str(tmpdir))
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_planes_leak_no_child_or_fd(self):
+        """Twenty process planes, each with one worker SIGKILLed and
+        revived under the buffer policy, then closed: no child process
+        and no file descriptor outlives them, and one server forked
+        every worker."""
+        from repro.runtime import RecoveryConfig
+        from repro.runtime.shard import _process_context
+
+        _process_context()  # the server and the resource tracker hold fds for good
+        baseline = _open_fds()
+        parents = set()
+        for _ in range(20):
+            testbed, router, devices = sharded_testbed(
+                2, backend="process", recovery=RecoveryConfig(policy="buffer", jitter=0)
+            )
+            try:
+                drive(testbed, router, devices, 16)
+                router.kill_worker(1)
+                drive(testbed, router, devices, 16, offset=16)
+                router.run_tasks(4)
+                assert router._recovery.report().restarts >= 1
+                assert sum(len(d.transmitted) for d in devices.values()) == 32
+                parents.update(
+                    _parent_pid(shard.transport._process.pid) for shard in router._shards
+                )
+            finally:
+                router.close()
+        assert multiprocessing.active_children() == []
+        assert _open_fds() == baseline
+        assert len(parents) == 1 and os.getpid() not in parents
 
 
 class TestStreamedRounds:
