@@ -133,16 +133,6 @@ class ControlPlane:
             ]
         )
 
-    def resolve(self, update):
-        """Public form of the update resolver: ``(delta,
-        new_graph_or_None)`` for a delta, graph, or text update.  The
-        sharded data plane does not resolve once for all shards: its
-        coordinator sends every update as configuration text, and each
-        worker calls this on that text, parsing it and diffing it against
-        its own graph (the ``diff`` phase of the worker's
-        :class:`~repro.elements.hotswap.SwapReport`)."""
-        return self._resolve(update)
-
     def _resolve(self, update):
         """``(delta, new_graph_or_None)`` for any accepted update form.
         ``new_graph`` stays None for delta inputs until a structural

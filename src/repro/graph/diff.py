@@ -63,6 +63,9 @@ class GraphDelta:
     tuples.  ``structural`` is the control plane's routing bit: False
     exactly when the delta is *pure data* — only configuration strings
     changed, on elements that exist on both sides with the same class.
+    ``archive`` holds the archive members (generated element classes)
+    the new side adds or rewrites, so that :meth:`apply_to` can build
+    classes an added element needs; it is carried, not compared.
     """
 
     __slots__ = (
@@ -71,14 +74,24 @@ class GraphDelta:
         "changed",
         "added_connections",
         "removed_connections",
+        "archive",
     )
 
-    def __init__(self, added=(), removed=(), changed=(), added_connections=(), removed_connections=()):
+    def __init__(
+        self,
+        added=(),
+        removed=(),
+        changed=(),
+        added_connections=(),
+        removed_connections=(),
+        archive=None,
+    ):
         self.added = list(added)
         self.removed = list(removed)
         self.changed = list(changed)
         self.added_connections = list(added_connections)
         self.removed_connections = list(removed_connections)
+        self.archive = dict(archive) if archive else {}
 
     @property
     def empty(self):
@@ -132,6 +145,7 @@ class GraphDelta:
             decl = result.elements[change.name]
             decl.class_name = change.new_class
             decl.config = change.new_config
+        result.archive.update(self.archive)
         return result
 
     def summary(self):
@@ -204,10 +218,18 @@ def diff_graphs(old, new):
     # their surviving endpoint's chains change, so dirty_names() must
     # see them.
     removed_connections = [c for c in old.connections if c not in new_conns]
+    archive = None
+    if new.archive:
+        archive = {
+            name: content
+            for name, content in new.archive.items()
+            if old.archive.get(name) != content
+        }
     return GraphDelta(
         added=added,
         removed=removed,
         changed=changed,
         added_connections=added_connections,
         removed_connections=removed_connections,
+        archive=archive,
     )

@@ -7,12 +7,13 @@ strings are captured *raw* (quotes, nested parentheses and comments
 respected) because element configuration syntax is the element's own
 business — tools must round-trip it byte-for-byte.
 
-Every route update on a sharded plane re-parses the whole configuration
-in each worker, so the scanner stays in C as far as it can: one
-compiled pattern skips whitespace and comments and matches the next
-token, a configuration string is captured by jumping between the
-characters that matter in it, and line and column come from counting
-newlines between token starts.
+Every configuration is parsed whole at least once — at load, and by a
+control-plane update whose edit the region re-parse
+(:mod:`repro.lang.region`) cannot resolve — so the scanner stays in C
+as far as it can: one compiled pattern skips whitespace and comments
+and matches the next token, a configuration string is captured by
+jumping between the characters that matter in it, and line and column
+come from counting newlines between token starts.
 """
 
 from __future__ import annotations

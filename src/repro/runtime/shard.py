@@ -46,13 +46,17 @@ global sequence.
 
 Control-plane operations fan out to every shard: ARP inserts, epoch
 bumps, forced deopts, hot-swaps, and — via :meth:`ShardedRouter.apply_update`
-— incremental updates, which commit *transactionally*: a pure-data
-delta is staged on every shard (all parsing and validation, no
-mutation) and only then committed everywhere, so a rejected update
-leaves all shards serving the old tables; a structural delta — like
-:meth:`ShardedRouter.hotswap_all` — swaps every shard with an
-acknowledged reply, rolls the swapped ones back if any rejects, and is
-journaled only once every live shard acknowledged.
+— incremental updates.  The coordinator resolves an update once into a
+:class:`~repro.graph.diff.GraphDelta` (re-parsing only the statements a
+text update edited, when that can only rewrite configuration strings),
+and the workers and the journal get the delta, never text to parse.
+Updates commit *transactionally*: a pure-data delta is staged on every
+shard (validation, no mutation) and only then committed everywhere, so
+a rejected update leaves all shards serving the old tables; a
+structural delta — like :meth:`ShardedRouter.hotswap_all` — swaps every
+shard with an acknowledged reply, rolls the swapped ones back (by the
+inverse delta) if any rejects, and is journaled only once every live
+shard acknowledged.
 
 Worker faults: ``worker_crash`` faults (:mod:`repro.sim.faults`) kill a
 shard; recovery restarts it and replays the shard's command journal —
@@ -97,6 +101,7 @@ import queue
 import threading
 import time as _time
 from collections import OrderedDict
+from typing import NamedTuple
 
 from .flowhash import DEFAULT_SEED, FlowHasher
 from .profile import ExecutionProfile
@@ -228,24 +233,79 @@ def divide_queue_capacities(graph, index, workers):
     divided = load_config(save_config(graph), "<shard-divide>")
     for decl, cls in declared_classes(divided):
         # Queue and its subclasses take one argument, the capacity.
-        if not issubclass(cls, Queue):
-            continue
-        config = (decl.config or "").strip()
-        try:
-            capacity = int(config) if config else Queue.DEFAULT_CAPACITY
-        except ValueError:
-            continue
-        if capacity < workers:
-            from ..errors import ClickSemanticError
-
-            raise ClickSemanticError(
-                "divide_capacity cannot split %s(%d) across %d shards; "
-                "every bounded queue needs capacity >= the worker count"
-                % (decl.name, capacity, workers)
-            )
-        share = capacity // workers + (1 if index < capacity % workers else 0)
-        decl.config = str(share)
+        if issubclass(cls, Queue):
+            decl.config = _capacity_share(decl.name, decl.config, index, workers)
     return divided
+
+
+def _capacity_share(name, config, index, workers):
+    """Shard ``index``'s share of the capacity queue ``name`` is
+    configured with (``config`` itself when that is not a plain
+    integer)."""
+    from ..elements.infrastructure import Queue
+
+    text = (config or "").strip()
+    try:
+        capacity = int(text) if text else Queue.DEFAULT_CAPACITY
+    except ValueError:
+        return config
+    if capacity < workers:
+        from ..errors import ClickSemanticError
+
+        raise ClickSemanticError(
+            "divide_capacity cannot split %s(%d) across %d shards; "
+            "every bounded queue needs capacity >= the worker count"
+            % (name, capacity, workers)
+        )
+    return str(capacity // workers + (1 if index < capacity % workers else 0))
+
+
+def _divided_delta(delta, router, index, workers):
+    """Shard ``index``'s view of the plane's undivided ``delta``, to
+    apply to ``router`` (built divided): every queue the delta adds or
+    reconfigures gets its share, as :func:`divide_queue_capacities`
+    gives it, and a change that leaves this shard's share where it was
+    is dropped."""
+    from ..elements.infrastructure import Queue
+    from ..elements.runtime import compile_archive_classes
+    from ..elements.registry import ELEMENT_CLASSES
+    from ..graph.diff import ElementChange, GraphDelta
+
+    declared = router.graph.elements
+    generated = None
+
+    def divide(name, class_name, config):
+        nonlocal generated
+        decl = declared.get(name)
+        if decl is not None and decl.class_name == class_name:
+            cls = type(router.elements[name])
+        else:
+            # A class this shard may not have built yet: look it up the
+            # way a build does, the archive first, then the registry.
+            if generated is None:
+                generated = compile_archive_classes({**router.graph.archive, **delta.archive})
+            cls = generated.get(class_name) or ELEMENT_CLASSES.get(class_name)
+        if cls is not None and issubclass(cls, Queue):
+            return _capacity_share(name, config, index, workers)
+        return config
+
+    changed = []
+    for change in delta.changed:
+        decl = declared.get(change.name)
+        current = change.old_config if decl is None else decl.config
+        config = divide(change.name, change.new_class, change.new_config)
+        if change.class_changed or config != current:
+            changed.append(
+                ElementChange(change.name, change.old_class, change.new_class, current, config)
+            )
+    return GraphDelta(
+        added=[(name, cls, divide(name, cls, config)) for name, cls, config in delta.added],
+        removed=delta.removed,
+        changed=changed,
+        added_connections=delta.added_connections,
+        removed_connections=delta.removed_connections,
+        archive=delta.archive,
+    )
 
 
 def _meter_delta(current, previous):
@@ -367,10 +427,10 @@ class _FanoutElementProxy:
 def _build_shard(config, profile, device_names, metered, shard_index, extra_classes=None):
     """One shard's router over shard-local loopback devices, from the
     plane's *undivided* configuration (text, or a graph handed over by
-    reference).  Returns ``(router, devices, divider)``; ``divider`` is
-    the shard's divide-capacity transform (or None) — every later path
-    that materializes a configuration on this shard runs it through the
-    divider, because journaled configurations are always undivided."""
+    reference).  Returns ``(router, devices, share)``; ``share`` is
+    ``(shard index, workers)`` under divide-capacity mode, else None —
+    every later configuration or delta this shard installs is divided
+    by it, because journaled ones are always undivided."""
     from ..core.toolchain import load_config
     from ..elements.devices import LoopbackDevice
     from ..elements.runtime import build_router
@@ -384,15 +444,12 @@ def _build_shard(config, profile, device_names, metered, shard_index, extra_clas
         from ..sim.cpu import CycleMeter
 
         meter = CycleMeter()
-    divider = None
+    share = None
     if profile.divide_capacity and profile.workers > 1:
-
-        def divider(graph, _index=shard_index, _workers=profile.workers):
-            return divide_queue_capacities(graph, _index, _workers)
-
+        share = (shard_index, profile.workers)
     graph = load_config(config, "<shard>") if isinstance(config, str) else config
-    if divider is not None:
-        graph = divider(graph)
+    if share is not None:
+        graph = divide_queue_capacities(graph, *share)
     router = build_router(
         graph,
         extra_classes=extra_classes,
@@ -400,10 +457,10 @@ def _build_shard(config, profile, device_names, metered, shard_index, extra_clas
         meter=meter,
         profile=profile.shard_local(),
     )
-    return router, devices, divider
+    return router, devices, share
 
 
-def _apply_shard_control(router, cmd, divider=None):
+def _apply_shard_control(router, cmd, share=None):
     """Apply one journaled control command to the shard's router;
     returns ``(router, SwapReport or None)`` — the router changes
     identity across a swap.  Runs on the live path and under journal
@@ -425,20 +482,18 @@ def _apply_shard_control(router, cmd, divider=None):
         from ..elements.hotswap import hotswap
 
         new_graph = load_config(cmd[1], "<shard-hotswap>")
-        if divider is not None:
-            new_graph = divider(new_graph)
+        if share is not None:
+            new_graph = divide_queue_capacities(new_graph, *share)
         result = hotswap(router, new_graph)
         router, report = result.router, result.report
     elif op == "update":
         from ..control import ControlPlane
 
-        update = cmd[1]
-        if divider is not None:
-            from ..core.toolchain import load_config
-
-            update = divider(load_config(update, "<shard-update>"))
+        delta = cmd[1]
+        if share is not None:
+            delta = _divided_delta(delta, router, *share)
         plane = ControlPlane(router)
-        report = plane.apply(update)
+        report = plane.apply(delta)
         router = plane.router
     else:
         raise ValueError("unknown shard control command %r" % (op,))
@@ -492,7 +547,6 @@ def _shard_worker(
     An armed poison frame raises :class:`PoisonFrameError` *out of*
     the loop: the host turns that into the worker's death."""
     from ..control import ControlPlane
-    from ..core.toolchain import load_config
 
     # A worker holds only output the coordinator has not consumed.  The
     # flush cursor and the transmit mirrors count from the worker's
@@ -502,12 +556,12 @@ def _shard_worker(
     base = {name: 0 for name in device_names}
     owed = {}
     worked = 0
-    staged = None  # (plane, batch, delta, diff seconds, stage seconds)
+    staged = None  # (plane, batch, delta, stage seconds)
     swap_report = None  # the last hotswap/update's SwapReport, for the next sync
     poisons = set()  # armed kill frames (worker_poison faults)
-    router = devices = divider = None
+    router = devices = share = None
     try:
-        router, devices, divider = _build_shard(
+        router, devices, share = _build_shard(
             config, profile, device_names, metered, shard_index, extra_classes
         )
         broken = None
@@ -561,15 +615,15 @@ def _shard_worker(
                 # deadline — not a crash — has to find this worker.
                 _time.sleep(cmd[1])
             elif op == "update_stage":
+                # The coordinator resolved the update into a GraphDelta
+                # against the committed graph: nothing to parse here.
                 staged = None
                 try:
                     started = _time.perf_counter()
-                    update = cmd[1]
-                    if divider is not None:
-                        update = divider(load_config(update, "<shard-update>"))
+                    delta = cmd[1]
+                    if share is not None:
+                        delta = _divided_delta(delta, router, *share)
                     plane = ControlPlane(router)
-                    delta, _new_graph = plane.resolve(update)
-                    resolved = _time.perf_counter()
                     batch = None
                     if not (delta.empty or delta.structural):
                         batch = plane.stage_patch(delta)
@@ -583,20 +637,13 @@ def _shard_worker(
                     elif batch is None:
                         send(("staged", "structural"))
                     else:
-                        staged = (
-                            plane,
-                            batch,
-                            delta,
-                            resolved - started,
-                            _time.perf_counter() - resolved,
-                        )
+                        staged = (plane, batch, delta, _time.perf_counter() - started)
                         send(("staged", "ok"))
             elif op == "update_commit":
-                plane, batch, delta, diff_seconds, stage_seconds = staged
+                plane, batch, delta, stage_seconds = staged
                 staged = None
                 report = plane.commit_patch(batch, delta)
                 router = plane.router
-                report.phases["diff"] = diff_seconds
                 report.phases["stage"] = stage_seconds
                 report.phases.move_to_end("patch")
                 send(("committed", report))
@@ -642,7 +689,7 @@ def _shard_worker(
                 send(("stopped",))
                 break
             else:
-                router, swap_report = _apply_shard_control(router, cmd, divider)
+                router, swap_report = _apply_shard_control(router, cmd, share)
         except PoisonFrameError:
             raise
         except Exception as exc:  # noqa: BLE001 - reported through the protocol
@@ -911,6 +958,32 @@ class _ProcessTransport:
 _TRANSPORTS = {"thread": _ThreadTransport, "process": _ProcessTransport}
 
 
+class _Update(NamedTuple):
+    """One update as the coordinator resolved it: the ``delta`` every
+    shard gets, the ``graph`` it commits (None until
+    :meth:`against` computes it), and the configuration ``text`` it was
+    given as, with its statement ``ends`` (both None when unknown)."""
+
+    delta: object
+    graph: object
+    text: object
+    ends: object
+
+    def against(self, committed):
+        """This update with its graph: ``delta`` applied to ``committed``."""
+        if self.graph is not None:
+            return self
+        return self._replace(graph=self.delta.apply_to(committed))
+
+    def inverse(self, committed):
+        """The delta that takes a shard from this update's graph back to
+        ``committed`` (removed elements return at the end of declaration
+        order)."""
+        from ..graph.diff import diff_graphs
+
+        return diff_graphs(self.against(committed).graph, committed)
+
+
 class _Shard:
     """The coordinator's record of one shard: the transport hosting its
     current worker, and what must survive a restart — the flush cursor
@@ -967,7 +1040,11 @@ class ShardedRouter:
         # starts from it, whatever the plane has committed since.
         self._birth = graph
         self._graph = graph
-        self._text = None  # the committed configuration as text, once known
+        # The committed configuration as text, when an update gave it,
+        # and its top-level statement ends when the next text update
+        # may re-parse only what it edited (lang/region.py).
+        self._text = None
+        self._ends = None
         self.meter = meter
         self.devices = {} if devices is None else devices
         self._extra_classes = extra_classes
@@ -992,30 +1069,21 @@ class ShardedRouter:
 
     @property
     def graph(self):
-        """The configuration every live shard last acknowledged.  A
-        commit stores its text, which is parsed only when this is read,
-        so the commit path never parses."""
-        if self._graph is None:
-            from ..core.toolchain import load_config
-
-            graph = load_config(self._text, "<shard-graph>")
-            if graph.element_classes:
-                from ..core.flatten import flatten
-
-                graph = flatten(graph)
-            self._graph = graph
+        """The configuration every live shard last acknowledged."""
         return self._graph
 
     def _committed_text(self):
-        """The text of :attr:`graph`: what a rollback re-sends."""
+        """The text of :attr:`graph`: what a rejected hot-swap re-sends."""
         if self._text is None:
             from ..core.toolchain import save_config
 
             self._text = save_config(self._graph)
         return self._text
 
-    def _commit(self, text):
-        self._text, self._graph = text, None
+    def _commit(self, update):
+        """Advance the plane to ``update`` (an :class:`_Update`)."""
+        update = update.against(self._graph)
+        self._graph, self._text, self._ends = update.graph, update.text, update.ends
 
     def _mirrored_devices(self):
         """The device names every shard mirrors, in deterministic flush
@@ -1399,40 +1467,51 @@ class ShardedRouter:
         plane's graph and journal only ever name a configuration every
         live shard acknowledged.  Returns self (the sharded router's
         identity is stable)."""
-        from ..core.toolchain import save_config
+        from ..core.toolchain import load_config, save_config
 
-        text = new_graph if isinstance(new_graph, str) else save_config(new_graph)
         self._ensure_started()
-        self._swap_live("hotswap", text)
+        if isinstance(new_graph, str):
+            text, graph = new_graph, load_config(new_graph, "<hotswap>")
+        else:
+            text, graph = save_config(new_graph), new_graph.copy()
+        if graph.element_classes:
+            from ..core.flatten import flatten
+
+            graph = flatten(graph)
+        self._swap_live(("hotswap", text), _Update(None, graph, text, None))
         return self
 
-    def _swap_live(self, op, text):
-        """Install configuration ``text`` on every live shard through
-        per-shard transactional swaps (``op`` is ``"hotswap"`` or
-        ``"update"``), each acknowledged by the sync that follows it.
-        If any shard rejects, the shards that swapped are swapped back
-        and the first rejection re-raised; only when all acknowledged
-        is the command journaled (to every shard, down ones included)
-        and the plane's graph advanced.  Returns the first shard's
+    def _swap_live(self, cmd, update):
+        """Install ``cmd`` (``("hotswap", text)`` or ``("update",
+        delta)``) on every live shard through per-shard transactional
+        swaps, each acknowledged by the sync that follows it, advancing
+        the plane to ``update``.  If any shard rejects, the shards that
+        swapped are swapped back (the old text, or the inverse delta)
+        and the first rejection re-raised; only when all acknowledged is
+        the command journaled (to every shard, down ones included) and
+        the plane's graph advanced.  Returns the first shard's
         :class:`~repro.elements.hotswap.SwapReport`."""
         live = self._live_shards()
         if not live:
             raise RecoveryError("every shard is down; nothing to swap")
-        old_text = self._committed_text()
         for shard in live:
-            self._send(shard, (op, text))
+            self._send(shard, cmd)
         replies = self._ask(live, ("sync",), settle=False)
         rejections = [reply[1] for _shard, reply in replies if reply[0] == "error"]
         if rejections:
             swapped = [shard for shard, reply in replies if reply[0] != "error"]
+            if cmd[0] == "update":
+                undo = ("update", update.inverse(self._graph))
+            else:
+                undo = ("hotswap", self._committed_text())
             for shard in swapped:
-                self._send(shard, (op, old_text))
+                self._send(shard, undo)
             self._ask(swapped, ("sync",))
             raise rejections[0]
         if not replies:
             raise RecoveryError("every shard went down during the swap; nothing installed")
-        self._control((op, text), deliver=False)
-        self._commit(text)
+        self._control(cmd, deliver=False)
+        self._commit(update)
         self._device_names = self._mirrored_devices()
         return replies[0][1][2]
 
@@ -1440,31 +1519,91 @@ class ShardedRouter:
         """Install one control-plane update on *every* shard
         transactionally.
 
-        Pure-data deltas use two-phase commit: phase one stages the
-        parsed, validated new tables on every shard (no mutation);
-        only when every shard staged cleanly does phase two commit them
-        all — a rejection anywhere leaves every shard serving the old
-        tables.  Structural deltas hot-swap shard by shard with
-        rollback on failure.  Returns the first live shard's
+        ``update`` is a :class:`~repro.graph.diff.GraphDelta`, a graph,
+        or configuration text, resolved here once into a delta against
+        :attr:`graph` — text by re-parsing only the statements it edited
+        when that can only rewrite configuration strings, by a full
+        parse otherwise — and the workers and the journal get the
+        delta.  Pure-data deltas use two-phase commit: phase one stages
+        the validated new tables on every shard (no mutation); only when
+        every shard staged cleanly does phase two commit them all — a
+        rejection anywhere leaves every shard serving the old tables.
+        Structural deltas hot-swap shard by shard with rollback on
+        failure.  Returns the first live shard's
         :class:`~repro.elements.hotswap.SwapReport` (it rides back on
-        the commit acknowledgement)."""
-        from ..core.toolchain import save_config
-
+        the commit acknowledgement), its ``diff`` phase the resolve."""
         self._ensure_started()
         self._updates += 1
+        started = _time.perf_counter()
+        resolved = self._resolve(update)
+        seconds = _time.perf_counter() - started
+        report = self._two_phase(resolved)
+        report.phases["diff"] = seconds
+        report.phases.move_to_end("diff", last=False)
+        return report
+
+    def _resolve(self, update):
+        """``update`` as an :class:`_Update` against :attr:`graph`.  The
+        full parse is the semantics, and raises the canonical errors;
+        the region re-parse only ever short-cuts to the same delta."""
+        from ..graph.diff import GraphDelta, diff_graphs
+
+        if isinstance(update, GraphDelta):
+            return _Update(update, None, None, None)
+        text = ends = None
         if isinstance(update, str):
+            from ..core.toolchain import load_config
+            from ..lang.archive import is_archive
+            from ..lang.region import parse_with_ends
+
             text = update
-        else:
-            # The journal's replayable form is text; a bare GraphDelta
-            # is materialized against the plane's graph.
-            from ..graph.diff import GraphDelta
+            if is_archive(text):
+                update = load_config(text, "<update>")
+            else:
+                edited = self._edited(text)
+                if edited is not None:
+                    return edited
+                update, ends = parse_with_ends(text, "<update>")
+                if update.element_classes:
+                    ends = None
+        if update.element_classes:
+            from ..core.flatten import flatten
 
-            if isinstance(update, GraphDelta):
-                update = update.apply_to(self.graph)
-            text = save_config(update)
-        return self._two_phase(text)
+            update = flatten(update)
+        return _Update(diff_graphs(self._graph, update), None, text, ends)
 
-    def _two_phase(self, text, retried=False):
+    def _edited(self, text):
+        """The :class:`_Update` for ``text`` from re-parsing only the
+        statements that differ from the committed text, or None when
+        only a full parse can resolve it: no committed text to compare
+        with, an edited region that does not parse alone, or one that
+        holds anything but declarations keeping their names and class."""
+        from ..graph.diff import ElementChange, GraphDelta
+        from ..lang.region import reparse_edit
+
+        if self._ends is None:
+            return None
+        try:
+            found = reparse_edit(self._text, self._ends, text)
+        except Exception:  # noqa: BLE001 - the full parse decides
+            return None
+        if found is None:
+            return None
+        pairs, ends = found
+        elements = self._graph.elements
+        changed = []
+        for old, new in pairs:
+            for name in new.names:
+                decl = elements.get(name)
+                if decl is None or decl.class_name != new.class_name or decl.config != old.config:
+                    return None
+                if new.config != old.config:
+                    changed.append(
+                        ElementChange(name, decl.class_name, decl.class_name, old.config, new.config)
+                    )
+        return _Update(GraphDelta(changed=changed), None, text, ends)
+
+    def _two_phase(self, update, retried=False):
         from ..elements.hotswap import SwapReport
 
         recovery = self._recovery
@@ -1477,7 +1616,8 @@ class ShardedRouter:
         # that dies or hangs mid-phase must not wedge the whole plane's
         # control path.
         prepare = recovery.config.prepare_timeout if recovery is not None else None
-        verdicts = self._ask(live, ("update_stage", text), timeout=prepare)
+        delta = update.delta
+        verdicts = self._ask(live, ("update_stage", delta), timeout=prepare)
         staged = [shard for shard, _verdict in verdicts]
         kinds = {verdict[1] for _shard, verdict in verdicts}
         if len(staged) < len(live):
@@ -1485,7 +1625,7 @@ class ShardedRouter:
             # dead back (their journals have no trace of this update),
             # and run the whole update once more on the full plane.
             self._abort(staged)
-            return self._retry_update(text, retried)
+            return self._retry_update(update, retried)
         if "rejected" in kinds:
             self._abort(staged)
             raise next(verdict[2] for _shard, verdict in verdicts if verdict[1] == "rejected")
@@ -1499,15 +1639,15 @@ class ShardedRouter:
                 # commit (or mid-commit).  Roll the confirmed survivors
                 # back to the old tables, restore the dead, and retry
                 # the update once against the whole plane.
-                self._rollback_committed([shard for shard, _ack in committed])
-                return self._retry_update(text, retried)
-            self._control(("update", text), deliver=False)
-            self._commit(text)
+                self._rollback_committed([shard for shard, _ack in committed], update)
+                return self._retry_update(update, retried)
+            self._control(("update", delta), deliver=False)
+            self._commit(update)
             return committed[0][1][1]
         # Structural (or not patchable in place) somewhere: per-shard
         # transactional swaps, rolled back together on failure.
         self._abort(staged)
-        return self._swap_live("update", text)
+        return self._swap_live(("update", delta), update)
 
     def _abort(self, shards):
         for shard in shards:
@@ -1522,16 +1662,16 @@ class ShardedRouter:
         if hook is not None:
             hook(self._updates)
 
-    def _rollback_committed(self, shards):
+    def _rollback_committed(self, shards, update):
         """Mid-commit failure: surviving shards that already committed
-        re-apply the *old* configuration, so every live shard serves
-        the same tables while the dead one recovers."""
-        old_text = self._committed_text()
+        apply the inverse delta, so every live shard serves the last
+        committed tables while the dead one recovers."""
+        undo = ("update", update.inverse(self._graph))
         for shard in shards:
-            self._send(shard, ("update", old_text))
+            self._send(shard, undo)
         self._ask(shards, ("sync",))
 
-    def _retry_update(self, text, already_retried):
+    def _retry_update(self, update, already_retried):
         """Force the dead shards back up (no backoff — the control
         plane is blocked on them) and re-run the update across the
         whole plane, once."""
@@ -1542,7 +1682,7 @@ class ShardedRouter:
             )
         for index in list(self._recovery.down_indices()):
             self._recovery.attempt_restart(index, force=True)
-        return self._two_phase(text, retried=True)
+        return self._two_phase(update, retried=True)
 
     # -- worker faults -----------------------------------------------------
 

@@ -88,3 +88,16 @@ class TestDiff:
         delta = GraphDelta(removed=["c"])
         assert delta.structural
         assert delta.dirty_names() == {"c"}
+
+    def test_archive_members_ride_with_the_delta(self):
+        """Members the new graph adds or rewrites are carried, so that
+        ``apply_to`` can build a generated class an added element needs;
+        they neither make a delta non-empty nor show in ``as_dict``."""
+        old, new = parse_graph(BASE), parse_graph(BASE)
+        old.archive["kept.py"] = "A = 1\n"
+        new.archive["kept.py"] = "A = 1\n"
+        new.archive["gen.py"] = "B = 2\n"
+        delta = diff_graphs(old, new)
+        assert delta.archive == {"gen.py": "B = 2\n"}
+        assert delta.empty and "archive" not in delta.as_dict()
+        assert dict(delta.apply_to(old).archive) == dict(new.archive)

@@ -29,7 +29,13 @@ from repro.verify.oracle import sharded_transmit_difference
 
 
 def sharded_testbed(
-    workers, backend="thread", meter=None, journal=None, variant="base", recovery=None
+    workers,
+    backend="thread",
+    meter=None,
+    journal=None,
+    variant="base",
+    recovery=None,
+    divide_capacity=False,
 ):
     """A live iprouter plane: ShardedRouter above 1 worker, seeded ARP,
     self-healing under the ``recovery`` config when one is given."""
@@ -41,7 +47,7 @@ def sharded_testbed(
     }
     profile = ExecutionProfile.fast(batch=True)
     if workers > 1:
-        profile = profile.with_workers(workers, backend)
+        profile = profile.with_workers(workers, backend, divide_capacity=divide_capacity)
     if recovery is not None:
         profile = profile.with_recovery(config=recovery)
     router = build_router(graph, meter=meter, devices=devices, profile=profile)
@@ -299,6 +305,95 @@ class TestControlFanout:
             assert sum(len(d.transmitted) for d in devices.values()) == 128
         finally:
             router.close()
+
+
+    def test_rejected_structural_update_swaps_back_by_inverse_delta(self):
+        """A structural update one shard rejects: the shard that swapped
+        applies the inverse delta, so every shard serves the last
+        committed tables, the plane's graph stays the committed one,
+        and the journal never names the rejected update."""
+        testbed, router, devices = sharded_testbed(
+            2, self.backend, journal=True, divide_capacity=True
+        )
+        try:
+            drive(testbed, router, devices, 64)
+            routes = "1.0.0.1/32 0, 2.0.0.1/32 0, 2.0.0.0/8 2, 1.0.0.0/8 1"
+            first = router.graph.copy()
+            first.elements["rt"].config = routes
+            assert router.apply_update(save_config(first)).kind == "in-place"
+            committed = router.graph
+            # Queue(7) divides into 4 and 3, and PickyQueue refuses an
+            # odd capacity: shard 0 swaps, shard 1 rejects.
+            picky = committed.copy()
+            picky.elements["out0"].class_name = "PickyQueue"
+            picky.elements["out0"].config = "7"
+            picky.elements["rt"].config = "2.0.0.0/8 2, 1.0.0.0/8 1"
+            picky.archive["picky.py"] = PICKY_QUEUE
+            with pytest.raises(ControlPlaneError, match="odd capacity 3"):
+                router.apply_update(save_config(picky))
+            assert router.graph is committed
+            replies = router._ask(router._live_shards(), ("counters",))
+            assert [(reply[1]["rt.config"], reply[1]["out0.config"]) for _s, reply in replies] == [
+                (routes, "32"),
+                (routes, "32"),
+            ]
+            assert [cmd[0] for cmd in router._journals[0]].count("update") == 1
+            drive(testbed, router, devices, 64, offset=64)
+            assert sum(len(d.transmitted) for d in devices.values()) == 128
+            before = transmitted_hex(devices)
+            router.crash_worker(0)
+            assert transmitted_hex(devices) == before
+        finally:
+            router.close()
+
+    def test_divide_capacity_divides_an_update(self):
+        """Under ``divide_capacity`` a queue capacity an update rewrites
+        (a structural delta: a queue is not patched in place) reaches
+        each shard as its share, and replaying the journaled delta on a
+        fresh worker gives the same share."""
+        from repro.graph.diff import GraphDelta
+
+        testbed, router, devices = sharded_testbed(
+            2, self.backend, journal=True, divide_capacity=True
+        )
+        try:
+            drive(testbed, router, devices, 64)
+            graph = router.graph.copy()
+            graph.elements["out0"].config = "129"
+            assert router.apply_update(save_config(graph)).kind == "scoped-swap"
+
+            def shares():
+                replies = router._ask(router._live_shards(), ("counters",))
+                return [reply[1]["out0.config"] for _shard, reply in replies]
+
+            assert shares() == ["65", "64"]
+            updates = [cmd[1] for cmd in router._journals[1] if cmd[0] == "update"]
+            assert len(updates) == 1 and isinstance(updates[0], GraphDelta)
+            router.crash_worker(0)
+            router.crash_worker(1)
+            assert shares() == ["65", "64"]
+            drive(testbed, router, devices, 64, offset=64)
+            assert sum(len(d.transmitted) for d in devices.values()) == 128
+        finally:
+            router.close()
+
+
+#: A generated element class (an archive member, so it reaches process
+#: workers with the update): a Queue that refuses an odd capacity.
+PICKY_QUEUE = """from repro.elements.infrastructure import Queue
+
+
+class PickyQueue(Queue):
+    class_name = "PickyQueue"
+
+    def configure(self, args):
+        super().configure(args)
+        if self.capacity % 2:
+            raise ValueError("odd capacity %d" % self.capacity)
+
+
+ELEMENT_EXPORTS = [PickyQueue]
+"""
 
 
 class TestControlFanoutOverProcess(TestControlFanout):
