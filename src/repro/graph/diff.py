@@ -65,7 +65,10 @@ class GraphDelta:
     changed, on elements that exist on both sides with the same class.
     ``archive`` holds the archive members (generated element classes)
     the new side adds or rewrites, so that :meth:`apply_to` can build
-    classes an added element needs; it is carried, not compared.
+    classes an added element needs; ``after`` maps each added name, in
+    the new side's declaration order, to the name it follows there (None
+    for the first), so that :meth:`apply_to` puts it there (a delta
+    without it appends).  Both are carried, not compared.
     """
 
     __slots__ = (
@@ -75,6 +78,7 @@ class GraphDelta:
         "added_connections",
         "removed_connections",
         "archive",
+        "after",
     )
 
     def __init__(
@@ -85,6 +89,7 @@ class GraphDelta:
         added_connections=(),
         removed_connections=(),
         archive=None,
+        after=None,
     ):
         self.added = list(added)
         self.removed = list(removed)
@@ -92,6 +97,7 @@ class GraphDelta:
         self.added_connections = list(added_connections)
         self.removed_connections = list(removed_connections)
         self.archive = dict(archive) if archive else {}
+        self.after = dict(after) if after else {}
 
     @property
     def empty(self):
@@ -129,7 +135,8 @@ class GraphDelta:
         """A copy of ``graph`` with this delta applied (removals first,
         then additions, then config/class changes).  The inverse of
         :func:`diff_graphs`: ``diff_graphs(old, new).apply_to(old)``
-        equals ``new`` up to declaration order."""
+        equals ``new``, declaration order included unless ``new``
+        reorders elements both sides declare."""
         result = graph.copy()
         for conn in self.removed_connections:
             if conn in result.connections:
@@ -139,6 +146,12 @@ class GraphDelta:
                 result.remove_element(name)
         for name, class_name, config in self.added:
             result.add_element(name, class_name, config)
+        if self.after:
+            order = [name for name in result.elements if name not in self.after]
+            for name, previous in self.after.items():
+                order.insert(0 if previous is None else order.index(previous) + 1, name)
+            for name in order:
+                result.elements.move_to_end(name)
         for conn in self.added_connections:
             result.add_connection(conn.from_element, conn.from_port, conn.to_element, conn.to_port)
         for change in self.changed:
@@ -191,12 +204,15 @@ def diff_graphs(old, new):
     can reproduce ``new`` from ``old`` via :meth:`GraphDelta.apply_to`.
     """
     added = []
+    after = {}
     removed = []
     changed = []
+    previous = None
     for name, decl in new.elements.items():
         old_decl = old.elements.get(name)
         if old_decl is None:
             added.append((name, decl.class_name, decl.config))
+            after[name] = previous
         elif old_decl.class_name != decl.class_name or old_decl.config != decl.config:
             changed.append(
                 ElementChange(
@@ -207,6 +223,7 @@ def diff_graphs(old, new):
                     decl.config,
                 )
             )
+        previous = name
     for name in old.elements:
         if name not in new.elements:
             removed.append(name)
@@ -232,4 +249,5 @@ def diff_graphs(old, new):
         added_connections=added_connections,
         removed_connections=removed_connections,
         archive=archive,
+        after=after,
     )

@@ -44,44 +44,28 @@ output per-flow byte-identical plus per-device multiset-identical
 (:func:`repro.verify.oracle.sharded_transmit_difference`), never as one
 global sequence.
 
-Control-plane operations fan out to every shard: ARP inserts, epoch
-bumps, forced deopts, hot-swaps, and — via :meth:`ShardedRouter.apply_update`
-— incremental updates.  The coordinator resolves an update once into a
-:class:`~repro.graph.diff.GraphDelta` (re-parsing only the statements a
-text update edited, when that can only rewrite configuration strings),
-and the workers and the journal get the delta, never text to parse.
-Updates commit *transactionally*: a pure-data delta is staged on every
-shard (validation, no mutation) and only then committed everywhere, so
-a rejected update leaves all shards serving the old tables; a
-structural delta — like :meth:`ShardedRouter.hotswap_all` — swaps every
-shard with an acknowledged reply, rolls the swapped ones back (by the
-inverse delta) if any rejects, and is journaled only once every live
-shard acknowledged.
+Control-plane operations fan out to every shard as events of
+:mod:`repro.events`, which a worker runs through the same
+:func:`repro.events.apply` the oracle does.  The coordinator resolves an
+update or a hot-swap once into a :class:`~repro.graph.diff.GraphDelta`
+(re-parsing only the statements a text update edited, when it can), and
+the workers and the journal get the delta: no worker parses text after
+it is built.  A pure-data update is staged on every shard and only then
+committed everywhere, so a rejected update leaves every shard on the old
+tables; a structural one, like :meth:`ShardedRouter.hotswap_all`, swaps
+shard by shard and swaps the swapped ones back by the inverse delta if
+any rejects.  Either is journaled only once every live shard
+acknowledged it.
 
-Worker faults: ``worker_crash`` faults (:mod:`repro.sim.faults`) kill a
-shard; recovery restarts it and replays the shard's command journal —
-every frame batch, scheduler run, transmit-window mirror, and control
-operation since birth — which, everything being deterministic,
-reconstructs byte-identical shard state (the device-fail analog with a
-supervisor-grade recovery story).
-
-Self-healing: when the profile carries a
-:class:`~repro.runtime.recovery.RecoveryConfig`, a
-:class:`~repro.runtime.recovery.RecoveryManager` closes the loop
-autonomously — one health seam (a ``send`` refused, a ``recv`` past its
-reply deadline, ``alive()`` false at the per-batch sweep) detects dead
-or hung workers without an operator, journal replay restarts them under
-seeded exponential backoff with a restart budget and poison-frame
-quarantine (batch replay first, frame-granular replay to attribute a
-killer frame to its exact journal position), and while a
-shard is down its flows follow the profile's recovery policy: buffered
-for redelivery, re-steered onto survivors through a rendezvous overlay,
-or failed fast.  The journal-then-send invariant makes this safe: every
+Worker faults: a shard's journal holds everything it was given since
+birth, so a fresh worker that replays it reconstructs byte-identical
+state — how ``crash_worker`` and self-healing
+(:mod:`repro.runtime.recovery`) restart a shard, and what
+:meth:`ShardedRouter.export_case` writes as an oracle case.  Every
 command is journaled *before* delivery is attempted, so a command
-refused by a dying worker is reconstructed by replay, never lost —
-and a down shard's partial output is never flushed (replay regenerates
-deterministic output, and the flush cursor delivers everything past it
-exactly once).
+refused by a dying worker is reconstructed by replay, never lost; and a
+down shard's partial output is never flushed (replay regenerates it,
+and the flush cursor delivers everything past it exactly once).
 
 Cross-worker safety notes (the audit thread-hosted workers forced):
 ``ELEMENT_CLASSES`` is a read-only registry after import; the dest-IP
@@ -103,6 +87,7 @@ import time as _time
 from collections import OrderedDict
 from typing import NamedTuple
 
+from ..events import apply, case_events, read_counters
 from .flowhash import DEFAULT_SEED, FlowHasher
 from .profile import ExecutionProfile
 from .recovery import PoisonFrameError, RecoveryError, ReplayFrameError
@@ -305,6 +290,7 @@ def _divided_delta(delta, router, index, workers):
         added_connections=delta.added_connections,
         removed_connections=delta.removed_connections,
         archive=delta.archive,
+        after=delta.after,
     )
 
 
@@ -460,46 +446,6 @@ def _build_shard(config, profile, device_names, metered, shard_index, extra_clas
     return router, devices, share
 
 
-def _apply_shard_control(router, cmd, share=None):
-    """Apply one journaled control command to the shard's router;
-    returns ``(router, SwapReport or None)`` — the router changes
-    identity across a swap.  Runs on the live path and under journal
-    replay, so it must be deterministic."""
-    op = cmd[0]
-    report = None
-    if op == "insert":
-        element = router.find(cmd[1])
-        if element is not None and hasattr(element, "insert"):
-            element.insert(cmd[2], cmd[3])
-    elif op == "bump_epochs":
-        router.bump_arp_epochs()
-    elif op == "deopt":
-        router.force_deopt()
-    elif op == "configure":
-        router.configure(cmd[1].shard_local())
-    elif op == "hotswap":
-        from ..core.toolchain import load_config
-        from ..elements.hotswap import hotswap
-
-        new_graph = load_config(cmd[1], "<shard-hotswap>")
-        if share is not None:
-            new_graph = divide_queue_capacities(new_graph, *share)
-        result = hotswap(router, new_graph)
-        router, report = result.router, result.report
-    elif op == "update":
-        from ..control import ControlPlane
-
-        delta = cmd[1]
-        if share is not None:
-            delta = _divided_delta(delta, router, *share)
-        plane = ControlPlane(router)
-        report = plane.apply(delta)
-        router = plane.router
-    else:
-        raise ValueError("unknown shard control command %r" % (op,))
-    return router, report
-
-
 #: Commands the coordinator waits on: each is answered exactly once,
 #: with its reply or with ``("error", exception)`` — never with silence,
 #: which the coordinator could only tell from a hang.
@@ -547,6 +493,7 @@ def _shard_worker(
     An armed poison frame raises :class:`PoisonFrameError` *out of*
     the loop: the host turns that into the worker's death."""
     from ..control import ControlPlane
+    from ..graph.diff import GraphDelta
 
     # A worker holds only output the coordinator has not consumed.  The
     # flush cursor and the transmit mirrors count from the worker's
@@ -668,14 +615,7 @@ def _shard_worker(
                 meter = router.meter.summary() if router.meter is not None else None
                 send(("collected", fresh, meter))
             elif op == "counters":
-                values = {}
-                for name, element in sorted(router.elements.items()):
-                    for handler, fn in sorted(element.read_handlers().items()):
-                        value = fn()
-                        if not isinstance(value, (int, float, str, bool, type(None))):
-                            value = repr(value)
-                        values["%s.%s" % (name, handler)] = value
-                send(("counters", values))
+                send(("counters", read_counters(router)))
             elif op == "arp_epoch_holders":
                 # How many elements ``Router.bump_arp_epochs`` bumps.
                 holders = sum(
@@ -689,7 +629,11 @@ def _shard_worker(
                 send(("stopped",))
                 break
             else:
-                router, swap_report = _apply_shard_control(router, cmd, share)
+                # A control event (repro.events).  A delta arrives
+                # undivided, as the journal holds it.
+                if share is not None and isinstance(cmd[-1], GraphDelta):
+                    cmd = (op, _divided_delta(cmd[1], router, *share))
+                router, swap_report = apply(router, cmd)
         except PoisonFrameError:
             raise
         except Exception as exc:  # noqa: BLE001 - reported through the protocol
@@ -977,8 +921,7 @@ class _Update(NamedTuple):
 
     def inverse(self, committed):
         """The delta that takes a shard from this update's graph back to
-        ``committed`` (removed elements return at the end of declaration
-        order)."""
+        ``committed`` (removed elements return to their old places)."""
         from ..graph.diff import diff_graphs
 
         return diff_graphs(self.against(committed).graph, committed)
@@ -1010,7 +953,7 @@ class ShardedRouter:
     ``configure``/``profile``, ``retire`` — plus the sharded extras:
     :meth:`apply_update` (transactional control-plane commit across all
     shards), :meth:`hotswap_all`, :meth:`crash_worker` (fault-injection
-    hook), :meth:`merged_counters`, and :meth:`report`.
+    hook), :meth:`merged_counters`, :meth:`report` and :meth:`export_case`.
 
     Built by :func:`repro.elements.runtime.build_router` whenever the
     profile carries ``workers > 1``; a plain ``Router`` refuses such a
@@ -1072,14 +1015,6 @@ class ShardedRouter:
         """The configuration every live shard last acknowledged."""
         return self._graph
 
-    def _committed_text(self):
-        """The text of :attr:`graph`: what a rejected hot-swap re-sends."""
-        if self._text is None:
-            from ..core.toolchain import save_config
-
-            self._text = save_config(self._graph)
-        return self._text
-
     def _commit(self, update):
         """Advance the plane to ``update`` (an :class:`_Update`)."""
         update = update.against(self._graph)
@@ -1132,7 +1067,7 @@ class ShardedRouter:
         self._profile = profile
         self.hasher = FlowHasher(max(1, profile.workers), DEFAULT_SEED)
         if self._started and profile != live:
-            self._control(("configure", profile))
+            self._control(("configure", profile.shard_local()))
         return self
 
     # -- lifecycle ---------------------------------------------------------
@@ -1169,6 +1104,13 @@ class ShardedRouter:
         for index in range(self.workers):
             transport = host(self, index)
             self._shards.append(_Shard(index, transport, self._device_names))
+
+    def _need_journal(self, what):
+        if not getattr(self, "_journal_enabled", False):
+            raise RuntimeError(
+                "%s needs the command journal: build the ShardedRouter with journal=True, "
+                "a fault injector or a recovery policy" % what
+            )
 
     def _journal_cmd(self, index, cmd):
         if self._journal_enabled:
@@ -1461,49 +1403,31 @@ class ShardedRouter:
         return self._profile.mode in ("adaptive", "fdd")
 
     def hotswap_all(self, new_graph):
-        """Hot-swap every shard to ``new_graph`` (text or graph).  Each
-        per-shard swap is transactional; a failure on any shard rolls
-        the ones that swapped back to the old configuration, and the
-        plane's graph and journal only ever name a configuration every
-        live shard acknowledged.  Returns self (the sharded router's
-        identity is stable)."""
-        from ..core.toolchain import load_config, save_config
-
+        """Hot-swap every shard, transactionally, to ``new_graph``: a
+        delta, a graph or text, resolved as :meth:`apply_update` resolves
+        an update.  Returns the first shard's ``SwapReport``."""
         self._ensure_started()
-        if isinstance(new_graph, str):
-            text, graph = new_graph, load_config(new_graph, "<hotswap>")
-        else:
-            text, graph = save_config(new_graph), new_graph.copy()
-        if graph.element_classes:
-            from ..core.flatten import flatten
+        return self._swap_live("hotswap", self._resolve(new_graph))
 
-            graph = flatten(graph)
-        self._swap_live(("hotswap", text), _Update(None, graph, text, None))
-        return self
-
-    def _swap_live(self, cmd, update):
-        """Install ``cmd`` (``("hotswap", text)`` or ``("update",
-        delta)``) on every live shard through per-shard transactional
-        swaps, each acknowledged by the sync that follows it, advancing
-        the plane to ``update``.  If any shard rejects, the shards that
-        swapped are swapped back (the old text, or the inverse delta)
-        and the first rejection re-raised; only when all acknowledged is
-        the command journaled (to every shard, down ones included) and
-        the plane's graph advanced.  Returns the first shard's
+    def _swap_live(self, kind, update):
+        """Install ``update`` (an :class:`_Update`) as ``(kind, delta)``
+        on every live shard, each swap acknowledged by the sync after
+        it.  If any shard rejects, the ones that swapped get the inverse
+        delta and the first rejection is re-raised; only when all
+        acknowledged is the command journaled (to every shard, down ones
+        included) and the plane advanced.  Returns the first shard's
         :class:`~repro.elements.hotswap.SwapReport`."""
         live = self._live_shards()
         if not live:
             raise RecoveryError("every shard is down; nothing to swap")
+        cmd = (kind, update.delta)
         for shard in live:
             self._send(shard, cmd)
         replies = self._ask(live, ("sync",), settle=False)
         rejections = [reply[1] for _shard, reply in replies if reply[0] == "error"]
         if rejections:
             swapped = [shard for shard, reply in replies if reply[0] != "error"]
-            if cmd[0] == "update":
-                undo = ("update", update.inverse(self._graph))
-            else:
-                undo = ("hotswap", self._committed_text())
+            undo = (kind, update.inverse(self._graph))
             for shard in swapped:
                 self._send(shard, undo)
             self._ask(swapped, ("sync",))
@@ -1647,7 +1571,7 @@ class ShardedRouter:
         # Structural (or not patchable in place) somewhere: per-shard
         # transactional swaps, rolled back together on failure.
         self._abort(staged)
-        return self._swap_live(("update", delta), update)
+        return self._swap_live("update", update)
 
     def _abort(self, shards):
         for shard in shards:
@@ -1696,12 +1620,7 @@ class ShardedRouter:
         leaves detection and restart to the recovery manager."""
         self._ensure_started()
         index = index % self.workers
-        if not self._journal_enabled:
-            raise RuntimeError(
-                "worker_crash needs the command journal; build the "
-                "ShardedRouter with journal=True or attach a fault injector "
-                "before the first operation"
-            )
+        self._need_journal("worker_crash")
         self._crashes += 1
         self._revive_shard(index)
 
@@ -1746,11 +1665,7 @@ class ShardedRouter:
         journaled, so replay re-dies on it until quarantine strips it
         and records the repro."""
         self._ensure_started()
-        if not self._journal_enabled:
-            raise RuntimeError(
-                "worker_poison needs the command journal; attach a fault "
-                "injector or a recovery policy before the first operation"
-            )
+        self._need_journal("worker_poison")
         self._control(("poison", bytes(frame)))
 
     # -- restart + journal replay ------------------------------------------
@@ -1839,6 +1754,29 @@ class ShardedRouter:
             journal[cmd_pos] = (op, name, frames)
         else:
             del journal[cmd_pos]
+
+    def export_case(self, index):
+        """Shard ``index``'s history as an oracle case
+        (:mod:`repro.verify.oracle`): its birth configuration, divided
+        under ``divide_capacity``, and its journal as case events
+        (:func:`repro.events.case_events`).  ``click-fuzz --repro`` runs
+        it under every mode, and the shrinker reduces it.  Needs the
+        journal."""
+        from ..core.toolchain import save_config
+
+        self._need_journal("export_case")
+
+        def text(graph):
+            if self._profile.divide_capacity:
+                graph = divide_queue_capacities(graph, index, self.workers)
+            return save_config(graph)
+
+        return {
+            "name": "shard-%d" % index,
+            "config": text(self._birth),
+            "events": case_events(self._journals[index], self._birth, text),
+            "optimize": False,
+        }
 
     # -- observability -----------------------------------------------------
 

@@ -333,7 +333,9 @@ def _recovery_shortfall(kind, checks):
     return None
 
 
-def compare_recovery(case, kind, policy="resteer", backend="thread", seed=1, workers=RECOVERY_WORKERS):
+def compare_recovery(
+    case, kind, policy="resteer", backend="thread", seed=1, workers=RECOVERY_WORKERS, collect=None
+):
     """Run one self-healing scenario and check the degraded contract.
 
     The faulted sharded plane (``workers`` shards on ``backend``, with
@@ -346,7 +348,9 @@ def compare_recovery(case, kind, policy="resteer", backend="thread", seed=1, wor
 
     Returns a JSON-safe dict shaped like :func:`compare_chaos` results,
     plus ``kind``/``policy``/``backend``/``checks`` and the sharded
-    plane's full report.
+    plane's full report; a failing one also carries ``cases``, each
+    shard's journal as an oracle case (``ShardedRouter.export_case``).
+    ``collect`` is called with the closed plane, as by ``run_case``.
     """
     if policy not in ("buffer", "resteer"):
         raise ValueError(
@@ -387,6 +391,8 @@ def compare_recovery(case, kind, policy="resteer", backend="thread", seed=1, wor
     affected = None
     if routers:
         router = routers[-1]
+        if collect is not None:
+            collect(router)
         report = router.report().as_dict()
         manager = getattr(router, "_recovery", None)
         if manager is not None and manager.affected_flows:
@@ -428,7 +434,7 @@ def compare_recovery(case, kind, policy="resteer", backend="thread", seed=1, wor
         status = "divergence"
     else:
         status = "ok"
-    return {
+    result = {
         "status": status,
         "kind": kind,
         "policy": policy,
@@ -439,6 +445,9 @@ def compare_recovery(case, kind, policy="resteer", backend="thread", seed=1, wor
         "report": report,
         "plan": plan.to_dict(),
     }
+    if failures and routers:
+        result["cases"] = [router.export_case(index) for index in range(workers)]
+    return result
 
 
 # -- CLI -----------------------------------------------------------------------

@@ -9,25 +9,11 @@ A *case* is a JSON-serializable dict::
      "optimize": bool}      # also run the `paper`-pipeline-optimized graph
 
 Events are small lists so cases round-trip through JSON repro files:
-
-- ``["frame", DEVICE, HEX]``     — frame arrives on DEVICE's receive ring
-- ``["run", N]``                 — N scheduler passes (``Router.run_tasks``)
-- ``["insert", ELEMENT, IP, ETH]`` — ARP-table insert (epoch bump included,
-  exactly as a real ARP reply would); a no-op when ELEMENT is missing, so
-  config shrinking never invalidates a trace
-- ``["bump_epochs"]``            — invalidate every baked ARP header guard
-- ``["deopt"]``                  — force the adaptive engine back to tier 1
-  (a no-op in the other modes, which is what makes it a valid
-  differential event: it may change *which tier* runs, never behaviour)
-- ``["hotswap"]`` / ``["hotswap", CONFIG]`` — transactionally hot-swap the
-  live router mid-trace (to the same configuration text, or to CONFIG),
-  transferring queue/ARP/counter state and carrying the execution mode;
-  a valid differential event because the swap preserves observable state
-  in every mode
-- ``["update"]`` / ``["update", CONFIG]`` — install the configuration as
-  an incremental control-plane update (:mod:`repro.control`): pure data
-  deltas patch tables in place, structural deltas run a delta-scoped
-  hot-swap; both must match a full rebuild bit for bit in every mode
+``["frame", DEVICE, HEX]``, ``["run", N]``, ``["insert", ...]``,
+``["hotswap", CONFIG]``, ``["update", CONFIG]`` and the rest of the
+vocabulary :mod:`repro.events` tabulates and interprets.  Every
+control event is a valid differential event: it may change which tier
+runs or how a configuration is installed, never observable behaviour.
 
 Cases may also carry a fault plan (see :mod:`repro.sim.faults` and
 :mod:`repro.verify.chaos`): ``run_case(..., plan=..., supervised=True)``
@@ -54,6 +40,7 @@ from ..core.pipeline import named_pipeline
 from ..core.toolchain import load_config, save_config
 from ..elements.devices import LoopbackDevice, PollDevice
 from ..elements.runtime import build_router
+from ..events import apply, read_counters
 from ..runtime.adaptive import AdaptiveConfig
 from ..runtime.profile import ExecutionProfile
 from ..runtime.shard import device_names_of
@@ -129,70 +116,6 @@ def optimize_config(config_text):
     return save_config(result.graph)
 
 
-def _execute(router, devices, events, config_text=None, injector=None):
-    """Drive one event trace; returns the live router (which changes
-    identity across ``hotswap`` events).  ``injector`` is ticked once
-    per ``run`` event so device faults land at the same scheduler pass
-    in every mode."""
-    for event in events:
-        kind = event[0]
-        if kind == "frame":
-            device = devices.get(event[1])
-            if device is not None:
-                device.receive_frame(bytes.fromhex(event[2]))
-        elif kind == "run":
-            if injector is not None:
-                injector.tick()
-            router.run_tasks(int(event[1]))
-        elif kind == "insert":
-            element = router.find(event[1])
-            if element is not None and hasattr(element, "insert"):
-                if injector is None:
-                    element.insert(event[2], event[3])
-                else:
-                    # Chaos runs: an injected fault firing inside the
-                    # ARP-reply flush is contained at this control-plane
-                    # boundary.  The abort point is count-based, so every
-                    # mode flushes the same prefix of held packets.
-                    try:
-                        element.insert(event[2], event[3])
-                    except Exception:  # noqa: BLE001
-                        pass
-        elif kind == "bump_epochs":
-            router.bump_arp_epochs()
-        elif kind == "deopt":
-            router.force_deopt()
-        elif kind == "hotswap":
-            text = event[1] if len(event) > 1 else config_text
-            if text is not None:
-                if getattr(router, "is_sharded", False):
-                    # The sharded plane swaps every shard transactionally
-                    # and keeps its own identity.
-                    router.hotswap_all(text)
-                else:
-                    from ..elements.hotswap import hotswap
-
-                    router = hotswap(router, load_config(text, "<hotswap>")).router
-        elif kind == "update":
-            # An incremental control-plane update: routed in place or
-            # through a delta-scoped swap by ControlPlane.  A valid
-            # differential event because both installation paths must
-            # preserve observable state in every mode.
-            text = event[1] if len(event) > 1 else config_text
-            if text is not None:
-                if getattr(router, "is_sharded", False):
-                    router.apply_update(text)
-                else:
-                    from ..control import ControlPlane
-
-                    plane = ControlPlane(router)
-                    plane.apply(text)
-                    router = plane.router
-        else:
-            raise ValueError("unknown fuzz event %r" % (kind,))
-    return router
-
-
 def observe(router, devices):
     """The externally visible state, as JSON-safe data: transmitted
     frames (hex) per device and every element read handler (a sharded
@@ -201,16 +124,8 @@ def observe(router, devices):
         name: [bytes(frame).hex() for frame in device.transmitted]
         for name, device in sorted(devices.items())
     }
-    if getattr(router, "is_sharded", False):
-        counters = router.merged_counters()
-    else:
-        counters = {}
-        for name, element in sorted(router.elements.items()):
-            for handler_name, fn in sorted(element.read_handlers().items()):
-                value = fn()
-                if not isinstance(value, (int, float, str, bool, type(None))):
-                    value = repr(value)
-                counters["%s.%s" % (name, handler_name)] = value
+    sharded = getattr(router, "is_sharded", False)
+    counters = router.merged_counters() if sharded else read_counters(router)
     return {"transmitted": transmitted, "counters": counters}
 
 
@@ -253,23 +168,30 @@ def run_case(
 
             injector = FaultInjector(plan)
             devices = injector.wrap_devices(devices)
-        if profile.workers > 1:
-            # The sharded plane starts its workers lazily, so the fault
-            # injector attaches (enabling the crash-replay journal)
-            # before the first operation.
-            router = build_router(load_config(text, "<fuzz>"), devices=devices, profile=profile)
-            if injector is not None:
-                injector.prepare_router(router)
-        else:
-            # Build in reference mode, wire faults, then apply the target
-            # profile — the compiler must see the fault wrappers.
-            router = build_router(load_config(text, "<fuzz>"), devices=devices)
-            if injector is not None:
-                injector.prepare_router(router)
-            router.configure(profile)
-        router = _execute(
-            router, devices, case["events"], config_text=text, injector=injector
+        # A single router is built in reference mode and compiled once
+        # the faults are wired, so the compiler sees the fault wrappers.
+        # The sharded plane starts its workers lazily, so the injector
+        # attaches (enabling the crash-replay journal) before they start.
+        sharded = profile.workers > 1
+        router = build_router(
+            load_config(text, "<fuzz>"), devices=devices, profile=profile if sharded else None
         )
+        if injector is not None:
+            injector.prepare_router(router)
+        if not sharded:
+            router.configure(profile)
+        for event in case["events"]:
+            if injector is not None and event[0] == "run":
+                injector.tick()  # device faults land at one pass in every mode
+            try:
+                router = apply(router, event, devices)[0]
+            except Exception:  # noqa: BLE001 - re-raised unless contained
+                # Chaos runs: an injected fault firing inside the ARP-reply
+                # flush is contained at this control-plane boundary.  The
+                # abort point is count-based, so every mode flushes the
+                # same prefix of held packets.
+                if injector is None or event[0] != "insert":
+                    raise
     except Exception as exc:  # noqa: BLE001 - the comparison IS the handling
         if router is not None and getattr(router, "is_sharded", False):
             router.close()

@@ -101,3 +101,35 @@ class TestDiff:
         assert delta.archive == {"gen.py": "B = 2\n"}
         assert delta.empty and "archive" not in delta.as_dict()
         assert dict(delta.apply_to(old).archive) == dict(new.archive)
+
+    def test_apply_to_keeps_declaration_order(self):
+        """An added element lands where the new side declares it, and
+        an inverse delta restores a removed one at its old place; a
+        delta that carries no position still appends."""
+        old = parse_graph(BASE)
+        new = parse_graph(
+            "head :: Idle; f :: Idle; mid :: Paint(1); q :: Queue(8); tail :: Idle;"
+            "mid2 :: Paint(2); u :: Unqueue; d :: Discard; f -> mid -> q -> u -> d;"
+        )
+        forward = diff_graphs(old, new)
+        assert forward.after == {"head": None, "mid": "f", "tail": "q", "mid2": "tail"}
+        assert list(forward.apply_to(old).elements) == list(new.elements)
+        assert list(diff_graphs(new, old).apply_to(new).elements) == list(old.elements)
+        bare = GraphDelta(added=[("z", "Idle", None)])
+        assert list(bare.apply_to(old).elements) == list(old.elements) + ["z"]
+
+    def test_apply_to_keeps_order_over_random_edits(self):
+        import random
+
+        rng = random.Random(7)
+        for _ in range(200):
+            names = ["e%d" % i for i in range(rng.randint(0, 8))]
+            kept = [name for name in names if rng.random() < 0.6]
+            fresh = ["n%d" % i for i in range(rng.randint(0, 4))]
+            merged = list(kept)
+            for name in fresh:
+                merged.insert(rng.randint(0, len(merged)), name)
+            old = parse_graph("".join("%s :: Idle;" % name for name in names))
+            new = parse_graph("".join("%s :: Idle;" % name for name in merged))
+            assert list(diff_graphs(old, new).apply_to(old).elements) == merged
+            assert list(diff_graphs(new, old).apply_to(new).elements) == names

@@ -229,7 +229,8 @@ def test_every_profile_note_is_the_live_trees_answer(seed, monkeypatch):
     two rules patches, though no patch rebuilds the flavor."""
     from repro.elements.devices import LoopbackDevice
     from repro.elements.runtime import build_router
-    from repro.verify.oracle import _execute, device_names
+    from repro.events import apply
+    from repro.verify.oracle import device_names
 
     noted = []
     live = []
@@ -260,7 +261,8 @@ def test_every_profile_note_is_the_live_trees_answer(seed, monkeypatch):
         profiled = router.engine.profiled
         for phase in (events[:first], events[first:second], events[second:]):
             del noted[:]
-            assert _execute(router, devices, phase) is router  # patched in place
+            for event in phase:
+                assert apply(router, event, devices)[0] is router  # patched in place
             assert len(noted) > 16, case["name"]
         assert router.engine.profiled is profiled and router.engine.diagram_rebuilds == 2
 

@@ -15,10 +15,11 @@ import pytest
 
 import repro
 from repro.control import ControlPlaneError
-from repro.core.toolchain import save_config
+from repro.core.toolchain import load_config, save_config
 from repro.elements.devices import LoopbackDevice
 from repro.elements.runtime import Router, build_router
 from repro.errors import ClickSemanticError
+from repro.events import apply
 from repro.lang.build import parse_graph
 from repro.runtime import ExecutionProfile, ShardedRouter, SPSCQueue
 from repro.runtime.codegen_cache import default_cache
@@ -312,6 +313,16 @@ class TestControlFanout:
         applies the inverse delta, so every shard serves the last
         committed tables, the plane's graph stays the committed one,
         and the journal never names the rejected update."""
+        self.check_one_shard_rejects(ShardedRouter.apply_update, ControlPlaneError)
+
+    def test_rejected_hotswap_swaps_back_by_inverse_delta(self):
+        """The same for a hot-swap: it reaches the shards as a delta, and
+        the shard that swapped is swapped back by the inverse delta."""
+        from repro.elements.hotswap import HotswapError
+
+        self.check_one_shard_rejects(ShardedRouter.hotswap_all, HotswapError)
+
+    def check_one_shard_rejects(self, install, expected):
         testbed, router, devices = sharded_testbed(
             2, self.backend, journal=True, divide_capacity=True
         )
@@ -329,8 +340,8 @@ class TestControlFanout:
             picky.elements["out0"].config = "7"
             picky.elements["rt"].config = "2.0.0.0/8 2, 1.0.0.0/8 1"
             picky.archive["picky.py"] = PICKY_QUEUE
-            with pytest.raises(ControlPlaneError, match="odd capacity 3"):
-                router.apply_update(save_config(picky))
+            with pytest.raises(expected, match="odd capacity 3"):
+                install(router, save_config(picky))
             assert router.graph is committed
             replies = router._ask(router._live_shards(), ("counters",))
             assert [(reply[1]["rt.config"], reply[1]["out0.config"]) for _s, reply in replies] == [
@@ -338,11 +349,31 @@ class TestControlFanout:
                 (routes, "32"),
             ]
             assert [cmd[0] for cmd in router._journals[0]].count("update") == 1
+            assert [cmd[0] for cmd in router._journals[0]].count("hotswap") == 0
             drive(testbed, router, devices, 64, offset=64)
             assert sum(len(d.transmitted) for d in devices.values()) == 128
             before = transmitted_hex(devices)
             router.crash_worker(0)
             assert transmitted_hex(devices) == before
+        finally:
+            router.close()
+
+    def test_identity_hotswap_is_still_a_swap(self):
+        """A hot-swap to the committed configuration ships an empty
+        delta, and every shard still swaps: a scoped swap that reuses
+        every chain."""
+        from repro.graph.diff import GraphDelta
+
+        testbed, router, devices = sharded_testbed(2, self.backend, journal=True)
+        try:
+            drive(testbed, router, devices, 64)
+            report = router.hotswap_all(save_config(router.graph))
+            assert (report.kind, report.delta) == ("scoped-swap", "no changes")
+            assert report.chains_recompiled == 0 and report.chains_reused > 0
+            ((_kind, delta),) = [cmd for cmd in router._journals[1] if cmd[0] == "hotswap"]
+            assert isinstance(delta, GraphDelta) and delta.empty
+            drive(testbed, router, devices, 64, offset=64)
+            assert sum(len(d.transmitted) for d in devices.values()) == 128
         finally:
             router.close()
 
@@ -376,6 +407,98 @@ class TestControlFanout:
             assert sum(len(d.transmitted) for d in devices.values()) == 128
         finally:
             router.close()
+
+
+    @pytest.mark.parametrize("kind", ["hotswap", "update"])
+    def test_a_task_added_mid_text_runs_where_the_text_declares_it(self, kind):
+        """A delta puts an added element at its place in the new text,
+        so a task a hot-swap or a structural update adds mid-text runs
+        in the order a single plane's install gives it."""
+        single, devices = polls_plane(POLLS_ONE)
+        single, _report = apply(single, [kind, POLLS_TWO], devices)
+        expected = polled(single, devices)
+        plane, devices = polls_plane(POLLS_ONE, self.backend, journal=True)
+        try:
+            apply(plane, [kind, POLLS_TWO], devices)
+            assert sharded_transmit_difference(expected, polled(plane, devices)) is None
+            assert list(plane.graph.elements) == list(parse_graph(POLLS_TWO).elements)
+            for index in range(plane.workers):
+                events = plane.export_case(index)["events"]
+                ((_kind, text),) = [event for event in events if event[0] == kind]
+                assert list(load_config(text, "<export>").elements) == list(plane.graph.elements)
+        finally:
+            plane.close()
+
+    def test_rejected_hotswap_restores_a_removed_task_in_place(self):
+        """Swapping back by the inverse delta puts a task the rejected
+        swap removed back at its old place, so the shard that swapped
+        polls as before."""
+        from repro.elements.hotswap import HotswapError
+
+        single, devices = polls_plane(POLLS_TWO)
+        expected = polled(single, devices)
+        picky = parse_graph(
+            POLLS_TWO.replace("qb :: Queue(64); ub :: Unqueue; ", "d :: Discard; ")
+            .replace("c [0] -> qb -> ub -> out;", "c [0] -> d;")
+            .replace("out :: Queue(64)", "out :: PickyQueue(7)")
+        )
+        picky.archive["picky.py"] = PICKY_QUEUE
+        plane, devices = polls_plane(POLLS_TWO, self.backend, divide_capacity=True)
+        try:
+            # PickyQueue(7) divides into 4 and 3: shard 0 swaps, shard 1
+            # rejects, and shard 0 is swapped back.
+            with pytest.raises(HotswapError, match="odd capacity 3"):
+                plane.hotswap_all(save_config(picky))
+            assert sharded_transmit_difference(expected, polled(plane, devices)) is None
+        finally:
+            plane.close()
+
+
+#: Two configurations whose output order is their task order: the
+#: classifier sends a flow's ``b`` frames to ``qb`` and the rest to
+#: ``qa``, and the Unqueue task that runs first in a pass is the one
+#: whose frame leaves first.  ``POLLS_TWO`` declares ``ub`` mid-text,
+#: ahead of ``ua``, so a flow's ``b`` frame goes out first.
+POLLS_ONE = (
+    "p :: PollDevice(eth0); c :: Classifier(42/62, -); out :: Queue(64); "
+    "td :: ToDevice(eth1); ua :: Unqueue; qa :: Queue(64); d :: Discard; "
+    "p -> c; c [0] -> d; c [1] -> qa -> ua -> out -> td;"
+)
+POLLS_TWO = (
+    "p :: PollDevice(eth0); c :: Classifier(42/62, -); out :: Queue(64); "
+    "td :: ToDevice(eth1); qb :: Queue(64); ub :: Unqueue; ua :: Unqueue; qa :: Queue(64); "
+    "p -> c; c [0] -> qb -> ub -> out; c [1] -> qa -> ua -> out -> td;"
+)
+
+
+def polls_plane(text, backend=None, journal=None, divide_capacity=False):
+    """``text`` on one plane, or on two shards over ``backend``."""
+    devices = {name: LoopbackDevice(name, tx_capacity=1 << 30) for name in ("eth0", "eth1")}
+    options = {"profile": ExecutionProfile.fast(batch=True)}
+    if backend is not None:
+        options["profile"] = options["profile"].with_workers(
+            2, backend, divide_capacity=divide_capacity
+        )
+        options["journal"] = journal
+    return build_router(parse_graph(text), devices=devices, **options), devices
+
+
+def udp_frame(flow, tag):
+    """A UDP frame of flow ``flow`` whose payload starts with ``tag``."""
+    ether = bytes.fromhex("000000000002" "000000000001" "0800")
+    ip = bytes.fromhex("4500002a00004000401100000a0000010a000002")
+    udp = (1000 + flow).to_bytes(2, "big") + bytes.fromhex("0035001a0000")
+    return ether + ip + udp + tag.ljust(18)
+
+
+def polled(router, devices):
+    """Eight flows (both shards get some) send an ``a`` and then a ``b``
+    frame on eth0; returns what eth1 transmits."""
+    for flow in range(8):
+        for tag in (b"a", b"b"):
+            devices["eth0"].receive_frame(udp_frame(flow, tag))
+    router.run_tasks(32)
+    return {"eth1": [bytes(frame).hex() for frame in devices["eth1"].transmitted]}
 
 
 #: A generated element class (an archive member, so it reaches process

@@ -229,9 +229,9 @@ class TestCoordinatorResolve:
 
 
 def test_workers_never_parse_an_update(monkeypatch):
-    """Route updates, a structural update and a rollback: no worker
-    thread elaborates a configuration (every parse that builds a graph
-    goes through ``build_graph``), whatever the coordinator does."""
+    """Route updates, a structural update, a hot-swap and a rollback: no
+    worker thread elaborates a configuration (every parse that builds a
+    graph goes through ``build_graph``), whatever the coordinator does."""
     import threading
 
     from repro.lang import build, region
@@ -255,10 +255,13 @@ def test_workers_never_parse_an_update(monkeypatch):
             assert router.apply_update(text.replace(routes, routes + ", " + extra)).kind == "in-place"
         structural = text.replace("rt ::", "spare :: Idle; rt ::", 1)
         assert router.apply_update(structural).kind == "scoped-swap"
+        assert router.hotswap_all(text).kind == "scoped-swap"
         router.crash_worker(1)
         drive(testbed, router, devices, 32, offset=32)
-        # The coordinator parsed the first and the structural update whole.
-        assert len(elaborations) == 2
+        assert "spare" not in router.graph.elements
+        # The coordinator parsed the first and the structural update and
+        # the hot-swap whole.
+        assert len(elaborations) == 3
         assert not [name for name in elaborations if name.startswith("shard-")]
     finally:
         router.close()
