@@ -232,15 +232,18 @@ def compiled_function_for(tree):
     can reject a tree) and compiled when it is first called: a matcher
     the diagram-fused chains never call is never compiled.
     The tree is compiled as-is — optimization is the caller's business.
+    The memo holds the ``_FUNCTION_CACHE_LIMIT`` trees asked for most
+    recently: a full memo evicts the one asked for least recently, so a
+    router's rebuild or hot-swap of the rules it runs finds them.
     """
     key = tree.signature()
-    function = _FUNCTION_CACHE.get(key)
+    function = _FUNCTION_CACHE.pop(key, None)
     if function is None:
         namespace = {}
         function = namespace["classify"] = pending_function(
             "classify", namespace, _enter_matcher, generate_source(tree), namespace
         )
         if len(_FUNCTION_CACHE) >= _FUNCTION_CACHE_LIMIT:
-            _FUNCTION_CACHE.clear()
-        _FUNCTION_CACHE[key] = function
+            del _FUNCTION_CACHE[next(iter(_FUNCTION_CACHE))]
+    _FUNCTION_CACHE[key] = function  # last in the dict: the most recent
     return function

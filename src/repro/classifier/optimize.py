@@ -10,9 +10,11 @@ Three passes, in the spirit of BPF+'s global data-flow optimizations:
   what is already known about the packet word it tested; later tests
   whose outcome is implied by those facts are bypassed (redundant-
   predicate elimination).
-- **node deduplication**: structurally identical subtrees are shared
-  (hash-consing, one postorder pass), undoing the duplication pruning
-  can introduce.
+- **node sharing**: structurally identical subtrees are one node.
+  Pruning rebuilds the tree through a :class:`~.tree.TreeBuilder`,
+  which hash-conses nodes as it makes them, so what pruning returns is
+  already shared; :func:`deduplicate_nodes` (one postorder pass) serves
+  a tree pruning gave up on.
 - **unreachable-node elimination**: renumbering keeps only live nodes.
 
 Two root paths part at an undecided test, after which one knows the
@@ -169,11 +171,13 @@ def remove_unreachable(tree):
 
 
 def optimize(tree):
-    """The full pipeline: prune, deduplicate, drop dead nodes — one
-    round, which is a fixpoint (see the module docstring)."""
+    """The full pipeline: prune, share, drop dead nodes — one round,
+    which is a fixpoint (see the module docstring)."""
     current = remove_unreachable(tree)
-    pruned = deduplicate_nodes(prune_redundant_tests(current))
-    # Keep the smaller tree (pruning can enlarge before dedup shrinks).
+    pruned = prune_redundant_tests(current)
+    if pruned is current:  # pruning gave up on its budget
+        pruned = deduplicate_nodes(current)
+    # Keep the smaller tree (pruning can copy paths past the input's size).
     return pruned if len(pruned.exprs) <= len(current.exprs) else current
 
 

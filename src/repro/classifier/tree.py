@@ -269,20 +269,28 @@ class TreeBuilder:
     language) allocate nodes whose targets are node ids or leaves, then
     call :meth:`finish` with the root id; reachable nodes are renumbered
     into the 1-based array form, unreachable ones dropped.
+
+    Nodes are hash-consed as they are built: a node whose test and
+    successors equal an existing node's is that node, so structurally
+    identical subtrees share one id and a finished tree has no two
+    nodes with equal :meth:`Expr.key`.
     """
 
     def __init__(self):
-        self._nodes = {}  # id -> [offset, mask, value, yes_target, no_target]
-        self._counter = 0
+        self._nodes = {}  # id -> (offset, mask, value, yes_target, no_target)
+        self._ids = {}  # (offset, mask, value, yes_target, no_target) -> id
 
     def node(self, offset, mask, value, yes, no):
-        """Allocate a node; ``yes``/``no`` are node ids (strings from this
+        """The node testing ``offset``/``mask``/``value``, allocated on
+        first request; ``yes``/``no`` are node ids (strings from this
         builder), leaf encodings from :func:`make_leaf`, or FAILURE."""
-        self._counter += 1
-        node_id = "n%d" % self._counter
         if offset % 4:
             raise TreeError("node offset %d not word-aligned" % offset)
-        self._nodes[node_id] = (offset, mask & 0xFFFFFFFF, value & 0xFFFFFFFF, yes, no)
+        key = (offset, mask & 0xFFFFFFFF, value & 0xFFFFFFFF, yes, no)
+        node_id = self._ids.get(key)
+        if node_id is None:
+            node_id = self._ids[key] = "n%d" % (len(self._nodes) + 1)
+            self._nodes[node_id] = key
         return node_id
 
     def _is_node_id(self, target):

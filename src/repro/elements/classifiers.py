@@ -133,7 +133,7 @@ class _TreeClassifier(Element):
         compiled matcher under any live fast-path chains through the
         matcher cell.  The successor of a matcher that packets were
         entering is compiled here, inside the update, not by the next
-        packet through the cell."""
+        packet through the cell; one nothing entered stays pending."""
         self.tree = tree
         cell = getattr(self, "_matcher_cell", None)
         if cell is not None:
@@ -161,7 +161,13 @@ class _TreeClassifier(Element):
     def segment(self, cold, cx):
         """``push`` through the one-slot matcher cell: a control-plane
         rule patch swaps the function under compiled chains without
-        recompiling them (one extra subscript per packet)."""
+        recompiling them (one extra subscript per packet).  The
+        profiling flavor, which runs 1 packet in ``sample``, walks the
+        live tree instead: it calls no matcher, so a rules patch need
+        not compile one for it."""
+        if cx.policy.profiling:
+            e = cx.element(self)
+            return _classifier_dispatch(self, cx, lambda data: "%s.tree.match(%s)" % (e, data))
         m = cx.bind(self.matcher_cell(), ("cell", self.name))
         return _classifier_dispatch(self, cx, lambda data: "%s[0](%s)" % (m, data))
 

@@ -49,11 +49,10 @@ from the profile store (profiled), a :class:`Decisions` bucket (tier 2)
 and, under ``fdd``, the plans of the diagram pass
 (:func:`repro.runtime.fdd.diagram_pass`) for the plain flavor and
 tier 2.  The profiled flavor takes none: it only records what each
-classifier answered, which the live tree behind the element's matcher
-cell answers as well, so a control-plane *rules* patch emits again
-only the plain flavor's chains that reach the patched classifier, and
-swaps their new code under the functions already installed
-(:meth:`AdaptiveEngine.repatch_classifier`).
+classifier answered, and asks the element's live tree, so a
+control-plane *rules* patch emits again only the plain flavor's chains
+that reach the patched classifier, and swaps their new code under the
+functions already installed (:meth:`AdaptiveEngine.repatch_classifier`).
 """
 
 from __future__ import annotations
@@ -598,8 +597,9 @@ class AdaptiveEngine:
     - ``fdd``: tiering plus the diagram pass
       (:func:`repro.runtime.fdd.diagram_pass`) in the plain flavor and
       tier 2.  The profiled flavor is ``adaptive``'s, generic dispatch
-      through the matcher cells: it bakes no tree in, so it outlives
-      every rules patch.
+      that walks each classifier's live tree (``element.tree.match``)
+      and calls no matcher: it bakes no tree in, so it outlives every
+      rules patch, and a patch compiles no matcher for it.
 
     A metered router builds no engine: it runs the reference
     interpreter under any profile.
@@ -934,7 +934,7 @@ class AdaptiveEngine:
         fast paths the patch rewrote.
 
         Compiled lookups and generic classifier dispatch read live
-        tables through bound cells and memo dicts, so a route patch —
+        tables through bound cells, memo dicts and elements, so a route patch —
         or a rules patch on a classifier without a diagram — needs only
         a deopt of the chains whose *speculations* may now be stale.  A
         diagram bakes the patched tree in, so the plain flavor's chains
@@ -962,7 +962,7 @@ class AdaptiveEngine:
         with the new tree and swapped under the function objects the
         ports, jump tables, dispatchers and supervisor pins already hold
         (:meth:`FastPath.rewrite`).  The profiled flavor stands: it
-        reads the patched tree through the matcher cell.  Returns the
+        walks the patched tree.  Returns the
         fast paths it rewrote; :meth:`on_table_patch` then restarts the
         profile."""
         self.tier1.rewrite({name}, self._policy(self._diagram_fields()))

@@ -90,9 +90,9 @@ class ChainPolicy:
     - ``store`` (a :class:`~repro.runtime.adaptive.ProfileStore`): the
       *profiling* flavor, the static code plus a note hook at every
       classifier and route dispatch.  It takes no ``plans``: a note
-      records what the classifier answered, which the matcher behind
-      the element's cell says for whatever tree is live, so the flavor
-      bakes no rules in and outlives a rules patch.
+      records what the classifier answered, which the flavor asks the
+      element's live tree, so it bakes no rules in and outlives a
+      rules patch.
     - ``decisions`` (a :class:`~repro.runtime.adaptive.Decisions`):
       tier 2 — hottest arms first, cold arms pruned, hot route/ARP
       results behind guards whose miss counters ``engine`` owns.
@@ -290,8 +290,9 @@ class ChainInfo:
     path that emitted it, every compile that splices it, the codegen
     cache and every compile that emits the same text (the first sharer
     to enter it fills ``code`` for all); a splice that has to renumber
-    it takes a copy (:meth:`moved`), and a rules patch replaces it
-    (:meth:`FastPath.rewrite`)."""
+    it takes a copy (:meth:`moved`), and a rules patch replaces it —
+    or drops it, if nothing had entered it, until its first entry emits
+    a new one (:meth:`FastPath.rewrite`)."""
 
     __slots__ = (
         "kind", "element", "port", "inlined", "terminal", "terminal_port",
@@ -922,7 +923,8 @@ class FastPath:
     Construction emits every chain; :meth:`install` swaps the fast ports
     in, and a chain is compiled when it is first entered
     (:meth:`materialize` compiles the rest); :meth:`rewrite` replaces
-    the chains a rules patch dirtied under the installed functions;
+    the live chains a rules patch dirtied under the installed functions
+    and leaves the others to be emitted on first entry;
     :meth:`uninstall` restores the reference interpreter untouched.
     """
 
@@ -939,9 +941,10 @@ class FastPath:
         # (kind, element_name, port) -> ChainInfo, in emission order: the
         # compile units, kept whole so a later scoped rebuild can splice
         # this module's untouched chains into its own compile (see
-        # _reuse_chain) and the codegen cache can share them.
+        # _reuse_chain) and the codegen cache can share them.  A key a
+        # rules patch left waiting for its first entry has none.
         self.chains = {}
-        self._compiled = {}  # same key -> (fn, batch_fn_or_None), live in _namespace
+        self._compiled = {}  # every key -> (fn, batch_fn_or_None), live in _namespace
         self._failed = {}  # key of a chain whose entry failed -> what its functions call instead
         self._jump_tables = {}  # index -> (list to fill, terminal element, dispatch mode)
         self._table_counter = 0  # next jump table index
@@ -1547,16 +1550,19 @@ class FastPath:
                 table.append(port.push)
 
     def _enter(self, key, slot=0, live=False):
-        """A chain's first entry: compile it unless a sharer of its
-        record has, exec it, and make the function objects every holder
-        already has the real ones.  ``live`` (a packet is waiting)
-        contains a failure: the report lists it and the pending
-        functions call the edge's reference port from then on."""
-        chain, namespace, functions = self.chains[key], self._namespace, self._compiled[key]
+        """A chain's first entry: emit it under the live policy if a
+        rules patch left it waiting (:meth:`rewrite`), compile it unless
+        a sharer of its record has, exec it, and make the function
+        objects every holder already has the real ones.  ``live`` (a
+        packet is waiting) contains a failure: the report lists it and
+        the pending functions call the edge's reference port from then
+        on."""
+        namespace, functions = self._namespace, self._compiled[key]
         if key in self._failed:
             return self._failed[key][slot]
         started = time.perf_counter()
         try:
+            chain = self.chains.get(key) or self._emit_waiting(key)
             if chain.code is None:
                 # [0] is the blank line that separates chains
                 chain.code = compile_chain(chain.source[1:], chain.offset)
@@ -1573,6 +1579,46 @@ class FastPath:
                 namespace[name] = become(function, namespace[name])
         self.report.compile_seconds += time.perf_counter() - started
         return functions[slot]
+
+    def _emit_waiting(self, key):
+        """Emit the chain a rules patch left waiting for its first entry
+        under the live policy, as :meth:`rewrite` emits one: placed where
+        no other chain's lines move, folded into the report, its names
+        over the function objects its holders have and its jump tables
+        filled.  An emission that raises takes its binds back out."""
+        marks = self._bind_counter, self._table_counter
+        try:
+            chain = self._emit_chain(key, self.router.elements[key[1]], [], self._next_index)
+        except BaseException:
+            self._unbind(*marks)
+            raise
+        self._next_index += 1
+        taken = sorted((other.offset, other.offset + len(other.source)) for other in self.chains.values())
+        chain.offset = self._place(taken, len(chain.source))
+        self._install_record(key, chain)
+        self.report.emitted_units += 1
+        return chain
+
+    def _install_record(self, key, chain):
+        """Make ``chain`` the record of ``key``: folded into the report,
+        its function names over the function objects the edge's holders
+        have, its jump tables filled."""
+        chain.fold_into(self.report)
+        self.chains[key] = chain
+        for name, function in zip((chain.function_name, chain.batch_name), self._compiled[key]):
+            if name:
+                self._namespace[name] = function
+        for index in chain.tables:
+            self._fill_table(*self._jump_tables[index])
+        self._source = None
+
+    def _unbind(self, first_bind, first_table):
+        """Take the bind slots and jump tables registered since these
+        marks back out (an emission that failed)."""
+        for n in range(first_bind, self._bind_counter):
+            del self._namespace["_b%d" % n], self._bind_specs["_b%d" % n]
+        for index in range(first_table, self._table_counter):
+            del self._jump_tables[index]
 
     def _reference_entries(self, key):
         """What the reference interpreter runs for one edge, callable as
@@ -1597,7 +1643,7 @@ class FastPath:
         """Compile every chain (or just ``keys``) nothing has entered
         yet, raising what ``compile()`` raises: the eager build, for
         tests of the generated code and for a live chain's successor."""
-        for key in self.chains if keys is None else keys:
+        for key in self._compiled if keys is None else keys:
             if is_pending(self._compiled[key][0]):
                 self._enter(key)
 
@@ -1618,20 +1664,23 @@ class FastPath:
         """A rules patch in place: emit again, under ``policy``, every
         chain that can touch a ``changed`` element (the wiring stands,
         so that is the chains :meth:`_stale_reach` marks from their
-        port's far end on), and give the function objects every holder
-        already has — ports, jump tables, dispatchers, supervisor pins
-        — the new code: compiled here for a chain that was forwarding,
-        where the update pays for it and a failure aborts it (nothing
-        is swapped); on first entry for one nothing has entered.  Every
-        other chain keeps its record, functions and code.
+        port's far end on) and was forwarding, compile it here — where
+        the update pays for it and a failure aborts it (nothing is
+        swapped) — and give the function objects every holder already
+        has — ports, jump tables, dispatchers, supervisor pins — the
+        new code.  A stale chain nothing has entered is not emitted: it
+        loses its record and waits, and its first entry emits it under
+        the policy live then (:meth:`_enter`); until then it is no
+        splice donor.  Every other chain keeps its record, functions
+        and code.
 
-        A replaced chain's ``_bN`` slots, jump tables and function names
-        leave the namespace, and its lines leave :attr:`source`.  The
-        new text takes the first run of blank lines it fits — what a
-        replaced chain left — or goes after the last chain, so no other
-        chain's line numbers move.  The report's build facts
-        (``compile_seconds``, ``compiled_units``, ``emitted_units``,
-        ``reused_chains``) describe the patch."""
+        A replaced or dropped chain's ``_bN`` slots, jump tables and
+        function names leave the namespace, and its lines leave
+        :attr:`source`.  The new text takes the first run of blank lines
+        it fits — what a replaced chain left — or goes after the last
+        chain, so no other chain's line numbers move.  The report's
+        build facts (``compile_seconds``, ``compiled_units``,
+        ``emitted_units``, ``reused_chains``) describe the patch."""
         started = time.perf_counter()
         reach = self._stale_reach(changed)
         stale = {key: element for key, element, far in self._chain_edges() if far.name in reach[key[0]]}
@@ -1641,41 +1690,33 @@ class FastPath:
             if key not in stale
         )
         old_policy, self.policy = self.policy, policy
-        first_bind, first_table = self._bind_counter, self._table_counter
-        fresh, compiled = {}, 0
+        marks = self._bind_counter, self._table_counter
+        fresh = {}
         try:
             for key, element in stale.items():
+                if is_pending(self._compiled[key][0]):
+                    continue
                 chain = fresh[key] = self._emit_chain(key, element, [], self._next_index)
                 self._next_index += 1
                 chain.offset = self._place(taken, len(chain.source))
-                if not is_pending(self._compiled[key][0]):
-                    chain.code = compile_chain(chain.source[1:], chain.offset)
-                    compiled += 1
+                chain.code = compile_chain(chain.source[1:], chain.offset)
         except BaseException:
             self.policy = old_policy
-            for n in range(first_bind, self._bind_counter):
-                del self._namespace["_b%d" % n], self._bind_specs["_b%d" % n]
-            for index in range(first_table, self._table_counter):
-                del self._jump_tables[index]
+            self._unbind(*marks)
             raise
-        report, namespace = self.report, self._namespace
-        for key, chain in fresh.items():
-            old = self.chains[key]
-            self._drop(old)
-            old.fold_into(report, -1)
-            chain.fold_into(report)
-            self.chains[key] = chain
+        report = self.report
+        for key in stale:
+            old = self.chains.pop(key, None)
+            if old is not None:
+                self._drop(old)
+                old.fold_into(report, -1)
             self._failed.pop(key, None)
             report.failed_entries.pop("%s %s[%d]" % key, None)
-            for name, function in zip((chain.function_name, chain.batch_name), self._compiled[key]):
-                if name:
-                    namespace[name] = function
-            for index in chain.tables:
-                self._fill_table(*self._jump_tables[index])
-            if chain.code is not None:
-                self._enter(key)
+        for key, chain in fresh.items():
+            self._install_record(key, chain)
+            self._enter(key)
         self._source = None
-        report.compiled_units, report.emitted_units = compiled, len(fresh)
+        report.compiled_units, report.emitted_units = len(fresh), len(fresh)
         report.reused_chains = len(self.chains) - len(fresh)
         report.compile_seconds = time.perf_counter() - started
 
@@ -1695,8 +1736,8 @@ class FastPath:
         return start
 
     def _drop(self, chain):
-        """Take a replaced chain's bind slots, jump tables and function
-        names out of the namespace."""
+        """Take a replaced or dropped chain's bind slots, jump tables and
+        function names out of the namespace."""
         for name in chain.binds:
             del self._namespace[name], self._bind_specs[name]
         for index in chain.tables:

@@ -122,3 +122,26 @@ class TestCompiledBehaviour:
             src="10.0.0.57", dst="9.9.9.9", protocol=IP_PROTO_TCP, total_length=40
         ).pack() + (1234).to_bytes(2, "big") + (1057).to_bytes(2, "big") + bytes(16)
         assert compiled(probe) == compiled.tree.match(probe) == 0
+
+
+class TestFunctionCache:
+    def test_a_live_trees_entry_survives_300_other_trees(self, monkeypatch):
+        """The matcher memo is bounded at 256 trees and evicts the one
+        asked for least recently: a router rebuilding the rules it runs
+        every 100 other trees gets back the function it compiled, never
+        a second copy, where emptying the full memo would have dropped
+        it."""
+        from repro.classifier import compile as matcher_module
+        from repro.classifier.compile import compiled_function_for, enter, is_pending
+
+        monkeypatch.setattr(matcher_module, "_FUNCTION_CACHE", {})
+        live = compile_patterns(["12/0800", "12/0806", "-"])
+        matcher = compiled_function_for(live)
+        enter(matcher)
+        for index in range(300):
+            compiled_function_for(compile_patterns(["16/%08x" % index, "-"]))
+            if index % 100 == 99:
+                assert compiled_function_for(live) is matcher
+            assert len(matcher_module._FUNCTION_CACHE) <= matcher_module._FUNCTION_CACHE_LIMIT == 256
+        assert compiled_function_for(live) is matcher and not is_pending(matcher)
+        assert matcher(bytes(12) + b"\x08\x06") == 1

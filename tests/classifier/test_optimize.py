@@ -462,6 +462,37 @@ class TestBudgetBailout:
         assert behaviour(optimized, packets) == behaviour(tree, packets)
 
 
+
+class TestSharingAsItBuilds:
+    """Pruning builds through the hash-consing :class:`TreeBuilder`, so
+    its output is already deduplicated, and ``optimize`` runs the
+    deduplication pass only on a tree pruning gave up on."""
+
+    def test_pruned_firewalls_have_no_equal_nodes(self):
+        for seed in range(20):
+            pruned = prune_redundant_tests(compile_filter_rules(firewall_permutation(seed)))
+            keys = [expr.key() for expr in pruned.exprs]
+            assert len(set(keys)) == len(keys)
+            assert deduplicate_nodes(pruned).signature() == pruned.signature()
+
+    def test_optimize_deduplicates_only_past_the_budget(self, monkeypatch):
+        import importlib
+
+        optimize_module = importlib.import_module("repro.classifier.optimize")
+        calls = []
+
+        def counting(tree):
+            calls.append(tree)
+            return deduplicate_nodes(tree)
+
+        monkeypatch.setattr(optimize_module, "deduplicate_nodes", counting)
+        for tree in stock_classifier_trees() + [compile_filter_rules(firewall_permutation(7))]:
+            optimize(tree)
+        assert not calls
+        bailout = diamond_chain(10)
+        assert len(optimize(bailout).exprs) == 10 and len(calls) == 1
+
+
 def _tcp(src="10.0.0.2", dst="18.26.4.9", sport=1234, dport=80):
     from repro.net.headers import IP_PROTO_TCP, IPHeader
 

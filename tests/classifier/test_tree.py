@@ -182,3 +182,64 @@ class TestTreeBuilder:
         tree = builder.finish(root)
         assert len(tree.exprs) == 2
         assert tree.exprs[0].yes == tree.exprs[0].no == 2
+
+    def test_one_id_per_key(self):
+        """The builder hash-conses: asking twice for the same test and
+        successors gives the same node, so equal subtrees built apart
+        are one."""
+        builder = TreeBuilder()
+        first = builder.node(16, 0xFF, 0x45, make_leaf(0), FAILURE)
+        again = builder.node(16, 0xFF | 0x100000000, 0x45, make_leaf(0), FAILURE)
+        assert first == again  # masks are taken to 32 bits before the lookup
+        assert builder.node(16, 0xFF, 0x45, FAILURE, make_leaf(0)) != first
+        left = builder.node(20, 0xFF, 0x06, first, make_leaf(1))
+        right = builder.node(20, 0xFF, 0x06, again, make_leaf(1))
+        assert left == right
+        tree = builder.finish(builder.node(12, 0xFFFF, 0x0800, left, right))
+        assert len(tree.exprs) == 3
+
+
+def _firewall_permutations(count):
+    import random
+
+    from repro.configs.firewall import firewall_rule_strings
+
+    rules = firewall_rule_strings()
+    for seed in range(count):
+        allows = rules[2:-1]
+        random.Random(seed).shuffle(allows)
+        yield rules[:2] + allows + rules[-1:]
+
+
+def _assert_no_equal_keys(tree):
+    keys = [expr.key() for expr in tree.exprs]
+    assert len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [
+        ["allow tcp dst port 80", "allow tcp dst port 443", "allow udp dst port 53"],
+        ["deny src net 10.0.0.0/8", "allow tcp && (dst port 25 || dst port 587)", "allow tcp dst port 25"],
+        ["allow (tcp || udp) && dst port 53", "allow (udp || tcp) && dst port 53"],
+    ]
+    + list(_firewall_permutations(4)),
+)
+def test_compiled_filter_rules_share_every_equal_node(rules):
+    from repro.classifier.ipfilter import compile_filter_rules
+
+    _assert_no_equal_keys(compile_filter_rules(rules))
+
+
+@pytest.mark.parametrize(
+    "patterns",
+    [
+        ["12/0806 20/0001", "12/0806 20/0002", "12/0800", "-"],
+        ["12/0800 23/06", "12/0800 23/11", "12/0800 23/06", "-"],
+        ["0/ff 1/ff", "2/ff 1/ff", "0/ff 1/ff"],
+    ],
+)
+def test_compiled_patterns_share_every_equal_node(patterns):
+    from repro.classifier.language import compile_patterns
+
+    _assert_no_equal_keys(compile_patterns(patterns))

@@ -412,3 +412,43 @@ def test_codegen_cache_capacity_evicts():
     router_c, _ = _simple_router()
     FastPath(router_c, cache=cache)  # static entry was evicted
     assert cache.misses == 3
+
+
+BRANCHES = """
+src :: PollDevice(eth0) -> c :: Classifier(12/0800, 12/0806, -);
+c[0] -> q :: Queue(64) -> ToDevice(eth1);
+c[1] -> arp :: Counter -> q;
+c[2] -> Discard;
+"""
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "fdd"])
+def test_profiling_notes_what_the_patched_tree_answers(mode):
+    """A rules patch that moves a frame to another output: the next
+    sampled note counts the output the new tree gives it, and the
+    exemplar it keeps walks the new tree to that output — the profiled
+    flavor reads the live tree, not code compiled for the old one."""
+    from repro.control import ControlPlane
+    from repro.elements.devices import LoopbackDevice
+    from repro.runtime import ExecutionProfile
+    from repro.runtime.fdd import classifier_hot_path
+
+    config = AdaptiveConfig(threshold=1 << 20, sample=1, min_samples=1 << 20)
+    profile = ExecutionProfile.fdd(config=config) if mode == "fdd" else ExecutionProfile.tiered(config=config)
+    devices = {name: LoopbackDevice(name) for name in ("eth0", "eth1")}
+    router = Router(parse_graph(BRANCHES, "<branches>"), devices=devices, profile=profile)
+    store = router.adaptive.store
+    ip = bytes(12) + b"\x08\x00" + bytes(50)
+    devices["eth0"].receive_frame(ip)
+    router.run_tasks(1)
+    assert store.classifier["c"] == {0: 1} and store.classifier_exemplar["c"] == {0: ip}
+    report = ControlPlane(router).update_rules("c", ["12/0806", "12/0800", "-"])
+    assert report.kind == "in-place" and store.classifier["c"] == {}
+    devices["eth0"].receive_frame(ip)
+    router.run_tasks(1)
+    assert store.classifier["c"] == {1: 1}
+    (exemplar,) = store.classifier_exemplar["c"].values()
+    tree = router.find("c").tree
+    assert exemplar == ip and tree.match(exemplar) == 1
+    assert classifier_hot_path(tree, 1, exemplar) and not classifier_hot_path(tree, 0, exemplar)
+    assert len(devices["eth1"].transmitted) == 2 and router.find("arp").count == 1

@@ -327,8 +327,10 @@ def test_a_rules_patch_swaps_its_code_under_every_holder(batch, rebuilds):
 @pytest.mark.parametrize("batch", [False, True], ids=["fdd", "fdd+batch"])
 def test_firewall_rules_patch_reports_as_a_cold_compile(batch):
     """The firewall's diagram is most of its module: the two chains a
-    rules patch emits again carry nearly every counter, the three it
-    keeps the rest."""
+    rules patch makes stale carry nearly every counter, the three it
+    keeps the rest.  Nothing entered either stale chain, so the patch
+    takes both records out of the report; once entered, each is emitted
+    and folded back in, and the report reads as a cold compile's."""
     profile = ExecutionProfile.fdd(batch=batch)
 
     def firewall(graph):
@@ -337,9 +339,16 @@ def test_firewall_rules_patch_reports_as_a_cold_compile(batch):
 
     default_cache().clear()
     router = firewall(firewall_graph())
+    tier1 = router.engine.tier1
+    stale = reaching(tier1, "fw")
+    labels = set(tier1.report.chain_lines)
     rules = firewall_rule_strings()
     report = ControlPlane(router).update_rules("fw", rules[:2] + rules[-2:1:-1] + rules[-1:])
-    assert report.kind == "in-place" and report.chains_reused > 0
+    assert report.kind == "in-place" and report.chains_reused > 0 and len(stale) == 2
+    assert labels - set(tier1.report.chain_lines) == {"%s %s[%d]" % key for key in stale}
+    assert tier1.report.fdd_diagrams == 0
+    tier1.materialize()
+    assert tier1.report.emitted_units == 2
     assert_reports_as_a_cold_compile(router, firewall)
 
 
@@ -658,70 +667,181 @@ def firewall_router(profile):
 
 def test_a_live_chains_successor_is_compiled_inside_the_update(compile_calls, matcher_compiles, rebuilds):
     """The honesty test for compiling late: a firewall rules patch on a
-    router that is forwarding compiles, inside the update, the plain
-    flavor's entry chain — real code on the port before the next
-    packet — and the matcher the profiled flavor's sampled packets call
-    through ``fw``'s cell, and nothing else (4 chains when each flavor
-    had a diagram and the unreachable ``Strip`` chain's copy of it was
-    compiled too), and builds no fast path and splices no chain; the
-    packets that follow compile nothing; on a router that has forwarded
-    nothing the same patch compiles nothing."""
+    router that is forwarding emits and compiles, inside the update, the
+    plain flavor's entry chain — real code on the port before the next
+    packet — and nothing else.  The profiled flavor walks the live tree,
+    so no packet entered ``fw``'s matcher and its successor stays
+    pending; the unreachable ``Strip`` chain, which nothing entered,
+    loses its record and is not emitted.  It builds no fast path and
+    splices no chain, and the packets that follow compile nothing."""
     from .test_fastpath_lowering import firewall_frame
 
     rules = firewall_rule_strings()
     patched = rules[:2] + rules[-2:1:-1] + rules[-1:]
-    for frames, expected in ((256, 1), (0, 0)):
-        matcher_module._FUNCTION_CACHE.clear()  # the first round compiled the patched matcher
-        router, devices = firewall_router(ExecutionProfile.fdd())
-        for _ in range(frames):
-            devices["eth0"].receive_frame(firewall_frame())
-        router.run_tasks(frames)
-        assert len(devices["eth1"].transmitted) == frames
-        engine = router.adaptive
-        profiled = engine.profiled
-        del compile_calls[:], matcher_compiles[:], rebuilds[:]
-        report = ControlPlane(router).update_rules("fw", patched)
-        assert report.kind == "in-place" and report.chains_recompiled == 2 and not rebuilds
-        assert len(compile_calls) == len(matcher_compiles) == expected
-        assert engine.profiled is profiled
-        entry = next(key for key in engine.tier1.chains if key[0] == "push" and key[1].startswith("PollDevice"))
-        for flavor in (engine.tier1, profiled):
-            assert is_pending(flavor.function_for(entry)) == (not expected)
-            assert (flavor.chains[entry].code is not None) == bool(expected)
-        assert is_pending(router.find("fw").matcher_cell()[0]) == (not expected)
-        assert engine.states[entry].plain is engine.tier1.function_for(entry)
-        assert engine.states[entry].prof is profiled.function_for(entry)
-        for _ in range(frames):
-            devices["eth0"].receive_frame(firewall_frame())
-        router.run_tasks(frames)
-        assert len(devices["eth1"].transmitted) == 2 * frames
-        assert len(compile_calls) == len(matcher_compiles) == expected
+    router, devices = firewall_router(ExecutionProfile.fdd())
+    for _ in range(256):
+        devices["eth0"].receive_frame(firewall_frame())
+    router.run_tasks(256)
+    assert len(devices["eth1"].transmitted) == 256
+    engine = router.adaptive
+    tier1, profiled = engine.tier1, engine.profiled
+    strip = next(key for key in tier1.chains if key[0] == "push" and key[1].startswith("Strip"))
+    strip_comment = "# " + tier1.chains[strip].describe()
+    assert strip_comment in tier1.source
+    del compile_calls[:], matcher_compiles[:], rebuilds[:]
+    report = ControlPlane(router).update_rules("fw", patched)
+    assert report.kind == "in-place" and report.chains_recompiled == 1 and not rebuilds
+    assert tier1.report.emitted_units == tier1.report.compiled_units == 1
+    assert len(compile_calls) == 1 and not matcher_compiles
+    assert engine.profiled is profiled
+    entry = next(key for key in tier1.chains if key[0] == "push" and key[1].startswith("PollDevice"))
+    for flavor in (tier1, profiled):
+        assert not is_pending(flavor.function_for(entry)) and flavor.chains[entry].code is not None
+    assert strip not in tier1.chains and is_pending(tier1.function_for(strip))
+    assert "%s %s[%d]" % strip not in tier1.report.chain_lines and strip_comment not in tier1.source
+    assert is_pending(router.find("fw").matcher_cell()[0])
+    assert engine.states[entry].plain is tier1.function_for(entry)
+    assert engine.states[entry].prof is profiled.function_for(entry)
+    for _ in range(256):
+        devices["eth0"].receive_frame(firewall_frame())
+    router.run_tasks(256)
+    assert len(devices["eth1"].transmitted) == 512
+    assert len(compile_calls) == 1 and not matcher_compiles
+
+
+def test_a_chain_nothing_entered_is_emitted_by_its_first_packet(compile_calls, matcher_compiles, rebuilds):
+    """On a firewall that has forwarded nothing, a rules patch emits and
+    compiles nothing: both stale chains wait without a record.  The
+    first frame emits the entry chain under the patched rules and
+    compiles it, and what it forwards is what the patched rules say —
+    a rule that now denies it drops it."""
+    from .test_fastpath_lowering import firewall_frame
+
+    router, devices = firewall_router(ExecutionProfile.fdd())
+    tier1 = router.adaptive.tier1
+    entry = next(key for key in tier1.chains if key[0] == "push" and key[1].startswith("PollDevice"))
+    lines = tier1.report.source_lines
+    del compile_calls[:], matcher_compiles[:], rebuilds[:]
+    rules = firewall_rule_strings()
+    report = ControlPlane(router).update_rules("fw", rules[:2] + rules[-2:1:-1] + rules[-1:])
+    assert report.kind == "in-place" and report.chains_recompiled == 0 and not rebuilds
+    assert tier1.report.emitted_units == tier1.report.compiled_units == 0
+    assert not compile_calls and not matcher_compiles
+    assert entry not in tier1.chains and tier1.report.source_lines < lines
+    devices["eth0"].receive_frame(firewall_frame())
+    router.run_tasks(1)
+    assert len(devices["eth1"].transmitted) == 1
+    chain = tier1.chains[entry]
+    assert chain.code is not None and not is_pending(tier1.function_for(entry))
+    assert tier1.report.emitted_units == 1 and chain.describe() in tier1.source
+    # the frame's other compiles are the chains and task units it entered first
+    assert [text for text in compile_calls if chain.describe() in text] == ["\n".join(chain.source[1:])]
+    assert len(compile_calls) == tier1.report.compiled_units and not matcher_compiles
+    # The frame is TCP from port 53: deny TCP first, and the next one drops.
+    ControlPlane(router).update_rules("fw", ["deny tcp"] + rules)
+    devices["eth0"].receive_frame(firewall_frame())
+    router.run_tasks(1)
+    assert len(devices["eth1"].transmitted) == 1
+
+
+
+def test_a_waiting_chain_that_fails_to_emit_runs_its_reference_port(monkeypatch):
+    """A chain a rules patch left waiting is emitted by its first
+    packet; an emission that raises there costs the chain, not the
+    router: the binds it made are taken back, the frame is forwarded
+    through the reference port — into the chain after it, which that
+    emits — the report lists the chain, and the next rules patch lets a
+    later packet emit it again."""
+    from .test_fastpath_lowering import firewall_frame
+
+    router, devices = firewall_router(ExecutionProfile.fdd())
+    tier1 = router.adaptive.tier1
+    entry = next(key for key in tier1.chains if key[0] == "push" and key[1].startswith("PollDevice"))
+    rules = firewall_rule_strings()
+    ControlPlane(router).update_rules("fw", rules[:2] + rules[-2:1:-1] + rules[-1:])
+    assert entry not in tier1.chains
+    real, binds = FastPath._emit_chain, dict(tier1._bind_specs)
+
+    def emit_chain(self, key, *args):
+        chain = real(self, key, *args)
+        if key == entry:
+            raise RuntimeError("injected emitter bug")
+        return chain
+
+    monkeypatch.setattr(FastPath, "_emit_chain", emit_chain)
+    devices["eth0"].receive_frame(firewall_frame())
+    router.run_tasks(1)
+    assert len(devices["eth1"].transmitted) == 1
+    assert tier1.report.failed_entries == {"%s %s[%d]" % entry: "RuntimeError: injected emitter bug"}
+    # The reference port pushes into Strip, whose waiting chain that
+    # entry emits: its binds are the only ones the frame left.
+    strip = ("push", tier1.router.find(entry[1])._output_ports[0].target.name, 0)
+    assert entry not in tier1.chains and tier1.chains[strip].code is not None
+    assert set(tier1._bind_specs) - set(binds) == set(tier1.chains[strip].binds)
+    monkeypatch.setattr(FastPath, "_emit_chain", real)
+    ControlPlane(router).update_rules("fw", rules)
+    assert not tier1.report.failed_entries
+    devices["eth0"].receive_frame(firewall_frame())
+    router.run_tasks(1)
+    assert len(devices["eth1"].transmitted) == 2 and tier1.chains[entry].code is not None
+
+@pytest.mark.parametrize("mode", ["fast", "adaptive"])
+def test_without_a_diagram_the_live_matchers_successor_is_compiled_inside_the_update(
+    mode, compile_calls, matcher_compiles
+):
+    """Where the plain flavor dispatches through ``fw``'s matcher cell
+    (``fast``, ``adaptive``), packets enter the matcher, so a rules patch
+    compiles its successor inside the update, and no chain: none bakes
+    the tree in.  The packets that follow compile nothing."""
+    from .test_fastpath_lowering import firewall_frame
+
+    profile = ExecutionProfile.fast() if mode == "fast" else ExecutionProfile.tiered()
+    router, devices = firewall_router(profile)
+    for _ in range(256):
+        devices["eth0"].receive_frame(firewall_frame())
+    router.run_tasks(256)
+    del compile_calls[:], matcher_compiles[:]
+    rules = firewall_rule_strings()
+    report = ControlPlane(router).update_rules("fw", rules[:2] + rules[-2:1:-1] + rules[-1:])
+    assert report.kind == "in-place" and report.chains_recompiled == 0
+    assert not compile_calls and len(matcher_compiles) == 1
+    assert not is_pending(router.find("fw").matcher_cell()[0])
+    for _ in range(256):
+        devices["eth0"].receive_frame(firewall_frame())
+    router.run_tasks(256)
+    assert len(devices["eth1"].transmitted) == 512
+    assert not compile_calls and len(matcher_compiles) == 1
 
 
 def test_an_ip_router_rules_patch_costs_one_chain_and_one_small_matcher(compile_calls, matcher_compiles):
-    """The IP router's side of the same gate: a ``c0`` patch after
-    traffic emits one chain, compiles it and ``c0``'s matcher (a
-    screenful, not the firewall's 179 lines), and leaves nothing for
-    the next 256 frames to compile."""
-    testbed, router, devices = build(ExecutionProfile.fdd())
-    engine = router.adaptive
-    traffic = testbed.evaluation_frames(512)
-    for name, frame in traffic[:256]:
-        devices[name].receive_frame(frame)
-    router.run_tasks(256)
-    swapped = rules_of(router, "c0")
-    swapped[0], swapped[1] = swapped[1], swapped[0]
-    del compile_calls[:], matcher_compiles[:]
-    report = ControlPlane(router).update_rules("c0", swapped)
-    assert report.kind == "in-place" and report.chains_recompiled == 1
-    assert engine.tier1.report.emitted_units == engine.tier1.report.compiled_units == 1
-    assert len(compile_calls) == len(matcher_compiles) == 1
-    assert matcher_compiles[0].count("\n") <= 20
-    for name, frame in traffic[256:]:
-        devices[name].receive_frame(frame)
-    router.run_tasks(256)
-    assert sum(len(d.transmitted) for d in devices.values()) == 512
-    assert len(compile_calls) == len(matcher_compiles) == 1
+    """The IP router's side of the same gates: a ``c0`` patch after
+    traffic costs one chain under ``fdd`` — it emits and compiles the
+    one chain whose diagram bakes ``c0``'s tree in, and no matcher, which
+    only the profiled flavor's samples would have called — and one
+    small matcher under ``adaptive``, whose chains call ``c0``'s cell
+    (a screenful, not the firewall's 179 lines), and no chain.  Either
+    way the next 256 frames compile nothing."""
+    for profile, chains, matchers in ((ExecutionProfile.fdd(), 1, 0), (ExecutionProfile.tiered(), 0, 1)):
+        testbed, router, devices = build(profile)
+        engine = router.adaptive
+        traffic = testbed.evaluation_frames(512)
+        for name, frame in traffic[:256]:
+            devices[name].receive_frame(frame)
+        router.run_tasks(256)
+        swapped = rules_of(router, "c0")
+        swapped[0], swapped[1] = swapped[1], swapped[0]
+        del compile_calls[:], matcher_compiles[:]
+        report = ControlPlane(router).update_rules("c0", swapped)
+        assert report.kind == "in-place" and report.chains_recompiled == chains
+        if chains:  # a rewrite's report describes the patch
+            assert engine.tier1.report.emitted_units == engine.tier1.report.compiled_units == chains
+        assert len(compile_calls) == chains and len(matcher_compiles) == matchers
+        assert all(source.count("\n") <= 20 for source in matcher_compiles)
+        for name, frame in traffic[256:]:
+            devices[name].receive_frame(frame)
+        router.run_tasks(256)
+        assert sum(len(d.transmitted) for d in devices.values()) == 512
+        assert len(compile_calls) == chains and len(matcher_compiles) == matchers
 
 
 def test_a_spliced_unentered_chain_is_filled_once_for_every_sharer(compile_calls):
