@@ -51,8 +51,10 @@ compiles.
 from __future__ import annotations
 
 import copy
+import dis
 import hashlib
 import itertools
+import re
 import time
 import types
 
@@ -283,23 +285,31 @@ class ChainInfo:
     """One chain, whole — the compile unit: its source edge, the
     elements inlined into straight-line code and the terminal dispatch,
     and everything emitting it produced.  Immutable once emitted
-    *except* ``code``, written once: by the build or rules patch that
-    replaces a chain already forwarding, or by the first packet to enter
-    it (:meth:`FastPath._enter`) — so ``code is not None`` says the
-    chain is live.  One record is shared by reference between the fast
-    path that emitted it, every compile that splices it, the codegen
-    cache and every compile that emits the same text (the first sharer
-    to enter it fills ``code`` for all); a splice that has to renumber
-    it takes a copy (:meth:`moved`), and a rules patch replaces it —
-    or drops it, if nothing had entered it, until its first entry emits
-    a new one (:meth:`FastPath.rewrite`)."""
+    *except* ``code`` and ``relink``, written once and together: by the
+    build or rules patch that replaces a chain already forwarding, or by
+    the first packet to enter it (:meth:`FastPath._enter`) — so ``code
+    is not None`` says the chain is live.  ``template`` is ``source``
+    with every lifted literal a placeholder; a chain whose template is a
+    live chain's but for the names on its def lines
+    (:meth:`same_template`) runs that chain's template code with its own
+    literals and names (``relink``, :func:`compile_chain`,
+    :meth:`FastPath.rewrite`).  One record is shared by reference
+    between the fast path that emitted it, every compile that splices
+    it, the codegen cache and every compile that emits the same text
+    (the first sharer to enter it fills ``code`` for all); a splice that
+    has to renumber it takes a copy (:meth:`moved`), and a rules patch
+    replaces it — or drops it, if nothing had entered it, until its
+    first entry emits a new one (:meth:`FastPath.rewrite`)."""
 
     __slots__ = (
         "kind", "element", "port", "inlined", "terminal", "terminal_port",
         "function_name",
         "batch_name",  # the batch entry point, or None
         "source",  # [blank line, "# describe()", generated line, ...]
-        "code",  # compile_chain(source[1:], offset), or None until it is entered
+        "template",  # source, each lifted literal a placeholder (source itself when none is)
+        "literals",  # the values the template's placeholders stand for, in order
+        "relink",  # (template code, names() it was compiled under) once entered, if it has literals
+        "code",  # the template code filled in (compile_chain), or None until it is entered
         "offset",  # source[0] is line ``offset`` of FastPath.source
         "binds",  # the _bN names bound during emission, in order
         "tables",  # FastPath._jump_tables indexes registered
@@ -312,7 +322,7 @@ class ChainInfo:
         self.inlined = inlined
         self.terminal, self.terminal_port = terminal, terminal_port
         self.function_name = function_name
-        self.batch_name = self.code = None
+        self.batch_name = self.code = self.relink = None
 
     @property
     def lines(self):
@@ -325,7 +335,20 @@ class ChainInfo:
 
     def same_unit(self, other):
         """Would ``other``'s code object serve this not-yet-compiled chain?"""
-        return all(getattr(self, s) == getattr(other, s) for s in self.__slots__ if s != "code")
+        return all(getattr(self, s) == getattr(other, s) for s in self.__slots__ if s not in ("code", "relink"))
+
+    def names(self):
+        """The names its def lines give: its functions, then its bind
+        slots."""
+        return (self.function_name, self.batch_name) + self.binds
+
+    def same_template(self, other):
+        """Do the two templates differ in nothing but the names on their
+        def lines — the same arity, the same body?"""
+        return len(self.template) == len(other.template) and all(
+            line == theirs or (line.startswith("def ") and _DEF_NAMES.sub("", line) == _DEF_NAMES.sub("", theirs))
+            for line, theirs in zip(self.template, other.template)
+        )
 
     def moved(self, offset, tables):
         """This chain at another line offset and/or under other jump
@@ -336,7 +359,7 @@ class ChainInfo:
         chain = copy.copy(self)
         if offset != self.offset:
             if self.code is not None:
-                chain.code = _shift_lines(self.code, offset - self.offset)
+                chain.code = _instantiate(self.code, (), {}, offset - self.offset)
             chain.offset = offset
         chain.tables = tables
         return chain
@@ -390,6 +413,7 @@ class FastPathReport:
         self.pruned_arms = 0
         self.reused_chains = 0  # chains spliced verbatim from a donor compile
         self.compiled_units = 0  # compile() calls made for this fast path so far
+        self.relinked_units = 0  # chains a rules patch filled into a live chain's template code
         self.emitted_units = 0  # chains this build emitted and kept (0 when it shared a cached text)
         self.fdd_diagrams = 0  # classifier terminals emitted as decision diagrams
         self.fdd_nodes = 0  # expanded diagram nodes across those diagrams
@@ -402,7 +426,7 @@ class FastPathReport:
 
     def as_dict(self):
         """Every field above, in that order (``emitted_units`` follows
-        ``compiled_units``, ``failed_entries`` is last), JSON-safe."""
+        ``relinked_units``, ``failed_entries`` is last), JSON-safe."""
         fields = dict(vars(self))
         fields["inlined_elements"] = sorted(self.inlined_elements)
         fields["compile_seconds"] = round(self.compile_seconds, 6)
@@ -433,12 +457,13 @@ class FastPathReport:
             "  specialized: %d terminals and %d actions compiled in place, "
             "%d redundant elements elided"
             % (self.specialized_terminals, self.specialized_actions, self.elided_elements),
-            "  compile: %.1f ms, compiled %d of %d chains, %d emitted%s (policy: %s%s)"
+            "  compile: %.1f ms, compiled %d of %d chains, %d emitted%s%s (policy: %s%s)"
             % (
                 self.compile_seconds * 1e3,
                 self.compiled_units,
                 self.push_chains + self.pull_chains + self.task_units,
                 self.emitted_units,
+                ", %d re-linked" % self.relinked_units if self.relinked_units else "",
                 ", %d chains reused" % self.reused_chains if self.reused_chains else "",
                 self.policy,
                 ", %d guarded branches, %d pruned arms"
@@ -538,12 +563,75 @@ def _task_lowering(element):
     return element.lowering(), device.ring
 
 
-def _shift_lines(code, by):
-    consts = tuple(
-        _shift_lines(const, by) if hasattr(const, "co_firstlineno") else const
-        for const in code.co_consts
+#: The names a chain's def lines give (:meth:`ChainInfo.names`): what
+#: :meth:`FastPath._bind` and the ``_emit_*`` methods call bind slots
+#: and functions.
+_DEF_NAMES = re.compile(r"\b_(?:b\d+|(?:push|pull|task)_\d+(?:_batch)?)\b")
+
+
+def _instantiate(template, literals, names, by):
+    """``template`` (a compiled chain, see :func:`compile_chain`) with
+    each placeholder constant — the string ``'\\x00<index>'``, a
+    constant no chain holds otherwise — its literal, each name it was
+    compiled under the one ``names`` maps it to (and a string constant
+    that is such a name: before Python 3.11 a function's qualname), and
+    its lines ``by`` further on.  The instructions are the template's: only constants,
+    names and line numbers change.  A literal equal to another constant
+    of its code object shares that constant's slot, as ``compile()``
+    gives equal constants one (the constant arguments renumbered), in a
+    code object of at most 256 constants, whose arguments take one
+    byte; past that it keeps a slot of its own and loads an equal value
+    (behind an ``EXTENDED_ARG`` where ``compile()`` needs none).
+    Without literals or names it only moves a chain's lines."""
+    consts, lifted = [], False
+    for const in template.co_consts:
+        if type(const) is types.CodeType:
+            const = _instantiate(const, literals, names, by)
+        elif type(const) is str and const[:1] == "\x00":
+            const, lifted = literals[int(const[1:])], True
+        elif type(const) is str:
+            const = names.get(const, const)
+        consts.append(const)
+    fields = {}
+    if lifted:
+        slots, remap = {}, []  # compile()'s key for a constant -> its slot
+        for const in consts:
+            key = id(const) if type(const) is types.CodeType else (type(const), const)
+            remap.append(slots.setdefault(key, len(slots)))
+        if len(slots) < len(consts) <= 256:
+            kept = {}
+            for slot, const in zip(remap, consts):
+                kept.setdefault(slot, const)
+            consts = list(kept.values())
+            fields["co_code"] = _renumbered(template.co_code, bytes(remap) + bytes(range(len(remap), 256)))
+    if hasattr(template, "co_qualname"):  # Python 3.11 on
+        head, dot, rest = template.co_qualname.partition(".")
+        fields["co_qualname"] = names.get(head, head) + dot + rest
+    return template.replace(
+        co_consts=tuple(consts),
+        co_names=tuple(names.get(name, name) for name in template.co_names),
+        co_name=names.get(template.co_name, template.co_name),
+        co_firstlineno=template.co_firstlineno + by,
+        **fields,
     )
-    return code.replace(co_firstlineno=code.co_firstlineno + by, co_consts=consts)
+
+
+#: A 256-byte table marking the opcodes whose argument is a constant's
+#: index (LOAD_CONST, KW_NAMES) with 0xFF.
+_CONST_OPS = bytes(0xFF if op in dis.hasconst else 0 for op in range(256))
+
+
+def _renumbered(code, table):
+    """Bytecode ``code`` with every constant index argument ``i`` made
+    ``table[i]``: each 2-byte unit is (opcode, argument), and the
+    arguments are chosen between their old and new bytes by a mask of
+    the constant opcodes, whole-sequence, not unit by unit."""
+    ops, args = code[::2], code[1::2]
+    mask = int.from_bytes(ops.translate(_CONST_OPS), "big")
+    new = int.from_bytes(args.translate(table), "big") & mask | int.from_bytes(args, "big") & ~mask
+    renumbered = bytearray(len(code))
+    renumbered[::2], renumbered[1::2] = ops, new.to_bytes(len(args), "big")
+    return bytes(renumbered)
 
 
 #: The generated module's first lines; chains follow, one blank line
@@ -628,10 +716,20 @@ _TX_BATCH_UNIT = """\
     return True"""
 
 
-def compile_chain(lines, offset, filename="<fastpath>"):
-    """One chain's source lines as a code object to ``exec``, numbered
-    as lines ``offset + 1`` onwards of the whole generated module, so a
-    traceback indexes ``FastPath.source``.  The chain, not the module,
+def compile_chain(lines, offset, literals=()):
+    """One chain's template lines (:attr:`ChainInfo.template` less the
+    separator) compiled, and that template code filled in
+    (:func:`_instantiate`) with the chain's ``literals`` as a code
+    object to ``exec``, numbered as lines ``offset + 1`` onwards of the
+    whole generated module, so a traceback indexes ``FastPath.source``:
+    ``(template code, code)``, the template code None for a chain
+    without literals (its code is ``compile()`` of its source), which no
+    patch re-links.  Each placeholder compiles to a constant of its own,
+    so the code is ``compile()`` of ``source`` instruction for
+    instruction; only the columns of a lifted literal's line can differ,
+    by the placeholder's width.  A rules patch that changes only
+    literals fills the live chain's template code with the new ones and
+    compiles nothing (:meth:`FastPath.rewrite`).  The chain, not the module,
     is the unit of compilation: a chain is compiled when a packet first
     enters it and most never are, a scoped rebuild carries the code
     objects of the chains it splices, a rules patch compiles only the
@@ -640,7 +738,15 @@ def compile_chain(lines, offset, filename="<fastpath>"):
     compiled whole would set the process's memory high-water mark
     (16 MB for the plain IP router's 5 200 lines; under 1 MB a chain at
     a time)."""
-    return _shift_lines(compile("\n".join(lines), filename, "exec"), offset)
+    template = compile("\n".join(lines), "<fastpath>", "exec")
+    return template if literals else None, _instantiate(template, literals, {}, offset)
+
+
+def _compile_record(chain):
+    """Write a chain's code, and what re-linking it needs, together."""
+    # [0] is the blank line that separates chains
+    template, code = compile_chain(chain.template[1:], chain.offset, chain.literals)
+    chain.relink, chain.code = (template, chain.names()) if template else None, code
 
 
 def _method_spec(bound):
@@ -684,7 +790,12 @@ class _Emission:
       alone, whatever ``facts`` holds; a segment writes that into
       ``proved``.
     - ``policy`` is the compile's :class:`ChainPolicy`; ``fresh()``
-      names a new local; ``count(field)`` bumps a report counter.
+      names a new local, numbered from 0 in each chain;
+      ``literal(value, text)`` writes ``text``, a constant the chain
+      compares against (a diagram test's value or mask), lifted out of
+      its template, so that a rules patch may change it without changing
+      the template;
+      ``count(field)`` bumps a report counter.
     - A branching terminal's ``push`` segment returns :meth:`dispatch`:
       it declares how the output port is decided, and the compiler
       decides what becomes of the arms.
@@ -733,6 +844,23 @@ class _Emission:
     def fresh(self):
         self.fastpath._ctx_counter += 1
         return "_d%d" % self.fastpath._ctx_counter
+
+    def literal(self, value, text):
+        """``text``, the literal for ``value``, lifted out of the chain's
+        template: recorded among its literals and marked in its lines —
+        its placeholder, the string literal ``'\\x00<index>'``
+        (:func:`_instantiate`), between two NULs — until
+        :meth:`FastPath._emit_chain` writes the placeholder into the
+        template and ``text`` into the source.  Equal literals share a
+        placeholder, as ``compile()`` gives equal constants one slot (a
+        literal is bytes or an int, so its value is the key
+        ``compile()`` gives it)."""
+        fastpath = self.fastpath
+        placeholder = fastpath._literals.get(value)
+        if placeholder is None:
+            placeholder = fastpath._literals[value] = "'\\x00%d'" % len(fastpath._literals)
+            fastpath._literal_texts[placeholder] = text
+        return "\x00%s\x00" % placeholder
 
     def count(self, field):
         report = self.fastpath.report
@@ -837,10 +965,10 @@ class _Emission:
                 lines = load(var, pad) if data is None else []
                 if gate and least < gate:
                     lines.append(pad + "if len(%s) >= %d:" % (dvar, gate))
-                    lines += plan.emit(dvar, pad + "    ", leaf)
+                    lines += plan.emit(dvar, pad + "    ", leaf, self)
                     lines += [pad + "else:", pad + "    out = %s" % match(dvar)]
                     return lines + tail(var, pad + "    ", "if")
-                return lines + plan.emit(dvar, pad, leaf)
+                return lines + plan.emit(dvar, pad, leaf, self)
 
             return emit
         order = list(policy.branch_order(element, nports))
@@ -952,7 +1080,9 @@ class FastPath:
         self._namespace = {}
         self._bind_specs = {}  # _bN name -> bind recipe
         self._cacheable = True
-        self._ctx_counter = 0
+        self._ctx_counter = 0  # _dN locals of the chain being emitted
+        self._literals = {}  # value it lifted -> its placeholder (_Emission.literal)
+        self._literal_texts = {}  # placeholder -> the text its value is written as
         self._bind_counter = 0
         self._next_index = 0  # first free chain-function index
         report = FastPathReport()
@@ -1435,9 +1565,12 @@ class FastPath:
         what its emitters counted.  Emitters count on the report: the
         counters start from zero for the chain, which takes what its
         emission added, and the totals before it are put back — the
-        chain is counted when it is folded in (:meth:`ChainInfo.fold_into`)."""
+        chain is counted when it is folded in (:meth:`ChainInfo.fold_into`).
+        The literals it lifted are written into its lines, and their
+        placeholders into its template."""
         kind, _name, port_index = key
         start, first_bind, first_table = len(lines), self._bind_counter, self._table_counter
+        self._ctx_counter, self._literals, self._literal_texts = 0, {}, {}
         report = self.report
         totals = [getattr(report, name) for name in _CHAIN_COUNTERS]
         for name in _CHAIN_COUNTERS:
@@ -1450,7 +1583,14 @@ class FastPath:
         finally:
             for name, total in zip(_CHAIN_COUNTERS, totals):
                 setattr(report, name, total)
-        chain.source = lines[start:]
+        chain.source = chain.template = lines[start:]
+        chain.literals = tuple(self._literals)
+        if chain.literals:
+            parts = "\n".join(chain.source).split("\x00")
+            chain.template = "".join(parts).split("\n")
+            texts = self._literal_texts
+            parts[1::2] = [texts[placeholder] for placeholder in parts[1::2]]
+            chain.source = lines[start:] = "".join(parts).split("\n")
         chain.offset = start + 1
         chain.binds = tuple("_b%d" % n for n in range(first_bind, self._bind_counter))
         chain.tables = tuple(range(first_table, self._table_counter))
@@ -1564,8 +1704,7 @@ class FastPath:
         try:
             chain = self.chains.get(key) or self._emit_waiting(key)
             if chain.code is None:
-                # [0] is the blank line that separates chains
-                chain.code = compile_chain(chain.source[1:], chain.offset)
+                _compile_record(chain)
                 self.report.compiled_units += 1
             exec(chain.code, namespace)  # noqa: S102 - code generated by _compile
         except Exception as exc:  # noqa: BLE001 - must cost the chain, not the router
@@ -1674,13 +1813,22 @@ class FastPath:
         splice donor.  Every other chain keeps its record, functions
         and code.
 
+        A new emission whose template is its live chain's — same def
+        arity, same body, only literals (a diagram test's value or mask)
+        changed — is not compiled: its code is the live chain's template
+        code filled in with its own literals, names and offset
+        (*re-linked*, ``relinked_units``), instruction for instruction
+        what compiling its source gives.  A patch that moves a test's
+        location, the length gate or a leaf compiles.
+
         A replaced or dropped chain's ``_bN`` slots, jump tables and
         function names leave the namespace, and its lines leave
         :attr:`source`.  The new text takes the first run of blank lines
         it fits — what a replaced chain left — or goes after the last
         chain, so no other chain's line numbers move.  The report's
         build facts (``compile_seconds``, ``compiled_units``,
-        ``emitted_units``, ``reused_chains``) describe the patch."""
+        ``relinked_units``, ``emitted_units``, ``reused_chains``)
+        describe the patch."""
         started = time.perf_counter()
         reach = self._stale_reach(changed)
         stale = {key: element for key, element, far in self._chain_edges() if far.name in reach[key[0]]}
@@ -1691,7 +1839,7 @@ class FastPath:
         )
         old_policy, self.policy = self.policy, policy
         marks = self._bind_counter, self._table_counter
-        fresh = {}
+        fresh, relinked = {}, 0
         try:
             for key, element in stale.items():
                 if is_pending(self._compiled[key][0]):
@@ -1699,7 +1847,14 @@ class FastPath:
                 chain = fresh[key] = self._emit_chain(key, element, [], self._next_index)
                 self._next_index += 1
                 chain.offset = self._place(taken, len(chain.source))
-                chain.code = compile_chain(chain.source[1:], chain.offset)
+                live = self.chains.get(key)
+                if live is not None and live.relink is not None and live.same_template(chain):
+                    template, names = live.relink
+                    code = _instantiate(template, chain.literals, dict(zip(names, chain.names())), chain.offset)
+                    chain.relink, chain.code = live.relink, code
+                    relinked += 1
+                else:
+                    _compile_record(chain)
         except BaseException:
             self.policy = old_policy
             self._unbind(*marks)
@@ -1716,7 +1871,8 @@ class FastPath:
             self._install_record(key, chain)
             self._enter(key)
         self._source = None
-        report.compiled_units, report.emitted_units = len(fresh), len(fresh)
+        report.compiled_units, report.emitted_units = len(fresh) - relinked, len(fresh)
+        report.relinked_units = relinked
         report.reused_chains = len(self.chains) - len(fresh)
         report.compile_seconds = time.perf_counter() - started
 

@@ -36,9 +36,13 @@ Safety mirrors the adaptive tiers (Morpheus-style):
   that diagrams bake in, so the engine's ``on_table_patch`` emits
   again only the chains that can reach the patched classifier and swaps
   their code under the installed functions (every other chain stands
-  as it was); route patches need no rewrite at all — compiled lookups
-  read the live table through bound memo/lookup cells, exactly as in
-  adaptive mode.
+  as it was).  Each test's compared value and mask is a *literal* of
+  the chain (:meth:`DiagramPlan.emit`), so a patch that changes only
+  values leaves the chain's template standing and re-links the live
+  code with the new constants instead of compiling it
+  (:meth:`~repro.runtime.fastpath.FastPath.rewrite`); route patches
+  need no rewrite at all — compiled lookups read the live table
+  through bound memo/lookup cells, exactly as in adaptive mode.
 
 This module is the pass alone — trees in, plans out
 (:func:`diagram_pass`); the engine hands the result to a
@@ -108,14 +112,24 @@ def _loc_need(loc):
     return loc[1] + 4
 
 
-def _cond(name, cond, negate=False):
-    if cond[0] == "bytes":
-        return "%s %s %r" % (name, "!=" if negate else "==", cond[1])
-    _, mask, value = cond
+def _literal(value, text):
+    return text
+
+
+def _cond(name, cond, negate=False, literal=_literal):
+    """The test of one diagram node.  Its compared value and mask are
+    written through ``literal(value, text)`` (:meth:`_Emission.literal
+    <repro.runtime.fastpath._Emission.literal>` in a chain, which lifts
+    them out of the chain's template); the rest of the text is the
+    node's shape."""
     op = "!=" if negate else "=="
+    if cond[0] == "bytes":
+        return "%s %s %s" % (name, op, literal(cond[1], repr(cond[1])))
+    _, mask, value = cond
+    value = literal(value, "0x%x" % value)
     if mask == 0xFFFFFFFF:
-        return "%s %s 0x%x" % (name, op, value)
-    return "(%s & 0x%x) %s 0x%x" % (name, mask, op, value)
+        return "%s %s %s" % (name, op, value)
+    return "(%s & %s) %s %s" % (name, literal(mask, "0x%x" % mask), op, value)
 
 
 class DiagramPlan:
@@ -153,15 +167,17 @@ class DiagramPlan:
                 stack.append(node[4])
         return found
 
-    def emit(self, data_var, pad, leaf_render):
+    def emit(self, data_var, pad, leaf_render, cx=None):
         """Render the diagram as source lines.  ``leaf_render(leaf_id,
         out, pad)`` supplies each leaf's body (fused chain, jump-table
-        call, or drop count)."""
+        call, or drop count).  In a chain, ``cx`` is its emission
+        context: each test's compared value and mask go through it."""
         lines = []
-        self._emit(self.root, data_var, pad, leaf_render, frozenset(), lines)
+        literal = cx.literal if cx is not None else _literal
+        self._emit(self.root, data_var, pad, leaf_render, literal, frozenset(), lines)
         return lines
 
-    def _emit(self, node, data_var, pad, leaf_render, have, lines):
+    def _emit(self, node, data_var, pad, leaf_render, literal, have, lines):
         if node[0] == "leaf":
             lines.extend(leaf_render(node[1], node[2], pad))
             return
@@ -170,10 +186,10 @@ class DiagramPlan:
         if loc not in have:
             lines.append(pad + "%s = %s" % (name, _loc_load(loc, data_var)))
             have = have | {loc}
-        lines.append(pad + "if %s:" % _cond(name, cond, negate=swap))
-        self._emit(first, data_var, pad + "    ", leaf_render, have, lines)
+        lines.append(pad + "if %s:" % _cond(name, cond, swap, literal))
+        self._emit(first, data_var, pad + "    ", leaf_render, literal, have, lines)
         lines.append(pad + "else:")
-        self._emit(second, data_var, pad + "    ", leaf_render, have, lines)
+        self._emit(second, data_var, pad + "    ", leaf_render, literal, have, lines)
 
     def as_dict(self):
         return {

@@ -15,6 +15,7 @@ produces the same event list, so every case is replayable.
 
 from __future__ import annotations
 
+import re
 import struct
 
 from ..core.toolchain import load_config, save_config
@@ -191,6 +192,12 @@ def rules_update_text(config_text, rng):
     pure-data delta that changes what every output port means (under
     an ``IPFilter``, which rules are shadowed).  None when no
     classifier has two rules to rotate."""
+    rotated = _rotation(config_text, rng)
+    return rotated[1] if rotated else None
+
+
+def _rotation(config_text, rng):
+    """``(classifier name, text)`` of :func:`rules_update_text`, or None."""
     graph = load_config(config_text, "<churn>")
     rotatable = [
         decl
@@ -204,16 +211,68 @@ def rules_update_text(config_text, rng):
     rules = split_config_args(decl.config)
     rotation = rng.randrange(1, len(rules))
     decl.config = ", ".join(rules[rotation:] + rules[:rotation])
+    return decl.name, save_config(graph)
+
+
+#: The constants :func:`value_edit_text` may replace: a ``Classifier``
+#: clause's hex value, an IP rule's host address or port.
+_HEX_VALUE = re.compile(r"(?<=/)[0-9a-fA-F?]+")
+_IP_VALUE = re.compile(r"(?<=host )\d+(?:\.\d+){3}|(?<=port )\d+")
+
+
+def value_edit_text(config_text, name, rng):
+    """The configuration with one constant in one of classifier
+    ``name``'s rules replaced by a seeded value of the same width (as
+    many hex digits, keeping ``?`` wildcards; an address; a 16-bit
+    port): a delta of values alone, which leaves the classifier's
+    decision diagram its shape wherever the new value does not merge
+    or split a test.  None when no rule holds such a constant, or the
+    edited rule would not parse."""
+    from ..classifier.language import PatternError, parse_pattern
+
+    graph = load_config(config_text, "<churn>")
+    decl = graph.elements[name]
+    rules = split_config_args(decl.config)
+    hexadecimal = decl.class_name == "Classifier"
+    constants = [
+        (index, match)
+        for index, rule in enumerate(rules)
+        for match in (_HEX_VALUE if hexadecimal else _IP_VALUE).finditer(rule)
+    ]
+    if not constants:
+        return None
+    index, match = rng.choice(constants)
+    old = match.group()
+    if hexadecimal:
+        new = "".join(digit if digit == "?" else "%x" % rng.randrange(16) for digit in old)
+    elif "." in old:
+        new = ".".join(str(rng.randrange(256)) for _ in range(4))
+    else:
+        new = str(rng.randrange(1, 1 << 16))
+    rule = rules[index] = rules[index][: match.start()] + new + rules[index][match.end() :]
+    if hexadecimal:
+        try:
+            parse_pattern(rule)
+        except PatternError:  # two clauses now contradict on a byte
+            return None
+    decl.config = ", ".join(rules)
     return save_config(graph)
 
 
 def with_rules_update(case, rng):
     """``case`` with one ``["update", CONFIG]`` event mid-trace that
-    installs :func:`rules_update_text` of its configuration; the case
-    itself when that has nothing to rotate."""
-    text = rules_update_text(case["config"], rng)
-    if text is None:
+    installs :func:`rules_update_text` of its configuration, and a
+    second, three quarters in, that edits one value of the rotated
+    classifier (:func:`value_edit_text`): where traffic entered the
+    chains between the two, the first patch compiles them and the
+    second re-links them.  The case itself when nothing rotates."""
+    rotated = _rotation(case["config"], rng)
+    if rotated is None:
         return case
+    name, text = rotated
     events = list(case["events"])
     events.insert(len(events) // 2, ["update", text])
+    edited = value_edit_text(text, name, rng)
+    if edited is not None:
+        events.insert(3 * len(events) // 4, ["update", edited])
     return dict(case, events=events)

@@ -645,6 +645,14 @@ def test_inline_align_is_the_reference_align(modulus, offset, fused):
 # ``out = _x0[0](data)`` become ``out = _x0.tree.match(data)`` (``_x0``
 # binds the element where it bound its cell).  The paper rows hold
 # generated classifier classes, whose dispatch did not change.
+#
+# The four ``iprouter/fdd*`` rows here, the four ``paper/fdd*`` rows of
+# ``PAPER_DIGESTS`` and the two ``iprouter/fdd*`` rows of
+# ``PARENT_DIGESTS`` were pinned again when ``_Emission.fresh()`` began
+# numbering its ``_dN`` locals from 0 in each chain, not across the
+# module (so a chain's template depends on that chain alone).  With
+# ``_d\d+`` masked, each of those modules is the parent's, character for
+# character; the other twenty rows did not move.
 PLAIN_DIGESTS = {
     "firewall/fdd": "7b7baf0fb7bcd148",
     "firewall/fdd-optimized": "7f5f1023f972f533",
@@ -656,10 +664,10 @@ PLAIN_DIGESTS = {
     "firewall/profiling/batch": "5443536909356afa",
     "firewall/static": "eddd7be5f26eb42a",
     "firewall/static/batch": "bc231155865d98d4",
-    "iprouter/fdd": "486ffa1c67686f46",
-    "iprouter/fdd-optimized": "01c2f16065d35b78",
-    "iprouter/fdd-optimized/batch": "fe6f3b016e77ce18",
-    "iprouter/fdd/batch": "47a88d3d2549b909",
+    "iprouter/fdd": "d1b8f232517f49dd",
+    "iprouter/fdd-optimized": "607d90170e761580",
+    "iprouter/fdd-optimized/batch": "123be0ca60907f59",
+    "iprouter/fdd/batch": "18e06c3133e7b3dc",
     "iprouter/optimized": "a4fcbc37665d66e3",
     "iprouter/optimized/batch": "2cc79e645510cb3a",
     "iprouter/profiling": "5c68ebffe2d99f8a",
@@ -673,10 +681,10 @@ PLAIN_DIGESTS = {
 # the data-offset layout fact.  Pinned before the segments moved from
 # the compiler onto their elements; that move left every row as it was.
 PAPER_DIGESTS = {
-    "paper/fdd": "f0dacfbe0a96931b",
-    "paper/fdd-optimized": "531bea89eca0a0fe",
-    "paper/fdd-optimized/batch": "089dfe7e1838f18a",
-    "paper/fdd/batch": "aa89fc4118678194",
+    "paper/fdd": "188f093cdbc6a674",
+    "paper/fdd-optimized": "f0505eb0a00e5c88",
+    "paper/fdd-optimized/batch": "3cf4f7ae044ee849",
+    "paper/fdd/batch": "67a0620b62f40d3c",
     "paper/optimized": "64635fe106838444",
     "paper/optimized/batch": "d76618bdcf4deba2",
     "paper/profiling": "d223de63f989602a",
@@ -697,8 +705,8 @@ PARENT_DIGESTS = {
     "firewall/optimized": "085110b9e57c5a02",
     "firewall/profiling": "3e69e8fcf9781607",
     "firewall/static": "e5e7049d924605c8",
-    "iprouter/fdd": "7b6f52b67893262a",
-    "iprouter/fdd-optimized": "d69353ea38b0618e",
+    "iprouter/fdd": "af0629a22ce0595b",
+    "iprouter/fdd-optimized": "9c6c700102348a4d",
     "iprouter/optimized": "c11263bcbfad052c",
     "iprouter/profiling": "479a088fc47daab3",
     "iprouter/static": "080d93eba29a5314",

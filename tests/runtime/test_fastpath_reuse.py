@@ -133,7 +133,7 @@ def functions_of(fastpath):
 
 def scrubbed(report):
     """A compile report less the facts of the build that produced it."""
-    build_facts = ("compile_seconds", "reused_chains", "compiled_units", "emitted_units")
+    build_facts = ("compile_seconds", "reused_chains", "compiled_units", "relinked_units", "emitted_units")
     return {name: value for name, value in report.as_dict().items() if name not in build_facts}
 
 
@@ -692,6 +692,7 @@ def test_a_live_chains_successor_is_compiled_inside_the_update(compile_calls, ma
     report = ControlPlane(router).update_rules("fw", patched)
     assert report.kind == "in-place" and report.chains_recompiled == 1 and not rebuilds
     assert tier1.report.emitted_units == tier1.report.compiled_units == 1
+    assert tier1.report.relinked_units == 0  # a permutation moves the diagram's tests
     assert len(compile_calls) == 1 and not matcher_compiles
     assert engine.profiled is profiled
     entry = next(key for key in tier1.chains if key[0] == "push" and key[1].startswith("PollDevice"))
@@ -734,8 +735,9 @@ def test_a_chain_nothing_entered_is_emitted_by_its_first_packet(compile_calls, m
     chain = tier1.chains[entry]
     assert chain.code is not None and not is_pending(tier1.function_for(entry))
     assert tier1.report.emitted_units == 1 and chain.describe() in tier1.source
-    # the frame's other compiles are the chains and task units it entered first
-    assert [text for text in compile_calls if chain.describe() in text] == ["\n".join(chain.source[1:])]
+    # the frame's other compiles are the chains and task units it entered
+    # first; a chain compiles its template (its literals placeholders)
+    assert [text for text in compile_calls if chain.describe() in text] == ["\n".join(chain.template[1:])]
     assert len(compile_calls) == tier1.report.compiled_units and not matcher_compiles
     # The frame is TCP from port 53: deny TCP first, and the next one drops.
     ControlPlane(router).update_rules("fw", ["deny tcp"] + rules)
@@ -815,12 +817,14 @@ def test_without_a_diagram_the_live_matchers_successor_is_compiled_inside_the_up
 
 def test_an_ip_router_rules_patch_costs_one_chain_and_one_small_matcher(compile_calls, matcher_compiles):
     """The IP router's side of the same gates: a ``c0`` patch after
-    traffic costs one chain under ``fdd`` — it emits and compiles the
-    one chain whose diagram bakes ``c0``'s tree in, and no matcher, which
-    only the profiled flavor's samples would have called — and one
-    small matcher under ``adaptive``, whose chains call ``c0``'s cell
-    (a screenful, not the firewall's 179 lines), and no chain.  Either
-    way the next 256 frames compile nothing."""
+    traffic that swaps its two ARP arms changes only the values the
+    diagram compares, so under ``fdd`` it emits the one chain whose
+    diagram bakes ``c0``'s tree in and compiles nothing: the chain is
+    re-linked, its live template code filled with the new literals —
+    and no matcher, which only the profiled flavor's samples would have
+    called.  Under ``adaptive`` it costs one small matcher, whose chains
+    call ``c0``'s cell (a screenful, not the firewall's 179 lines), and
+    no chain.  Either way the next 256 frames compile nothing."""
     for profile, chains, matchers in ((ExecutionProfile.fdd(), 1, 0), (ExecutionProfile.tiered(), 0, 1)):
         testbed, router, devices = build(profile)
         engine = router.adaptive
@@ -834,14 +838,91 @@ def test_an_ip_router_rules_patch_costs_one_chain_and_one_small_matcher(compile_
         report = ControlPlane(router).update_rules("c0", swapped)
         assert report.kind == "in-place" and report.chains_recompiled == chains
         if chains:  # a rewrite's report describes the patch
-            assert engine.tier1.report.emitted_units == engine.tier1.report.compiled_units == chains
-        assert len(compile_calls) == chains and len(matcher_compiles) == matchers
+            assert engine.tier1.report.emitted_units == engine.tier1.report.relinked_units == chains
+            assert engine.tier1.report.compiled_units == 0
+            assert "%d re-linked" % chains in engine.tier1.report.format()
+        assert not compile_calls and len(matcher_compiles) == matchers
         assert all(source.count("\n") <= 20 for source in matcher_compiles)
         for name, frame in traffic[256:]:
             devices[name].receive_frame(frame)
         router.run_tasks(256)
         assert sum(len(d.transmitted) for d in devices.values()) == 512
-        assert len(compile_calls) == chains and len(matcher_compiles) == matchers
+        assert not compile_calls and len(matcher_compiles) == matchers
+
+
+#: ``c0``'s first arm narrowed to two sender words, then patched: a
+#: value moved (a re-link), a test's location moved with the length gate
+#: standing (24 -> 16), and the gate moved with a location (28 -> 32).
+NARROWED = "12/0806 20/0001 24/0a000001 28/0a000002"
+VALUES_MOVED = "12/0806 20/0001 24/0b000001 28/0a000003"
+LOCATION_MOVED = "12/0806 20/0001 16/0b000001 28/0a000003"
+GATE_MOVED = "12/0806 20/0001 16/0b000001 32/0a000003"
+
+
+def test_a_value_only_patch_relinks_and_compiles_nothing(compile_calls, matcher_compiles, rebuilds):
+    """The count gate for re-linking: after 256 frames under ``fdd``, a
+    ``c0`` patch that changes only the values its diagram compares emits
+    the one chain that bakes ``c0``'s tree in, compiles nothing and
+    re-links it — the live chain's template code, filled with the new
+    literals — and the next 256 frames compile nothing on tier 1.  A
+    patch that adds a test, moves a test's location or moves the length
+    gate changes the template, and compiles."""
+    testbed, router, devices = build(ExecutionProfile.fdd())
+    traffic = testbed.evaluation_frames(512)
+    for name, frame in traffic[:256]:
+        devices[name].receive_frame(frame)
+    router.run_tasks(256)
+    tier1 = router.engine.tier1
+    (key,) = reaching(tier1, "c0")
+    rules = rules_of(router, "c0")
+    plane = ControlPlane(router)
+
+    def patch(first, compiled):
+        rules[0] = first
+        gate = tier1.policy.plans["c0"].gate
+        del compile_calls[:], rebuilds[:]
+        report = plane.update_rules("c0", rules)
+        assert report.kind == "in-place" and report.chains_recompiled == 1 and not rebuilds
+        assert tier1.report.emitted_units == 1 and tier1.report.compiled_units == compiled
+        assert tier1.report.relinked_units == 1 - compiled and len(compile_calls) == compiled
+        return tier1.chains[key], gate != tier1.policy.plans["c0"].gate
+
+    narrowed, _gate_moved = patch(NARROWED, 1)
+    relinked, gate_moved = patch(VALUES_MOVED, 0)
+    assert not gate_moved and relinked.same_template(narrowed)
+    assert relinked.relink is narrowed.relink and relinked.code is not narrowed.code
+    assert relinked.literals != narrowed.literals and relinked.source != narrowed.source
+    assert "1 re-linked" in tier1.report.format()
+    for name, frame in traffic[256:]:
+        devices[name].receive_frame(frame)
+    router.run_tasks(256)
+    assert sum(len(device.transmitted) for device in devices.values()) == 512
+    assert not compile_calls and not matcher_compiles and tier1.report.compiled_units == 0
+    located, gate_moved = patch(LOCATION_MOVED, 1)
+    assert not gate_moved and not located.same_template(relinked)
+    _gated, gate_moved = patch(GATE_MOVED, 1)
+    assert gate_moved
+
+
+@pytest.mark.parametrize("profile", [ExecutionProfile.fast(), ExecutionProfile.tiered()], ids=["fast", "adaptive"])
+def test_without_a_diagram_a_value_only_patch_costs_what_it_did(profile, compile_calls, matcher_compiles):
+    """Without a diagram no chain bakes ``c0``'s rules in: each patch,
+    a value edit or not, re-links and compiles no chain, and costs one
+    matcher."""
+    testbed, router, devices = build(profile)
+    traffic = testbed.evaluation_frames(768)
+    rules = rules_of(router, "c0")
+    for index, first in enumerate((NARROWED, VALUES_MOVED)):
+        for name, frame in traffic[256 * index : 256 * (index + 1)]:
+            devices[name].receive_frame(frame)
+        router.run_tasks(256)
+        del compile_calls[:], matcher_compiles[:]
+        rules[0] = first
+        report = ControlPlane(router).update_rules("c0", rules)
+        assert report.kind == "in-place" and report.chains_recompiled == 0
+        flavors = [router.fastpath] if router.engine is None else router.engine.flavors()
+        assert all(flavor.report.relinked_units == 0 for flavor in flavors if flavor is not None)
+        assert not compile_calls and len(matcher_compiles) == 1
 
 
 def test_a_spliced_unentered_chain_is_filled_once_for_every_sharer(compile_calls):

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.check import check
 from repro.core.toolchain import load_config
+from repro.lang.lexer import split_config_args
 from repro.runtime.adaptive import AdaptiveConfig
 from repro.verify import cli
 from repro.verify.genconfig import generate_case, random_pipeline, stock_cases
@@ -54,12 +55,22 @@ class TestGenerators:
         for case, after in zip(cases, updated):
             texts = [event[1] for event in after["events"] if event[0] == "update"]
             if "Classifier(" in case["config"] or "IPFilter(" in case["config"]:
-                (text,) = texts
-                assert text != case["config"] and len(after["events"]) == len(case["events"]) + 1
+                # the rotation mid-trace, then a value edit of the same
+                # classifier three quarters in
+                text, edit = texts
+                assert text != case["config"] and len(after["events"]) == len(case["events"]) + 2
                 before, patched = load_config(case["config"]), load_config(text)
                 assert list(before.elements) == list(patched.elements)
                 changed = [n for n, d in patched.elements.items() if d.config != before.elements[n].config]
                 assert len(changed) == 1 and before.connections == patched.connections
+                edited = load_config(edit)
+                assert [n for n, d in edited.elements.items() if d.config != patched.elements[n].config] == changed
+                assert edited.connections == patched.connections
+                old_rules, new_rules = (split_config_args(g.elements[changed[0]].config) for g in (patched, edited))
+                (pair,) = [(a, b) for a, b in zip(old_rules, new_rules) if a != b]
+                assert len(old_rules) == len(new_rules)
+                assert sum(a != b for a, b in zip(*(rule.split() for rule in pair))) == 1
+                assert len(after["events"]) // 2 < after["events"].index(["update", edit])
                 rotated += 1
             else:
                 assert after is case and not texts
