@@ -21,6 +21,7 @@ class Align(Element):
     class_name = "Align"
     processing = "a/a"
     port_counts = "1/1"
+    STATE = {"copies": ("carry", "sum")}
 
     def configure(self, args):
         if len(args) != 2:
@@ -34,7 +35,6 @@ class Align(Element):
             raise ConfigError("Align modulus must be 2 or 4")
         if not 0 <= self.offset < self.modulus:
             raise ConfigError("Align offset must be in [0, modulus)")
-        self.copies = 0
 
     def simple_action(self, packet):
         if packet.data_alignment() % self.modulus != self.offset:

@@ -24,6 +24,12 @@ class RED(Element):
     processing = "a/a"
     port_counts = "1/1"
     EWMA_WEIGHT = 0.5
+    STATE = {
+        "drops": ("carry", "sum"),
+        "forwarded": ("carry", "sum"),
+        "_avg": ("carry", "first"),
+        "rng": ("carry", "first"),
+    }
 
     def configure(self, args):
         if len(args) != 3:
@@ -36,9 +42,6 @@ class RED(Element):
         if not 0.0 < self.max_p <= 1.0:
             raise ConfigError("MAX_P must be in (0, 1]")
         self._queues = []
-        self._avg = 0.0
-        self.drops = 0
-        self.forwarded = 0
         self.rng = random.Random(0xBEEF)
 
     def initialize(self):

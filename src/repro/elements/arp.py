@@ -47,6 +47,20 @@ class ARPQuerier(Element):
     # returns None and the fast path may inline it.  Port 1 (responses)
     # is traced as its own chain and still dispatches through push().
     fast_action = "_handle_ip"
+    STATE = {
+        "drops": ("carry", "sum"),
+        "queries_sent": ("carry", "sum"),
+        "replies_handled": ("carry", "sum"),
+        "table": ("carry", "first"),
+        "pending": ("carry", "first"),
+        # Bumped whenever the table (and so a cached header) may change;
+        # the adaptive fast path bakes a header behind an epoch guard,
+        # so any bump sends speculated packets back to the live dicts.
+        # The lazy header build in _handle_ip does not bump: it only
+        # materializes what the current table already implies.
+        "_arp_epoch": ("carry", "first"),
+        "_headers": ("reset", "first"),  # rebuilt from the table on use
+    }
 
     def configure(self, args):
         if len(args) != 2:
@@ -55,16 +69,7 @@ class ARPQuerier(Element):
         self.my_ether = EtherAddress(args[1])
         self.table = {}  # IP value -> EtherAddress
         self._headers = {}  # IP value -> ready-made Ethernet header bytes
-        # Bumped whenever the table (and so a cached header) may change;
-        # the adaptive fast path bakes a header behind an epoch guard,
-        # so any bump sends speculated packets back to the live dicts.
-        # The lazy header build in _handle_ip does not bump: it only
-        # materializes what the current table already implies.
-        self._arp_epoch = 0
         self.pending = {}  # IP value -> [Packet]
-        self.queries_sent = 0
-        self.replies_handled = 0
-        self.drops = 0
 
     def insert(self, ip, ether):
         """Seed the ARP table (tests and the MR configurations use this)."""
@@ -196,6 +201,7 @@ class ARPResponder(Element):
     class_name = "ARPResponder"
     processing = "a/a"
     port_counts = "1/1"
+    STATE = {"replies_sent": ("carry", "sum")}
 
     def configure(self, args):
         if not args:
@@ -209,7 +215,6 @@ class ARPResponder(Element):
 
             addr, mask = parse_ip_prefix(fields[0])
             self.entries.append((addr.value & mask, mask, EtherAddress(fields[1])))
-        self.replies_sent = 0
 
     def lookup(self, ip):
         value = IPAddress(ip).value

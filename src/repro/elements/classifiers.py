@@ -74,6 +74,7 @@ class _TreeClassifier(Element):
 
     processing = "h/h"
     port_counts = "1/-"
+    STATE = {"drops": ("carry", "sum")}
 
     def build_tree(self, args):
         raise NotImplementedError
@@ -96,7 +97,6 @@ class _TreeClassifier(Element):
         # How many outputs this configuration declares (click-check
         # verifies they are all connected).
         self.configured_noutputs = self.tree.noutputs
-        self.drops = 0
 
     def matcher_cell(self):
         """A one-slot list holding the compiled matcher for the current
@@ -218,12 +218,12 @@ class FastClassifierBase(Element):
     generated = True
     tree = None
     compiled = None
+    STATE = {"drops": ("carry", "sum")}
 
     def configure(self, args):
         if args:
             raise ConfigError("%s is generated; it takes no arguments" % self.class_name)
         self.configured_noutputs = self.tree.noutputs if self.tree is not None else None
-        self.drops = 0
 
     def push(self, port, packet):
         data = packet.data

@@ -60,6 +60,7 @@ class IPInputCombo(Element):
     nbytes = 14
     offset = 0
     strict_alignment = False
+    STATE = {"drops": ("carry", "sum")}
 
     def lowering(self):
         """``(class, cold path)`` per stage, in packet order: the fast
@@ -81,7 +82,6 @@ class IPInputCombo(Element):
         if len(args) > 1:
             for addr in args[1].split():
                 self.bad_src.add(IPAddress(addr).value)
-        self.drops = 0
 
     def push(self, port, packet):
         # Paint.
@@ -131,6 +131,7 @@ class IPOutputCombo(Element):
     class_name = "IPOutputCombo"
     processing = "h/h"
     port_counts = "1/1-5"
+    STATE = {"drops": ("carry", "sum"), "fragments_made": ("carry", "sum")}
 
     def configure(self, args):
         if len(args) not in (2, 3):
@@ -138,8 +139,6 @@ class IPOutputCombo(Element):
         self.color = int(args[0])
         self.my_ip = IPAddress(args[1])
         self.mtu = int(args[2]) if len(args) == 3 else None
-        self.drops = 0
-        self.fragments_made = 0
 
     def lowering(self):
         """See :meth:`IPInputCombo.lowering`.  Output 0 is the chain's

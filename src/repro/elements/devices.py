@@ -98,13 +98,13 @@ class PollDevice(Element):
     processing = "h/h"
     port_counts = "0/1"
     BURST = 8
+    STATE = {"received": ("carry", "sum")}
 
     def configure(self, args):
         if len(args) != 1:
             raise ConfigError("PollDevice needs a device name")
         self.devname = args[0].strip()
         self.device = None
-        self.received = 0
 
     def initialize(self):
         self.device = self.router.devices.get(self.devname)
@@ -159,14 +159,13 @@ class ToDevice(Element):
     processing = "l/l"
     port_counts = "1/0"
     BURST = 8
+    STATE = {"sent": ("carry", "sum"), "idle_polls": ("carry", "sum")}
 
     def configure(self, args):
         if len(args) != 1:
             raise ConfigError("ToDevice needs a device name")
         self.devname = args[0].strip()
         self.device = None
-        self.sent = 0
-        self.idle_polls = 0
 
     def initialize(self):
         self.device = self.router.devices.get(self.devname)

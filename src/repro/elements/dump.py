@@ -22,6 +22,7 @@ class FromDump(Element):
     processing = "h/h"
     port_counts = "0/1"
     BURST = 8
+    STATE = {"emitted": ("carry", "sum"), "_cursor": ("carry", "first")}
 
     def configure(self, args):
         if not args or len(args) > 2:
@@ -29,8 +30,6 @@ class FromDump(Element):
         self.filename = args[0].strip()
         self.loop = bool(args[1].strip()) if len(args) > 1 and args[1].strip() else False
         self._packets = None
-        self._cursor = 0
-        self.emitted = 0
 
     def preload(self, blob):
         """Tests inject capture bytes instead of reading the file."""
@@ -69,6 +68,7 @@ class ToDump(Element):
     class_name = "ToDump"
     processing = "a/a"
     port_counts = "1/0-1"
+    STATE = {"recorded": ("carry", "first")}
 
     def configure(self, args):
         if not args or len(args) > 1:

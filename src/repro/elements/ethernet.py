@@ -54,12 +54,12 @@ class HostEtherFilter(Element):
     class_name = "HostEtherFilter"
     processing = "a/ah"
     port_counts = "1/1-2"
+    STATE = {"drops": ("carry", "sum")}
 
     def configure(self, args):
         if not args:
             raise ConfigError("HostEtherFilter needs our Ethernet address")
         self.my_ether = EtherAddress(args[0])
-        self.drops = 0
 
     def push(self, port, packet):
         result = self._classify(packet)

@@ -7,22 +7,23 @@ mechanism that keeps configurations static (enabling the optimizers)
 without losing queues or ARP tables on every change.
 
 State moves between elements that have the same *name* and compatible
-classes: each element class may implement ``take_state(old_element)``;
-the default transfers nothing.  Compatibility follows the runtime class
-hierarchy, so a ``Devirtualize@@q`` Queue accepts state from a plain
-``Queue`` and vice versa — optimizing a live router preserves its
-queues.
+classes, as each class declares it in ``STATE``
+(:class:`~repro.elements.element.Element`): :func:`take_state` copies
+every ``carry`` field both classes declare, and a ``reset`` field keeps
+the value the new configuration gave it.  Compatibility follows the
+runtime class hierarchy, so a ``Devirtualize@@q`` Queue accepts state
+from a plain ``Queue`` and vice versa — optimizing a live router
+preserves its queues.
 
 The swap is a **two-phase commit**.  Phase one prepares everything that
 can fail while the old router keeps serving: the new graph runs the
 ``check`` pass, a new router is built in reference mode, state is
-transferred (``take_state`` handlers must treat the old element as
-read-only — every stock handler copies), and the old router's execution
-profile — fast/adaptive, batch flavor, adaptive config, supervision —
-is recompiled onto the new router.  Only after all of that succeeds does
-phase two commit: the old router is retired.  Any failure raises
-:class:`HotswapError` and leaves the old router exactly as it was, still
-serving, queues and ARP tables intact.
+copied over (the old element is only read), and the old router's
+execution profile — fast/adaptive, batch flavor, adaptive config,
+supervision — is recompiled onto the new router.  Only after all of
+that succeeds does phase two commit: the old router is retired.  Any
+failure raises :class:`HotswapError` and leaves the old router exactly
+as it was, still serving, queues and ARP tables intact.
 
 The swap is **scoped**: before recompiling, the graphs are diffed
 (:func:`repro.graph.diff.diff_graphs`, or an explicit ``delta`` from the
@@ -36,6 +37,7 @@ with per-phase timings and the recompiled-vs-reused chain counts.
 
 from __future__ import annotations
 
+import copy
 import time
 from collections import OrderedDict
 
@@ -128,19 +130,10 @@ class SwapResult:
 
 
 def _compatible(new_element, old_element):
-    """Share state if either is an instance of the other's family —
-    generated subclasses count as their base class."""
-    for new_cls in type(new_element).__mro__:
-        if new_cls is Element:
-            break
-        if isinstance(old_element, new_cls):
-            return True
-    for old_cls in type(old_element).__mro__:
-        if old_cls is Element:
-            break
-        if isinstance(new_element, old_cls):
-            return True
-    return False
+    """Share state if the two classes have a common base below
+    :class:`Element` — generated subclasses count as their base class."""
+    shared = set(type(new_element).__mro__) & set(type(old_element).__mro__)
+    return any(cls is not Element and issubclass(cls, Element) for cls in shared)
 
 
 def _live_fastpaths(router):
@@ -236,8 +229,8 @@ def hotswap(old_router, new_graph, profile=None, validate=True, delta=None, **ro
     if injector is not None:
         injector.prepare_router(new_router)
 
-    # Phase 1c: transfer state.  Handlers read the old element and
-    # mutate only the new one, so a failure here abandons the half-built
+    # Phase 1c: transfer state.  take_state reads the old element and
+    # mutates only the new one, so a failure here abandons the half-built
     # new router without having disturbed the old.
     started = time.perf_counter()
     transferred = []
@@ -245,11 +238,8 @@ def hotswap(old_router, new_graph, profile=None, validate=True, delta=None, **ro
         old_element = old_router.find(name)
         if old_element is None or not _compatible(new_element, old_element):
             continue
-        take = getattr(new_element, "take_state", None)
-        if take is None:
-            continue
         try:
-            took = take(old_element)
+            took = take_state(new_element, old_element)
         except Exception as exc:
             raise HotswapError(
                 "state transfer for %r failed; old router still serving: %s: %s"
@@ -291,46 +281,27 @@ def hotswap(old_router, new_graph, profile=None, validate=True, delta=None, **ro
     return SwapResult(new_router, report)
 
 
-# -- take_state implementations for the stateful elements ---------------------
-
-
-def _queue_take_state(self, old):
-    capacity_room = self.capacity
-    # Mutate the deque in place: the fast-path compiler binds the deque
-    # object itself into generated code, so its identity must be stable.
-    self._deque.clear()
-    self._deque.extend(list(old._deque)[:capacity_room])
-    self.drops += max(0, len(old._deque) - capacity_room)
-    return True
-
-
-def _counter_take_state(self, old):
-    self.count = old.count
-    self.byte_count = old.byte_count
-    return True
-
-
-def _arpquerier_take_state(self, old):
-    self.table = dict(old.table)
-    self.pending = {key: list(value) for key, value in old.pending.items()}
-    return True
-
-
-def _discard_take_state(self, old):
-    self.count = old.count
-    return True
-
-
-def install_take_state_handlers():
-    """Attach take_state to the stateful element classes (done at import
-    time; idempotent)."""
-    from .arp import ARPQuerier
-    from .infrastructure import Counter, Discard, Queue
-
-    Queue.take_state = _queue_take_state
-    Counter.take_state = _counter_take_state
-    ARPQuerier.take_state = _arpquerier_take_state
-    Discard.take_state = _discard_take_state
-
-
-install_take_state_handlers()
+def take_state(new, old):
+    """Copy into ``new`` every field declared ``carry`` by both its
+    class and ``old``'s; True when there was one.  A copy goes one level
+    into a dict (ARP's held-packet lists), and shares the packets.  A
+    queue refills its own deque in place (the fast path binds the deque
+    object), up to the new capacity, and counts what does not fit as
+    ``drops``."""
+    fields = [
+        field
+        for field, (swap, _merge) in new.STATE.items()
+        if swap == "carry" and old.STATE.get(field, ("reset",))[0] == "carry"
+    ]
+    for field in fields:
+        value = getattr(old, field)
+        if isinstance(value, dict):
+            setattr(new, field, {key: copy.copy(item) for key, item in value.items()})
+        elif field != "_deque":
+            setattr(new, field, copy.copy(value))
+    if "_deque" in fields:
+        held = list(old._deque)
+        new._deque.clear()
+        new._deque.extend(held[: new.capacity])
+        new.drops += max(0, len(held) - new.capacity)
+    return bool(fields)

@@ -40,6 +40,7 @@ class ICMPError(Element):
     class_name = "ICMPError"
     processing = "a/a"
     port_counts = "1/1"
+    STATE = {"errors_sent": ("carry", "sum")}
 
     def configure(self, args):
         if len(args) != 3:
@@ -47,7 +48,6 @@ class ICMPError(Element):
         self.my_ip = IPAddress(args[0])
         self.icmp_type = self._named(args[1], _TYPE_NAMES, "ICMP type")
         self.icmp_code = self._named(args[2], _CODE_NAMES, "ICMP code")
-        self.errors_sent = 0
 
     @staticmethod
     def _named(text, table, what):

@@ -25,6 +25,7 @@ class Queue(Element):
     processing = "h/l"
     port_counts = "1/1"
     DEFAULT_CAPACITY = 1000
+    STATE = {"drops": ("carry", "sum"), "highwater": ("carry", "max"), "_deque": ("carry", "first")}
 
     def configure(self, args):
         if len(args) > 1:
@@ -38,8 +39,6 @@ class Queue(Element):
             if self.capacity < 1:
                 raise ConfigError("Queue capacity must be positive")
         self._deque = deque()
-        self.drops = 0
-        self.highwater = 0
 
     def __len__(self):
         return len(self._deque)
@@ -112,13 +111,12 @@ class Shaper(Element):
     processing = "l/l"
     port_counts = "1/1"
     TICK_SECONDS = 1e-3
+    STATE = {"passed": ("carry", "sum"), "_credit": ("carry", "first")}
 
     def configure(self, args):
         if len(args) != 1:
             raise ConfigError("Shaper(RATE)")
         self.rate = float(args[0])
-        self._credit = 0.0
-        self.passed = 0
 
     def tick(self):
         """Advance the shaper's clock one scheduler pass."""
@@ -151,6 +149,7 @@ class TimedSource(Element):
     processing = "h/h"
     port_counts = "0/1"
     TICK_SECONDS = 1e-3
+    STATE = {"emitted": ("carry", "sum"), "_elapsed": ("carry", "first")}
 
     def configure(self, args):
         if len(args) > 2:
@@ -160,8 +159,6 @@ class TimedSource(Element):
         if data.startswith('"') and data.endswith('"'):
             data = data[1:-1]
         self.data = data.encode("utf-8", "surrogateescape")
-        self._elapsed = 0.0
-        self.emitted = 0
 
     def is_task(self):
         return True
@@ -185,9 +182,7 @@ class Discard(Element):
     processing = "h/h"
     flow_code = "x/-"
     port_counts = "1/0"
-
-    def configure(self, args):
-        self.count = 0
+    STATE = {"count": ("carry", "sum")}
 
     def push(self, port, packet):
         self.count += 1
@@ -200,10 +195,7 @@ class Counter(Element):
     class_name = "Counter"
     processing = "a/a"
     port_counts = "1/1"
-
-    def configure(self, args):
-        self.count = 0
-        self.byte_count = 0
+    STATE = {"count": ("carry", "sum"), "byte_count": ("carry", "sum")}
 
     def simple_action(self, packet):
         self.count += 1
@@ -258,6 +250,7 @@ class Switch(StaticSwitch):
     dead-branch elimination)."""
 
     class_name = "Switch"
+    STATE = {"active_output": ("reset", "first")}
 
     def set_output(self, output):
         self.active_output = output
@@ -279,10 +272,6 @@ class Null(Element):
     class_name = "Null"
     processing = "a/a"
     port_counts = "1/1"
-
-    def configure(self, args):
-        if args:
-            raise ConfigError("Null takes no configuration arguments")
 
 
 @register
@@ -312,6 +301,7 @@ class InfiniteSource(Element):
     class_name = "InfiniteSource"
     processing = "h/h"
     port_counts = "0/1"
+    STATE = {"emitted": ("carry", "sum")}
 
     def configure(self, args):
         if len(args) > 3:
@@ -322,7 +312,6 @@ class InfiniteSource(Element):
         self.data = data.encode("utf-8", "surrogateescape")
         self.limit = int(args[1]) if len(args) > 1 and args[1] else -1
         self.burst = int(args[2]) if len(args) > 2 and args[2] else 1
-        self.emitted = 0
 
     def is_task(self):
         return True
@@ -347,12 +336,12 @@ class Unqueue(Element):
     class_name = "Unqueue"
     processing = "l/h"
     port_counts = "1/1"
+    STATE = {"count": ("carry", "sum")}
 
     def configure(self, args):
         if len(args) > 1:
             raise ConfigError("Unqueue takes at most one argument (burst)")
         self.burst = int(args[0]) if args and args[0] else 1
-        self.count = 0
 
     def is_task(self):
         return True
@@ -377,6 +366,7 @@ class RandomSample(Element):
     class_name = "RandomSample"
     processing = "a/ah"
     port_counts = "1/1-2"
+    STATE = {"drops": ("carry", "sum"), "rng": ("carry", "first")}
 
     def configure(self, args):
         if len(args) != 1:
@@ -385,7 +375,6 @@ class RandomSample(Element):
         if not 0.0 <= self.probability <= 1.0:
             raise ConfigError("probability must be in [0, 1]")
         self.rng = random.Random(0x5EED)
-        self.drops = 0
 
     def push(self, port, packet):
         if self.rng.random() < self.probability:
@@ -478,6 +467,7 @@ class RatedSource(Element):
     processing = "h/h"
     port_counts = "0/1"
     TICK_SECONDS = 1e-3  # one scheduler pass models a millisecond
+    STATE = {"emitted": ("carry", "sum"), "_credit": ("carry", "first")}
 
     def configure(self, args):
         if len(args) > 3:
@@ -488,8 +478,6 @@ class RatedSource(Element):
         self.data = data.encode("utf-8", "surrogateescape")
         self.rate = float(args[1]) if len(args) > 1 and args[1] else 10.0
         self.limit = int(args[2]) if len(args) > 2 and args[2] else -1
-        self.emitted = 0
-        self._credit = 0.0
 
     def is_task(self):
         return True
@@ -517,11 +505,7 @@ class PaintSwitch(Element):
     class_name = "PaintSwitch"
     processing = "h/h"
     port_counts = "1/-"
-
-    def configure(self, args):
-        if args:
-            raise ConfigError("PaintSwitch takes no arguments")
-        self.drops = 0
+    STATE = {"drops": ("carry", "sum")}
 
     def push(self, port, packet):
         if 0 <= packet.paint < self.noutputs:
@@ -538,12 +522,12 @@ class CheckLength(Element):
     class_name = "CheckLength"
     processing = "a/ah"
     port_counts = "1/1-2"
+    STATE = {"drops": ("carry", "sum")}
 
     def configure(self, args):
         if len(args) != 1:
             raise ConfigError("CheckLength(MAX)")
         self.max_length = int(args[0])
-        self.drops = 0
 
     def push(self, port, packet):
         if len(packet) <= self.max_length:

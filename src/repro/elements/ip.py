@@ -128,11 +128,11 @@ class CheckIPHeader(Element):
     # The alignment click-align must guarantee at our input (modulus 4,
     # offset 0: a word-aligned IP header).
     required_alignment = (4, 0)
+    STATE = {"drops": ("carry", "sum")}
 
     def configure(self, args):
         self.bad_src = set()
         self.offset = 0
-        self.drops = 0
         self.strict_alignment = False
         for arg in args:
             arg = arg.strip()
@@ -304,10 +304,6 @@ class SetIPChecksum(Element):
     processing = "a/a"
     port_counts = "1/1"
 
-    def configure(self, args):
-        if args:
-            raise ConfigError("SetIPChecksum takes no arguments")
-
     def simple_action(self, packet):
         from ..net.checksum import internet_checksum
 
@@ -331,10 +327,6 @@ class StripToNetworkHeader(Element):
     class_name = "StripToNetworkHeader"
     processing = "a/a"
     port_counts = "1/1"
-
-    def configure(self, args):
-        if args:
-            raise ConfigError("StripToNetworkHeader takes no arguments")
 
     def simple_action(self, packet):
         offset = packet.ip_header_offset
@@ -383,9 +375,7 @@ class DropBroadcasts(Element):
     class_name = "DropBroadcasts"
     processing = "a/a"
     port_counts = "1/1"
-
-    def configure(self, args):
-        self.drops = 0
+    STATE = {"drops": ("carry", "sum")}
 
     def simple_action(self, packet):
         if packet.user_annos.get("packet_type") == PACKET_TYPE_BROADCAST:
@@ -413,12 +403,12 @@ class IPGWOptions(Element):
     processing = "a/ah"
     port_counts = "1/1-2"
     fast_action = "_process"
+    STATE = {"problems": ("carry", "sum")}
 
     def configure(self, args):
         if len(args) > 1:
             raise ConfigError("IPGWOptions takes at most the router address")
         self.my_ip = IPAddress(args[0]) if args and args[0] else None
-        self.problems = 0
 
     def push(self, port, packet):
         result = self._process(packet)
@@ -542,9 +532,7 @@ class DecIPTTL(Element):
     processing = "a/ah"
     port_counts = "1/1-2"
     fast_action = "_decrement"
-
-    def configure(self, args):
-        self.expired = 0
+    STATE = {"expired": ("carry", "sum")}
 
     def push(self, port, packet):
         result = self._decrement(packet)
@@ -647,6 +635,7 @@ class IPFragmenter(Element):
     # fragments and DF rejects are pushed from inside the method, so the
     # fast path can inline the MTU test into its chains.
     fast_action = "_maybe_fragment"
+    STATE = {"fragments_made": ("carry", "sum"), "df_drops": ("carry", "sum")}
 
     def configure(self, args):
         if not args or len(args) > 1:
@@ -654,8 +643,6 @@ class IPFragmenter(Element):
         self.mtu = int(args[0])
         if self.mtu < 68:
             raise ConfigError("MTU must be at least 68")
-        self.fragments_made = 0
-        self.df_drops = 0
 
     def push(self, port, packet):
         packet = self._maybe_fragment(packet)

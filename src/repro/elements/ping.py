@@ -6,7 +6,7 @@ import struct
 
 from ..net.checksum import internet_checksum
 from ..net.headers import ICMP_ECHO, ICMP_ECHO_REPLY, IP_HEADER_LEN, IP_PROTO_ICMP
-from .element import ConfigError, Element
+from .element import Element
 from .registry import register
 
 
@@ -21,11 +21,7 @@ class ICMPPingResponder(Element):
     class_name = "ICMPPingResponder"
     processing = "a/a"
     port_counts = "1/1"
-
-    def configure(self, args):
-        if args:
-            raise ConfigError("ICMPPingResponder takes no arguments")
-        self.replies_sent = 0
+    STATE = {"replies_sent": ("carry", "sum")}
 
     def simple_action(self, packet):
         data = packet.data

@@ -43,13 +43,13 @@ class _IPRouteTable(Element):
 
     processing = "h/h"
     port_counts = "1/-"
+    STATE = {"no_route_drops": ("carry", "sum")}
 
     def configure(self, args):
         if not args:
             raise ConfigError("%s needs at least one route" % self.class_name)
         self.routes = [_parse_route(arg) for arg in args]
         self._build()
-        self.no_route_drops = 0
 
     def check_routes(self, args):
         """Parse and validate a replacement route table without touching

@@ -252,8 +252,8 @@ class Router:
     def retire(self):
         """Decommission this router after a hot-swap: supervision and
         compiled state come off, and the scheduler goes inert.  The
-        wiring and element state stay readable (the new router's
-        ``take_state`` handlers already copied what they needed)."""
+        wiring and element state stay readable (the swap's
+        ``take_state`` already copied what the new router carries)."""
         if self.retired:
             return
         self.supervisor = None

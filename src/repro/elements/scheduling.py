@@ -16,11 +16,7 @@ class RoundRobinSched(Element):
     processing = "l/l"
     flow_code = "x/x"
     port_counts = "1-/1"
-
-    def configure(self, args):
-        if args:
-            raise ConfigError("RoundRobinSched takes no arguments")
-        self._next = 0
+    STATE = {"_next": ("carry", "first")}
 
     def pull(self, port):
         for offset in range(self.ninputs):
@@ -41,10 +37,6 @@ class PrioSched(Element):
     processing = "l/l"
     flow_code = "x/x"
     port_counts = "1-/1"
-
-    def configure(self, args):
-        if args:
-            raise ConfigError("PrioSched takes no arguments")
 
     def pull(self, port):
         for index in range(self.ninputs):
@@ -86,13 +78,13 @@ class RouterLink(Element):
     processing = "l/h"
     port_counts = "1/1"
     BURST = 8
+    STATE = {"carried": ("carry", "sum")}
 
     def configure(self, args):
         if len(args) != 2:
             raise ConfigError("RouterLink(FROM-DEVICE-SPEC, TO-DEVICE-SPEC)")
         self.from_spec = args[0]
         self.to_spec = args[1]
-        self.carried = 0
 
     def is_task(self):
         return True

@@ -22,6 +22,7 @@ class UDPIPEncap(Element):
     class_name = "UDPIPEncap"
     processing = "a/a"
     port_counts = "1/1"
+    STATE = {"_identification": ("carry", "first")}
 
     def configure(self, args):
         if len(args) != 4:
@@ -30,7 +31,6 @@ class UDPIPEncap(Element):
         self.src_port = int(args[1])
         self.dst = IPAddress(args[2])
         self.dst_port = int(args[3])
-        self._identification = 0
 
     def simple_action(self, packet):
         payload_length = len(packet)
@@ -60,10 +60,6 @@ class SetUDPChecksum(Element):
     class_name = "SetUDPChecksum"
     processing = "a/a"
     port_counts = "1/1"
-
-    def configure(self, args):
-        if args:
-            raise ConfigError("SetUDPChecksum takes no arguments")
 
     def simple_action(self, packet):
         data = packet.data

@@ -110,6 +110,18 @@ def read_counters(router):
     return counters
 
 
+def merge_rules(router):
+    """How shards merge :func:`read_counters`' keys: each counter by its
+    element class's rule, and a queue's ``length`` by sum."""
+    rules = {}
+    for name, element in router.elements.items():
+        counters = element.counters()
+        if hasattr(element, "__len__"):
+            counters["length"] = "sum"
+        rules.update(("%s.%s" % (name, field), merge) for field, merge in counters.items())
+    return rules
+
+
 def case_events(journal, graph, write):
     """A shard journal as case events: one ``frame`` event per journaled
     frame (so ddmin shrinks frame by frame); each hot-swap or update

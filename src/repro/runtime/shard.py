@@ -79,6 +79,7 @@ and engine, and the coordinator never touches them.
 
 from __future__ import annotations
 
+import operator
 import os
 import pickle
 import queue
@@ -87,7 +88,7 @@ import time as _time
 from collections import OrderedDict
 from typing import NamedTuple
 
-from ..events import apply, case_events, read_counters
+from ..events import apply, case_events, merge_rules, read_counters
 from .flowhash import DEFAULT_SEED, FlowHasher
 from .profile import ExecutionProfile
 from .recovery import PoisonFrameError, RecoveryError, ReplayFrameError
@@ -446,6 +447,10 @@ def _build_shard(config, profile, device_names, metered, shard_index, extra_clas
     return router, devices, share
 
 
+#: How :meth:`ShardedRouter.merged_counters` combines two shards' values
+#: of a counter, by its declared merge rule (any other rule: the first).
+_MERGES = {"sum": operator.add, "max": max}
+
 #: Commands the coordinator waits on: each is answered exactly once,
 #: with its reply or with ``("error", exception)`` — never with silence,
 #: which the coordinator could only tell from a hang.
@@ -615,7 +620,7 @@ def _shard_worker(
                 meter = router.meter.summary() if router.meter is not None else None
                 send(("collected", fresh, meter))
             elif op == "counters":
-                send(("counters", read_counters(router)))
+                send(("counters", read_counters(router), merge_rules(router)))
             elif op == "arp_epoch_holders":
                 # How many elements ``Router.bump_arp_epochs`` bumps.
                 holders = sum(
@@ -1781,16 +1786,16 @@ class ShardedRouter:
     # -- observability -----------------------------------------------------
 
     def merged_counters(self):
-        """Every element read handler, reconciled across shards: numeric
-        values sum; non-numeric values report shard 0's."""
+        """Every element read handler, reconciled across shards by the
+        rule its element declares (:func:`repro.events.merge_rules`): a
+        counter sums, a high-water mark takes the maximum, and any other
+        handler reports the first live shard's value."""
         self._ensure_started()
         merged = {}
-        for _shard, reply in self._ask(self._live_shards(), ("counters",)):
-            for key, value in reply[1].items():
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    merged.setdefault(key, value)
-                else:
-                    merged[key] = merged.get(key, 0) + value
+        for _shard, (_op, counters, rules) in self._ask(self._live_shards(), ("counters",)):
+            for key, value in counters.items():
+                combine = _MERGES.get(rules.get(key)) if key in merged else None
+                merged[key] = combine(merged[key], value) if combine else merged.get(key, value)
         return merged
 
     def report(self):

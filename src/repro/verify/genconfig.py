@@ -37,6 +37,9 @@ _TRANSPARENT = [
 _MIDDLE = _TRANSPARENT + [
     ("Strip", lambda rng: str(rng.choice([2, 4, 14]))),
     ("CheckLength", lambda rng: str(rng.choice([46, 64, 120, 1500]))),
+    # Their state changes what they do: RED's average, UDPIPEncap's IP IDs.
+    ("RED", lambda rng: "%d, %d, %s" % (rng.choice([1, 2]), rng.choice([3, 8]), rng.choice([0.2, 1]))),
+    ("UDPIPEncap", lambda rng: "10.0.9.1, 1234, 10.0.9.%d, 53" % rng.randrange(2, 9)),
 ]
 
 
@@ -60,7 +63,8 @@ def _validated(graph):
 
 def random_pipeline(rng, table=None):
     """A random legal push pipeline: PollDevice -> [middle elements,
-    possibly a Classifier or Tee branch] -> Queue -> ToDevice."""
+    possibly a Classifier or Tee branch] -> Queue -> [Shaper] ->
+    ToDevice."""
     table = table or composition_table()
     graph = RouterGraph()
     graph.add_element("src", "PollDevice", "eth0")
@@ -119,7 +123,14 @@ def random_pipeline(rng, table=None):
     graph.add_element("q", queue_class, str(rng.choice([4, 16, 64])))
     graph.add_connection(previous, 0, "q", 0)
     graph.add_element("dst", "ToDevice", "eth1")
-    graph.add_connection("q", 0, "dst", 0)
+    if rng.random() < 0.3:
+        # At 1000/s or more a Shaper passes a frame a scheduler pass (a
+        # simulated millisecond), so every trace drains before it ends.
+        graph.add_element("shaper", "Shaper", str(rng.choice([1000, 2000, 4000])))
+        graph.add_connection("q", 0, "shaper", 0)
+        graph.add_connection("shaper", 0, "dst", 0)
+    else:
+        graph.add_connection("q", 0, "dst", 0)
     return graph
 
 

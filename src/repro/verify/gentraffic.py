@@ -6,8 +6,10 @@ the fuzzer exists to catch: oversize datagrams with and without DF (the
 fragmentation paths), runt frames shorter than an Ethernet header, ARP
 requests, traffic addressed to the router itself, and deterministic
 mid-run control events — ARP-table churn (epoch bumps), baked-guard
-invalidation, forced adaptive deoptimization, and a control-plane rules
-update that changes what a classifier's outputs mean.
+invalidation, forced adaptive deoptimization, a hot-swap that installs
+the live configuration again (every element's declared ``carry`` state
+must cross it unchanged), and a control-plane rules update that changes
+what a classifier's outputs mean.
 
 Everything is driven by a seeded ``random.Random``; the same seed always
 produces the same event list, so every case is replayable.
@@ -109,6 +111,8 @@ def iprouter_events(rng, interfaces, count=96, mtu=1500):
             # tier-2 header guard must fail safe into the generic probe.
             events.append(["insert", "arpq0", host_ip(0), MOVED_ETHER])
             events.append(["bump_epochs"])
+        if sequence == 2 * count // 3:
+            events.append(["hotswap"])
     events.append(["run", 64])
     events.append(["run", 64])
     return events
@@ -144,6 +148,8 @@ def firewall_events(rng, count=64):
             pending = 0
         if sequence == count // 2:
             events.append(["deopt"])
+        if sequence == 3 * count // 4:
+            events.append(["hotswap"])
     events.append(["run", 48])
     return events
 
@@ -183,6 +189,8 @@ def pipeline_events(rng, input_devices, count=64):
         if sequence == count // 2:
             events.append(["deopt"])
             events.append(["bump_epochs"])
+        if sequence == 3 * count // 4:
+            events.append(["hotswap"])
     events.append(["run", 48])
     return events
 

@@ -316,6 +316,20 @@ def lossy_overflow_skip(reference, result, diff, **where):
     return dict(where, reason="lossy-overflow: %d queue drop(s) (%s)" % (drops, diff))
 
 
+#: Classes that number every flow's packets from one counter (IP IDs):
+#: each shard numbers its own, so no partition emits the single plane's
+#: bytes.  Out of the shard contract, as lossy overflow is.
+CROSS_FLOW_CLASSES = frozenset(["UDPIPEncap"])
+
+
+def cross_flow_skip(config_text, diff, **where):
+    """The skip record for a sharded run's wire difference ``diff`` on a
+    configuration holding a :data:`CROSS_FLOW_CLASSES` element, else None."""
+    elements = load_config(config_text, "<fuzz>").elements.values()
+    names = sorted(decl.name for decl in elements if decl.class_name in CROSS_FLOW_CLASSES)
+    return dict(where, reason="cross-flow state: %s (%s)" % (", ".join(names), diff)) if names else None
+
+
 def compare_case(case, modes=None):
     """Run the full matrix for one case and diff it.
 
@@ -341,7 +355,8 @@ def compare_case(case, modes=None):
     opts the shard modes into divide-capacity mode (every bounded
     queue's capacity split across the shards, so aggregate capacity
     matches the single plane) — under that mode lossy traces are back
-    in contract and are compared, not skipped."""
+    in contract and are compared, not skipped.  One that numbers packets
+    across flows stays out of contract (:func:`cross_flow_skip`)."""
     modes = [m for m in (modes or list(MODES)) if m in MODES or m in SHARD_MODES]
     if "reference" not in modes:
         modes = ["reference"] + modes
@@ -398,6 +413,8 @@ def compare_case(case, modes=None):
                 skip = None
                 if sharded and not case.get("divide_capacity"):
                     skip = lossy_overflow_skip(reference[1], result[1], diff, axis=axis, mode=mode)
+                if sharded and skip is None:
+                    skip = cross_flow_skip(case["config"], diff, axis=axis, mode=mode)
                 if skip is not None:
                     skips.append(skip)
                     continue

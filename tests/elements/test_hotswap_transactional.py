@@ -6,7 +6,6 @@ and the SwapResult/SwapReport surface."""
 import pytest
 
 from repro.elements import HotswapError, Router, SwapReport, SwapResult, hotswap_router
-from repro.elements.hotswap import _counter_take_state
 from repro.elements.infrastructure import Counter
 from repro.lang.build import parse_graph
 from repro.net.headers import build_arp_reply
@@ -144,20 +143,17 @@ class TestRollback:
         assert not old.retired
         self._serving(old)
 
-    def test_failed_state_transfer_rolls_back(self):
+    def test_failed_state_transfer_rolls_back(self, monkeypatch):
         old = Router(parse_graph(BASE), profile=ExecutionProfile.fast())
         for tag in (b"a", b"b"):
             old.push_packet("c", 0, Packet(tag))
-
-        def poisoned(self, old_element):
-            raise RuntimeError("take_state exploded")
-
-        Counter.take_state = poisoned
-        try:
-            with pytest.raises(HotswapError, match="state transfer for 'c'"):
-                hotswap_router(old, parse_graph(EXTENDED))
-        finally:
-            Counter.take_state = _counter_take_state
+        # A carried field the live Counter never had: the generic
+        # transfer fails reading it, after the new router is built.
+        poisoned = dict(Counter.STATE, missing=("carry", "sum"))
+        monkeypatch.setattr(Counter, "STATE", poisoned)
+        with pytest.raises(HotswapError, match="state transfer for 'c'.*missing"):
+            hotswap_router(old, parse_graph(EXTENDED))
+        monkeypatch.undo()
         assert not old.retired
         assert old.mode == "fast"
         assert [p.data for p in list(old["q"]._deque)] == [b"a", b"b"]

@@ -9,10 +9,9 @@ Two layers of strictness:
 - within one installation path, the whole mode matrix must agree on
   transmitted bytes *and* every element read handler (the oracle's
   standard contract);
-- across the two installation paths, the transmitted bytes must be
-  identical.  (Handler sets legitimately differ across paths: a full
-  swap resets counters on elements without ``take_state`` handlers,
-  while an in-place patch preserves every live counter.)
+- across the two installation paths, the transmitted bytes and every
+  read handler must be identical: an in-place patch keeps each live
+  element, and a swap carries every field its class declares ``carry``.
 """
 
 import random
@@ -122,11 +121,15 @@ def test_incremental_update_matches_full_hotswap(seed):
             )
         observations[path] = reference
 
-    # Across the two installation paths: byte-identical wire output.
+    # Across the two installation paths: byte-identical wire output and
+    # the same read handlers.
     diff = first_transmit_difference(
         observations["update"]["transmitted"], observations["hotswap"]["transmitted"]
     )
     assert diff is None, "update vs hotswap (structural=%s): %s" % (structural, diff)
+    assert observations["update"]["counters"] == observations["hotswap"]["counters"], (
+        "update vs hotswap (structural=%s) counters diverged" % structural
+    )
     # Both paths actually forwarded traffic — the property is not vacuous.
     assert any(observations["update"]["transmitted"].values())
 
@@ -155,21 +158,33 @@ def with_rules_patches(case, rng, changing=False):
     return case
 
 
+def one_router(case):
+    """``case`` without the bare hot-swap its traffic carries: the tests
+    below follow one router's engine through the whole trace, and a
+    swap builds another."""
+    return dict(case, events=[event for event in case["events"] if event != ["hotswap"]])
+
+
 def long_stock_cases(seed, frames=512):
     """Both stock configurations under ``frames`` frames of their
-    fuzzing traffic (``stock_cases`` stops the firewall's at 64)."""
+    fuzzing traffic (``stock_cases`` stops the firewall's at 64), for
+    one router."""
     interfaces = default_interfaces(2)
     return [
-        {
-            "name": "iprouter-%d" % seed,
-            "config": ip_router_config(interfaces),
-            "events": gentraffic.iprouter_events(random.Random(seed), interfaces, count=frames),
-        },
-        {
-            "name": "firewall-%d" % seed,
-            "config": firewall_config(),
-            "events": gentraffic.firewall_events(random.Random(seed), count=frames),
-        },
+        one_router(
+            {
+                "name": "iprouter-%d" % seed,
+                "config": ip_router_config(interfaces),
+                "events": gentraffic.iprouter_events(random.Random(seed), interfaces, count=frames),
+            }
+        ),
+        one_router(
+            {
+                "name": "firewall-%d" % seed,
+                "config": firewall_config(),
+                "events": gentraffic.firewall_events(random.Random(seed), count=frames),
+            }
+        ),
     ]
 
 
@@ -194,7 +209,7 @@ def test_rules_patch_sequence_matches_reference(seed):
 
     rng = random.Random(seed)
     eager = mode_profile("fdd").adaptive
-    runs = [(with_rules_patches(stock_iprouter(events=96), rng), eager)]
+    runs = [(with_rules_patches(one_router(stock_iprouter(events=96)), rng), eager)]
     for case in long_stock_cases(seed):
         patched = with_rules_patches(case, rng, changing=True)
         runs += [(patched, AdaptiveConfig(sample=1)), (patched, PROFILED_ONLY)]

@@ -145,6 +145,19 @@ class TestLossyOverflow:
         assert overflow_drops({"q.drops": 3, "q2.drops": 1, "c.count": 9}) == 4
         assert overflow_drops({"c.count": 9, "q.drops": "n/a"}) == 0
 
+    def test_numbering_packets_across_flows_is_a_skip(self):
+        """Each shard's UDPIPEncap numbers its own packets from IP ID 0:
+        a multiset difference with no drop, recorded as out of
+        contract; the single-plane modes still compare strictly."""
+        case = self.lossy_case()
+        case["config"] = case["config"].replace(
+            "src -> q", "src -> e :: UDPIPEncap(10.0.9.1, 1234, 10.0.9.2, 53) -> q"
+        ).replace("FrontDropQueue(4)", "Queue(64)")
+        result = compare_case(case, modes=list(MODES) + list(SHARD_MODES))
+        assert result["status"] == "ok", result["divergences"]
+        assert {skip["mode"] for skip in result["skips"]} == set(SHARD_MODES)
+        assert all(skip["reason"].startswith("cross-flow state: e (") for skip in result["skips"])
+
 
 class TestShardedChaos:
     def test_sharded_plan_survives_worker_crash(self):

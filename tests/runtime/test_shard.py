@@ -806,6 +806,22 @@ class TestReconciliation:
         )
         assert received == 100
 
+    def test_merged_highwater_is_the_largest_shards(self):
+        """Each counter merges by the rule its class declares: a
+        queue's ``highwater`` by max, its ``drops`` by sum."""
+        testbed, router, devices = sharded_testbed(2)
+        try:
+            drive(testbed, router, devices, 100)
+            merged = router.merged_counters()
+            shards = [reply[1] for _shard, reply in router._ask(router._live_shards(), ("counters",))]
+        finally:
+            router.close()
+        for queue in ("out0", "out1"):
+            marks = [shard[queue + ".highwater"] for shard in shards]
+            assert min(marks) > 0  # both shards queued, so a sum would differ
+            assert merged[queue + ".highwater"] == max(marks)
+            assert merged[queue + ".drops"] == sum(shard[queue + ".drops"] for shard in shards)
+
     def test_report_survives_close(self):
         testbed, router, devices = sharded_testbed(2)
         drive(testbed, router, devices, 40)

@@ -43,24 +43,29 @@ def generate():
         "",
         "All element classes in the registry, grouped by module.  Each entry",
         "shows the class-level specifications the tools scrape (§5.3): the",
-        "processing code, flow code, and port counts.  This file is generated",
-        "from the registry by `python tools/gen_element_docs.py`; a test keeps",
-        "it in sync.",
+        "processing code, flow code, and port counts, and the run-time state the",
+        "class declares in `STATE`: each field with what a hot-swap does to it",
+        "(`carry` or `reset`) and how a sharded plane merges it (`sum`, `max` or",
+        "`first`).  This file is generated from the registry by",
+        "`python tools/gen_element_docs.py`; a test keeps it in sync.",
         "",
     ]
     for module in sorted(groups):
         lines.append("## %s" % TITLES.get(module, module))
         lines.append("")
-        lines.append("| class | processing | flow | ports | summary |")
-        lines.append("|---|---|---|---|---|")
+        lines.append("| class | processing | flow | ports | state | summary |")
+        lines.append("|---|---|---|---|---|---|")
         for name, cls in groups[module]:
             doc = (inspect.getdoc(cls) or "").split("\n")[0].strip()
             if len(doc) > 90:
                 doc = doc[:87] + "..."
             doc = doc.replace("|", "\\|")
+            state = ", ".join(
+                "`%s` %s/%s" % (field, swap, merge) for field, (swap, merge) in cls.STATE.items()
+            )
             lines.append(
-                "| `%s` | `%s` | `%s` | `%s` | %s |"
-                % (name, cls.processing, cls.flow_code, cls.port_counts, doc)
+                "| `%s` | `%s` | `%s` | `%s` | %s | %s |"
+                % (name, cls.processing, cls.flow_code, cls.port_counts, state or "—", doc)
             )
         lines.append("")
     return "\n".join(lines) + "\n"
