@@ -213,7 +213,7 @@ class ControlPlane:
         report.delta = delta.summary()
         report.phases["patch"] = time.perf_counter() - started
         report.elements_patched = len(staged)
-        report.chains_recompiled, report.chains_reused = chain_totals(rebuilt)
+        report.chains_recompiled, report.chains_relinked, report.chains_reused = chain_totals(rebuilt)
         return report
 
     def _try_patch(self, delta, diff_seconds):

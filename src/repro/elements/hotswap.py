@@ -55,10 +55,10 @@ class SwapReport:
     """What one configuration update did: its kind (``in-place`` data
     patch, ``scoped-swap``, ``full-swap``, or ``no-op``), per-phase wall
     times, and the chain accounting of the fast paths it built:
-    ``chains_recompiled`` were emitted again, ``chains_reused`` were
-    not (spliced from the old compile with their code objects, or
-    shared with a text the codegen cache holds).  Shared by :func:`hotswap` and
-    :meth:`repro.control.ControlPlane.apply`."""
+    ``chains_recompiled`` were emitted again, ``chains_relinked`` took
+    a rules patch's new values without that, ``chains_reused`` neither
+    (spliced from the old compile, shared with a cached text, or left).
+    Shared by :func:`hotswap` and :meth:`repro.control.ControlPlane.apply`."""
 
     def __init__(self, kind, profile=None, delta=None):
         self.kind = kind
@@ -66,6 +66,7 @@ class SwapReport:
         self.delta = delta  # GraphDelta summary (str) or None
         self.phases = OrderedDict()  # phase name -> seconds
         self.chains_recompiled = 0
+        self.chains_relinked = 0
         self.chains_reused = 0
         self.elements_patched = 0
         self.transferred = []  # element names that carried state over
@@ -82,6 +83,7 @@ class SwapReport:
             "phases": {name: round(value, 6) for name, value in self.phases.items()},
             "total_seconds": round(self.total_seconds, 6),
             "chains_recompiled": self.chains_recompiled,
+            "chains_relinked": self.chains_relinked,
             "chains_reused": self.chains_reused,
             "elements_patched": self.elements_patched,
             "transferred": list(self.transferred),
@@ -93,10 +95,9 @@ class SwapReport:
             parts.append(self.delta)
         if self.kind == "in-place":
             parts.append("%d element(s) patched" % self.elements_patched)
-        if self.kind != "in-place" or self.chains_recompiled or self.chains_reused:
-            parts.append(
-                "%d chain(s) recompiled, %d reused" % (self.chains_recompiled, self.chains_reused)
-            )
+        counts = (self.chains_recompiled, self.chains_relinked, self.chains_reused)
+        if self.kind != "in-place" or any(counts):
+            parts.append("%d chain(s) recompiled, %d re-linked, %d reused" % counts)
         if self.transferred:
             parts.append("state carried for %d element(s)" % len(self.transferred))
         if self.profile:
@@ -144,17 +145,17 @@ def _live_fastpaths(router):
 
 
 def chain_totals(fastpaths):
-    """``(emitted, reused)`` chain counts summed over compiled fast
-    paths — what :class:`SwapReport` calls recompiled and reused.  A
-    chain counts as recompiled exactly when the build emitted it again
-    (``FastPathReport.emitted_units``); a chain spliced from a donor or
-    shared with a cached text was not."""
-    recompiled = reused = 0
+    """``(emitted, re-linked, reused)`` chain counts summed over
+    compiled fast paths — what :class:`SwapReport` calls recompiled,
+    re-linked and reused (``FastPathReport.emitted_units``,
+    ``relinked_units``, the rest)."""
+    recompiled = relinked = total = 0
     for path in fastpaths:
         report = path.report
         recompiled += report.emitted_units
-        reused += report.push_chains + report.pull_chains + report.task_units - report.emitted_units
-    return recompiled, reused
+        relinked += report.relinked_units
+        total += report.push_chains + report.pull_chains + report.task_units
+    return recompiled, relinked, total - recompiled - relinked
 
 
 def hotswap(old_router, new_graph, profile=None, validate=True, delta=None, **router_kwargs):
@@ -269,7 +270,8 @@ def hotswap(old_router, new_graph, profile=None, validate=True, delta=None, **ro
     finally:
         new_router._fastpath_reuse = None
     report.phases["compile"] = time.perf_counter() - started
-    report.chains_recompiled, report.chains_reused = chain_totals(_live_fastpaths(new_router))
+    totals = chain_totals(_live_fastpaths(new_router))
+    report.chains_recompiled, report.chains_relinked, report.chains_reused = totals
 
     # Phase 2: commit.
     started = time.perf_counter()

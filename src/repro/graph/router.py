@@ -305,12 +305,6 @@ class RouterGraph:
                 return candidate
             counter += 1
 
-    def merge_requirements(self, other):
-        """Union another graph's requirements into this one."""
-        for requirement in other.requirements:
-            if requirement not in self.requirements:
-                self.requirements.append(requirement)
-
     def copy(self):
         """An independent copy (declarations deep, definitions shared)."""
         dup = RouterGraph()

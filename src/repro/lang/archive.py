@@ -90,10 +90,3 @@ def read_archive(text):
         if byte_cursor < len(data) and data[byte_cursor:byte_cursor + 1] == b"\n" and not content.endswith("\n"):
             byte_cursor += 1
     return members
-
-
-def config_member(members):
-    """The configuration text of a parsed archive."""
-    if CONFIG_MEMBER not in members:
-        raise ArchiveError("archive has no 'config' member")
-    return members[CONFIG_MEMBER]

@@ -16,13 +16,6 @@ def _format_declaration(decl):
     return "%s :: %s%s;" % (decl.name, decl.class_name, config)
 
 
-def _format_endpoint(conn_from, conn_to):
-    """Format `a [p] -> [q] b`, omitting zero ports."""
-    out_part = " [%d]" % conn_from[1] if conn_from[1] != 0 else ""
-    in_part = "[%d] " % conn_to[1] if conn_to[1] != 0 else ""
-    return "%s%s -> %s%s;" % (conn_from[0], out_part, in_part, conn_to[0])
-
-
 def unparse(graph, include_archive_note=True):
     """Render ``graph`` as configuration text."""
     lines = []

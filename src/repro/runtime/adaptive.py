@@ -61,7 +61,7 @@ import hashlib
 
 from .codegen_cache import default_cache
 from .fastpath import ChainPolicy, FastOutputPort, FastPath
-from .fdd import DEFAULT_NODE_BUDGET, classifier_hot_path, diagram_pass, router_trees
+from .fdd import DEFAULT_NODE_BUDGET, build_diagram, classifier_hot_path, diagram_pass, router_trees
 
 __all__ = [
     "AdaptiveConfig",
@@ -957,15 +957,20 @@ class AdaptiveEngine:
         return rewritten
 
     def repatch_classifier(self, name):
-        """The plain tier 1 after a rules patch on ``name``: the diagram
-        pass runs again, and the chains that reach ``name`` are emitted
-        with the new tree and swapped under the function objects the
-        ports, jump tables, dispatchers and supervisor pins already hold
-        (:meth:`FastPath.rewrite`).  The profiled flavor stands: it
-        walks the patched tree.  Returns the
-        fast paths it rewrote; :meth:`on_table_patch` then restarts the
-        profile."""
-        self.tier1.rewrite({name}, self._policy(self._diagram_fields()))
+        """The plain tier 1 after a rules patch on ``name``: its plan is
+        built again (the others are kept, the same objects), and the
+        chains that inlined it are re-linked or emitted again under the
+        function objects the ports, jump tables, dispatchers and
+        supervisor pins already hold (:meth:`FastPath.rewrite`).  The
+        profiled flavor stands: it walks the patched tree.  Returns the
+        fast paths it rewrote, whose profile :meth:`on_table_patch` restarts."""
+        policy = self.tier1.policy
+        plans = dict(policy.plans)
+        plans[name] = build_diagram(self.router.elements[name].tree, node_budget=policy.node_budget)
+        if plans[name] is None:  # over budget: the generic emission
+            del plans[name]
+        fields = {"plans": plans, "node_budget": policy.node_budget, "hot_paths": {}}
+        self.tier1.rewrite({name}, self._policy(fields))
         self.diagram_rebuilds += 1
         return (self.tier1,)
 

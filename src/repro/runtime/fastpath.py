@@ -289,11 +289,10 @@ class ChainInfo:
     build or rules patch that replaces a chain already forwarding, or by
     the first packet to enter it (:meth:`FastPath._enter`) — so ``code
     is not None`` says the chain is live.  ``template`` is ``source``
-    with every lifted literal a placeholder; a chain whose template is a
-    live chain's but for the names on its def lines
-    (:meth:`same_template`) runs that chain's template code with its own
-    literals and names (``relink``, :func:`compile_chain`,
-    :meth:`FastPath.rewrite`).  One record is shared by reference
+    with every lifted literal a placeholder; a rules patch whose plans
+    keep the shapes of those in ``diagrams`` gives the chain a record
+    with their literals, its code the template code (``relink``)
+    filled in (:meth:`refilled`).  One record is shared by reference
     between the fast path that emitted it, every compile that splices
     it, the codegen cache and every compile that emits the same text
     (the first sharer to enter it fills ``code`` for all); a splice that
@@ -308,7 +307,8 @@ class ChainInfo:
         "source",  # [blank line, "# describe()", generated line, ...]
         "template",  # source, each lifted literal a placeholder (source itself when none is)
         "literals",  # the values the template's placeholders stand for, in order
-        "relink",  # (template code, names() it was compiled under) once entered, if it has literals
+        "diagrams",  # (classifier name, DiagramPlan) of each plan the emission inlined
+        "relink",  # the template code once entered, if it has literals
         "code",  # the template code filled in (compile_chain), or None until it is entered
         "offset",  # source[0] is line ``offset`` of FastPath.source
         "binds",  # the _bN names bound during emission, in order
@@ -334,21 +334,36 @@ class ChainInfo:
         return "%s %s [%d] -> %s" % (self.kind, self.element, self.port, " -> ".join(hops))
 
     def same_unit(self, other):
-        """Would ``other``'s code object serve this not-yet-compiled chain?"""
-        return all(getattr(self, s) == getattr(other, s) for s in self.__slots__ if s not in ("code", "relink"))
+        """Would ``other``'s code object serve this not-yet-compiled chain?
+        (One text inlines plans of one shape, maybe other objects.)"""
+        skip = ("code", "relink", "diagrams")
+        return all(getattr(self, s) == getattr(other, s) for s in self.__slots__ if s not in skip)
 
-    def names(self):
-        """The names its def lines give: its functions, then its bind
-        slots."""
-        return (self.function_name, self.batch_name) + self.binds
-
-    def same_template(self, other):
-        """Do the two templates differ in nothing but the names on their
-        def lines — the same arity, the same body?"""
-        return len(self.template) == len(other.template) and all(
-            line == theirs or (line.startswith("def ") and _DEF_NAMES.sub("", line) == _DEF_NAMES.sub("", theirs))
-            for line, theirs in zip(self.template, other.template)
-        )
+    def refilled(self, plans):
+        """A new record of this chain with the literals ``plans`` give
+        the diagrams it inlined (its code, once it has template code,
+        that code filled in), or None where a plan is gone or changed
+        shape, or the new values share placeholders otherwise."""
+        slots = {value: slot for slot, value in enumerate(self.literals)}
+        literals, texts = [None] * len(self.literals), [None] * len(self.literals)
+        for name, inlined in self.diagrams:
+            written = plans[name].literals_for(inlined) if name in plans else None
+            if written is None:
+                return None
+            for (old, _text), (value, text) in zip(inlined.filled()[1], written):
+                slot = slots[old]
+                if texts[slot] is None:
+                    literals[slot], texts[slot] = value, text
+                elif literals[slot] != value:
+                    return None
+        if len(set(literals)) < len(literals):
+            return None
+        chain = copy.copy(self)
+        chain.literals, chain.source = tuple(literals), _fill(self.template, texts)
+        chain.diagrams = tuple((name, plans[name]) for name, _plan in self.diagrams)
+        if self.relink is not None:
+            chain.code = _instantiate(self.relink, chain.literals, self.offset)
+        return chain
 
     def moved(self, offset, tables):
         """This chain at another line offset and/or under other jump
@@ -359,7 +374,7 @@ class ChainInfo:
         chain = copy.copy(self)
         if offset != self.offset:
             if self.code is not None:
-                chain.code = _instantiate(self.code, (), {}, offset - self.offset)
+                chain.code = _instantiate(self.code, (), offset - self.offset)
             chain.offset = offset
         chain.tables = tables
         return chain
@@ -563,34 +578,33 @@ def _task_lowering(element):
     return element.lowering(), device.ring
 
 
-#: The names a chain's def lines give (:meth:`ChainInfo.names`): what
-#: :meth:`FastPath._bind` and the ``_emit_*`` methods call bind slots
-#: and functions.
-_DEF_NAMES = re.compile(r"\b_(?:b\d+|(?:push|pull|task)_\d+(?:_batch)?)\b")
+#: A lifted literal's placeholder (:meth:`_Emission.literal`): an octal escape, which no ``repr`` writes.
+_PLACEHOLDER = re.compile(r"'\\000(\d+)'")
 
 
-def _instantiate(template, literals, names, by):
+def _fill(template, texts):
+    """``template``'s lines with each placeholder the text of its literal."""
+    return _PLACEHOLDER.sub(lambda match: texts[int(match.group(1))], "\n".join(template)).split("\n")
+
+
+def _instantiate(template, literals, by):
     """``template`` (a compiled chain, see :func:`compile_chain`) with
     each placeholder constant — the string ``'\\x00<index>'``, a
-    constant no chain holds otherwise — its literal, each name it was
-    compiled under the one ``names`` maps it to (and a string constant
-    that is such a name: before Python 3.11 a function's qualname), and
-    its lines ``by`` further on.  The instructions are the template's: only constants,
-    names and line numbers change.  A literal equal to another constant
-    of its code object shares that constant's slot, as ``compile()``
-    gives equal constants one (the constant arguments renumbered), in a
-    code object of at most 256 constants, whose arguments take one
-    byte; past that it keeps a slot of its own and loads an equal value
-    (behind an ``EXTENDED_ARG`` where ``compile()`` needs none).
-    Without literals or names it only moves a chain's lines."""
+    constant no chain holds otherwise — its literal, and its lines
+    ``by`` further on: only constants and line numbers change.  A
+    literal equal to another constant of its code object shares that
+    constant's slot, as ``compile()`` gives equal constants one (the
+    constant arguments renumbered), in a code object of at most 256
+    constants, whose arguments take one byte; past that it keeps a slot
+    of its own and loads an equal value (behind an ``EXTENDED_ARG``
+    where ``compile()`` needs none).  Without literals it only moves a
+    chain's lines."""
     consts, lifted = [], False
     for const in template.co_consts:
         if type(const) is types.CodeType:
-            const = _instantiate(const, literals, names, by)
+            const = _instantiate(const, literals, by)
         elif type(const) is str and const[:1] == "\x00":
             const, lifted = literals[int(const[1:])], True
-        elif type(const) is str:
-            const = names.get(const, const)
         consts.append(const)
     fields = {}
     if lifted:
@@ -604,16 +618,7 @@ def _instantiate(template, literals, names, by):
                 kept.setdefault(slot, const)
             consts = list(kept.values())
             fields["co_code"] = _renumbered(template.co_code, bytes(remap) + bytes(range(len(remap), 256)))
-    if hasattr(template, "co_qualname"):  # Python 3.11 on
-        head, dot, rest = template.co_qualname.partition(".")
-        fields["co_qualname"] = names.get(head, head) + dot + rest
-    return template.replace(
-        co_consts=tuple(consts),
-        co_names=tuple(names.get(name, name) for name in template.co_names),
-        co_name=names.get(template.co_name, template.co_name),
-        co_firstlineno=template.co_firstlineno + by,
-        **fields,
-    )
+    return template.replace(co_consts=tuple(consts), co_firstlineno=template.co_firstlineno + by, **fields)
 
 
 #: A 256-byte table marking the opcodes whose argument is a constant's
@@ -739,14 +744,13 @@ def compile_chain(lines, offset, literals=()):
     (16 MB for the plain IP router's 5 200 lines; under 1 MB a chain at
     a time)."""
     template = compile("\n".join(lines), "<fastpath>", "exec")
-    return template if literals else None, _instantiate(template, literals, {}, offset)
+    return template if literals else None, _instantiate(template, literals, offset)
 
 
 def _compile_record(chain):
     """Write a chain's code, and what re-linking it needs, together."""
     # [0] is the blank line that separates chains
-    template, code = compile_chain(chain.template[1:], chain.offset, chain.literals)
-    chain.relink, chain.code = (template, chain.names()) if template else None, code
+    chain.relink, chain.code = compile_chain(chain.template[1:], chain.offset, chain.literals)
 
 
 def _method_spec(bound):
@@ -847,20 +851,26 @@ class _Emission:
 
     def literal(self, value, text):
         """``text``, the literal for ``value``, lifted out of the chain's
-        template: recorded among its literals and marked in its lines —
-        its placeholder, the string literal ``'\\x00<index>'``
-        (:func:`_instantiate`), between two NULs — until
-        :meth:`FastPath._emit_chain` writes the placeholder into the
-        template and ``text`` into the source.  Equal literals share a
+        template: recorded among its literals and written as its
+        placeholder, the string literal ``'\\000<index>'``
+        (:func:`_instantiate`), until :meth:`FastPath._emit_chain` writes
+        ``text`` in its place in the source.  Equal literals share a
         placeholder, as ``compile()`` gives equal constants one slot (a
         literal is bytes or an int, so its value is the key
         ``compile()`` gives it)."""
-        fastpath = self.fastpath
-        placeholder = fastpath._literals.get(value)
-        if placeholder is None:
-            placeholder = fastpath._literals[value] = "'\\x00%d'" % len(fastpath._literals)
-            fastpath._literal_texts[placeholder] = text
-        return "\x00%s\x00" % placeholder
+        literals = self.fastpath._literals
+        index = literals.get(value)
+        if index is None:
+            index = literals[value] = len(literals)
+            self.fastpath._literal_texts.append(text)
+        return "'\\000%d'" % index
+
+    def expand(self, element, plan, data_var, pad, leaf_render):
+        """``plan``'s lines, recorded in :attr:`ChainInfo.diagrams`."""
+        inlined = self.fastpath._diagrams
+        if (element.name, plan) not in inlined:
+            inlined.append((element.name, plan))
+        return plan.emit(data_var, pad, leaf_render, self.literal)
 
     def count(self, field):
         report = self.fastpath.report
@@ -965,10 +975,10 @@ class _Emission:
                 lines = load(var, pad) if data is None else []
                 if gate and least < gate:
                     lines.append(pad + "if len(%s) >= %d:" % (dvar, gate))
-                    lines += plan.emit(dvar, pad + "    ", leaf, self)
+                    lines += self.expand(element, plan, dvar, pad + "    ", leaf)
                     lines += [pad + "else:", pad + "    out = %s" % match(dvar)]
                     return lines + tail(var, pad + "    ", "if")
-                return lines + plan.emit(dvar, pad, leaf, self)
+                return lines + self.expand(element, plan, dvar, pad, leaf)
 
             return emit
         order = list(policy.branch_order(element, nports))
@@ -1081,8 +1091,9 @@ class FastPath:
         self._bind_specs = {}  # _bN name -> bind recipe
         self._cacheable = True
         self._ctx_counter = 0  # _dN locals of the chain being emitted
-        self._literals = {}  # value it lifted -> its placeholder (_Emission.literal)
-        self._literal_texts = {}  # placeholder -> the text its value is written as
+        self._literals = {}  # value it lifted -> its placeholder's index (_Emission.literal)
+        self._literal_texts = []  # the text each placeholder's value is written as
+        self._diagrams = []  # what the chain being emitted inlined (ChainInfo.diagrams)
         self._bind_counter = 0
         self._next_index = 0  # first free chain-function index
         report = FastPathReport()
@@ -1566,11 +1577,11 @@ class FastPath:
         counters start from zero for the chain, which takes what its
         emission added, and the totals before it are put back — the
         chain is counted when it is folded in (:meth:`ChainInfo.fold_into`).
-        The literals it lifted are written into its lines, and their
-        placeholders into its template."""
+        Its template holds the literals it lifted as placeholders, its
+        lines their texts."""
         kind, _name, port_index = key
         start, first_bind, first_table = len(lines), self._bind_counter, self._table_counter
-        self._ctx_counter, self._literals, self._literal_texts = 0, {}, {}
+        self._ctx_counter, self._literals, self._literal_texts, self._diagrams = 0, {}, [], []
         report = self.report
         totals = [getattr(report, name) for name in _CHAIN_COUNTERS]
         for name in _CHAIN_COUNTERS:
@@ -1584,13 +1595,9 @@ class FastPath:
             for name, total in zip(_CHAIN_COUNTERS, totals):
                 setattr(report, name, total)
         chain.source = chain.template = lines[start:]
-        chain.literals = tuple(self._literals)
+        chain.literals, chain.diagrams = tuple(self._literals), tuple(self._diagrams)
         if chain.literals:
-            parts = "\n".join(chain.source).split("\x00")
-            chain.template = "".join(parts).split("\n")
-            texts = self._literal_texts
-            parts[1::2] = [texts[placeholder] for placeholder in parts[1::2]]
-            chain.source = lines[start:] = "".join(parts).split("\n")
+            chain.source = lines[start:] = _fill(chain.template, self._literal_texts)
         chain.offset = start + 1
         chain.binds = tuple("_b%d" % n for n in range(first_bind, self._bind_counter))
         chain.tables = tuple(range(first_table, self._table_counter))
@@ -1800,80 +1807,69 @@ class FastPath:
     # -- rules patches -------------------------------------------------------------
 
     def rewrite(self, changed, policy):
-        """A rules patch in place: emit again, under ``policy``, every
-        chain that can touch a ``changed`` element (the wiring stands,
-        so that is the chains :meth:`_stale_reach` marks from their
-        port's far end on) and was forwarding, compile it here — where
-        the update pays for it and a failure aborts it (nothing is
-        swapped) — and give the function objects every holder already
-        has — ports, jump tables, dispatchers, supervisor pins — the
-        new code.  A stale chain nothing has entered is not emitted: it
-        loses its record and waits, and its first entry emits it under
-        the policy live then (:meth:`_enter`); until then it is no
-        splice donor.  Every other chain keeps its record, functions
-        and code.
-
-        A new emission whose template is its live chain's — same def
-        arity, same body, only literals (a diagram test's value or mask)
-        changed — is not compiled: its code is the live chain's template
-        code filled in with its own literals, names and offset
-        (*re-linked*, ``relinked_units``), instruction for instruction
-        what compiling its source gives.  A patch that moves a test's
-        location, the length gate or a leaf compiles.
-
-        A replaced or dropped chain's ``_bN`` slots, jump tables and
-        function names leave the namespace, and its lines leave
-        :attr:`source`.  The new text takes the first run of blank lines
-        it fits — what a replaced chain left — or goes after the last
-        chain, so no other chain's line numbers move.  The report's
-        build facts (``compile_seconds``, ``compiled_units``,
-        ``relinked_units``, ``emitted_units``, ``reused_chains``)
-        describe the patch."""
+        """A rules patch in place, under ``policy``: a chain whose
+        emission inlined a ``changed`` classifier's plan
+        (:attr:`ChainInfo.diagrams`) is stale, and the new plans decide.
+        Where they keep their shapes, the patch emits nothing: the chain
+        gets a new record with their literals (:meth:`ChainInfo.refilled`)
+        and keeps its names, binds, jump tables and lines, and if it was
+        forwarding, its live template code filled in with them runs
+        (*re-linked*), instruction for instruction what compiling its new
+        source gives.  Otherwise a chain that was forwarding is emitted
+        again and compiled here, where the update pays for it and a
+        failure aborts it (nothing is swapped), and one nothing entered
+        loses its record and waits for its first entry to emit it
+        (:meth:`_enter`).  Either way the function objects every holder
+        has — ports, jump tables, dispatchers, supervisor pins — run the
+        new code; every other chain keeps its record, functions and code.
+        An emitted chain's old ``_bN`` slots, jump tables and function
+        names leave the namespace, and its text takes the first run of
+        blank lines it fits in :attr:`source` (or goes last), so no other
+        chain's line numbers move.  The report's build facts describe the
+        patch."""
         started = time.perf_counter()
-        reach = self._stale_reach(changed)
-        stale = {key: element for key, element, far in self._chain_edges() if far.name in reach[key[0]]}
-        taken = sorted(
-            (chain.offset, chain.offset + len(chain.source))
-            for key, chain in self.chains.items()
-            if key not in stale
-        )
+        stale = [key for key, chain in self.chains.items()
+                 if any(name in changed for name, _plan in chain.diagrams)]
         old_policy, self.policy = self.policy, policy
         marks = self._bind_counter, self._table_counter
-        fresh, relinked = {}, 0
+        refilled, fresh = {}, {}
+        taken = sorted((c.offset, c.offset + len(c.source)) for k, c in self.chains.items() if k not in stale)
         try:
-            for key, element in stale.items():
-                if is_pending(self._compiled[key][0]):
-                    continue
-                chain = fresh[key] = self._emit_chain(key, element, [], self._next_index)
-                self._next_index += 1
-                chain.offset = self._place(taken, len(chain.source))
-                live = self.chains.get(key)
-                if live is not None and live.relink is not None and live.same_template(chain):
-                    template, names = live.relink
-                    code = _instantiate(template, chain.literals, dict(zip(names, chain.names())), chain.offset)
-                    chain.relink, chain.code = live.relink, code
-                    relinked += 1
-                else:
+            for key in stale:
+                chain = self.chains[key].refilled(policy.plans)
+                if chain is not None:
+                    refilled[key] = chain
+                elif not is_pending(self._compiled[key][0]):
+                    element = self.router.elements[key[1]]
+                    chain = fresh[key] = self._emit_chain(key, element, [], self._next_index)
+                    self._next_index += 1
+                    chain.offset = self._place(taken, len(chain.source))
                     _compile_record(chain)
         except BaseException:
             self.policy = old_policy
             self._unbind(*marks)
             raise
         report = self.report
-        for key in stale:
-            old = self.chains.pop(key, None)
-            if old is not None:
-                self._drop(old)
-                old.fold_into(report, -1)
+        # A chain whose emission failed has no record: it gets another try.
+        for key in stale + [key for key in self._failed if key not in self.chains]:
             self._failed.pop(key, None)
             report.failed_entries.pop("%s %s[%d]" % key, None)
+        for key in stale:
+            if key not in refilled:
+                old = self.chains.pop(key)
+                self._drop(old)
+                old.fold_into(report, -1)
         for key, chain in fresh.items():
             self._install_record(key, chain)
             self._enter(key)
+        for key, chain in refilled.items():
+            self.chains[key] = chain
+            if not is_pending(self._compiled[key][0]):
+                self._enter(key)
         self._source = None
-        report.compiled_units, report.emitted_units = len(fresh) - relinked, len(fresh)
-        report.relinked_units = relinked
-        report.reused_chains = len(self.chains) - len(fresh)
+        report.compiled_units = report.emitted_units = len(fresh)
+        report.relinked_units = len(refilled)
+        report.reused_chains = len(self.chains) - len(fresh) - len(refilled)
         report.compile_seconds = time.perf_counter() - started
 
     @staticmethod

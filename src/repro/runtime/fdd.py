@@ -33,13 +33,14 @@ Safety mirrors the adaptive tiers (Morpheus-style):
   (sampling dispatchers, guard-miss counters, deopt) is the engine's
   (:class:`~repro.runtime.adaptive.AdaptiveEngine`), diagrams or not.
 - **control-plane patches**: a rules update changes tree *content*
-  that diagrams bake in, so the engine's ``on_table_patch`` emits
-  again only the chains that can reach the patched classifier and swaps
-  their code under the installed functions (every other chain stands
+  that diagrams bake in, so the engine's ``on_table_patch`` builds the
+  patched classifier's plan again and rewrites only the chains that
+  inlined it, under the installed functions (every other chain stands
   as it was).  Each test's compared value and mask is a *literal* of
-  the chain (:meth:`DiagramPlan.emit`), so a patch that changes only
-  values leaves the chain's template standing and re-links the live
-  code with the new constants instead of compiling it
+  the chain (:meth:`DiagramPlan.emit`), so when the new plan has the
+  inlined one's shape (:meth:`DiagramPlan.filled`) the chain's template
+  stands: the patch emits nothing and re-links the live code with the
+  plan's new constants instead of compiling it
   (:meth:`~repro.runtime.fastpath.FastPath.rewrite`); route patches
   need no rewrite at all — compiled lookups read the live table
   through bound memo/lookup cells, exactly as in adaptive mode.
@@ -144,7 +145,7 @@ class DiagramPlan:
     diagram report.
     """
 
-    __slots__ = ("root", "nodes", "paths", "gate", "loads_saved", "signature")
+    __slots__ = ("root", "nodes", "paths", "gate", "loads_saved", "signature", "_filled")
 
     def __init__(self, root, nodes, paths, gate, loads_saved, signature):
         self.root = root
@@ -153,6 +154,34 @@ class DiagramPlan:
         self.gate = gate
         self.loads_saved = loads_saved
         self.signature = signature
+        self._filled = None
+
+    def filled(self):
+        """``(shape, literals)``: ``shape`` is the plan's gate and its
+        lines as :meth:`emit` writes them, each compared value and mask a
+        placeholder (equal values share one) and each leaf its
+        ``(leaf_id, out)``; ``literals`` the ``(value, text)`` of each
+        literal in the order :func:`_cond` writes them.  Plans of one
+        shape emit one template, but for their literals."""
+        if self._filled is None:
+            literals, seen = [], {}
+
+            def literal(value, text):
+                literals.append((value, text))
+                return "\x00%d" % seen.setdefault(value, len(seen))
+
+            lines = self.emit("", "", lambda leaf_id, out, pad: [pad + repr((leaf_id, out))], literal)
+            self._filled = (self.gate, tuple(lines)), tuple(literals)
+        return self._filled
+
+    def literals_for(self, other):
+        """The literals of :meth:`filled` if the plan has ``other``'s
+        shape, else None — without a walk where a count already differs
+        (a permutation of a firewall's rules mostly moves them)."""
+        if (self.gate, self.nodes, self.paths) != (other.gate, other.nodes, other.paths):
+            return None
+        shape, literals = self.filled()
+        return literals if shape == other.filled()[0] else None
 
     def leaves(self):
         """Every ``(leaf_id, out)`` in emission order."""
@@ -167,13 +196,12 @@ class DiagramPlan:
                 stack.append(node[4])
         return found
 
-    def emit(self, data_var, pad, leaf_render, cx=None):
+    def emit(self, data_var, pad, leaf_render, literal=_literal):
         """Render the diagram as source lines.  ``leaf_render(leaf_id,
         out, pad)`` supplies each leaf's body (fused chain, jump-table
-        call, or drop count).  In a chain, ``cx`` is its emission
-        context: each test's compared value and mask go through it."""
+        call, or drop count); each test's compared value and mask go
+        through ``literal`` (in a chain, :meth:`_Emission.literal`)."""
         lines = []
-        literal = cx.literal if cx is not None else _literal
         self._emit(self.root, data_var, pad, leaf_render, literal, frozenset(), lines)
         return lines
 

@@ -167,9 +167,6 @@ class ExecutionProfile:
             config = RecoveryConfig(policy=policy, **knobs)
         return replace(self, recovery=config)
 
-    def without_recovery(self):
-        return replace(self, recovery=None)
-
     def shard_local(self):
         """The profile one shard runs under: identical execution tier,
         batch flavor, and supervision, but single-shard — what the

@@ -65,15 +65,6 @@ class Outcomes:
     def accounted(self):
         return self.sent + self.missed_frames + self.fifo_overflows + self.queue_drops
 
-    def as_row(self):
-        return (
-            self.input_rate,
-            self.sent,
-            self.queue_drops,
-            self.missed_frames,
-            self.fifo_overflows,
-        )
-
 
 def solve(input_rate, cpu_ns_per_packet, platform, frame_bytes=64):
     """Equilibrium outcomes for one offered load.

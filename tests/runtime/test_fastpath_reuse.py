@@ -98,17 +98,17 @@ def rules_of(router, name):
 
 
 def reaching(fastpath, name):
-    """The chains of ``fastpath`` that are emitted again when ``name``
-    is patched in place: the ones that can touch it from their port's
-    far end on."""
-    reach = fastpath._stale_reach({name})
-    return {key for key, _anchor, far in fastpath._chain_edges() if far.name in reach[key[0]]}
+    """The chains of ``fastpath`` that a patch of ``name``'s rules in
+    place makes stale: the ones whose emission inlined its diagram."""
+    return {key for key, chain in fastpath.chains.items() if any(inlined == name for inlined, _plan in chain.diagrams)}
 
 
 def restaled(fastpath, name):
     """The chains a hot-swap that changed ``name`` structurally emits
-    again: those that reach it, and those anchored at it."""
-    return reaching(fastpath, name) | {key for key in fastpath.chains if key[1] == name}
+    again: those that can touch it from their port's far end on, and
+    those anchored at it."""
+    reach = fastpath._stale_reach({name})
+    return {key for key, anchor, far in fastpath._chain_edges() if far.name in reach[key[0]] or anchor.name == name}
 
 
 def spliced_onto_a_twin(testbed, donor, dirty):
@@ -255,14 +255,15 @@ def codes_of(pair):
 
 @pytest.mark.parametrize("batch", [False, True], ids=["fdd", "fdd+batch"])
 def test_a_rules_patch_swaps_its_code_under_every_holder(batch, rebuilds):
-    """A rules patch on ``b`` rewrites the three chains that reach it —
-    ``src``'s poll chain, ``a[0] -> cnt -> b`` and ``cnt[0] -> b`` — in
-    place:
-    each function object stays the one the port (here a supervisor's
-    ``fast`` pin), ``a``'s jump tables and the dispatcher's
-    ``state.plain`` hold, and runs new code, which forwards what the
-    new rules say.  Every other chain keeps its record, functions and
-    code objects; nothing is built or spliced."""
+    """A rules patch on ``b`` rewrites the three chains that inlined its
+    diagram — ``src``'s poll chain, ``a[0] -> cnt -> b`` and ``cnt[0] ->
+    b`` — in place, re-linked when only the compared value moves
+    (``23/11`` to ``23/06``), emitted again when the test's location
+    does (to ``22/0006``): each function object stays the one the port
+    (here a supervisor's ``fast`` pin), ``a``'s jump tables and the
+    dispatcher's ``state.plain`` hold, and runs new code, which forwards
+    what the new rules say.  Every other chain keeps its record,
+    functions and code objects; nothing is built or spliced."""
     default_cache().clear()
     devices = {name: LoopbackDevice(name) for name in ("eth0", "eth1")}
     router = Router(parse_graph(SERIES), devices=devices, profile=ExecutionProfile.fdd(batch=batch))
@@ -270,58 +271,60 @@ def test_a_rules_patch_swaps_its_code_under_every_holder(batch, rebuilds):
     tier1 = engine.tier1
     tier1.materialize()  # every chain live: each successor is compiled inside the patch
     src = router.find("src")
-    engine.pin(src, engine.tiers.index("fast"))
     poll, arm = ("push", "src", 0), ("push", "a", 0)
-    dirty = reaching(tier1, "b")
-    assert dirty == {poll, arm, ("push", "cnt", 0)}
-    functions, records = dict(tier1._compiled), dict(tier1.chains)
-    codes = {key: codes_of(pair) for key, pair in functions.items()}
-    kept = {index for key, chain in records.items() if key not in dirty for index in chain.tables}
-    tables = {index: (tier1._jump_tables[index][0], list(tier1._jump_tables[index][0])) for index in kept}
     tcp = bytes(12) + b"\x08\x00" + bytes(9) + b"\x06" + bytes(40)
-    del rebuilds[:]
+    for sent, (rules, relinked) in enumerate(((["23/06", "-"], 3), (["22/0006", "-"], 0)), 1):
+        engine.pin(src, engine.tiers.index("fast"))
+        dirty = reaching(tier1, "b")
+        assert dirty == {poll, arm, ("push", "cnt", 0)}
+        functions, records = dict(tier1._compiled), dict(tier1.chains)
+        codes = {key: codes_of(pair) for key, pair in functions.items()}
+        kept = {index for key, chain in records.items() if key not in dirty for index in chain.tables}
+        tables = {index: (tier1._jump_tables[index][0], list(tier1._jump_tables[index][0])) for index in kept}
+        del rebuilds[:]
 
-    report = ControlPlane(router).update_rules("b", ["23/06", "-"])
+        report = ControlPlane(router).update_rules("b", rules)
 
-    assert report.kind == "in-place" and report.chains_recompiled == 3 and not rebuilds
-    assert engine.tier1 is tier1
-    for key, pair in tier1._compiled.items():
-        assert pair is functions[key]
-        chain = tier1.chains[key]
-        if key in dirty:
-            assert chain is not records[key]
-            assert all(new is not old for new, old in zip(codes_of(pair), codes[key]) if old is not None)
-            assert [code.co_name for code in codes_of(pair) if code] == [
-                name for name in (chain.function_name, chain.batch_name) if name
-            ]
-        else:
-            assert chain is records[key]
-            assert codes_of(pair) == codes[key] and all(
-                new is old for new, old in zip(codes_of(pair), codes[key])
-            )
-    assert engine.pins[src][0] == 1 and src._output_ports[0].push is functions[poll][0]
-    for key in dirty:
-        state = engine.states[key]
-        assert state.plain is functions[key][0]
-        assert state.plain_batch is (functions[key][1] if batch else None)
-    for index, (table, entries) in tables.items():
-        assert tier1._jump_tables[index][0] is table
-        assert len(table) == len(entries) and all(new is old for new, old in zip(table, entries))
-    # Every table, kept or registered by a replaced chain, holds the functions.
-    for table, element, _mode in tier1._jump_tables.values():
-        for port, entry in enumerate(table):
-            held = functions.get(("push", element.name, port))
-            assert held is None or entry is held[0]
-    assert any(element.name == "a" and table[0] is functions[arm][0]
-               for table, element, _mode in tier1._jump_tables.values())
-    # The new rules run: TCP now leaves on eth1 — through the pin, or
-    # (a supervised profile runs the scalar units, so nothing pins a
-    # batch unit's port) through the dispatcher.
-    if batch:
-        engine.unpin()
-    devices["eth0"].receive_frame(tcp)
-    router.run_tasks(4)
-    assert devices["eth1"].transmitted == [tcp]
+        assert report.kind == "in-place" and not rebuilds
+        assert (report.chains_recompiled, report.chains_relinked) == (3 - relinked, relinked)
+        assert engine.tier1 is tier1
+        for key, pair in tier1._compiled.items():
+            assert pair is functions[key]
+            chain = tier1.chains[key]
+            if key in dirty:
+                assert chain is not records[key]
+                assert all(new is not old for new, old in zip(codes_of(pair), codes[key]) if old is not None)
+                assert [code.co_name for code in codes_of(pair) if code] == [
+                    name for name in (chain.function_name, chain.batch_name) if name
+                ]
+            else:
+                assert chain is records[key]
+                assert codes_of(pair) == codes[key] and all(
+                    new is old for new, old in zip(codes_of(pair), codes[key])
+                )
+        assert engine.pins[src][0] == 1 and src._output_ports[0].push is functions[poll][0]
+        for key in dirty:
+            state = engine.states[key]
+            assert state.plain is functions[key][0]
+            assert state.plain_batch is (functions[key][1] if batch else None)
+        for index, (table, entries) in tables.items():
+            assert tier1._jump_tables[index][0] is table
+            assert len(table) == len(entries) and all(new is old for new, old in zip(table, entries))
+        # Every table, kept or registered by a replaced chain, holds the functions.
+        for table, element, _mode in tier1._jump_tables.values():
+            for port, entry in enumerate(table):
+                held = functions.get(("push", element.name, port))
+                assert held is None or entry is held[0]
+        assert any(element.name == "a" and table[0] is functions[arm][0]
+                   for table, element, _mode in tier1._jump_tables.values())
+        # The new rules run: TCP now leaves on eth1 — through the pin, or
+        # (a supervised profile runs the scalar units, so nothing pins a
+        # batch unit's port) through the dispatcher.
+        if batch:
+            engine.unpin()
+        devices["eth0"].receive_frame(tcp)
+        router.run_tasks(4)
+        assert devices["eth1"].transmitted == [tcp] * sent
 
 
 @pytest.mark.parametrize("batch", [False, True], ids=["fdd", "fdd+batch"])
@@ -389,7 +392,7 @@ def test_line_numbers_survive_a_dirty_chain_that_grew():
         assert lines[frame.lineno - 1].strip() == "data = packet._data_cache"
 
 
-def test_repeated_rules_patches_stay_bounded():
+def test_repeated_rules_patches_stay_bounded(monkeypatch):
     """300 ``c0`` patches on a router that has forwarded leave tier 1
     the size one patch left it — its namespace, jump tables and module
     text within one replaced chain's worth — and ``tracemalloc`` growth
@@ -397,7 +400,11 @@ def test_repeated_rules_patches_stay_bounded():
     The patches cycle through eight rule sets and the plane keeps 16
     reports, so the matcher memo and the plane's history (each bounded
     on its own) are full by patch 50; the engine's deopt log still
-    gains one reason a patch."""
+    gains one reason a patch.  The matcher memo is process-wide: it
+    starts empty here, as a memo that earlier tests filled to near its
+    bound moves every patch's entry to its end, and its table is
+    reallocated at a size of their making."""
+    monkeypatch.setattr(matcher_module, "_FUNCTION_CACHE", {})
     testbed, router, devices = build(ExecutionProfile.fdd())
     for name, frame in testbed.evaluation_frames(256):
         devices[name].receive_frame(frame)
@@ -410,7 +417,9 @@ def test_repeated_rules_patches_stay_bounded():
     def patch(index):
         rules[0] = "12/0806 20/0001 28/0a0000%02x" % (index % 8 + 1)
         report = plane.update_rules("c0", rules)
-        assert report.kind == "in-place" and report.chains_recompiled == 1
+        assert report.kind == "in-place"
+        # the first narrows c0's ARP arm, the rest move its values
+        assert (report.chains_recompiled, report.chains_relinked) == ((1, 0) if index == 0 else (0, 1))
 
     def sizes():
         return len(tier1._namespace), len(tier1._jump_tables), len(tier1.source)
@@ -419,7 +428,7 @@ def test_repeated_rules_patches_stay_bounded():
     try:
         patch(0)
         chain = tier1.chains[key]
-        assert chain.code is not None  # the chain forwards: every patch compiles its successor
+        assert chain.code is not None  # the chain forwards: every patch re-links its successor
         first = sizes()
         worth = (len(chain.binds) + 2, len(chain.tables), len("\n".join(chain.source)) + 1)
         for index in range(1, 50):
@@ -818,8 +827,8 @@ def test_without_a_diagram_the_live_matchers_successor_is_compiled_inside_the_up
 def test_an_ip_router_rules_patch_costs_one_chain_and_one_small_matcher(compile_calls, matcher_compiles):
     """The IP router's side of the same gates: a ``c0`` patch after
     traffic that swaps its two ARP arms changes only the values the
-    diagram compares, so under ``fdd`` it emits the one chain whose
-    diagram bakes ``c0``'s tree in and compiles nothing: the chain is
+    diagram compares, so under ``fdd`` it emits nothing and compiles
+    nothing: the one chain whose diagram bakes ``c0``'s tree in is
     re-linked, its live template code filled with the new literals —
     and no matcher, which only the profiled flavor's samples would have
     called.  Under ``adaptive`` it costs one small matcher, whose chains
@@ -836,10 +845,11 @@ def test_an_ip_router_rules_patch_costs_one_chain_and_one_small_matcher(compile_
         swapped[0], swapped[1] = swapped[1], swapped[0]
         del compile_calls[:], matcher_compiles[:]
         report = ControlPlane(router).update_rules("c0", swapped)
-        assert report.kind == "in-place" and report.chains_recompiled == chains
+        assert report.kind == "in-place" and report.chains_recompiled == 0
+        assert report.chains_relinked == chains
         if chains:  # a rewrite's report describes the patch
-            assert engine.tier1.report.emitted_units == engine.tier1.report.relinked_units == chains
-            assert engine.tier1.report.compiled_units == 0
+            assert engine.tier1.report.relinked_units == chains
+            assert engine.tier1.report.compiled_units == engine.tier1.report.emitted_units == 0
             assert "%d re-linked" % chains in engine.tier1.report.format()
         assert not compile_calls and len(matcher_compiles) == matchers
         assert all(source.count("\n") <= 20 for source in matcher_compiles)
@@ -861,12 +871,13 @@ GATE_MOVED = "12/0806 20/0001 16/0b000001 32/0a000003"
 
 def test_a_value_only_patch_relinks_and_compiles_nothing(compile_calls, matcher_compiles, rebuilds):
     """The count gate for re-linking: after 256 frames under ``fdd``, a
-    ``c0`` patch that changes only the values its diagram compares emits
-    the one chain that bakes ``c0``'s tree in, compiles nothing and
-    re-links it — the live chain's template code, filled with the new
-    literals — and the next 256 frames compile nothing on tier 1.  A
-    patch that adds a test, moves a test's location or moves the length
-    gate changes the template, and compiles."""
+    ``c0`` patch that changes only the values its diagram compares
+    emits nothing and compiles nothing: the one chain that bakes
+    ``c0``'s tree in is re-linked — the live chain's template code,
+    filled with the new literals — and the next 256 frames compile
+    nothing on tier 1.  A patch that adds a test, moves a test's
+    location or moves the length gate changes the plan's shape, and
+    emits and compiles."""
     testbed, router, devices = build(ExecutionProfile.fdd())
     traffic = testbed.evaluation_frames(512)
     for name, frame in traffic[:256]:
@@ -882,14 +893,15 @@ def test_a_value_only_patch_relinks_and_compiles_nothing(compile_calls, matcher_
         gate = tier1.policy.plans["c0"].gate
         del compile_calls[:], rebuilds[:]
         report = plane.update_rules("c0", rules)
-        assert report.kind == "in-place" and report.chains_recompiled == 1 and not rebuilds
-        assert tier1.report.emitted_units == 1 and tier1.report.compiled_units == compiled
+        assert report.kind == "in-place" and not rebuilds
+        assert (report.chains_recompiled, report.chains_relinked) == (compiled, 1 - compiled)
+        assert tier1.report.emitted_units == tier1.report.compiled_units == compiled
         assert tier1.report.relinked_units == 1 - compiled and len(compile_calls) == compiled
         return tier1.chains[key], gate != tier1.policy.plans["c0"].gate
 
     narrowed, _gate_moved = patch(NARROWED, 1)
     relinked, gate_moved = patch(VALUES_MOVED, 0)
-    assert not gate_moved and relinked.same_template(narrowed)
+    assert not gate_moved and relinked.template is narrowed.template
     assert relinked.relink is narrowed.relink and relinked.code is not narrowed.code
     assert relinked.literals != narrowed.literals and relinked.source != narrowed.source
     assert "1 re-linked" in tier1.report.format()
@@ -899,7 +911,7 @@ def test_a_value_only_patch_relinks_and_compiles_nothing(compile_calls, matcher_
     assert sum(len(device.transmitted) for device in devices.values()) == 512
     assert not compile_calls and not matcher_compiles and tier1.report.compiled_units == 0
     located, gate_moved = patch(LOCATION_MOVED, 1)
-    assert not gate_moved and not located.same_template(relinked)
+    assert not gate_moved and located.template != relinked.template
     _gated, gate_moved = patch(GATE_MOVED, 1)
     assert gate_moved
 

@@ -179,29 +179,37 @@ def test_fdd_engine_compiles_diagrams_and_promotes():
 
 
 def test_one_diagram_pass_per_build(monkeypatch):
-    """A tier-1 build (construction, a rules repatch) runs the pass
-    once, for the plain flavor; tier 2 runs its own, ordered by the
-    profile.  The profiled flavor has no plans to rebuild: one object
-    from construction on, whatever is patched."""
+    """A tier-1 build runs the pass once, for the plain flavor; tier 2
+    runs its own, ordered by the profile.  A rules repatch runs no pass:
+    it builds the patched classifier's plan alone and keeps every other
+    plan, the same object.  The profiled flavor has no plans to rebuild:
+    one object from construction on, whatever is patched."""
     from repro.control import ControlPlane
     from repro.runtime import adaptive
 
-    passes = []
+    passes, built = [], []
 
     def counting(router, node_budget, decisions=None, exemplars=None):
         passes.append("tier 1" if decisions is None else "tier 2")
         return diagram_pass(router, node_budget, decisions, exemplars)
 
+    def building(tree, **kwargs):
+        built.append(tree)
+        return build_diagram(tree, **kwargs)
+
     monkeypatch.setattr(adaptive, "diagram_pass", counting)
+    monkeypatch.setattr(adaptive, "build_diagram", building)
     _, router, _ = _fdd_testbed()
     engine = router.adaptive
     profiled = engine.profiled
     assert engine.tier2_fp is not None
     assert passes == ["tier 1", "tier 2"]
-    assert set(engine.tier1.policy.plans) == {"c0", "c1"} and profiled.policy.plans is None
+    plans = engine.tier1.policy.plans
+    assert set(plans) == {"c0", "c1"} and profiled.policy.plans is None
     ControlPlane(router).update_rules("c0", _rules_of(router, "c0"))
-    assert passes == ["tier 1", "tier 2", "tier 1"]
+    assert passes == ["tier 1", "tier 2"] and built == [router.find("c0").tree]
     assert set(engine.tier1.policy.plans) == {"c0", "c1"} and engine.profiled is profiled
+    assert engine.tier1.policy.plans["c1"] is plans["c1"]
     assert not profiled.report.fdd_diagrams
 
 

@@ -1,16 +1,21 @@
-"""Property test: a re-linked chain is ``compile()`` of its new source.
+"""Property test: a re-linked chain is what emitting and compiling it
+would give.
 
-A rules patch whose new emission of a chain has the live chain's
-template — only the values its decision diagram compares changed —
-does not compile it: it fills the live template code with the new
-literals, names and line offset (:meth:`FastPath.rewrite`).  Here every
-live chain after each seeded value edit, re-linked or compiled, is
-compared with ``compile()`` of its ``source``, instruction by
-instruction: opname, argument value and its type, and line number, and
-the code objects' ``co_names``, ``co_varnames``, ``co_argcount`` and
-bytecode; each re-linked function's defaults are the new emission's
-binds.  Placeholder width can move the column offsets inside a lifted
-test, so columns are not compared; line numbers must match exactly.
+A rules patch whose new diagram plan has the shape of the one a live
+chain inlined — only the values it compares changed — emits nothing
+and compiles nothing: the chain gets a new record with the plan's
+literals, and its code is its template code filled in with them
+(:meth:`FastPath.rewrite`).  Here each such chain's ``source`` is
+compared with a fresh emission's under the live chain's names, and
+every live chain after each seeded value edit, re-linked or compiled,
+with ``compile()`` of its ``source``, instruction by instruction:
+opname, argument value and its type, and line number, and the code
+objects' ``co_names``, ``co_varnames``, ``co_argcount`` and bytecode;
+each re-linked function's defaults are the chain's binds.  Placeholder
+width can move the column offsets inside a lifted test, so columns are
+not compared; line numbers must match exactly.  A patch that moves a
+test's location, the length gate or a leaf emits and compiles, and a
+plan past the node budget falls back to the matcher emission.
 
 Cases: the stock IP router and firewall, and seeded ``genconfig`` cases
 with a classifier, under ``fdd`` and ``fdd(batch=True)``, each forwarded
@@ -19,15 +24,20 @@ through its own traffic and then patched with seeded value edits
 
 import dis
 import random
+import re
 import types
 
 import pytest
 
-from repro.configs.firewall import firewall_config
+from repro.classifier.compile import is_pending
+from repro.configs.firewall import firewall_config, firewall_rule_strings
+from repro.control import ControlPlane
 from repro.core.toolchain import load_config, save_config
 from repro.elements.devices import LoopbackDevice
-from repro.elements.runtime import build_router
+from repro.elements.runtime import Router, build_router
 from repro.events import apply
+from repro.lang.build import parse_graph
+from repro.lang.lexer import split_config_args
 from repro.runtime import ExecutionProfile
 from repro.runtime.codegen_cache import default_cache
 from repro.runtime.fastpath import _instantiate
@@ -81,9 +91,9 @@ def check_live_chains(fastpath, relinked=(), checked=None):
             continue
         checked[id(chain.code)] = chain.code
         # source[0] is the blank line before the chain; moved to its lines
-        expected = _instantiate(compile("\n".join(chain.source[1:]), "<fastpath>", "exec"), (), {}, chain.offset)
+        expected = _instantiate(compile("\n".join(chain.source[1:]), "<fastpath>", "exec"), (), chain.offset)
         assert_same_code(chain.code, expected, key)
-        if key in relinked:
+        if key in relinked and not is_pending(fastpath._compiled[key][0]):
             binds = tuple(fastpath._namespace[name] for name in chain.binds)
             for function in filter(None, fastpath._compiled[key]):
                 assert function.__code__.co_name in (chain.function_name, chain.batch_name)
@@ -91,11 +101,42 @@ def check_live_chains(fastpath, relinked=(), checked=None):
                 assert all(value is bind for value, bind in zip(function.__defaults__, binds)), key
 
 
-def run_patched(case, batch, rng, edits=2):
-    """Forward ``case``'s traffic on a plain ``fdd`` plane, then patch
-    each diagram classifier with seeded value edits, traffic between;
-    after each, check every live chain of tier 1.  Returns how many
-    chains the patches re-linked."""
+def fresh_emission(fastpath, key):
+    """A fresh emission of ``key``'s chain under the live policy, its
+    lines under the live chain's names: what a re-linked chain must be.
+    The binds and jump tables it registered are taken back out."""
+    live = fastpath.chains[key]
+    marks = fastpath._bind_counter, fastpath._table_counter
+    try:
+        fresh = fastpath._emit_chain(key, fastpath.router.elements[key[1]], [], fastpath._next_index)
+    finally:
+        fastpath._unbind(*marks)
+    names = dict(zip((fresh.function_name, fresh.batch_name) + fresh.binds,
+                     (live.function_name, live.batch_name) + live.binds))
+    names.pop(None, None)
+    rename = re.compile(r"\b(%s)\b" % "|".join(names))
+    fresh.source = [rename.sub(lambda match: names[match.group(1)], line) for line in fresh.source]
+    return fresh
+
+
+def check_refilled(fastpath, before):
+    """The chains a rules patch re-linked — a new record over the
+    template of the one ``before`` held — against fresh emissions;
+    returns their keys."""
+    refilled = {key for key, chain in fastpath.chains.items()
+                if before.get(key) not in (None, chain) and chain.template is before[key].template}
+    assert len(refilled) == fastpath.report.relinked_units
+    for key in refilled:
+        chain, fresh = fastpath.chains[key], fresh_emission(fastpath, key)
+        assert chain.source == fresh.source, key
+        assert (chain.literals, chain.diagrams) == (fresh.literals, fresh.diagrams), key
+        assert chain.offset == before[key].offset and chain.binds == before[key].binds
+    return refilled
+
+
+def forwarded(case, batch):
+    """``case`` on a plain ``fdd`` plane, cold, after its traffic:
+    ``(router, devices, traffic)``."""
     default_cache().clear()
     devices = {name: LoopbackDevice(name, tx_capacity=1 << 20) for name in device_names(case["config"])}
     router = build_router(load_config(case["config"], case["name"]), devices=devices,
@@ -103,6 +144,15 @@ def run_patched(case, batch, rng, edits=2):
     traffic = [event for event in case["events"] if event[0] in ("frame", "run")]
     for event in traffic:
         router, _report = apply(router, event, devices)
+    return router, devices, traffic
+
+
+def run_patched(case, batch, rng, edits=2):
+    """Forward ``case``'s traffic on a plain ``fdd`` plane, then patch
+    each diagram classifier with seeded value edits, traffic between;
+    after each, check every re-linked chain and every live chain of
+    tier 1.  Returns how many chains the patches re-linked."""
+    router, devices, traffic = forwarded(case, batch)
     relinked, checked = 0, {}
     for _ in range(edits):
         tier1 = router.engine.tier1
@@ -115,13 +165,9 @@ def run_patched(case, batch, rng, edits=2):
         before = dict(tier1.chains)
         router, _report = apply(router, ["update", text], devices)
         tier1 = router.engine.tier1
-        fresh = {key for key, chain in tier1.chains.items() if before.get(key) is not chain}
-        reused = {key for key in fresh if before.get(key) is not None
-                  and before[key].relink is not None
-                  and tier1.chains[key].relink is before[key].relink}
-        assert len(reused) == tier1.report.relinked_units
+        refilled = check_refilled(tier1, before)
         relinked += tier1.report.relinked_units
-        check_live_chains(tier1, reused, checked)
+        check_live_chains(tier1, refilled, checked)
         for event in traffic[: len(traffic) // 2]:
             router, _report = apply(router, event, devices)
         check_live_chains(router.engine.tier1, (), checked)
@@ -187,35 +233,135 @@ def test_generated_value_edits_relink_to_compiled_code(batch):
     assert relinked >= len(cases) // 2
 
 
-class CodeBefore311:
-    """A code object as Python 3.9 and 3.10 show it: no ``co_qualname``,
-    and a ``replace`` that takes no such keyword."""
-
-    def __init__(self, code):
-        self.code = code
-
-    def __getattr__(self, name):
-        if name == "co_qualname":
-            raise AttributeError(name)
-        return getattr(self.code, name)
-
-    def replace(self, **fields):
-        assert "co_qualname" not in fields
-        return self.code.replace(**fields)
+def inlining(fastpath, name):
+    """The chains of ``fastpath`` whose emission inlined ``name``'s plan."""
+    return [key for key, chain in fastpath.chains.items() if any(inlined == name for inlined, _plan in chain.diagrams)]
 
 
-def test_instantiating_needs_no_qualname():
-    """``pyproject.toml`` declares Python 3.9: filling a template must
-    not need the code attribute 3.11 added.  Before 3.11 a function
-    takes its qualname from a string constant of the code defining it,
-    which is renamed like its names."""
-    template = compile("def _push_1(p, _b0=None):\n    return p == '\\x000', '_push_1'", "<fastpath>", "exec")
-    code = _instantiate(CodeBefore311(template), (b"\x08\x06",), {"_push_1": "_push_9"}, 4)
-    namespace = {}
-    exec(code, namespace)  # noqa: S102
-    assert namespace["_push_9"](b"\x08\x06") == (True, "_push_9")
-    assert namespace["_push_9"](b"\x08\x00") == (False, "_push_9")
-    assert namespace["_push_9"].__code__.co_firstlineno == 5
+def shape_parts(plan):
+    """A plan's gate, its tests' locations and its leaves, in emission
+    order."""
+    locations, stack = [], [plan.root]
+    while stack:
+        node = stack.pop()
+        if node[0] == "test":
+            locations.append(node[1])
+            stack += (node[5], node[4])
+    return plan.gate, locations, plan.leaves()
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["fdd", "fdd+batch"])
+def test_a_patch_that_moves_a_location_the_gate_or_a_leaf_emits_and_compiles(batch):
+    """``c0``'s first arm on the stock IP router narrowed to two sender
+    words, then patched, traffic between: where only values move the
+    plan keeps its shape and the chain that inlined it is re-linked;
+    where a test's location, the length gate (24 -> 16 -> 32 bytes
+    read) or a leaf moves (``-`` made a rule no packet reaches, so what
+    matched nothing drops), the chain is emitted again and compiled."""
+    router, devices, traffic = forwarded(stock()[0], batch)
+    tier1 = router.engine.tier1
+    plane = ControlPlane(router)
+    rules = split_config_args(router.graph.elements["c0"].config)
+    checked = {}
+    for first, last, moved in (
+        ("12/0806 20/0001 24/0a000001 28/0a000002", "-", "tests"),
+        ("12/0806 20/0001 24/0b000001 28/0a000003", "-", None),
+        ("12/0806 20/0001 16/0b000001 28/0a000003", "-", "location"),
+        ("12/0806 20/0001 16/0b000001 32/0a000003", "-", "gate"),
+        ("12/0806 20/0001 16/0b000001 32/0a000003", "12/0800", "leaf"),
+    ):
+        (key,) = inlining(tier1, "c0")
+        old, before = shape_parts(tier1.policy.plans["c0"]), dict(tier1.chains)
+        rules[0], rules[-1] = first, last
+        report = plane.update_rules("c0", rules)
+        assert report.kind == "in-place" and router.engine.tier1 is tier1
+        gate, locations, leaves = (a != b for a, b in zip(old, shape_parts(tier1.policy.plans["c0"])))
+        if moved is None:
+            assert not (gate or locations or leaves)
+        elif moved == "location":
+            assert locations and not gate
+        elif moved == "gate":
+            assert gate
+        elif moved == "leaf":
+            assert leaves and not (gate or locations)
+        counts = (tier1.report.relinked_units, tier1.report.emitted_units, tier1.report.compiled_units)
+        assert counts == ((1, 0, 0) if moved is None else (0, 1, 1)), moved
+        assert (report.chains_relinked, report.chains_recompiled) == counts[:2]
+        assert check_refilled(tier1, before) == ({key} if moved is None else set())
+        check_live_chains(tier1, {key}, checked)
+        for event in traffic:
+            router, _report = apply(router, event, devices)
+        check_live_chains(tier1, (), checked)
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["fdd", "fdd+batch"])
+def test_a_plan_over_budget_falls_back_to_the_matcher_emission(batch):
+    """Six more allow rules take the firewall's diagram past the node
+    budget (183 expanded nodes against 160): the patch drops ``fw``'s
+    plan, and the entry chain, which was forwarding, is emitted again
+    with the generic matcher dispatch — no plan inlined, no literal
+    lifted — and compiled; the packets that follow still leave on
+    eth1."""
+    router, devices, traffic = forwarded(stock()[1], batch)
+    tier1 = router.engine.tier1
+    live = [key for key in inlining(tier1, "fw") if not is_pending(tier1.function_for(key))]
+    assert len(live) == 1
+    rules = firewall_rule_strings()
+    extra = ["allow tcp && src host 192.168.2.%d && dst port %d" % (i, 1000 + i) for i in range(6)]
+    report = ControlPlane(router).update_rules("fw", rules[:-1] + extra + rules[-1:])
+    assert report.kind == "in-place" and router.engine.tier1 is tier1
+    assert "fw" not in tier1.policy.plans and not inlining(tier1, "fw")
+    assert (tier1.report.emitted_units, tier1.report.compiled_units, tier1.report.relinked_units) == (1, 1, 0)
+    chain = tier1.chains[live[0]]
+    assert chain.diagrams == chain.literals == () and chain.relink is None
+    assert not any("_fdd" in line for line in chain.source)
+    check_live_chains(tier1)
+    sent = len(devices["eth1"].transmitted)
+    for event in traffic:
+        router, _report = apply(router, event, devices)
+    assert len(devices["eth1"].transmitted) > sent
+
+
+#: ``a`` and ``b`` compare the same bytes, so the chain that fuses
+#: ``b``'s dispatch into ``a``'s holds one placeholder for both tests.
+SHARED = """
+src :: PollDevice(eth0);
+a :: Classifier(12/0800, -);
+b :: Classifier(12/0800, -);
+src -> a;
+a[0] -> cnt :: Counter -> b;
+a[1] -> Discard;
+b[0] -> q :: Queue(64) -> ToDevice(eth1);
+b[1] -> Discard;
+"""
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["fdd", "fdd+batch"])
+def test_a_value_two_plans_share_moves_only_by_an_emission(batch):
+    """``b``'s plan keeps its shape when its value moves, but where
+    ``a``'s plan compares the same value in the same chain, one
+    placeholder cannot hold both: patched to ``12/0806`` the value
+    splits, patched back two values become one, and each time the chain
+    is emitted again, not re-linked.  An ARP frame then leaves on eth1
+    only while ``b`` takes ARP and ``a`` still takes IP alone: never."""
+    default_cache().clear()
+    devices = {name: LoopbackDevice(name) for name in ("eth0", "eth1")}
+    router = Router(parse_graph(SHARED), devices=devices, profile=ExecutionProfile.fdd(batch=batch))
+    tier1 = router.engine.tier1
+    tier1.materialize()
+    poll = ("push", "src", 0)
+    assert len(tier1.chains[poll].literals) == 1 and len(tier1.chains[poll].diagrams) == 2
+    arp = bytes(12) + b"\x08\x06" + bytes(46)
+    for rules in (["12/0806", "-"], ["12/0800", "-"]):
+        before = dict(tier1.chains)
+        report = ControlPlane(router).update_rules("b", rules)
+        assert report.kind == "in-place" and poll in inlining(tier1, "b")
+        assert tier1.chains[poll].template is not before[poll].template
+        check_refilled(tier1, before)
+        check_live_chains(tier1)
+        devices["eth0"].receive_frame(arp)
+        router.run_tasks(4)
+        assert devices["eth1"].transmitted == []
 
 
 def test_past_256_constants_a_literal_keeps_its_own_slot():
@@ -226,7 +372,7 @@ def test_past_256_constants_a_literal_keeps_its_own_slot():
     body = "".join("    a = %d\n" % n for n in range(300))
     template = compile("def _push_1(p):\n%s    return p == '\\x000'" % body, "<fastpath>", "exec")
     expected = compile("def _push_1(p):\n%s    return p == 5" % body, "<fastpath>", "exec")
-    code = _instantiate(template, (5,), {}, 0)
+    code = _instantiate(template, (5,), 0)
     namespace = {}
     exec(code, namespace)  # noqa: S102
     assert namespace["_push_1"](5) and not namespace["_push_1"](6)
