@@ -17,6 +17,7 @@ statements, mirroring the structure of the paper's generated code.
 from __future__ import annotations
 
 import types
+from collections import OrderedDict
 
 from .tree import FAILURE, is_leaf
 
@@ -214,7 +215,7 @@ def become(function, real):
     return function
 
 
-_FUNCTION_CACHE = {}
+_FUNCTION_CACHE = OrderedDict()
 _FUNCTION_CACHE_LIMIT = 256
 
 
@@ -234,16 +235,19 @@ def compiled_function_for(tree):
     The tree is compiled as-is — optimization is the caller's business.
     The memo holds the ``_FUNCTION_CACHE_LIMIT`` trees asked for most
     recently: a full memo evicts the one asked for least recently, so a
-    router's rebuild or hot-swap of the rules it runs finds them.
+    router's rebuild or hot-swap of the rules it runs finds them.  A hit
+    moves its entry to the end in place, allocating nothing.
     """
     key = tree.signature()
-    function = _FUNCTION_CACHE.pop(key, None)
-    if function is None:
-        namespace = {}
-        function = namespace["classify"] = pending_function(
-            "classify", namespace, _enter_matcher, generate_source(tree), namespace
-        )
-        if len(_FUNCTION_CACHE) >= _FUNCTION_CACHE_LIMIT:
-            del _FUNCTION_CACHE[next(iter(_FUNCTION_CACHE))]
-    _FUNCTION_CACHE[key] = function  # last in the dict: the most recent
+    function = _FUNCTION_CACHE.get(key)
+    if function is not None:
+        _FUNCTION_CACHE.move_to_end(key)
+        return function
+    namespace = {}
+    function = namespace["classify"] = pending_function(
+        "classify", namespace, _enter_matcher, generate_source(tree), namespace
+    )
+    _FUNCTION_CACHE[key] = function
+    if len(_FUNCTION_CACHE) > _FUNCTION_CACHE_LIMIT:
+        _FUNCTION_CACHE.popitem(last=False)
     return function

@@ -4,8 +4,8 @@ Builds the base configuration (loopback devices for every referenced
 device), wraps it in a :class:`~repro.control.ControlPlane`, applies
 each update in order, and prints the resulting
 :class:`~repro.elements.hotswap.SwapReport` — which updates were
-patched in place, which needed a scoped hot-swap, how many compiled
-chains each swap reused, and the per-phase wall times.
+patched in place, which were structural, how many compiled chains each
+update kept, and the per-phase wall times.
 
 Updates come from ``--update FILE`` (a full replacement configuration;
 the delta is computed against the live graph), ``--routes NAME=TABLE``

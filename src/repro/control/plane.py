@@ -1,4 +1,4 @@
-"""ControlPlane: route each configuration update by its shape.
+"""ControlPlane: install each configuration update in the live router.
 
 A delta that only rewrites the configuration strings of data-table
 elements (route tables, live classifier rules) never changes the graph
@@ -6,9 +6,12 @@ the fast-path compiler saw — the generated chains bind the *containers*
 (the route memo, the one-slot matcher cell), so new tables can be
 patched under them in place, with only the adaptive engine's
 speculations deoptimized for the touched elements.  Anything that adds,
-removes, rewires, or re-classes elements goes through the transactional
-hot-swap, scoped by the same delta so untouched chains are spliced from
-the old compile instead of regenerated.
+removes, rewires, or re-classes elements — or reconfigures one that
+cannot be patched — changes the live router in place too: the new
+elements are staged, then swapped in and the changed ones rewired, and
+the engine rewrites each compiled flavor's stale chains
+(:meth:`~repro.runtime.fastpath.FastPath.rewrite`).  The router, its
+engine, its supervisor and their totals survive every update.
 
 Every update returns the shared :class:`~repro.elements.hotswap.SwapReport`
 (kind, phase timings, chains recompiled vs reused, elements patched),
@@ -18,11 +21,12 @@ and ``apply`` keeps a bounded history of them for the churn benchmark.
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import ChainMap, deque
 
 from ..elements.classifiers import _TreeClassifier
-from ..elements.hotswap import SwapReport, chain_totals, hotswap
+from ..elements.hotswap import SwapReport, _compatible, chain_totals, check_graph, take_state
 from ..elements.routing import _IPRouteTable
+from ..elements.runtime import compile_archive_classes, instantiate, plan_wiring, wire, wiring_of
 from ..graph.diff import GraphDelta, diff_graphs
 from ..lang.lexer import split_config_args
 
@@ -38,7 +42,7 @@ def _patch_kind(element):
     """How a live element accepts new configuration data in place:
     ``"routes"`` (IP route tables), ``"rules"`` (tree classifiers whose
     matcher rides in a patchable cell), or None (not patchable — the
-    update needs a hot-swap).  Generated fast classifiers bake their
+    update replaces the element).  Generated fast classifiers bake their
     tree at class level, so a rule change on one is structural."""
     if isinstance(element, _IPRouteTable):
         return "routes"
@@ -50,22 +54,17 @@ def _patch_kind(element):
 class ControlPlane:
     """Incremental updates on one live router.
 
-    The wrapped router's *identity* changes across structural updates
-    (hot-swap builds a new Router); ``plane.router`` always names the
-    live one.  ``apply`` accepts a :class:`~repro.graph.diff.GraphDelta`,
-    a configuration graph, or configuration text, and returns the
+    Every update changes the wrapped router in place, so ``plane.router``
+    is the router it was built with.  ``apply`` accepts a
+    :class:`~repro.graph.diff.GraphDelta`, a configuration graph, or
+    configuration text, and returns the
     :class:`~repro.elements.hotswap.SwapReport` describing what was
     done.
     """
 
     def __init__(self, router, history=256):
-        self._router = router
+        self.router = router
         self.history = deque(maxlen=history)
-
-    @property
-    def router(self):
-        """The live router (changes identity across structural swaps)."""
-        return self._router
 
     # -- update entry points -----------------------------------------------
 
@@ -75,15 +74,16 @@ class ControlPlane:
         or configuration text; the delta is computed against the live
         graph when a full configuration is given.  Pure-data deltas
         patch tables in place; anything structural (or touching a
-        non-patchable element) runs a delta-scoped hot-swap.  Returns
-        the :class:`SwapReport`; raises :class:`ControlPlaneError`
-        (nothing applied) on a bad update."""
+        non-patchable element) changes the router's elements and wiring
+        in place (:meth:`_restructure`).  Returns the
+        :class:`SwapReport`; raises :class:`ControlPlaneError` (nothing
+        applied) on a bad update."""
         started = time.perf_counter()
         delta, new_graph = self._resolve(update)
         diff_seconds = time.perf_counter() - started
 
         if delta.empty:
-            report = SwapReport("no-op", profile=self._router.profile.label)
+            report = SwapReport("no-op", profile=self.router.profile.label)
             report.delta = delta.summary()
             report.phases["diff"] = diff_seconds
             self.history.append(report)
@@ -95,7 +95,7 @@ class ControlPlane:
                 self.history.append(report)
                 return report
 
-        report = self._swap(delta, new_graph, diff_seconds, validate)
+        report = self._restructure(delta, new_graph, diff_seconds, validate)
         self.history.append(report)
         return report
 
@@ -120,7 +120,7 @@ class ControlPlane:
     def _config_delta(self, name, args):
         from ..graph.diff import ElementChange
 
-        graph = self._router.graph
+        graph = self.router.graph
         decl = graph.elements.get(name)
         if decl is None:
             raise ControlPlaneError("no element named %r in the live router" % name)
@@ -137,7 +137,7 @@ class ControlPlane:
         """``(delta, new_graph_or_None)`` for any accepted update form.
         ``new_graph`` stays None for delta inputs until a structural
         path needs it (then it is materialized via ``apply_to``)."""
-        graph = getattr(self._router, "graph", None)
+        graph = getattr(self.router, "graph", None)
         if graph is None:
             raise ControlPlaneError("the live router carries no graph to diff against")
         if isinstance(update, GraphDelta):
@@ -156,12 +156,12 @@ class ControlPlane:
         """Phase one of the in-place path: parse and validate every
         changed element's new data without mutating anything.  Returns
         the staged batch for :meth:`commit_patch`, or None when some
-        element is not data-patchable (the update needs a hot-swap).
+        element is not data-patchable (the update is structural).
         Raises :class:`ControlPlaneError` — live router untouched — on
         a rejected table.  Split out of the old monolithic patch so a
         multi-shard commit can stage on *every* shard before any shard
         commits."""
-        router = self._router
+        router = self.router
         staged = []
         for change in delta.changed:
             element = router.elements.get(change.name)
@@ -189,7 +189,7 @@ class ControlPlane:
         commit the prepared tables, sync config strings and the live
         graph, and deopt adaptive chains that speculated on the old
         data.  Returns the ``"in-place"`` :class:`SwapReport`."""
-        router = self._router
+        router = self.router
         started = time.perf_counter()
         graph = router.graph
         rebuilt = []  # fast paths the engine rewrote for this batch
@@ -231,20 +231,94 @@ class ControlPlane:
         report.phases.move_to_end("patch")
         return report
 
-    def _swap(self, delta, new_graph, diff_seconds, validate):
-        """The structural path: a transactional hot-swap scoped by the
-        delta (untouched chains splice from the old compile)."""
-        if new_graph is None:
-            new_graph = delta.apply_to(self._router.graph)
+    def _restructure(self, delta, new_graph, diff_seconds, validate):
+        """The structural path, in place: stage everything that can fail
+        (the ``check`` pass; a new instance of every element added,
+        re-classed or reconfigured — configured, wired, initialized, and
+        given its predecessor's state; the wiring planned over the new
+        graph), then commit (:meth:`_commit_structure`).  Returns the
+        ``"scoped-swap"`` :class:`SwapReport`."""
+        router = self.router
+        new_graph = new_graph if new_graph is not None else delta.apply_to(router.graph)
+        report = SwapReport("scoped-swap", profile=router.profile.label, delta=delta.summary())
+        report.phases["diff"] = diff_seconds
         try:
-            result = hotswap(self._router, new_graph, validate=validate, delta=delta)
+            started = time.perf_counter()
+            if validate:
+                check_graph(new_graph)
+            report.phases["validate"] = time.perf_counter() - started
+            started = time.perf_counter()
+            classes = router._classes
+            if new_graph.archive != router.graph.archive:
+                overlay = dict(classes.maps[0], **compile_archive_classes(new_graph.archive))
+                classes = ChainMap(overlay, *classes.maps[1:])
+            elements, fresh = {}, {}  # the new graph's elements; the new instances among them
+            for decl in new_graph.elements.values():
+                old = router.elements.get(decl.name)
+                if old is None or type(old) is not classes.get(decl.class_name) or old.config_string != decl.config:
+                    old = fresh[decl.name] = instantiate(router, decl, classes)
+                elements[decl.name] = old
+            plan = plan_wiring(new_graph, elements, classes)
+            wire(elements, plan, fresh)
+            for element in fresh.values():
+                element.initialize()
+            report.phases["build"] = time.perf_counter() - started
+            started = time.perf_counter()
+            for name, element in fresh.items():
+                old = router.elements.get(name)
+                if old is not None and _compatible(element, old) and take_state(element, old):
+                    report.transferred.append(name)
+            report.phases["transfer"] = time.perf_counter() - started
+            # Rewired: a new instance, one whose planned wiring is not its
+            # live ports', and one that connects to a new instance.
+            rewired = {name for name, entry in plan.items() if name in fresh or entry != wiring_of(elements[name])
+                       or any(end is not None and end[0] in fresh for end in entry[2] + entry[3])}
+            self._commit_structure(new_graph, classes, elements, plan, rewired.difference(fresh), rewired, report)
         except Exception as exc:
             raise ControlPlaneError(
                 "structural update failed; old router still serving: %s: %s"
                 % (type(exc).__name__, exc)
             ) from exc
-        self._router = result.router
-        report = result.report
-        report.phases["diff"] = diff_seconds
-        report.phases.move_to_end("diff", last=False)
         return report
+
+    def _commit_structure(self, new_graph, classes, elements, plan, rewire, changed, report):
+        """Swap the staged ``elements`` in, give those in ``rewire`` new
+        ports, initialize every element again (RED finds its queues over
+        the new wiring), rebuild tasks and graph, and let the engine
+        rewrite each flavor's chains that hold an element ``changed`` or
+        removed.  If that fails, everything is put back and it raises."""
+        router = self.router
+        started = time.perf_counter()
+        engine = router.engine
+        changed = changed.union(name for name in router.elements if name not in elements)
+        if engine is not None:
+            engine.uninstall()
+        old = router.elements, router.graph, router._classes, router._tasks
+        ports = {name: (e._output_ports, e._input_ports) for name, e in router.elements.items()}
+        try:
+            router.elements, router.graph, router._classes = elements, new_graph, classes
+            wire(elements, plan, rewire)
+            if router.fault_injector is not None:
+                router.fault_injector.prepare_router(router)
+            for element in elements.values():
+                element.initialize()
+            router._tasks = [element for element in elements.values() if element.is_task()]
+            staged = engine.stage_restructure(changed) if engine is not None else None
+        except BaseException:
+            router.elements, router.graph, router._classes, router._tasks = old
+            for name, (outputs, inputs) in ports.items():
+                old[0][name]._output_ports, old[0][name]._input_ports = outputs, inputs
+            for element in router.elements.values():
+                element.initialize()
+            if engine is not None:
+                engine.install()
+            if router.supervisor is not None:
+                router.supervisor.rebind()
+            raise
+        report.phases["compile"] = time.perf_counter() - started
+        started = time.perf_counter()
+        rebuilt = engine.commit_restructure(staged) if engine is not None else []
+        if router.supervisor is not None:
+            router.supervisor.rebind()
+        report.phases["commit"] = time.perf_counter() - started
+        report.chains_recompiled, report.chains_relinked, report.chains_reused = chain_totals(rebuilt)

@@ -53,7 +53,7 @@ class Align(Element):
         for this edge instead."""
         e = cx.element(self)
         room = bytearray(DEFAULT_HEADROOM)
-        r = cx.bind(room, ("value", room))
+        r = cx.bind(room)
         facts = cx.facts
         cvar = facts.get("data") if facts else None
         modulus, offset = self.modulus, self.offset

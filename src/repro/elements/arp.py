@@ -137,7 +137,7 @@ class ARPQuerier(Element):
         if constant is not None:
             raw, header, epoch = constant
             header = bytes(header)
-            hot = (cx.ip(raw), cx.bind(header, ("value", header)), cx.element(self), int(epoch), len(header))
+            hot = (cx.ip(raw), cx.bind(header), cx.element(self), int(epoch), len(header))
             cx.count("guarded_branches")
             miss_token = cx.policy.guard_counter(self, "arp")
             if miss_token is not None:

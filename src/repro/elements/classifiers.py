@@ -168,7 +168,7 @@ class _TreeClassifier(Element):
         if cx.policy.profiling:
             e = cx.element(self)
             return _classifier_dispatch(self, cx, lambda data: "%s.tree.match(%s)" % (e, data))
-        m = cx.bind(self.matcher_cell(), ("cell", self.name))
+        m = cx.bind(self.matcher_cell())
         return _classifier_dispatch(self, cx, lambda data: "%s[0](%s)" % (m, data))
 
 

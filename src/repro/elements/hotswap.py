@@ -25,14 +25,11 @@ that succeeds does phase two commit: the old router is retired.  Any
 failure raises :class:`HotswapError` and leaves the old router exactly
 as it was, still serving, queues and ARP tables intact.
 
-The swap is **scoped**: before recompiling, the graphs are diffed
-(:func:`repro.graph.diff.diff_graphs`, or an explicit ``delta`` from the
-control plane) and the old router's compiled fast paths are offered to
-the new compile as *donors* — every chain whose reachable elements are
-untouched by the delta is spliced in verbatim instead of re-emitted
-(see :meth:`FastPath._reuse_chain`).  ``hotswap`` returns a
-:class:`SwapResult` carrying the new router and a :class:`SwapReport`
-with per-phase timings and the recompiled-vs-reused chain counts.
+The new router compiles like a fresh build, sharing what the codegen
+cache holds, and compiles inside the swap every chain that was
+forwarding in the old router.  ``hotswap`` returns a :class:`SwapResult`:
+the new router and a :class:`SwapReport`.  The control plane
+(:mod:`repro.control`) changes a live router in place instead.
 """
 
 from __future__ import annotations
@@ -41,6 +38,7 @@ import copy
 import time
 from collections import OrderedDict
 
+from ..classifier.compile import is_pending
 from ..graph.diff import diff_graphs
 from .element import Element
 from .runtime import Router
@@ -57,7 +55,7 @@ class SwapReport:
     times, and the chain accounting of the fast paths it built:
     ``chains_recompiled`` were emitted again, ``chains_relinked`` took
     a rules patch's new values without that, ``chains_reused`` neither
-    (spliced from the old compile, shared with a cached text, or left).
+    (shared with a cached text, or left as they were).
     Shared by :func:`hotswap` and :meth:`repro.control.ControlPlane.apply`."""
 
     def __init__(self, kind, profile=None, delta=None):
@@ -130,6 +128,15 @@ class SwapResult:
         return "SwapResult(router=%r, report=%r)" % (self.router, self.report)
 
 
+def check_graph(graph):
+    """Raise :class:`HotswapError` where the ``check`` pass rejects ``graph``."""
+    from ..core.check import check as check_config
+
+    collector = check_config(graph)
+    if not collector.ok:
+        raise HotswapError("new configuration failed check; nothing installed:\n%s" % collector.format())
+
+
 def _compatible(new_element, old_element):
     """Share state if the two classes have a common base below
     :class:`Element` — generated subclasses count as their base class."""
@@ -138,8 +145,7 @@ def _compatible(new_element, old_element):
 
 
 def _live_fastpaths(router):
-    """Every compiled :class:`FastPath` the router's engine holds, for
-    use as scoped-swap reuse donors or for chain accounting."""
+    """Every compiled :class:`FastPath` the router's engine holds."""
     engine = getattr(router, "engine", None)
     return engine.flavors() if engine is not None else []
 
@@ -164,10 +170,8 @@ def hotswap(old_router, new_graph, profile=None, validate=True, delta=None, **ro
     elements and carrying the old router's
     :class:`~repro.runtime.profile.ExecutionProfile` (mode, batch
     flavor, adaptive config, supervision) unless ``profile`` overrides
-    it.  The swap is scoped by ``delta`` (computed via
-    :func:`~repro.graph.diff.diff_graphs` when not supplied): compiled
-    chains that cannot touch a changed element are spliced from the old
-    router's fast paths instead of recompiled.  On success the old
+    it.  ``delta`` (:func:`~repro.graph.diff.diff_graphs` when not
+    supplied) is what the report says changed.  On success the old
     router is retired and a :class:`SwapResult` returned; on any
     failure a :class:`HotswapError` is raised and the old router keeps
     serving, untouched."""
@@ -185,20 +189,10 @@ def hotswap(old_router, new_graph, profile=None, validate=True, delta=None, **ro
     # Phase 1a: validate.  Everything check would reject, the kernel
     # installer would have rejected before touching the live router.
     if validate:
-        from ..core.check import check as check_config
-
-        collector = check_config(new_graph)
-        if not collector.ok:
-            raise HotswapError(
-                "new configuration failed check; old router still serving:\n%s"
-                % collector.format()
-            )
+        check_graph(new_graph)
     report.phases["validate"] = time.perf_counter() - started
 
-    # The delta scopes the swap: chains of the new compile that cannot
-    # touch a dirty element are spliced from the old router's compiled
-    # fast paths.  An explicit delta (the control plane's) wins; without
-    # one, diff the graphs here.
+    # An explicit delta (a shard's) wins; without one, diff the graphs.
     old_graph = getattr(old_router, "graph", None)
     if delta is None and old_graph is not None:
         delta = diff_graphs(old_graph, new_graph)
@@ -251,24 +245,19 @@ def hotswap(old_router, new_graph, profile=None, validate=True, delta=None, **ro
     report.phases["transfer"] = time.perf_counter() - started
     report.transferred = transferred
 
-    # Phase 1d: recompile the carried execution profile, offering the
-    # old router's compiled fast paths as scoped-reuse donors.
+    # Phase 1d: compile the carried execution profile, and in it every
+    # chain that was forwarding in the old router.
     started = time.perf_counter()
-    donors = _live_fastpaths(old_router)
-    if delta is not None and donors:
-        new_router._fastpath_reuse = {
-            "fastpaths": donors,
-            "dirty": delta.dirty_names(),
-        }
     try:
         new_router.configure(profile)
+        for old, new in zip(_live_fastpaths(old_router), _live_fastpaths(new_router)):
+            live = [key for key, pair in old._compiled.items() if not is_pending(pair[0])]
+            new.materialize([key for key in live if key in new._compiled])
     except Exception as exc:
         raise HotswapError(
             "compiling the new router (profile=%s) failed; old router still "
             "serving: %s: %s" % (profile.label, type(exc).__name__, exc)
         ) from exc
-    finally:
-        new_router._fastpath_reuse = None
     report.phases["compile"] = time.perf_counter() - started
     totals = chain_totals(_live_fastpaths(new_router))
     report.chains_recompiled, report.chains_relinked, report.chains_reused = totals
@@ -276,8 +265,9 @@ def hotswap(old_router, new_graph, profile=None, validate=True, delta=None, **ro
     # Phase 2: commit.
     started = time.perf_counter()
     new_router.hotswap_transferred = transferred
+    retired = _live_fastpaths(old_router)
     old_router.retire()
-    for path in donors:
+    for path in retired:
         path.release()
     report.phases["commit"] = time.perf_counter() - started
     return SwapResult(new_router, report)

@@ -227,7 +227,7 @@ class CheckIPHeader(Element):
             return None
         f = cx.attr(self, "_fail")
         bs = cx.attr(self, "bad_src") if self.bad_src else None
-        dc = cx.bind(_DEST_IP_CACHE.get, ("const", "DEST_IP_GET"))
+        dc = cx.bind(_DEST_IP_CACHE.get)
         src_test = "s != 0xFFFFFFFF" + (" and s not in %s" % bs if bs else "")
         facts = cx.facts
         cvar = facts.get("data") if facts else None

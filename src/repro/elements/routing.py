@@ -126,7 +126,7 @@ class _IPRouteTable(Element):
         jt = cx.jump_table(self, "checked")
         probe = None
         if type(self).lookup_route is LookupIPRoute.lookup_route:
-            probe = cx.attr(self, "_memo", "get"), cx.bind(_MISS, ("value", _MISS))
+            probe = cx.attr(self, "_memo", "get"), cx.bind(_MISS)
         drop = "%s.no_route_drops += 1" % e
         arm_facts = {k: v for k, v in facts.items() if k != "dst_raw"} if facts else None
 

@@ -1,10 +1,13 @@
 """The runtime router: instantiate, wire, and drive a configuration.
 
-A :class:`Router` is built from a *finished* RouterGraph and never
-mutates afterwards (§5.1: configurations are static; to change one, the
-user installs an entirely new configuration).  Compound elements must
-already be flattened (:mod:`repro.core.flatten` does this, as the Click
-kernel parser does automatically).
+A :class:`Router` is built from a *finished* RouterGraph.  §5.1 changes
+a configuration by installing an entirely new one
+(:func:`repro.elements.hotswap.hotswap`); the control plane
+(:mod:`repro.control`) instead changes the live router in place, with
+:func:`instantiate`, :func:`plan_wiring` and :func:`wire` — the steps
+the build itself runs.  Compound elements must already be flattened
+(:mod:`repro.core.flatten` does this, as the Click kernel parser does
+automatically).
 
 Archives may carry generated element code (from click-fastclassifier or
 click-devirtualize).  Like Click, which "will first compile the source
@@ -61,6 +64,92 @@ def declared_classes(graph):
             yield decl, cls
 
 
+def instantiate(router, decl, classes):
+    """The element ``decl`` declares, configured, resolving its class in
+    ``classes``, and owned by ``router``."""
+    cls = classes.get(decl.class_name)
+    if cls is None:
+        raise ClickSemanticError("unknown element class %r for element %r" % (decl.class_name, decl.name))
+    element = cls(decl.name, decl.config)
+    element.router = router
+    return element
+
+
+def plan_wiring(graph, elements, classes):
+    """How ``graph`` wires ``elements`` (name -> instance), checked as
+    the kernel installer checks it, without touching an element:
+    ``{name: (ninputs, noutputs, targets, sources)}``, ``targets[i]``
+    the ``(element, port)`` push output ``i`` connects to (None for a
+    pull output), ``sources[i]`` likewise for pull input ``i``."""
+    specs = default_specs(extra_classes=classes.values())
+    resolved = resolve_processing(graph, specs)
+    plan = {}
+    for name, element in elements.items():
+        ninputs = graph.input_count(name)
+        noutputs = graph.output_count(name)
+        cls = type(element)
+        counts = specs[cls.class_name].port_counts
+        if not counts.inputs_ok(ninputs):
+            raise ClickSemanticError(
+                "%s (%s) has %d input(s); %r allowed" % (name, cls.class_name, ninputs, counts.text)
+            )
+        if not counts.outputs_ok(noutputs):
+            raise ClickSemanticError(
+                "%s (%s) has %d output(s); %r allowed" % (name, cls.class_name, noutputs, counts.text)
+            )
+        plan[name] = (ninputs, noutputs)
+    for name, (ninputs, noutputs) in plan.items():
+        in_codes, out_codes = resolved[name]
+        targets, sources = [], []
+        for port, code in enumerate(out_codes):
+            conns = graph.connections_from(name, port)
+            if not conns:
+                raise ClickSemanticError("%s output [%d] is unconnected" % (name, port))
+            if code == PUSH and len(conns) > 1:
+                raise ClickSemanticError(
+                    "%s push output [%d] has %d connections; push outputs "
+                    "connect to exactly one input" % (name, port, len(conns))
+                )
+            targets.append((conns[0].to_element, conns[0].to_port) if code == PUSH else None)
+        for port, code in enumerate(in_codes):
+            conns = graph.connections_to(name, port)
+            if not conns:
+                raise ClickSemanticError("%s input [%d] is unconnected" % (name, port))
+            if code == PULL and len(conns) > 1:
+                raise ClickSemanticError(
+                    "%s pull input [%d] has %d connections; pull inputs "
+                    "connect to exactly one output" % (name, port, len(conns))
+                )
+            sources.append((conns[0].from_element, conns[0].from_port) if code == PULL else None)
+        plan[name] = (ninputs, noutputs, tuple(targets), tuple(sources))
+    return plan
+
+
+def wiring_of(element):
+    """``element``'s live wiring, as :func:`plan_wiring` plans it."""
+    return (
+        len(element._input_ports),
+        len(element._output_ports),
+        tuple((p.target.name, p.target_port) if p.target is not None else None for p in element._output_ports),
+        tuple((p.source.name, p.source_port) if p.source is not None else None for p in element._input_ports),
+    )
+
+
+def wire(elements, plan, names):
+    """Give each element named in ``names`` new ports, connected as
+    ``plan`` (:func:`plan_wiring`) says, to the elements it names."""
+    for name in names:
+        ninputs, noutputs, targets, sources = plan[name]
+        element = elements[name]
+        element.set_nports(ninputs, noutputs)
+        for port, target in enumerate(targets):
+            if target is not None:
+                element.output(port).connect(elements[target[0]], target[1])
+        for port, source in enumerate(sources):
+            if source is not None:
+                element.input(port).connect(elements[source[0]], source[1])
+
+
 class Router:
     """A running router built from a configuration graph."""
 
@@ -103,77 +192,13 @@ class Router:
                 "runtime router requires a flattened configuration "
                 "(compound classes remain: %s)" % ", ".join(graph.element_classes)
             )
-        # Instantiate.
         for decl in graph.elements.values():
-            cls = self._classes.get(decl.class_name)
-            if cls is None:
-                raise ClickSemanticError(
-                    "unknown element class %r for element %r" % (decl.class_name, decl.name)
-                )
-            element = cls(decl.name, decl.config)
-            element.router = self
-            self.elements[decl.name] = element
-
-        # Resolve push/pull over the whole configuration.
-        specs = default_specs(extra_classes=self._classes.values())
-        resolved = resolve_processing(graph, specs)
-
-        # Allocate and wire ports.
-        for name, element in self.elements.items():
-            ninputs = graph.input_count(name)
-            noutputs = graph.output_count(name)
-            cls = type(element)
-            counts = specs[cls.class_name].port_counts
-            if not counts.inputs_ok(ninputs):
-                raise ClickSemanticError(
-                    "%s (%s) has %d input(s); %r allowed"
-                    % (name, cls.class_name, ninputs, counts.text)
-                )
-            if not counts.outputs_ok(noutputs):
-                raise ClickSemanticError(
-                    "%s (%s) has %d output(s); %r allowed"
-                    % (name, cls.class_name, noutputs, counts.text)
-                )
-            element.set_nports(ninputs, noutputs)
-
-        for name in self.elements:
-            in_codes, out_codes = resolved[name]
-            for port, code in enumerate(out_codes):
-                conns = graph.connections_from(name, port)
-                if not conns:
-                    raise ClickSemanticError(
-                        "%s output [%d] is unconnected" % (name, port)
-                    )
-                if code == PUSH and len(conns) > 1:
-                    raise ClickSemanticError(
-                        "%s push output [%d] has %d connections; push outputs "
-                        "connect to exactly one input" % (name, port, len(conns))
-                    )
-                if code == PUSH:
-                    conn = conns[0]
-                    self.elements[name].output(port).connect(
-                        self.elements[conn.to_element], conn.to_port
-                    )
-            for port, code in enumerate(in_codes):
-                conns = graph.connections_to(name, port)
-                if not conns:
-                    raise ClickSemanticError("%s input [%d] is unconnected" % (name, port))
-                if code == PULL and len(conns) > 1:
-                    raise ClickSemanticError(
-                        "%s pull input [%d] has %d connections; pull inputs "
-                        "connect to exactly one output" % (name, port, len(conns))
-                    )
-                if code == PULL:
-                    conn = conns[0]
-                    self.elements[name].input(port).connect(
-                        self.elements[conn.from_element], conn.from_port
-                    )
-
+            self.elements[decl.name] = instantiate(self, decl, self._classes)
+        wire(self.elements, plan_wiring(graph, self.elements, self._classes), self.elements)
         # Initialize, collect tasks in declaration order.
         for element in self.elements.values():
             element.initialize()
-            if element.is_task():
-                self._tasks.append(element)
+        self._tasks = [element for element in self.elements.values() if element.is_task()]
 
     # -- execution mode --------------------------------------------------------
 
@@ -250,9 +275,9 @@ class Router:
         self._profile = self._profile.with_mode("reference")
 
     def retire(self):
-        """Decommission this router after a hot-swap: supervision and
-        compiled state come off, and the scheduler goes inert.  The
-        wiring and element state stay readable (the swap's
+        """Decommission this router after a whole-text hot-swap:
+        supervision and compiled state come off, and the scheduler goes
+        inert.  The wiring and element state stay readable (the swap's
         ``take_state`` already copied what the new router carries)."""
         if self.retired:
             return

@@ -22,8 +22,8 @@ journal:
 ``["configure", PROFILE]``        re-run under an ``ExecutionProfile``
                                   (journal only: the oracle runs every mode)
 ``["hotswap", CONFIG]``           transactional hot-swap, carrying state
-``["update", CONFIG]``            control-plane update (:mod:`repro.control`):
-                                  in place where it can, else a scoped swap
+``["update", CONFIG]``            control-plane update (:mod:`repro.control`),
+                                  in place, structural ones included
 ================================  ========================================
 
 ``CONFIG`` is configuration text, a graph, or a
@@ -42,7 +42,7 @@ from __future__ import annotations
 def apply(router, event, devices=None):
     """Run one event on ``router``, whose devices by name are
     ``devices``.  Returns ``(router, report)``: a single router changes
-    identity across a swap, and ``report`` is a hot-swap's or an
+    identity across a hot-swap, and ``report`` is a hot-swap's or an
     update's :class:`~repro.elements.hotswap.SwapReport`, else None."""
     kind = event[0]
     report = None

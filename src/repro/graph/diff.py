@@ -3,11 +3,10 @@
 The control plane (:mod:`repro.control`) decides how to install an
 update by looking at its *shape*: a delta that only rewrites the
 configuration strings of data-table elements (route tables, classifier
-rules) can be patched into the live router in place, while anything
-that adds, removes, rewires, or re-classes elements needs a (scoped)
-hot-swap.  :func:`diff_graphs` computes that shape as a
-:class:`GraphDelta`; ``dirty_names()`` is the seed set the scoped swap
-uses to decide which compiled chains must be rebuilt.
+rules) can be patched into the live router's tables, while anything
+that adds, removes, rewires, or re-classes elements changes its
+elements and wiring.  :func:`diff_graphs` computes that shape as a
+:class:`GraphDelta`; ``dirty_names()`` names every element it touches.
 
 Elements pair up by *name* — exactly the identity hot-swap state
 transfer uses — so a rename is a removal plus an addition, never a
@@ -120,9 +119,7 @@ class GraphDelta:
 
     def dirty_names(self):
         """Every element name the delta touches: changed/added/removed
-        elements plus both endpoints of every changed connection.  The
-        scoped hot-swap rebuilds exactly the chains that can reach (or
-        be reached from) one of these."""
+        elements plus both endpoints of every changed connection."""
         names = {name for name, _class, _config in self.added}
         names.update(self.removed)
         names.update(change.name for change in self.changed)
@@ -232,8 +229,7 @@ def diff_graphs(old, new):
     new_conns = set(new.connections)
     added_connections = [c for c in new.connections if c not in old_conns]
     # Connections to/from removed elements are listed too (not implied):
-    # their surviving endpoint's chains change, so dirty_names() must
-    # see them.
+    # dirty_names() must see their surviving endpoints.
     removed_connections = [c for c in old.connections if c not in new_conns]
     archive = None
     if new.archive:

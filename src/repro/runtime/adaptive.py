@@ -948,13 +948,17 @@ class AdaptiveEngine:
             reason, scope = "diagram repatch of %s" % name, None
         else:
             rewritten, reason, scope = (), "control-plane patch of %s" % name, name
-        dropped = self.tier2_fp
-        demoted = self.deopt(reason, element_name=scope)
-        # A patch lands between bursts, never from inside a chain (a guard
-        # miss does): the dropped tier 2 is released once no chain runs on it.
-        if demoted and dropped is not None and not any(s.tier == 2 for s in self.states.values()):
-            dropped.release()
+        self._restart(reason, scope)
         return rewritten
+
+    def _restart(self, reason, element_name=None):
+        """:meth:`deopt` after an update.  An update lands between bursts,
+        never from inside a chain (a guard miss does): the dropped tier 2
+        is released once no chain runs on it."""
+        dropped = self.tier2_fp
+        if self.deopt(reason, element_name) and dropped is not None:
+            if not any(state.tier == 2 for state in self.states.values()):
+                dropped.release()
 
     def repatch_classifier(self, name):
         """The plain tier 1 after a rules patch on ``name``: its plan is
@@ -964,15 +968,55 @@ class AdaptiveEngine:
         supervisor pins already hold (:meth:`FastPath.rewrite`).  The
         profiled flavor stands: it walks the patched tree.  Returns the
         fast paths it rewrote, whose profile :meth:`on_table_patch` restarts."""
-        policy = self.tier1.policy
-        plans = dict(policy.plans)
-        plans[name] = build_diagram(self.router.elements[name].tree, node_budget=policy.node_budget)
-        if plans[name] is None:  # over budget: the generic emission
-            del plans[name]
-        fields = {"plans": plans, "node_budget": policy.node_budget, "hot_paths": {}}
-        self.tier1.rewrite({name}, self._policy(fields))
+        self.tier1.rewrite(self._replanned({name}))
         self.diagram_rebuilds += 1
         return (self.tier1,)
+
+    def _replanned(self, names):
+        """The plain tier 1's policy with the plans of the classifiers
+        named in ``names`` built again from their live trees, every
+        other plan kept (the same object), and the plans of elements
+        gone dropped."""
+        policy, elements = self.tier1.policy, self.router.elements
+        if policy.plans is None:
+            return self._policy({})
+        plans = {name: plan for name, plan in policy.plans.items() if name in elements and name not in names}
+        for name, tree in router_trees(self.router, names).items():
+            plan = build_diagram(tree, node_budget=policy.node_budget)
+            if plan is not None:  # over budget: the generic emission
+                plans[name] = plan
+        return self._policy({"plans": plans, "node_budget": policy.node_budget, "hot_paths": {}})
+
+    def stage_restructure(self, changed):
+        """Phase one of a structural update, over the router as rewired
+        (the engine uninstalled): each tier-1 flavor stages its rewrite
+        (:meth:`FastPath.stage_rewrite`) — the plain one under plans
+        built again for the ``changed`` classifiers.  A flavor that fails
+        takes back what the others staged, and the error propagates."""
+        staged = []
+        try:
+            staged.append((self.tier1, self.tier1.stage_rewrite(self._replanned(changed), changed)))
+            if self.profiled is not None:
+                staged.append((self.profiled, self.profiled.stage_rewrite(self.profiled.policy, changed)))
+        except BaseException:
+            for path, stage in staged:
+                path.abort_rewrite(stage)
+            raise
+        return staged
+
+    def commit_restructure(self, staged):
+        """Phase two: commit the staged rewrites, install the engine on
+        the new wiring and deoptimize it (tier 2 was built for the old).
+        Returns the fast paths rewritten."""
+        before = self.tier1.policy.plans or {}
+        for path, stage in staged:
+            path.commit_rewrite(stage)
+        after = self.tier1.policy.plans or {}
+        self.diagram_rebuilds += sum(plan is not before.get(name) for name, plan in after.items())
+        self._reach_cache = {}
+        self.install()
+        self._restart("structural update")
+        return [path for path, _stage in staged]
 
     # -- observability -----------------------------------------------------
 

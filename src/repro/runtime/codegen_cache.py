@@ -2,36 +2,17 @@
 
 ``FastPath._compile`` emits every chain per build and ``compile`` runs
 per chain entered.  Builds that emit the same module text — the same
-configuration again, or an engine's tier 2 rebuilt after a route patch,
-which changes tables, not text — need one set of code objects.  The
-store maps a donor-less compile's text to its chain records
-(:class:`~repro.runtime.fastpath.ChainInfo`, shared by reference, so a
-chain any sharer has entered carries its code object for all); a
-later compile that emits the same text adopts every record that
-describes the same unit.  A code object is a function of the text
+configuration again (a whole-text hot-swap), or an engine's tier 2
+rebuilt after a route patch, which changes tables, not text — need one
+set of code objects.  The store maps a compile's text to its chain
+records (:class:`~repro.runtime.fastpath.ChainInfo`, shared by
+reference, so a chain any sharer has entered carries its code object
+for all); a later compile that emits the same text adopts every record
+that describes the same unit.  A code object is a function of the text
 alone and each fast path binds its own router's objects into its own
 namespace, so nothing else needs to match.  The store is an in-memory
-LRU: a process that did not compile a text compiles it.
-
-A hot-swap's scoped rebuild shares its donor's records instead and is
-not stored (:meth:`FastPath._reuse_plan`), nor is a rules patch
-(:meth:`FastPath.rewrite`).  The donor is the old router's, so each
-spliced ``_bN`` slot is bound again from the recipe
-:meth:`FastPath._bind` recorded:
-
-- ``("elem", name)``: the element itself;
-- ``("attr", name, (a, b, ...))``: a ``getattr`` chain off the element
-  (bound methods, deques, sets);
-- ``("value", v)``: an immutable literal (or a module's sentinel);
-- ``("const", key)``: a module-level singleton (the dest-IP intern
-  cache probe);
-- ``("cell", name)``: the element's one-slot matcher cell;
-- ``("ip", raw)``: the interned :class:`IPAddress` for a raw
-  destination value;
-- ``("table", index)``: the ``index``-th terminal jump table, refilled
-  after exec;
-- ``("policy", token)``: ``policy.resolve(token, router)``, counters
-  and guard callbacks of the *new* policy instance.
+LRU: a process that did not compile a text compiles it.  An update in
+place (:meth:`FastPath.rewrite`) stores nothing.
 """
 
 from __future__ import annotations
@@ -39,36 +20,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-from ..net.packet import _DEST_IP_CACHE, _intern_dest_ip
-
 __all__ = ["CodegenCache", "default_cache"]
-
-
-def _resolve_spec(spec, fastpath, tables):
-    router = fastpath.router
-    kind = spec[0]
-    if kind == "elem":
-        return router.elements[spec[1]]
-    if kind == "attr":
-        value = router.elements[spec[1]]
-        for attr in spec[2]:
-            value = getattr(value, attr)
-        return value
-    if kind == "value":
-        return spec[1]
-    if kind == "const":
-        if spec[1] == "DEST_IP_GET":
-            return _DEST_IP_CACHE.get
-        raise KeyError("unknown const recipe %r" % (spec[1],))
-    if kind == "cell":
-        return router.elements[spec[1]].matcher_cell()
-    if kind == "ip":
-        return _intern_dest_ip(spec[1])
-    if kind == "table":
-        return tables[spec[1]][0]
-    if kind == "policy":
-        return fastpath.policy.resolve(spec[1], router)
-    raise KeyError("unknown bind recipe %r" % (spec,))
 
 
 class CodegenCache:

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import copy
 import dis
-import hashlib
 import itertools
 import re
 import time
@@ -86,9 +85,8 @@ class ChainPolicy:
 
     - ``plans`` (``{classifier name: DiagramPlan}``, built by
       :func:`repro.runtime.fdd.diagram_pass`): classifier terminals
-      with a plan emit as decision diagrams.  ``node_budget`` and the
-      ``hot_paths`` they were ordered by travel with it into the reuse
-      key.
+      with a plan emit as decision diagrams, ordered by ``hot_paths``,
+      each under ``node_budget``.
     - ``store`` (a :class:`~repro.runtime.adaptive.ProfileStore`): the
       *profiling* flavor, the static code plus a note hook at every
       classifier and route dispatch.  It takes no ``plans``: a note
@@ -99,15 +97,12 @@ class ChainPolicy:
       tier 2 — hottest arms first, cold arms pruned, hot route/ARP
       results behind guards whose miss counters ``engine`` owns.
 
-    ``profiling``, ``tag`` and :meth:`reuse_key` are derived from which
-    fields are set.  A subclass may override any hook (tests substitute
-    fakes this way); one whose emission depends on more than the fields
-    must override :meth:`reuse_key` as well.
+    ``profiling`` and ``tag`` are derived from which fields are set.  A
+    subclass may override any hook (tests substitute fakes this way).
 
     Policies hand the emitter *tokens* for any runtime object they want
     bound into generated code (counters, guard callbacks); the emitter
-    binds ``policy.resolve(token, router)`` under a ``("policy", token)``
-    recipe, so a spliced chain binds the new policy instance's.
+    binds ``policy.resolve(token, router)``.
     """
 
     def __init__(self, plans=None, store=None, decisions=None, engine=None,
@@ -127,7 +122,7 @@ class ChainPolicy:
 
     @property
     def tag(self):
-        """The flavor's name in reports and reuse keys."""
+        """The flavor's name in reports."""
         flavor = (
             "profiling" if self.profiling
             else "optimized" if self.decisions is not None
@@ -136,22 +131,6 @@ class ChainPolicy:
         if self.plans is None:
             return flavor
         return "fdd" if flavor == "static" else "fdd-" + flavor
-
-    def reuse_key(self):
-        """Hashable key gating donor-chain reuse in scoped rebuilds: two
-        policies with equal keys emit identical source for the same
-        graph and trees.  Tree content is not part of it: the dirty-set
-        closure already forces chains touching changed content to be
-        emitted again, and untouched closures see identical trees."""
-        key = (self.tag,)
-        if self.plans is not None:
-            key += (self.node_budget,)
-        if self.decisions is not None:
-            key += (self.decisions.digest,)
-            if self.plans is not None:
-                canonical = sorted(self.hot_paths.items())
-                key += (hashlib.sha256(repr(canonical).encode("utf-8")).hexdigest()[:16],)
-        return key
 
     def _decision_for(self, element):
         if self.decisions is None:
@@ -272,6 +251,13 @@ class FastInputPort:
         self.pull_batch = pull_batch
 
 
+#: The FastPathReport fields that describe the build or update that
+#: produced a fast path, not its chains; folding the chains keeps them.
+_BUILD_FACTS = (
+    "batch", "policy", "compile_seconds", "reused_chains", "compiled_units",
+    "relinked_units", "emitted_units", "failed_entries",
+)
+
 #: The FastPathReport counters emitters bump while a chain is emitted;
 #: the chain's record keeps what its own emission added.
 _CHAIN_COUNTERS = (
@@ -286,19 +272,20 @@ class ChainInfo:
     elements inlined into straight-line code and the terminal dispatch,
     and everything emitting it produced.  Immutable once emitted
     *except* ``code`` and ``relink``, written once and together: by the
-    build or rules patch that replaces a chain already forwarding, or by
-    the first packet to enter it (:meth:`FastPath._enter`) — so ``code
-    is not None`` says the chain is live.  ``template`` is ``source``
-    with every lifted literal a placeholder; a rules patch whose plans
-    keep the shapes of those in ``diagrams`` gives the chain a record
-    with their literals, its code the template code (``relink``)
-    filled in (:meth:`refilled`).  One record is shared by reference
-    between the fast path that emitted it, every compile that splices
-    it, the codegen cache and every compile that emits the same text
-    (the first sharer to enter it fills ``code`` for all); a splice that
-    has to renumber it takes a copy (:meth:`moved`), and a rules patch
-    replaces it — or drops it, if nothing had entered it, until its
-    first entry emits a new one (:meth:`FastPath.rewrite`)."""
+    update that replaces a chain already forwarding, or by the first
+    packet to enter it (:meth:`FastPath._enter`) — so ``code is not
+    None`` says the chain is live.  ``template`` is ``source`` with
+    every lifted literal a placeholder; a rules patch whose plans keep
+    the shapes of those in ``diagrams`` gives the chain a record with
+    their literals, its code the template code (``relink``) filled in
+    (:meth:`refilled`).  ``elements`` names every element the emission
+    read — the edge's own, the inlined ones, the terminal and each fused
+    dispatch arm's — so an update that changes one of them makes the
+    chain stale.  One record is shared by reference between the fast
+    path that emitted it, the codegen cache and every compile that emits
+    the same text (the first sharer to enter it fills ``code`` for all);
+    an update replaces it — or drops it, if nothing had entered it,
+    until its first entry emits a new one (:meth:`FastPath.rewrite`)."""
 
     __slots__ = (
         "kind", "element", "port", "inlined", "terminal", "terminal_port",
@@ -308,6 +295,7 @@ class ChainInfo:
         "template",  # source, each lifted literal a placeholder (source itself when none is)
         "literals",  # the values the template's placeholders stand for, in order
         "diagrams",  # (classifier name, DiagramPlan) of each plan the emission inlined
+        "elements",  # frozenset of the names of every element the emission read
         "relink",  # the template code once entered, if it has literals
         "code",  # the template code filled in (compile_chain), or None until it is entered
         "offset",  # source[0] is line ``offset`` of FastPath.source
@@ -365,26 +353,13 @@ class ChainInfo:
             chain.code = _instantiate(self.relink, chain.literals, self.offset)
         return chain
 
-    def moved(self, offset, tables):
-        """This chain at another line offset and/or under other jump
-        table indexes: a copy (the donor's record stands), its code —
-        when it has one — re-based when the offset differs."""
-        if offset == self.offset and tables == self.tables:
-            return self
-        chain = copy.copy(self)
-        if offset != self.offset:
-            if self.code is not None:
-                chain.code = _instantiate(self.code, (), offset - self.offset)
-            chain.offset = offset
-        chain.tables = tables
-        return chain
-
     def fold_into(self, report, sign=1):
         """Add this chain to a :class:`FastPathReport` — the one way a
-        chain is counted, whether just emitted, spliced or shared.
+        chain is counted, whether just emitted or shared.
         ``sign=-1`` takes out a chain a rules patch replaces; the one
         replacing it runs over the same wiring, so ``inlined_elements``
-        and ``longest_chain`` stand."""
+        and ``longest_chain`` stand (a structural update refolds the
+        whole report)."""
         label = "%s %s[%d]" % (self.kind, self.element, self.port)
         if sign > 0:
             report.chain_lines[label] = self.lines
@@ -426,7 +401,7 @@ class FastPathReport:
         self.chain_lines = {}  # "push name[port]" chain label -> generated lines
         self.guarded_branches = 0
         self.pruned_arms = 0
-        self.reused_chains = 0  # chains spliced verbatim from a donor compile
+        self.reused_chains = 0  # chains the last update left as they were
         self.compiled_units = 0  # compile() calls made for this fast path so far
         self.relinked_units = 0  # chains a rules patch filled into a live chain's template code
         self.emitted_units = 0  # chains this build emitted and kept (0 when it shared a cached text)
@@ -736,8 +711,7 @@ def compile_chain(lines, offset, literals=()):
     literals fills the live chain's template code with the new ones and
     compiles nothing (:meth:`FastPath.rewrite`).  The chain, not the module,
     is the unit of compilation: a chain is compiled when a packet first
-    enters it and most never are, a scoped rebuild carries the code
-    objects of the chains it splices, a rules patch compiles only the
+    enters it and most never are, an update compiles only the live
     chains it replaces, and ``compile`` keeps about 3 kB
     of working memory per source line until it returns, so a module
     compiled whole would set the process's memory high-water mark
@@ -753,19 +727,6 @@ def _compile_record(chain):
     chain.relink, chain.code = compile_chain(chain.template[1:], chain.offset, chain.literals)
 
 
-def _method_spec(bound):
-    """A bind recipe for a bound element method, or None when the
-    callable cannot be re-resolved by name against another router."""
-    owner = getattr(bound, "__self__", None)
-    fn = getattr(bound, "__func__", None)
-    name = getattr(owner, "name", None)
-    if fn is None or name is None:
-        return None
-    if getattr(owner, "router", None) is None:
-        return None
-    return ("attr", name, (fn.__name__,))
-
-
 #: What :meth:`_Emission.elide` hands back: the stage is dropped.
 _ELIDED = object()
 
@@ -779,11 +740,10 @@ class _Emission:
     calls for the rare cases.  It may return None (no inline code for
     this configuration: the chain calls ``cold``) or :meth:`elide`.
 
-    - ``bind(value, spec)`` parks a runtime object as a default argument
-      of the chain's def and returns its local name; ``spec`` is the
-      recipe a splice onto another router re-binds it by.  ``method``,
+    - ``bind(value)`` parks a runtime object as a default argument of
+      the chain's def and returns its local name; ``method``,
       ``element``, ``attr``, ``ip``, ``jump_table`` and ``bind_policy``
-      bind under the recipe for what they bind.
+      bind what they name.
     - ``facts`` is what earlier segments proved for the rest of the
       chain, or None where none are threaded (pull chains): ``data`` and
       ``min_len`` (a local holding the contents and their least
@@ -814,36 +774,31 @@ class _Emission:
         self.prior = self.proved = {}
         self.fusion = None  # (expanded terminal ids, depth) at the terminal being emitted
 
-    def bind(self, value, spec=None):
+    def bind(self, value):
         name = "_x%d" % len(self.args)
-        self.args.append("%s=%s" % (name, self.fastpath._bind(value, spec)))
+        self.args.append("%s=%s" % (name, self.fastpath._bind(value)))
         return name
 
-    def method(self, bound):
-        return self.bind(bound, _method_spec(bound))
-
-    def element(self, element):
-        return self.bind(element, ("elem", element.name))
+    method = element = bind
 
     def attr(self, element, *path):
         value = element
         for name in path:
             value = getattr(value, name)
-        return self.bind(value, ("attr", element.name, path))
+        return self.bind(value)
 
     def ip(self, raw):
         """The interned annotation for a raw destination value."""
-        return self.bind(_intern_dest_ip(raw), ("ip", raw))
+        return self.bind(_intern_dest_ip(raw))
 
     def jump_table(self, element, mode):
         """A fresh jump table into ``element``'s output chains, filled
         at link time (see :meth:`FastPath._link`)."""
-        table, index = self.fastpath._register_jump_table(element, mode)
-        return self.bind(table, ("table", index))
+        return self.bind(self.fastpath._register_jump_table(element, mode))
 
     def bind_policy(self, token):
         """The live object behind a policy token."""
-        return self.bind(self.policy.resolve(token, self.fastpath.router), ("policy", token))
+        return self.bind(self.policy.resolve(token, self.fastpath.router))
 
     def fresh(self):
         self.fastpath._ctx_counter += 1
@@ -1061,7 +1016,7 @@ class FastPath:
     Construction emits every chain; :meth:`install` swaps the fast ports
     in, and a chain is compiled when it is first entered
     (:meth:`materialize` compiles the rest); :meth:`rewrite` replaces
-    the live chains a rules patch dirtied under the installed functions
+    the live chains an update made stale under the installed functions
     and leaves the others to be emitted on first entry;
     :meth:`uninstall` restores the reference interpreter untouched.
     """
@@ -1077,23 +1032,21 @@ class FastPath:
         self.installed = False
         self._fuse_lowered = False  # is the chain being emitted a task's?
         # (kind, element_name, port) -> ChainInfo, in emission order: the
-        # compile units, kept whole so a later scoped rebuild can splice
-        # this module's untouched chains into its own compile (see
-        # _reuse_chain) and the codegen cache can share them.  A key a
-        # rules patch left waiting for its first entry has none.
+        # compile units, kept whole so an update can replace one alone
+        # and the codegen cache can share them.  A key an update left
+        # waiting for its first entry has none.
         self.chains = {}
         self._compiled = {}  # every key -> (fn, batch_fn_or_None), live in _namespace
         self._failed = {}  # key of a chain whose entry failed -> what its functions call instead
         self._jump_tables = {}  # index -> (list to fill, terminal element, dispatch mode)
         self._table_counter = 0  # next jump table index
-        self._source = None  # the module text; None until read after a rules patch
+        self._source = None  # the module text; None until read after an update
         self._namespace = {}
-        self._bind_specs = {}  # _bN name -> bind recipe
-        self._cacheable = True
         self._ctx_counter = 0  # _dN locals of the chain being emitted
         self._literals = {}  # value it lifted -> its placeholder's index (_Emission.literal)
         self._literal_texts = []  # the text each placeholder's value is written as
         self._diagrams = []  # what the chain being emitted inlined (ChainInfo.diagrams)
+        self._held = set()  # what the chain being emitted read (ChainInfo.elements)
         self._bind_counter = 0
         self._next_index = 0  # first free chain-function index
         report = FastPathReport()
@@ -1153,6 +1106,7 @@ class FastPath:
             else:
                 pairs.extend((current, cold, owner) for owner, cold in lowered)
             current, in_port = next_port.target, next_port.target_port
+        self._held.update(names, (element.name, current.name))
         return names, pairs, current, in_port
 
     def _trace_pull(self, element, port_index):
@@ -1182,35 +1136,27 @@ class FastPath:
             names.append(current.name)
             pairs.append((current, getattr(current, action), _segment_owner(current, action)))
             current, out_port = next_port.source, next_port.source_port
+        self._held.update(names, (element.name, current.name))
         return names, pairs, current, out_port
 
     # -- code generation ---------------------------------------------------------
 
-    def _bind(self, value, spec=None):
+    def _bind(self, value):
         """Park a runtime object in the generated module's globals and
-        return its name; generated defs capture it via default args.
-
-        ``spec`` is the recipe a scoped rebuild on another router uses
-        to re-bind the same slot when it splices the chain (see
-        :mod:`repro.runtime.codegen_cache`); a chain that bound anything
-        without a recipe is emitted again, not spliced."""
+        return its name; generated defs capture it via default args."""
         name = "_b%d" % self._bind_counter
         self._bind_counter += 1
         self._namespace[name] = value
-        self._bind_specs[name] = spec
-        if spec is None:
-            self._cacheable = False
         return name
 
     def _register_jump_table(self, terminal, mode):
         """A fresh terminal jump table (filled after exec).  The chain
-        being emitted records the indexes it registered, so a scoped
-        hot-swap can rebuild its tables when it splices the chain, and
-        a rules patch drop them with the chain it replaces."""
-        table, index = [], self._table_counter
+        being emitted records the indexes it registered, so an update
+        drops them with the chain it replaces."""
+        table = []
+        self._jump_tables[self._table_counter] = (table, terminal, mode)
         self._table_counter += 1
-        self._jump_tables[index] = (table, terminal, mode)
-        return table, index
+        return table
 
     def _terminal_segment(self, terminal, kind, cx):
         """The segment a chain ending at ``terminal`` runs in place of
@@ -1421,27 +1367,22 @@ class FastPath:
         segment, ring = _task_lowering(element)
         name, kind = element.name, segment["ring"]
         info = ChainInfo("task", name, 0, [], kind, 0, "_task_%d" % index)
-        binds = [
-            ("_e", element, ("elem", name)),
-            ("_ring", getattr(element.device, ring[kind]), ("attr", name, ("device", ring[kind]))),
-            ("_burst", range(segment["burst"]), ("value", range(segment["burst"]))),
-        ]
+        binds = [("_e", element), ("_ring", getattr(element.device, ring[kind])), ("_burst", range(segment["burst"]))]
         fields = dict(segment, capacity=ring["capacity"])
         if kind == "rx":
             from ..net.packet import DEFAULT_HEADROOM, Packet
 
             (host, cold), anno = segment["packet_type"], segment["device_anno"]
-            binds += [("_P", Packet, ("value", Packet)), ("_cold", cold, ("value", cold)),
-                      ("_anno", getattr(element, anno), ("attr", name, (anno,)))]
+            binds += [("_P", Packet), ("_cold", cold), ("_anno", getattr(element, anno))]
             hand, done = "push = _e._output_ports[0].push", "return True"
             if self.batch:  # collect, then one batch call
                 hand = "packets = []\n    push = packets.append"
                 done = "_e._output_ports[0].push_batch(packets)\n    " + done
             body = _RX_UNIT % dict(fields, headroom=DEFAULT_HEADROOM, host=host, hand=hand, done=done)
         else:
-            binds.append(("_device", element.device, ("attr", name, ("device",))))
+            binds.append(("_device", element.device))
             body = (_TX_BATCH_UNIT if self.batch else _TX_UNIT) % fields
-        args = ", ".join("%s=%s" % (local, self._bind(value, spec)) for local, value, spec in binds)
+        args = ", ".join("%s=%s" % (local, self._bind(value)) for local, value in binds)
         lines += ["", "# %s" % info.describe(), "def %s(%s):" % (info.function_name, args)]
         lines.extend(body.split("\n"))
         info.opaque = []
@@ -1450,11 +1391,15 @@ class FastPath:
     def _fold_report(self):
         """Derive the report's content from what this fast path holds:
         every chain record folded in (its lines under the module
-        header's), plus what the router's wiring says.  Runs once, after
-        a compile that emitted, spliced or shared its chains alike, so
-        they cannot disagree; a rules patch refolds the chains it
-        replaced (:meth:`rewrite`)."""
+        header's), plus what the router's wiring says; the facts of the
+        build or update that produced it (:data:`_BUILD_FACTS`) stand.
+        Runs after a compile that emitted or shared its chains alike, so
+        they cannot disagree, and after a structural update; a rules
+        patch refolds the chains it replaced (:meth:`rewrite`)."""
         report = self.report
+        facts = {name: getattr(report, name) for name in _BUILD_FACTS}
+        FastPathReport.__init__(report)
+        vars(report).update(facts)
         report.source_lines = len(_HEADER)
         for chain in self.chains.values():
             chain.fold_into(report)
@@ -1464,124 +1409,35 @@ class FastPath:
                 report.branch_elements += 1
                 report.branch_ports += wired_outputs
 
-    # -- scoped chain reuse ------------------------------------------------------
-
-    def _reuse_plan(self):
-        """What a hot-swap offered via ``router._fastpath_reuse`` lets
-        this compile splice: ``(donor fastpath, anchors, reach)``, or
-        ``(None, None, None)`` when no donor is compatible.  A donor
-        must match this compile's batch flavor and policy reuse key,
-        carry per-chain compile units, and neither side may be
-        fault-wrapped (a wrapper lives on element *instances*, which
-        spliced code would bypass).
-
-        The hint's ``dirty`` elements changed structurally (declaration
-        or wiring): a chain anchored at one (``anchors``) is emitted
-        again whatever it reaches, and so is every chain that can touch
-        one from its far end on; ``reach[kind]`` is the set of far-end
-        names that do (see :meth:`_stale_reach`)."""
-        none = (None, None, None)
-        hint = getattr(self.router, "_fastpath_reuse", None)
-        if not hint or getattr(self.router, "_fault_uncacheable", False):
-            return none
-        policy_key = self.policy.reuse_key()
-        if policy_key is None:
-            return none
-        for donor in hint.get("fastpaths", ()):
-            if donor is None or donor is self:
-                continue
-            if donor.batch != self.batch or not donor.chains:
-                continue
-            if getattr(donor.router, "_fault_uncacheable", False):
-                continue
-            if donor.policy.reuse_key() != policy_key:
-                continue
-            anchors = set(hint.get("dirty", ()))
-            return donor, anchors, self._stale_reach(anchors)
-        return none
-
-    def _stale_reach(self, changed):
-        """Per chain kind, every element name from which a compiled
-        chain can touch a ``changed`` element: one backward pass from
-        the changed set over the live wiring.  A push chain touches
-        what lies downstream over push targets (dispatch fusion and
-        jump tables only ever reach downstream), a pull chain what lies
-        upstream over pull sources; neither crosses a push/pull
-        boundary (a Queue's other side has no target/source edge)."""
-        feeds = {}  # element name -> names that push into it
-        drains = {}  # element name -> names that pull from it
-        for element in self.router.elements.values():
-            for port in element._output_ports:
-                if port.target is not None:
-                    feeds.setdefault(port.target.name, []).append(element.name)
-            for port in element._input_ports:
-                if port.source is not None:
-                    drains.setdefault(port.source.name, []).append(element.name)
-        reach = {}
-        for kind, edges in (("push", feeds), ("pull", drains)):
-            seen = set(changed)
-            frontier = list(seen)
-            while frontier:
-                for name in edges.get(frontier.pop(), ()):
-                    if name not in seen:
-                        seen.add(name)
-                        frontier.append(name)
-            reach[kind] = seen
-        reach["task"] = set(changed)  # a task unit holds nothing behind its ports
-        return reach
-
     def _chain_edges(self):
-        """``(chain key, anchor element, far-end element)`` for every
-        wired edge, then every task element whose loop compiles (its
-        own far end, see :meth:`_stale_reach`), in emission order."""
+        """``{chain key: its element}`` for every wired edge, then every
+        task element whose loop compiles, in emission order."""
+        edges = {}
         for element in self.router.elements.values():
             for port_index, port in enumerate(element._output_ports):
                 if port.target is not None:
-                    yield ("push", element.name, port_index), element, port.target
+                    edges["push", element.name, port_index] = element
             for port_index, port in enumerate(element._input_ports):
                 if port.source is not None:
-                    yield ("pull", element.name, port_index), element, port.source
+                    edges["pull", element.name, port_index] = element
         for element in self.router.tasks:
             if _task_lowering(element):
-                yield ("task", element.name, 0), element, element
-
-    def _reuse_chain(self, key, donor, lines, resolve):
-        """Splice one untouched chain from ``donor``'s module — another
-        router's — into this compile: the donor's record itself (a
-        re-based copy only when the chain's line offset in the whole
-        source, or its jump table indexes, moved), its ``_bN`` bind
-        slots, each resolved anew on this router through ``resolve``,
-        and fresh jump tables for the ones it registered."""
-        chain = donor.chains[key]
-        offset = len(lines) + 1
-        lines.extend(chain.source)
-        table_map = {}
-        for old_index in chain.tables:
-            _table, old_element, mode = donor._jump_tables[old_index]
-            _table, table_map[old_index] = self._register_jump_table(
-                self.router.elements[old_element.name], mode
-            )
-        for name in chain.binds:
-            spec = donor._bind_specs[name]
-            if spec[0] == "table":
-                spec = ("table", table_map[spec[1]])
-            self._bind_specs[name] = spec
-            self._namespace[name] = resolve(spec, self, self._jump_tables)
-        self.chains[key] = chain.moved(offset, tuple(table_map.values()))
-        self.report.reused_chains += 1
+                edges["task", element.name, 0] = element
+        return edges
 
     def _emit_chain(self, key, element, lines, index):
         """Emit one chain onto ``lines`` as a compile unit: its record
-        takes its lines, the binds and jump tables it registered, and
-        what its emitters counted.  Emitters count on the report: the
-        counters start from zero for the chain, which takes what its
-        emission added, and the totals before it are put back — the
-        chain is counted when it is folded in (:meth:`ChainInfo.fold_into`).
-        Its template holds the literals it lifted as placeholders, its
-        lines their texts."""
+        takes its lines, the binds and jump tables it registered, the
+        elements it read, and what its emitters counted.  Emitters count
+        on the report: the counters start from zero for the chain, which
+        takes what its emission added, and the totals before it are put
+        back — the chain is counted when it is folded in
+        (:meth:`ChainInfo.fold_into`).  Its template holds the literals
+        it lifted as placeholders, its lines their texts."""
         kind, _name, port_index = key
         start, first_bind, first_table = len(lines), self._bind_counter, self._table_counter
         self._ctx_counter, self._literals, self._literal_texts, self._diagrams = 0, {}, [], []
+        self._held = {element.name}
         report = self.report
         totals = [getattr(report, name) for name in _CHAIN_COUNTERS]
         for name in _CHAIN_COUNTERS:
@@ -1596,6 +1452,7 @@ class FastPath:
                 setattr(report, name, total)
         chain.source = chain.template = lines[start:]
         chain.literals, chain.diagrams = tuple(self._literals), tuple(self._diagrams)
+        chain.elements = frozenset(self._held)
         if chain.literals:
             chain.source = lines[start:] = _fill(chain.template, self._literal_texts)
         chain.offset = start + 1
@@ -1605,81 +1462,50 @@ class FastPath:
 
     def _compile(self, cache=None):
         lines = list(_HEADER)
-        donor, anchors, reach = self._reuse_plan()
-        index = 0
-        if donor is not None:
-            from .codegen_cache import _resolve_spec
-
-            # Fresh chains number from the donor's watermark and bind
-            # slots continue from its counter, so spliced code (which
-            # keeps its original _push_N/_bN names) never collides.
-            index = donor._next_index
-            self._bind_counter = donor._bind_counter
-        report = self.report
-        emitted, live = [], []
-        for key, element, far in self._chain_edges():
-            kind, name, port_index = key
-            chain = donor.chains.get(key) if donor is not None else None
-            if (
-                chain is not None
-                and name not in anchors
-                and far.name not in reach[kind]
-                and (
-                    donor._cacheable
-                    or all(donor._bind_specs.get(b) is not None for b in chain.binds)
-                )
-            ):
-                self._reuse_chain(key, donor, lines, _resolve_spec)
-                continue
+        for index, (key, element) in enumerate(self._chain_edges().items()):
             self.chains[key] = self._emit_chain(key, element, lines, index)
-            emitted.append(key)
-            index += 1
-        self._next_index = index
+        self._next_index = len(self.chains)
         self._source = "\n".join(lines) + "\n"
         # A build that emits a text the cache holds (the same
         # configuration again, or an engine's tier 2 after a route patch)
         # shares its lines and code instead of keeping a second copy.
-        # (A splice has its donor for that, and emitted again only what
-        # changed.)
+        found = cache.intern(self._source, self.chains) if cache is not None else None
         stored = {}
-        if cache is not None and donor is None:
-            found = cache.intern(self._source, self.chains)
-            if found is not None:
-                self._source, stored = found
-        for key in emitted:
-            chain = self.chains[key]
+        if found is not None:
+            self._source, stored = found
+        for key, chain in self.chains.items():
             shared = stored.get(key)
             if shared is not None and chain.same_unit(shared):
                 self.chains[key] = shared
-                continue
-            report.emitted_units += 1
-            if donor is not None and getattr(donor.chains.get(key), "code", None) is not None:
-                live.append(key)
+            else:
+                self.report.emitted_units += 1
         self._link()
-        # What replaces a chain already forwarding is compiled here, where
-        # the update pays for it and a failure aborts it.
-        self.materialize(live)
 
     def _link(self):
         """Give every chain its entry points over the bound namespace —
         its code object exec'd, or functions that :meth:`_enter` it
         when first called — and fill the terminal jump tables
         (:meth:`_fill_table`).  The one way code becomes live after a
-        compile that emitted, spliced or shared its chains; a rules
-        patch swaps new code under the functions this made
-        (:meth:`rewrite`)."""
-        namespace, enter = self._namespace, self._enter
+        compile that emitted or shared its chains; an update swaps new
+        code under the functions this made (:meth:`rewrite`)."""
+        namespace = self._namespace
         for key, chain in self.chains.items():
             names = (chain.function_name, chain.batch_name)
-            if chain.code is not None:
-                exec(chain.code, namespace)  # noqa: S102 - code generated by _compile
+            if chain.code is None:
+                namespace.update((name, fn) for name, fn in zip(names, self._pending(key, names)) if name)
             else:
-                for slot, name in enumerate(names):
-                    if name:
-                        namespace[name] = pending_function(name, namespace, enter, key, slot, True)
+                exec(chain.code, namespace)  # noqa: S102 - code generated by _compile
             self._compiled[key] = tuple(namespace[name] if name else None for name in names)
         for table in self._jump_tables.values():
             self._fill_table(*table)
+
+    def _pending(self, key, names):
+        """``key``'s two entry points named ``names``, as functions that
+        :meth:`_enter` its chain when first called (None for no name)."""
+        return tuple(
+            pending_function(name, self._namespace, self._enter, key, slot, True) if name else None
+            for slot, name in enumerate(names)
+        )
 
     def _fill_table(self, table, element, mode):
         """Entry i of a terminal jump table is the chain for the
@@ -1697,8 +1523,8 @@ class FastPath:
                 table.append(port.push)
 
     def _enter(self, key, slot=0, live=False):
-        """A chain's first entry: emit it under the live policy if a
-        rules patch left it waiting (:meth:`rewrite`), compile it unless
+        """A chain's first entry: emit it under the live policy if an
+        update left it waiting (:meth:`rewrite`), compile it unless
         a sharer of its record has, exec it, and make the function
         objects every holder already has the real ones.  ``live`` (a
         packet is waiting) contains a failure: the report lists it and
@@ -1727,7 +1553,7 @@ class FastPath:
         return functions[slot]
 
     def _emit_waiting(self, key):
-        """Emit the chain a rules patch left waiting for its first entry
+        """Emit the chain an update left waiting for its first entry
         under the live policy, as :meth:`rewrite` emits one: placed where
         no other chain's lines move, folded into the report, its names
         over the function objects its holders have and its jump tables
@@ -1762,7 +1588,7 @@ class FastPath:
         """Take the bind slots and jump tables registered since these
         marks back out (an emission that failed)."""
         for n in range(first_bind, self._bind_counter):
-            del self._namespace["_b%d" % n], self._bind_specs["_b%d" % n]
+            del self._namespace["_b%d" % n]
         for index in range(first_table, self._table_counter):
             del self._jump_tables[index]
 
@@ -1804,61 +1630,96 @@ class FastPath:
         for table, _element, _mode in self._jump_tables.values():
             del table[:]
 
-    # -- rules patches -------------------------------------------------------------
+    # -- updates -------------------------------------------------------------------
 
-    def rewrite(self, changed, policy):
-        """A rules patch in place, under ``policy``: a chain whose
-        emission inlined a ``changed`` classifier's plan
-        (:attr:`ChainInfo.diagrams`) is stale, and the new plans decide.
-        Where they keep their shapes, the patch emits nothing: the chain
-        gets a new record with their literals (:meth:`ChainInfo.refilled`)
-        and keeps its names, binds, jump tables and lines, and if it was
-        forwarding, its live template code filled in with them runs
-        (*re-linked*), instruction for instruction what compiling its new
-        source gives.  Otherwise a chain that was forwarding is emitted
-        again and compiled here, where the update pays for it and a
-        failure aborts it (nothing is swapped), and one nothing entered
-        loses its record and waits for its first entry to emit it
-        (:meth:`_enter`).  Either way the function objects every holder
-        has — ports, jump tables, dispatchers, supervisor pins — run the
-        new code; every other chain keeps its record, functions and code.
-        An emitted chain's old ``_bN`` slots, jump tables and function
-        names leave the namespace, and its text takes the first run of
-        blank lines it fits in :attr:`source` (or goes last), so no other
-        chain's line numbers move.  The report's build facts describe the
-        patch."""
+    def rewrite(self, policy, changed=frozenset()):
+        """One update in place: :meth:`stage_rewrite`, then
+        :meth:`commit_rewrite`."""
+        self.commit_rewrite(self.stage_rewrite(policy, changed))
+
+    def stage_rewrite(self, policy, changed=frozenset()):
+        """Phase one of an update under ``policy``, over the router's
+        wiring as it stands: what can fail, and nothing a holder of this
+        fast path sees; :meth:`commit_rewrite` installs the result, or
+        :meth:`abort_rewrite` takes it back.  A chain is stale when its
+        record holds an element named in ``changed``
+        (:attr:`ChainInfo.elements`) or a plan ``policy`` replaced
+        (:attr:`ChainInfo.diagrams`).  Where only plans moved and keep
+        their shapes, the update emits nothing: the chain gets a record
+        with their literals (:meth:`ChainInfo.refilled`), keeping its
+        names, binds, tables and lines, and if it was forwarding its live
+        template code is filled in with them (*re-linked*).  Otherwise a
+        stale chain that was forwarding is emitted again and compiled
+        here, and one nothing entered loses its record and waits for its
+        first entry (:meth:`_enter`).  An edge the wiring lost is
+        dropped; one it gained (or whose element gained or lost its batch
+        entry) gets functions that emit its chain when first entered."""
         started = time.perf_counter()
-        stale = [key for key, chain in self.chains.items()
-                 if any(name in changed for name, _plan in chain.diagrams)]
-        old_policy, self.policy = self.policy, policy
-        marks = self._bind_counter, self._table_counter
+        plans = policy.plans or {}
+        gone, added = [], {}  # added: key -> does it take a batch entry?
+        if changed:
+            edges, compiled = self._chain_edges(), self._compiled
+            for key, element in edges.items():
+                batched = self.batch and key[0] != "task" and element.is_task()
+                if key not in compiled or (compiled[key][1] is not None) != batched:
+                    added[key] = batched
+            gone = [key for key in compiled if key not in edges or key in added]
+        stale = [key for key, chain in self.chains.items() if key not in gone and (
+            chain.elements & changed or any(plans.get(name) is not plan for name, plan in chain.diagrams))]
+        marks = self._bind_counter, self._table_counter, self._next_index
         refilled, fresh = {}, {}
         taken = sorted((c.offset, c.offset + len(c.source)) for k, c in self.chains.items() if k not in stale)
+        old_policy, self.policy = self.policy, policy
         try:
             for key in stale:
-                chain = self.chains[key].refilled(policy.plans)
+                chain = None if self.chains[key].elements & changed else self.chains[key].refilled(plans)
                 if chain is not None:
                     refilled[key] = chain
                 elif not is_pending(self._compiled[key][0]):
-                    element = self.router.elements[key[1]]
-                    chain = fresh[key] = self._emit_chain(key, element, [], self._next_index)
+                    chain = fresh[key] = self._emit_chain(key, self.router.elements[key[1]], [], self._next_index)
                     self._next_index += 1
                     chain.offset = self._place(taken, len(chain.source))
                     _compile_record(chain)
         except BaseException:
-            self.policy = old_policy
-            self._unbind(*marks)
+            self.abort_rewrite((marks,))
             raise
+        finally:
+            self.policy = old_policy
+        return marks, policy, changed, gone, added, stale, refilled, fresh, started
+
+    def abort_rewrite(self, staged):
+        """Take a staged update's bind slots and jump tables back out."""
+        (first_bind, first_table, self._next_index) = staged[0]
+        self._unbind(first_bind, first_table)
+
+    def commit_rewrite(self, staged):
+        """Phase two: install what :meth:`stage_rewrite` staged.  The
+        function objects every holder has — ports, jump tables,
+        dispatchers, supervisor pins — run each replaced chain's new
+        code; every other chain keeps its record, functions and code.  A
+        replaced chain's ``_bN`` slots, tables and names leave the
+        namespace, and no other chain's line numbers move
+        (:meth:`_place`).  The report's build facts describe the update."""
+        _marks, policy, changed, gone, added, stale, refilled, fresh, started = staged
+        self.policy = policy
         report = self.report
-        # A chain whose emission failed has no record: it gets another try.
-        for key in stale + [key for key in self._failed if key not in self.chains]:
+        # Each chain the update touched gets another try, and so does one
+        # whose emission failed (it has no record).
+        retry = set(stale).union(gone, (key for key in self._failed if key not in self.chains or key[1] in changed))
+        for key in retry:
             self._failed.pop(key, None)
             report.failed_entries.pop("%s %s[%d]" % key, None)
-        for key in stale:
-            if key not in refilled:
-                old = self.chains.pop(key)
+        for key in gone:
+            del self._compiled[key]
+        for key in gone + [key for key in stale if key not in refilled]:
+            old = self.chains.pop(key, None)
+            if old is not None:
                 self._drop(old)
                 old.fold_into(report, -1)
+        for key, batched in added.items():
+            name = "_%s_%d" % (key[0], self._next_index)
+            self._next_index += 1
+            self._compiled[key] = self._pending(key, (name, name + "_batch" if batched else None))
         for key, chain in fresh.items():
             self._install_record(key, chain)
             self._enter(key)
@@ -1867,6 +1728,8 @@ class FastPath:
             if not is_pending(self._compiled[key][0]):
                 self._enter(key)
         self._source = None
+        if changed:
+            self._fold_report()
         report.compiled_units = report.emitted_units = len(fresh)
         report.relinked_units = len(refilled)
         report.reused_chains = len(self.chains) - len(fresh) - len(refilled)
@@ -1891,7 +1754,7 @@ class FastPath:
         """Take a replaced or dropped chain's bind slots, jump tables and
         function names out of the namespace."""
         for name in chain.binds:
-            del self._namespace[name], self._bind_specs[name]
+            del self._namespace[name]
         for index in chain.tables:
             del self._jump_tables[index]
         for name in (chain.function_name, chain.batch_name):
@@ -1953,8 +1816,8 @@ class FastPath:
     @property
     def source(self):
         """The generated module: each chain's lines at its offset, blank
-        lines where a replaced chain's were.  A rules patch leaves it to
-        be joined again when it is next read."""
+        lines where a replaced chain's were.  An update leaves it to be
+        joined again when it is next read."""
         if self._source is None:
             lines = list(_HEADER)
             for chain in sorted(self.chains.values(), key=lambda chain: chain.offset):

@@ -304,14 +304,16 @@ def classifier_hot_path(tree, hot_out, exemplar):
     return ()
 
 
-def router_trees(router):
-    """``{name: tree}`` for every classifier whose ``push`` the chain
-    compiler emits from its declaration (the dispatch a diagram
-    expands): the test :meth:`FastPath._push_terminal` makes."""
+def router_trees(router, names=None):
+    """``{name: tree}`` for every classifier (of those in ``names``, if
+    given) whose ``push`` the chain compiler emits from its declaration
+    (the dispatch a diagram expands): the test
+    :meth:`FastPath._push_terminal` makes."""
     from .fastpath import _segment_owner
 
     trees = {}
-    for name, element in router.elements.items():
+    for name in router.elements if names is None else names:
+        element = router.elements.get(name)
         tree = getattr(element, "tree", None)
         if tree is not None and _segment_owner(element, "push"):
             trees[name] = tree
@@ -330,7 +332,7 @@ def diagram_pass(router, node_budget, decisions=None, exemplars=None):
     profiled hot exemplar takes through it.  ``hot_paths`` holds those
     canonical ``(pos, taken)`` walks — not raw exemplar bytes — so two
     runs profiling different packets of the same flow shape produce the
-    same text and the same reuse key."""
+    same text, which the codegen cache shares."""
     trees = router_trees(router)
     hot_paths = {}
     plans = {}

@@ -52,9 +52,10 @@ update or a hot-swap once into a :class:`~repro.graph.diff.GraphDelta`
 the workers and the journal get the delta: no worker parses text after
 it is built.  A pure-data update is staged on every shard and only then
 committed everywhere, so a rejected update leaves every shard on the old
-tables; a structural one, like :meth:`ShardedRouter.hotswap_all`, swaps
-shard by shard and swaps the swapped ones back by the inverse delta if
-any rejects.  Either is journaled only once every live shard
+tables; a structural one, like :meth:`ShardedRouter.hotswap_all`, is
+installed shard by shard (in place; a hot-swap builds each shard a new
+router) and undone on the installed ones by the inverse delta if any
+rejects.  Either is journaled only once every live shard
 acknowledged it.
 
 Worker faults: a shard's journal holds everything it was given since
@@ -1457,8 +1458,8 @@ class ShardedRouter:
         the validated new tables on every shard (no mutation); only when
         every shard staged cleanly does phase two commit them all — a
         rejection anywhere leaves every shard serving the old tables.
-        Structural deltas hot-swap shard by shard with rollback on
-        failure.  Returns the first live shard's
+        Structural deltas are installed shard by shard, in place, with
+        rollback on failure.  Returns the first live shard's
         :class:`~repro.elements.hotswap.SwapReport` (it rides back on
         the commit acknowledgement), its ``diff`` phase the resolve."""
         self._ensure_started()

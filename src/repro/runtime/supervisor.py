@@ -37,10 +37,12 @@ the whole router.  Every packet a router moves is moved by some task's
 
 Nothing is attached to the router's ports, so there is nothing to
 detach: ``Router.configure`` builds a fresh supervisor for a supervised
-profile, a hot-swap carries its config to the new router, and a rules
-patch leaves every pin standing: it swaps the new code under the
-functions a pin holds.  A metered router may be supervised:
-no boundary sits on a call site the meter charges.
+profile, a whole-text hot-swap carries its config to the new router, a
+rules patch leaves every pin standing (it swaps the new code under the
+functions a pin holds), and a structural update keeps the supervisor
+and pins its tasks again (:meth:`Supervisor.rebind`).  A metered
+router may be supervised: no boundary sits on a call site the meter
+charges.
 """
 
 from __future__ import annotations
@@ -230,6 +232,17 @@ class Supervisor:
         if guard is None:
             guard = self.guards[task.name] = _TaskGuard(self, task, self.tiers)
         return guard
+
+    def rebind(self):
+        """After a structural update in place: a guard whose task is gone
+        or replaced goes, and every other one pins its task again (the
+        engine's pins went with its ports).  The error totals stand."""
+        engine = self.router.engine
+        for name, guard in list(self.guards.items()):
+            if self.router.elements.get(name) is not guard.task:
+                del self.guards[name]
+            elif guard.level and engine is not None:
+                engine.pin(guard.task, guard.level)
 
     def note_error(self, task, text):
         self.task_error_count += 1

@@ -21,10 +21,7 @@ the element's processing entry point (``fast_action``, ``simple_action``
 or ``push``) before the fast path compiles, so both the reference
 interpreter and generated code call through it.  Wrapped elements are
 flagged ``_fault_wrapped`` (the chain compiler skips specializations
-that would bypass an instance attribute) and the router is flagged
-``_fault_uncacheable`` (a scoped rebuild splices no chain between a
-faulted router and a clean one: the wrapper lives on the element
-instance, which a chain emitted for the clean router would bypass).
+that would bypass an instance attribute).
 
 Faults never break the differential contract on their own: a supervised
 router drops exactly the packets whose processing raised, in every
@@ -443,7 +440,7 @@ class FaultInjector:
 
     def prepare_router(self, router):
         """Install element-fault wrappers on ``router`` (idempotent per
-        router) and mark it so no scoped rebuild splices its chains.
+        element, so an update in place wraps just the elements it adds).
         Must run before the router compiles a fast path."""
         self._router = router
         if getattr(router, "is_sharded", False):
@@ -476,8 +473,6 @@ class FaultInjector:
             setattr(element, attr, wrapper)
             element._fault_wrapped = True
             touched.append(name)
-        if self._elements:
-            router._fault_uncacheable = True
         router.fault_injector = self
         return touched
 

@@ -30,7 +30,7 @@ import sys
 import time
 
 from .genconfig import generate_case, stock_cases
-from .gentraffic import with_rules_update
+from .gentraffic import with_rules_update, with_structural_update
 from .oracle import MODES, SHARD_MODES, compare_case
 from .shrink import element_count, load_repro, shrink_case, write_repro
 
@@ -92,7 +92,8 @@ def _parser():
         action="store_true",
         help="install one seeded rules rotation mid-trace in every case "
         "that has a classifier: what its outputs mean changes under "
-        "every mode, in place where the mode can",
+        "every mode, in place where the mode can; and, before it, insert "
+        "a named Counter into one push connection and delete it again",
     )
     parser.add_argument(
         "--report",
@@ -171,7 +172,7 @@ def _fuzz_cases(args):
     cases = cases[: args.budget]
     if args.updates:
         rng = random.Random(args.seed)
-        cases = [with_rules_update(case, rng) for case in cases]
+        cases = [with_structural_update(with_rules_update(case, rng), rng) for case in cases]
     return cases
 
 

@@ -8,8 +8,9 @@ requests, traffic addressed to the router itself, and deterministic
 mid-run control events — ARP-table churn (epoch bumps), baked-guard
 invalidation, forced adaptive deoptimization, a hot-swap that installs
 the live configuration again (every element's declared ``carry`` state
-must cross it unchanged), and a control-plane rules update that changes
-what a classifier's outputs mean.
+must cross it unchanged), a control-plane rules update that changes
+what a classifier's outputs mean, and a structural update that inserts
+a counter into a live push connection and later deletes it.
 
 Everything is driven by a seeded ``random.Random``; the same seed always
 produces the same event list, so every case is replayable.
@@ -283,4 +284,37 @@ def with_rules_update(case, rng):
     edited = value_edit_text(text, name, rng)
     if edited is not None:
         events.insert(3 * len(events) // 4, ["update", edited])
+    return dict(case, events=events)
+
+
+#: The element :func:`with_structural_update` inserts: named, so no
+#: anonymous element's positional name moves with the edit.
+INSERTED = "fuzzcount"
+
+
+def with_structural_update(case, rng):
+    """``case`` with two structural ``["update", CONFIG]`` events before
+    its first other update: one inserts a ``Counter`` named
+    :data:`INSERTED` into a seeded push connection, a later one deletes
+    it again.  Every mode installs both in place.  The case itself when
+    it has no push connection."""
+    from ..elements.registry import default_specs
+    from ..elements.runtime import declared_classes
+    from ..graph.ports import PUSH, resolve_processing
+
+    graph = load_config(case["config"], "<structural>")
+    specs = default_specs(extra_classes=[cls for _decl, cls in declared_classes(graph)])
+    resolved = resolve_processing(graph, specs)
+    pushes = [conn for conn in graph.connections if resolved[conn.from_element][1][conn.from_port] == PUSH]
+    if not pushes or INSERTED in graph.elements:
+        return case
+    conn = rng.choice(pushes)
+    graph.remove_connection(conn)
+    graph.add_element(INSERTED, "Counter", None)
+    graph.add_connection(conn.from_element, conn.from_port, INSERTED, 0)
+    graph.add_connection(INSERTED, 0, conn.to_element, conn.to_port)
+    events = list(case["events"])
+    end = next((index for index, event in enumerate(events) if event[0] == "update"), len(events))
+    events.insert(2 * end // 3, ["update", case["config"]])
+    events.insert(end // 3, ["update", save_config(graph)])
     return dict(case, events=events)

@@ -1,5 +1,8 @@
 """Unit tests for decision-tree → Python code generation."""
 
+import tracemalloc
+from collections import OrderedDict
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -134,7 +137,7 @@ class TestFunctionCache:
         from repro.classifier import compile as matcher_module
         from repro.classifier.compile import compiled_function_for, enter, is_pending
 
-        monkeypatch.setattr(matcher_module, "_FUNCTION_CACHE", {})
+        monkeypatch.setattr(matcher_module, "_FUNCTION_CACHE", OrderedDict())
         live = compile_patterns(["12/0800", "12/0806", "-"])
         matcher = compiled_function_for(live)
         enter(matcher)
@@ -145,3 +148,26 @@ class TestFunctionCache:
             assert len(matcher_module._FUNCTION_CACHE) <= matcher_module._FUNCTION_CACHE_LIMIT == 256
         assert compiled_function_for(live) is matcher and not is_pending(matcher)
         assert matcher(bytes(12) + b"\x08\x06") == 1
+
+    def test_hits_on_a_full_memo_allocate_nothing(self, monkeypatch):
+        """A hit moves its entry to the end in place: 1024 hits on a memo
+        at its bound allocate no block in the memo's module (popping and
+        re-inserting the key, as a plain dict must, reallocates its table
+        every few dozen hits: 18 KiB here)."""
+        from repro.classifier import compile as matcher_module
+        from repro.classifier.compile import compiled_function_for
+
+        monkeypatch.setattr(matcher_module, "_FUNCTION_CACHE", type(matcher_module._FUNCTION_CACHE)())
+        trees = [compile_patterns(["16/%08x" % index, "-"]) for index in range(256)]
+        functions = [compiled_function_for(tree) for tree in trees]
+        assert len(matcher_module._FUNCTION_CACHE) == matcher_module._FUNCTION_CACHE_LIMIT
+        tracemalloc.start()
+        try:
+            for _ in range(4):
+                for tree, function in zip(trees, functions):
+                    assert compiled_function_for(tree) is function
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        memo = snapshot.filter_traces([tracemalloc.Filter(True, matcher_module.__file__)])
+        assert sum(stat.size for stat in memo.statistics("filename")) == 0

@@ -1,15 +1,21 @@
 """Tests for the control plane (repro.control): update routing by
-delta shape, all-or-nothing staging, scoped structural swaps, and the
-click-update CLI."""
+delta shape, all-or-nothing staging, structural updates in place, and
+the click-update CLI."""
 
 import json
 
 import pytest
 
 from repro.control import ControlPlane, ControlPlaneError
+from repro.core.toolchain import save_config
 from repro.elements.hotswap import SwapReport
+from repro.elements.infrastructure import Counter
+from repro.elements.runtime import wiring_of
+from repro.events import read_counters
 from repro.lang.lexer import split_config_args
-from repro.runtime import ExecutionProfile
+from repro.runtime import AdaptiveConfig, ExecutionProfile
+from repro.runtime.fastpath import FastPath
+from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.testbed import Testbed
 
 
@@ -162,18 +168,25 @@ class TestStructural:
         return graph
 
     def test_structural_update_scoped_swap(self):
+        """A structural update changes the live router in place: the
+        same router, its untouched elements the same objects with their
+        state, the chains that held the rewired ``rt`` emitted again,
+        the others kept, and traffic runs through the new element."""
         testbed, plane, devices = build_plane()
         old = plane.router
         drive(testbed, plane, devices, 32)
+        elements = dict(old.elements)
+        table = dict(old["arpq0"].table)
         report = plane.apply(self.spliced_graph(plane))
         assert report.kind == "scoped-swap"
         assert report.chains_reused > 0
         assert report.chains_recompiled > 0
-        assert "diff" in report.phases and "compile" in report.phases
-        assert plane.router is not old and old.retired
+        assert list(report.phases) == ["diff", "validate", "build", "transfer", "compile", "commit"]
+        assert plane.router is old and not old.retired
         assert "xcount" in plane.router.elements
-        # State carried, traffic continues through the new generation.
-        assert report.transferred
+        assert all(plane.router.elements[name] is element for name, element in elements.items())
+        assert not report.transferred  # nothing was replaced
+        assert old["arpq0"].table == table and table
         assert drive(testbed, plane, devices, 32, start=32) > 0
         assert plane.router["xcount"].count > 0
 
@@ -193,6 +206,159 @@ class TestStructural:
         with pytest.raises(ControlPlaneError, match="old router still serving"):
             plane.apply(graph)
         assert plane.router is old and not old.retired
+
+
+#: The stock IP router with one named Counter inserted before ``dt0``.
+PROBE_EDIT = ("gio0 -> FixIPSrc@8 -> dt0;", "gio0 -> FixIPSrc@8 -> cnt0 :: Counter -> dt0;")
+
+
+def probe_text(router):
+    text = save_config(router.graph)
+    assert PROBE_EDIT[0] in text
+    return text.replace(*PROBE_EDIT)
+
+
+def chain_state(router):
+    """Every compiled flavor's chain records and code objects, by key."""
+    engine = router.engine
+    if engine is None:
+        return {}
+    return {
+        (flavor.policy.tag, key): (chain, chain.code)
+        for flavor in (engine.tier1, engine.profiled)
+        if flavor is not None
+        for key, chain in flavor.chains.items()
+    }
+
+
+def transmitted(devices):
+    return {name: [bytes(frame) for frame in device.transmitted] for name, device in devices.items()}
+
+
+class TestStructuralInPlace:
+    def warmed(self, profile, frames=2000):
+        testbed = Testbed(2)
+        router, devices = testbed.build_router(testbed.variant_graph("base"), profile=profile)
+        plane = ControlPlane(router)
+        drive(testbed, plane, devices, frames)
+        return testbed, plane, devices
+
+    def test_the_probe_update_re_emits_only_stale_chains(self):
+        """A warmed ``fdd`` router with ``cnt0 :: Counter`` inserted
+        before ``dt0``: only the chains whose records hold an element the
+        edit rewired (``FixIPSrc@8``, whose output moved, and the new
+        ``cnt0``) are emitted again; every other chain keeps its record
+        and code object, by identity.  A whole new router built from the
+        same text emitted 82 of the flavors' 120 chains."""
+        testbed, plane, devices = self.warmed(ExecutionProfile.fdd())
+        router = plane.router
+        before = chain_state(router)
+        report = plane.apply(probe_text(router))
+        assert plane.router is router and report.kind == "scoped-swap"
+        assert 0 < report.chains_recompiled < 82
+        after = chain_state(router)
+        rewired = {"FixIPSrc@8", "cnt0"}
+        kept = 0
+        for key, (chain, code) in before.items():
+            if chain.elements & rewired:
+                assert after.get(key, (None,))[0] is not chain, key
+            else:
+                assert after[key][0] is chain and after[key][1] is code, key
+                kept += 1
+        assert kept == report.chains_reused
+        emitted = [key for key, (chain, _code) in after.items() if before.get(key, (None,))[0] is not chain]
+        assert len(emitted) == report.chains_recompiled
+        assert all(before[key][0].elements & rewired for key in emitted)
+        sent = sum(len(device.transmitted) for device in devices.values())
+        assert drive(testbed, plane, devices, 64, start=2000) > sent
+        assert router["cnt0"].count > 0
+
+    @pytest.mark.parametrize(
+        "mode, failure",
+        [
+            ("reference", "configure"),
+            ("fast", "configure"),
+            ("fdd", "configure"),
+            ("fast", "emission"),
+            ("fdd", "emission"),
+        ],
+    )
+    def test_a_failed_update_leaves_the_router_as_its_twin(self, mode, failure, monkeypatch):
+        """An update that fails — a new element whose ``configure``
+        raises, or a stale live chain whose emission raises (in
+        ``reference`` mode nothing is emitted) — raises
+        :class:`ControlPlaneError` and leaves the router as a twin that
+        never saw it: the same elements and wiring, the same chain
+        records and code objects, and after more traffic the same bytes
+        on the wire and the same read handlers."""
+        profile = getattr(ExecutionProfile, mode)()
+        testbed, plane, devices = self.warmed(profile, 512)
+        _testbed, twin_plane, twin_devices = self.warmed(profile, 512)
+        router = plane.router
+        elements, graph = dict(router.elements), router.graph
+        wiring = {name: wiring_of(element) for name, element in elements.items()}
+        records = chain_state(router)
+        text = probe_text(router)
+        if failure == "configure":
+            def configure(self, args):
+                raise ValueError("injected configure failure")
+
+            monkeypatch.setattr(Counter, "configure", configure)
+        else:
+            assert records
+            real = FastPath._emit_chain
+
+            def emit_chain(self, key, *args):
+                if self.installed or self.router is not router:
+                    return real(self, key, *args)
+                raise RuntimeError("injected emitter bug")
+
+            monkeypatch.setattr(FastPath, "_emit_chain", emit_chain)
+        with pytest.raises(ControlPlaneError, match="injected"):
+            plane.apply(text)
+        monkeypatch.undo()
+        assert plane.router is router and router.graph is graph and router.elements == elements
+        assert {name: wiring_of(element) for name, element in router.elements.items()} == wiring
+        assert {name: wiring_of(element) for name, element in twin_plane.router.elements.items()} == wiring
+        after = chain_state(router)
+        assert after.keys() == records.keys()
+        assert all(after[key][0] is chain and after[key][1] is code for key, (chain, code) in records.items())
+        drive(testbed, plane, devices, 256, start=512)
+        drive(testbed, twin_plane, twin_devices, 256, start=512)
+        assert transmitted(devices) == transmitted(twin_devices)
+        assert read_counters(router) == read_counters(twin_plane.router)
+
+    def test_a_structural_update_keeps_the_runtime_totals(self):
+        """A supervised ``fdd`` router that has promoted, deoptimized,
+        rebuilt a diagram and contained a chain error keeps all of it
+        across a structural update: ``plane.router`` is the same object,
+        the engine's ``recompiles`` and ``diagram_rebuilds`` read what
+        they did and its deopt log gains the update's one reason, and the
+        supervisor's ``chain_errors`` stands."""
+        testbed = Testbed(2)
+        router, devices = testbed.build_router(testbed.variant_graph("base"), profile=ExecutionProfile.reference())
+        injector = FaultInjector(FaultPlan([{"kind": "element_error", "element": "dt0", "after": 40}]))
+        injector.prepare_router(router)
+        eager = AdaptiveConfig(threshold=64, min_samples=8, sample=4)
+        router.configure(ExecutionProfile.fdd(config=eager).with_supervision())
+        plane = ControlPlane(router)
+        drive(testbed, plane, devices, 1024)
+        router.force_deopt()
+        plane.update_rules("c0", split_config_args(router.graph.elements["c0"].config)[::-1])
+        drive(testbed, plane, devices, 1024, start=1024)
+        engine, supervisor = router.engine, router.supervisor
+        totals = (engine.recompiles, engine.diagram_rebuilds, list(engine.deopts))
+        errors = supervisor.report().totals["chain_errors"]
+        assert totals[0] > 0 and totals[1] > 0 and len(totals[2]) >= 2 and errors == 1
+
+        report = plane.apply(probe_text(router))
+        assert report.kind == "scoped-swap" and plane.router is router
+        assert router.engine is engine and router.supervisor is supervisor
+        assert (engine.recompiles, engine.diagram_rebuilds) == totals[:2]
+        assert engine.deopts == totals[2] + ["structural update"]
+        assert supervisor.report().totals["chain_errors"] == errors
+        drive(testbed, plane, devices, 256, start=2048)
+        assert router["cnt0"].count > 0
 
 
 class TestCli:

@@ -90,7 +90,7 @@ class TestSwapResultSurface:
         assert isinstance(result.report, SwapReport)
         assert result.router.mode == "fast"
         report = result.report
-        # Same graph modulo one spliced element: the diff scopes the swap.
+        # Same graph modulo one inserted element: the report names the delta.
         assert report.kind == "scoped-swap"
         assert report.profile == "fast"
         assert "c" in report.transferred

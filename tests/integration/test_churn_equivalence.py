@@ -196,7 +196,7 @@ PROFILED_ONLY = AdaptiveConfig(sample=1, threshold=1 << 30, min_samples=1 << 30)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rules_patch_sequence_matches_reference(seed):
     """Rules patch -> traffic -> rules patch under ``fdd`` and
-    ``fdd``+batch: the second rebuild's donor is itself spliced, and
+    ``fdd``+batch: the second patch rewrites what the first left, and
     the oracle must see what the reference interpreter shows — on the
     short stock trace at the oracle's eager thresholds, and on both
     stock configurations under 512 frames and verdict-changing

@@ -270,8 +270,7 @@ def drive_rules_patches(mode, batch):
     """Traffic, then three in-place classifier patches with traffic
     after each: ``c0``'s IP arm pointed at nothing (eth0's flow is
     discarded), the same on ``c1``, then ``c0`` restored.  Under fdd
-    every patch is a scoped rebuild whose donor is the previous one's
-    result."""
+    every patch rewrites the plain tier 1 the previous one left."""
     from repro.control import ControlPlane
     from repro.lang.lexer import split_config_args
 
@@ -298,8 +297,8 @@ def drive_rules_patches(mode, batch):
 
 
 def test_rules_patch_sequence_equivalence():
-    """Rules patch -> traffic -> rules patch, each rebuild spliced from
-    the last: not a transmitted byte or handler differs from the
+    """Rules patch -> traffic -> rules patch, each rewriting what the
+    last left: not a transmitted byte or handler differs from the
     reference interpreter patched the same way."""
     reference = drive_rules_patches("reference", False)
     sent = sum(len(frames) for frames in reference[0].values())

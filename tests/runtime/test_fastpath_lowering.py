@@ -100,10 +100,24 @@ def forward(router, devices, frames):
 
 
 def bound_calls(fastpath, key):
-    """``(element, attribute path)`` of every element method the chain
-    compiled for ``key`` binds."""
-    specs = (fastpath._bind_specs[name] for name in fastpath.chains[key].binds)
-    return {(spec[1], spec[2]) for spec in specs if spec and spec[0] == "attr"}
+    """``(element, attribute path)`` of every callable the chain compiled
+    for ``key`` binds that an element holds: one of its methods, a
+    callable in one of its attributes, or a method of an object in one."""
+    calls = set()
+    for name in fastpath.chains[key].binds:
+        value = fastpath._namespace[name]
+        if not callable(value):
+            continue
+        owner, method = getattr(value, "__self__", None), getattr(value, "__name__", None)
+        for element in fastpath.router.elements.values():
+            if owner is element:
+                calls.add((element.name, (method,)))
+            for attr, held in vars(element).items():
+                if held is value:
+                    calls.add((element.name, (attr,)))
+                elif owner is not None and held is owner:
+                    calls.add((element.name, (attr, method)))
+    return calls
 
 
 # -- structure ---------------------------------------------------------------
@@ -780,10 +794,10 @@ def test_plain_configurations_generate_the_stored_source(config, mode, batch):
 
 @pytest.mark.parametrize("config", ["iprouter", "firewall"])
 def test_flavor_keys_are_derived_from_the_facts_a_policy_carries(config):
-    """Five tags, one class: reuse keys tell every flavor apart, and
-    with the batch setting equal keys mean equal source on a fresh
-    router.  The profiled flavor takes no plans, so ``fdd``'s is
-    ``adaptive``'s: same tag, same key, same source."""
+    """Five tags, one class: the tag tells every flavor apart, and with
+    the batch setting an equal tag means equal source on a fresh router
+    that forwarded the same traffic.  The profiled flavor takes no
+    plans, so ``fdd``'s is ``adaptive``'s: same tag, same source."""
     warm = warm_iprouter if config == "iprouter" else warm_firewall
     cache = default_cache()
     sources = {}
@@ -796,7 +810,7 @@ def test_flavor_keys_are_derived_from_the_facts_a_policy_carries(config):
                 assert len(flavors) == 3
                 for fastpath in flavors:
                     policy = fastpath.policy
-                    key = (batch, policy.reuse_key())
+                    key = (batch, policy.tag)
                     shared = mode == "fdd" and policy.profiling
                     assert policy.plans is None or not policy.profiling
                     if fresh and not shared:
@@ -805,7 +819,7 @@ def test_flavor_keys_are_derived_from_the_facts_a_policy_carries(config):
                     else:
                         assert sources[key] == fastpath.source, policy.tag
     assert len(sources) == 10
-    assert {policy_key[0] for _, policy_key in sources} == {
+    assert {tag for _, tag in sources} == {
         "static", "profiling", "optimized", "fdd", "fdd-optimized",
     }
     with pytest.raises(ValueError):

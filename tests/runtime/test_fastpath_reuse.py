@@ -1,14 +1,15 @@
-"""What a scoped rebuild carries across a donor splice (the chains'
-records: source, binds, jump tables, code objects or their lack, report
+"""What a build shares and an update keeps (the chains' records:
+source, binds, jump tables, code objects or their lack, report
 counters), counted in ``compile()`` calls: a build compiles nothing, a
-chain is compiled when first entered, a splice onto another router
-carries nothing of the old one, whether the donor emitted its chains or
-shared a cached text.  A rules patch builds nothing: it emits again only
-the chains it dirtied — of the plain flavor: the profiled one bakes no
-rules in and stands — compiles those of them that were forwarding, and
-swaps the new code under the function objects every holder already has;
-its report reads as a cold compile's would, and repeated patches hold
-the fast path's size where one patch left it."""
+chain is compiled when first entered, a build that emits a cached text
+shares its records, and a whole-text hot-swap carries nothing of the old
+router.  A rules patch builds nothing: it emits again only the chains it
+dirtied — of the plain flavor: the profiled one bakes no rules in and
+stands — compiles those of them that were forwarding, and swaps the new
+code under the function objects every holder already has; its report
+reads as a cold compile's would, and repeated patches hold the fast
+path's size where one patch left it.  A structural update rewrites the
+live router's stale chains the same way."""
 
 import gc
 import random
@@ -16,6 +17,7 @@ import tracemalloc
 import traceback
 import types
 import weakref
+from collections import OrderedDict
 
 import pytest
 
@@ -55,7 +57,7 @@ def matcher_compiles(monkeypatch):
     """The classifier matchers' ``compile()`` calls, likewise, from an
     empty matcher memo (it is process-wide, keyed by tree content)."""
     calls = []
-    monkeypatch.setattr(matcher_module, "_FUNCTION_CACHE", {})
+    monkeypatch.setattr(matcher_module, "_FUNCTION_CACHE", OrderedDict())
 
     def counting(source, *args, **kwargs):
         calls.append(source)
@@ -67,21 +69,15 @@ def matcher_compiles(monkeypatch):
 
 @pytest.fixture
 def rebuilds(monkeypatch):
-    """Every ``FastPath`` built and every chain spliced, as a growing
-    list of ``("build", fastpath)`` / ``("splice", key)``."""
+    """Every ``FastPath`` built, as a growing list."""
     calls = []
-    build, splice = FastPath.__init__, FastPath._reuse_chain
+    build = FastPath.__init__
 
     def counting_build(self, *args, **kwargs):
-        calls.append(("build", self))
+        calls.append(self)
         build(self, *args, **kwargs)
 
-    def counting_splice(self, key, *args):
-        calls.append(("splice", key))
-        splice(self, key, *args)
-
     monkeypatch.setattr(FastPath, "__init__", counting_build)
-    monkeypatch.setattr(FastPath, "_reuse_chain", counting_splice)
     return calls
 
 
@@ -101,25 +97,6 @@ def reaching(fastpath, name):
     """The chains of ``fastpath`` that a patch of ``name``'s rules in
     place makes stale: the ones whose emission inlined its diagram."""
     return {key for key, chain in fastpath.chains.items() if any(inlined == name for inlined, _plan in chain.diagrams)}
-
-
-def restaled(fastpath, name):
-    """The chains a hot-swap that changed ``name`` structurally emits
-    again: those that can touch it from their port's far end on, and
-    those anchored at it."""
-    reach = fastpath._stale_reach({name})
-    return {key for key, anchor, far in fastpath._chain_edges() if far.name in reach[key[0]] or anchor.name == name}
-
-
-def spliced_onto_a_twin(testbed, donor, dirty):
-    """A fast path of a second router built from ``donor``'s graph,
-    spliced from ``donor`` as a hot-swap that changed ``dirty`` would."""
-    twin, _devices = testbed.build_router(donor.router.graph, profile=ExecutionProfile.reference())
-    twin._fastpath_reuse = {"dirty": set(dirty), "fastpaths": [donor]}
-    try:
-        return FastPath(twin)
-    finally:
-        del twin._fastpath_reuse
 
 
 def functions_of(fastpath):
@@ -153,40 +130,14 @@ def assert_reports_as_a_cold_compile(router, rebuild):
             assert scrubbed(flavor.report) == expected
 
 
-def assert_spliced_from(donor, fastpath, dirty):
-    """Every chain outside ``dirty`` runs the code of a donor that was
-    materialized before the splice (a retired donor keeps its records,
-    not its functions): the donor's own record where its line offset
-    stood, a copy with the same bytecode where it was re-based."""
-    spliced = 0
-    for key, fn in functions_of(fastpath).items():
-        if key in dirty:
-            continue
-        chain, donor_chain = fastpath.chains[key], donor.chains[key]
-        offset, donor_offset = chain.offset, donor_chain.offset
-        assert donor_chain.code is not None, key
-        assert (chain.code is donor_chain.code) == (offset == donor_offset), key
-        assert (chain is donor_chain) == (
-            offset == donor_offset and chain.tables == donor_chain.tables
-        ), key
-        assert chain.source is donor_chain.source
-        donor_code = next(
-            const for const in donor_chain.code.co_consts if getattr(const, "co_name", None) == fn.__name__
-        )
-        assert fn.__code__.co_code == donor_code.co_code, key
-        assert fn.__code__.co_firstlineno - donor_code.co_firstlineno == offset - donor_offset
-        spliced += 1
-    assert spliced
-
-
 @pytest.mark.parametrize("batch", [False, True], ids=["fdd", "fdd+batch"])
 def test_rules_patch_compiles_only_dirty_chains(batch, compile_calls, rebuilds):
     """The count gate: a ``c0`` rules patch on the plain IP router
     whose every chain is forwarding emits and compiles the one chain
     that bakes ``c0``'s tree in — into the plain flavor, rewritten in
     place; the profiled flavor is the object it was — not the module's
-    59, builds no fast path and splices no chain, and says so in a
-    report that otherwise reads as a cold compile's."""
+    59; it builds no fast path, and says so in a report that otherwise
+    reads as a cold compile's."""
     profile = ExecutionProfile.fdd(batch=batch)
     testbed, router, _devices = build(profile)
     engine = router.adaptive
@@ -263,7 +214,7 @@ def test_a_rules_patch_swaps_its_code_under_every_holder(batch, rebuilds):
     (here a supervisor's ``fast`` pin), ``a``'s jump tables and the
     dispatcher's ``state.plain`` hold, and runs new code, which forwards
     what the new rules say.  Every other chain keeps its record,
-    functions and code objects; nothing is built or spliced."""
+    functions and code objects; nothing is built."""
     default_cache().clear()
     devices = {name: LoopbackDevice(name) for name in ("eth0", "eth1")}
     router = Router(parse_graph(SERIES), devices=devices, profile=ExecutionProfile.fdd(batch=batch))
@@ -382,7 +333,8 @@ def test_line_numbers_survive_a_dirty_chain_that_grew():
         assert lines[fn.__code__.co_firstlineno - 1].startswith("def %s(" % fn.__code__.co_name)
     # Both poll chains read the packet first thing: eth0's is the
     # replaced one, eth1's ends in c1's diagram below the blank lines.
-    below = next(key for key, _anchor, far in fastpath._chain_edges() if far.name == "c1")
+    below = next(key for key, element in fastpath._chain_edges().items()
+                 if key[0] == "push" and element._output_ports[key[2]].target.name == "c1")
     assert fastpath.chains[below].offset > old.offset
     for entry in (key, below):
         with pytest.raises(AttributeError) as raised:
@@ -392,7 +344,7 @@ def test_line_numbers_survive_a_dirty_chain_that_grew():
         assert lines[frame.lineno - 1].strip() == "data = packet._data_cache"
 
 
-def test_repeated_rules_patches_stay_bounded(monkeypatch):
+def test_repeated_rules_patches_stay_bounded():
     """300 ``c0`` patches on a router that has forwarded leave tier 1
     the size one patch left it — its namespace, jump tables and module
     text within one replaced chain's worth — and ``tracemalloc`` growth
@@ -400,11 +352,9 @@ def test_repeated_rules_patches_stay_bounded(monkeypatch):
     The patches cycle through eight rule sets and the plane keeps 16
     reports, so the matcher memo and the plane's history (each bounded
     on its own) are full by patch 50; the engine's deopt log still
-    gains one reason a patch.  The matcher memo is process-wide: it
-    starts empty here, as a memo that earlier tests filled to near its
-    bound moves every patch's entry to its end, and its table is
-    reallocated at a size of their making."""
-    monkeypatch.setattr(matcher_module, "_FUNCTION_CACHE", {})
+    gains one reason a patch.  The matcher memo is process-wide, and
+    earlier tests may have filled it to its bound: a hit there moves its
+    entry in place, allocating nothing."""
     testbed, router, devices = build(ExecutionProfile.fdd())
     for name, frame in testbed.evaluation_frames(256):
         devices[name].receive_frame(frame)
@@ -446,43 +396,17 @@ def test_repeated_rules_patches_stay_bounded(monkeypatch):
         assert abs(now - then) <= bound, (now, then, bound)
 
 
-@pytest.mark.parametrize("origin", ["replayed"])  # the id the test floor lists it under
-def test_cached_fast_paths_are_donors(origin, compile_calls):
-    """A fast path that shared a cached text hands its chains to a
-    scoped hot-swap like one that emitted them: nothing it carries is
-    compiled again, and its report is the emitting compile's."""
-    testbed, router, _devices = build(ExecutionProfile.reference())
-    cache = CodegenCache()
-    fresh = FastPath(router, cache=cache)
-    assert fresh.report.emitted_units == len(fresh.chains)
-    assert fresh.report.compiled_units == 0 and not compile_calls
-    fresh.materialize()
-    assert fresh.report.compiled_units == len(compile_calls) == len(fresh.chains)
-    del compile_calls[:]
-    donor = FastPath(router, cache=cache)
-    assert donor.report.emitted_units == donor.report.compiled_units == 0
-    assert not compile_calls
-    assert donor.chains == fresh.chains  # the very records
-    assert scrubbed(donor.report) == scrubbed(fresh.report)
-
-    dirty = restaled(donor, "c0")
-    del compile_calls[:]
-    spliced = spliced_onto_a_twin(testbed, donor, {"c0"})
-    # every chain of the donor is live, so each successor is compiled by the build
-    assert len(compile_calls) == spliced.report.compiled_units == len(dirty)
-    assert spliced.report.emitted_units == len(dirty)
-    assert spliced.report.source_lines == fresh.report.source_lines
-    assert_spliced_from(donor, spliced, dirty)
-
-
 def test_a_compile_that_emits_a_cached_text_shares_it(compile_calls):
     """A route patch changes the graph but not the text compiled for
     it: a tier 2 rebuilt after one finds that text in the cache and
     shares its lines and code objects instead of holding a copy per
-    patch — memory stays flat however many patches a run applies."""
+    patch — memory stays flat however many patches a run applies.  The
+    sharer reports what the emitting compile does, and whichever of them
+    enters a shared record first compiles it for both."""
     _testbed, router, _devices = build(ExecutionProfile.reference())
     cache = CodegenCache()
     first = FastPath(router, cache=cache)
+    assert first.report.emitted_units == len(first.chains) and first.report.compiled_units == 0
     routes = rules_of(router, "rt")
     ControlPlane(router).update_routes("rt", routes + ["10.9.0.0/16 1"])
     del compile_calls[:]
@@ -490,22 +414,27 @@ def test_a_compile_that_emits_a_cached_text_shares_it(compile_calls):
 
     assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
     assert second.report.compiled_units == second.report.emitted_units == 0 and not compile_calls
+    assert scrubbed(second.report) == scrubbed(first.report)
     assert second.source is first.source
     for key, chain in second.chains.items():
         assert chain is first.chains[key]
+    keys = list(first.chains)
+    first.materialize(keys[:1])
+    second.materialize(keys[-1:])
+    assert len(compile_calls) == 2 and all(first.chains[key].code is not None for key in (keys[0], keys[-1]))
     first.materialize()
     second.materialize()  # a sharer filled every record: nothing left to compile
-    assert second.report.compiled_units == 0
-    donor_functions = functions_of(first)
+    assert second.report.compiled_units == 1 and len(compile_calls) == len(keys)
+    first_functions = functions_of(first)
     for key, fn in functions_of(second).items():
-        assert fn.__code__ is donor_functions[key].__code__
+        assert fn.__code__ is first_functions[key].__code__
         assert fn.__globals__ is second._namespace
 
 
 def test_rules_patches_do_not_grow_the_cache():
-    """A rules patch splices its plain tier 1 from the one it replaces,
-    so it shares that compile's records and stores nothing: the cache
-    holds what the warm router put there however many patches land."""
+    """A rules patch rewrites the plain tier 1 in place and stores
+    nothing: the cache holds what the warm router put there however
+    many patches land."""
     testbed, router, devices = build(ExecutionProfile.fdd())
     for name, frame in testbed.evaluation_frames(256):
         devices[name].receive_frame(frame)
@@ -533,13 +462,15 @@ def reachable_from(roots):
     return seen
 
 
-def test_scoped_hotswap_rebinds_onto_the_new_router():
-    """Across routers only source, recipes and code are carried: every
-    bind is resolved again, so nothing of the old router is reachable
-    from the new fast path's namespace."""
+def test_scoped_hotswap_rebinds_onto_the_new_router(compile_calls):
+    """A whole-text hot-swap compiles like a fresh build: every bind is
+    the new router's, so nothing of the old router is reachable from the
+    new fast path's namespace; the edit changed the module text, so every
+    chain is emitted, and the chains that were forwarding in the old
+    router are compiled inside the swap."""
     _testbed, old, _devices = build(ExecutionProfile.fast())
-    donor = old.fastpath
-    donor.materialize()
+    before = old.fastpath
+    before.materialize()
     graph = old.graph.copy()
     conn = next(c for c in graph.connections if c.from_element == "rt" and c.from_port == 1)
     graph.remove_connection(conn)
@@ -549,23 +480,15 @@ def test_scoped_hotswap_rebinds_onto_the_new_router():
     old_objects = {id(old): old}
     old_objects.update((id(element), element) for element in old.elements.values())
 
+    del compile_calls[:]
     result = hotswap(old, graph)
     new = result.router
     fastpath = new.fastpath
     assert result.report.kind == "scoped-swap"
-    assert 0 < fastpath.report.emitted_units < len(fastpath.chains)
-    assert result.report.chains_recompiled == fastpath.report.emitted_units
-    assert result.report.chains_reused == fastpath.report.reused_chains
-    dirty = {
-        key
-        for key, chain in fastpath.chains.items()
-        if key not in donor.chains or chain.function_name != donor.chains[key].function_name
-    }
-    assert len(dirty) == fastpath.report.emitted_units
-    # the swap compiled the successors of the old router's (live) chains, not the new edges
-    assert 0 < fastpath.report.compiled_units == len(dirty & set(donor.chains)) < len(dirty)
-    fastpath.materialize()
-    assert_spliced_from(donor, fastpath, dirty)
+    assert fastpath.report.emitted_units == len(fastpath.chains) == result.report.chains_recompiled
+    live = set(before.chains) & set(fastpath.chains)
+    assert fastpath.report.compiled_units == len(compile_calls) == len(live)
+    assert not any(is_pending(fastpath.function_for(key)) for key in live)
     reached = reachable_from(fastpath._namespace.values())
     assert id(new) in reached
     assert not set(reached) & set(old_objects)
@@ -594,17 +517,18 @@ def churn_schedule(graph, count, rng):
 
 
 def test_in_place_churn_never_compiles_where_hotswaps_do(compile_calls):
-    """Why an incremental update beats a full swap, as a count: 16
-    seeded route/rule updates through ``ControlPlane`` are all patched
-    in place without one ``compile()`` (the run's only compiles are its
-    chains' first entries); the same 16 installed as hot-swaps compile
-    exactly the chains they emit again that were forwarding in the old
-    router — and put the same bytes on the wire, none dropped by an
-    install."""
+    """Why an incremental update beats a full swap, as a count: under
+    ``fdd``, 16 seeded route/rule updates through ``ControlPlane`` are
+    all patched in place without one ``compile()`` (the run's only
+    compiles are its chains' first entries, and a rules patch that swaps
+    two arms re-links); the same 16 installed as whole-text hot-swaps
+    compile, inside each swap, every chain that was forwarding in the old
+    router and whose text the cache does not hold — and both put the
+    same bytes on the wire, none dropped by an install."""
     updates, burst = 16, 8
-    compiles, entries, wires, expected = {}, {}, {}, 0
+    compiles, entries, wires = {}, {}, {}
     for path in ("in-place", "hotswap"):
-        testbed, router, devices = build(ExecutionProfile.fast())
+        testbed, router, devices = build(ExecutionProfile.fdd())
         schedule = churn_schedule(router.graph, updates, random.Random(0xC1C0))
         traffic = testbed.evaluation_frames(burst * updates)
         del compile_calls[:]
@@ -621,21 +545,16 @@ def test_in_place_churn_never_compiles_where_hotswaps_do(compile_calls):
             else:
                 graph = router.graph.copy()
                 graph.elements[name].config = ", ".join(args)
-                old = router.fastpath.chains
-                result = hotswap(router, graph)
-                router = result.router
-                # a spliced chain keeps its donor's source lines, by reference
-                emitted = [
-                    key for key, chain in router.fastpath.chains.items()
-                    if chain.source is not old[key].source
-                ]
-                assert len(emitted) == result.report.chains_recompiled
-                expected += sum(old[key].code is not None for key in emitted)
+                flavors = (router.engine.tier1, router.engine.profiled)
+                live = [{key for key, pair in f._compiled.items() if not is_pending(pair[0])} for f in flavors]
+                router = hotswap(router, graph).router
+                for keys, flavor in zip(live, (router.engine.tier1, router.engine.profiled)):
+                    assert not any(is_pending(flavor.function_for(key)) for key in keys)
             compiles[path] += len(compile_calls) - before
         router.run_tasks(64)
         entries[path] = len(compile_calls) - compiles[path]
         wires[path] = {name: [bytes(f) for f in d.transmitted] for name, d in devices.items()}
-    assert compiles == {"in-place": 0, "hotswap": expected} and expected > 0
+    assert compiles["in-place"] == 0 and compiles["hotswap"] > 0
     assert 0 < entries["in-place"] < 59 and 0 < entries["hotswap"] < 59
     assert wires["in-place"] == wires["hotswap"]
     assert sum(len(frames) for frames in wires["hotswap"].values()) == burst * updates
@@ -681,8 +600,8 @@ def test_a_live_chains_successor_is_compiled_inside_the_update(compile_calls, ma
     packet — and nothing else.  The profiled flavor walks the live tree,
     so no packet entered ``fw``'s matcher and its successor stays
     pending; the unreachable ``Strip`` chain, which nothing entered,
-    loses its record and is not emitted.  It builds no fast path and
-    splices no chain, and the packets that follow compile nothing."""
+    loses its record and is not emitted.  It builds no fast path, and
+    the packets that follow compile nothing."""
     from .test_fastpath_lowering import firewall_frame
 
     rules = firewall_rule_strings()
@@ -771,7 +690,7 @@ def test_a_waiting_chain_that_fails_to_emit_runs_its_reference_port(monkeypatch)
     rules = firewall_rule_strings()
     ControlPlane(router).update_rules("fw", rules[:2] + rules[-2:1:-1] + rules[-1:])
     assert entry not in tier1.chains
-    real, binds = FastPath._emit_chain, dict(tier1._bind_specs)
+    real, binds = FastPath._emit_chain, {name for name in tier1._namespace if name.startswith("_b")}
 
     def emit_chain(self, key, *args):
         chain = real(self, key, *args)
@@ -788,7 +707,7 @@ def test_a_waiting_chain_that_fails_to_emit_runs_its_reference_port(monkeypatch)
     # entry emits: its binds are the only ones the frame left.
     strip = ("push", tier1.router.find(entry[1])._output_ports[0].target.name, 0)
     assert entry not in tier1.chains and tier1.chains[strip].code is not None
-    assert set(tier1._bind_specs) - set(binds) == set(tier1.chains[strip].binds)
+    assert {name for name in tier1._namespace if name.startswith("_b")} - binds == set(tier1.chains[strip].binds)
     monkeypatch.setattr(FastPath, "_emit_chain", real)
     ControlPlane(router).update_rules("fw", rules)
     assert not tier1.report.failed_entries
@@ -935,30 +854,6 @@ def test_without_a_diagram_a_value_only_patch_costs_what_it_did(profile, compile
         flavors = [router.fastpath] if router.engine is None else router.engine.flavors()
         assert all(flavor.report.relinked_units == 0 for flavor in flavors if flavor is not None)
         assert not compile_calls and len(matcher_compiles) == 1
-
-
-def test_a_spliced_unentered_chain_is_filled_once_for_every_sharer(compile_calls):
-    """A splice carries a chain's lack of code by reference like its
-    code: whichever fast path enters the shared record first compiles
-    it for both."""
-    testbed, router, _devices = build(ExecutionProfile.reference())
-    donor = FastPath(router)
-    spliced = spliced_onto_a_twin(testbed, donor, {"c0"})
-    assert not compile_calls and spliced.report.emitted_units == len(restaled(donor, "c0"))
-    shared = [key for key, chain in spliced.chains.items() if chain is donor.chains[key]]
-    assert shared and all(donor.chains[key].code is None for key in shared)
-    first, second = shared[0], shared[-1]
-    spliced.materialize([first])
-    donor.materialize([second])
-    assert len(compile_calls) == 2
-    for key in (first, second):
-        assert donor.chains[key].code is spliced.chains[key].code is not None
-    donor.materialize([first])
-    spliced.materialize([second])
-    assert len(compile_calls) == 2
-    assert donor.report.compiled_units == spliced.report.compiled_units == 1
-    for key in (first, second):
-        assert donor.function_for(key).__code__ is spliced.function_for(key).__code__
 
 
 def test_a_rules_patch_frees_its_donors_without_the_collector():

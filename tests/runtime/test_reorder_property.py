@@ -98,9 +98,6 @@ class PermutedPolicy(ChainPolicy):
         super().__init__()
         self._rng = rng
 
-    def reuse_key(self):
-        return None  # the permutation is per-instance: never a donor, nor spliced
-
     def branch_order(self, element, nports):
         order = list(range(nports))
         self._rng.shuffle(order)

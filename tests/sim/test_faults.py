@@ -186,11 +186,10 @@ class TestElementFaults:
         router.push_packet("c", 0, Packet(b"x"))
         assert injector.fault_counts()["elements"]["c"]["calls"] == 1
 
-    def test_router_marked_uncacheable(self):
+    def test_router_marked_wrapped(self):
         _injector, router = self._prepared(
             [{"kind": "element_error", "element": "c", "after": 0}]
         )
-        assert router._fault_uncacheable
         assert router["c"]._fault_wrapped
         assert router.fault_injector is not None
 

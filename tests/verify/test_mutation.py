@@ -8,9 +8,7 @@ elements.
 
 The bug goes where each mode runs Unstrip: into ``simple_action``, which
 the reference interpreter calls, and into the ``segment`` the chain
-compiler emits in its place.  The patched function must be *named*
-``simple_action``: a scoped rebuild that splices chains onto another
-router re-binds methods by name.
+compiler emits in its place.
 """
 
 import pytest
