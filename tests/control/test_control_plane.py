@@ -361,6 +361,51 @@ class TestStructuralInPlace:
         assert router["cnt0"].count > 0
 
 
+#: Structural edits of the stock IP router text: ``(old, new)`` pairs.
+EDITS = {
+    "pull-path insert": [("-> [0] arpq0 -> out0 -> td0;", "-> [0] arpq0 -> out0 -> pc :: Counter -> td0;")],
+    "queue capacity": [("out1 :: Queue(64);", "out1 :: Queue(8);")],
+    "task renamed": [("PollDevice(eth0) -> c0;", "pd0 :: PollDevice(eth0) -> c0;")],
+    "classifier output added": [
+        ("12/0806 20/0002, 12/0800, -);", "12/0806 20/0002, 12/0800, 12/86dd, -);"),
+        ("c0 [3] -> Discard;", "c0 [3] -> Discard; c0 [4] -> Discard;"),
+    ],
+    "routes and an insert": [
+        ("1.0.0.0/8 1, 2.0.0.0/8 2);", "2.0.0.0/8 2, 1.0.0.0/8 1);"),
+        ("-> dt1 :: DecIPTTL", "-> xc :: Counter -> dt1 :: DecIPTTL"),
+    ],
+}
+
+
+@pytest.mark.parametrize("edit", list(EDITS))
+def test_an_edit_in_place_shows_what_a_hot_swap_shows(edit):
+    """A structural edit installed in place, a third of the way into
+    the stock trace, and undone two thirds in, transmits and counts what
+    the same two configurations installed as whole-text hot-swaps do, in
+    the reference interpreter and under ``fdd``: an edit on the pull
+    side, a replaced queue, a replaced task, a classifier that gains an
+    output, and a rules change beside an insert."""
+    from repro.verify.genconfig import stock_cases
+    from repro.verify.oracle import run_case
+
+    base = stock_cases(events_count=96)[0]
+    text = base["config"]
+    for old, new in EDITS[edit]:
+        assert old in text
+        text = text.replace(old, new, 1)
+    sent = {}
+    for kind in ("update", "hotswap"):
+        events = list(base["events"])
+        events.insert(2 * len(events) // 3, [kind, base["config"]])
+        events.insert(len(events) // 3, [kind, text])
+        for mode in ("reference", "fdd"):
+            status, observed = run_case(dict(base, events=events), mode)
+            assert status == "ok", observed
+            sent[kind, mode] = observed
+    assert all(seen == sent["update", "reference"] for seen in sent.values())
+    assert sum(map(len, sent["update", "reference"]["transmitted"].values())) > 0
+
+
 class TestCli:
     def write_config(self, tmp_path):
         from repro.core.toolchain import save_config

@@ -168,6 +168,25 @@ class TestRollback:
         assert not old.retired
         self._serving(old)
 
+    def test_a_live_chain_that_fails_to_compile_rolls_back(self, monkeypatch):
+        """The new router compiles inside the swap every chain that was
+        forwarding in the old one, so a ``compile()`` that raises there
+        aborts the swap, and the old router keeps serving."""
+        from repro.runtime import fastpath
+
+        old = Router(parse_graph(BASE), profile=ExecutionProfile.fast())
+        self._serving(old)  # the entry chain is live now
+
+        def failing(*args, **kwargs):
+            raise SyntaxError("injected compile failure")
+
+        monkeypatch.setattr(fastpath, "compile_chain", failing)
+        with pytest.raises(HotswapError, match="injected compile failure"):
+            hotswap_router(old, parse_graph(EXTENDED))
+        monkeypatch.undo()
+        assert not old.retired
+        self._serving(old)
+
 
 class TestStatefulEdgeCases:
     def test_queue_shrink_drop_accounting_under_fast_mode(self):
