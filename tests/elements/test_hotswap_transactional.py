@@ -171,9 +171,13 @@ class TestRollback:
     def test_a_live_chain_that_fails_to_compile_rolls_back(self, monkeypatch):
         """The new router compiles inside the swap every chain that was
         forwarding in the old one, so a ``compile()`` that raises there
-        aborts the swap, and the old router keeps serving."""
+        aborts the swap, and the old router keeps serving.  (The codegen
+        cache starts empty: a text another test compiled needs no
+        ``compile()``.)"""
         from repro.runtime import fastpath
+        from repro.runtime.codegen_cache import default_cache
 
+        default_cache().clear()
         old = Router(parse_graph(BASE), profile=ExecutionProfile.fast())
         self._serving(old)  # the entry chain is live now
 
