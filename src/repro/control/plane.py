@@ -7,11 +7,11 @@ the fast-path compiler saw — the generated chains bind the *containers*
 patched under them in place, with only the adaptive engine's
 speculations deoptimized for the touched elements.  Anything that adds,
 removes, rewires, or re-classes elements — or reconfigures one that
-cannot be patched — changes the live router in place too: the new
-elements are staged, then swapped in and the changed ones rewired, and
-the engine rewrites each compiled flavor's stale chains
-(:meth:`~repro.runtime.fastpath.FastPath.rewrite`).  The router, its
-engine, its supervisor and their totals survive every update.
+cannot be patched — goes through the hot-swap's two-phase install
+(:func:`repro.elements.hotswap.install`), which renews only the elements
+the delta adds, re-classes or reconfigures, where a hot-swap renews
+them all.  The router, its engine, its supervisor and their totals
+survive every update.
 
 Every update returns the shared :class:`~repro.elements.hotswap.SwapReport`
 (kind, phase timings, chains recompiled vs reused, elements patched),
@@ -21,13 +21,12 @@ and ``apply`` keeps a bounded history of them for the churn benchmark.
 from __future__ import annotations
 
 import time
-from collections import ChainMap, deque
+from collections import deque
 
 from ..elements.classifiers import _TreeClassifier
-from ..elements.hotswap import SwapReport, _compatible, chain_totals, check_graph, take_state
+from ..elements.hotswap import HotswapError, SwapReport, install, resolve
 from ..elements.routing import _IPRouteTable
-from ..elements.runtime import compile_archive_classes, instantiate, plan_wiring, wire, wiring_of
-from ..graph.diff import GraphDelta, diff_graphs
+from ..graph.diff import GraphDelta
 from ..lang.lexer import split_config_args
 
 __all__ = ["ControlPlane", "ControlPlaneError"]
@@ -72,18 +71,20 @@ class ControlPlane:
         """Install one update.  ``update`` is a
         :class:`~repro.graph.diff.GraphDelta`, a configuration graph,
         or configuration text; the delta is computed against the live
-        graph when a full configuration is given.  Pure-data deltas
-        patch tables in place; anything structural (or touching a
+        graph when a full configuration is given, and what is installed
+        is that delta applied to the live graph.  Pure-data deltas patch
+        tables in place; anything structural (or touching a
         non-patchable element) changes the router's elements and wiring
-        in place (:meth:`_restructure`).  Returns the
+        in place (:func:`~repro.elements.hotswap.install`).  Returns the
         :class:`SwapReport`; raises :class:`ControlPlaneError` (nothing
         applied) on a bad update."""
+        router = self.router
         started = time.perf_counter()
-        delta, new_graph = self._resolve(update)
+        delta = resolve(router.graph, update)
         diff_seconds = time.perf_counter() - started
 
         if delta.empty:
-            report = SwapReport("no-op", profile=self.router.profile.label)
+            report = SwapReport("no-op", profile=router.profile.label)
             report.delta = delta.summary()
             report.phases["diff"] = diff_seconds
             self.history.append(report)
@@ -95,7 +96,12 @@ class ControlPlane:
                 self.history.append(report)
                 return report
 
-        report = self._restructure(delta, new_graph, diff_seconds, validate)
+        report = SwapReport("scoped-swap", profile=router.profile.label, delta=delta.summary())
+        report.phases["diff"] = diff_seconds
+        try:
+            install(router, delta, report, validate=validate)
+        except HotswapError as exc:
+            raise ControlPlaneError("structural update failed: %s" % exc) from exc
         self.history.append(report)
         return report
 
@@ -132,25 +138,6 @@ class ControlPlane:
                 )
             ]
         )
-
-    def _resolve(self, update):
-        """``(delta, new_graph_or_None)`` for any accepted update form.
-        ``new_graph`` stays None for delta inputs until a structural
-        path needs it (then it is materialized via ``apply_to``)."""
-        graph = getattr(self.router, "graph", None)
-        if graph is None:
-            raise ControlPlaneError("the live router carries no graph to diff against")
-        if isinstance(update, GraphDelta):
-            return update, None
-        if isinstance(update, str):
-            from ..core.toolchain import load_config
-
-            update = load_config(update, "<update>")
-        if update.element_classes:
-            from ..core.flatten import flatten
-
-            update = flatten(update)
-        return diff_graphs(graph, update), update
 
     def stage_patch(self, delta):
         """Phase one of the in-place path: parse and validate every
@@ -213,7 +200,7 @@ class ControlPlane:
         report.delta = delta.summary()
         report.phases["patch"] = time.perf_counter() - started
         report.elements_patched = len(staged)
-        report.chains_recompiled, report.chains_relinked, report.chains_reused = chain_totals(rebuilt)
+        report.count_chains(rebuilt)
         return report
 
     def _try_patch(self, delta, diff_seconds):
@@ -230,95 +217,3 @@ class ControlPlane:
         report.phases["stage"] = stage_seconds
         report.phases.move_to_end("patch")
         return report
-
-    def _restructure(self, delta, new_graph, diff_seconds, validate):
-        """The structural path, in place: stage everything that can fail
-        (the ``check`` pass; a new instance of every element added,
-        re-classed or reconfigured — configured, wired, initialized, and
-        given its predecessor's state; the wiring planned over the new
-        graph), then commit (:meth:`_commit_structure`).  Returns the
-        ``"scoped-swap"`` :class:`SwapReport`."""
-        router = self.router
-        new_graph = new_graph if new_graph is not None else delta.apply_to(router.graph)
-        report = SwapReport("scoped-swap", profile=router.profile.label, delta=delta.summary())
-        report.phases["diff"] = diff_seconds
-        try:
-            started = time.perf_counter()
-            if validate:
-                check_graph(new_graph)
-            report.phases["validate"] = time.perf_counter() - started
-            started = time.perf_counter()
-            classes = router._classes
-            if new_graph.archive != router.graph.archive:
-                overlay = dict(classes.maps[0], **compile_archive_classes(new_graph.archive))
-                classes = ChainMap(overlay, *classes.maps[1:])
-            elements, fresh = {}, {}  # the new graph's elements; the new instances among them
-            for decl in new_graph.elements.values():
-                old = router.elements.get(decl.name)
-                if old is None or type(old) is not classes.get(decl.class_name) or old.config_string != decl.config:
-                    old = fresh[decl.name] = instantiate(router, decl, classes)
-                elements[decl.name] = old
-            plan = plan_wiring(new_graph, elements, classes)
-            wire(elements, plan, fresh)
-            for element in fresh.values():
-                element.initialize()
-            report.phases["build"] = time.perf_counter() - started
-            started = time.perf_counter()
-            for name, element in fresh.items():
-                old = router.elements.get(name)
-                if old is not None and _compatible(element, old) and take_state(element, old):
-                    report.transferred.append(name)
-            report.phases["transfer"] = time.perf_counter() - started
-            # Rewired: a new instance, one whose planned wiring is not its
-            # live ports', and one that connects to a new instance.
-            rewired = {name for name, entry in plan.items() if name in fresh or entry != wiring_of(elements[name])
-                       or any(end is not None and end[0] in fresh for end in entry[2] + entry[3])}
-            self._commit_structure(new_graph, classes, elements, plan, rewired.difference(fresh), rewired, report)
-        except Exception as exc:
-            raise ControlPlaneError(
-                "structural update failed; old router still serving: %s: %s"
-                % (type(exc).__name__, exc)
-            ) from exc
-        return report
-
-    def _commit_structure(self, new_graph, classes, elements, plan, rewire, changed, report):
-        """Swap the staged ``elements`` in, give those in ``rewire`` new
-        ports, initialize every element again (RED finds its queues over
-        the new wiring), rebuild tasks and graph, and let the engine
-        rewrite each flavor's chains that hold an element ``changed`` or
-        removed.  If that fails, everything is put back and it raises."""
-        router = self.router
-        started = time.perf_counter()
-        engine = router.engine
-        changed = changed.union(name for name in router.elements if name not in elements)
-        if engine is not None:
-            engine.uninstall()
-        old = router.elements, router.graph, router._classes, router._tasks
-        ports = {name: (e._output_ports, e._input_ports) for name, e in router.elements.items()}
-        try:
-            router.elements, router.graph, router._classes = elements, new_graph, classes
-            wire(elements, plan, rewire)
-            if router.fault_injector is not None:
-                router.fault_injector.prepare_router(router)
-            for element in elements.values():
-                element.initialize()
-            router._tasks = [element for element in elements.values() if element.is_task()]
-            staged = engine.stage_restructure(changed) if engine is not None else None
-        except BaseException:
-            router.elements, router.graph, router._classes, router._tasks = old
-            for name, (outputs, inputs) in ports.items():
-                old[0][name]._output_ports, old[0][name]._input_ports = outputs, inputs
-            for element in router.elements.values():
-                element.initialize()
-            if engine is not None:
-                engine.install()
-            if router.supervisor is not None:
-                router.supervisor.rebind()
-            raise
-        report.phases["compile"] = time.perf_counter() - started
-        started = time.perf_counter()
-        rebuilt = engine.commit_restructure(staged) if engine is not None else []
-        if router.supervisor is not None:
-            router.supervisor.rebind()
-        report.phases["commit"] = time.perf_counter() - started
-        report.chains_recompiled, report.chains_relinked, report.chains_reused = chain_totals(rebuilt)

@@ -5,7 +5,7 @@ them.
 Importing this package populates the global element registry."""
 
 from . import align, aqm, arp, classifiers, combos, devices, dump, ethernet, hotswap, icmp, infrastructure, ip, ping, routing, scheduling, udpip  # noqa: F401
-from .hotswap import HotswapError, SwapReport, SwapResult, hotswap as hotswap_router
+from .hotswap import HotswapError, SwapReport, hotswap as hotswap_router
 from .classifiers import (
     CLASSIFIER_CLASS_NAMES,
     Classifier,
@@ -22,7 +22,6 @@ from .runtime import Router, build_router, compile_archive_classes
 __all__ = [
     "HotswapError",
     "SwapReport",
-    "SwapResult",
     "hotswap_router",
     "CLASSIFIER_CLASS_NAMES",
     "Classifier",

@@ -15,48 +15,49 @@ runtime class hierarchy, so a ``Devirtualize@@q`` Queue accepts state
 from a plain ``Queue`` and vice versa — optimizing a live router
 preserves its queues.
 
-The swap is a **two-phase commit**.  Phase one prepares everything that
-can fail while the old router keeps serving: the new graph runs the
-``check`` pass, a new router is built in reference mode, state is
-copied over (the old element is only read), and the old router's
-execution profile — fast/adaptive, batch flavor, adaptive config,
-supervision — is recompiled onto the new router.  Only after all of
-that succeeds does phase two commit: the old router is retired.  Any
-failure raises :class:`HotswapError` and leaves the old router exactly
-as it was, still serving, queues and ARP tables intact.
+Every configuration change that touches the graph goes through one
+two-phase commit in the live router, :func:`install`.  Phase one stages
+everything that can fail while the router keeps serving: the ``check``
+pass, the new element instances (configured, wired, initialized, given
+their predecessors' state) and the wiring planned over the new graph.
+Phase two swaps them in, rewires, and has the engine rewrite each
+compiled flavor's stale chains; a failure there puts everything back.
+Any failure raises :class:`HotswapError` and leaves the router as it
+was, still serving, queues and ARP tables intact.
 
-The new router compiles like a fresh build, sharing what the codegen
-cache holds, and compiles inside the swap every chain that was
-forwarding in the old router.  ``hotswap`` returns a :class:`SwapResult`:
-the new router and a :class:`SwapReport`.  The control plane
-(:mod:`repro.control`) changes a live router in place instead.
+:func:`hotswap` is §5.1's event: *every* element gets a new instance,
+so a ``reset`` field reads its configured value afterwards.  A
+structural update (:meth:`repro.control.ControlPlane.apply`) renews
+only the elements it adds, re-classes or reconfigures.  Either way the
+router, its engine, its supervisor and their totals stay, and both
+return a :class:`SwapReport`.
 """
 
 from __future__ import annotations
 
 import copy
 import time
-from collections import OrderedDict
+from collections import ChainMap, OrderedDict
 
-from ..classifier.compile import is_pending
-from ..graph.diff import diff_graphs
+from ..graph.diff import GraphDelta, diff_graphs
 from .element import Element
-from .runtime import Router
+from .runtime import compile_archive_classes, instantiate, plan_wiring, wire, wiring_of
 
 
 class HotswapError(RuntimeError):
-    """A hot-swap aborted before commit; the old router is untouched
-    and still serving."""
+    """An install (a hot-swap, or a structural update) failed; the
+    router is as it was, still serving."""
 
 
 class SwapReport:
     """What one configuration update did: its kind (``in-place`` data
-    patch, ``scoped-swap``, ``full-swap``, or ``no-op``), per-phase wall
-    times, and the chain accounting of the fast paths it built:
+    patch, ``scoped-swap`` or ``no-op``), per-phase wall times, and the
+    chain accounting of the fast paths it rewrote (:meth:`count_chains`):
     ``chains_recompiled`` were emitted again, ``chains_relinked`` took
     a rules patch's new values without that, ``chains_reused`` neither
-    (shared with a cached text, or left as they were).
-    Shared by :func:`hotswap` and :meth:`repro.control.ControlPlane.apply`."""
+    (left as they were), and ``chains_deferred`` wait for their first
+    packet.  Shared by :func:`hotswap` and
+    :meth:`repro.control.ControlPlane.apply`."""
 
     def __init__(self, kind, profile=None, delta=None):
         self.kind = kind
@@ -66,8 +67,23 @@ class SwapReport:
         self.chains_recompiled = 0
         self.chains_relinked = 0
         self.chains_reused = 0
+        self.chains_deferred = 0
         self.elements_patched = 0
         self.transferred = []  # element names that carried state over
+
+    def count_chains(self, fastpaths):
+        """Sum the chain counts over the fast paths an update rewrote:
+        chains emitted again (``FastPathReport.emitted_units``), chains
+        re-linked (``relinked_units``), the other chains with a record,
+        and the edges left without one until their first packet (stale
+        chains nothing had entered, and new edges).  The four add up to
+        the fast paths' chain edges."""
+        for path in fastpaths:
+            emitted, relinked = path.report.emitted_units, path.report.relinked_units
+            self.chains_recompiled += emitted
+            self.chains_relinked += relinked
+            self.chains_reused += len(path.chains) - emitted - relinked
+            self.chains_deferred += len(path._compiled) - len(path.chains)
 
     @property
     def total_seconds(self):
@@ -83,6 +99,7 @@ class SwapReport:
             "chains_recompiled": self.chains_recompiled,
             "chains_relinked": self.chains_relinked,
             "chains_reused": self.chains_reused,
+            "chains_deferred": self.chains_deferred,
             "elements_patched": self.elements_patched,
             "transferred": list(self.transferred),
         }
@@ -93,9 +110,9 @@ class SwapReport:
             parts.append(self.delta)
         if self.kind == "in-place":
             parts.append("%d element(s) patched" % self.elements_patched)
-        counts = (self.chains_recompiled, self.chains_relinked, self.chains_reused)
+        counts = (self.chains_recompiled, self.chains_relinked, self.chains_reused, self.chains_deferred)
         if self.kind != "in-place" or any(counts):
-            parts.append("%d chain(s) recompiled, %d re-linked, %d reused" % counts)
+            parts.append("%d chain(s) recompiled, %d re-linked, %d reused, %d deferred" % counts)
         if self.transferred:
             parts.append("state carried for %d element(s)" % len(self.transferred))
         if self.profile:
@@ -114,27 +131,13 @@ class SwapReport:
         return "SwapReport(%s)" % self.format()
 
 
-class SwapResult:
-    """What :func:`hotswap` returns: the new live router plus the
-    :class:`SwapReport` describing the swap."""
-
-    __slots__ = ("router", "report")
-
-    def __init__(self, router, report):
-        self.router = router
-        self.report = report
-
-    def __repr__(self):
-        return "SwapResult(router=%r, report=%r)" % (self.router, self.report)
-
-
 def check_graph(graph):
     """Raise :class:`HotswapError` where the ``check`` pass rejects ``graph``."""
     from ..core.check import check as check_config
 
     collector = check_config(graph)
     if not collector.ok:
-        raise HotswapError("new configuration failed check; nothing installed:\n%s" % collector.format())
+        raise HotswapError("new configuration failed check; old router still serving:\n%s" % collector.format())
 
 
 def _compatible(new_element, old_element):
@@ -144,133 +147,138 @@ def _compatible(new_element, old_element):
     return any(cls is not Element and issubclass(cls, Element) for cls in shared)
 
 
-def _live_fastpaths(router):
-    """Every compiled :class:`FastPath` the router's engine holds."""
-    engine = getattr(router, "engine", None)
-    return engine.flavors() if engine is not None else []
+def resolve(graph, update):
+    """``update`` — a :class:`~repro.graph.diff.GraphDelta`, a
+    configuration graph, or configuration text — as the delta from
+    ``graph`` to it."""
+    if isinstance(update, GraphDelta):
+        return update
+    if isinstance(update, str):
+        from ..core.toolchain import load_config
 
-
-def chain_totals(fastpaths):
-    """``(emitted, re-linked, reused)`` chain counts summed over
-    compiled fast paths — what :class:`SwapReport` calls recompiled,
-    re-linked and reused (``FastPathReport.emitted_units``,
-    ``relinked_units``, the rest)."""
-    recompiled = relinked = total = 0
-    for path in fastpaths:
-        report = path.report
-        recompiled += report.emitted_units
-        relinked += report.relinked_units
-        total += report.push_chains + report.pull_chains + report.task_units
-    return recompiled, relinked, total - recompiled - relinked
-
-
-def hotswap(old_router, new_graph, profile=None, validate=True, delta=None, **router_kwargs):
-    """Two-phase-commit hot-swap: build a Router from ``new_graph``,
-    transferring state from ``old_router`` for same-named compatible
-    elements and carrying the old router's
-    :class:`~repro.runtime.profile.ExecutionProfile` (mode, batch
-    flavor, adaptive config, supervision) unless ``profile`` overrides
-    it.  ``delta`` (:func:`~repro.graph.diff.diff_graphs` when not
-    supplied) is what the report says changed.  On success the old
-    router is retired and a :class:`SwapResult` returned; on any
-    failure a :class:`HotswapError` is raised and the old router keeps
-    serving, untouched."""
-    if profile is None:
-        profile = old_router.profile
-
-    if new_graph.element_classes:
+        update = load_config(update, "<update>")
+    if update.element_classes:
         from ..core.flatten import flatten
 
-        new_graph = flatten(new_graph)
+        update = flatten(update)
+    return diff_graphs(graph, update)
 
-    report = SwapReport("full-swap", profile=profile.label)
+
+def hotswap(router, update, validate=True):
+    """§5.1's hot-swap, in the live ``router``: install ``update`` (a
+    delta, a graph or text, as :func:`resolve` takes it) with a new
+    instance of *every* element, each given its same-named
+    predecessor's declared state.  Returns the :class:`SwapReport`; on
+    any failure raises :class:`HotswapError` and the router serves on,
+    untouched."""
     started = time.perf_counter()
+    delta = resolve(router.graph, update)
+    report = SwapReport("scoped-swap", profile=router.profile.label, delta=delta.summary())
+    report.phases["diff"] = time.perf_counter() - started
+    install(router, delta, report, renew_all=True, validate=validate)
+    return report
 
-    # Phase 1a: validate.  Everything check would reject, the kernel
-    # installer would have rejected before touching the live router.
-    if validate:
-        check_graph(new_graph)
-    report.phases["validate"] = time.perf_counter() - started
 
-    # An explicit delta (a shard's) wins; without one, diff the graphs.
-    old_graph = getattr(old_router, "graph", None)
-    if delta is None and old_graph is not None:
-        delta = diff_graphs(old_graph, new_graph)
-    if delta is not None:
-        report.kind = "scoped-swap"
-        report.delta = delta.summary()
-
-    router_kwargs.setdefault("devices", old_router.devices)
-    router_kwargs.setdefault("meter", old_router.meter)
-
-    # Phase 1b: build (reference mode first — state transfer happens on
-    # plain wiring; the carried profile compiles afterwards, over the
-    # transferred state).
-    started = time.perf_counter()
+def install(router, delta, report, renew_all=False, validate=True):
+    """Install ``delta`` in the live ``router`` in two phases, timing
+    each step into ``report``.  Stage everything that can fail while
+    the router serves on: the ``check`` pass, a new instance of every
+    element added, re-classed or reconfigured (of every element, with
+    ``renew_all``) — configured, wired, initialized and given its
+    predecessor's state — and the wiring planned over the new graph.
+    Then commit (:func:`_commit`).  Raises :class:`HotswapError`, the
+    router as it was, if any step fails."""
     try:
-        new_router = Router(new_graph, **router_kwargs)
+        started = time.perf_counter()
+        new_graph = delta.apply_to(router.graph)
+        if validate:
+            check_graph(new_graph)
+        report.phases["validate"] = time.perf_counter() - started
+        started = time.perf_counter()
+        classes = router._classes
+        if new_graph.archive != router.graph.archive:
+            overlay = dict(classes.maps[0], **compile_archive_classes(new_graph.archive))
+            classes = ChainMap(overlay, *classes.maps[1:])
+        elements, fresh = {}, {}  # the new graph's elements; the new instances among them
+        for decl in new_graph.elements.values():
+            old = router.elements.get(decl.name)
+            if renew_all or old is None or type(old) is not classes.get(decl.class_name) or old.config_string != decl.config:
+                old = fresh[decl.name] = instantiate(router, decl, classes)
+            elements[decl.name] = old
+        plan = plan_wiring(new_graph, elements, classes)
+        wire(elements, plan, fresh)
+        for element in fresh.values():
+            element.initialize()
+        report.phases["build"] = time.perf_counter() - started
+        started = time.perf_counter()
+        for name, element in fresh.items():
+            old = router.elements.get(name)
+            if old is None or not _compatible(element, old):
+                continue
+            try:
+                took = take_state(element, old)
+            except Exception as exc:
+                raise HotswapError(
+                    "state transfer for %r failed; old router still serving: %s: %s"
+                    % (name, type(exc).__name__, exc)
+                ) from exc
+            if took:
+                report.transferred.append(name)
+        report.phases["transfer"] = time.perf_counter() - started
+        # Rewired: a new instance, one whose planned wiring is not its
+        # live ports', and one that connects to a new instance.
+        rewired = {name for name, entry in plan.items() if name in fresh or entry != wiring_of(elements[name])
+                   or any(end is not None and end[0] in fresh for end in entry[2] + entry[3])}
+        _commit(router, new_graph, classes, elements, plan, rewired.difference(fresh), rewired, report)
+    except HotswapError:
+        raise
     except Exception as exc:
         raise HotswapError(
-            "building the new router failed; old router still serving: %s: %s"
-            % (type(exc).__name__, exc)
+            "installing the update failed; old router still serving: %s: %s" % (type(exc).__name__, exc)
         ) from exc
-    report.phases["build"] = time.perf_counter() - started
 
-    # Phase 1b': carry fault injection (chaos harness).  Wrappers must be
-    # installed before the carried mode compiles so the compiler sees
-    # them; injector counters are keyed by element name, so fault
-    # schedules continue across the swap.
-    injector = getattr(old_router, "fault_injector", None)
-    if injector is not None:
-        injector.prepare_router(new_router)
 
-    # Phase 1c: transfer state.  take_state reads the old element and
-    # mutates only the new one, so a failure here abandons the half-built
-    # new router without having disturbed the old.
+def _commit(router, new_graph, classes, elements, plan, rewire, changed, report):
+    """Swap the staged ``elements`` in, give those in ``rewire`` new
+    ports, initialize every element again (RED finds its queues over
+    the new wiring), rebuild tasks and graph, and let the engine
+    rewrite each flavor's chains that hold an element ``changed`` or
+    removed; the supervisor then guards the tasks as they are.  If that
+    fails, everything is put back and it raises."""
     started = time.perf_counter()
-    transferred = []
-    for name, new_element in new_router.elements.items():
-        old_element = old_router.find(name)
-        if old_element is None or not _compatible(new_element, old_element):
-            continue
-        try:
-            took = take_state(new_element, old_element)
-        except Exception as exc:
-            raise HotswapError(
-                "state transfer for %r failed; old router still serving: %s: %s"
-                % (name, type(exc).__name__, exc)
-            ) from exc
-        if took:
-            transferred.append(name)
-    report.phases["transfer"] = time.perf_counter() - started
-    report.transferred = transferred
-
-    # Phase 1d: compile the carried execution profile, and in it every
-    # chain that was forwarding in the old router.
-    started = time.perf_counter()
+    engine = router.engine
+    changed = changed.union(name for name in router.elements if name not in elements)
+    if engine is not None:
+        engine.uninstall()
+    old = router.elements, router.graph, router._classes, router._tasks
+    ports = {name: (e._output_ports, e._input_ports) for name, e in router.elements.items()}
     try:
-        new_router.configure(profile)
-        for old, new in zip(_live_fastpaths(old_router), _live_fastpaths(new_router)):
-            live = [key for key, pair in old._compiled.items() if not is_pending(pair[0])]
-            new.materialize([key for key in live if key in new._compiled])
-    except Exception as exc:
-        raise HotswapError(
-            "compiling the new router (profile=%s) failed; old router still "
-            "serving: %s: %s" % (profile.label, type(exc).__name__, exc)
-        ) from exc
+        router.elements, router.graph, router._classes = elements, new_graph, classes
+        wire(elements, plan, rewire)
+        if router.fault_injector is not None:
+            router.fault_injector.prepare_router(router)
+        for element in elements.values():
+            element.initialize()
+        router._tasks = [element for element in elements.values() if element.is_task()]
+        staged = engine.stage_restructure(changed) if engine is not None else None
+    except BaseException:
+        router.elements, router.graph, router._classes, router._tasks = old
+        for name, (outputs, inputs) in ports.items():
+            old[0][name]._output_ports, old[0][name]._input_ports = outputs, inputs
+        for element in router.elements.values():
+            element.initialize()
+        if engine is not None:
+            engine.install()
+        if router.supervisor is not None:
+            router.supervisor.rebind()
+        raise
     report.phases["compile"] = time.perf_counter() - started
-    totals = chain_totals(_live_fastpaths(new_router))
-    report.chains_recompiled, report.chains_relinked, report.chains_reused = totals
-
-    # Phase 2: commit.
     started = time.perf_counter()
-    new_router.hotswap_transferred = transferred
-    retired = _live_fastpaths(old_router)
-    old_router.retire()
-    for path in retired:
-        path.release()
+    rebuilt = engine.commit_restructure(staged) if engine is not None else []
+    if router.supervisor is not None:
+        router.supervisor.rebind()
     report.phases["commit"] = time.perf_counter() - started
-    return SwapResult(new_router, report)
+    report.count_chains(rebuilt)
 
 
 def take_state(new, old):

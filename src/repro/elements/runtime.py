@@ -1,9 +1,9 @@
 """The runtime router: instantiate, wire, and drive a configuration.
 
 A :class:`Router` is built from a *finished* RouterGraph.  §5.1 changes
-a configuration by installing an entirely new one
-(:func:`repro.elements.hotswap.hotswap`); the control plane
-(:mod:`repro.control`) instead changes the live router in place, with
+a configuration by installing an entirely new one; here a hot-swap
+(:func:`repro.elements.hotswap.hotswap`) and a structural update
+(:mod:`repro.control`) both do that inside the live router, with
 :func:`instantiate`, :func:`plan_wiring` and :func:`wire` — the steps
 the build itself runs.  Compound elements must already be flattened
 (:mod:`repro.core.flatten` does this, as the Click kernel parser does
@@ -165,7 +165,6 @@ class Router:
         self._profile = ExecutionProfile()
         self.supervisor = None
         self.fault_injector = None
-        self.retired = False
         # Keep the caller's mapping object (even when empty): device
         # lookups go through its .get, so callers may pass lazy or
         # auto-populating mappings.
@@ -214,7 +213,7 @@ class Router:
     def profile(self):
         """The :class:`~repro.runtime.profile.ExecutionProfile` this
         router currently runs under: the one last applied, with
-        supervision read from live state (a retired router runs none)."""
+        supervision read from live state."""
         supervisor = self.supervisor
         return replace(self._profile, supervisor=supervisor.config if supervisor is not None else None)
 
@@ -274,17 +273,6 @@ class Router:
             self.engine = None
         self._profile = self._profile.with_mode("reference")
 
-    def retire(self):
-        """Decommission this router after a whole-text hot-swap:
-        supervision and compiled state come off, and the scheduler goes
-        inert.  The wiring and element state stay readable (the swap's
-        ``take_state`` already copied what the new router carries)."""
-        if self.retired:
-            return
-        self.supervisor = None
-        self._drop_engine()
-        self.retired = True
-
     def force_deopt(self, reason="forced"):
         """Deterministic harness hook: force the tiering engine back to
         tier 1 (profiles reset, specialized code discarded).  A no-op in
@@ -327,11 +315,8 @@ class Router:
         """Drive the polling scheduler: each iteration gives every task
         element one run_task call — its loop, or the unit compiled
         from it (Click's constantly-active kernel thread,
-        round-robin).  A retired router (after a hot-swap) is
-        inert.  Under supervision each task call is the error boundary
-        (:meth:`_run_tasks_supervised`)."""
-        if self.retired:
-            return 0
+        round-robin).  Under supervision each task call is the error
+        boundary (:meth:`_run_tasks_supervised`)."""
         if self.supervisor is not None:
             return self._run_tasks_supervised(iterations)
         useful = 0

@@ -21,7 +21,8 @@ journal:
 ``["deopt"]``                     force a tiered engine back to tier 1
 ``["configure", PROFILE]``        re-run under an ``ExecutionProfile``
                                   (journal only: the oracle runs every mode)
-``["hotswap", CONFIG]``           transactional hot-swap, carrying state
+``["hotswap", CONFIG]``           transactional hot-swap in place: every
+                                  element renewed, its state carried
 ``["update", CONFIG]``            control-plane update (:mod:`repro.control`),
                                   in place, structural ones included
 ================================  ========================================
@@ -41,11 +42,10 @@ from __future__ import annotations
 
 def apply(router, event, devices=None):
     """Run one event on ``router``, whose devices by name are
-    ``devices``.  Returns ``(router, report)``: a single router changes
-    identity across a hot-swap, and ``report`` is a hot-swap's or an
-    update's :class:`~repro.elements.hotswap.SwapReport`, else None."""
+    ``devices``.  Returns a hot-swap's or an update's
+    :class:`~repro.elements.hotswap.SwapReport`, else None; either
+    installs in the live router, which keeps its identity."""
     kind = event[0]
-    report = None
     if kind == "frame":
         device = devices.get(event[1])
         if device is not None:
@@ -67,34 +67,23 @@ def apply(router, event, devices=None):
     elif kind == "configure":
         router.configure(event[1])
     elif kind in ("hotswap", "update"):
-        config = event[1] if len(event) > 1 else router.graph.copy()
+        from .graph.diff import GraphDelta
+
+        config = event[1] if len(event) > 1 else GraphDelta()
         if getattr(router, "is_sharded", False):
-            # The plane installs on every shard transactionally and
-            # keeps its own identity.
+            # The plane installs on every shard transactionally.
             install = router.hotswap_all if kind == "hotswap" else router.apply_update
-            report = install(config)
-        elif kind == "hotswap":
+            return install(config)
+        if kind == "hotswap":
             from .elements.hotswap import hotswap
-            from .graph.diff import GraphDelta
 
-            delta = None
-            if isinstance(config, GraphDelta):
-                delta, config = config, config.apply_to(router.graph)
-            elif isinstance(config, str):
-                from .core.toolchain import load_config
+            return hotswap(router, config)
+        from .control import ControlPlane
 
-                config = load_config(config, "<hotswap>")
-            result = hotswap(router, config, delta=delta)
-            router, report = result.router, result.report
-        else:
-            from .control import ControlPlane
-
-            plane = ControlPlane(router)
-            report = plane.apply(config)
-            router = plane.router
+        return ControlPlane(router).apply(config)
     else:
         raise ValueError("unknown event %r" % (kind,))
-    return router, report
+    return None
 
 
 def read_counters(router):

@@ -53,10 +53,9 @@ the workers and the journal get the delta: no worker parses text after
 it is built.  A pure-data update is staged on every shard and only then
 committed everywhere, so a rejected update leaves every shard on the old
 tables; a structural one, like :meth:`ShardedRouter.hotswap_all`, is
-installed shard by shard (in place; a hot-swap builds each shard a new
-router) and undone on the installed ones by the inverse delta if any
-rejects.  Either is journaled only once every live shard
-acknowledged it.
+installed shard by shard, in place, and undone on the installed ones by
+the inverse delta if any rejects.  Either is journaled only once every
+live shard acknowledged it.
 
 Worker faults: a shard's journal holds everything it was given since
 birth, so a fresh worker that replays it reconstructs byte-identical
@@ -596,7 +595,6 @@ def _shard_worker(
                 plane, batch, delta, stage_seconds = staged
                 staged = None
                 report = plane.commit_patch(batch, delta)
-                router = plane.router
                 report.phases["stage"] = stage_seconds
                 report.phases.move_to_end("patch")
                 send(("committed", report))
@@ -639,7 +637,7 @@ def _shard_worker(
                 # undivided, as the journal holds it.
                 if share is not None and isinstance(cmd[-1], GraphDelta):
                     cmd = (op, _divided_delta(cmd[1], router, *share))
-                router, swap_report = apply(router, cmd)
+                swap_report = apply(router, cmd)
         except PoisonFrameError:
             raise
         except Exception as exc:  # noqa: BLE001 - reported through the protocol
@@ -956,7 +954,7 @@ class ShardedRouter:
 
     Mirrors the single-router driving surface — ``run_tasks``,
     ``find``/``insert`` fan-out, ``bump_arp_epochs``, ``force_deopt``,
-    ``configure``/``profile``, ``retire`` — plus the sharded extras:
+    ``configure``/``profile`` — plus the sharded extras:
     :meth:`apply_update` (transactional control-plane commit across all
     shards), :meth:`hotswap_all`, :meth:`crash_worker` (fault-injection
     hook), :meth:`merged_counters`, :meth:`report` and :meth:`export_case`.
@@ -1850,10 +1848,6 @@ class ShardedRouter:
                     pass
                 transport.close()
         self.retired = True
-
-    def retire(self):
-        """Decommission (hot-swap parity with ``Router.retire``)."""
-        self.close()
 
     def __del__(self):
         try:

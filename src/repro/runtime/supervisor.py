@@ -37,10 +37,10 @@ the whole router.  Every packet a router moves is moved by some task's
 
 Nothing is attached to the router's ports, so there is nothing to
 detach: ``Router.configure`` builds a fresh supervisor for a supervised
-profile, a whole-text hot-swap carries its config to the new router, a
-rules patch leaves every pin standing (it swaps the new code under the
-functions a pin holds), and a structural update keeps the supervisor
-and pins its tasks again (:meth:`Supervisor.rebind`).  A metered
+profile, a rules patch leaves every pin standing (it swaps the new code
+under the functions a pin holds), and a hot-swap or a structural update
+keeps the supervisor, guards the renewed tasks afresh and pins the
+others again (:meth:`Supervisor.rebind`).  A metered
 router may be supervised: no boundary sits on a call site the meter
 charges.
 """
@@ -234,15 +234,18 @@ class Supervisor:
         return guard
 
     def rebind(self):
-        """After a structural update in place: a guard whose task is gone
-        or replaced goes, and every other one pins its task again (the
-        engine's pins went with its ports).  The error totals stand."""
+        """After an install in place: a guard whose task is gone or
+        replaced goes, every other one pins its task again (the engine's
+        pins went with its ports), and a new task gets a guard.  The
+        error totals stand."""
         engine = self.router.engine
         for name, guard in list(self.guards.items()):
             if self.router.elements.get(name) is not guard.task:
                 del self.guards[name]
             elif guard.level and engine is not None:
                 engine.pin(guard.task, guard.level)
+        for task in self.router.tasks:
+            self.guard(task)
 
     def note_error(self, task, text):
         self.task_error_count += 1

@@ -184,7 +184,7 @@ def run_case(
             if injector is not None and event[0] == "run":
                 injector.tick()  # device faults land at one pass in every mode
             try:
-                router = apply(router, event, devices)[0]
+                apply(router, event, devices)
             except Exception:  # noqa: BLE001 - re-raised unless contained
                 # Chaos runs: an injected fault firing inside the ARP-reply
                 # flush is contained at this control-plane boundary.  The

@@ -8,7 +8,7 @@ import pytest
 
 from repro.control import ControlPlane, ControlPlaneError
 from repro.core.toolchain import save_config
-from repro.elements.hotswap import SwapReport
+from repro.elements.hotswap import HotswapError, SwapReport, hotswap
 from repro.elements.infrastructure import Counter
 from repro.elements.runtime import wiring_of
 from repro.events import read_counters
@@ -182,7 +182,7 @@ class TestStructural:
         assert report.chains_reused > 0
         assert report.chains_recompiled > 0
         assert list(report.phases) == ["diff", "validate", "build", "transfer", "compile", "commit"]
-        assert plane.router is old and not old.retired
+        assert plane.router is old
         assert "xcount" in plane.router.elements
         assert all(plane.router.elements[name] is element for name, element in elements.items())
         assert not report.transferred  # nothing was replaced
@@ -205,7 +205,7 @@ class TestStructural:
         graph.add_element("dangling", "Counter", None)  # unconnected ports
         with pytest.raises(ControlPlaneError, match="old router still serving"):
             plane.apply(graph)
-        assert plane.router is old and not old.retired
+        assert plane.router is old and "dangling" not in old.elements
 
 
 #: The stock IP router with one named Counter inserted before ``dt0``.
@@ -233,6 +233,16 @@ def chain_state(router):
 
 def transmitted(devices):
     return {name: [bytes(frame) for frame in device.transmitted] for name, device in devices.items()}
+
+
+def assert_chains_add_up(report, router):
+    """Recompiled, re-linked, reused and deferred chains add up to the
+    compiled flavors' chain edges after the update."""
+    flavors = router.engine.flavors()
+    counts = (report.chains_recompiled, report.chains_relinked, report.chains_reused, report.chains_deferred)
+    assert sum(counts) == sum(len(flavor._chain_edges()) for flavor in flavors), counts
+    assert report.as_dict()["chains_deferred"] == report.chains_deferred
+    assert "%d reused, %d deferred" % counts[2:] in report.format()
 
 
 class TestStructuralInPlace:
@@ -269,10 +279,15 @@ class TestStructuralInPlace:
         emitted = [key for key, (chain, _code) in after.items() if before.get(key, (None,))[0] is not chain]
         assert len(emitted) == report.chains_recompiled
         assert all(before[key][0].elements & rewired for key in emitted)
+        # The stale chains nothing had entered, and cnt0's new edges,
+        # wait for their first packet.
+        assert report.chains_deferred == len(before) - kept - len(emitted) + 2
+        assert_chains_add_up(report, router)
         sent = sum(len(device.transmitted) for device in devices.values())
         assert drive(testbed, plane, devices, 64, start=2000) > sent
         assert router["cnt0"].count > 0
 
+    @pytest.mark.parametrize("install", ["update", "hotswap"])
     @pytest.mark.parametrize(
         "mode, failure",
         [
@@ -283,14 +298,15 @@ class TestStructuralInPlace:
             ("fdd", "emission"),
         ],
     )
-    def test_a_failed_update_leaves_the_router_as_its_twin(self, mode, failure, monkeypatch):
-        """An update that fails — a new element whose ``configure``
-        raises, or a stale live chain whose emission raises (in
-        ``reference`` mode nothing is emitted) — raises
-        :class:`ControlPlaneError` and leaves the router as a twin that
-        never saw it: the same elements and wiring, the same chain
-        records and code objects, and after more traffic the same bytes
-        on the wire and the same read handlers."""
+    def test_a_failed_update_leaves_the_router_as_its_twin(self, mode, failure, install, monkeypatch):
+        """An update or a hot-swap that fails — a new element whose
+        ``configure`` raises, or a stale live chain whose emission raises
+        (in ``reference`` mode nothing is emitted) — raises
+        :class:`ControlPlaneError` (:class:`HotswapError` from
+        ``hotswap``) and leaves the router as a twin that never saw it:
+        the same elements and wiring, the same chain records and code
+        objects, and after more traffic the same bytes on the wire and
+        the same read handlers."""
         profile = getattr(ExecutionProfile, mode)()
         testbed, plane, devices = self.warmed(profile, 512)
         _testbed, twin_plane, twin_devices = self.warmed(profile, 512)
@@ -314,8 +330,12 @@ class TestStructuralInPlace:
                 raise RuntimeError("injected emitter bug")
 
             monkeypatch.setattr(FastPath, "_emit_chain", emit_chain)
-        with pytest.raises(ControlPlaneError, match="injected"):
-            plane.apply(text)
+        if install == "update":
+            with pytest.raises(ControlPlaneError, match="injected"):
+                plane.apply(text)
+        else:
+            with pytest.raises(HotswapError, match="injected"):
+                hotswap(router, text)
         monkeypatch.undo()
         assert plane.router is router and router.graph is graph and router.elements == elements
         assert {name: wiring_of(element) for name, element in router.elements.items()} == wiring
@@ -328,13 +348,16 @@ class TestStructuralInPlace:
         assert transmitted(devices) == transmitted(twin_devices)
         assert read_counters(router) == read_counters(twin_plane.router)
 
-    def test_a_structural_update_keeps_the_runtime_totals(self):
+    @pytest.mark.parametrize("install", ["update", "hotswap"])
+    def test_a_structural_update_keeps_the_runtime_totals(self, install):
         """A supervised ``fdd`` router that has promoted, deoptimized,
         rebuilt a diagram and contained a chain error keeps all of it
-        across a structural update: ``plane.router`` is the same object,
-        the engine's ``recompiles`` and ``diagram_rebuilds`` read what
-        they did and its deopt log gains the update's one reason, and the
-        supervisor's ``chain_errors`` stands."""
+        across a structural update, and across a hot-swap that renews
+        every element: ``plane.router`` is the same object, so are its
+        engine and supervisor, the engine's ``recompiles`` reads what it
+        did, ``diagram_rebuilds`` grows only by the plans of the
+        classifiers a hot-swap renews, its deopt log gains the install's
+        one reason, and the supervisor's ``chain_errors`` stands."""
         testbed = Testbed(2)
         router, devices = testbed.build_router(testbed.variant_graph("base"), profile=ExecutionProfile.reference())
         injector = FaultInjector(FaultPlan([{"kind": "element_error", "element": "dt0", "after": 40}]))
@@ -351,10 +374,20 @@ class TestStructuralInPlace:
         errors = supervisor.report().totals["chain_errors"]
         assert totals[0] > 0 and totals[1] > 0 and len(totals[2]) >= 2 and errors == 1
 
-        report = plane.apply(probe_text(router))
+        elements = dict(router.elements)
+        if install == "update":
+            report = plane.apply(probe_text(router))
+        else:
+            report = hotswap(router, probe_text(router))
+            assert not any(router.elements[name] is element for name, element in elements.items())
+            assert set(report.transferred) >= {"c0", "rt", "arpq0", "out0"}
+            assert report.chains_recompiled > 0 and report.chains_reused == report.chains_relinked == 0
         assert report.kind == "scoped-swap" and plane.router is router
         assert router.engine is engine and router.supervisor is supervisor
-        assert (engine.recompiles, engine.diagram_rebuilds) == totals[:2]
+        assert_chains_add_up(report, router)
+        # A hot-swap renews the classifiers, so their plans are built again.
+        rebuilt = len(engine.tier1.policy.plans) if install == "hotswap" else 0
+        assert (engine.recompiles, engine.diagram_rebuilds) == (totals[0], totals[1] + rebuilt)
         assert engine.deopts == totals[2] + ["structural update"]
         assert supervisor.report().totals["chain_errors"] == errors
         drive(testbed, plane, devices, 256, start=2048)

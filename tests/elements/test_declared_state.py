@@ -138,12 +138,12 @@ def test_an_identity_swap_of_the_ip_router_keeps_every_carry_field():
     swap in the same configuration, and read every ``carry`` field back
     unchanged; a ``reset`` field reads what the configuration gives."""
     testbed = Testbed(2)
-    old, _devices = testbed.build_router(testbed.base_graph())
-    old["arpq0"].insert("1.0.0.2", "00:20:6f:00:00:02")
-    old["arpq0"]._headers[1] = b"stale"
+    router, _devices = testbed.build_router(testbed.base_graph())
+    router["arpq0"].insert("1.0.0.2", "00:20:6f:00:00:02")
+    router["arpq0"]._headers[1] = b"stale"
     carried = {}
     mark = 1000
-    for name, element in old.elements.items():
+    for name, element in router.elements.items():
         for field, (swap, _merge) in element.STATE.items():
             mark += 1
             setattr(element, field, _marked(getattr(element, field), mark))
@@ -152,8 +152,8 @@ def test_an_identity_swap_of_the_ip_router_keeps_every_carry_field():
     counters = [key for key in carried if isinstance(carried[key], int)]
     assert len(counters) >= 40
 
-    new = hotswap_router(old, testbed.base_graph()).router
-    kept = {key: settled(getattr(new[key[0]], key[1])) for key in carried}
+    report = hotswap_router(router, testbed.base_graph())
+    kept = {key: settled(getattr(router[key[0]], key[1])) for key in carried}
     assert kept == carried
-    assert new["arpq0"]._headers == {}
-    assert set(new.hotswap_transferred) >= {name for name, _field in carried}
+    assert router["arpq0"]._headers == {}
+    assert set(report.transferred) >= {name for name, _field in carried}

@@ -21,28 +21,28 @@ class TestHotswap:
     )
 
     def test_queue_contents_survive(self):
-        old = Router(parse_graph(self.BASE))
+        router = Router(parse_graph(self.BASE))
         for tag in (b"a", b"b", b"c"):
-            old.push_packet("c", 0, Packet(tag))
-        new = hotswap_router(old, parse_graph(self.EXTENDED)).router
-        assert [new["q"].pull(0).data for _ in range(3)] == [b"a", b"b", b"c"]
-        assert "q" in new.hotswap_transferred
+            router.push_packet("c", 0, Packet(tag))
+        report = hotswap_router(router, parse_graph(self.EXTENDED))
+        assert [router["q"].pull(0).data for _ in range(3)] == [b"a", b"b", b"c"]
+        assert "q" in report.transferred
 
     def test_counter_state_survives(self):
-        old = Router(parse_graph(self.BASE))
+        router = Router(parse_graph(self.BASE))
         for _ in range(5):
-            old.push_packet("c", 0, Packet(b"x"))
-        new = hotswap_router(old, parse_graph(self.EXTENDED)).router
-        assert new["c"].count == 5
+            router.push_packet("c", 0, Packet(b"x"))
+        hotswap_router(router, parse_graph(self.EXTENDED))
+        assert router["c"].count == 5
 
     def test_excess_queue_contents_dropped_into_drop_counter(self):
-        old = Router(parse_graph(self.BASE))
+        router = Router(parse_graph(self.BASE))
         for index in range(6):
-            old.push_packet("c", 0, Packet(bytes([index])))
+            router.push_packet("c", 0, Packet(bytes([index])))
         small = self.BASE.replace("Queue(8)", "Queue(4)")
-        new = hotswap_router(old, parse_graph(small)).router
-        assert len(new["q"]) == 4
-        assert new["q"].drops == 2
+        hotswap_router(router, parse_graph(small))
+        assert len(router["q"]) == 4
+        assert router["q"].drops == 2
 
     def test_arp_table_survives_optimization(self):
         """Optimize a live router: the devirtualized ARPQuerier keeps
@@ -52,26 +52,26 @@ class TestHotswap:
         from repro.sim.testbed import Testbed
 
         testbed = Testbed(2)
-        old, devices = testbed.build_router(testbed.base_graph())
-        old["arpq0"].insert("1.0.0.77", "00:11:22:33:44:55")
+        router, devices = testbed.build_router(testbed.base_graph())
+        router["arpq0"].insert("1.0.0.77", "00:11:22:33:44:55")
         optimized = load_config(save_config(devirtualize(testbed.base_graph())))
-        new = hotswap_router(old, optimized).router
-        assert new["arpq0"].table[0x0100004D] == "00:11:22:33:44:55"
-        assert new["arpq0"].devirtualized
+        hotswap_router(router, optimized)
+        assert router["arpq0"].table[0x0100004D] == "00:11:22:33:44:55"
+        assert router["arpq0"].devirtualized
 
     def test_unmatched_names_start_fresh(self):
-        old = Router(parse_graph(self.BASE))
-        old.push_packet("c", 0, Packet(b"x"))
+        router = Router(parse_graph(self.BASE))
+        router.push_packet("c", 0, Packet(b"x"))
         renamed = self.BASE.replace("c :: Counter", "c2 :: Counter").replace("f -> c ", "f -> c2 ")
-        new = hotswap_router(old, parse_graph(renamed)).router
-        assert new["c2"].count == 0
+        hotswap_router(router, parse_graph(renamed))
+        assert router["c2"].count == 0
 
     def test_incompatible_classes_not_transferred(self):
-        old = Router(parse_graph("f :: Idle; c :: Counter; f -> c -> Discard;"))
-        old.push_packet("c", 0, Packet(b"x"))
+        router = Router(parse_graph("f :: Idle; c :: Counter; f -> c -> Discard;"))
+        router.push_packet("c", 0, Packet(b"x"))
         new_graph = parse_graph("f :: Idle; c :: Paint(1); f -> c -> Discard;")
-        new = hotswap_router(old, new_graph).router
-        assert "c" not in new.hotswap_transferred
+        report = hotswap_router(router, new_graph)
+        assert "c" not in report.transferred
 
 
 class TestPcap:

@@ -435,8 +435,9 @@ def test_ineligible_tasks_run_the_element_loop(mode, batch):
 
 @pytest.mark.parametrize("profile", [ExecutionProfile.fast(), ExecutionProfile.fdd(batch=True).with_supervision()], ids=str)
 def test_nothing_is_left_on_the_tasks_of_a_router_that_stops_compiling(profile):
-    """``uninstall()``, ``retire()``, a reference profile and a hot-swap
-    each take the units off with the ports."""
+    """``uninstall()``, a reference profile and a hot-swap each take the
+    units off with the ports: a hot-swap off the tasks it replaces, and
+    its own units go on the new ones."""
     from repro.elements.hotswap import hotswap
 
     def tasks_are_clean(router):
@@ -450,17 +451,15 @@ def test_nothing_is_left_on_the_tasks_of_a_router_that_stops_compiling(profile):
     router.configure(ExecutionProfile.reference())
     assert tasks_are_clean(router)
     router, _devices = pipe(profile)
-    router.retire()
-    assert tasks_are_clean(router)
-    router, devices = pipe(profile)
+    replaced = router.tasks
     graph = router.graph.copy()
     graph.add_element("idle", "Idle", None)
     graph.add_element("sink", "Discard", None)
     graph.add_connection("idle", 0, "sink", 0)
-    successor = hotswap(router, graph, devices=devices).router
-    assert tasks_are_clean(router) and router.retired
-    assert runs_units(successor) == {"src", "dst"}
-    assert successor.fastpath is not router.fastpath
+    hotswap(router, graph)
+    assert not any("run_task" in vars(task) for task in replaced)
+    assert not set(map(id, replaced)) & set(map(id, router.tasks))
+    assert runs_units(router) == {"src", "dst"}
 
 
 # -- the report ----------------------------------------------------------------

@@ -463,35 +463,39 @@ def reachable_from(roots):
 
 
 def test_scoped_hotswap_rebinds_onto_the_new_router(compile_calls):
-    """A whole-text hot-swap compiles like a fresh build: every bind is
-    the new router's, so nothing of the old router is reachable from the
-    new fast path's namespace; the edit changed the module text, so every
-    chain is emitted, and the chains that were forwarding in the old
-    router are compiled inside the swap."""
-    _testbed, old, _devices = build(ExecutionProfile.fast())
-    before = old.fastpath
-    before.materialize()
-    graph = old.graph.copy()
-    conn = next(c for c in graph.connections if c.from_element == "rt" and c.from_port == 1)
-    graph.remove_connection(conn)
-    graph.add_element("xcount", "Counter", None)
-    graph.add_connection("rt", 1, "xcount", 0)
-    graph.add_connection("xcount", 0, conn.to_element, conn.to_port)
-    old_objects = {id(old): old}
-    old_objects.update((id(element), element) for element in old.elements.values())
+    """A whole-text hot-swap renews every element in place: every bind
+    is a new element's, so no replaced element is reachable from any
+    flavor's namespace (in ``fast``, ``fdd`` and supervised batched
+    ``fdd``); every chain was stale, so the chains that were forwarding
+    are emitted again and compiled inside the swap, and the others wait
+    for their first packet."""
+    for profile in (ExecutionProfile.fast(), ExecutionProfile.fdd(), ExecutionProfile.fdd(batch=True).with_supervision()):
+        _testbed, router, _devices = build(profile)
+        flavors = router.engine.flavors()
+        for flavor in flavors:
+            flavor.materialize()
+        graph = router.graph.copy()
+        conn = next(c for c in graph.connections if c.from_element == "rt" and c.from_port == 1)
+        graph.remove_connection(conn)
+        graph.add_element("xcount", "Counter", None)
+        graph.add_connection("rt", 1, "xcount", 0)
+        graph.add_connection("xcount", 0, conn.to_element, conn.to_port)
+        replaced = {id(element) for element in router.elements.values()}
+        live = {id(flavor): set(flavor.chains) for flavor in flavors}
 
-    del compile_calls[:]
-    result = hotswap(old, graph)
-    new = result.router
-    fastpath = new.fastpath
-    assert result.report.kind == "scoped-swap"
-    assert fastpath.report.emitted_units == len(fastpath.chains) == result.report.chains_recompiled
-    live = set(before.chains) & set(fastpath.chains)
-    assert fastpath.report.compiled_units == len(compile_calls) == len(live)
-    assert not any(is_pending(fastpath.function_for(key)) for key in live)
-    reached = reachable_from(fastpath._namespace.values())
-    assert id(new) in reached
-    assert not set(reached) & set(old_objects)
+        del compile_calls[:]
+        report = hotswap(router, graph)
+        assert report.kind == "scoped-swap" and report.chains_reused == 0
+        assert report.chains_recompiled == len(compile_calls) == sum(
+            len(live[id(flavor)] & set(flavor.chains)) for flavor in flavors
+        )
+        assert router.engine.flavors() == flavors
+        for flavor in flavors:
+            kept = live[id(flavor)] & set(flavor.chains)
+            assert not any(is_pending(flavor.function_for(key)) for key in kept)
+            reached = reachable_from(flavor._namespace.values())
+            assert id(router) in reached
+            assert not set(reached) & replaced, profile
 
 
 def churn_schedule(graph, count, rng):
@@ -522,8 +526,8 @@ def test_in_place_churn_never_compiles_where_hotswaps_do(compile_calls):
     all patched in place without one ``compile()`` (the run's only
     compiles are its chains' first entries, and a rules patch that swaps
     two arms re-links); the same 16 installed as whole-text hot-swaps
-    compile, inside each swap, every chain that was forwarding in the old
-    router and whose text the cache does not hold — and both put the
+    compile, inside each swap, every chain that was forwarding (a swap
+    renews every element, so every chain is stale) — and both put the
     same bytes on the wire, none dropped by an install."""
     updates, burst = 16, 8
     compiles, entries, wires = {}, {}, {}
@@ -547,8 +551,8 @@ def test_in_place_churn_never_compiles_where_hotswaps_do(compile_calls):
                 graph.elements[name].config = ", ".join(args)
                 flavors = (router.engine.tier1, router.engine.profiled)
                 live = [{key for key, pair in f._compiled.items() if not is_pending(pair[0])} for f in flavors]
-                router = hotswap(router, graph).router
-                for keys, flavor in zip(live, (router.engine.tier1, router.engine.profiled)):
+                hotswap(router, graph)
+                for keys, flavor in zip(live, flavors):
                     assert not any(is_pending(flavor.function_for(key)) for key in keys)
             compiles[path] += len(compile_calls) - before
         router.run_tasks(64)

@@ -143,7 +143,7 @@ def forwarded(case, batch):
                           profile=ExecutionProfile.fdd(batch=batch))
     traffic = [event for event in case["events"] if event[0] in ("frame", "run")]
     for event in traffic:
-        router, _report = apply(router, event, devices)
+        apply(router, event, devices)
     return router, devices, traffic
 
 
@@ -163,13 +163,13 @@ def run_patched(case, batch, rng, edits=2):
         if text is None:
             continue
         before = dict(tier1.chains)
-        router, _report = apply(router, ["update", text], devices)
+        apply(router, ["update", text], devices)
         tier1 = router.engine.tier1
         refilled = check_refilled(tier1, before)
         relinked += tier1.report.relinked_units
         check_live_chains(tier1, refilled, checked)
         for event in traffic[: len(traffic) // 2]:
-            router, _report = apply(router, event, devices)
+            apply(router, event, devices)
         check_live_chains(router.engine.tier1, (), checked)
     return relinked
 
@@ -214,12 +214,12 @@ def test_a_firewall_port_edited_again_relinks_to_compiled_code(batch):
     devices = {name: LoopbackDevice(name, tx_capacity=1 << 20) for name in device_names(case["config"])}
     router = build_router(load_config(case["config"]), devices=devices, profile=ExecutionProfile.fdd(batch=batch))
     for event in case["events"]:
-        router, _report = apply(router, event, devices)
+        apply(router, event, devices)
     tier1 = router.engine.tier1
     for port, relinked in ((1000, 0), (2000, 1), (3000, 1)):
         text = case["config"].replace("dst port 25", "dst port %d" % port, 1)
         before = dict(tier1.chains)
-        router, _report = apply(router, ["update", text], devices)
+        apply(router, ["update", text], devices)
         assert router.engine.tier1 is tier1 and tier1.report.relinked_units == relinked
         check_live_chains(tier1, {key for key, chain in tier1.chains.items() if before.get(key) is not chain})
 
@@ -290,7 +290,7 @@ def test_a_patch_that_moves_a_location_the_gate_or_a_leaf_emits_and_compiles(bat
         assert check_refilled(tier1, before) == ({key} if moved is None else set())
         check_live_chains(tier1, {key}, checked)
         for event in traffic:
-            router, _report = apply(router, event, devices)
+            apply(router, event, devices)
         check_live_chains(tier1, (), checked)
 
 
@@ -318,7 +318,7 @@ def test_a_plan_over_budget_falls_back_to_the_matcher_emission(batch):
     check_live_chains(tier1)
     sent = len(devices["eth1"].transmitted)
     for event in traffic:
-        router, _report = apply(router, event, devices)
+        apply(router, event, devices)
     assert len(devices["eth1"].transmitted) > sent
 
 

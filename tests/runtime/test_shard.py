@@ -360,22 +360,47 @@ class TestControlFanout:
 
     def test_identity_hotswap_is_still_a_swap(self):
         """A hot-swap to the committed configuration ships an empty
-        delta, and every shard still swaps: a scoped swap that reuses
-        every chain."""
+        delta, and every shard still swaps: every element is renewed
+        with its state carried, every chain that was live is emitted
+        again, none is kept, and the four chain counts add up to the
+        chain edges — counted on a router replaying shard 0's journal
+        up to the swap.  (The codegen cache starts empty: a build that
+        shares compiled records starts with live chains.)"""
+        from repro.classifier.compile import is_pending
         from repro.graph.diff import GraphDelta
+        from repro.verify.oracle import device_names
 
+        default_cache().clear()
         testbed, router, devices = sharded_testbed(2, self.backend, journal=True)
         try:
             drive(testbed, router, devices, 64)
             report = router.hotswap_all(save_config(router.graph))
             assert (report.kind, report.delta) == ("scoped-swap", "no changes")
-            assert report.chains_recompiled == 0 and report.chains_reused > 0
             ((_kind, delta),) = [cmd for cmd in router._journals[1] if cmd[0] == "hotswap"]
             assert isinstance(delta, GraphDelta) and delta.empty
+            case = router.export_case(0)
             drive(testbed, router, devices, 64, offset=64)
             assert sum(len(d.transmitted) for d in devices.values()) == 128
         finally:
             router.close()
+        events = case["events"][: [event[0] for event in case["events"]].index("hotswap")]
+        default_cache().clear()
+        replica_devices = {name: LoopbackDevice(name, tx_capacity=1 << 30) for name in device_names(case["config"])}
+        replica = build_router(
+            load_config(case["config"], "<replay>"), devices=replica_devices, profile=ExecutionProfile.fast(batch=True)
+        )
+        for event in events:
+            apply(replica, event, replica_devices)
+        live = sum(not is_pending(entry) for entry, _batch in replica.fastpath._compiled.values())
+        counts = (report.chains_recompiled, report.chains_relinked, report.chains_reused, report.chains_deferred)
+        assert counts[:3] == (live, 0, 0) and live > 0
+        assert sum(counts) == len(replica.fastpath._chain_edges())
+        carrying = {
+            name
+            for name, element in replica.elements.items()
+            if any(swap == "carry" for swap, _merge in element.STATE.values())
+        }
+        assert set(report.transferred) == carrying
 
     def test_divide_capacity_divides_an_update(self):
         """Under ``divide_capacity`` a queue capacity an update rewrites
@@ -413,21 +438,31 @@ class TestControlFanout:
     def test_a_task_added_mid_text_runs_where_the_text_declares_it(self, kind):
         """A delta puts an added element at its place in the new text,
         so a task a hot-swap or a structural update adds mid-text runs
-        in the order a single plane's install gives it."""
-        single, devices = polls_plane(POLLS_ONE)
-        single, _report = apply(single, [kind, POLLS_TWO], devices)
-        expected = polled(single, devices)
-        plane, devices = polls_plane(POLLS_ONE, self.backend, journal=True)
-        try:
-            apply(plane, [kind, POLLS_TWO], devices)
-            assert sharded_transmit_difference(expected, polled(plane, devices)) is None
-            assert list(plane.graph.elements) == list(parse_graph(POLLS_TWO).elements)
-            for index in range(plane.workers):
-                events = plane.export_case(index)["events"]
-                ((_kind, text),) = [event for event in events if event[0] == kind]
-                assert list(load_config(text, "<export>").elements) == list(plane.graph.elements)
-        finally:
-            plane.close()
+        in the order a single plane's install gives it.  Declarations
+        both texts hold keep their live order, on one plane as on
+        shards: a text that only reorders them installs nothing new,
+        and one that also inserts a task puts it after its predecessor
+        in the text."""
+        for text in (POLLS_TWO, POLLS_ONE_REORDERED, POLLS_TWO_REORDERED):
+            single, devices = polls_plane(POLLS_ONE)
+            apply(single, [kind, text], devices)
+            expected = polled(single, devices)
+            order = list(single.graph.elements)
+            if text is POLLS_TWO:
+                assert order == list(parse_graph(POLLS_TWO).elements)
+            elif text is POLLS_ONE_REORDERED:
+                assert order == list(parse_graph(POLLS_ONE).elements)
+            plane, devices = polls_plane(POLLS_ONE, self.backend, journal=True)
+            try:
+                apply(plane, [kind, text], devices)
+                assert sharded_transmit_difference(expected, polled(plane, devices)) is None
+                assert list(plane.graph.elements) == order
+                for index in range(plane.workers):
+                    events = plane.export_case(index)["events"]
+                    for _kind, exported in [event for event in events if event[0] == kind]:
+                        assert list(load_config(exported, "<export>").elements) == order
+            finally:
+                plane.close()
 
     def test_rejected_hotswap_restores_a_removed_task_in_place(self):
         """Swapping back by the inverse delta puts a task the rejected
@@ -469,6 +504,11 @@ POLLS_TWO = (
     "td :: ToDevice(eth1); qb :: Queue(64); ub :: Unqueue; ua :: Unqueue; qa :: Queue(64); "
     "p -> c; c [0] -> qb -> ub -> out; c [1] -> qa -> ua -> out -> td;"
 )
+
+#: ``POLLS_ONE`` with ``ua`` declared first: the same graph, reordered.
+POLLS_ONE_REORDERED = POLLS_ONE.replace("ua :: Unqueue; ", "").replace("p :: PollDevice", "ua :: Unqueue; p :: PollDevice")
+#: ``POLLS_TWO`` with ``ua`` declared first: the insert, and a reorder.
+POLLS_TWO_REORDERED = POLLS_TWO.replace("ua :: Unqueue; ", "").replace("p :: PollDevice", "ua :: Unqueue; p :: PollDevice")
 
 
 def polls_plane(text, backend=None, journal=None, divide_capacity=False):

@@ -431,10 +431,9 @@ class TestReport:
 
 
 class TestSwapStorm:
-    """Regression guard for supervisor round-trips across hot-swap
-    generations: every generation must come up supervised, with working
-    guards and a live report, and the retired generation must run
-    none."""
+    """Regression guard for supervision across hot-swaps: after every
+    swap the router is supervised by the same supervisor, with guards
+    on the renewed tasks and a live report."""
 
     GRAPHS = (PIPE, PIPE.replace("Queue(8)", "Queue(16)"))
 
@@ -448,21 +447,17 @@ class TestSwapStorm:
             devices=devices,
             profile=ExecutionProfile.fast().with_supervision(),
         )
-        config = router.supervisor.config
+        supervisor = router.supervisor
         sent = 0
         for generation in range(8):
-            previous = router
-            router = hotswap_router(
-                previous, parse_graph(self.GRAPHS[generation % 2])
-            ).router
-            # The new generation is supervised with the same config; the
-            # retired one is fully detached.
-            assert router.supervisor is not None
-            assert router.supervisor.config is config
-            assert router.supervisor.router is router
-            assert previous.supervisor is None
-            # Guards are live on the *new* generation's tasks.
-            assert router.supervisor.guards["src"].task is router["src"]
+            replaced = router["src"]
+            hotswap_router(router, parse_graph(self.GRAPHS[generation % 2]))
+            # The same supervisor, bound to the same router.
+            assert router.supervisor is supervisor
+            assert supervisor.router is router
+            # Guards are live on the renewed tasks.
+            assert router["src"] is not replaced
+            assert supervisor.guards["src"].task is router["src"]
             feed(devices, 2, start=sent)
             sent += 2
             router.run_tasks(3)
