@@ -369,8 +369,7 @@ def optimize_main(argv=None):
 def _write_report_with_fastpath(dest, report, fastpath_section):
     """The pipeline's JSON report, extended with a ``fastpath`` section
     (compile time, chains emitted, per-chain generated-code size)
-    when the run also compiled one — a build that found its text in the
-    codegen cache shows ``emitted_units: 0``."""
+    when the run also compiled one."""
     if fastpath_section is None:
         _write_report(dest, report)
         return
@@ -449,7 +448,7 @@ def _fastpath_report(
     recovery section."""
     from ..elements.devices import LoopbackDevice
     from ..elements.runtime import Router
-    from ..runtime import ExecutionProfile, FastPath, default_cache
+    from ..runtime import ExecutionProfile, FastPath
 
     class AutoDevices(dict):
         # The optimized config can name any hardware; every lookup
@@ -474,7 +473,7 @@ def _fastpath_report(
     engine = router.engine
     if engine is None:
         # No tier flag (plain --fast): compile, don't install, report.
-        compile_report = FastPath(router, cache=default_cache()).report
+        compile_report = FastPath(router).report
     else:
         compile_report = engine.tier1.report
     text = compile_report.format()

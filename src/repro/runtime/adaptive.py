@@ -36,12 +36,11 @@ traffic changed shape, and the engine *deoptimizes* the chains that
 reach the offending element back to tier 1, resets the profile, and
 lets them climb again against fresh counters.
 
-The recompile is emission alone when the text is known: the codegen
-cache is keyed by the module text compiled, so a router re-learning a
-previously seen traffic shape — a route patch changes tables, not that
-text — emits it, finds it stored and shares the stored chains' code
-instead of paying ``compile`` again
-(:mod:`repro.runtime.codegen_cache`).
+The recompile is emission alone where the text is known: the chain
+store maps each chain's text to its template code, so a router
+re-learning a previously seen traffic shape — a route patch changes
+tables, not that text — emits its chains, finds them stored and pays
+no ``compile`` again (:mod:`repro.runtime.codegen_cache`).
 
 What a tier is specialized on is data, not a class: the engine
 assembles one :class:`~repro.runtime.fastpath.ChainPolicy` per flavor
@@ -61,7 +60,7 @@ import hashlib
 
 from .codegen_cache import default_cache
 from .fastpath import ChainPolicy, FastOutputPort, FastPath
-from .fdd import DEFAULT_NODE_BUDGET, build_diagram, classifier_hot_path, diagram_pass, router_trees
+from .fdd import DEFAULT_NODE_BUDGET, _loc_for, build_diagram, classifier_hot_path, diagram_pass, router_trees
 
 __all__ = [
     "AdaptiveConfig",
@@ -189,20 +188,6 @@ class ProfileStore:
 # -- profile -> emission decisions ----------------------------------------------
 
 
-def _slice_or_masked(offset, mask, value, equal):
-    """Render one tree test as the cheapest guard condition: a bytes
-    slice compare when the mask covers whole contiguous bytes, else a
-    masked-word compare."""
-    mask_bytes = mask.to_bytes(4, "big")
-    set_bytes = [i for i in range(4) if mask_bytes[i]]
-    if set_bytes and all(mask_bytes[i] == 0xFF for i in set_bytes):
-        first, last = set_bytes[0], set_bytes[-1]
-        if set_bytes == list(range(first, last + 1)):
-            value_bytes = value.to_bytes(4, "big")[first : last + 1]
-            return ("slice", offset + first, offset + last + 1, value_bytes, equal)
-    return ("masked", offset, 4, mask, value, equal)
-
-
 def _guard_conds(tree, hot_out, exemplar=None):
     """Guard conditions whose conjunction implies ``tree`` classifies to
     ``hot_out``, with implied negative tests eliminated — or None.
@@ -261,7 +246,12 @@ def _guard_conds(tree, hot_out, exemplar=None):
             kept.append(step)
     conds = [("len", max(s[0] for s in kept) + 4)] if kept else []
     for offset, mask, value, taken in sorted(kept, key=lambda s: (s[0], not s[3])):
-        conds.append(_slice_or_masked(offset, mask, value, taken))
+        # the diagram's choice of load: a bytes slice, else the masked word
+        loc, cond = _loc_for(offset, mask, value)
+        if loc[0] == "slice":
+            conds.append(("slice", loc[1], loc[2], cond[1], taken))
+        else:
+            conds.append(("masked", offset, 4, mask, value, taken))
     return tuple(conds) if conds else None
 
 
@@ -504,7 +494,7 @@ class _ChainState:
 
 class ProfileReport:
     """Observability snapshot: per-chain tiers and counters, recompile
-    and deopt history, and the codegen cache's hit rate."""
+    and deopt history, and the chain store's hit rate."""
 
     def __init__(self, engine):
         self.mode = engine.mode
@@ -590,8 +580,8 @@ class AdaptiveEngine:
 
     - ``fast``: tier 1 only — the static chains, installed and left
       alone (no profiled flavor, no dispatcher, ``states`` empty).
-    - ``adaptive``: tiering on — construction compiles tier 1 twice
-      (plain + profiled flavor, both through the codegen cache) and
+    - ``adaptive``: tiering on — construction emits tier 1 twice
+      (plain + profiled flavor, each chain through the chain store) and
       :meth:`install` wraps every compiled push entry in a sampling
       dispatcher; matured chains promote to a profile-guided tier 2.
     - ``fdd``: tiering plus the diagram pass
@@ -650,10 +640,10 @@ class AdaptiveEngine:
         return ChainPolicy(store=store, decisions=decisions, engine=self, **fields)
 
     def _compile(self, fields, store=None, decisions=None):
-        """Compile one flavor of the router's chains through the codegen
-        cache."""
+        """Emit one flavor of the router's chains (each compiled through
+        the chain store when first entered)."""
         policy = self._policy(fields, store=store, decisions=decisions)
-        return FastPath(self.router, batch=self.batch, policy=policy, cache=default_cache())
+        return FastPath(self.router, batch=self.batch, policy=policy)
 
     def flavors(self):
         """Every compiled :class:`FastPath` the engine holds."""
@@ -962,7 +952,8 @@ class AdaptiveEngine:
 
     def repatch_classifier(self, name):
         """The plain tier 1 after a rules patch on ``name``: its plan is
-        built again (the others are kept, the same objects), and the
+        built again where its tree changed (the others are kept, the
+        same objects, :meth:`_replanned`), and the
         chains that inlined it are re-linked or emitted again under the
         function objects the ports, jump tables, dispatchers and
         supervisor pins already hold (:meth:`FastPath.rewrite`).  The
@@ -976,13 +967,18 @@ class AdaptiveEngine:
         """The plain tier 1's policy with the plans of the classifiers
         named in ``names`` built again from their live trees, every
         other plan kept (the same object), and the plans of elements
-        gone dropped."""
+        gone dropped.  A tier-1 plan carries no hot path, so it is a
+        function of the tree and the node budget: where a named
+        classifier's live tree has the plan's ``signature`` (a hot-swap
+        renews the element, not its rules), the plan is kept too."""
         policy, elements = self.tier1.policy, self.router.elements
         if policy.plans is None:
             return self._policy({})
         plans = {name: plan for name, plan in policy.plans.items() if name in elements and name not in names}
         for name, tree in router_trees(self.router, names).items():
-            plan = build_diagram(tree, node_budget=policy.node_budget)
+            plan = policy.plans.get(name)
+            if plan is None or plan.signature != tree.signature():
+                plan = build_diagram(tree, node_budget=policy.node_budget)
             if plan is not None:  # over budget: the generic emission
                 plans[name] = plan
         return self._policy({"plans": plans, "node_budget": policy.node_budget, "hot_paths": {}})
@@ -992,16 +988,10 @@ class AdaptiveEngine:
         (the engine uninstalled): each tier-1 flavor stages its rewrite
         (:meth:`FastPath.stage_rewrite`) — the plain one under plans
         built again for the ``changed`` classifiers.  A flavor that fails
-        takes back what the others staged, and the error propagates."""
-        staged = []
-        try:
-            staged.append((self.tier1, self.tier1.stage_rewrite(self._replanned(changed), changed)))
-            if self.profiled is not None:
-                staged.append((self.profiled, self.profiled.stage_rewrite(self.profiled.policy, changed)))
-        except BaseException:
-            for path, stage in staged:
-                path.abort_rewrite(stage)
-            raise
+        leaves nothing to take back, and the error propagates."""
+        staged = [(self.tier1, self.tier1.stage_rewrite(self._replanned(changed), changed))]
+        if self.profiled is not None:
+            staged.append((self.profiled, self.profiled.stage_rewrite(self.profiled.policy, changed)))
         return staged
 
     def commit_restructure(self, staged):
@@ -1026,7 +1016,7 @@ class AdaptiveEngine:
     def diagram_report(self):
         """JSON-safe snapshot of the compiled diagrams: per-classifier
         node/path/gate counts, fused-test savings from the compile
-        reports, rebuild history, and the codegen cache's hit rate.
+        reports, rebuild history, and the chain store's hit rate.
         Zero totals on an engine that runs no diagram pass."""
         plans = self.tier1.policy.plans or {}
         diagrams = {}

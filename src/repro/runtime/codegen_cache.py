@@ -1,18 +1,24 @@
-"""A store of compiled fast-path modules, keyed by the text compiled.
+"""The chain store: one process-wide map from a chain's template text to
+its template code.
 
-``FastPath._compile`` emits every chain per build and ``compile`` runs
-per chain entered.  Builds that emit the same module text — the same
-configuration again (a whole-text hot-swap), or an engine's tier 2
-rebuilt after a route patch, which changes tables, not text — need one
-set of code objects.  The store maps a compile's text to its chain
-records (:class:`~repro.runtime.fastpath.ChainInfo`, shared by
-reference, so a chain any sharer has entered carries its code object
-for all); a later compile that emits the same text adopts every record
-that describes the same unit.  A code object is a function of the text
-alone and each fast path binds its own router's objects into its own
-namespace, so nothing else needs to match.  The store is an in-memory
-LRU: a process that did not compile a text compiles it.  An update in
-place (:meth:`FastPath.rewrite`) stores nothing.
+A chain's text (:attr:`~repro.runtime.fastpath.ChainInfo.template`) is
+a function of the chain alone: its bound objects are its function's
+defaults, set when it is linked, and its locals are numbered from 0 in
+each chain, so no counter that runs across chains or builds reaches
+it.  The code ``compile()`` makes of that text is a function of the
+text alone, so every fast path that emits the text — the same
+configuration built again, a hot-swap of it, another flavor whose
+chain holds no specialization, a tier 2 rebuilt after a route patch —
+runs that one code object, filled in with its own literals and linked
+over its own router's objects.  This is how click-fastclassifier gives
+classifiers with identical trees one generated class: the code is
+shared by what it is, each instance's data bound apart from it.
+
+A chain's first entry looks its text up and stores it after a miss; an
+update in place (:meth:`FastPath.stage_rewrite`) only looks it up, so
+a run of rules patches adds nothing.  The store is an in-memory LRU of
+:data:`CAPACITY` chains: a process that did not compile a text
+compiles it.  ``hits`` and ``misses`` count lookups, one a chain.
 """
 
 from __future__ import annotations
@@ -22,34 +28,46 @@ from collections import OrderedDict
 
 __all__ = ["CodegenCache", "default_cache"]
 
+#: Chains the store holds.  CI's first ``click-fuzz`` step (40 seeded
+#: configurations, every execution mode) compiles 384 distinct chain
+#: texts, which hold 2.3 MB of code objects beside 2.3 MB of text, so
+#: the step never evicts.  A ``bench/run.py`` workload holds at most 17
+#: between the clears of its cold set-ups.  A full store is about 6 MB,
+#: a fraction of a run's peak (``peak_rss_mb``: 33-45 MB on the
+#: single-plane workloads).
+CAPACITY = 512
+
 
 class CodegenCache:
-    """An in-memory LRU from module text to the chain records compiled
-    from it."""
+    """An in-memory LRU from a chain's template text to its template
+    code."""
 
-    def __init__(self, capacity=64):
-        self.capacity = capacity
-        self._entries = OrderedDict()  # module text -> (that text, {chain key: ChainInfo})
+    def __init__(self):
+        self._entries = OrderedDict()
         self.hits = 0
         self.misses = 0
         # Process-wide, and the sharded plane's thread backend compiles
         # on worker threads: every operation serializes here.
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
-    def intern(self, source, chains):
-        """``(text, records)`` stored for ``source``, or None after
-        storing ``chains`` under it."""
+    def get(self, text):
+        """The template code stored for ``text``, or None (a miss)."""
         with self._lock:
-            entry = self._entries.get(source)
-            if entry is not None:
-                self._entries.move_to_end(source)
+            code = self._entries.get(text)
+            if code is None:
+                self.misses += 1
+            else:
+                self._entries.move_to_end(text)
                 self.hits += 1
-                return entry
-            self.misses += 1
-            self._entries[source] = (source, dict(chains))
-            while len(self._entries) > self.capacity:
+            return code
+
+    def put(self, text, code):
+        """Store ``code`` for ``text``, evicting the least recently used
+        chain past :data:`CAPACITY`."""
+        with self._lock:
+            self._entries[text] = code
+            if len(self._entries) > CAPACITY:
                 self._entries.popitem(last=False)
-            return None
 
     def clear(self):
         with self._lock:
@@ -68,6 +86,6 @@ _DEFAULT = CodegenCache()
 
 
 def default_cache():
-    """The process-wide cache every :class:`~repro.runtime.adaptive.AdaptiveEngine`
-    compiles through."""
+    """The process-wide store every :class:`~repro.runtime.fastpath.FastPath`
+    compiles its chains through."""
     return _DEFAULT

@@ -50,6 +50,7 @@ compiles.
 
 from __future__ import annotations
 
+import builtins
 import copy
 import dis
 import itertools
@@ -57,8 +58,9 @@ import re
 import time
 import types
 
-from ..classifier.compile import become, is_pending, pending_function
+from ..classifier.compile import is_pending, pending_function
 from ..net.packet import _intern_dest_ip
+from .codegen_cache import default_cache
 
 __all__ = [
     "ChainPolicy",
@@ -270,47 +272,53 @@ _CHAIN_COUNTERS = (
 class ChainInfo:
     """One chain, whole — the compile unit: its source edge, the
     elements inlined into straight-line code and the terminal dispatch,
-    and everything emitting it produced.  Immutable once emitted
-    *except* ``code`` and ``relink``, written once and together: by the
-    update that replaces a chain already forwarding, or by the first
-    packet to enter it (:meth:`FastPath._enter`) — so ``code is not
-    None`` says the chain is live.  ``template`` is ``source`` with
-    every lifted literal a placeholder; a rules patch whose plans keep
+    and everything emitting it produced.  Each record is its fast
+    path's own, immutable once emitted *except* ``code``, written once:
+    by the update that replaces a chain already forwarding, or by the
+    first packet to enter it (:meth:`FastPath._enter`) — so ``code is
+    not None`` says the chain is live.  ``template`` is ``source`` with
+    every lifted literal a placeholder, and a function of the chain
+    alone: what it binds is its functions' ``defaults``, its locals are
+    numbered in the chain, so no counter that runs across chains or
+    builds reaches it.  ``code`` is ``compile()`` of the template, the
+    *template code*, which every fast path that emits that text shares
+    through the chain store (:mod:`repro.runtime.codegen_cache`); the
+    chain's functions run it filled in with ``literals`` and moved to
+    its lines (:meth:`FastPath._link`).  A rules patch whose plans keep
     the shapes of those in ``diagrams`` gives the chain a record with
-    their literals, its code the template code (``relink``) filled in
-    (:meth:`refilled`).  ``elements`` names every element the emission
-    read — the edge's own, the inlined ones, the terminal and each fused
-    dispatch arm's — so an update that changes one of them makes the
-    chain stale.  One record is shared by reference between the fast
-    path that emitted it, the codegen cache and every compile that emits
-    the same text (the first sharer to enter it fills ``code`` for all);
-    an update replaces it — or drops it, if nothing had entered it,
-    until its first entry emits a new one (:meth:`FastPath.rewrite`)."""
+    their literals over the same template code (:meth:`refilled`).
+    ``elements`` names every element the emission read — the edge's
+    own, the inlined ones, the terminal and each fused dispatch arm's —
+    so an update that changes one of them makes the chain stale, and
+    replaces its record — or drops it, if nothing had entered it, until
+    its first entry emits a new one (:meth:`FastPath.rewrite`)."""
 
     __slots__ = (
         "kind", "element", "port", "inlined", "terminal", "terminal_port",
-        "function_name",
         "batch_name",  # the batch entry point, or None
         "source",  # [blank line, "# describe()", generated line, ...]
         "template",  # source, each lifted literal a placeholder (source itself when none is)
         "literals",  # the values the template's placeholders stand for, in order
         "diagrams",  # (classifier name, DiagramPlan) of each plan the emission inlined
         "elements",  # frozenset of the names of every element the emission read
-        "relink",  # the template code once entered, if it has literals
-        "code",  # the template code filled in (compile_chain), or None until it is entered
+        "code",  # the template code (compile_chain), or None until it is entered
         "offset",  # source[0] is line ``offset`` of FastPath.source
-        "binds",  # the _bN names bound during emission, in order
-        "tables",  # FastPath._jump_tables indexes registered
+        "defaults",  # the objects the chain binds: its functions' defaults, in order
+        "tables",  # (list, terminal element, dispatch mode) of each jump table it binds
         "opaque",  # own-run elements entered through their bound push / simple_action
         "counters",  # {_CHAIN_COUNTERS name: what emission added}, non-zero only
     )
 
-    def __init__(self, kind, element, port, inlined, terminal, terminal_port, function_name):
+    def __init__(self, kind, element, port, inlined, terminal, terminal_port):
         self.kind, self.element, self.port = kind, element, port
         self.inlined = inlined
         self.terminal, self.terminal_port = terminal, terminal_port
-        self.function_name = function_name
-        self.batch_name = self.code = self.relink = None
+        self.batch_name = self.code = None
+
+    @property
+    def function_name(self):
+        """The name its (scalar) entry point is defined under."""
+        return "_" + self.kind
 
     @property
     def lines(self):
@@ -321,17 +329,11 @@ class ChainInfo:
         hops = [name for name in self.inlined] + ["%s.%s(%d)" % (self.terminal, self.kind, self.terminal_port)]
         return "%s %s [%d] -> %s" % (self.kind, self.element, self.port, " -> ".join(hops))
 
-    def same_unit(self, other):
-        """Would ``other``'s code object serve this not-yet-compiled chain?
-        (One text inlines plans of one shape, maybe other objects.)"""
-        skip = ("code", "relink", "diagrams")
-        return all(getattr(self, s) == getattr(other, s) for s in self.__slots__ if s not in skip)
-
     def refilled(self, plans):
         """A new record of this chain with the literals ``plans`` give
-        the diagrams it inlined (its code, once it has template code,
-        that code filled in), or None where a plan is gone or changed
-        shape, or the new values share placeholders otherwise."""
+        the diagrams it inlined, over the same template and template
+        code, or None where a plan is gone or changed shape, or the new
+        values share placeholders otherwise."""
         slots = {value: slot for slot, value in enumerate(self.literals)}
         literals, texts = [None] * len(self.literals), [None] * len(self.literals)
         for name, inlined in self.diagrams:
@@ -349,8 +351,6 @@ class ChainInfo:
         chain = copy.copy(self)
         chain.literals, chain.source = tuple(literals), _fill(self.template, texts)
         chain.diagrams = tuple((name, plans[name]) for name, _plan in self.diagrams)
-        if self.relink is not None:
-            chain.code = _instantiate(self.relink, chain.literals, self.offset)
         return chain
 
     def fold_into(self, report, sign=1):
@@ -404,7 +404,7 @@ class FastPathReport:
         self.reused_chains = 0  # chains the last update left as they were
         self.compiled_units = 0  # compile() calls made for this fast path so far
         self.relinked_units = 0  # chains a rules patch filled into a live chain's template code
-        self.emitted_units = 0  # chains this build emitted and kept (0 when it shared a cached text)
+        self.emitted_units = 0  # chains the build or the last update emitted
         self.fdd_diagrams = 0  # classifier terminals emitted as decision diagrams
         self.fdd_nodes = 0  # expanded diagram nodes across those diagrams
         self.fdd_paths = 0  # root-to-leaf paths across those diagrams
@@ -614,6 +614,10 @@ def _renumbered(code, table):
     return bytes(renumbered)
 
 
+#: The globals of every chain function: a chain body reads builtins
+#: only, everything else it uses is a default of its def.
+_GLOBALS = {"__builtins__": builtins}
+
 #: The generated module's first lines; chains follow, one blank line
 #: before each, the task units last.
 _HEADER = (
@@ -696,35 +700,27 @@ _TX_BATCH_UNIT = """\
     return True"""
 
 
-def compile_chain(lines, offset, literals=()):
+def compile_chain(lines):
     """One chain's template lines (:attr:`ChainInfo.template` less the
-    separator) compiled, and that template code filled in
-    (:func:`_instantiate`) with the chain's ``literals`` as a code
-    object to ``exec``, numbered as lines ``offset + 1`` onwards of the
-    whole generated module, so a traceback indexes ``FastPath.source``:
-    ``(template code, code)``, the template code None for a chain
-    without literals (its code is ``compile()`` of its source), which no
-    patch re-links.  Each placeholder compiles to a constant of its own,
-    so the code is ``compile()`` of ``source`` instruction for
-    instruction; only the columns of a lifted literal's line can differ,
-    by the placeholder's width.  A rules patch that changes only
-    literals fills the live chain's template code with the new ones and
-    compiles nothing (:meth:`FastPath.rewrite`).  The chain, not the module,
-    is the unit of compilation: a chain is compiled when a packet first
-    enters it and most never are, an update compiles only the live
-    chains it replaces, and ``compile`` keeps about 3 kB
-    of working memory per source line until it returns, so a module
-    compiled whole would set the process's memory high-water mark
+    separator) compiled: its *template code*, numbered from line 1,
+    which the chain store keeps under that text
+    (:mod:`repro.runtime.codegen_cache`) for every fast path that emits
+    it.  A chain runs it filled in with its literals (:func:`_instantiate`)
+    and moved to its lines of the whole generated module, so a traceback
+    indexes ``FastPath.source``; each placeholder compiles to a constant
+    of its own, so the filled code is ``compile()`` of the chain's
+    ``source`` instruction for instruction (only the columns of a lifted
+    literal's line can differ, by the placeholder's width).  A rules
+    patch that changes only literals fills the live template code with
+    the new ones and compiles nothing (:meth:`FastPath.rewrite`).  The
+    chain, not the module, is the unit of compilation: a chain is
+    compiled when a packet first enters it and most never are, an update
+    compiles only the live chains it replaces, and ``compile`` keeps
+    about 3 kB of working memory per source line until it returns, so a
+    module compiled whole would set the process's memory high-water mark
     (16 MB for the plain IP router's 5 200 lines; under 1 MB a chain at
     a time)."""
-    template = compile("\n".join(lines), "<fastpath>", "exec")
-    return template if literals else None, _instantiate(template, literals, offset)
-
-
-def _compile_record(chain):
-    """Write a chain's code, and what re-linking it needs, together."""
-    # [0] is the blank line that separates chains
-    chain.relink, chain.code = compile_chain(chain.template[1:], chain.offset, chain.literals)
+    return compile("\n".join(lines), "<fastpath>", "exec")
 
 
 #: What :meth:`_Emission.elide` hands back: the stage is dropped.
@@ -740,8 +736,9 @@ class _Emission:
     calls for the rare cases.  It may return None (no inline code for
     this configuration: the chain calls ``cold``) or :meth:`elide`.
 
-    - ``bind(value)`` parks a runtime object as a default argument of
-      the chain's def and returns its local name; ``method``,
+    - ``bind(value)`` makes a runtime object a parameter of the chain's
+      def, the object its default (:attr:`ChainInfo.defaults`), and
+      returns its local name; ``method``,
       ``element``, ``attr``, ``ip``, ``jump_table`` and ``bind_policy``
       bind what they name.
     - ``facts`` is what earlier segments proved for the rest of the
@@ -765,19 +762,23 @@ class _Emission:
       decides what becomes of the arms.
     """
 
-    __slots__ = ("fastpath", "policy", "args", "facts", "prior", "proved", "fusion")
+    __slots__ = ("fastpath", "policy", "defaults", "facts", "prior", "proved", "fusion")
 
     def __init__(self, fastpath):
         self.fastpath, self.policy = fastpath, fastpath.policy
-        self.args = []  # the def's "_xN=_bM" default arguments
+        self.defaults = []  # what parameter _xN of the def defaults to, for each N
         self.facts = None
         self.prior = self.proved = {}
         self.fusion = None  # (expanded terminal ids, depth) at the terminal being emitted
 
     def bind(self, value):
-        name = "_x%d" % len(self.args)
-        self.args.append("%s=%s" % (name, self.fastpath._bind(value)))
-        return name
+        self.defaults.append(value)
+        return "_x%d" % (len(self.defaults) - 1)
+
+    @property
+    def params(self):
+        """The def's bound parameters, in order."""
+        return ["_x%d" % n for n in range(len(self.defaults))]
 
     method = element = bind
 
@@ -792,9 +793,12 @@ class _Emission:
         return self.bind(_intern_dest_ip(raw))
 
     def jump_table(self, element, mode):
-        """A fresh jump table into ``element``'s output chains, filled
-        at link time (see :meth:`FastPath._link`)."""
-        return self.bind(self.fastpath._register_jump_table(element, mode))
+        """A fresh jump table into ``element``'s output chains, which
+        the chain's record keeps (:attr:`ChainInfo.tables`), filled once
+        the chain has a record (:meth:`FastPath._fill_table`)."""
+        table = []
+        self.fastpath._tables.append((table, element, mode))
+        return self.bind(table)
 
     def bind_policy(self, token):
         """The live object behind a policy token."""
@@ -1013,15 +1017,17 @@ class _Emission:
 class FastPath:
     """A compiled fast path over one wired router.
 
-    Construction emits every chain; :meth:`install` swaps the fast ports
-    in, and a chain is compiled when it is first entered
-    (:meth:`materialize` compiles the rest); :meth:`rewrite` replaces
-    the live chains an update made stale under the installed functions
-    and leaves the others to be emitted on first entry;
-    :meth:`uninstall` restores the reference interpreter untouched.
+    Construction emits every chain, each record the fast path's own;
+    :meth:`install` swaps the fast ports in, and a chain is linked when
+    it is first entered — compiled unless the chain store holds its text
+    (:mod:`repro.runtime.codegen_cache`) — and :meth:`materialize` links
+    the rest; :meth:`rewrite` replaces the live chains an update made
+    stale under the installed functions and leaves the others to be
+    emitted on first entry; :meth:`uninstall` restores the reference
+    interpreter untouched.
     """
 
-    def __init__(self, router, batch=False, policy=None, cache=None):
+    def __init__(self, router, batch=False, policy=None):
         self.router = router
         self.batch = bool(batch)
         self.policy = policy if policy is not None else ChainPolicy()
@@ -1032,29 +1038,24 @@ class FastPath:
         self.installed = False
         self._fuse_lowered = False  # is the chain being emitted a task's?
         # (kind, element_name, port) -> ChainInfo, in emission order: the
-        # compile units, kept whole so an update can replace one alone
-        # and the codegen cache can share them.  A key an update left
-        # waiting for its first entry has none.
+        # compile units, kept whole so an update can replace one alone.
+        # A key an update left waiting for its first entry has none.
         self.chains = {}
-        self._compiled = {}  # every key -> (fn, batch_fn_or_None), live in _namespace
+        self._compiled = {}  # every key -> (fn, batch_fn_or_None), the objects holders keep
         self._failed = {}  # key of a chain whose entry failed -> what its functions call instead
-        self._jump_tables = {}  # index -> (list to fill, terminal element, dispatch mode)
-        self._table_counter = 0  # next jump table index
-        self._source = None  # the module text; None until read after an update
-        self._namespace = {}
+        self._source = None  # the module text; None until read
         self._ctx_counter = 0  # _dN locals of the chain being emitted
         self._literals = {}  # value it lifted -> its placeholder's index (_Emission.literal)
         self._literal_texts = []  # the text each placeholder's value is written as
         self._diagrams = []  # what the chain being emitted inlined (ChainInfo.diagrams)
         self._held = set()  # what the chain being emitted read (ChainInfo.elements)
-        self._bind_counter = 0
-        self._next_index = 0  # first free chain-function index
+        self._tables = []  # the jump tables the chain being emitted binds (ChainInfo.tables)
         report = FastPathReport()
         report.batch = self.batch
         report.policy = self.policy.tag
         self.report = report
         started = time.perf_counter()
-        self._compile(cache)
+        self._compile()
         self._fold_report()
         report.compile_seconds = time.perf_counter() - started
 
@@ -1140,23 +1141,6 @@ class FastPath:
         return names, pairs, current, out_port
 
     # -- code generation ---------------------------------------------------------
-
-    def _bind(self, value):
-        """Park a runtime object in the generated module's globals and
-        return its name; generated defs capture it via default args."""
-        name = "_b%d" % self._bind_counter
-        self._bind_counter += 1
-        self._namespace[name] = value
-        return name
-
-    def _register_jump_table(self, terminal, mode):
-        """A fresh terminal jump table (filled after exec).  The chain
-        being emitted records the indexes it registered, so an update
-        drops them with the chain it replaces."""
-        table = []
-        self._jump_tables[self._table_counter] = (table, terminal, mode)
-        self._table_counter += 1
-        return table
 
     def _terminal_segment(self, terminal, kind, cx):
         """The segment a chain ending at ``terminal`` runs in place of
@@ -1263,12 +1247,12 @@ class FastPath:
             segments.append(seg)
         return segments
 
-    def _emit_push(self, lines, index, element, port_index):
+    def _emit_push(self, lines, element, port_index):
         # Packets enter the router on a task's chain; see _inline_push_body.
         self._fuse_lowered = element.is_task()
         inlined, pairs, terminal, terminal_port = self._trace_push(element, port_index)
-        fn = "_push_%d" % index
-        info = ChainInfo("push", element.name, port_index, inlined, terminal.name, terminal_port, fn)
+        info = ChainInfo("push", element.name, port_index, inlined, terminal.name, terminal_port)
+        fn = info.function_name
         lines.append("")
         lines.append("# %s" % info.describe())
         batch_fn = None
@@ -1283,7 +1267,7 @@ class FastPath:
             self.report.specialized_terminals += 1
         else:
             opaque.append(terminal.name)
-        extra_args = cx.args
+        extra_args = cx.params
         lines.append("def %s(%s):" % (fn, ", ".join(["packet"] + extra_args)))
         for seg in segments:
             lines.extend(seg("packet", "    ", "return"))
@@ -1299,13 +1283,13 @@ class FastPath:
                 lines.extend(seg("packet", "        ", "continue"))
             lines.extend(emit_terminal("packet", "        ", "continue"))
         info.batch_name = batch_fn
-        info.opaque = opaque
+        info.opaque, info.defaults = opaque, tuple(cx.defaults)
         return info
 
-    def _emit_pull(self, lines, index, element, port_index):
+    def _emit_pull(self, lines, element, port_index):
         inlined, pairs, terminal, terminal_port = self._trace_pull(element, port_index)
-        fn = "_pull_%d" % index
-        info = ChainInfo("pull", element.name, port_index, inlined, terminal.name, terminal_port, fn)
+        info = ChainInfo("pull", element.name, port_index, inlined, terminal.name, terminal_port)
+        fn = info.function_name
         # Applied nearest-the-terminal first: reverse of the walk order.
         pairs.reverse()
         lines.append("")
@@ -1328,7 +1312,7 @@ class FastPath:
                     pad + "    " + exitstmt,
                 ]
 
-        extra_args = cx.args
+        extra_args = cx.params
         lines.append("def %s(%s):" % (fn, ", ".join(extra_args)))
         lines.extend(emit_terminal("packet", "    ", "return None"))
         for seg in segments:
@@ -1352,10 +1336,10 @@ class FastPath:
             lines.append("        append(packet)")
             lines.append("    return packets")
         info.batch_name = batch_fn
-        info.opaque = opaque
+        info.opaque, info.defaults = opaque, tuple(cx.defaults)
         return info
 
-    def _emit_task(self, lines, index, element, _port):
+    def _emit_task(self, lines, element, _port):
         """One task element's burst loop as a zero-argument *task
         unit*, from the device segment its ``lowering()`` declares and
         the ring facts its device does.  Only the hand-off — ``push`` /
@@ -1366,7 +1350,7 @@ class FastPath:
         exception from the chain costs that frame and ends the burst."""
         segment, ring = _task_lowering(element)
         name, kind = element.name, segment["ring"]
-        info = ChainInfo("task", name, 0, [], kind, 0, "_task_%d" % index)
+        info = ChainInfo("task", name, 0, [], kind, 0)
         binds = [("_e", element), ("_ring", getattr(element.device, ring[kind])), ("_burst", range(segment["burst"]))]
         fields = dict(segment, capacity=ring["capacity"])
         if kind == "rx":
@@ -1382,10 +1366,10 @@ class FastPath:
         else:
             binds.append(("_device", element.device))
             body = (_TX_BATCH_UNIT if self.batch else _TX_UNIT) % fields
-        args = ", ".join("%s=%s" % (local, self._bind(value)) for local, value in binds)
+        args = ", ".join(local for local, _value in binds)
         lines += ["", "# %s" % info.describe(), "def %s(%s):" % (info.function_name, args)]
         lines.extend(body.split("\n"))
-        info.opaque = []
+        info.opaque, info.defaults = [], tuple(value for _local, value in binds)
         return info
 
     def _fold_report(self):
@@ -1393,9 +1377,9 @@ class FastPath:
         every chain record folded in (its lines under the module
         header's), plus what the router's wiring says; the facts of the
         build or update that produced it (:data:`_BUILD_FACTS`) stand.
-        Runs after a compile that emitted or shared its chains alike, so
-        they cannot disagree, and after a structural update; a rules
-        patch refolds the chains it replaced (:meth:`rewrite`)."""
+        Runs after a build, so that a build of a text compiled before
+        and a cold one cannot disagree, and after a structural update; a
+        rules patch refolds the chains it replaced (:meth:`rewrite`)."""
         report = self.report
         facts = {name: getattr(report, name) for name in _BUILD_FACTS}
         FastPathReport.__init__(report)
@@ -1425,85 +1409,61 @@ class FastPath:
                 edges["task", element.name, 0] = element
         return edges
 
-    def _emit_chain(self, key, element, lines, index):
-        """Emit one chain onto ``lines`` as a compile unit: its record
-        takes its lines, the binds and jump tables it registered, the
-        elements it read, and what its emitters counted.  Emitters count
-        on the report: the counters start from zero for the chain, which
-        takes what its emission added, and the totals before it are put
-        back — the chain is counted when it is folded in
+    def _emit_chain(self, key, element):
+        """Emit one chain as a compile unit: its record takes its lines
+        (the caller places them in the module, ``offset``), the objects
+        it binds and the jump tables among them, the elements it read,
+        and what its emitters counted.  Emitters count on the report:
+        the counters start from zero for the chain, which takes what its
+        emission added, and the totals before it are put back — the
+        chain is counted when it is folded in
         (:meth:`ChainInfo.fold_into`).  Its template holds the literals
-        it lifted as placeholders, its lines their texts."""
+        it lifted as placeholders, its lines their texts.  An emission
+        that raises leaves nothing behind: what it bound is only its
+        record's."""
         kind, _name, port_index = key
-        start, first_bind, first_table = len(lines), self._bind_counter, self._table_counter
+        lines = []
         self._ctx_counter, self._literals, self._literal_texts, self._diagrams = 0, {}, [], []
-        self._held = {element.name}
+        self._held, self._tables = {element.name}, []
         report = self.report
         totals = [getattr(report, name) for name in _CHAIN_COUNTERS]
         for name in _CHAIN_COUNTERS:
             setattr(report, name, 0)
         try:
-            chain = getattr(self, "_emit_" + kind)(lines, index, element, port_index)
+            chain = getattr(self, "_emit_" + kind)(lines, element, port_index)
             chain.counters = {
                 name: getattr(report, name) for name in _CHAIN_COUNTERS if getattr(report, name)
             }
         finally:
             for name, total in zip(_CHAIN_COUNTERS, totals):
                 setattr(report, name, total)
-        chain.source = chain.template = lines[start:]
+        chain.source = chain.template = lines
         chain.literals, chain.diagrams = tuple(self._literals), tuple(self._diagrams)
-        chain.elements = frozenset(self._held)
+        chain.elements, chain.tables = frozenset(self._held), tuple(self._tables)
         if chain.literals:
-            chain.source = lines[start:] = _fill(chain.template, self._literal_texts)
-        chain.offset = start + 1
-        chain.binds = tuple("_b%d" % n for n in range(first_bind, self._bind_counter))
-        chain.tables = tuple(range(first_table, self._table_counter))
+            chain.source = _fill(chain.template, self._literal_texts)
         return chain
 
-    def _compile(self, cache=None):
-        lines = list(_HEADER)
-        for index, (key, element) in enumerate(self._chain_edges().items()):
-            self.chains[key] = self._emit_chain(key, element, lines, index)
-        self._next_index = len(self.chains)
-        self._source = "\n".join(lines) + "\n"
-        # A build that emits a text the cache holds (the same
-        # configuration again, or an engine's tier 2 after a route patch)
-        # shares its lines and code instead of keeping a second copy.
-        found = cache.intern(self._source, self.chains) if cache is not None else None
-        stored = {}
-        if found is not None:
-            self._source, stored = found
-        for key, chain in self.chains.items():
-            shared = stored.get(key)
-            if shared is not None and chain.same_unit(shared):
-                self.chains[key] = shared
-            else:
-                self.report.emitted_units += 1
-        self._link()
-
-    def _link(self):
-        """Give every chain its entry points over the bound namespace —
-        its code object exec'd, or functions that :meth:`_enter` it
-        when first called — and fill the terminal jump tables
-        (:meth:`_fill_table`).  The one way code becomes live after a
-        compile that emitted or shared its chains; an update swaps new
-        code under the functions this made (:meth:`rewrite`)."""
-        namespace = self._namespace
-        for key, chain in self.chains.items():
-            names = (chain.function_name, chain.batch_name)
-            if chain.code is None:
-                namespace.update((name, fn) for name, fn in zip(names, self._pending(key, names)) if name)
-            else:
-                exec(chain.code, namespace)  # noqa: S102 - code generated by _compile
-            self._compiled[key] = tuple(namespace[name] if name else None for name in names)
-        for table in self._jump_tables.values():
-            self._fill_table(*table)
+    def _compile(self):
+        """Emit every chain and give each edge functions that
+        :meth:`_enter` its chain when first called; fill the jump
+        tables.  Nothing is compiled here: a chain is looked up in the
+        chain store, and compiled on a miss, when it is entered."""
+        offset = len(_HEADER) + 1  # each chain's lines follow the last's
+        for key, element in self._chain_edges().items():
+            chain = self.chains[key] = self._emit_chain(key, element)
+            chain.offset, offset = offset, offset + len(chain.source)
+            self._compiled[key] = self._pending(key, (chain.function_name, chain.batch_name))
+        self.report.emitted_units = len(self.chains)
+        for chain in self.chains.values():
+            for table in chain.tables:
+                self._fill_table(*table)
 
     def _pending(self, key, names):
         """``key``'s two entry points named ``names``, as functions that
         :meth:`_enter` its chain when first called (None for no name)."""
         return tuple(
-            pending_function(name, self._namespace, self._enter, key, slot, True) if name else None
+            pending_function(name, _GLOBALS, self._enter, key, slot, True) if name else None
             for slot, name in enumerate(names)
         )
 
@@ -1522,49 +1482,65 @@ class FastPath:
             else:
                 table.append(port.push)
 
+    def _code_for(self, chain, store=False):
+        """Give ``chain`` its template code: the chain store's for its
+        text, else ``compile_chain`` of it — stored there if ``store``
+        (a first entry; an update only looks the store up).  Returns
+        whether it compiled."""
+        lines = chain.template[1:]  # [0] is the blank line that separates chains
+        text = "\n".join(lines)
+        cache = default_cache()
+        chain.code = cache.get(text)
+        if chain.code is not None:
+            return False
+        chain.code = compile_chain(lines)
+        if store:
+            cache.put(text, chain.code)
+        return True
+
+    @staticmethod
+    def _link(chain, functions):
+        """Make ``functions`` — the objects every holder of the edge
+        has — run ``chain``: its template code filled in with its
+        literals and moved to its lines (:func:`_instantiate`), and its
+        bound objects as their defaults."""
+        module = _instantiate(chain.code, chain.literals, chain.offset)
+        codes = [const for const in module.co_consts if type(const) is types.CodeType]
+        for function, code in zip(filter(None, functions), codes):
+            function.__code__, function.__defaults__, function.__kwdefaults__ = code, chain.defaults, None
+
     def _enter(self, key, slot=0, live=False):
         """A chain's first entry: emit it under the live policy if an
-        update left it waiting (:meth:`rewrite`), compile it unless
-        a sharer of its record has, exec it, and make the function
-        objects every holder already has the real ones.  ``live`` (a
-        packet is waiting) contains a failure: the report lists it and
-        the pending functions call the edge's reference port from then
-        on."""
-        namespace, functions = self._namespace, self._compiled[key]
+        update left it waiting (:meth:`rewrite`), give it its template
+        code — the chain store's, else compiled and stored — and link
+        it, so the function objects every holder already has run it.
+        ``live`` (a packet is waiting) contains a failure: the report
+        lists it and the pending functions call the edge's reference
+        port from then on."""
+        functions = self._compiled[key]
         if key in self._failed:
             return self._failed[key][slot]
         started = time.perf_counter()
         try:
             chain = self.chains.get(key) or self._emit_waiting(key)
-            if chain.code is None:
-                _compile_record(chain)
+            if chain.code is None and self._code_for(chain, store=True):
                 self.report.compiled_units += 1
-            exec(chain.code, namespace)  # noqa: S102 - code generated by _compile
+            self._link(chain, functions)
         except Exception as exc:  # noqa: BLE001 - must cost the chain, not the router
             if not live:
                 raise
             self.report.failed_entries["%s %s[%d]" % key] = "%s: %s" % (type(exc).__name__, exc)
             self._failed[key] = self._reference_entries(key)
             return self._failed[key][slot]
-        for name, function in zip((chain.function_name, chain.batch_name), functions):
-            if function is not None:
-                namespace[name] = become(function, namespace[name])
         self.report.compile_seconds += time.perf_counter() - started
         return functions[slot]
 
     def _emit_waiting(self, key):
         """Emit the chain an update left waiting for its first entry
         under the live policy, as :meth:`rewrite` emits one: placed where
-        no other chain's lines move, folded into the report, its names
-        over the function objects its holders have and its jump tables
-        filled.  An emission that raises takes its binds back out."""
-        marks = self._bind_counter, self._table_counter
-        try:
-            chain = self._emit_chain(key, self.router.elements[key[1]], [], self._next_index)
-        except BaseException:
-            self._unbind(*marks)
-            raise
-        self._next_index += 1
+        no other chain's lines move, folded into the report and its jump
+        tables filled."""
+        chain = self._emit_chain(key, self.router.elements[key[1]])
         taken = sorted((other.offset, other.offset + len(other.source)) for other in self.chains.values())
         chain.offset = self._place(taken, len(chain.source))
         self._install_record(key, chain)
@@ -1572,25 +1548,13 @@ class FastPath:
         return chain
 
     def _install_record(self, key, chain):
-        """Make ``chain`` the record of ``key``: folded into the report,
-        its function names over the function objects the edge's holders
-        have, its jump tables filled."""
+        """Make ``chain`` the record of ``key``: folded into the report
+        and its jump tables filled."""
         chain.fold_into(self.report)
         self.chains[key] = chain
-        for name, function in zip((chain.function_name, chain.batch_name), self._compiled[key]):
-            if name:
-                self._namespace[name] = function
-        for index in chain.tables:
-            self._fill_table(*self._jump_tables[index])
+        for table in chain.tables:
+            self._fill_table(*table)
         self._source = None
-
-    def _unbind(self, first_bind, first_table):
-        """Take the bind slots and jump tables registered since these
-        marks back out (an emission that failed)."""
-        for n in range(first_bind, self._bind_counter):
-            del self._namespace["_b%d" % n]
-        for index in range(first_table, self._table_counter):
-            del self._jump_tables[index]
 
     def _reference_entries(self, key):
         """What the reference interpreter runs for one edge, callable as
@@ -1612,23 +1576,25 @@ class FastPath:
         return to, push_each
 
     def materialize(self, keys=None):
-        """Compile every chain (or just ``keys``) nothing has entered
-        yet, raising what ``compile()`` raises: the eager build, for
-        tests of the generated code and for a live chain's successor."""
+        """Enter every chain (or just ``keys``) nothing has entered yet,
+        compiling those whose text the chain store lacks and raising
+        what ``compile()`` raises: the eager build, for tests of the
+        generated code and for a live chain's successor."""
         for key in self._compiled if keys is None else keys:
             if is_pending(self._compiled[key][0]):
                 self._enter(key)
 
     def release(self):
-        """Break this retired fast path's reference cycles (a function's
-        globals is the namespace that holds it), so it is freed by
+        """Break this retired fast path's reference cycles (a pending
+        function holds the fast path that enters it, and a jump table
+        the functions whose defaults hold it), so it is freed by
         refcount, not by the collector.  Its chain records stand."""
         if self.installed:
             raise FastPathError("cannot release an installed fast path")
-        self._namespace.clear()
         self._compiled.clear()
-        for table, _element, _mode in self._jump_tables.values():
-            del table[:]
+        for chain in self.chains.values():
+            for table, _element, _mode in chain.tables:
+                del table[:]
 
     # -- updates -------------------------------------------------------------------
 
@@ -1640,20 +1606,22 @@ class FastPath:
     def stage_rewrite(self, policy, changed=frozenset()):
         """Phase one of an update under ``policy``, over the router's
         wiring as it stands: what can fail, and nothing a holder of this
-        fast path sees; :meth:`commit_rewrite` installs the result, or
-        :meth:`abort_rewrite` takes it back.  A chain is stale when its
-        record holds an element named in ``changed``
+        fast path sees; :meth:`commit_rewrite` installs the result, and
+        one that raises leaves nothing to take back.  A chain is stale
+        when its record holds an element named in ``changed``
         (:attr:`ChainInfo.elements`) or a plan ``policy`` replaced
         (:attr:`ChainInfo.diagrams`).  Where only plans moved and keep
         their shapes, the update emits nothing: the chain gets a record
         with their literals (:meth:`ChainInfo.refilled`), keeping its
-        names, binds, tables and lines, and if it was forwarding its live
-        template code is filled in with them (*re-linked*).  Otherwise a
-        stale chain that was forwarding is emitted again and compiled
-        here, and one nothing entered loses its record and waits for its
-        first entry (:meth:`_enter`).  An edge the wiring lost is
-        dropped; one it gained (or whose element gained or lost its batch
-        entry) gets functions that emit its chain when first entered."""
+        bound objects, tables, lines and template code, and if it was
+        forwarding its live template code is filled in with them
+        (*re-linked*).  Otherwise a stale chain that was forwarding is
+        emitted again and given its template code here — the chain
+        store's, else compiled (and not stored) — and one nothing
+        entered loses its record and waits for its first entry
+        (:meth:`_enter`).  An edge the wiring lost is dropped; one it
+        gained (or whose element gained or lost its batch entry) gets
+        functions that emit its chain when first entered."""
         started = time.perf_counter()
         plans = policy.plans or {}
         gone, added = [], {}  # added: key -> does it take a batch entry?
@@ -1666,8 +1634,7 @@ class FastPath:
             gone = [key for key in compiled if key not in edges or key in added]
         stale = [key for key, chain in self.chains.items() if key not in gone and (
             chain.elements & changed or any(plans.get(name) is not plan for name, plan in chain.diagrams))]
-        marks = self._bind_counter, self._table_counter, self._next_index
-        refilled, fresh = {}, {}
+        refilled, fresh, compiles = {}, {}, 0
         taken = sorted((c.offset, c.offset + len(c.source)) for k, c in self.chains.items() if k not in stale)
         old_policy, self.policy = self.policy, policy
         try:
@@ -1676,31 +1643,21 @@ class FastPath:
                 if chain is not None:
                     refilled[key] = chain
                 elif not is_pending(self._compiled[key][0]):
-                    chain = fresh[key] = self._emit_chain(key, self.router.elements[key[1]], [], self._next_index)
-                    self._next_index += 1
+                    chain = fresh[key] = self._emit_chain(key, self.router.elements[key[1]])
                     chain.offset = self._place(taken, len(chain.source))
-                    _compile_record(chain)
-        except BaseException:
-            self.abort_rewrite((marks,))
-            raise
+                    compiles += self._code_for(chain)
         finally:
             self.policy = old_policy
-        return marks, policy, changed, gone, added, stale, refilled, fresh, started
-
-    def abort_rewrite(self, staged):
-        """Take a staged update's bind slots and jump tables back out."""
-        (first_bind, first_table, self._next_index) = staged[0]
-        self._unbind(first_bind, first_table)
+        return policy, changed, gone, added, stale, refilled, fresh, compiles, started
 
     def commit_rewrite(self, staged):
         """Phase two: install what :meth:`stage_rewrite` staged.  The
         function objects every holder has — ports, jump tables,
         dispatchers, supervisor pins — run each replaced chain's new
-        code; every other chain keeps its record, functions and code.  A
-        replaced chain's ``_bN`` slots, tables and names leave the
-        namespace, and no other chain's line numbers move
-        (:meth:`_place`).  The report's build facts describe the update."""
-        _marks, policy, changed, gone, added, stale, refilled, fresh, started = staged
+        code; every other chain keeps its record, functions and code.  No
+        other chain's line numbers move (:meth:`_place`).  The report's
+        build facts describe the update."""
+        policy, changed, gone, added, stale, refilled, fresh, compiles, started = staged
         self.policy = policy
         report = self.report
         # Each chain the update touched gets another try, and so does one
@@ -1714,11 +1671,9 @@ class FastPath:
         for key in gone + [key for key in stale if key not in refilled]:
             old = self.chains.pop(key, None)
             if old is not None:
-                self._drop(old)
                 old.fold_into(report, -1)
         for key, batched in added.items():
-            name = "_%s_%d" % (key[0], self._next_index)
-            self._next_index += 1
+            name = "_" + key[0]
             self._compiled[key] = self._pending(key, (name, name + "_batch" if batched else None))
         for key, chain in fresh.items():
             self._install_record(key, chain)
@@ -1730,7 +1685,7 @@ class FastPath:
         self._source = None
         if changed:
             self._fold_report()
-        report.compiled_units = report.emitted_units = len(fresh)
+        report.compiled_units, report.emitted_units = compiles, len(fresh)
         report.relinked_units = len(refilled)
         report.reused_chains = len(self.chains) - len(fresh) - len(refilled)
         report.compile_seconds = time.perf_counter() - started
@@ -1749,16 +1704,6 @@ class FastPath:
         taken.append((start, start + size))
         taken.sort()
         return start
-
-    def _drop(self, chain):
-        """Take a replaced or dropped chain's bind slots, jump tables and
-        function names out of the namespace."""
-        for name in chain.binds:
-            del self._namespace[name]
-        for index in chain.tables:
-            del self._jump_tables[index]
-        for name in (chain.function_name, chain.batch_name):
-            self._namespace.pop(name, None)
 
     # -- installation -------------------------------------------------------------
 

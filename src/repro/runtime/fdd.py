@@ -48,8 +48,9 @@ Safety mirrors the adaptive tiers (Morpheus-style):
 This module is the pass alone — trees in, plans out
 (:func:`diagram_pass`); the engine hands the result to a
 :class:`~repro.runtime.fastpath.ChainPolicy` as data.  Diagram code
-inlines tree content, so the codegen cache, keyed by the text compiled,
-tells a patched diagram from the one it replaced without being told.
+inlines the shape of the tree, so the chain store, keyed by each
+chain's text, tells a reshaped diagram from the one it replaced without
+being told.
 """
 
 from __future__ import annotations
@@ -75,22 +76,21 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _loc_for(expr):
-    """The cheapest load for one tree test: a contiguous byte slice
-    when the mask covers whole bytes, else the masked 32-bit word.
-    Returns ``(loc, cond)`` — ``loc`` identifies the materialized
-    local, ``cond`` how to compare it."""
-    mask_bytes = expr.mask.to_bytes(4, "big")
+def _loc_for(offset, mask, value):
+    """The cheapest load for one tree test (the word at ``offset``
+    under ``mask`` equals ``value``): a contiguous byte slice when the
+    mask covers whole bytes, else the masked 32-bit word.  Returns
+    ``(loc, cond)`` — ``loc`` identifies the materialized local,
+    ``cond`` how to compare it.  The tier-2 guards render their tests
+    by the same choice (:func:`repro.runtime.adaptive._guard_conds`)."""
+    mask_bytes = mask.to_bytes(4, "big")
     set_bytes = [i for i in range(4) if mask_bytes[i]]
     if set_bytes and all(mask_bytes[i] == 0xFF for i in set_bytes):
         first, last = set_bytes[0], set_bytes[-1]
         if set_bytes == list(range(first, last + 1)):
-            value_bytes = expr.value.to_bytes(4, "big")[first : last + 1]
-            return (
-                ("slice", expr.offset + first, expr.offset + last + 1),
-                ("bytes", bytes(value_bytes)),
-            )
-    return ("word", expr.offset), ("masked", expr.mask, expr.value)
+            value_bytes = value.to_bytes(4, "big")[first : last + 1]
+            return ("slice", offset + first, offset + last + 1), ("bytes", value_bytes)
+    return ("word", offset), ("masked", mask, value)
 
 
 def _loc_name(loc):
@@ -263,7 +263,7 @@ def build_diagram(tree, hot_path=None, node_budget=DEFAULT_NODE_BUDGET):
         state["nodes"] += 1
         if state["nodes"] > node_budget:
             raise _BudgetExceeded()
-        loc, cond = _loc_for(expr)
+        loc, cond = _loc_for(expr.offset, expr.mask, expr.value)
         state["gate"] = max(state["gate"], _loc_need(loc))
         if loc in have:
             state["saved"] += 1
@@ -332,7 +332,7 @@ def diagram_pass(router, node_budget, decisions=None, exemplars=None):
     profiled hot exemplar takes through it.  ``hot_paths`` holds those
     canonical ``(pos, taken)`` walks — not raw exemplar bytes — so two
     runs profiling different packets of the same flow shape produce the
-    same text, which the codegen cache shares."""
+    same chain texts, which the chain store shares."""
     trees = router_trees(router)
     hot_paths = {}
     plans = {}

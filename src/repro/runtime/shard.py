@@ -21,7 +21,7 @@ journal replay exactly once in terms of it.  ``profile.shard_backend``
 selects how a worker is *hosted*, not a second implementation:
 
 - ``"thread"`` — a daemon thread fed through a bounded
-  :class:`SPSCQueue`; objects cross by reference and the codegen cache
+  :class:`SPSCQueue`; objects cross by reference and the chain store
   is shared, so startup is cheap.  This is what the differential
   oracle and ``click-chaos`` run by default (Python threads
   buy no wall-clock parallelism; equivalence is the point).
@@ -71,8 +71,8 @@ Cross-worker safety notes (the audit thread-hosted workers forced):
 ``ELEMENT_CLASSES`` is a read-only registry after import; the dest-IP
 intern cache (:data:`repro.net.packet._DEST_IP_CACHE`) is only touched
 via single dict operations, which the GIL keeps atomic; the process-wide
-codegen cache serializes mutation behind an RLock (builds and adaptive
-tier-2 recompiles run on worker threads).  Shards share no mutable
+chain store serializes every operation behind a lock (chains are
+entered, and compiled, on worker threads).  Shards share no mutable
 runtime state — each worker has its own graph, elements, devices, meter,
 and engine, and the coordinator never touches them.
 """
@@ -674,7 +674,7 @@ class _ThreadTransport:
     """A worker hosted on a daemon thread of this process: commands
     through a bounded :class:`SPSCQueue` (the backpressure contract),
     replies through an unbounded queue (one per question), the graph
-    and ``extra_classes`` by reference, the codegen cache shared.
+    and ``extra_classes`` by reference, the chain store shared.
 
     A thread cannot be killed, so ``kill()`` is a *fence*: the worker
     sees it at its next ``recv`` and exits without serving another
@@ -710,8 +710,8 @@ class _ThreadTransport:
             daemon=True,
         )
         self._thread.start()
-        # One build at a time: the codegen cache is shared in-process,
-        # so the next worker shares the code this one compiled instead
+        # One build at a time: the chain store is shared in-process,
+        # so the next worker finds the chains this one compiled instead
         # of compiling the same chains beside it.
         self._listening.wait()
 

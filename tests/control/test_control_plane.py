@@ -355,9 +355,10 @@ class TestStructuralInPlace:
         across a structural update, and across a hot-swap that renews
         every element: ``plane.router`` is the same object, so are its
         engine and supervisor, the engine's ``recompiles`` reads what it
-        did, ``diagram_rebuilds`` grows only by the plans of the
-        classifiers a hot-swap renews, its deopt log gains the install's
-        one reason, and the supervisor's ``chain_errors`` stands."""
+        did, ``diagram_rebuilds`` stands — a hot-swap renews the
+        classifiers but not their rules, so each plan is kept, the same
+        object — its deopt log gains the install's one reason, and the
+        supervisor's ``chain_errors`` stands."""
         testbed = Testbed(2)
         router, devices = testbed.build_router(testbed.variant_graph("base"), profile=ExecutionProfile.reference())
         injector = FaultInjector(FaultPlan([{"kind": "element_error", "element": "dt0", "after": 40}]))
@@ -374,7 +375,7 @@ class TestStructuralInPlace:
         errors = supervisor.report().totals["chain_errors"]
         assert totals[0] > 0 and totals[1] > 0 and len(totals[2]) >= 2 and errors == 1
 
-        elements = dict(router.elements)
+        elements, plans = dict(router.elements), dict(engine.tier1.policy.plans)
         if install == "update":
             report = plane.apply(probe_text(router))
         else:
@@ -385,9 +386,10 @@ class TestStructuralInPlace:
         assert report.kind == "scoped-swap" and plane.router is router
         assert router.engine is engine and router.supervisor is supervisor
         assert_chains_add_up(report, router)
-        # A hot-swap renews the classifiers, so their plans are built again.
-        rebuilt = len(engine.tier1.policy.plans) if install == "hotswap" else 0
-        assert (engine.recompiles, engine.diagram_rebuilds) == (totals[0], totals[1] + rebuilt)
+        assert (engine.recompiles, engine.diagram_rebuilds) == totals[:2]
+        assert engine.tier1.policy.plans == plans and all(
+            engine.tier1.policy.plans[name] is plan for name, plan in plans.items()
+        )
         assert engine.deopts == totals[2] + ["structural update"]
         assert supervisor.report().totals["chain_errors"] == errors
         drive(testbed, plane, devices, 256, start=2048)

@@ -111,12 +111,9 @@ class TestSwapReportSurface:
     def test_an_identity_swap_of_an_unentered_router_compiles_nothing(self, monkeypatch):
         """Every chain of a router nothing has entered is pending: an
         identity swap emits and compiles none of them again, and leaves
-        each to its first packet.  (The codegen cache starts empty: a
-        build that shares another test's compiled records starts live.)"""
+        each to its first packet."""
         from repro.runtime import fastpath
-        from repro.runtime.codegen_cache import default_cache
 
-        default_cache().clear()
         router = Router(parse_graph(BASE), profile=ExecutionProfile.fast())
         chains = len(router.fastpath.chains)
 
@@ -177,9 +174,8 @@ class TestRollback:
     def test_a_live_chain_that_fails_to_compile_rolls_back(self, monkeypatch):
         """The swap compiles inside itself every chain that was
         forwarding, so a ``compile()`` that raises there aborts the swap,
-        and the router keeps serving as it was.  (The codegen cache
-        starts empty: a text another test compiled needs no
-        ``compile()``.)"""
+        and the router keeps serving as it was.  (The chain store starts
+        empty: a text another test compiled needs no ``compile()``.)"""
         from repro.runtime import fastpath
         from repro.runtime.codegen_cache import default_cache
 

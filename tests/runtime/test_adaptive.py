@@ -1,7 +1,7 @@
 """The adaptive engine's machinery, piece by piece: configuration
 validation, the profile store, guard-condition construction, decision
 building, the tier lifecycle (profile -> promote -> deopt -> reprofile),
-and the codegen cache keyed by module text."""
+and the chain store keyed by each chain's text."""
 
 import pytest
 
@@ -15,7 +15,8 @@ from repro.runtime.adaptive import (
     _guard_conds,
     build_decisions,
 )
-from repro.runtime.codegen_cache import CodegenCache
+from repro.runtime import codegen_cache
+from repro.runtime.codegen_cache import default_cache
 from repro.runtime.fastpath import ChainPolicy, FastPath
 from repro.sim.testbed import Testbed
 
@@ -240,7 +241,7 @@ def test_a_promotion_compiles_the_promoted_chains_and_a_deopt_releases_them():
         dropped = weakref.ref(tier2)
         running = tier2.function_for(promoted[0])
         engine._on_guard_pressure(engine._guard_counters[0])
-        assert engine.tier2_fp is None and tier2._namespace and not is_pending(running)
+        assert engine.tier2_fp is None and tier2._compiled and not is_pending(running)
         engine.tier2_fp = tier2  # as if promoted again
         del tier2, running, live
         assert engine.on_table_patch("rt", "routes") == ()
@@ -373,7 +374,7 @@ def test_tier_swaps_mid_burst_take_effect_by_the_next_burst(batch):
     assert len(outputs[0][0]) == sum(1 for index in range(160) if index % 5)
 
 
-# -- codegen cache -----------------------------------------------------------
+# -- the chain store -----------------------------------------------------------
 
 # The classifier gives the profiling flavor a note hook to emit, so
 # its text differs from the static flavor's.
@@ -392,26 +393,41 @@ def _simple_router():
 
 
 def test_codegen_cache_distinguishes_policies():
-    cache = CodegenCache()
-    router_a, _ = _simple_router()
-    FastPath(router_a, cache=cache)
-    router_b, _ = _simple_router()
-    FastPath(router_b, policy=ChainPolicy(store=ProfileStore()), cache=cache)
-    assert cache.hits == 0 and cache.misses == 2
-    router_c, _ = _simple_router()
-    FastPath(router_c, cache=cache)  # the static text again
-    assert cache.hits == 1 and len(cache) == 2
+    """One lookup a chain: the profiled flavor's chains differ from the
+    static ones where a classifier dispatches (the note hook), and the
+    rest are the static chains' texts, which it finds; a third router's
+    static chains find every text and compile nothing."""
+    cache = default_cache()
+    cache.clear()
+    static = FastPath(_simple_router()[0])
+    static.materialize()
+    chains = len(static.chains)
+    assert cache.stats() == {"entries": chains, "hits": 0, "misses": chains}
+    profiling = FastPath(_simple_router()[0], policy=ChainPolicy(store=ProfileStore()))
+    profiling.materialize()
+    noted = {key for key, chain in profiling.chains.items() if chain.template != static.chains[key].template}
+    assert noted and all(key[0] == "push" and key[1] == "src" for key in noted)
+    assert cache.stats() == {"entries": chains + len(noted), "hits": chains - len(noted), "misses": chains + len(noted)}
+    again = FastPath(_simple_router()[0])
+    again.materialize()
+    assert again.report.compiled_units == 0 and cache.hits == 2 * chains - len(noted)
+    assert all(chain.code is static.chains[key].code for key, chain in again.chains.items())
 
 
-def test_codegen_cache_capacity_evicts():
-    cache = CodegenCache(capacity=1)
-    router_a, _ = _simple_router()
-    FastPath(router_a, cache=cache)
-    router_b, _ = _simple_router()
-    FastPath(router_b, policy=ChainPolicy(store=ProfileStore()), cache=cache)
-    router_c, _ = _simple_router()
-    FastPath(router_c, cache=cache)  # static entry was evicted
-    assert cache.misses == 3
+def test_codegen_cache_capacity_evicts(monkeypatch):
+    """Past its capacity the store evicts the chain it was asked for
+    least recently, and a fast path that enters that chain compiles it
+    again."""
+    monkeypatch.setattr(codegen_cache, "CAPACITY", 1)
+    cache = default_cache()
+    cache.clear()
+    static = FastPath(_simple_router()[0])
+    keys = list(static.chains)
+    static.materialize(keys[:2])
+    assert len(cache) == 1
+    again = FastPath(_simple_router()[0])
+    again.materialize(keys[:2])  # the first chain was evicted by the second
+    assert again.report.compiled_units == 2 and len(cache) == 1
 
 
 BRANCHES = """

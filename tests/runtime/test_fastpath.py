@@ -28,7 +28,7 @@ def build(variant="base", mode="reference", batch=False):
 
 def compile_fastpath(router, batch=False):
     """Compile the router's static chains without installing them."""
-    return FastPath(router, batch=batch, cache=default_cache())
+    return FastPath(router, batch=batch)
 
 
 class TestCompileReport:
@@ -73,7 +73,7 @@ class TestGeneratedSource:
     def test_source_is_dumpable_python(self):
         _, (router, _) = build()
         fastpath = compile_fastpath(router)
-        assert "def _push_0" in fastpath.source
+        assert "\ndef _push(packet" in fastpath.source
         assert fastpath.report.source_lines == len(fastpath.source.splitlines())
         sink = io.StringIO()
         fastpath.dump(sink)
@@ -86,14 +86,15 @@ class TestGeneratedSource:
         # mark); tracebacks must still point into fastpath.source.
         import traceback
 
-        default_cache().clear()  # a shared record may carry code already
+        default_cache().clear()
         _, (router, _) = build()
         fastpath = compile_fastpath(router)
         lines = fastpath.source.split("\n")
         key = ("push", "PollDevice@2", 0)
-        entered_late = FastPath(router)  # no cache: its records are its own
+        entered_late = FastPath(router)  # its records are its own
         assert entered_late.chains[key].code is None
         fastpath.materialize()
+        default_cache().clear()  # so the call that raises compiles its chain
         assert all(chain.code is not None for chain in fastpath.chains.values())
         assert fastpath.report.compiled_units == len(fastpath.chains)
         for function, _batch in fastpath._compiled.values():
@@ -126,14 +127,15 @@ class TestCompileOnFirstEntry:
 
     @pytest.mark.parametrize("batch", [False, True])
     def test_holders_keep_the_object_that_becomes_the_chain(self, batch):
-        default_cache().clear()  # a shared record may carry code already
+        default_cache().clear()
         testbed, (router, devices) = build(mode="fast", batch=batch)
         fastpath = router.fastpath
         # entered by a task unit, by an element's own push, and (the
         # route arms are fused into their callers) by materialize()
         entry, inner, arm = ("push", "PollDevice@2", 0), ("push", "arpq0", 0), ("push", "rt", 1)
         port = router.find("PollDevice@2")._output_ports[0]
-        tables = [table for table, element, _mode in fastpath._jump_tables.values() if element.name == "rt"]
+        tables = [table for chain in fastpath.chains.values() for table, element, _mode in chain.tables
+                  if element.name == "rt"]
         before = fastpath._compiled[entry] + (fastpath.function_for(inner), tables[0][1])
         assert port.push is before[0] and port.push_batch is before[1]
         assert router.find("arpq0")._output_ports[0].push is before[2]
@@ -150,7 +152,7 @@ class TestCompileOnFirstEntry:
         assert all(a is b for a, b in zip(after, before))
         assert not any(is_pending(fn) for fn in after if fn is not None)
         assert after[0].__name__ == fastpath.chains[entry].function_name
-        assert after[0].__globals__ is fastpath._namespace
+        assert after[0].__defaults__ is fastpath.chains[entry].defaults
         assert 0 < fastpath.report.compiled_units < len(fastpath.chains)
         assert fastpath.report.compile_seconds > 0
 
@@ -161,10 +163,10 @@ class TestCompileOnFirstEntry:
         broken = "# push arpq0 [0] ->"
         real = fastpath_module.compile_chain
 
-        def compile_chain(lines, offset, *args):
+        def compile_chain(lines, *args):
             if lines[0].startswith(broken):
                 raise SyntaxError("injected emitter bug")
-            return real(lines, offset, *args)
+            return real(lines, *args)
 
         monkeypatch.setattr(fastpath_module, "compile_chain", compile_chain)
         frames = testbed.evaluation_frames(64)
@@ -185,7 +187,7 @@ class TestCompileOnFirstEntry:
     def test_chaos_is_green_when_no_chain_compiles(self, monkeypatch):
         from repro.verify.chaos import main
 
-        def compile_chain(lines, offset, *args):
+        def compile_chain(lines, *args):
             raise SyntaxError("injected emitter bug")
 
         monkeypatch.setattr(fastpath_module, "compile_chain", compile_chain)
@@ -243,12 +245,12 @@ def _run_digest_configuration(config, profile, early):
         flavor.materialize()
         # a chain compiled alone, whenever, is the chain compiled with the module
         module = compile(flavor.source, "<fastpath>", "exec")
-        whole = {const.co_name: const for const in module.co_consts if hasattr(const, "co_code")}
+        whole = {const.co_firstlineno: const for const in module.co_consts if hasattr(const, "co_code")}
         for key, pair in flavor._compiled.items():
             for function in filter(None, pair):
                 code = function.__code__
-                assert code.co_code == whole[function.__name__].co_code
-                assert code.co_firstlineno == whole[function.__name__].co_firstlineno
+                assert code.co_code == whole[code.co_firstlineno].co_code
+                assert code.co_name == whole[code.co_firstlineno].co_name == function.__name__
                 codes[flavor.policy.tag, key, function.__name__] = code.co_code
     return codes, {name: list(device.transmitted) for name, device in devices.items()}
 

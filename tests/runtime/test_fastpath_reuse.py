@@ -1,16 +1,18 @@
 """What a build shares and an update keeps (the chains' records:
-source, binds, jump tables, code objects or their lack, report
+source, bound objects, jump tables, code objects or their lack, report
 counters), counted in ``compile()`` calls: a build compiles nothing, a
-chain is compiled when first entered, a build that emits a cached text
-shares its records, and a whole-text hot-swap carries nothing of the old
-router.  A rules patch builds nothing: it emits again only the chains it
-dirtied — of the plain flavor: the profiled one bakes no rules in and
-stands — compiles those of them that were forwarding, and swaps the new
-code under the function objects every holder already has; its report
+chain is compiled when first entered unless the chain store holds its
+text, a build that emits a stored text compiles none of it, and a
+whole-text hot-swap carries nothing of the old router.  A rules patch
+builds nothing: it emits again only the chains it dirtied — of the
+plain flavor: the profiled one bakes no rules in and stands — compiles
+those of them that were forwarding, and swaps the new code under the
+function objects every holder already has; its report
 reads as a cold compile's would, and repeated patches hold the fast
 path's size where one patch left it.  A structural update rewrites the
 live router's stale chains the same way."""
 
+import dis
 import gc
 import random
 import tracemalloc
@@ -32,8 +34,9 @@ from repro.elements.runtime import Router
 from repro.lang.build import parse_graph
 from repro.lang.lexer import split_config_args
 from repro.runtime import AdaptiveConfig, ExecutionProfile
+from repro.runtime import adaptive as adaptive_module
 from repro.runtime import fastpath as fastpath_module
-from repro.runtime.codegen_cache import CodegenCache, default_cache
+from repro.runtime.codegen_cache import default_cache
 from repro.runtime.fastpath import FastPath
 from repro.sim.testbed import Testbed
 
@@ -116,17 +119,16 @@ def scrubbed(report):
 
 def assert_reports_as_a_cold_compile(router, rebuild):
     """After a rules patch each tier-1 flavor — the plain one rewritten
-    in place, the profiled one as it stood — reports what a cold compile
-    of the patched configuration reports, and what a build sharing that
-    compile's cached text does."""
+    in place, the profiled one as it stood — reports what a cold build
+    of the patched configuration reports, and what a second build of
+    that text does."""
     engine = router.engine
     patched = [scrubbed(flavor.report) for flavor in (engine.tier1, engine.profiled)]
     text = save_config(router.graph)
     default_cache().clear()
-    for shared in (False, True):
+    for _build in range(2):
         other = rebuild(load_config(text, "<patched>")).engine
         for flavor, expected in zip((other.tier1, other.profiled), patched):
-            assert (flavor.report.emitted_units == 0) is shared
             assert scrubbed(flavor.report) == expected
 
 
@@ -143,10 +145,14 @@ def test_rules_patch_compiles_only_dirty_chains(batch, compile_calls, rebuilds):
     engine = router.adaptive
     tier1, profiled = engine.tier1, engine.profiled
     assert not compile_calls  # configure() compiled nothing
-    for flavor in (tier1, profiled):
-        flavor.materialize()
-        assert flavor.report.compiled_units == flavor.report.emitted_units == len(flavor.chains)
-    assert len(compile_calls) == 59 + 59
+    tier1.materialize()
+    assert tier1.report.compiled_units == tier1.report.emitted_units == len(tier1.chains) == 59
+    # The profiled flavor's chains are the plain ones where they hold
+    # no classifier or route dispatch: it finds those texts stored.
+    profiled.materialize()
+    own = sum(chain.template != tier1.chains[key].template for key, chain in profiled.chains.items())
+    assert profiled.report.compiled_units == own and 0 < own < 59 == profiled.report.emitted_units
+    assert len(compile_calls) == 59 + own
     dirty = reaching(tier1, "c0")
     assert 1 <= len(dirty) <= 2 < len(tier1.chains)
     # The chains anchored at c0's own outputs start at the port's
@@ -230,8 +236,8 @@ def test_a_rules_patch_swaps_its_code_under_every_holder(batch, rebuilds):
         assert dirty == {poll, arm, ("push", "cnt", 0)}
         functions, records = dict(tier1._compiled), dict(tier1.chains)
         codes = {key: codes_of(pair) for key, pair in functions.items()}
-        kept = {index for key, chain in records.items() if key not in dirty for index in chain.tables}
-        tables = {index: (tier1._jump_tables[index][0], list(tier1._jump_tables[index][0])) for index in kept}
+        tables = [(table, list(table)) for key, chain in records.items() if key not in dirty
+                  for table, _element, _mode in chain.tables]
         del rebuilds[:]
 
         report = ControlPlane(router).update_rules("b", rules)
@@ -258,16 +264,16 @@ def test_a_rules_patch_swaps_its_code_under_every_holder(batch, rebuilds):
             state = engine.states[key]
             assert state.plain is functions[key][0]
             assert state.plain_batch is (functions[key][1] if batch else None)
-        for index, (table, entries) in tables.items():
-            assert tier1._jump_tables[index][0] is table
+        # A kept chain keeps its tables, each entry the object it was.
+        for table, entries in tables:
             assert len(table) == len(entries) and all(new is old for new, old in zip(table, entries))
-        # Every table, kept or registered by a replaced chain, holds the functions.
-        for table, element, _mode in tier1._jump_tables.values():
+        # Every table, kept or bound by a replaced chain, holds the functions.
+        live_tables = [table for chain in tier1.chains.values() for table in chain.tables]
+        for table, element, _mode in live_tables:
             for port, entry in enumerate(table):
                 held = functions.get(("push", element.name, port))
                 assert held is None or entry is held[0]
-        assert any(element.name == "a" and table[0] is functions[arm][0]
-                   for table, element, _mode in tier1._jump_tables.values())
+        assert any(element.name == "a" and table[0] is functions[arm][0] for table, element, _mode in live_tables)
         # The new rules run: TCP now leaves on eth1 — through the pin, or
         # (a supervised profile runs the scalar units, so nothing pins a
         # batch unit's port) through the dispatcher.
@@ -346,9 +352,10 @@ def test_line_numbers_survive_a_dirty_chain_that_grew():
 
 def test_repeated_rules_patches_stay_bounded():
     """300 ``c0`` patches on a router that has forwarded leave tier 1
-    the size one patch left it — its namespace, jump tables and module
-    text within one replaced chain's worth — and ``tracemalloc`` growth
-    from patch 50 to patch 300, with the collector off, under 64 KiB.
+    the size one patch left it — the objects its chains bind, their jump
+    tables and its module text within one replaced chain's worth — and
+    ``tracemalloc`` growth from patch 50 to patch 300, with the
+    collector off, under 64 KiB.
     The patches cycle through eight rule sets and the plane keeps 16
     reports, so the matcher memo and the plane's history (each bounded
     on its own) are full by patch 50; the engine's deopt log still
@@ -372,7 +379,8 @@ def test_repeated_rules_patches_stay_bounded():
         assert (report.chains_recompiled, report.chains_relinked) == ((1, 0) if index == 0 else (0, 1))
 
     def sizes():
-        return len(tier1._namespace), len(tier1._jump_tables), len(tier1.source)
+        chains = tier1.chains.values()
+        return sum(len(c.defaults) for c in chains), sum(len(c.tables) for c in chains), len(tier1.source)
 
     tracemalloc.start()
     try:
@@ -380,7 +388,7 @@ def test_repeated_rules_patches_stay_bounded():
         chain = tier1.chains[key]
         assert chain.code is not None  # the chain forwards: every patch re-links its successor
         first = sizes()
-        worth = (len(chain.binds) + 2, len(chain.tables), len("\n".join(chain.source)) + 1)
+        worth = (len(chain.defaults), len(chain.tables), len("\n".join(chain.source)) + 1)
         for index in range(1, 50):
             patch(index)
         gc.collect()
@@ -398,37 +406,128 @@ def test_repeated_rules_patches_stay_bounded():
 
 def test_a_compile_that_emits_a_cached_text_shares_it(compile_calls):
     """A route patch changes the graph but not the text compiled for
-    it: a tier 2 rebuilt after one finds that text in the cache and
-    shares its lines and code objects instead of holding a copy per
-    patch — memory stays flat however many patches a run applies.  The
-    sharer reports what the emitting compile does, and whichever of them
-    enters a shared record first compiles it for both."""
+    it: a fast path built after one emits the same chains, and entering
+    them compiles nothing — each record is its own, and runs the template
+    code the first fast path compiled and stored, filled in and linked
+    over its own bound objects.  Memory stays flat however many patches
+    a run applies, and the two report alike."""
     _testbed, router, _devices = build(ExecutionProfile.reference())
-    cache = CodegenCache()
-    first = FastPath(router, cache=cache)
+    first = FastPath(router)
     assert first.report.emitted_units == len(first.chains) and first.report.compiled_units == 0
+    first.materialize()
+    count = len(first.chains)
+    assert len(compile_calls) == count
+    assert default_cache().stats() == {"entries": count, "hits": 0, "misses": count}
     routes = rules_of(router, "rt")
     ControlPlane(router).update_routes("rt", routes + ["10.9.0.0/16 1"])
     del compile_calls[:]
-    second = FastPath(router, cache=cache)
+    second = FastPath(router)
+    assert scrubbed(second.report) == scrubbed(first.report) and second.source == first.source
+    second.materialize()
 
-    assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
-    assert second.report.compiled_units == second.report.emitted_units == 0 and not compile_calls
-    assert scrubbed(second.report) == scrubbed(first.report)
-    assert second.source is first.source
-    for key, chain in second.chains.items():
-        assert chain is first.chains[key]
-    keys = list(first.chains)
-    first.materialize(keys[:1])
-    second.materialize(keys[-1:])
-    assert len(compile_calls) == 2 and all(first.chains[key].code is not None for key in (keys[0], keys[-1]))
-    first.materialize()
-    second.materialize()  # a sharer filled every record: nothing left to compile
-    assert second.report.compiled_units == 1 and len(compile_calls) == len(keys)
+    assert second.report.compiled_units == 0 and not compile_calls
+    assert default_cache().stats() == {"entries": count, "hits": count, "misses": count}
     first_functions = functions_of(first)
+    for key, chain in second.chains.items():
+        assert chain is not first.chains[key] and chain.code is first.chains[key].code
+        assert not chain.defaults or chain.defaults is not first.chains[key].defaults
     for key, fn in functions_of(second).items():
-        assert fn.__code__ is first_functions[key].__code__
-        assert fn.__globals__ is second._namespace
+        assert fn is not first_functions[key] and fn.__code__.co_code == first_functions[key].__code__.co_code
+
+
+@pytest.mark.parametrize("config", ["iprouter", "firewall"])
+def test_a_chain_body_reads_only_builtins(config):
+    """A chain's text is a function of the chain alone: everything it
+    binds is a default of its def, so its body reads no global but a
+    builtin — in every flavor of both stock configurations."""
+    from .test_fastpath_lowering import EAGER, warm_firewall, warm_iprouter
+
+    default_cache().clear()
+    profile = ExecutionProfile.fdd(config=AdaptiveConfig(**EAGER))
+    router = warm_iprouter(profile) if config == "iprouter" else warm_firewall(profile)
+    flavors = router.engine.flavors()
+    assert len(flavors) == 3
+    read = set()
+
+    def globals_read(code):
+        read.update(ins.argval for ins in dis.get_instructions(code) if ins.opname in ("LOAD_GLOBAL", "LOAD_NAME"))
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                globals_read(const)
+
+    for flavor in flavors:
+        flavor.materialize()
+        for function in functions_of(flavor).values():
+            assert function.__globals__ is fastpath_module._GLOBALS
+            globals_read(function.__code__)
+    assert read and read <= {"len", "bytes", "bytearray", "int"}
+
+
+def warmed_iprouter(profile, frames=2000):
+    """The plain IP router under ``profile``, after ``frames`` frames."""
+    testbed = Testbed(2)
+    router, devices = testbed.build_router(testbed.variant_graph("base"), profile=profile)
+    for name, frame in testbed.evaluation_frames(frames):
+        devices[name].receive_frame(frame)
+    router.run_tasks(frames)
+    return testbed, router, devices
+
+
+def test_two_routers_of_one_text_patch_alike():
+    """Records are their fast path's own: the stock ``fdd`` IP router
+    built twice in one process, both warmed, takes the same ``c0``
+    patch with the same counts, and every chain's inlined plans are its
+    own router's — a record the second build shared with the first would
+    hold the first router's plans, and a patch that compares plans by
+    identity would refill it for nothing."""
+    default_cache().clear()
+    routers = [warmed_iprouter(ExecutionProfile.fdd())[1] for _ in range(2)]
+    counts = []
+    for router in routers:
+        rules = rules_of(router, "c0")
+        rules[0] = "12/0806 20/0001 28/0a000001"
+        report = ControlPlane(router).update_rules("c0", rules)
+        counts.append((report.chains_recompiled, report.chains_relinked, report.chains_reused))
+    assert counts[0] == counts[1] == (1, 0, 58)
+    for router in routers:
+        for flavor in router.engine.flavors():
+            plans = flavor.policy.plans or {}
+            for chain in flavor.chains.values():
+                assert all(plans.get(name) is plan for name, plan in chain.diagrams)
+
+
+def test_an_identity_hotswap_compiles_nothing_and_rebuilds_no_plan(compile_calls, monkeypatch):
+    """A hot-swap of the warmed ``fdd`` IP router to its own
+    configuration renews every element, so every chain that was
+    forwarding is emitted again — and its text is the one the chain
+    store holds since that chain's first entry: no ``compile()``.  Each
+    classifier's live tree has its plan's signature, so no plan is built
+    again: the plans are the objects they were.  The wire is what a twin
+    that was never swapped transmits."""
+    built = []
+    monkeypatch.setattr(adaptive_module, "build_diagram", lambda *args, **kwargs: built.append(args))
+    default_cache().clear()
+    testbed, router, devices = warmed_iprouter(ExecutionProfile.fdd())
+    _testbed, twin, twin_devices = warmed_iprouter(ExecutionProfile.fdd())
+    engine = router.engine
+    plans, rebuilds_before = dict(engine.tier1.policy.plans), engine.diagram_rebuilds
+    del compile_calls[:]
+    for _swap in range(3):
+        report = hotswap(router, save_config(router.graph))
+        assert report.kind == "scoped-swap" and report.delta == "no changes"
+        assert report.chains_recompiled > 0 and report.chains_reused == report.chains_relinked == 0
+        assert not compile_calls and all(flavor.report.compiled_units == 0 for flavor in engine.flavors())
+        assert "compiled 0 of " in engine.tier1.report.format()
+    assert not built and engine.diagram_rebuilds == rebuilds_before
+    assert all(engine.tier1.policy.plans[name] is plan for name, plan in plans.items())
+    traffic = testbed.evaluation_frames(4000)[2000:]
+    for plane, rx in ((router, devices), (twin, twin_devices)):
+        for name, frame in traffic:
+            rx[name].receive_frame(frame)
+        plane.run_tasks(2000)
+    assert {name: d.transmitted for name, d in devices.items()} == {
+        name: d.transmitted for name, d in twin_devices.items()
+    }
 
 
 def test_rules_patches_do_not_grow_the_cache():
@@ -463,12 +562,14 @@ def reachable_from(roots):
 
 
 def test_scoped_hotswap_rebinds_onto_the_new_router(compile_calls):
-    """A whole-text hot-swap renews every element in place: every bind
-    is a new element's, so no replaced element is reachable from any
-    flavor's namespace (in ``fast``, ``fdd`` and supervised batched
-    ``fdd``); every chain was stale, so the chains that were forwarding
-    are emitted again and compiled inside the swap, and the others wait
-    for their first packet."""
+    """A whole-text hot-swap renews every element in place: every bound
+    object is a new element's, so no replaced element is reachable from
+    any flavor's records or functions (in ``fast``, ``fdd`` and
+    supervised batched ``fdd``); every chain was stale, so the chains
+    that were forwarding are emitted again inside the swap — compiled
+    where the edit changed their text (each that reaches ``rt``, whose
+    dispatch fuses the edited arm), the rest found in the chain store —
+    and the others wait for their first packet."""
     for profile in (ExecutionProfile.fast(), ExecutionProfile.fdd(), ExecutionProfile.fdd(batch=True).with_supervision()):
         _testbed, router, _devices = build(profile)
         flavors = router.engine.flavors()
@@ -486,14 +587,14 @@ def test_scoped_hotswap_rebinds_onto_the_new_router(compile_calls):
         del compile_calls[:]
         report = hotswap(router, graph)
         assert report.kind == "scoped-swap" and report.chains_reused == 0
-        assert report.chains_recompiled == len(compile_calls) == sum(
-            len(live[id(flavor)] & set(flavor.chains)) for flavor in flavors
-        )
+        assert report.chains_recompiled == sum(len(live[id(flavor)] & set(flavor.chains)) for flavor in flavors)
+        assert len(compile_calls) == sum(flavor.report.compiled_units for flavor in flavors)
+        assert 0 < len(compile_calls) < report.chains_recompiled
         assert router.engine.flavors() == flavors
         for flavor in flavors:
             kept = live[id(flavor)] & set(flavor.chains)
             assert not any(is_pending(flavor.function_for(key)) for key in kept)
-            reached = reachable_from(flavor._namespace.values())
+            reached = reachable_from([flavor.chains, functions_of(flavor)])
             assert id(router) in reached
             assert not set(reached) & replaced, profile
 
@@ -520,23 +621,26 @@ def churn_schedule(graph, count, rng):
     return schedule
 
 
-def test_in_place_churn_never_compiles_where_hotswaps_do(compile_calls):
+def test_in_place_churn_never_emits_where_hotswaps_do(compile_calls):
     """Why an incremental update beats a full swap, as a count: under
     ``fdd``, 16 seeded route/rule updates through ``ControlPlane`` are
-    all patched in place without one ``compile()`` (the run's only
-    compiles are its chains' first entries, and a rules patch that swaps
-    two arms re-links); the same 16 installed as whole-text hot-swaps
-    compile, inside each swap, every chain that was forwarding (a swap
-    renews every element, so every chain is stale) — and both put the
-    same bytes on the wire, none dropped by an install."""
+    all patched in place without emitting a chain (a route patch changes
+    a table, and a rules patch that swaps two arms re-links); the same 16
+    installed as whole-text hot-swaps emit again, inside each swap, every
+    chain that was forwarding (a swap renews every element, so every
+    chain is stale).  Neither compiles: a hot-swapped chain's text is the
+    one the chain store holds since its first entry, so the run's only
+    compiles are first entries — and both put the same bytes on the
+    wire, none dropped by an install."""
     updates, burst = 16, 8
-    compiles, entries, wires = {}, {}, {}
+    compiles, emitted, entries, wires = {}, {}, {}, {}
     for path in ("in-place", "hotswap"):
         testbed, router, devices = build(ExecutionProfile.fdd())
         schedule = churn_schedule(router.graph, updates, random.Random(0xC1C0))
         traffic = testbed.evaluation_frames(burst * updates)
+        flavors = (router.engine.tier1, router.engine.profiled)
         del compile_calls[:]
-        compiles[path] = 0
+        compiles[path] = emitted[path] = 0
         for index, (name, args) in enumerate(schedule):
             for device, frame in traffic[burst * index : burst * (index + 1)]:
                 devices[device].receive_frame(frame)
@@ -546,19 +650,22 @@ def test_in_place_churn_never_compiles_where_hotswaps_do(compile_calls):
                 plane = ControlPlane(router)
                 update = plane.update_routes if name == "rt" else plane.update_rules
                 assert update(name, args).kind == "in-place"
+                emitted[path] += flavors[0].report.emitted_units if name != "rt" else 0
             else:
                 graph = router.graph.copy()
                 graph.elements[name].config = ", ".join(args)
-                flavors = (router.engine.tier1, router.engine.profiled)
                 live = [{key for key, pair in f._compiled.items() if not is_pending(pair[0])} for f in flavors]
-                hotswap(router, graph)
+                report = hotswap(router, graph)
+                assert report.chains_recompiled == sum(len(keys) for keys in live)
+                emitted[path] += report.chains_recompiled
                 for keys, flavor in zip(live, flavors):
                     assert not any(is_pending(flavor.function_for(key)) for key in keys)
             compiles[path] += len(compile_calls) - before
         router.run_tasks(64)
         entries[path] = len(compile_calls) - compiles[path]
         wires[path] = {name: [bytes(f) for f in d.transmitted] for name, d in devices.items()}
-    assert compiles["in-place"] == 0 and compiles["hotswap"] > 0
+    assert compiles == {"in-place": 0, "hotswap": 0}
+    assert emitted["in-place"] == 0 < emitted["hotswap"]
     assert 0 < entries["in-place"] < 59 and 0 < entries["hotswap"] < 59
     assert wires["in-place"] == wires["hotswap"]
     assert sum(len(frames) for frames in wires["hotswap"].values()) == burst * updates
@@ -572,7 +679,9 @@ def test_configure_compiles_nothing_and_traffic_compiles_what_it_enters(compile_
     chains over a run and calls ``compile()`` for none of them; a
     2000-frame block each way, promotions included, compiles the
     chains it entered (177 when every emitted chain was compiled at
-    once); ``materialize()`` is the eager build."""
+    once); ``materialize()`` is the eager build.  Each distinct chain
+    text is compiled once: a flavor's chain that holds no specialization
+    of its own is another flavor's text, which the chain store holds."""
     testbed, router, devices = build(ExecutionProfile.fdd())
     engine = router.adaptive
     assert not compile_calls
@@ -583,12 +692,12 @@ def test_configure_compiles_nothing_and_traffic_compiles_what_it_enters(compile_
     assert engine.tier2_fp is not None and sum(len(d.transmitted) for d in devices.values()) == 4000
     assert 0 < len(compile_calls) <= 20
     assert len(compile_calls) == sum(flavor.report.compiled_units for flavor in engine.flavors())
-    entered = engine.tier1.report.compiled_units + engine.profiled.report.compiled_units
     for flavor in (engine.tier1, engine.profiled):
         flavor.materialize()
         assert all(chain.code is not None for chain in flavor.chains.values())
-    assert engine.tier1.report.compiled_units + engine.profiled.report.compiled_units == 59 + 59
-    assert len(compile_calls) - (59 + 59 - entered) <= 20
+    texts = {tuple(chain.template) for flavor in engine.flavors() for chain in flavor.chains.values() if chain.code}
+    assert len(compile_calls) == len(set(compile_calls)) == len(texts) < 59 + 59
+    assert len(compile_calls) == sum(flavor.report.compiled_units for flavor in engine.flavors())
 
 
 def firewall_router(profile):
@@ -682,7 +791,8 @@ def test_a_chain_nothing_entered_is_emitted_by_its_first_packet(compile_calls, m
 def test_a_waiting_chain_that_fails_to_emit_runs_its_reference_port(monkeypatch):
     """A chain a rules patch left waiting is emitted by its first
     packet; an emission that raises there costs the chain, not the
-    router: the binds it made are taken back, the frame is forwarded
+    router: what it bound was only its record's, so nothing of it is
+    left (no record, no report lines), the frame is forwarded
     through the reference port — into the chain after it, which that
     emits — the report lists the chain, and the next rules patch lets a
     later packet emit it again."""
@@ -694,7 +804,7 @@ def test_a_waiting_chain_that_fails_to_emit_runs_its_reference_port(monkeypatch)
     rules = firewall_rule_strings()
     ControlPlane(router).update_rules("fw", rules[:2] + rules[-2:1:-1] + rules[-1:])
     assert entry not in tier1.chains
-    real, binds = FastPath._emit_chain, {name for name in tier1._namespace if name.startswith("_b")}
+    real = FastPath._emit_chain
 
     def emit_chain(self, key, *args):
         chain = real(self, key, *args)
@@ -708,10 +818,10 @@ def test_a_waiting_chain_that_fails_to_emit_runs_its_reference_port(monkeypatch)
     assert len(devices["eth1"].transmitted) == 1
     assert tier1.report.failed_entries == {"%s %s[%d]" % entry: "RuntimeError: injected emitter bug"}
     # The reference port pushes into Strip, whose waiting chain that
-    # entry emits: its binds are the only ones the frame left.
+    # entry emits: its record is the only one the frame left.
     strip = ("push", tier1.router.find(entry[1])._output_ports[0].target.name, 0)
     assert entry not in tier1.chains and tier1.chains[strip].code is not None
-    assert {name for name in tier1._namespace if name.startswith("_b")} - binds == set(tier1.chains[strip].binds)
+    assert "%s %s[%d]" % entry not in tier1.report.chain_lines and "%s %s[%d]" % strip in tier1.report.chain_lines
     monkeypatch.setattr(FastPath, "_emit_chain", real)
     ControlPlane(router).update_rules("fw", rules)
     assert not tier1.report.failed_entries
@@ -824,8 +934,9 @@ def test_a_value_only_patch_relinks_and_compiles_nothing(compile_calls, matcher_
 
     narrowed, _gate_moved = patch(NARROWED, 1)
     relinked, gate_moved = patch(VALUES_MOVED, 0)
-    assert not gate_moved and relinked.template is narrowed.template
-    assert relinked.relink is narrowed.relink and relinked.code is not narrowed.code
+    assert not gate_moved and relinked.template is narrowed.template and relinked.code is narrowed.code
+    consts = tier1.function_for(key).__code__.co_consts  # the live function runs the new literals
+    assert all(value in consts for value in relinked.literals)
     assert relinked.literals != narrowed.literals and relinked.source != narrowed.source
     assert "1 re-linked" in tier1.report.format()
     for name, frame in traffic[256:]:
@@ -861,10 +972,11 @@ def test_without_a_diagram_a_value_only_patch_costs_what_it_did(profile, compile
 
 
 def test_a_rules_patch_frees_its_donors_without_the_collector():
-    """A fast path is cyclic garbage (every function's globals is the
-    namespace that holds it): a rules patch releases the tier 2 it
-    drops, and takes the replaced chain's bind slots out of tier 1's
-    namespace — so tier 2, its functions and what only the replaced
+    """A fast path is cyclic garbage (a pending function holds the fast
+    path that enters it, and a jump table the functions whose defaults
+    hold it): a rules patch releases the tier 2 it
+    drops, and the replaced chain's functions take the new chain's
+    defaults — so tier 2, its functions and what only the replaced
     chain bound go by refcount; the bench harness disables the
     collector around its windows.  Tier 1 and the profiled flavor are
     the objects they were."""
@@ -883,7 +995,7 @@ def test_a_rules_patch_frees_its_donors_without_the_collector():
         # a function's globals is its fast path's namespace
         retired += [weakref.ref(tier2.function_for(entry)) for entry in list(tier2.chains)[:3]]
         # a bound method is made per bind, so the replaced chain's are its own
-        bound = [tier1._namespace[name] for name in tier1.chains[key].binds]
+        bound = list(tier1.chains[key].defaults)
         retired += [weakref.ref(value) for value in bound if isinstance(value, types.MethodType)]
         assert len(retired) > 4
         del tier2, bound

@@ -182,7 +182,8 @@ def test_one_diagram_pass_per_build(monkeypatch):
     """A tier-1 build runs the pass once, for the plain flavor; tier 2
     runs its own, ordered by the profile.  A rules repatch runs no pass:
     it builds the patched classifier's plan alone and keeps every other
-    plan, the same object.  The profiled flavor has no plans to rebuild:
+    plan, the same object — and that one too where its rules come out
+    as the tree the plan was built from.  The profiled flavor has no plans to rebuild:
     one object from construction on, whatever is patched."""
     from repro.control import ControlPlane
     from repro.runtime import adaptive
@@ -206,7 +207,11 @@ def test_one_diagram_pass_per_build(monkeypatch):
     assert passes == ["tier 1", "tier 2"]
     plans = engine.tier1.policy.plans
     assert set(plans) == {"c0", "c1"} and profiled.policy.plans is None
-    ControlPlane(router).update_rules("c0", _rules_of(router, "c0"))
+    rules = _rules_of(router, "c0")
+    ControlPlane(router).update_rules("c0", rules)
+    # the same rules again: the live tree has the plan's signature
+    assert passes == ["tier 1", "tier 2"] and not built and engine.tier1.policy.plans["c0"] is plans["c0"]
+    ControlPlane(router).update_rules("c0", rules[::-1])
     assert passes == ["tier 1", "tier 2"] and built == [router.find("c0").tree]
     assert set(engine.tier1.policy.plans) == {"c0", "c1"} and engine.profiled is profiled
     assert engine.tier1.policy.plans["c1"] is plans["c1"]

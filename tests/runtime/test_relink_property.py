@@ -6,12 +6,12 @@ chain inlined — only the values it compares changed — emits nothing
 and compiles nothing: the chain gets a new record with the plan's
 literals, and its code is its template code filled in with them
 (:meth:`FastPath.rewrite`).  Here each such chain's ``source`` is
-compared with a fresh emission's under the live chain's names, and
-every live chain after each seeded value edit, re-linked or compiled,
-with ``compile()`` of its ``source``, instruction by instruction:
-opname, argument value and its type, and line number, and the code
-objects' ``co_names``, ``co_varnames``, ``co_argcount`` and bytecode;
-each re-linked function's defaults are the chain's binds.  Placeholder
+compared with a fresh emission's, and every live chain's functions
+after each seeded value edit, re-linked or compiled, with
+``compile()`` of its ``source``, instruction by instruction: opname,
+argument value and its type, and line number, and the code objects'
+``co_names``, ``co_varnames``, ``co_argcount`` and bytecode; each
+function's defaults are the chain's bound objects.  Placeholder
 width can move the column offsets inside a lifted test, so columns are
 not compared; line numbers must match exactly.  A patch that moves a
 test's location, the length gate or a leaf emits and compiles, and a
@@ -24,7 +24,6 @@ through its own traffic and then patched with seeded value edits
 
 import dis
 import random
-import re
 import types
 
 import pytest
@@ -81,42 +80,37 @@ def assert_same_code(code, expected, where):
         assert_same_code(inner, expected_inner, where)
 
 
-def check_live_chains(fastpath, relinked=(), checked=None):
-    """Every live chain's code against ``compile()`` of its source; the
-    functions of those in ``relinked`` take the new binds as defaults.
+def check_live_chains(fastpath, checked=None):
+    """Every live chain's functions against ``compile()`` of its
+    source, each taking the chain's bound objects as its defaults.
     ``checked`` holds the code objects already compared (by ``id``)."""
     checked = {} if checked is None else checked
     for key, chain in fastpath.chains.items():
-        if chain.code is None or id(chain.code) in checked:
+        functions = [function for function in fastpath._compiled[key] if function is not None]
+        if chain.code is None or id(functions[0].__code__) in checked:
             continue
-        checked[id(chain.code)] = chain.code
+        checked[id(functions[0].__code__)] = functions[0].__code__
         # source[0] is the blank line before the chain; moved to its lines
         expected = _instantiate(compile("\n".join(chain.source[1:]), "<fastpath>", "exec"), (), chain.offset)
-        assert_same_code(chain.code, expected, key)
-        if key in relinked and not is_pending(fastpath._compiled[key][0]):
-            binds = tuple(fastpath._namespace[name] for name in chain.binds)
-            for function in filter(None, fastpath._compiled[key]):
-                assert function.__code__.co_name in (chain.function_name, chain.batch_name)
-                assert len(function.__defaults__) == len(binds)
-                assert all(value is bind for value, bind in zip(function.__defaults__, binds)), key
+        codes = [const for const in expected.co_consts if isinstance(const, types.CodeType)]
+        assert len(codes) == len(functions), key
+        for function, code in zip(functions, codes):
+            assert_same_code(function.__code__, code, key)
+            assert function.__code__.co_name in (chain.function_name, chain.batch_name)
+            assert function.__defaults__ is chain.defaults, key
 
 
 def fresh_emission(fastpath, key):
-    """A fresh emission of ``key``'s chain under the live policy, its
-    lines under the live chain's names: what a re-linked chain must be.
-    The binds and jump tables it registered are taken back out."""
-    live = fastpath.chains[key]
-    marks = fastpath._bind_counter, fastpath._table_counter
-    try:
-        fresh = fastpath._emit_chain(key, fastpath.router.elements[key[1]], [], fastpath._next_index)
-    finally:
-        fastpath._unbind(*marks)
-    names = dict(zip((fresh.function_name, fresh.batch_name) + fresh.binds,
-                     (live.function_name, live.batch_name) + live.binds))
-    names.pop(None, None)
-    rename = re.compile(r"\b(%s)\b" % "|".join(names))
-    fresh.source = [rename.sub(lambda match: names[match.group(1)], line) for line in fresh.source]
-    return fresh
+    """A fresh emission of ``key``'s chain under the live policy: what a
+    re-linked chain must be.  It leaves nothing in the fast path: what
+    it bound is only its record's."""
+    return fastpath._emit_chain(key, fastpath.router.elements[key[1]])
+
+
+def unfilled(defaults):
+    """Bound objects, less the jump tables (a fresh emission's are new
+    and empty)."""
+    return [value for value in defaults if type(value) is not list]
 
 
 def check_refilled(fastpath, before):
@@ -128,9 +122,11 @@ def check_refilled(fastpath, before):
     assert len(refilled) == fastpath.report.relinked_units
     for key in refilled:
         chain, fresh = fastpath.chains[key], fresh_emission(fastpath, key)
-        assert chain.source == fresh.source, key
+        assert chain.source == fresh.source and chain.template == fresh.template, key
         assert (chain.literals, chain.diagrams) == (fresh.literals, fresh.diagrams), key
-        assert chain.offset == before[key].offset and chain.binds == before[key].binds
+        assert unfilled(chain.defaults) == unfilled(fresh.defaults), key
+        assert chain.offset == before[key].offset and chain.code is before[key].code
+        assert chain.defaults is before[key].defaults and chain.tables is before[key].tables
     return refilled
 
 
@@ -165,12 +161,12 @@ def run_patched(case, batch, rng, edits=2):
         before = dict(tier1.chains)
         apply(router, ["update", text], devices)
         tier1 = router.engine.tier1
-        refilled = check_refilled(tier1, before)
+        check_refilled(tier1, before)
         relinked += tier1.report.relinked_units
-        check_live_chains(tier1, refilled, checked)
+        check_live_chains(tier1, checked)
         for event in traffic[: len(traffic) // 2]:
             apply(router, event, devices)
-        check_live_chains(router.engine.tier1, (), checked)
+        check_live_chains(router.engine.tier1, checked)
     return relinked
 
 
@@ -221,7 +217,7 @@ def test_a_firewall_port_edited_again_relinks_to_compiled_code(batch):
         before = dict(tier1.chains)
         apply(router, ["update", text], devices)
         assert router.engine.tier1 is tier1 and tier1.report.relinked_units == relinked
-        check_live_chains(tier1, {key for key, chain in tier1.chains.items() if before.get(key) is not chain})
+        check_live_chains(tier1)
 
 
 @pytest.mark.parametrize("batch", [False, True], ids=["fdd", "fdd+batch"])
@@ -288,10 +284,10 @@ def test_a_patch_that_moves_a_location_the_gate_or_a_leaf_emits_and_compiles(bat
         assert counts == ((1, 0, 0) if moved is None else (0, 1, 1)), moved
         assert (report.chains_relinked, report.chains_recompiled) == counts[:2]
         assert check_refilled(tier1, before) == ({key} if moved is None else set())
-        check_live_chains(tier1, {key}, checked)
+        check_live_chains(tier1, checked)
         for event in traffic:
             apply(router, event, devices)
-        check_live_chains(tier1, (), checked)
+        check_live_chains(tier1, checked)
 
 
 @pytest.mark.parametrize("batch", [False, True], ids=["fdd", "fdd+batch"])
@@ -313,7 +309,7 @@ def test_a_plan_over_budget_falls_back_to_the_matcher_emission(batch):
     assert "fw" not in tier1.policy.plans and not inlining(tier1, "fw")
     assert (tier1.report.emitted_units, tier1.report.compiled_units, tier1.report.relinked_units) == (1, 1, 0)
     chain = tier1.chains[live[0]]
-    assert chain.diagrams == chain.literals == () and chain.relink is None
+    assert chain.diagrams == chain.literals == () and chain.template == chain.source
     assert not any("_fdd" in line for line in chain.source)
     check_live_chains(tier1)
     sent = len(devices["eth1"].transmitted)
@@ -370,12 +366,12 @@ def test_past_256_constants_a_literal_keeps_its_own_slot():
     value from a slot of its own, the same instructions but for an
     ``EXTENDED_ARG`` prefix."""
     body = "".join("    a = %d\n" % n for n in range(300))
-    template = compile("def _push_1(p):\n%s    return p == '\\x000'" % body, "<fastpath>", "exec")
-    expected = compile("def _push_1(p):\n%s    return p == 5" % body, "<fastpath>", "exec")
+    template = compile("def _push(p):\n%s    return p == '\\x000'" % body, "<fastpath>", "exec")
+    expected = compile("def _push(p):\n%s    return p == 5" % body, "<fastpath>", "exec")
     code = _instantiate(template, (5,), 0)
     namespace = {}
     exec(code, namespace)  # noqa: S102
-    assert namespace["_push_1"](5) and not namespace["_push_1"](6)
+    assert namespace["_push"](5) and not namespace["_push"](6)
 
     def unprefixed(code):
         return [row for row in instructions(code) if row[0] != "EXTENDED_ARG"]

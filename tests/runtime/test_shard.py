@@ -364,8 +364,7 @@ class TestControlFanout:
         with its state carried, every chain that was live is emitted
         again, none is kept, and the four chain counts add up to the
         chain edges — counted on a router replaying shard 0's journal
-        up to the swap.  (The codegen cache starts empty: a build that
-        shares compiled records starts with live chains.)"""
+        up to the swap."""
         from repro.classifier.compile import is_pending
         from repro.graph.diff import GraphDelta
         from repro.verify.oracle import device_names

@@ -223,7 +223,7 @@ class TestCompileOnFirstEntry:
         from repro.runtime import fastpath as fastpath_module
         from repro.runtime.codegen_cache import default_cache
 
-        def compile_chain(lines, offset, *args):
+        def compile_chain(lines, *args):
             raise SyntaxError("injected emitter bug")
 
         monkeypatch.setattr(fastpath_module, "compile_chain", compile_chain)
