@@ -161,13 +161,13 @@ def main(argv=None):
                 print("%s: REJECTED: %s" % (entry["update"], entry["error"]))
             else:
                 print(
-                    "%s: %s in %.2f ms (%d patched, %d chains compiled, %d re-linked, %d reused)"
+                    "%s: %s in %.2f ms (%d patched, %d chains emitted, %d re-linked, %d reused)"
                     % (
                         entry["update"],
                         entry["kind"],
                         entry["total_seconds"] * 1e3,
                         entry["elements_patched"],
-                        entry["chains_recompiled"],
+                        entry["chains_emitted"],
                         entry["chains_relinked"],
                         entry["chains_reused"],
                     )

@@ -14,7 +14,7 @@ them all.  The router, its engine, its supervisor and their totals
 survive every update.
 
 Every update returns the shared :class:`~repro.elements.hotswap.SwapReport`
-(kind, phase timings, chains recompiled vs reused, elements patched),
+(kind, phase timings, chains emitted vs reused, elements patched),
 and ``apply`` keeps a bounded history of them for the churn benchmark.
 """
 

@@ -471,11 +471,10 @@ def _fastpath_report(
         run_profile = run_profile.with_supervision()
     router = Router(graph, devices=AutoDevices(), profile=run_profile)
     engine = router.engine
-    if engine is None:
-        # No tier flag (plain --fast): compile, don't install, report.
-        compile_report = FastPath(router).report
-    else:
-        compile_report = engine.tier1.report
+    # No tier flag (plain --fast): build, don't install; report every chain's record.
+    fastpath = FastPath(router) if engine is None else engine.tier1
+    fastpath.records()
+    compile_report = fastpath.report
     text = compile_report.format()
     section = compile_report.as_dict()
     if adaptive or fdd:

@@ -53,7 +53,7 @@ class SwapReport:
     """What one configuration update did: its kind (``in-place`` data
     patch, ``scoped-swap`` or ``no-op``), per-phase wall times, and the
     chain accounting of the fast paths it rewrote (:meth:`count_chains`):
-    ``chains_recompiled`` were emitted again, ``chains_relinked`` took
+    ``chains_emitted`` were emitted again, ``chains_relinked`` took
     a rules patch's new values without that, ``chains_reused`` neither
     (left as they were), and ``chains_deferred`` wait for their first
     packet.  Shared by :func:`hotswap` and
@@ -64,7 +64,7 @@ class SwapReport:
         self.profile = profile  # ExecutionProfile label (str) or None
         self.delta = delta  # GraphDelta summary (str) or None
         self.phases = OrderedDict()  # phase name -> seconds
-        self.chains_recompiled = 0
+        self.chains_emitted = 0
         self.chains_relinked = 0
         self.chains_reused = 0
         self.chains_deferred = 0
@@ -80,7 +80,7 @@ class SwapReport:
         the fast paths' chain edges."""
         for path in fastpaths:
             emitted, relinked = path.report.emitted_units, path.report.relinked_units
-            self.chains_recompiled += emitted
+            self.chains_emitted += emitted
             self.chains_relinked += relinked
             self.chains_reused += len(path.chains) - emitted - relinked
             self.chains_deferred += len(path._compiled) - len(path.chains)
@@ -96,7 +96,7 @@ class SwapReport:
             "delta": self.delta,
             "phases": {name: round(value, 6) for name, value in self.phases.items()},
             "total_seconds": round(self.total_seconds, 6),
-            "chains_recompiled": self.chains_recompiled,
+            "chains_emitted": self.chains_emitted,
             "chains_relinked": self.chains_relinked,
             "chains_reused": self.chains_reused,
             "chains_deferred": self.chains_deferred,
@@ -110,9 +110,9 @@ class SwapReport:
             parts.append(self.delta)
         if self.kind == "in-place":
             parts.append("%d element(s) patched" % self.elements_patched)
-        counts = (self.chains_recompiled, self.chains_relinked, self.chains_reused, self.chains_deferred)
+        counts = (self.chains_emitted, self.chains_relinked, self.chains_reused, self.chains_deferred)
         if self.kind != "in-place" or any(counts):
-            parts.append("%d chain(s) recompiled, %d re-linked, %d reused, %d deferred" % counts)
+            parts.append("%d chain(s) emitted, %d re-linked, %d reused, %d deferred" % counts)
         if self.transferred:
             parts.append("state carried for %d element(s)" % len(self.transferred))
         if self.profile:

@@ -1,7 +1,7 @@
 """The execution engine: one class runs every compiled mode, and
 profile-guided adaptive recompilation is what it does when tiering is on.
 
-Compiled once before any packet flows, the chains
+Emitted and compiled on their first entry, the chains
 (:mod:`repro.runtime.fastpath`) emit branch arms in port order and
 speculate nothing; ``fast`` mode is :class:`AdaptiveEngine` doing just
 that.  Morpheus's observation — and the rest of this module's job — is
@@ -36,11 +36,12 @@ traffic changed shape, and the engine *deoptimizes* the chains that
 reach the offending element back to tier 1, resets the profile, and
 lets them climb again against fresh counters.
 
-The recompile is emission alone where the text is known: the chain
-store maps each chain's text to its template code, so a router
+A tier 2 emits only the chains promoted onto it, each on its first
+entry, and the recompile is emission alone where the text is known: the
+chain store maps each chain's text to its template code, so a router
 re-learning a previously seen traffic shape — a route patch changes
-tables, not that text — emits its chains, finds them stored and pays
-no ``compile`` again (:mod:`repro.runtime.codegen_cache`).
+tables, not that text — finds them stored and pays no ``compile``
+again (:mod:`repro.runtime.codegen_cache`).
 
 What a tier is specialized on is data, not a class: the engine
 assembles one :class:`~repro.runtime.fastpath.ChainPolicy` per flavor
@@ -580,8 +581,8 @@ class AdaptiveEngine:
 
     - ``fast``: tier 1 only — the static chains, installed and left
       alone (no profiled flavor, no dispatcher, ``states`` empty).
-    - ``adaptive``: tiering on — construction emits tier 1 twice
-      (plain + profiled flavor, each chain through the chain store) and
+    - ``adaptive``: tiering on — construction builds tier 1 twice
+      (plain + profiled flavor, each chain emitted on first entry) and
       :meth:`install` wraps every compiled push entry in a sampling
       dispatcher; matured chains promote to a profile-guided tier 2.
     - ``fdd``: tiering plus the diagram pass
@@ -640,8 +641,8 @@ class AdaptiveEngine:
         return ChainPolicy(store=store, decisions=decisions, engine=self, **fields)
 
     def _compile(self, fields, store=None, decisions=None):
-        """Emit one flavor of the router's chains (each compiled through
-        the chain store when first entered)."""
+        """One flavor of the router's chains, none emitted yet: each is
+        emitted on its first entry and compiled through the chain store."""
         policy = self._policy(fields, store=store, decisions=decisions)
         return FastPath(self.router, batch=self.batch, policy=policy)
 
@@ -959,8 +960,9 @@ class AdaptiveEngine:
         supervisor pins already hold (:meth:`FastPath.rewrite`).  The
         profiled flavor stands: it walks the patched tree.  Returns the
         fast paths it rewrote, whose profile :meth:`on_table_patch` restarts."""
+        before = self.tier1.policy.plans
         self.tier1.rewrite(self._replanned({name}))
-        self.diagram_rebuilds += 1
+        self.diagram_rebuilds += sum(plan is not before.get(n) for n, plan in self.tier1.policy.plans.items())
         return (self.tier1,)
 
     def _replanned(self, names):

@@ -14,9 +14,9 @@ over its own router's objects.  This is how click-fastclassifier gives
 classifiers with identical trees one generated class: the code is
 shared by what it is, each instance's data bound apart from it.
 
-A chain's first entry looks its text up and stores it after a miss; an
-update in place (:meth:`FastPath.stage_rewrite`) only looks it up, so
-a run of rules patches adds nothing.  The store is an in-memory LRU of
+A build emits nothing: a chain is emitted on its first entry, which
+looks its text up and stores it after a miss; an update in place
+(:meth:`FastPath.stage_rewrite`) only looks it up.  The store is an in-memory LRU of
 :data:`CAPACITY` chains: a process that did not compile a text
 compiles it.  ``hits`` and ``misses`` count lookups, one a chain.
 """

@@ -10,7 +10,7 @@ module is the same move applied to the Python runtime itself.
 
 :class:`FastPath` walks a wired :class:`~repro.elements.runtime.Router`
 once, resolves every push and pull edge to a bound method, and emits
-per-source *chains*: generated Python functions (``compile``/``exec``,
+per-source *chains* on first entry: generated Python functions (``compile``/``exec``,
 the mechanism :func:`~repro.elements.runtime.compile_archive_classes`
 already uses for archive code) that
 
@@ -404,7 +404,7 @@ class FastPathReport:
         self.reused_chains = 0  # chains the last update left as they were
         self.compiled_units = 0  # compile() calls made for this fast path so far
         self.relinked_units = 0  # chains a rules patch filled into a live chain's template code
-        self.emitted_units = 0  # chains the build or the last update emitted
+        self.emitted_units = 0  # chains emitted since the build or the last update
         self.fdd_diagrams = 0  # classifier terminals emitted as decision diagrams
         self.fdd_nodes = 0  # expanded diagram nodes across those diagrams
         self.fdd_paths = 0  # root-to-leaf paths across those diagrams
@@ -1017,14 +1017,14 @@ class _Emission:
 class FastPath:
     """A compiled fast path over one wired router.
 
-    Construction emits every chain, each record the fast path's own;
-    :meth:`install` swaps the fast ports in, and a chain is linked when
-    it is first entered — compiled unless the chain store holds its text
-    (:mod:`repro.runtime.codegen_cache`) — and :meth:`materialize` links
-    the rest; :meth:`rewrite` replaces the live chains an update made
-    stale under the installed functions and leaves the others to be
-    emitted on first entry; :meth:`uninstall` restores the reference
-    interpreter untouched.
+    Construction emits nothing: :meth:`install` swaps the fast ports
+    in, and a chain is emitted, its own record, and linked when it is
+    first entered — compiled unless the chain store holds its text
+    (:mod:`repro.runtime.codegen_cache`); :meth:`materialize` enters
+    the rest, and inspection (:meth:`chain_for`) only emits records;
+    :meth:`rewrite` replaces the live chains an update made stale under
+    the installed functions and leaves the others to be emitted on
+    first entry; :meth:`uninstall` restores the reference interpreter.
     """
 
     def __init__(self, router, batch=False, policy=None):
@@ -1055,7 +1055,8 @@ class FastPath:
         report.policy = self.policy.tag
         self.report = report
         started = time.perf_counter()
-        self._compile()
+        for key, element in self._chain_edges().items():
+            self._compiled[key] = self._pending(key, element)
         self._fold_report()
         report.compile_seconds = time.perf_counter() - started
 
@@ -1377,9 +1378,8 @@ class FastPath:
         every chain record folded in (its lines under the module
         header's), plus what the router's wiring says; the facts of the
         build or update that produced it (:data:`_BUILD_FACTS`) stand.
-        Runs after a build, so that a build of a text compiled before
-        and a cold one cannot disagree, and after a structural update; a
-        rules patch refolds the chains it replaced (:meth:`rewrite`)."""
+        Runs at a build (no record yet) and after a structural update;
+        a chain is folded in when emitted (:meth:`_install_record`)."""
         report = self.report
         facts = {name: getattr(report, name) for name in _BUILD_FACTS}
         FastPathReport.__init__(report)
@@ -1444,24 +1444,15 @@ class FastPath:
             chain.source = _fill(chain.template, self._literal_texts)
         return chain
 
-    def _compile(self):
-        """Emit every chain and give each edge functions that
-        :meth:`_enter` its chain when first called; fill the jump
-        tables.  Nothing is compiled here: a chain is looked up in the
-        chain store, and compiled on a miss, when it is entered."""
-        offset = len(_HEADER) + 1  # each chain's lines follow the last's
-        for key, element in self._chain_edges().items():
-            chain = self.chains[key] = self._emit_chain(key, element)
-            chain.offset, offset = offset, offset + len(chain.source)
-            self._compiled[key] = self._pending(key, (chain.function_name, chain.batch_name))
-        self.report.emitted_units = len(self.chains)
-        for chain in self.chains.values():
-            for table in chain.tables:
-                self._fill_table(*table)
+    def _batched(self, key, element):
+        """Does ``key``'s chain take a batch entry (one a task calls)?"""
+        return self.batch and key[0] != "task" and element.is_task()
 
-    def _pending(self, key, names):
-        """``key``'s two entry points named ``names``, as functions that
-        :meth:`_enter` its chain when first called (None for no name)."""
+    def _pending(self, key, element):
+        """``key``'s two entry points, as functions that :meth:`_enter`
+        its chain when first called (None for no batch entry)."""
+        entry = "_" + key[0]
+        names = (entry, entry + "_batch" if self._batched(key, element) else None)
         return tuple(
             pending_function(name, _GLOBALS, self._enter, key, slot, True) if name else None
             for slot, name in enumerate(names)
@@ -1510,13 +1501,12 @@ class FastPath:
             function.__code__, function.__defaults__, function.__kwdefaults__ = code, chain.defaults, None
 
     def _enter(self, key, slot=0, live=False):
-        """A chain's first entry: emit it under the live policy if an
-        update left it waiting (:meth:`rewrite`), give it its template
-        code — the chain store's, else compiled and stored — and link
-        it, so the function objects every holder already has run it.
-        ``live`` (a packet is waiting) contains a failure: the report
-        lists it and the pending functions call the edge's reference
-        port from then on."""
+        """A chain's first entry: emit it unless inspection or an update
+        did, give it its template code — the chain store's, else
+        compiled and stored — and link it under the function objects
+        every holder has.  ``live`` (a packet is waiting) contains a
+        failure to emit or compile: the report lists it and the pending
+        functions call the edge's reference port from then on."""
         functions = self._compiled[key]
         if key in self._failed:
             return self._failed[key][slot]
@@ -1536,10 +1526,10 @@ class FastPath:
         return functions[slot]
 
     def _emit_waiting(self, key):
-        """Emit the chain an update left waiting for its first entry
-        under the live policy, as :meth:`rewrite` emits one: placed where
-        no other chain's lines move, folded into the report and its jump
-        tables filled."""
+        """Emit a chain that waits for its first entry under the live
+        policy: placed where no other chain's lines move (after the last
+        unless an update left a gap), folded into the report and its
+        jump tables filled."""
         chain = self._emit_chain(key, self.router.elements[key[1]])
         taken = sorted((other.offset, other.offset + len(other.source)) for other in self.chains.values())
         chain.offset = self._place(taken, len(chain.source))
@@ -1577,9 +1567,9 @@ class FastPath:
 
     def materialize(self, keys=None):
         """Enter every chain (or just ``keys``) nothing has entered yet,
-        compiling those whose text the chain store lacks and raising
-        what ``compile()`` raises: the eager build, for tests of the
-        generated code and for a live chain's successor."""
+        emitting those without a record, compiling those whose text the
+        chain store lacks and raising what emission or ``compile()``
+        raises: the eager build, for tests of the generated code."""
         for key in self._compiled if keys is None else keys:
             if is_pending(self._compiled[key][0]):
                 self._enter(key)
@@ -1624,13 +1614,12 @@ class FastPath:
         functions that emit its chain when first entered."""
         started = time.perf_counter()
         plans = policy.plans or {}
-        gone, added = [], {}  # added: key -> does it take a batch entry?
+        gone, added = [], {}  # added: key -> its element
         if changed:
             edges, compiled = self._chain_edges(), self._compiled
             for key, element in edges.items():
-                batched = self.batch and key[0] != "task" and element.is_task()
-                if key not in compiled or (compiled[key][1] is not None) != batched:
-                    added[key] = batched
+                if key not in compiled or (compiled[key][1] is not None) != self._batched(key, element):
+                    added[key] = element
             gone = [key for key in compiled if key not in edges or key in added]
         stale = [key for key, chain in self.chains.items() if key not in gone and (
             chain.elements & changed or any(plans.get(name) is not plan for name, plan in chain.diagrams))]
@@ -1672,9 +1661,8 @@ class FastPath:
             old = self.chains.pop(key, None)
             if old is not None:
                 old.fold_into(report, -1)
-        for key, batched in added.items():
-            name = "_" + key[0]
-            self._compiled[key] = self._pending(key, (name, name + "_batch" if batched else None))
+        for key, element in added.items():
+            self._compiled[key] = self._pending(key, element)
         for key, chain in fresh.items():
             self._install_record(key, chain)
             self._enter(key)
@@ -1760,11 +1748,12 @@ class FastPath:
 
     @property
     def source(self):
-        """The generated module: each chain's lines at its offset, blank
-        lines where a replaced chain's were.  An update leaves it to be
-        joined again when it is next read."""
+        """The generated module of every record (:meth:`records`): each
+        chain's lines at its offset, blank lines where a replaced
+        chain's were, joined again when next read after an update."""
         if self._source is None:
             lines = list(_HEADER)
+            self.records()
             for chain in sorted(self.chains.values(), key=lambda chain: chain.offset):
                 lines.extend([""] * (chain.offset - 1 - len(lines)))
                 lines.extend(chain.source)
@@ -1775,6 +1764,16 @@ class FastPath:
         """Write the generated module source to a file object."""
         fh.write(self.source)
 
+    def records(self):
+        """Every edge's chain record, those that wait emitted (:meth:`chain_for`)."""
+        for key in self._compiled:
+            self.chain_for(*key)
+        return self.chains
+
     def chain_for(self, kind, element_name, port):
-        """The ChainInfo compiled for one edge (debugging aid)."""
-        return self.chains.get((kind, element_name, port))
+        """The ChainInfo of one edge, or None (debugging aid): emitted if
+        it waits, but neither compiled nor linked."""
+        key = (kind, element_name, port)
+        if key in self._compiled and key not in self.chains and key not in self._failed:
+            self._emit_waiting(key)
+        return self.chains.get(key)

@@ -105,17 +105,18 @@ class TestSwapReportSurface:
         assert report.total_seconds == pytest.approx(sum(report.phases.values()))
         payload = report.as_dict()
         assert payload["kind"] == "scoped-swap"
-        assert payload["chains_recompiled"] == report.chains_recompiled
+        assert payload["chains_emitted"] == report.chains_emitted
         assert "scoped-swap" in report.format()
 
     def test_an_identity_swap_of_an_unentered_router_compiles_nothing(self, monkeypatch):
-        """Every chain of a router nothing has entered is pending: an
-        identity swap emits and compiles none of them again, and leaves
-        each to its first packet."""
+        """Every chain of a router nothing has entered waits without a
+        record: an identity swap emits and compiles none of them, and
+        leaves each to its first packet."""
         from repro.runtime import fastpath
 
         router = Router(parse_graph(BASE), profile=ExecutionProfile.fast())
-        chains = len(router.fastpath.chains)
+        chains = len(router.fastpath._compiled)
+        assert chains and not router.fastpath.chains
 
         def failing(*args, **kwargs):
             raise AssertionError("compiled")
@@ -123,7 +124,7 @@ class TestSwapReportSurface:
         monkeypatch.setattr(fastpath, "compile_chain", failing)
         report = hotswap_router(router, parse_graph(BASE))
         assert (report.kind, report.delta) == ("scoped-swap", "no changes")
-        assert report.chains_recompiled == report.chains_reused == 0
+        assert report.chains_emitted == report.chains_reused == 0
         assert report.chains_deferred == chains
         assert router.fastpath.report.emitted_units == 0
         router.push_packet("c", 0, Packet(b"a"))

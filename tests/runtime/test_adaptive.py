@@ -202,8 +202,8 @@ def test_lifecycle_promote_deopt_reprofile():
 
 
 def test_a_promotion_compiles_the_promoted_chains_and_a_deopt_releases_them():
-    """Tier 2 is emitted whole and compiled a promoted chain at a time;
-    a chain's tier-1 functions are the same objects before and after
+    """Tier 2 emits and compiles only the promoted chains, each on its
+    first entry; a chain's tier-1 functions are the same objects before and after
     their first entry; a control-plane patch (which lands between
     bursts) frees the tier 2 it drops without the collector, a deopt
     that may come from inside a running tier-2 chain leaves it alone."""
@@ -226,9 +226,8 @@ def test_a_promotion_compiles_the_promoted_chains_and_a_deopt_releases_them():
     router.run_tasks(256)
     promoted = [key for key, state in engine.states.items() if state.tier == 2]
     tier2 = engine.tier2_fp
-    assert promoted and tier2.report.emitted_units == len(tier2.chains)
-    live = {key for key, chain in tier2.chains.items() if chain.code is not None}
-    assert live >= set(promoted) and len(live) < len(tier2.chains) // 2
+    assert promoted and tier2.report.emitted_units == len(tier2.chains) == len(promoted)
+    assert set(tier2.chains) == set(promoted) and all(chain.code is not None for chain in tier2.chains.values())
     for key in promoted:
         state = engine.states[key]
         assert state.port.push is tier2.function_for(key) and not is_pending(state.port.push)
@@ -243,7 +242,7 @@ def test_a_promotion_compiles_the_promoted_chains_and_a_deopt_releases_them():
         engine._on_guard_pressure(engine._guard_counters[0])
         assert engine.tier2_fp is None and tier2._compiled and not is_pending(running)
         engine.tier2_fp = tier2  # as if promoted again
-        del tier2, running, live
+        del tier2, running
         assert engine.on_table_patch("rt", "routes") == ()
         assert dropped() is None
     finally:
@@ -422,7 +421,7 @@ def test_codegen_cache_capacity_evicts(monkeypatch):
     cache = default_cache()
     cache.clear()
     static = FastPath(_simple_router()[0])
-    keys = list(static.chains)
+    keys = list(static._compiled)
     static.materialize(keys[:2])
     assert len(cache) == 1
     again = FastPath(_simple_router()[0])

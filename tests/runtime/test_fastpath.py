@@ -36,6 +36,9 @@ class TestCompileReport:
         _, (router, _) = build()
         fastpath = compile_fastpath(router)
         report = fastpath.report
+        # a chain is counted when it is emitted: on its first entry
+        assert report.push_chains == report.pull_chains == report.specialized_terminals == 0
+        fastpath.materialize()
         assert report.push_chains > 0
         assert report.pull_chains > 0
         assert report.inlined_calls > 0
@@ -52,8 +55,9 @@ class TestCompileReport:
         # GetIPAddress(16) directly after CheckIPHeader is redundant —
         # the check already interns the destination annotation.
         _, (router, _) = build("base")
-        report = compile_fastpath(router).report
-        assert report.elided_elements > 0
+        fastpath = compile_fastpath(router)
+        fastpath.materialize()
+        assert fastpath.report.elided_elements > 0
 
     def test_report_formats(self):
         _, (router, _) = build("simple")
@@ -92,6 +96,7 @@ class TestGeneratedSource:
         lines = fastpath.source.split("\n")
         key = ("push", "PollDevice@2", 0)
         entered_late = FastPath(router)  # its records are its own
+        assert entered_late.source == fastpath.source  # inspection lays chains out alike
         assert entered_late.chains[key].code is None
         fastpath.materialize()
         default_cache().clear()  # so the call that raises compiles its chain
@@ -113,17 +118,22 @@ class TestGeneratedSource:
     def test_chain_for_describes_edges(self):
         _, (router, _) = build("simple")
         fastpath = compile_fastpath(router)
-        (kind, name, port) = next(iter(fastpath.chains))
+        (kind, name, port) = next(iter(fastpath._compiled))
+        assert not fastpath.chains
         info = fastpath.chain_for(kind, name, port)
         assert isinstance(info, ChainInfo)
         assert info.describe()
+        # inspection emits the record, and compiles and links nothing
+        assert fastpath.chains == {(kind, name, port): info} and info.code is None
+        assert is_pending(fastpath.function_for((kind, name, port)))
+        assert fastpath.report.emitted_units == 1 and fastpath.report.compiled_units == 0
         assert fastpath.chain_for("push", "no-such-element", 0) is None
 
 
 class TestCompileOnFirstEntry:
-    """A chain is emitted at configure and compiled when a packet first
-    enters it; the function object every holder has becomes the real
-    one, in place."""
+    """A chain is emitted and compiled when a packet first enters it;
+    the function object every holder has becomes the real one, in
+    place."""
 
     @pytest.mark.parametrize("batch", [False, True])
     def test_holders_keep_the_object_that_becomes_the_chain(self, batch):
@@ -134,6 +144,7 @@ class TestCompileOnFirstEntry:
         # route arms are fused into their callers) by materialize()
         entry, inner, arm = ("push", "PollDevice@2", 0), ("push", "arpq0", 0), ("push", "rt", 1)
         port = router.find("PollDevice@2")._output_ports[0]
+        assert not fastpath.chains and fastpath.source  # inspection emits every record
         tables = [table for chain in fastpath.chains.values() for table, element, _mode in chain.tables
                   if element.name == "rt"]
         before = fastpath._compiled[entry] + (fastpath.function_for(inner), tables[0][1])
@@ -182,6 +193,38 @@ class TestCompileOnFirstEntry:
         assert "failed: push arpq0[0] runs its reference port" in report.format()
         assert router.fastpath.chains[("push", "arpq0", 0)].code is None
         with pytest.raises(SyntaxError):  # the eager build still says so
+            FastPath(router).materialize()
+
+    def test_a_failed_emission_runs_the_reference_port(self, monkeypatch):
+        """A build emits nothing, so an emitter bug shows on a chain's
+        first entry, where it is contained as a failed compile is: the
+        chain has no record, the report lists it, its frames go through
+        its reference port; ``materialize()``, the eager build, raises."""
+        default_cache().clear()
+        testbed, (router, devices) = build(mode="fast")
+        (reference, reference_devices) = build()[1]
+        key = ("push", "arpq0", 0)
+        real = FastPath._emit_chain
+
+        def emit_chain(self, emitting, *args):
+            if emitting == key:
+                raise RuntimeError("injected emitter bug")
+            return real(self, emitting, *args)
+
+        monkeypatch.setattr(FastPath, "_emit_chain", emit_chain)
+        assert not router.fastpath.report.failed_entries  # configure() emitted nothing
+        frames = testbed.evaluation_frames(64)
+        for run, rx in ((router, devices), (reference, reference_devices)):
+            for name, frame in frames:
+                rx[name].receive_frame(frame)
+            run.run_tasks(64)
+        for name, device in devices.items():
+            assert device.transmitted == reference_devices[name].transmitted
+        assert sum(len(device.transmitted) for device in devices.values()) == 64
+        report = router.fastpath.report
+        assert report.failed_entries == {"push arpq0[0]": "RuntimeError: injected emitter bug"}
+        assert key not in router.fastpath.chains and "push arpq0[0]" not in report.chain_lines
+        with pytest.raises(RuntimeError, match="injected emitter bug"):
             FastPath(router).materialize()
 
     def test_chaos_is_green_when_no_chain_compiles(self, monkeypatch):

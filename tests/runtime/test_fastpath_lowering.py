@@ -39,6 +39,7 @@ from repro.lang.build import parse_graph
 from repro.net.headers import build_ether_udp_packet
 from repro.net.packet import Packet
 from repro.runtime import ExecutionProfile
+from repro.runtime import fastpath as fastpath_module
 from repro.runtime.adaptive import AdaptiveConfig
 from repro.runtime.codegen_cache import default_cache
 from repro.runtime.fastpath import ChainPolicy, FastPath, _lowering
@@ -104,7 +105,7 @@ def bound_calls(fastpath, key):
     for ``key`` binds that an element holds: one of its methods, a
     callable in one of its attributes, or a method of an object in one."""
     calls = set()
-    for value in fastpath.chains[key].defaults:
+    for value in fastpath.chain_for(*key).defaults:
         if not callable(value):
             continue
         owner, method = getattr(value, "__self__", None), getattr(value, "__name__", None)
@@ -117,6 +118,13 @@ def bound_calls(fastpath, key):
                 elif owner is not None and held is owner:
                     calls.add((element.name, (attr, method)))
     return calls
+
+
+def emitted(fastpath):
+    """``fastpath`` with every chain's record emitted, as inspection
+    emits them: nothing is compiled or linked."""
+    fastpath.records()
+    return fastpath
 
 
 # -- structure ---------------------------------------------------------------
@@ -136,7 +144,7 @@ def test_entry_chains_inline_combos_and_align(profile):
         assert not {(name, ("simple_action",)) for name in aligns} & calls
         # The combos are there all the same: through their cold paths.
         assert {(name, ("_expire",)) for name in combos[:2]} <= calls
-        assert ".copies += 1" in "\n".join(fastpath.chains[("push", poll, 0)].source)
+        assert ".copies += 1" in "\n".join(fastpath.chain_for("push", poll, 0).source)
 
 
 def test_reentry_chains_share_one_entry_per_combo():
@@ -145,7 +153,7 @@ def test_reentry_chains_share_one_entry_per_combo():
     jump table, so the optimized router's module stays a fraction of
     the plain router's."""
     _testbed, router, _devices = build("paper", ExecutionProfile.fast())
-    fastpath = router.fastpath
+    fastpath = emitted(router.fastpath)
     entry = fastpath.report.chain_lines["push PollDevice@2[0]"]
     shared = fastpath.report.chain_lines["push rt[1]"]
     for label, lines in fastpath.report.chain_lines.items():
@@ -185,7 +193,7 @@ def test_generated_subclasses_specialize_like_their_bases(variant):
     reports = []
     for name in ("base", variant):
         _testbed, router, _devices = build(name, ExecutionProfile.fast())
-        reports.append(router.fastpath.report)
+        reports.append(emitted(router.fastpath).report)
     base, generated = reports
     assert generated.elided_elements == base.elided_elements > 0
     assert generated.specialized_actions == base.specialized_actions
@@ -258,7 +266,7 @@ def test_an_overridden_handler_gets_no_segment(owner, handler, declaration, vari
         graphs = [fastclassifier(graph) for graph in graphs]
     plain, overridden = Router(graphs[0]), Router(graphs[1])
     override(overridden, owner, handler)
-    fastpaths = [FastPath(plain), FastPath(overridden)]
+    fastpaths = [emitted(FastPath(plain)), emitted(FastPath(overridden))]
     if handler == "lookup_route":
         # The dispatch stays declared; the memo probe it stood for goes.
         lost = bound_calls(fastpaths[0], key) - bound_calls(fastpaths[1], key)
@@ -368,11 +376,11 @@ def test_task_units_run_on_declared_devices(profile):
     router, devices = pipe(profile)
     assert runs_units(router) == {"src", "dst"}
     fastpath = router.fastpath
-    assert fastpath.report.task_units == 2
-    assert fastpath.report.chain_lines["task src[0]"] > fastpath.report.chain_lines["task dst[0]"] > 0
     for name in ("src", "dst"):
         chain = fastpath.chain_for("task", name, 0)
         assert chain.batch_name is None and "# %s" % chain.describe() in fastpath.source
+    assert fastpath.report.task_units == 2
+    assert fastpath.report.chain_lines["task src[0]"] > fastpath.report.chain_lines["task dst[0]"] > 0
     for index in range(20):
         devices["eth0"].receive_frame(b"\x00\x01\x02\x03\x04\x05 frame %02d" % index)
     router.run_tasks(8)
@@ -471,7 +479,7 @@ def test_nothing_is_left_on_the_tasks_of_a_router_that_stops_compiling(profile):
 def test_report_names_what_each_chain_dispatches_opaquely():
     default_cache().clear()
     _testbed, router, _devices = build("paper", ExecutionProfile.fast())
-    report = router.fastpath.report
+    report = emitted(router.fastpath).report
     opaque = report.opaque_dispatch
     # The forwarding path: device -> classifier -> Align -> input combo
     # -> route table -> output combo -> ARP querier -> queue.
@@ -486,7 +494,7 @@ def test_report_names_what_each_chain_dispatches_opaquely():
     assert list(report.as_dict()["opaque_dispatch"]) == sorted(opaque)
     assert "  opaque: push rt[0] calls Discard@1" in report.format()
     # A second build of the same text reports the same.
-    reports = [build("xf", ExecutionProfile.fast())[1].fastpath.report for _ in range(2)]
+    reports = [emitted(build("xf", ExecutionProfile.fast())[1].fastpath).report for _ in range(2)]
     assert reports[1].opaque_dispatch == reports[0].opaque_dispatch != {}
 
 
@@ -579,7 +587,7 @@ def test_batch_entry_points_only_where_a_task_calls_them():
     """``fast(batch=True)`` on the plain IP router: four ``_batch``
     functions, one per task port (55 while every chain had a twin)."""
     _testbed, router, _devices = build("base", ExecutionProfile.fast(batch=True))
-    fastpath = router.fastpath
+    fastpath = emitted(router.fastpath)
     batched = {key for key, chain in fastpath.chains.items() if chain.batch_name}
     assert batched == {
         ("push", "PollDevice@2", 0), ("push", "PollDevice@13", 0), ("pull", "td0", 0), ("pull", "td1", 0),
@@ -677,6 +685,12 @@ def test_inline_align_is_the_reference_align(modulus, offset, fused):
 # ``_bN`` module globals.  With ``_(push|pull|task)_\d+`` renamed that way
 # and every ``=_b\d+`` default taken out of the def lines, each module of
 # the parent is this one, character for character.
+#
+# Since a chain is emitted on its first entry, ``source`` lays a warmed
+# router's chains out in first-entry order; every row here, and in
+# ``PAPER_DIGESTS`` and ``PARENT_DIGESTS``, stands for the module laid
+# out in edge order (:func:`in_edge_order`), the order a build laid out
+# when it emitted every chain at once.
 PLAIN_DIGESTS = {
     "firewall/fdd": "65d90fd95d9e1c6e",
     "firewall/fdd-optimized": "1fb06278b3881961",
@@ -737,19 +751,57 @@ PARENT_DIGESTS = {
 }
 
 
+#: sha256[:16] of every chain's template, in key order, once the flavor
+#: is materialized: computed on the build that emitted every chain at
+#: once, and equal on this one, which emits each on its first entry.
+TEMPLATE_DIGESTS = {
+    "firewall/fdd": "d045a0c29bef8a8c",
+    "firewall/fdd-optimized": "f9a32ba62e95bf7b",
+    "firewall/fdd-optimized/batch": "4a3151fc21b88401",
+    "firewall/fdd/batch": "450343745c505023",
+    "firewall/optimized": "d499ba2cb244ed6f",
+    "firewall/optimized/batch": "548a55b9ff9558b5",
+    "firewall/profiling": "f8deb8801e88daad",
+    "firewall/profiling/batch": "3cdb9a74df065dc7",
+    "firewall/static": "633cd40dba1559a5",
+    "firewall/static/batch": "9f080f3dd3c75f31",
+    "iprouter/fdd": "b22fb9838a6af764",
+    "iprouter/fdd-optimized": "9226236de64f5f9e",
+    "iprouter/fdd-optimized/batch": "1789756ee37e36c3",
+    "iprouter/fdd/batch": "9fc898067d36a5ed",
+    "iprouter/optimized": "f9abdb4b16c4622b",
+    "iprouter/optimized/batch": "a95f21f3cb6b5e0b",
+    "iprouter/profiling": "f373c85107357a45",
+    "iprouter/profiling/batch": "4aa404e2df47992b",
+    "iprouter/static": "dd1f66cb114878af",
+    "iprouter/static/batch": "a37126aa93ceb604",
+    "paper/fdd": "877b44070464189d",
+    "paper/fdd-optimized": "7148e8dfac67bf90",
+    "paper/fdd-optimized/batch": "b2c533168a00dbed",
+    "paper/fdd/batch": "9f43ee453068fb4e",
+    "paper/optimized": "7a1187b8a739565e",
+    "paper/optimized/batch": "41cce0b6874d3d63",
+    "paper/profiling": "e3254d8480928ad2",
+    "paper/profiling/batch": "bef8012bf948d2ed",
+    "paper/static": "0639c57f724ddfe5",
+    "paper/static/batch": "e3f35800abef40be",
+}
+
+
+def in_edge_order(fastpath, header=fastpath_module._HEADER, kinds=("push", "pull", "task")):
+    """The module with every chain (of ``kinds``) emitted and laid out in
+    edge order under ``header``."""
+    lines = list(header)
+    for key in fastpath._compiled:
+        if key[0] in kinds:
+            lines.extend(fastpath.chain_for(*key).source)
+    return "\n".join(lines) + "\n"
+
+
 def source_at_the_parent(fastpath):
-    """``fastpath.source`` less the lines of its task units, under the
-    header the parent wrote."""
-    lines = fastpath.source.split("\n")
-    assert len(PARENT_HEADER) == 3 and lines[3] == ""
-    task_lines = set()
-    for chain in fastpath.chains.values():
-        if chain.kind == "task":
-            # source[0] is line ``offset`` of the module, counting from 1
-            task_lines.update(range(chain.offset - 1, chain.offset - 1 + len(chain.source)))
-    assert task_lines
-    kept = [line for number, line in enumerate(lines) if number not in task_lines]
-    return "\n".join(list(PARENT_HEADER) + kept[3:])
+    """The module less the lines of its task units, under the header the
+    parent wrote."""
+    return in_edge_order(fastpath, PARENT_HEADER, ("push", "pull"))
 
 
 def profile_for(mode, batch):
@@ -794,12 +846,17 @@ def test_plain_configurations_generate_the_stored_source(config, mode, batch):
     digests = PAPER_DIGESTS if config == "paper" else PLAIN_DIGESTS
     for fastpath in modules:
         key = "%s/%s%s" % (config, fastpath.policy.tag, "/batch" if batch else "")
-        digest = hashlib.sha256(fastpath.source.encode()).hexdigest()[:16]
-        assert digest == digests[key], key
+        ordered = in_edge_order(fastpath)
+        # the same lines, the chains entered first laid out first
+        assert sorted(fastpath.source.split("\n")) == sorted(ordered.split("\n")), key
+        assert hashlib.sha256(ordered.encode()).hexdigest()[:16] == digests[key], key
         assert not fastpath.report.opaque_dispatch.get("push PollDevice@2[0]")
         if not batch and config != "paper":
             parent = hashlib.sha256(source_at_the_parent(fastpath).encode()).hexdigest()[:16]
             assert parent == PARENT_DIGESTS[key], key
+        fastpath.materialize()
+        templates = "\n".join("\n".join(fastpath.chains[k].template) for k in sorted(fastpath.chains))
+        assert hashlib.sha256(templates.encode()).hexdigest()[:16] == TEMPLATE_DIGESTS[key], key
 
 
 @pytest.mark.parametrize("config", ["iprouter", "firewall"])

@@ -40,6 +40,8 @@ from repro.runtime.codegen_cache import default_cache
 from repro.runtime.fastpath import FastPath
 from repro.sim.testbed import Testbed
 
+from .test_fastpath_lowering import emitted
+
 
 @pytest.fixture
 def compile_calls(monkeypatch):
@@ -121,15 +123,15 @@ def assert_reports_as_a_cold_compile(router, rebuild):
     """After a rules patch each tier-1 flavor — the plain one rewritten
     in place, the profiled one as it stood — reports what a cold build
     of the patched configuration reports, and what a second build of
-    that text does."""
+    that text does, once every chain of each is emitted."""
     engine = router.engine
-    patched = [scrubbed(flavor.report) for flavor in (engine.tier1, engine.profiled)]
+    patched = [scrubbed(emitted(flavor).report) for flavor in (engine.tier1, engine.profiled)]
     text = save_config(router.graph)
     default_cache().clear()
     for _build in range(2):
         other = rebuild(load_config(text, "<patched>")).engine
         for flavor, expected in zip((other.tier1, other.profiled), patched):
-            assert scrubbed(flavor.report) == expected
+            assert scrubbed(emitted(flavor).report) == expected
 
 
 @pytest.mark.parametrize("batch", [False, True], ids=["fdd", "fdd+batch"])
@@ -171,9 +173,9 @@ def test_rules_patch_compiles_only_dirty_chains(batch, compile_calls, rebuilds):
     assert tier1.report.compiled_units == tier1.report.emitted_units == len(dirty)
     assert tier1.report.reused_chains == len(tier1.chains) - len(dirty)
     total = len(tier1.chains)
-    assert report.chains_recompiled == len(dirty)
+    assert report.chains_emitted == len(dirty)
     assert report.chains_reused == total - len(dirty)
-    assert "%d chain(s) recompiled" % len(dirty) in report.format()
+    assert "%d chain(s) emitted" % len(dirty) in report.format()
     assert "compiled %d of %d chains, %d emitted" % (len(dirty), total, len(dirty)) in tier1.report.format()
     # The dispatchers sample into the flavor that stood.
     for key, state in engine.states.items():
@@ -243,7 +245,7 @@ def test_a_rules_patch_swaps_its_code_under_every_holder(batch, rebuilds):
         report = ControlPlane(router).update_rules("b", rules)
 
         assert report.kind == "in-place" and not rebuilds
-        assert (report.chains_recompiled, report.chains_relinked) == (3 - relinked, relinked)
+        assert (report.chains_emitted, report.chains_relinked) == (3 - relinked, relinked)
         assert engine.tier1 is tier1
         for key, pair in tier1._compiled.items():
             assert pair is functions[key]
@@ -299,7 +301,7 @@ def test_firewall_rules_patch_reports_as_a_cold_compile(batch):
 
     default_cache().clear()
     router = firewall(firewall_graph())
-    tier1 = router.engine.tier1
+    tier1 = emitted(router.engine.tier1)
     stale = reaching(tier1, "fw")
     labels = set(tier1.report.chain_lines)
     rules = firewall_rule_strings()
@@ -376,11 +378,12 @@ def test_repeated_rules_patches_stay_bounded():
         report = plane.update_rules("c0", rules)
         assert report.kind == "in-place"
         # the first narrows c0's ARP arm, the rest move its values
-        assert (report.chains_recompiled, report.chains_relinked) == ((1, 0) if index == 0 else (0, 1))
+        assert (report.chains_emitted, report.chains_relinked) == ((1, 0) if index == 0 else (0, 1))
 
     def sizes():
+        text = len(tier1.source)  # emits every record first
         chains = tier1.chains.values()
-        return sum(len(c.defaults) for c in chains), sum(len(c.tables) for c in chains), len(tier1.source)
+        return sum(len(c.defaults) for c in chains), sum(len(c.tables) for c in chains), text
 
     tracemalloc.start()
     try:
@@ -413,7 +416,7 @@ def test_a_compile_that_emits_a_cached_text_shares_it(compile_calls):
     a run applies, and the two report alike."""
     _testbed, router, _devices = build(ExecutionProfile.reference())
     first = FastPath(router)
-    assert first.report.emitted_units == len(first.chains) and first.report.compiled_units == 0
+    assert not first.chains and first.report.emitted_units == first.report.compiled_units == 0
     first.materialize()
     count = len(first.chains)
     assert len(compile_calls) == count
@@ -422,8 +425,8 @@ def test_a_compile_that_emits_a_cached_text_shares_it(compile_calls):
     ControlPlane(router).update_routes("rt", routes + ["10.9.0.0/16 1"])
     del compile_calls[:]
     second = FastPath(router)
-    assert scrubbed(second.report) == scrubbed(first.report) and second.source == first.source
     second.materialize()
+    assert scrubbed(second.report) == scrubbed(first.report) and second.source == first.source
 
     assert second.report.compiled_units == 0 and not compile_calls
     assert default_cache().stats() == {"entries": count, "hits": count, "misses": count}
@@ -487,8 +490,8 @@ def test_two_routers_of_one_text_patch_alike():
         rules = rules_of(router, "c0")
         rules[0] = "12/0806 20/0001 28/0a000001"
         report = ControlPlane(router).update_rules("c0", rules)
-        counts.append((report.chains_recompiled, report.chains_relinked, report.chains_reused))
-    assert counts[0] == counts[1] == (1, 0, 58)
+        counts.append((report.chains_emitted, report.chains_relinked, report.chains_reused))
+    assert counts[0] == counts[1] == (1, 0, 9)
     for router in routers:
         for flavor in router.engine.flavors():
             plans = flavor.policy.plans or {}
@@ -515,7 +518,7 @@ def test_an_identity_hotswap_compiles_nothing_and_rebuilds_no_plan(compile_calls
     for _swap in range(3):
         report = hotswap(router, save_config(router.graph))
         assert report.kind == "scoped-swap" and report.delta == "no changes"
-        assert report.chains_recompiled > 0 and report.chains_reused == report.chains_relinked == 0
+        assert report.chains_emitted > 0 and report.chains_reused == report.chains_relinked == 0
         assert not compile_calls and all(flavor.report.compiled_units == 0 for flavor in engine.flavors())
         assert "compiled 0 of " in engine.tier1.report.format()
     assert not built and engine.diagram_rebuilds == rebuilds_before
@@ -587,9 +590,9 @@ def test_scoped_hotswap_rebinds_onto_the_new_router(compile_calls):
         del compile_calls[:]
         report = hotswap(router, graph)
         assert report.kind == "scoped-swap" and report.chains_reused == 0
-        assert report.chains_recompiled == sum(len(live[id(flavor)] & set(flavor.chains)) for flavor in flavors)
+        assert report.chains_emitted == sum(len(live[id(flavor)] & set(flavor.chains)) for flavor in flavors)
         assert len(compile_calls) == sum(flavor.report.compiled_units for flavor in flavors)
-        assert 0 < len(compile_calls) < report.chains_recompiled
+        assert 0 < len(compile_calls) < report.chains_emitted
         assert router.engine.flavors() == flavors
         for flavor in flavors:
             kept = live[id(flavor)] & set(flavor.chains)
@@ -656,8 +659,8 @@ def test_in_place_churn_never_emits_where_hotswaps_do(compile_calls):
                 graph.elements[name].config = ", ".join(args)
                 live = [{key for key, pair in f._compiled.items() if not is_pending(pair[0])} for f in flavors]
                 report = hotswap(router, graph)
-                assert report.chains_recompiled == sum(len(keys) for keys in live)
-                emitted[path] += report.chains_recompiled
+                assert report.chains_emitted == sum(len(keys) for keys in live)
+                emitted[path] += report.chains_emitted
                 for keys, flavor in zip(live, flavors):
                     assert not any(is_pending(flavor.function_for(key)) for key in keys)
             compiles[path] += len(compile_calls) - before
@@ -675,29 +678,80 @@ def test_in_place_churn_never_emits_where_hotswaps_do(compile_calls):
 
 
 def test_configure_compiles_nothing_and_traffic_compiles_what_it_enters(compile_calls):
-    """Plain IP router under ``fdd``: ``configure()`` emits 3 x 59
-    chains over a run and calls ``compile()`` for none of them; a
-    2000-frame block each way, promotions included, compiles the
-    chains it entered (177 when every emitted chain was compiled at
-    once); ``materialize()`` is the eager build.  Each distinct chain
-    text is compiled once: a flavor's chain that holds no specialization
-    of its own is another flavor's text, which the chain store holds."""
+    """Plain IP router under ``fdd``: ``configure()`` emits and compiles
+    none of its 3 x 59 chains — every flavor's ``chains`` is empty (a
+    build emitted all 177 when it emitted every chain at once); a
+    2000-frame block each way, promotions included, emits and compiles
+    the chains it entered, and tier 2 only the chains promoted onto it;
+    ``materialize()`` is the eager build.  Each distinct chain text is
+    compiled once: a flavor's chain that holds no specialization of its
+    own is another flavor's text, which the chain store holds."""
     testbed, router, devices = build(ExecutionProfile.fdd())
     engine = router.adaptive
     assert not compile_calls
-    assert engine.tier1.report.format().count("compiled 0 of 59 chains, 59 emitted") == 1
+    for flavor in engine.flavors():
+        assert len(flavor._compiled) == 59 and not flavor.chains
+        assert flavor.report.emitted_units == flavor.report.compiled_units == 0
     for name, frame in testbed.evaluation_frames(4000):
         devices[name].receive_frame(frame)
     router.run_tasks(4000)
-    assert engine.tier2_fp is not None and sum(len(d.transmitted) for d in devices.values()) == 4000
+    tier2 = engine.tier2_fp
+    assert tier2 is not None and sum(len(d.transmitted) for d in devices.values()) == 4000
+    assert set(tier2.chains) == {key for key, state in engine.states.items() if state.tier == 2}
+    for flavor in engine.flavors():  # a record is a chain that was entered
+        assert flavor.report.emitted_units == len(flavor.chains) > 0
+        assert all(chain.code is not None for chain in flavor.chains.values())
+    assert sum(len(flavor.chains) for flavor in engine.flavors()) <= 20
     assert 0 < len(compile_calls) <= 20
     assert len(compile_calls) == sum(flavor.report.compiled_units for flavor in engine.flavors())
     for flavor in (engine.tier1, engine.profiled):
         flavor.materialize()
-        assert all(chain.code is not None for chain in flavor.chains.values())
+        assert len(flavor.chains) == 59 and all(chain.code is not None for chain in flavor.chains.values())
     texts = {tuple(chain.template) for flavor in engine.flavors() for chain in flavor.chains.values() if chain.code}
     assert len(compile_calls) == len(set(compile_calls)) == len(texts) < 59 + 59
     assert len(compile_calls) == sum(flavor.report.compiled_units for flavor in engine.flavors())
+
+
+def test_route_patch_cycles_emit_only_the_chains_promoted_again(compile_calls):
+    """Flat memory, as a count: a route patch drops tier 2 and sends
+    every chain back to climb, and each re-promotion builds a tier 2
+    that emits only the chains promoted onto it (a tier 2 emitted all
+    59 when a build emitted every chain at once).  Over 12 cycles of
+    route patch -> burst -> re-promotion on the warmed IP router, the
+    chains emitted grow by at most the promoted chains a cycle, and the
+    cycles compile nothing: the chain store holds every text they emit."""
+    from .test_fastpath_lowering import EAGER
+
+    testbed, router, devices = build(ExecutionProfile.fdd(config=AdaptiveConfig(**EAGER)))
+    engine, plane = router.adaptive, ControlPlane(router)
+    block = testbed.evaluation_frames(512)
+
+    def burst():
+        for name, frame in block:
+            devices[name].receive_frame(frame)
+        router.run_tasks(len(block))
+
+    def emitted():
+        return sum(flavor.report.emitted_units for flavor in (engine.tier1, engine.profiled)) + sum(
+            tier2.report.emitted_units for tier2 in tiers2)
+
+    burst()
+    tiers2 = [engine.tier2_fp]
+    assert tiers2[0] is not None
+    routes = rules_of(router, "rt")
+    del compile_calls[:]
+    for cycle in range(12):
+        before = emitted()
+        report = plane.update_routes("rt", routes + ["203.0.%d.0/24 1" % cycle])
+        assert report.kind == "in-place" and engine.tier2_fp is None
+        burst()
+        tier2 = engine.tier2_fp
+        assert tier2 is not None and tier2 not in tiers2
+        tiers2.append(tier2)
+        promoted = {key for key, state in engine.states.items() if state.tier == 2}
+        assert promoted and set(tier2.chains) <= promoted
+        assert emitted() - before <= len(promoted), cycle
+    assert not compile_calls
 
 
 def firewall_router(profile):
@@ -726,12 +780,11 @@ def test_a_live_chains_successor_is_compiled_inside_the_update(compile_calls, ma
     assert len(devices["eth1"].transmitted) == 256
     engine = router.adaptive
     tier1, profiled = engine.tier1, engine.profiled
-    strip = next(key for key in tier1.chains if key[0] == "push" and key[1].startswith("Strip"))
-    strip_comment = "# " + tier1.chains[strip].describe()
-    assert strip_comment in tier1.source
+    strip = next(key for key in tier1._compiled if key[0] == "push" and key[1].startswith("Strip"))
+    assert "# " + tier1.chain_for(*strip).describe() in tier1.source
     del compile_calls[:], matcher_compiles[:], rebuilds[:]
     report = ControlPlane(router).update_rules("fw", patched)
-    assert report.kind == "in-place" and report.chains_recompiled == 1 and not rebuilds
+    assert report.kind == "in-place" and report.chains_emitted == 1 and not rebuilds
     assert tier1.report.emitted_units == tier1.report.compiled_units == 1
     assert tier1.report.relinked_units == 0  # a permutation moves the diagram's tests
     assert len(compile_calls) == 1 and not matcher_compiles
@@ -740,7 +793,7 @@ def test_a_live_chains_successor_is_compiled_inside_the_update(compile_calls, ma
     for flavor in (tier1, profiled):
         assert not is_pending(flavor.function_for(entry)) and flavor.chains[entry].code is not None
     assert strip not in tier1.chains and is_pending(tier1.function_for(strip))
-    assert "%s %s[%d]" % strip not in tier1.report.chain_lines and strip_comment not in tier1.source
+    assert "%s %s[%d]" % strip not in tier1.report.chain_lines
     assert is_pending(router.find("fw").matcher_cell()[0])
     assert engine.states[entry].plain is tier1.function_for(entry)
     assert engine.states[entry].prof is profiled.function_for(entry)
@@ -760,13 +813,13 @@ def test_a_chain_nothing_entered_is_emitted_by_its_first_packet(compile_calls, m
     from .test_fastpath_lowering import firewall_frame
 
     router, devices = firewall_router(ExecutionProfile.fdd())
-    tier1 = router.adaptive.tier1
+    tier1 = emitted(router.adaptive.tier1)
     entry = next(key for key in tier1.chains if key[0] == "push" and key[1].startswith("PollDevice"))
     lines = tier1.report.source_lines
     del compile_calls[:], matcher_compiles[:], rebuilds[:]
     rules = firewall_rule_strings()
     report = ControlPlane(router).update_rules("fw", rules[:2] + rules[-2:1:-1] + rules[-1:])
-    assert report.kind == "in-place" and report.chains_recompiled == 0 and not rebuilds
+    assert report.kind == "in-place" and report.chains_emitted == 0 and not rebuilds
     assert tier1.report.emitted_units == tier1.report.compiled_units == 0
     assert not compile_calls and not matcher_compiles
     assert entry not in tier1.chains and tier1.report.source_lines < lines
@@ -800,7 +853,7 @@ def test_a_waiting_chain_that_fails_to_emit_runs_its_reference_port(monkeypatch)
 
     router, devices = firewall_router(ExecutionProfile.fdd())
     tier1 = router.adaptive.tier1
-    entry = next(key for key in tier1.chains if key[0] == "push" and key[1].startswith("PollDevice"))
+    entry = next(key for key in tier1._compiled if key[0] == "push" and key[1].startswith("PollDevice"))
     rules = firewall_rule_strings()
     ControlPlane(router).update_rules("fw", rules[:2] + rules[-2:1:-1] + rules[-1:])
     assert entry not in tier1.chains
@@ -847,7 +900,7 @@ def test_without_a_diagram_the_live_matchers_successor_is_compiled_inside_the_up
     del compile_calls[:], matcher_compiles[:]
     rules = firewall_rule_strings()
     report = ControlPlane(router).update_rules("fw", rules[:2] + rules[-2:1:-1] + rules[-1:])
-    assert report.kind == "in-place" and report.chains_recompiled == 0
+    assert report.kind == "in-place" and report.chains_emitted == 0
     assert not compile_calls and len(matcher_compiles) == 1
     assert not is_pending(router.find("fw").matcher_cell()[0])
     for _ in range(256):
@@ -878,7 +931,7 @@ def test_an_ip_router_rules_patch_costs_one_chain_and_one_small_matcher(compile_
         swapped[0], swapped[1] = swapped[1], swapped[0]
         del compile_calls[:], matcher_compiles[:]
         report = ControlPlane(router).update_rules("c0", swapped)
-        assert report.kind == "in-place" and report.chains_recompiled == 0
+        assert report.kind == "in-place" and report.chains_emitted == 0
         assert report.chains_relinked == chains
         if chains:  # a rewrite's report describes the patch
             assert engine.tier1.report.relinked_units == chains
@@ -927,7 +980,7 @@ def test_a_value_only_patch_relinks_and_compiles_nothing(compile_calls, matcher_
         del compile_calls[:], rebuilds[:]
         report = plane.update_rules("c0", rules)
         assert report.kind == "in-place" and not rebuilds
-        assert (report.chains_recompiled, report.chains_relinked) == (compiled, 1 - compiled)
+        assert (report.chains_emitted, report.chains_relinked) == (compiled, 1 - compiled)
         assert tier1.report.emitted_units == tier1.report.compiled_units == compiled
         assert tier1.report.relinked_units == 1 - compiled and len(compile_calls) == compiled
         return tier1.chains[key], gate != tier1.policy.plans["c0"].gate
@@ -965,7 +1018,7 @@ def test_without_a_diagram_a_value_only_patch_costs_what_it_did(profile, compile
         del compile_calls[:], matcher_compiles[:]
         rules[0] = first
         report = ControlPlane(router).update_rules("c0", rules)
-        assert report.kind == "in-place" and report.chains_recompiled == 0
+        assert report.kind == "in-place" and report.chains_emitted == 0
         flavors = [router.fastpath] if router.engine is None else router.engine.flavors()
         assert all(flavor.report.relinked_units == 0 for flavor in flavors if flavor is not None)
         assert not compile_calls and len(matcher_compiles) == 1

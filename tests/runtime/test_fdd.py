@@ -291,8 +291,12 @@ def test_rules_patch_repatches_in_place():
     report = plane.update_rules("c0", _rules_of(router, "c0"))
     assert report.kind == "in-place"
     assert plane.router is router  # no new router generation
-    assert engine.diagram_rebuilds == 1
+    assert engine.diagram_rebuilds == 0  # the same rules: c0's plan is kept
     assert "diagram repatch of c0" in engine.profile_report().as_dict()["deopts"]
+    narrowed = _rules_of(router, "c0")
+    narrowed[0] = "12/0806 20/0001 28/0a000001"
+    assert plane.update_rules("c0", narrowed).kind == "in-place"
+    assert engine.diagram_rebuilds == 1
     # The rebuilt diagrams keep forwarding.
     for device_name, frame in testbed.evaluation_frames(128):
         devices[device_name].receive_frame(frame)

@@ -282,7 +282,7 @@ def test_a_patch_that_moves_a_location_the_gate_or_a_leaf_emits_and_compiles(bat
             assert leaves and not (gate or locations)
         counts = (tier1.report.relinked_units, tier1.report.emitted_units, tier1.report.compiled_units)
         assert counts == ((1, 0, 0) if moved is None else (0, 1, 1)), moved
-        assert (report.chains_relinked, report.chains_recompiled) == counts[:2]
+        assert (report.chains_relinked, report.chains_emitted) == counts[:2]
         assert check_refilled(tier1, before) == ({key} if moved is None else set())
         check_live_chains(tier1, checked)
         for event in traffic:

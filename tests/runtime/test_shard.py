@@ -391,7 +391,7 @@ class TestControlFanout:
         for event in events:
             apply(replica, event, replica_devices)
         live = sum(not is_pending(entry) for entry, _batch in replica.fastpath._compiled.values())
-        counts = (report.chains_recompiled, report.chains_relinked, report.chains_reused, report.chains_deferred)
+        counts = (report.chains_emitted, report.chains_relinked, report.chains_reused, report.chains_deferred)
         assert counts[:3] == (live, 0, 0) and live > 0
         assert sum(counts) == len(replica.fastpath._chain_edges())
         carrying = {
@@ -947,9 +947,12 @@ def probe(conn):
 
 if __name__ == "__main__":
     testbed = Testbed(2)
-    # Compiled state in the coordinator, for a child to not inherit.
-    single, _ = testbed.build_router(testbed.variant_graph("base"), profile=ExecutionProfile.fast())
-    single.run_tasks(1)
+    # Compiled state in the coordinator, for a child to not inherit: a
+    # chain is emitted and compiled on its first entry, so frames flow.
+    single, devices = testbed.build_router(testbed.variant_graph("base"), profile=ExecutionProfile.fast())
+    for name, frame in testbed.evaluation_frames(8):
+        devices[name].receive_frame(frame)
+    single.run_tasks(8)
     warm = [len(default_cache()), len(classifier_compile._FUNCTION_CACHE)]
     before = dict(os.environ)
     plane, _ = testbed.build_router(
