@@ -78,13 +78,6 @@ class _IPRouteTable(Element):
         self.routes = routes
         self._build()
 
-    def update_routes(self, args):
-        """Replace the route table in place on a *live* element — the
-        control plane's pure-data patch.  A bad update raises
-        :class:`ConfigError` before anything is applied, leaving the
-        running table untouched."""
-        self.commit_routes(self.check_routes(args))
-
     def _build(self):
         raise NotImplementedError
 

@@ -33,15 +33,15 @@ Safety mirrors the adaptive tiers (Morpheus-style):
   (sampling dispatchers, guard-miss counters, deopt) is the engine's
   (:class:`~repro.runtime.adaptive.AdaptiveEngine`), diagrams or not.
 - **control-plane patches**: a rules update changes tree *content*
-  that diagrams bake in, so the engine's ``on_table_patch`` builds the
-  patched classifier's plan again and rewrites only the chains that
-  inlined it, under the installed functions (every other chain stands
-  as it was).  Each test's compared value and mask is a *literal* of
+  that diagrams bake in, so the engine's update stage builds the
+  patched classifier's plan again from the tree before it is live, and
+  rewrites only the chains that inlined it, under the installed
+  functions (every other chain stands as it was).  Each test's compared value and mask is a *literal* of
   the chain (:meth:`DiagramPlan.emit`), so when the new plan has the
   inlined one's shape (:meth:`DiagramPlan.filled`) the chain's template
   stands: the patch emits nothing and re-links the live code with the
   plan's new constants instead of compiling it
-  (:meth:`~repro.runtime.fastpath.FastPath.rewrite`); route patches
+  (:meth:`~repro.runtime.fastpath.FastPath.stage_rewrite`); route patches
   need no rewrite at all — compiled lookups read the live table
   through bound memo/lookup cells, exactly as in adaptive mode.
 
@@ -231,13 +231,16 @@ class DiagramPlan:
 def build_diagram(tree, hot_path=None, node_budget=DEFAULT_NODE_BUDGET):
     """Expand ``tree`` into a :class:`DiagramPlan`, or None when the
     expansion would exceed ``node_budget`` test nodes (shared subtrees
-    replicate) — the caller then keeps the generic matcher emission.
+    replicate) or a path ``_MAX_INLINE_DEPTH`` tests deep (``compile()``
+    rejects source nested 100 levels deep) — the caller then keeps the
+    generic matcher emission, which spills deep subtrees into helpers.
 
     ``hot_path`` maps 1-based tree positions to the branch the profiled
     hot flow takes there (``{pos: taken}``); those tests emit with the
     hot side as the fall-through.  Constant trees (no expressions —
     empty/'-' rule tables) become a single-leaf plan with gate 0.
     """
+    from ..classifier.compile import _MAX_INLINE_DEPTH
     from ..classifier.tree import is_leaf, leaf_output
 
     if tree is None:
@@ -250,7 +253,7 @@ def build_diagram(tree, hot_path=None, node_budget=DEFAULT_NODE_BUDGET):
         return DiagramPlan(root, 0, 1, 0, 0, signature)
     state = {"nodes": 0, "leaves": 0, "saved": 0, "gate": 0}
 
-    def expand(target, have):
+    def expand(target, have, depth):
         if is_leaf(target):
             leaf_id = state["leaves"]
             state["leaves"] += 1
@@ -259,9 +262,9 @@ def build_diagram(tree, hot_path=None, node_budget=DEFAULT_NODE_BUDGET):
         if expr.mask == 0:
             # A constant test (the optimizer normally folds these):
             # (word & 0) == value is True exactly when value is 0.
-            return expand(expr.yes if expr.value == 0 else expr.no, have)
+            return expand(expr.yes if expr.value == 0 else expr.no, have, depth)
         state["nodes"] += 1
-        if state["nodes"] > node_budget:
+        if state["nodes"] > node_budget or depth >= _MAX_INLINE_DEPTH:
             raise _BudgetExceeded()
         loc, cond = _loc_for(expr.offset, expr.mask, expr.value)
         state["gate"] = max(state["gate"], _loc_need(loc))
@@ -270,12 +273,12 @@ def build_diagram(tree, hot_path=None, node_budget=DEFAULT_NODE_BUDGET):
         else:
             have = have | {loc}
         swap = hot_path.get(target) is False
-        first = expand(expr.no if swap else expr.yes, have)
-        second = expand(expr.yes if swap else expr.no, have)
+        first = expand(expr.no if swap else expr.yes, have, depth + 1)
+        second = expand(expr.yes if swap else expr.no, have, depth + 1)
         return ("test", loc, cond, swap, first, second)
 
     try:
-        root = expand(1, frozenset())
+        root = expand(1, frozenset(), 0)
     except (_BudgetExceeded, RecursionError):
         return None
     return DiagramPlan(

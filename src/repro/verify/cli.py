@@ -13,8 +13,10 @@ Two ways to run:
   cases — mutated routers and registry-composed pipelines — until the
   budget is spent.  Every divergence is delta-debugged down to a minimal
   case and written as a self-contained repro file under ``--repro-dir``.
-  ``--updates`` adds a control-plane rules update to the middle of every
-  trace.
+  ``--updates`` adds control-plane updates to every trace: a named
+  counter inserted and deleted again, a rules rotation mid-trace and a
+  value edit of the same classifier, and a filter grown past a hundred
+  rules.
 - ``click-fuzz --repro FILE`` replays one repro file through the full
   matrix and reports whether the divergence is still present (exit 1) or
   fixed (exit 0).
@@ -30,7 +32,7 @@ import sys
 import time
 
 from .genconfig import generate_case, stock_cases
-from .gentraffic import with_rules_update, with_structural_update
+from .gentraffic import with_grown_filter, with_rules_update, with_structural_update
 from .oracle import MODES, SHARD_MODES, compare_case
 from .shrink import element_count, load_repro, shrink_case, write_repro
 
@@ -92,8 +94,9 @@ def _parser():
         action="store_true",
         help="install one seeded rules rotation mid-trace in every case "
         "that has a classifier: what its outputs mean changes under "
-        "every mode, in place where the mode can; and, before it, insert "
-        "a named Counter into one push connection and delete it again",
+        "every mode, in place where the mode can; before it, insert "
+        "a named Counter into one push connection and delete it again; "
+        "after it, grow the first IPFilter past a hundred rules",
     )
     parser.add_argument(
         "--report",
@@ -172,7 +175,7 @@ def _fuzz_cases(args):
     cases = cases[: args.budget]
     if args.updates:
         rng = random.Random(args.seed)
-        cases = [with_structural_update(with_rules_update(case, rng), rng) for case in cases]
+        cases = [with_structural_update(with_grown_filter(with_rules_update(case, rng)), rng) for case in cases]
     return cases
 
 

@@ -30,7 +30,31 @@ from repro.verify.genconfig import stock_cases
 from repro.verify.gentraffic import rules_update_text
 from repro.verify.oracle import MODES, first_transmit_difference, run_case
 
+from ..chains import assert_chains_as_fresh
+
 SEEDS = range(5)
+
+
+@pytest.fixture(autouse=True)
+def chains_as_fresh(monkeypatch):
+    """After every control event a trace installs — an update or a
+    hot-swap — every chain record of the live router is what a fresh
+    build of its configuration text emits (:mod:`tests.chains`).  A
+    sharded plane's shards, and a router under injected faults (whose
+    fault wrappers a fresh build lacks), are not compared."""
+    import repro.events
+    from repro.verify import oracle
+
+    apply = repro.events.apply
+
+    def checked(router, event, devices=None):
+        report = apply(router, event, devices)
+        if event[0] in ("hotswap", "update") and not getattr(router, "is_sharded", False) and router.fault_injector is None:
+            assert_chains_as_fresh(router)
+        return report
+
+    monkeypatch.setattr(repro.events, "apply", checked)
+    monkeypatch.setattr(oracle, "apply", checked)
 
 
 def stock_iprouter(events=48):

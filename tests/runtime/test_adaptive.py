@@ -243,7 +243,7 @@ def test_a_promotion_compiles_the_promoted_chains_and_a_deopt_releases_them():
         assert engine.tier2_fp is None and tier2._compiled and not is_pending(running)
         engine.tier2_fp = tier2  # as if promoted again
         del tier2, running
-        assert engine.on_table_patch("rt", "routes") == ()
+        assert engine.commit_update(engine.stage_update(()), "control-plane patch of rt", "rt") == []
         assert dropped() is None
     finally:
         gc.enable()

@@ -692,6 +692,9 @@ def test_configure_compiles_nothing_and_traffic_compiles_what_it_enters(compile_
     for flavor in engine.flavors():
         assert len(flavor._compiled) == 59 and not flavor.chains
         assert flavor.report.emitted_units == flavor.report.compiled_units == 0
+        # The report says what waits: every edge, for its first entry.
+        assert flavor.report.waiting_units == 59
+        assert "compiled 0 of 0 chains, 0 emitted, 59 edges wait for a first entry" in flavor.report.format()
     for name, frame in testbed.evaluation_frames(4000):
         devices[name].receive_frame(frame)
     router.run_tasks(4000)
@@ -700,6 +703,7 @@ def test_configure_compiles_nothing_and_traffic_compiles_what_it_enters(compile_
     assert set(tier2.chains) == {key for key, state in engine.states.items() if state.tier == 2}
     for flavor in engine.flavors():  # a record is a chain that was entered
         assert flavor.report.emitted_units == len(flavor.chains) > 0
+        assert flavor.report.waiting_units == len(flavor._compiled) - len(flavor.chains)
         assert all(chain.code is not None for chain in flavor.chains.values())
     assert sum(len(flavor.chains) for flavor in engine.flavors()) <= 20
     assert 0 < len(compile_calls) <= 20
@@ -707,6 +711,7 @@ def test_configure_compiles_nothing_and_traffic_compiles_what_it_enters(compile_
     for flavor in (engine.tier1, engine.profiled):
         flavor.materialize()
         assert len(flavor.chains) == 59 and all(chain.code is not None for chain in flavor.chains.values())
+        assert flavor.report.waiting_units == 0 and "wait" not in flavor.report.format()
     texts = {tuple(chain.template) for flavor in engine.flavors() for chain in flavor.chains.values() if chain.code}
     assert len(compile_calls) == len(set(compile_calls)) == len(texts) < 59 + 59
     assert len(compile_calls) == sum(flavor.report.compiled_units for flavor in engine.flavors())

@@ -245,7 +245,7 @@ def test_every_compiled_mode_is_the_one_engine(mode, batch):
         assert ports
         for key, port in ports:  # no dispatcher hop
             assert port.push is engine.tier1.function_for(key)
-        assert engine.on_table_patch("rt", "routes") == ()
+        assert engine.commit_update(engine.stage_update(()), "control-plane patch of rt", "rt") == []
     else:
         assert engine.profiled is not None and engine.states
     # Supervising an equal profile keeps the engine (a batch one compiles
@@ -292,7 +292,7 @@ def test_rules_patch_repatches_in_place():
     assert report.kind == "in-place"
     assert plane.router is router  # no new router generation
     assert engine.diagram_rebuilds == 0  # the same rules: c0's plan is kept
-    assert "diagram repatch of c0" in engine.profile_report().as_dict()["deopts"]
+    assert "control-plane patch of c0" in engine.profile_report().as_dict()["deopts"]
     narrowed = _rules_of(router, "c0")
     narrowed[0] = "12/0806 20/0001 28/0a000001"
     assert plane.update_rules("c0", narrowed).kind == "in-place"
@@ -438,3 +438,110 @@ def test_supervised_fdd_tier_ladder():
     assert guard.tier == "reference"
     # The two faulted packets drop at the boundary; 3 and 4 forward.
     assert len(devices["eth1"].transmitted) == 2
+
+
+# -- diagrams deeper than Python can compile ---------------------------------
+
+
+def _filter_text(rules):
+    return "PollDevice(eth0) -> Strip(14) -> fw :: IPFilter(%s) -> Unstrip(14) -> Queue(64) -> ToDevice(eth1);" % (
+        ", ".join(rules)
+    )
+
+
+def _denying(count):
+    """``count`` rules: deny ``10.0.0.1`` and up, then allow the rest."""
+    return ["deny src host 10.0.%d.%d" % divmod(i + 1, 250) for i in range(count - 1)] + ["allow all"]
+
+
+def _filter_router(rules, profile):
+    from repro.core.toolchain import load_config
+    from repro.elements.devices import LoopbackDevice
+    from repro.elements.runtime import build_router
+
+    devices = {name: LoopbackDevice(name, tx_capacity=1 << 30) for name in ("eth0", "eth1")}
+    return build_router(load_config(_filter_text(rules), "<filter>"), devices=devices, profile=profile), devices
+
+
+def _from(router, devices, source, count=64):
+    """How many of ``count`` frames from ``source`` the filter forwards."""
+    from repro.net.headers import build_ether_udp_packet
+
+    before = len(devices["eth1"].transmitted)
+    for sequence in range(count):
+        frame = build_ether_udp_packet(
+            "00:00:00:00:00:01", "00:00:00:00:00:02", source, "192.168.1.5", 1000 + sequence % 7, 53, b"x" * 20
+        )
+        devices["eth0"].receive_frame(frame)
+    router.run_tasks(count)
+    return len(devices["eth1"].transmitted) - before
+
+
+def test_a_diagram_deeper_than_python_compiles_keeps_the_matcher():
+    """A 120-rule filter's deepest path tests every rule: past the depth
+    ``compile()`` accepts (95 rules compiled, 100 did not), so the
+    filter has no plan and keeps the generic matcher emission, which
+    spills deep subtrees into helpers.  A fresh ``fdd`` build enters
+    every chain without a failure and forwards what the reference
+    interpreter does."""
+    from repro.classifier.ipfilter import compile_filter_rules
+
+    assert build_diagram(optimize(compile_filter_rules(_denying(120)))) is None
+    assert build_diagram(optimize(compile_filter_rules(_denying(20)))) is not None
+    sent = {}
+    for mode in ("reference", "fdd"):
+        router, devices = _filter_router(_denying(120), getattr(ExecutionProfile, mode)())
+        sent[mode] = [_from(router, devices, source) for source in ("10.0.0.1", "10.0.0.119", "10.0.0.200")]
+        if router.engine is not None:
+            assert not router.engine.tier1.report.failed_entries
+            assert "fw" not in router.engine.tier1.policy.plans
+    assert sent["fdd"] == sent["reference"] == [0, 0, 64]
+
+
+def test_a_rewrite_that_fails_to_compile_rejects_the_patch(monkeypatch):
+    """The deep-filter probe, its failure injected: a warmed 20-rule
+    ``fdd`` filter patched to 120 rules whose live chain fails to
+    compile — as the inlined 120-test diagram did, with a bare
+    ``IndentationError`` after the new rules were live — raises
+    :class:`ControlPlaneError`, and the router forwards from
+    ``10.0.0.1`` as its twin, never patched, does.  Uninjected, the same
+    patch commits and drops that host as the reference does."""
+    from repro.control import ControlPlane, ControlPlaneError
+    from repro.runtime import fastpath
+    from repro.runtime.codegen_cache import default_cache
+
+    routers = [_filter_router(_denying(20)[1:], ExecutionProfile.fdd()) for _ in range(2)]
+    for router, devices in routers:
+        assert _from(router, devices, "10.0.0.1", 256) == 256
+    (router, devices), (twin, twin_devices) = routers
+    tree = router.find("fw").tree
+    default_cache().clear()
+
+    def compile_chain(lines):
+        raise IndentationError("too many levels of indentation")
+
+    monkeypatch.setattr(fastpath, "compile_chain", compile_chain)
+    with pytest.raises(ControlPlaneError, match="IndentationError"):
+        ControlPlane(router).update_rules("fw", _denying(120))
+    monkeypatch.undo()
+    assert router.find("fw").tree is tree
+    assert _from(router, devices, "10.0.0.1") == _from(twin, twin_devices, "10.0.0.1") == 64
+    assert ControlPlane(router).update_rules("fw", _denying(120)).kind == "in-place"
+    assert _from(router, devices, "10.0.0.1") == 0
+
+
+def test_a_filter_that_gains_a_plan_rewrites_the_chains_that_read_it():
+    """Patched back under the depth bound, a filter gains a plan, so the
+    live chain that called its matcher is stale too: it is emitted again
+    with the diagram inlined, as a fresh build of the patched text
+    emits it (:mod:`tests.chains`), and forwards what the new rules say."""
+    from repro.control import ControlPlane
+
+    from ..chains import chain_differences
+
+    router, devices = _filter_router(_denying(120), ExecutionProfile.fdd())
+    assert _from(router, devices, "10.0.0.200") == 64 and "fw" not in router.engine.tier1.policy.plans
+    report = ControlPlane(router).update_rules("fw", _denying(20)[1:])
+    assert "fw" in router.engine.tier1.policy.plans and report.chains_emitted == 1
+    assert chain_differences(router) == []
+    assert _from(router, devices, "10.0.0.1") == 64 and _from(router, devices, "10.0.0.2") == 0

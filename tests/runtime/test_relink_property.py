@@ -5,7 +5,7 @@ A rules patch whose new diagram plan has the shape of the one a live
 chain inlined — only the values it compares changed — emits nothing
 and compiles nothing: the chain gets a new record with the plan's
 literals, and its code is its template code filled in with them
-(:meth:`FastPath.rewrite`).  Here each such chain's ``source`` is
+(:meth:`FastPath.stage_rewrite`).  Here each such chain's ``source`` is
 compared with a fresh emission's, and every live chain's functions
 after each seeded value edit, re-linked or compiled, with
 ``compile()`` of its ``source``, instruction by instruction: opname,

@@ -1269,3 +1269,53 @@ def test_divide_capacity_divides_renamed_queues():
 
 def test_divide_capacity_divides_renamed_queues_over_process():
     check_divide_capacity_divides_renamed_queues("process")
+
+
+def test_a_rewrite_that_fails_on_one_shard_commits_on_no_shard(monkeypatch):
+    """Two ``fdd`` shards on threads, warmed: a ``c0`` rules patch that
+    changes its diagram's shape stages the chain rewrite on every shard
+    before any commits.  An emission that fails on shard 1 alone rejects
+    the update on both: :class:`ControlPlaneError`, the plane's graph and
+    every shard's ``c0`` rules and tree as they were, and both shards
+    forward on."""
+    from repro.lang.lexer import split_config_args
+    from repro.runtime import shard as shard_module
+    from repro.runtime.fastpath import FastPath
+
+    routers = {}
+    build = shard_module._build_shard
+
+    def spied(config, profile, device_names, metered, shard_index, extra_classes=None):
+        built = build(config, profile, device_names, metered, shard_index, extra_classes)
+        routers[shard_index] = built[0]
+        return built
+
+    monkeypatch.setattr(shard_module, "_build_shard", spied)
+    testbed = Testbed(2)
+    router, devices = testbed.build_router(
+        testbed.variant_graph("base"), profile=ExecutionProfile.fdd().with_workers(2, "thread")
+    )
+    try:
+        drive(testbed, router, devices, 256)
+        before = {index: (shard.find("c0").tree, shard.graph.elements["c0"].config) for index, shard in routers.items()}
+        real = FastPath._emit_chain
+
+        def emit_chain(self, key, element):
+            if self.router is routers[1]:
+                raise RuntimeError("injected emitter bug on shard 1")
+            return real(self, key, element)
+
+        monkeypatch.setattr(FastPath, "_emit_chain", emit_chain)
+        graph = router.graph
+        rules = split_config_args(graph.elements["c0"].config)
+        rules[0] = "12/0806 20/0001 28/0a000001"
+        with pytest.raises(ControlPlaneError, match="injected emitter bug"):
+            router.apply_update(save_config(graph).replace(graph.elements["c0"].config, ", ".join(rules)))
+        monkeypatch.setattr(FastPath, "_emit_chain", real)
+        assert router.graph is graph and len(routers) == 2
+        for index, shard in routers.items():
+            assert (shard.find("c0").tree, shard.graph.elements["c0"].config) == before[index]
+        drive(testbed, router, devices, 256, offset=256)
+        assert sum(len(device.transmitted) for device in devices.values()) == 512
+    finally:
+        router.close()

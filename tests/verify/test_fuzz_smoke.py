@@ -47,6 +47,27 @@ class TestGenerators:
     def test_same_seed_same_cases(self):
         assert generate_case(5, 2) == generate_case(5, 2)
 
+    def test_a_grown_filter_update_goes_past_a_hundred_rules(self):
+        """``--updates`` grows the firewall's filter past a hundred
+        rules, seven eighths in, from the text in force there; a case
+        without an ``IPFilter`` is left alone."""
+        from repro.verify.gentraffic import with_grown_filter
+
+        iprouter, _mtu576, firewall = stock_cases(events_count=16)
+        assert with_grown_filter(iprouter) == iprouter
+        rotated = with_rules_update(firewall, random.Random(5))
+        grown = with_grown_filter(rotated)
+        added = [event for event in grown["events"] if event not in rotated["events"]]
+        (update,) = added
+        at = grown["events"].index(update)
+        assert at == 7 * len(rotated["events"]) // 8
+        before = load_config([e for e in rotated["events"][:at] if e[0] == "update"][-1][1])
+        after = load_config(update[1])
+        rules = split_config_args(after.elements["fw"].config)
+        assert len(rules) == 104
+        assert rules[-17:] == split_config_args(before.elements["fw"].config)
+        assert before.connections == after.connections
+
     def test_rules_updates_are_seeded_and_only_where_a_classifier_is(self):
         cases = stock_cases(events_count=16) + [generate_case(11, index, 16) for index in range(12)]
         updated = [with_rules_update(case, random.Random(5)) for case in cases]
