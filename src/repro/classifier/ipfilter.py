@@ -30,6 +30,8 @@ already validated the header).
 from __future__ import annotations
 
 import re
+from itertools import groupby
+from operator import itemgetter
 
 from ..net.addresses import parse_ip_prefix
 from .tree import FAILURE, TreeBuilder, make_leaf
@@ -497,6 +499,23 @@ def compile_expressions(expressions):
     return builder.finish(entry, noutputs=len(expressions))
 
 
+def parse_filter_rule(rule):
+    """``(allowed, expression)`` of one IPFilter rule: ``allow`` is
+    True, ``deny`` and ``drop`` are both False, and a rule without an
+    expression reads ``all``."""
+    parts = rule.strip().split(None, 1)
+    if not parts:
+        raise FilterError("empty IPFilter rule")
+    action = parts[0].lower()
+    if action == "allow":
+        allowed = True
+    elif action in ("deny", "drop"):
+        allowed = False
+    else:
+        raise FilterError("unknown IPFilter action %r" % action)
+    return allowed, parts[1] if len(parts) > 1 else "all"
+
+
 def compile_filter_rules(rules):
     """Compile IPFilter-style rules (``allow EXPR`` / ``deny EXPR`` /
     ``drop EXPR``) into a decision tree with one output (0 = allowed);
@@ -507,17 +526,20 @@ def compile_filter_rules(rules):
     builder = TreeBuilder()
     entry = FAILURE  # implicit final deny
     for rule in reversed(rules):
-        parts = rule.strip().split(None, 1)
-        if not parts:
-            raise FilterError("empty IPFilter rule")
-        action = parts[0].lower()
-        expr_text = parts[1] if len(parts) > 1 else "all"
-        if action == "allow":
-            target = make_leaf(0)
-        elif action in ("deny", "drop"):
-            target = FAILURE
-        else:
-            raise FilterError("unknown IPFilter action %r" % action)
+        allowed, expr_text = parse_filter_rule(rule)
         node = parse_expression(expr_text)
-        entry = _compile_node(builder, node, target, entry)
+        entry = _compile_node(builder, node, make_leaf(0) if allowed else FAILURE, entry)
     return builder.finish(entry, noutputs=1)
+
+
+def filter_rules_key(rules):
+    """A key two rule lists share only if they give every packet the
+    same verdict: the maximal runs of rules with one verdict, in order,
+    each the set of its whitespace-collapsed expressions.  Inside a run
+    the rules commute — whichever of them a packet matches first, the
+    run's verdict is the answer — so reordering them, repeating one, or
+    writing ``drop`` for ``deny`` keeps the key."""
+    return tuple(
+        (allowed, frozenset(" ".join(expression.split()) for _allowed, expression in run))
+        for allowed, run in groupby(map(parse_filter_rule, rules), key=itemgetter(0))
+    )

@@ -76,7 +76,8 @@ class ControlPlane:
         or configuration text; the delta is computed against the live
         graph when a full configuration is given, and what is installed
         is that delta applied to the live graph.  Pure-data deltas patch
-        tables in place; anything structural (or touching a
+        tables in place, and are a ``no-op`` where every new table is
+        equivalent to the live one; anything structural (or touching a
         non-patchable element) changes the router's elements and wiring
         in place (:func:`~repro.elements.hotswap.install`).  Returns the
         :class:`SwapReport`; raises :class:`ControlPlaneError` (nothing
@@ -86,22 +87,18 @@ class ControlPlane:
         delta = resolve(router.graph, update)
         diff_seconds = time.perf_counter() - started
 
-        if delta.empty:
-            report = SwapReport("no-op", profile=router.profile.label)
-            report.delta = delta.summary()
-            report.phases["diff"] = diff_seconds
-            self.history.append(report)
-            return report
-
         if not delta.structural:
             started = time.perf_counter()
             staged = self.stage_patch(delta)
             if staged is not None:
                 stage_seconds = time.perf_counter() - started
-                report = self.commit_patch(staged, delta)
-                report.phases["diff"] = diff_seconds
-                report.phases["stage"] = stage_seconds
-                report.phases.move_to_end("patch")
+                if staged[0]:
+                    report = self.commit_patch(staged, delta)
+                else:  # nothing changed, or only to equivalent tables
+                    report = SwapReport("no-op", profile=router.profile.label, delta=delta.summary())
+                report.phases.update(diff=diff_seconds, stage=stage_seconds)
+                if "patch" in report.phases:
+                    report.phases.move_to_end("patch")
                 self.history.append(report)
                 return report
 
@@ -154,12 +151,16 @@ class ControlPlane:
         (``check_routes`` / ``check_rules``), then stage the engine's
         half (:meth:`~repro.runtime.adaptive.AdaptiveEngine.stage_update`:
         plans built from the prepared trees, the stale live chains
-        emitted and given their code).  Returns the batch for
-        :meth:`commit_patch`, or None when some element is not
-        data-patchable (the update is structural).  Raises
-        :class:`ControlPlaneError`, the router untouched, on a rejected
-        table or a rewrite that fails.  A sharded plane stages on
-        *every* shard before any shard commits."""
+        emitted and given their code).  A rules change whose table is
+        equivalent to the live one (``check_rules`` returns None) is
+        left out of the batch: the live tree, its chains and the text
+        it was built from stay.  Returns the batch for
+        :meth:`commit_patch` — empty when nothing is left to change —
+        or None when some element is not data-patchable (the update is
+        structural).  Raises :class:`ControlPlaneError`, the router
+        untouched, on a rejected table or a rewrite that fails.  A
+        sharded plane stages on *every* shard before any shard
+        commits."""
         router, staged, trees, name = self.router, [], {}, None
         try:
             for change in delta.changed:
@@ -169,11 +170,13 @@ class ControlPlane:
                     return None
                 name = change.name
                 prepared = getattr(element, "check_" + kind)(split_config_args(change.new_config))
+                if prepared is None:
+                    continue
                 if kind == "rules":
                     trees[name] = prepared[0]
                 staged.append((element, kind, prepared, change))
             name = None
-            rewrite = router.engine.stage_update((), trees) if router.engine is not None else []
+            rewrite = router.engine.stage_update((), trees) if staged and router.engine is not None else []
         except Exception as exc:
             raise ControlPlaneError(
                 "%s rejected; nothing applied: %s: %s"

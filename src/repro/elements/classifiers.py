@@ -11,7 +11,7 @@ Python function instead and charges the (cheaper) compiled-step cost.
 from __future__ import annotations
 
 from ..classifier.compile import CompiledClassifier, compiled_function_for, enter, is_pending
-from ..classifier.ipfilter import compile_expressions, compile_filter_rules
+from ..classifier.ipfilter import compile_expressions, compile_filter_rules, filter_rules_key
 from ..classifier.language import compile_patterns
 from ..classifier.optimize import optimize
 from .element import ConfigError, Element
@@ -92,8 +92,17 @@ class _TreeClassifier(Element):
         except ValueError as exc:
             raise ConfigError("%s: %s" % (self.class_name, exc)) from exc
 
+    def rules_key(self, args):
+        """What a rules patch compares with the live rules: equal keys
+        give every packet the same output, so a patch to an equal key
+        is a no-op (:meth:`check_rules`).  Patterns are positional —
+        the first match picks the output — so by default the key is
+        the rules themselves."""
+        return tuple(args)
+
     def configure(self, args):
         self.tree = self.optimized_tree(args)
+        self.live_key = self.rules_key(args)
         # How many outputs this configuration declares (click-check
         # verifies they are all connected).
         self.configured_noutputs = self.tree.noutputs
@@ -110,11 +119,19 @@ class _TreeClassifier(Element):
 
     def check_rules(self, args):
         """Compile and validate replacement rules without touching the
-        live tree: the control plane's dry-run half.  The new rules
-        must declare the same output count (changing the number of
-        outputs rewires the graph, which needs a hot-swap); bad rules
-        raise :class:`ConfigError`.  Returns the optimized tree and its
-        matcher for :meth:`commit_rules`."""
+        live tree: the control plane's dry-run half.  Rules whose
+        :meth:`rules_key` equals the live one change no output, and
+        return None: the live tree, matcher and text stay.  The new
+        rules must declare the same output count (changing the number
+        of outputs rewires the graph, which needs a hot-swap); bad
+        rules raise :class:`ConfigError`.  Returns the optimized tree,
+        its matcher and its key for :meth:`commit_rules`."""
+        try:
+            key = self.rules_key(args)
+        except ValueError as exc:
+            raise ConfigError("%s: %s" % (self.class_name, exc)) from exc
+        if key == self.live_key:
+            return None
         tree = self.optimized_tree(args)
         if tree.noutputs != self.configured_noutputs:
             raise ConfigError(
@@ -131,13 +148,13 @@ class _TreeClassifier(Element):
         cell = getattr(self, "_matcher_cell", None)
         if cell is not None and not is_pending(cell[0]):
             enter(matcher)
-        return tree, matcher
+        return tree, matcher, key
 
     def commit_rules(self, prepared):
-        """Install the tree and matcher :meth:`check_rules` prepared,
-        swapping the matcher under any live fast-path chains through the
-        matcher cell."""
-        self.tree, matcher = prepared
+        """Install the tree, matcher and key :meth:`check_rules`
+        prepared, swapping the matcher under any live fast-path chains
+        through the matcher cell."""
+        self.tree, matcher, self.live_key = prepared
         cell = getattr(self, "_matcher_cell", None)
         if cell is not None:
             cell[0] = matcher
@@ -196,6 +213,11 @@ class IPFilter(_TreeClassifier):
 
     def build_tree(self, args):
         return compile_filter_rules(args)
+
+    def rules_key(self, args):
+        """Rules commute inside a run of one verdict, and ``deny`` is
+        ``drop`` (:func:`~repro.classifier.ipfilter.filter_rules_key`)."""
+        return filter_rules_key(args)
 
 
 class FastClassifierBase(Element):

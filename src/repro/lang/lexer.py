@@ -159,6 +159,12 @@ def tokenize(text, filename="<config>"):
             raise ClickSyntaxError("unexpected character %r" % text[pos], location)
 
 
+#: What decides where a configuration string splits: a quoted string
+#: (backslash escapes; an unterminated one runs to the end), a bracket,
+#: or a comma.  Everything between them is argument text.
+_ARG_SEPARATORS = re.compile(r'"(?:[^"\\]|\\.)*"?|[,()\[\]{}]', re.DOTALL)
+
+
 def split_config_args(config):
     """Split an element configuration string into top-level comma-separated
     arguments, respecting quotes, parentheses, brackets, and braces.
@@ -171,35 +177,18 @@ def split_config_args(config):
     if config is None:
         return []
     args = []
-    depth = 0
-    current = []
-    index = 0
-    while index < len(config):
-        char = config[index]
-        if char == '"':
-            current.append(char)
-            index += 1
-            while index < len(config) and config[index] != '"':
-                if config[index] == "\\" and index + 1 < len(config):
-                    current.append(config[index])
-                    index += 1
-                current.append(config[index])
-                index += 1
-            if index < len(config):
-                current.append('"')
-                index += 1
-            continue
-        if char in "([{":
+    depth = start = 0
+    for found in _ARG_SEPARATORS.finditer(config):
+        char = found.group()
+        if char == ",":
+            if depth == 0:
+                args.append(config[start : found.start()].strip())
+                start = found.end()
+        elif char in "([{":
             depth += 1
         elif char in ")]}":
             depth -= 1
-        if char == "," and depth == 0:
-            args.append("".join(current).strip())
-            current = []
-        else:
-            current.append(char)
-        index += 1
-    tail = "".join(current).strip()
+    tail = config[start:].strip()
     if tail or args:
         args.append(tail)
     # An entirely empty configuration means zero arguments.

@@ -576,18 +576,16 @@ def _shard_worker(
                     if share is not None:
                         delta = _divided_delta(delta, router, *share)
                     plane = ControlPlane(router)
-                    batch = None
-                    if not (delta.empty or delta.structural):
-                        batch = plane.stage_patch(delta)
+                    batch = None if delta.structural else plane.stage_patch(delta)
                 except Exception as exc:  # noqa: BLE001 - a rejection, not a fault
                     # Nothing staged, live tables untouched: the
                     # coordinator aborts everywhere and re-raises this.
                     send(("staged", "rejected", _portable(exc)))
                 else:
-                    if delta.empty:
-                        send(("staged", "empty"))
-                    elif batch is None:
+                    if batch is None:
                         send(("staged", "structural"))
+                    elif not batch[0]:  # nothing changed, or only to equivalent tables
+                        send(("staged", "empty"))
                     else:
                         staged = (plane, batch, delta, _time.perf_counter() - started)
                         send(("staged", "ok"))
@@ -1558,6 +1556,9 @@ class ShardedRouter:
             self._abort(staged)
             raise next(verdict[2] for _shard, verdict in verdicts if verdict[1] == "rejected")
         if kinds == {"empty"}:
+            # Every shard kept its tables (nothing changed, or only to
+            # equivalent ones): nothing commits, nothing is journaled,
+            # and the plane's graph stays the one the workers hold.
             return SwapReport("no-op", profile=self._profile.label)
         if kinds == {"ok"}:
             self._fire_commit_hook()

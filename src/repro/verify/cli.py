@@ -15,8 +15,9 @@ Two ways to run:
   case and written as a self-contained repro file under ``--repro-dir``.
   ``--updates`` adds control-plane updates to every trace: a named
   counter inserted and deleted again, a rules rotation mid-trace and a
-  value edit of the same classifier, and a filter grown past a hundred
-  rules.
+  value edit of the same classifier, the first filter's rules reordered
+  where no verdict changes (a no-op wherever it runs as an IPFilter),
+  and a filter grown past a hundred rules.
 - ``click-fuzz --repro FILE`` replays one repro file through the full
   matrix and reports whether the divergence is still present (exit 1) or
   fixed (exit 0).
@@ -32,7 +33,7 @@ import sys
 import time
 
 from .genconfig import generate_case, stock_cases
-from .gentraffic import with_grown_filter, with_rules_update, with_structural_update
+from .gentraffic import with_grown_filter, with_permuted_filter, with_rules_update, with_structural_update
 from .oracle import MODES, SHARD_MODES, compare_case
 from .shrink import element_count, load_repro, shrink_case, write_repro
 
@@ -96,7 +97,8 @@ def _parser():
         "that has a classifier: what its outputs mean changes under "
         "every mode, in place where the mode can; before it, insert "
         "a named Counter into one push connection and delete it again; "
-        "after it, grow the first IPFilter past a hundred rules",
+        "after it, reorder the first IPFilter's rules where no verdict "
+        "changes, then grow it past a hundred rules",
     )
     parser.add_argument(
         "--report",
@@ -175,7 +177,10 @@ def _fuzz_cases(args):
     cases = cases[: args.budget]
     if args.updates:
         rng = random.Random(args.seed)
-        cases = [with_structural_update(with_grown_filter(with_rules_update(case, rng)), rng) for case in cases]
+        cases = [
+            with_permuted_filter(with_structural_update(with_grown_filter(with_rules_update(case, rng)), rng), rng)
+            for case in cases
+        ]
     return cases
 
 

@@ -9,9 +9,10 @@ mid-run control events — ARP-table churn (epoch bumps), baked-guard
 invalidation, forced adaptive deoptimization, a hot-swap that installs
 the live configuration again (every element's declared ``carry`` state
 must cross it unchanged), a control-plane rules update that changes
-what a classifier's outputs mean, and a structural update that inserts
-a counter into a live push connection and later deletes it, and a
-rules update that grows a filter past a hundred rules.
+what a classifier's outputs mean, a structural update that inserts a
+counter into a live push connection and later deletes it, a rules
+update that only reorders a filter's rules where no verdict can
+change, and a rules update that grows a filter past a hundred rules.
 
 Everything is driven by a seeded ``random.Random``; the same seed always
 produces the same event list, so every case is replayable.
@@ -21,7 +22,9 @@ from __future__ import annotations
 
 import re
 import struct
+from itertools import groupby
 
+from ..classifier.ipfilter import parse_filter_rule
 from ..core.toolchain import load_config, save_config
 from ..elements.classifiers import CLASSIFIER_CLASS_NAMES
 from ..lang.lexer import split_config_args
@@ -288,21 +291,57 @@ def with_rules_update(case, rng):
     return dict(case, events=events)
 
 
+def _first_filter(case, at):
+    """``(graph, decl)``: the text in force ``at`` events into
+    ``case``, parsed, and its first ``IPFilter``'s declaration; None
+    without one."""
+    events, text = case["events"], case["config"]
+    text = ([event[1] for event in events[:at] if event[0] in ("hotswap", "update") and len(event) > 1] or [text])[-1]
+    graph = load_config(text, "<filter>")
+    decl = next((decl for decl in graph.elements.values() if decl.class_name == "IPFilter"), None)
+    return (graph, decl) if decl is not None else None
+
+
 def with_grown_filter(case):
     """``case`` with an ``["update", CONFIG]`` event seven eighths in
     that grows the first ``IPFilter`` of the text in force there to
     :data:`GROWN_RULES` rules, denials of ``10.200.0.0/16`` hosts
     first: a path deeper than a decision diagram may go.  The case
     itself without one."""
-    events, text = list(case["events"]), case["config"]
-    at = 7 * len(events) // 8
-    text = ([event[1] for event in events[:at] if event[0] in ("hotswap", "update") and len(event) > 1] or [text])[-1]
-    graph = load_config(text, "<grown>")
-    decl = next((decl for decl in graph.elements.values() if decl.class_name == "IPFilter"), None)
-    if decl is None:
+    at = 7 * len(case["events"]) // 8
+    found = _first_filter(case, at)
+    if found is None:
         return case
+    graph, decl = found
     rules = split_config_args(decl.config)
     decl.config = ", ".join(["deny src host 10.200.%d.%d" % divmod(i + 1, 250) for i in range(GROWN_RULES - len(rules))] + rules)
+    events = list(case["events"])
+    events.insert(at, ["update", save_config(graph)])
+    return dict(case, events=events)
+
+
+def with_permuted_filter(case, rng):
+    """``case`` with an ``["update", CONFIG]`` event five sixths in
+    that shuffles each run of same-verdict rules of the first
+    ``IPFilter`` of the text in force there: every packet keeps its
+    verdict, so a live ``IPFilter`` takes it as a no-op and keeps the
+    text it had (on the optimized axis, whose filter is a generated
+    class, it installs as any rules update does there).  The case
+    itself without a filter or a run to shuffle."""
+    at = 5 * len(case["events"]) // 6
+    found = _first_filter(case, at)
+    if found is None:
+        return case
+    graph, decl = found
+    rules, permuted = split_config_args(decl.config), []
+    for _allowed, run in groupby(rules, key=lambda rule: parse_filter_rule(rule)[0]):
+        run = list(run)
+        rng.shuffle(run)
+        permuted += run
+    if permuted == rules:
+        return case
+    decl.config = ", ".join(permuted)
+    events = list(case["events"])
     events.insert(at, ["update", save_config(graph)])
     return dict(case, events=events)
 

@@ -4,11 +4,12 @@ Every reconfiguration of a live router — a route or rules patch, a
 structural update, a hot-swap — stages all that can fail, then commits
 with nothing left that can fail, or rolls back to the router as it was.
 A ``hypothesis`` state machine drives a supervised ``fast`` or ``fdd``
-router through frames, scheduler runs, route patches, valid, rejected
-and failing rules patches (a firewall grown past a hundred rules among
-them), a named insert and delete, and hot-swaps, with a failure injected
-into a new element's ``configure``, a chain's emission or its
-``compile()``.  After every step:
+router through frames, scheduler runs, route patches, valid, rejected,
+failing and equivalent rules patches (a filter grown past a hundred
+rules among them, and one taken past the diagram depth bound and back
+under it around traffic), a named insert and delete, and hot-swaps,
+with a failure injected into a new element's ``configure``, a chain's
+emission or its ``compile()``.  After every step:
 
 - the wire bytes, read handlers and wiring equal a reference-mode twin
   fed only the events the live router committed, every port connects
@@ -17,6 +18,7 @@ into a new element's ``configure``, a chain's emission or its
 - an install's four chain counts add up (``assert_chains_add_up``).
 """
 
+import random
 from contextlib import contextmanager
 
 import pytest
@@ -31,11 +33,13 @@ from repro.elements.hotswap import HotswapError, hotswap
 from repro.elements.infrastructure import Counter
 from repro.elements.runtime import wiring_of
 from repro.events import read_counters
+from repro.lang.lexer import split_config_args
 from repro.runtime import ExecutionProfile
 from repro.runtime import fastpath
 from repro.sim.testbed import Testbed
 
 from ..chains import assert_chains_as_fresh
+from ..classifier.test_filter_key import transformed
 from .test_control_plane import assert_chains_add_up
 
 #: The stock IP router with a filter on interface 0's IP path, so rules
@@ -159,6 +163,25 @@ class CommitProtocol(RuleBasedStateMachine):
     )
     def filter_patch(self, rules, last, failure):
         self.update(self.edited("fw", rules + [last]), failure)
+
+    @rule(shallow=st.lists(st.sampled_from(FILTER_RULES), max_size=4), passes=st.integers(4, 24))
+    def deep_and_back(self, shallow, passes):
+        """The filter past the depth bound, traffic through the chain
+        that calls its matcher, then the filter back under the bound:
+        that chain gains the filter's plan."""
+        self.update(self.edited("fw", DEEP_RULES))
+        self.frames(48, 0, False)
+        self.run(passes)
+        self.update(self.edited("fw", shallow + ["allow all"]))
+
+    @rule(seed=st.integers(0, 2**16))
+    def equivalent_filter_patch(self, seed):
+        """The filter's rules as another text of the same table: a
+        no-op, and the live text stays."""
+        rules = split_config_args(load_config(self.text, "<fw>").elements["fw"].config)
+        before = self.text
+        report = self.update(self.edited("fw", transformed(rules, random.Random(seed))))
+        assert report.kind == "no-op" and self.text == before
 
     @rule(name=st.sampled_from(["c0", "c1"]), turn=st.integers(0, 3), failure=st.sampled_from([None, "emission"]))
     def classifier_patch(self, name, turn, failure):

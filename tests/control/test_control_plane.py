@@ -90,6 +90,7 @@ class TestInPlace:
     def test_classifier_patch_in_place(self):
         testbed, plane, devices = build_plane()
         rules = split_config_args(plane.router.graph.elements["c0"].config)
+        rules[0], rules[1] = rules[1], rules[0]  # the ARP arms: positional, so a new table
         report = plane.update_rules("c0", rules)
         assert report.kind == "in-place"
         assert drive(testbed, plane, devices) > 0

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.configs import crossed_pairs, firewall_config, ip_router_config, simple_config
 from repro.configs.iprouter import default_interfaces
@@ -412,3 +414,55 @@ class TestConfigSplitting:
     def test_join_round_trip(self):
         args = ["12/0800", "-", "src 1.0.0.1"]
         assert split_config_args(join_config_args(args)) == args
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet='ab ,()[]{}"\\\t\n', max_size=40))
+    def test_splits_as_the_character_loop(self, config):
+        assert split_config_args(config) == loop_split(config)
+
+    def test_splits_every_stock_configuration_as_the_character_loop(self):
+        for text in stock_texts():
+            for decl in load_config(text, "<stock>").elements.values():
+                assert split_config_args(decl.config) == loop_split(decl.config)
+
+
+def loop_split(config):
+    """The character-at-a-time splitter :func:`split_config_args`
+    replaced, kept as its oracle."""
+    if config is None:
+        return []
+    args = []
+    depth = 0
+    current = []
+    index = 0
+    while index < len(config):
+        char = config[index]
+        if char == '"':
+            current.append(char)
+            index += 1
+            while index < len(config) and config[index] != '"':
+                if config[index] == "\\" and index + 1 < len(config):
+                    current.append(config[index])
+                    index += 1
+                current.append(config[index])
+                index += 1
+            if index < len(config):
+                current.append('"')
+                index += 1
+            continue
+        if char in "([{":
+            depth += 1
+        elif char in ")]}":
+            depth -= 1
+        if char == "," and depth == 0:
+            args.append("".join(current).strip())
+            current = []
+        else:
+            current.append(char)
+        index += 1
+    tail = "".join(current).strip()
+    if tail or args:
+        args.append(tail)
+    if args == [""]:
+        return []
+    return args

@@ -94,6 +94,17 @@ def build(profile):
     return testbed, router, devices
 
 
+#: An ``allow`` rule no test frame matches.
+UNMATCHED_ALLOW = "allow udp && dst host 192.168.1.9 && dst port 9"
+
+
+def reshuffled(rules):
+    """The firewall's ``allow`` run reversed, with :data:`UNMATCHED_ALLOW`
+    added to it: a new table.  The reversal alone gives every packet
+    the verdict it had, and a patch to it changes nothing."""
+    return rules[:2] + rules[-2:1:-1] + [UNMATCHED_ALLOW] + rules[-1:]
+
+
 def rules_of(router, name):
     return split_config_args(router.graph.elements[name].config)
 
@@ -305,7 +316,7 @@ def test_firewall_rules_patch_reports_as_a_cold_compile(batch):
     stale = reaching(tier1, "fw")
     labels = set(tier1.report.chain_lines)
     rules = firewall_rule_strings()
-    report = ControlPlane(router).update_rules("fw", rules[:2] + rules[-2:1:-1] + rules[-1:])
+    report = ControlPlane(router).update_rules("fw", reshuffled(rules))
     assert report.kind == "in-place" and report.chains_reused > 0 and len(stale) == 2
     assert labels - set(tier1.report.chain_lines) == {"%s %s[%d]" % key for key in stale}
     assert tier1.report.fdd_diagrams == 0
@@ -628,7 +639,8 @@ def test_in_place_churn_never_emits_where_hotswaps_do(compile_calls):
     """Why an incremental update beats a full swap, as a count: under
     ``fdd``, 16 seeded route/rule updates through ``ControlPlane`` are
     all patched in place without emitting a chain (a route patch changes
-    a table, and a rules patch that swaps two arms re-links); the same 16
+    a table, a rules patch that swaps two arms re-links, and one that
+    gives the rules already live is a no-op); the same 16
     installed as whole-text hot-swaps emit again, inside each swap, every
     chain that was forwarding (a swap renews every element, so every
     chain is stale).  Neither compiles: a hot-swapped chain's text is the
@@ -652,8 +664,10 @@ def test_in_place_churn_never_emits_where_hotswaps_do(compile_calls):
             if path == "in-place":
                 plane = ControlPlane(router)
                 update = plane.update_routes if name == "rt" else plane.update_rules
-                assert update(name, args).kind == "in-place"
-                emitted[path] += flavors[0].report.emitted_units if name != "rt" else 0
+                unchanged = name != "rt" and args == rules_of(router, name)
+                report = update(name, args)
+                assert report.kind == ("no-op" if unchanged else "in-place")
+                emitted[path] += report.chains_emitted
             else:
                 graph = router.graph.copy()
                 graph.elements[name].config = ", ".join(args)
@@ -777,7 +791,7 @@ def test_a_live_chains_successor_is_compiled_inside_the_update(compile_calls, ma
     from .test_fastpath_lowering import firewall_frame
 
     rules = firewall_rule_strings()
-    patched = rules[:2] + rules[-2:1:-1] + rules[-1:]
+    patched = reshuffled(rules)
     router, devices = firewall_router(ExecutionProfile.fdd())
     for _ in range(256):
         devices["eth0"].receive_frame(firewall_frame())
@@ -791,7 +805,7 @@ def test_a_live_chains_successor_is_compiled_inside_the_update(compile_calls, ma
     report = ControlPlane(router).update_rules("fw", patched)
     assert report.kind == "in-place" and report.chains_emitted == 1 and not rebuilds
     assert tier1.report.emitted_units == tier1.report.compiled_units == 1
-    assert tier1.report.relinked_units == 0  # a permutation moves the diagram's tests
+    assert tier1.report.relinked_units == 0  # a new rule and a permutation move the diagram's tests
     assert len(compile_calls) == 1 and not matcher_compiles
     assert engine.profiled is profiled
     entry = next(key for key in tier1.chains if key[0] == "push" and key[1].startswith("PollDevice"))
@@ -823,7 +837,7 @@ def test_a_chain_nothing_entered_is_emitted_by_its_first_packet(compile_calls, m
     lines = tier1.report.source_lines
     del compile_calls[:], matcher_compiles[:], rebuilds[:]
     rules = firewall_rule_strings()
-    report = ControlPlane(router).update_rules("fw", rules[:2] + rules[-2:1:-1] + rules[-1:])
+    report = ControlPlane(router).update_rules("fw", reshuffled(rules))
     assert report.kind == "in-place" and report.chains_emitted == 0 and not rebuilds
     assert tier1.report.emitted_units == tier1.report.compiled_units == 0
     assert not compile_calls and not matcher_compiles
@@ -860,7 +874,7 @@ def test_a_waiting_chain_that_fails_to_emit_runs_its_reference_port(monkeypatch)
     tier1 = router.adaptive.tier1
     entry = next(key for key in tier1._compiled if key[0] == "push" and key[1].startswith("PollDevice"))
     rules = firewall_rule_strings()
-    ControlPlane(router).update_rules("fw", rules[:2] + rules[-2:1:-1] + rules[-1:])
+    ControlPlane(router).update_rules("fw", reshuffled(rules))
     assert entry not in tier1.chains
     real = FastPath._emit_chain
 
@@ -904,7 +918,7 @@ def test_without_a_diagram_the_live_matchers_successor_is_compiled_inside_the_up
     router.run_tasks(256)
     del compile_calls[:], matcher_compiles[:]
     rules = firewall_rule_strings()
-    report = ControlPlane(router).update_rules("fw", rules[:2] + rules[-2:1:-1] + rules[-1:])
+    report = ControlPlane(router).update_rules("fw", reshuffled(rules))
     assert report.kind == "in-place" and report.chains_emitted == 0
     assert not compile_calls and len(matcher_compiles) == 1
     assert not is_pending(router.find("fw").matcher_cell()[0])
@@ -913,6 +927,82 @@ def test_without_a_diagram_the_live_matchers_successor_is_compiled_inside_the_up
     router.run_tasks(256)
     assert len(devices["eth1"].transmitted) == 512
     assert not compile_calls and len(matcher_compiles) == 1
+
+
+def equivalent(rules):
+    """The firewall's rules as another text of the same table: the
+    spoofing denies swapped, one written ``drop``, the ``allow`` run
+    reversed, its first rule repeated at its end with other spacing."""
+    return (
+        [rules[1].replace("deny", "drop"), rules[0]]
+        + rules[-2:1:-1]
+        + [rules[2].replace(" && ", "  &&\t")]
+        + rules[-1:]
+    )
+
+
+@pytest.mark.parametrize("mode", ["fast", "fdd"])
+def test_an_equivalent_rules_patch_is_a_no_op(mode, compile_calls, matcher_compiles, monkeypatch):
+    """A rules patch whose table gives every packet the verdict it had
+    changes nothing on a warmed router: it emits no chain, compiles no
+    chain and no matcher, and deopts nothing.  The tree and the matcher
+    cell are the objects they were, the graph keeps the text the tree
+    was built from, and every chain record is a fresh build's."""
+    from ..chains import assert_chains_as_fresh
+    from .test_fastpath_lowering import firewall_frame
+
+    router, devices = firewall_router(ExecutionProfile.fast() if mode == "fast" else ExecutionProfile.fdd())
+    for _ in range(256):
+        devices["eth0"].receive_frame(firewall_frame())
+    router.run_tasks(256)
+    fw, engine, text = router.find("fw"), router.engine, save_config(router.graph)
+    tree, cell, matcher, deopts = fw.tree, fw.matcher_cell(), fw.matcher_cell()[0], list(engine.deopts)
+    emissions = []
+    real = FastPath._emit_chain
+
+    def emit_chain(self, key, *args):
+        emissions.append(key)
+        return real(self, key, *args)
+
+    monkeypatch.setattr(FastPath, "_emit_chain", emit_chain)
+    del compile_calls[:], matcher_compiles[:]
+    report = ControlPlane(router).update_rules("fw", equivalent(firewall_rule_strings()))
+    assert report.kind == "no-op" and report.elements_patched == 0
+    assert not emissions and not compile_calls and not matcher_compiles
+    assert engine.deopts == deopts
+    assert fw.tree is tree and fw.matcher_cell() is cell and cell[0] is matcher
+    assert save_config(router.graph) == text and fw.config_string in text
+    monkeypatch.setattr(FastPath, "_emit_chain", real)
+    assert_chains_as_fresh(router)
+    for _ in range(256):
+        devices["eth0"].receive_frame(firewall_frame())
+    router.run_tasks(256)
+    assert len(devices["eth1"].transmitted) == 512 and not compile_calls and not matcher_compiles
+
+
+def test_a_rule_moved_across_a_verdict_is_a_new_table():
+    """Moving an ``allow`` above the spoofing denies changes a verdict:
+    the patch is in place, and a spoofed frame to the mail server that
+    the denies dropped is forwarded afterwards, as the reference
+    interpreter forwards it."""
+    from repro.configs.firewall import MAIL_SERVER
+    from repro.net.headers import TCP_SYN, build_tcp_packet
+
+    rules = firewall_rule_strings()
+    moved = rules[2:3] + rules[:2] + rules[3:]
+    ether = b"\x00\x50\x56\x00\x00\x01\x00\x50\x56\x00\x00\x02\x08\x00"
+    spoofed = ether + build_tcp_packet("172.16.0.9", MAIL_SERVER, 3456, 25, TCP_SYN)
+    sent = []
+    for profile in (ExecutionProfile.fdd(), ExecutionProfile.reference()):
+        router, devices = firewall_router(profile)
+        for patch in (None, moved):
+            if patch is not None:
+                assert ControlPlane(router).update_rules("fw", patch).kind == "in-place"
+            for _ in range(8):
+                devices["eth0"].receive_frame(spoofed)
+            router.run_tasks(8)
+        sent.append(devices["eth1"].transmitted)
+    assert sent[0] == sent[1] and len(sent[0]) == 8
 
 
 def test_an_ip_router_rules_patch_costs_one_chain_and_one_small_matcher(compile_calls, matcher_compiles):

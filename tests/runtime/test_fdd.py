@@ -288,10 +288,12 @@ def test_rules_patch_repatches_in_place():
     plane = ControlPlane(router)
     engine = router.adaptive
     before = sum(len(d.transmitted) for d in devices.values())
-    report = plane.update_rules("c0", _rules_of(router, "c0"))
+    respaced = _rules_of(router, "c0")
+    respaced[0] = respaced[0].replace(" ", "  ")  # another text of the same tree
+    report = plane.update_rules("c0", respaced)
     assert report.kind == "in-place"
     assert plane.router is router  # no new router generation
-    assert engine.diagram_rebuilds == 0  # the same rules: c0's plan is kept
+    assert engine.diagram_rebuilds == 0  # the same tree: c0's plan is kept
     assert "control-plane patch of c0" in engine.profile_report().as_dict()["deopts"]
     narrowed = _rules_of(router, "c0")
     narrowed[0] = "12/0806 20/0001 28/0a000001"

@@ -1271,6 +1271,63 @@ def test_divide_capacity_divides_renamed_queues_over_process():
     check_divide_capacity_divides_renamed_queues("process")
 
 
+def test_an_equivalent_rules_patch_commits_on_no_shard(monkeypatch):
+    """Two ``fdd`` firewall shards on threads, warmed: a rules patch
+    that reverses the ``allow`` run gives every packet its verdict, so
+    every worker stages nothing and answers ``"empty"``.  The plane
+    commits nothing and journals nothing, its graph stays the one the
+    workers hold, every shard keeps its tree, and both forward on."""
+    from repro.configs.firewall import firewall_graph, firewall_rule_strings
+    from repro.runtime import shard as shard_module
+
+    from .test_fastpath_lowering import firewall_frame
+
+    routers, verdicts, controls = {}, [], []
+    build, ask, control = shard_module._build_shard, ShardedRouter._ask, ShardedRouter._control
+
+    def spied(config, profile, device_names, metered, shard_index, extra_classes=None):
+        built = build(config, profile, device_names, metered, shard_index, extra_classes)
+        routers[shard_index] = built[0]
+        return built
+
+    def asked(self, shards, cmd, *args, **kwargs):
+        answers = ask(self, shards, cmd, *args, **kwargs)
+        if cmd[0] == "update_stage":
+            verdicts.extend(answer for _shard, answer in answers)
+        return answers
+
+    def controlled(self, cmd, *args, **kwargs):
+        controls.append(cmd[0])
+        return control(self, cmd, *args, **kwargs)
+
+    monkeypatch.setattr(shard_module, "_build_shard", spied)
+    monkeypatch.setattr(ShardedRouter, "_ask", asked)
+    monkeypatch.setattr(ShardedRouter, "_control", controlled)
+    router, devices = Testbed(2).build_router(firewall_graph(), profile=ExecutionProfile.fdd().with_workers(2, "thread"))
+    try:
+        for _ in range(64):
+            devices["eth0"].receive_frame(firewall_frame())
+        router.run_tasks(32)
+        text, graph = save_config(router.graph), router.graph
+        trees = {index: shard.find("fw").tree for index, shard in routers.items()}
+        rules = firewall_rule_strings()
+        permuted = load_config(text, "<permuted>")
+        permuted.elements["fw"].config = ", ".join(rules[:2] + rules[-2:1:-1] + rules[-1:])
+        del controls[:]
+        report = router.apply_update(save_config(permuted))
+        assert report.kind == "no-op" and verdicts == [("staged", "empty")] * 2 and not controls
+        assert router.graph is graph and save_config(graph) == text
+        for index, shard in routers.items():
+            assert shard.find("fw").tree is trees[index]
+            assert shard.graph.elements["fw"].config == router.graph.elements["fw"].config
+        for _ in range(64):
+            devices["eth0"].receive_frame(firewall_frame())
+        router.run_tasks(32)
+        assert len(devices["eth1"].transmitted) == 128
+    finally:
+        router.close()
+
+
 def test_a_rewrite_that_fails_on_one_shard_commits_on_no_shard(monkeypatch):
     """Two ``fdd`` shards on threads, warmed: a ``c0`` rules patch that
     changes its diagram's shape stages the chain rewrite on every shard

@@ -12,6 +12,9 @@ import pytest
 
 from repro.core.check import check
 from repro.core.toolchain import load_config
+from repro.elements.devices import LoopbackDevice
+from repro.elements.runtime import Router
+from repro.events import apply
 from repro.lang.lexer import split_config_args
 from repro.runtime.adaptive import AdaptiveConfig
 from repro.verify import cli
@@ -67,6 +70,36 @@ class TestGenerators:
         assert len(rules) == 104
         assert rules[-17:] == split_config_args(before.elements["fw"].config)
         assert before.connections == after.connections
+
+    def test_a_permuted_filter_update_keeps_every_verdict(self):
+        """``--updates`` reorders the first ``IPFilter``'s rules five
+        sixths in, from the text in force there, inside runs of one
+        verdict: a new text of the same table, which every mode takes
+        as a no-op — the graph keeps the text it had.  A case without
+        an ``IPFilter`` is left alone."""
+        from repro.classifier.ipfilter import filter_rules_key
+        from repro.verify.gentraffic import with_permuted_filter
+
+        iprouter, _mtu576, firewall = stock_cases(events_count=16)
+        assert with_permuted_filter(iprouter, random.Random(5)) == iprouter
+        rotated = with_rules_update(firewall, random.Random(5))
+        permuted = with_permuted_filter(rotated, random.Random(5))
+        assert permuted == with_permuted_filter(rotated, random.Random(5))
+        (update,) = [event for event in permuted["events"] if event not in rotated["events"]]
+        at = permuted["events"].index(update)
+        assert at == 5 * len(rotated["events"]) // 6
+        before = load_config([e for e in rotated["events"][:at] if e[0] == "update"][-1][1])
+        after = load_config(update[1])
+        old, new = (split_config_args(graph.elements["fw"].config) for graph in (before, after))
+        assert old != new and sorted(old) == sorted(new)
+        assert filter_rules_key(old) == filter_rules_key(new)
+        assert before.connections == after.connections
+        for mode in ("reference", "fdd"):
+            devices = {name: LoopbackDevice(name) for name in ("eth0", "eth1")}
+            router = Router(load_config(firewall["config"]), devices=devices, profile=mode_profile(mode))
+            reports = [apply(router, event, devices) for event in permuted["events"][: at + 1]]
+            assert reports[-1].kind == "no-op"
+            assert router.graph.elements["fw"].config == before.elements["fw"].config
 
     def test_rules_updates_are_seeded_and_only_where_a_classifier_is(self):
         cases = stock_cases(events_count=16) + [generate_case(11, index, 16) for index in range(12)]
