@@ -70,11 +70,11 @@ def main(argv=None):
     )
     parser.add_argument(
         "--mode",
-        choices=("reference", "fast", "adaptive", "fdd"),
+        choices=("reference", "fast", "fdd"),
         default="fast",
         help="execution profile to run the router under (default: fast)",
     )
-    parser.add_argument("--batch", action="store_true", help="batched dispatch")
+    parser.add_argument("--batch", action="store_true", help="batched dispatch (with --mode fast)")
     parser.add_argument(
         "--diff-only",
         action="store_true",
@@ -82,6 +82,8 @@ def main(argv=None):
     )
     parser.add_argument("--json", action="store_true", help="machine-readable reports")
     args = parser.parse_args(argv)
+    if args.batch and args.mode != "fast":
+        parser.error("--batch requires --mode fast")
 
     try:
         with open(args.config) as handle:

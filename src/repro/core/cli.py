@@ -271,12 +271,6 @@ def optimize_main(argv=None):
             "runtime fast path and print its report to stderr",
         )
         parser.add_argument(
-            "--adaptive",
-            action="store_true",
-            help="compile the optimized router under the tiered adaptive "
-            "engine instead of the static fast path (implies --fast)",
-        )
-        parser.add_argument(
             "--fdd",
             action="store_true",
             help="compile the optimized router under the forwarding-"
@@ -286,8 +280,8 @@ def optimize_main(argv=None):
         parser.add_argument(
             "--profile-report",
             action="store_true",
-            help="with --adaptive/--fdd: also print the engine's "
-            "per-chain tier/profile report to stderr",
+            help="also print the fdd engine's per-chain tier/profile "
+            "report to stderr (implies --fdd)",
         )
         parser.add_argument(
             "--supervised",
@@ -344,7 +338,6 @@ def optimize_main(argv=None):
     fastpath_section = None
     if (
         args.fast
-        or args.adaptive
         or args.fdd
         or args.profile_report
         or args.supervised
@@ -352,8 +345,7 @@ def optimize_main(argv=None):
     ):
         text, fastpath_section = _fastpath_report(
             result.graph,
-            adaptive=(args.adaptive or args.profile_report) and not args.fdd,
-            fdd=args.fdd,
+            fdd=args.fdd or args.profile_report,
             profile=args.profile_report,
             supervised=args.supervised,
             workers=args.workers,
@@ -425,7 +417,6 @@ def _format_diagram_report(report):
 
 def _fastpath_report(
     graph,
-    adaptive=False,
     fdd=False,
     profile=False,
     supervised=False,
@@ -436,8 +427,8 @@ def _fastpath_report(
     """Instantiate the optimized graph (loopback devices stand in for
     whatever hardware the config names) and compile — but do not run —
     its fast path; returns ``(report text, report dict)``.  With
-    ``adaptive`` the router comes up under the tiered engine instead,
-    and ``profile`` appends its per-chain tier report.  ``supervised``
+    ``fdd`` the router comes up under the fdd engine instead, with its
+    diagram report, and ``profile`` appends its per-chain tier report.  ``supervised``
     runs the compiled router supervised and appends its resilience
     report (every task healthy at compile time — the section documents
     the tier stacks).
@@ -461,8 +452,6 @@ def _fastpath_report(
 
     if fdd:
         run_profile = ExecutionProfile.fdd()
-    elif adaptive:
-        run_profile = ExecutionProfile.tiered()
     elif supervised:
         run_profile = ExecutionProfile.fast()  # --supervised implies --fast
     else:
@@ -477,14 +466,13 @@ def _fastpath_report(
     compile_report = fastpath.report
     text = compile_report.format()
     section = compile_report.as_dict()
-    if adaptive or fdd:
+    if fdd:
         if profile:
             text += "\n" + engine.profile_report().format()
         section["adaptive"] = engine.profile_report().as_dict()
-        if fdd:
-            diagram = engine.diagram_report()
-            section["fdd"] = diagram
-            text += "\n" + _format_diagram_report(diagram)
+        diagram = engine.diagram_report()
+        section["fdd"] = diagram
+        text += "\n" + _format_diagram_report(diagram)
     if supervised:
         resilience = router.supervisor.report()
         text += "\n" + resilience.format()

@@ -204,9 +204,9 @@ class Router:
     @property
     def mode(self):
         """``"reference"`` (the interpreting oracle), ``"fast"`` (the
-        static compiled chains), ``"adaptive"`` (tiered profile-guided
-        recompilation) or ``"fdd"`` (the same with classifier trees
-        compiled into the chains as decision diagrams)."""
+        static compiled chains) or ``"fdd"`` (classifier trees compiled
+        into the chains as decision diagrams, under tiered
+        profile-guided recompilation)."""
         return self._profile.mode
 
     @property
@@ -226,10 +226,10 @@ class Router:
 
     @property
     def adaptive(self):
-        """Read-only view: the engine while its mode tiers
-        (``adaptive``/``fdd``), else None."""
+        """Read-only view: the engine while its mode tiers (``fdd``),
+        else None."""
         engine = self.engine
-        return engine if engine is not None and engine.mode != "fast" else None
+        return engine if engine is not None and engine.tiering else None
 
     def configure(self, profile=None):
         """Apply an :class:`~repro.runtime.profile.ExecutionProfile`:

@@ -31,7 +31,7 @@ Three tiers:
 Every speculation is guarded and every guard fails *safe*: the cold
 side of each guard is the full generic code, so a wrong guess costs
 time, never correctness.  Guard misses increment engine-owned counters;
-sustained pressure (``guard_miss_limit`` misses on one site) means the
+sustained pressure (:data:`GUARD_MISS_LIMIT` misses on one site) means the
 traffic changed shape, and the engine *deoptimizes* the chains that
 reach the offending element back to tier 1, resets the profile, and
 lets them climb again against fresh counters.
@@ -76,55 +76,35 @@ __all__ = [
 ]
 
 
+#: Misses on one guard site that deoptimize the chains reaching it.
+GUARD_MISS_LIMIT = 8192
+#: How dominant an arm or a route must be before it is guarded.
+HOT_FRACTION = 0.5
+#: Tier-2 builds one engine may make.
+MAX_RECOMPILES = 16
+
+
 class AdaptiveConfig:
     """Tuning knobs for the tiered engine.
 
     ``sample`` must be a power of two (the dispatcher uses a mask);
     ``threshold`` is the per-chain packet count that triggers
     promotion; ``min_samples`` is the least profile weight a decision
-    may rest on; ``hot_fraction`` is how dominant an arm must be before
-    it is guarded; ``guard_miss_limit`` misses on one guard site
-    deoptimize; ``max_recompiles`` bounds tier-2 rebuilds per engine.
+    may rest on.
     """
 
-    __slots__ = (
-        "threshold",
-        "sample",
-        "guard_miss_limit",
-        "min_samples",
-        "hot_fraction",
-        "max_recompiles",
-    )
+    __slots__ = ("threshold", "sample", "min_samples")
 
-    def __init__(
-        self,
-        threshold=512,
-        sample=16,
-        guard_miss_limit=8192,
-        min_samples=32,
-        hot_fraction=0.5,
-        max_recompiles=16,
-    ):
+    def __init__(self, threshold=512, sample=16, min_samples=32):
         if sample < 1 or (sample & (sample - 1)):
             raise ValueError("sample must be a power of two, not %r" % (sample,))
         if threshold < 1:
             raise ValueError("threshold must be positive")
         if min_samples < 1:
             raise ValueError("min_samples must be positive, not %r" % (min_samples,))
-        if guard_miss_limit < 1:
-            raise ValueError(
-                "guard_miss_limit must be positive, not %r" % (guard_miss_limit,)
-            )
-        if max_recompiles < 1:
-            raise ValueError(
-                "max_recompiles must be positive, not %r" % (max_recompiles,)
-            )
         self.threshold = threshold
         self.sample = sample
-        self.guard_miss_limit = guard_miss_limit
         self.min_samples = min_samples
-        self.hot_fraction = hot_fraction
-        self.max_recompiles = max_recompiles
 
     def as_dict(self):
         return {name: getattr(self, name) for name in self.__slots__}
@@ -268,7 +248,7 @@ def _classifier_decision(element, counts, config, exemplars=None):
     order = sorted(range(nports), key=lambda i: (-port_counts[i], i))
     hot_out = order[0]
     guard = None
-    if port_counts[hot_out] >= config.hot_fraction * total:
+    if port_counts[hot_out] >= HOT_FRACTION * total:
         conds = _guard_conds(
             getattr(element, "tree", None),
             hot_out,
@@ -299,7 +279,7 @@ def _route_decision(element, counts, config):
     order = sorted(range(nports), key=lambda i: (-port_counts.get(i, 0), i))
     constant = None
     hot_raw, hot_count = top[0]
-    if hot_count >= config.hot_fraction * total and hot_raw in routes:
+    if hot_count >= HOT_FRACTION * total and hot_raw in routes:
         gateway, port = routes[hot_raw]
         if 0 <= port < nports:
             constant = (
@@ -472,27 +452,14 @@ class _ChainState:
     dispatcher runs, 2 once promoted, 0 once settled back to the plain
     static chain (nothing worth speculating)."""
 
-    __slots__ = (
-        "key",
-        "port",
-        "plain",
-        "prof",
-        "plain_batch",
-        "prof_batch",
-        "seen",
-        "bursts",
-        "tier",
-    )
+    __slots__ = ("key", "port", "plain", "prof", "seen", "tier")
 
     def __init__(self, key, port):
         self.key = key
         self.port = port
         self.plain = None
         self.prof = None
-        self.plain_batch = None
-        self.prof_batch = None
         self.seen = 0
-        self.bursts = 0
         self.tier = 1
 
 
@@ -583,17 +550,18 @@ class AdaptiveEngine:
     is built from says which passes run:
 
     - ``fast``: tier 1 only — the static chains, installed and left
-      alone (no profiled flavor, no dispatcher, ``states`` empty).
-    - ``adaptive``: tiering on — construction builds tier 1 twice
-      (plain + profiled flavor, each chain emitted on first entry) and
-      :meth:`install` wraps every compiled push entry in a sampling
-      dispatcher; matured chains promote to a profile-guided tier 2.
-    - ``fdd``: tiering plus the diagram pass
+      alone (no profiled flavor, no dispatcher, ``states`` empty),
+      batched or not.
+    - ``fdd``: tiering on, with the diagram pass
       (:func:`repro.runtime.fdd.diagram_pass`) in the plain flavor and
-      tier 2.  The profiled flavor is ``adaptive``'s, generic dispatch
-      that walks each classifier's live tree (``element.tree.match``)
-      and calls no matcher: it bakes no tree in, so it outlives every
-      rules patch, and a patch compiles no matcher for it.
+      tier 2.  Construction builds tier 1 twice (plain + profiled
+      flavor, each chain emitted on first entry) and :meth:`install`
+      wraps every compiled push entry in a sampling dispatcher; matured
+      chains promote to a profile-guided tier 2.  The profiled flavor
+      is generic dispatch that walks each classifier's live tree
+      (``element.tree.match``) and calls no matcher: it bakes no tree
+      in, so it outlives every rules patch, and a patch compiles no
+      matcher for it.
 
     A metered router builds no engine: it runs the reference
     interpreter under any profile.
@@ -612,8 +580,7 @@ class AdaptiveEngine:
         self.router = router
         self.mode, self.batch, config = self.fields(profile)
         self.config = config if config is not None else AdaptiveConfig()
-        self.diagrams = self.mode == "fdd"
-        self.tiering = self.mode != "fast"
+        self.tiering = self.mode == "fdd"
         self.store = ProfileStore()
         self.tier2_fp = None
         self.states = {}
@@ -630,8 +597,8 @@ class AdaptiveEngine:
 
     def _diagram_fields(self, decisions=None):
         """The diagram pass over the router as it stands: the policy
-        fields one build's flavors share (none without diagrams)."""
-        if not self.diagrams:
+        fields one build's flavors share (none without tiering)."""
+        if not self.tiering:
             return {}
         return diagram_pass(
             self.router, DEFAULT_NODE_BUDGET, decisions, self.store.classifier_exemplar
@@ -675,9 +642,6 @@ class AdaptiveEngine:
                 state = _ChainState(key, port)
                 state.plain = port.push
                 state.prof = prof
-                if self.batch and port.push_batch is not None:
-                    state.plain_batch = port.push_batch
-                    state.prof_batch = self.profiled.function_for(key, batch=True)
                 self.states[key] = state
                 self._arm(state)
 
@@ -691,7 +655,7 @@ class AdaptiveEngine:
         # A dispatcher holds its state and the state its port: unhooked,
         # both (and the flavors' functions they hold) go by refcount.
         for state in self.states.values():
-            state.port.push = state.port.push_batch = None
+            state.port.push = None
         self.states = {}
         self.pins = {}  # the pinned ports went with the port lists
 
@@ -769,20 +733,6 @@ class AdaptiveEngine:
                 consider(_s)
 
         state.port.push = push
-        if state.plain_batch is not None:
-
-            def push_batch(packets, _s=state):
-                b = _s.bursts + 1
-                _s.bursts = b
-                _s.seen += len(packets)
-                if b & mask:
-                    _s.plain_batch(packets)
-                else:
-                    _s.prof_batch(packets)
-                if _s.seen >= threshold:
-                    consider(_s)
-
-            state.port.push_batch = push_batch
 
     def _consider(self, state):
         if state.tier == 1:
@@ -806,20 +756,16 @@ class AdaptiveEngine:
             return
         state.tier = 2
         state.port.push = fn
-        if state.plain_batch is not None:
-            state.port.push_batch = tier2.function_for(state.key, batch=True)
 
     def _settle(self, state):
         """Run a chain on the plain static chain (tier 0): no sampling
         dispatcher, no instrumented flavor."""
         state.tier = 0
         state.port.push = state.plain
-        if state.plain_batch is not None:
-            state.port.push_batch = state.plain_batch
 
     def _budget_spent(self):
         """No further tier 2 can be built, so a profile buys nothing."""
-        return self.recompiles >= self.config.max_recompiles
+        return self.recompiles >= MAX_RECOMPILES
 
     def _profile_weight(self):
         """The fattest single profile site — the maturity test for
@@ -866,9 +812,7 @@ class AdaptiveEngine:
     # -- deoptimization ----------------------------------------------------
 
     def guard_counter_for(self, token):
-        counter = _GuardCounter(
-            self, token[1], token[2], self.config.guard_miss_limit
-        )
+        counter = _GuardCounter(self, token[1], token[2], GUARD_MISS_LIMIT)
         self._guard_counters.append(counter)
         return counter
 
@@ -918,7 +862,6 @@ class AdaptiveEngine:
             ):
                 continue
             state.seen = 0
-            state.bursts = 0
             self._arm(state)
         return True
 
@@ -1014,7 +957,7 @@ class AdaptiveEngine:
             totals["nodes"] += plan.nodes
             totals["paths"] += plan.paths
             totals["loads_saved"] += plan.loads_saved
-        fallbacks = sorted(set(router_trees(self.router)) - set(plans)) if self.diagrams else []
+        fallbacks = sorted(set(router_trees(self.router)) - set(plans)) if self.tiering else []
 
         def flavor(fastpath):
             return {

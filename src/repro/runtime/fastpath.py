@@ -124,15 +124,12 @@ class ChainPolicy:
 
     @property
     def tag(self):
-        """The flavor's name in reports."""
-        flavor = (
-            "profiling" if self.profiling
-            else "optimized" if self.decisions is not None
-            else "static"
-        )
+        """The flavor's name in reports: tier 2 always carries plans."""
+        if self.profiling:
+            return "profiling"
         if self.plans is None:
-            return flavor
-        return "fdd" if flavor == "static" else "fdd-" + flavor
+            return "static"
+        return "fdd" if self.decisions is None else "fdd-optimized"
 
     def _decision_for(self, element):
         if self.decisions is None:

@@ -43,7 +43,7 @@ Safety mirrors the adaptive tiers (Morpheus-style):
   plan's new constants instead of compiling it
   (:meth:`~repro.runtime.fastpath.FastPath.stage_rewrite`); route patches
   need no rewrite at all — compiled lookups read the live table
-  through bound memo/lookup cells, exactly as in adaptive mode.
+  through bound memo/lookup cells, exactly as in ``fast`` mode.
 
 This module is the pass alone — trees in, plans out
 (:func:`diagram_pass`); the engine hands the result to a

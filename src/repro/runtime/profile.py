@@ -8,8 +8,9 @@ and is the only way to say how a router runs.  ``Router.configure``
 applies one; ``Router.profile`` reads the current one back; hot-swap and
 the control plane carry one across router generations.  The compiled
 modes are one engine (:class:`~repro.runtime.adaptive.AdaptiveEngine`)
-built from the profile: ``fast`` is tier 1 alone, ``adaptive`` adds
-profile-guided tiering, ``fdd`` adds the decision-diagram pass.
+built from the profile: ``fast`` is tier 1 alone, ``fdd`` adds the
+decision-diagram pass and profile-guided tiering.  Batch dispatch is a
+flavor of ``fast`` alone.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .supervisor import SupervisorConfig
 
 __all__ = ["ExecutionProfile"]
 
-MODES = ("reference", "fast", "adaptive", "fdd")
+MODES = ("reference", "fast", "fdd")
 SHARD_BACKENDS = ("thread", "process")
 
 
@@ -65,10 +66,8 @@ class ExecutionProfile:
             raise ValueError(
                 "mode must be one of %s, not %r" % ("/".join(MODES), self.mode)
             )
-        if self.batch and self.mode == "reference":
-            raise ValueError(
-                "batch dispatch requires mode 'fast', 'adaptive', or 'fdd'"
-            )
+        if self.batch and self.mode != "fast":
+            raise ValueError("batch dispatch requires mode 'fast', not %r" % (self.mode,))
         if self.adaptive is not None and not isinstance(self.adaptive, AdaptiveConfig):
             raise TypeError("adaptive must be an AdaptiveConfig or None")
         if self.supervisor is not None and not isinstance(self.supervisor, SupervisorConfig):
@@ -106,18 +105,18 @@ class ExecutionProfile:
         return cls(mode="fast", batch=batch, **kwargs)
 
     @classmethod
-    def tiered(cls, config=None, batch=False, **kwargs):
-        """The adaptive tiered engine, optionally configured by an
-        :class:`AdaptiveConfig`."""
-        return cls(mode="adaptive", adaptive=config, batch=batch, **kwargs)
+    def tiered(cls):
+        """The ``fdd`` profile, for the benchmark ladder's ``tiered``
+        rung, which still names it.  The benchmark change that drops
+        that rung (ROADMAP item 3, step 1) deletes this bridge."""
+        return cls.fdd()
 
     @classmethod
-    def fdd(cls, config=None, batch=False, **kwargs):
-        """The forwarding-decision-diagram engine: the tiered engine
-        with classifier trees compiled into the chains as ordered
-        decision diagrams (``config`` tunes the shared adaptive
-        machinery)."""
-        return cls(mode="fdd", adaptive=config, batch=batch, **kwargs)
+    def fdd(cls, config=None, **kwargs):
+        """The forwarding-decision-diagram engine: classifier trees
+        compiled into the chains as ordered decision diagrams, under
+        profile-guided tiering (``config`` tunes it)."""
+        return cls(mode="fdd", adaptive=config, **kwargs)
 
     @property
     def supervised(self):
@@ -135,9 +134,10 @@ class ExecutionProfile:
         return replace(self, supervisor=None)
 
     def with_mode(self, mode, batch=None):
-        """This profile running under a different execution tier."""
+        """This profile running under a different execution tier; batch
+        dispatch carries over only to ``fast``."""
         batch = self.batch if batch is None else bool(batch)
-        if mode == "reference":
+        if mode != "fast":
             batch = False
         return replace(self, mode=mode, batch=batch)
 
@@ -181,7 +181,7 @@ class ExecutionProfile:
 
     @property
     def label(self):
-        """A compact human-readable tag, e.g. ``adaptive+batch+supervised``."""
+        """A compact human-readable tag, e.g. ``fast+batch+supervised``."""
         parts = [self.mode]
         if self.batch:
             parts.append("batch")

@@ -5,7 +5,7 @@ A :class:`ShardedRouter` partitions ingress traffic by flow key
 (:mod:`repro.runtime.flowhash`) across ``profile.workers`` shards, each
 owning a *full* router — built from the same configuration graph, run
 under the same shard-local :class:`~repro.runtime.profile.ExecutionProfile`
-(reference, fast, batch, adaptive, or supervised) — and reconciles the
+(reference, fast, batch, fdd, or supervised) — and reconciles the
 shards' transmitted frames, element counters, and CycleMeters back into
 one externally observable surface.
 
@@ -1402,7 +1402,7 @@ class ShardedRouter:
         """Force every shard's tiered engine back to tier 1; True when
         the profile runs one (mirrors ``Router.force_deopt``)."""
         self._control(("deopt",))
-        return self._profile.mode in ("adaptive", "fdd")
+        return self._profile.mode == "fdd"
 
     def hotswap_all(self, new_graph):
         """Hot-swap every shard, transactionally, to ``new_graph``: a

@@ -22,7 +22,7 @@ the whole router.  Every packet a router moves is moved by some task's
   before the chain runs, so an error would cost the burst's tail.
 - **One guard per task**, charged with whatever its ``run_task``
   raised.  An error demotes the task one tier down its engine's stack,
-  ``fdd``/``adaptive`` → ``fast`` → ``reference`` (``fast`` →
+  ``fdd`` → ``fast`` → ``reference`` (``fast`` →
   ``reference`` under ``fast``), through
   :meth:`~repro.runtime.adaptive.AdaptiveEngine.pin`; the reference
   interpreter is its own floor.  Once a task burns its

@@ -182,12 +182,7 @@ class Testbed:
         adaptive_config=None,
     ):
         if profile is None:
-            if mode == "adaptive":
-                profile = ExecutionProfile.tiered(config=adaptive_config, batch=batch)
-            elif mode == "fdd":
-                profile = ExecutionProfile.fdd(config=adaptive_config, batch=batch)
-            else:
-                profile = ExecutionProfile(mode=mode, batch=batch)
+            profile = ExecutionProfile(mode=mode, batch=batch, adaptive=adaptive_config)
         devices = {
             interface.device: LoopbackDevice(interface.device, tx_capacity=1 << 30)
             for interface in self.interfaces

@@ -1,7 +1,7 @@
 """Differential fuzzing and verification (`click-fuzz`).
 
 Four execution modes (reference interpreter, static fast path, batched
-fast path, tiered adaptive recompilation) and the `paper` optimization
+fast path, decision diagrams under tiered recompilation) and the `paper` optimization
 pipeline all promise the same observable behaviour for any legal
 configuration.  This package hunts violations of that promise: it
 generates (configuration, traffic) cases, runs every case through the

@@ -52,7 +52,6 @@ MODES = OrderedDict(
         ("reference", ("reference", False)),
         ("fast", ("fast", False)),
         ("batch", ("fast", True)),
-        ("adaptive", ("adaptive", False)),
         ("fdd", ("fdd", False)),
     ]
 )
@@ -87,9 +86,7 @@ def mode_profile(mode, supervised=False):
         sharded = mode_profile(base, supervised=supervised).with_workers(SHARD_WORKERS)
         return replace(sharded, chunk_frames=SHARD_ROUND)
     router_mode, batch = MODES[mode]
-    if router_mode == "adaptive":
-        profile = ExecutionProfile.tiered(config=AdaptiveConfig(**EAGER))
-    elif router_mode == "fdd":
+    if router_mode == "fdd":
         profile = ExecutionProfile.fdd(config=AdaptiveConfig(**EAGER))
     else:
         profile = ExecutionProfile(mode=router_mode, batch=batch)

@@ -22,7 +22,7 @@ import random
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
@@ -237,9 +237,12 @@ class CommitProtocol(RuleBasedStateMachine):
         assert_chains_as_fresh(self.router)
 
 
+#: No shrink phase: a derandomized failure of at most 30 steps is
+#: already a repro, and shrinking one ran for minutes.
 PROTOCOL = settings(
     max_examples=12, stateful_step_count=30, deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
+    phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target],
 )
 
 

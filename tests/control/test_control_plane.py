@@ -100,7 +100,7 @@ class TestInPlace:
 
         config = AdaptiveConfig(threshold=48, sample=4, min_samples=12)
         testbed, plane, devices = build_plane(
-            profile=ExecutionProfile.tiered(config=config)
+            profile=ExecutionProfile.fdd(config=config)
         )
         drive(testbed, plane, devices, 256)  # promote hot chains to tier 2
         report = plane.router.adaptive.profile_report().as_dict()

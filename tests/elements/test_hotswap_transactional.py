@@ -53,9 +53,9 @@ class TestProfileCarry:
 
     def test_adaptive_mode_and_config_carried(self):
         config = AdaptiveConfig(threshold=48, sample=4, min_samples=12)
-        router = Router(parse_graph(BASE), profile=ExecutionProfile.tiered(config=config))
+        router = Router(parse_graph(BASE), profile=ExecutionProfile.fdd(config=config))
         hotswap_router(router, parse_graph(EXTENDED))
-        assert router.mode == "adaptive"
+        assert router.mode == "fdd"
         assert router.adaptive is not None
         assert router.profile.adaptive is config
 

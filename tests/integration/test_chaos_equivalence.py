@@ -179,4 +179,4 @@ class TestHarness:
 
         report = json.loads(report_path.read_text())
         assert report["summary"]["ok"] == 1
-        assert report["cases"][0]["reports"]["adaptive"]["totals"]["chains"] > 0
+        assert report["cases"][0]["reports"]["fdd"]["totals"]["chains"] > 0

@@ -213,9 +213,9 @@ PROFILED_ONLY = AdaptiveConfig(sample=1, threshold=1 << 30, min_samples=1 << 30)
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_rules_patch_sequence_matches_reference(seed):
-    """Rules patch -> traffic -> rules patch under ``fdd`` and
-    ``fdd``+batch: the second patch rewrites what the first left, and
-    the oracle must see what the reference interpreter shows — on the
+    """Rules patch -> traffic -> rules patch under ``fdd``: the second
+    patch rewrites what the first left, and the oracle must see what
+    the reference interpreter shows — on the
     short stock trace at the oracle's eager thresholds, and on both
     stock configurations under 512 frames and verdict-changing
     rotations with every packet sampled (the profiled flavor is not
@@ -237,25 +237,24 @@ def test_rules_patch_sequence_matches_reference(seed):
         assert result[0] == "ok", result
         reference = result[1]
         assert any(reference["transmitted"].values())
-        for batch in (False, True):
-            label = "%s/fdd%s/sample=%d" % (case["name"], "+batch" if batch else "", config.sample)
-            engines = []
-            result = run_case(
-                case,
-                "fdd",
-                profile=ExecutionProfile.fdd(config=config, batch=batch),
-                collect=lambda router: engines.append(router.adaptive),
-            )
-            assert result[0] == "ok", "%s failed: %s" % (label, result)
-            (engine,) = engines
-            assert engine.diagram_rebuilds == REBUILDS_BY_TWO_PATCHES, (
-                "%s did not rebuild its diagrams in place" % label
-            )
-            if config is PROFILED_ONLY:
-                assert engine.recompiles == 0 and {s.tier for s in engine.states.values()} == {1}
-            diff = first_transmit_difference(reference["transmitted"], result[1]["transmitted"])
-            assert diff is None, "%s transmitted: %s" % (label, diff)
-            assert result[1]["counters"] == reference["counters"], "%s counters diverged" % label
+        label = "%s/fdd/sample=%d" % (case["name"], config.sample)
+        engines = []
+        result = run_case(
+            case,
+            "fdd",
+            profile=ExecutionProfile.fdd(config=config),
+            collect=lambda router: engines.append(router.adaptive),
+        )
+        assert result[0] == "ok", "%s failed: %s" % (label, result)
+        (engine,) = engines
+        assert engine.diagram_rebuilds == REBUILDS_BY_TWO_PATCHES, (
+            "%s did not rebuild its diagrams in place" % label
+        )
+        if config is PROFILED_ONLY:
+            assert engine.recompiles == 0 and {s.tier for s in engine.states.values()} == {1}
+        diff = first_transmit_difference(reference["transmitted"], result[1]["transmitted"])
+        assert diff is None, "%s transmitted: %s" % (label, diff)
+        assert result[1]["counters"] == reference["counters"], "%s counters diverged" % label
 
 
 @pytest.mark.parametrize("seed", SEEDS[:2])

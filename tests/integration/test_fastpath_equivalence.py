@@ -5,7 +5,7 @@ Every tool-chain variant of the Figure 9 IP router — and ``paper``,
 click-optimize's paper pipeline round-tripped through text, which is
 what the benchmark runs — plus the shipped example configurations, is
 driven with the same traffic in reference mode, fast mode, fast+batched
-mode and both tiered modes; the transmitted bytes, every element's read
+mode and fdd mode; the transmitted bytes, every element's read
 handlers and plain counters, and (for the metered runs) the cycle
 meter's per-category report must match exactly.
 """
@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.configs.firewall import dns5_packet, firewall_graph
+from repro.configs.firewall import dns5_packet, firewall_graph, firewall_rule_strings
 from repro.core import load_config, named_pipeline, save_config
 from repro.elements.devices import LoopbackDevice
 from repro.elements.runtime import Router
@@ -27,14 +27,13 @@ from repro.runtime.adaptive import AdaptiveConfig
 from repro.runtime.fastpath import FastPath, FastPathError
 from repro.sim.cpu import CycleMeter
 from repro.sim.testbed import HOST_ETHERS, VARIANTS, Testbed, host_ip
+from repro.verify.gentraffic import GROWN_RULES
 
 MODES = [
     ("reference", False),
     ("fast", False),
     ("fast", True),
-    ("adaptive", False),
     ("fdd", False),
-    ("fdd", True),
 ]
 # Counters that are state but not read handlers.
 COUNTERS = ("fragments_made", "copies", "expired", "problems", "df_drops")
@@ -74,7 +73,7 @@ def variant_graph(testbed, variant):
 
 def drive_testbed(variant, mode, batch, frames, deopt_after=None, meter=None):
     testbed = Testbed(2)
-    adaptive_config = AdaptiveConfig(**EAGER) if mode in ("adaptive", "fdd") else None
+    adaptive_config = AdaptiveConfig(**EAGER) if mode == "fdd" else None
     router, devices = testbed.build_router(
         variant_graph(testbed, variant),
         meter=meter,
@@ -238,7 +237,7 @@ def test_adaptive_promotion_reaches_tier2():
     testbed = Testbed(2)
     router, devices = testbed.build_router(
         testbed.variant_graph("base"),
-        mode="adaptive",
+        mode="fdd",
         adaptive_config=AdaptiveConfig(**EAGER),
     )
     for device_name, frame in testbed.evaluation_frames(256):
@@ -250,20 +249,55 @@ def test_adaptive_promotion_reaches_tier2():
 
 
 @pytest.mark.parametrize("variant", ["base", "all", "paper"])
-def test_adaptive_forced_deopt_equivalence(variant, mode="adaptive"):
+def test_adaptive_forced_deopt_equivalence(variant):
     """A forced mid-run deoptimization (tier 2 -> tier 1, profiles
     reset) must not change a single transmitted byte or handler."""
     reference = drive_testbed(variant, "reference", False, evaluation_traffic)
     output, handlers = drive_testbed(
-        variant, mode, False, evaluation_traffic, deopt_after=128
+        variant, "fdd", False, evaluation_traffic, deopt_after=128
     )
     assert output == reference[0], "%s: transmitted frames differ" % variant
     assert handlers == reference[1], "%s: handler values differ" % variant
 
 
-@pytest.mark.parametrize("variant", ["base", "paper"])
-def test_fdd_forced_deopt_equivalence(variant):
-    test_adaptive_forced_deopt_equivalence(variant, mode="fdd")
+def grown_firewall_graph():
+    """The firewall with its filter grown to ``GROWN_RULES`` rules,
+    denials of ``10.200.0.0/16`` hosts first, as ``click-fuzz
+    --updates`` grows one: a tree deeper than a diagram may go."""
+    graph = firewall_graph()
+    rules = firewall_rule_strings()
+    grown = ["deny src host 10.200.%d.%d" % divmod(i + 1, 250) for i in range(GROWN_RULES - len(rules))]
+    graph.elements["fw"].config = ", ".join(grown + rules)
+    return graph
+
+
+def test_fdd_speculates_on_a_filter_past_the_depth_bound():
+    """Tier 2 speculates on a classifier's generic dispatch (its arm
+    order and a guarded hot arm) only where the classifier has no
+    diagram plan.  The grown filter's chain promotes with a hot arm on
+    the filter, a forced deopt sends it back to tier 1, and the wire
+    and every handler read as the reference interpreter's."""
+    ether = b"\x00\x50\x56\x00\x00\x01" + b"\x00\x50\x56\x00\x00\x02" + b"\x08\x00"
+    allowed = dns5_packet()
+    denied = allowed[:12] + IPAddress("10.200.0.7").packed() + allowed[16:]
+    # one frame in five denied: the profile samples one in four
+    frames = [ether + (denied if index % 5 == 4 else allowed) for index in range(384)]
+    runs = []
+    for profile in (ExecutionProfile.reference(), ExecutionProfile.fdd(config=AdaptiveConfig(**EAGER))):
+        devices = {name: LoopbackDevice(name, tx_capacity=1 << 30) for name in ("eth0", "eth1")}
+        router = Router(grown_firewall_graph(), devices=devices, profile=profile)
+        engine = router.adaptive
+        for index, chunk in enumerate((frames[:192], frames[192:])):
+            if index and engine is not None:
+                (state,) = [state for key, state in engine.states.items() if key[1] == router.tasks[0].name]
+                decision = engine.tier2_fp.policy.decisions.classifier["fw"]
+                assert "fw" not in engine.tier1.policy.plans and decision["hot"] is not None
+                assert state.tier == 2 and router.force_deopt("forced") and state.tier == 1
+            for frame in chunk:
+                devices["eth0"].receive_frame(frame)
+            router.run_tasks(len(chunk))
+        runs.append(observe(router, devices))
+    assert runs[0] == runs[1] and runs[0][1][("fw", "drops")] == 76
 
 
 def drive_rules_patches(mode, batch):
@@ -303,9 +337,9 @@ def test_rules_patch_sequence_equivalence():
     reference = drive_rules_patches("reference", False)
     sent = sum(len(frames) for frames in reference[0].values())
     assert 0 < sent < 512, "the narrowed arms did not drop a flow"
-    for batch in (False, True):
-        output, handlers = drive_rules_patches("fdd", batch)
-        label = mode_label("fdd", batch)
+    for mode, batch in (("fdd", False), ("fast", True)):
+        output, handlers = drive_rules_patches(mode, batch)
+        label = mode_label(mode, batch)
         assert output == reference[0], "%s: transmitted frames differ" % label
         assert handlers == reference[1], "%s: handler values differ" % label
 
@@ -336,9 +370,8 @@ def test_paper_meter_reports_identical(frames):
 
 
 COMPILED_PROFILES = [
-    replace(profile, batch=batch, supervisor=SupervisorConfig() if supervised else None)
-    for profile in (ExecutionProfile.fast(), ExecutionProfile.tiered(), ExecutionProfile.fdd())
-    for batch in (False, True)
+    replace(profile, supervisor=SupervisorConfig() if supervised else None)
+    for profile in (ExecutionProfile.fast(), ExecutionProfile.fast(batch=True), ExecutionProfile.fdd())
     for supervised in (False, True)
 ]
 
@@ -373,7 +406,7 @@ def run_metered(profile, meter, count=128):
 
 @pytest.mark.parametrize(
     "profile",
-    COMPILED_PROFILES + [ExecutionProfile.fdd(batch=True).with_workers(2, "thread")],
+    COMPILED_PROFILES + [ExecutionProfile.fast(batch=True).with_workers(2, "thread")],
     ids=str,
 )
 def test_metered_router_runs_the_reference(profile):

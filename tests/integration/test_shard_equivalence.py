@@ -32,7 +32,7 @@ class TestShardModes:
         profile = mode_profile("shard-batch")
         assert profile.workers == 2 and profile.shard_backend == "thread"
         assert profile.mode == "fast" and profile.batch
-        supervised = mode_profile("shard-adaptive", supervised=True)
+        supervised = mode_profile("shard-fdd", supervised=True)
         assert supervised.supervised and supervised.workers == 2
 
 
@@ -69,7 +69,7 @@ class TestHealthyEquivalence:
     @pytest.mark.parametrize("index", [0, 1, 2])
     def test_generated_cases_agree(self, index):
         case = generate_case(20260809, index, events_count=48)
-        result = compare_case(case, modes=["shard-fast", "shard-adaptive"])
+        result = compare_case(case, modes=["shard-fast", "shard-fdd"])
         assert result["status"] == "ok", result["divergences"]
 
 

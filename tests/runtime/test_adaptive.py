@@ -15,7 +15,7 @@ from repro.runtime.adaptive import (
     _guard_conds,
     build_decisions,
 )
-from repro.runtime import codegen_cache
+from repro.runtime import adaptive, codegen_cache
 from repro.runtime.codegen_cache import default_cache
 from repro.runtime.fastpath import ChainPolicy, FastPath
 from repro.sim.testbed import Testbed
@@ -39,16 +39,6 @@ def test_config_rejects_non_positive_threshold():
 def test_config_rejects_non_positive_min_samples():
     with pytest.raises(ValueError):
         AdaptiveConfig(min_samples=0)
-
-
-def test_config_rejects_non_positive_guard_miss_limit():
-    with pytest.raises(ValueError):
-        AdaptiveConfig(guard_miss_limit=0)
-
-
-def test_config_rejects_non_positive_max_recompiles():
-    with pytest.raises(ValueError):
-        AdaptiveConfig(max_recompiles=-1)
 
 
 def test_config_round_trips_as_dict():
@@ -149,7 +139,7 @@ def _profiled_testbed(packets=256, config=None):
     testbed = Testbed(2)
     router, devices = testbed.build_router(
         testbed.variant_graph("base"),
-        mode="adaptive",
+        mode="fdd",
         adaptive_config=config or AdaptiveConfig(**EAGER),
     )
     for device_name, frame in testbed.evaluation_frames(packets):
@@ -216,7 +206,7 @@ def test_a_promotion_compiles_the_promoted_chains_and_a_deopt_releases_them():
     default_cache().clear()
     testbed = Testbed(2)
     router, devices = testbed.build_router(
-        testbed.variant_graph("base"), mode="adaptive", adaptive_config=AdaptiveConfig(**EAGER)
+        testbed.variant_graph("base"), mode="fdd", adaptive_config=AdaptiveConfig(**EAGER)
     )
     engine = router.adaptive
     held = {key: (state.plain, state.prof) for key, state in engine.states.items()}
@@ -258,11 +248,12 @@ def test_thin_profile_does_not_settle():
     assert any(c["tier"] == 2 for c in report["chains"].values())
 
 
-def test_spent_recompile_budget_settles_chains():
-    """Past ``max_recompiles`` no tier 2 can be built, so a profile
+def test_spent_recompile_budget_settles_chains(monkeypatch):
+    """Past ``MAX_RECOMPILES`` no tier 2 can be built, so a profile
     buys nothing: demoted chains settle on the plain chain instead of
     sampling forever with no promotion possible."""
-    config = AdaptiveConfig(max_recompiles=1, **EAGER)
+    monkeypatch.setattr(adaptive, "MAX_RECOMPILES", 1)
+    config = AdaptiveConfig(**EAGER)
     testbed, router, devices = _profiled_testbed(config=config)
     engine = router.adaptive
     assert engine.recompiles == 1
@@ -272,7 +263,7 @@ def test_spent_recompile_budget_settles_chains():
     assert all(state.tier == 0 for state in engine.states.values())
     prof_calls = []
     for state in engine.states.values():
-        state.prof = state.prof_batch = lambda *args: prof_calls.append(args)
+        state.prof = lambda *args: prof_calls.append(args)
     before = sum(len(device.transmitted) for device in devices.values())
     for device_name, frame in testbed.evaluation_frames(256):
         devices[device_name].receive_frame(frame)
@@ -321,8 +312,7 @@ MID_BURST = (
 )
 
 
-@pytest.mark.parametrize("batch", [False, True])
-def test_tier_swaps_mid_burst_take_effect_by_the_next_burst(batch):
+def test_tier_swaps_mid_burst_take_effect_by_the_next_burst():
     """The compiled poll loop reads its hand-off once per burst, so a
     promotion or a forced deopt that lands inside a burst finishes that
     burst on the function it started with and runs the next one on the
@@ -336,7 +326,7 @@ def test_tier_swaps_mid_burst_take_effect_by_the_next_burst(batch):
     ]
     config = AdaptiveConfig(threshold=44, sample=4, min_samples=8)  # 44: inside the sixth burst
     outputs = []
-    for profile in (ExecutionProfile.reference(), ExecutionProfile.tiered(config=config, batch=batch)):
+    for profile in (ExecutionProfile.reference(), ExecutionProfile.fdd(config=config)):
         devices = {"eth0": LoopbackDevice("eth0"), "eth1": LoopbackDevice("eth1", tx_capacity=1 << 20)}
         router = Router(
             parse_graph(MID_BURST), extra_classes=_DeoptAt.classes(at=100), devices=devices, profile=profile
@@ -353,8 +343,8 @@ def test_tier_swaps_mid_burst_take_effect_by_the_next_burst(batch):
             assert state.tier == 1 and state.seen == 40
             router.run_tasks(1)  # crosses the threshold at its fourth packet
             assert state.tier == 2 and state.seen >= 44
-            promoted = engine.tier2_fp.function_for(state.key, batch=batch)
-            assert (port.push_batch if batch else port.push) is promoted
+            promoted = engine.tier2_fp.function_for(state.key)
+            assert port.push is promoted
             seen = state.seen
             router.run_tasks(1)  # ... and this burst runs the promoted chain
             assert state.seen == seen and router["src"].received == 56
@@ -363,7 +353,7 @@ def test_tier_swaps_mid_burst_take_effect_by_the_next_burst(batch):
             router.run_tasks(9)
             assert router["trig"].fired is True and router["trig"].seen >= 100
             assert state.tier == 1 and engine.tier2_fp is None and state.seen == 0
-            assert (port.push_batch if batch else port.push) is not promoted
+            assert port.push is not promoted
             router.run_tasks(1)
             assert state.seen == 8  # the next burst is profiled again
         router.run_tasks(len(frames))
@@ -437,8 +427,7 @@ c[2] -> Discard;
 """
 
 
-@pytest.mark.parametrize("mode", ["adaptive", "fdd"])
-def test_profiling_notes_what_the_patched_tree_answers(mode):
+def test_profiling_notes_what_the_patched_tree_answers():
     """A rules patch that moves a frame to another output: the next
     sampled note counts the output the new tree gives it, and the
     exemplar it keeps walks the new tree to that output — the profiled
@@ -449,7 +438,7 @@ def test_profiling_notes_what_the_patched_tree_answers(mode):
     from repro.runtime.fdd import classifier_hot_path
 
     config = AdaptiveConfig(threshold=1 << 20, sample=1, min_samples=1 << 20)
-    profile = ExecutionProfile.fdd(config=config) if mode == "fdd" else ExecutionProfile.tiered(config=config)
+    profile = ExecutionProfile.fdd(config=config)
     devices = {name: LoopbackDevice(name) for name in ("eth0", "eth1")}
     router = Router(parse_graph(BRANCHES, "<branches>"), devices=devices, profile=profile)
     store = router.adaptive.store

@@ -298,8 +298,7 @@ def _run_digest_configuration(config, profile, early):
     return codes, {name: list(device.transmitted) for name, device in devices.items()}
 
 
-@pytest.mark.parametrize("batch", [False, True])
-@pytest.mark.parametrize("mode", ["fast", "adaptive", "fdd"])
+@pytest.mark.parametrize("mode, batch", [("fast", False), ("fast", True), ("fdd", False)])
 @pytest.mark.parametrize("config", ["iprouter", "firewall"])
 def test_materialize_then_run_is_run_then_materialize(config, mode, batch):
     from .test_fastpath_lowering import profile_for

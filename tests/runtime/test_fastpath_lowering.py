@@ -412,8 +412,7 @@ def _inject_element_fault(router):
     FaultInjector(plan).prepare_router(router)
 
 
-@pytest.mark.parametrize("batch", [False, True])
-@pytest.mark.parametrize("mode", ["fast", "adaptive", "fdd"])
+@pytest.mark.parametrize("mode, batch", [("fast", False), ("fast", True), ("fdd", False)])
 def test_ineligible_tasks_run_the_element_loop(mode, batch):
     """Eligibility is declared, never inferred: a device proxy (which
     forwards ``rx`` and ``transmitted`` but declares no rings), a device
@@ -444,7 +443,7 @@ def test_ineligible_tasks_run_the_element_loop(mode, batch):
     assert pipe(ExecutionProfile.reference())[0].fastpath is None
 
 
-@pytest.mark.parametrize("profile", [ExecutionProfile.fast(), ExecutionProfile.fdd(batch=True).with_supervision()], ids=str)
+@pytest.mark.parametrize("profile", [ExecutionProfile.fast(), ExecutionProfile.fdd().with_supervision()], ids=str)
 def test_nothing_is_left_on_the_tasks_of_a_router_that_stops_compiling(profile):
     """``uninstall()``, a reference profile and a hot-swap each take the
     units off with the ports: a hot-swap off the tasks it replaces, and
@@ -691,25 +690,21 @@ def test_inline_align_is_the_reference_align(modulus, offset, fused):
 # ``PAPER_DIGESTS`` and ``PARENT_DIGESTS``, stands for the module laid
 # out in edge order (:func:`in_edge_order`), the order a build laid out
 # when it emitted every chain at once.
+#
+# The rows of flavors no preset builds were deleted when ``adaptive``
+# left the modes and batch dispatch became ``fast``'s alone: every
+# ``*/optimized*`` row (tier 2 without plans), every ``fdd*/batch`` row
+# and every ``profiling/batch`` row, here and in the three tables
+# below.  Every other row stands as it was.
 PLAIN_DIGESTS = {
     "firewall/fdd": "65d90fd95d9e1c6e",
     "firewall/fdd-optimized": "1fb06278b3881961",
-    "firewall/fdd-optimized/batch": "571b8fcec38d3493",
-    "firewall/fdd/batch": "14ebf815999e674d",
-    "firewall/optimized": "0629596198872b89",
-    "firewall/optimized/batch": "263ac996ce48318a",
     "firewall/profiling": "66663326e86a57d5",
-    "firewall/profiling/batch": "95dcabb11d24f393",
     "firewall/static": "819b7ebb53c4431f",
     "firewall/static/batch": "963a72e9c75829c6",
     "iprouter/fdd": "93990d246622ddbd",
     "iprouter/fdd-optimized": "ff510a391a8b2177",
-    "iprouter/fdd-optimized/batch": "5c7921c8dfffd195",
-    "iprouter/fdd/batch": "0eb64fc1d452afec",
-    "iprouter/optimized": "e990d192b03c1ee7",
-    "iprouter/optimized/batch": "7f6e7090890a998f",
     "iprouter/profiling": "633babff3fbee2d0",
-    "iprouter/profiling/batch": "cb9c45aa39a2b517",
     "iprouter/static": "9266b9c3c657ab82",
     "iprouter/static/batch": "ee59f890a2c6e271",
 }
@@ -721,12 +716,7 @@ PLAIN_DIGESTS = {
 PAPER_DIGESTS = {
     "paper/fdd": "aff65fa0dfd9de9b",
     "paper/fdd-optimized": "d569358c4ef372e0",
-    "paper/fdd-optimized/batch": "d20f4fb85aecb79e",
-    "paper/fdd/batch": "4ca7ae2e5be0ec82",
-    "paper/optimized": "2ec7b6210c80eeef",
-    "paper/optimized/batch": "110f9686b3ede86a",
     "paper/profiling": "d115f74693be80cc",
-    "paper/profiling/batch": "9eafadd31457aa7e",
     "paper/static": "4a45dae5b703a281",
     "paper/static/batch": "8ad066d87b31ed06",
 }
@@ -740,12 +730,10 @@ PARENT_HEADER = (
 PARENT_DIGESTS = {
     "firewall/fdd": "8ecbc99759e2778b",
     "firewall/fdd-optimized": "51eeed0ae2660897",
-    "firewall/optimized": "6c8e9c24e8883351",
     "firewall/profiling": "a87e9918877d33de",
     "firewall/static": "280de77b50559282",
     "iprouter/fdd": "be07254d86e3f9f4",
     "iprouter/fdd-optimized": "f4a22809ab234f0b",
-    "iprouter/optimized": "491768b71977023b",
     "iprouter/profiling": "ce8d96306f5e5bab",
     "iprouter/static": "e3e9e1ae9d9ab7c7",
 }
@@ -757,32 +745,17 @@ PARENT_DIGESTS = {
 TEMPLATE_DIGESTS = {
     "firewall/fdd": "d045a0c29bef8a8c",
     "firewall/fdd-optimized": "f9a32ba62e95bf7b",
-    "firewall/fdd-optimized/batch": "4a3151fc21b88401",
-    "firewall/fdd/batch": "450343745c505023",
-    "firewall/optimized": "d499ba2cb244ed6f",
-    "firewall/optimized/batch": "548a55b9ff9558b5",
     "firewall/profiling": "f8deb8801e88daad",
-    "firewall/profiling/batch": "3cdb9a74df065dc7",
     "firewall/static": "633cd40dba1559a5",
     "firewall/static/batch": "9f080f3dd3c75f31",
     "iprouter/fdd": "b22fb9838a6af764",
     "iprouter/fdd-optimized": "9226236de64f5f9e",
-    "iprouter/fdd-optimized/batch": "1789756ee37e36c3",
-    "iprouter/fdd/batch": "9fc898067d36a5ed",
-    "iprouter/optimized": "f9abdb4b16c4622b",
-    "iprouter/optimized/batch": "a95f21f3cb6b5e0b",
     "iprouter/profiling": "f373c85107357a45",
-    "iprouter/profiling/batch": "4aa404e2df47992b",
     "iprouter/static": "dd1f66cb114878af",
     "iprouter/static/batch": "a37126aa93ceb604",
     "paper/fdd": "877b44070464189d",
     "paper/fdd-optimized": "7148e8dfac67bf90",
-    "paper/fdd-optimized/batch": "b2c533168a00dbed",
-    "paper/fdd/batch": "9f43ee453068fb4e",
-    "paper/optimized": "7a1187b8a739565e",
-    "paper/optimized/batch": "41cce0b6874d3d63",
     "paper/profiling": "e3254d8480928ad2",
-    "paper/profiling/batch": "bef8012bf948d2ed",
     "paper/static": "0639c57f724ddfe5",
     "paper/static/batch": "e3f35800abef40be",
 }
@@ -807,10 +780,7 @@ def source_at_the_parent(fastpath):
 def profile_for(mode, batch):
     if mode == "fast":
         return ExecutionProfile.fast(batch=batch)
-    config = AdaptiveConfig(**EAGER)
-    if mode == "adaptive":
-        return ExecutionProfile.tiered(config=config, batch=batch)
-    return ExecutionProfile.fdd(config=config, batch=batch)
+    return ExecutionProfile.fdd(config=AdaptiveConfig(**EAGER))
 
 
 def warm_iprouter(profile, variant="base"):
@@ -830,8 +800,7 @@ def warm_firewall(profile):
     return router
 
 
-@pytest.mark.parametrize("batch", [False, True])
-@pytest.mark.parametrize("mode", ["fast", "adaptive", "fdd"])
+@pytest.mark.parametrize("mode, batch", [("fast", False), ("fast", True), ("fdd", False)])
 @pytest.mark.parametrize("config", ["iprouter", "firewall", "paper"])
 def test_plain_configurations_generate_the_stored_source(config, mode, batch):
     default_cache().clear()
@@ -861,33 +830,28 @@ def test_plain_configurations_generate_the_stored_source(config, mode, batch):
 
 @pytest.mark.parametrize("config", ["iprouter", "firewall"])
 def test_flavor_keys_are_derived_from_the_facts_a_policy_carries(config):
-    """Five tags, one class: the tag tells every flavor apart, and with
+    """Four tags, one class: the tag tells every flavor apart, and with
     the batch setting an equal tag means equal source on a fresh router
-    that forwarded the same traffic.  The profiled flavor takes no
-    plans, so ``fdd``'s is ``adaptive``'s: same tag, same source."""
+    that forwarded the same traffic."""
     warm = warm_iprouter if config == "iprouter" else warm_firewall
     cache = default_cache()
     sources = {}
-    for batch in (False, True):
-        for mode in ("adaptive", "fdd"):
-            for fresh in (True, False):
-                cache.clear()
-                router = warm(profile_for(mode, batch))
-                flavors = router.engine.flavors()
-                assert len(flavors) == 3
-                for fastpath in flavors:
-                    policy = fastpath.policy
-                    key = (batch, policy.tag)
-                    shared = mode == "fdd" and policy.profiling
-                    assert policy.plans is None or not policy.profiling
-                    if fresh and not shared:
-                        assert key not in sources, policy.tag
-                        sources[key] = fastpath.source
-                    else:
-                        assert sources[key] == fastpath.source, policy.tag
-    assert len(sources) == 10
-    assert {tag for _, tag in sources} == {
-        "static", "profiling", "optimized", "fdd", "fdd-optimized",
-    }
+    for mode, batch in (("fast", False), ("fast", True), ("fdd", False)):
+        for fresh in (True, False):
+            cache.clear()
+            router = warm(profile_for(mode, batch))
+            flavors = router.engine.flavors()
+            assert len(flavors) == (3 if mode == "fdd" else 1)
+            for fastpath in flavors:
+                policy = fastpath.policy
+                key = (batch, policy.tag)
+                assert policy.plans is None or not policy.profiling
+                if fresh:
+                    assert key not in sources, policy.tag
+                    sources[key] = fastpath.source
+                else:
+                    assert sources[key] == fastpath.source, policy.tag
+    assert len(sources) == 5
+    assert {tag for _, tag in sources} == {"static", "profiling", "fdd", "fdd-optimized"}
     with pytest.raises(ValueError):
         ChainPolicy(plans={}, store=router.engine.store)

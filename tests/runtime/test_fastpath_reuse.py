@@ -145,15 +145,14 @@ def assert_reports_as_a_cold_compile(router, rebuild):
             assert scrubbed(emitted(flavor).report) == expected
 
 
-@pytest.mark.parametrize("batch", [False, True], ids=["fdd", "fdd+batch"])
-def test_rules_patch_compiles_only_dirty_chains(batch, compile_calls, rebuilds):
+def test_rules_patch_compiles_only_dirty_chains(compile_calls, rebuilds):
     """The count gate: a ``c0`` rules patch on the plain IP router
     whose every chain is forwarding emits and compiles the one chain
     that bakes ``c0``'s tree in — into the plain flavor, rewritten in
     place; the profiled flavor is the object it was — not the module's
     59; it builds no fast path, and says so in a report that otherwise
     reads as a cold compile's."""
-    profile = ExecutionProfile.fdd(batch=batch)
+    profile = ExecutionProfile.fdd()
     testbed, router, _devices = build(profile)
     engine = router.adaptive
     tier1, profiled = engine.tier1, engine.profiled
@@ -223,8 +222,7 @@ def codes_of(pair):
     return tuple(fn.__code__ if fn is not None else None for fn in pair)
 
 
-@pytest.mark.parametrize("batch", [False, True], ids=["fdd", "fdd+batch"])
-def test_a_rules_patch_swaps_its_code_under_every_holder(batch, rebuilds):
+def test_a_rules_patch_swaps_its_code_under_every_holder(rebuilds):
     """A rules patch on ``b`` rewrites the three chains that inlined its
     diagram — ``src``'s poll chain, ``a[0] -> cnt -> b`` and ``cnt[0] ->
     b`` — in place, re-linked when only the compared value moves
@@ -236,7 +234,7 @@ def test_a_rules_patch_swaps_its_code_under_every_holder(batch, rebuilds):
     functions and code objects; nothing is built."""
     default_cache().clear()
     devices = {name: LoopbackDevice(name) for name in ("eth0", "eth1")}
-    router = Router(parse_graph(SERIES), devices=devices, profile=ExecutionProfile.fdd(batch=batch))
+    router = Router(parse_graph(SERIES), devices=devices, profile=ExecutionProfile.fdd())
     engine = router.adaptive
     tier1 = engine.tier1
     tier1.materialize()  # every chain live: each successor is compiled inside the patch
@@ -276,7 +274,6 @@ def test_a_rules_patch_swaps_its_code_under_every_holder(batch, rebuilds):
         for key in dirty:
             state = engine.states[key]
             assert state.plain is functions[key][0]
-            assert state.plain_batch is (functions[key][1] if batch else None)
         # A kept chain keeps its tables, each entry the object it was.
         for table, entries in tables:
             assert len(table) == len(entries) and all(new is old for new, old in zip(table, entries))
@@ -287,24 +284,19 @@ def test_a_rules_patch_swaps_its_code_under_every_holder(batch, rebuilds):
                 held = functions.get(("push", element.name, port))
                 assert held is None or entry is held[0]
         assert any(element.name == "a" and table[0] is functions[arm][0] for table, element, _mode in live_tables)
-        # The new rules run: TCP now leaves on eth1 — through the pin, or
-        # (a supervised profile runs the scalar units, so nothing pins a
-        # batch unit's port) through the dispatcher.
-        if batch:
-            engine.unpin()
+        # The new rules run: TCP now leaves on eth1 through the pin.
         devices["eth0"].receive_frame(tcp)
         router.run_tasks(4)
         assert devices["eth1"].transmitted == [tcp] * sent
 
 
-@pytest.mark.parametrize("batch", [False, True], ids=["fdd", "fdd+batch"])
-def test_firewall_rules_patch_reports_as_a_cold_compile(batch):
+def test_firewall_rules_patch_reports_as_a_cold_compile():
     """The firewall's diagram is most of its module: the two chains a
     rules patch makes stale carry nearly every counter, the three it
     keeps the rest.  Nothing entered either stale chain, so the patch
     takes both records out of the report; once entered, each is emitted
     and folded back in, and the report reads as a cold compile's."""
-    profile = ExecutionProfile.fdd(batch=batch)
+    profile = ExecutionProfile.fdd()
 
     def firewall(graph):
         devices = {name: LoopbackDevice(name) for name in ("eth0", "eth1")}
@@ -578,13 +570,17 @@ def reachable_from(roots):
 def test_scoped_hotswap_rebinds_onto_the_new_router(compile_calls):
     """A whole-text hot-swap renews every element in place: every bound
     object is a new element's, so no replaced element is reachable from
-    any flavor's records or functions (in ``fast``, ``fdd`` and
-    supervised batched ``fdd``); every chain was stale, so the chains
+    any flavor's records or functions (in ``fast``, batched ``fast``,
+    whose task units' batch twins are rewritten too, ``fdd`` and
+    supervised ``fdd``); every chain was stale, so the chains
     that were forwarding are emitted again inside the swap — compiled
     where the edit changed their text (each that reaches ``rt``, whose
     dispatch fuses the edited arm), the rest found in the chain store —
     and the others wait for their first packet."""
-    for profile in (ExecutionProfile.fast(), ExecutionProfile.fdd(), ExecutionProfile.fdd(batch=True).with_supervision()):
+    for profile in (
+        ExecutionProfile.fast(), ExecutionProfile.fast(batch=True), ExecutionProfile.fdd(),
+        ExecutionProfile.fdd().with_supervision(),
+    ):
         _testbed, router, _devices = build(profile)
         flavors = router.engine.flavors()
         for flavor in flavors:
@@ -773,10 +769,10 @@ def test_route_patch_cycles_emit_only_the_chains_promoted_again(compile_calls):
     assert not compile_calls
 
 
-def firewall_router(profile):
+def firewall_router(profile, graph=None):
     default_cache().clear()
     devices = {name: LoopbackDevice(name, tx_capacity=1 << 20) for name in ("eth0", "eth1")}
-    return Router(firewall_graph(), devices=devices, profile=profile), devices
+    return Router(graph or firewall_graph(), devices=devices, profile=profile), devices
 
 
 def test_a_live_chains_successor_is_compiled_inside_the_update(compile_calls, matcher_compiles, rebuilds):
@@ -901,23 +897,28 @@ def test_a_waiting_chain_that_fails_to_emit_runs_its_reference_port(monkeypatch)
     router.run_tasks(1)
     assert len(devices["eth1"].transmitted) == 2 and tier1.chains[entry].code is not None
 
-@pytest.mark.parametrize("mode", ["fast", "adaptive"])
+@pytest.mark.parametrize("mode", ["fast", "fdd"])
 def test_without_a_diagram_the_live_matchers_successor_is_compiled_inside_the_update(
     mode, compile_calls, matcher_compiles
 ):
     """Where the plain flavor dispatches through ``fw``'s matcher cell
-    (``fast``, ``adaptive``), packets enter the matcher, so a rules patch
-    compiles its successor inside the update, and no chain: none bakes
-    the tree in.  The packets that follow compile nothing."""
+    (``fast``, and ``fdd`` once the filter is grown past the diagram's
+    depth bound), packets enter the matcher, so a rules patch compiles
+    its successor inside the update, and no chain: none bakes the tree
+    in.  The packets that follow compile nothing."""
+    from ..integration.test_fastpath_equivalence import grown_firewall_graph
     from .test_fastpath_lowering import firewall_frame
 
-    profile = ExecutionProfile.fast() if mode == "fast" else ExecutionProfile.tiered()
-    router, devices = firewall_router(profile)
+    if mode == "fast":
+        router, devices = firewall_router(ExecutionProfile.fast())
+    else:
+        router, devices = firewall_router(ExecutionProfile.fdd(), grown_firewall_graph())
+        assert "fw" not in router.engine.tier1.policy.plans
     for _ in range(256):
         devices["eth0"].receive_frame(firewall_frame())
     router.run_tasks(256)
     del compile_calls[:], matcher_compiles[:]
-    rules = firewall_rule_strings()
+    rules = rules_of(router, "fw")
     report = ControlPlane(router).update_rules("fw", reshuffled(rules))
     assert report.kind == "in-place" and report.chains_emitted == 0
     assert not compile_calls and len(matcher_compiles) == 1
@@ -1012,10 +1013,10 @@ def test_an_ip_router_rules_patch_costs_one_chain_and_one_small_matcher(compile_
     nothing: the one chain whose diagram bakes ``c0``'s tree in is
     re-linked, its live template code filled with the new literals —
     and no matcher, which only the profiled flavor's samples would have
-    called.  Under ``adaptive`` it costs one small matcher, whose chains
+    called.  Under ``fast`` it costs one small matcher, whose chains
     call ``c0``'s cell (a screenful, not the firewall's 179 lines), and
     no chain.  Either way the next 256 frames compile nothing."""
-    for profile, chains, matchers in ((ExecutionProfile.fdd(), 1, 0), (ExecutionProfile.tiered(), 0, 1)):
+    for profile, chains, matchers in ((ExecutionProfile.fdd(), 1, 0), (ExecutionProfile.fast(), 0, 1)):
         testbed, router, devices = build(profile)
         engine = router.adaptive
         traffic = testbed.evaluation_frames(512)
@@ -1098,7 +1099,7 @@ def test_a_value_only_patch_relinks_and_compiles_nothing(compile_calls, matcher_
     assert gate_moved
 
 
-@pytest.mark.parametrize("profile", [ExecutionProfile.fast(), ExecutionProfile.tiered()], ids=["fast", "adaptive"])
+@pytest.mark.parametrize("profile", [ExecutionProfile.fast(), ExecutionProfile.fast(batch=True)], ids=["fast", "batch"])
 def test_without_a_diagram_a_value_only_patch_costs_what_it_did(profile, compile_calls, matcher_compiles):
     """Without a diagram no chain bakes ``c0``'s rules in: each patch,
     a value edit or not, re-links and compiles no chain, and costs one

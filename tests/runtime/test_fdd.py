@@ -45,15 +45,14 @@ def test_profile_fdd_constructor_and_label():
     profile = ExecutionProfile.fdd()
     assert profile.mode == "fdd"
     assert profile.label == "fdd"
-    assert ExecutionProfile.fdd(batch=True).label == "fdd+batch"
     assert ExecutionProfile.fdd().with_supervision().label == "fdd+supervised"
 
 
 def test_profile_fdd_round_trips_as_dict():
-    profile = ExecutionProfile.fdd(config=AdaptiveConfig(**EAGER), batch=True)
+    profile = ExecutionProfile.fdd(config=AdaptiveConfig(**EAGER))
     summary = profile.as_dict()
     assert summary["mode"] == "fdd"
-    assert summary["batch"] is True
+    assert summary["batch"] is False
     assert summary["adaptive"] is True
     rebuilt = ExecutionProfile(mode=summary["mode"], batch=summary["batch"])
     assert rebuilt.label == profile.label
@@ -218,8 +217,7 @@ def test_one_diagram_pass_per_build(monkeypatch):
     assert not profiled.report.fdd_diagrams
 
 
-@pytest.mark.parametrize("batch", [False, True])
-@pytest.mark.parametrize("mode", ["fast", "adaptive", "fdd"])
+@pytest.mark.parametrize("mode, batch", [("fast", False), ("fast", True), ("fdd", False)])
 def test_every_compiled_mode_is_the_one_engine(mode, batch):
     """A mode is a profile handed to the one engine class, not a class
     of its own: ``fast`` is tier 1 installed and left alone, the

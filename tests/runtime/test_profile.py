@@ -23,16 +23,24 @@ class TestValue:
         assert ExecutionProfile.fast().mode == "fast"
         assert ExecutionProfile.fast(batch=True).batch is True
         config = AdaptiveConfig(threshold=48, sample=4, min_samples=12)
-        tiered = ExecutionProfile.tiered(config=config)
-        assert tiered.mode == "adaptive" and tiered.adaptive is config
+        fdd = ExecutionProfile.fdd(config=config)
+        assert fdd.mode == "fdd" and fdd.adaptive is config
+        # the benchmark ladder's ``tiered`` rung runs ``fdd``
+        assert ExecutionProfile.tiered() == ExecutionProfile.fdd()
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            ExecutionProfile(mode="warp-speed")
+        for mode in ("warp-speed", "adaptive"):
+            with pytest.raises(ValueError, match="mode"):
+                ExecutionProfile(mode=mode)
 
     def test_batch_requires_compiled_mode(self):
-        with pytest.raises(ValueError, match="batch"):
-            ExecutionProfile(mode="reference", batch=True)
+        """Batch dispatch is a flavor of ``fast`` alone."""
+        for mode in ("reference", "fdd"):
+            with pytest.raises(ValueError, match="batch"):
+                ExecutionProfile(mode=mode, batch=True)
+
+    def test_adaptive_config_has_three_knobs(self):
+        assert AdaptiveConfig.__slots__ == ("threshold", "sample", "min_samples")
 
     def test_supervisor_config_implies_supervised(self):
         profile = ExecutionProfile.fast(supervisor=SupervisorConfig())
@@ -42,9 +50,10 @@ class TestValue:
         profile = ExecutionProfile.fast().with_supervision()
         assert profile.supervised
         assert profile.without_supervision() == ExecutionProfile.fast()
-        # with_mode keeps the batch flavor unless reference forces it off.
+        # with_mode keeps the batch flavor only under fast.
         batched = ExecutionProfile.fast(batch=True)
-        assert batched.with_mode("adaptive").batch is True
+        assert batched.with_mode("fast").batch is True
+        assert batched.with_mode("fdd").batch is False
         assert batched.with_mode("reference").batch is False
 
     def test_immutability_and_equality(self):
@@ -97,8 +106,8 @@ class TestRouterRoundTrip:
 
     def test_configure_adaptive_and_back(self):
         config = AdaptiveConfig(threshold=48, sample=4, min_samples=12)
-        router = Router(parse_graph(PIPE), profile=ExecutionProfile.tiered(config=config))
-        assert router.mode == "adaptive"
+        router = Router(parse_graph(PIPE), profile=ExecutionProfile.fdd(config=config))
+        assert router.mode == "fdd"
         assert router.profile.adaptive is config
         router.configure(ExecutionProfile.reference())
         assert router.mode == "reference"

@@ -18,7 +18,7 @@ test's location, the length gate or a leaf emits and compiles, and a
 plan past the node budget falls back to the matcher emission.
 
 Cases: the stock IP router and firewall, and seeded ``genconfig`` cases
-with a classifier, under ``fdd`` and ``fdd(batch=True)``, each forwarded
+with a classifier, under ``fdd``, each forwarded
 through its own traffic and then patched with seeded value edits
 (:func:`repro.verify.gentraffic.value_edit_text`)."""
 
@@ -130,25 +130,25 @@ def check_refilled(fastpath, before):
     return refilled
 
 
-def forwarded(case, batch):
+def forwarded(case):
     """``case`` on a plain ``fdd`` plane, cold, after its traffic:
     ``(router, devices, traffic)``."""
     default_cache().clear()
     devices = {name: LoopbackDevice(name, tx_capacity=1 << 20) for name in device_names(case["config"])}
     router = build_router(load_config(case["config"], case["name"]), devices=devices,
-                          profile=ExecutionProfile.fdd(batch=batch))
+                          profile=ExecutionProfile.fdd())
     traffic = [event for event in case["events"] if event[0] in ("frame", "run")]
     for event in traffic:
         apply(router, event, devices)
     return router, devices, traffic
 
 
-def run_patched(case, batch, rng, edits=2):
+def run_patched(case, rng, edits=2):
     """Forward ``case``'s traffic on a plain ``fdd`` plane, then patch
     each diagram classifier with seeded value edits, traffic between;
     after each, check every re-linked chain and every live chain of
     tier 1.  Returns how many chains the patches re-linked."""
-    router, devices, traffic = forwarded(case, batch)
+    router, devices, traffic = forwarded(case)
     relinked, checked = 0, {}
     for _ in range(edits):
         tier1 = router.engine.tier1
@@ -193,22 +193,20 @@ def generated(count=50):
     return cases
 
 
-@pytest.mark.parametrize("batch", [False, True], ids=["fdd", "fdd+batch"])
-def test_stock_value_edits_relink_to_compiled_code(batch):
-    rng = random.Random(SEED + batch)
-    relinked = {case["name"]: run_patched(case, batch, rng, edits=6) for case in stock()}
+def test_stock_value_edits_relink_to_compiled_code():
+    rng = random.Random(SEED)
+    relinked = {case["name"]: run_patched(case, rng, edits=6) for case in stock()}
     assert relinked["iprouter"] > 0  # an ARP arm's new value re-links c0's or c1's chain
 
 
-@pytest.mark.parametrize("batch", [False, True], ids=["fdd", "fdd+batch"])
-def test_a_firewall_port_edited_again_relinks_to_compiled_code(batch):
+def test_a_firewall_port_edited_again_relinks_to_compiled_code():
     """A seeded edit on the firewall mostly splits a test its rules
     share, which changes the diagram's shape; the same port edited
     again changes only a value."""
     case = stock()[1]
     default_cache().clear()
     devices = {name: LoopbackDevice(name, tx_capacity=1 << 20) for name in device_names(case["config"])}
-    router = build_router(load_config(case["config"]), devices=devices, profile=ExecutionProfile.fdd(batch=batch))
+    router = build_router(load_config(case["config"]), devices=devices, profile=ExecutionProfile.fdd())
     for event in case["events"]:
         apply(router, event, devices)
     tier1 = router.engine.tier1
@@ -220,12 +218,11 @@ def test_a_firewall_port_edited_again_relinks_to_compiled_code(batch):
         check_live_chains(tier1)
 
 
-@pytest.mark.parametrize("batch", [False, True], ids=["fdd", "fdd+batch"])
-def test_generated_value_edits_relink_to_compiled_code(batch):
-    rng = random.Random(SEED * 2 + batch)
+def test_generated_value_edits_relink_to_compiled_code():
+    rng = random.Random(SEED * 2)
     cases = generated()
     assert len(cases) >= 50
-    relinked = sum(run_patched(case, batch, rng) for case in cases)
+    relinked = sum(run_patched(case, rng) for case in cases)
     assert relinked >= len(cases) // 2
 
 
@@ -246,15 +243,14 @@ def shape_parts(plan):
     return plan.gate, locations, plan.leaves()
 
 
-@pytest.mark.parametrize("batch", [False, True], ids=["fdd", "fdd+batch"])
-def test_a_patch_that_moves_a_location_the_gate_or_a_leaf_emits_and_compiles(batch):
+def test_a_patch_that_moves_a_location_the_gate_or_a_leaf_emits_and_compiles():
     """``c0``'s first arm on the stock IP router narrowed to two sender
     words, then patched, traffic between: where only values move the
     plan keeps its shape and the chain that inlined it is re-linked;
     where a test's location, the length gate (24 -> 16 -> 32 bytes
     read) or a leaf moves (``-`` made a rule no packet reaches, so what
     matched nothing drops), the chain is emitted again and compiled."""
-    router, devices, traffic = forwarded(stock()[0], batch)
+    router, devices, traffic = forwarded(stock()[0])
     tier1 = router.engine.tier1
     plane = ControlPlane(router)
     rules = split_config_args(router.graph.elements["c0"].config)
@@ -290,15 +286,14 @@ def test_a_patch_that_moves_a_location_the_gate_or_a_leaf_emits_and_compiles(bat
         check_live_chains(tier1, checked)
 
 
-@pytest.mark.parametrize("batch", [False, True], ids=["fdd", "fdd+batch"])
-def test_a_plan_over_budget_falls_back_to_the_matcher_emission(batch):
+def test_a_plan_over_budget_falls_back_to_the_matcher_emission():
     """Six more allow rules take the firewall's diagram past the node
     budget (183 expanded nodes against 160): the patch drops ``fw``'s
     plan, and the entry chain, which was forwarding, is emitted again
     with the generic matcher dispatch — no plan inlined, no literal
     lifted — and compiled; the packets that follow still leave on
     eth1."""
-    router, devices, traffic = forwarded(stock()[1], batch)
+    router, devices, traffic = forwarded(stock()[1])
     tier1 = router.engine.tier1
     live = [key for key in inlining(tier1, "fw") if not is_pending(tier1.function_for(key))]
     assert len(live) == 1
@@ -332,8 +327,7 @@ b[1] -> Discard;
 """
 
 
-@pytest.mark.parametrize("batch", [False, True], ids=["fdd", "fdd+batch"])
-def test_a_value_two_plans_share_moves_only_by_an_emission(batch):
+def test_a_value_two_plans_share_moves_only_by_an_emission():
     """``b``'s plan keeps its shape when its value moves, but where
     ``a``'s plan compares the same value in the same chain, one
     placeholder cannot hold both: patched to ``12/0806`` the value
@@ -342,7 +336,7 @@ def test_a_value_two_plans_share_moves_only_by_an_emission(batch):
     only while ``b`` takes ARP and ``a`` still takes IP alone: never."""
     default_cache().clear()
     devices = {name: LoopbackDevice(name) for name in ("eth0", "eth1")}
-    router = Router(parse_graph(SHARED), devices=devices, profile=ExecutionProfile.fdd(batch=batch))
+    router = Router(parse_graph(SHARED), devices=devices, profile=ExecutionProfile.fdd())
     tier1 = router.engine.tier1
     tier1.materialize()
     poll = ("push", "src", 0)

@@ -566,13 +566,13 @@ class TestControlFanoutOverProcess(TestControlFanout):
     "profile, deopts",
     [
         (ExecutionProfile.fast(), False),
-        (ExecutionProfile.tiered(), True),
+        (ExecutionProfile.fast(batch=True), False),
         (ExecutionProfile.fdd(), True),
     ],
-    ids=["fast", "tiered", "fdd"],
+    ids=["fast", "batch", "fdd"],
 )
 def test_force_deopt_mirrors_the_single_router(profile, deopts):
-    """True whenever a tiered engine exists (adaptive or fdd)."""
+    """True whenever a tiered engine exists (under fdd)."""
     testbed = Testbed(2)
     single, _devices = testbed.build_router(testbed.base_graph(), profile=profile)
     sharded, _devices = testbed.build_router(

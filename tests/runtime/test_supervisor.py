@@ -69,10 +69,11 @@ def build_boom(profile, text=PIPE.replace("c :: Counter", "c :: Boom")):
     return router, devices
 
 
-SUPERVISED_PROFILES = [ExecutionProfile.reference().with_supervision()] + [
-    profile(batch=batch).with_supervision()
-    for profile in (ExecutionProfile.fast, ExecutionProfile.tiered, ExecutionProfile.fdd)
-    for batch in (False, True)
+SUPERVISED_PROFILES = [
+    profile.with_supervision()
+    for profile in (
+        ExecutionProfile.reference(), ExecutionProfile.fast(), ExecutionProfile.fast(batch=True), ExecutionProfile.fdd()
+    )
 ]
 
 
@@ -95,11 +96,11 @@ class TestBoundaries:
 
     def test_adaptive_walks_full_tier_stack(self):
         router, devices, supervisor = build(
-            mode="adaptive",
+            mode="fdd",
             faults=[{"kind": "element_error", "element": "c", "after": 0, "count": 2}],
         )
         guard = supervisor.guards["src"]
-        assert list(guard.tiers) == ["adaptive", "fast", "reference"]
+        assert list(guard.tiers) == ["fdd", "fast", "reference"]
         feed(devices, 4)
         router.run_tasks(4)
         assert guard.errors == 2
@@ -197,7 +198,7 @@ class TestBoundaries:
 
 
 class TestCompileOnFirstEntry:
-    @pytest.mark.parametrize("mode, batch", [("fast", False), ("fast", True), ("adaptive", False)])
+    @pytest.mark.parametrize("mode, batch", [("fast", False), ("fast", True), ("fdd", False)])
     def test_guards_hold_the_object_that_becomes_the_chain(self, mode, batch):
         from repro.classifier.compile import is_pending
         from repro.runtime.codegen_cache import default_cache
@@ -208,7 +209,7 @@ class TestCompileOnFirstEntry:
         static = router.fastpath.function_for(key)
         port = router.find("src")._output_ports[0]
         assert is_pending(static)
-        if mode == "adaptive":  # beneath the tiering engine's dispatcher
+        if mode == "fdd":  # beneath the tiering engine's dispatcher
             assert router.adaptive.states[key].plain is static
         else:
             assert port.push is static
@@ -216,7 +217,7 @@ class TestCompileOnFirstEntry:
         router.run_tasks(4)
         assert len(devices["eth1"].transmitted) == 4
         assert router.fastpath.function_for(key) is static and not is_pending(static)
-        assert mode == "adaptive" or port.push is static
+        assert mode == "fdd" or port.push is static
         assert supervisor.guards["src"].errors == 0
 
     def test_a_failed_entry_is_not_an_error_of_the_chain(self, monkeypatch):

@@ -54,7 +54,7 @@ class TestUnstripStaleCache:
         """The frame must leave whole (56 bytes: 14 ether + 20 IP +
         8 UDP + 14 payload), not stripped of its Ethernet header."""
         case = unstrip_repro_case()
-        for mode in ("reference", "fast", "batch", "adaptive"):
+        for mode in ("reference", "fast", "batch", "fdd"):
             status, observation = run_case(case, mode)
             assert status == "ok"
             frames = observation["transmitted"]["eth1"]
