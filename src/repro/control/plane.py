@@ -5,15 +5,16 @@ elements (route tables, live classifier rules) never changes the graph
 the fast-path compiler saw — the generated chains bind the *containers*
 (the route memo, the one-slot matcher cell), so new tables can be
 patched under them in place: only the chains that inlined a patched
-classifier's decision diagram are rewritten, and the engine's
-speculations on the old data deoptimized.  Anything that adds,
-removes, rewires, or re-classes elements — or reconfigures one that
-cannot be patched — goes through the hot-swap's two-phase install
-(:func:`repro.elements.hotswap.install`), which renews only the elements
-the delta adds, re-classes or reconfigures, where a hot-swap renews
-them all.  Both are one protocol: stage all that can fail while the
-router serves on, then commit with nothing left that can fail.  The
-router, its engine, its supervisor and their totals survive every
+classifier's decision diagram are rewritten, and only the engine's
+speculations the new data falsifies deoptimized (a route patch that
+keeps the answer for every hot destination keeps tier 2).  Anything
+that adds, removes, rewires, or re-classes elements — or reconfigures
+one that cannot be patched — goes through the hot-swap's two-phase
+install (:func:`repro.elements.hotswap.install`), which renews only the
+elements the delta adds, re-classes or reconfigures, where a hot-swap
+renews them all.  Both are one protocol: stage all that can fail while
+the router serves on, then commit with nothing left that can fail.
+The router, its engine, its supervisor and their totals survive every
 update.
 
 Every update returns the shared :class:`~repro.elements.hotswap.SwapReport`
@@ -190,8 +191,9 @@ class ControlPlane:
         prepared tables, config strings and the live graph, then the
         engine's staged rewrite
         (:meth:`~repro.runtime.adaptive.AdaptiveEngine.commit_update`),
-        which deopts the chains that speculated on the old data.
-        Returns the ``"in-place"`` :class:`SwapReport`."""
+        which deopts only what the new tables falsify: a route patch
+        that keeps every hot destination's answer keeps tier 2, a rules
+        patch drops it.  Returns the ``"in-place"`` :class:`SwapReport`."""
         router = self.router
         started = time.perf_counter()
         batch, rewrite = staged
@@ -203,9 +205,8 @@ class ControlPlane:
                 decl.config = change.new_config
         rebuilt = []
         if router.engine is not None:
-            names = [change.name for _element, _kind, _prepared, change in batch]
-            scope = names[0] if len(names) == 1 and not rewrite else None
-            rebuilt = router.engine.commit_update(rewrite, "control-plane patch of %s" % ", ".join(names), scope)
+            patched = {change.name: kind for _element, kind, _prepared, change in batch}
+            rebuilt = router.engine.commit_update(rewrite, patched)
 
         report = SwapReport("in-place", profile=router.profile.label)
         report.delta = delta.summary()

@@ -274,7 +274,7 @@ def _commit(router, new_graph, classes, elements, plan, rewire, changed, report)
         raise
     report.phases["compile"] = time.perf_counter() - started
     started = time.perf_counter()
-    rebuilt = engine.commit_update(staged, "structural update") if engine is not None else []
+    rebuilt = engine.commit_update(staged) if engine is not None else []
     if router.supervisor is not None:
         router.supervisor.rebind()
     report.phases["commit"] = time.perf_counter() - started

@@ -9,7 +9,7 @@ interface over a binary trie, for large tables.
 
 from __future__ import annotations
 
-from ..net.addresses import IPAddress, parse_ip_prefix
+from ..net.addresses import IPAddress, _parse_prefix
 from .element import ConfigError, Element
 from .registry import register
 
@@ -30,12 +30,12 @@ def _parse_route(arg):
             gateway = None
     else:
         raise ConfigError("bad route %r (want 'addr/mask [gw] port')" % arg)
-    addr, mask = parse_ip_prefix(prefix_text)
+    addr, mask = _parse_prefix(prefix_text)
     try:
         port = int(port_text)
     except ValueError:
         raise ConfigError("bad route port %r" % port_text) from None
-    return (addr.value & mask, mask, gateway, port)
+    return (addr & mask, mask, gateway, port)
 
 
 class _IPRouteTable(Element):

@@ -213,9 +213,11 @@ class Router:
     def profile(self):
         """The :class:`~repro.runtime.profile.ExecutionProfile` this
         router currently runs under: the one last applied, with
-        supervision read from live state."""
-        supervisor = self.supervisor
-        return replace(self._profile, supervisor=supervisor.config if supervisor is not None else None)
+        supervision read from live state — that very profile, not a
+        copy, while the two agree."""
+        supervisor, profile = self.supervisor, self._profile
+        config = supervisor.config if supervisor is not None else None
+        return profile if profile.supervisor is config else replace(profile, supervisor=config)
 
     @property
     def fastpath(self):

@@ -51,10 +51,10 @@ class IPAddress:
         match = _IP_RE.match(text.strip())
         if not match:
             raise AddressError("bad IP address %r" % text)
-        octets = [int(g) for g in match.groups()]
-        if any(o > 255 for o in octets):
+        a, b, c, d = map(int, match.groups())
+        if a > 255 or b > 255 or c > 255 or d > 255:
             raise AddressError("bad IP address %r" % text)
-        return (octets[0] << 24) | (octets[1] << 16) | (octets[2] << 8) | octets[3]
+        return (a << 24) | (b << 16) | (c << 8) | d
 
     def packed(self):
         """The address as 4 network-order bytes."""
@@ -105,16 +105,23 @@ def parse_ip_prefix(text):
 
     A bare address means a /32 host prefix.
     """
+    value, mask = _parse_prefix(text)
+    return IPAddress(value), mask
+
+
+def _parse_prefix(text):
+    """:func:`parse_ip_prefix` as two ints, ``(address value, mask)``,
+    with the same errors and no :class:`IPAddress` made."""
     text = text.strip()
-    if "/" not in text:
-        return IPAddress(text), 0xFFFFFFFF
-    addr_part, mask_part = text.split("/", 1)
-    addr = IPAddress(addr_part)
+    addr_part, slash, mask_part = text.partition("/")
+    value = IPAddress._parse(addr_part)
+    if not slash:
+        return value, 0xFFFFFFFF
     mask_part = mask_part.strip()
     if _IP_RE.match(mask_part):
-        return addr, IPAddress(mask_part).value
+        return value, IPAddress._parse(mask_part)
     try:
-        return addr, ip_mask_from_prefix_len(int(mask_part))
+        return value, ip_mask_from_prefix_len(int(mask_part))
     except ValueError as exc:
         raise AddressError("bad prefix %r" % text) from exc
 

@@ -17,7 +17,8 @@ Three tiers:
   ``router.configure(ExecutionProfile.reference())``): the semantic
   oracle.
 - **tier 1** — the statically compiled chains, entered through a cheap
-  *sampling dispatcher*: 1 packet in ``sample`` runs the profiled
+  *sampling dispatcher*: 1 packet in each run of ``sample``, at an
+  offset drawn from a fixed-seed stream, runs the profiled
   flavor of the same chain (identical code plus per-classifier
   ``note(out)`` and per-route ``note(dst)`` hooks).  The other
   ``sample - 1`` packets pay one counter increment and one extra call
@@ -34,7 +35,11 @@ time, never correctness.  Guard misses increment engine-owned counters;
 sustained pressure (:data:`GUARD_MISS_LIMIT` misses on one site) means the
 traffic changed shape, and the engine *deoptimizes* the chains that
 reach the offending element back to tier 1, resets the profile, and
-lets them climb again against fresh counters.
+lets them climb again against fresh counters.  A control-plane patch
+deoptimizes only what it falsifies: a route patch whose committed
+tables still answer every hot destination tier 2 baked in the same
+way keeps tier 2, the profile and every chain's tier; a rules patch or
+a structural update drops tier 2, which inlined the old trees.
 
 A tier 2 emits only the chains promoted onto it, each on its first
 entry, and the recompile is emission alone where the text is known: the
@@ -61,6 +66,8 @@ does all that can fail before anything is live, and
 from __future__ import annotations
 
 import hashlib
+import random
+from functools import partial
 
 from .codegen_cache import default_cache
 from .fastpath import ChainPolicy, FastOutputPort, FastPath
@@ -82,13 +89,16 @@ GUARD_MISS_LIMIT = 8192
 HOT_FRACTION = 0.5
 #: Tier-2 builds one engine may make.
 MAX_RECOMPILES = 16
+#: Seed of each engine's stream of sampling offsets: a fixed seed keeps
+#: the profile, and so the code built from it, the same run to run.
+_SAMPLE_SEED = 0x5EED
 
 
 class AdaptiveConfig:
     """Tuning knobs for the tiered engine.
 
-    ``sample`` must be a power of two (the dispatcher uses a mask);
-    ``threshold`` is the per-chain packet count that triggers
+    ``sample`` is the run of packets that profiles one, a power of
+    two; ``threshold`` is the per-chain packet count that triggers
     promotion; ``min_samples`` is the least profile weight a decision
     may rest on.
     """
@@ -450,9 +460,11 @@ class _GuardCounter:
 class _ChainState:
     """Per-entry-chain tier state.  ``tier`` is 1 while the sampling
     dispatcher runs, 2 once promoted, 0 once settled back to the plain
-    static chain (nothing worth speculating)."""
+    static chain (nothing worth speculating).  ``decisions`` is what
+    the chain's tier-2 code baked in, while ``tier`` is 2: a scoped
+    deopt can leave a chain on a tier 2 the engine has dropped."""
 
-    __slots__ = ("key", "port", "plain", "prof", "seen", "tier")
+    __slots__ = ("key", "port", "plain", "prof", "seen", "tier", "decisions")
 
     def __init__(self, key, port):
         self.key = key
@@ -461,6 +473,7 @@ class _ChainState:
         self.prof = None
         self.seen = 0
         self.tier = 1
+        self.decisions = None
 
 
 class ProfileReport:
@@ -581,6 +594,7 @@ class AdaptiveEngine:
         self.mode, self.batch, config = self.fields(profile)
         self.config = config if config is not None else AdaptiveConfig()
         self.tiering = self.mode == "fdd"
+        self._offset = partial(random.Random(_SAMPLE_SEED).randrange, self.config.sample)
         self.store = ProfileStore()
         self.tier2_fp = None
         self.states = {}
@@ -713,21 +727,30 @@ class AdaptiveEngine:
 
     def _arm(self, state):
         """(Re)install the tier-1 sampling dispatcher on a chain — past
-        the recompile budget, the plain chain: sampling could never pay."""
+        the recompile budget, the plain chain: sampling could never pay.
+        Each run of ``sample`` packets profiles one, at an offset drawn
+        from the engine's fixed-seed stream: a fixed stride would see
+        traffic whose period divides it from one phase only, and one
+        sample per run keeps the profile as heavy, after any number of
+        packets, as a fixed stride makes it."""
         if self._budget_spent():
             self._settle(state)
             return
         state.tier = 1
-        mask = self.config.sample - 1
+        state.decisions = None
+        offset, sample = self._offset, self.config.sample
+        due = state.seen + 1 + offset()
         threshold = self.config.threshold
         consider = self._consider
 
         def push(packet, _s=state):
+            nonlocal due
             n = _s.seen + 1
             _s.seen = n
-            if n & mask:
+            if n != due:
                 _s.plain(packet)
             else:
+                due = n - (n - 1) % sample + sample + offset()
                 _s.prof(packet)
             if n >= threshold:
                 consider(_s)
@@ -749,18 +772,21 @@ class AdaptiveEngine:
             # well before min_samples profiled events accumulate).
             # Keep the chain sampling and revisit a threshold from now.
             state.seen = 0
+            self._arm(state)
             return
         fn = tier2.function_for(state.key) if tier2 is not None else None
         if fn is None:
             self._settle(state)
             return
         state.tier = 2
+        state.decisions = tier2.policy.decisions
         state.port.push = fn
 
     def _settle(self, state):
         """Run a chain on the plain static chain (tier 0): no sampling
         dispatcher, no instrumented flavor."""
         state.tier = 0
+        state.decisions = None
         state.port.push = state.plain
 
     def _budget_spent(self):
@@ -912,18 +938,61 @@ class AdaptiveEngine:
             staged.append((self.profiled, self.profiled.stage_rewrite(self.profiled.policy, changed)))
         return staged
 
-    def commit_update(self, staged, reason, scope=None):
+    def _falsified(self, names):
+        """What the committed route tables ``names`` falsify of tier 2:
+        for each table with a hot ``(raw, gateway, port)`` constant baked
+        into the engine's tier 2, or into the code a promoted chain still
+        runs, whose ``lookup_route(raw)`` now answers otherwise, the
+        table's name -> ``"raw → port p via gw"`` (the new answer).
+        Branch order and pruned arms still dispatch through the jump
+        table, and ARP headers sit behind their epoch guard, so the hot
+        constant is all a route table bakes.  A lookup on an int emits,
+        compiles and raises nothing."""
+        from ..net.addresses import IPAddress
+
+        baked = {state.decisions for state in self.states.values() if state.tier == 2}
+        if self.tier2_fp is not None:
+            baked.add(self.tier2_fp.policy.decisions)
+        moved = {}
+        for decisions in baked:
+            for name in names:
+                decision = decisions.route.get(name)
+                if decision is None or decision["hot"] is None or name in moved:
+                    continue
+                raw, gateway, port = decision["hot"]
+                answer = self.router.elements[name].lookup_route(raw)
+                if answer is None:
+                    moved[name] = "%s → no route" % IPAddress(raw)
+                    continue
+                via, out = answer
+                if (via.value if via is not None else None, out) != (gateway, port):
+                    moved[name] = "%s → port %d%s" % (IPAddress(raw), out, " via %s" % via if via is not None else "")
+        return moved
+
+    def commit_update(self, staged, patched=None):
         """Phase two, which raises nothing: commit the staged rewrites
         (:meth:`FastPath.commit_rewrite` emits and compiles nothing),
         count the plans built again, install the engine again after a
-        structural update, and restart the profile.  :meth:`deopt`
-        demotes the chains that reach ``scope``, every chain when it is
-        None; a caller that staged a rewrite passes None, since tier 2
-        is dropped whole and a chain left running on it would keep it
-        from being released.  An update lands between bursts, never
-        from inside a chain (a guard miss does), so the dropped tier 2
-        is released once no chain runs on it.  Returns the fast paths
-        rewritten."""
+        structural update, and deoptimize what the update falsified.
+        ``patched`` maps each element a table patch changed to its kind
+        (``"routes"`` or ``"rules"``); None is a structural update.
+
+        - A route patch deoptimizes only where the committed tables
+          answer a hot destination tier 2 baked otherwise
+          (:meth:`_falsified`): :meth:`deopt` then demotes the chains
+          that reach the one moved table (every chain for several).
+          Otherwise tier 2, its guard counters, the profile and every
+          chain's tier and count stay.
+        - A rules patch or a structural update drops tier 2 and
+          restarts the profile, as tier 2 inlined the old trees and
+          guard conditions: a rules patch of one classifier that
+          staged no rewrite demotes the chains that reach it, any
+          other every chain, since tier 2 is dropped whole and a chain
+          left running on it would keep it from being released.
+
+        An update lands between bursts, never from inside a chain (a
+        guard miss does), so the dropped tier 2 is released once no
+        chain runs on it.  Returns the fast paths rewritten."""
         before = self.tier1.policy.plans or {}
         for path, stage in staged:
             path.commit_rewrite(stage)
@@ -932,11 +1001,23 @@ class AdaptiveEngine:
         if not self.installed:  # a structural update: the wiring is new
             self._reach_cache = {}
             self.install()
+        rewritten = [path for path, _stage in staged]
+        if patched is None:
+            reason, scope = "structural update", None
+        elif set(patched.values()) == {"routes"}:
+            moved = self._falsified(patched)
+            if not moved:
+                return rewritten
+            reason = "control-plane patch of %s" % "; ".join("%s: %s" % item for item in moved.items())
+            scope = next(iter(moved)) if len(moved) == 1 else None
+        else:
+            reason = "control-plane patch of %s" % ", ".join(patched)
+            scope = next(iter(patched)) if len(patched) == 1 and not staged else None
         dropped = self.tier2_fp
         if self.deopt(reason, scope) and dropped is not None:
             if not any(state.tier == 2 for state in self.states.values()):
                 dropped.release()
-        return [path for path, _stage in staged]
+        return rewritten
 
     # -- observability -----------------------------------------------------
 

@@ -17,7 +17,8 @@ Two ways to run:
   counter inserted and deleted again, a rules rotation mid-trace and a
   value edit of the same classifier, the first filter's rules reordered
   where no verdict changes (a no-op wherever it runs as an IPFilter),
-  and a filter grown past a hundred rules.
+  a filter grown past a hundred rules, and a route patch that sends one
+  traced destination out of another wired output.
 - ``click-fuzz --repro FILE`` replays one repro file through the full
   matrix and reports whether the divergence is still present (exit 1) or
   fixed (exit 0).
@@ -33,7 +34,13 @@ import sys
 import time
 
 from .genconfig import generate_case, stock_cases
-from .gentraffic import with_grown_filter, with_permuted_filter, with_rules_update, with_structural_update
+from .gentraffic import (
+    with_grown_filter,
+    with_permuted_filter,
+    with_route_update,
+    with_rules_update,
+    with_structural_update,
+)
 from .oracle import MODES, SHARD_MODES, compare_case
 from .shrink import element_count, load_repro, shrink_case, write_repro
 
@@ -98,7 +105,8 @@ def _parser():
         "every mode, in place where the mode can; before it, insert "
         "a named Counter into one push connection and delete it again; "
         "after it, reorder the first IPFilter's rules where no verdict "
-        "changes, then grow it past a hundred rules",
+        "changes, then grow it past a hundred rules; and send one traced "
+        "destination out of another wired output of the first route table",
     )
     parser.add_argument(
         "--report",
@@ -178,7 +186,10 @@ def _fuzz_cases(args):
     if args.updates:
         rng = random.Random(args.seed)
         cases = [
-            with_permuted_filter(with_structural_update(with_grown_filter(with_rules_update(case, rng)), rng), rng)
+            with_route_update(
+                with_permuted_filter(with_structural_update(with_grown_filter(with_rules_update(case, rng)), rng), rng),
+                rng,
+            )
             for case in cases
         ]
     return cases

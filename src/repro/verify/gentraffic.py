@@ -12,7 +12,9 @@ must cross it unchanged), a control-plane rules update that changes
 what a classifier's outputs mean, a structural update that inserts a
 counter into a live push connection and later deletes it, a rules
 update that only reorders a filter's rules where no verdict can
-change, and a rules update that grows a filter past a hundred rules.
+change, a rules update that grows a filter past a hundred rules, and
+a route update that sends one traced destination out of another wired
+output.
 
 Everything is driven by a seeded ``random.Random``; the same seed always
 produces the same event list, so every case is replayable.
@@ -27,7 +29,9 @@ from itertools import groupby
 from ..classifier.ipfilter import parse_filter_rule
 from ..core.toolchain import load_config, save_config
 from ..elements.classifiers import CLASSIFIER_CLASS_NAMES
+from ..elements.routing import LookupIPRoute
 from ..lang.lexer import split_config_args
+from ..net.addresses import IPAddress
 from ..net.checksum import internet_checksum
 from ..net.headers import build_arp_request, build_ether_udp_packet
 from ..sim.testbed import HOST_ETHERS, host_ip
@@ -291,13 +295,17 @@ def with_rules_update(case, rng):
     return dict(case, events=events)
 
 
+def _in_force(case, at):
+    """The configuration text in force ``at`` events into ``case``."""
+    events = case["events"][:at]
+    return ([event[1] for event in events if event[0] in ("hotswap", "update") and len(event) > 1] or [case["config"]])[-1]
+
+
 def _first_filter(case, at):
     """``(graph, decl)``: the text in force ``at`` events into
     ``case``, parsed, and its first ``IPFilter``'s declaration; None
     without one."""
-    events, text = case["events"], case["config"]
-    text = ([event[1] for event in events[:at] if event[0] in ("hotswap", "update") and len(event) > 1] or [text])[-1]
-    graph = load_config(text, "<filter>")
+    graph = load_config(_in_force(case, at), "<filter>")
     decl = next((decl for decl in graph.elements.values() if decl.class_name == "IPFilter"), None)
     return (graph, decl) if decl is not None else None
 
@@ -346,11 +354,83 @@ def with_permuted_filter(case, rng):
     return dict(case, events=events)
 
 
+#: The IP route table classes :func:`route_update_text` patches.
+_ROUTE_TABLES = ("LookupIPRoute", "StaticIPLookup", "RadixIPLookup")
+
+
+def route_update_text(config_text, carried, rng):
+    """The configuration with one destination of ``carried`` (raw
+    addresses; a repeat weighs the seeded pick) sent out of another
+    wired output of its first IP route table: a ``/32`` route, ahead of
+    the table, to where another carried destination goes (that one's
+    gateway, or itself), else to another wired output a route of the
+    table names.  The table answers as a ``LookupIPRoute`` of its
+    routes.  None without a route table, a carried destination it
+    routes to a wired output, or another wired output to send it to."""
+    graph = load_config(config_text, "<routes>")
+    decl = next((decl for decl in graph.elements.values() if decl.class_name in _ROUTE_TABLES), None)
+    if decl is None:
+        return None
+    table = LookupIPRoute(decl.name, decl.config)
+    wired = {conn.from_port for conn in graph.connections_from(decl.name)}
+    answers = {raw: table.lookup_route(raw) for raw in set(carried)}
+    answers = {raw: answer for raw, answer in answers.items() if answer and answer[1] in wired}
+    carried = [raw for raw in carried if raw in answers]
+    if not carried:
+        return None
+    raw = rng.choice(carried)
+    port = answers[raw][1]
+    hops = {(gateway.value if gateway is not None else other, out) for other, (gateway, out) in answers.items() if out != port}
+    hops = hops or {
+        (gateway.value if gateway is not None else None, out) for _network, _mask, gateway, out in table.routes if out in wired and out != port
+    }
+    if not hops:
+        return None
+    hop, port = rng.choice(sorted(hops, key=lambda hop: (hop[0] or 0, hop[1])))
+    via = "%s " % IPAddress(hop) if hop is not None else ""
+    decl.config = ", ".join(["%s/32 %s%d" % (IPAddress(raw), via, port)] + split_config_args(decl.config))
+    return save_config(graph)
+
+
+def carried_destinations(events):
+    """The IP destination of every Ethernet/IP frame event, in order."""
+    frames = (bytes.fromhex(event[2]) for event in events if event[0] == "frame")
+    return [int.from_bytes(frame[30:34], "big") for frame in frames if len(frame) >= 34 and frame[12:14] == b"\x08\x00"]
+
+
+def with_route_update(case, rng):
+    """``case`` with a route patch five twelfths in: the frames before
+    that point replayed for :data:`ROUTE_WARM` frames, an
+    ``["update", CONFIG]`` event that installs :func:`route_update_text`
+    of the text in force there, picking among the destinations of those
+    frames, and :data:`ROUTE_AFTER` replayed frames more.  The replay
+    gives an eager tier 2 the traffic to promote on, and a hot
+    destination is the likely pick: a tier 2 that baked its answer must
+    notice that it moved.  The case itself where nothing can move."""
+    at = 5 * len(case["events"]) // 12
+    frames = [event for event in case["events"][:at] if event[0] == "frame"]
+    text = route_update_text(_in_force(case, at), carried_destinations(frames), rng)
+    if text is None:
+        return case
+    burst = []
+    for index in range(ROUTE_WARM + ROUTE_AFTER):
+        if index == ROUTE_WARM:
+            burst.append(["update", text])
+        burst.append(frames[index % len(frames)])
+        if index % 8 == 7:
+            burst.append(["run", 4])
+    events = list(case["events"])
+    events[at:at] = burst
+    return dict(case, events=events)
+
+
 #: The element :func:`with_structural_update` inserts: named, so no
 #: anonymous element's positional name moves with the edit.
 INSERTED = "fuzzcount"
 #: How many rules :func:`with_grown_filter` gives the filter it grows.
 GROWN_RULES = 104
+#: Frames :func:`with_route_update` replays before its patch, and after.
+ROUTE_WARM, ROUTE_AFTER = 128, 32
 
 
 def with_structural_update(case, rng):

@@ -4,7 +4,8 @@ Every reconfiguration of a live router — a route or rules patch, a
 structural update, a hot-swap — stages all that can fail, then commits
 with nothing left that can fail, or rolls back to the router as it was.
 A ``hypothesis`` state machine drives a supervised ``fast`` or ``fdd``
-router through frames, scheduler runs, route patches, valid, rejected,
+router through frames, scheduler runs, route patches (one that moves a
+destination the frames carry among them), valid, rejected,
 failing and equivalent rules patches (a filter grown past a hundred
 rules among them, and one taken past the diagram depth bound and back
 under it around traffic), a named insert and delete, and hot-swaps,
@@ -37,6 +38,7 @@ from repro.lang.lexer import split_config_args
 from repro.runtime import ExecutionProfile
 from repro.runtime import fastpath
 from repro.sim.testbed import Testbed
+from repro.verify.gentraffic import carried_destinations, route_update_text
 
 from ..chains import assert_chains_as_fresh
 from ..classifier.test_filter_key import transformed
@@ -48,6 +50,8 @@ CONFIG = ip_router_config(default_interfaces(2)).replace(
     "-> GetIPAddress(16) -> rt;", "-> GetIPAddress(16) -> fw :: IPFilter(allow all) -> rt;", 1
 )
 FRAMES = Testbed(2).evaluation_frames(128)
+#: The IP destinations the frames carry, for ``route_move``.
+CARRIED = carried_destinations(["frame", device, frame.hex()] for device, frame in FRAMES)
 
 ROUTES = [
     ["1.0.0.1/32 0", "2.0.0.1/32 0", "1.0.0.0/8 2", "2.0.0.0/8 1"],
@@ -155,6 +159,21 @@ class CommitProtocol(RuleBasedStateMachine):
     def route_patch(self, routes, failure):
         report = self.update(self.edited("rt", routes), failure)
         assert report is None or report.kind in ("in-place", "no-op")
+
+    @rule(seed=st.integers(0, 2**16), warm=st.integers(0, 3))
+    def route_move(self, seed, warm):
+        """``warm`` rounds of traffic, which can promote chains onto a
+        tier 2 that bakes the hot destination's answer, then one
+        destination the frames carry sent out of another wired output
+        of ``rt`` (gentraffic's route update), then traffic: where tier
+        2 baked that destination's answer, the patch must drop it."""
+        for _ in range(warm):
+            self.frames(48, 0, False)
+            self.run(24)
+        report = self.update(route_update_text(self.text, CARRIED, random.Random(seed)))
+        assert report.kind == "in-place"
+        self.frames(48, 0, False)
+        self.run(24)
 
     @rule(
         rules=st.lists(st.sampled_from(FILTER_RULES), max_size=4) | st.just(DEEP_RULES[:-1]),

@@ -13,6 +13,7 @@ from repro.elements.infrastructure import Counter
 from repro.elements.runtime import wiring_of
 from repro.events import read_counters
 from repro.lang.lexer import split_config_args
+from repro.net.addresses import IPAddress
 from repro.runtime import AdaptiveConfig, ExecutionProfile
 from repro.runtime import fastpath
 from repro.runtime.codegen_cache import default_cache
@@ -39,6 +40,29 @@ def drive(testbed, plane, devices, count=64, start=0):
 
 def routes_of(plane, name="rt"):
     return split_config_args(plane.router.graph.elements[name].config)
+
+
+EAGER = dict(threshold=48, sample=4, min_samples=12)
+#: Each host of the base IP router -> the host behind the other
+#: interface, and ``rt``'s output to that interface.
+HOSTS = {"1.0.0.2": ("2.0.0.2", 2), "2.0.0.2": ("1.0.0.2", 1)}
+
+
+def hot_host(engine):
+    """The destination tier 2 baked into ``rt``'s dispatch."""
+    raw, _gateway, _port = engine.tier2_fp.policy.decisions.route["rt"]["hot"]
+    return str(IPAddress(raw))
+
+
+def sent_elsewhere(plane, host):
+    """``rt``'s routes with ``host`` sent out of the other interface,
+    via the host there, whose Ethernet address the testbed seeded."""
+    other, port = HOSTS[host]
+    return ["%s/32 %s %d" % (host, other, port)] + routes_of(plane)
+
+
+def wire(devices):
+    return {name: list(device.transmitted) for name, device in devices.items()}
 
 
 class TestInPlace:
@@ -96,18 +120,71 @@ class TestInPlace:
         assert drive(testbed, plane, devices) > 0
 
     def test_patch_deopts_adaptive_chains(self):
-        from repro.runtime.adaptive import AdaptiveConfig
-
-        config = AdaptiveConfig(threshold=48, sample=4, min_samples=12)
-        testbed, plane, devices = build_plane(
-            profile=ExecutionProfile.fdd(config=config)
-        )
+        """A route patch that sends tier 2's hot destination out of the
+        other interface falsifies the constant tier 2 baked: it deopts,
+        the reason names the constant's new answer, and the chains climb
+        again onto a tier 2 that bakes the patched table's answers."""
+        testbed, plane, devices = build_plane(profile=ExecutionProfile.fdd(config=AdaptiveConfig(**EAGER)))
         drive(testbed, plane, devices, 256)  # promote hot chains to tier 2
-        report = plane.router.adaptive.profile_report().as_dict()
-        assert any(chain["tier"] == 2 for chain in report["chains"].values())
-        plane.update_routes("rt", routes_of(plane))
-        report = plane.router.adaptive.profile_report().as_dict()
-        assert any("control-plane patch of rt" in reason for reason in report["deopts"])
+        engine = plane.router.adaptive
+        assert any(state.tier == 2 for state in engine.states.values())
+        host = hot_host(engine)
+        other, port = HOSTS[host]
+        plane.update_routes("rt", sent_elsewhere(plane, host))
+        assert engine.deopts == ["control-plane patch of rt: %s → port %d via %s" % (host, port, other)]
+        assert engine.tier2_fp is None and not any(state.tier == 2 for state in engine.states.values())
+        drive(testbed, plane, devices, 256, start=256)
+        assert any(state.tier == 2 for state in engine.states.values())
+        raw, gateway, port = engine.tier2_fp.policy.decisions.route["rt"]["hot"]
+        answer = plane.router.elements["rt"].lookup_route(raw)
+        assert (answer[0] and answer[0].value, answer[1]) == (gateway, port)
+
+    def test_a_route_patch_that_keeps_every_answer_keeps_tier_2(self):
+        """Routes reordered and one no frame matches: the committed
+        table answers the hot destination as before, so tier 2, every
+        entry's function and the profile stay, and the wire is the
+        reference twin's."""
+        live = build_plane(profile=ExecutionProfile.fdd(config=AdaptiveConfig(**EAGER)))
+        twin = build_plane(profile=ExecutionProfile.reference())
+        for testbed, plane, devices in (live, twin):
+            drive(testbed, plane, devices, 256)
+        engine = live[1].router.adaptive
+        tier2, counts = engine.tier2_fp, engine.store.snapshot()
+        pushes = {key: state.port.push for key, state in engine.states.items()}
+        assert tier2 is not None and any(state.tier == 2 for state in engine.states.values())
+        routes = routes_of(live[1])[::-1] + ["203.0.9.0/24 1"]
+        for testbed, plane, devices in (live, twin):
+            assert plane.update_routes("rt", routes).kind == "in-place"
+        assert engine.tier2_fp is tier2 and engine.store.snapshot() == counts and engine.deopts == []
+        assert {key: state.port.push for key, state in engine.states.items()} == pushes
+        for testbed, plane, devices in (live, twin):
+            drive(testbed, plane, devices, 256, start=256)
+        assert engine.tier2_fp is tier2 and engine.deopts == []
+        assert wire(live[2]) == wire(twin[2])
+
+    def test_moving_a_destination_tier_2_did_not_bake_keeps_tier_2(self):
+        """The host tier 2 did not speculate on, sent out of the other
+        interface: tier 2 stays, that host's frames leave by the new
+        port, and the wire is the reference twin's."""
+        live = build_plane(profile=ExecutionProfile.fdd(config=AdaptiveConfig(**EAGER)))
+        twin = build_plane(profile=ExecutionProfile.reference())
+        for testbed, plane, devices in (live, twin):
+            drive(testbed, plane, devices, 256)
+        engine = live[1].router.adaptive
+        tier2 = engine.tier2_fp
+        assert tier2 is not None
+        cold = next(host for host in HOSTS if host != hot_host(engine))
+        routes = sent_elsewhere(live[1], cold)
+        before = wire(live[2])
+        for testbed, plane, devices in (live, twin):
+            assert plane.update_routes("rt", routes).kind == "in-place"
+            drive(testbed, plane, devices, 256, start=256)
+        assert engine.tier2_fp is tier2 and engine.deopts == []
+        assert any(state.tier == 2 for state in engine.states.values())
+        device = "eth%d" % (HOSTS[cold][1] - 1)
+        moved = [frame for frame in wire(live[2])[device][len(before[device]):] if frame[30:34] == IPAddress(cold).packed()]
+        assert moved
+        assert wire(live[2]) == wire(twin[2])
 
     def test_noop_update(self):
         _, plane, _ = build_plane()

@@ -300,6 +300,31 @@ def test_fdd_speculates_on_a_filter_past_the_depth_bound():
     assert runs[0] == runs[1] and runs[0][1][("fw", "drops")] == 76
 
 
+def test_a_period_that_divides_the_sample_rate_is_profiled_from_every_phase():
+    """Every fourth frame denied, with the eager ``sample`` of four: a
+    dispatcher profiling every fourth packet would see only denials and
+    prune the allow arm that carries three frames in four.  Drawn at
+    seeded random gaps, the profile sees both, and tier 2 guards the
+    allow arm instead; the wire and every handler read as the
+    reference interpreter's."""
+    ether = b"\x00\x50\x56\x00\x00\x01" + b"\x00\x50\x56\x00\x00\x02" + b"\x08\x00"
+    allowed = dns5_packet()
+    denied = allowed[:12] + IPAddress("10.200.0.7").packed() + allowed[16:]
+    frames = [ether + (denied if index % 4 == 3 else allowed) for index in range(384)]
+    runs = []
+    for profile in (ExecutionProfile.reference(), ExecutionProfile.fdd(config=AdaptiveConfig(**EAGER))):
+        devices = {name: LoopbackDevice(name, tx_capacity=1 << 30) for name in ("eth0", "eth1")}
+        router = Router(grown_firewall_graph(), devices=devices, profile=profile)
+        for frame in frames:
+            devices["eth0"].receive_frame(frame)
+        router.run_tasks(len(frames))
+        if router.adaptive is not None:
+            decision = router.adaptive.tier2_fp.policy.decisions.classifier["fw"]
+            assert 0 not in decision["prune"] and decision["hot"][1] == 0
+        runs.append(observe(router, devices))
+    assert runs[0] == runs[1] and runs[0][1][("fw", "drops")] == 96
+
+
 def drive_rules_patches(mode, batch):
     """Traffic, then three in-place classifier patches with traffic
     after each: ``c0``'s IP arm pointed at nothing (eth0's flow is

@@ -201,6 +201,8 @@ def test_a_promotion_compiles_the_promoted_chains_and_a_deopt_releases_them():
     import weakref
 
     from repro.classifier.compile import is_pending
+    from repro.lang.lexer import split_config_args
+    from repro.net.addresses import IPAddress
     from repro.runtime.codegen_cache import default_cache
 
     default_cache().clear()
@@ -232,8 +234,12 @@ def test_a_promotion_compiles_the_promoted_chains_and_a_deopt_releases_them():
         engine._on_guard_pressure(engine._guard_counters[0])
         assert engine.tier2_fp is None and tier2._compiled and not is_pending(running)
         engine.tier2_fp = tier2  # as if promoted again
+        raw, _gateway, port = tier2.policy.decisions.route["rt"]["hot"]
         del tier2, running
-        assert engine.commit_update(engine.stage_update(()), "control-plane patch of rt", "rt") == []
+        # the committed table sends the hot destination elsewhere
+        rt, routes = router.elements["rt"], split_config_args(router.graph.elements["rt"].config)
+        rt.commit_routes(rt.check_routes(["%s/32 %d" % (IPAddress(raw), 3 - port)] + routes))
+        assert engine.commit_update(engine.stage_update(()), {"rt": "routes"}) == []
         assert dropped() is None
     finally:
         gc.enable()

@@ -728,18 +728,25 @@ def test_configure_compiles_nothing_and_traffic_compiles_what_it_enters(compile_
 
 
 def test_route_patch_cycles_emit_only_the_chains_promoted_again(compile_calls):
-    """Flat memory, as a count: a route patch drops tier 2 and sends
-    every chain back to climb, and each re-promotion builds a tier 2
-    that emits only the chains promoted onto it (a tier 2 emitted all
-    59 when a build emitted every chain at once).  Over 12 cycles of
-    route patch -> burst -> re-promotion on the warmed IP router, the
-    chains emitted grow by at most the promoted chains a cycle, and the
-    cycles compile nothing: the chain store holds every text they emit."""
+    """Flat memory, as a count: a route patch that moves the hot
+    destination drops tier 2 and sends every chain back to climb, and
+    each re-promotion builds a tier 2 that emits only the chains
+    promoted onto it (a tier 2 emitted all 59 when a build emitted every
+    chain at once).  Over 12 cycles of route patch -> burst ->
+    re-promotion on the warmed IP router, each patch sending the hot
+    destination through another gateway, the chains emitted grow by at
+    most the promoted chains a cycle, and the cycles compile nothing:
+    a gateway is bound, not spelled, so the chain store holds every
+    text they emit once two gateways have been promoted on."""
+    from repro.net.addresses import IPAddress
+
     from .test_fastpath_lowering import EAGER
 
     testbed, router, devices = build(ExecutionProfile.fdd(config=AdaptiveConfig(**EAGER)))
     engine, plane = router.adaptive, ControlPlane(router)
-    block = testbed.evaluation_frames(512)
+    # eth0's host gets eight frames in nine, so it stays the hot one
+    block = [(name, frame) for index, (name, frame) in enumerate(testbed.evaluation_frames(512))
+             if name == "eth0" or index % 16 == 1]
 
     def burst():
         for name, frame in block:
@@ -750,19 +757,27 @@ def test_route_patch_cycles_emit_only_the_chains_promoted_again(compile_calls):
         return sum(flavor.report.emitted_units for flavor in (engine.tier1, engine.profiled)) + sum(
             tier2.report.emitted_units for tier2 in tiers2)
 
+    def via(gateway):
+        return ["%s/32 %s %d" % (host, IPAddress((raw & 0xFF000000) | gateway), port)] + routes
+
     burst()
     tiers2 = [engine.tier2_fp]
-    assert tiers2[0] is not None
-    routes = rules_of(router, "rt")
+    raw, _gateway, port = tiers2[0].policy.decisions.route["rt"]["hot"]
+    host, routes = IPAddress(raw), rules_of(router, "rt")
+    for gateway in (100, 101):  # c0's profile is guarded at one and too thin at the other
+        plane.update_routes("rt", via(gateway))
+        burst()
+        tiers2.append(engine.tier2_fp)
     del compile_calls[:]
     for cycle in range(12):
         before = emitted()
-        report = plane.update_routes("rt", routes + ["203.0.%d.0/24 1" % cycle])
+        report = plane.update_routes("rt", via(102 + cycle))
         assert report.kind == "in-place" and engine.tier2_fp is None
         burst()
         tier2 = engine.tier2_fp
         assert tier2 is not None and tier2 not in tiers2
         tiers2.append(tier2)
+        assert tier2.policy.decisions.route["rt"]["hot"][1] == (raw & 0xFF000000) | (102 + cycle)
         promoted = {key for key, state in engine.states.items() if state.tier == 2}
         assert promoted and set(tier2.chains) <= promoted
         assert emitted() - before <= len(promoted), cycle

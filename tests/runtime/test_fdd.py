@@ -243,7 +243,7 @@ def test_every_compiled_mode_is_the_one_engine(mode, batch):
         assert ports
         for key, port in ports:  # no dispatcher hop
             assert port.push is engine.tier1.function_for(key)
-        assert engine.commit_update(engine.stage_update(()), "control-plane patch of rt", "rt") == []
+        assert engine.commit_update(engine.stage_update(()), {"rt": "routes"}) == []
     else:
         assert engine.profiled is not None and engine.states
     # Supervising an equal profile keeps the engine (a batch one compiles
@@ -329,17 +329,30 @@ def test_rules_patch_changes_live_dispatch():
 
 
 def test_route_patch_still_deopts():
+    """A route patch that sends the hot destination through a gateway
+    falsifies the constant tier 2 baked from ``rt``: it deopts, and the
+    chains climb again onto a tier 2 that bakes the gateway.  No plan
+    is built again: compiled lookups read the live table."""
     from repro.control import ControlPlane
     from repro.lang.lexer import split_config_args
+    from repro.net.addresses import IPAddress
 
-    _, router, _ = _fdd_testbed()
-    plane = ControlPlane(router)
+    testbed, router, devices = _fdd_testbed()
+    engine, plane = router.adaptive, ControlPlane(router)
+    raw, gateway, port = engine.tier2_fp.policy.decisions.route["rt"]["hot"]
+    assert gateway is None
+    host = IPAddress(raw)
+    via = IPAddress((raw & 0xFF000000) | 9)
     routes = split_config_args(router.graph.elements["rt"].config)
-    plane.update_routes("rt", routes)
-    engine = router.adaptive
-    assert engine.diagram_rebuilds == 0  # compiled lookups read the live table
-    deopts = engine.profile_report().as_dict()["deopts"]
-    assert any("control-plane patch of rt" in reason for reason in deopts)
+    plane.update_routes("rt", ["%s/32 %s %d" % (host, via, port)] + routes)
+    assert engine.diagram_rebuilds == 0
+    assert engine.deopts == ["control-plane patch of rt: %s → port %d via %s" % (host, port, via)]
+    assert engine.tier2_fp is None
+    for device_name, frame in testbed.evaluation_frames(1024)[512:]:
+        devices[device_name].receive_frame(frame)
+    router.run_tasks(512)
+    assert any(state.tier == 2 for state in engine.states.values())
+    assert engine.tier2_fp.policy.decisions.route["rt"]["hot"] == (raw, via.value, port)
 
 
 def test_repatch_survives_supervision():
